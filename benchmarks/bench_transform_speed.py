@@ -194,53 +194,42 @@ def test_code_object_cache_warm_start(benchmark, tmp_path):
     objects (marshal, keyed by interpreter magic) beside emitted source,
     so a warm start skips Python parse+compile entirely.
 
-    One cold compile populates the store in ``codegen="code"`` mode;
-    then two fresh warm runtimes replay it — one decoding the stored
-    code objects, one forced back to source — and the code path must
-    report a code hit for every source hit while producing the same
-    residuals (byte-identity is the engine warm-start contract asserted
-    elsewhere; here both paths must at least *run* identically)."""
+    One cold compile populates the store; a fresh warm runtime replays
+    it and must report a code hit for every source hit while producing
+    the same result (byte-identity is the engine warm-start contract
+    asserted elsewhere; here the warm path must at least *run*
+    identically)."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     from repro.core.specialize import SpecializeOptions
     store = str(tmp_path / "store")
 
-    def aot(codegen):
+    def aot():
         rt = JSRuntime(WORKLOADS[NAME], "wevaled_state",
                        options=SpecializeOptions(backend="py",
-                                                 codegen=codegen,
                                                  cache_dir=store))
         start = time.perf_counter()
         rt.aot_compile()
         return time.perf_counter() - start, rt
 
-    cold_seconds, rt_cold = aot("code")
-    warm_src_seconds, rt_src = aot("source")
-    warm_code_seconds, rt_code = aot("code")
-    src_stats = rt_src.compiler.engine.stats
-    code_stats = rt_code.compiler.engine.stats
+    cold_seconds, rt_cold = aot()
+    warm_seconds, rt_warm = aot()
+    warm_stats = rt_warm.compiler.engine.stats
     rows = [
-        ["cold AOT (codegen=code)", f"{cold_seconds:.2f}s",
+        ["cold AOT", f"{cold_seconds:.2f}s",
          f"{rt_cold.compiler.engine.stats.functions_specialized} "
          f"specialized, store populated"],
-        ["warm AOT (source cache)", f"{warm_src_seconds:.3f}s",
-         f"{src_stats.backend_source_hits} source hits, "
-         f"{src_stats.backend_code_hits} code hits"],
-        ["warm AOT (code-object cache)", f"{warm_code_seconds:.3f}s",
-         f"{code_stats.backend_code_hits} code hits "
+        ["warm AOT (code-object cache)", f"{warm_seconds:.3f}s",
+         f"{warm_stats.backend_code_hits} code hits "
          f"(compile() skipped)"],
     ]
     write_result("transform_speed_code_cache",
                  "Tier 3½ — precompiled-code warm start\n" +
                  format_table(["metric", "value", "detail"], rows))
-    assert code_stats.functions_specialized == 0
-    assert src_stats.functions_specialized == 0
-    # The source-mode replay must never decode code objects; the
-    # code-mode replay must decode one per stored source hit.
-    assert src_stats.backend_code_hits == 0
-    assert code_stats.backend_code_hits > 0
-    assert code_stats.backend_code_hits == code_stats.backend_source_hits
-    vm = rt_code.run()
-    assert rt_code.printed == ["13120"]
+    assert warm_stats.functions_specialized == 0
+    assert warm_stats.backend_code_hits > 0
+    assert warm_stats.backend_code_hits == warm_stats.backend_source_hits
+    rt_warm.run()
+    assert rt_warm.printed == ["13120"]
 
 
 def test_cache_is_invalidated_by_bytecode_change(benchmark):

@@ -27,7 +27,7 @@ from repro.core.intrinsics import (
     register_weval_imports,
     intrinsic_name,
 )
-from repro.core.snapshot import SnapshotCompiler, WevalRuntime
+from repro.core.snapshot import SnapshotCompiler
 from repro.core.cache import SpecializationCache
 from repro.core.stats import SpecializationStats
 
@@ -44,7 +44,6 @@ __all__ = [
     "register_weval_imports",
     "intrinsic_name",
     "SnapshotCompiler",
-    "WevalRuntime",
     "SpecializationCache",
     "SpecializationStats",
 ]

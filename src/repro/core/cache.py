@@ -11,13 +11,14 @@ output.
 The same key identifies entries in the *persistent* artifact store
 (:mod:`repro.pipeline.artifacts`); :func:`request_key` is the shared
 key constructor so the in-memory and on-disk tiers can never disagree
-about identity.  Note that engine-only knobs (``jobs``, ``cache_dir``)
-are deliberately *not* part of the key: they change how fast the output
-is produced, never what it is.
+about identity.  Which options belong to which key is declared on the
+:class:`~repro.core.specialize.SpecializeOptions` fields themselves
+(``metadata={"key": ...}``) and read here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Dict, Optional, Tuple
 
@@ -25,7 +26,11 @@ from repro.core.request import (
     SpecializationRequest,
     SpecializedMemory,
 )
-from repro.core.specialize import SpecializeOptions, specialize
+from repro.core.specialize import (
+    OPT_MAX_ROUNDS,
+    SpecializeOptions,
+    specialize,
+)
 from repro.ir.clone import clone_function
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -52,19 +57,27 @@ def memory_fingerprint(request: SpecializationRequest,
     return h.hexdigest()
 
 
-def options_key(options: Optional[SpecializeOptions]) -> Optional[tuple]:
-    """The subset of options that changes specialization *output*.
+# Field names by the cache key their ``metadata["key"]`` tag names.
+_RESIDUAL_FIELDS, _PY_FIELDS = (
+    tuple(field.name for field in dataclasses.fields(SpecializeOptions)
+          if field.metadata["key"] == key)
+    for key in ("residual", "py"))
 
-    ``options.backend`` keys the cache even though the residual IR is
-    backend-independent: the execution tier is part of the request
-    configuration, and sharing one cache across tiers is rarer than the
-    debugging confusion of a hit that silently ignores a differing
-    option.
-    """
+
+def options_key(options: Optional[SpecializeOptions]) -> Optional[tuple]:
+    """The options that change specialization *output*: every field
+    tagged ``"residual"``, in declaration order — plus ``OPT_MAX_ROUNDS``
+    in the seat it held as an option, so older stores stay valid."""
     if options is None:
         return None
-    return (options.ssa_mode, options.optimize, options.opt_config,
-            options.opt_max_rounds, options.backend)
+    values = tuple(getattr(options, name) for name in _RESIDUAL_FIELDS)
+    return values[:3] + (OPT_MAX_ROUNDS,) + values[3:]
+
+
+def py_options_key(options: SpecializeOptions) -> str:
+    """The mode component of the ``py/`` artifact key: every field
+    tagged ``"py"`` (today just ``emit_mode``)."""
+    return "+".join(getattr(options, name) for name in _PY_FIELDS)
 
 
 def request_key(module: Module, request: SpecializationRequest,

@@ -227,7 +227,3 @@ class SnapshotCompiler:
         self.process_requests()
         self.freeze()
         return self.resume()
-
-
-# The embedding-facing alias: a "runtime with weval support".
-WevalRuntime = SnapshotCompiler

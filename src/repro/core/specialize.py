@@ -97,70 +97,73 @@ def _default_backend() -> str:
     return os.environ.get("REPRO_BACKEND", "vm")
 
 
+# Safety valves of the fixpoint and the mid-end.  Constants, not
+# options: a value that can change residual bytes must either sit in the
+# cache key or not vary, and no caller ever varied these.
+OPT_MAX_ROUNDS = 6                  # mid-end pipeline fixpoint round cap
+MAX_ITERATIONS = 2_000_000          # worklist pops before "did not converge"
+MAX_REVISITS = 64                   # per-key convergence damper trigger
+MAX_VALUE_SPECIALIZATIONS = 4096    # widest specialized_value range
+# Once this many distinct contexts exist, further new contexts are
+# collapsed into the shared dynamic context.  Contexts only steer code
+# duplication, never correctness, so this is a sound safety valve
+# against runaway specialization of dynamically-unreachable paths.
+MAX_CONTEXTS = 100_000
+
+
+def _option(key: Optional[str], **kwargs):
+    """A :class:`SpecializeOptions` field tagged with the cache key it
+    is part of (:mod:`repro.core.cache`): ``"residual"`` changes residual
+    IR bytes, ``"py"`` only the emitted source, ``None`` neither — how
+    or whether output is produced, never what it is."""
+    return dataclasses.field(metadata={"key": key}, **kwargs)
+
+
 @dataclasses.dataclass
 class SpecializeOptions:
-    """Tunables for the transform."""
+    """Tunables for the transform; see :func:`_option` for the tags."""
 
-    ssa_mode: str = "minimal"          # "minimal" | "naive" (S3.4 ablation)
-    optimize: bool = True              # run the post pipeline on the output
-    opt_config: str = "default"        # named pipeline (see opt.PIPELINES)
-    opt_max_rounds: int = 6            # pipeline fixpoint round cap
-    verify_opt: bool = False           # run the IR verifier after each pass
+    # "minimal" | "naive" (S3.4 ablation)
+    ssa_mode: str = _option("residual", default="minimal")
+    # run the post pipeline on the output
+    optimize: bool = _option("residual", default=True)
+    # named pipeline (see opt.PIPELINES)
+    opt_config: str = _option("residual", default="default")
     # Execution tier for the residual code: "vm" interprets the IR,
     # "py" compiles it to native Python functions (repro.backend) with
     # automatic per-function fallback to the VM.  Defaults to the
-    # REPRO_BACKEND environment variable (or "vm").
-    backend: str = dataclasses.field(default_factory=_default_backend)
+    # REPRO_BACKEND environment variable (or "vm").  Keyed although the
+    # residual IR is backend-independent: sharing one cache across tiers
+    # is rarer than the confusion of a hit that ignores the option.
+    backend: str = _option("residual", default_factory=_default_backend)
     # Code-shape mode for the py backend: "structured" reconstructs
     # loops/joins as native ``while``/``if`` nests (relooper-style) with
     # batched fuel accounting; "dispatch" is the flat block-dispatch
     # tree.  Both are trap/print/fuel-identical; structured regions the
-    # emitter cannot reduce fall back to dispatch per function.  The
-    # residual IR is unaffected, so this is not part of the specializer
-    # cache key — but it IS part of the emitted-artifact key.
-    emit_mode: str = "structured"
-    # Artifact granularity for the py backend's warm start: "code"
-    # additionally persists the ``compile()``d code object (marshal,
-    # keyed by the interpreter magic) beside the emitted source, so a
-    # warm restart skips parsing/compiling entirely; "source" stores
-    # text only.  Loads silently fall back to source on any
-    # marshal/interpreter skew, so results are identical either way —
-    # this knob is NOT part of any cache key.
-    codegen: str = "code"
+    # emitter cannot reduce fall back to dispatch per function.
+    emit_mode: str = _option("py", default="structured")
     # Compilation-engine knobs (repro.pipeline): worker count for batch
     # compilation and the root of the persistent on-disk artifact store
-    # (None disables persistence).  Neither affects specialization
-    # *output*, so neither is part of any cache key.
-    jobs: int = 1
-    cache_dir: Optional[str] = None
+    # (None disables persistence).
+    jobs: int = _option(None, default=1)
+    cache_dir: Optional[str] = _option(None, default=None)
     # Worker-pool flavor for the engine's pure specialize stage:
     # "thread" shares the module in-process; "process" ships the module
     # (serialized, import signatures only) to a ProcessPoolExecutor and
     # sidesteps the GIL.  Output is bit-identical either way — the
-    # determinism tier asserts it — so, like ``jobs``, this is NOT part
-    # of any cache key.
-    pool: str = "thread"
-    max_revisits: int = 64             # per-key convergence safeguard
-    max_value_specializations: int = 4096
-    max_iterations: int = 2_000_000
-    # Once this many distinct contexts exist, further new contexts are
-    # collapsed into the shared dynamic context.  Contexts only steer code
-    # duplication, never correctness, so this is a sound safety valve
-    # against runaway specialization of dynamically-unreachable paths.
-    max_contexts: int = 100_000
+    # determinism tier asserts it.
+    pool: str = _option(None, default="thread")
     # Deterministic fault injection for the robustness tier
     # (repro.pipeline.faults.FaultPlan, or None for production).  The
     # plan only *fails* pipeline stages — it never changes what a
-    # successful compile produces — so, like ``jobs``/``pool``, it is
-    # deliberately NOT part of any cache key.
-    fault_plan: Optional[object] = None
+    # successful compile produces.
+    fault_plan: Optional[object] = _option(None, default=None)
     # Escape hatch for the fixpoint engine's throughput machinery:
     # disables unchanged-input meet skipping in the specializer and both
     # levels of mid-end pass skipping (dirty sets and work detectors),
     # recomputing everything the fast engine claims it may elide.  Output
-    # is byte-identical either way — the determinism tier asserts it — so
-    # this knob is deliberately NOT part of any cache key.
-    debug_exhaustive: bool = False
+    # is byte-identical either way — the determinism tier asserts it.
+    debug_exhaustive: bool = _option(None, default=False)
 
     def __post_init__(self):
         if self.ssa_mode not in ("minimal", "naive"):
@@ -169,8 +172,6 @@ class SpecializeOptions:
             raise ValueError(f"bad backend {self.backend!r}")
         if self.emit_mode not in ("structured", "dispatch"):
             raise ValueError(f"bad emit_mode {self.emit_mode!r}")
-        if self.codegen not in ("source", "code"):
-            raise ValueError(f"bad codegen {self.codegen!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.pool not in ("thread", "process"):
@@ -419,7 +420,7 @@ class _Specializer:
         self._seed()
         while self.queued:
             self._iterations += 1
-            if self._iterations > self.options.max_iterations:
+            if self._iterations > MAX_ITERATIONS:
                 raise SpecializeError(
                     f"{self.request.name()}: specialization did not "
                     f"converge after {self._iterations} iterations")
@@ -568,7 +569,7 @@ class _Specializer:
             info.param_slots = meet.param_slots
             return
         info.revisits += 1
-        if info.revisits > self.options.max_revisits and \
+        if info.revisits > MAX_REVISITS and \
                 not info.force_all_params and info.entry_state is not None:
             # Convergence damper: SSA-id churn in cyclic regions can make
             # entry states oscillate forever (predecessor rebuilds mint
@@ -579,7 +580,7 @@ class _Specializer:
             if new_pins - info.pinned_slots:
                 info.pinned_slots |= new_pins
                 meet = run_meet()
-            elif info.revisits > 4 * self.options.max_revisits:
+            elif info.revisits > 4 * MAX_REVISITS:
                 # Last resort: everything becomes a parameter.
                 info.force_all_params = True
                 meet = run_meet()
@@ -797,7 +798,7 @@ class _Specializer:
                                          "specialized_value low bound")
             hi = self._require_const_int(abs_args[2],
                                          "specialized_value high bound")
-            if hi < lo or hi - lo + 1 > self.options.max_value_specializations:
+            if hi < lo or hi - lo + 1 > MAX_VALUE_SPECIALIZATIONS:
                 raise SpecializeError(
                     f"{self.request.name()}: specialized_value range "
                     f"[{lo}, {hi}] invalid or too large")
@@ -905,7 +906,7 @@ class _Specializer:
     def _add_edge(self, info: _KeyInfo, position: int, ctx, gtarget: int,
                   overrides: Dict[int, AbsVal]) -> BlockCall:
         if ctx not in self._seen_contexts:
-            if len(self._seen_contexts) >= self.options.max_contexts:
+            if len(self._seen_contexts) >= MAX_CONTEXTS:
                 ctx = (("c", ctx_mod.DYNAMIC),)
             self._seen_contexts.add(ctx)
         succ_key: Key = (ctx, gtarget)
@@ -1091,10 +1092,8 @@ def specialize(module: Module, request: SpecializationRequest,
         # enumerated against), splice the plan's callees behind
         # polymorphic guards, then re-run the mid-end — the win is that
         # optimization now crosses the former call boundary.
-        import dataclasses as _dc
-        from repro.ir.renumber import canonicalize_function
         from repro.opt.inline import InlineError, apply_inline_plan
-        base_request = _dc.replace(request, inline_plan=())
+        base_request = dataclasses.replace(request, inline_plan=())
         func = specialize(module, base_request, options, memory)
         spec_stats = func._weval_stats  # noqa: SLF001
         try:
@@ -1102,28 +1101,19 @@ def specialize(module: Module, request: SpecializationRequest,
         except InlineError as exc:
             raise SpecializeError(str(exc)) from exc
         func.name = request.name()
-        if options.optimize:
-            from repro.opt.pipeline import optimize_function
-            optimize_function(func, max_rounds=options.opt_max_rounds,
-                              config=options.opt_config, module=module,
-                              stats=spec_stats.opt,
-                              verify=options.verify_opt or None,
-                              exhaustive=options.debug_exhaustive)
-        canonicalize_function(func)
-        if stats is not None:
-            stats.merge(spec_stats)
-        func._weval_stats = spec_stats  # noqa: SLF001
-        return func
-    spec = _Specializer(module, request, options, memory)
-    func = spec.run()
+    else:
+        spec = _Specializer(module, request, options, memory)
+        func = spec.run()
+        spec_stats = spec.stats
     if options.optimize:
         from repro.opt.pipeline import optimize_function
-        optimize_function(func, max_rounds=options.opt_max_rounds,
+        optimize_function(func, max_rounds=OPT_MAX_ROUNDS,
                           config=options.opt_config, module=module,
-                          stats=spec.stats.opt,
-                          verify=options.verify_opt or None,
+                          stats=spec_stats.opt,
                           exhaustive=options.debug_exhaustive)
+    if plan:
+        canonicalize_function(func)
     if stats is not None:
-        stats.merge(spec.stats)
-    func._weval_stats = spec.stats  # noqa: SLF001 - attached for reporting
+        stats.merge(spec_stats)
+    func._weval_stats = spec_stats  # noqa: SLF001 - attached for reporting
     return func

@@ -23,7 +23,7 @@ clean up the residual code behind a verifying
 * ``dce`` — dead pure-instruction elimination
   (:func:`~repro.opt.dce.eliminate_dead_code`).
 
-Pipelines are named (``"default"``, ``"legacy"``, ``"none"``) and
+Pipelines are named (``"default"``, ``"none"``) and
 scheduled to a fixpoint by the pass manager, which collects per-pass
 change/timing stats into :class:`~repro.core.stats.PipelineStats` and
 can run the IR verifier after every pass (``REPRO_OPT_VERIFY=1``).
@@ -38,7 +38,6 @@ from repro.opt.simplify_cfg import (
     fold_uniform_branches,
     remove_unreachable_blocks,
     simplify_cfg,
-    simplify_cfg_legacy,
     thread_constant_branches,
     thread_trivial_jumps,
 )
@@ -51,7 +50,7 @@ from repro.opt.pass_manager import (
     get_pass,
     register_pass,
 )
-from repro.opt.pipeline import optimize_function, optimize_module
+from repro.opt.pipeline import optimize_function
 
 __all__ = [
     "fold_constants",
@@ -60,7 +59,6 @@ __all__ = [
     "forward_loads",
     "eliminate_dead_code",
     "simplify_cfg",
-    "simplify_cfg_legacy",
     "remove_unreachable_blocks",
     "thread_trivial_jumps",
     "thread_constant_branches",
@@ -73,5 +71,4 @@ __all__ = [
     "get_pass",
     "available_passes",
     "optimize_function",
-    "optimize_module",
 ]

@@ -161,12 +161,9 @@ def available_passes() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-# Named pipelines.  "legacy" is the seed repo's original four-pass loop;
-# "default" adds copy propagation, GVN/CSE, cross-block load forwarding,
-# and the extended jump threading inside simplify-cfg.
+# Named pipelines: "default" is the full mid-end, "none" runs nothing.
 PIPELINES: Dict[str, Tuple[str, ...]] = {
     "none": (),
-    "legacy": ("fold", "prune-params", "simplify-cfg-legacy", "dce"),
     "default": ("fold", "copyprop", "gvn", "prune-params", "simplify-cfg",
                 "load-forward", "dce"),
 }
@@ -333,8 +330,6 @@ def _register_builtin_passes() -> None:
         remove_unreachable_blocks,
         simplify_cfg,
         simplify_cfg_has_work,
-        simplify_cfg_legacy,
-        simplify_cfg_legacy_has_work,
         thread_constant_branches,
         thread_trivial_jumps,
     )
@@ -386,10 +381,6 @@ def _register_builtin_passes() -> None:
         depends={"cfg", "consts", "values", "uses", "params"},
         invalidates={"cfg", "values", "uses", "params"},
         workcheck=simplify_cfg_has_work)
-    register_pass("simplify-cfg-legacy", simplify_cfg_legacy,
-                  depends={"cfg", "consts", "values", "uses", "params"},
-                  invalidates={"cfg", "values", "uses", "params"},
-                  workcheck=simplify_cfg_legacy_has_work)
     register_pass(
         "dce", eliminate_dead_code,
         # Only dropped uses make instructions newly dead; removing pure

@@ -5,7 +5,7 @@ A thin convenience layer over :class:`~repro.opt.pass_manager.PassManager`:
 (bounded by ``max_rounds``, with the cap-exhausted case recorded in the
 returned :class:`~repro.core.stats.PipelineStats` rather than silently
 dropped).  ``config`` selects a named pipeline — ``"default"`` (the full
-mid-end), ``"legacy"`` (the original four-pass loop), or ``"none"``.
+mid-end) or ``"none"``.
 """
 
 from __future__ import annotations
@@ -32,16 +32,3 @@ def optimize_function(func: Function, max_rounds: int = 6,
     manager = PassManager(config, max_rounds=max_rounds, verify=verify,
                           stats=stats, exhaustive=exhaustive)
     return manager.run(func, module)
-
-
-def optimize_module(module: Module, max_rounds: int = 6,
-                    config: str = DEFAULT_PIPELINE,
-                    stats: Optional[PipelineStats] = None,
-                    verify: Optional[bool] = None,
-                    exhaustive: bool = False) -> PipelineStats:
-    """Optimize every function in a module with one shared stats sink."""
-    manager = PassManager(config, max_rounds=max_rounds, verify=verify,
-                          stats=stats, exhaustive=exhaustive)
-    for func in module.functions.values():
-        manager.run(func, module)
-    return manager.stats

@@ -344,32 +344,6 @@ def simplify_cfg_has_work(func: Function) -> bool:
     return False
 
 
-def simplify_cfg_legacy_has_work(func: Function) -> bool:
-    """Work detector for the legacy composite (no conditional threading
-    or uniform-branch folding) — same argument as
-    :func:`simplify_cfg_has_work` over its shorter sub-pass list."""
-    if _has_unreachable(func) or _has_merge_candidate(func):
-        return True
-    forwarders = _forwarder_map(func)
-    if forwarders:
-        for _bid, call in _all_calls(func):
-            if call.block in forwarders:
-                return True
-    return False
-
-
-def simplify_cfg_legacy(func: Function) -> int:
-    """The seed repo's original composition (no conditional threading
-    or uniform-branch folding) — kept bit-for-bit as the "legacy"
-    pipeline's baseline so default-vs-legacy comparisons measure the
-    new mid-end, not a moving target."""
-    changed = remove_unreachable_blocks(func)
-    changed += thread_trivial_jumps(func)
-    changed += remove_unreachable_blocks(func)
-    changed += merge_straightline(func)
-    return changed
-
-
 def simplify_cfg(func: Function) -> int:
     changed = remove_unreachable_blocks(func)
     changed += thread_trivial_jumps(func)

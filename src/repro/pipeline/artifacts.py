@@ -392,8 +392,7 @@ class ArtifactStore:
                             _digest((residual_fp, EMITTER_VERSION, mode))
                             + ".json")
 
-    def load_py_source(self, residual_fp: str, mode: str = "structured",
-                       want_code: bool = False
+    def load_py_source(self, residual_fp: str, mode: str = "structured"
                        ) -> Tuple[Optional[Tuple[Optional[str],
                                                  Optional[str],
                                                  Optional[object]]], str]:
@@ -403,9 +402,9 @@ class ArtifactStore:
         stored fallback marker means the emitter already determined this
         residual cannot be compiled, so warm runs skip the re-attempt.
 
-        ``code`` is the tier-3½ rung: with ``want_code``, an entry that
-        carries a marshaled code object *for this interpreter's bytecode
-        magic* yields it unmarshaled, so the caller skips ``compile()``.
+        ``code`` is the tier-3½ rung: an entry that carries a marshaled
+        code object *for this interpreter's bytecode magic* yields it
+        unmarshaled, so the caller skips ``compile()``.
         Any skew — missing field, different magic (another Python
         version wrote the entry), marshal format drift, corrupt payload
         — silently yields ``None``; the source is still a full hit.
@@ -420,7 +419,7 @@ class ArtifactStore:
                                str):
             return None, INVALID
         code = None
-        if want_code and source is not None:
+        if source is not None:
             code = self._decode_code(data)
         return (source, fallback, code), HIT
 

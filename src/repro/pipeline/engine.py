@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cache import (
     SpecializationCache,
+    py_options_key,
     request_key,
 )
 from repro.core.request import SpecializationRequest
@@ -550,38 +551,34 @@ class CompilationEngine:
 
         Returns ``(source, fallback_reason, code, store_status)``.
 
-        ``code`` is the tier-3½ rung (``options.codegen == "code"``): the
-        ``compile()``d code object for ``source``, either unmarshaled
-        from the artifact store (warm start skips parse+compile
-        entirely) or compiled here — i.e. inside the *parallel* emit
-        stage — so the serial ``exec`` in :meth:`_finalize` only has to
-        bind globals.  ``None`` means "compile from source as before";
-        any marshal/interpreter skew in the store degrades to that
-        silently.
+        ``code`` is the tier-3½ rung: the ``compile()``d code object for
+        ``source``, unmarshaled from the artifact store (a warm start
+        skips parse+compile entirely) or compiled here, inside the
+        *parallel* emit stage, so the serial ``exec`` in
+        :meth:`_finalize` only binds globals.  ``None`` (any marshal or
+        interpreter skew in the store) means "compile from source".
         """
         from repro.backend import UnsupportedConstruct, emit_function_source
-        mode = self.options.emit_mode
-        want_code = self.options.codegen == "code"
+        mode_key = py_options_key(self.options)
         fp = None
         if self.store is not None:
             fp = residual_fingerprint(print_function(func, order="id"))
-            cached, status = self.store.load_py_source(
-                fp, mode, want_code=want_code)
+            cached, status = self.store.load_py_source(fp, mode_key)
             if cached is not None:
                 return cached[0], cached[1], cached[2], status
         if self.fault_plan is not None:
             self.fault_plan.check("emit")
         try:
             source, _mode_used, _emitter = emit_function_source(
-                func, self.module, mode=mode)
+                func, self.module, mode=self.options.emit_mode)
             fallback = None
         except UnsupportedConstruct as exc:
             source, fallback = None, str(exc)
         code = code_bytes = None
-        if want_code and source is not None:
+        if source is not None:
             code, code_bytes = self._precompile(func.name, source)
         if self.store is not None:
-            self.store.store_py_source(fp, source, fallback, mode,
+            self.store.store_py_source(fp, source, fallback, mode_key,
                                        code_bytes=code_bytes)
         return source, fallback, code, MISS
 

@@ -1,13 +1,10 @@
 """Per-site direct call linking for tier-2 compiled code (PR 10).
 
-Steady-state compiled->compiled guest calls used to re-enter
-``vm.call``/``vm.call_table`` on every call: a name-resolution dict
-lookup, an imports-membership probe, the tier-hook redirect probe, the
-deopt-fallback probe, list-boxing of the arguments, and per-call depth
-bookkeeping — all paid forever, even after every participant reached
-tier 2.  The :class:`CallLinkTable` replaces that boundary with
-per-site *link slots*, the classic patchable-call-site design from
-tiered VMs:
+A guest call through ``vm.call``/``vm.call_table`` pays name
+resolution, the imports, tier-hook and deopt-fallback probes, argument
+boxing and depth bookkeeping — every time, even once every participant
+is steady tier 2.  The :class:`CallLinkTable` replaces that boundary
+with per-site *link slots*, the classic patchable call site:
 
 * every emitted function binds its slot list once per invocation
   (``_lk = vm._link_slots.get(name)``) and calls through
@@ -24,20 +21,15 @@ tiered VMs:
   ``vm.call_table`` and installs the first steadily-linkable target.
 
 Soundness rests on a single rule: *every* event that can change what a
-guest name dispatches to — tier-2 install, demotion, per-site
-demotion, quarantine/blacklist, storm pinning, ``unregister``,
-endpoint churn, fleet heat adoption — must call :meth:`invalidate`,
-which resets every slot back to its bridge in place (slot lists keep
-their identity, so in-flight frames holding ``_lk`` observe the reset
-immediately).  ``VM.install_compiled`` invalidates unconditionally,
-which covers every controller install path; the
-:class:`~repro.pipeline.tiering.TieringController` additionally bumps
-the table on the non-install events (register/unregister, pinning,
-blacklist, demotion).  Because bridges go through the full
-``vm.call``/``vm.call_table`` path and a raw link is taken only when
-that path would have been a straight ``self.compiled[name](self,
-*args)``, fuel, traps, prints, and deopt behavior are bit-identical
-with linking on or off.
+guest name dispatches to calls :meth:`invalidate`, which resets every
+slot back to its bridge in place (slot lists keep their identity, so
+in-flight frames holding ``_lk`` observe the reset immediately).  There
+are two callers: ``VM.install_compiled``, and the one transition choke
+point of :mod:`repro.pipeline.tiering` (its docstring's table lists the
+events).  Because bridges go through the full ``vm.call`` /
+``vm.call_table`` path and a raw link is taken only when that path would
+have been a straight ``self.compiled[name](self, *args)``, fuel, traps,
+prints, and deopt behavior are bit-identical with linking on or off.
 
 The table is deliberately VM-local (one per :class:`~repro.vm.machine.VM`)
 and import-light: ``vm/machine.py`` instantiates it lazily so the
@@ -108,9 +100,14 @@ class CallLinkTable:
         different function reusing the name; its sites may differ)."""
         slots = self._functions.pop(name, None)
         descs = self._descs.pop(name, None)
-        if slots is None:
-            return
-        # Reset in place too: in-flight frames may still hold the list.
+        if slots is not None:
+            # Reset in place too: in-flight frames may still hold the list.
+            self._reset(name, slots, descs)
+
+    # -- invalidation --------------------------------------------------
+
+    def _reset(self, name: str, slots: List, descs) -> None:
+        """Put every slot of *name* back on its bridge, in place."""
         for i, desc in enumerate(descs):
             if desc[0] == "c":
                 slots[i] = self._make_bridge(name, i, desc[1], desc[2])
@@ -119,26 +116,13 @@ class CallLinkTable:
                 ic[0] = -1
                 ic[1] = None
 
-    # -- invalidation --------------------------------------------------
-
     def invalidate(self) -> None:
-        """Reset every slot to its bridge, in place.
-
-        Called on every dispatch-changing event.  O(total sites); the
-        site population is small (one entry per call instruction in
-        compiled code) and events are rare by construction, so a full
-        reset is cheaper to reason about than per-callee tracking.
-        """
+        """Reset every slot to its bridge, in place, on a
+        dispatch-changing event.  O(total sites): sites are few and
+        events rare, so a full reset beats per-callee tracking."""
         self.epoch += 1
         for name, slots in self._functions.items():
-            descs = self._descs[name]
-            for i, desc in enumerate(descs):
-                if desc[0] == "c":
-                    slots[i] = self._make_bridge(name, i, desc[1], desc[2])
-                else:
-                    ic = slots[i]
-                    ic[0] = -1
-                    ic[1] = None
+            self._reset(name, slots, self._descs[name])
 
     def linked_count(self) -> int:
         """Slots currently patched past their bridge (tests/benches)."""

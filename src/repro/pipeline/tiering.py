@@ -1,63 +1,60 @@
 """Profile-guided dynamic tier-up: the runtime half of the pipeline.
 
-The paper's deployment — and this repo's AOT flows until now — is
-strictly ahead-of-time: every guest runtime specializes its whole
-snapshot before the first guest instruction runs, which front-loads the
-entire compile cost onto startup even though most functions in a real
-workload are cold.  The :class:`TieringController` refactors that into a
-three-tier runtime system over the *same* compilation machinery:
-
-* **tier 0** — the generic interpreter on the VM, with lightweight
-  call and loop-backedge counters (``vm.tier_hook`` /
-  ``vm.count_backedges`` in :mod:`repro.vm.machine`);
-* **tier 1** — the weval residual IR, interpreted by the VM;
-* **tier 2** — the residual compiled to native Python by
-  :mod:`repro.backend`.
+The :class:`TieringController` runs three tiers over the *same*
+compilation machinery the AOT flows use (a
+:class:`~repro.core.snapshot.SnapshotCompiler`, and so the engine and
+its stores): **tier 0**, the generic interpreter with call and
+loop-backedge counters; **tier 1**, the weval residual IR on the VM;
+**tier 2**, the residual compiled to Python by :mod:`repro.backend`.
 
 Promotion happens *at call boundaries*: the VM's tier hook fires when a
-guest-level dispatch slot is still empty and the call is about to fall
-back to the generic interpreter.  When a function's profile crosses the
-hot threshold the controller compiles it right there — through the
-owning :class:`~repro.core.snapshot.SnapshotCompiler` and therefore the
-:class:`~repro.pipeline.engine.CompilationEngine` with its batching,
-worker pool, and persistent artifact store — installs it in the module
-table, patches the guest dispatch slot in the *live* heap, and redirects
-the triggering call itself.  Because the redirect replaces the exact
-call that would have gone generic, a threshold of 1 reproduces the
-pure-AOT execution bit for bit (same residuals, same fuel), and a
-threshold of ∞ degenerates to the plain interpreter; the tiered
-differential tier asserts both.  Pure AOT itself is now just
-:meth:`TieringController.promote_all` — "promote everything at
-startup" through the same code path the dynamic system uses.
+call is about to go generic, and a function over the hot threshold is
+compiled right there, installed, and the triggering call redirected.
+Because the redirect replaces the exact call that would have gone
+generic, threshold 1 reproduces pure AOT bit for bit (fuel included)
+and threshold ∞ is the plain interpreter; pure AOT is
+:meth:`TieringController.promote_all`, the same path run up front.  Two
+speculations ride on it, each demoted *exactly once* when its guard
+fails: a stable runtime argument folded behind an entry ``guard``
+(``speculate=True``), and hot ``call_indirect`` sites spliced behind
+site guards from histograms taken in the staged tier-1 window
+(``inline=True``, :mod:`repro.opt.inline`).
 
-**Guarded speculation.**  With ``speculate=True`` the controller
-watches the values of designated runtime arguments while a function is
-cold.  If an argument held one stable value across every profiled call,
-promotion specializes it as a
-:class:`~repro.core.request.SpeculatedConst`: the specializer folds the
-value as a constant behind an entry ``guard`` instruction.  A failed
-guard raises :class:`~repro.vm.machine.GuardFailed`; the VM unwinds the
-call, rolls the execution counters back (sound because the verifier
-pins guards ahead of every side effect), re-runs the generic function,
-and notifies the controller, which *demotes exactly once*: the
-speculative residual is retired and the function is respecialized
-without the failed speculation, so steady state never ping-pongs.
+**One transition choke point.**  The policies only *decide*.  What a
+decision changes — ``profile.tier`` / ``installed_name`` /
+``table_index``, the guest dispatch slot, ``vm.deopt_fallbacks``, the
+site-profiling window, the :class:`TieringStats` counter, the VM's call
+links — is applied by :meth:`TieringController._transition` and nowhere
+else.  The slot **rule**: *patched with the table index iff the function
+is at tier 2, or at tier 1 outside its staged window* (promoted in
+staged mode, backend compile still owed); *zero otherwise*.  The site
+window holds exactly the residuals in a staged window.  Every transition
+resets the call links once — a batch shares one reset, and opening a
+staged window, which leaves guest dispatch exactly as it was, needs
+none — so a raw-linked call never outlives what its probe checked.
 
-**Speculative inlining (PR 8).**  With ``inline=True`` (staged tier 2
-only) the controller additionally profiles ``call_indirect`` *sites*
-inside promoted residuals during the tier-1 window: the VM's site hook
-records a per-site histogram of callee table indices.  When the
-function earns its backend compile, hot nearly-monomorphic sites become
-an **inline plan** — ``(site, ((table_index, callee_fingerprint),
-...))`` entries carried on the
-:class:`~repro.core.request.SpecializationRequest` (and so in the cache
-and artifact keys) — and the respecialized residual splices the callee
-bodies at those sites behind polymorphic guards
-(:mod:`repro.opt.inline`).  A guard miss demotes **per site**, exactly
-once: the site id travels on the resuming guard's VM notification (or
-on :class:`~repro.vm.machine.GuardFailed` for unwinding guards), and
-the controller respecializes with that one site removed from the plan
-while every other speculation survives.
+===============  =========  =====  ==========  ======  ==========
+reason           tier       slot   fallback    window  counter
+===============  =========  =====  ==========  ======  ==========
+``attach``       —          —      —           sync    —
+``register``     0          0      —           —       —
+``unregister``   0, gone    0      —           out     —
+``promote``      2, else 1  rule   speculated  rule    promotions
+``tier2``        2, else 1  index  unwinding   out     —
+``site-demote``  kept / 1   rule   unwinding   rule    —
+``quarantine``   kept       rule   —           rule    —
+``deopt``        0          0      —           out     demotions
+``blacklist``    0          0      —           out     blacklists
+``storm-pin``    0          0      —           out     storm_pins
+===============  =========  =====  ==========  ======  ==========
+
+Tier "else 1": the emitter could not express the residual.  Fallback:
+registered when the new residual is entry-speculated / has unwinding
+site guards.  ``promote`` is per-call promotion, ``promote_all`` and
+``adopt_heat``; an installed tier-2 callable bumps ``tier2_installs``
+whatever the reason.  With ``REPRO_OPT_VERIFY=1``
+:meth:`TieringController.check_invariants` re-derives the table from
+the live heap after every transition.
 """
 
 from __future__ import annotations
@@ -75,7 +72,9 @@ from repro.core.request import (
 from repro.core.snapshot import SnapshotCompiler
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import TieringStats
+from repro.ir.instructions import guard_is_resuming
 from repro.ir.module import Module
+from repro.ir.verify import verify_enabled_by_env
 from repro.pipeline.profiles import ProfileStore, profile_key
 from repro.vm.machine import VM
 
@@ -112,26 +111,28 @@ STORM_WINDOW = 64
 
 _UNSTABLE = object()
 
+# Transition reason -> the TieringStats counter it bumps.
+_REASON_COUNTER = {"promote": "promotions", "deopt": "demotions",
+                   "blacklist": "blacklists", "storm-pin": "storm_pins"}
+
 
 class PromotionError(Exception):
-    """A compile failure surfaced by the engine (``EngineResult.error``)
-    re-raised inside the controller so one containment policy handles
-    both in-process exceptions and contained engine-task crashes."""
+    """A contained engine failure (``EngineResult.error``) re-raised so
+    one containment policy also handles in-process exceptions."""
 
 
 @dataclasses.dataclass
 class TierEntry:
     """One tierable guest function, declared by the embedding runtime.
 
-    ``generic`` is the *runnable* generic entry (the function the guest
-    dispatch falls back to and the tier hook watches); ``request`` may
-    target a different, specialization-only variant (e.g. the
-    state-intrinsic interpreter body).  ``key`` is the guest identity of
-    the function (function-struct/proto/bytecode pointer) and must equal
-    ``args[key_index]`` of a generic call; ``result_addr`` is the heap
-    slot guest code dispatches through, patched with the module-table
-    index on installation.  ``speculate_args`` lists indices of
-    ``Runtime`` parameters eligible for guarded value speculation.
+    ``generic`` is the *runnable* generic entry (what guest dispatch
+    falls back to and the tier hook watches); ``request`` may target a
+    specialization-only variant (e.g. the state-intrinsic interpreter
+    body).  ``key`` is the function's guest identity (struct/proto/
+    bytecode pointer) and must equal ``args[key_index]`` of a generic
+    call; ``result_addr`` is the heap slot guest code dispatches
+    through.  ``speculate_args`` lists indices of ``Runtime`` parameters
+    eligible for guarded value speculation.
     """
 
     generic: str
@@ -156,61 +157,57 @@ class TierEntry:
     inline_gate: Optional[object] = None
 
 
+@dataclasses.dataclass(eq=False, slots=True)
 class FunctionProfile:
     """Per-function tiering state (tier 0 counters and beyond)."""
 
-    __slots__ = ("entry", "calls", "backedges", "tier", "installed_name",
-                 "table_index", "deopts", "samples", "no_speculate",
-                 "calls_at_promotion", "tier2_attempted",
-                 "published_calls", "published_backedges",
-                 "site_callees", "no_inline_sites", "inline_plan",
-                 "active_request", "compile_failures", "retry_at_score",
-                 "blacklisted", "pinned_generic", "deopt_marks",
-                 "last_error")
-
-    def __init__(self, entry: TierEntry):
-        self.entry = entry
-        self.calls = 0
-        self.backedges = 0
-        # High-water marks of counters already published to (or adopted
-        # from) a shared ProfileStore: publishes send only the delta
-        # beyond these, so fleet heat accumulates without double counts.
-        self.published_calls = 0
-        self.published_backedges = 0
-        self.tier = 0
-        self.installed_name: Optional[str] = None
-        self.table_index = 0
-        self.deopts = 0
-        # True once a staged backend emit was attempted — an emitter
-        # fallback keeps the function on tier 1 *permanently* (retrying
-        # would fail identically, on every hot call).
-        self.tier2_attempted = False
-        # arg index -> first observed value, or _UNSTABLE once two calls
-        # disagreed (speculation is then off for that argument).
-        self.samples: Dict[int, object] = {}
-        self.no_speculate = False
-        self.calls_at_promotion = 0
-        # Per-call-site callee histograms from the tier-1 window:
-        # site id -> {table index -> count}.
-        self.site_callees: Dict[int, Dict[int, int]] = {}
-        # Sites whose speculation failed once — never replanned.
-        self.no_inline_sites: set = set()
-        # The inline plan the installed residual was built with.
-        self.inline_plan: tuple = ()
-        # The request actually used at promotion (speculation applied);
-        # inline (re)specializations derive from it.
-        self.active_request: Optional[SpecializationRequest] = None
-        # Fault containment: consecutive contained compile failures, the
-        # score this function must reach before promotion is retried
-        # (None = not quarantined), and the two permanent verdicts.
-        self.compile_failures = 0
-        self.retry_at_score: Optional[float] = None
-        self.blacklisted = False
-        self.pinned_generic = False
-        # Call-count marks of recent deopt/guard-miss events, for the
-        # storm breaker's sliding window.
-        self.deopt_marks: List[int] = []
-        self.last_error: Optional[str] = None
+    entry: TierEntry
+    calls: int = 0
+    backedges: int = 0
+    # High-water marks of counters already published to (or adopted
+    # from) a shared ProfileStore: publishes send only the delta beyond
+    # these, so fleet heat accumulates without double counts.
+    published_calls: int = 0
+    published_backedges: int = 0
+    tier: int = 0
+    installed_name: Optional[str] = None
+    table_index: int = 0
+    deopts: int = 0
+    # True once a staged backend emit was attempted — an emitter
+    # fallback keeps the function on tier 1 *permanently* (retrying
+    # would fail identically, on every hot call).
+    tier2_attempted: bool = False
+    # arg index -> first observed value, or _UNSTABLE once two calls
+    # disagreed (speculation is then off for that argument).
+    samples: Dict[int, object] = dataclasses.field(default_factory=dict)
+    no_speculate: bool = False
+    # Whether the installed residual is entry-guarded: the speculation
+    # travels with the function across respecializations until its
+    # guard fails.
+    speculated: bool = False
+    calls_at_promotion: int = 0
+    # Per-call-site callee histograms from the tier-1 window:
+    # site id -> {table index -> count}.
+    site_callees: Dict[int, Dict[int, int]] = dataclasses.field(
+        default_factory=dict)
+    # Sites whose speculation failed once — never replanned.
+    no_inline_sites: set = dataclasses.field(default_factory=set)
+    # The inline plan the installed residual was built with.
+    inline_plan: tuple = ()
+    # The request actually used at promotion (speculation applied);
+    # inline (re)specializations derive from it.
+    active_request: Optional[SpecializationRequest] = None
+    # Fault containment: consecutive contained compile failures, the
+    # score this function must reach before promotion is retried
+    # (None = not quarantined), and the two permanent verdicts.
+    compile_failures: int = 0
+    retry_at_score: Optional[float] = None
+    blacklisted: bool = False
+    pinned_generic: bool = False
+    # Call-count marks of recent deopt/guard-miss events, for the storm
+    # breaker's sliding window.
+    deopt_marks: List[int] = dataclasses.field(default_factory=list)
+    last_error: Optional[str] = None
 
     def score(self, backedge_weight: int) -> int:
         return self.calls + self.backedges // backedge_weight
@@ -220,18 +217,11 @@ class TieringController:
     """Owns per-function tier state and drives promotion and deopt.
 
     One controller serves one module and one live VM.  The AOT flows
-    construct it, :meth:`register` every function, and call
-    :meth:`promote_all`; the tiered flows :meth:`attach` it to the VM
-    and let the profile decide.  All compilation goes through the
-    controller's :class:`~repro.core.snapshot.SnapshotCompiler` (and so
-    the batching/caching :class:`~repro.pipeline.engine.CompilationEngine`).
-
-    ``compile_threshold`` staggers tier 2: ``0`` (default) installs the
-    backend callable at promotion time when ``options.backend == "py"``;
-    ``n > 0`` keeps a promoted function on tier 1 — redirected at the
-    call boundary, its dispatch slot deliberately unpatched so calls
-    keep entering the hook — for ``n`` further calls before paying for
-    backend compilation and patching the slot.
+    :meth:`register` every function and call :meth:`promote_all`; the
+    tiered flows :meth:`attach` it and let the profile decide.
+    ``compile_threshold=n > 0`` stages tier 2 (``backend="py"``): a
+    promoted function serves ``n`` more calls from tier 1, in its staged
+    window, before paying for the backend compile.
     """
 
     def __init__(self, module: Module,
@@ -241,32 +231,28 @@ class TieringController:
                  cache_dir: Optional[str] = None,
                  threshold: float = DEFAULT_THRESHOLD,
                  speculate: bool = False,
-                 backedge_weight: int = BACKEDGE_WEIGHT,
                  compile_threshold: int = 0,
                  inline: bool = False,
                  inline_max_targets: int = INLINE_MAX_TARGETS,
-                 inline_min_site_calls: int = INLINE_MIN_SITE_CALLS,
-                 inline_max_instrs: int = INLINE_MAX_INSTRS,
-                 max_compile_failures: int = MAX_COMPILE_FAILURES,
-                 storm_deopts: int = STORM_DEOPTS,
-                 storm_window: int = STORM_WINDOW):
+                 inline_min_site_calls: int = INLINE_MIN_SITE_CALLS):
         self.module = module
         self.options = options or SpecializeOptions()
         self.threshold = (DEFAULT_THRESHOLD if threshold is None
                           else threshold)
         self.speculate = speculate
-        self.backedge_weight = max(1, backedge_weight)
         self.compile_threshold = compile_threshold
-        self.max_compile_failures = max(1, max_compile_failures)
-        self.storm_deopts = storm_deopts
-        self.storm_window = max(1, storm_window)
-        self.want_py = self.options.backend == "py"
-        staged = self.want_py and compile_threshold > 0
+        # Policy constants kept as attributes: tests and embedders tune
+        # them on the instance, no caller passes them at construction.
+        self.backedge_weight = BACKEDGE_WEIGHT
+        self.inline_max_instrs = INLINE_MAX_INSTRS
+        self.max_compile_failures = MAX_COMPILE_FAILURES
+        self.storm_deopts = STORM_DEOPTS
+        self.storm_window = STORM_WINDOW
+        staged = self.options.backend == "py" and compile_threshold > 0
         self._staged_tier2 = staged
         self.inline = inline
         self.inline_max_targets = max(1, inline_max_targets)
         self.inline_min_site_calls = max(1, inline_min_site_calls)
-        self.inline_max_instrs = inline_max_instrs
         if inline and not staged:
             # Site histograms only exist while a promoted residual runs
             # on the VM with its dispatch slot unpatched — that *is* the
@@ -285,32 +271,104 @@ class TieringController:
         self.entries: List[TierEntry] = []
         self.profiles: Dict[Tuple[str, int], FunctionProfile] = {}
         self._key_index: Dict[str, int] = {}
-        self._speculative: Dict[str, FunctionProfile] = {}
         self._last_profile: Optional[FunctionProfile] = None
         self._backedges_seen = 0
         # Installed residual name -> owning profile (all installs, old
-        # names kept for in-flight frames); and the subset of names
-        # currently in their site-profiling window.
-        self._site_owner: Dict[str, FunctionProfile] = {}
-        self._site_profiled: set = set()
+        # names kept for in-flight frames).
+        self._owner: Dict[str, FunctionProfile] = {}
+
+    # ------------------------------------------------------------------
+    # The transition choke point (see the module docstring's table).
+    # ------------------------------------------------------------------
+    def _in_window(self, profile: FunctionProfile) -> bool:
+        """Staged tier-1 window: promoted, the tier-2 attempt still owed,
+        so dispatch must keep flowing through the tier hook."""
+        return (self._staged_tier2 and profile.tier == 1
+                and not profile.tier2_attempted)
+
+    def _transition(self, profile: FunctionProfile, tier: int, reason: str,
+                    item=None, pyfunc=None, fallback: bool = False,
+                    batch: Optional[Dict[str, object]] = None) -> None:
+        """Move ``profile`` to ``tier`` and make the VM agree.  ``item``
+        is a freshly compiled residual to install (``None`` keeps the
+        current one), ``pyfunc`` its tier-2 callable, ``fallback`` says
+        it has unwinding inline guards.  With ``batch`` the caller
+        publishes once for the whole batch (:meth:`_publish`)."""
+        if item is not None:
+            profile.installed_name = item.function_name
+            profile.table_index = item.table_index
+            self._owner[item.function_name] = profile
+        name = profile.installed_name
+        profile.tier = tier
+        window = self._in_window(profile)
+        if self.vm is not None:
+            self.vm.store_u64(profile.entry.result_addr,
+                              profile.table_index if tier and not window
+                              else 0)
+            if item is not None and (fallback or profile.speculated):
+                # A failed guard must land in the *runnable* generic.
+                self.vm.deopt_fallbacks[name] = profile.entry.generic
+        counter = _REASON_COUNTER.get(reason)
+        if counter is not None:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        compiled = {} if batch is None else batch
+        if pyfunc is not None:
+            compiled[name] = pyfunc
+            self.stats.tier2_installs += 1
+        if batch is None:
+            # Promotion into a staged window is the one transition after
+            # which guest dispatch is exactly what it was (slot still
+            # zero, no callable, hook redirect only): links may stay.
+            self._publish(compiled,
+                          reset_links=not (window and reason == "promote"))
+
+    def _site_window(self) -> frozenset:
+        """Residuals in a staged window: the ones whose ``call_indirect``
+        sites the VM profiles when inlining is on."""
+        return frozenset(p.installed_name for p in self.profiles.values()
+                         if self._in_window(p))
+
+    def _publish(self, compiled: Dict[str, object],
+                 reset_links: bool = True) -> None:
+        """Hand the VM its views after one transition (or one batch):
+        hooked generics, site window, installed callables, and exactly
+        one call-link reset (``install_compiled`` performs its own)."""
+        vm = self.vm
+        if vm is None:
+            return
+        vm.tier_generics = frozenset(self._key_index)
+        vm.site_profile_functions = self._site_window()
+        if compiled:
+            vm.install_compiled(compiled)
+        elif reset_links:
+            vm.links.invalidate()
+        if verify_enabled_by_env():
+            self.check_invariants(links_reset=reset_links)
+
+    def check_invariants(self, links_reset: bool = False) -> None:
+        """Re-derive the transition table from the live heap
+        (``links_reset``: and an empty link table, as right after one)."""
+        vm = self.vm
+        for profile in self.profiles.values():
+            name = profile.installed_name
+            slot = vm.load_u64(profile.entry.result_addr)
+            if profile.tier == 0 or self._in_window(profile):
+                assert slot == 0, \
+                    f"{name}: tier {profile.tier}, unpatched, but slot={slot}"
+            elif profile.tier == 2:
+                assert slot == profile.table_index and name in vm.compiled, \
+                    f"{name}: tier 2 but slot={slot} or not compiled"
+            assert not (profile.speculated and profile.tier) \
+                or name in vm.deopt_fallbacks, \
+                f"{name}: speculative without a deopt fallback"
+        assert vm.site_profile_functions == self._site_window(), \
+            "the VM's site window is not the staged-window residuals"
+        assert not links_reset or vm.links.linked_count() == 0, \
+            "call links survived a transition"
 
     # ------------------------------------------------------------------
     # Setup.
     # ------------------------------------------------------------------
-    def _bump_links(self) -> None:
-        """Reset the VM's call link slots (PR 10) after a
-        dispatch-changing event the VM cannot observe itself.
-
-        ``VM.install_compiled`` invalidates on its own, which covers
-        every install path (promotion, staged tier-2, per-site repair,
-        heat adoption); this hook handles the rest — (un)registration
-        changing ``tier_generics``, blacklist/storm verdicts, fallback
-        registration, and demotions — so a raw-linked call can never
-        outlive the conditions its link probe checked.
-        """
-        if self.vm is not None:
-            self.vm.links.invalidate()
-
     def register(self, entry: TierEntry) -> None:
         """Declare one tierable function (before or after attaching)."""
         index = self._key_index.setdefault(entry.generic, entry.key_index)
@@ -319,107 +377,101 @@ class TieringController:
                 f"{entry.generic}: inconsistent key_index "
                 f"({index} vs {entry.key_index})")
         self.entries.append(entry)
-        self.profiles[(entry.generic, entry.key)] = FunctionProfile(entry)
-        if self.vm is not None:
-            self.vm.tier_generics = frozenset(self._key_index)
-            self._bump_links()
+        profile = FunctionProfile(entry)
+        self.profiles[(entry.generic, entry.key)] = profile
+        self._transition(profile, 0, "register")
 
     def unregister(self, entry: TierEntry) -> None:
-        """Retire one registered function (endpoint churn).
-
-        Drops its profile and entry — so the tier hook can never again
-        redirect a call with this key to the retired residual, and
-        ``promote_all`` / ``adopt_heat`` batches no longer include it —
-        and zeroes its guest dispatch slot so heap-level dispatch falls
-        back to the generic path.  The residual function itself stays in
-        the module (installed names are never reused; a later tenant's
-        residual gets a fresh unique name), so in-flight frames are
-        unaffected.
-        """
+        """Retire one registered function (endpoint churn): no call with
+        this key is redirected again, no batch includes it, its slot is
+        zeroed.  The residual stays in the module (installed names are
+        never reused), so in-flight frames are unaffected."""
         profile = self.profiles.pop((entry.generic, entry.key), None)
-        self.entries = [e for e in self.entries
-                        if (e.generic, e.key) != (entry.generic, entry.key)]
-        if profile is not None:
-            if self._last_profile is profile:
-                self._last_profile = None
-            if profile.installed_name is not None:
-                self._speculative.pop(profile.installed_name, None)
-        if self.vm is not None:
-            self.vm.store_u64(entry.result_addr, 0)
-        self._bump_links()
+        if profile is None:
+            return
+        self.entries.remove(profile.entry)
+        if self._last_profile is profile:
+            self._last_profile = None
+        self._transition(profile, 0, "unregister")
 
     def attach(self, vm: VM) -> VM:
         """Bind the controller to a live VM and enable profiling."""
         self.vm = vm
         self.compiler.vm = vm
         vm.tier_hook = self._on_call
-        vm.tier_generics = frozenset(self._key_index)
         vm.deopt_hook = self._on_deopt
         vm.count_backedges = True
         if self.inline:
             vm.site_profile_hook = self._on_site
             vm.site_miss_hook = self._on_site_miss
-            vm.site_profile_functions = frozenset(self._site_profiled)
         # Activating the tier hook changes what generic names dispatch
-        # to; drop any links made before attachment.
-        self._bump_links()
+        # to: drop any links made before attachment.
+        self._publish({})
         return vm
+
+    def _compile(self, request: SpecializationRequest, result_addr: int):
+        """One request through the engine; a contained failure (nothing
+        was applied) surfaces as :class:`PromotionError`."""
+        self.compiler.enqueue(request, result_addr)
+        item = self.compiler.process_requests()[-1]
+        if item.error is not None:
+            raise PromotionError(item.error)
+        return item
+
+    def _install_promoted(self, profile: FunctionProfile, item,
+                          request: SpecializationRequest,
+                          batch: Optional[Dict[str, object]] = None) -> None:
+        """Promote ``profile`` onto ``item``, compiled from ``request``:
+        tier 2 when the engine already emitted its callable (unstaged py
+        backend), else tier 1 — which in staged mode opens its window."""
+        profile.calls_at_promotion = profile.calls
+        profile.tier2_attempted = False
+        profile.active_request = request
+        profile.speculated = request is not profile.entry.request
+        if profile.speculated:
+            self.stats.speculative_promotions += 1
+        pyfunc = self.compiler.backend_functions.get(item.function_name)
+        self._transition(profile, 1 if pyfunc is None else 2, "promote",
+                         item, pyfunc, batch=batch)
 
     # ------------------------------------------------------------------
     # The pure-AOT path: promote everything, up front, in one batch.
     # ------------------------------------------------------------------
     def promote_all(self, entries: Optional[List[TierEntry]] = None
                     ) -> List[str]:
-        """Compile and install every registered function now (one engine
-        batch — parallel across ``jobs`` workers, artifact-cached).
-
-        ``entries`` restricts the batch to a subset (the heat-adoption
-        path promotes only the fleet's hot set); the default promotes
-        everything, which is the pure-AOT flow.
-        """
+        """Compile and install every registered function now, as one
+        engine batch — the pure-AOT flow.  ``entries`` restricts the
+        batch (heat adoption promotes only the fleet's hot set)."""
         start = time.perf_counter()
         entries = self.entries if entries is None else entries
         for entry in entries:
             self.compiler.enqueue(entry.request, entry.result_addr)
         processed = self.compiler.process_requests()
         names = []
-        installs = 0
-        promoted = 0
+        batch: Dict[str, object] = {}
         for entry, item in zip(entries, processed):
             profile = self.profiles[(entry.generic, entry.key)]
             if item.error is not None:
                 # Contained engine failure for this one function: it
                 # stays on tier 0 (nothing was installed) and enters
                 # quarantine; the rest of the batch installs normally.
-                self._contain_failure(profile, item.error)
+                self._contain_failure(profile, item.error, batch)
                 continue
-            profile.installed_name = item.function_name
-            profile.table_index = item.table_index
-            tier = 2 if (self.want_py and item.function_name
-                         in self.compiler.backend_functions) else 1
-            if tier == 2 and profile.tier != 2:
-                installs += 1
-            profile.tier = tier
-            promoted += 1
+            self._install_promoted(profile, item, entry.request,
+                                   batch=batch)
             names.append(item.function_name)
-        self.stats.promotions += promoted
-        self.stats.tier2_installs += installs
+        self._publish(batch)
         self.stats.promote_seconds += time.perf_counter() - start
-        if self.vm is not None and self.compiler.backend_functions:
-            self.vm.install_compiled(self.compiler.backend_functions)
         return names
 
     # ------------------------------------------------------------------
     # Fleet heat: persisted cross-process profiles.
     # ------------------------------------------------------------------
     def publish_heat(self, store: ProfileStore) -> bool:
-        """Merge this worker's profiling since the last publish into the
-        shared heat file (per-function call/backedge deltas).
-
-        Idempotent bookkeeping: the high-water marks only advance when
-        the merge lands, so a failed publish (read-only store, lost
-        validation) retains the delta for the next attempt.
-        """
+        """Merge this worker's call/backedge deltas since the last
+        publish into the shared heat file.  The high-water marks only
+        advance when the merge lands, so a failed publish retains the
+        delta for the next attempt."""
         deltas = {}
         pending = []
         for (generic, key), profile in self.profiles.items():
@@ -445,19 +497,11 @@ class TieringController:
         return True
 
     def adopt_heat(self, store: ProfileStore) -> List[str]:
-        """Warm this worker from the fleet's persisted heat.
-
-        Every registered function's counters are seeded with the merged
-        fleet heat (marked as already published, so this worker never
-        re-contributes it), and functions whose persisted score already
-        crosses the promotion threshold are compiled **now** in one
-        batch — against a warm artifact store that batch is pure loads,
-        so a fresh worker reaches the fleet's steady state before its
-        first request instead of re-discovering the hot set through
-        threshold-many generic calls per function.
-
-        Returns the installed names of the adopted hot set.
-        """
+        """Warm this worker from the fleet's persisted heat: seed every
+        registered function's counters (marked already published, so
+        never re-contributed) and promote, in one batch, those already
+        over the threshold — pure loads against a warm artifact store.
+        Returns the installed names of the adopted hot set."""
         heat = store.load()
         if not heat:
             return []
@@ -534,7 +578,7 @@ class TieringController:
                     samples[index] = _UNSTABLE
         if profile.score(self.backedge_weight) >= self.threshold and \
                 self._may_attempt(profile):
-            name = self._promote_contained(profile)
+            name = self._promote(profile)
             if name is not None:
                 return name
         # Only now is the call certain to execute on the generic
@@ -553,29 +597,34 @@ class TieringController:
             return True
         return profile.score(self.backedge_weight) >= profile.retry_at_score
 
-    def _promote_contained(self, profile: FunctionProfile) -> Optional[str]:
-        """:meth:`_promote` under the containment policy: an exception
-        anywhere in the compile fails *this promotion attempt only* —
-        the triggering call (and every call until the backoff expires)
-        runs generically, which is always correct."""
+    def _promote(self, profile: FunctionProfile) -> Optional[str]:
+        """Compile ``profile``'s function and install it at this call
+        boundary; returns the installed name (the call redirect).
+        Contained: an exception anywhere fails *this attempt only* —
+        ``None`` sends the call down the generic path, always correct."""
         retrying = profile.compile_failures > 0
         if retrying:
             self.stats.quarantine_retries += 1
+        start = time.perf_counter()
         try:
-            name = self._promote(profile)
+            request = self._speculative_request(profile)
+            item = self._compile(request, profile.entry.result_addr)
+            self._install_promoted(profile, item, request)
         except Exception as exc:
-            self._contain_failure(profile,
-                                  f"{type(exc).__name__}: {exc}")
+            self._contain_failure(profile, f"{type(exc).__name__}: {exc}")
             return None
+        self.stats.promote_seconds += time.perf_counter() - start
         if retrying:
             self.stats.quarantine_recoveries += 1
         profile.compile_failures = 0
         profile.retry_at_score = None
-        return name
+        return item.function_name
 
-    def _contain_failure(self, profile: FunctionProfile,
-                         message: str) -> None:
-        """Apply quarantine policy after one contained compile failure."""
+    def _contain_failure(self, profile: FunctionProfile, message: str,
+                         batch: Optional[Dict[str, object]] = None) -> None:
+        """Apply quarantine policy after one contained compile failure;
+        the transition re-derives the dispatch slot, which the failed
+        attempt's own compile may already have patched."""
         self.stats.compile_failures += 1
         profile.compile_failures += 1
         profile.last_error = message
@@ -585,13 +634,7 @@ class TieringController:
         if profile.compile_failures >= self.max_compile_failures:
             if not profile.blacklisted:
                 profile.blacklisted = True
-                profile.tier = 0
-                self.stats.blacklists += 1
-                if self.vm is not None:
-                    # Force heap-level dispatch back to the generic path
-                    # (a staged install may have patched the slot).
-                    self.vm.store_u64(profile.entry.result_addr, 0)
-                self._bump_links()
+                self._transition(profile, 0, "blacklist", batch=batch)
             return
         if profile.compile_failures == 1:
             self.stats.quarantines += 1
@@ -602,55 +645,38 @@ class TieringController:
             (2 ** (profile.compile_failures - 1))
         profile.retry_at_score = \
             profile.score(self.backedge_weight) + backoff
+        self._transition(profile, profile.tier, "quarantine", batch=batch)
 
     def _record_deopt_event(self, profile: FunctionProfile) -> bool:
         """Feed one deopt/guard-miss event to the storm breaker; returns
-        True when it just pinned the function generic."""
-        if not self.storm_deopts or self.storm_deopts <= 0:
-            return False
+        True when the function is (now) pinned generic."""
         marks = profile.deopt_marks
         marks.append(profile.calls)
         cutoff = profile.calls - self.storm_window
         while marks and marks[0] < cutoff:
             marks.pop(0)
-        if len(marks) >= self.storm_deopts:
-            self._pin_generic(profile)
-            return True
-        return False
-
-    def _pin_generic(self, profile: FunctionProfile) -> None:
-        """Storm-breaker verdict: this function's speculation is
-        systematically wrong — serve it generically, permanently.
-        In-flight frames of old residuals still deopt safely (their
-        fallback mappings survive); new calls never leave tier 0."""
-        if profile.pinned_generic:
-            return
-        profile.pinned_generic = True
-        profile.tier = 0
-        profile.no_speculate = True
-        self.stats.storm_pins += 1
-        if self.vm is not None:
-            self.vm.store_u64(profile.entry.result_addr, 0)
-        self._bump_links()
-        name = profile.installed_name
-        if name is not None:
-            self._speculative.pop(name, None)
-            if self.inline and name in self._site_profiled:
-                self._site_profiled.discard(name)
-                if self.vm is not None:
-                    self.vm.site_profile_functions = \
-                        frozenset(self._site_profiled)
+        if len(marks) < self.storm_deopts:
+            return False
+        if not profile.pinned_generic:
+            # Verdict: the speculation is systematically wrong — serve
+            # generically for good.  In-flight frames of old residuals
+            # still deopt safely (their fallback mappings survive).
+            profile.pinned_generic = True
+            self._transition(profile, 0, "storm-pin")
+        return True
 
     # ------------------------------------------------------------------
     # Promotion.
     # ------------------------------------------------------------------
     def _speculative_request(self, profile: FunctionProfile
-                             ) -> Tuple[SpecializationRequest, bool]:
+                             ) -> SpecializationRequest:
+        """``entry.request``, or a guarded copy with each stable sample
+        folded as a constant."""
         entry = profile.entry
         request = entry.request
         if not (self.speculate and entry.speculate_args
                 and not profile.no_speculate):
-            return request, False
+            return request
         modes = list(request.args)
         speculated = False
         for index in entry.speculate_args:
@@ -661,97 +687,60 @@ class TieringController:
                 modes[index] = SpeculatedConst(value)
                 speculated = True
         if not speculated:
-            return request, False
+            return request
         return dataclasses.replace(
             request, args=modes,
-            specialized_name=request.name() + ".guarded"), True
-
-    def _promote(self, profile: FunctionProfile) -> str:
-        """Compile ``profile``'s function and install it at this call
-        boundary; returns the installed name (the call redirect)."""
-        start = time.perf_counter()
-        entry = profile.entry
-        request, speculative = self._speculative_request(profile)
-        self.compiler.enqueue(request, entry.result_addr)
-        item = self.compiler.process_requests()[-1]
-        if item.error is not None:
-            # The engine contained a compile crash for this request (no
-            # module/table/heap mutation happened); surface it to the
-            # quarantine policy.
-            raise PromotionError(item.error)
-        name = item.function_name
-        profile.installed_name = name
-        profile.table_index = item.table_index
-        profile.calls_at_promotion = profile.calls
-        profile.tier2_attempted = False
-        profile.active_request = request
-        vm = self.vm
-        if speculative:
-            # A failed guard must land in the *runnable* generic body.
-            vm.deopt_fallbacks[name] = entry.generic
-            self._speculative[name] = profile
-            self.stats.speculative_promotions += 1
-            self._bump_links()
-        if self._staged_tier2:
-            # Keep dispatch flowing through the hook until the function
-            # earns its backend compile: un-patch the slot the snapshot
-            # compiler just wrote.
-            vm.store_u64(entry.result_addr, 0)
-            profile.tier = 1
-            if self.inline:
-                # The tier-1 window doubles as the site-profiling
-                # window for this residual.
-                self._site_owner[name] = profile
-                self._site_profiled.add(name)
-                vm.site_profile_functions = frozenset(self._site_profiled)
-        elif self.want_py:
-            pyfunc = self.compiler.backend_functions.get(name)
-            if pyfunc is not None:
-                vm.install_compiled({name: pyfunc})
-                profile.tier = 2
-                self.stats.tier2_installs += 1
-            else:
-                profile.tier = 1  # emitter fallback: stays on the IR VM
-        else:
-            profile.tier = 1
-        self.stats.promotions += 1
-        self.stats.promote_seconds += time.perf_counter() - start
-        return name
+            specialized_name=request.name() + ".guarded")
 
     def _install_tier2(self, profile: FunctionProfile) -> None:
-        """Compile an already-promoted residual to tier 2 and patch the
-        guest dispatch slot (staged mode only).  One attempt per
-        promotion: an emitter fallback leaves the function on the tier-1
-        residual for good.  With inlining on, this is also the moment
-        the site histograms gathered in the tier-1 window become an
-        inline plan and the residual is respecialized with it."""
+        """Close the staged window: compile the residual to tier 2 —
+        first respecialized with the inline plan its site histograms
+        earned, if any — and patch the slot.  One attempt per promotion:
+        an emitter fallback stays on tier 1 for good."""
         profile.tier2_attempted = True
-        if self.inline:
-            self._install_inline(profile)
-        name = profile.installed_name
-        compiled = self.compiler.compile_backend([name])
-        if name in compiled:
-            self.vm.install_compiled({name: compiled[name]})
-            profile.tier = 2
-            self.stats.tier2_installs += 1
-        elif not any(f[0] == name
-                     for f in self.compiler.backend_fallbacks):
-            # Neither compiled nor a recorded emitter fallback: the emit
-            # stage *crashed* (a fallback is the permanent "cannot
-            # express" verdict; a crash is transient).  Raise before the
-            # dispatch slot is patched so the function keeps flowing
-            # through the hook and the install is retried after backoff.
-            raise PromotionError(f"tier-2 emit failed for {name}")
-        self.vm.store_u64(profile.entry.result_addr, profile.table_index)
-        if self.inline:
-            self._site_profiled.discard(name)
-            self.vm.site_profile_functions = frozenset(self._site_profiled)
+        plan = self._build_plan(profile) if self.inline else ()
+        self._respecialize(profile, plan, "tier2", recompile=bool(plan))
+        self.stats.inline_sites_planned += len(plan)
+
+    def _respecialize(self, profile: FunctionProfile, plan: tuple,
+                      reason: str, recompile: bool) -> None:
+        """Reinstall ``profile`` under inline ``plan`` — a fresh residual
+        if ``recompile``, else the installed one — with its tier-2
+        callable when that is owed (reason ``tier2``) or was held.
+        Nothing is installed unless every compile succeeded."""
+        name, item = profile.installed_name, None
+        if recompile:
+            # An empty plan is exactly the base residual's request, so
+            # the engine cache serves it.
+            item = self._compile(
+                dataclasses.replace(profile.active_request,
+                                    inline_plan=plan),
+                profile.entry.result_addr)
+            name = item.function_name
+        pyfunc = None
+        if reason == "tier2" or profile.tier == 2:
+            pyfunc = self.compiler.compile_backend([name]).get(name)
+            if pyfunc is None and not any(
+                    f[0] == name for f in self.compiler.backend_fallbacks):
+                # Neither compiled nor a recorded emitter fallback (the
+                # permanent "cannot express" verdict): the emit stage
+                # *crashed*, which is transient — retry after backoff.
+                raise PromotionError(f"tier-2 emit failed for {name}")
+        profile.inline_plan = plan
+        # Only unwinding guards raise GuardFailed and need a fallback.
+        unwinds = recompile and any(
+            instr.op == "guard" and not guard_is_resuming(instr.imm)
+            for block in self.module.functions[name].blocks.values()
+            for instr in block.instrs)
+        self._transition(
+            profile, 2 if pyfunc is not None else min(profile.tier, 1),
+            reason, item, pyfunc, fallback=unwinds)
 
     # ------------------------------------------------------------------
     # Speculative inlining (plan building and per-site demotion).
     # ------------------------------------------------------------------
-    def _inlinable_target(self, entry: TierEntry, profile: FunctionProfile,
-                          index: int) -> Optional[Tuple[int, str]]:
+    def _inlinable_target(self, profile: FunctionProfile, index: int
+                          ) -> Optional[Tuple[int, str]]:
         """Vet one observed callee table index; ``None`` rejects the
         whole site (the guard must cover every hot callee, or it would
         just miss its way to a demotion)."""
@@ -765,17 +754,16 @@ class TieringController:
             return None
         if index == profile.table_index:
             return None  # self-recursion only grows the body
-        if self.inline_max_instrs is not None and \
-                callee.num_instrs() > self.inline_max_instrs:
+        if callee.num_instrs() > self.inline_max_instrs:
             return None
-        if entry.inline_gate is not None and not entry.inline_gate(name):
+        gate = profile.entry.inline_gate
+        if gate is not None and not gate(name):
             return None
         return index, function_fingerprint(callee)
 
     def _build_plan(self, profile: FunctionProfile) -> tuple:
         """Turn the tier-1 window's site histograms into an inline plan
         (deterministically ordered by site id)."""
-        entry = profile.entry
         plan = []
         for site in sorted(profile.site_callees):
             if site in profile.no_inline_sites:
@@ -786,80 +774,18 @@ class TieringController:
             if len(hist) > self.inline_max_targets:
                 self.stats.inline_candidates_rejected += 1
                 continue
-            targets = []
-            for index in sorted(hist):
-                target = self._inlinable_target(entry, profile, index)
-                if target is None:
-                    targets = None
-                    break
-                targets.append(target)
-            if not targets:
+            targets = [self._inlinable_target(profile, index)
+                       for index in sorted(hist)]
+            if not targets or None in targets:
                 self.stats.inline_candidates_rejected += 1
                 continue
             plan.append((site, tuple(targets)))
         return tuple(plan)
 
-    def _install_inline(self, profile: FunctionProfile) -> None:
-        """Respecialize ``profile``'s function with an inline plan built
-        from its site histograms (no-op when no site qualifies)."""
-        plan = self._build_plan(profile)
-        if not plan:
-            return
-        self._respecialize_with_plan(profile, plan)
-        self.stats.inline_sites_planned += len(plan)
-
-    def _respecialize_with_plan(self, profile: FunctionProfile,
-                                plan: tuple) -> None:
-        """Compile and install the residual for ``active_request`` +
-        ``plan`` (which may be empty: that is exactly the base
-        residual's request, so the engine cache serves it)."""
-        entry = profile.entry
-        request = profile.active_request or entry.request
-        if plan:
-            request = dataclasses.replace(request, inline_plan=plan)
-        self.compiler.enqueue(request, entry.result_addr)
-        item = self.compiler.process_requests()[-1]
-        if item.error is not None:
-            # Contained engine crash: the previously installed residual
-            # is still live and correct, so the caller's containment
-            # wrapper just records the failure.
-            raise PromotionError(item.error)
-        old_name = profile.installed_name
-        name = item.function_name
-        profile.installed_name = name
-        profile.table_index = item.table_index
-        profile.inline_plan = plan
-        self._site_owner[name] = profile
-        if old_name is not None and old_name in self._speculative:
-            # The entry speculation travels with the function, not with
-            # one residual: keep demote-once working under the new name.
-            self._speculative[name] = self._speculative.pop(old_name)
-        if self._needs_fallback(name):
-            self.vm.deopt_fallbacks[name] = entry.generic
-            self._bump_links()
-
-    def _needs_fallback(self, name: str) -> bool:
-        """True when the installed residual contains an *unwinding*
-        guard (legacy int imm or ``(site, values)``) — only those raise
-        :class:`GuardFailed` and need a registered generic fallback."""
-        func = self.module.functions.get(name)
-        if func is None:
-            return False
-        for block in func.blocks.values():
-            for instr in block.instrs:
-                if instr.op == "guard" and (
-                        not isinstance(instr.imm, tuple)
-                        or len(instr.imm) == 2):
-                    return True
-        return False
-
     def _on_site(self, name: str, site: int, index: int) -> None:
         """VM site-profiling hook: one ``call_indirect`` dispatch inside
         a residual in its tier-1 window."""
-        profile = self._site_owner.get(name)
-        if profile is None:
-            return
-        hist = profile.site_callees.setdefault(site, {})
+        hist = self._owner[name].site_callees.setdefault(site, {})
         hist[index] = hist.get(index, 0) + 1
 
     def _on_site_miss(self, name: str, site: int) -> None:
@@ -867,21 +793,17 @@ class TieringController:
         ``site`` was not in the speculated set.  Execution continued on
         the materialized slow path, so only the plan needs repair."""
         self.stats.site_misses += 1
-        profile = self._site_owner.get(name)
-        if profile is None:
-            return
-        self._demote_site(profile, site)
+        self._demote_site(name, site)
 
-    def _demote_site(self, profile: FunctionProfile, site: int) -> None:
-        """Retire one speculation site, exactly once: respecialize with
-        the remaining plan; every other inlined site survives.
-
-        Contained: if the repair compile itself crashes, the *old*
-        residual keeps serving (its guard at this site now always takes
-        the slow path / generic fallback — slower, never wrong) and the
-        failure feeds the quarantine policy.
-        """
-        if site in profile.no_inline_sites:
+    def _demote_site(self, name: str, site: int) -> None:
+        """Retire one speculation site of the function that owns
+        residual ``name``, exactly once: respecialize with the remaining
+        plan; every other inlined site survives.  Contained: if the
+        repair compile crashes, the *old* residual keeps serving (this
+        site's guard now always takes the slow path — slower, never
+        wrong) and the failure feeds the quarantine policy."""
+        profile = self._owner.get(name)
+        if profile is None or site in profile.no_inline_sites:
             return  # in-flight frames of the retired residual
         start = time.perf_counter()
         profile.no_inline_sites.add(site)
@@ -890,17 +812,7 @@ class TieringController:
             return  # storm breaker: pinned generic, no repair compile
         try:
             plan = tuple(e for e in profile.inline_plan if e[0] != site)
-            self._respecialize_with_plan(profile, plan)
-            name = profile.installed_name
-            if profile.tier == 2:
-                compiled = self.compiler.compile_backend([name])
-                if name in compiled:
-                    self.vm.install_compiled({name: compiled[name]})
-                    self.stats.tier2_installs += 1
-                else:
-                    profile.tier = 1
-            self.vm.store_u64(profile.entry.result_addr,
-                              profile.table_index)
+            self._respecialize(profile, plan, "site-demote", recompile=True)
         except Exception as exc:
             self._contain_failure(profile, f"{type(exc).__name__}: {exc}")
         finally:
@@ -918,28 +830,25 @@ class TieringController:
         # happened to be most recent.  This covers the mid-function
         # unwind path too: a polymorphic guard deep in the body abandons
         # backedges its own loops already counted.
-        if self.vm is not None and \
-                self.vm.stats.backedges < self._backedges_seen:
-            self._backedges_seen = self.vm.stats.backedges
+        self._backedges_seen = min(self._backedges_seen,
+                                   self.vm.stats.backedges)
         if site is not None:
             # Per-site attribution: an unwinding polymorphic guard
             # failed.  Demote that one site, never the whole function
             # (and never an unrelated guard in the same function).
-            profile = self._site_owner.get(name)
-            if profile is not None:
-                self._demote_site(profile, site)
+            self._demote_site(name, site)
             return
-        profile = self._speculative.pop(name, None)
-        if profile is None:
+        profile = self._owner.get(name)
+        if profile is None or profile.installed_name != name \
+                or not (profile.speculated and profile.tier):
             # Already demoted (an in-flight frame hit the same retired
             # residual); the VM's fallback mapping still routes it to
             # the generic body, nothing more to do.
             return
         profile.deopts += 1
         profile.no_speculate = True
-        profile.tier = 0
-        self.stats.demotions += 1
-        self._bump_links()
+        profile.speculated = False
+        self._transition(profile, 0, "deopt")
         if self._record_deopt_event(profile):
             return  # storm breaker: pinned generic, no replacement
         # Respecialize without the failed speculation and install the
@@ -947,7 +856,7 @@ class TieringController:
         # VM re-dispatches it after this hook returns).  Contained: a
         # crashed replacement compile leaves the function on tier 0,
         # quarantined.
-        self._promote_contained(profile)
+        self._promote(profile)
 
     # ------------------------------------------------------------------
     # Reporting.

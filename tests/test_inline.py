@@ -427,6 +427,21 @@ class TestControllerInline:
         # The whole-function speculation machinery was not involved.
         assert stats.demotions == 0
 
+    def test_unregister_closes_the_site_window(self):
+        """A function retired mid-window must leave the VM's
+        site-profiling set with it (it used to linger there)."""
+        runtime = JSRuntime(PHASE_CHANGE_SRC, "wevaled",
+                            options=SpecializeOptions(backend="py"))
+        vm = runtime.run_tiered(threshold=2, compile_threshold=10_000,
+                                inline=True)
+        controller = runtime.controller
+        windowed = [p for p in controller.profiles.values()
+                    if p.installed_name in vm.site_profile_functions]
+        assert windowed and all(p.tier == 1 for p in windowed)
+        controller.unregister(windowed[0].entry)
+        assert windowed[0].installed_name not in vm.site_profile_functions
+        assert vm.load_u64(windowed[0].entry.result_addr) == 0
+
     def test_inline_off_is_unchanged(self):
         """``inline=False`` staged tier-2 plans nothing and keeps its
         existing behavior byte for byte (prints and fuel)."""

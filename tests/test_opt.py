@@ -519,23 +519,7 @@ class TestPassManager:
             optimize_function(func, stats=shared)
         assert shared.runs == 3
 
-    def test_legacy_matches_seed_behavior(self):
-        # The legacy pipeline must keep producing valid, working code.
-        src = """
-u64 f(u64 n) {
-  u64 acc = 0;
-  for (u64 i = 0; i < n; i++) { acc += i * 3; }
-  return acc;
-}
-"""
-        module, func = compiled_func(src, "f")
-        expected = VM(module).call("f", [10])
-        module2, func2 = compiled_func(src, "f")
-        optimize_function(func2, config="legacy")
-        verify_function(func2)
-        assert VM(module2).call("f", [10]) == expected
-
-    def test_default_pipeline_not_weaker_than_legacy(self):
+    def test_default_pipeline_not_weaker_than_none(self):
         src = """
 u64 f(u64 p) {
   u64 s = 0;
@@ -548,7 +532,7 @@ u64 f(u64 p) {
 """
         module_a, func_a = compiled_func(src, "f")
         module_b, func_b = compiled_func(src, "f")
-        optimize_function(func_a, config="legacy")
+        optimize_function(func_a, config="none")
         optimize_function(func_b, config="default")
         verify_function(func_b)
         assert func_b.num_instrs() <= func_a.num_instrs()

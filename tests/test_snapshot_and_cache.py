@@ -138,3 +138,45 @@ class TestSpecializationCache:
         verify_module(module)
         vm = VM(module)
         assert vm.call("fresh", [BASE, len(code), 1]) == 13
+
+
+class TestOptionKeyMembership:
+    """Which cache key an option belongs to is declared on the field
+    (``metadata={"key": ...}``), not in comments."""
+
+    # A second legal value per field, so "flip it" is well-defined.
+    FLIPPED = {
+        "ssa_mode": "naive", "optimize": False, "opt_config": "none",
+        "backend": "py", "emit_mode": "dispatch", "jobs": 2,
+        "cache_dir": "/tmp/elsewhere", "pool": "process",
+        "fault_plan": object(), "debug_exhaustive": True,
+    }
+
+    def test_every_field_is_tagged_and_keys_follow_the_tags(self):
+        import dataclasses
+
+        from repro.core.cache import options_key, py_options_key
+        from repro.core.specialize import SpecializeOptions
+        fields = dataclasses.fields(SpecializeOptions)
+        # Pinned on purpose: a new knob has to come through this test
+        # and say which key (if any) it belongs to.
+        assert len(fields) == 10
+        assert {f.name for f in fields} == set(self.FLIPPED)
+        base = SpecializeOptions(backend="vm")
+        for field in fields:
+            assert field.metadata["key"] in ("residual", "py", None), \
+                field.name
+            flipped = dataclasses.replace(
+                base, **{field.name: self.FLIPPED[field.name]})
+            residual_moved = options_key(flipped) != options_key(base)
+            py_moved = py_options_key(flipped) != py_options_key(base)
+            assert residual_moved == (field.metadata["key"] == "residual"), \
+                field.name
+            assert py_moved == (field.metadata["key"] == "py"), field.name
+
+    def test_default_key_is_value_identical_to_the_pre_tag_tuple(self):
+        from repro.core.cache import options_key, py_options_key
+        from repro.core.specialize import SpecializeOptions
+        options = SpecializeOptions(backend="vm")
+        assert options_key(options) == ("minimal", True, "default", 6, "vm")
+        assert py_options_key(options) == "structured"

@@ -491,6 +491,68 @@ class TestControllerPolicy:
         assert dynamic == static
         assert vm_d.stats.fuel == vm_s.stats.fuel
 
+    def test_staged_promote_all_still_earns_tier2(self):
+        """Regression: ``promote_all`` in staged mode must open the same
+        tier-1 window per-call promotion does (slot unpatched, tier-2
+        owed after ``compile_threshold`` calls) — it used to patch the
+        slot at tier 1, so nothing ever reached the backend."""
+        from repro.jsvm import JSRuntime
+        from repro.jsvm.runtime import CODE_LOAD_FUEL_PER_WORD
+        from repro.jsvm.values import VALUE_UNDEFINED
+        from repro.jsvm.workloads import WORKLOADS
+
+        def run(**tiering):
+            rt = JSRuntime(WORKLOADS["richards"], "wevaled_state",
+                           options=SpecializeOptions(backend="py"))
+            controller = rt._make_controller(**tiering)
+            vm = controller.attach(VM(rt.module))
+            controller.promote_all()
+            vm.stats.fuel += CODE_LOAD_FUEL_PER_WORD * sum(
+                len(f.code) for f in rt.compiled.functions)
+            vm.store_u64(rt.frame_base, VALUE_UNDEFINED)
+            vm.call(rt.generic_entry, [rt.func_addrs[0], rt.frame_base])
+            return rt.printed, vm.stats.fuel, controller
+
+        printed_u, fuel_u, unstaged = run()
+        printed_s, fuel_s, staged = run(threshold=2, compile_threshold=3)
+        assert staged.stats.tier2_installs > 0
+        assert staged.tier_counts()[2] > 0
+        assert (printed_s, fuel_s) == (printed_u, fuel_u)
+        assert unstaged.tier_counts()[1] == 0
+
+    def test_deopt_with_failed_replacement_leaves_no_stale_slot(self):
+        """A guard failure whose replacement compile is quarantined
+        leaves the function on tier 0 — and its dispatch slot must say
+        so (it used to keep pointing at the retired speculation)."""
+        from repro.pipeline.faults import FaultPlan
+        program = sum_to_n_program(20)
+        plan = FaultPlan.once("specialize", index=1)  # the replacement
+        vm, controller = make_tiered_min(
+            program, threshold=2, speculate=True,
+            options=SpecializeOptions(backend="vm", fault_plan=plan))
+        ref = VM(build_min_module(program))
+        for value in (3, 3, 9):
+            assert vm.call("min_interp", _args(program, value)) == \
+                ref.call("min_interp", _args(program, value))
+        profile = next(iter(controller.profiles.values()))
+        assert controller.stats.demotions == 1
+        assert controller.stats.compile_failures == 1
+        assert profile.tier == 0
+        assert vm.load_u64(profile.entry.result_addr) == 0
+        controller.check_invariants()
+
+    def test_check_invariants_catches_a_stale_slot(self):
+        program = sum_to_n_program(10)
+        vm, controller = make_tiered_min(
+            program, threshold=1, options=SpecializeOptions(backend="py"))
+        vm.call("min_interp", _args(program, 0))
+        profile = next(iter(controller.profiles.values()))
+        assert profile.tier == 2
+        controller.check_invariants()
+        vm.store_u64(profile.entry.result_addr, 0)
+        with pytest.raises(AssertionError, match="tier 2 but slot=0"):
+            controller.check_invariants()
+
     def test_report_smoke(self):
         program = sum_to_n_program(10)
         vm, controller = make_tiered_min(program, threshold=1)
