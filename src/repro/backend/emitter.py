@@ -1,14 +1,16 @@
 """Compile residual IR to native Python functions (the tier-2 backend).
 
 The IR VM in :mod:`repro.vm.machine` walks one instruction dataclass at
-a time; every op pays dict lookups and a long opcode if-chain.  After
+a time; every op pays dict lookups and an opcode dispatch.  After
 specialization that interpretive overhead is the dominant cost left, so
 this module translates a verified IR function into Python *source*,
 ``compile()``/``exec()``s it, and returns a callable with the VM's exact
 observable semantics:
 
-* values are the same unsigned-64-bit bit patterns (``& MASK64`` after
-  wrapping ops, sign-bias compares for signed predicates);
+* a pure op is emitted as its :mod:`repro.ir.semantics` row — the
+  expression the VM and the constant folder execute — with ``v<n>``
+  operand names, so values are the same unsigned-64-bit bit patterns
+  by construction;
 * traps raise the same :class:`~repro.vm.machine.VMTrap` kinds with the
   same messages, out-of-fuel raises :class:`OutOfFuel`;
 * fuel/load/store/call counters are charged per *block* (one ``+=`` per
@@ -62,6 +64,7 @@ Anything the emitter cannot express raises
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.backend.runtime import BACKEND_GLOBALS
@@ -76,6 +79,7 @@ from repro.ir.instructions import (
     Trap,
 )
 from repro.ir.module import Module
+from repro.ir.semantics import LOADS, PURE_EXPRS, STORES, _bits_ftoi
 
 
 class BackendError(Exception):
@@ -96,28 +100,16 @@ class _StructureTooDeep(BackendError):
 EMIT_MODES = ("structured", "dispatch")
 
 
-MASK_HEX = "0xFFFFFFFFFFFFFFFF"
-SIGN_HEX = "0x8000000000000000"
-
-_WRAP_BINOPS = {"iadd": "+", "isub": "-", "imul": "*"}
-_PLAIN_BINOPS = {"iand": "&", "ior": "|", "ixor": "^"}
-_FLOAT_BINOPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
-_UNSIGNED_CMPS = {"ieq": "==", "ine": "!=", "ilt_u": "<", "ile_u": "<=",
-                  "igt_u": ">", "ige_u": ">="}
-_SIGNED_CMPS = {"ilt_s": "<", "ile_s": "<=", "igt_s": ">", "ige_s": ">="}
-_FLOAT_CMPS = {"feq": "==", "fne": "!=", "flt": "<", "fle": "<=",
-               "fgt": ">", "fge": ">="}
-_HELPER_UNOPS = {"itof": "_itof", "ftoi": "_ftoi", "fsqrt": "_fsqrt",
-                 "ffloor": "_ffloor", "bits_ftoi": "_bits_ftoi",
-                 "bits_itof": "_bits_itof"}
-_HELPER_BINOPS = {"idiv_s": "_idiv_s", "idiv_u": "_idiv_u",
-                  "irem_s": "_irem_s", "irem_u": "_irem_u",
-                  "fdiv": "_fdiv", "ishr_s": "_ishr_s"}
-# op -> (size in bytes, signed)
-_SIZED_LOADS = {"load8_u": (1, False), "load8_s": (1, True),
-                "load16_u": (2, False), "load16_s": (2, True),
-                "load32_u": (4, False), "load32_s": (4, True)}
-_SIZED_STORES = {"store8": 1, "store16": 2, "store32": 4}
+# Pure ops are printed from their repro.ir.semantics row: op -> (the
+# row as a ``str.format`` template, ``{0}``/``{1}``/``{2}`` standing for
+# its operands a/b/c; whether the row calls ``_int``, which emitted
+# functions bind as a local).
+_PURE_TEMPLATES = {
+    op: (re.sub(r"\b[abc]\b",
+                lambda m: "{%d}" % "abc".index(m.group()), expr),
+         "_int(" in expr)
+    for op, expr in PURE_EXPRS.items()
+}
 
 _INDENT = "    "
 
@@ -128,9 +120,7 @@ def _float_literal(value: float) -> Tuple[str, bool]:
     (expression, needs_bits_helper)."""
     value = float(value)
     if value != value or value in (float("inf"), float("-inf")):
-        import struct
-        bits = int.from_bytes(struct.pack("<d", value), "little")
-        return f"_bits_itof({bits:#x})", True
+        return f"_bits_itof({_bits_ftoi(value):#x})", True
     return repr(value), False
 
 
@@ -472,92 +462,23 @@ class PyEmitter:
         if op == "fconst":
             literal, _ = _float_literal(instr.imm)
             return [f"{r} = {literal}"]
-        if op in _WRAP_BINOPS:
-            sym = _WRAP_BINOPS[op]
-            return [f"{r} = (v{args[0]} {sym} v{args[1]}) & {MASK_HEX}"]
-        if op in _PLAIN_BINOPS:
-            sym = _PLAIN_BINOPS[op]
-            return [f"{r} = v{args[0]} {sym} v{args[1]}"]
-        if op == "ishl":
-            return [f"{r} = (v{args[0]} << (v{args[1]} & 63)) & {MASK_HEX}"]
-        if op == "ishr_u":
-            return [f"{r} = v{args[0]} >> (v{args[1]} & 63)"]
-        if op in _UNSIGNED_CMPS:
-            self.used.add("_int")
-            sym = _UNSIGNED_CMPS[op]
-            return [f"{r} = _int(v{args[0]} {sym} v{args[1]})"]
-        if op in _SIGNED_CMPS:
-            # Signed compare via the sign-bias trick:
-            # a <_s b  <=>  (a ^ 2**63) <_u (b ^ 2**63).
-            self.used.add("_int")
-            sym = _SIGNED_CMPS[op]
-            return [f"{r} = _int((v{args[0]} ^ {SIGN_HEX}) {sym} "
-                    f"(v{args[1]} ^ {SIGN_HEX}))"]
-        if op in _FLOAT_BINOPS:
-            sym = _FLOAT_BINOPS[op]
-            return [f"{r} = v{args[0]} {sym} v{args[1]}"]
-        if op in _FLOAT_CMPS:
-            self.used.add("_int")
-            sym = _FLOAT_CMPS[op]
-            return [f"{r} = _int(v{args[0]} {sym} v{args[1]})"]
-        if op in _HELPER_BINOPS:
-            return [f"{r} = {_HELPER_BINOPS[op]}(v{args[0]}, v{args[1]})"]
-        if op in _HELPER_UNOPS:
-            return [f"{r} = {_HELPER_UNOPS[op]}(v{args[0]})"]
-        if op == "fneg":
-            return [f"{r} = -v{args[0]}"]
-        if op == "fabs":
-            return [f"{r} = _abs(v{args[0]})"]
-        if op == "select":
-            return [f"{r} = v{args[1]} if v{args[0]} else v{args[2]}"]
+        pure = _PURE_TEMPLATES.get(op)
+        if pure is not None:
+            template, uses_int = pure
+            if uses_int:
+                self.used.add("_int")
+            return [f"{r} = " + template.format(*[f"v{a}" for a in args])]
 
-        if op == "load64":
+        mem = LOADS.get(op)
+        if mem is not None:
             counters["loads"] += 1
-            self.used.update(("M", "_ifb"))
+            size, signed, is_float = mem
+            self.used.add("M")
             pre: List[str] = []
             a = self._addr(instr, pre)
-            return pre + [
-                f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob load64 at %#x" % {a})',
-                f'{r} = _ifb(M[{a}:{a} + 8], "little")',
-            ]
-        if op == "store64":
-            counters["stores"] += 1
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            return pre + [
-                f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob store64 at %#x" % {a})',
-                f'M[{a}:{a} + 8] = v{args[1]}.to_bytes(8, "little")',
-            ]
-        if op == "loadf64":
-            counters["loads"] += 1
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            return pre + [
-                f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob loadf64 at %#x" % {a})',
-                f'{r} = _upf("<d", M, {a})[0]',
-            ]
-        if op == "storef64":
-            counters["stores"] += 1
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            return pre + [
-                f'if {a} < 0 or {a} + 8 > _ML: '
-                f'raise VMTrap("oob storef64 at %#x" % {a})',
-                f'_pki("<d", M, {a}, v{args[1]})',
-            ]
-        if op in _SIZED_LOADS:
-            counters["loads"] += 1
-            size, signed = _SIZED_LOADS[op]
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            if size == 1:
+            if is_float:
+                raw = f'_upf("<d", M, {a})[0]'
+            elif size == 1:
                 raw = f"M[{a}]"
             else:
                 self.used.add("_ifb")
@@ -569,19 +490,23 @@ class PyEmitter:
                 f'raise VMTrap("oob {op} at %#x" % {a})',
                 f"{r} = {raw}",
             ]
-        if op in _SIZED_STORES:
+        mem = STORES.get(op)
+        if mem is not None:
             counters["stores"] += 1
-            size = _SIZED_STORES[op]
+            size, _, is_float = mem
             self.used.add("M")
             pre = []
             a = self._addr(instr, pre)
-            mask = (1 << (size * 8)) - 1
-            if size == 1:
-                store = f"M[{a}] = v{args[1]} & {mask:#x}"
+            if is_float:
+                store = f'_pki("<d", M, {a}, v{args[1]})'
+            elif size == 1:
+                store = f"M[{a}] = v{args[1]} & 0xff"
             else:
+                # An i64 is already 8 bytes wide; narrower stores truncate.
+                value = (f"v{args[1]}" if size == 8 else
+                         f"(v{args[1]} & {(1 << (size * 8)) - 1:#x})")
                 store = (f"M[{a}:{a} + {size}] = "
-                         f'(v{args[1]} & {mask:#x}).to_bytes({size}, '
-                         f'"little")')
+                         f'{value}.to_bytes({size}, "little")')
             return pre + [
                 f'if {a} < 0 or {a} + {size} > _ML: '
                 f'raise VMTrap("oob {op} at %#x" % {a})',
@@ -1157,7 +1082,6 @@ class StructuredEmitter(PyEmitter):
         """Merge adjacent ``_fu += a`` statements in the same suite —
         a terminator charge followed by an inlined successor's first
         segment charge, with no observable point between them."""
-        import re
         pat = re.compile(r"^(\s*)_fu \+= (\d+)$")
         out: List[str] = []
         for line in lines:
@@ -1187,9 +1111,9 @@ class StructuredEmitter(PyEmitter):
         for bid in rpo:
             for instr in func.blocks[bid].instrs:
                 op = instr.op
-                if op in ("load64", "loadf64") or op in _SIZED_LOADS:
+                if op in LOADS:
                     used_counters.add("loads")
-                elif op in ("store64", "storef64") or op in _SIZED_STORES:
+                elif op in STORES:
                     used_counters.add("stores")
                 elif op == "call":
                     used_counters.add("calls")

@@ -1,103 +1,24 @@
 """Runtime support for emitted Python code.
 
-Every helper here mirrors one arm of the :mod:`repro.vm.machine`
-evaluation loop bit-for-bit: the backend's correctness contract is that
-a compiled residual function and the IR VM produce identical results,
-traps, and printed output, so the rare/complex opcodes (trapping
-division, float edge cases, sign extension) are implemented once, next
-to each other, instead of being re-derived inline by the emitter.
-
 The emitted code executes with :data:`BACKEND_GLOBALS` as its module
-globals, so these helpers (and the trap exception types) are reachable
-as plain global names without per-call imports.
+globals.  The arithmetic in it is not defined here: an emitted pure op
+is its row of :mod:`repro.ir.semantics` printed with ``v<n>`` operands,
+and the helper names those rows call (``_idiv_s``, ``_ftoi``, ``_sext``,
+...) are that module's ``HELPERS`` — the functions the VM and the
+constant folder run.  What this module adds is what only compiled code
+needs: the trap exception types as plain global names, the ``struct``
+accessors for f64 memory ops, and the depth-limit trap of the callee
+prologue.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
-from repro.ir.instructions import MASK64, to_signed
+from repro.ir.semantics import HELPERS
 from repro.vm.machine import GuardFailed, OutOfFuel, VMTrap
 
 __all__ = ["BACKEND_GLOBALS", "GuardFailed", "OutOfFuel", "VMTrap"]
-
-
-def _idiv_s(a: int, b: int) -> int:
-    a = to_signed(a)
-    b = to_signed(b)
-    if b == 0:
-        raise VMTrap("integer divide by zero")
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return q & MASK64
-
-
-def _idiv_u(a: int, b: int) -> int:
-    if b == 0:
-        raise VMTrap("integer divide by zero")
-    return a // b
-
-
-def _irem_s(a: int, b: int) -> int:
-    a = to_signed(a)
-    b = to_signed(b)
-    if b == 0:
-        raise VMTrap("integer remainder by zero")
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return (a - q * b) & MASK64
-
-
-def _irem_u(a: int, b: int) -> int:
-    if b == 0:
-        raise VMTrap("integer remainder by zero")
-    return a % b
-
-
-def _ishr_s(a: int, s: int) -> int:
-    return (to_signed(a) >> (s & 63)) & MASK64
-
-
-def _itof(a: int) -> float:
-    return float(to_signed(a))
-
-
-def _ftoi(a: float) -> int:
-    if math.isnan(a) or math.isinf(a):
-        raise VMTrap("invalid float-to-int conversion")
-    return int(a) & MASK64
-
-
-def _fdiv(a: float, b: float) -> float:
-    if b == 0.0:
-        return (math.nan if a == 0.0
-                else math.copysign(math.inf, a) * math.copysign(1.0, b))
-    return a / b
-
-
-def _fsqrt(a: float) -> float:
-    return math.sqrt(a) if a >= 0.0 else math.nan
-
-
-def _ffloor(a: float) -> float:
-    return float(math.floor(a))
-
-
-def _bits_ftoi(a: float) -> int:
-    return int.from_bytes(struct.pack("<d", a), "little")
-
-
-def _bits_itof(a: int) -> float:
-    return struct.unpack("<d", (a & MASK64).to_bytes(8, "little"))[0]
-
-
-def _sext(raw: int, bits: int) -> int:
-    if raw >= 1 << (bits - 1):
-        raw -= 1 << bits
-    return raw & MASK64
 
 
 def _exhaust(vm, name: str) -> None:
@@ -115,24 +36,11 @@ def _exhaust(vm, name: str) -> None:
 # The global namespace for emitted code (copied per compiled function so
 # nothing can leak between modules).
 BACKEND_GLOBALS = {
+    **HELPERS,
     "VMTrap": VMTrap,
     "OutOfFuel": OutOfFuel,
     "GuardFailed": GuardFailed,
-    "_idiv_s": _idiv_s,
-    "_idiv_u": _idiv_u,
-    "_irem_s": _irem_s,
-    "_irem_u": _irem_u,
-    "_ishr_s": _ishr_s,
-    "_itof": _itof,
-    "_ftoi": _ftoi,
-    "_fdiv": _fdiv,
-    "_fsqrt": _fsqrt,
-    "_ffloor": _ffloor,
-    "_bits_ftoi": _bits_ftoi,
-    "_bits_itof": _bits_itof,
-    "_sext": _sext,
     "_exhaust": _exhaust,
     "_upf": struct.unpack_from,
     "_pki": struct.pack_into,
-    "_abs": abs,
 }

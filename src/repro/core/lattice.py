@@ -10,24 +10,20 @@ S3.5/S3.6: the byte ranges promised constant by a specialization request,
 backed by the snapshot taken at request time.  Loads whose (folded)
 address lands entirely inside a constant range fold to constants — this
 is the mechanism that erases the bytecode from the compiled result.
+
+:func:`fold_pure_op` (shared by the specializer and ``opt/fold.py``)
+defines no arithmetic of its own: it calls the op's row in
+:mod:`repro.ir.semantics`, the function the VM executes.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import threading
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.ir.instructions import (
-    COMPARISON_OPS,
-    FOLDABLE_FLOAT_BINOPS,
-    FOLDABLE_INT_BINOPS,
-    MASK64,
-    to_signed,
-    wrap_i64,
-)
-from repro.ir.types import F64, I64, Type
+from repro.ir.semantics import PURE_FNS, VMTrap, _sext
+from repro.ir.types import I64, Type
 
 
 class Const:
@@ -176,9 +172,7 @@ class ConstMemoryImage:
         if not self.contains(addr, size):
             return None
         raw = int.from_bytes(self.snapshot[addr:addr + size], "little")
-        if signed and raw >= 1 << (size * 8 - 1):
-            raw -= 1 << (size * 8)
-        return wrap_i64(raw)
+        return _sext(raw, size * 8) if signed else raw
 
     def read_f64(self, addr: int) -> Optional[float]:
         if not self.contains(addr, 8):
@@ -186,142 +180,20 @@ class ConstMemoryImage:
         return struct.unpack_from("<d", self.snapshot, addr)[0]
 
 
-# ---------------------------------------------------------------------------
-# Pure-op constant folding (shared by the specializer and the optimizer).
-# Semantics must match repro.vm.machine exactly; ops that would trap
-# (division by zero, invalid float->int) return None and are left to run.
-# ---------------------------------------------------------------------------
-
-_LOAD_SIZES = {
-    "load8_u": (1, False), "load8_s": (1, True),
-    "load16_u": (2, False), "load16_s": (2, True),
-    "load32_u": (4, False), "load32_s": (4, True),
-    "load64": (8, False),
-}
-
-
-def load_size(op: str) -> Optional[Tuple[int, bool]]:
-    return _LOAD_SIZES.get(op)
-
-
 def fold_pure_op(op: str, imm: object,
                  args: List[Union[int, float]]) -> Optional[Union[int, float]]:
-    """Fold a pure op over constant operand values, or return None."""
+    """Fold a pure op over constant operand values, or return None.
+
+    The value is whatever the op's row in :mod:`repro.ir.semantics`
+    computes — the function the VM runs.  An op that would trap
+    (division by zero, invalid float->int) is left to run.
+    """
     if op == "iconst" or op == "fconst":
         return imm
-    if op in FOLDABLE_INT_BINOPS:
-        return _fold_int_binop(op, args[0], args[1])
-    if op in FOLDABLE_FLOAT_BINOPS:
-        return _fold_float_binop(op, args[0], args[1])
-    if op == "fneg":
-        return -args[0]
-    if op == "fabs":
-        return abs(args[0])
-    if op == "fsqrt":
-        return math.sqrt(args[0]) if args[0] >= 0.0 else math.nan
-    if op == "ffloor":
-        return float(math.floor(args[0]))
-    if op == "itof":
-        return float(to_signed(args[0]))
-    if op == "ftoi":
-        if math.isnan(args[0]) or math.isinf(args[0]):
-            return None
-        return wrap_i64(int(args[0]))
-    if op == "bits_ftoi":
-        return int.from_bytes(struct.pack("<d", args[0]), "little")
-    if op == "bits_itof":
-        return struct.unpack("<d", (args[0] & MASK64).to_bytes(8, "little"))[0]
-    if op == "select":
-        return args[1] if args[0] != 0 else args[2]
-    return None
-
-
-def _fold_int_binop(op: str, a: int, b: int) -> Optional[int]:
-    if op == "iadd":
-        return (a + b) & MASK64
-    if op == "isub":
-        return (a - b) & MASK64
-    if op == "imul":
-        return (a * b) & MASK64
-    if op == "idiv_u":
-        return a // b if b else None
-    if op == "irem_u":
-        return a % b if b else None
-    if op == "idiv_s":
-        if b == 0:
-            return None
-        sa, sb = to_signed(a), to_signed(b)
-        q = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            q = -q
-        return wrap_i64(q)
-    if op == "irem_s":
-        if b == 0:
-            return None
-        sa, sb = to_signed(a), to_signed(b)
-        q = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            q = -q
-        return wrap_i64(sa - q * sb)
-    if op == "iand":
-        return a & b
-    if op == "ior":
-        return a | b
-    if op == "ixor":
-        return a ^ b
-    if op == "ishl":
-        return (a << (b & 63)) & MASK64
-    if op == "ishr_u":
-        return a >> (b & 63)
-    if op == "ishr_s":
-        return wrap_i64(to_signed(a) >> (b & 63))
-    if op == "ieq":
-        return int(a == b)
-    if op == "ine":
-        return int(a != b)
-    if op == "ilt_s":
-        return int(to_signed(a) < to_signed(b))
-    if op == "ilt_u":
-        return int(a < b)
-    if op == "ile_s":
-        return int(to_signed(a) <= to_signed(b))
-    if op == "ile_u":
-        return int(a <= b)
-    if op == "igt_s":
-        return int(to_signed(a) > to_signed(b))
-    if op == "igt_u":
-        return int(a > b)
-    if op == "ige_s":
-        return int(to_signed(a) >= to_signed(b))
-    if op == "ige_u":
-        return int(a >= b)
-    return None
-
-
-def _fold_float_binop(op: str, a: float, b: float) -> Optional[float]:
-    if op == "fadd":
-        return a + b
-    if op == "fsub":
-        return a - b
-    if op == "fmul":
-        return a * b
-    if op == "fdiv":
-        if b == 0.0:
-            if a == 0.0:
-                return math.nan
-            return math.copysign(math.inf, a) * math.copysign(1.0, b)
-        return a / b
-    if op in COMPARISON_OPS:
-        if op == "feq":
-            return int(a == b)
-        if op == "fne":
-            return int(a != b)
-        if op == "flt":
-            return int(a < b)
-        if op == "fle":
-            return int(a <= b)
-        if op == "fgt":
-            return int(a > b)
-        if op == "fge":
-            return int(a >= b)
-    return None
+    fn = PURE_FNS.get(op)
+    if fn is None:
+        return None
+    try:
+        return fn(*args)
+    except VMTrap:
+        return None

@@ -46,7 +46,6 @@ from repro.core.lattice import (
     fold_pure_op,
     intern_const,
     intern_counters,
-    load_size,
 )
 from repro.core.request import (
     Runtime,
@@ -85,6 +84,7 @@ from repro.ir.instructions import (
     terminator_values,
 )
 from repro.ir.module import Module
+from repro.ir.semantics import LOADS
 from repro.ir.types import F64, I64, Type
 
 
@@ -186,14 +186,12 @@ Key = Tuple[tuple, int]  # (context, generic block id)
 _PROLOGUE_KEY: Key = (("__prologue__",), -1)
 
 # Per-opcode transcription dispatch, precomputed once at import:
-# ``op -> (pure, load_size() pair or None, is_loadf64)``.  The
+# ``op -> (pure, its repro.ir.semantics load row or None)``.  The
 # transcription loop is one of the two hottest paths of cold AOT (with
-# meet_states); folding the OPCODES probe, the load_size() call, and
-# the loadf64 compare into a single dict hit removes three lookups per
-# transcribed instruction.
+# meet_states); folding the OPCODES probe and the load-table probe into
+# a single dict hit removes a lookup per transcribed instruction.
 _TRANSCRIBE_DISPATCH: Dict[str, tuple] = {
-    op: (info.pure, load_size(op), op == "loadf64")
-    for op, info in OPCODES.items()
+    op: (info.pure, LOADS.get(op)) for op, info in OPCODES.items()
 }
 
 # Kill switch for the sole-contributor meet fast path.  Like
@@ -702,7 +700,7 @@ class _Specializer:
     def _transcribe_instr(self, block: Block, state: FlowState,
                           const_cache, instr: Instr) -> None:
         op = instr.op
-        pure, size_info, is_loadf64 = _TRANSCRIBE_DISPATCH[op]
+        pure, load = _TRANSCRIBE_DISPATCH[op]
         try:
             abs_args = [state.env[a] for a in instr.args]
         except KeyError as exc:
@@ -712,19 +710,15 @@ class _Specializer:
 
         # Loads from promised-constant memory fold to constants: this is
         # the bytecode-erasing step.
-        if size_info is not None and isinstance(abs_args[0], Const):
-            size, signed = size_info
+        if load is not None and isinstance(abs_args[0], Const):
             addr = (abs_args[0].value + (instr.imm or 0)) & ((1 << 64) - 1)
-            folded = self.image.read(addr, size, signed)
+            if load.float:
+                folded = self.image.read_f64(addr)
+            else:
+                folded = self.image.read(addr, load.size, load.signed)
             if folded is not None:
-                state.env[instr.result] = intern_const(folded, I64)
-                self.stats.loads_folded_from_const_memory += 1
-                return
-        if is_loadf64 and isinstance(abs_args[0], Const):
-            addr = (abs_args[0].value + (instr.imm or 0)) & ((1 << 64) - 1)
-            folded_f = self.image.read_f64(addr)
-            if folded_f is not None:
-                state.env[instr.result] = Const(folded_f, F64)
+                state.env[instr.result] = intern_const(
+                    folded, F64 if load.float else I64)
                 self.stats.loads_folded_from_const_memory += 1
                 return
 

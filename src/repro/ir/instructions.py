@@ -173,21 +173,6 @@ _OP_LIST = [
 
 OPCODES = {info.name: info for info in _OP_LIST}
 
-# Ops eligible for constant folding in the specializer and optimizer.
-FOLDABLE_INT_BINOPS = {
-    "iadd", "isub", "imul", "idiv_s", "idiv_u", "irem_s", "irem_u",
-    "iand", "ior", "ixor", "ishl", "ishr_s", "ishr_u",
-    "ieq", "ine", "ilt_s", "ilt_u", "ile_s", "ile_u",
-    "igt_s", "igt_u", "ige_s", "ige_u",
-}
-FOLDABLE_FLOAT_BINOPS = {"fadd", "fsub", "fmul", "fdiv",
-                         "feq", "fne", "flt", "fle", "fgt", "fge"}
-COMPARISON_OPS = {
-    "ieq", "ine", "ilt_s", "ilt_u", "ile_s", "ile_u",
-    "igt_s", "igt_u", "ige_s", "ige_u",
-    "feq", "fne", "flt", "fle", "fgt", "fge",
-}
-
 
 # --- guard immediate helpers (shared by verifier, VM, emitter) -------------
 

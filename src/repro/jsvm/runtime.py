@@ -462,8 +462,11 @@ class JSRuntime:
         main_struct = self.func_addrs[0]
         # main's frame: `this` local is undefined.
         vm.store_u64(self.frame_base, VALUE_UNDEFINED)
-        if self._aot_done:
-            spec = vm.load_u64(main_struct + SPEC_FIELD_WORD * 8)
+        # A zero ``spec`` slot means main has no specialization (not AOT,
+        # or its compile failed and was contained): run it generic, the
+        # way guest-level calls dispatch on the same slot.
+        spec = vm.load_u64(main_struct + SPEC_FIELD_WORD * 8)
+        if spec:
             vm.result = vm.call_table(spec, [main_struct, self.frame_base])
         else:
             vm.result = vm.call(self.generic_entry,

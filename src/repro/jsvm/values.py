@@ -12,6 +12,7 @@ exploit; here they are the guard conditions in IC stubs.
 
 from __future__ import annotations
 
+import math
 import struct
 
 TAG_SHIFT = 48
@@ -86,7 +87,7 @@ def describe(bits: int) -> str:
     if tag == TAG_FUNCTION:
         return f"<function #{payload(bits)}>"
     value = unbox_double(bits)
-    if value == int(value):
+    if math.isfinite(value) and value == int(value):
         return str(int(value))
     return repr(value)
 

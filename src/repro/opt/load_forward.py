@@ -38,15 +38,9 @@ from typing import Dict, Optional, Tuple
 from repro.ir.cfg import predecessors, reverse_postorder
 from repro.ir.function import Function
 from repro.ir.instructions import MASK64, Instr
+from repro.ir.semantics import LOADS, STORES
 from repro.opt.util import substitute_values
 
-LOAD_SIZE = {
-    "load8_u": 1, "load8_s": 1, "load16_u": 2, "load16_s": 2,
-    "load32_u": 4, "load32_s": 4, "load64": 8, "loadf64": 8,
-}
-STORE_SIZE = {
-    "store8": 1, "store16": 2, "store32": 4, "store64": 8, "storef64": 8,
-}
 # Full-width stores whose operand is bit-identical to a matching load.
 STORE_TO_LOAD = {"store64": "load64", "storef64": "loadf64"}
 
@@ -108,18 +102,18 @@ def _apply_instr(facts: Facts, defs: Dict[int, Instr],
     if info.is_call:
         facts.clear()
         return
-    if op in STORE_SIZE:
+    if op in STORES:
         addr = _addr_of(defs, instr.args[0], instr.imm)
-        size = STORE_SIZE[op]
+        size = STORES[op].size
         for key in list(facts):
             load_op, base, offset = key
-            if not _disjoint(addr, size, (base, offset), LOAD_SIZE[load_op]):
+            if not _disjoint(addr, size, (base, offset), LOADS[load_op].size):
                 del facts[key]
         forwarded = STORE_TO_LOAD.get(op)
         if forwarded is not None:
             facts[(forwarded, addr[0], addr[1])] = instr.args[1]
         return
-    if op in LOAD_SIZE:
+    if op in LOADS:
         addr = _addr_of(defs, instr.args[0], instr.imm)
         # setdefault, not assignment: when a fact for this address
         # already exists, the earlier (dominating) value must survive,
@@ -149,7 +143,7 @@ def load_forward_has_work(func: Function) -> bool:
     for block in func.blocks.values():
         for instr in block.instrs:
             op = instr.op
-            if op in LOAD_SIZE:
+            if op in LOADS:
                 addr = _addr_of(defs, instr.args[0], instr.imm)
                 key = (op, addr[0], addr[1])
                 if key in load_keys or key in store_keys:
@@ -207,7 +201,7 @@ def forward_loads(func: Function) -> int:
         block = func.blocks[bid]
         kept = []
         for instr in block.instrs:
-            if instr.op in LOAD_SIZE:
+            if instr.op in LOADS:
                 addr = _addr_of(defs, instr.args[0], instr.imm)
                 key = (instr.op, addr[0], addr[1])
                 hit = facts.get(key)

@@ -13,12 +13,19 @@ correctness).  State intrinsics (registers/locals/stack) are only present
 in the specialized variant of an interpreter and therefore have no
 polyfill; calling one from the VM is an error (matching the paper's
 "two versions of the interpreter body" approach, S4.3).
+
+What an op *means* is not written here: pure ops run the function
+compiled from their row in :mod:`repro.ir.semantics` (the same row the
+constant folder calls and the emitter prints), and the sized loads and
+stores read their width and signedness from its memory table.  This
+loop owns only what is the VM's: the environment, counters, calls,
+guards and control flow.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+from struct import pack_into, unpack_from
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function, Signature
@@ -29,14 +36,9 @@ from repro.ir.instructions import (
     MASK64,
     Ret,
     Trap,
-    to_signed,
-    wrap_i64,
 )
 from repro.ir.module import Module
-
-
-class VMTrap(Exception):
-    """Guest execution trapped (unreachable, bad memory access, etc.)."""
+from repro.ir.semantics import LOADS, PURE_FNS, STORES, VMTrap, _sext
 
 
 class OutOfFuel(Exception):
@@ -202,14 +204,12 @@ class VM:
         self.memory[addr:addr + 8] = (value & MASK64).to_bytes(8, "little")
 
     def load_f64(self, addr: int) -> float:
-        import struct
         self._check_range(addr, 8)
-        return struct.unpack_from("<d", self.memory, addr)[0]
+        return unpack_from("<d", self.memory, addr)[0]
 
     def store_f64(self, addr: int, value: float) -> None:
-        import struct
         self._check_range(addr, 8)
-        struct.pack_into("<d", self.memory, addr, value)
+        pack_into("<d", self.memory, addr, value)
 
     # ------------------------------------------------------------------
     # Calls.
@@ -379,6 +379,10 @@ class VM:
         blocks = func.blocks
         block = entry
         memory = self.memory
+        pure_fn = PURE_FNS.get
+        load_op = LOADS.get
+        store_op = STORES.get
+        sext = _sext
         count_backedges = self.count_backedges
         backedges = self._loop_backedges(func) if count_backedges else None
 
@@ -386,214 +390,44 @@ class VM:
             for instr in block.instrs:
                 stats.fuel += 1
                 op = instr.op
-                # --- constants -------------------------------------------
-                if op == "iconst":
+                if op == "iconst" or op == "fconst":
                     env[instr.result] = instr.imm
-                elif op == "fconst":
-                    env[instr.result] = instr.imm
-                # --- integer binops --------------------------------------
-                elif op == "iadd":
-                    env[instr.result] = (env[instr.args[0]] +
-                                         env[instr.args[1]]) & MASK64
-                elif op == "isub":
-                    env[instr.result] = (env[instr.args[0]] -
-                                         env[instr.args[1]]) & MASK64
-                elif op == "imul":
-                    env[instr.result] = (env[instr.args[0]] *
-                                         env[instr.args[1]]) & MASK64
-                elif op == "idiv_s":
-                    a = to_signed(env[instr.args[0]])
-                    b = to_signed(env[instr.args[1]])
-                    if b == 0:
-                        raise VMTrap("integer divide by zero")
-                    q = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        q = -q
-                    env[instr.result] = wrap_i64(q)
-                elif op == "idiv_u":
-                    a, b = env[instr.args[0]], env[instr.args[1]]
-                    if b == 0:
-                        raise VMTrap("integer divide by zero")
-                    env[instr.result] = a // b
-                elif op == "irem_s":
-                    a = to_signed(env[instr.args[0]])
-                    b = to_signed(env[instr.args[1]])
-                    if b == 0:
-                        raise VMTrap("integer remainder by zero")
-                    q = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        q = -q
-                    env[instr.result] = wrap_i64(a - q * b)
-                elif op == "irem_u":
-                    a, b = env[instr.args[0]], env[instr.args[1]]
-                    if b == 0:
-                        raise VMTrap("integer remainder by zero")
-                    env[instr.result] = a % b
-                elif op == "iand":
-                    env[instr.result] = env[instr.args[0]] & env[instr.args[1]]
-                elif op == "ior":
-                    env[instr.result] = env[instr.args[0]] | env[instr.args[1]]
-                elif op == "ixor":
-                    env[instr.result] = env[instr.args[0]] ^ env[instr.args[1]]
-                elif op == "ishl":
-                    env[instr.result] = (env[instr.args[0]] <<
-                                         (env[instr.args[1]] & 63)) & MASK64
-                elif op == "ishr_u":
-                    env[instr.result] = env[instr.args[0]] >> (
-                        env[instr.args[1]] & 63)
-                elif op == "ishr_s":
-                    env[instr.result] = wrap_i64(
-                        to_signed(env[instr.args[0]]) >>
-                        (env[instr.args[1]] & 63))
-                # --- integer comparisons ---------------------------------
-                elif op == "ieq":
-                    env[instr.result] = int(env[instr.args[0]] ==
-                                            env[instr.args[1]])
-                elif op == "ine":
-                    env[instr.result] = int(env[instr.args[0]] !=
-                                            env[instr.args[1]])
-                elif op == "ilt_s":
-                    env[instr.result] = int(to_signed(env[instr.args[0]]) <
-                                            to_signed(env[instr.args[1]]))
-                elif op == "ilt_u":
-                    env[instr.result] = int(env[instr.args[0]] <
-                                            env[instr.args[1]])
-                elif op == "ile_s":
-                    env[instr.result] = int(to_signed(env[instr.args[0]]) <=
-                                            to_signed(env[instr.args[1]]))
-                elif op == "ile_u":
-                    env[instr.result] = int(env[instr.args[0]] <=
-                                            env[instr.args[1]])
-                elif op == "igt_s":
-                    env[instr.result] = int(to_signed(env[instr.args[0]]) >
-                                            to_signed(env[instr.args[1]]))
-                elif op == "igt_u":
-                    env[instr.result] = int(env[instr.args[0]] >
-                                            env[instr.args[1]])
-                elif op == "ige_s":
-                    env[instr.result] = int(to_signed(env[instr.args[0]]) >=
-                                            to_signed(env[instr.args[1]]))
-                elif op == "ige_u":
-                    env[instr.result] = int(env[instr.args[0]] >=
-                                            env[instr.args[1]])
-                # --- floats ----------------------------------------------
-                elif op == "fadd":
-                    env[instr.result] = env[instr.args[0]] + env[instr.args[1]]
-                elif op == "fsub":
-                    env[instr.result] = env[instr.args[0]] - env[instr.args[1]]
-                elif op == "fmul":
-                    env[instr.result] = env[instr.args[0]] * env[instr.args[1]]
-                elif op == "fdiv":
-                    b = env[instr.args[1]]
-                    a = env[instr.args[0]]
-                    if b == 0.0:
-                        env[instr.result] = (math.nan if a == 0.0
-                                             else math.copysign(math.inf, a) *
-                                             math.copysign(1.0, b))
+                # --- pure ops: the row compiled from repro.ir.semantics ---
+                elif (fn := pure_fn(op)) is not None:
+                    ops = instr.args
+                    if len(ops) == 2:
+                        env[instr.result] = fn(env[ops[0]], env[ops[1]])
+                    elif len(ops) == 1:
+                        env[instr.result] = fn(env[ops[0]])
                     else:
-                        env[instr.result] = a / b
-                elif op == "fneg":
-                    env[instr.result] = -env[instr.args[0]]
-                elif op == "fabs":
-                    env[instr.result] = abs(env[instr.args[0]])
-                elif op == "fsqrt":
-                    a = env[instr.args[0]]
-                    env[instr.result] = math.sqrt(a) if a >= 0.0 else math.nan
-                elif op == "ffloor":
-                    env[instr.result] = float(math.floor(env[instr.args[0]]))
-                elif op == "feq":
-                    env[instr.result] = int(env[instr.args[0]] ==
-                                            env[instr.args[1]])
-                elif op == "fne":
-                    env[instr.result] = int(env[instr.args[0]] !=
-                                            env[instr.args[1]])
-                elif op == "flt":
-                    env[instr.result] = int(env[instr.args[0]] <
-                                            env[instr.args[1]])
-                elif op == "fle":
-                    env[instr.result] = int(env[instr.args[0]] <=
-                                            env[instr.args[1]])
-                elif op == "fgt":
-                    env[instr.result] = int(env[instr.args[0]] >
-                                            env[instr.args[1]])
-                elif op == "fge":
-                    env[instr.result] = int(env[instr.args[0]] >=
-                                            env[instr.args[1]])
-                # --- conversions -----------------------------------------
-                elif op == "itof":
-                    env[instr.result] = float(to_signed(env[instr.args[0]]))
-                elif op == "ftoi":
-                    a = env[instr.args[0]]
-                    if math.isnan(a) or math.isinf(a):
-                        raise VMTrap("invalid float-to-int conversion")
-                    env[instr.result] = wrap_i64(int(a))
-                elif op == "bits_ftoi":
-                    import struct
-                    env[instr.result] = int.from_bytes(
-                        struct.pack("<d", env[instr.args[0]]), "little")
-                elif op == "bits_itof":
-                    import struct
-                    env[instr.result] = struct.unpack(
-                        "<d", (env[instr.args[0]] & MASK64).to_bytes(
-                            8, "little"))[0]
-                # --- select ----------------------------------------------
-                elif op == "select":
-                    env[instr.result] = (env[instr.args[1]]
-                                         if env[instr.args[0]] != 0
-                                         else env[instr.args[2]])
+                        env[instr.result] = fn(env[ops[0]], env[ops[1]],
+                                               env[ops[2]])
                 # --- memory ----------------------------------------------
-                elif op == "load64":
+                elif (mem := load_op(op)) is not None:
                     stats.loads += 1
-                    addr = env[instr.args[0]] + instr.imm
-                    if addr < 0 or addr + 8 > len(memory):
-                        raise VMTrap(f"oob load64 at {addr:#x}")
-                    env[instr.result] = int.from_bytes(
-                        memory[addr:addr + 8], "little")
-                elif op == "store64":
-                    stats.stores += 1
-                    addr = env[instr.args[0]] + instr.imm
-                    if addr < 0 or addr + 8 > len(memory):
-                        raise VMTrap(f"oob store64 at {addr:#x}")
-                    memory[addr:addr + 8] = env[instr.args[1]].to_bytes(
-                        8, "little")
-                elif op in ("load8_u", "load8_s", "load16_u", "load16_s",
-                            "load32_u", "load32_s"):
-                    stats.loads += 1
-                    size = {"8": 1, "1": 2, "3": 4}[op[4]]
+                    size, signed, is_float = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
                         raise VMTrap(f"oob {op} at {addr:#x}")
-                    raw = int.from_bytes(memory[addr:addr + size], "little")
-                    if op.endswith("_s"):
-                        bits = size * 8
-                        if raw >= 1 << (bits - 1):
-                            raw -= 1 << bits
-                        raw = wrap_i64(raw)
-                    env[instr.result] = raw
-                elif op in ("store8", "store16", "store32"):
+                    if is_float:
+                        env[instr.result] = unpack_from("<d", memory, addr)[0]
+                    else:
+                        raw = int.from_bytes(memory[addr:addr + size],
+                                             "little")
+                        env[instr.result] = (sext(raw, size * 8) if signed
+                                             else raw)
+                elif (mem := store_op(op)) is not None:
                     stats.stores += 1
-                    size = {"store8": 1, "store16": 2, "store32": 4}[op]
+                    size, _, is_float = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
                         raise VMTrap(f"oob {op} at {addr:#x}")
-                    memory[addr:addr + size] = (
-                        env[instr.args[1]] & ((1 << (size * 8)) - 1)
-                    ).to_bytes(size, "little")
-                elif op == "loadf64":
-                    stats.loads += 1
-                    import struct
-                    addr = env[instr.args[0]] + instr.imm
-                    if addr < 0 or addr + 8 > len(memory):
-                        raise VMTrap(f"oob loadf64 at {addr:#x}")
-                    env[instr.result] = struct.unpack_from(
-                        "<d", memory, addr)[0]
-                elif op == "storef64":
-                    stats.stores += 1
-                    import struct
-                    addr = env[instr.args[0]] + instr.imm
-                    if addr < 0 or addr + 8 > len(memory):
-                        raise VMTrap(f"oob storef64 at {addr:#x}")
-                    struct.pack_into("<d", memory, addr, env[instr.args[1]])
+                    if is_float:
+                        pack_into("<d", memory, addr, env[instr.args[1]])
+                    else:
+                        memory[addr:addr + size] = (
+                            env[instr.args[1]] & ((1 << (size * 8)) - 1)
+                        ).to_bytes(size, "little")
                 # --- calls -----------------------------------------------
                 elif op == "call":
                     stats.calls += 1

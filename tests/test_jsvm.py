@@ -55,6 +55,8 @@ class TestValues:
         assert describe(VALUE_TRUE) == "true"
         assert describe(box_bool(False)) == "false"
         assert describe(VALUE_NULL) == "null"
+        assert describe(box_double(float("-inf"))) == "-inf"
+        assert describe(box_double(float("nan"))) == "nan"
 
 
 class TestShapes:
@@ -240,6 +242,29 @@ class TestAotConfigs:
         for func in rt.compiled.functions:
             spec = vm.load_u64(rt.func_addrs[func.index] + 64)
             assert spec != 0
+
+    @pytest.mark.parametrize("backend", ["vm", "py"])
+    @pytest.mark.parametrize("plan_name", ["always", "once"])
+    def test_contained_compile_failure_falls_back_to_generic(self, plan_name,
+                                                             backend):
+        """A compile-path failure costs speed, never results: when
+        main's own specialization fails (request 0) its ``spec`` slot
+        stays 0 and ``run()`` must enter it generic, as guest calls do."""
+        from repro.core.specialize import SpecializeOptions
+        from repro.pipeline.faults import FaultPlan
+        src = ("function sq(x){ return x * x; } var s = 0; var i = 0;"
+               "while (i < 5) { s = s + sq(i); i = i + 1; } print(s);")
+        plan = (FaultPlan.always("specialize") if plan_name == "always"
+                else FaultPlan.once("specialize", 0))
+        reference = JSRuntime(src, "interp_ic")
+        reference.run()
+        rt = JSRuntime(src, "wevaled_state",
+                       options=SpecializeOptions(backend=backend,
+                                                 fault_plan=plan))
+        rt.run()
+        assert rt.printed == reference.printed == ["30"]
+        assert plan.fired["specialize"] >= 1
+        assert rt.compiler.processed[0].error is not None
 
     def test_specialized_run_reduces_fuel(self):
         src = WORKLOADS["crypto"]

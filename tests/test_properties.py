@@ -2,11 +2,10 @@
 
 The headline property is the Futamura equivalence: for *random* Min
 bytecode programs, the specialized function computes exactly what the
-interpreter computes.  Also covered: the constant-folder matches VM
-semantics op by op, and mini-C arithmetic matches a Python model.
+interpreter computes.  Also covered: mini-C arithmetic matches a Python
+model.  (Folder ≡ VM ≡ emitted code, op by op, is tests/test_semantics.py.)
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -16,38 +15,15 @@ from repro.core import (
     SpecializedMemory,
     specialize,
 )
-from repro.core.lattice import fold_pure_op
 from repro.frontend import compile_source
-from repro.ir import FunctionBuilder, I64, Module, Signature, verify_module
-from repro.ir.instructions import FOLDABLE_INT_BINOPS, wrap_i64
+from repro.ir import Module, verify_module
+from repro.ir.instructions import wrap_i64
 from repro.min import PROGRAM_BASE, PyMinInterpreter, build_min_module
 from repro.min.isa import MinProgram
 from repro.vm import VM
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 small = st.integers(min_value=0, max_value=300)
-
-
-# ---------------------------------------------------------------------------
-# fold_pure_op must agree with the VM, op by op.
-# ---------------------------------------------------------------------------
-@given(op=st.sampled_from(sorted(FOLDABLE_INT_BINOPS)), a=u64, b=u64)
-@settings(max_examples=300, deadline=None)
-def test_fold_matches_vm_for_int_binops(op, a, b):
-    folded = fold_pure_op(op, None, [a, b])
-    fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-    x, y = [v for v, _ in fb.entry.params]
-    fb.ret(fb.emit(op, (x, y)))
-    module = Module(memory_size=64)
-    module.add_function(fb.finish())
-    vm = VM(module)
-    if folded is None:
-        # Only trapping cases refuse to fold.
-        from repro.vm import VMTrap
-        with pytest.raises(VMTrap):
-            vm.call("f", [a, b])
-    else:
-        assert vm.call("f", [a, b]) == folded
 
 
 # ---------------------------------------------------------------------------
