@@ -35,12 +35,29 @@ from repro.ir.clone import clone_function
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.printer import print_function
+from repro.ir.verifier import VerificationError
+
+
+def body_fingerprint(func: Function) -> str:
+    """sha256 of a function body as printed now (id order)."""
+    return hashlib.sha256(
+        print_function(func, order="id").encode()).hexdigest()
 
 
 def function_fingerprint(func: Function) -> str:
-    """Fingerprint of a function body (its printed IR, id order)."""
-    return hashlib.sha256(
-        print_function(func, order="id").encode()).hexdigest()
+    """Fingerprint of a function body.  A frozen function (see
+    :class:`~repro.ir.function.Function`) holds its own; any other is
+    hashed on every call, because it may have changed since the last."""
+    return func.fingerprint or body_fingerprint(func)
+
+
+def check_frozen(func: Function) -> None:
+    """The oracle behind "frozen": raise if the body no longer prints
+    to the fingerprint recorded when it was frozen."""
+    if body_fingerprint(func) != func.fingerprint:
+        raise VerificationError(
+            f"frozen function {func.name!r} was mutated: its body no "
+            f"longer matches the fingerprint recorded when it was built")
 
 
 def memory_fingerprint(request: SpecializationRequest,
@@ -82,25 +99,17 @@ def py_options_key(options: SpecializeOptions) -> str:
 
 def request_key(module: Module, request: SpecializationRequest,
                 options: Optional[SpecializeOptions],
-                snapshot: bytes,
-                fingerprints: Optional[Dict[int, str]] = None) -> tuple:
+                snapshot: bytes) -> tuple:
     """The canonical cache key for one specialization request.
 
     Layout (relied on by the pipeline engine): ``key[0]`` is the generic
-    function fingerprint and ``key[2]`` the memory fingerprint.
-    ``fingerprints`` is an optional per-module memo (generic bodies are
-    large; hashing them once per batch instead of once per request
-    matters for the IC corpus).
+    function fingerprint and ``key[2]`` the memory fingerprint.  Generic
+    bodies are large, but the interpreters every runtime specializes are
+    frozen and carry their fingerprint; only hand-built generics are
+    hashed per request.
     """
     generic = module.functions[request.generic]
-    if fingerprints is None:
-        generic_fp = function_fingerprint(generic)
-    else:
-        generic_fp = fingerprints.get(id(generic))
-        if generic_fp is None:
-            generic_fp = function_fingerprint(generic)
-            fingerprints[id(generic)] = generic_fp
-    return (generic_fp,
+    return (function_fingerprint(generic),
             request.cache_key(),
             memory_fingerprint(request, snapshot),
             options_key(options))
@@ -111,7 +120,6 @@ class SpecializationCache:
 
     def __init__(self):
         self._entries: Dict[tuple, Function] = {}
-        self._fingerprints: Dict[int, str] = {}
         self.hits = 0
         self.misses = 0
 
@@ -120,8 +128,7 @@ class SpecializationCache:
                 memory: Optional[bytes] = None) -> tuple:
         snapshot = bytes(memory if memory is not None
                          else module.memory_init)
-        return request_key(module, request, options, snapshot,
-                           self._fingerprints)
+        return request_key(module, request, options, snapshot)
 
     def lookup(self, key: tuple, name: str) -> Optional[Function]:
         """Probe the cache; a hit returns a fresh clone named ``name``.
@@ -154,8 +161,7 @@ class SpecializationCache:
         """
         snapshot = bytes(memory if memory is not None
                          else module.memory_init)
-        key = request_key(module, request, options, snapshot,
-                          self._fingerprints)
+        key = request_key(module, request, options, snapshot)
         cached = self.lookup(key, request.name())
         if cached is not None:
             return cached, True

@@ -249,6 +249,114 @@ class _KeyInfo:
         self.priority: Tuple[int, int] = (0, 0)
 
 
+# ----------------------------------------------------------------------
+# Preparation: everything the transform derives from the generic body
+# alone, and only reads afterwards.
+# ----------------------------------------------------------------------
+def _prepared(generic: Function) -> tuple:
+    """``(split body, live-in, live-out, block param ids, RPO index)``
+    of ``generic``.  A frozen generic (see
+    :class:`~repro.ir.function.Function`) keeps the tuple, so each
+    interpreter is prepared once per process, not once per request."""
+    prepared = generic.prepared
+    if prepared is None:
+        func = _split_after_specialized_value(generic)
+        prepared = (func, *_liveness(func),
+                    {bid: i for i, bid in
+                     enumerate(reverse_postorder(func))})
+        if generic.fingerprint is not None:
+            generic.prepared = prepared
+    return prepared
+
+
+def _is_specialized_value(instr: Instr) -> bool:
+    return instr.op == "call" and instr.imm == "weval.specialized_value"
+
+
+def _split_after_specialized_value(generic: Function) -> Function:
+    """``generic`` with every ``weval.specialized_value`` call ending
+    its block: a clone if there is such a call, else ``generic`` itself.
+
+    The alias is safe because the transform only reads the body it is
+    given (``_Specializer.generic``; residual blocks are built in a new
+    ``Function``).  ``test_futamura.py::test_generic_is_only_read``
+    holds it to that on both branches, and for a frozen generic so does
+    ``check_frozen`` under ``REPRO_OPT_VERIFY=1``."""
+    if not any(_is_specialized_value(instr)
+               for block in generic.blocks.values()
+               for instr in block.instrs):
+        # Not cloned, and not only to save the clone: none of the
+        # in-tree interpreters calls specialized_value, so this branch
+        # carries all their traffic, and keeping one clone per frozen
+        # interpreter beside the original cost ``serve_tiered`` +2.8%
+        # ``steady_us`` (8 of 8 alternating parent/change pairs of the
+        # ledger) -- heap layout alone, the clone executes nothing.
+        return generic
+    func = clone_function(generic)
+    for bid in list(func.blocks):
+        block = func.blocks[bid]
+        while True:
+            split_at = next((i for i, instr in enumerate(block.instrs)
+                             if _is_specialized_value(instr)), None)
+            if split_at is None:
+                break
+            cont = func.new_block()
+            cont.instrs = block.instrs[split_at + 1:]
+            cont.terminator = block.terminator
+            block.instrs = block.instrs[:split_at + 1]
+            block.terminator = Jump(BlockCall(cont.id, ()))
+            block = cont
+    return func
+
+
+def _liveness(func: Function):
+    """Backward liveness: per-block live-in sets and param id lists."""
+    uses: Dict[int, Set[int]] = {}
+    defs: Dict[int, Set[int]] = {}
+    params: Dict[int, List[int]] = {}
+    for bid, block in func.blocks.items():
+        block_defs = {v for v, _ in block.params}
+        block_uses: Set[int] = set()
+        for instr in block.instrs:
+            block_uses.update(instr.args)
+            if instr.result is not None:
+                block_defs.add(instr.result)
+        if block.terminator is not None:
+            block_uses.update(terminator_values(block.terminator))
+        uses[bid] = block_uses - block_defs
+        defs[bid] = block_defs
+        params[bid] = [v for v, _ in block.params]
+
+    succs: Dict[int, List[int]] = {}
+    for bid, block in func.blocks.items():
+        succs[bid] = ([c.block for c in block.terminator.targets()]
+                      if block.terminator else [])
+
+    live_in: Dict[int, Set[int]] = {bid: set(uses[bid])
+                                    for bid in func.blocks}
+    changed = True
+    while changed:
+        changed = False
+        for bid in func.blocks:
+            live_out: Set[int] = set()
+            for succ in succs[bid]:
+                live_out.update(live_in[succ])
+            new = uses[bid] | (live_out - defs[bid])
+            if new != live_in[bid]:
+                live_in[bid] = new
+                changed = True
+    # Live-out sets bound what successors can observe of a block's
+    # out-state env — the domain of the out-version change check.
+    live_out_sets: Dict[int, Set[int]] = {}
+    for bid in func.blocks:
+        out: Set[int] = set()
+        for succ in succs[bid]:
+            out.update(live_in[succ])
+            out.update(params[succ])
+        live_out_sets[bid] = out
+    return live_in, live_out_sets, params
+
+
 class _Specializer:
     def __init__(self, module: Module, request: SpecializationRequest,
                  options: SpecializeOptions,
@@ -266,9 +374,8 @@ class _Specializer:
                 f"{request.generic}: request has {len(request.args)} arg "
                 f"modes, function has {len(generic.sig.params)} params")
 
-        self.generic = self._prepare(generic)
-        self.live_in, self.live_out, self.block_params = \
-            self._liveness(self.generic)
+        (self.generic, self.live_in, self.live_out, self.block_params,
+         self._rpo_index) = _prepared(generic)
 
         snapshot = bytes(memory if memory is not None
                          else module.memory_init)
@@ -300,88 +407,10 @@ class _Specializer:
         # determinism tier must check.
         self._exhaustive = options.debug_exhaustive
         self._heap: List[Tuple[Tuple[int, int], Key]] = []
-        self._rpo_index: Dict[int, int] = {
-            bid: i for i, bid in enumerate(reverse_postorder(self.generic))}
         self._rpo_unreachable = len(self._rpo_index)
         self._ctx_order: Dict[tuple, int] = {}
         self._key_strs: Dict[Key, str] = {}
         self._mint_info: Optional[_KeyInfo] = None
-
-    # ------------------------------------------------------------------
-    # Preparation: clone + split blocks after specialized_value calls.
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _prepare(generic: Function) -> Function:
-        func = clone_function(generic)
-        work = list(func.blocks.keys())
-        for bid in work:
-            block = func.blocks[bid]
-            while True:
-                split_at = None
-                for i, instr in enumerate(block.instrs):
-                    if (instr.op == "call" and
-                            instr.imm == "weval.specialized_value" and
-                            i + 1 <= len(block.instrs)):
-                        if i + 1 < len(block.instrs) or True:
-                            split_at = i
-                            break
-                if split_at is None:
-                    break
-                cont = func.new_block()
-                cont.instrs = block.instrs[split_at + 1:]
-                cont.terminator = block.terminator
-                block.instrs = block.instrs[:split_at + 1]
-                block.terminator = Jump(BlockCall(cont.id, ()))
-                block = cont
-        return func
-
-    @staticmethod
-    def _liveness(func: Function):
-        """Backward liveness: per-block live-in sets and param id lists."""
-        uses: Dict[int, Set[int]] = {}
-        defs: Dict[int, Set[int]] = {}
-        params: Dict[int, List[int]] = {}
-        for bid, block in func.blocks.items():
-            block_defs = {v for v, _ in block.params}
-            block_uses: Set[int] = set()
-            for instr in block.instrs:
-                block_uses.update(instr.args)
-                if instr.result is not None:
-                    block_defs.add(instr.result)
-            if block.terminator is not None:
-                block_uses.update(terminator_values(block.terminator))
-            uses[bid] = block_uses - block_defs
-            defs[bid] = block_defs
-            params[bid] = [v for v, _ in block.params]
-
-        succs: Dict[int, List[int]] = {}
-        for bid, block in func.blocks.items():
-            succs[bid] = ([c.block for c in block.terminator.targets()]
-                          if block.terminator else [])
-
-        live_in: Dict[int, Set[int]] = {bid: set(uses[bid])
-                                        for bid in func.blocks}
-        changed = True
-        while changed:
-            changed = False
-            for bid in func.blocks:
-                live_out: Set[int] = set()
-                for succ in succs[bid]:
-                    live_out.update(live_in[succ])
-                new = uses[bid] | (live_out - defs[bid])
-                if new != live_in[bid]:
-                    live_in[bid] = new
-                    changed = True
-        # Live-out sets bound what successors can observe of a block's
-        # out-state env — the domain of the out-version change check.
-        live_out_sets: Dict[int, Set[int]] = {}
-        for bid in func.blocks:
-            out: Set[int] = set()
-            for succ in succs[bid]:
-                out.update(live_in[succ])
-                out.update(params[succ])
-            live_out_sets[bid] = out
-        return live_in, live_out_sets, params
 
     # ------------------------------------------------------------------
     # Worklist management.

@@ -12,9 +12,15 @@ Public API::
 
     program = compile_source(source_text)
     program.add_to_module(module)     # adds functions + imports + globals
+
+    # A guest runtime's interpreter: compiled once per process, frozen,
+    # and shared by reference between modules (repro.frontend.image).
+    interpreter_image(source_text, compile_source).add_to_module(module)
 """
 
 from repro.frontend.errors import CompileError
 from repro.frontend.compiler import CompiledProgram, compile_source
+from repro.frontend.image import interpreter_image
 
-__all__ = ["CompileError", "CompiledProgram", "compile_source"]
+__all__ = ["CompileError", "CompiledProgram", "compile_source",
+           "interpreter_image"]

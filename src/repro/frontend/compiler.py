@@ -16,6 +16,7 @@ import dataclasses
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.cache import check_frozen
 from repro.core.intrinsics import INTRINSICS, register_weval_imports
 from repro.frontend import ast_nodes as ast
 from repro.frontend.errors import CompileError
@@ -25,6 +26,7 @@ from repro.ir.function import Block, Function, Signature
 from repro.ir.instructions import BlockCall, BrIf, BrTable, Jump, Ret, Trap, wrap_i64
 from repro.ir.module import HostFunc, Module
 from repro.ir.types import F64, I64, Type
+from repro.ir.verify import verify_enabled_by_env
 
 SHADOW_SP = "__sp"
 
@@ -107,6 +109,9 @@ class CompiledProgram:
         ``externs`` maps extern names to host callables; every extern the
         program declares must either be provided here or already exist on
         the module.  weval intrinsic imports are registered automatically.
+        Frozen functions (an interpreter image's) are registered by
+        reference; under ``REPRO_OPT_VERIFY=1`` each is first checked
+        against the fingerprint recorded when it was built.
         """
         externs = externs or {}
         register_weval_imports(module)
@@ -119,7 +124,10 @@ class CompiledProgram:
                 raise CompileError(
                     f"extern {name!r} not provided and not in module")
             module.add_import(HostFunc(name, sig, externs[name]))
+        verify = verify_enabled_by_env()
         for func in self.functions.values():
+            if verify and func.fingerprint is not None:
+                check_frozen(func)
             module.add_function(func)
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List
+import re
+from typing import List
 
 from repro.frontend.errors import CompileError
 
@@ -33,98 +34,87 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
 
 
+# One master pattern, one alternative per token class; ``lastgroup`` names
+# the class that matched.  ``\w`` is exactly ``isalnum() or "_"`` and
+# ``\d`` the decimal digits, so identifiers and numbers keep their
+# (Unicode) extent.  ``[^\W\d]`` is wider than ``isalpha() or "_"``,
+# though: it also admits the non-decimal numerics (``\u00bd``, ``\u00b2``,
+# ``\u2167``), so ``tokenize`` checks an identifier's first character
+# itself.  ``badcomment`` only matches when ``comment`` could not, i.e.
+# when no ``*/`` follows.
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r]+)"
+    r"|(?P<newline>\n+)"
+    r"|(?P<line>//[^\n]*)"
+    r"|(?P<comment>/\*.*?\*/)"
+    r"|(?P<badcomment>/\*)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<hex>0[xX][0-9a-fA-F]*)"
+    r"|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?P<exponent>[eE][+-]?\d*)?)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + r")",
+    re.DOTALL)
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize mini-C source text, raising :class:`CompileError` on bad
     input.  ``//`` and ``/* */`` comments are skipped."""
     tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
     i = 0
     line = 1
     col = 1
     n = len(source)
 
-    def error(message: str) -> CompileError:
-        return CompileError(message, line, col)
-
     while i < n:
-        ch = source[i]
-        # Whitespace.
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        m = match(source, i)
+        if m is None:
+            raise CompileError(f"unexpected character {source[i]!r}",
+                               line, col)
+        kind = m.lastgroup
+        text = m.group()
+        i = m.end()
+        if kind == "space":
+            col += len(text)
             continue
-        if ch == "\n":
-            i += 1
-            line += 1
+        if kind == "newline":
+            line += len(text)
             col = 1
             continue
-        # Comments.
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
+        if kind == "line":
+            # Runs to a newline or the end of input; the column is
+            # deliberately left where the comment began (that is the
+            # eof token's column after a trailing comment).
             continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            for c in source[i:end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-        # Identifiers / keywords.
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-        # Numbers.
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                i += 2
-                while i < n and (source[i] in "0123456789abcdefABCDEF"):
-                    i += 1
+        if kind == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                col = len(text) - text.rfind("\n")
             else:
-                while i < n and source[i].isdigit():
-                    i += 1
-                if i < n and source[i] == ".":
-                    is_float = True
-                    i += 1
-                    while i < n and source[i].isdigit():
-                        i += 1
-                if i < n and source[i] in "eE":
-                    is_float = True
-                    i += 1
-                    if i < n and source[i] in "+-":
-                        i += 1
-                    if i >= n or not source[i].isdigit():
-                        raise error("malformed float exponent")
-                    while i < n and source[i].isdigit():
-                        i += 1
-            text = source[start:i]
-            if is_float:
-                tokens.append(Token("float", text, line, col, float(text)))
-            else:
-                tokens.append(Token("int", text, line, col, int(text, 0)))
-            col += i - start
+                col += len(text)
             continue
-        # Operators and punctuation.
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+        if kind == "badcomment":
+            raise CompileError("unterminated block comment", line, col)
+        if kind == "ident":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise CompileError(f"unexpected character {text[0]!r}",
+                                   line, col)
+            append(Token("keyword" if text in KEYWORDS else "ident",
+                         text, line, col))
+        elif kind == "op":
+            append(Token("op", text, line, col))
+        elif kind == "hex":
+            append(Token("int", text, line, col, int(text, 0)))
         else:
-            raise error(f"unexpected character {ch!r}")
+            exponent = m.group("exponent")
+            if exponent is not None and not exponent[-1].isdigit():
+                raise CompileError("malformed float exponent", line, col)
+            if exponent is not None or "." in text:
+                append(Token("float", text, line, col, float(text)))
+            else:
+                append(Token("int", text, line, col, int(text, 0)))
+        col += len(text)
 
-    tokens.append(Token("eof", "", line, col))
+    append(Token("eof", "", line, col))
     return tokens

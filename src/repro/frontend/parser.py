@@ -23,6 +23,9 @@ PRECEDENCE = [
     ["*", "/", "%"],
 ]
 
+_BINARY_LEVEL = {op: level for level, ops in enumerate(PRECEDENCE)
+                 for op in ops}
+
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^="}
 
 
@@ -35,7 +38,9 @@ class Parser:
     # Token helpers.
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        index = self.pos + offset
+        tokens = self.tokens
+        return tokens[index] if index < len(tokens) else tokens[-1]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -300,16 +305,18 @@ class Parser:
             return ast.Ternary(tok.line, tok.col, cond, if_true, if_false)
         return cond
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(PRECEDENCE):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        ops = PRECEDENCE[level]
-        while self.peek().kind == "op" and self.peek().text in ops:
-            tok = self.next()
+    def parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: one call per operand, not one per
+        precedence level.  Every binary operator is left-associative."""
+        left = self.parse_unary()
+        while True:
+            tok = self.peek()
+            level = _BINARY_LEVEL.get(tok.text) if tok.kind == "op" else None
+            if level is None or level < min_level:
+                return left
+            self.next()
             right = self.parse_binary(level + 1)
             left = ast.Binary(tok.line, tok.col, tok.text, left, right)
-        return left
 
     def parse_unary(self) -> ast.Expr:
         tok = self.peek()

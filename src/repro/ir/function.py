@@ -47,6 +47,13 @@ class Function:
     The entry block's parameters are the function's parameters.  Value ids
     are allocated monotonically via :meth:`new_value`; ``value_types``
     records the type of every value ever created.
+
+    A function is mutable unless it is *frozen*: the interpreter image
+    (:mod:`repro.frontend.image`) registers one ``Function`` object in
+    every module built from the same text, so nobody may change it.
+    ``fingerprint`` is then the body's fingerprint, recorded when it was
+    frozen (``None`` on every other function), and ``prepared`` what the
+    specializer derives from the body alone, computed on first use.
     """
 
     def __init__(self, name: str, sig: Signature):
@@ -57,6 +64,8 @@ class Function:
         self.value_types: Dict[int, Type] = {}
         self._next_value = 0
         self._next_block = 0
+        self.fingerprint: Optional[str] = None
+        self.prepared: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Construction helpers.

@@ -35,7 +35,7 @@ from repro.core import (
     SpecializedMemory,
 )
 from repro.core.specialize import SpecializeOptions
-from repro.frontend import compile_source
+from repro.frontend import compile_source, interpreter_image
 from repro.ir import Module
 from repro.jsvm.bytecode import JSFunction
 from repro.jsvm.frontend import JSCompileError, compile_js
@@ -145,9 +145,9 @@ class JSRuntime:
                 sources.append(js_interp_source(
                     "js_interp_s", use_ics=True, use_state=True,
                     fallback="js_interp"))
-        # Compile as one program: js_interp calls ic_interp directly.
-        compile_source("\n".join(sources)).add_to_module(self.module,
-                                                         externs=externs)
+        # One program: js_interp calls ic_interp directly.
+        interpreter_image("\n".join(sources), compile_source).add_to_module(
+            self.module, externs=externs)
 
     def _layout(self) -> None:
         module = self.module

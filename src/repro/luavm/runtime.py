@@ -27,7 +27,7 @@ from repro.core import (
     SpecializedConst,
 )
 from repro.core.specialize import SpecializeOptions
-from repro.frontend import compile_source
+from repro.frontend import compile_source, interpreter_image
 from repro.ir import Module
 from repro.ir.instructions import to_signed
 from repro.luavm.bytecode import Proto
@@ -167,9 +167,8 @@ class LuaRuntime:
         self.options = options
         self.cache = cache
 
-        program = compile_source(LUA_INTERP_SRC)
-        program.add_to_module(self.module,
-                              externs={"lua_print": self._host_print})
+        interpreter_image(LUA_INTERP_SRC, compile_source).add_to_module(
+            self.module, externs={"lua_print": self._host_print})
 
         self.proto_addrs: Dict[int, int] = {}
         self._layout_memory()

@@ -31,7 +31,7 @@ from repro.core.request import (
 from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
 from repro.ir.module import Module
-from repro.min.interp import interp_source
+from repro.min.interp import add_min_interpreters
 from repro.min.isa import MinProgram, assemble
 from repro.pipeline.tiering import TierEntry, TieringController
 from repro.vm import VM
@@ -105,8 +105,7 @@ def build_fleet_module(endpoints: Sequence[Endpoint],
     """Both interpreter variants plus every endpoint's bytecode in the
     heap image."""
     module = Module(memory_size=memory_size)
-    compile_source(interp_source(False)).add_to_module(module)
-    compile_source(interp_source(True)).add_to_module(module)
+    add_min_interpreters(module, compile_source)
     for endpoint in endpoints:
         for i, word in enumerate(endpoint.program.words):
             module.write_init_u64(endpoint.base + i * 8, word)

@@ -22,7 +22,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro.core.specialize import SpecializeOptions
-from repro.frontend import compile_source
+from repro.frontend import compile_source, interpreter_image
 from repro.ir.instructions import MASK64, wrap_i64
 from repro.min.interp import (
     PROGRAM_BASE,
@@ -162,7 +162,7 @@ def run_fig8_configs(n: int = 1000, repeats: int = 1,
 
     program = sum_to_n_program(n)
     module = build_min_module(program)
-    compile_source(SUM_COMPILED_SRC).add_to_module(module)
+    interpreter_image(SUM_COMPILED_SRC, compile_source).add_to_module(module)
     options = SpecializeOptions(backend=backend, jobs=jobs or 1,
                                 cache_dir=cache_dir)
     # AOT is "promote everything at startup" through the tiering

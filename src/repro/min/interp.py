@@ -24,6 +24,7 @@ from repro.core import (
     specialize,
 )
 from repro.core.specialize import SpecializeOptions
+from repro.frontend import compile_source, interpreter_image
 from repro.ir import Module
 from repro.ir.function import Function
 from repro.min.isa import MinProgram, NUM_REGISTERS
@@ -147,15 +148,21 @@ u64 {name}(u64 program, u64 proglen, u64 input) {{
 """
 
 
+def add_min_interpreters(module: Module, compile=compile_source) -> None:
+    """Register both interpreter variants from their images;
+    ``compile`` is the caller's ``compile_source`` global (see
+    :func:`~repro.frontend.image.interpreter_image`)."""
+    for use_intrinsics in (False, True):
+        interpreter_image(interp_source(use_intrinsics),
+                          compile).add_to_module(module)
+
+
 def build_min_module(program: MinProgram,
                      memory_size: int = 1 << 20) -> Module:
     """A module containing both interpreter variants and the program's
     bytecode at :data:`PROGRAM_BASE` in the heap image."""
-    from repro.frontend import compile_source
-
     module = Module(memory_size=memory_size)
-    compile_source(interp_source(False)).add_to_module(module)
-    compile_source(interp_source(True)).add_to_module(module)
+    add_min_interpreters(module)
     for i, word in enumerate(program.words):
         module.write_init_u64(PROGRAM_BASE + i * 8, word)
     return module

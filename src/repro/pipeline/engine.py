@@ -255,7 +255,6 @@ class CompilationEngine:
                 # build — matching the store's own write behavior.
                 self.store = None
         self.stats = EngineStats()
-        self._fingerprints: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Worker pool.
@@ -306,7 +305,7 @@ class CompilationEngine:
         for request in requests:
             plan = _Plan(request, request.name(),
                          request_key(self.module, request, self.options,
-                                     snapshot, self._fingerprints))
+                                     snapshot))
             owner = first_of_key.get(plan.key)
             if owner is not None:
                 # Same key seen earlier in this batch: reuse its output

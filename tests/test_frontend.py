@@ -34,6 +34,33 @@ class TestLexer:
         with pytest.raises(CompileError, match="unterminated"):
             tokenize("/* nope")
 
+    def test_positions(self):
+        toks = tokenize("a /* x\n y */ b2 // c")
+        assert [(t.text, t.line, t.col) for t in toks] == \
+            [("a", 1, 1), ("b2", 2, 7), ("", 2, 10)]
+
+    def test_numbers(self):
+        toks = tokenize("0X1f 7 1. .5 1e3 2.5E-1 1_0")
+        assert [(t.kind, t.value) for t in toks[:-3]] == \
+            [("int", 31), ("int", 7), ("float", 1.0), ("float", 0.5),
+             ("float", 1000.0), ("float", 0.25)]
+        assert [t.text for t in toks[-3:-1]] == ["1", "_0"]
+
+    @pytest.mark.parametrize("source, message, line, col", [
+        ("x = 1e+;", "malformed float exponent", 1, 5),
+        ("a\n  /* nope", "unterminated block comment", 2, 3),
+        ("u64 f() {\n  return 1.2.x; }", "unexpected character '.'", 2, 13),
+        # Numeric but neither decimal nor alphabetic: no identifier
+        # starts with it (inside one it is isalnum(), as before).
+        ("a = ½x;", "unexpected character '½'", 1, 5),
+        ("Ⅷ", "unexpected character 'Ⅷ'", 1, 1),
+    ])
+    def test_error_positions(self, source, message, line, col):
+        with pytest.raises(CompileError) as info:
+            tokenize(source)
+        assert (str(info.value), info.value.line, info.value.col) == \
+            (f"{line}:{col}: {message}", line, col)
+
 
 class TestParser:
     def test_program_shape(self):
@@ -62,6 +89,11 @@ class TestExpressions:
         assert run("u64 f() { return (2 + 3) * 4; }", "f") == 20
         assert run("u64 f() { return 1 << 3 + 1; }", "f") == 16
         assert run("u64 f() { return 7 & 3 | 8; }", "f") == 11
+        # Left-associative at every level, tighter levels bind first.
+        assert run("u64 f() { return 100 - 10 - 1; }", "f") == 89
+        assert run("u64 f() { return 64 / 4 / 2 * 3; }", "f") == 24
+        assert run("u64 f() { return 1 || 0 && 0; }", "f") == 1
+        assert run("u64 f() { return 2 + 3 < 4 * 2 == 1; }", "f") == 1
 
     def test_unsigned_semantics_by_default(self):
         # u64 is C uint64_t: unsigned compare and divide.

@@ -12,6 +12,7 @@ from repro.core import (
     SpecializedMemory,
     specialize,
 )
+from repro.core.cache import body_fingerprint
 from repro.core.specialize import SpecializeError, SpecializeOptions
 from repro.ir import Module, print_function, verify_function, verify_module
 from repro.vm import VM
@@ -95,6 +96,15 @@ class TestFutamuraProjection:
         got = vm2.call(func.name, [BASE, len(COUNTDOWN), 100])
         assert got == expect
         assert vm2.stats.fuel < generic_fuel / 2  # ≥2x dispatch removal
+
+    def test_generic_is_only_read(self, style, stylename):
+        """The transform works on the module's own generic body when it
+        has nothing to split (two_backedge) and on a clone when it has
+        (the_trick); either way the generic comes out as it went in."""
+        module = setup(style, COUNTDOWN)
+        before = body_fingerprint(module.functions["interp"])
+        specialize(module, make_request(COUNTDOWN))
+        assert body_fingerprint(module.functions["interp"]) == before
 
     def test_bytecode_erasure(self, style, stylename):
         """The paper's definition: the specialized program must not load

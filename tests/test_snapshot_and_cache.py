@@ -10,8 +10,9 @@ from repro.core import (
     SpecializedConst,
     SpecializedMemory,
 )
+from repro.core.cache import function_fingerprint
 from repro.frontend import compile_source
-from repro.ir import Module, verify_module
+from repro.ir import FunctionBuilder, I64, Module, Signature, verify_module
 from repro.vm import VM
 
 INTERP = """
@@ -138,6 +139,22 @@ class TestSpecializationCache:
         verify_module(module)
         vm = VM(module)
         assert vm.call("fresh", [BASE, len(code), 1]) == 13
+
+    def test_shared_cache_fingerprints_each_generic_it_is_shown(self):
+        """One cache serves many runtimes, and CPython hands a collected
+        function's address to the next one allocated: a fingerprint
+        remembered by ``id(generic)`` would go to the wrong body."""
+        cache = SpecializationCache()
+        request = SpecializationRequest("g", [Runtime()],
+                                        specialized_name="g.spec")
+        for k in range(50):
+            fb = FunctionBuilder("g", Signature((I64,), (I64,)))
+            fb.ret(fb.iadd(fb.entry.params[0][0], fb.iconst(k)))
+            module = Module(memory_size=64)
+            generic = module.add_function(fb.finish())
+            key = cache.key_for(module, request, None)
+            assert key[0] == function_fingerprint(generic), k
+            del fb, module, generic
 
 
 class TestOptionKeyMembership:
