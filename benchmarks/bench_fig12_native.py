@@ -130,7 +130,7 @@ def _emit_ladder_rows(name: str, repeats: int):
         for _ in range(repeats):
             mark = len(rt.printed)
             start = time.perf_counter()
-            vm = rt.run(backend)
+            vm = rt.run(backend=backend)
             elapsed = time.perf_counter() - start
             printed = tuple(rt.printed[mark:])
             fuel = vm.stats.fuel

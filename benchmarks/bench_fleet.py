@@ -19,13 +19,13 @@ Min fleet service (:mod:`repro.min.fleet`) and reports:
   functions (its whole hot set comes out of the artifact store);
 * **steady-state throughput and latency** — requests/s, p50 and p99
   request latency over the warm replay window;
-* **pool byte-identity** — the same fleet batch compiled with
-  ``pool="thread"`` (jobs=1) and ``pool="process"`` (jobs=2) must leave
+* **pool byte-identity** — the same fleet batch compiled serially
+  (``jobs=1``) and in the process pool (``jobs=2``) must leave
   byte-identical artifact stores.
 
 Regression guards (CI, ``--quick``): warm worker compiles 0 functions
 and reaches steady state >= 3x faster than cold profile discovery;
-process-pool artifacts byte-identical to the thread pool.
+process-pool artifacts byte-identical to the serial compile's.
 """
 
 import os
@@ -191,16 +191,17 @@ def test_fleet_warm_start(benchmark, request):
 
 def test_fleet_pool_byte_identity(benchmark, request):
     """The fleet batch compiled via the process pool must leave an
-    artifact store byte-identical to the thread pool's."""
+    artifact store byte-identical to the serial compile's."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-    def compile_fleet(pool, jobs):
-        tmp = tempfile.mkdtemp(prefix=f"fleet_{pool}_")
+    def compile_fleet(jobs):
+        tmp = tempfile.mkdtemp(prefix=f"fleet_jobs{jobs}_")
         _, controller = make_fleet_worker(
             ENDPOINTS, threshold=THRESHOLD,
-            options=SpecializeOptions(backend="py", jobs=jobs, pool=pool,
+            options=SpecializeOptions(backend="py", jobs=jobs,
                                       cache_dir=tmp))
         controller.promote_all()
+        assert controller.compiler.engine.stats.pool_degradations == 0
         return tmp
 
     def snapshot(root):
@@ -212,18 +213,16 @@ def test_fleet_pool_byte_identity(benchmark, request):
                     files[f"{sub}/{entry}"] = fh.read()
         return files
 
-    thread_root = compile_fleet("thread", 1)
-    process_root = compile_fleet("process", 2)
-    thread_files = snapshot(thread_root)
-    process_files = snapshot(process_root)
-    assert thread_files == process_files, (
-        "process-pool artifacts diverge from the thread pool's")
-    assert len(thread_files) == 2 * len(ENDPOINTS)
+    serial_files = snapshot(compile_fleet(1))
+    process_files = snapshot(compile_fleet(2))
+    assert serial_files == process_files, (
+        "process-pool artifacts diverge from the serial compile's")
+    assert len(serial_files) == 2 * len(ENDPOINTS)
 
     rows = [
-        ["artifacts compared", len(thread_files),
+        ["artifacts compared", len(serial_files),
          "spec/ + py/, all byte-identical"],
-        ["pool flavors", "thread jobs=1 vs process jobs=2", ""],
+        ["compiles", "serial jobs=1 vs process pool jobs=2", ""],
     ]
     write_result("fleet_pool_identity",
                  "Fleet batch — pool byte-identity\n" +

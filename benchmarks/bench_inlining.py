@@ -48,6 +48,7 @@ structured emit): fuel 6953 vs 5446 per schedule(5) (1.28x), wall
 2-way polymorphic handler site), 0 misses, 0 demotions.
 """
 
+import dataclasses
 import time
 
 from conftest import write_result
@@ -94,13 +95,13 @@ class Service:
 
     def __init__(self, source: str, cache_dir=None, options=None,
                  **tiered_kwargs):
-        self.rt = JSRuntime(source, "wevaled_state",
-                            options=options or SpecializeOptions(
-                                backend="py", emit_mode="structured"))
+        options = options or SpecializeOptions(backend="py",
+                                               emit_mode="structured")
+        if cache_dir is not None:
+            options = dataclasses.replace(options, cache_dir=cache_dir)
+        self.rt = JSRuntime(source, "wevaled_state", options=options)
         self.structs = {f.name: self.rt.func_addrs[f.index]
                         for f in self.rt.compiled.functions}
-        if cache_dir is not None:
-            tiered_kwargs["cache_dir"] = cache_dir
         self.vm = self.rt.run(mode="tiered", **tiered_kwargs)
         self.controller = self.rt.controller
 

@@ -51,13 +51,12 @@ print(serve());
 """
 
 
-def boot(label: str, cache_dir: str, jobs: int = 2):
+def boot(label: str, options: SpecializeOptions):
     """One server boot: build the runtime, AOT-compile (through the
-    engine + artifact store), serve one request."""
+    engine + the artifact store ``options.cache_dir`` names), serve one
+    request."""
     start = time.perf_counter()
-    rt = JSRuntime(SERVICE_SRC, "wevaled_state",
-                   options=SpecializeOptions(backend="py", jobs=jobs,
-                                             cache_dir=cache_dir))
+    rt = JSRuntime(SERVICE_SRC, "wevaled_state", options=options)
     rt.aot_compile()
     aot_seconds = time.perf_counter() - start
     vm = rt.run()
@@ -80,12 +79,14 @@ def boot(label: str, cache_dir: str, jobs: int = 2):
 
 def main():
     cache_dir = tempfile.mkdtemp(prefix="aot-cache-server-")
+    # Engine configuration is said once, here.
+    options = SpecializeOptions(backend="py", cache_dir=cache_dir)
     try:
         cold_stats, cold_out, cold_fuel, cold_ir = boot(
-            "boot 1 (cold: empty artifact cache)", cache_dir)
+            "boot 1 (cold: empty artifact cache)", options)
         print()
         warm_stats, warm_out, warm_fuel, warm_ir = boot(
-            "boot 2 (warm restart: same cache_dir)", cache_dir)
+            "boot 2 (warm restart: same cache_dir)", options)
 
         print("\n--- warm-restart contract ---")
         assert warm_stats.functions_specialized == 0, \

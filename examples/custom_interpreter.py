@@ -8,6 +8,11 @@ in two variants from one template — exactly the paper's Fig. 10 trick:
 a plain variant (run generically) and one whose operand stack goes
 through weval's virtualized-stack intrinsics (only ever run specialized).
 
+It then *serves* the calculator: two methods on the shared host glue
+(``tier_entries()`` and ``enter(vm)``) buy the new interpreter AOT
+compilation, the artifact cache and profile-guided tier-up — the
+machinery the in-tree MiniJS/MiniLua/Min runtimes use.
+
 Run:  python examples/custom_interpreter.py
 """
 
@@ -25,6 +30,7 @@ from repro.core import (  # noqa: E402
 )
 from repro.frontend import compile_source  # noqa: E402
 from repro.ir import Module, print_function  # noqa: E402
+from repro.pipeline import GuestRuntime, TierEntry  # noqa: E402
 from repro.vm import VM  # noqa: E402
 
 
@@ -103,6 +109,27 @@ u64 {name}(u64 program, u64 proglen, u64 arg) {{
 
 
 BASE = 0x4000
+SLOT = 0x100    # the host's dispatch slot: table index of the residual
+
+
+class CalcService(GuestRuntime):
+    """The calculator as a guest runtime: all it has to say is what can
+    tier up and how a request enters."""
+
+    def __init__(self, module, request, proglen):
+        self.module, self.request, self.proglen = module, request, proglen
+        self.arg = 0
+
+    def tier_entries(self):
+        return [TierEntry(generic="calc", key=BASE, request=self.request,
+                          result_addr=SLOT)]
+
+    def enter(self, vm):
+        args = [BASE, self.proglen, self.arg]
+        spec = vm.load_u64(SLOT)
+        vm.result = (vm.call_table(spec, args) if spec
+                     else vm.call("calc", args))
+        return vm
 
 
 def main():
@@ -134,6 +161,19 @@ def main():
 
     print("\nThe entire compiled function (stack fully virtualized):")
     print(print_function(func))
+
+    # Serve it: same module, same request, the shared host glue.  The
+    # third request crosses the threshold and is promoted at its call
+    # boundary; from then on requests run the compiled code.
+    service = CalcService(module, request, len(program))
+    print("\nServed under profile-guided tier-up (threshold 3):")
+    vm = service.run("tiered", threshold=3)         # request 0
+    for arg in range(1, 5):
+        service.arg, before = arg, vm.stats.fuel
+        got = service.enter(vm).result
+        print(f"  calc({arg}) = {got:2}  fuel {vm.stats.fuel - before:3}"
+              f"  tiers {service.controller.tier_counts()}")
+        assert got == (arg + 2) * (arg + 3)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import os
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.specialize import SpecializeOptions
 from repro.core.stats import PipelineStats
 from repro.ir.function import Function
 from repro.ir.instructions import guard_is_resuming, guard_site
@@ -41,7 +42,7 @@ def run_js_workload(name: str, config: str,
     rt = runtime or JSRuntime(source, config)
     compile_seconds = 0.0
     is_aot = config in ("wevaled", "wevaled_state")
-    if is_aot and not rt.aot_done:
+    if is_aot and rt.compiler is None:
         start = time.perf_counter()
         rt.aot_compile()
         compile_seconds = time.perf_counter() - start
@@ -54,7 +55,7 @@ def run_js_workload(name: str, config: str,
         rt.compiler.compile_backend()  # idempotent; no-op when done
         backend_compile = rt.compiler.backend_compile_seconds - before
     start = time.perf_counter()
-    vm = rt.run(backend) if is_aot else rt.run()
+    vm = rt.run(backend=backend) if is_aot else rt.run()
     wall = time.perf_counter() - start
     return WorkloadResult(
         name=name,
@@ -117,17 +118,16 @@ def dispatch_stats(module, names) -> Tuple[int, int, int]:
 
 def run_backend_comparison(name: str, config: str = "wevaled_state",
                            repeats: int = 3,
-                           jobs: Optional[int] = None,
-                           cache_dir: Optional[str] = None
+                           options: Optional[SpecializeOptions] = None
                            ) -> BackendComparison:
     """AOT-compile one workload once, then run the snapshot both ways —
     residual IR on the VM and residual compiled to Python — asserting
     identical printed output and fuel before reporting the speedup.
 
-    ``jobs``/``cache_dir`` configure the compilation engine (worker pool
-    and persistent artifact store); they must not change any output,
-    only compile time."""
-    rt = JSRuntime(WORKLOADS[name], config, jobs=jobs, cache_dir=cache_dir)
+    ``options`` configures the compilation engine (worker processes and
+    persistent artifact store), which must not change any output, only
+    compile time."""
+    rt = JSRuntime(WORKLOADS[name], config, options=options)
     start = time.perf_counter()
     rt.aot_compile()
     aot_seconds = time.perf_counter() - start
@@ -139,7 +139,7 @@ def run_backend_comparison(name: str, config: str = "wevaled_state",
         for _ in range(repeats):
             mark = len(rt.printed)
             start = time.perf_counter()
-            vm = rt.run(backend)
+            vm = rt.run(backend=backend)
             elapsed = time.perf_counter() - start
             printed = rt.printed[mark:]
             fuel = vm.stats.fuel
@@ -174,7 +174,7 @@ def run_backend_comparison(name: str, config: str = "wevaled_state",
 class EngineCacheReport:
     """Cold-vs-warm engine compile of one workload (one worker count).
 
-    The warm run is a *fresh* runtime over the same ``cache_dir``; the
+    The warm run is a *fresh* runtime over the same artifact store; the
     engine's warm-start contract (asserted here) is that it specializes
     zero functions and produces byte-identical residual IR."""
 
@@ -190,27 +190,28 @@ class EngineCacheReport:
 
 
 def run_engine_cache_report(name: str, config: str = "wevaled_state",
-                            jobs: int = 1,
-                            cache_dir: Optional[str] = None
+                            options: Optional[SpecializeOptions] = None
                             ) -> EngineCacheReport:
     """Measure cold (empty artifact store) vs warm (fully populated)
-    AOT compile time through the engine path."""
+    AOT compile time through the engine path.  ``options.cache_dir``
+    names the store to fill; without one a temporary store is used."""
     import shutil
     import tempfile
     from repro.ir import print_function
 
-    own_dir = cache_dir is None
-    root = tempfile.mkdtemp(prefix="repro-aot-") if own_dir else cache_dir
+    options = options or SpecializeOptions()
+    own_dir = options.cache_dir is None
+    if own_dir:
+        options = dataclasses.replace(
+            options, cache_dir=tempfile.mkdtemp(prefix="repro-aot-"))
     try:
-        rt_cold = JSRuntime(WORKLOADS[name], config, jobs=jobs,
-                            cache_dir=root)
+        rt_cold = JSRuntime(WORKLOADS[name], config, options=options)
         start = time.perf_counter()
         rt_cold.aot_compile()
         cold_seconds = time.perf_counter() - start
         cold_stats = rt_cold.compiler.engine.stats
 
-        rt_warm = JSRuntime(WORKLOADS[name], config, jobs=jobs,
-                            cache_dir=root)
+        rt_warm = JSRuntime(WORKLOADS[name], config, options=options)
         start = time.perf_counter()
         rt_warm.aot_compile()
         warm_seconds = time.perf_counter() - start
@@ -235,7 +236,7 @@ def run_engine_cache_report(name: str, config: str = "wevaled_state",
         return EngineCacheReport(
             name=name,
             config=config,
-            jobs=jobs,
+            jobs=options.jobs,
             requests=warm_stats.requests,
             cold_seconds=cold_seconds,
             warm_seconds=warm_seconds,
@@ -245,7 +246,7 @@ def run_engine_cache_report(name: str, config: str = "wevaled_state",
         )
     finally:
         if own_dir:
-            shutil.rmtree(root, ignore_errors=True)
+            shutil.rmtree(options.cache_dir, ignore_errors=True)
 
 
 def profiling_enabled() -> bool:

@@ -83,12 +83,12 @@ _RESIDUAL_FIELDS, _PY_FIELDS = (
 
 def options_key(options: Optional[SpecializeOptions]) -> Optional[tuple]:
     """The options that change specialization *output*: every field
-    tagged ``"residual"``, in declaration order — plus ``OPT_MAX_ROUNDS``
-    in the seat it held as an option, so older stores stay valid."""
+    tagged ``"residual"``, in declaration order, then ``OPT_MAX_ROUNDS``
+    in the seat it held as an option."""
     if options is None:
         return None
-    values = tuple(getattr(options, name) for name in _RESIDUAL_FIELDS)
-    return values[:3] + (OPT_MAX_ROUNDS,) + values[3:]
+    return tuple(getattr(options, name)
+                 for name in _RESIDUAL_FIELDS) + (OPT_MAX_ROUNDS,)
 
 
 def py_options_key(options: SpecializeOptions) -> str:

@@ -13,9 +13,9 @@ are patched, and execution resumes from the snapshot.
    call :meth:`enqueue`);
 3. ``process_requests()`` — hand the whole batch to the
    :class:`~repro.pipeline.engine.CompilationEngine` (which specializes
-   through the in-memory cache and the on-disk artifact store, in
-   parallel when ``options.jobs > 1``), then — single-threaded, in
-   request order — append each function to the module, register it in
+   through the in-memory cache and the on-disk artifact store, in worker
+   processes when ``options.jobs > 1``), then — in request order —
+   append each function to the module, register it in
    the function table, and patch the 64-bit result slot in the heap
    with the table index;
 4. ``freeze()`` — write the heap back as the module's initial memory;
@@ -23,10 +23,10 @@ are patched, and execution resumes from the snapshot.
    runtime finds its function pointers filled in and calls specialized
    code via ``call_indirect``.
 
-All three guest runtimes (`jsvm`, `luavm`, `min`) drive their AOT flow
-through this class, so engine configuration (``jobs=``, ``cache_dir=``,
-``backend=`` on :class:`~repro.core.specialize.SpecializeOptions`) is
-the *only* per-runtime compilation wiring left.
+Every guest runtime reaches this class through
+:mod:`repro.pipeline.host`; engine configuration is said once, on
+:class:`~repro.core.specialize.SpecializeOptions` (``jobs``,
+``cache_dir``, ``backend``).
 """
 
 from __future__ import annotations
@@ -62,15 +62,12 @@ class SnapshotCompiler:
 
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
-                 cache: Optional[SpecializationCache] = None,
-                 jobs: Optional[int] = None,
-                 cache_dir: Optional[str] = None):
+                 cache: Optional[SpecializationCache] = None):
         from repro.pipeline.engine import CompilationEngine
         self.module = module
         self.options = options or SpecializeOptions()
         self.cache = cache
-        self.engine = CompilationEngine(module, self.options, cache,
-                                        jobs=jobs, cache_dir=cache_dir)
+        self.engine = CompilationEngine(module, self.options, cache)
         self.vm: Optional[VM] = None
         self.pending: List[Tuple[SpecializationRequest, int]] = []
         self.processed: List[ProcessedRequest] = []
@@ -185,8 +182,8 @@ class SnapshotCompiler:
         in that case); a partial list compiles only those functions and
         leaves the full set to a later call.  Functions the emitter
         cannot express are recorded in ``backend_fallbacks`` and stay on
-        the IR VM.  Delegates to the engine, so emission runs on the
-        worker pool and emitted source persists in the artifact store.
+        the IR VM.  Delegates to the engine, so emitted source persists
+        in the artifact store.
         """
         full = names is None
         if full:

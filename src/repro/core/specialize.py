@@ -132,27 +132,24 @@ class SpecializeOptions:
     # Execution tier for the residual code: "vm" interprets the IR,
     # "py" compiles it to native Python functions (repro.backend) with
     # automatic per-function fallback to the VM.  Defaults to the
-    # REPRO_BACKEND environment variable (or "vm").  Keyed although the
-    # residual IR is backend-independent: sharing one cache across tiers
-    # is rarer than the confusion of a hit that ignores the option.
-    backend: str = _option("residual", default_factory=_default_backend)
+    # REPRO_BACKEND environment variable (or "vm").  Unkeyed: residual
+    # IR is backend-independent, so a store filled under one backend
+    # warm-starts a worker running the other (or a staged one).
+    backend: str = _option(None, default_factory=_default_backend)
     # Code-shape mode for the py backend: "structured" reconstructs
     # loops/joins as native ``while``/``if`` nests (relooper-style) with
     # batched fuel accounting; "dispatch" is the flat block-dispatch
     # tree.  Both are trap/print/fuel-identical; structured regions the
     # emitter cannot reduce fall back to dispatch per function.
     emit_mode: str = _option("py", default="structured")
-    # Compilation-engine knobs (repro.pipeline): worker count for batch
-    # compilation and the root of the persistent on-disk artifact store
-    # (None disables persistence).
+    # Compilation-engine configuration (repro.pipeline), said here and
+    # nowhere else.  ``jobs`` > 1 runs the engine's pure specialize
+    # stage in a ProcessPoolExecutor of that many workers (the module
+    # ships serialized, import signatures only); output is bit-identical
+    # to jobs=1 — the determinism tier asserts it.  ``cache_dir`` roots
+    # the persistent on-disk artifact store (None disables persistence).
     jobs: int = _option(None, default=1)
     cache_dir: Optional[str] = _option(None, default=None)
-    # Worker-pool flavor for the engine's pure specialize stage:
-    # "thread" shares the module in-process; "process" ships the module
-    # (serialized, import signatures only) to a ProcessPoolExecutor and
-    # sidesteps the GIL.  Output is bit-identical either way — the
-    # determinism tier asserts it.
-    pool: str = _option(None, default="thread")
     # Deterministic fault injection for the robustness tier
     # (repro.pipeline.faults.FaultPlan, or None for production).  The
     # plan only *fails* pipeline stages — it never changes what a
@@ -174,8 +171,6 @@ class SpecializeOptions:
             raise ValueError(f"bad emit_mode {self.emit_mode!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.pool not in ("thread", "process"):
-            raise ValueError(f"bad pool {self.pool!r}")
         from repro.opt.pass_manager import PIPELINES
         if self.opt_config not in PIPELINES:
             raise ValueError(f"bad opt_config {self.opt_config!r}")

@@ -10,11 +10,33 @@ counters fed by the pass manager.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Dict
 
 
+class _Mergeable:
+    """``merge(other)`` for a stats dataclass, derived from its fields:
+    a numeric field adds — or combines with the function its
+    ``metadata["merge"]`` names (``max`` for a high-water mark) — a
+    field that is itself mergeable recurses, and a dict of mergeables
+    merges by key."""
+
+    def merge(self, other) -> None:
+        for field in dataclasses.fields(self):
+            mine = getattr(self, field.name)
+            theirs = getattr(other, field.name)
+            if isinstance(mine, _Mergeable):
+                mine.merge(theirs)
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    mine.setdefault(key, type(value)()).merge(value)
+            else:
+                combine = field.metadata.get("merge", operator.add)
+                setattr(self, field.name, combine(mine, theirs))
+
+
 @dataclasses.dataclass
-class PassStats:
+class PassStats(_Mergeable):
     """Counters for one named optimization pass (or a sum over runs).
 
     ``runs`` counts actual pass *executions*; ``skips`` counts rounds
@@ -26,15 +48,9 @@ class PassStats:
     skips: int = 0
     seconds: float = 0.0
 
-    def merge(self, other: "PassStats") -> None:
-        self.runs += other.runs
-        self.changes += other.changes
-        self.skips += other.skips
-        self.seconds += other.seconds
-
 
 @dataclasses.dataclass
-class PipelineStats:
+class PipelineStats(_Mergeable):
     """Counters for pass-pipeline executions (one or a sum over many).
 
     ``fixpoint_cap_hits`` counts pipeline runs that exhausted
@@ -68,18 +84,9 @@ class PipelineStats:
     def instrs_removed(self) -> int:
         return self.instrs_before - self.instrs_after
 
-    def merge(self, other: "PipelineStats") -> None:
-        for field in dataclasses.fields(self):
-            if field.name == "per_pass":
-                continue
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
-        for name, stats in other.per_pass.items():
-            self.pass_stats(name).merge(stats)
-
 
 @dataclasses.dataclass
-class EngineStats:
+class EngineStats(_Mergeable):
     """Counters for :class:`~repro.pipeline.engine.CompilationEngine`
     batches (one batch or a sum over many).
 
@@ -103,25 +110,18 @@ class EngineStats:
     specialize_seconds: float = 0.0  # summed across workers (CPU-ish)
     emit_seconds: float = 0.0        # summed across workers
     wall_seconds: float = 0.0        # batch wall clock
-    jobs: int = 0                    # max worker count used so far
+    # max worker count used so far
+    jobs: int = dataclasses.field(default=0, metadata={"merge": max})
     # Fault containment (PR 9): per-request failures and degradations.
     requests_failed: int = 0         # results returned with .error set
     pool_rebuilds: int = 0           # broken process pool, rebuilt once
-    pool_degradations: int = 0       # ... broken again: threads for good
+    pool_degradations: int = 0       # ... broken again: serial for good
     store_write_failures: int = 0    # artifact-store writes that failed
     store_degraded: int = 0          # 1 while the store is memory-only
 
-    def merge(self, other: "EngineStats") -> None:
-        for field in dataclasses.fields(self):
-            if field.name == "jobs":
-                self.jobs = max(self.jobs, other.jobs)
-                continue
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
-
 
 @dataclasses.dataclass
-class TieringStats:
+class TieringStats(_Mergeable):
     """Counters for :class:`~repro.pipeline.tiering.TieringController`.
 
     ``tier0_calls`` counts calls that actually executed on the generic
@@ -154,14 +154,9 @@ class TieringStats:
     storm_pins: int = 0              # functions pinned generic by the
                                      # deopt-storm breaker
 
-    def merge(self, other: "TieringStats") -> None:
-        for field in dataclasses.fields(self):
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
-
 
 @dataclasses.dataclass
-class SpecializationStats:
+class SpecializationStats(_Mergeable):
     """Counters for one specialization (or a sum over many)."""
 
     # State-intrinsic effectiveness (S6.2).
@@ -196,15 +191,6 @@ class SpecializationStats:
     wallclock_seconds: float = 0.0
     # Post-specialization mid-end accounting (filled by the pass manager).
     opt: PipelineStats = dataclasses.field(default_factory=PipelineStats)
-
-    def merge(self, other: "SpecializationStats") -> None:
-        for field in dataclasses.fields(self):
-            mine = getattr(self, field.name)
-            if hasattr(mine, "merge"):
-                mine.merge(getattr(other, field.name))
-            else:
-                setattr(self, field.name,
-                        mine + getattr(other, field.name))
 
     # Convenience ratios for the S6.2/S6.5-style reports.
     def intern_hit_rate(self) -> float:

@@ -19,6 +19,12 @@ set of IC bodies ... in a lookup table"), each corpus stub's CacheIR is
 specialized, and at run time the slow path merely *attaches* corpus
 stubs to sites — dynamism lives in data (which stub a site points to),
 never in new code.
+
+As a guest on :class:`~repro.pipeline.host.GuestRuntime` the runtime
+supplies two methods — :meth:`JSRuntime.tier_entries` (one entry per JS
+function and per IC-corpus stub) and :meth:`JSRuntime.enter` (set up
+main's frame and dispatch through its ``spec`` slot); AOT compilation
+and the ``interp``/``aot``/``tiered`` run modes come from the base.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import (
     Runtime as RuntimeArg,
-    SnapshotCompiler,
     SpecializationCache,
     SpecializationRequest,
     SpecializedConst,
@@ -42,6 +47,8 @@ from repro.jsvm.frontend import JSCompileError, compile_js
 from repro.jsvm.interp_src import ic_interp_source, js_interp_source
 from repro.jsvm.shapes import OBJECT_SLOT_CAPACITY
 from repro.jsvm.values import IC_FAIL, VALUE_UNDEFINED, describe, payload, tag_of, TAG_OBJECT
+from repro.pipeline.host import GuestRuntime
+from repro.pipeline.tiering import TierEntry
 from repro.vm import VM
 
 FUNC_TABLE_PTR_ADDR = 24
@@ -56,6 +63,7 @@ CIR_STORE_SLOT = 2
 CIR_RET = 3
 
 CONFIGS = ("noic", "interp_ic", "wevaled", "wevaled_state")
+AOT_CONFIGS = ("wevaled", "wevaled_state")
 
 # Deterministic fuel charges for work done by host ("native runtime")
 # helpers.  The real engine pays these costs in code the VM would count;
@@ -75,18 +83,17 @@ class _StubInfo:
     cacheir_words: int
 
 
-class JSRuntime:
+class JSRuntime(GuestRuntime):
     """One MiniJS program instantiated in one engine configuration."""
 
     def __init__(self, source: str, config: str = "interp_ic",
                  memory_size: int = 1 << 22,
                  cache: Optional[SpecializationCache] = None,
-                 options: Optional[SpecializeOptions] = None,
-                 jobs: Optional[int] = None,
-                 cache_dir: Optional[str] = None):
+                 options: Optional[SpecializeOptions] = None):
         if config not in CONFIGS:
             raise ValueError(f"bad config {config!r}")
         self.config = config
+        self.default_mode = "aot" if config in AOT_CONFIGS else "interp"
         self.compiled = compile_js(source)
         self.names = self.compiled.names
         self.shapes = self.compiled.shapes
@@ -98,23 +105,12 @@ class JSRuntime:
         self.ic_attaches = 0
         self.cache = cache
         self.options = options or SpecializeOptions()
-        # Engine configuration shorthands (equivalent to setting the
-        # fields on ``options`` directly).
-        if jobs is not None or cache_dir is not None:
-            self.options = dataclasses.replace(
-                self.options,
-                jobs=jobs if jobs is not None else self.options.jobs,
-                cache_dir=(cache_dir if cache_dir is not None
-                           else self.options.cache_dir))
 
         self._add_interpreters()
         self.func_addrs: Dict[int, int] = {}
         self.corpus: Dict[Tuple[str, int, int], _StubInfo] = {}
         self._layout()
         self.frame_base = memory_size * 3 // 4
-        self.compiler: Optional[SnapshotCompiler] = None
-        self.controller = None  # set by run_tiered
-        self._aot_done = False
 
     # ------------------------------------------------------------------
     # Module assembly.
@@ -311,13 +307,8 @@ class JSRuntime:
         raise RuntimeError(f"unknown host function {host_id}")
 
     # ------------------------------------------------------------------
-    # AOT compilation (the snapshot workflow).
+    # What can tier up: specialization requests and tier entries.
     # ------------------------------------------------------------------
-    @property
-    def aot_done(self) -> bool:
-        """Whether :meth:`aot_compile` has produced the snapshot."""
-        return self._aot_done
-
     def _js_request(self, func: JSFunction,
                     js_generic: str) -> SpecializationRequest:
         """The specialization request for one JS function (shared by the
@@ -364,10 +355,9 @@ class JSRuntime:
         and one per IC-corpus stub (watched at ``ic_interp``, keyed by
         CacheIR pointer) — the paper's pre-collected corpus, now
         promoted on demand instead of all at snapshot time."""
-        from repro.pipeline.tiering import TierEntry
-        if self.config not in ("wevaled", "wevaled_state"):
-            raise RuntimeError(f"config {self.config} has no tier-up "
-                               f"targets")
+        if self.config not in AOT_CONFIGS:
+            raise RuntimeError(f"config {self.config} is not AOT: it has "
+                               f"no tier-up targets")
         use_state = self.config == "wevaled_state"
         js_generic = "js_interp_s" if use_state else "js_interp"
         ic_generic = "ic_interp_s" if use_state else "ic_interp"
@@ -413,48 +403,11 @@ class JSRuntime:
             return False
         return self.shapes.lookup(shape_id, name_id) is not None
 
-    def _make_controller(self, options=None, **kwargs):
-        from repro.pipeline.tiering import TieringController
-        controller = TieringController(self.module,
-                                       options or self.options,
-                                       cache=self.cache, **kwargs)
-        for entry in self.tier_entries():
-            controller.register(entry)
-        return controller
-
-    def aot_compile(self) -> SnapshotCompiler:
-        if self.config not in ("wevaled", "wevaled_state"):
-            raise RuntimeError(f"config {self.config} is not AOT")
-        # Pure AOT is "promote everything at startup" through the same
-        # controller the dynamic flow uses (one engine batch).
-        controller = self._make_controller()
-        controller.promote_all()
-        controller.compiler.freeze()
-        self.compiler = controller.compiler
-        self._aot_done = True
-        return self.compiler
-
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
-    def run(self, backend: Optional[str] = None,
-            mode: Optional[str] = None, **tiered_kwargs) -> VM:
-        """Execute main; returns the VM (result on ``vm.result``).
-
-        ``backend`` overrides ``options.backend`` for this run: ``"py"``
-        executes residual functions as compiled Python (tier 2), ``"vm"``
-        interprets the residual IR.  ``mode="tiered"`` skips the AOT
-        batch entirely and runs under profile-guided dynamic tier-up
-        (see :meth:`run_tiered`, which takes the extra kwargs);
-        ``mode="aot"`` (the default for AOT configs) is the snapshot
-        flow.
-        """
-        if mode == "tiered":
-            return self.run_tiered(backend=backend, **tiered_kwargs)
-        if self.config in ("wevaled", "wevaled_state") and not self._aot_done:
-            self.aot_compile()
-        vm = (self.compiler.resume(backend) if self.compiler is not None
-              else VM(self.module))
+    def enter(self, vm: VM) -> VM:
+        """Run main on ``vm`` (result on ``vm.result``)."""
         # Engine-frontend cost model: parsing and bytecode emission are
         # identical across configurations.
         vm.stats.fuel += CODE_LOAD_FUEL_PER_WORD * sum(
@@ -463,58 +416,14 @@ class JSRuntime:
         # main's frame: `this` local is undefined.
         vm.store_u64(self.frame_base, VALUE_UNDEFINED)
         # A zero ``spec`` slot means main has no specialization (not AOT,
-        # or its compile failed and was contained): run it generic, the
-        # way guest-level calls dispatch on the same slot.
+        # not yet promoted, or its compile failed and was contained): run
+        # it generic, the way guest-level calls dispatch on the same slot.
         spec = vm.load_u64(main_struct + SPEC_FIELD_WORD * 8)
         if spec:
             vm.result = vm.call_table(spec, [main_struct, self.frame_base])
         else:
             vm.result = vm.call(self.generic_entry,
                                 [main_struct, self.frame_base])
-        return vm
-
-    def run_tiered(self, threshold: float = None,
-                   speculate: bool = False,
-                   backend: Optional[str] = None,
-                   jobs: Optional[int] = None,
-                   cache_dir: Optional[str] = None,
-                   compile_threshold: int = 0,
-                   inline: bool = False,
-                   inline_min_site_calls: Optional[int] = None,
-                   inline_max_targets: Optional[int] = None) -> VM:
-        """Execute main under profile-guided dynamic tier-up.
-
-        Execution starts immediately on the generic interpreter (no AOT
-        batch); JS functions and IC stubs are specialized at call
-        boundaries once their profiles cross ``threshold`` (``1``
-        reproduces the AOT execution bit for bit; ``float("inf")``
-        never promotes and matches ``interp_ic``).  ``speculate=True``
-        arms guarded frame-pointer speculation with deopt back to the
-        generic interpreter.  ``inline=True`` (requires a staged tier-2
-        window, ``compile_threshold > 0`` with the ``py`` backend) arms
-        speculative call-chain inlining with polymorphic site guards.
-        The controller is left on ``self.controller`` for inspection.
-        """
-        options = self.options
-        if backend is not None:
-            options = dataclasses.replace(options, backend=backend)
-        kwargs = {}
-        if inline_min_site_calls is not None:
-            kwargs["inline_min_site_calls"] = inline_min_site_calls
-        if inline_max_targets is not None:
-            kwargs["inline_max_targets"] = inline_max_targets
-        controller = self._make_controller(
-            options, threshold=threshold,
-            speculate=speculate, jobs=jobs, cache_dir=cache_dir,
-            compile_threshold=compile_threshold, inline=inline, **kwargs)
-        vm = controller.attach(VM(self.module))
-        self.controller = controller
-        vm.stats.fuel += CODE_LOAD_FUEL_PER_WORD * sum(
-            len(f.code) for f in self.compiled.functions)
-        main_struct = self.func_addrs[0]
-        vm.store_u64(self.frame_base, VALUE_UNDEFINED)
-        vm.result = vm.call(self.generic_entry,
-                            [main_struct, self.frame_base])
         return vm
 
     def specialized_function_count(self) -> int:

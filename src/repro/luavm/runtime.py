@@ -13,16 +13,19 @@ Memory layout (all offsets in bytes):
 The interpreter (``lua_interp``) is annotated with context intrinsics
 only — no state intrinsics — matching the paper's S7 port, so the
 speedup measured here isolates interpreter-dispatch removal.
+
+As a guest on :class:`~repro.pipeline.host.GuestRuntime` the runtime
+supplies two methods — :meth:`LuaRuntime.tier_entries` (one entry per
+prototype) and :meth:`LuaRuntime.enter` (call the chunk through
+``lua_call``); AOT compilation and the run modes come from the base.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional
 
 from repro.core import (
     Runtime as RuntimeArg,
-    SnapshotCompiler,
     SpecializationRequest,
     SpecializedConst,
 )
@@ -32,6 +35,8 @@ from repro.ir import Module
 from repro.ir.instructions import to_signed
 from repro.luavm.bytecode import Proto
 from repro.luavm.compiler import compile_lua
+from repro.pipeline.host import GuestRuntime
+from repro.pipeline.tiering import TierEntry
 from repro.vm import VM
 
 PROTO_TABLE_PTR_ADDR = 16
@@ -147,15 +152,11 @@ u64 lua_interp(u64 proto, u64 frame) {
 """
 
 
-class LuaRuntime:
-    """Compile a MiniLua chunk, run it interpreted or AOT-compiled.
-
-    The AOT path goes through :class:`SnapshotCompiler` and therefore
-    the compilation engine: pass
-    ``SpecializeOptions(jobs=..., cache_dir=...)`` (here or to
-    :meth:`aot_compile`) for parallel batch compilation and the
-    persistent artifact cache.
-    """
+class LuaRuntime(GuestRuntime):
+    """Compile a MiniLua chunk; run it interpreted, AOT-compiled or
+    tiered (``run_interpreted`` / ``aot_compile`` + ``run_aot`` /
+    ``run_tiered``, or ``run(mode)``).  Engine configuration is the
+    ``options`` (here, or to :meth:`aot_compile`)."""
 
     def __init__(self, source: str, memory_size: int = 1 << 22,
                  options: Optional[SpecializeOptions] = None,
@@ -173,8 +174,6 @@ class LuaRuntime:
         self.proto_addrs: Dict[int, int] = {}
         self._layout_memory()
         self.stack_base = memory_size // 2
-        self.compiler: Optional[SnapshotCompiler] = None
-        self.controller = None  # set by run_tiered
 
     # ------------------------------------------------------------------
     def _host_print(self, vm, value):
@@ -216,10 +215,9 @@ class LuaRuntime:
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
-    def run_interpreted(self) -> VM:
-        """Run the chunk under the generic interpreter; returns the VM
-        (for its stats).  main's return value is at ``vm.result``."""
-        vm = VM(self.module)
+    def enter(self, vm: VM) -> VM:
+        """Run the chunk on ``vm`` (calls go through the protos' ``spec``
+        function pointers); main's return value is at ``vm.result``."""
         vm.result = vm.call("lua_call",
                             [self.proto_addrs[0], self.stack_base])
         return vm
@@ -248,7 +246,6 @@ class LuaRuntime:
         tier 0 is ``lua_interp`` (watched at the ``lua_call`` fallback),
         the dispatch slot is the proto's ``spec`` field, and the frame
         pointer is eligible for guarded speculation."""
-        from repro.pipeline.tiering import TierEntry
         return [TierEntry(
             generic="lua_interp",
             key=self.proto_addrs[proto.index],
@@ -256,81 +253,3 @@ class LuaRuntime:
             result_addr=self.proto_addrs[proto.index] + SPEC_FIELD_OFFSET,
             speculate_args=(1,),
         ) for proto in self.protos]
-
-    def _make_controller(self, options: Optional[SpecializeOptions] = None,
-                         **kwargs):
-        from repro.pipeline.tiering import TieringController
-        controller = TieringController(self.module,
-                                       options or self.options,
-                                       cache=self.cache, **kwargs)
-        for entry in self.tier_entries():
-            controller.register(entry)
-        return controller
-
-    def aot_compile(self,
-                    options: Optional[SpecializeOptions] = None
-                    ) -> SnapshotCompiler:
-        """Specialize every prototype and patch its ``spec`` field —
-        the paper's snapshot workflow, now expressed as "promote
-        everything at startup" through the tiering controller."""
-        controller = self._make_controller(options)
-        controller.promote_all()
-        controller.compiler.freeze()
-        self.compiler = controller.compiler
-        return self.compiler
-
-    def run_aot(self, backend: Optional[str] = None) -> VM:
-        """Run the chunk after AOT compilation (calls go through the
-        patched ``spec`` function pointers).
-
-        ``backend`` overrides the specialization options' backend for
-        this run: ``"py"`` executes the residual functions as compiled
-        Python (tier 2), ``"vm"`` interprets the residual IR.
-        """
-        if self.compiler is None:
-            self.aot_compile()
-        vm = self.compiler.resume(backend)
-        vm.result = vm.call("lua_call",
-                            [self.proto_addrs[0], self.stack_base])
-        return vm
-
-    def run_tiered(self, threshold: float = None,
-                   speculate: bool = False,
-                   backend: Optional[str] = None,
-                   options: Optional[SpecializeOptions] = None,
-                   jobs: Optional[int] = None,
-                   cache_dir: Optional[str] = None,
-                   compile_threshold: int = 0) -> VM:
-        """Run the chunk under profile-guided dynamic tier-up.
-
-        No ahead-of-time work happens: every proto starts on the
-        generic ``lua_interp`` (tier 0) and is promoted at a call
-        boundary once its profile crosses ``threshold`` (default
-        :data:`~repro.pipeline.tiering.DEFAULT_THRESHOLD`; ``1``
-        reproduces the AOT execution exactly, ``float("inf")`` never
-        promotes).  The controller is left on ``self.controller`` for
-        inspection.
-        """
-        options = options or self.options or SpecializeOptions()
-        if backend is not None:
-            options = dataclasses.replace(options, backend=backend)
-        controller = self._make_controller(
-            options, threshold=threshold,
-            speculate=speculate, jobs=jobs, cache_dir=cache_dir,
-            compile_threshold=compile_threshold)
-        vm = controller.attach(VM(self.module))
-        self.controller = controller
-        vm.result = vm.call("lua_call",
-                            [self.proto_addrs[0], self.stack_base])
-        return vm
-
-    def run(self, mode: str = "interp", **kwargs) -> VM:
-        """Uniform entry point: ``mode`` is ``"interp"``, ``"aot"``, or
-        ``"tiered"`` (kwargs go to the mode's method)."""
-        if mode == "interp":
-            return self.run_interpreted()
-        if mode == "aot":
-            return self.run_aot(**kwargs)
-        if mode == "tiered":
-            return self.run_tiered(**kwargs)
-        raise ValueError(f"bad mode {mode!r}")

@@ -11,6 +11,10 @@ cold ones never cost a microsecond of compile time, and the per-endpoint
 ``SpecializedMemory`` fingerprints keep their artifacts distinct in a
 shared :class:`~repro.pipeline.artifacts.ArtifactStore`.
 
+As a guest of :mod:`repro.pipeline.host` the fleet supplies the same
+two things every guest does: tier entries (:meth:`Endpoint.tier_entry`)
+and the entry into a program (:func:`serve`).
+
 Used by ``examples/fleet_server.py`` (a forked multi-worker router over
 one artifact store and heat file) and ``benchmarks/bench_fleet.py``
 (the traffic-replay benchmark with warm-up regression guards).
@@ -33,6 +37,7 @@ from repro.frontend import compile_source
 from repro.ir.module import Module
 from repro.min.interp import add_min_interpreters
 from repro.min.isa import MinProgram, assemble
+from repro.pipeline.host import controller_for
 from repro.pipeline.tiering import TierEntry, TieringController
 from repro.vm import VM
 
@@ -120,9 +125,9 @@ def make_fleet_worker(endpoints: Sequence[Endpoint],
     every endpoint registered (all tier 0 until the profile, or adopted
     fleet heat, says otherwise)."""
     module = build_fleet_module(endpoints)
-    controller = TieringController(module, options, threshold=threshold)
-    for endpoint in endpoints:
-        controller.register(endpoint.tier_entry())
+    controller = controller_for(
+        module, [endpoint.tier_entry() for endpoint in endpoints],
+        options, threshold=threshold)
     vm = controller.attach(VM(module))
     return vm, controller
 

@@ -13,6 +13,12 @@ Configurations (paper Fig. 8), with our platform substitutions:
   (context annotations only; registers stay in memory);
 * ``wevaled_state`` — the intrinsics variant specialized (``+ locals
   opt``: registers virtualized into SSA).
+
+Min is a guest of :mod:`repro.pipeline.host` like the others.  The two
+things a guest supplies are here functions, not methods: its tier
+entries (:func:`~repro.min.interp.min_tier_entry`) and the entry into a
+program (``vm.call("min_interp", [PROGRAM_BASE, len, input])``); the
+controller comes from :func:`~repro.pipeline.host.controller_for`.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from repro.min.interp import (
     min_tier_entry,
 )
 from repro.min.isa import ARITY, MinProgram, NUM_REGISTERS, Opcode, assemble
+from repro.pipeline.host import controller_for
 from repro.vm import VM
 
 
@@ -143,10 +150,7 @@ def _time(fn: Callable[[], int], repeats: int = 1):
 
 
 def run_fig8_configs(n: int = 1000, repeats: int = 1,
-                     backend: str = "vm",
-                     jobs: Optional[int] = None,
-                     cache_dir: Optional[str] = None
-                     ) -> Dict[str, ConfigResult]:
+                     backend: str = "vm") -> Dict[str, ConfigResult]:
     """Run all five Fig. 8 configurations on sum-to-n; returns per-config
     results keyed by configuration name.
 
@@ -154,28 +158,22 @@ def run_fig8_configs(n: int = 1000, repeats: int = 1,
     the tier-2 Python backend (configs ``wevaled_py`` and
     ``wevaled_state_py``), whose fuel must be identical to the IR-VM
     runs — only the wall clock moves.  Both residuals are compiled as
-    one :class:`~repro.pipeline.engine.CompilationEngine` batch;
-    ``jobs``/``cache_dir`` configure the worker pool and the persistent
-    artifact cache.
+    one :class:`~repro.pipeline.engine.CompilationEngine` batch.
     """
-    from repro.pipeline.tiering import TieringController
-
     program = sum_to_n_program(n)
     module = build_min_module(program)
     interpreter_image(SUM_COMPILED_SRC, compile_source).add_to_module(module)
-    options = SpecializeOptions(backend=backend, jobs=jobs or 1,
-                                cache_dir=cache_dir)
     # AOT is "promote everything at startup" through the tiering
     # controller: both variants compile as one engine batch.  The second
     # entry's profile key is disambiguated by its slot (the harness never
     # attaches a profiling hook, so keys are only identity here).
-    controller = TieringController(module, options)
-    controller.register(min_tier_entry(program, use_intrinsics=False,
-                                       name="min_wevaled"))
-    controller.register(dataclasses.replace(
-        min_tier_entry(program, use_intrinsics=True,
-                       name="min_wevaled_state"),
-        key=SPEC_SLOT_STATE))
+    controller = controller_for(module, [
+        min_tier_entry(program, use_intrinsics=False, name="min_wevaled"),
+        dataclasses.replace(
+            min_tier_entry(program, use_intrinsics=True,
+                           name="min_wevaled_state"),
+            key=SPEC_SLOT_STATE)],
+        SpecializeOptions(backend=backend))
     wevaled_name, wevaled_state_name = controller.promote_all()
     compiled_fns = dict(controller.compiler.backend_functions)
 
@@ -230,9 +228,7 @@ def make_tiered_min(program: MinProgram,
                     speculate: bool = False,
                     use_intrinsics: bool = True,
                     options: Optional[SpecializeOptions] = None,
-                    jobs: Optional[int] = None,
-                    cache_dir: Optional[str] = None,
-                    compile_threshold: int = 0):
+                    **tiering):
     """The ``mode="tiered"`` entry point for Min.
 
     Returns ``(vm, controller)``: a VM whose calls to ``min_interp`` are
@@ -241,17 +237,14 @@ def make_tiered_min(program: MinProgram,
     ``threshold`` (``float("inf")`` never promotes — pure tier 0;
     ``1`` promotes at the first call, reproducing the AOT execution).
     ``speculate=True`` additionally arms guarded value speculation on
-    the ``input`` parameter.
+    the ``input`` parameter; any other controller keyword
+    (``compile_threshold``, ``inline``, ...) passes through.
     """
-    from repro.pipeline.tiering import TieringController
-
     module = build_min_module(program)
-    controller = TieringController(
-        module, options, jobs=jobs, cache_dir=cache_dir,
-        threshold=threshold, speculate=speculate,
-        compile_threshold=compile_threshold)
-    controller.register(min_tier_entry(program, use_intrinsics,
-                                       speculate_input=speculate))
+    controller = controller_for(
+        module, [min_tier_entry(program, use_intrinsics,
+                                speculate_input=speculate)],
+        options, threshold=threshold, speculate=speculate, **tiering)
     vm = controller.attach(VM(module))
     return vm, controller
 

@@ -4,13 +4,12 @@ This package unifies the per-runtime AOT flows behind one subsystem,
 the paper's production story (S6.5) made concrete:
 
 * :class:`~repro.pipeline.engine.CompilationEngine` — batch
-  specialize → opt → verify → emit with a worker pool (``jobs=``;
-  ``pool="thread"`` shares the module in-process, ``pool="process"``
-  ships it to a ``ProcessPoolExecutor``); pure stages run concurrently,
-  all module mutation and cache accounting is applied in request order,
-  so outputs are bit-identical at any worker count and pool flavor;
+  specialize → opt → verify → emit; with ``jobs > 1`` the pure
+  specialize stage runs in a ``ProcessPoolExecutor``, all module
+  mutation and cache accounting is applied in request order, so outputs
+  are bit-identical at any worker count;
 * :class:`~repro.pipeline.artifacts.ArtifactStore` — the persistent
-  on-disk cache (``cache_dir=``) of residual IR and emitted backend
+  on-disk cache (``cache_dir``) of residual IR and emitted backend
   source, keyed by the same fingerprints as the in-memory
   :class:`~repro.core.cache.SpecializationCache`;
 * :mod:`~repro.pipeline.serialize` — structural JSON round-tripping of
@@ -27,12 +26,16 @@ the paper's production story (S6.5) made concrete:
   :meth:`~repro.pipeline.tiering.TieringController.publish_heat` and
   re-adopted by
   :meth:`~repro.pipeline.tiering.TieringController.adopt_heat`, so a
-  fresh worker starts at the fleet's steady state.
+  fresh worker starts at the fleet's steady state;
+* :class:`~repro.pipeline.host.GuestRuntime` /
+  :func:`~repro.pipeline.host.controller_for` — the host glue every
+  guest runtime shares: a guest supplies ``tier_entries()`` and
+  ``enter(vm)`` and gets AOT compilation and the run modes.
 
-Every embedder reaches this layer through
+Every embedder reaches the engine through
 :class:`~repro.core.snapshot.SnapshotCompiler`, which delegates its
-``process_requests()`` / ``compile_backend()`` to an engine; configure
-it with ``SpecializeOptions(jobs=..., pool=..., cache_dir=...)``.
+``process_requests()`` / ``compile_backend()`` to one; it is configured
+in exactly one place, ``SpecializeOptions(jobs=..., cache_dir=...)``.
 """
 
 from repro.pipeline.artifacts import (
@@ -45,6 +48,7 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.engine import CompilationEngine, EngineResult
 from repro.pipeline.faults import SEAMS, FaultInjected, FaultPlan
+from repro.pipeline.host import GuestRuntime, controller_for
 from repro.pipeline.profiles import (
     PROFILE_VERSION,
     ProfileStore,
@@ -80,12 +84,14 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FunctionProfile",
+    "GuestRuntime",
     "ProfileStore",
     "PromotionError",
     "SerializationError",
     "TierEntry",
     "TieringController",
     "atomic_write_json",
+    "controller_for",
     "function_from_dict",
     "function_to_dict",
     "locked_write_json",

@@ -9,7 +9,8 @@ snapshot.  This module is the persistent half of that story: it stores
   in-memory :class:`~repro.core.cache.SpecializationCache` uses — the
   generic function's printed body, the request's argument modes, the
   contents of every promised-constant memory range, and the
-  specialization options (opt config and backend) — and
+  specialization options that shape it (SSA mode, opt config; not
+  the backend, residual IR is backend-independent) — and
 * **emitted backend source** (``py/``) keyed by the *residual*
   function's printed-IR fingerprint plus the emitter version, so a
   residual loaded warm reuses the same Python source (or the same
@@ -21,7 +22,7 @@ Key anatomy (one file per entry, file name = sha256 of the key):
     py/<sha256((residual_fp, EMITTER_VERSION, emit_mode))>.json
 
 Invalidation is entirely by construction: change the interpreter body,
-the bytecode bytes, the opt pipeline, or the backend, and the key
+the bytecode bytes, the opt pipeline, or the emitter, and the key
 changes, so the stale artifact is simply never looked up again.  Loads
 are paranoid and never raise for bad cache state: a version skew,
 fingerprint mismatch, JSON error, or truncated file yields status

@@ -1,39 +1,36 @@
 """The tiered compilation engine: one subsystem for every AOT flow.
 
-Before this layer existed, each guest runtime hand-wired its own
-specialize → optimize → emit sequence, compilation was strictly serial,
-and both the in-memory :class:`~repro.core.cache.SpecializationCache`
-and the compiled Python artifacts evaporated at process exit.  The
-:class:`CompilationEngine` owns the whole tier-up path instead:
+The :class:`CompilationEngine` owns the whole tier-up path:
 
 * it accepts **batches** of
-  :class:`~repro.core.request.SpecializationRequest`\\s and runs the
-  pure stages — specialize (which includes the verifying mid-end) and
-  backend emission — on a ``concurrent.futures`` thread pool
-  (``jobs=``), while everything order-sensitive (cache accounting,
-  artifact writes, ``compile()``/``exec`` of emitted source, and the
-  caller's module mutation / table registration / heap patching) stays
-  single-threaded and is applied **in request order**, so results are
-  bit-identical at any worker count;
+  :class:`~repro.core.request.SpecializationRequest`\\s and runs them
+  through four stages — keys and in-memory probes, specialize (which
+  includes the verifying mid-end), backend emission, and the
+  order-sensitive tail (cache accounting, artifact writes, ``exec`` of
+  emitted code) — each in **request order**; the caller's module
+  mutation / table registration / heap patching follows the same order;
 * it layers the in-memory cache over a **persistent on-disk artifact
-  store** (``cache_dir=``, :mod:`repro.pipeline.artifacts`): residual IR
-  and emitted backend source survive process exit, a warm restart
-  compiles zero functions, and fingerprint mismatches / version skew /
-  corruption silently fall back to a fresh compile;
+  store** (``SpecializeOptions(cache_dir=...)``,
+  :mod:`repro.pipeline.artifacts`): residual IR and emitted backend
+  source survive process exit, a warm restart compiles zero functions,
+  and fingerprint mismatches / version skew / corruption silently fall
+  back to a fresh compile;
 * residuals loaded from disk are **verified** before use (the artifact
   file is outside the process's trust boundary; a verifier rejection is
   treated exactly like corruption).
 
-Worker-pool note: the default pool uses threads — under CPython's GIL
-the win is stage *overlap* (disk loads, JSON parse, and the
-allocator-heavy transform interleave).  ``SpecializeOptions(jobs=N,
-pool="process")`` moves the specialize stage to a
-``ProcessPoolExecutor`` instead: the module ships to each worker in its
-serialized compile-side form (host import callables cannot cross a
-process boundary, so imports travel signature-only) and residuals ship
-back through the same byte-identical JSON round trip the artifact store
-uses, so results are bit-identical to the thread pool at any worker
-count.  Either way the order-sensitive stage 3 stays in the parent.
+There is **one stage-1 body**, :func:`_specialize_one` (artifact load →
+verify → else ``specialize``, faults and containment included).  The
+engine calls it in-process; with ``SpecializeOptions(jobs=N)``, ``N >
+1``, a batch with more than one miss calls it inside a
+``ProcessPoolExecutor`` worker, which only adds (de)serialization: the
+module ships once per worker in its serialized compile-side form (host
+import callables cannot cross a process boundary, so imports travel
+signature-only) and residuals ship back through the same byte-identical
+JSON round trip the artifact store uses, so results are bit-identical
+to the serial path at any worker count.  Everything else — emission and
+all writes — stays in the parent.  A payload the encoding cannot
+express, or a pool that broke twice in a row, lands on the serial path.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import marshal
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -65,7 +62,7 @@ from repro.pipeline.artifacts import (
     ArtifactStore,
     residual_fingerprint,
 )
-from repro.pipeline.faults import FaultInjected, plan_from_options
+from repro.pipeline.faults import plan_from_options
 from repro.pipeline.serialize import (
     SerializationError,
     function_from_dict,
@@ -77,87 +74,100 @@ from repro.pipeline.serialize import (
 )
 
 
-# ---------------------------------------------------------------------------
-# Process-pool workers (``SpecializeOptions(pool="process")``).
-#
-# The specialize stage is pure, so it can leave the process: the module
-# travels once per worker as its serialized compile-side form (functions,
-# import *signatures*, table, globals — host callables never cross), the
-# heap snapshot travels with it, and each task is one JSON-encoded
-# request plus its precomputed cache key.  Workers return the residual
-# in serialized form; the byte-identical Function round trip is what
-# makes ``pool="process"`` indistinguishable from ``pool="thread"``
-# (the determinism tier asserts artifact-level byte equality).  All
-# *writes* — artifact store, in-memory cache, module mutation — stay in
-# the parent's serial stage 3, so ordering is untouched.
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
+def _open_store(options: SpecializeOptions) -> Optional[ArtifactStore]:
+    """The artifact store ``options.cache_dir`` names, if any.  An
+    uncreatable directory (read-only image, path collision) degrades to
+    "no cache", never to a failed build — matching the store's own
+    write behavior."""
+    if not options.cache_dir:
+        return None
+    try:
+        return ArtifactStore(options.cache_dir,
+                             fault_plan=plan_from_options(options))
+    except OSError:
+        return None
 
 
-def _process_worker_init(module_payload: dict, options, snapshot: bytes,
-                         store_root: Optional[str]) -> None:
-    """Per-worker setup: rebuild the compile-side module and open the
-    (read-only-use) artifact store once, not per task."""
-    store = None
-    if store_root:
-        try:
-            store = ArtifactStore(store_root,
-                                  fault_plan=plan_from_options(options))
-        except OSError:
-            store = None
-    _WORKER_STATE["module"] = module_from_dict(module_payload)
-    _WORKER_STATE["options"] = options
-    _WORKER_STATE["snapshot"] = snapshot
-    _WORKER_STATE["store"] = store
+def _specialize_one(module: Module, request: SpecializationRequest,
+                    key: tuple, name: str, options: SpecializeOptions,
+                    snapshot: bytes, store: Optional[ArtifactStore]
+                    ) -> Tuple[Optional[Function], Optional[str], str, float]:
+    """Stage 1 for one request: artifact load, else fresh specialize.
 
-
-def _process_specialize(item: tuple):
-    """One stage-1 task in a worker: artifact load / fresh specialize.
-
-    Mirrors ``CompilationEngine._make_specialize_task`` exactly; the
-    residual ships back serialized with its specialization stats.  A
-    residual the encoding cannot express returns the ``"raw"`` marker
-    and the parent recomputes that one plan locally; a task that raises
-    (including injected ``specialize``/``verify`` faults) returns the
-    ``"error"`` marker with the message — a worker never lets an
-    exception escape, because one poisoned task must fail one request,
-    not the whole pool.
+    Returns ``(function, error, artifact_status, seconds)``.  Any
+    exception (injected ``specialize``/``verify`` faults included) is
+    contained here and comes back as the ``error`` message with no
+    function: one poisoned request fails in stage 3, never the batch or
+    the pool.
     """
-    request_data, key, name = item
-    module = _WORKER_STATE["module"]
-    options = _WORKER_STATE["options"]
-    snapshot = _WORKER_STATE["snapshot"]
-    store = _WORKER_STATE["store"]
     fault = plan_from_options(options)
     begin = time.perf_counter()
     artifact_status = MISS
-    func: Optional[Function] = None
+    func = error = None
     try:
         if store is not None:
             func, artifact_status = store.load_residual(
                 key, name, key[0], key[2])
             if func is not None:
                 try:
+                    # Disk artifacts sit outside the process's trust
+                    # boundary: verify before use, and treat a
+                    # rejection exactly like corruption.
                     verify_function(func, module)
                 except VerificationError:
                     func, artifact_status = None, INVALID
         if func is None:
-            request = request_from_dict(request_data)
             if fault is not None:
                 fault.check("specialize")
             func = specialize(module, request, options, snapshot)
             if fault is not None:
                 fault.check("verify")
     except Exception as exc:
-        return ("error", f"{type(exc).__name__}: {exc}", artifact_status,
-                time.perf_counter() - begin)
-    stats = getattr(func, "_weval_stats", None)
-    try:
-        payload = function_to_dict(func)
-    except SerializationError:
-        return "raw", None, artifact_status, time.perf_counter() - begin
-    return payload, stats, artifact_status, time.perf_counter() - begin
+        func, error = None, f"{type(exc).__name__}: {exc}"
+    return func, error, artifact_status, time.perf_counter() - begin
+
+
+# ---------------------------------------------------------------------------
+# Process-pool workers (``SpecializeOptions(jobs=N)``, N > 1).
+#
+# Stage 1 is pure, so it can leave the process: the module travels once
+# per worker as its serialized compile-side form (functions, import
+# *signatures*, table, globals — host callables never cross), the heap
+# snapshot travels with it, and each task is one JSON-encoded request
+# plus its precomputed cache key.  All *writes* — artifact store,
+# in-memory cache, module mutation — stay in the parent, so ordering is
+# untouched.
+# ---------------------------------------------------------------------------
+
+_WORKER_STATE: dict = {}
+
+
+def _pool_worker_init(module_payload: dict, options, snapshot: bytes
+                      ) -> None:
+    """Per-worker setup: rebuild the compile-side module and open the
+    (read-only-use) artifact store once, not per task."""
+    _WORKER_STATE.update(module=module_from_dict(module_payload),
+                         options=options, snapshot=snapshot,
+                         store=_open_store(options))
+
+
+def _pool_specialize(item: tuple):
+    """:func:`_specialize_one` in a worker.  The residual ships back
+    serialized beside its specialization stats; one the encoding cannot
+    express ships back as ``None`` with no error, and the parent
+    recomputes it."""
+    request_data, key, name = item
+    state = _WORKER_STATE
+    func, *outcome = _specialize_one(
+        state["module"], request_from_dict(request_data), key, name,
+        state["options"], state["snapshot"], state["store"])
+    if func is not None:
+        try:
+            func = (function_to_dict(func),
+                    getattr(func, "_weval_stats", None))
+        except SerializationError:
+            func = None
+    return (func, *outcome)
 
 
 @dataclasses.dataclass
@@ -193,87 +203,43 @@ class EngineResult:
     error: Optional[str] = None
 
 
-class _TaskFailure:
-    """Marker a pure-stage task returns in place of its result when it
-    raised: the exception is contained at the task boundary so pool
-    workers stay healthy and sibling requests complete normally."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str):
-        self.message = message
-
-
+@dataclasses.dataclass(slots=True)
 class _Plan:
-    """Mutable per-request bookkeeping while a batch is in flight."""
+    """Mutable per-function bookkeeping while a batch is in flight
+    (``request``/``key`` are ``None`` for a backend-only plan)."""
 
-    __slots__ = ("request", "name", "key", "func", "cache_hit",
-                 "artifact_hit", "specialized", "dup_of",
-                 "py_source", "py_fallback", "py_code", "py_from_store",
-                 "error")
-
-    def __init__(self, request: SpecializationRequest, name: str,
-                 key: tuple):
-        self.request = request
-        self.name = name
-        self.key = key
-        self.func: Optional[Function] = None
-        self.cache_hit = False
-        self.artifact_hit = False
-        self.specialized = False
-        self.dup_of: Optional[int] = None
-        self.py_source: Optional[str] = None
-        self.py_fallback: Optional[str] = None
-        self.py_code: Optional[object] = None
-        self.py_from_store = False
-        self.error: Optional[str] = None
+    request: Optional[SpecializationRequest]
+    name: str
+    key: Optional[tuple]
+    func: Optional[Function] = None
+    cache_hit: bool = False
+    artifact_hit: bool = False
+    specialized: bool = False
+    dup_of: Optional[int] = None
+    py_source: Optional[str] = None
+    py_fallback: Optional[str] = None
+    py_code: Optional[object] = None
+    py_from_store: bool = False
+    error: Optional[str] = None
 
 
 class CompilationEngine:
     """Batch compiler for specialization requests (specialize → opt →
-    verify → emit) with parallel pure stages and tiered caching."""
+    verify → emit) with tiered caching, configured entirely by
+    :class:`~repro.core.specialize.SpecializeOptions`."""
 
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
-                 cache: Optional[SpecializationCache] = None,
-                 jobs: Optional[int] = None,
-                 cache_dir: Optional[str] = None):
+                 cache: Optional[SpecializationCache] = None):
         self.module = module
         self.options = options or SpecializeOptions()
         self.cache = cache
-        self.jobs = max(1, jobs if jobs is not None else self.options.jobs)
-        self.pool = self.options.pool
+        # Worker processes for stage 1; drops to 1 for the session when
+        # the pool breaks twice in a row.
+        self.jobs = self.options.jobs
         self.fault_plan = plan_from_options(self.options)
-        root = cache_dir if cache_dir is not None else self.options.cache_dir
-        self.store: Optional[ArtifactStore] = None
-        if root:
-            try:
-                self.store = ArtifactStore(root, fault_plan=self.fault_plan)
-            except OSError:
-                # An uncreatable cache directory (read-only image, path
-                # collision) degrades to "no cache", never to a failed
-                # build — matching the store's own write behavior.
-                self.store = None
+        self.store = _open_store(self.options)
         self.stats = EngineStats()
-
-    # ------------------------------------------------------------------
-    # Worker pool.
-    # ------------------------------------------------------------------
-    def _run_all(self, thunks: List[Callable[[], object]]) -> List[object]:
-        """Run pure thunks, in a pool when configured; results come back
-        in submission order regardless of completion order."""
-        if self.jobs == 1 or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        pool = ThreadPoolExecutor(max_workers=min(self.jobs, len(thunks)))
-        try:
-            futures = [pool.submit(thunk) for thunk in thunks]
-            return [future.result() for future in futures]
-        finally:
-            # Tear the executor down on *every* exit path, and cancel
-            # queued thunks when one result raised — without
-            # cancel_futures a failing batch used to block here until
-            # every already-queued sibling ran to completion.
-            pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # Batch compilation.
@@ -297,9 +263,8 @@ class CompilationEngine:
         stats.inline_requests += sum(
             1 for r in requests if getattr(r, "inline_plan", ()))
         stats.jobs = max(stats.jobs, self.jobs)
-        want_py = self.options.backend == "py"
 
-        # Stage 0 (serial): keys, in-memory probes, in-batch dedup.
+        # Stage 0: keys, in-memory probes, in-batch dedup.
         plans: List[_Plan] = []
         first_of_key: Dict[tuple, int] = {}
         for request in requests:
@@ -319,25 +284,31 @@ class CompilationEngine:
                     first_of_key[plan.key] = len(plans)
             plans.append(plan)
 
-        # Stage 1 (parallel, pure): artifact load / fresh specialize for
-        # every first-occurrence miss.
+        # Stage 1 (pure): artifact load / fresh specialize for every
+        # first-occurrence miss — in the process pool when one is
+        # configured and the batch can use it, else in-process (both
+        # produce bit-identical residuals).
         misses = [plan for plan in plans
                   if plan.func is None and plan.dup_of is None]
-        outcomes = self._specialize_misses(misses, snapshot)
-        for plan, (func, artifact_status, seconds) in zip(misses, outcomes):
-            if isinstance(func, _TaskFailure):
-                # Contained task crash: fail this request, leave every
-                # sibling (and the caches) untouched.
-                plan.error = func.message
-            else:
-                plan.func = func
+        outcomes = None
+        if self.jobs > 1 and len(misses) > 1:
+            outcomes = self._pool_specialize_misses(misses, snapshot)
+        if outcomes is None:
+            outcomes = [self._specialize_local(plan, snapshot)
+                        for plan in misses]
+        for plan, (func, error, artifact_status, seconds) in zip(misses,
+                                                                 outcomes):
+            # A contained task crash fails this request and leaves every
+            # sibling (and the caches) untouched.
+            plan.func, plan.error = func, error
+            if error is None:
                 plan.artifact_hit = artifact_status == HIT
                 plan.specialized = not plan.artifact_hit
             if artifact_status == INVALID:
                 stats.artifact_invalid += 1
             stats.specialize_seconds += seconds
 
-        # Resolve duplicates (serial): clone the producer's function.
+        # Resolve duplicates: clone the producer's function.
         for plan in plans:
             if plan.dup_of is not None:
                 producer = plans[plan.dup_of]
@@ -353,27 +324,13 @@ class CompilationEngine:
                     # producer's insert happened before this probe.
                     self.cache.hits += 1
 
-        # Stage 2 (parallel, pure): backend emission for every function.
-        if want_py:
-            emit_plans = [plan for plan in plans if plan.error is None]
-            emitted = self._run_all(
-                [self._make_emit_task(plan) for plan in emit_plans])
-            for plan, (source, fallback, code, status, seconds) in zip(
-                    emit_plans, emitted):
-                if isinstance(source, _TaskFailure):
-                    plan.error = source.message
-                else:
-                    plan.py_source = source
-                    plan.py_fallback = fallback
-                    plan.py_code = code
-                    plan.py_from_store = status == HIT
-                if status == INVALID:
-                    stats.artifact_invalid += 1
-                stats.emit_seconds += seconds
+        # Stage 2 (pure): backend emission for every function.
+        if self.options.backend == "py":
+            self._emit([plan for plan in plans if plan.error is None])
 
-        # Stage 3 (serial, request order): cache/artifact writes and
-        # ``exec`` of emitted source.  Errored plans write nothing — a
-        # crashed stage must not leave partial state in the caches.
+        # Stage 3 (request order): cache/artifact writes and ``exec`` of
+        # emitted source.  Errored plans write nothing — a crashed stage
+        # must not leave partial state in the caches.
         results = []
         for plan in plans:
             if plan.error is not None:
@@ -385,25 +342,16 @@ class CompilationEngine:
                     # A warm in-memory cache combined with a fresh
                     # cache_dir must still leave a complete store behind
                     # (the warm-start-on-disk contract).
-                    ir_text = print_function(plan.func, order="id")
-                    if self.store.store_residual(
-                            plan.key, plan.func, ir_text,
-                            plan.key[0], plan.key[2]):
-                        stats.artifacts_written += 1
-            elif plan.artifact_hit:
-                stats.artifact_hits += 1
+                    self._store_residual(plan)
+            else:
                 if self.cache is not None:
                     self.cache.insert(plan.key, plan.func)
-            elif plan.specialized:
-                stats.functions_specialized += 1
-                if self.cache is not None:
-                    self.cache.insert(plan.key, plan.func)
-                if self.store is not None:
-                    ir_text = print_function(plan.func, order="id")
-                    if self.store.store_residual(
-                            plan.key, plan.func, ir_text,
-                            plan.key[0], plan.key[2]):
-                        stats.artifacts_written += 1
+                if plan.artifact_hit:
+                    stats.artifact_hits += 1
+                else:
+                    stats.functions_specialized += 1
+                    if self.store is not None:
+                        self._store_residual(plan)
             results.append(self._finalize(plan))
         if self.store is not None:
             health = self.store.health()
@@ -412,38 +360,30 @@ class CompilationEngine:
         stats.wall_seconds += time.perf_counter() - start
         return results
 
-    def _specialize_misses(self, misses: List[_Plan], snapshot: bytes
-                           ) -> List[Tuple[Function, str, float]]:
-        """Run stage 1 on the configured pool flavor.
+    def _store_residual(self, plan: _Plan) -> None:
+        ir_text = print_function(plan.func, order="id")
+        if self.store.store_residual(plan.key, plan.func, ir_text,
+                                     plan.key[0], plan.key[2]):
+            self.stats.artifacts_written += 1
 
-        The process pool needs every payload to serialize; a module or
-        request the encoding cannot express falls back to the thread
-        path wholesale (correctness first — both paths produce
-        bit-identical residuals).
-        """
-        if self.pool == "process" and self.jobs > 1 and len(misses) > 1:
-            outcomes = self._process_pool_specialize(misses, snapshot)
-            if outcomes is not None:
-                return outcomes
-        return self._run_all(
-            [self._make_specialize_task(plan, snapshot) for plan in misses])
+    def _specialize_local(self, plan: _Plan, snapshot: bytes) -> tuple:
+        return _specialize_one(self.module, plan.request, plan.key,
+                               plan.name, self.options, snapshot, self.store)
 
-    def _process_pool_specialize(self, misses: List[_Plan],
-                                 snapshot: bytes
-                                 ) -> Optional[List[Tuple[Function, str,
-                                                          float]]]:
+    def _pool_specialize_misses(self, misses: List[_Plan], snapshot: bytes
+                                ) -> Optional[List[tuple]]:
         """Stage 1 on a :class:`ProcessPoolExecutor`; ``None`` means
-        "use the thread path" (unserializable payloads, or a pool the
-        engine just degraded away from).
+        "run it in-process" (a module or request the encoding cannot
+        express, or a pool the engine just degraded away from).
 
         Pool-level failure containment: a broken pool (a worker
         segfaulted or was OOM-killed — surfaced by ``concurrent.futures``
         as :class:`BrokenProcessPool` at the batch boundary) is retried
         once with a fresh pool, because one dead worker is usually
-        transient.  A second consecutive failure flips ``self.pool`` to
-        ``"thread"`` for the rest of the session: threads cannot crash
-        independently of the parent, so tier-up keeps working at
-        in-process speed instead of failing every batch.
+        transient.  A second consecutive failure sets ``self.jobs`` to 1
+        for the rest of the session: in-process stage 1 cannot crash
+        independently of the parent, so tier-up keeps working instead
+        of failing every batch.
         """
         try:
             module_payload = module_to_dict(self.module)
@@ -451,10 +391,8 @@ class CompilationEngine:
                      for plan in misses]
         except SerializationError:
             return None
-        store_root = self.store.root if self.store is not None else None
         fault = self.fault_plan
-        failures = 0
-        while True:
+        for attempt in (1, 2):
             pool = None
             try:
                 if fault is not None and fault.fires("pool_worker"):
@@ -462,86 +400,51 @@ class CompilationEngine:
                         "injected fault at seam 'pool_worker'")
                 pool = ProcessPoolExecutor(
                     max_workers=min(self.jobs, len(misses)),
-                    initializer=_process_worker_init,
-                    initargs=(module_payload, self.options, snapshot,
-                              store_root))
-                shipped = list(pool.map(_process_specialize, items))
+                    initializer=_pool_worker_init,
+                    initargs=(module_payload, self.options, snapshot))
+                shipped = list(pool.map(_pool_specialize, items))
                 break
             except (BrokenProcessPool, OSError):
-                failures += 1
-                if failures == 1:
+                if attempt == 1:
                     self.stats.pool_rebuilds += 1
-                    continue
-                self.pool = "thread"
-                self.stats.pool_degradations += 1
-                return None
             finally:
                 if pool is not None:
                     pool.shutdown(wait=True, cancel_futures=True)
+        else:
+            self.jobs = 1
+            self.stats.pool_degradations += 1
+            return None
         outcomes = []
-        for plan, (payload, spec_stats, status, seconds) in zip(misses,
-                                                                shipped):
-            if payload == "error":
-                outcomes.append((_TaskFailure(spec_stats), status, seconds))
-                continue
-            if payload == "raw":
+        for plan, (shipped_func, error, *rest) in zip(misses, shipped):
+            if shipped_func is None and error is None:
                 # The worker specialized fine but could not serialize
                 # the residual back; recompute this one plan locally.
-                outcomes.append(
-                    self._make_specialize_task(plan, snapshot)())
+                outcomes.append(self._specialize_local(plan, snapshot))
                 continue
-            func = function_from_dict(payload, name=plan.name)
-            if spec_stats is not None:
-                func._weval_stats = spec_stats
-            outcomes.append((func, status, seconds))
+            func = None
+            if shipped_func is not None:
+                payload, spec_stats = shipped_func
+                func = function_from_dict(payload, name=plan.name)
+                if spec_stats is not None:
+                    func._weval_stats = spec_stats
+            outcomes.append((func, error, *rest))
         return outcomes
 
-    def _make_specialize_task(self, plan: _Plan, snapshot: bytes):
-        fault = self.fault_plan
-
-        def task() -> Tuple[object, str, float]:
-            begin = time.perf_counter()
-            artifact_status = MISS
-            func: Optional[Function] = None
-            try:
-                if self.store is not None:
-                    func, artifact_status = self.store.load_residual(
-                        plan.key, plan.name, plan.key[0], plan.key[2])
-                    if func is not None:
-                        try:
-                            # Disk artifacts sit outside the process's
-                            # trust boundary: verify before use, and
-                            # treat a rejection exactly like corruption.
-                            verify_function(func, self.module)
-                        except VerificationError:
-                            func, artifact_status = None, INVALID
-                if func is None:
-                    if fault is not None:
-                        fault.check("specialize")
-                    func = specialize(self.module, plan.request,
-                                      self.options, snapshot)
-                    if fault is not None:
-                        fault.check("verify")
-            except Exception as exc:
-                # Contain any stage crash at the task boundary: the
-                # marker fails this one request in stage 3; the pool and
-                # sibling tasks are unaffected.
-                return (_TaskFailure(f"{type(exc).__name__}: {exc}"),
-                        artifact_status, time.perf_counter() - begin)
-            return func, artifact_status, time.perf_counter() - begin
-        return task
-
-    def _make_emit_task(self, plan: _Plan):
-        def task():
+    def _emit(self, plans: List[_Plan]) -> None:
+        """Stage 2: backend source and code object for each plan.  A
+        crash fails that plan only (``plan.error``)."""
+        stats = self.stats
+        for plan in plans:
             begin = time.perf_counter()
             try:
-                source, fallback, code, status = self._emit_one(plan.func)
+                (plan.py_source, plan.py_fallback, plan.py_code,
+                 status) = self._emit_one(plan.func)
             except Exception as exc:
-                return (_TaskFailure(f"{type(exc).__name__}: {exc}"),
-                        None, None, MISS, time.perf_counter() - begin)
-            return (source, fallback, code, status,
-                    time.perf_counter() - begin)
-        return task
+                plan.error, status = f"{type(exc).__name__}: {exc}", MISS
+            plan.py_from_store = status == HIT
+            if status == INVALID:
+                stats.artifact_invalid += 1
+            stats.emit_seconds += time.perf_counter() - begin
 
     def _emit_one(self, func: Function
                   ) -> Tuple[Optional[str], Optional[str], Optional[object],
@@ -552,10 +455,9 @@ class CompilationEngine:
 
         ``code`` is the tier-3½ rung: the ``compile()``d code object for
         ``source``, unmarshaled from the artifact store (a warm start
-        skips parse+compile entirely) or compiled here, inside the
-        *parallel* emit stage, so the serial ``exec`` in
-        :meth:`_finalize` only binds globals.  ``None`` (any marshal or
-        interpreter skew in the store) means "compile from source".
+        skips parse+compile entirely) or compiled here, so the ``exec``
+        in :meth:`_finalize` only binds globals.  ``None`` (any marshal
+        or interpreter skew in the store) means "compile from source".
         """
         from repro.backend import UnsupportedConstruct, emit_function_source
         mode_key = py_options_key(self.options)
@@ -584,12 +486,12 @@ class CompilationEngine:
     @staticmethod
     def _precompile(name: str, source: str) -> Tuple[Optional[object],
                                                      Optional[bytes]]:
-        """``compile()`` emitted source ahead of the serial stage.
+        """``compile()`` emitted source ahead of stage 3.
 
         The filename matches ``compile_python_source`` exactly so
         tracebacks are identical on both paths.  A source that does not
-        compile returns ``(None, None)`` — the serial stage recompiles
-        and converts the failure into a backend fallback as before.
+        compile returns ``(None, None)`` — stage 3 recompiles and
+        converts the failure into a backend fallback as before.
         """
         try:
             code = compile(source, f"<pybackend:{name}>", "exec")
@@ -599,7 +501,7 @@ class CompilationEngine:
 
     def _finalize(self, plan: _Plan) -> EngineResult:
         """Turn a finished plan into a result; ``exec`` emitted source
-        (serial — callable identity is created in request order)."""
+        (callable identity is created in request order)."""
         from repro.backend import UnsupportedConstruct, compile_python_source
         stats = self.stats
         pyfunc = None
@@ -645,30 +547,27 @@ class CompilationEngine:
     def compile_backend_functions(
             self, names: List[str]
             ) -> Tuple[Dict[str, Callable], List[Tuple[str, str]]]:
-        """Emit + compile module functions to Python callables.
+        """Emit + compile module functions to Python callables through
+        stage 2 and :meth:`_finalize`, artifact-store reuse included.
 
         Returns ``(compiled, fallbacks)`` like
-        :func:`repro.backend.compile_functions`, but with parallel
-        emission and artifact-store reuse.
+        :func:`repro.backend.compile_functions`.
         """
-        from repro.backend import UnsupportedConstruct, compile_python_source
         start = time.perf_counter()
         stats = self.stats
-        stats.jobs = max(stats.jobs, self.jobs)
         compiled: Dict[str, Callable] = {}
         fallbacks: List[Tuple[str, str]] = []
-        todo: List[str] = []
+        plans: List[_Plan] = []
         for name in names:
-            if self.module.functions.get(name) is None:
+            func = self.module.functions.get(name)
+            if func is None:
                 fallbacks.append((name, "not an IR function"))
+                stats.backend_fallbacks += 1
             else:
-                todo.append(name)
-        outcomes = self._run_all([
-            self._make_named_emit_task(name) for name in todo])
-        for name, (source, fallback, code, status,
-                   seconds) in zip(todo, outcomes):
-            stats.emit_seconds += seconds
-            if isinstance(source, _TaskFailure):
+                plans.append(_Plan(None, name, None, func))
+        self._emit(plans)
+        for plan in plans:
+            if plan.error is not None:
                 # Contained emit crash.  Deliberately *neither* compiled
                 # nor a fallback: a fallback is the permanent
                 # "emitter cannot express this" verdict, while a crash
@@ -676,37 +575,10 @@ class CompilationEngine:
                 # tiering controller to quarantine and retry.
                 stats.requests_failed += 1
                 continue
-            if source is not None:
-                try:
-                    compiled[name] = compile_python_source(name, source,
-                                                           code=code)
-                except UnsupportedConstruct as exc:
-                    source, fallback = None, str(exc)
-                except Exception as exc:
-                    source, fallback = None, f"{type(exc).__name__}: {exc}"
-            if source is None:
-                fallbacks.append((name, fallback))
-            if status == HIT:
-                stats.backend_source_hits += 1
-                if code is not None:
-                    stats.backend_code_hits += 1
+            result = self._finalize(plan)
+            if result.pyfunc is not None:
+                compiled[plan.name] = result.pyfunc
             else:
-                stats.backend_emitted += 1
-            if status == INVALID:
-                stats.artifact_invalid += 1
-        stats.backend_fallbacks += len(fallbacks)
+                fallbacks.append((plan.name, result.fallback_reason))
         stats.wall_seconds += time.perf_counter() - start
         return compiled, fallbacks
-
-    def _make_named_emit_task(self, name: str):
-        def task():
-            begin = time.perf_counter()
-            try:
-                source, fallback, code, status = self._emit_one(
-                    self.module.functions[name])
-            except Exception as exc:
-                return (_TaskFailure(f"{type(exc).__name__}: {exc}"),
-                        None, None, MISS, time.perf_counter() - begin)
-            return (source, fallback, code, status,
-                    time.perf_counter() - begin)
-        return task

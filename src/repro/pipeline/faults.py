@@ -36,7 +36,7 @@ Seams (:data:`SEAMS`):
     The engine's process pool raises
     :class:`concurrent.futures.process.BrokenProcessPool` at the batch
     boundary — the engine rebuilds the pool once, then degrades to
-    threads for the session.
+    in-process compiles for the session.
 ``heat_merge``
     The profile store's merge write fails; the publish high-water marks
     must retain the delta for the next attempt.

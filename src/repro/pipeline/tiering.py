@@ -227,8 +227,6 @@ class TieringController:
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
                  cache=None,
-                 jobs: Optional[int] = None,
-                 cache_dir: Optional[str] = None,
                  threshold: float = DEFAULT_THRESHOLD,
                  speculate: bool = False,
                  compile_threshold: int = 0,
@@ -264,8 +262,7 @@ class TieringController:
         # backend emit for a function is paid when *it* reaches tier 2.
         compiler_options = (dataclasses.replace(self.options, backend="vm")
                             if staged else self.options)
-        self.compiler = SnapshotCompiler(module, compiler_options, cache,
-                                         jobs=jobs, cache_dir=cache_dir)
+        self.compiler = SnapshotCompiler(module, compiler_options, cache)
         self.vm: Optional[VM] = None
         self.stats = TieringStats()
         self.entries: List[TierEntry] = []

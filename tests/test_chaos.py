@@ -305,13 +305,13 @@ class TestStormBreaker:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool containment (rebuild once, then degrade to threads).
+# Process-pool containment (rebuild once, then degrade to serial).
 # ---------------------------------------------------------------------------
 class TestPoolContainment:
     def _worker(self, plan, tmp_path):
         endpoints = _endpoints()
         options = SpecializeOptions(
-            backend="vm", jobs=2, pool="process", fault_plan=plan,
+            backend="vm", jobs=2, fault_plan=plan,
             cache_dir=str(tmp_path / "cache"))
         return endpoints, make_fleet_worker(endpoints, threshold=3,
                                             options=options)
@@ -324,20 +324,20 @@ class TestPoolContainment:
         engine = controller.compiler.engine
         assert engine.stats.pool_rebuilds == 1
         assert engine.stats.pool_degradations == 0
-        assert engine.pool == "process"  # still trusted after one rebuild
+        assert engine.jobs == 2  # still trusted after one rebuild
         traffic = _traffic(endpoints, rounds=6)
         assert [serve(vm, ep, v) for ep, v in traffic] == \
             _reference_results(endpoints, traffic)
 
-    def test_persistently_broken_pool_degrades_to_threads(self, tmp_path):
+    def test_persistently_broken_pool_degrades_to_serial(self, tmp_path):
         plan = FaultPlan.always("pool_worker")
         endpoints, (vm, controller) = self._worker(plan, tmp_path)
         names = controller.promote_all()
-        assert len(names) == len(endpoints)  # thread fallback compiled all
+        assert len(names) == len(endpoints)  # serial fallback compiled all
         engine = controller.compiler.engine
         assert engine.stats.pool_rebuilds == 1
         assert engine.stats.pool_degradations == 1
-        assert engine.pool == "thread"  # degraded for the session
+        assert engine.jobs == 1  # degraded for the session
         assert "pool_degradations=1" in controller.report()
         traffic = _traffic(endpoints, rounds=6)
         assert [serve(vm, ep, v) for ep, v in traffic] == \

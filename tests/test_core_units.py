@@ -215,3 +215,61 @@ class TestIntrinsicRegistry:
         register_weval_imports(module)
         assert len(module.imports) == count
         assert count == len(INTRINSICS)
+
+
+class TestStatsMerge:
+    """One ``merge()`` for the five stats dataclasses: numeric fields
+    add, ``EngineStats.jobs`` keeps the maximum, nested stats recurse,
+    ``per_pass`` merges by key."""
+
+    @staticmethod
+    def _filled(cls, start):
+        """An instance whose numeric fields count up from ``start``."""
+        import dataclasses
+        stats = cls()
+        for offset, field in enumerate(dataclasses.fields(cls)):
+            if isinstance(getattr(stats, field.name), (int, float)):
+                setattr(stats, field.name, start + offset)
+        return stats
+
+    def test_numeric_fields_add_and_jobs_takes_max(self):
+        import dataclasses
+
+        from repro.core.stats import EngineStats, PassStats, TieringStats
+        for cls in (PassStats, TieringStats, EngineStats):
+            mine, theirs = self._filled(cls, 3), self._filled(cls, 100)
+            expected = {
+                f.name: getattr(mine, f.name) + getattr(theirs, f.name)
+                for f in dataclasses.fields(cls)}
+            if cls is EngineStats:
+                expected["jobs"] = max(mine.jobs, theirs.jobs)
+            mine.merge(theirs)
+            assert dataclasses.asdict(mine) == expected
+        high, low = EngineStats(jobs=4), EngineStats(jobs=2)
+        high.merge(low)
+        assert high.jobs == 4
+
+    def test_nested_stats_recurse_and_per_pass_merges_by_key(self):
+        from repro.core.stats import (
+            PassStats,
+            PipelineStats,
+            SpecializationStats,
+        )
+        mine = self._filled(SpecializationStats, 1)
+        mine.opt = self._filled(PipelineStats, 10)
+        mine.opt.per_pass = {"dce": PassStats(1, 2, 3, 0.5),
+                             "gvn": PassStats(4, 5, 6, 1.0)}
+        theirs = self._filled(SpecializationStats, 50)
+        theirs.opt = self._filled(PipelineStats, 70)
+        theirs.opt.per_pass = {"gvn": PassStats(1, 1, 1, 0.25),
+                               "fold": PassStats(7, 8, 9, 2.0)}
+        blocks = mine.output_blocks + theirs.output_blocks
+        rounds = mine.opt.rounds + theirs.opt.rounds
+        mine.merge(theirs)
+        assert mine.output_blocks == blocks and mine.opt.rounds == rounds
+        assert mine.opt.per_pass == {"dce": PassStats(1, 2, 3, 0.5),
+                                     "gvn": PassStats(5, 6, 7, 1.25),
+                                     "fold": PassStats(7, 8, 9, 2.0)}
+        # The merged-in side is left alone, and no entry is shared.
+        assert theirs.opt.per_pass["fold"] == PassStats(7, 8, 9, 2.0)
+        assert mine.opt.per_pass["fold"] is not theirs.opt.per_pass["fold"]

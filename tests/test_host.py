@@ -1,0 +1,184 @@
+"""The shared host glue (``repro.pipeline.host``).
+
+* **Fourth guest** — the RPN calculator of
+  ``examples/custom_interpreter.py`` becomes a guest runtime by
+  supplying ``tier_entries()`` and ``enter(vm)``; the base gives it AOT
+  compilation and the three run modes, which must agree the way they do
+  for the in-tree guests.
+* **Every controller feature reaches every guest** — tiering keywords
+  pass through as ``**tiering`` (``inline=`` used to stop at MiniJS).
+* **Said once** — engine configuration is ``SpecializeOptions`` and
+  nothing else: no callable under ``src/repro`` has a parameter named
+  ``jobs``, ``cache_dir`` or ``pool``, and no thread pool is imported.
+"""
+
+import ast
+import importlib.util
+import pathlib
+
+import pytest
+
+from repro.core import (
+    Runtime,
+    SpecializationRequest,
+    SpecializedConst,
+    SpecializedMemory,
+)
+from repro.core.specialize import SpecializeOptions
+from repro.frontend import compile_source
+from repro.ir import Module
+from repro.luavm import LuaRuntime
+from repro.min.harness import (
+    PROGRAM_BASE,
+    PyMinInterpreter,
+    make_tiered_min,
+    sum_to_n_program,
+)
+from repro.pipeline import GuestRuntime, TierEntry
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+INF = float("inf")
+
+
+def _example(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "examples" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+calc_source = _example("custom_interpreter").calc_source
+
+# ---------------------------------------------------------------------------
+# The fourth guest: everything the calculator has to say about itself.
+# ---------------------------------------------------------------------------
+BASE, SLOT = 0x4000, 0x100
+PROGRAM = [5, 0, 2, 1, 5, 0, 3, 1, 2, 6]      # (arg + 2) * (arg + 3)
+
+
+class CalcGuest(GuestRuntime):
+    def __init__(self, options=None, arg=7):
+        self.options, self.arg = options, arg
+        self.module = Module(memory_size=1 << 16)
+        compile_source(calc_source("calc", False)).add_to_module(self.module)
+        compile_source(calc_source("calc_s", True)).add_to_module(self.module)
+        for i, word in enumerate(PROGRAM):
+            self.module.write_init_u64(BASE + i * 8, word)
+
+    def tier_entries(self):
+        request = SpecializationRequest(
+            "calc_s", [SpecializedMemory(BASE, len(PROGRAM) * 8),
+                       SpecializedConst(len(PROGRAM)), Runtime()],
+            specialized_name="calc_compiled")
+        return [TierEntry(generic="calc", key=BASE, request=request,
+                          result_addr=SLOT)]
+
+    def enter(self, vm):
+        args = [BASE, len(PROGRAM), self.arg]
+        spec = vm.load_u64(SLOT)
+        vm.result = (vm.call_table(spec, args) if spec
+                     else vm.call("calc", args))
+        return vm
+
+
+@pytest.mark.parametrize("backend", ["vm", "py"])
+def test_fourth_guest_modes_agree(backend):
+    def run(mode, **tiering):
+        vm = CalcGuest(SpecializeOptions(backend=backend)).run(mode,
+                                                               **tiering)
+        return vm.result, vm.stats.fuel
+
+    interp, aot = run("interp"), run("aot")
+    assert interp[0] == aot[0] == (7 + 2) * (7 + 3)
+    assert aot[1] < interp[1]                  # dispatch really went away
+    assert run("tiered", threshold=1) == aot
+    assert run("tiered", threshold=INF) == interp
+
+
+def test_fourth_guest_default_mode_and_spellings():
+    guest = CalcGuest(SpecializeOptions(backend="vm"))
+    assert guest.run().stats.fuel == guest.run_interpreted().stats.fuel
+    assert guest.compiler is None and guest.controller is None
+    compiler = guest.aot_compile()
+    assert guest.compiler is compiler and len(compiler.processed) == 1
+    assert guest.run_aot("py").result == guest.run_aot().result == 90
+    with pytest.raises(ValueError, match="bad mode"):
+        guest.run("jit")
+
+
+# ---------------------------------------------------------------------------
+# ``**tiering`` reaches the controller from every guest.
+# ---------------------------------------------------------------------------
+LUA_SRC = """
+function add(a, b) return a + b end
+local t = 0
+local i = 0
+while i < 20 do t = add(t, i) i = i + 1 end
+print(t)
+"""
+STAGED_INLINE = dict(threshold=2, compile_threshold=2, inline=True,
+                     inline_min_site_calls=2)
+
+
+def test_lua_tiered_run_accepts_inline():
+    reference = LuaRuntime(LUA_SRC)
+    reference.run_interpreted()
+    runtime = LuaRuntime(LUA_SRC, options=SpecializeOptions(backend="py"))
+    runtime.run_tiered(**STAGED_INLINE)
+    assert runtime.printed == reference.printed == [190]
+    assert runtime.controller.inline
+    assert runtime.controller.stats.tier2_installs > 0
+
+
+def test_min_tiered_run_accepts_inline():
+    program = sum_to_n_program(25)
+    vm, controller = make_tiered_min(
+        program, options=SpecializeOptions(backend="py"), **STAGED_INLINE)
+    args = [PROGRAM_BASE, len(program.words), 0]
+    assert [vm.call("min_interp", args) for _ in range(6)] == \
+        [PyMinInterpreter(program).run(0)] * 6
+    assert controller.inline and controller.stats.tier2_installs == 1
+
+
+# ---------------------------------------------------------------------------
+# Said once.
+# ---------------------------------------------------------------------------
+ENGINE_SETTINGS = {"jobs", "cache_dir", "pool"}
+# ``open_profile_store(cache_dir)`` names the root of a store to open,
+# not an engine setting.
+EXEMPT = {("repro/pipeline/profiles.py", "open_profile_store")}
+
+
+def _sources():
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        yield (path.relative_to(ROOT / "src").as_posix(),
+               ast.parse(path.read_text()))
+
+
+def test_engine_configuration_is_said_once():
+    offenders = []
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = {a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)}
+            where = (name, getattr(node, "name", "<lambda>"))
+            if params & ENGINE_SETTINGS and where not in EXEMPT:
+                offenders.append((*where, sorted(params & ENGINE_SETTINGS)))
+    assert offenders == []
+
+
+def test_no_thread_pool_under_src():
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                imported = {node.attr}
+            else:
+                continue
+            assert "ThreadPoolExecutor" not in imported, name

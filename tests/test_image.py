@@ -258,10 +258,10 @@ def test_mutated_image_function_is_refused_under_verify(memo, monkeypatch):
 # (f) Workers rebuild the module from its serialized form: unfrozen
 # there, byte-identical output here.
 # ---------------------------------------------------------------------------
-def test_process_pool_artifacts_match_thread_pool(tmp_path):
-    thread = _aot_into(tmp_path / "thread")
-    process = _aot_into(tmp_path / "process", jobs=2, pool="process")
-    assert thread.printed == process.printed
+def test_process_pool_artifacts_match_serial(tmp_path):
+    serial = _aot_into(tmp_path / "serial")
+    process = _aot_into(tmp_path / "process", jobs=2)
+    assert serial.printed == process.printed
     assert process.compiler.engine.stats.functions_specialized > 0
-    assert _store_files(tmp_path / "thread") == \
+    assert _store_files(tmp_path / "serial") == \
         _store_files(tmp_path / "process")

@@ -11,9 +11,13 @@ The contracts under test (ISSUE/ROADMAP "production story" layer):
 * **Corruption safety** — truncated/garbage artifacts, version skew,
   and fingerprint mismatches are silently treated as misses (fresh
   recompile), never crashes.
-* **Parallel determinism** — ``jobs=1`` and ``jobs=4`` produce
-  byte-identical residual IR, byte-identical emitted backend source,
-  and the same table/heap patching.
+* **Pool determinism** — serial (``jobs=1``) and process-pool
+  (``jobs=2``, ``jobs=4``) compiles produce byte-identical residual IR,
+  byte-identical emitted backend source, and the same table/heap
+  patching.
+* **Said once** — engine configuration lives on ``SpecializeOptions``
+  and nowhere else: no callable under ``src/repro`` takes ``jobs``,
+  ``cache_dir`` or ``pool``.
 """
 
 import dataclasses
@@ -311,14 +315,18 @@ class TestWarmStart:
         assert warm_out == cold_out  # results, fuel, and IR all identical
         assert set(warm.backend_functions) == {"spec_a", "spec_b"}
 
-    def test_vm_and_py_artifact_spaces_are_disjoint(self, tmp_path):
-        """backend is part of the key: a vm-compiled store does not
-        satisfy a py-backend run (and vice versa)."""
+    def test_residual_artifacts_are_shared_across_backends(self, tmp_path):
+        """backend is not part of the residual key (residual IR is
+        backend-independent): a vm-compiled store satisfies a py-backend
+        run's specialize stage, which then only has to emit."""
         run_snapshot(SpecializeOptions(cache_dir=str(tmp_path),
                                        backend="vm"))
-        warm, _ = run_snapshot(SpecializeOptions(cache_dir=str(tmp_path),
-                                                 backend="py"))
-        assert warm.engine.stats.functions_specialized == 2
+        warm, outputs = run_snapshot(SpecializeOptions(
+            cache_dir=str(tmp_path), backend="py"))
+        check_outputs(outputs)
+        assert warm.engine.stats.functions_specialized == 0
+        assert warm.engine.stats.artifact_hits == 2
+        assert warm.engine.stats.backend_emitted == 2
 
     def test_js_runtime_warm_start(self, tmp_path):
         """End-to-end through JSRuntime: the residuals contain
@@ -453,8 +461,31 @@ class TestArtifactRobustness:
         assert source is None and status == "miss"
 
 
+def test_staged_worker_warm_starts_from_aot_store(tmp_path):
+    """A staged tiered worker (``compile_threshold > 0``: residual IR
+    first, backend emit when a function earns tier 2) over a store
+    filled by unstaged ``backend="py"`` AOT re-specializes nothing."""
+    from repro.jsvm import JSRuntime
+    src = ("function add(a, b) { return a + b; }\n"
+           "function main() { var t = 0; var i = 0;\n"
+           "  while (i < 12) { t = add(t, i); i = i + 1; }\n"
+           "  return t; }\n"
+           "print(main());")
+    options = SpecializeOptions(backend="py", cache_dir=str(tmp_path))
+    aot = JSRuntime(src, "wevaled_state", options=options)
+    aot.run()
+    assert aot.compiler.engine.stats.functions_specialized > 0
+    staged = JSRuntime(src, "wevaled_state", options=options)
+    staged.run(mode="tiered", threshold=1, compile_threshold=2)
+    stats = staged.controller.compiler.engine.stats
+    assert stats.requests > 0
+    assert stats.functions_specialized == 0
+    assert stats.artifact_hits == stats.requests
+    assert staged.printed == aot.printed == ["66"]
+
+
 # ---------------------------------------------------------------------------
-# Parallel batch compilation.
+# Batch compilation: serial and process-pool runs are indistinguishable.
 # ---------------------------------------------------------------------------
 class TestParallelDeterminism:
     def test_jobs_1_vs_4_identical_outputs(self, tmp_path):
@@ -496,35 +527,33 @@ class TestParallelDeterminism:
             contents[jobs] = files
         assert contents[1] == contents[4]
 
-    def test_process_pool_matches_thread_pool(self, tmp_path):
-        """``pool="process"`` must leave byte-identical artifacts and
+    def test_process_pool_matches_serial(self, tmp_path):
+        """The process pool must leave byte-identical artifacts and
         produce identical outputs at any worker count (the fleet's
         scale-out correctness contract)."""
         contents = {}
-        outputs_by_config = {}
-        for pool, jobs in (("thread", 1), ("process", 2), ("process", 4)):
-            cache_dir = tmp_path / f"{pool}-{jobs}"
-            _, outputs = run_snapshot(
-                SpecializeOptions(jobs=jobs, pool=pool, backend="py",
+        outputs_by_jobs = {}
+        for jobs in (1, 2, 4):
+            cache_dir = tmp_path / f"jobs-{jobs}"
+            compiler, outputs = run_snapshot(
+                SpecializeOptions(jobs=jobs, backend="py",
                                   cache_dir=str(cache_dir)))
             check_outputs(outputs)
-            outputs_by_config[(pool, jobs)] = outputs
+            assert compiler.engine.stats.jobs == jobs
+            outputs_by_jobs[jobs] = outputs
             files = {}
             for sub in ("spec", "py"):
                 subdir = cache_dir / sub
                 for entry in sorted(os.listdir(subdir)):
                     files[f"{sub}/{entry}"] = (subdir / entry).read_bytes()
-            contents[(pool, jobs)] = files
-        assert contents[("thread", 1)] == contents[("process", 2)] \
-            == contents[("process", 4)]
-        assert outputs_by_config[("thread", 1)] \
-            == outputs_by_config[("process", 2)] \
-            == outputs_by_config[("process", 4)]
+            contents[jobs] = files
+        assert contents[1] == contents[2] == contents[4]
+        assert outputs_by_jobs[1] == outputs_by_jobs[2] == outputs_by_jobs[4]
 
     def test_process_pool_warm_starts_from_store(self, tmp_path):
         """Process-pool workers read the shared store: a warm second run
-        specializes zero functions in any pool flavor."""
-        options = SpecializeOptions(jobs=2, pool="process", backend="py",
+        specializes zero functions."""
+        options = SpecializeOptions(jobs=2, backend="py",
                                     cache_dir=str(tmp_path))
         cold, _ = run_snapshot(options)
         assert cold.engine.stats.functions_specialized == 2
@@ -533,9 +562,10 @@ class TestParallelDeterminism:
         assert warm.engine.stats.functions_specialized == 0
         assert warm.engine.stats.artifact_hits == 2
 
-    def test_bad_pool_option_rejected(self):
-        with pytest.raises(ValueError, match="bad pool"):
-            SpecializeOptions(pool="fibers")
+    def test_pool_is_not_an_option(self):
+        """``jobs > 1`` means the process pool; there is no flavor."""
+        with pytest.raises(TypeError):
+            SpecializeOptions(pool="process")
 
     def test_duplicate_requests_share_one_compile(self):
         module = build_module()
@@ -960,27 +990,14 @@ class TestFaultContainment:
         again = engine.compile_batch(make_requests())
         assert all(r.artifact_hit for r in again)
 
-    def test_run_all_survives_raising_thunk(self):
-        """A raising thunk propagates, queued thunks are cancelled, and
-        the engine (with a fresh executor per batch) stays usable."""
-        engine = CompilationEngine(build_module(),
-                                   SpecializeOptions(jobs=2))
-        def boom():
-            raise RuntimeError("task crash")
-        with pytest.raises(RuntimeError, match="task crash"):
-            engine._run_all([boom, lambda: 1, lambda: 2])
-        results = engine.compile_batch(make_requests())
-        assert [r.function.name for r in results] == ["spec_a", "spec_b"]
-
     def test_process_worker_faults_are_contained(self, tmp_path):
         """Injected faults inside process-pool workers come back as
         per-request errors, not as a broken pool."""
         from repro.pipeline.faults import FaultPlan
         options = SpecializeOptions(
-            jobs=2, pool="process",
-            fault_plan=FaultPlan.always("specialize"))
+            jobs=2, fault_plan=FaultPlan.always("specialize"))
         engine = CompilationEngine(build_module(), options)
         results = engine.compile_batch(make_requests())
         assert all(r.error is not None for r in results)
         assert engine.stats.pool_rebuilds == 0  # the pool never broke
-        assert engine.pool == "process"
+        assert engine.jobs == 2

@@ -165,7 +165,7 @@ class TestOptionKeyMembership:
     FLIPPED = {
         "ssa_mode": "naive", "optimize": False, "opt_config": "none",
         "backend": "py", "emit_mode": "dispatch", "jobs": 2,
-        "cache_dir": "/tmp/elsewhere", "pool": "process",
+        "cache_dir": "/tmp/elsewhere",
         "fault_plan": object(), "debug_exhaustive": True,
     }
 
@@ -177,8 +177,12 @@ class TestOptionKeyMembership:
         fields = dataclasses.fields(SpecializeOptions)
         # Pinned on purpose: a new knob has to come through this test
         # and say which key (if any) it belongs to.
-        assert len(fields) == 10
+        assert len(fields) == 9
         assert {f.name for f in fields} == set(self.FLIPPED)
+        # Residual IR is backend-independent: a store filled under one
+        # backend must warm-start a worker running the other.
+        by_name = {f.name: f.metadata["key"] for f in fields}
+        assert by_name["backend"] is None
         base = SpecializeOptions(backend="vm")
         for field in fields:
             assert field.metadata["key"] in ("residual", "py", None), \
@@ -191,9 +195,10 @@ class TestOptionKeyMembership:
                 field.name
             assert py_moved == (field.metadata["key"] == "py"), field.name
 
-    def test_default_key_is_value_identical_to_the_pre_tag_tuple(self):
+    def test_default_key_keeps_its_seats_minus_backend(self):
         from repro.core.cache import options_key, py_options_key
         from repro.core.specialize import SpecializeOptions
-        options = SpecializeOptions(backend="vm")
-        assert options_key(options) == ("minimal", True, "default", 6, "vm")
-        assert py_options_key(options) == "structured"
+        for backend in ("vm", "py"):
+            options = SpecializeOptions(backend=backend)
+            assert options_key(options) == ("minimal", True, "default", 6)
+            assert py_options_key(options) == "structured"

@@ -504,7 +504,7 @@ class TestControllerPolicy:
         def run(**tiering):
             rt = JSRuntime(WORKLOADS["richards"], "wevaled_state",
                            options=SpecializeOptions(backend="py"))
-            controller = rt._make_controller(**tiering)
+            controller = rt.make_controller(**tiering)
             vm = controller.attach(VM(rt.module))
             controller.promote_all()
             vm.stats.fuel += CODE_LOAD_FUEL_PER_WORD * sum(

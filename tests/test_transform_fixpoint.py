@@ -21,6 +21,7 @@ change totals and round counts), and identical cache/artifact keys.
 A single unsound skip anywhere shows up as a byte diff here.
 """
 
+import dataclasses
 import importlib
 import json
 import random
@@ -306,13 +307,13 @@ def test_warm_artifacts_across_engine_modes(tmp_path):
     an exhaustive-engine run (same keys, verifier-accepted bytes): zero
     functions specialized on the warm run."""
     source = WORKLOADS["richards"]
-    cold = JSRuntime(source, "wevaled_state", options=FAST,
-                     cache_dir=str(tmp_path))
+    cold = JSRuntime(source, "wevaled_state", options=dataclasses.replace(
+        FAST, cache_dir=str(tmp_path)))
     cold.aot_compile()
     assert cold.compiler.engine.stats.functions_specialized > 0
 
-    warm = JSRuntime(source, "wevaled_state", options=EXHAUSTIVE,
-                     cache_dir=str(tmp_path))
+    warm = JSRuntime(source, "wevaled_state", options=dataclasses.replace(
+        EXHAUSTIVE, cache_dir=str(tmp_path)))
     warm.aot_compile()
     assert warm.compiler.engine.stats.functions_specialized == 0, (
         "exhaustive engine missed artifacts written by the fast engine")
