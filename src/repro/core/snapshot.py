@@ -18,8 +18,10 @@ are patched, and execution resumes from the snapshot.
    append each function to the module, register it in
    the function table, and patch the 64-bit result slot in the heap
    with the table index;
-4. ``freeze()`` — write the heap back as the module's initial memory;
-5. ``resume()`` — a fresh VM starting from the snapshot, where the
+4. ``freeze()`` — make the heap the module's initial memory: its
+   non-zero pages are indexed and only those are kept;
+5. ``resume()`` — a fresh VM starting from the snapshot (a private
+   mapping that copies the indexed pages and nothing else), where the
    runtime finds its function pointers filled in and calls specialized
    code via ``call_indirect``.
 
@@ -166,10 +168,10 @@ class SnapshotCompiler:
         return f"{base}.{counter}"
 
     def freeze(self) -> Module:
-        """Write the live heap back as the module's initial memory (the
-        snapshot itself)."""
+        """Make the live heap the module's initial memory (the snapshot
+        itself); the VM keeps its own heap."""
         vm = self.instantiate()
-        self.module.memory_init = bytearray(vm.memory)
+        self.module.freeze_image(vm.memory)
         self.module.globals.update(vm.globals)
         return self.module
 

@@ -5,6 +5,15 @@ single linear memory (whose initial contents act as the "snapshot" that
 the weval transform may treat as constant), a table of functions used by
 ``call_indirect``, and named mutable globals (all i64).
 
+The image is *mapped, not copied* (the paper's Wizer deployment, S3.5:
+resuming from the snapshot is supposed to be nearly free): it and every
+heap instantiated from it are private anonymous mappings
+(:func:`new_heap`), and the module keeps an index of the image's
+possibly-non-zero pages at its only two writers, ``write_init`` and
+``freeze_image``.  Instantiation copies the indexed pages — 2–6 of a
+MiniJS/MiniLua heap's 1 024 — and the OS supplies the rest as
+lazily-zero pages.
+
 Host functions (imports) are Python callables invoked by the VM.  The
 ``weval.*`` intrinsics are declared as imports, matching the paper's
 argument that intrinsic calls survive optimization because they are
@@ -14,9 +23,26 @@ external functions (S3, footnote 2).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+import mmap
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.function import Function, Signature
+
+# Granularity of the image's page index (any value is correct; the OS
+# page is the one at which a mapping's untouched bytes cost nothing).
+PAGE = mmap.PAGESIZE
+
+
+def new_heap(size: int):
+    """The one way to make a guest heap: ``size`` zero bytes in a
+    private anonymous mapping, so the OS supplies every page nobody
+    writes for free.  ``ACCESS_COPY`` is ``MAP_PRIVATE``; the default is
+    ``MAP_SHARED``, under which a forked child's guest stores land in
+    its parent's heap.  A mapping cannot be empty; an empty heap, where
+    no access is in bounds, is an empty view."""
+    if size == 0:
+        return memoryview(b"")
+    return mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
 
 
 @dataclasses.dataclass
@@ -45,7 +71,12 @@ class Module:
         self.table: List[Optional[str]] = [None]
         self.globals: Dict[str, int] = {}
         self.memory_size = memory_size
-        self.memory_init = bytearray(memory_size)
+        # The frozen image and its index: every page outside
+        # ``_init_pages`` is zero.  Both are written only by
+        # ``write_init`` and ``freeze_image``.
+        self.memory_init = new_heap(memory_size)
+        self._init_pages: Set[int] = set()
+        self._init_runs: Optional[Tuple[Tuple[int, int], ...]] = None
 
     # ------------------------------------------------------------------
     # Functions and imports.
@@ -98,13 +129,57 @@ class Module:
         end = addr + len(data)
         if end > self.memory_size:
             raise ValueError(f"init data [{addr}, {end}) exceeds memory")
+        if not data:
+            return
         self.memory_init[addr:end] = data
+        pages = range(addr // PAGE, (end - 1) // PAGE + 1)
+        if not self._init_pages.issuperset(pages):
+            self._init_pages.update(pages)
+            self._init_runs = None
 
     def write_init_u64(self, addr: int, value: int) -> None:
         self.write_init(addr, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
 
     def read_init_u64(self, addr: int) -> int:
         return int.from_bytes(self.memory_init[addr:addr + 8], "little")
+
+    def init_runs(self) -> Tuple[Tuple[int, int], ...]:
+        """The indexed pages as ascending, merged ``(start, end)`` byte
+        runs: outside them the image is zero."""
+        if self._init_runs is None:
+            runs: List[Tuple[int, int]] = []
+            for page in sorted(self._init_pages):
+                start = page * PAGE
+                end = min(start + PAGE, self.memory_size)
+                if runs and runs[-1][1] == start:
+                    runs[-1] = (runs[-1][0], end)
+                else:
+                    runs.append((start, end))
+            self._init_runs = tuple(runs)
+        return self._init_runs
+
+    def _sparse_copy(self, source):
+        """A new heap holding ``source``'s bytes on the indexed runs
+        and untouched (zero) pages everywhere else."""
+        heap = new_heap(self.memory_size)
+        for start, end in self.init_runs():
+            heap[start:end] = source[start:end]
+        return heap
+
+    def instantiate_memory(self):
+        """A fresh heap equal to the image, at the cost of the pages the
+        image uses (:class:`repro.vm.machine.VM` calls this, once)."""
+        return self._sparse_copy(self.memory_init)
+
+    def freeze_image(self, heap) -> None:
+        """Make ``heap`` (a live VM's memory) the image: index its
+        non-zero pages and keep a copy of those alone."""
+        zero = bytes(PAGE)
+        self._init_pages = {
+            start // PAGE for start in range(0, self.memory_size, PAGE)
+            if not zero.startswith(heap[start:start + PAGE])}
+        self._init_runs = None
+        self.memory_init = self._sparse_copy(heap)
 
     # ------------------------------------------------------------------
     # Size metrics (for the S6.4 code-size experiment).

@@ -39,6 +39,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.semantics import LOADS, PURE_FNS, STORES, VMTrap, _sext
+from repro.ir.verify import verify_enabled_by_env
 
 
 class OutOfFuel(Exception):
@@ -114,7 +115,10 @@ class VM:
     def __init__(self, module: Module, fuel_limit: Optional[int] = None,
                  compiled: Optional[Dict[str, object]] = None):
         self.module = module
-        self.memory = bytearray(module.memory_init)
+        self.memory = module.instantiate_memory()
+        if verify_enabled_by_env():
+            assert bytes(self.memory) == bytes(module.memory_init), \
+                "sparse instantiation diverged from the frozen image"
         self.globals: Dict[str, int] = dict(module.globals)
         self.stats = ExecStats()
         self.fuel_limit = fuel_limit
@@ -189,7 +193,7 @@ class VM:
 
     def load_bytes(self, addr: int, size: int) -> bytes:
         self._check_range(addr, size)
-        return bytes(self.memory[addr:addr + size])
+        return self.memory[addr:addr + size]
 
     def store_bytes(self, addr: int, data: bytes) -> None:
         self._check_range(addr, len(data))

@@ -11,11 +11,14 @@ is the executable statement of it:
   extended from the int binops to every row): VM ≡ ``fold_pure_op`` ≡
   dispatch-emitted ≡ structured-emitted, trap messages byte-equal, only
   ``VMTrap`` ever escapes, i64 results stay in ``[0, 2**64)``;
-* **memory grid** — every sized load/store at in-range, boundary and
-  out-of-bounds addresses, with and without a static offset: VM ≡ both
-  emit modes (value, trap text, memory image afterwards), and integer
-  loads ≡ ``ConstMemoryImage.read`` (the specializer's fold of the same
-  access);
+* **memory grid** — every sized load/store at in-range, last-byte,
+  straddling, out-of-bounds and negative addresses, with and without a
+  static offset, on heaps of 0, 8, 64 and 4095/4096/4097 bytes (empty,
+  one word, and either side of a page — the heap is a mapping, which
+  cannot be empty and raises where a ``bytearray`` would grow): VM ≡
+  both emit modes (value, trap text, memory image afterwards), and
+  integer loads ≡ ``ConstMemoryImage.read`` (the specializer's fold of
+  the same access);
 * **completeness** — the tables cover exactly the opcodes they claim;
 * **guards** — no consumer names a pure or memory op in a string
   literal (a fourth copy would have to), ``backend/runtime.py`` defines
@@ -87,7 +90,7 @@ class _Harness:
         out = {}
         for leg in ("vm",) + MODES:
             vm = VM(self.module)
-            if memory is not None:
+            if memory:
                 vm.memory[:] = memory
             if leg != "vm":
                 vm.install_compiled({"f": self.compiled[leg]})
@@ -183,39 +186,47 @@ def test_ffloor_is_ieee_on_non_finite():
 # Memory ops.
 # ---------------------------------------------------------------------------
 
-MEMORY_SIZE = 64
-# Bytes of both signs from address 0 on (0x5B, 0x80, 0xA5, ...), so every
-# signed load is exercised on negative and non-negative values.
-MEMORY_IMAGE = bytes((i * 37 + 0x5B) & 0xFF for i in range(MEMORY_SIZE))
+# Empty, one word, a few words, and either side of a page boundary.
+MEMORY_SIZES = (0, 8, 64, 4095, 4096, 4097)
 OFFSETS = (0, 8, -8)
 
 
-def _addresses(size, offset):
-    """In-range, last valid, first invalid, far out, and (through a
-    negative effective address) below zero."""
-    last = MEMORY_SIZE - size - offset
+def _image(memory_size):
+    """Bytes of both signs from address 0 on (0x5B, 0x80, 0xA5, ...), so
+    every signed load is exercised on negative and non-negative values."""
+    return bytes((i * 37 + 0x5B) & 0xFF for i in range(memory_size))
+
+
+def _addresses(memory_size, size, offset):
+    """In-range, last valid, first invalid (straddling the end), the
+    last byte, far out, and (through a negative effective address)
+    below zero."""
+    last = memory_size - size - offset
     return sorted({a for a in (0, 1, 17, last - 1, last, last + 1,
-                               MEMORY_SIZE, 1 << 32, MASK64,
-                               -offset, -offset - 1)
+                               memory_size - 1 - offset, memory_size,
+                               1 << 32, MASK64, -offset, -offset - 1)
                    if 0 <= a <= MASK64})
 
 
 @pytest.mark.parametrize("op", sorted(LOADS))
 @pytest.mark.parametrize("offset", OFFSETS)
-def test_load_grid(op, offset):
+@pytest.mark.parametrize("memory_size", MEMORY_SIZES)
+def test_load_grid(op, offset, memory_size):
     row = LOADS[op]
     harness = _Harness(op, (I64,), OPCODES[op].result, imm=offset,
-                       memory_size=MEMORY_SIZE)
-    image = ConstMemoryImage(MEMORY_IMAGE, [(0, MEMORY_SIZE)])
+                       memory_size=memory_size)
+    memory = _image(memory_size)
+    image = ConstMemoryImage(memory, [(0, memory_size)])
     traps = 0
-    for addr in _addresses(row.size, offset):
-        legs = harness.run((addr,), MEMORY_IMAGE)
+    for addr in _addresses(memory_size, row.size, offset):
+        legs = harness.run((addr,), memory)
         vm = legs["vm"]
         for mode in MODES:
             assert legs[mode] == vm, (
                 f"{op}+{offset} @{addr:#x}: vm={vm!r} {mode}={legs[mode]!r}")
+        assert vm[2] == memory
         effective = addr + offset
-        if 0 <= effective <= MEMORY_SIZE - row.size:
+        if 0 <= effective <= memory_size - row.size:
             assert vm[0] == "ok"
             folded = (image.read_f64(effective) if row.float else
                       image.read(effective, row.size, row.signed))
@@ -229,31 +240,33 @@ def test_load_grid(op, offset):
 
 @pytest.mark.parametrize("op", sorted(STORES))
 @pytest.mark.parametrize("offset", OFFSETS)
-def test_store_grid(op, offset):
+@pytest.mark.parametrize("memory_size", MEMORY_SIZES)
+def test_store_grid(op, offset, memory_size):
     row = STORES[op]
     value_type = F64 if row.float else I64
     harness = _Harness(op, (I64, value_type), None, imm=offset,
-                       memory_size=MEMORY_SIZE)
+                       memory_size=memory_size)
+    memory = _image(memory_size)
     traps = 0
-    for addr in _addresses(row.size, offset):
+    for addr in _addresses(memory_size, row.size, offset):
         for value in _grid(value_type):
-            legs = harness.run((addr, value), MEMORY_IMAGE)
+            legs = harness.run((addr, value), memory)
             vm = legs["vm"]
             for mode in MODES:
                 assert legs[mode] == vm, (
                     f"{op}+{offset} @{addr:#x} <- {value!r}: "
                     f"vm={vm!r} {mode}={legs[mode]!r}")
             effective = addr + offset
-            if 0 <= effective <= MEMORY_SIZE - row.size:
+            if 0 <= effective <= memory_size - row.size:
                 stored = (struct.pack("<d", value) if row.float else
                           value.to_bytes(8, "little")[:row.size])
-                expected = bytearray(MEMORY_IMAGE)
+                expected = bytearray(memory)
                 expected[effective:effective + row.size] = stored
                 assert vm[0] == "ok" and vm[2] == bytes(expected)
             else:
                 traps += 1
                 assert vm == ("trap", f"oob {op} at {effective:#x}",
-                              MEMORY_IMAGE)
+                              memory)
     assert traps >= 3
 
 
