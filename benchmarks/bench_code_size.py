@@ -12,8 +12,7 @@ smaller residual code than the unoptimized output ("O0").
 
 import pytest
 
-from conftest import write_result
-from repro.bench import format_table, residual_shape
+from conftest import format_table, residual_shape, write_result
 from repro.core.specialize import SpecializeOptions
 from repro.jsvm import JSRuntime
 from repro.jsvm.workloads import WORKLOADS

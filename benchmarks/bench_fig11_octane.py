@@ -8,8 +8,12 @@ plain wevaled code.
 
 import pytest
 
-from conftest import write_result
-from repro.bench import format_table, geomean, run_js_workload
+from conftest import (
+    format_table,
+    geomean,
+    run_js_workload,
+    write_result,
+)
 from repro.jsvm.workloads import BENCHMARK_NAMES
 
 CONFIGS = ("noic", "interp_ic", "wevaled", "wevaled_state")

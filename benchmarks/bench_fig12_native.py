@@ -12,9 +12,12 @@ emit-mode ladder on the residual snapshot — residual IR on the VM,
 the flat dispatch-tree emitter, the structured emitter without fuel
 batching (isolating control-structure + locals), and the full
 structured emitter — against the hand-written native engine as the
-ceiling, and emits ``results/BENCH_fig12.json`` for CI with a
-regression guard: structured must beat dispatch by >= 1.3x on
-richards.
+ceiling, and emits ``results/BENCH_fig12.json`` for CI.  What it
+asserts is deterministic (no emitter fallbacks, every rung's output
+and fuel equal to the reference); the structured-over-dispatch ratio
+on richards is reported in the table and the JSON, not asserted —
+wall-clock numbers are compared parent against change by the ledger
+(``benchmarks/ledger/``), not held to a floor here.
 """
 
 import dataclasses
@@ -24,9 +27,14 @@ import time
 
 import pytest
 
-from conftest import RESULTS_DIR, write_result
+from conftest import (
+    RESULTS_DIR,
+    format_table,
+    geomean,
+    run_js_workload,
+    write_result,
+)
 from repro.backend import compile_functions
-from repro.bench import format_table, geomean, run_js_workload
 from repro.core.specialize import SpecializeOptions
 from repro.jsvm.native import NATIVE_TIERS, PyEngine
 from repro.jsvm.runtime import JSRuntime
@@ -155,16 +163,15 @@ def _emit_ladder_rows(name: str, repeats: int):
 
 
 def test_fig12_emit_modes_json(benchmark, request):
-    """The tier-3 ladder on richards, persisted as BENCH_fig12.json.
-
-    Regression guard: structured emission must beat the dispatch tree
-    by >= 1.3x; the JSON also records how much of the interp -> native
-    log-gap each ladder step closes."""
+    """The tier-3 ladder on richards, persisted as BENCH_fig12.json:
+    how much of the interp -> native log-gap each ladder step closes,
+    and the structured-over-dispatch ratio (reported, not asserted; the
+    asserts are ``_emit_ladder_rows``' deterministic ones)."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     repeats = 3 if request.config.getoption("--quick") else 5
     workloads = (("richards",) if request.config.getoption("--quick")
                  else SUBSET)
-    payload = {"workloads": {}, "guard": {}}
+    payload = {"workloads": {}}
     for name in workloads:
         rows = _emit_ladder_rows(name, repeats)
         interp, native = rows["interp"], rows["native"]
@@ -182,9 +189,6 @@ def test_fig12_emit_modes_json(benchmark, request):
                 rows["dispatch"] / rows["structured"],
             "interp_to_native_gap": interp / native,
         }
-    ratio = payload["workloads"]["richards"]["structured_vs_dispatch"]
-    payload["guard"] = {"richards_structured_vs_dispatch": ratio,
-                       "floor": 1.3}
     path = os.path.join(RESULTS_DIR, "BENCH_fig12.json")
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -199,13 +203,13 @@ def test_fig12_emit_modes_json(benchmark, request):
                          f"{record['seconds']['native'] * 1000:.1f}ms",
                          f"{record['speedup_over_interp']['native']:.2f}x"])
     write_result("fig12_emit_modes",
-                 "Tier-3 emit-mode ladder (best of %d)\n%s" % (
+                 "Tier-3 emit-mode ladder (best of %d)\n%s\n"
+                 "richards structured over dispatch: %.2fx" % (
                      repeats, format_table(
                          ["workload", "tier", "wall", "vs interp"],
-                         rows_txt)))
-    assert ratio >= 1.3, (
-        f"structured emission only {ratio:.2f}x over dispatch on "
-        f"richards (floor 1.3x)")
+                         rows_txt),
+                     payload["workloads"]["richards"]
+                     ["structured_vs_dispatch"]))
 
 
 def test_native_tiers_agree(benchmark, native_side):

@@ -7,8 +7,7 @@ register intrinsics ("+ locals opt") lands within ~1% of compiled code.
 
 import pytest
 
-from conftest import write_result
-from repro.bench import format_table
+from conftest import format_table, write_result
 from repro.min import run_fig8_configs
 
 N = 2000

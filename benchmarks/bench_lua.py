@@ -9,8 +9,7 @@ registers stay in memory.
 
 import pytest
 
-from conftest import write_result
-from repro.bench import format_table, geomean
+from conftest import format_table, geomean, write_result
 from repro.luavm import LuaRuntime
 
 PROGRAMS = {

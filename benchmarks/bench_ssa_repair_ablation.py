@@ -8,8 +8,7 @@ parameters (before cleanup) and both modes execute identically.
 
 import pytest
 
-from conftest import write_result
-from repro.bench import format_table
+from conftest import format_table, write_result
 from repro.core import (
     Runtime,
     SpecializationRequest,

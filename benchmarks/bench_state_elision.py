@@ -8,8 +8,7 @@ back to memory.  Shape target: stack elision high, locals elision lower.
 
 import pytest
 
-from conftest import write_result
-from repro.bench import format_table
+from conftest import format_table, write_result
 from repro.core.stats import SpecializationStats
 from repro.jsvm import JSRuntime
 from repro.jsvm.workloads import WORKLOADS

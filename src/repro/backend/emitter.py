@@ -138,11 +138,6 @@ class CompiledFunction:
     name: str
     source: str
     pyfunc: Callable
-    # Static dispatch accounting from the fall-through scheduler: how
-    # many blocks remained dispatch targets, and how many intra-chain
-    # jumps became plain fall-through.
-    dispatch_blocks: int = 0
-    fallthrough_links: int = 0
     # Which emitter actually produced ``source`` ("structured" or
     # "dispatch" — the latter either by request or as the too-deep
     # fallback), and how much of the function the structured emitter
@@ -160,8 +155,6 @@ class PyEmitter:
         self.module = module
         self.used: Set[str] = set()
         self._chain_next: Dict[int, int] = {}
-        self.dispatch_blocks = 0
-        self.fallthrough_links = 0
         # Call-site link descriptors, in site order (PR 10): ("c",
         # callee, argc) for direct calls, ("t", argc) for indirect.
         # Derived purely from the function body, so cached sources stay
@@ -249,8 +242,6 @@ class PyEmitter:
         self.index = {bid: i for i, bid in enumerate(order)}
         self._chain_next = {a: b for chain in chains
                             for a, b in zip(chain, chain[1:])}
-        self.dispatch_blocks = len(chains)
-        self.fallthrough_links = len(order) - len(chains)
 
         bodies = {bid: self._emit_block(func.blocks[bid]) for bid in order}
 
@@ -291,10 +282,6 @@ class PyEmitter:
         bindings.append("S = vm.stats")
         if "G" in used:
             bindings.append("G = vm.globals")
-        if "_call" in used:
-            bindings.append("_call = vm.call")
-        if "_ctab" in used:
-            bindings.append("_ctab = vm.call_table")
         if "_lk" in used:
             # The slot list identity is stable across invalidations
             # (slots are reset in place), so binding it once per
@@ -1228,8 +1215,6 @@ def compile_function(func: Function,
     return CompiledFunction(
         func.name, source,
         compile_python_source(func.name, source),
-        dispatch_blocks=getattr(emitter, "dispatch_blocks", 0),
-        fallthrough_links=getattr(emitter, "fallthrough_links", 0),
         emit_mode=mode_used,
         dispatch_regions=getattr(emitter, "dispatch_regions", 0)
         if mode_used == "structured" else 0,

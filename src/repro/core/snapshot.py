@@ -34,7 +34,6 @@ Every guest runtime reaches this class through
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import SpecializationCache
@@ -78,7 +77,6 @@ class SnapshotCompiler:
         # ``options.backend == "py"``, or lazily by compile_backend).
         self.backend_functions: Dict[str, Callable] = {}
         self.backend_fallbacks: List[Tuple[str, str]] = []
-        self.backend_compile_seconds = 0.0
         self._backend_compiled = False
 
     # ------------------------------------------------------------------
@@ -115,11 +113,8 @@ class SnapshotCompiler:
                                               specialized_name=name),
                           result_addr))
 
-        emit_before = self.engine.stats.emit_seconds
         results = self.engine.compile_batch([req for req, _ in batch],
                                             snapshot)
-        self.backend_compile_seconds += (self.engine.stats.emit_seconds
-                                         - emit_before)
 
         processed = []
         for (request, result_addr), result in zip(batch, results):
@@ -193,14 +188,12 @@ class SnapshotCompiler:
                 return self.backend_functions
             names = [p.function_name for p in self.processed
                      if p.error is None]
-        start = time.perf_counter()
         todo = [n for n in names if n not in self.backend_functions]
         compiled, fallbacks = self.engine.compile_backend_functions(todo)
         self.backend_functions.update(compiled)
         recompiled = set(todo)
         self.backend_fallbacks = [f for f in self.backend_fallbacks
                                   if f[0] not in recompiled] + fallbacks
-        self.backend_compile_seconds += time.perf_counter() - start
         if full:
             self._backend_compiled = True
         return compiled

@@ -16,8 +16,8 @@ two things every guest does: tier entries (:meth:`Endpoint.tier_entry`)
 and the entry into a program (:func:`serve`).
 
 Used by ``examples/fleet_server.py`` (a forked multi-worker router over
-one artifact store and heat file) and ``benchmarks/bench_fleet.py``
-(the traffic-replay benchmark with warm-up regression guards).
+one artifact store and heat file) and the ledger's ``fleet_adopt``
+workload (a fresh worker adopting persisted heat over a warm store).
 """
 
 from __future__ import annotations

@@ -226,7 +226,7 @@ class ArtifactStore:
     writes land in ``self._memory`` (so warm reuse within this process
     still works), the disk is left alone, and the condition is surfaced
     through :meth:`health` (and from there
-    ``EngineStats.store_degradations`` / the tiering report) instead of
+    ``EngineStats.store_degraded`` / the tiering report) instead of
     ever raising into a serving request.  ``fault_plan`` injects
     read-corruption and write-failure faults at this store's seams
     (:mod:`repro.pipeline.faults`).

@@ -52,8 +52,9 @@ exact firing pattern may interleave differently.
 A plan is consulted only where one is installed
 (``SpecializeOptions(fault_plan=...)``); with no plan the containment
 hooks are a single ``is not None`` test — the no-plan execution stays
-byte-identical to a build without this module (``bench_faults.py``
-guards the wall-clock side of that claim).
+byte-identical to a build without this module
+(``tests/test_chaos.py::TestInertPlan`` holds results, fuel and
+promotions equal under an armed plan that never fires).
 
 Plans are picklable (the process-pool engine ships options to its
 workers); the internal lock is dropped and recreated across the

@@ -229,6 +229,11 @@ def test_fuel_determinism_on_residual():
     assert got_vm[0] == got_py[0] == "ok"
     assert got_vm[1] == got_py[1] == 50 * 51 // 2
     assert got_vm[2] == got_py[2], "backend fuel must match the VM"
+    # The dispatch emitter's fall-through scheduler finds the residual's
+    # jump chains: a chained block is entered under ``if _b <= idx``
+    # instead of through another trip around the dispatch loop.
+    dispatch = compile_function(func, module, mode="dispatch")
+    assert "if _b <= " in dispatch.source
 
 
 def test_out_of_fuel_agreement():

@@ -372,6 +372,9 @@ class TestInertPlan:
         assert r_plan == r_none
         assert f_plan == f_none
         assert c_plan.stats.promotions == c_none.stats.promotions
+        # The armed plan was consulted at the seams it crossed and
+        # never fired.
+        assert sum(inert.consults.values()) > 0
         assert inert.total_fired() == 0
         assert c_plan.stats.compile_failures == 0
 

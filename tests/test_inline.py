@@ -399,6 +399,27 @@ PHASE_CHANGE_SRC = "\n".join([
     "print(t);",
 ])
 
+# A chain whose speculation holds to the end of the run: ``apply``'s
+# site only ever sees ``inc`` (monomorphic) and ``pick``'s alternates
+# between ``inc`` and ``dbl`` from its first call (a two-way guard).
+STEADY_CHAIN_SRC = "\n".join([
+    "function inc(x) { return x + 1; }",
+    "function dbl(x) { return x * 2; }",
+    "function apply(f, x) { return f(x); }",
+    "function pick(x) {",
+    "  var f = inc;",
+    "  if (x % 2 == 1) { f = dbl; }",
+    "  return f(x);",
+    "}",
+    "var w = 0;",
+    "var k = 0;",
+    "while (k < 8) { w = dbl(inc(w)); k = k + 1; }",
+    "var t = w;",
+    "var i = 0;",
+    "while (i < 30) { t = t + apply(inc, i) + pick(i); i = i + 1; }",
+    "print(t);",
+])
+
 
 class TestControllerInline:
     def test_inline_requires_staged_tier2_window(self):
@@ -426,6 +447,54 @@ class TestControllerInline:
         assert stats.site_demotions == 1  # one site, exactly once
         # The whole-function speculation machinery was not involved.
         assert stats.demotions == 0
+
+    def test_steady_chain_inlines_and_replays_from_store(self, tmp_path):
+        """Where the speculation holds, inlining changes only the cost:
+        same prints, strictly less fuel, both sites spliced (one behind
+        a two-way guard), no guard ever misses.  And the inline plan is
+        part of the stored request key, so a fresh runtime over the
+        same store plans the same sites and loads every residual,
+        spliced ones included, specializing nothing."""
+        def run(inline, cache_dir=None):
+            runtime = JSRuntime(
+                STEADY_CHAIN_SRC, "wevaled",
+                options=SpecializeOptions(backend="py",
+                                          cache_dir=cache_dir))
+            vm = runtime.run_tiered(threshold=2, compile_threshold=3,
+                                    inline=inline,
+                                    inline_min_site_calls=2)
+            return runtime, vm.stats.fuel
+
+        def plans(runtime):
+            return [p.request.inline_plan
+                    for p in runtime.controller.compiler.processed
+                    if p.request.inline_plan]
+
+        staged, staged_fuel = run(False)
+        cold, cold_fuel = run(True, str(tmp_path))
+        assert cold.printed == staged.printed
+        assert cold_fuel < staged_fuel
+        assert not plans(staged)
+        assert sorted(len(targets) for plan in plans(cold)
+                      for _, targets in plan) == [1, 2]
+        cold_compiler = cold.controller.compiler
+        assert cold.controller.stats.inline_sites_planned == 2
+        assert cold_compiler.total_stats.opt.inline_committed == 2
+        assert cold.controller.stats.site_misses == 0
+        assert cold.controller.stats.site_demotions == 0
+        cold_engine = cold_compiler.engine.stats
+        assert cold_engine.inline_requests == 2
+        assert cold_engine.functions_specialized == cold_engine.requests
+        assert cold_engine.artifacts_written == cold_engine.requests
+
+        warm, warm_fuel = run(True, str(tmp_path))
+        assert (warm.printed, warm_fuel) == (cold.printed, cold_fuel)
+        assert plans(warm) == plans(cold)
+        warm_engine = warm.controller.compiler.engine.stats
+        assert warm_engine.functions_specialized == 0
+        assert warm_engine.artifact_hits == warm_engine.requests > 0
+        assert warm_engine.inline_requests == 2
+        assert warm.controller.stats.site_misses == 0
 
     def test_unregister_closes_the_site_window(self):
         """A function retired mid-window must leave the VM's

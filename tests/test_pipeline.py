@@ -312,6 +312,9 @@ class TestWarmStart:
         assert warm.engine.stats.functions_specialized == 0
         assert warm.engine.stats.backend_emitted == 0
         assert warm.engine.stats.backend_source_hits == 2
+        # Every source hit came back as a marshalled code object, so
+        # the warm start skipped CPython's parse + compile as well.
+        assert warm.engine.stats.backend_code_hits == 2
         assert warm_out == cold_out  # results, fuel, and IR all identical
         assert set(warm.backend_functions) == {"spec_a", "spec_b"}
 
@@ -540,6 +543,9 @@ class TestParallelDeterminism:
                                   cache_dir=str(cache_dir)))
             check_outputs(outputs)
             assert compiler.engine.stats.jobs == jobs
+            # The pool really compiled: a pool that broke and degraded
+            # to serial would make this comparison serial ≡ serial.
+            assert compiler.engine.stats.pool_degradations == 0
             outputs_by_jobs[jobs] = outputs
             files = {}
             for sub in ("spec", "py"):

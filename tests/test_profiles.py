@@ -14,6 +14,13 @@ import os
 import pytest
 
 from repro.core.specialize import SpecializeOptions
+from repro.min.fleet import (
+    constant_program,
+    make_endpoints,
+    make_fleet_worker,
+    serve,
+    sum_squares_program,
+)
 from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE
 from repro.pipeline import artifacts
@@ -224,6 +231,38 @@ class TestHeatPublishAdopt:
         result = vm_b.call("min_interp", _args(program, 0))
         assert result == vm_a.call("min_interp", _args(program, 0))
         assert controller_b.stats.tier0_calls == 0
+
+    def test_fleet_worker_adopts_exactly_the_hot_set(self, tmp_path):
+        """A mixed fleet, two hot endpoints and two cold: a fresh worker
+        adopting the published heat promotes exactly the hot two out of
+        the store, and a replay of the traffic promotes nothing more
+        and pays generic calls only for the cold two."""
+        endpoints = make_endpoints([
+            ("checkout", sum_to_n_program(40)),
+            ("search", sum_squares_program(12)),
+            ("admin", constant_program(41)),
+            ("report", constant_program(7)),
+        ])
+        traffic = [0, 1] * 10 + [2, 3]
+        options = SpecializeOptions(backend="py", cache_dir=str(tmp_path))
+        store = ProfileStore(str(tmp_path))
+        vm_a, controller_a = make_fleet_worker(endpoints, threshold=8,
+                                               options=options)
+        expected = [serve(vm_a, endpoints[i]) for i in traffic]
+        assert controller_a.stats.promotions == 2
+        assert controller_a.publish_heat(store)
+
+        vm_b, controller_b = make_fleet_worker(endpoints, threshold=8,
+                                               options=options)
+        adopted = controller_b.adopt_heat(store)
+        assert sorted(adopted) == ["min_checkout", "min_search"]
+        engine_stats = controller_b.compiler.engine.stats
+        assert engine_stats.functions_specialized == 0
+        assert engine_stats.artifact_hits == 2
+        assert [serve(vm_b, endpoints[i]) for i in traffic] == expected
+        assert controller_b.stats.promotions == 2  # none after adoption
+        assert controller_b.stats.tier0_calls == 2
+        assert controller_b.tier_counts()[0] == 2  # cold stay generic
 
     def test_publish_sends_only_deltas(self, tmp_path):
         program = sum_to_n_program(10)

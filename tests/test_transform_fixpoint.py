@@ -206,6 +206,19 @@ def test_richards_fixpoint_determinism():
     assert fast_stats.meets_skipped > 0, (
         "unchanged-input meet skipping did not engage")
     assert fast_stats.block_revisits < 1000  # priority worklist converges
+    assert fast_stats.revisit_rate() < 0.6, (
+        f"specializer revisit rate {fast_stats.revisit_rate():.2f}/visit")
+    # Two-level skipping elides at least half of the mid-end pass
+    # executions the exhaustive schedule would run.
+    pass_runs = sum(p.runs for p in fast_stats.opt.per_pass.values())
+    assert pass_runs <= fast_stats.opt.passes_skipped, (
+        f"mid-end ran {pass_runs} passes, skipped only "
+        f"{fast_stats.opt.passes_skipped}")
+    # Reducible interpreter CFGs make one-predecessor blocks dominant:
+    # the sole-contributor fast path must cover most meets.
+    assert fast_stats.meets_single_pred * 2 >= fast_stats.meets_performed, (
+        f"single-pred fast path took {fast_stats.meets_single_pred} of "
+        f"{fast_stats.meets_performed} meets")
     fast_vm = fast_rt.run()
     exh_vm = exh_rt.run()
     assert fast_rt.printed == exh_rt.printed == ["13120"]
