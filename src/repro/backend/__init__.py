@@ -2,26 +2,24 @@
 
 After the weval transform (and the mid-end) has produced residual IR,
 the remaining cost of running it on :class:`repro.vm.machine.VM` is pure
-interpretive overhead.  :class:`PyEmitter` removes that tier: it
-translates a verified function into Python source, ``compile()``s it,
-and the VM dispatches to the resulting callable on ``call`` /
-``call_indirect`` exactly as it would an IR function.
+interpretive overhead.  :class:`StructuredEmitter` — the one emitter —
+removes that tier: it translates a verified function into Python source,
+``compile()``s it, and the VM dispatches to the resulting callable on
+``call`` / ``call_indirect`` exactly as it would an IR function.
 
 Select the backend per specialization via
 ``SpecializeOptions(backend="py")`` or globally with the
 ``REPRO_BACKEND=py`` environment variable; functions the emitter cannot
-express fall back to the IR VM per function.
+express, or whose source ``compile()`` refuses, fall back to the IR VM
+per function.
 """
 
 from repro.backend.emitter import (
     BackendError,
     CompiledFunction,
-    EMIT_MODES,
-    PyEmitter,
     StructuredEmitter,
     UnsupportedConstruct,
     compile_function,
-    compile_functions,
     compile_python_source,
     emit_function_source,
 )
@@ -30,12 +28,9 @@ from repro.backend.runtime import BACKEND_GLOBALS
 __all__ = [
     "BackendError",
     "CompiledFunction",
-    "EMIT_MODES",
-    "PyEmitter",
     "StructuredEmitter",
     "UnsupportedConstruct",
     "compile_function",
-    "compile_functions",
     "compile_python_source",
     "emit_function_source",
     "BACKEND_GLOBALS",

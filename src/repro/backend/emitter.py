@@ -29,36 +29,31 @@ observable semantics:
   them by their ``_nparams`` attribute and skips its own boxing and
   depth bookkeeping.
 
-Two emission modes share the per-instruction lowering:
+One emitter, :class:`StructuredEmitter`, with one block, terminator
+and edge lowering — a relooper-style reconstruction: strongly-connected
+components of the CFG become native ``while True:`` loops (backedges
+are ``continue``), join points become single-shot ``while True:``
+*scopes* whose ``break`` lands exactly where the join's code starts,
+and multi-level exits unwind through a ``_st`` state variable checked
+once per scope boundary.  Fuel and counter accounting is batched in
+Python locals (``_fu``/``_ld``/``_sd``/``_cl``) committed to
+``vm.stats`` in a function-level ``finally`` and flushed before every
+guest call, so every observable total (call boundaries, the per-block
+fuel-limit check, final stats) is bit-identical to the VM's
+per-instruction accounting.
 
-* **dispatch** (:class:`PyEmitter`) — blocks are renumbered in
-  reverse-postorder, scheduled into fall-through *chains*, and
-  dispatched inside a ``while True`` loop through a binary decision
-  tree over the block index ``_b`` (depth ``log2(n)``), with
-  block-parameter passing as parallel tuple assignment.  A chain is a
-  run of blocks linked by unconditional jumps (RPO-forward, so loop
-  backedges still dispatch); the linked blocks are laid out
-  consecutively and the jump between them costs one ``_b <= k``
-  compare instead of a full dispatch round trip.
+Totality comes from one more unit kind, the *dispatch region*: its
+blocks, in reverse postorder, sit flat under a binary decision tree
+over a block index ``_b`` (depth ``log2(n)``) inside a ``while True:``,
+and an edge between them assigns ``_b`` and falls out of its tree arm
+to re-dispatch.  An irreducible SCC (a multi-entry cycle) becomes such
+a region inside the structured skeleton; a function that would nest
+past the indentation budget is re-emitted as a single region around
+all of its blocks (``mode_used == "dispatch"``) by the same code.
 
-* **structured** (:class:`StructuredEmitter`, the default) — a
-  relooper-style reconstruction: strongly-connected components of the
-  CFG become native ``while True:`` loops (backedges are ``continue``),
-  join points become single-shot ``while True:`` *scopes* whose
-  ``break`` lands exactly where the join's code starts, and multi-level
-  exits unwind through a ``_st`` state variable checked once per scope
-  boundary.  Fuel and counter accounting is batched in Python locals
-  (``_fu``/``_ld``/``_sd``/``_cl``) committed to ``vm.stats`` in a
-  function-level ``finally`` and flushed before every guest call, so
-  every observable total (call boundaries, the per-block fuel-limit
-  check, final stats) is bit-identical to the VM's per-instruction
-  accounting.  Irreducible SCCs (multi-entry cycles) fall back
-  *per-region* to a local dispatch tree over ``_b``; a region that
-  would nest past CPython's indentation limit falls back to the
-  dispatch emitter for the whole function.
-
-Anything the emitter cannot express raises
-:class:`UnsupportedConstruct`; callers fall back to the VM per function.
+Anything the emitter cannot express, and any source ``compile()``
+refuses, raises :class:`UnsupportedConstruct`; callers fall back to the
+VM per function.
 """
 
 from __future__ import annotations
@@ -92,12 +87,9 @@ class UnsupportedConstruct(BackendError):
 
 
 class _StructureTooDeep(BackendError):
-    """Structured emission would exceed CPython's indentation limit;
-    the caller falls back to dispatch-mode emission for this function
-    (internal — never escapes :func:`compile_function`)."""
-
-
-EMIT_MODES = ("structured", "dispatch")
+    """Structured emission would nest past the indentation budget;
+    :meth:`StructuredEmitter.emit_source` re-emits the function as one
+    dispatch region (internal — never escapes it)."""
 
 
 # Pure ops are printed from their repro.ir.semantics row: op -> (the
@@ -112,6 +104,9 @@ _PURE_TEMPLATES = {
 }
 
 _INDENT = "    "
+
+# ``vm.stats`` counters batched in emitted locals beside ``_fu``.
+_COUNTER_LOCALS = (("loads", "_ld"), ("stores", "_sd"), ("calls", "_cl"))
 
 
 def _float_literal(value: float) -> Tuple[str, bool]:
@@ -138,437 +133,17 @@ class CompiledFunction:
     name: str
     source: str
     pyfunc: Callable
-    # Which emitter actually produced ``source`` ("structured" or
-    # "dispatch" — the latter either by request or as the too-deep
-    # fallback), and how much of the function the structured emitter
-    # had to leave to per-region dispatch (irreducible SCCs).
-    emit_mode: str = "dispatch"
+    # The shape of ``source``: "structured", or "dispatch" when the
+    # whole function is one dispatch region (the too-deep fallback);
+    # and how much of it is left to dispatch regions — the irreducible
+    # SCCs, or that one region and every block.
+    mode_used: str = "structured"
     dispatch_regions: int = 0
     dispatch_region_blocks: int = 0
 
 
-class PyEmitter:
-    """Translates one verified IR function into Python source."""
-
-    def __init__(self, func: Function, module: Optional[Module] = None):
-        self.func = func
-        self.module = module
-        self.used: Set[str] = set()
-        self._chain_next: Dict[int, int] = {}
-        # Call-site link descriptors, in site order (PR 10): ("c",
-        # callee, argc) for direct calls, ("t", argc) for indirect.
-        # Derived purely from the function body, so cached sources stay
-        # byte-stable.
-        self.link_sites: List[tuple] = []
-
-    # ------------------------------------------------------------------
-    # Block ordering and dispatch indices.
-    # ------------------------------------------------------------------
-    def _block_order(self) -> List[int]:
-        """Reachable blocks in reverse postorder, entry first."""
-        func = self.func
-        if func.entry is None:
-            raise UnsupportedConstruct(f"{func.name}: no entry block")
-        # Iterative DFS to avoid Python recursion limits on huge CFGs.
-        stack: List[Tuple[int, int]] = [(func.entry, 0)]
-        post: List[int] = []
-        seen = {func.entry}
-        targets_of: Dict[int, List[int]] = {}
-        while stack:
-            bid, child = stack[-1]
-            if bid not in targets_of:
-                block = func.blocks.get(bid)
-                if block is None:
-                    raise UnsupportedConstruct(
-                        f"{self.func.name}: dangling block ref block{bid}")
-                if block.terminator is None:
-                    raise UnsupportedConstruct(
-                        f"{self.func.name}: block{bid} not terminated")
-                targets_of[bid] = [c.block for c in
-                                   block.terminator.targets()]
-            targets = targets_of[bid]
-            if child < len(targets):
-                stack[-1] = (bid, child + 1)
-                succ = targets[child]
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, 0))
-            else:
-                post.append(bid)
-                stack.pop()
-        order = list(reversed(post))
-        assert order[0] == func.entry
-        return order
-
-    def _schedule_chains(self, rpo: List[int]) -> List[List[int]]:
-        """Greedy fall-through scheduling over the RPO order.
-
-        Links ``A -> B`` when A ends in an unconditional jump to B, B is
-        not the entry, B is RPO-later than A (no cycles, so loop
-        backedges keep dispatching), and no earlier block already
-        claimed B as its layout successor.
-        """
-        func = self.func
-        position = {bid: i for i, bid in enumerate(rpo)}
-        succ_of: Dict[int, int] = {}
-        claimed: Set[int] = set()
-        for bid in rpo:
-            term = func.blocks[bid].terminator
-            if not isinstance(term, Jump):
-                continue
-            target = term.target.block
-            if (target != bid and target != func.entry
-                    and target not in claimed
-                    and position[target] > position[bid]):
-                succ_of[bid] = target
-                claimed.add(target)
-        chains = []
-        for bid in rpo:
-            if bid in claimed:
-                continue
-            chain = [bid]
-            while chain[-1] in succ_of:
-                chain.append(succ_of[chain[-1]])
-            chains.append(chain)
-        return chains
-
-    # ------------------------------------------------------------------
-    # Source assembly.
-    # ------------------------------------------------------------------
-    def emit_source(self) -> str:
-        func = self.func
-        chains = self._schedule_chains(self._block_order())
-        order = [bid for chain in chains for bid in chain]
-        self.index = {bid: i for i, bid in enumerate(order)}
-        self._chain_next = {a: b for chain in chains
-                            for a, b in zip(chain, chain[1:])}
-
-        bodies = {bid: self._emit_block(func.blocks[bid]) for bid in order}
-
-        lines: List[str] = []
-        lines.append(f"# {func.name}{func.sig} — compiled from residual IR "
-                     f"by repro.backend.PyEmitter")
-        entry = func.entry_block()
-        nparams = len(entry.params)
-        params = "".join(f", v{v}" for v, _ in entry.params)
-        lines.append(f"def _compiled(vm{params}):")
-        lines.extend(_INDENT + line for line in self._prologue())
-        for binding in self._preamble():
-            lines.append(_INDENT + binding)
-        lines.append(f"{_INDENT}try:")
-        lines.append(f"{_INDENT * 2}_b = 0")
-        lines.append(f"{_INDENT * 2}while True:")
-        lines.extend(self._emit_tree(chains, bodies, depth=3))
-        lines.append(f"{_INDENT}finally:")
-        lines.append(f"{_INDENT * 2}vm._call_depth -= 1")
-        lines.append(f"_compiled._nparams = {nparams}")
-        return "\n".join(lines) + "\n"
-
-    def _prologue(self) -> List[str]:
-        """Per-call depth bookkeeping, hoisted from ``VM._dispatch`` into
-        the callee so raw-linked calls (which bypass the VM entirely)
-        still honor the guest depth limit with the same trap."""
-        return [
-            "vm._call_depth = _d = vm._call_depth + 1",
-            f"if _d > vm._max_call_depth: _exhaust(vm, {self.func.name!r})",
-        ]
-
-    def _preamble(self) -> List[str]:
-        used = self.used
-        bindings = []
-        if "M" in used:
-            bindings.append("M = vm.memory")
-            bindings.append("_ML = len(M)")
-        bindings.append("S = vm.stats")
-        if "G" in used:
-            bindings.append("G = vm.globals")
-        if "_lk" in used:
-            # The slot list identity is stable across invalidations
-            # (slots are reset in place), so binding it once per
-            # invocation is sound even if linking events fire mid-frame.
-            name = self.func.name
-            bindings.append(f"_lk = vm._link_slots.get({name!r})")
-            bindings.append(f"if _lk is None: _lk = vm.links.bind("
-                            f"{name!r}, {tuple(self.link_sites)!r})")
-        if "_int" in used:
-            bindings.append("_int = int")
-        if "_ifb" in used:
-            bindings.append("_ifb = int.from_bytes")
-        bindings.append("_L = vm.fuel_limit")
-        return bindings
-
-    def _emit_tree(self, chains: List[List[int]],
-                   bodies: Dict[int, List[str]], depth: int) -> List[str]:
-        """A binary decision tree over the dispatch index ``_b`` whose
-        leaves are fall-through chains.
-
-        Within a chain leaf, every member except the last is guarded by
-        ``if _b <= <its index>`` — true both when the dispatcher entered
-        at that member and when control fell through from the previous
-        member (``_b`` is not updated along intra-chain edges) — and the
-        last member runs unconditionally (the leaf covers exactly the
-        chain's index range).
-        """
-        ind = _INDENT * depth
-        if len(chains) == 1:
-            chain = chains[0]
-            lines: List[str] = []
-            for k, bid in enumerate(chain):
-                idx = self.index[bid]
-                lines.append(f"{ind}# block{bid} [_b={idx}]")
-                if k < len(chain) - 1:
-                    lines.append(f"{ind}if _b <= {idx}:")
-                    lines.extend(ind + _INDENT + line
-                                 for line in bodies[bid])
-                else:
-                    lines.extend(ind + line for line in bodies[bid])
-            return lines
-        mid = len(chains) // 2
-        lines = [f"{ind}if _b < {self.index[chains[mid][0]]}:"]
-        lines.extend(self._emit_tree(chains[:mid], bodies, depth + 1))
-        lines.append(f"{ind}else:")
-        lines.extend(self._emit_tree(chains[mid:], bodies, depth + 1))
-        return lines
-
-    # ------------------------------------------------------------------
-    # Blocks.
-    # ------------------------------------------------------------------
-    def _emit_block(self, block: Block) -> List[str]:
-        lines: List[str] = []
-        counters = {"loads": 0, "stores": 0, "calls": 0}
-        # Fuel is charged in segments ending at each guest call: at every
-        # point where another frame can observe the shared fuel counter
-        # (a callee's block-boundary limit checks, and this block's own
-        # check below) the total matches the VM's per-instruction
-        # accounting exactly.  A call-free block degenerates to a single
-        # up-front charge.
-        body: List[str] = []
-        segment: List[str] = []
-        pending_fuel = 0
-        for instr in block.instrs:
-            segment.extend(self._emit_instr(instr, counters))
-            pending_fuel += 1
-            if instr.op in ("call", "call_indirect"):
-                # Each segment ends at its (single) call, so charging the
-                # segment's fuel first means the callee sees exactly the
-                # VM's total at the call instruction.
-                body.append(f"S.fuel += {pending_fuel}")
-                body.extend(segment)
-                segment = []
-                pending_fuel = 0
-        if pending_fuel:
-            body.append(f"S.fuel += {pending_fuel}")
-        body.extend(segment)
-        for counter in ("loads", "stores", "calls"):
-            if counters[counter]:
-                lines.append(f"S.{counter} += {counters[counter]}")
-        lines.extend(body)
-        # The VM checks the fuel limit once per block iteration, after
-        # the instructions and before charging the terminator.
-        lines.append("if _L is not None and S.fuel > _L: "
-                     "raise OutOfFuel(\"fuel limit %d exceeded\" % _L)")
-        lines.append("S.fuel += 1")
-        lines.extend(self._emit_terminator(block))
-        return lines
-
-    # ------------------------------------------------------------------
-    # Terminators and edges.
-    # ------------------------------------------------------------------
-    def _edge(self, call: BlockCall,
-              fallthrough: bool = False) -> List[str]:
-        target = self.func.blocks[call.block]
-        pairs = [(param, arg)
-                 for (param, _), arg in zip(target.params, call.args)
-                 if param != arg]
-        lines = []
-        if pairs:
-            lhs = ", ".join(f"v{param}" for param, _ in pairs)
-            rhs = ", ".join(f"v{arg}" for _, arg in pairs)
-            lines.append(f"{lhs} = {rhs}")
-        if fallthrough:
-            # The layout successor is next in the chain leaf; leaving
-            # ``_b`` alone makes its guard (and all later ones) true.
-            lines.append(f"# fall through to block{call.block}")
-        else:
-            lines.append(f"_b = {self.index[call.block]}")
-        return lines
-
-    def _emit_terminator(self, block: Block) -> List[str]:
-        term = block.terminator
-        if isinstance(term, Jump):
-            return self._edge(
-                term.target,
-                fallthrough=(self._chain_next.get(block.id)
-                             == term.target.block))
-        if isinstance(term, BrIf):
-            lines = [f"if v{term.cond}:"]
-            lines.extend(_INDENT + l for l in self._edge(term.if_true))
-            lines.append("else:")
-            lines.extend(_INDENT + l for l in self._edge(term.if_false))
-            return lines
-        if isinstance(term, BrTable):
-            if not term.cases:
-                return self._edge(term.default)
-            lines = [f"_i = v{term.index}"]
-            for pos, call in enumerate(term.cases):
-                kw = "if" if pos == 0 else "elif"
-                lines.append(f"{kw} _i == {pos}:")
-                lines.extend(_INDENT + l for l in self._edge(call))
-            lines.append("else:")
-            lines.extend(_INDENT + l for l in self._edge(term.default))
-            return lines
-        if isinstance(term, Ret):
-            if term.args:
-                return [f"return v{term.args[0]}"]
-            return ["return None"]
-        if isinstance(term, Trap):
-            return [f"raise VMTrap({term.message!r})"]
-        raise UnsupportedConstruct(
-            f"{self.func.name}: block{block.id} has no terminator")
-
-    # ------------------------------------------------------------------
-    # Instructions.
-    # ------------------------------------------------------------------
-    def _addr(self, instr: Instr, pre: List[str]) -> str:
-        """The effective-address expression for a memory op (a temp when
-        a static offset must be added)."""
-        base = f"v{instr.args[0]}"
-        if instr.imm:
-            pre.append(f"_a = {base} + {instr.imm}")
-            return "_a"
-        return base
-
-    def _emit_instr(self, instr: Instr, counters: Dict[str, int]
-                    ) -> List[str]:
-        op = instr.op
-        args = instr.args
-        r = f"v{instr.result}" if instr.result is not None else None
-
-        if op == "iconst":
-            return [f"{r} = {int(instr.imm)}"]
-        if op == "fconst":
-            literal, _ = _float_literal(instr.imm)
-            return [f"{r} = {literal}"]
-        pure = _PURE_TEMPLATES.get(op)
-        if pure is not None:
-            template, uses_int = pure
-            if uses_int:
-                self.used.add("_int")
-            return [f"{r} = " + template.format(*[f"v{a}" for a in args])]
-
-        mem = LOADS.get(op)
-        if mem is not None:
-            counters["loads"] += 1
-            size, signed, is_float = mem
-            self.used.add("M")
-            pre: List[str] = []
-            a = self._addr(instr, pre)
-            if is_float:
-                raw = f'_upf("<d", M, {a})[0]'
-            elif size == 1:
-                raw = f"M[{a}]"
-            else:
-                self.used.add("_ifb")
-                raw = f'_ifb(M[{a}:{a} + {size}], "little")'
-            if signed:
-                raw = f"_sext({raw}, {size * 8})"
-            return pre + [
-                f'if {a} < 0 or {a} + {size} > _ML: '
-                f'raise VMTrap("oob {op} at %#x" % {a})',
-                f"{r} = {raw}",
-            ]
-        mem = STORES.get(op)
-        if mem is not None:
-            counters["stores"] += 1
-            size, _, is_float = mem
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
-            if is_float:
-                store = f'_pki("<d", M, {a}, v{args[1]})'
-            elif size == 1:
-                store = f"M[{a}] = v{args[1]} & 0xff"
-            else:
-                # An i64 is already 8 bytes wide; narrower stores truncate.
-                value = (f"v{args[1]}" if size == 8 else
-                         f"(v{args[1]} & {(1 << (size * 8)) - 1:#x})")
-                store = (f"M[{a}:{a} + {size}] = "
-                         f'{value}.to_bytes({size}, "little")')
-            return pre + [
-                f'if {a} < 0 or {a} + {size} > _ML: '
-                f'raise VMTrap("oob {op} at %#x" % {a})',
-                store,
-            ]
-
-        if op == "call":
-            counters["calls"] += 1
-            self.used.add("_lk")
-            site = len(self.link_sites)
-            self.link_sites.append(("c", instr.imm, len(args)))
-            call_args = "".join(f", v{a}" for a in args)
-            # The slot is read at the call, not bound in the preamble, so
-            # an invalidation between two executions of this site is
-            # always observed.  Bridged: full vm.call.  Linked: one raw
-            # positional call into the callee's fixed-arity entry.
-            expr = f"_lk[{site}](vm{call_args})"
-            if r is not None:
-                return [f"{r} = {expr}"]
-            return [expr]
-        if op == "call_indirect":
-            self.used.add("_lk")
-            site = len(self.link_sites)
-            rest = args[1:]
-            self.link_sites.append(("t", len(rest)))
-            raw_args = "".join(f", v{a}" for a in rest)
-            boxed = ", ".join(f"v{a}" for a in rest)
-            trailing = "," if len(rest) == 1 else ""
-            assign = f"{r} = " if r is not None else ""
-            # Monomorphic inline cache [expected_index, raw_target,
-            # miss_bridge]: a hit charges the indirect-call counter the
-            # way vm.call_table would and calls the raw target; misses
-            # (and the unlinked state, expected_index == -1) take the
-            # bridge through the full vm.call_table path.
-            return [
-                f"_s = _lk[{site}]",
-                f"if v{args[0]} == _s[0]:",
-                f"{_INDENT}S.indirect_calls += 1",
-                f"{_INDENT}{assign}_s[1](vm{raw_args})",
-                "else:",
-                f"{_INDENT}{assign}_s[2](vm, v{args[0]}, "
-                f"({boxed}{trailing}))",
-            ]
-
-        if op == "global_get":
-            self.used.add("G")
-            return [f"{r} = G[{instr.imm!r}]"]
-        if op == "global_set":
-            self.used.add("G")
-            return [f"G[{instr.imm!r}] = v{args[0]}"]
-        if op == "guard":
-            # The VM catches GuardFailed at this function's call boundary
-            # and rolls the counters back, so the segment fuel already
-            # charged for this block is unwound with the deopt.
-            if isinstance(instr.imm, tuple):
-                site, values = instr.imm[0], instr.imm[1]
-                if len(instr.imm) == 3:
-                    # Resuming polymorphic guard: a miss records the site
-                    # and control continues into the materialized slow
-                    # path, so no state is abandoned.
-                    return [f"if v{args[0]} not in {values!r}: "
-                            f"vm.notify_site_miss({self.func.name!r}, "
-                            f"{site})"]
-                return [f"if v{args[0]} not in {values!r}: "
-                        f"raise GuardFailed({self.func.name!r}, None, "
-                        f"{site})"]
-            return [f"if v{args[0]} != {int(instr.imm)}: "
-                    f"raise GuardFailed({self.func.name!r})"]
-
-        raise UnsupportedConstruct(
-            f"{self.func.name}: unsupported opcode {op!r}")
-
-
 # ---------------------------------------------------------------------------
-# Structured (relooper-style) emission.
+# Region units, scopes and SCCs: the structure the emitter recovers.
 # ---------------------------------------------------------------------------
 
 class _BlockUnit:
@@ -599,10 +174,11 @@ class _LoopUnit:
 
 
 class _DispatchUnit:
-    """A multi-entry (irreducible) SCC: emitted flat as a region-local
-    dispatch tree over ``_b``.  ``fall_entry`` is set when this region
-    contains its level's entry block (control falls in without a branch
-    having initialized ``_b``)."""
+    """A region emitted flat as a local dispatch tree over ``_b``: a
+    multi-entry (irreducible) SCC, or the whole function when it nests
+    past the budget.  ``fall_entry`` is set when this region contains
+    its level's entry block (control falls in without a branch having
+    initialized ``_b``)."""
 
     kind = "dispatch"
 
@@ -691,27 +267,67 @@ def _tarjan_sccs(succs: Dict[int, List[int]], entry: int
     return sccs
 
 
-# Indentation budget: CPython's parser rejects nesting around 100
-# levels; leave generous headroom for the skeleton, peepholes, and the
-# extra level the indirect-call inline cache nests inside a block.
+# Indentation budget: CPython's *parser* rejects nesting around 100
+# indent levels; leave generous headroom for the skeleton, peepholes,
+# and the extra level the indirect-call inline cache nests inside a
+# block.  The *compiler's* limit of 20 statically nested blocks is a
+# different one and is not budgeted here: a source past it is refused
+# by ``compile()`` and the function stays on the IR VM (ROADMAP item
+# 2(a)).
 _MAX_DEPTH = 86
 
 
-class StructuredEmitter(PyEmitter):
-    """Relooper-style structured emission (see the module docstring).
+class StructuredEmitter:
+    """Translates one verified IR function into Python source by
+    relooper-style structured emission (see the module docstring)."""
 
-    ``batch_fuel=False`` keeps the structured control flow but charges
-    ``vm.stats`` directly per segment like the dispatch emitter — an
-    ablation knob for benchmarking how much of the win is structure vs
-    counter batching; artifacts never cache unbatched output.
-    """
-
-    def __init__(self, func: Function, module: Optional[Module] = None,
-                 batch_fuel: bool = True):
-        super().__init__(func, module)
-        self.batch_fuel = batch_fuel
+    def __init__(self, func: Function, module: Optional[Module] = None):
+        self.func = func
+        self.module = module
+        # What the last :meth:`emit_source` produced (see
+        # :class:`CompiledFunction`).
+        self.mode_used = "structured"
         self.dispatch_regions = 0
         self.dispatch_region_blocks = 0
+
+    # ------------------------------------------------------------------
+    # Block ordering.
+    # ------------------------------------------------------------------
+    def _block_order(self) -> List[int]:
+        """Reachable blocks in reverse postorder, entry first."""
+        func = self.func
+        if func.entry is None:
+            raise UnsupportedConstruct(f"{func.name}: no entry block")
+        # Iterative DFS to avoid Python recursion limits on huge CFGs.
+        stack: List[Tuple[int, int]] = [(func.entry, 0)]
+        post: List[int] = []
+        seen = {func.entry}
+        targets_of: Dict[int, List[int]] = {}
+        while stack:
+            bid, child = stack[-1]
+            if bid not in targets_of:
+                block = func.blocks.get(bid)
+                if block is None:
+                    raise UnsupportedConstruct(
+                        f"{self.func.name}: dangling block ref block{bid}")
+                if block.terminator is None:
+                    raise UnsupportedConstruct(
+                        f"{self.func.name}: block{bid} not terminated")
+                targets_of[bid] = [c.block for c in
+                                   block.terminator.targets()]
+            targets = targets_of[bid]
+            if child < len(targets):
+                stack[-1] = (bid, child + 1)
+                succ = targets[child]
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, 0))
+            else:
+                post.append(bid)
+                stack.pop()
+        order = list(reversed(post))
+        assert order[0] == func.entry
+        return order
 
     # ------------------------------------------------------------------
     # Region tree construction.
@@ -758,10 +374,10 @@ class StructuredEmitter(PyEmitter):
     # Line assembly helpers.
     # ------------------------------------------------------------------
     def _line(self, text: str) -> None:
-        if self._depth > _MAX_DEPTH:
+        if self._depth > self._budget:
             raise _StructureTooDeep(
                 f"{self.func.name}: structured nesting exceeds "
-                f"{_MAX_DEPTH} levels")
+                f"{self._budget} levels")
         self._lines.append(_INDENT * self._depth + text)
 
     def _push_scope(self, scope: _Scope) -> None:
@@ -929,7 +545,8 @@ class StructuredEmitter(PyEmitter):
             self._emit_dispatch_region(u, is_level_entry)
 
     # ------------------------------------------------------------------
-    # Irreducible regions: per-region dispatch fallback.
+    # Dispatch regions: irreducible SCCs, or the whole function past
+    # the nesting budget.
     # ------------------------------------------------------------------
     def _emit_dispatch_region(self, u: _DispatchUnit,
                               is_level_entry: bool) -> None:
@@ -969,18 +586,11 @@ class StructuredEmitter(PyEmitter):
     # ------------------------------------------------------------------
     # Blocks and terminators under batched counters.
     # ------------------------------------------------------------------
-    def _fuel_add(self, amount: int) -> str:
-        if self.batch_fuel:
-            return f"_fu += {amount}"
-        return f"S.fuel += {amount}"
-
     def _flush_lines(self, pending: int) -> List[str]:
         """Commit batched counters before a guest call so the callee
         (and any fuel-limit check it runs) sees the VM's exact totals;
         ``pending`` is the fuel for the current segment, through the
         call instruction itself."""
-        if not self.batch_fuel:
-            return [f"S.fuel += {pending}"]
         lines = [f"S.fuel += _fu + {pending}; _fu = 0" if pending
                  else "S.fuel += _fu; _fu = 0"]
         for attr, local in self._counter_locals:
@@ -1001,29 +611,18 @@ class StructuredEmitter(PyEmitter):
                 segment = []
                 pending = 0
         if pending:
-            body.append(self._fuel_add(pending))
+            body.append(f"_fu += {pending}")
         body.extend(segment)
-        head: List[str] = []
-        for attr, local in (("loads", "_ld"), ("stores", "_sd"),
-                            ("calls", "_cl")):
+        for attr, local in _COUNTER_LOCALS:
             if counters[attr]:
-                if self.batch_fuel:
-                    head.append(f"{local} += {counters[attr]}")
-                else:
-                    head.append(f"S.{attr} += {counters[attr]}")
-        for raw in head:
-            self._line(raw)
+                self._line(f"{local} += {counters[attr]}")
         for raw in body:
             self._line(raw)
         # Same boundary the VM checks at: after the block's instructions,
         # before charging the terminator.
-        if self.batch_fuel:
-            self._line('if _L is not None and S.fuel + _fu > _L: '
-                       'raise OutOfFuel("fuel limit %d exceeded" % _L)')
-        else:
-            self._line('if _L is not None and S.fuel > _L: '
-                       'raise OutOfFuel("fuel limit %d exceeded" % _L)')
-        self._line(self._fuel_add(1))
+        self._line('if _L is not None and S.fuel + _fu > _L: '
+                   'raise OutOfFuel("fuel limit %d exceeded" % _L)')
+        self._line("_fu += 1")
         term = block.terminator
         if isinstance(term, Jump):
             self._transfer(term.target)
@@ -1062,6 +661,146 @@ class StructuredEmitter(PyEmitter):
                 f"{self.func.name}: block{block.id} has no terminator")
 
     # ------------------------------------------------------------------
+    # Instructions.
+    # ------------------------------------------------------------------
+    def _addr(self, instr: Instr, pre: List[str]) -> str:
+        """The effective-address expression for a memory op (a temp when
+        a static offset must be added)."""
+        base = f"v{instr.args[0]}"
+        if instr.imm:
+            pre.append(f"_a = {base} + {instr.imm}")
+            return "_a"
+        return base
+
+    def _emit_instr(self, instr: Instr, counters: Dict[str, int]
+                    ) -> List[str]:
+        op = instr.op
+        args = instr.args
+        r = f"v{instr.result}" if instr.result is not None else None
+
+        if op == "iconst":
+            return [f"{r} = {int(instr.imm)}"]
+        if op == "fconst":
+            literal, _ = _float_literal(instr.imm)
+            return [f"{r} = {literal}"]
+        pure = _PURE_TEMPLATES.get(op)
+        if pure is not None:
+            template, uses_int = pure
+            if uses_int:
+                self.used.add("_int")
+            return [f"{r} = " + template.format(*[f"v{a}" for a in args])]
+
+        mem = LOADS.get(op)
+        if mem is not None:
+            counters["loads"] += 1
+            size, signed, is_float = mem
+            self.used.add("M")
+            pre: List[str] = []
+            a = self._addr(instr, pre)
+            if is_float:
+                raw = f'_upf("<d", M, {a})[0]'
+            elif size == 1:
+                raw = f"M[{a}]"
+            else:
+                self.used.add("_ifb")
+                raw = f'_ifb(M[{a}:{a} + {size}], "little")'
+            if signed:
+                raw = f"_sext({raw}, {size * 8})"
+            return pre + [
+                f'if {a} < 0 or {a} + {size} > _ML: '
+                f'raise VMTrap("oob {op} at %#x" % {a})',
+                f"{r} = {raw}",
+            ]
+        mem = STORES.get(op)
+        if mem is not None:
+            counters["stores"] += 1
+            size, _, is_float = mem
+            self.used.add("M")
+            pre = []
+            a = self._addr(instr, pre)
+            if is_float:
+                store = f'_pki("<d", M, {a}, v{args[1]})'
+            elif size == 1:
+                store = f"M[{a}] = v{args[1]} & 0xff"
+            else:
+                # An i64 is already 8 bytes wide; narrower stores truncate.
+                value = (f"v{args[1]}" if size == 8 else
+                         f"(v{args[1]} & {(1 << (size * 8)) - 1:#x})")
+                store = (f"M[{a}:{a} + {size}] = "
+                         f'{value}.to_bytes({size}, "little")')
+            return pre + [
+                f'if {a} < 0 or {a} + {size} > _ML: '
+                f'raise VMTrap("oob {op} at %#x" % {a})',
+                store,
+            ]
+
+        if op == "call":
+            counters["calls"] += 1
+            self.used.add("_lk")
+            site = len(self.link_sites)
+            self.link_sites.append(("c", instr.imm, len(args)))
+            call_args = "".join(f", v{a}" for a in args)
+            # The slot is read at the call, not bound in the preamble, so
+            # an invalidation between two executions of this site is
+            # always observed.  Bridged: full vm.call.  Linked: one raw
+            # positional call into the callee's fixed-arity entry.
+            expr = f"_lk[{site}](vm{call_args})"
+            if r is not None:
+                return [f"{r} = {expr}"]
+            return [expr]
+        if op == "call_indirect":
+            self.used.add("_lk")
+            site = len(self.link_sites)
+            rest = args[1:]
+            self.link_sites.append(("t", len(rest)))
+            raw_args = "".join(f", v{a}" for a in rest)
+            boxed = ", ".join(f"v{a}" for a in rest)
+            trailing = "," if len(rest) == 1 else ""
+            assign = f"{r} = " if r is not None else ""
+            # Monomorphic inline cache [expected_index, raw_target,
+            # miss_bridge]: a hit charges the indirect-call counter the
+            # way vm.call_table would and calls the raw target; misses
+            # (and the unlinked state, expected_index == -1) take the
+            # bridge through the full vm.call_table path.
+            return [
+                f"_s = _lk[{site}]",
+                f"if v{args[0]} == _s[0]:",
+                f"{_INDENT}S.indirect_calls += 1",
+                f"{_INDENT}{assign}_s[1](vm{raw_args})",
+                "else:",
+                f"{_INDENT}{assign}_s[2](vm, v{args[0]}, "
+                f"({boxed}{trailing}))",
+            ]
+
+        if op == "global_get":
+            self.used.add("G")
+            return [f"{r} = G[{instr.imm!r}]"]
+        if op == "global_set":
+            self.used.add("G")
+            return [f"G[{instr.imm!r}] = v{args[0]}"]
+        if op == "guard":
+            # The VM catches GuardFailed at this function's call boundary
+            # and rolls the counters back, so the segment fuel already
+            # charged for this block is unwound with the deopt.
+            if isinstance(instr.imm, tuple):
+                site, values = instr.imm[0], instr.imm[1]
+                if len(instr.imm) == 3:
+                    # Resuming polymorphic guard: a miss records the site
+                    # and control continues into the materialized slow
+                    # path, so no state is abandoned.
+                    return [f"if v{args[0]} not in {values!r}: "
+                            f"vm.notify_site_miss({self.func.name!r}, "
+                            f"{site})"]
+                return [f"if v{args[0]} not in {values!r}: "
+                        f"raise GuardFailed({self.func.name!r}, None, "
+                        f"{site})"]
+            return [f"if v{args[0]} != {int(instr.imm)}: "
+                    f"raise GuardFailed({self.func.name!r})"]
+
+        raise UnsupportedConstruct(
+            f"{self.func.name}: unsupported opcode {op!r}")
+
+    # ------------------------------------------------------------------
     # Source assembly.
     # ------------------------------------------------------------------
     @staticmethod
@@ -1082,6 +821,62 @@ class StructuredEmitter(PyEmitter):
             out.append(line)
         return out
 
+    def _prologue(self) -> List[str]:
+        """Per-call depth bookkeeping, hoisted from ``VM._dispatch`` into
+        the callee so raw-linked calls (which bypass the VM entirely)
+        still honor the guest depth limit with the same trap."""
+        return [
+            "vm._call_depth = _d = vm._call_depth + 1",
+            f"if _d > vm._max_call_depth: _exhaust(vm, {self.func.name!r})",
+        ]
+
+    def _preamble(self) -> List[str]:
+        used = self.used
+        bindings = []
+        if "M" in used:
+            bindings.append("M = vm.memory")
+            bindings.append("_ML = len(M)")
+        bindings.append("S = vm.stats")
+        if "G" in used:
+            bindings.append("G = vm.globals")
+        if "_lk" in used:
+            # The slot list identity is stable across invalidations
+            # (slots are reset in place), so binding it once per
+            # invocation is sound even if linking events fire mid-frame.
+            name = self.func.name
+            bindings.append(f"_lk = vm._link_slots.get({name!r})")
+            bindings.append(f"if _lk is None: _lk = vm.links.bind("
+                            f"{name!r}, {tuple(self.link_sites)!r})")
+        if "_int" in used:
+            bindings.append("_int = int")
+        if "_ifb" in used:
+            bindings.append("_ifb = int.from_bytes")
+        bindings.append("_L = vm.fuel_limit")
+        return bindings
+
+    def _emit_body(self, units: List[object], budget: float) -> List[str]:
+        """The lines of the function body for one region tree; raises
+        :class:`_StructureTooDeep` past ``budget`` indent levels."""
+        self.used: Set[str] = set()
+        # Call-site link descriptors, in site order (PR 10): ("c",
+        # callee, argc) for direct calls, ("t", argc) for indirect.
+        # Derived purely from the function body, so cached sources stay
+        # byte-stable.
+        self.link_sites: List[tuple] = []
+        self._lines: List[str] = []
+        self._budget = budget
+        # The body always lives inside the depth-bookkeeping try (plus
+        # the function def itself): two levels.
+        self._depth = 2
+        self._scopes: List[_Scope] = []
+        self._inline_map: Dict[int, object] = {}
+        self._st_sets = 0
+        self.dispatch_regions = 0
+        self.dispatch_region_blocks = 0
+        self._emit_seq(units)
+        assert not self._scopes and not self._inline_map
+        return self._peephole(self._lines)
+
     def emit_source(self) -> str:
         func = self.func
         rpo = self._block_order()
@@ -1090,8 +885,6 @@ class StructuredEmitter(PyEmitter):
             bid: [c.block for c in
                   func.blocks[bid].terminator.targets()]
             for bid in rpo}
-        units = self._region_units(frozenset(rpo), func.entry,
-                                   frozenset())
         # Counter locals that exist at all, known before the first
         # flush site is emitted.
         used_counters: Set[str] = set()
@@ -1104,25 +897,23 @@ class StructuredEmitter(PyEmitter):
                     used_counters.add("stores")
                 elif op == "call":
                     used_counters.add("calls")
-        self._counter_locals = [
-            (attr, local)
-            for attr, local in (("loads", "_ld"), ("stores", "_sd"),
-                                ("calls", "_cl"))
-            if attr in used_counters]
+        self._counter_locals = [pair for pair in _COUNTER_LOCALS
+                                if pair[0] in used_counters]
 
-        self._lines = []
-        # The body always lives inside the depth-bookkeeping try (plus
-        # the function def itself): two levels.
-        self._depth = 2
-        self._scopes: List[_Scope] = []
-        self._inline_map: Dict[int, object] = {}
-        self._st_sets = 0
-        self.dispatch_regions = 0
-        self.dispatch_region_blocks = 0
-        self._emit_seq(units)
-        assert not self._scopes and not self._inline_map
-        body = self._peephole(self._lines) if self.batch_fuel \
-            else self._lines
+        try:
+            body = self._emit_body(
+                self._region_units(frozenset(rpo), func.entry, frozenset()),
+                _MAX_DEPTH)
+            self.mode_used = "structured"
+        except _StructureTooDeep:
+            # Past the budget the whole function is the one region an
+            # irreducible SCC would be.  No budget applies: the tree is
+            # 3 + ceil(log2(blocks)) levels deep plus a block's own
+            # nesting, which cannot reach the parser's limit.
+            body = self._emit_body(
+                [_DispatchUnit([func.entry], rpo, func.entry)],
+                float("inf"))
+            self.mode_used = "dispatch"
 
         lines: List[str] = []
         lines.append(f"# {func.name}{func.sig} — compiled from residual "
@@ -1134,19 +925,17 @@ class StructuredEmitter(PyEmitter):
         lines.extend(_INDENT + line for line in self._prologue())
         for binding in self._preamble():
             lines.append(_INDENT + binding)
-        if self.batch_fuel:
-            lines.append(f"{_INDENT}_fu = 0")
-            for _, local in self._counter_locals:
-                lines.append(f"{_INDENT}{local} = 0")
+        lines.append(f"{_INDENT}_fu = 0")
+        for _, local in self._counter_locals:
+            lines.append(f"{_INDENT}{local} = 0")
         if self._st_sets:
             lines.append(f"{_INDENT}_st = -1")
         lines.append(f"{_INDENT}try:")
         lines.extend(body)
         lines.append(f"{_INDENT}finally:")
-        if self.batch_fuel:
-            lines.append(f"{_INDENT * 2}S.fuel += _fu")
-            for attr, local in self._counter_locals:
-                lines.append(f"{_INDENT * 2}S.{attr} += {local}")
+        lines.append(f"{_INDENT * 2}S.fuel += _fu")
+        for attr, local in self._counter_locals:
+            lines.append(f"{_INDENT * 2}S.{attr} += {local}")
         lines.append(f"{_INDENT * 2}vm._call_depth -= 1")
         lines.append(f"_compiled._nparams = {nparams}")
         return "\n".join(lines) + "\n"
@@ -1179,72 +968,31 @@ def compile_python_source(name: str, source: str,
 
 def emit_function_source(func: Function,
                          module: Optional[Module] = None,
-                         mode: str = "structured",
-                         batch_fuel: bool = True) -> Tuple[str, str, object]:
-    """Emit Python source for ``func`` in the requested mode.
+                         mode: str = "structured"
+                         ) -> Tuple[str, str, StructuredEmitter]:
+    """Emit Python source for ``func``.
 
-    Returns ``(source, mode_used, emitter)``.  Structured emission that
-    would nest past CPython's indentation limit falls back to the
-    dispatch emitter for the whole function (``mode_used`` reports what
-    actually happened — the fallback is deterministic, so cached
-    sources stay stable).
+    Returns ``(source, mode_used, emitter)``; ``mode_used`` is
+    ``"dispatch"`` when structured emission nested past the budget and
+    the whole function was emitted as one dispatch region (the choice
+    is deterministic, so cached sources stay stable).
     """
-    if mode not in EMIT_MODES:
+    # ``mode`` survives only for its reader,
+    # benchmarks/ledger/ledger_workloads.py::_measure_emitted.
+    if mode != "structured":
         raise BackendError(f"unknown emit mode {mode!r}")
-    if mode == "structured":
-        emitter = StructuredEmitter(func, module, batch_fuel=batch_fuel)
-        try:
-            return emitter.emit_source(), "structured", emitter
-        except _StructureTooDeep:
-            pass
-    emitter = PyEmitter(func, module)
-    return emitter.emit_source(), "dispatch", emitter
+    emitter = StructuredEmitter(func, module)
+    return emitter.emit_source(), emitter.mode_used, emitter
 
 
 def compile_function(func: Function,
-                     module: Optional[Module] = None,
-                     mode: str = "structured",
-                     batch_fuel: bool = True) -> CompiledFunction:
+                     module: Optional[Module] = None) -> CompiledFunction:
     """Lower one verified IR function to a Python callable.
 
     Raises :class:`UnsupportedConstruct` when the function cannot be
     compiled; callers should fall back to the IR VM for that function.
     """
-    source, mode_used, emitter = emit_function_source(
-        func, module, mode, batch_fuel)
+    source, mode_used, emitter = emit_function_source(func, module)
     return CompiledFunction(
-        func.name, source,
-        compile_python_source(func.name, source),
-        emit_mode=mode_used,
-        dispatch_regions=getattr(emitter, "dispatch_regions", 0)
-        if mode_used == "structured" else 0,
-        dispatch_region_blocks=getattr(emitter, "dispatch_region_blocks",
-                                       0)
-        if mode_used == "structured" else 0)
-
-
-def compile_functions(module: Module,
-                      names: Optional[List[str]] = None,
-                      mode: str = "structured",
-                      batch_fuel: bool = True
-                      ) -> Tuple[Dict[str, Callable],
-                                 List[Tuple[str, str]]]:
-    """Compile a set of module functions, falling back per function.
-
-    Returns ``(compiled, fallbacks)`` where ``compiled`` maps function
-    name to callable and ``fallbacks`` lists ``(name, reason)`` pairs
-    for functions left to the IR VM.
-    """
-    compiled: Dict[str, Callable] = {}
-    fallbacks: List[Tuple[str, str]] = []
-    for name in (list(module.functions) if names is None else names):
-        func = module.functions.get(name)
-        if func is None:
-            fallbacks.append((name, "not an IR function"))
-            continue
-        try:
-            compiled[name] = compile_function(
-                func, module, mode=mode, batch_fuel=batch_fuel).pyfunc
-        except UnsupportedConstruct as exc:
-            fallbacks.append((name, str(exc)))
-    return compiled, fallbacks
+        func.name, source, compile_python_source(func.name, source),
+        mode_used, emitter.dispatch_regions, emitter.dispatch_region_blocks)

@@ -11,7 +11,7 @@ output.
 The same key identifies entries in the *persistent* artifact store
 (:mod:`repro.pipeline.artifacts`); :func:`request_key` is the shared
 key constructor so the in-memory and on-disk tiers can never disagree
-about identity.  Which options belong to which key is declared on the
+about identity.  Which options belong to the key is declared on the
 :class:`~repro.core.specialize.SpecializeOptions` fields themselves
 (``metadata={"key": ...}``) and read here.
 """
@@ -74,11 +74,10 @@ def memory_fingerprint(request: SpecializationRequest,
     return h.hexdigest()
 
 
-# Field names by the cache key their ``metadata["key"]`` tag names.
-_RESIDUAL_FIELDS, _PY_FIELDS = (
-    tuple(field.name for field in dataclasses.fields(SpecializeOptions)
-          if field.metadata["key"] == key)
-    for key in ("residual", "py"))
+# The fields whose ``metadata["key"]`` tag names the residual key.
+_RESIDUAL_FIELDS = tuple(
+    field.name for field in dataclasses.fields(SpecializeOptions)
+    if field.metadata["key"] == "residual")
 
 
 def options_key(options: Optional[SpecializeOptions]) -> Optional[tuple]:
@@ -89,12 +88,6 @@ def options_key(options: Optional[SpecializeOptions]) -> Optional[tuple]:
         return None
     return tuple(getattr(options, name)
                  for name in _RESIDUAL_FIELDS) + (OPT_MAX_ROUNDS,)
-
-
-def py_options_key(options: SpecializeOptions) -> str:
-    """The mode component of the ``py/`` artifact key: every field
-    tagged ``"py"`` (today just ``emit_mode``)."""
-    return "+".join(getattr(options, name) for name in _PY_FIELDS)
 
 
 def request_key(module: Module, request: SpecializationRequest,

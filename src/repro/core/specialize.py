@@ -114,8 +114,8 @@ MAX_CONTEXTS = 100_000
 def _option(key: Optional[str], **kwargs):
     """A :class:`SpecializeOptions` field tagged with the cache key it
     is part of (:mod:`repro.core.cache`): ``"residual"`` changes residual
-    IR bytes, ``"py"`` only the emitted source, ``None`` neither — how
-    or whether output is produced, never what it is."""
+    IR bytes, ``None`` does not — how or whether output is produced,
+    never what it is."""
     return dataclasses.field(metadata={"key": key}, **kwargs)
 
 
@@ -136,12 +136,9 @@ class SpecializeOptions:
     # IR is backend-independent, so a store filled under one backend
     # warm-starts a worker running the other (or a staged one).
     backend: str = _option(None, default_factory=_default_backend)
-    # Code-shape mode for the py backend: "structured" reconstructs
-    # loops/joins as native ``while``/``if`` nests (relooper-style) with
-    # batched fuel accounting; "dispatch" is the flat block-dispatch
-    # tree.  Both are trap/print/fuel-identical; structured regions the
-    # emitter cannot reduce fall back to dispatch per function.
-    emit_mode: str = _option("py", default="structured")
+    # A constant, not a field: it survives only for its reader,
+    # benchmarks/ledger/ledger_workloads.py::_measure_emitted.
+    emit_mode = "structured"
     # Compilation-engine configuration (repro.pipeline), said here and
     # nowhere else.  ``jobs`` > 1 runs the engine's pure specialize
     # stage in a ProcessPoolExecutor of that many workers (the module
@@ -167,8 +164,6 @@ class SpecializeOptions:
             raise ValueError(f"bad ssa_mode {self.ssa_mode!r}")
         if self.backend not in ("vm", "py"):
             raise ValueError(f"bad backend {self.backend!r}")
-        if self.emit_mode not in ("structured", "dispatch"):
-            raise ValueError(f"bad emit_mode {self.emit_mode!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         from repro.opt.pass_manager import PIPELINES

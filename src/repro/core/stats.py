@@ -101,7 +101,7 @@ class EngineStats(_Mergeable):
     artifact_hits: int = 0           # residual IR loaded from disk
     artifact_invalid: int = 0        # version skew / fp mismatch / corrupt
     artifacts_written: int = 0
-    backend_emitted: int = 0         # fresh PyEmitter runs
+    backend_emitted: int = 0         # fresh emitter runs
     backend_source_hits: int = 0     # emitted source loaded from disk
     backend_code_hits: int = 0       # ... of which with a usable code
                                      # object (no re-parse/compile)

@@ -19,7 +19,7 @@ snapshot.  This module is the persistent half of that story: it stores
 Key anatomy (one file per entry, file name = sha256 of the key):
 
     spec/<sha256((generic_fp, request_key, memory_fp, options_key))>.json
-    py/<sha256((residual_fp, EMITTER_VERSION, emit_mode))>.json
+    py/<sha256((residual_fp, EMITTER_VERSION))>.json
 
 Invalidation is entirely by construction: change the interpreter body,
 the bytecode bytes, the opt pipeline, or the emitter, and the key
@@ -79,7 +79,7 @@ ARTIFACT_VERSION = 3  # 3: inline plans in request keys, guard imm forms
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part
 # of their identity).
-EMITTER_VERSION = 4  # 4: link slots, fixed-arity entries, callee depth
+EMITTER_VERSION = 5  # 5: one emitter (flat = one region), modeless key
 
 HIT = "hit"
 MISS = "miss"
@@ -388,20 +388,21 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Emitted backend source artifacts.
     # ------------------------------------------------------------------
-    def py_path(self, residual_fp: str, mode: str = "structured") -> str:
+    def py_path(self, residual_fp: str) -> str:
         return os.path.join(self.py_dir,
-                            _digest((residual_fp, EMITTER_VERSION, mode))
+                            _digest((residual_fp, EMITTER_VERSION))
                             + ".json")
 
-    def load_py_source(self, residual_fp: str, mode: str = "structured"
+    def load_py_source(self, residual_fp: str
                        ) -> Tuple[Optional[Tuple[Optional[str],
                                                  Optional[str],
                                                  Optional[object]]], str]:
         """Return ``((source, fallback_reason, code), status)``.
 
         On a hit exactly one of source/fallback is non-``None``: a
-        stored fallback marker means the emitter already determined this
-        residual cannot be compiled, so warm runs skip the re-attempt.
+        stored fallback marker means the emitter (or ``compile()`` on
+        its output) already determined this residual cannot be
+        compiled, so warm runs skip the re-attempt.
 
         ``code`` is the tier-3½ rung: an entry that carries a marshaled
         code object *for this interpreter's bytecode magic* yields it
@@ -410,7 +411,7 @@ class ArtifactStore:
         version wrote the entry), marshal format drift, corrupt payload
         — silently yields ``None``; the source is still a full hit.
         """
-        data, status = self._load_json(self.py_path(residual_fp, mode))
+        data, status = self._load_json(self.py_path(residual_fp))
         if data is None:
             return None, status
         source = data.get("source")
@@ -442,7 +443,6 @@ class ArtifactStore:
 
     def store_py_source(self, residual_fp: str, source: Optional[str],
                         fallback: Optional[str] = None,
-                        mode: str = "structured",
                         code_bytes: Optional[bytes] = None) -> bool:
         """Persist one emitted-source entry; ``code_bytes`` optionally
         attaches ``marshal.dumps`` of the compiled code object, tagged
@@ -458,6 +458,6 @@ class ArtifactStore:
             import importlib.util
             payload["code"] = base64.b64encode(code_bytes).decode("ascii")
             payload["py_magic"] = importlib.util.MAGIC_NUMBER.hex()
-        return self._write_json(self.py_path(residual_fp, mode), payload,
+        return self._write_json(self.py_path(residual_fp), payload,
                                 stored_ok=lambda d: (
             d.get("source") == source and d.get("fallback") == fallback))

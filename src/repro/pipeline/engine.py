@@ -42,11 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.cache import (
-    SpecializationCache,
-    py_options_key,
-    request_key,
-)
+from repro.core.cache import SpecializationCache, request_key
 from repro.core.request import SpecializationRequest
 from repro.core.specialize import SpecializeOptions, specialize
 from repro.core.stats import EngineStats
@@ -460,26 +456,23 @@ class CompilationEngine:
         or interpreter skew in the store) means "compile from source".
         """
         from repro.backend import UnsupportedConstruct, emit_function_source
-        mode_key = py_options_key(self.options)
         fp = None
         if self.store is not None:
             fp = residual_fingerprint(print_function(func, order="id"))
-            cached, status = self.store.load_py_source(fp, mode_key)
+            cached, status = self.store.load_py_source(fp)
             if cached is not None:
                 return cached[0], cached[1], cached[2], status
         if self.fault_plan is not None:
             self.fault_plan.check("emit")
         try:
             source, _mode_used, _emitter = emit_function_source(
-                func, self.module, mode=self.options.emit_mode)
+                func, self.module)
+            code, code_bytes = self._precompile(func.name, source)
             fallback = None
         except UnsupportedConstruct as exc:
-            source, fallback = None, str(exc)
-        code = code_bytes = None
-        if source is not None:
-            code, code_bytes = self._precompile(func.name, source)
+            source, fallback, code, code_bytes = None, str(exc), None, None
         if self.store is not None:
-            self.store.store_py_source(fp, source, fallback, mode_key,
+            self.store.store_py_source(fp, source, fallback,
                                        code_bytes=code_bytes)
         return source, fallback, code, MISS
 
@@ -489,13 +482,21 @@ class CompilationEngine:
         """``compile()`` emitted source ahead of stage 3.
 
         The filename matches ``compile_python_source`` exactly so
-        tracebacks are identical on both paths.  A source that does not
-        compile returns ``(None, None)`` — stage 3 recompiles and
-        converts the failure into a backend fallback as before.
+        tracebacks are identical on both paths.  A source CPython
+        refuses (``SyntaxError`` — a property of the text) is the
+        fallback verdict in ``compile_python_source``'s words, raised
+        here where it is first learned so it is stored and no later
+        stage or warm start compiles the text again.  Any other failure
+        (recursion depth, memory — properties of the moment) returns
+        ``(None, None)`` and stage 3 recompiles.
         """
+        from repro.backend import UnsupportedConstruct
         try:
             code = compile(source, f"<pybackend:{name}>", "exec")
             return code, marshal.dumps(code)
+        except SyntaxError as exc:
+            raise UnsupportedConstruct(
+                f"{name}: emitted source does not compile: {exc}") from exc
         except Exception:
             return None, None
 
@@ -550,8 +551,8 @@ class CompilationEngine:
         """Emit + compile module functions to Python callables through
         stage 2 and :meth:`_finalize`, artifact-store reuse included.
 
-        Returns ``(compiled, fallbacks)`` like
-        :func:`repro.backend.compile_functions`.
+        Returns ``(compiled, fallbacks)``: name to callable, and
+        ``(name, reason)`` for each function left to the IR VM.
         """
         start = time.perf_counter()
         stats = self.stats

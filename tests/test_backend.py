@@ -13,18 +13,17 @@ differential corpus does not isolate:
 * ``br_table`` out-of-range defaulting (including huge indices) and
   branch-argument passing on table edges;
 * fuel determinism and ``OutOfFuel`` agreement under a fuel limit;
-* per-function fallback for constructs the emitter rejects.
+* per-function fallback for constructs the emitter rejects;
+* the emitter's two nesting limits: past its own indent budget the
+  function is re-emitted flat, past CPython's static-block limit
+  ``compile()`` refuses the source and the function stays on the IR VM.
 """
 
 import random
 
 import pytest
 
-from repro.backend import (
-    UnsupportedConstruct,
-    compile_function,
-    compile_functions,
-)
+from repro.backend import UnsupportedConstruct, compile_function, emitter
 from repro.core.specialize import SpecializeOptions
 from repro.ir.function import Function, Signature
 from repro.ir.instructions import BlockCall, BrTable, Instr, Jump, Ret
@@ -32,9 +31,17 @@ from repro.ir.module import Module
 from repro.ir.types import I64
 from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.min.harness import sum_to_n_program
+from repro.pipeline.engine import CompilationEngine
 from repro.vm import VM, OutOfFuel, VMTrap
 
-from tests.helpers import build_module
+from tests.helpers import (
+    EMIT_LEGS,
+    MAX_COMPILABLE_LOOP_NEST,
+    branch_chain,
+    build_module,
+    compile_legs,
+    loop_nest,
+)
 
 TWO63 = 1 << 63
 MASK64 = (1 << 64) - 1
@@ -42,25 +49,30 @@ MASK64 = (1 << 64) - 1
 BOUNDARY_VALUES = (0, 1, 2, TWO63 - 1, TWO63, TWO63 + 1, MASK64)
 
 
+def _run(module: Module, name: str, args, pyfunc=None, fuel_limit=None):
+    """``(status, payload, fuel)`` of one call, on the IR VM or with
+    ``pyfunc`` installed for ``name``."""
+    vm = VM(module, fuel_limit=fuel_limit)
+    if pyfunc is not None:
+        vm.install_compiled({name: pyfunc})
+    try:
+        return ("ok", vm.call(name, list(args)), vm.stats.fuel)
+    except VMTrap as trap:
+        return ("trap", str(trap), None)
+    except OutOfFuel:
+        return ("out-of-fuel", None, vm.stats.fuel)
+
+
 def _run_both(module: Module, name: str, args,
               fuel_limit=None):
     """Run one function on the IR VM and as compiled Python; return
-    ``((status, payload, fuel), ...)`` for each backend."""
-    compiled = compile_function(module.functions[name], module)
-
-    def run(install: bool):
-        vm = VM(module, fuel_limit=fuel_limit)
-        if install:
-            vm.install_compiled({name: compiled.pyfunc})
-        try:
-            result = vm.call(name, list(args))
-            return ("ok", result, vm.stats.fuel)
-        except VMTrap as trap:
-            return ("trap", str(trap), None)
-        except OutOfFuel:
-            return ("out-of-fuel", None, None)
-
-    return run(False), run(True)
+    ``((status, payload, fuel), ...)`` for each backend.  Both emit
+    legs run, and must agree with each other exactly."""
+    compiled = compile_legs(module.functions[name], module)
+    got_py, got_flat = (_run(module, name, args, compiled[leg].pyfunc,
+                             fuel_limit) for leg in EMIT_LEGS)
+    assert got_flat == got_py, f"{name}{tuple(args)}: legs disagree"
+    return _run(module, name, args, None, fuel_limit), got_py
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +241,6 @@ def test_fuel_determinism_on_residual():
     assert got_vm[0] == got_py[0] == "ok"
     assert got_vm[1] == got_py[1] == 50 * 51 // 2
     assert got_vm[2] == got_py[2], "backend fuel must match the VM"
-    # The dispatch emitter's fall-through scheduler finds the residual's
-    # jump chains: a chained block is entered under ``if _b <= idx``
-    # instead of through another trip around the dispatch loop.
-    dispatch = compile_function(func, module, mode="dispatch")
-    assert "if _b <= " in dispatch.source
 
 
 def test_out_of_fuel_agreement():
@@ -280,24 +287,26 @@ def test_out_of_fuel_agreement_across_calls():
     call in the caller's block (the call here is mid-block, followed by
     arithmetic).  Sweep every limit and require exact agreement."""
     module = build_module(_CALLING_SRC)
-    compiled, fallbacks = compile_functions(module)
-    assert not fallbacks
+    compiled = {name: compile_legs(func, module)
+                for name, func in module.functions.items()}
 
-    def run(install: bool, limit):
+    def run(leg, limit):
         vm = VM(module, fuel_limit=limit)
-        if install:
-            vm.install_compiled(compiled)
+        if leg is not None:
+            vm.install_compiled({name: legs[leg].pyfunc
+                                 for name, legs in compiled.items()})
         try:
             return ("ok", vm.call("f", [9]), vm.stats.fuel)
         except OutOfFuel:
             return ("out-of-fuel", None, vm.stats.fuel)
 
-    total = run(False, None)[2]
+    total = run(None, None)[2]
     for limit in range(1, total + 2):
-        got_vm = run(False, limit)
-        got_py = run(True, limit)
-        assert got_vm == got_py, (
-            f"limit {limit}: vm={got_vm!r} py={got_py!r}")
+        got_vm = run(None, limit)
+        for leg in EMIT_LEGS:
+            got_py = run(leg, limit)
+            assert got_vm == got_py, (
+                f"limit {limit} {leg}: vm={got_vm!r} py={got_py!r}")
 
 
 def test_unsupported_opcode_falls_back():
@@ -314,17 +323,80 @@ def test_unsupported_opcode_falls_back():
 
     with pytest.raises(UnsupportedConstruct, match="frobnicate"):
         compile_function(func, module)
-    compiled, fallbacks = compile_functions(module)
+    compiled, fallbacks = CompilationEngine(
+        module, SpecializeOptions()).compile_backend_functions(["weird"])
     assert compiled == {}
     assert fallbacks and fallbacks[0][0] == "weird"
     assert "frobnicate" in fallbacks[0][1]
 
 
+# ---------------------------------------------------------------------------
+# The two nesting limits.
+# ---------------------------------------------------------------------------
+
+def test_branch_chain_past_the_indent_budget_is_emitted_flat():
+    """Un-forced: a chain two short of the budget (the def and the try
+    are the first two levels) stays structured, one level more takes
+    the fallback — one dispatch region around every block — and agrees
+    with the VM on results and on ``OutOfFuel`` at every limit."""
+    depth = emitter._MAX_DEPTH - 1
+    shallow = branch_chain(depth - 1)
+    assert compile_function(shallow.functions["chain"],
+                            shallow).mode_used == "structured"
+    module = branch_chain(depth)
+    func = module.functions["chain"]
+    compiled = compile_function(func, module)
+    assert compiled.mode_used == "dispatch"
+    assert (compiled.dispatch_regions, compiled.dispatch_region_blocks) \
+        == (1, len(func.blocks))
+    for n in (0, 1, depth // 2, depth - 1, depth, TWO63):
+        reference = _run(module, "chain", (n,))
+        assert reference[:2] == ("ok", min(n, depth))
+        assert _run(module, "chain", (n,), compiled.pyfunc) == reference
+    full = _run(module, "chain", (depth,))[2]
+    for limit in range(1, full + 1):
+        assert _run(module, "chain", (depth,), compiled.pyfunc, limit) \
+            == _run(module, "chain", (depth,), None, limit), limit
+
+
+def test_loop_nest_at_the_static_block_limit():
+    """The deepest loop nest ``compile()`` accepts stays structured and
+    agrees with the VM; one loop more is ROADMAP item 2(a)'s cliff —
+    still inside the indent budget, so no flat re-emission, but
+    ``compile()`` refuses it and the function runs on the IR VM with
+    exactly one recorded fallback."""
+    module = loop_nest(MAX_COMPILABLE_LOOP_NEST)
+    compiled = compile_function(module.functions["nest"], module)
+    assert compiled.mode_used == "structured"
+    assert _run(module, "nest", (1,), compiled.pyfunc) \
+        == _run(module, "nest", (1,))
+    # Every backedge taken, on a nest shallow enough to run 3**6 trips.
+    got_vm, got_py = _run_both(loop_nest(6), "nest", (3,))
+    assert got_vm == got_py and got_vm[1] == 3 ** 6
+
+    module = loop_nest(MAX_COMPILABLE_LOOP_NEST + 1)
+    engine = CompilationEngine(module, SpecializeOptions())
+    compiled, fallbacks = engine.compile_backend_functions(["nest"])
+    assert compiled == {}
+    assert [name for name, _ in fallbacks] == ["nest"]
+    assert "too many statically nested blocks" in fallbacks[0][1]
+    assert engine.stats.backend_fallbacks == 1
+    assert _run(module, "nest", (1,))[:2] == ("ok", 1)
+
+
+@pytest.mark.xfail(strict=True, raises=UnsupportedConstruct,
+                   reason="ROADMAP item 2(a): the emitter budgets indent "
+                          "levels, not CPython's statically nested blocks")
+def test_loop_nest_past_the_static_block_limit_reaches_tier_2():
+    module = loop_nest(MAX_COMPILABLE_LOOP_NEST + 1)
+    compiled = compile_function(module.functions["nest"], module)
+    assert _run(module, "nest", (1,), compiled.pyfunc) \
+        == _run(module, "nest", (1,))
+
+
 def test_backend_option_validation_and_env(monkeypatch):
     with pytest.raises(ValueError, match="bad backend"):
         SpecializeOptions(backend="jit")
-    with pytest.raises(ValueError, match="bad emit_mode"):
-        SpecializeOptions(emit_mode="relooper")
     monkeypatch.setenv("REPRO_BACKEND", "py")
     assert SpecializeOptions().backend == "py"
     monkeypatch.delenv("REPRO_BACKEND")
@@ -380,11 +452,10 @@ def _fconst_bits_module(bits: int) -> Module:
 def _fconst_roundtrip(bits: int):
     module = _fconst_bits_module(bits)
     vm_got = VM(module).call("fbits", [])
-    for mode in ("structured", "dispatch"):
-        compiled = compile_function(module.functions["fbits"], module,
-                                    mode=mode)
+    compiled = compile_legs(module.functions["fbits"], module)
+    for mode in EMIT_LEGS:
         vm = VM(module)
-        vm.install_compiled({"fbits": compiled.pyfunc})
+        vm.install_compiled({"fbits": compiled[mode].pyfunc})
         py_got = vm.call("fbits", [])
         assert py_got == vm_got == bits, (
             f"fconst bits {bits:#018x} ({mode}): vm={vm_got:#018x} "

@@ -7,10 +7,12 @@ on the VM, as the specialized (first Futamura projection) residual
 function interpreted by the IR VM, and as the same residual compiled to
 native Python by the tier-2 backend (:mod:`repro.backend`) — and must
 produce identical results, prints, and traps.  The backend comparison
-runs in **both emit modes** (the structured/relooper emitter and the
-flat dispatch-tree emitter), so the corpus is a three-way differential:
-VM vs structured vs dispatch, with deterministic fuel compared wherever
-the flow exposes it.  Every comparison is made at two optimization
+runs on **both emit legs** (:data:`tests.helpers.EMIT_LEGS`: the
+structured emission production runs, and the whole-function dispatch
+region it falls back to past its nesting budget, forced by lowering the
+budget), so the corpus is a three-way differential: VM vs structured vs
+forced fallback, with deterministic fuel compared wherever the flow
+exposes it.  Every comparison is made at two optimization
 levels: ``-O0`` (raw specializer output, no mid-end) and the full
 default pipeline, so a miscompiling pass shows up as a divergence
 between levels, a specializer bug shows up at both, and a backend bug
@@ -19,7 +21,7 @@ shows up as a VM-vs-py divergence at either level.
 The **irreducible tier** builds seeded multi-entry cycles directly in
 IR (no frontend emits them): the structured emitter must carve them
 into per-region dispatch fallbacks (``dispatch_regions >= 1``) and
-still agree with the VM and the dispatch emitter on results, traps,
+still agree with the VM and the forced fallback on results, traps,
 ``OutOfFuel``, and exact fuel.
 
 The **tiered tier** runs the same seeded programs under profile-guided
@@ -37,7 +39,7 @@ first-class dispatcher under speculative inlining
 (:mod:`repro.opt.inline`): inlining-off must stay bit-identical to the
 existing staged tiered flow, inlining-on must preserve prints exactly
 (some seeds switch callees mid-run, so the polymorphic site guard's
-miss/demote path is exercised), and both emit modes must agree on fuel
+miss/demote path is exercised), and both emit legs must agree on fuel
 within each configuration.
 
 The generators are structured (bounded counted loops, forward skips,
@@ -46,12 +48,10 @@ include integer division and remainder whose divisors may reach zero,
 exercising trap equivalence.
 """
 
-import dataclasses
 import random
 
 import pytest
 
-from repro.backend import EMIT_MODES, compile_function
 from repro.core.specialize import SpecializeOptions
 from repro.jsvm import JSRuntime
 from repro.luavm.runtime import LuaRuntime
@@ -60,6 +60,8 @@ from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.min.isa import assemble
 from repro.vm import VM
 from repro.vm.machine import VMTrap
+
+from tests.helpers import EMIT_LEGS, compile_legs, emit_leg
 
 N_MIN, N_LUA, N_JS = 24, 20, 6  # 50 programs total
 
@@ -140,8 +142,7 @@ def test_min_differential(seed):
         spec_module = build_min_module(program)
         func = specialize_min(spec_module, program, use_intrinsics,
                               options=options, name=f"spec_{level}")
-        compiled = {mode: compile_function(func, spec_module, mode=mode)
-                    for mode in EMIT_MODES}
+        compiled = compile_legs(func, spec_module)
         for value in inputs:
             vm = VM(spec_module)
             got = vm.call(
@@ -149,10 +150,10 @@ def test_min_differential(seed):
             assert got == expected[value], (
                 f"seed {seed} level {level} input {value}: "
                 f"specialized {got} != interpreted {expected[value]}")
-            # Tier-2 backend, both emit modes: the same residual
+            # Tier-2 backend, both emit legs: the same residual
             # compiled to Python must agree on the result *and* on
-            # deterministic fuel (VM ≡ structured ≡ dispatch).
-            for mode in EMIT_MODES:
+            # deterministic fuel (VM ≡ structured ≡ forced fallback).
+            for mode in EMIT_LEGS:
                 vm_py = VM(spec_module)
                 vm_py.install_compiled({func.name: compiled[mode].pyfunc})
                 got_py = vm_py.call(
@@ -341,10 +342,10 @@ def test_lua_differential(seed):
         assert got == expected, (
             f"seed {seed} level {level}:\n{source}\n"
             f"interp={expected!r} aot={got!r}")
-        for mode in EMIT_MODES:
-            mode_options = dataclasses.replace(options, emit_mode=mode)
-            got_py = _run_lua(source, aot=True, options=mode_options,
-                              backend="py")
+        for mode in EMIT_LEGS:
+            with emit_leg(mode):
+                got_py = _run_lua(source, aot=True, options=options,
+                                  backend="py")
             assert got_py == expected, (
                 f"seed {seed} level {level} backend=py mode {mode}:\n"
                 f"{source}\ninterp={expected!r} aot={got_py!r}")
@@ -447,13 +448,12 @@ def test_js_differential(seed):
         assert runtime.printed == reference.printed, (
             f"seed {seed} config {config} level {level}:\n{source}\n"
             f"interp={reference.printed!r} aot={runtime.printed!r}")
-        # Tier-2 backend over the same snapshot, both emit modes:
+        # Tier-2 backend over the same snapshot, both emit legs:
         # identical prints and identical deterministic fuel.
-        for mode in EMIT_MODES:
-            mode_runtime = JSRuntime(
-                source, config,
-                options=dataclasses.replace(options, emit_mode=mode))
-            vm_py = mode_runtime.run(backend="py")
+        for mode in EMIT_LEGS:
+            mode_runtime = JSRuntime(source, config, options=options)
+            with emit_leg(mode):
+                vm_py = mode_runtime.run(backend="py")
             assert mode_runtime.printed == reference.printed, (
                 f"seed {seed} config {config} level {level} backend=py "
                 f"mode {mode}:\n{source}\n"
@@ -542,7 +542,7 @@ def random_js_callchain(rng: random.Random) -> str:
 def test_js_inlined_differential(seed):
     """Three-way differential on hot call chains: the interpreter, the
     staged tiered flow with inlining off, and with inlining on must
-    print identically; within each config the two emit modes must agree
+    print identically; within each config the two emit legs must agree
     on deterministic fuel.  Inlining-off stays bit-identical (fuel
     included) across this sweep; inlining-on may change fuel (it
     executes different residual code) but never output."""
@@ -553,13 +553,14 @@ def test_js_inlined_differential(seed):
 
     fuel = {}
     for inline in (False, True):
-        for mode in EMIT_MODES:
-            options = SpecializeOptions(backend="py", emit_mode=mode)
+        for mode in EMIT_LEGS:
+            options = SpecializeOptions(backend="py")
             runtime = JSRuntime(source, "wevaled", options=options)
             kwargs = dict(threshold=2, compile_threshold=3)
             if inline:
                 kwargs.update(inline=True, inline_min_site_calls=2)
-            vm = runtime.run_tiered(**kwargs)
+            with emit_leg(mode):
+                vm = runtime.run_tiered(**kwargs)
             assert runtime.printed == reference.printed, (
                 f"seed {seed} inline={inline} mode {mode}:\n{source}\n"
                 f"interp={reference.printed!r} got={runtime.printed!r}")
@@ -573,9 +574,9 @@ def test_js_inlined_differential(seed):
                 assert stats.site_demotions <= 1
                 assert stats.demotions == 0
     for inline in (False, True):
-        modes_fuel = {fuel[(inline, mode)] for mode in EMIT_MODES}
+        modes_fuel = {fuel[(inline, mode)] for mode in EMIT_LEGS}
         assert len(modes_fuel) == 1, (
-            f"seed {seed} inline={inline}: emit modes disagree on fuel "
+            f"seed {seed} inline={inline}: emit legs disagree on fuel "
             f"{modes_fuel}")
 
 
@@ -646,29 +647,26 @@ def _run_irr(module, name, compiled_fn, args, fuel_limit):
     except VMTrap as trap:
         return ("trap", str(trap), None)
     except OutOfFuel:
-        return ("out-of-fuel", None, None)
+        return ("out-of-fuel", None, vm.stats.fuel)
 
 
 @pytest.mark.parametrize("seed", range(N_IRREDUCIBLE))
 def test_irreducible_three_way(seed):
     module, func = _irreducible_module(seed)
-    compiled = {mode: compile_function(func, module, mode=mode)
-                for mode in EMIT_MODES}
-    # The structured emitter must keep its structured skeleton but carve
-    # the multi-entry cycle into a dispatch region — not silently fall
-    # back to the flat emitter for the whole function.
-    assert compiled["structured"].emit_mode == "structured"
+    compiled = compile_legs(func, module)
+    # The structured leg must keep its structured skeleton (checked by
+    # ``compile_legs``) and carve the multi-entry cycle into a dispatch
+    # region of its own.
     assert compiled["structured"].dispatch_regions >= 1, (
         f"seed {seed}: irreducible cycle did not produce a dispatch "
         f"region")
     assert compiled["structured"].dispatch_region_blocks >= 2
-    assert compiled["dispatch"].emit_mode == "dispatch"
 
     for n in (1, 2, 3, 17):
         for sel in (0, 1):
             reference = _run_irr(module, func.name, None, (n, sel), None)
             assert reference[0] == "ok"
-            for mode in EMIT_MODES:
+            for mode in EMIT_LEGS:
                 got = _run_irr(module, func.name, compiled[mode].pyfunc,
                                (n, sel), None)
                 assert got == reference, (
@@ -680,7 +678,7 @@ def test_irreducible_three_way(seed):
     full = _run_irr(module, func.name, None, (3, 1), None)[2]
     for limit in range(1, full + 1):
         reference = _run_irr(module, func.name, None, (3, 1), limit)
-        for mode in EMIT_MODES:
+        for mode in EMIT_LEGS:
             got = _run_irr(module, func.name, compiled[mode].pyfunc,
                            (3, 1), limit)
             assert got == reference, (

@@ -9,7 +9,9 @@
   pass through as ``**tiering`` (``inline=`` used to stop at MiniJS).
 * **Said once** — engine configuration is ``SpecializeOptions`` and
   nothing else: no callable under ``src/repro`` has a parameter named
-  ``jobs``, ``cache_dir`` or ``pool``, and no thread pool is imported.
+  ``jobs``, ``cache_dir`` or ``pool``, and no thread pool is imported;
+  one class lowers a CFG to Python and nothing takes ``batch_fuel`` or
+  ``emit_mode``.
 """
 
 import ast
@@ -156,8 +158,10 @@ def _sources():
                ast.parse(path.read_text()))
 
 
-def test_engine_configuration_is_said_once():
-    offenders = []
+def _callables_taking(names):
+    """``(file, callable, parameters)`` for every ``def`` or ``lambda``
+    under ``src/`` with a parameter named in ``names``."""
+    found = []
     for name, tree in _sources():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -166,10 +170,32 @@ def test_engine_configuration_is_said_once():
             args = node.args
             params = {a.arg for a in (args.posonlyargs + args.args
                                       + args.kwonlyargs)}
-            where = (name, getattr(node, "name", "<lambda>"))
-            if params & ENGINE_SETTINGS and where not in EXEMPT:
-                offenders.append((*where, sorted(params & ENGINE_SETTINGS)))
-    assert offenders == []
+            if params & names:
+                found.append((name, getattr(node, "name", "<lambda>"),
+                              sorted(params & names)))
+    return found
+
+
+def test_engine_configuration_is_said_once():
+    assert [found for found in _callables_taking(ENGINE_SETTINGS)
+            if found[:2] not in EXEMPT] == []
+
+
+def test_one_emitter():
+    """One CFG -> Python lowering: one class defines ``emit_source``,
+    nothing takes the two deleted knobs as a parameter, and the package
+    no longer exports the second lowering's names."""
+    import repro.backend
+    definers = [
+        (name, node.name) for name, tree in _sources()
+        if name.startswith("repro/backend/")
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef)
+                and item.name == "emit_source" for item in node.body)]
+    assert definers == [("repro/backend/emitter.py", "StructuredEmitter")]
+    assert _callables_taking({"batch_fuel", "emit_mode"}) == []
+    assert not {"PyEmitter", "EMIT_MODES", "compile_functions"} \
+        & set(repro.backend.__all__)
 
 
 def test_no_thread_pool_under_src():

@@ -4,7 +4,7 @@ Covers the :mod:`repro.opt.inline` pass on hand-built modules (splice
 shape, both miss-block forms, polymorphic dispatch chains, hard-error
 plan validation), the VM/backend agreement on inlined residuals
 (results, deopt rollback, site-miss notification, and exhaustive
-fuel-limit sweeps across both emit modes), serialization round-trips
+fuel-limit sweeps across both emit legs), serialization round-trips
 for the new guard imm forms and request inline plans, and the
 controller's per-*site* demotion policy end-to-end on a MiniJS
 phase-change workload.
@@ -14,7 +14,6 @@ import dataclasses
 
 import pytest
 
-from repro.backend import EMIT_MODES, compile_function
 from repro.core.cache import function_fingerprint
 from repro.core.request import Runtime, SpecializationRequest
 from repro.core.specialize import SpecializeOptions
@@ -36,6 +35,8 @@ from repro.pipeline.serialize import (
 )
 from repro.vm import VM
 from repro.vm.machine import GuardFailed, OutOfFuel
+
+from tests.helpers import EMIT_LEGS, compile_legs
 
 SIG1 = Signature((I64,), (I64,))
 SCRATCH = 256  # heap cell the effectful caller bumps before its call
@@ -223,7 +224,7 @@ class TestMissPaths:
         assert excinfo.value.function == "caller"
         assert excinfo.value.site == 0
 
-    @pytest.mark.parametrize("backend", ["vm"] + list(EMIT_MODES))
+    @pytest.mark.parametrize("backend", ("vm",) + EMIT_LEGS)
     def test_unwinding_deopt_is_observably_generic(self, backend):
         """A guard miss deep in the body (after a counted loop's
         backedges) rolls back to the pre-call snapshot and re-runs the
@@ -232,10 +233,9 @@ class TestMissPaths:
         module, index = _spliced(loop_trips=5)
         vm = VM(module)
         vm.deopt_fallbacks["caller"] = "caller_gen"
-        if backend in EMIT_MODES:
-            compiled = compile_function(module.functions["caller"],
-                                        module, mode=backend)
-            vm.install_compiled({"caller": compiled.pyfunc})
+        if backend in EMIT_LEGS:
+            compiled = compile_legs(module.functions["caller"], module)
+            vm.install_compiled({"caller": compiled[backend].pyfunc})
         deopts = []
         vm.deopt_hook = lambda name, site=None: deopts.append((name, site))
         ref_module, _ = _make_module(loop_trips=5)
@@ -249,17 +249,16 @@ class TestMissPaths:
         assert vm.stats.stores == ref.stats.stores
         assert vm.stats.backedges == ref.stats.backedges
 
-    @pytest.mark.parametrize("backend", ["vm"] + list(EMIT_MODES))
+    @pytest.mark.parametrize("backend", ("vm",) + EMIT_LEGS)
     def test_resuming_miss_notifies_and_continues(self, backend):
         """The effectful caller's miss block re-issues the dynamic call
         in place: no unwind, identical result and side-effect count,
         one site-miss notification."""
         module, index = _spliced(effectful=True)
         vm = VM(module)
-        if backend in EMIT_MODES:
-            compiled = compile_function(module.functions["caller"],
-                                        module, mode=backend)
-            vm.install_compiled({"caller": compiled.pyfunc})
+        if backend in EMIT_LEGS:
+            compiled = compile_legs(module.functions["caller"], module)
+            vm.install_compiled({"caller": compiled[backend].pyfunc})
         misses = []
         vm.site_miss_hook = lambda name, site: misses.append((name, site))
         ref_module, _ = _make_module(effectful=True)
@@ -280,7 +279,7 @@ class TestMissPaths:
 
 
 # ---------------------------------------------------------------------------
-# Backend agreement: results and exhaustive fuel sweeps, both emit modes.
+# Backend agreement: results and exhaustive fuel sweeps, both emit legs.
 # ---------------------------------------------------------------------------
 
 def _run_limited(module, compiled_fn, args, fuel_limit):
@@ -291,7 +290,7 @@ def _run_limited(module, compiled_fn, args, fuel_limit):
     try:
         return ("ok", vm.call("caller", list(args)), vm.stats.fuel)
     except OutOfFuel:
-        return ("out-of-fuel", None, None)
+        return ("out-of-fuel", None, vm.stats.fuel)
 
 
 class TestEmitAgreement:
@@ -299,14 +298,12 @@ class TestEmitAgreement:
     def test_fuel_identical_across_modes(self, effectful):
         module, index = _spliced(targets=("add1", "dbl"),
                                  effectful=effectful, loop_trips=3)
-        compiled = {mode: compile_function(module.functions["caller"],
-                                           module, mode=mode)
-                    for mode in EMIT_MODES}
+        compiled = compile_legs(module.functions["caller"], module)
         for sel in ("add1", "dbl", "flip"):
             args = (index[sel], 6)
             reference = _run_limited(module, None, args, None)
             assert reference[0] == "ok"
-            for mode in EMIT_MODES:
+            for mode in EMIT_LEGS:
                 got = _run_limited(module, compiled[mode].pyfunc, args,
                                    None)
                 assert got == reference, (
@@ -319,15 +316,13 @@ class TestEmitAgreement:
         compiled tiers must trap at the exact VM boundary even through
         mid-function guards and deopt re-dispatch."""
         module, index = _spliced(effectful=effectful, loop_trips=3)
-        compiled = {mode: compile_function(module.functions["caller"],
-                                           module, mode=mode)
-                    for mode in EMIT_MODES}
+        compiled = compile_legs(module.functions["caller"], module)
         for sel in ("add1", "dbl"):  # hit path and miss path
             args = (index[sel], 6)
             full = _run_limited(module, None, args, None)[2]
             for limit in range(1, full + 1):
                 reference = _run_limited(module, None, args, limit)
-                for mode in EMIT_MODES:
+                for mode in EMIT_LEGS:
                     got = _run_limited(module, compiled[mode].pyfunc,
                                        args, limit)
                     assert got == reference, (

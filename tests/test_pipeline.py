@@ -318,6 +318,44 @@ class TestWarmStart:
         assert warm_out == cold_out  # results, fuel, and IR all identical
         assert set(warm.backend_functions) == {"spec_a", "spec_b"}
 
+    def test_refused_source_is_stored_as_its_fallback(self, tmp_path,
+                                                       monkeypatch):
+        """A source ``compile()`` refuses is a fallback verdict where it
+        is first learned: the store entry carries the reason and no
+        source, and a warm engine serves the same verdict without
+        compiling anything."""
+        import builtins
+
+        from tests.helpers import MAX_COMPILABLE_LOOP_NEST, loop_nest
+        options = SpecializeOptions(cache_dir=str(tmp_path))
+        cold = CompilationEngine(loop_nest(MAX_COMPILABLE_LOOP_NEST + 1),
+                                 options)
+        compiled, fallbacks = cold.compile_backend_functions(["nest"])
+        assert compiled == {}
+        assert [name for name, _ in fallbacks] == ["nest"]
+        assert "does not compile" in fallbacks[0][1]
+        (entry,) = os.listdir(tmp_path / "py")
+        with open(tmp_path / "py" / entry) as handle:
+            stored = json.load(handle)
+        assert stored["source"] is None and "code" not in stored
+        assert stored["fallback"] == fallbacks[0][1]
+
+        compiles = []
+        real_compile = builtins.compile
+
+        def counting_compile(source, filename, *args, **kwargs):
+            compiles.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        warm = CompilationEngine(loop_nest(MAX_COMPILABLE_LOOP_NEST + 1),
+                                 options)
+        assert warm.compile_backend_functions(["nest"]) == ({}, fallbacks)
+        assert compiles == []
+        assert warm.stats.backend_emitted == 0
+        assert warm.stats.backend_source_hits == 1
+        assert warm.stats.backend_fallbacks == 1
+
     def test_residual_artifacts_are_shared_across_backends(self, tmp_path):
         """backend is not part of the residual key (residual IR is
         backend-independent): a vm-compiled store satisfies a py-backend

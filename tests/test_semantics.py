@@ -1,7 +1,7 @@
 """Op-grid oracle for :mod:`repro.ir.semantics`, the one definition of
 what every IR op means.
 
-The VM, the constant folder and both emitter modes all *derive* from
+The VM, the constant folder and the emitter all *derive* from
 that table, so "VM ≡ folder ≡ compiled code" is structural; this file
 is the executable statement of it:
 
@@ -9,14 +9,15 @@ is the executable statement of it:
   hypothesis, random ones — this is where the old
   ``test_properties.py::test_fold_matches_vm_for_int_binops`` lives now,
   extended from the int binops to every row): VM ≡ ``fold_pure_op`` ≡
-  dispatch-emitted ≡ structured-emitted, trap messages byte-equal, only
+  structured-emitted ≡ emitted through the forced fallback
+  (:data:`tests.helpers.EMIT_LEGS`), trap messages byte-equal, only
   ``VMTrap`` ever escapes, i64 results stay in ``[0, 2**64)``;
 * **memory grid** — every sized load/store at in-range, last-byte,
   straddling, out-of-bounds and negative addresses, with and without a
   static offset, on heaps of 0, 8, 64 and 4095/4096/4097 bytes (empty,
   one word, and either side of a page — the heap is a mapping, which
   cannot be empty and raises where a ``bytearray`` would grow): VM ≡
-  both emit modes (value, trap text, memory image afterwards), and
+  both emit legs (value, trap text, memory image afterwards), and
   integer loads ≡ ``ConstMemoryImage.read`` (the specializer's fold of
   the same access);
 * **completeness** — the tables cover exactly the opcodes they claim;
@@ -38,7 +39,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import compile_function
 from repro.backend.runtime import BACKEND_GLOBALS
 from repro.core.lattice import ConstMemoryImage, fold_pure_op
 from repro.core.specialize import SpecializeOptions
@@ -48,9 +48,10 @@ from repro.ir.semantics import HELPERS, LOADS, PURE_EXPRS, PURE_FNS, STORES
 from repro.jsvm import JSRuntime
 from repro.vm import VM, VMTrap
 
+from tests.helpers import EMIT_LEGS, compile_legs
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 MASK64 = (1 << 64) - 1
-MODES = ("dispatch", "structured")
 
 INT_GRID = (0, 1, 2, 63, 64, 65, (1 << 32) - 1, 1 << 32,
             (1 << 63) - 1, 1 << 63, (1 << 63) + 1, MASK64)
@@ -69,27 +70,32 @@ def _key(value):
 
 class _Harness:
     """One single-instruction function, runnable on the plain VM and as
-    dispatch- and structured-emitted Python."""
+    Python emitted on each leg.  The instruction sits in a second
+    block, so the forced-fallback leg reaches it across a region edge
+    (a ``_b`` assignment and a trip through the dispatch tree)."""
 
     def __init__(self, op, arg_types, result_type, imm=None,
                  memory_size=64):
         results = () if result_type is None else (result_type,)
         fb = FunctionBuilder("f", Signature(tuple(arg_types), results))
+        body = fb.new_block()
+        fb.jump(body)
+        fb.switch_to(body)
         value = fb.emit(op, [v for v, _ in fb.entry.params], imm=imm)
         fb.ret(*(() if value is None else (value,)))
         self.module = Module(memory_size=memory_size)
         func = self.module.add_function(fb.finish())
-        self.compiled = {mode: compile_function(func, self.module,
-                                                mode=mode).pyfunc
-                         for mode in MODES}
+        self.compiled = {mode: compiled.pyfunc for mode, compiled
+                         in compile_legs(func, self.module).items()}
 
     def run(self, args, memory=None):
         """``{leg: (status, payload, memory image)}`` for the three
         executing legs.  Anything but ``VMTrap`` propagates and fails
         the test."""
         out = {}
-        for leg in ("vm",) + MODES:
-            vm = VM(self.module)
+        for leg in ("vm",) + EMIT_LEGS:
+            # The limit turns a runaway dispatch loop into a failure.
+            vm = VM(self.module, fuel_limit=64)
             if memory:
                 vm.memory[:] = memory
             if leg != "vm":
@@ -120,7 +126,7 @@ def _check_pure(op, arg_types, args):
     harness = _PURE_HARNESSES[op, arg_types]
     legs = harness.run(args)
     vm = legs["vm"]
-    for mode in MODES:
+    for mode in EMIT_LEGS:
         assert legs[mode] == vm, f"{op}{args}: vm={vm!r} {mode}={legs[mode]!r}"
     folded = fold_pure_op(op, None, list(args))
     if vm[0] == "trap":
@@ -221,7 +227,7 @@ def test_load_grid(op, offset, memory_size):
     for addr in _addresses(memory_size, row.size, offset):
         legs = harness.run((addr,), memory)
         vm = legs["vm"]
-        for mode in MODES:
+        for mode in EMIT_LEGS:
             assert legs[mode] == vm, (
                 f"{op}+{offset} @{addr:#x}: vm={vm!r} {mode}={legs[mode]!r}")
         assert vm[2] == memory
@@ -252,7 +258,7 @@ def test_store_grid(op, offset, memory_size):
         for value in _grid(value_type):
             legs = harness.run((addr, value), memory)
             vm = legs["vm"]
-            for mode in MODES:
+            for mode in EMIT_LEGS:
                 assert legs[mode] == vm, (
                     f"{op}+{offset} @{addr:#x} <- {value!r}: "
                     f"vm={vm!r} {mode}={legs[mode]!r}")

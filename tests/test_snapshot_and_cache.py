@@ -164,7 +164,7 @@ class TestOptionKeyMembership:
     # A second legal value per field, so "flip it" is well-defined.
     FLIPPED = {
         "ssa_mode": "naive", "optimize": False, "opt_config": "none",
-        "backend": "py", "emit_mode": "dispatch", "jobs": 2,
+        "backend": "py", "jobs": 2,
         "cache_dir": "/tmp/elsewhere",
         "fault_plan": object(), "debug_exhaustive": True,
     }
@@ -172,12 +172,12 @@ class TestOptionKeyMembership:
     def test_every_field_is_tagged_and_keys_follow_the_tags(self):
         import dataclasses
 
-        from repro.core.cache import options_key, py_options_key
+        from repro.core.cache import options_key
         from repro.core.specialize import SpecializeOptions
         fields = dataclasses.fields(SpecializeOptions)
         # Pinned on purpose: a new knob has to come through this test
-        # and say which key (if any) it belongs to.
-        assert len(fields) == 9
+        # and say whether the residual key holds it.
+        assert len(fields) == 8
         assert {f.name for f in fields} == set(self.FLIPPED)
         # Residual IR is backend-independent: a store filled under one
         # backend must warm-start a worker running the other.
@@ -185,20 +185,25 @@ class TestOptionKeyMembership:
         assert by_name["backend"] is None
         base = SpecializeOptions(backend="vm")
         for field in fields:
-            assert field.metadata["key"] in ("residual", "py", None), \
-                field.name
+            # No option shapes emitted source: the ``py/`` key is the
+            # residual's fingerprint and the emitter version alone.
+            assert field.metadata["key"] in ("residual", None), field.name
             flipped = dataclasses.replace(
                 base, **{field.name: self.FLIPPED[field.name]})
             residual_moved = options_key(flipped) != options_key(base)
-            py_moved = py_options_key(flipped) != py_options_key(base)
             assert residual_moved == (field.metadata["key"] == "residual"), \
                 field.name
-            assert py_moved == (field.metadata["key"] == "py"), field.name
+
+    def test_emit_mode_is_not_an_option(self):
+        from repro.core.specialize import SpecializeOptions
+        with pytest.raises(TypeError, match="emit_mode"):
+            SpecializeOptions(emit_mode="dispatch")
+        # The constant the ledger's ``_measure_emitted`` still reads.
+        assert SpecializeOptions().emit_mode == "structured"
 
     def test_default_key_keeps_its_seats_minus_backend(self):
-        from repro.core.cache import options_key, py_options_key
+        from repro.core.cache import options_key
         from repro.core.specialize import SpecializeOptions
         for backend in ("vm", "py"):
             options = SpecializeOptions(backend=backend)
             assert options_key(options) == ("minimal", True, "default", 6)
-            assert py_options_key(options) == "structured"
