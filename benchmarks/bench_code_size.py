@@ -24,7 +24,7 @@ SUBSET = ("richards", "deltablue", "raytrace", "splay")
 
 # Optimizer configurations compared on the Fig. 8 Min workloads.
 PIPELINE_OPTIONS = {
-    "O0": SpecializeOptions(optimize=False),
+    "O0": SpecializeOptions(opt_config="none"),
     "default": SpecializeOptions(opt_config="default"),
 }
 

@@ -33,11 +33,11 @@ def ablation():
              SpecializedConst(len(program.words)), Runtime()],
             specialized_name=f"min_{mode}")
         raw = specialize(module, request,
-                         SpecializeOptions(ssa_mode=mode, optimize=False))
+                         SpecializeOptions(ssa_mode=mode, opt_config="none"))
         params_raw = raw.total_block_params()
         module2 = build_min_module(program)
         opt = specialize(module2, request,
-                         SpecializeOptions(ssa_mode=mode, optimize=True))
+                         SpecializeOptions(ssa_mode=mode))
         module2.add_function(opt)
         vm = VM(module2)
         value = vm.call(opt.name, [PROGRAM_BASE, len(program.words), 0])
@@ -82,7 +82,7 @@ def test_naive_mode_compiles_slower(benchmark, ablation):
     def run_naive():
         return specialize(module, request,
                           SpecializeOptions(ssa_mode="naive",
-                                            optimize=False))
+                                            opt_config="none"))
 
     benchmark.pedantic(run_naive, rounds=2, iterations=1)
 
@@ -97,6 +97,6 @@ def test_minimal_mode_compile_time(benchmark):
 
     def run_minimal():
         return specialize(module, request,
-                          SpecializeOptions(optimize=False))
+                          SpecializeOptions(opt_config="none"))
 
     benchmark.pedantic(run_minimal, rounds=2, iterations=1)

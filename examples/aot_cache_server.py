@@ -64,7 +64,7 @@ def boot(label: str, options: SpecializeOptions):
 
     print(f"--- {label} ---")
     print(f"AOT compile: {aot_seconds * 1000:7.1f}ms  "
-          f"({stats.requests} requests, jobs={stats.jobs})")
+          f"({stats.requests} requests)")
     print(f"  specialized fresh:   {stats.functions_specialized}")
     print(f"  loaded from disk:    {stats.artifact_hits} residuals, "
           f"{stats.backend_source_hits} backend sources")

@@ -8,7 +8,8 @@ The public surface:
   constant-propagation transform (S3.1-S3.4, Fig. 5);
 * :class:`~repro.core.snapshot.SnapshotCompiler` — the Wizer-style
   enqueue -> snapshot -> specialize -> resume workflow;
-* :class:`~repro.core.cache.SpecializationCache` (S6.5);
+* :func:`~repro.core.cache.request_key` — the S6.5 specialization
+  cache's key (the cache is :mod:`repro.pipeline.artifacts`);
 * :class:`~repro.core.stats.SpecializationStats` — elided load/store and
   code-size accounting (S6.2, S6.4).
 """
@@ -28,7 +29,6 @@ from repro.core.intrinsics import (
     intrinsic_name,
 )
 from repro.core.snapshot import SnapshotCompiler
-from repro.core.cache import SpecializationCache
 from repro.core.stats import SpecializationStats
 
 __all__ = [
@@ -44,6 +44,5 @@ __all__ = [
     "register_weval_imports",
     "intrinsic_name",
     "SnapshotCompiler",
-    "SpecializationCache",
     "SpecializationStats",
 ]

@@ -1,4 +1,4 @@
-"""Specialization cache (S6.5).
+"""The specialization cache's key (S6.5).
 
 The paper caches on "input Wasm module hash plus the function
 specialization request's argument data" to avoid redundant work for the
@@ -8,30 +8,24 @@ argument modes, (c) the contents of every memory range the request
 promises constant, and (d) the specialization options that shape the
 output.
 
-The same key identifies entries in the *persistent* artifact store
-(:mod:`repro.pipeline.artifacts`); :func:`request_key` is the shared
-key constructor so the in-memory and on-disk tiers can never disagree
-about identity.  Which options belong to the key is declared on the
-:class:`~repro.core.specialize.SpecializeOptions` fields themselves
-(``metadata={"key": ...}``) and read here.
+:func:`request_key` builds that key; the cache itself is the persistent
+artifact store (:mod:`repro.pipeline.artifacts`), and the engine dedups
+a batch on the same key.  Which options belong to the key is declared
+on the :class:`~repro.core.specialize.SpecializeOptions` fields
+themselves (``metadata={"key": ...}``) and read here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.core.request import (
     SpecializationRequest,
     SpecializedMemory,
 )
-from repro.core.specialize import (
-    OPT_MAX_ROUNDS,
-    SpecializeOptions,
-    specialize,
-)
-from repro.ir.clone import clone_function
+from repro.core.specialize import OPT_MAX_ROUNDS, SpecializeOptions
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.printer import print_function
@@ -107,57 +101,3 @@ def request_key(module: Module, request: SpecializationRequest,
             memory_fingerprint(request, snapshot),
             options_key(options))
 
-
-class SpecializationCache:
-    """Memoizes weval outputs across identical requests (in memory)."""
-
-    def __init__(self):
-        self._entries: Dict[tuple, Function] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def key_for(self, module: Module, request: SpecializationRequest,
-                options: Optional[SpecializeOptions],
-                memory: Optional[bytes] = None) -> tuple:
-        snapshot = bytes(memory if memory is not None
-                         else module.memory_init)
-        return request_key(module, request, options, snapshot)
-
-    def lookup(self, key: tuple, name: str) -> Optional[Function]:
-        """Probe the cache; a hit returns a fresh clone named ``name``.
-
-        Hit/miss counters are charged here, so callers composing the
-        probe with an external compile path (the pipeline engine) keep
-        the same accounting as :meth:`get_or_specialize`.
-        """
-        cached = self._entries.get(key)
-        if cached is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return clone_function(cached, name)
-
-    def insert(self, key: tuple, func: Function) -> None:
-        """Store a clone of ``func`` under ``key``."""
-        self._entries[key] = clone_function(func)
-
-    def get_or_specialize(self, module: Module,
-                          request: SpecializationRequest,
-                          options: Optional[SpecializeOptions] = None,
-                          memory: Optional[bytes] = None) -> Tuple[Function,
-                                                                   bool]:
-        """Return ``(specialized function, was_cache_hit)``.
-
-        The returned function is always a fresh clone named per the
-        request, so callers may add it to a module without aliasing
-        cached state.
-        """
-        snapshot = bytes(memory if memory is not None
-                         else module.memory_init)
-        key = request_key(module, request, options, snapshot)
-        cached = self.lookup(key, request.name())
-        if cached is not None:
-            return cached, True
-        func = specialize(module, request, options, snapshot)
-        self.insert(key, func)
-        return func, False

@@ -104,10 +104,6 @@ def intrinsic_name(short: str) -> str:
     return name
 
 
-def is_intrinsic(name: str) -> bool:
-    return name in INTRINSICS
-
-
 def register_weval_imports(module: Module) -> None:
     """Add every weval intrinsic to a module as a host import (idempotent)."""
     for intr in INTRINSICS.values():

@@ -111,8 +111,8 @@ AbsVal = Union[Const, Dyn]
 # they are rare, and an equality-keyed table would conflate 0.0/-0.0
 # (whose bit patterns the optimizer deliberately keeps distinct).
 #
-# Hit/miss counters are thread-local so the pipeline engine's worker
-# threads (one specialization per task) each observe a consistent delta.
+# Hit/miss counters are thread-local so specializations running on
+# different threads of an embedder each observe a consistent delta.
 # ---------------------------------------------------------------------------
 
 _CONST_INTERN: Dict[int, Const] = {}

@@ -97,8 +97,8 @@ class SpecializationRequest:
 
     def cache_key(self) -> tuple:
         """A hashable key identifying this request's argument data (used
-        by :class:`~repro.core.cache.SpecializationCache` together with a
-        hash of the module and the referenced memory contents)."""
+        by :func:`~repro.core.cache.request_key` together with a hash of
+        the generic function and the referenced memory contents)."""
         frozen_args = tuple(
             (type(a).__name__,) + tuple(dataclasses.asdict(a).items())
             for a in self.args)

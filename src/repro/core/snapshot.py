@@ -13,11 +13,10 @@ are patched, and execution resumes from the snapshot.
    call :meth:`enqueue`);
 3. ``process_requests()`` — hand the whole batch to the
    :class:`~repro.pipeline.engine.CompilationEngine` (which specializes
-   through the in-memory cache and the on-disk artifact store, in worker
-   processes when ``options.jobs > 1``), then — in request order —
-   append each function to the module, register it in
-   the function table, and patch the 64-bit result slot in the heap
-   with the table index;
+   through the on-disk artifact store when ``options.cache_dir`` names
+   one), then — in request order — append each function to the module,
+   register it in the function table, and patch the 64-bit result slot
+   in the heap with the table index;
 4. ``freeze()`` — make the heap the module's initial memory: its
    non-zero pages are indexed and only those are kept;
 5. ``resume()`` — a fresh VM starting from the snapshot (a private
@@ -27,8 +26,8 @@ are patched, and execution resumes from the snapshot.
 
 Every guest runtime reaches this class through
 :mod:`repro.pipeline.host`; engine configuration is said once, on
-:class:`~repro.core.specialize.SpecializeOptions` (``jobs``,
-``cache_dir``, ``backend``).
+:class:`~repro.core.specialize.SpecializeOptions` (``cache_dir``,
+``backend``).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.cache import SpecializationCache
 from repro.core.request import SpecializationRequest
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import SpecializationStats
@@ -50,7 +48,7 @@ class ProcessedRequest:
     function_name: str
     table_index: int
     result_addr: int
-    cache_hit: bool            # in-memory SpecializationCache hit
+    cache_hit: bool            # duplicate of an earlier key in its batch
     artifact_hit: bool = False  # residual loaded from the on-disk store
     # Fault containment: a request whose compile crashed.  The module,
     # table, and heap were left untouched (table_index is -1) — the
@@ -62,13 +60,11 @@ class SnapshotCompiler:
     """Drives the enqueue -> snapshot -> specialize -> resume workflow."""
 
     def __init__(self, module: Module,
-                 options: Optional[SpecializeOptions] = None,
-                 cache: Optional[SpecializationCache] = None):
+                 options: Optional[SpecializeOptions] = None):
         from repro.pipeline.engine import CompilationEngine
         self.module = module
         self.options = options or SpecializeOptions()
-        self.cache = cache
-        self.engine = CompilationEngine(module, self.options, cache)
+        self.engine = CompilationEngine(module, self.options)
         self.vm: Optional[VM] = None
         self.pending: List[Tuple[SpecializationRequest, int]] = []
         self.processed: List[ProcessedRequest] = []

@@ -125,9 +125,7 @@ class SpecializeOptions:
 
     # "minimal" | "naive" (S3.4 ablation)
     ssa_mode: str = _option("residual", default="minimal")
-    # run the post pipeline on the output
-    optimize: bool = _option("residual", default=True)
-    # named pipeline (see opt.PIPELINES)
+    # named mid-end pipeline (see opt.PIPELINES); "none" is no mid-end
     opt_config: str = _option("residual", default="default")
     # Execution tier for the residual code: "vm" interprets the IR,
     # "py" compiles it to native Python functions (repro.backend) with
@@ -140,12 +138,8 @@ class SpecializeOptions:
     # benchmarks/ledger/ledger_workloads.py::_measure_emitted.
     emit_mode = "structured"
     # Compilation-engine configuration (repro.pipeline), said here and
-    # nowhere else.  ``jobs`` > 1 runs the engine's pure specialize
-    # stage in a ProcessPoolExecutor of that many workers (the module
-    # ships serialized, import signatures only); output is bit-identical
-    # to jobs=1 — the determinism tier asserts it.  ``cache_dir`` roots
-    # the persistent on-disk artifact store (None disables persistence).
-    jobs: int = _option(None, default=1)
+    # nowhere else: ``cache_dir`` roots the persistent on-disk artifact
+    # store (None disables persistence).
     cache_dir: Optional[str] = _option(None, default=None)
     # Deterministic fault injection for the robustness tier
     # (repro.pipeline.faults.FaultPlan, or None for production).  The
@@ -164,8 +158,6 @@ class SpecializeOptions:
             raise ValueError(f"bad ssa_mode {self.ssa_mode!r}")
         if self.backend not in ("vm", "py"):
             raise ValueError(f"bad backend {self.backend!r}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         from repro.opt.pass_manager import PIPELINES
         if self.opt_config not in PIPELINES:
             raise ValueError(f"bad opt_config {self.opt_config!r}")
@@ -1118,12 +1110,11 @@ def specialize(module: Module, request: SpecializationRequest,
         spec = _Specializer(module, request, options, memory)
         func = spec.run()
         spec_stats = spec.stats
-    if options.optimize:
-        from repro.opt.pipeline import optimize_function
-        optimize_function(func, max_rounds=OPT_MAX_ROUNDS,
-                          config=options.opt_config, module=module,
-                          stats=spec_stats.opt,
-                          exhaustive=options.debug_exhaustive)
+    from repro.opt.pipeline import optimize_function
+    optimize_function(func, max_rounds=OPT_MAX_ROUNDS,
+                      config=options.opt_config, module=module,
+                      stats=spec_stats.opt,
+                      exhaustive=options.debug_exhaustive)
     if plan:
         canonicalize_function(func)
     if stats is not None:

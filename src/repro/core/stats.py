@@ -10,16 +10,13 @@ counters fed by the pass manager.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from typing import Dict
 
 
 class _Mergeable:
     """``merge(other)`` for a stats dataclass, derived from its fields:
-    a numeric field adds — or combines with the function its
-    ``metadata["merge"]`` names (``max`` for a high-water mark) — a
-    field that is itself mergeable recurses, and a dict of mergeables
-    merges by key."""
+    a numeric field adds, a field that is itself mergeable recurses, and
+    a dict of mergeables merges by key."""
 
     def merge(self, other) -> None:
         for field in dataclasses.fields(self):
@@ -31,8 +28,7 @@ class _Mergeable:
                 for key, value in theirs.items():
                     mine.setdefault(key, type(value)()).merge(value)
             else:
-                combine = field.metadata.get("merge", operator.add)
-                setattr(self, field.name, combine(mine, theirs))
+                setattr(self, field.name, mine + theirs)
 
 
 @dataclasses.dataclass
@@ -81,9 +77,6 @@ class PipelineStats(_Mergeable):
             stats = self.per_pass[name] = PassStats()
         return stats
 
-    def instrs_removed(self) -> int:
-        return self.instrs_before - self.instrs_after
-
 
 @dataclasses.dataclass
 class EngineStats(_Mergeable):
@@ -97,7 +90,7 @@ class EngineStats(_Mergeable):
 
     requests: int = 0
     functions_specialized: int = 0   # fresh weval transforms
-    cache_hits: int = 0              # in-memory SpecializationCache hits
+    cache_hits: int = 0              # duplicates of a key within a batch
     artifact_hits: int = 0           # residual IR loaded from disk
     artifact_invalid: int = 0        # version skew / fp mismatch / corrupt
     artifacts_written: int = 0
@@ -107,15 +100,11 @@ class EngineStats(_Mergeable):
                                      # object (no re-parse/compile)
     backend_fallbacks: int = 0
     inline_requests: int = 0         # requests carrying an inline plan
-    specialize_seconds: float = 0.0  # summed across workers (CPU-ish)
-    emit_seconds: float = 0.0        # summed across workers
+    specialize_seconds: float = 0.0  # stage 1, summed over requests
+    emit_seconds: float = 0.0        # stage 2, summed over requests
     wall_seconds: float = 0.0        # batch wall clock
-    # max worker count used so far
-    jobs: int = dataclasses.field(default=0, metadata={"merge": max})
     # Fault containment (PR 9): per-request failures and degradations.
     requests_failed: int = 0         # results returned with .error set
-    pool_rebuilds: int = 0           # broken process pool, rebuilt once
-    pool_degradations: int = 0       # ... broken again: serial for good
     store_write_failures: int = 0    # artifact-store writes that failed
     store_degraded: int = 0          # 1 while the store is memory-only
 

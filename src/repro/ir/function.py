@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.instructions import Instr, Terminator, terminator_values
+from repro.ir.instructions import Instr, Terminator
 from repro.ir.types import Type
 
 
@@ -108,14 +108,6 @@ class Function:
         parameters are the function's own)."""
         return sum(len(b.params) for b in self.blocks.values()
                    if b.id != self.entry)
-
-    def used_values(self):
-        """Yield every value id referenced as an operand anywhere."""
-        for block in self.blocks.values():
-            for instr in block.instrs:
-                yield from instr.args
-            if block.terminator is not None:
-                yield from terminator_values(block.terminator)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Function {self.name} {self.sig} blocks={len(self.blocks)}>"

@@ -174,18 +174,7 @@ _OP_LIST = [
 OPCODES = {info.name: info for info in _OP_LIST}
 
 
-# --- guard immediate helpers (shared by verifier, VM, emitter) -------------
-
-def guard_site(imm) -> Optional[int]:
-    """The deopt-attribution site id of a guard immediate (``None`` for
-    the legacy entry-speculation ``int`` form)."""
-    return imm[0] if isinstance(imm, tuple) else None
-
-
-def guard_values(imm) -> tuple:
-    """The admissible value set of a guard immediate."""
-    return imm[1] if isinstance(imm, tuple) else (imm,)
-
+# --- guard immediate helper (shared by verifier and tiering) ---------------
 
 def guard_is_resuming(imm) -> bool:
     """Whether a guard immediate is the resuming (notify-and-fall-through)

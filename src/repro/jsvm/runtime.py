@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import (
     Runtime as RuntimeArg,
-    SpecializationCache,
     SpecializationRequest,
     SpecializedConst,
     SpecializedMemory,
@@ -88,7 +87,6 @@ class JSRuntime(GuestRuntime):
 
     def __init__(self, source: str, config: str = "interp_ic",
                  memory_size: int = 1 << 22,
-                 cache: Optional[SpecializationCache] = None,
                  options: Optional[SpecializeOptions] = None):
         if config not in CONFIGS:
             raise ValueError(f"bad config {config!r}")
@@ -103,7 +101,6 @@ class JSRuntime(GuestRuntime):
         self.slow_getprop_calls = 0
         self.slow_setprop_calls = 0
         self.ic_attaches = 0
-        self.cache = cache
         self.options = options or SpecializeOptions()
 
         self._add_interpreters()

@@ -51,10 +51,6 @@ def box_object(addr: int) -> int:
     return (TAG_OBJECT << TAG_SHIFT) | addr
 
 
-def box_array(addr: int) -> int:
-    return (TAG_ARRAY << TAG_SHIFT) | addr
-
-
 def box_function(func_id: int) -> int:
     return (TAG_FUNCTION << TAG_SHIFT) | func_id
 

@@ -159,14 +159,12 @@ class LuaRuntime(GuestRuntime):
     ``options`` (here, or to :meth:`aot_compile`)."""
 
     def __init__(self, source: str, memory_size: int = 1 << 22,
-                 options: Optional[SpecializeOptions] = None,
-                 cache=None):
+                 options: Optional[SpecializeOptions] = None):
         self.source = source
         self.protos: List[Proto] = compile_lua(source)
         self.module = Module(memory_size=memory_size)
         self.printed: List[int] = []
         self.options = options
-        self.cache = cache
 
         interpreter_image(LUA_INTERP_SRC, compile_source).add_to_module(
             self.module, externs={"lua_print": self._host_print})
@@ -225,7 +223,7 @@ class LuaRuntime(GuestRuntime):
     def _request_for(self, proto: Proto) -> SpecializationRequest:
         """The specialization request for one prototype (shared between
         the AOT batch and dynamic promotion — identical keys, so both
-        flows hit the same cache/artifact entries)."""
+        flows hit the same artifact entries)."""
         struct_ptr = self.proto_addrs[proto.index]
         code_ptr = self.module.read_init_u64(struct_ptr)
         consts_ptr = self.module.read_init_u64(struct_ptr + 16)

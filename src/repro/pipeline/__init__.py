@@ -1,20 +1,17 @@
-"""The compilation pipeline layer: batch AOT with tiered caching.
+"""The compilation pipeline layer: batch AOT over one persistent cache.
 
 This package unifies the per-runtime AOT flows behind one subsystem,
 the paper's production story (S6.5) made concrete:
 
 * :class:`~repro.pipeline.engine.CompilationEngine` — batch
-  specialize → opt → verify → emit; with ``jobs > 1`` the pure
-  specialize stage runs in a ``ProcessPoolExecutor``, all module
-  mutation and cache accounting is applied in request order, so outputs
-  are bit-identical at any worker count;
-* :class:`~repro.pipeline.artifacts.ArtifactStore` — the persistent
-  on-disk cache (``cache_dir``) of residual IR and emitted backend
-  source, keyed by the same fingerprints as the in-memory
-  :class:`~repro.core.cache.SpecializationCache`;
+  specialize → opt → verify → emit, in-process, one specialize run per
+  distinct key; results come back in request order;
+* :class:`~repro.pipeline.artifacts.ArtifactStore` — the S6.5
+  specialization cache: the persistent on-disk store (``cache_dir``) of
+  residual IR and emitted backend source, keyed by
+  :func:`~repro.core.cache.request_key`;
 * :mod:`~repro.pipeline.serialize` — structural JSON round-tripping of
-  IR functions, specialization requests, and compile-side modules with
-  a strict corruption-is-a-miss contract;
+  IR functions with a strict corruption-is-a-miss contract;
 * :class:`~repro.pipeline.tiering.TieringController` — profile-guided
   dynamic tier-up at run time (tier 0 generic interpreter → tier 1
   residual IR → tier 2 compiled Python), with guarded speculation and
@@ -35,7 +32,7 @@ the paper's production story (S6.5) made concrete:
 Every embedder reaches the engine through
 :class:`~repro.core.snapshot.SnapshotCompiler`, which delegates its
 ``process_requests()`` / ``compile_backend()`` to one; it is configured
-in exactly one place, ``SpecializeOptions(jobs=..., cache_dir=...)``.
+in exactly one place, ``SpecializeOptions(cache_dir=..., backend=...)``.
 """
 
 from repro.pipeline.artifacts import (
@@ -59,10 +56,6 @@ from repro.pipeline.serialize import (
     SerializationError,
     function_from_dict,
     function_to_dict,
-    module_from_dict,
-    module_to_dict,
-    request_from_dict,
-    request_to_dict,
 )
 from repro.pipeline.tiering import (
     DEFAULT_THRESHOLD,
@@ -95,11 +88,7 @@ __all__ = [
     "function_from_dict",
     "function_to_dict",
     "locked_write_json",
-    "module_from_dict",
-    "module_to_dict",
     "open_profile_store",
     "profile_key",
-    "request_from_dict",
-    "request_to_dict",
     "residual_fingerprint",
 ]

@@ -3,14 +3,14 @@
 The paper's production deployment caches specialization outputs keyed on
 the module hash plus the request's argument data, so the unchanging AOT
 IC corpus is never recompiled and the compiled code ships with the
-snapshot.  This module is the persistent half of that story: it stores
+snapshot.  This module is that cache: it stores
 
-* **residual IR** (``spec/``) keyed by the same fingerprints the
-  in-memory :class:`~repro.core.cache.SpecializationCache` uses — the
-  generic function's printed body, the request's argument modes, the
-  contents of every promised-constant memory range, and the
-  specialization options that shape it (SSA mode, opt config; not
-  the backend, residual IR is backend-independent) — and
+* **residual IR** (``spec/``) keyed by
+  :func:`~repro.core.cache.request_key` — the generic function's
+  printed body, the request's argument modes, the contents of every
+  promised-constant memory range, and the specialization options that
+  shape it (SSA mode, opt config; not the backend, residual IR is
+  backend-independent) — and
 * **emitted backend source** (``py/``) keyed by the *residual*
   function's printed-IR fingerprint plus the emitter version, so a
   residual loaded warm reuses the same Python source (or the same
@@ -47,9 +47,9 @@ anything else fails fingerprint validation on load.  On platforms
 without ``fcntl`` the lock degrades to the (already atomic) plain
 write; the reread validation still applies.
 
-The store keeps no mutable counters (loads run on engine worker
-threads); every operation returns a status string and the engine
-aggregates them into :class:`~repro.core.stats.EngineStats` serially.
+The store keeps no hit/miss counters: every load returns a status
+string and the engine aggregates them into
+:class:`~repro.core.stats.EngineStats`.
 """
 
 from __future__ import annotations
@@ -332,12 +332,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def spec_path(self, key: Tuple) -> str:
         return os.path.join(self.spec_dir, _digest(key) + ".json")
-
-    def has_residual(self, key: Tuple) -> bool:
-        """Whether *some* artifact exists for ``key`` (existence only —
-        a corrupt file still counts; it will be diagnosed on load)."""
-        path = self.spec_path(key)
-        return path in self._memory or os.path.exists(path)
 
     def load_residual(self, key: Tuple, name: str,
                       generic_fingerprint: str,

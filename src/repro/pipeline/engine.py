@@ -4,14 +4,15 @@ The :class:`CompilationEngine` owns the whole tier-up path:
 
 * it accepts **batches** of
   :class:`~repro.core.request.SpecializationRequest`\\s and runs them
-  through four stages — keys and in-memory probes, specialize (which
+  through four stages — keys and in-batch dedup, specialize (which
   includes the verifying mid-end), backend emission, and the
-  order-sensitive tail (cache accounting, artifact writes, ``exec`` of
+  order-sensitive tail (hit accounting, artifact writes, ``exec`` of
   emitted code) — each in **request order**; the caller's module
   mutation / table registration / heap patching follows the same order;
-* it layers the in-memory cache over a **persistent on-disk artifact
-  store** (``SpecializeOptions(cache_dir=...)``,
-  :mod:`repro.pipeline.artifacts`): residual IR and emitted backend
+* its one cache is the **persistent on-disk artifact store**
+  (``SpecializeOptions(cache_dir=...)``,
+  :mod:`repro.pipeline.artifacts`), keyed by
+  :func:`~repro.core.cache.request_key`: residual IR and emitted backend
   source survive process exit, a warm restart compiles zero functions,
   and fingerprint mismatches / version skew / corruption silently fall
   back to a fresh compile;
@@ -20,17 +21,8 @@ The :class:`CompilationEngine` owns the whole tier-up path:
   treated exactly like corruption).
 
 There is **one stage-1 body**, :func:`_specialize_one` (artifact load →
-verify → else ``specialize``, faults and containment included).  The
-engine calls it in-process; with ``SpecializeOptions(jobs=N)``, ``N >
-1``, a batch with more than one miss calls it inside a
-``ProcessPoolExecutor`` worker, which only adds (de)serialization: the
-module ships once per worker in its serialized compile-side form (host
-import callables cannot cross a process boundary, so imports travel
-signature-only) and residuals ship back through the same byte-identical
-JSON round trip the artifact store uses, so results are bit-identical
-to the serial path at any worker count.  Everything else — emission and
-all writes — stays in the parent.  A payload the encoding cannot
-express, or a pool that broke twice in a row, lands on the serial path.
+verify → else ``specialize``, faults and containment included), and the
+engine calls it in-process, once per distinct key in the batch.
 """
 
 from __future__ import annotations
@@ -38,11 +30,9 @@ from __future__ import annotations
 import dataclasses
 import marshal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.cache import SpecializationCache, request_key
+from repro.core.cache import request_key
 from repro.core.request import SpecializationRequest
 from repro.core.specialize import SpecializeOptions, specialize
 from repro.core.stats import EngineStats
@@ -58,16 +48,6 @@ from repro.pipeline.artifacts import (
     ArtifactStore,
     residual_fingerprint,
 )
-from repro.pipeline.faults import plan_from_options
-from repro.pipeline.serialize import (
-    SerializationError,
-    function_from_dict,
-    function_to_dict,
-    module_from_dict,
-    module_to_dict,
-    request_from_dict,
-    request_to_dict,
-)
 
 
 def _open_store(options: SpecializeOptions) -> Optional[ArtifactStore]:
@@ -79,7 +59,7 @@ def _open_store(options: SpecializeOptions) -> Optional[ArtifactStore]:
         return None
     try:
         return ArtifactStore(options.cache_dir,
-                             fault_plan=plan_from_options(options))
+                             fault_plan=options.fault_plan)
     except OSError:
         return None
 
@@ -93,10 +73,9 @@ def _specialize_one(module: Module, request: SpecializationRequest,
     Returns ``(function, error, artifact_status, seconds)``.  Any
     exception (injected ``specialize``/``verify`` faults included) is
     contained here and comes back as the ``error`` message with no
-    function: one poisoned request fails in stage 3, never the batch or
-    the pool.
+    function: one poisoned request fails in stage 3, never the batch.
     """
-    fault = plan_from_options(options)
+    fault = options.fault_plan
     begin = time.perf_counter()
     artifact_status = MISS
     func = error = None
@@ -123,69 +102,25 @@ def _specialize_one(module: Module, request: SpecializationRequest,
     return func, error, artifact_status, time.perf_counter() - begin
 
 
-# ---------------------------------------------------------------------------
-# Process-pool workers (``SpecializeOptions(jobs=N)``, N > 1).
-#
-# Stage 1 is pure, so it can leave the process: the module travels once
-# per worker as its serialized compile-side form (functions, import
-# *signatures*, table, globals — host callables never cross), the heap
-# snapshot travels with it, and each task is one JSON-encoded request
-# plus its precomputed cache key.  All *writes* — artifact store,
-# in-memory cache, module mutation — stay in the parent, so ordering is
-# untouched.
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _pool_worker_init(module_payload: dict, options, snapshot: bytes
-                      ) -> None:
-    """Per-worker setup: rebuild the compile-side module and open the
-    (read-only-use) artifact store once, not per task."""
-    _WORKER_STATE.update(module=module_from_dict(module_payload),
-                         options=options, snapshot=snapshot,
-                         store=_open_store(options))
-
-
-def _pool_specialize(item: tuple):
-    """:func:`_specialize_one` in a worker.  The residual ships back
-    serialized beside its specialization stats; one the encoding cannot
-    express ships back as ``None`` with no error, and the parent
-    recomputes it."""
-    request_data, key, name = item
-    state = _WORKER_STATE
-    func, *outcome = _specialize_one(
-        state["module"], request_from_dict(request_data), key, name,
-        state["options"], state["snapshot"], state["store"])
-    if func is not None:
-        try:
-            func = (function_to_dict(func),
-                    getattr(func, "_weval_stats", None))
-        except SerializationError:
-            func = None
-    return (func, *outcome)
-
-
 @dataclasses.dataclass
 class EngineResult:
     """Outcome of one request in a batch, in request order.
 
-    Exactly one of ``cache_hit`` / ``artifact_hit`` / ``specialized`` is
-    true for the request that *produced* the function; a duplicate
-    request in the same batch reuses the producer's *residual* (one
-    specialize run) and counts as a cache hit — backend source is still
-    emitted per request, because the emitted code embeds the unique
-    function name in its trap messages.  ``pyfunc``/``py_source`` are
-    populated when the engine's backend is ``"py"``;
-    ``fallback_reason`` records a residual the emitter cannot express
-    (it stays on the IR VM).
+    Exactly one of ``artifact_hit`` / ``specialized`` is true for the
+    request that *produced* the function; a duplicate request in the
+    same batch reuses the producer's *residual* (one specialize run) and
+    is the ``cache_hit`` — backend source is still emitted per request,
+    because the emitted code embeds the unique function name in its
+    trap messages.  ``pyfunc``/``py_source`` are populated when the
+    engine's backend is ``"py"``; ``fallback_reason`` records a residual
+    the emitter cannot express (it stays on the IR VM).
 
     ``error`` is the fault-containment surface: an exception anywhere in
-    this request's pipeline (specialize, verify, emit, a crashed pool
-    worker) fails *this result only* — ``function`` is ``None``, nothing
-    was cached or stored for it, and the rest of the batch is
-    unaffected.  Callers must treat an errored result as "stay on the
-    current tier"; the tiering controller turns it into quarantine.
+    this request's pipeline (specialize, verify, emit) fails *this
+    result only* — ``function`` is ``None``, nothing was stored for it,
+    and the rest of the batch is unaffected.  Callers must treat an
+    errored result as "stay on the current tier"; the tiering controller
+    turns it into quarantine.
     """
 
     request: SpecializationRequest
@@ -221,19 +156,14 @@ class _Plan:
 
 class CompilationEngine:
     """Batch compiler for specialization requests (specialize → opt →
-    verify → emit) with tiered caching, configured entirely by
+    verify → emit) over the artifact store, configured entirely by
     :class:`~repro.core.specialize.SpecializeOptions`."""
 
     def __init__(self, module: Module,
-                 options: Optional[SpecializeOptions] = None,
-                 cache: Optional[SpecializationCache] = None):
+                 options: Optional[SpecializeOptions] = None):
         self.module = module
         self.options = options or SpecializeOptions()
-        self.cache = cache
-        # Worker processes for stage 1; drops to 1 for the session when
-        # the pool breaks twice in a row.
-        self.jobs = self.options.jobs
-        self.fault_plan = plan_from_options(self.options)
+        self.fault_plan = self.options.fault_plan
         self.store = _open_store(self.options)
         self.stats = EngineStats()
 
@@ -258,46 +188,32 @@ class CompilationEngine:
         stats.requests += len(requests)
         stats.inline_requests += sum(
             1 for r in requests if getattr(r, "inline_plan", ()))
-        stats.jobs = max(stats.jobs, self.jobs)
 
-        # Stage 0: keys, in-memory probes, in-batch dedup.
+        # Stage 0: keys and in-batch dedup.
         plans: List[_Plan] = []
         first_of_key: Dict[tuple, int] = {}
         for request in requests:
             plan = _Plan(request, request.name(),
                          request_key(self.module, request, self.options,
                                      snapshot))
-            owner = first_of_key.get(plan.key)
-            if owner is not None:
-                # Same key seen earlier in this batch: reuse its output
-                # (the serial flow would have hit the cache here).
-                plan.dup_of = owner
-            else:
-                if self.cache is not None:
-                    plan.func = self.cache.lookup(plan.key, plan.name)
-                    plan.cache_hit = plan.func is not None
-                if plan.func is None:
-                    first_of_key[plan.key] = len(plans)
+            # Same key seen earlier in this batch: reuse its output.
+            plan.dup_of = first_of_key.get(plan.key)
+            if plan.dup_of is None:
+                first_of_key[plan.key] = len(plans)
             plans.append(plan)
 
         # Stage 1 (pure): artifact load / fresh specialize for every
-        # first-occurrence miss — in the process pool when one is
-        # configured and the batch can use it, else in-process (both
-        # produce bit-identical residuals).
-        misses = [plan for plan in plans
-                  if plan.func is None and plan.dup_of is None]
-        outcomes = None
-        if self.jobs > 1 and len(misses) > 1:
-            outcomes = self._pool_specialize_misses(misses, snapshot)
-        if outcomes is None:
-            outcomes = [self._specialize_local(plan, snapshot)
-                        for plan in misses]
-        for plan, (func, error, artifact_status, seconds) in zip(misses,
-                                                                 outcomes):
-            # A contained task crash fails this request and leaves every
-            # sibling (and the caches) untouched.
-            plan.func, plan.error = func, error
-            if error is None:
+        # first occurrence of a key.
+        for plan in plans:
+            if plan.dup_of is not None:
+                continue
+            # A contained crash fails this request and leaves every
+            # sibling (and the store) untouched.
+            plan.func, plan.error, artifact_status, seconds = \
+                _specialize_one(self.module, plan.request, plan.key,
+                                plan.name, self.options, snapshot,
+                                self.store)
+            if plan.error is None:
                 plan.artifact_hit = artifact_status == HIT
                 plan.specialized = not plan.artifact_hit
             if artifact_status == INVALID:
@@ -315,39 +231,26 @@ class CompilationEngine:
                     continue
                 plan.func = clone_function(producer.func, plan.name)
                 plan.cache_hit = True
-                if self.cache is not None:
-                    # Accounting parity with the serial flow, where the
-                    # producer's insert happened before this probe.
-                    self.cache.hits += 1
 
         # Stage 2 (pure): backend emission for every function.
         if self.options.backend == "py":
             self._emit([plan for plan in plans if plan.error is None])
 
-        # Stage 3 (request order): cache/artifact writes and ``exec`` of
+        # Stage 3 (request order): artifact writes and ``exec`` of
         # emitted source.  Errored plans write nothing — a crashed stage
-        # must not leave partial state in the caches.
+        # must not leave partial state in the store.
         results = []
         for plan in plans:
             if plan.error is not None:
                 stats.requests_failed += 1
             elif plan.cache_hit:
                 stats.cache_hits += 1
-                if self.store is not None and plan.dup_of is None and \
-                        not self.store.has_residual(plan.key):
-                    # A warm in-memory cache combined with a fresh
-                    # cache_dir must still leave a complete store behind
-                    # (the warm-start-on-disk contract).
-                    self._store_residual(plan)
+            elif plan.artifact_hit:
+                stats.artifact_hits += 1
             else:
-                if self.cache is not None:
-                    self.cache.insert(plan.key, plan.func)
-                if plan.artifact_hit:
-                    stats.artifact_hits += 1
-                else:
-                    stats.functions_specialized += 1
-                    if self.store is not None:
-                        self._store_residual(plan)
+                stats.functions_specialized += 1
+                if self.store is not None:
+                    self._store_residual(plan)
             results.append(self._finalize(plan))
         if self.store is not None:
             health = self.store.health()
@@ -361,70 +264,6 @@ class CompilationEngine:
         if self.store.store_residual(plan.key, plan.func, ir_text,
                                      plan.key[0], plan.key[2]):
             self.stats.artifacts_written += 1
-
-    def _specialize_local(self, plan: _Plan, snapshot: bytes) -> tuple:
-        return _specialize_one(self.module, plan.request, plan.key,
-                               plan.name, self.options, snapshot, self.store)
-
-    def _pool_specialize_misses(self, misses: List[_Plan], snapshot: bytes
-                                ) -> Optional[List[tuple]]:
-        """Stage 1 on a :class:`ProcessPoolExecutor`; ``None`` means
-        "run it in-process" (a module or request the encoding cannot
-        express, or a pool the engine just degraded away from).
-
-        Pool-level failure containment: a broken pool (a worker
-        segfaulted or was OOM-killed — surfaced by ``concurrent.futures``
-        as :class:`BrokenProcessPool` at the batch boundary) is retried
-        once with a fresh pool, because one dead worker is usually
-        transient.  A second consecutive failure sets ``self.jobs`` to 1
-        for the rest of the session: in-process stage 1 cannot crash
-        independently of the parent, so tier-up keeps working instead
-        of failing every batch.
-        """
-        try:
-            module_payload = module_to_dict(self.module)
-            items = [(request_to_dict(plan.request), plan.key, plan.name)
-                     for plan in misses]
-        except SerializationError:
-            return None
-        fault = self.fault_plan
-        for attempt in (1, 2):
-            pool = None
-            try:
-                if fault is not None and fault.fires("pool_worker"):
-                    raise BrokenProcessPool(
-                        "injected fault at seam 'pool_worker'")
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(misses)),
-                    initializer=_pool_worker_init,
-                    initargs=(module_payload, self.options, snapshot))
-                shipped = list(pool.map(_pool_specialize, items))
-                break
-            except (BrokenProcessPool, OSError):
-                if attempt == 1:
-                    self.stats.pool_rebuilds += 1
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
-        else:
-            self.jobs = 1
-            self.stats.pool_degradations += 1
-            return None
-        outcomes = []
-        for plan, (shipped_func, error, *rest) in zip(misses, shipped):
-            if shipped_func is None and error is None:
-                # The worker specialized fine but could not serialize
-                # the residual back; recompute this one plan locally.
-                outcomes.append(self._specialize_local(plan, snapshot))
-                continue
-            func = None
-            if shipped_func is not None:
-                payload, spec_stats = shipped_func
-                func = function_from_dict(payload, name=plan.name)
-                if spec_stats is not None:
-                    func._weval_stats = spec_stats
-            outcomes.append((func, error, *rest))
-        return outcomes
 
     def _emit(self, plans: List[_Plan]) -> None:
         """Stage 2: backend source and code object for each plan.  A

@@ -5,11 +5,10 @@ correct fallback, so compilation is *advisory* — is only as strong as
 its failure paths.  The artifact and profile stores were already
 paranoid about **read** corruption (anything torn, skewed, or mangled
 silently recompiles / reads as no heat), but nothing systematically
-exercised a compile-stage crash, a broken worker pool, or a store
-*write* failure while a live guest request was on the stack.  This
-module is the adversary that proves those paths: a :class:`FaultPlan`
-injects failures at named seams of the pipeline, deterministically,
-from a seed.
+exercised a compile-stage crash or a store *write* failure while a
+live guest request was on the stack.  This module is the adversary that
+proves those paths: a :class:`FaultPlan` injects failures at named seams
+of the pipeline, deterministically, from a seed.
 
 Seams (:data:`SEAMS`):
 
@@ -32,11 +31,6 @@ Seams (:data:`SEAMS`):
     The artifact store treats the write as failed (full disk, revoked
     permissions); repeated failures flip the store into memory-only
     degraded mode (:mod:`repro.pipeline.artifacts`).
-``pool_worker``
-    The engine's process pool raises
-    :class:`concurrent.futures.process.BrokenProcessPool` at the batch
-    boundary — the engine rebuilds the pool once, then degrades to
-    in-process compiles for the session.
 ``heat_merge``
     The profile store's merge write fails; the publish high-water marks
     must retain the delta for the next attempt.
@@ -44,10 +38,8 @@ Seams (:data:`SEAMS`):
 **Determinism.**  Each seam keeps its own consult counter and its own
 ``random.Random`` seeded from ``(seed, seam)``; the Nth consult of a
 seam fires (or not) identically across runs for the same plan
-configuration and per-seam consult order.  The chaos tier therefore
-runs single-job engines (``jobs=1``) so consult order is the program
-order; with a worker pool the per-seam *rate* still holds but the
-exact firing pattern may interleave differently.
+configuration, because the engine compiles in-process and the consult
+order is the program order.
 
 A plan is consulted only where one is installed
 (``SpecializeOptions(fault_plan=...)``); with no plan the containment
@@ -55,22 +47,15 @@ hooks are a single ``is not None`` test — the no-plan execution stays
 byte-identical to a build without this module
 (``tests/test_chaos.py::TestInertPlan`` holds results, fuel and
 promotions equal under an armed plan that never fires).
-
-Plans are picklable (the process-pool engine ships options to its
-workers); the internal lock is dropped and recreated across the
-boundary, so each worker advances an independent copy of the per-seam
-state — per-process determinism, which is what the cross-process tests
-rely on.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from typing import Dict, Iterable, Optional
 
 SEAMS = ("specialize", "verify", "emit", "store_read", "store_write",
-         "pool_worker", "heat_merge")
+         "heat_merge")
 
 
 class FaultInjected(Exception):
@@ -113,7 +98,6 @@ class FaultPlan:
         self.consults: Dict[str, int] = {}
         self.fired: Dict[str, int] = {}
         self._rngs: Dict[str, random.Random] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def once(cls, seam: str, index: int = 0) -> "FaultPlan":
@@ -124,7 +108,7 @@ class FaultPlan:
     @classmethod
     def always(cls, *seams: str) -> "FaultPlan":
         """A plan that fires on every consult of the given seams (the
-        persistent-outage schedules: full disk, dead pool)."""
+        persistent-outage schedules: full disk, dead compiler)."""
         return cls(rates={seam: 1.0 for seam in seams})
 
     # ------------------------------------------------------------------
@@ -140,19 +124,18 @@ class FaultPlan:
         """Advance ``seam``'s consult counter and decide whether this
         consult fails.  Non-raising seams (store read/write, heat merge)
         use this directly; exception seams go through :meth:`check`."""
-        with self._lock:
-            index = self.consults.get(seam, 0)
-            self.consults[seam] = index + 1
-            fire = index in self.at.get(seam, ())
-            rate = self.rates.get(seam, 0.0)
-            if rate and self._rng(seam).random() < rate:
-                fire = True
-            if fire and self.armed and (
-                    self.max_fires is None
-                    or self.total_fired() < self.max_fires):
-                self.fired[seam] = self.fired.get(seam, 0) + 1
-                return True
-            return False
+        index = self.consults.get(seam, 0)
+        self.consults[seam] = index + 1
+        fire = index in self.at.get(seam, ())
+        rate = self.rates.get(seam, 0.0)
+        if rate and self._rng(seam).random() < rate:
+            fire = True
+        if fire and self.armed and (
+                self.max_fires is None
+                or self.total_fired() < self.max_fires):
+            self.fired[seam] = self.fired.get(seam, 0) + 1
+            return True
+        return False
 
     def check(self, seam: str) -> None:
         """Raise :class:`FaultInjected` when this consult of ``seam``
@@ -172,27 +155,8 @@ class FaultPlan:
         """Stop injecting (counters keep advancing deterministically)."""
         self.armed = False
 
-    # ------------------------------------------------------------------
-    # Pickling (the process-pool engine ships options to workers).
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def __repr__(self) -> str:
         spec = {seam: rate for seam, rate in self.rates.items()}
         spec.update({seam: sorted(idx) for seam, idx in self.at.items()})
         return (f"FaultPlan(seed={self.seed}, {spec}, "
                 f"fired={self.total_fired()}, armed={self.armed})")
-
-
-def plan_from_options(options) -> Optional[FaultPlan]:
-    """The plan installed on a :class:`SpecializeOptions`, if any (the
-    attribute-style accessor keeps older pickled options loadable)."""
-    return getattr(options, "fault_plan", None) if options is not None \
-        else None

@@ -29,19 +29,19 @@ from repro.vm.machine import VM
 
 def controller_for(module: Module, entries: Iterable[TierEntry],
                    options: Optional[SpecializeOptions] = None,
-                   cache=None, **tiering) -> TieringController:
+                   **tiering) -> TieringController:
     """A controller over ``module`` with every entry registered (all
     tier 0 until :meth:`~TieringController.promote_all`, a profile, or
     adopted fleet heat says otherwise)."""
-    controller = TieringController(module, options, cache, **tiering)
+    controller = TieringController(module, options, **tiering)
     for entry in entries:
         controller.register(entry)
     return controller
 
 
 class GuestRuntime:
-    """Base of a guest runtime.  The guest sets ``module`` (and, if it
-    has them, ``options`` and ``cache``) and supplies two methods:
+    """Base of a guest runtime.  The guest sets ``module`` (and
+    ``options``, if it has any) and supplies two methods:
 
     * ``tier_entries()`` — one :class:`TierEntry` per tierable function;
     * ``enter(vm)`` — run main on ``vm`` (dispatching through its slot
@@ -51,7 +51,6 @@ class GuestRuntime:
 
     module: Module
     options: Optional[SpecializeOptions] = None
-    cache = None
     compiler: Optional[SnapshotCompiler] = None
     controller: Optional[TieringController] = None  # set by tiered runs
     default_mode = "interp"
@@ -71,7 +70,7 @@ class GuestRuntime:
         if backend is not None:
             options = dataclasses.replace(options, backend=backend)
         return controller_for(self.module, self.tier_entries(), options,
-                              self.cache, **tiering)
+                              **tiering)
 
     def aot_compile(self, options: Optional[SpecializeOptions] = None
                     ) -> SnapshotCompiler:

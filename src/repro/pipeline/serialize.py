@@ -223,162 +223,3 @@ def function_from_dict(data: dict,
         raise SerializationError(f"entry block{func.entry} missing")
     return func
 
-
-# ---------------------------------------------------------------------------
-# Specialization requests (process-pool workers receive work as JSON).
-# ---------------------------------------------------------------------------
-
-def request_to_dict(request) -> dict:
-    """Encode a :class:`~repro.core.request.SpecializationRequest`.
-
-    Argument modes are tagged dicts so a decoder can never confuse a
-    constant promise with a speculation — the two have different
-    correctness obligations (a guard versus an embedder guarantee).
-    """
-    from repro.core.request import (
-        Runtime, SpecializedConst, SpecializedMemory, SpeculatedConst)
-    args = []
-    for arg in request.args:
-        if isinstance(arg, SpecializedConst):
-            args.append({"t": "const", "value": arg.value})
-        elif isinstance(arg, SpecializedMemory):
-            args.append({"t": "memory", "pointer": arg.pointer,
-                         "length": arg.length})
-        elif isinstance(arg, SpeculatedConst):
-            args.append({"t": "spec", "value": arg.value})
-        elif isinstance(arg, Runtime):
-            args.append({"t": "runtime"})
-        else:
-            raise SerializationError(f"unencodable arg mode {arg!r}")
-    return {
-        "generic": request.generic,
-        "args": args,
-        "specialized_name": request.specialized_name,
-        "extra_const_memory": [[int(a), int(l)]
-                               for a, l in request.extra_const_memory],
-        "inline_plan": [[int(site), [[int(idx), str(fp)]
-                                     for idx, fp in targets]]
-                        for site, targets in request.inline_plan],
-    }
-
-
-def request_from_dict(data: dict):
-    """Decode a request; raises :class:`SerializationError` on any
-    malformed payload (same contract as :func:`function_from_dict`)."""
-    from repro.core.request import (
-        Runtime, SpecializationRequest, SpecializedConst,
-        SpecializedMemory, SpeculatedConst)
-    try:
-        args = []
-        for adata in data["args"]:
-            tag = adata["t"]
-            if tag == "const":
-                value = adata["value"]
-                if not isinstance(value, (int, float)):
-                    raise SerializationError(f"bad const value {value!r}")
-                args.append(SpecializedConst(value))
-            elif tag == "memory":
-                args.append(SpecializedMemory(int(adata["pointer"]),
-                                              int(adata["length"])))
-            elif tag == "spec":
-                args.append(SpeculatedConst(int(adata["value"])))
-            elif tag == "runtime":
-                args.append(Runtime())
-            else:
-                raise SerializationError(f"unknown arg mode tag {tag!r}")
-        name = data["specialized_name"]
-        return SpecializationRequest(
-            str(data["generic"]), args,
-            specialized_name=None if name is None else str(name),
-            extra_const_memory=[(int(a), int(l))
-                                for a, l in data["extra_const_memory"]],
-            inline_plan=tuple(
-                (int(site), tuple((int(idx), str(fp))
-                                  for idx, fp in targets))
-                for site, targets in data.get("inline_plan", [])))
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed request payload: {exc}") \
-            from exc
-
-
-# ---------------------------------------------------------------------------
-# Modules (shipped once per process-pool worker at pool startup).
-# ---------------------------------------------------------------------------
-
-def _sig_to_dict(sig) -> dict:
-    return {"params": [t.value for t in sig.params],
-            "results": [t.value for t in sig.results]}
-
-
-def _sig_from_dict(data):
-    from repro.ir.function import Signature
-    try:
-        return Signature(tuple(_ty_from(t) for t in data["params"]),
-                         tuple(_ty_from(t) for t in data["results"]))
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad signature {data!r}") from exc
-
-
-def _unavailable_host(name: str):
-    def fn(vm, *args):  # pragma: no cover - compile-side modules only
-        raise RuntimeError(
-            f"host import {name!r} is not available in a "
-            f"deserialized module (compile-side use only)")
-    return fn
-
-
-def module_to_dict(module) -> dict:
-    """Encode a module's *compile-side* identity: functions, import
-    signatures, table, globals, and memory size.
-
-    Host import callables cannot cross a process boundary, so imports
-    are encoded signature-only; the initial memory image is deliberately
-    excluded (the heap snapshot travels separately with each batch and
-    is the authoritative constant image).  A decoded module can drive
-    ``specialize``/``verify_function`` but must never be *executed* —
-    its imports raise.
-    """
-    return {
-        "functions": [function_to_dict(f)
-                      for f in module.functions.values()],
-        "imports": [{"name": h.name, "sig": _sig_to_dict(h.sig)}
-                    for h in module.imports.values()],
-        "table": list(module.table[1:]),  # slot 0 is always null
-        "globals": dict(module.globals),
-        "memory_size": module.memory_size,
-    }
-
-
-def module_from_dict(data: dict):
-    """Decode a compile-side module; raises :class:`SerializationError`
-    on any malformed payload — including duplicate function or import
-    names, which a last-write-wins decode would silently turn into a
-    different program."""
-    from repro.ir.module import HostFunc, Module
-    try:
-        module = Module(memory_size=int(data["memory_size"]))
-        for fdata in data["functions"]:
-            module.add_function(function_from_dict(fdata))
-        for idata in data["imports"]:
-            name = str(idata["name"])
-            module.add_import(HostFunc(name, _sig_from_dict(idata["sig"]),
-                                       _unavailable_host(name)))
-        for entry in data["table"]:
-            module.add_table_entry(str(entry))
-        for name, init in data["globals"].items():
-            module.add_global(str(name), int(init))
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SerializationError(f"malformed module payload: {exc}") \
-            from exc
-    except ValueError as exc:
-        # Duplicate function/import/global names (Module.add_* raise) or
-        # an unconvertible field both land here.
-        raise SerializationError(f"malformed module payload: {exc}") \
-            from exc
-    return module

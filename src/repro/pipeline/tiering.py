@@ -226,7 +226,6 @@ class TieringController:
 
     def __init__(self, module: Module,
                  options: Optional[SpecializeOptions] = None,
-                 cache=None,
                  threshold: float = DEFAULT_THRESHOLD,
                  speculate: bool = False,
                  compile_threshold: int = 0,
@@ -262,7 +261,7 @@ class TieringController:
         # backend emit for a function is paid when *it* reaches tier 2.
         compiler_options = (dataclasses.replace(self.options, backend="vm")
                             if staged else self.options)
-        self.compiler = SnapshotCompiler(module, compiler_options, cache)
+        self.compiler = SnapshotCompiler(module, compiler_options)
         self.vm: Optional[VM] = None
         self.stats = TieringStats()
         self.entries: List[TierEntry] = []
@@ -708,7 +707,7 @@ class TieringController:
         name, item = profile.installed_name, None
         if recompile:
             # An empty plan is exactly the base residual's request, so
-            # the engine cache serves it.
+            # the artifact store serves it when ``cache_dir`` is set.
             item = self._compile(
                 dataclasses.replace(profile.active_request,
                                     inline_plan=plan),
@@ -895,12 +894,9 @@ class TieringController:
                 f"blacklists={stats.blacklists} "
                 f"storm_pins={stats.storm_pins}")
         estats = self.compiler.engine.stats
-        if estats.requests_failed or estats.pool_rebuilds or \
-                estats.pool_degradations or estats.store_degraded:
+        if estats.requests_failed or estats.store_degraded:
             lines.append(
                 f"engine: failed={estats.requests_failed} "
-                f"pool_rebuilds={estats.pool_rebuilds} "
-                f"pool_degradations={estats.pool_degradations} "
                 f"store_degraded={bool(estats.store_degraded)} "
                 f"store_write_failures={estats.store_write_failures}")
         return "\n".join(lines)

@@ -13,13 +13,11 @@ asserts exactly that, with seeded deterministic
   of that one stage);
 * randomized combined schedules across all seams (several seeds);
 * the containment policies one by one — quarantine + backoff retry,
-  permanent blacklist, the deopt-storm breaker, degraded stores, and
-  process-pool rebuild/degrade;
+  permanent blacklist, the deopt-storm breaker and degraded stores;
 * recovery: a quarantined function re-promotes once injection stops.
 
-All runs use ``jobs=1`` engines (except the pool tests) so the per-seam
-consult order — and therefore the firing schedule — is exactly
-reproducible.
+The engine compiles in-process, so the per-seam consult order — and
+therefore the firing schedule — is exactly reproducible.
 """
 
 import pytest
@@ -302,46 +300,6 @@ class TestStormBreaker:
         assert not profile.pinned_generic
         assert profile.tier >= 1
         assert controller.stats.storm_pins == 0
-
-
-# ---------------------------------------------------------------------------
-# Process-pool containment (rebuild once, then degrade to serial).
-# ---------------------------------------------------------------------------
-class TestPoolContainment:
-    def _worker(self, plan, tmp_path):
-        endpoints = _endpoints()
-        options = SpecializeOptions(
-            backend="vm", jobs=2, fault_plan=plan,
-            cache_dir=str(tmp_path / "cache"))
-        return endpoints, make_fleet_worker(endpoints, threshold=3,
-                                            options=options)
-
-    def test_broken_pool_rebuilds_once(self, tmp_path):
-        plan = FaultPlan.once("pool_worker")
-        endpoints, (vm, controller) = self._worker(plan, tmp_path)
-        names = controller.promote_all()
-        assert len(names) == len(endpoints)
-        engine = controller.compiler.engine
-        assert engine.stats.pool_rebuilds == 1
-        assert engine.stats.pool_degradations == 0
-        assert engine.jobs == 2  # still trusted after one rebuild
-        traffic = _traffic(endpoints, rounds=6)
-        assert [serve(vm, ep, v) for ep, v in traffic] == \
-            _reference_results(endpoints, traffic)
-
-    def test_persistently_broken_pool_degrades_to_serial(self, tmp_path):
-        plan = FaultPlan.always("pool_worker")
-        endpoints, (vm, controller) = self._worker(plan, tmp_path)
-        names = controller.promote_all()
-        assert len(names) == len(endpoints)  # serial fallback compiled all
-        engine = controller.compiler.engine
-        assert engine.stats.pool_rebuilds == 1
-        assert engine.stats.pool_degradations == 1
-        assert engine.jobs == 1  # degraded for the session
-        assert "pool_degradations=1" in controller.report()
-        traffic = _traffic(endpoints, rounds=6)
-        assert [serve(vm, ep, v) for ep, v in traffic] == \
-            _reference_results(endpoints, traffic)
 
 
 # ---------------------------------------------------------------------------

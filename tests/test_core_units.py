@@ -219,8 +219,7 @@ class TestIntrinsicRegistry:
 
 class TestStatsMerge:
     """One ``merge()`` for the five stats dataclasses: numeric fields
-    add, ``EngineStats.jobs`` keeps the maximum, nested stats recurse,
-    ``per_pass`` merges by key."""
+    add, nested stats recurse, ``per_pass`` merges by key."""
 
     @staticmethod
     def _filled(cls, start):
@@ -232,7 +231,7 @@ class TestStatsMerge:
                 setattr(stats, field.name, start + offset)
         return stats
 
-    def test_numeric_fields_add_and_jobs_takes_max(self):
+    def test_numeric_fields_add(self):
         import dataclasses
 
         from repro.core.stats import EngineStats, PassStats, TieringStats
@@ -241,13 +240,8 @@ class TestStatsMerge:
             expected = {
                 f.name: getattr(mine, f.name) + getattr(theirs, f.name)
                 for f in dataclasses.fields(cls)}
-            if cls is EngineStats:
-                expected["jobs"] = max(mine.jobs, theirs.jobs)
             mine.merge(theirs)
             assert dataclasses.asdict(mine) == expected
-        high, low = EngineStats(jobs=4), EngineStats(jobs=2)
-        high.merge(low)
-        assert high.jobs == 4
 
     def test_nested_stats_recurse_and_per_pass_merges_by_key(self):
         from repro.core.stats import (

@@ -66,7 +66,7 @@ from tests.helpers import EMIT_LEGS, compile_legs, emit_leg
 N_MIN, N_LUA, N_JS = 24, 20, 6  # 50 programs total
 
 OPT_LEVELS = {
-    "O0": SpecializeOptions(optimize=False, backend="vm"),
+    "O0": SpecializeOptions(opt_config="none", backend="vm"),
     "full": SpecializeOptions(backend="vm"),
 }
 

@@ -179,10 +179,10 @@ class TestSsaModes:
         module = setup(TWO_BACKEDGE, COUNTDOWN)
         minimal = specialize(module, make_request(
             COUNTDOWN, specialized_name="spec_min"),
-            SpecializeOptions(optimize=False))
+            SpecializeOptions(opt_config="none"))
         naive = specialize(module, make_request(
             COUNTDOWN, specialized_name="spec_naive"),
-            SpecializeOptions(ssa_mode="naive", optimize=False))
+            SpecializeOptions(ssa_mode="naive", opt_config="none"))
         assert naive.total_block_params() > minimal.total_block_params()
 
     def test_naive_mode_still_correct(self):

@@ -9,9 +9,9 @@
   pass through as ``**tiering`` (``inline=`` used to stop at MiniJS).
 * **Said once** — engine configuration is ``SpecializeOptions`` and
   nothing else: no callable under ``src/repro`` has a parameter named
-  ``jobs``, ``cache_dir`` or ``pool``, and no thread pool is imported;
-  one class lowers a CFG to Python and nothing takes ``batch_fuel`` or
-  ``emit_mode``.
+  ``jobs``, ``cache``, ``cache_dir`` or ``pool``, and nothing imports
+  ``concurrent.futures`` or ``multiprocessing``; one class lowers a CFG
+  to Python and nothing takes ``batch_fuel`` or ``emit_mode``.
 """
 
 import ast
@@ -36,7 +36,7 @@ from repro.min.harness import (
     make_tiered_min,
     sum_to_n_program,
 )
-from repro.pipeline import GuestRuntime, TierEntry
+from repro.pipeline import CompilationEngine, GuestRuntime, TierEntry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INF = float("inf")
@@ -146,7 +146,7 @@ def test_min_tiered_run_accepts_inline():
 # ---------------------------------------------------------------------------
 # Said once.
 # ---------------------------------------------------------------------------
-ENGINE_SETTINGS = {"jobs", "cache_dir", "pool"}
+ENGINE_SETTINGS = {"jobs", "cache", "cache_dir", "pool"}
 # ``open_profile_store(cache_dir)`` names the root of a store to open,
 # not an engine setting.
 EXEMPT = {("repro/pipeline/profiles.py", "open_profile_store")}
@@ -198,13 +198,27 @@ def test_one_emitter():
         & set(repro.backend.__all__)
 
 
-def test_no_thread_pool_under_src():
+def test_deleted_engine_settings_are_type_errors():
+    module = Module(memory_size=64)
+    for call in (lambda: SpecializeOptions(jobs=2),
+                 lambda: SpecializeOptions(optimize=False),
+                 lambda: CompilationEngine(module, SpecializeOptions(),
+                                           cache={})):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_no_worker_pool_under_src():
+    """Compilation is in-process: nothing under ``src/`` imports
+    ``concurrent.futures`` or ``multiprocessing``."""
     for name, tree in _sources():
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                imported = {node.attr}
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
             else:
                 continue
-            assert "ThreadPoolExecutor" not in imported, name
+            for module in imported:
+                assert module.split(".")[0] not in (
+                    "concurrent", "multiprocessing"), name

@@ -27,12 +27,7 @@ from repro.opt.inline import (
     apply_inline_plan,
     enumerate_call_sites,
 )
-from repro.pipeline.serialize import (
-    function_from_dict,
-    function_to_dict,
-    request_from_dict,
-    request_to_dict,
-)
+from repro.pipeline.serialize import function_from_dict, function_to_dict
 from repro.vm import VM
 from repro.vm.machine import GuardFailed, OutOfFuel
 
@@ -331,7 +326,7 @@ class TestEmitAgreement:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: guard imm forms and request inline plans.
+# Serialization: guard imm forms; inline plans in the request key.
 # ---------------------------------------------------------------------------
 
 class TestSerialization:
@@ -346,21 +341,6 @@ class TestSerialization:
         assert function_to_dict(restored) == payload
         assert [i.imm for i in _guards(restored)] == \
             [i.imm for i in _guards(func)]
-
-    def test_request_inline_plan_round_trips(self):
-        request = SpecializationRequest(
-            "caller", [Runtime(), Runtime()], specialized_name="spec",
-            inline_plan=((0, ((2, "aa"), (3, "bb"))), (4, ((1, "cc"),))))
-        restored = request_from_dict(request_to_dict(request))
-        assert restored.inline_plan == request.inline_plan
-        assert restored.cache_key() == request.cache_key()
-
-    def test_plain_request_decodes_with_empty_plan(self):
-        request = SpecializationRequest("caller", [Runtime()],
-                                        specialized_name="spec")
-        data = request_to_dict(request)
-        data.pop("inline_plan", None)  # pre-PR-8 artifact shape
-        assert request_from_dict(data).inline_plan == ()
 
     def test_plan_changes_name_and_cache_key(self):
         base = SpecializationRequest("caller", [Runtime()])

@@ -1,5 +1,5 @@
-"""Tests for the compilation pipeline: the CompilationEngine, the
-on-disk artifact store, and parallel-batch determinism.
+"""Tests for the compilation pipeline: the CompilationEngine and the
+on-disk artifact store.
 
 The contracts under test (ISSUE/ROADMAP "production story" layer):
 
@@ -11,13 +11,9 @@ The contracts under test (ISSUE/ROADMAP "production story" layer):
 * **Corruption safety** — truncated/garbage artifacts, version skew,
   and fingerprint mismatches are silently treated as misses (fresh
   recompile), never crashes.
-* **Pool determinism** — serial (``jobs=1``) and process-pool
-  (``jobs=2``, ``jobs=4``) compiles produce byte-identical residual IR,
-  byte-identical emitted backend source, and the same table/heap
-  patching.
-* **Said once** — engine configuration lives on ``SpecializeOptions``
-  and nowhere else: no callable under ``src/repro`` takes ``jobs``,
-  ``cache_dir`` or ``pool``.
+* **One cache** — the store is the only cache: a second engine in the
+  same process over the same ``cache_dir`` takes artifact hits, and a
+  duplicate request inside one batch shares its producer's compile.
 """
 
 import dataclasses
@@ -29,7 +25,6 @@ import pytest
 from repro.core import (
     Runtime,
     SnapshotCompiler,
-    SpecializationCache,
     SpecializationRequest,
     SpecializedConst,
     SpecializedMemory,
@@ -45,10 +40,6 @@ from repro.pipeline import (
     function_from_dict,
     function_to_dict,
     locked_write_json,
-    module_from_dict,
-    module_to_dict,
-    request_from_dict,
-    request_to_dict,
 )
 
 INTERP = """
@@ -112,11 +103,11 @@ def make_requests():
     ]
 
 
-def run_snapshot(options: SpecializeOptions, cache=None):
+def run_snapshot(options: SpecializeOptions):
     """One full cold-or-warm AOT flow; returns (compiler, outputs)
     where outputs maps function name -> (result, fuel, ir_text)."""
     module = build_module()
-    compiler = SnapshotCompiler(module, options, cache)
+    compiler = SnapshotCompiler(module, options)
     compiler.instantiate()
     for request, fnptr in zip(make_requests(), (FNPTR_A, FNPTR_B)):
         compiler.enqueue(request, fnptr)
@@ -193,95 +184,6 @@ class TestSerialization:
         payload["blocks"].append(dict(payload["blocks"][0]))
         with pytest.raises(SerializationError, match="duplicate block"):
             function_from_dict(payload)
-
-
-class TestRequestSerialization:
-    def _request(self):
-        from repro.core import SpeculatedConst
-        return SpecializationRequest(
-            "interp",
-            [SpecializedMemory(BASE_A, len(CODE_A) * 8),
-             SpecializedConst(len(CODE_A)), Runtime(), SpeculatedConst(9)],
-            specialized_name="spec_rt",
-            extra_const_memory=[(0x40, 16)])
-
-    def test_round_trip_preserves_identity(self):
-        request = self._request()
-        clone = request_from_dict(
-            json.loads(json.dumps(request_to_dict(request))))
-        assert clone == request
-        assert clone.cache_key() == request.cache_key()
-        assert clone.name() == request.name()
-
-    def test_default_name_round_trips(self):
-        request = dataclasses.replace(self._request(),
-                                      specialized_name=None)
-        clone = request_from_dict(request_to_dict(request))
-        assert clone.specialized_name is None
-        assert clone.name() == request.name()
-
-    @pytest.mark.parametrize("mutilate", [
-        lambda d: d.pop("args"),
-        lambda d: d["args"][0].update(t="mystery"),
-        lambda d: d["args"][1].update(value="NaN-ish"),
-        lambda d: d.update(extra_const_memory=[["x"]]),
-    ])
-    def test_malformed_request_raises(self, mutilate):
-        payload = request_to_dict(self._request())
-        mutilate(payload)
-        with pytest.raises(SerializationError):
-            request_from_dict(payload)
-
-
-class TestModuleSerialization:
-    def _module(self):
-        from repro.core import register_weval_imports
-        module = build_module()
-        register_weval_imports(module)
-        module.add_global("g0", 7)
-        module.add_table_entry("interp")
-        return module
-
-    def test_round_trip_preserves_compile_surface(self):
-        module = self._module()
-        clone = module_from_dict(
-            json.loads(json.dumps(module_to_dict(module))))
-        assert set(clone.functions) == set(module.functions)
-        for name, func in module.functions.items():
-            assert print_function(clone.functions[name], order="id") == \
-                print_function(func, order="id")
-        assert list(clone.imports) == list(module.imports)
-        for name, host in module.imports.items():
-            assert clone.imports[name].sig == host.sig
-        assert clone.table == module.table
-        assert clone.globals == module.globals
-        assert clone.memory_size == module.memory_size
-
-    def test_duplicate_function_name_rejected(self):
-        payload = module_to_dict(self._module())
-        payload["functions"].append(payload["functions"][0])
-        with pytest.raises(SerializationError, match="duplicate"):
-            module_from_dict(payload)
-
-    def test_duplicate_import_name_rejected(self):
-        payload = module_to_dict(self._module())
-        payload["imports"].append(payload["imports"][0])
-        with pytest.raises(SerializationError, match="duplicate"):
-            module_from_dict(payload)
-
-    def test_unknown_table_entry_rejected(self):
-        payload = module_to_dict(self._module())
-        payload["table"].append("no_such_function")
-        with pytest.raises(SerializationError):
-            module_from_dict(payload)
-
-    def test_deserialized_imports_refuse_to_run(self):
-        clone = module_from_dict(module_to_dict(self._module()))
-        from repro.vm import VM
-        vm = VM(clone)
-        host = next(iter(clone.imports.values()))
-        with pytest.raises(RuntimeError, match="not available"):
-            host.fn(vm)
 
 
 # ---------------------------------------------------------------------------
@@ -526,125 +428,38 @@ def test_staged_worker_warm_starts_from_aot_store(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Batch compilation: serial and process-pool runs are indistinguishable.
+# Engine surface details.
 # ---------------------------------------------------------------------------
-class TestParallelDeterminism:
-    def test_jobs_1_vs_4_identical_outputs(self, tmp_path):
-        runs = {}
-        for jobs in (1, 4):
-            options = SpecializeOptions(backend="py", jobs=jobs)
-            module = build_module()
-            compiler = SnapshotCompiler(module, options)
-            compiler.instantiate()
-            for request, fnptr in zip(make_requests(), (FNPTR_A, FNPTR_B)):
-                compiler.enqueue(request, fnptr)
-            processed = compiler.process_requests()
-            compiler.freeze()
-            vm = compiler.resume()
-            results = [vm.call("dispatch", [fnptr, base, len(code), 9])
-                       for fnptr, base, code in
-                       ((FNPTR_A, BASE_A, CODE_A), (FNPTR_B, BASE_B, CODE_B))]
-            runs[jobs] = {
-                "names": [p.function_name for p in processed],
-                "tables": [p.table_index for p in processed],
-                "ir": [print_function(module.functions[p.function_name],
-                                      order="id") for p in processed],
-                "results": results,
-                "fuel": vm.stats.fuel,
-            }
-        assert runs[1] == runs[4]
-
-    def test_jobs_populate_identical_artifacts(self, tmp_path):
-        contents = {}
-        for jobs in (1, 4):
-            cache_dir = tmp_path / f"jobs{jobs}"
-            run_snapshot(SpecializeOptions(jobs=jobs, backend="py",
-                                           cache_dir=str(cache_dir)))
-            files = {}
-            for sub in ("spec", "py"):
-                subdir = cache_dir / sub
-                for entry in sorted(os.listdir(subdir)):
-                    files[f"{sub}/{entry}"] = (subdir / entry).read_bytes()
-            contents[jobs] = files
-        assert contents[1] == contents[4]
-
-    def test_process_pool_matches_serial(self, tmp_path):
-        """The process pool must leave byte-identical artifacts and
-        produce identical outputs at any worker count (the fleet's
-        scale-out correctness contract)."""
-        contents = {}
-        outputs_by_jobs = {}
-        for jobs in (1, 2, 4):
-            cache_dir = tmp_path / f"jobs-{jobs}"
-            compiler, outputs = run_snapshot(
-                SpecializeOptions(jobs=jobs, backend="py",
-                                  cache_dir=str(cache_dir)))
-            check_outputs(outputs)
-            assert compiler.engine.stats.jobs == jobs
-            # The pool really compiled: a pool that broke and degraded
-            # to serial would make this comparison serial ≡ serial.
-            assert compiler.engine.stats.pool_degradations == 0
-            outputs_by_jobs[jobs] = outputs
-            files = {}
-            for sub in ("spec", "py"):
-                subdir = cache_dir / sub
-                for entry in sorted(os.listdir(subdir)):
-                    files[f"{sub}/{entry}"] = (subdir / entry).read_bytes()
-            contents[jobs] = files
-        assert contents[1] == contents[2] == contents[4]
-        assert outputs_by_jobs[1] == outputs_by_jobs[2] == outputs_by_jobs[4]
-
-    def test_process_pool_warm_starts_from_store(self, tmp_path):
-        """Process-pool workers read the shared store: a warm second run
-        specializes zero functions."""
-        options = SpecializeOptions(jobs=2, backend="py",
-                                    cache_dir=str(tmp_path))
-        cold, _ = run_snapshot(options)
-        assert cold.engine.stats.functions_specialized == 2
-        warm, outputs = run_snapshot(options)
-        check_outputs(outputs)
-        assert warm.engine.stats.functions_specialized == 0
-        assert warm.engine.stats.artifact_hits == 2
-
-    def test_pool_is_not_an_option(self):
-        """``jobs > 1`` means the process pool; there is no flavor."""
-        with pytest.raises(TypeError):
-            SpecializeOptions(pool="process")
+class TestEngineSurface:
+    def test_second_engine_over_same_cache_dir_takes_artifact_hits(
+            self, tmp_path):
+        """The store is the one cache: a second engine in the same
+        process over the same ``cache_dir`` — and a later batch of the
+        same engine under new names — specializes nothing."""
+        options = SpecializeOptions(cache_dir=str(tmp_path))
+        run_snapshot(options)  # populate disk
+        engine = CompilationEngine(build_module(), options)
+        first = engine.compile_batch(make_requests())
+        again = engine.compile_batch([
+            dataclasses.replace(r, specialized_name=r.specialized_name
+                                + ".2") for r in make_requests()])
+        assert all(r.artifact_hit for r in first + again)
+        assert [r.function.name for r in again] == ["spec_a.2", "spec_b.2"]
+        assert engine.stats.artifact_hits == 4
+        assert engine.stats.functions_specialized == 0
+        assert engine.stats.cache_hits == 0
 
     def test_duplicate_requests_share_one_compile(self):
-        module = build_module()
-        cache = SpecializationCache()
-        engine = CompilationEngine(module, SpecializeOptions(),
-                                   cache=cache)
+        engine = CompilationEngine(build_module())
         request = make_requests()[0]
         twin = dataclasses.replace(request, specialized_name="spec_twin")
         results = engine.compile_batch([request, twin])
         assert engine.stats.functions_specialized == 1
-        assert results[1].cache_hit
+        assert engine.stats.cache_hits == 1
+        assert results[0].specialized and not results[0].cache_hit
+        assert results[1].cache_hit and not results[1].specialized
         assert results[0].function.name == "spec_a"
         assert results[1].function.name == "spec_twin"
-        assert cache.hits == 1 and cache.misses == 1
-
-
-# ---------------------------------------------------------------------------
-# Engine surface details.
-# ---------------------------------------------------------------------------
-class TestEngineSurface:
-    def test_memory_cache_layer_over_store(self, tmp_path):
-        """Requests resolve memory-cache first; the disk store fills the
-        memory cache so a later batch in the same process hits RAM."""
-        options = SpecializeOptions(cache_dir=str(tmp_path))
-        run_snapshot(options)  # populate disk
-        cache = SpecializationCache()
-        module = build_module()
-        engine = CompilationEngine(module, options, cache=cache)
-        first = engine.compile_batch(make_requests())
-        assert all(r.artifact_hit for r in first)
-        again = engine.compile_batch([
-            dataclasses.replace(r, specialized_name=r.specialized_name
-                                + ".2") for r in make_requests()])
-        assert all(r.cache_hit for r in again)
-        assert engine.stats.cache_hits == 2
 
     def test_uncreatable_cache_dir_degrades_to_no_cache(self, tmp_path):
         """A cache_dir that cannot be created (path collides with a
@@ -659,30 +474,9 @@ class TestEngineSurface:
         assert engine.stats.functions_specialized == 2
         assert [r.function.name for r in results] == ["spec_a", "spec_b"]
 
-    def test_memory_cache_hits_backfill_the_store(self, tmp_path):
-        """A warm in-memory cache combined with a fresh cache_dir must
-        still leave a complete on-disk store behind."""
-        cache = SpecializationCache()
-        module = build_module()
-        warm_engine = CompilationEngine(module, SpecializeOptions(),
-                                        cache=cache)
-        warm_engine.compile_batch(make_requests())  # warm the RAM cache
-
-        options = SpecializeOptions(cache_dir=str(tmp_path))
-        disk_engine = CompilationEngine(build_module(), options,
-                                        cache=cache)
-        results = disk_engine.compile_batch(make_requests())
-        assert all(r.cache_hit for r in results)
-        assert disk_engine.stats.artifacts_written == 2
-        # A fresh process (no RAM cache) now warm-starts from disk.
-        fresh = CompilationEngine(build_module(), options)
-        fresh_results = fresh.compile_batch(make_requests())
-        assert fresh.stats.functions_specialized == 0
-        assert all(r.artifact_hit for r in fresh_results)
-
     def test_engine_results_in_request_order(self):
         module = build_module()
-        engine = CompilationEngine(module, SpecializeOptions(jobs=4))
+        engine = CompilationEngine(module)
         requests = make_requests()
         results = engine.compile_batch(requests)
         assert [r.request.specialized_name for r in results] == \
@@ -927,8 +721,7 @@ class TestAtomicWriteFailurePaths:
 
 
 # ---------------------------------------------------------------------------
-# Fault containment (PR 9): per-request isolation, store degradation,
-# executor lifecycle.
+# Fault containment (PR 9): per-request isolation, store degradation.
 # ---------------------------------------------------------------------------
 class TestFaultContainment:
     def test_specialize_fault_fails_only_that_request(self):
@@ -950,12 +743,11 @@ class TestFaultContainment:
         options = SpecializeOptions(
             cache_dir=str(tmp_path),
             fault_plan=FaultPlan.once("specialize", index=0))
-        cache = SpecializationCache()
-        engine = CompilationEngine(build_module(), options, cache=cache)
+        engine = CompilationEngine(build_module(), options)
         results = engine.compile_batch(make_requests())
         assert results[0].error is not None
-        # Neither cache layer holds state for the failed request; a
-        # retry compiles it fresh and both layers fill in.
+        # The store holds no state for the failed request; a retry
+        # compiles it fresh and writes it.
         retry = engine.compile_batch(make_requests())
         assert retry[0].error is None
         assert retry[0].specialized  # fresh compile, not a (stale) hit
@@ -1033,15 +825,3 @@ class TestFaultContainment:
             make_requests())[0].specialized  # disk really is empty
         again = engine.compile_batch(make_requests())
         assert all(r.artifact_hit for r in again)
-
-    def test_process_worker_faults_are_contained(self, tmp_path):
-        """Injected faults inside process-pool workers come back as
-        per-request errors, not as a broken pool."""
-        from repro.pipeline.faults import FaultPlan
-        options = SpecializeOptions(
-            jobs=2, fault_plan=FaultPlan.always("specialize"))
-        engine = CompilationEngine(build_module(), options)
-        results = engine.compile_batch(make_requests())
-        assert all(r.error is not None for r in results)
-        assert engine.stats.pool_rebuilds == 0  # the pool never broke
-        assert engine.jobs == 2

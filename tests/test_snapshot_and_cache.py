@@ -5,14 +5,15 @@ import pytest
 from repro.core import (
     Runtime,
     SnapshotCompiler,
-    SpecializationCache,
     SpecializationRequest,
     SpecializedConst,
     SpecializedMemory,
 )
-from repro.core.cache import function_fingerprint
+from repro.core.cache import body_fingerprint, request_key
+from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
 from repro.ir import FunctionBuilder, I64, Module, Signature, verify_module
+from repro.pipeline import CompilationEngine
 from repro.vm import VM
 
 INTERP = """
@@ -109,42 +110,46 @@ class TestSnapshotCompiler:
         assert vm.load_u64(0x200) == 77  # heap survived the snapshot
 
 
+def compile_one(module, request, cache_dir):
+    """One request through a fresh engine over ``cache_dir``."""
+    engine = CompilationEngine(module,
+                               SpecializeOptions(cache_dir=str(cache_dir)))
+    (result,) = engine.compile_batch([request])
+    return result
+
+
 class TestSpecializationCache:
-    def test_hit_on_identical_request(self):
-        module, code = build()
-        cache = SpecializationCache()
-        f1, hit1 = cache.get_or_specialize(module, make_request(code, "a"))
-        f2, hit2 = cache.get_or_specialize(module, make_request(code, "b"))
-        assert not hit1 and hit2
-        assert f2.name == "b"  # renamed clone
-        assert cache.hits == 1 and cache.misses == 1
+    """The S6.5 cache is ``request_key`` + the artifact store."""
 
-    def test_miss_on_changed_bytecode(self):
+    def test_hit_on_identical_request(self, tmp_path):
         module, code = build()
-        cache = SpecializationCache()
-        cache.get_or_specialize(module, make_request(code, "a"))
+        first = compile_one(module, make_request(code, "a"), tmp_path)
+        second = compile_one(module, make_request(code, "b"), tmp_path)
+        assert first.specialized and second.artifact_hit
+        assert second.function.name == "b"  # loaded under its own name
+
+    def test_miss_on_changed_bytecode(self, tmp_path):
+        module, code = build()
+        compile_one(module, make_request(code, "a"), tmp_path)
         module.write_init_u64(BASE + 8, 6)  # ADDI 6 instead of 5
-        _, hit = cache.get_or_specialize(module, make_request(code, "c"))
-        assert not hit
-        assert cache.misses == 2
+        assert compile_one(module, make_request(code, "c"),
+                           tmp_path).specialized
 
-    def test_cached_clone_is_functional(self):
+    def test_cached_clone_is_functional(self, tmp_path):
         module, code = build()
-        cache = SpecializationCache()
-        cache.get_or_specialize(module, make_request(code, "a"))
-        func, hit = cache.get_or_specialize(module,
-                                            make_request(code, "fresh"))
-        assert hit
-        module.add_function(func)
+        compile_one(module, make_request(code, "a"), tmp_path)
+        loaded = compile_one(module, make_request(code, "fresh"), tmp_path)
+        assert loaded.artifact_hit
+        module.add_function(loaded.function)
         verify_module(module)
         vm = VM(module)
         assert vm.call("fresh", [BASE, len(code), 1]) == 13
 
     def test_shared_cache_fingerprints_each_generic_it_is_shown(self):
-        """One cache serves many runtimes, and CPython hands a collected
-        function's address to the next one allocated: a fingerprint
-        remembered by ``id(generic)`` would go to the wrong body."""
-        cache = SpecializationCache()
+        """One key constructor serves many runtimes, and CPython hands a
+        collected function's address to the next one allocated: a
+        fingerprint remembered by ``id(generic)`` would go to the wrong
+        body."""
         request = SpecializationRequest("g", [Runtime()],
                                         specialized_name="g.spec")
         for k in range(50):
@@ -152,8 +157,9 @@ class TestSpecializationCache:
             fb.ret(fb.iadd(fb.entry.params[0][0], fb.iconst(k)))
             module = Module(memory_size=64)
             generic = module.add_function(fb.finish())
-            key = cache.key_for(module, request, None)
-            assert key[0] == function_fingerprint(generic), k
+            key = request_key(module, request, None,
+                              bytes(module.memory_init))
+            assert key[0] == body_fingerprint(generic), k
             del fb, module, generic
 
 
@@ -163,8 +169,7 @@ class TestOptionKeyMembership:
 
     # A second legal value per field, so "flip it" is well-defined.
     FLIPPED = {
-        "ssa_mode": "naive", "optimize": False, "opt_config": "none",
-        "backend": "py", "jobs": 2,
+        "ssa_mode": "naive", "opt_config": "none", "backend": "py",
         "cache_dir": "/tmp/elsewhere",
         "fault_plan": object(), "debug_exhaustive": True,
     }
@@ -177,7 +182,7 @@ class TestOptionKeyMembership:
         fields = dataclasses.fields(SpecializeOptions)
         # Pinned on purpose: a new knob has to come through this test
         # and say whether the residual key holds it.
-        assert len(fields) == 8
+        assert len(fields) == 6
         assert {f.name for f in fields} == set(self.FLIPPED)
         # Residual IR is backend-independent: a store filled under one
         # backend must warm-start a worker running the other.
@@ -206,4 +211,4 @@ class TestOptionKeyMembership:
         from repro.core.specialize import SpecializeOptions
         for backend in ("vm", "py"):
             options = SpecializeOptions(backend=backend)
-            assert options_key(options) == ("minimal", True, "default", 6)
+            assert options_key(options) == ("minimal", "default", 6)

@@ -34,7 +34,7 @@ from repro.min.harness import sum_to_n_program
 from repro.min.interp import build_min_module, specialize_min
 from repro.opt import PassManager, available_passes, get_pass
 
-O0 = SpecializeOptions(optimize=False)
+O0 = SpecializeOptions(opt_config="none")
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +90,13 @@ _CORPUS = _corpus()
 class TestSpecializerOutputVerifies:
     @pytest.mark.parametrize("use_intrinsics", [False, True],
                              ids=["plain", "state"])
-    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "full"])
-    def test_specialized_function_verifies(self, use_intrinsics, optimize):
+    @pytest.mark.parametrize("opt_config", ["none", "default"],
+                             ids=["O0", "full"])
+    def test_specialized_function_verifies(self, use_intrinsics,
+                                           opt_config):
         program = sum_to_n_program(25)
         module = build_min_module(program)
-        options = SpecializeOptions(optimize=optimize)
+        options = SpecializeOptions(opt_config=opt_config)
         func = specialize_min(module, program, use_intrinsics,
                               options=options, name="spec")
         verify_function(func, module)
