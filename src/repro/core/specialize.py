@@ -64,7 +64,6 @@ from repro.core.state import (
     meet_states,
     single_pred_entry_state,
     states_equal,
-    states_equal_observable,
     unstable_slots,
 )
 from repro.core.stats import SpecializationStats
@@ -146,12 +145,6 @@ class SpecializeOptions:
     # plan only *fails* pipeline stages — it never changes what a
     # successful compile produces.
     fault_plan: Optional[object] = _option(None, default=None)
-    # Escape hatch for the fixpoint engine's throughput machinery:
-    # disables unchanged-input meet skipping in the specializer and both
-    # levels of mid-end pass skipping (dirty sets and work detectors),
-    # recomputing everything the fast engine claims it may elide.  Output
-    # is byte-identical either way — the determinism tier asserts it.
-    debug_exhaustive: bool = _option(None, default=False)
 
     def __post_init__(self):
         if self.ssa_mode not in ("minimal", "naive"):
@@ -176,11 +169,11 @@ _TRANSCRIBE_DISPATCH: Dict[str, tuple] = {
     op: (info.pure, LOADS.get(op)) for op, info in OPCODES.items()
 }
 
-# Kill switch for the sole-contributor meet fast path.  Like
-# ``debug_exhaustive`` it changes how the entry state is computed, never
-# what it is — the fixpoint tier flips it off and asserts the full
-# ``meet_states`` rebuild produces byte-identical residuals — so it is
-# deliberately outside every cache key.
+# Kill switch for the sole-contributor meet fast path.  It changes how
+# the entry state is computed, never what it is — the fixpoint tier
+# flips it off and asserts the full ``meet_states`` rebuild produces
+# byte-identical residuals — so it is deliberately outside every cache
+# key.
 SINGLE_PRED_FAST_MEET = True
 
 
@@ -195,21 +188,17 @@ class _Edge:
 class _KeyInfo:
     """Bookkeeping for one specialized block (one ⟨context, block⟩ pair).
 
-    ``out_version`` is a monotone counter bumped only when a rebuild
-    changes this block's *observable* behavior (its out-state or its
-    outgoing edges); successors snapshot the versions they consumed in
-    ``last_input_sig`` so an unchanged input set skips the whole meet.
     ``minted`` caches the value ids allocated at each mint position of a
     rebuild, so re-transcribing from an equal entry state reproduces the
-    exact same SSA ids — that stability is what makes ``out_version``
-    stick and kills the id-churn re-flow cascades of the FIFO engine.
+    exact same SSA ids — that stability is what lets a successor's meet
+    come out ``states_equal`` to its last one and stops the id-churn
+    re-flow cascades of the FIFO engine.
     """
 
     __slots__ = ("key", "spec_block", "entry_state",
                  "out_state", "edges_out", "in_edges", "param_ids",
                  "param_slots", "revisits", "force_all_params", "built",
-                 "pinned_slots", "out_version", "last_input_sig",
-                 "minted", "mint_pos", "priority")
+                 "pinned_slots", "minted", "mint_pos", "priority")
 
     def __init__(self, key: Key, spec_block: Block):
         self.key = key
@@ -224,8 +213,6 @@ class _KeyInfo:
         self.force_all_params = False
         self.built = False
         self.pinned_slots = set()
-        self.out_version = 0
-        self.last_input_sig: Optional[tuple] = None
         self.minted: List[int] = []
         self.mint_pos = 0
         self.priority: Tuple[int, int] = (0, 0)
@@ -236,8 +223,8 @@ class _KeyInfo:
 # alone, and only reads afterwards.
 # ----------------------------------------------------------------------
 def _prepared(generic: Function) -> tuple:
-    """``(split body, live-in, live-out, block param ids, RPO index)``
-    of ``generic``.  A frozen generic (see
+    """``(split body, live-in, block param ids, RPO index)`` of
+    ``generic``.  A frozen generic (see
     :class:`~repro.ir.function.Function`) keeps the tuple, so each
     interpreter is prepared once per process, not once per request."""
     prepared = generic.prepared
@@ -327,16 +314,7 @@ def _liveness(func: Function):
             if new != live_in[bid]:
                 live_in[bid] = new
                 changed = True
-    # Live-out sets bound what successors can observe of a block's
-    # out-state env — the domain of the out-version change check.
-    live_out_sets: Dict[int, Set[int]] = {}
-    for bid in func.blocks:
-        out: Set[int] = set()
-        for succ in succs[bid]:
-            out.update(live_in[succ])
-            out.update(params[succ])
-        live_out_sets[bid] = out
-    return live_in, live_out_sets, params
+    return live_in, params
 
 
 class _Specializer:
@@ -356,7 +334,7 @@ class _Specializer:
                 f"{request.generic}: request has {len(request.args)} arg "
                 f"modes, function has {len(generic.sig.params)} params")
 
-        (self.generic, self.live_in, self.live_out, self.block_params,
+        (self.generic, self.live_in, self.block_params,
          self._rpo_index) = _prepared(generic)
 
         snapshot = bytes(memory if memory is not None
@@ -381,13 +359,9 @@ class _Specializer:
         # discovers them, which tracks forward progress through the
         # unrolled interpreter.  Processing predecessors before successors
         # lets meets converge in ~one pass over reducible regions instead
-        # of re-flowing.  Both engines share this order — the convergence
-        # damper's pin set depends on the visit order, so the order is
-        # part of which (equally valid) fixpoint is chosen;
-        # ``debug_exhaustive`` only disables the *skipping* machinery
-        # (unchanged-input meets), which is the part whose soundness the
-        # determinism tier must check.
-        self._exhaustive = options.debug_exhaustive
+        # of re-flowing.  The convergence damper's pin set depends on the
+        # visit order, so the order is part of which (equally valid)
+        # fixpoint is chosen.
         self._heap: List[Tuple[Tuple[int, int], Key]] = []
         self._rpo_unreachable = len(self._rpo_index)
         self._ctx_order: Dict[tuple, int] = {}
@@ -438,10 +412,9 @@ class _Specializer:
             self._process(key)
         self._fill_edges()
         # Erase the fixpoint history from the numbering: canonical ids
-        # make the output independent of revisit counts and skip
-        # decisions (and drop debris blocks from abandoned edges), which
-        # is what lets the fast and debug_exhaustive engines be compared
-        # byte for byte.
+        # make the output independent of revisit counts (and drop debris
+        # blocks from abandoned edges), which is what lets two engine
+        # variants be compared byte for byte.
         canonicalize_function(self.out)
         self.stats.output_blocks = len(self.out.blocks)
         self.stats.output_instrs = self.out.num_instrs()
@@ -516,24 +489,13 @@ class _Specializer:
         info = self.infos[key]
         self.stats.block_visits += 1
         contributions = []
-        input_sig = []
         for (pred_key, pos), overrides in sorted(
                 info.in_edges.items(), key=self._edge_sort_key):
             pred = self.infos.get(pred_key)
             if pred is None or pred.out_state is None:
                 continue
             contributions.append((pred.out_state, overrides))
-            input_sig.append((pred_key, pos, pred.out_version))
         if not contributions:
-            return
-        # Change detection: if every contributing predecessor still has
-        # the out-version this key last consumed, the meet's inputs are
-        # unchanged and so is its result — skip it entirely.  (Stable
-        # minting in _rebuild is what keeps out-versions from churning.)
-        input_sig = tuple(input_sig)
-        if (not self._exhaustive and info.built
-                and input_sig == info.last_input_sig):
-            self.stats.meets_skipped += 1
             return
 
         gblock_id = key[1]
@@ -550,8 +512,8 @@ class _Specializer:
         def run_meet():
             # Sole-contributor fast path: no join can force a block
             # parameter, so the meet degenerates to reusing the
-            # predecessor's out-state (exact — both engines take it, and
-            # the determinism tier pins the output bytes).
+            # predecessor's out-state (exact — the fixpoint tier pins
+            # the output bytes against the full meet).
             if (SINGLE_PRED_FAST_MEET
                     and len(contributions) == 1
                     and not info.pinned_slots
@@ -572,7 +534,6 @@ class _Specializer:
 
         meet = run_meet()
         self.stats.meets_performed += 1
-        info.last_input_sig = input_sig
         if info.built and info.entry_state is not None \
                 and states_equal(meet.state, info.entry_state):
             info.param_slots = meet.param_slots
@@ -617,10 +578,6 @@ class _Specializer:
         block.terminator = None
         self.stats.blocks_specialized += 1
 
-        old_out = info.out_state
-        old_edges = [(e.succ_key, e.position, e.overrides)
-                     for e in info.edges_out]
-
         # Drop old outgoing edge registrations; they will be re-added.
         for edge in info.edges_out:
             succ = self.infos.get(edge.succ_key)
@@ -658,17 +615,6 @@ class _Specializer:
             self._mint_info = None
         info.out_state = state
         info.built = True
-        # Version-bump only on *observable* change: successors read the
-        # env through their entry domains (bounded by this block's
-        # live-outs) and the edge overrides (compared below); bindings
-        # for values dead past this block can churn without invalidating
-        # any downstream meet.
-        if old_out is None or \
-                not states_equal_observable(old_out, state,
-                                            self.live_out[gblock_id]) or \
-                [(e.succ_key, e.position, e.overrides)
-                 for e in info.edges_out] != old_edges:
-            info.out_version += 1
 
     # --- plain instructions ------------------------------------------------
     def _mint(self, ty: Type) -> int:
@@ -1113,8 +1059,7 @@ def specialize(module: Module, request: SpecializationRequest,
     from repro.opt.pipeline import optimize_function
     optimize_function(func, max_rounds=OPT_MAX_ROUNDS,
                       config=options.opt_config, module=module,
-                      stats=spec_stats.opt,
-                      exhaustive=options.debug_exhaustive)
+                      stats=spec_stats.opt)
     if plan:
         canonicalize_function(func)
     if stats is not None:

@@ -94,29 +94,6 @@ def states_equal(a: FlowState, b: FlowState) -> bool:
             and a.locals == b.locals and a.stack == b.stack)
 
 
-def states_equal_observable(old: FlowState, new: FlowState,
-                            env_domain: Set[int]) -> bool:
-    """Equality of the parts of an out-state that successors can see.
-
-    A block's transcription state carries *every* generic binding it
-    flowed through, but a successor's meet reads only the bindings in
-    its own entry domain (its live-ins, a subset of this block's
-    live-outs) plus the branch arguments (compared separately as edge
-    overrides) — while regs, locals, and the operand stack are observed
-    in full.  Comparing only the observable projection is what lets a
-    rebuild whose entry state changed in successor-invisible ways keep
-    its ``out_version``, so downstream meets are skipped.
-    """
-    if old.regs != new.regs or old.locals != new.locals \
-            or old.stack != new.stack:
-        return False
-    old_get, new_get = old.env.get, new.env.get
-    for key in env_domain:
-        if not _abs_equal(old_get(key), new_get(key)):
-            return False
-    return True
-
-
 def binding_of(state: FlowState, overrides: Dict[int, AbsVal],
                slot: SlotKey) -> Optional[AbsVal]:
     """Look up a slot's value in a predecessor's out-state (with the

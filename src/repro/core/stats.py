@@ -33,15 +33,11 @@ class _Mergeable:
 
 @dataclasses.dataclass
 class PassStats(_Mergeable):
-    """Counters for one named optimization pass (or a sum over runs).
-
-    ``runs`` counts actual pass *executions*; ``skips`` counts rounds
-    where the dirty-set scheduler proved the pass had no work and did
-    not run it."""
+    """Counters for one named optimization pass (or a sum over runs):
+    executions, the changes they reported, and the time they took."""
 
     runs: int = 0
     changes: int = 0
-    skips: int = 0
     seconds: float = 0.0
 
 
@@ -57,9 +53,10 @@ class PipelineStats(_Mergeable):
     runs: int = 0
     rounds: int = 0
     fixpoint_cap_hits: int = 0
-    passes_skipped: int = 0          # scheduler no-op skips (both levels)
-    passes_skipped_nowork: int = 0   # ... of which by a work detector
-    workcheck_seconds: float = 0.0   # time spent inside work detectors
+    # Constants, not fields: they survive only for their reader,
+    # benchmarks/ledger/ledger_workloads.py::layer_metrics.
+    passes_skipped = 0
+    workcheck_seconds = 0.0
     instrs_before: int = 0
     instrs_after: int = 0
     blocks_before: int = 0
@@ -162,9 +159,11 @@ class SpecializationStats(_Mergeable):
     # Transform work.
     blocks_specialized: int = 0
     block_revisits: int = 0
-    block_visits: int = 0            # worklist pops (incl. skipped meets)
+    block_visits: int = 0            # worklist pops
     meets_performed: int = 0
-    meets_skipped: int = 0           # inputs unchanged: meet elided
+    # A constant, not a field: it survives only for its reader,
+    # benchmarks/ledger/ledger_workloads.py::layer_metrics.
+    meets_skipped = 0
     meets_single_pred: int = 0       # sole-contributor fast-path meets
     intern_hits: int = 0             # lattice-constant hash-cons hits
     intern_misses: int = 0

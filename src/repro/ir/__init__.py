@@ -37,7 +37,7 @@ from repro.ir.cfg import (
     retreating_edges,
 )
 from repro.ir.dominance import DominatorTree
-from repro.ir.printer import print_function, print_module
+from repro.ir.printer import print_function
 from repro.ir.verifier import verify_function, verify_module, VerificationError
 from repro.ir.verify import verify_after_pass
 
@@ -71,7 +71,6 @@ __all__ = [
     "retreating_edges",
     "DominatorTree",
     "print_function",
-    "print_module",
     "verify_function",
     "verify_module",
     "verify_after_pass",

@@ -1,4 +1,4 @@
-"""Textual printing of IR functions and modules.
+"""Textual printing of IR functions.
 
 The format is stable and used in golden tests (e.g. the Fig. 6 analog,
 which checks that a specialized interpreter's CFG follows the bytecode).
@@ -19,7 +19,6 @@ from repro.ir.instructions import (
     Ret,
     Trap,
 )
-from repro.ir.module import Module
 
 
 def _fmt_call(call: BlockCall) -> str:
@@ -105,16 +104,3 @@ def print_function(func: Function, order: str = "rpo") -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def print_module(module: Module) -> str:
-    lines: List[str] = []
-    for host in module.imports.values():
-        lines.append(f"import @{host.name}{host.sig}")
-    for name, init in sorted(module.globals.items()):
-        lines.append(f"global ${name} = {init}")
-    for i, entry in enumerate(module.table):
-        if entry is not None:
-            lines.append(f"table[{i}] = @{entry}")
-    for func in module.functions.values():
-        lines.append(print_function(func))
-    return "\n".join(lines)

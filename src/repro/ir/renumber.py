@@ -10,11 +10,10 @@ order within that block order, and unreachable debris is dropped — so two
 runs that converge to the same fixpoint produce byte-identical printed
 IR regardless of worklist policy, revisit counts, or damper activity.
 
-This is what lets the transform-speed work (priority worklists, skipped
-meets, dirty-set scheduling) be verified bit-exact against a forced
-exhaustive re-flow: both modes funnel through :func:`canonicalize_function`
-before anything downstream (printer fingerprints, artifact store, backend
-emitter) sees the function.
+This is what lets an engine variant (the single-predecessor meet
+against the full one) be verified bit-exact: both funnel through
+:func:`canonicalize_function` before anything downstream (printer
+fingerprints, artifact store, backend emitter) sees the function.
 """
 
 from __future__ import annotations

@@ -64,25 +64,6 @@ def _copy_source(op: str, args: tuple,
     return None
 
 
-def copyprop_has_work(func: Function) -> bool:
-    """Cheap sound work detector: does any instruction match a copy
-    pattern?  The first alias the pass would resolve is found by the
-    same :func:`_copy_source` test on unsubstituted operands (the pass's
-    own substitution map is necessarily empty until its first hit), so
-    ``False`` proves a full run would report zero changes."""
-    consts: Dict[int, int] = {}
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            if instr.op == "iconst":
-                consts[instr.result] = instr.imm
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            if instr.result is not None and instr.info().pure and \
-                    _copy_source(instr.op, instr.args, consts) is not None:
-                return True
-    return False
-
-
 def propagate_copies(func: Function) -> int:
     """Resolve copy-like instructions; returns the number removed."""
     consts: Dict[int, int] = {}

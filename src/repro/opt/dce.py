@@ -14,25 +14,6 @@ from repro.ir.function import Function
 from repro.ir.instructions import OPCODES, terminator_values
 
 
-def dce_has_work(func: Function) -> bool:
-    """Cheap sound work detector: does a dead pure instruction exist?
-    Exactly the pass's own first-iteration condition — and a zero first
-    iteration ends the pass's internal fixpoint loop immediately, so
-    ``False`` proves a full run would report zero changes."""
-    used: Set[int] = set()
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            used.update(instr.args)
-        if block.terminator is not None:
-            used.update(terminator_values(block.terminator))
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            if (instr.info().pure and instr.result is not None
-                    and instr.result not in used):
-                return True
-    return False
-
-
 def eliminate_dead_code(func: Function) -> int:
     removed_total = 0
     while True:

@@ -22,35 +22,6 @@ from repro.ir.instructions import (
 from repro.ir.types import F64, I64
 
 
-def fold_has_work(func: Function) -> bool:
-    """Cheap sound work detector: could :func:`fold_constants` change
-    anything?  Mirrors the pass's candidate condition (a pure
-    non-constant instruction whose operands are all constant
-    definitions, or a branch with a constant selector) without
-    evaluating the folds, so a ``False`` answer proves the pass would
-    report zero changes.  May overfire on folds that turn out
-    unfoldable (division by zero) — that is sound, just a wasted run."""
-    consts = set()
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            if instr.op in ("iconst", "fconst"):
-                consts.add(instr.result)
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            if instr.result is None or instr.op in ("iconst", "fconst"):
-                continue
-            if not OPCODES[instr.op].pure:
-                continue
-            if all(a in consts for a in instr.args):
-                return True
-        term = block.terminator
-        if isinstance(term, BrIf) and term.cond in consts:
-            return True
-        if isinstance(term, BrTable) and term.index in consts:
-            return True
-    return False
-
-
 def fold_constants(func: Function) -> int:
     """Fold constants in place; returns the number of instructions and
     branches folded."""

@@ -45,40 +45,6 @@ def _imm_key(imm: object) -> object:
     return imm
 
 
-def gvn_has_work(func: Function) -> bool:
-    """Cheap sound work detector for :func:`global_value_numbering`.
-
-    The pass changes something iff (a) a constant definition sits
-    outside the entry block (it would be hoisted or pooled), or (b) two
-    pure instructions share a value-number key.  For (b), the pass's
-    first CSE hit compares keys under its substitution-so-far — but any
-    non-empty substitution implies an earlier pooling/CSE hit, which
-    this detector already reports via (a) or a textual duplicate.  So
-    ``False`` proves a full run would report zero changes.  Ignoring
-    dominator scoping makes sibling duplicates overfire — sound, just a
-    wasted run."""
-    if func.entry is None or func.entry not in func.blocks:
-        return False
-    seen: set = set()
-    for bid, block in func.blocks.items():
-        for instr in block.instrs:
-            if instr.result is None or not instr.info().pure:
-                continue
-            if instr.op in ("iconst", "fconst"):
-                if bid != func.entry:
-                    return True
-                key = (instr.op, _imm_key(instr.imm))
-            else:
-                args = instr.args
-                if instr.op in COMMUTATIVE:
-                    args = tuple(sorted(args))
-                key = (instr.op, _imm_key(instr.imm), args)
-            if key in seen:
-                return True
-            seen.add(key)
-    return False
-
-
 def global_value_numbering(func: Function) -> int:
     """Eliminate dominated redundant pure computations; returns the
     number of instructions removed."""

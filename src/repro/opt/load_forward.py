@@ -128,36 +128,6 @@ def _meet(a: Optional[Facts], b: Facts) -> Facts:
     return {key: vid for key, vid in a.items() if b.get(key) == vid}
 
 
-def load_forward_has_work(func: Function) -> bool:
-    """Cheap sound work detector for :func:`forward_loads`.
-
-    A load can only be forwarded from an earlier same-key load or a
-    full-width store providing the same key, so if no address key is
-    shared by two loads — or by a store and a load — anywhere in the
-    function, a full run must report zero changes.  Ignoring program
-    order and kill analysis makes unreachable pairs overfire — sound,
-    just a wasted run."""
-    defs = _build_defs(func)
-    load_keys: set = set()
-    store_keys: set = set()
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            op = instr.op
-            if op in LOADS:
-                addr = _addr_of(defs, instr.args[0], instr.imm)
-                key = (op, addr[0], addr[1])
-                if key in load_keys or key in store_keys:
-                    return True
-                load_keys.add(key)
-            elif op in STORE_TO_LOAD:
-                addr = _addr_of(defs, instr.args[0], instr.imm)
-                key = (STORE_TO_LOAD[op], addr[0], addr[1])
-                if key in load_keys:
-                    return True
-                store_keys.add(key)
-    return False
-
-
 def forward_loads(func: Function) -> int:
     """Forward redundant loads; returns the number of loads removed."""
     if func.entry is None or func.entry not in func.blocks:

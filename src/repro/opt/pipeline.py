@@ -22,13 +22,8 @@ def optimize_function(func: Function, max_rounds: int = 6,
                       config: str = DEFAULT_PIPELINE,
                       module: Optional[Module] = None,
                       stats: Optional[PipelineStats] = None,
-                      verify: Optional[bool] = None,
-                      exhaustive: bool = False) -> PipelineStats:
-    """Run the named pass pipeline on one function; returns its stats.
-
-    ``exhaustive=True`` disables dirty-set pass skipping (identical
-    output, more pass executions — the determinism tier's reference
-    schedule)."""
+                      verify: Optional[bool] = None) -> PipelineStats:
+    """Run the named pass pipeline on one function; returns its stats."""
     manager = PassManager(config, max_rounds=max_rounds, verify=verify,
-                          stats=stats, exhaustive=exhaustive)
+                          stats=stats)
     return manager.run(func, module)

@@ -15,33 +15,6 @@ from repro.ir.function import Function
 from repro.opt.util import resolve, substitute_values
 
 
-def prune_params_has_work(func: Function) -> bool:
-    """Cheap sound work detector: does any non-entry block have a
-    parameter whose incoming arguments all agree (modulo self-loops)?
-    Exactly the pass's first-iteration condition with an empty
-    substitution, and a zero first iteration ends its fixpoint loop, so
-    ``False`` proves a full run would report zero changes."""
-    incoming: Dict[int, List[tuple]] = {bid: [] for bid in func.blocks}
-    for block in func.blocks.values():
-        if block.terminator is None:
-            continue
-        for call in block.terminator.targets():
-            if call.block in incoming:
-                incoming[call.block].append(call)
-    for bid, block in func.blocks.items():
-        if bid == func.entry or not block.params:
-            continue
-        calls = incoming[bid]
-        if not calls:
-            continue
-        for index, (param, _ty) in enumerate(block.params):
-            args = {call.args[index] for call in calls}
-            args.discard(param)
-            if len(args) == 1:
-                return True
-    return False
-
-
 def prune_block_params(func: Function) -> int:
     removed_total = 0
     substitution: Dict[int, int] = {}

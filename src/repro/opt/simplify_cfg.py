@@ -88,9 +88,7 @@ def _forwarder_map(func: Function) -> Dict[int, Tuple[int, List[int]]]:
     ends in ``jump D(args)`` where every arg is one of E's own
     parameters.  A forwarder's parameter may only be used inside its own
     jump arguments: any other use relies on the block staying on the
-    path (dominance), so the block cannot be bypassed.  Shared by
-    :func:`thread_trivial_jumps` and its work detector so the two can
-    never disagree about what counts as a forwarder."""
+    path (dominance), so the block cannot be bypassed."""
     use_counts: Dict[int, int] = {}
     for block in func.blocks.values():
         for instr in block.instrs:
@@ -263,85 +261,6 @@ def thread_constant_branches(func: Function) -> int:
             # so later decisions in this sweep never use stale facts.
             domtree = DominatorTree(func)
     return threaded
-
-
-def _has_unreachable(func: Function) -> bool:
-    return len(reachable_blocks(func)) != len(func.blocks)
-
-
-def _has_uniform_branch(func: Function) -> bool:
-    for block in func.blocks.values():
-        term = block.terminator
-        if isinstance(term, BrIf):
-            if (term.if_true.block == term.if_false.block and
-                    tuple(term.if_true.args) == tuple(term.if_false.args)):
-                return True
-        elif isinstance(term, BrTable):
-            calls = list(term.cases) + [term.default]
-            first = calls[0]
-            if all(c.block == first.block and
-                   tuple(c.args) == tuple(first.args) for c in calls[1:]):
-                return True
-    return False
-
-
-def _has_constant_branch_edge(func: Function) -> bool:
-    """An edge that passes a constant into an empty conditional block —
-    :func:`thread_constant_branches`'s candidate condition minus the
-    dominance filter on carried arguments (overfiring is sound)."""
-    consts = set()
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            if instr.op == "iconst":
-                consts.add(instr.result)
-    for _bid, call in _all_calls(func):
-        block = func.blocks.get(call.block)
-        if block is None or block.instrs or call.block == func.entry:
-            continue
-        term = block.terminator
-        if not isinstance(term, (BrIf, BrTable)):
-            continue
-        binding = {param: arg
-                   for (param, _ty), arg in zip(block.params, call.args)}
-        selector = term.cond if isinstance(term, BrIf) else term.index
-        if binding.get(selector, selector) in consts:
-            return True
-    return False
-
-
-def _has_merge_candidate(func: Function) -> bool:
-    pred_count: Dict[int, int] = {}
-    for _bid, call in _all_calls(func):
-        pred_count[call.block] = pred_count.get(call.block, 0) + 1
-    for bid, block in func.blocks.items():
-        term = block.terminator
-        if not isinstance(term, Jump):
-            continue
-        target = term.target.block
-        if (target != bid and target != func.entry
-                and pred_count.get(target, 0) == 1):
-            return True
-    return False
-
-
-def simplify_cfg_has_work(func: Function) -> bool:
-    """Cheap sound work detector for :func:`simplify_cfg`.
-
-    The composite is a sequence of sub-passes; if every sub-pass's
-    candidate condition is false on the current IR, the first sub-pass
-    is a no-op, so the IR reaching each later sub-pass is unchanged and
-    its condition is still false — the whole composite reports zero.
-    Each condition here matches (or soundly over-approximates) its
-    sub-pass's own first-change test."""
-    if _has_unreachable(func) or _has_uniform_branch(func) \
-            or _has_merge_candidate(func) or _has_constant_branch_edge(func):
-        return True
-    forwarders = _forwarder_map(func)
-    if forwarders:
-        for _bid, call in _all_calls(func):
-            if call.block in forwarders:
-                return True
-    return False
 
 
 def simplify_cfg(func: Function) -> int:

@@ -195,10 +195,6 @@ class VM:
         self._check_range(addr, size)
         return self.memory[addr:addr + size]
 
-    def store_bytes(self, addr: int, data: bytes) -> None:
-        self._check_range(addr, len(data))
-        self.memory[addr:addr + len(data)] = data
-
     def load_u64(self, addr: int) -> int:
         self._check_range(addr, 8)
         return int.from_bytes(self.memory[addr:addr + 8], "little")
@@ -206,14 +202,6 @@ class VM:
     def store_u64(self, addr: int, value: int) -> None:
         self._check_range(addr, 8)
         self.memory[addr:addr + 8] = (value & MASK64).to_bytes(8, "little")
-
-    def load_f64(self, addr: int) -> float:
-        self._check_range(addr, 8)
-        return unpack_from("<d", self.memory, addr)[0]
-
-    def store_f64(self, addr: int, value: float) -> None:
-        self._check_range(addr, 8)
-        pack_into("<d", self.memory, addr, value)
 
     # ------------------------------------------------------------------
     # Calls.

@@ -251,19 +251,19 @@ class TestStatsMerge:
         )
         mine = self._filled(SpecializationStats, 1)
         mine.opt = self._filled(PipelineStats, 10)
-        mine.opt.per_pass = {"dce": PassStats(1, 2, 3, 0.5),
-                             "gvn": PassStats(4, 5, 6, 1.0)}
+        mine.opt.per_pass = {"dce": PassStats(1, 2, 0.5),
+                             "gvn": PassStats(4, 5, 1.0)}
         theirs = self._filled(SpecializationStats, 50)
         theirs.opt = self._filled(PipelineStats, 70)
-        theirs.opt.per_pass = {"gvn": PassStats(1, 1, 1, 0.25),
-                               "fold": PassStats(7, 8, 9, 2.0)}
+        theirs.opt.per_pass = {"gvn": PassStats(1, 1, 0.25),
+                               "fold": PassStats(7, 8, 2.0)}
         blocks = mine.output_blocks + theirs.output_blocks
         rounds = mine.opt.rounds + theirs.opt.rounds
         mine.merge(theirs)
         assert mine.output_blocks == blocks and mine.opt.rounds == rounds
-        assert mine.opt.per_pass == {"dce": PassStats(1, 2, 3, 0.5),
-                                     "gvn": PassStats(5, 6, 7, 1.25),
-                                     "fold": PassStats(7, 8, 9, 2.0)}
+        assert mine.opt.per_pass == {"dce": PassStats(1, 2, 0.5),
+                                     "gvn": PassStats(5, 6, 1.25),
+                                     "fold": PassStats(7, 8, 2.0)}
         # The merged-in side is left alone, and no entry is shared.
-        assert theirs.opt.per_pass["fold"] == PassStats(7, 8, 9, 2.0)
+        assert theirs.opt.per_pass["fold"] == PassStats(7, 8, 2.0)
         assert mine.opt.per_pass["fold"] is not theirs.opt.per_pass["fold"]

@@ -11,12 +11,15 @@
   nothing else: no callable under ``src/repro`` has a parameter named
   ``jobs``, ``cache``, ``cache_dir`` or ``pool``, and nothing imports
   ``concurrent.futures`` or ``multiprocessing``; one class lowers a CFG
-  to Python and nothing takes ``batch_fuel`` or ``emit_mode``.
+  to Python and nothing takes ``batch_fuel`` or ``emit_mode``; each
+  fixpoint engine has one schedule and no identifier names a work
+  detector or an exhaustive switch.
 """
 
 import ast
 import importlib.util
 import pathlib
+import tokenize
 
 import pytest
 
@@ -36,6 +39,7 @@ from repro.min.harness import (
     make_tiered_min,
     sum_to_n_program,
 )
+from repro.opt import PassManager, register_pass
 from repro.pipeline import CompilationEngine, GuestRuntime, TierEntry
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -202,10 +206,31 @@ def test_deleted_engine_settings_are_type_errors():
     module = Module(memory_size=64)
     for call in (lambda: SpecializeOptions(jobs=2),
                  lambda: SpecializeOptions(optimize=False),
+                 lambda: SpecializeOptions(debug_exhaustive=True),
+                 lambda: PassManager("default", exhaustive=True),
+                 lambda: register_pass("x", len, workcheck=len),
                  lambda: CompilationEngine(module, SpecializeOptions(),
                                            cache={})):
         with pytest.raises(TypeError):
             call()
+
+
+def test_one_schedule_per_fixpoint_engine():
+    """A pass or a meet is run, never proven idle ahead of time: no
+    identifier under ``src/`` names a work detector or the switch that
+    turned them off."""
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        with tokenize.open(path) as handle:
+            names.update(
+                token.string
+                for token in tokenize.generate_tokens(handle.readline)
+                if token.type == tokenize.NAME)
+    # ``workcheck_seconds`` is the constant 0.0 the ledger's
+    # ``layer_metrics`` still reads (``PipelineStats``).
+    assert sorted(name for name in names - {"workcheck_seconds"}
+                  if "has_work" in name or "workcheck" in name
+                  or "debug_exhaustive" in name) == []
 
 
 def test_no_worker_pool_under_src():

@@ -171,7 +171,7 @@ class TestOptionKeyMembership:
     FLIPPED = {
         "ssa_mode": "naive", "opt_config": "none", "backend": "py",
         "cache_dir": "/tmp/elsewhere",
-        "fault_plan": object(), "debug_exhaustive": True,
+        "fault_plan": object(),
     }
 
     def test_every_field_is_tagged_and_keys_follow_the_tags(self):
@@ -182,7 +182,7 @@ class TestOptionKeyMembership:
         fields = dataclasses.fields(SpecializeOptions)
         # Pinned on purpose: a new knob has to come through this test
         # and say whether the residual key holds it.
-        assert len(fields) == 6
+        assert len(fields) == 5
         assert {f.name for f in fields} == set(self.FLIPPED)
         # Residual IR is backend-independent: a store filled under one
         # backend must warm-start a worker running the other.

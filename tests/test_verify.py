@@ -250,8 +250,6 @@ class TestVerifyingPassManager:
         manager = PassManager("default", verify=True)
         stats = manager.run(func)
         assert stats.fixpoint_cap_hits == 0
-        # The scheduler must have considered gvn: either it ran, or its
-        # work detector proved it a no-op (verified on a clone, since
-        # verify=True re-runs every skipped pass and asserts 0 changes).
-        gvn = stats.per_pass["gvn"]
-        assert gvn.runs + gvn.skips >= 1
+        assert stats.per_pass["gvn"].runs >= 1
+        # An empty pipeline has no round to run.
+        assert PassManager("none").run(func).rounds == 0
