@@ -7,11 +7,9 @@ removes that tier: it translates a verified function into Python source,
 ``compile()``s it, and the VM dispatches to the resulting callable on
 ``call`` / ``call_indirect`` exactly as it would an IR function.
 
-Select the backend per specialization via
-``SpecializeOptions(backend="py")`` or globally with the
-``REPRO_BACKEND=py`` environment variable; functions the emitter cannot
-express, or whose source ``compile()`` refuses, fall back to the IR VM
-per function.
+Select the backend with ``SpecializeOptions(backend="py")`` (or per run,
+``run_aot(backend="py")``); functions the emitter cannot express, or
+whose source ``compile()`` refuses, fall back to the IR VM per function.
 """
 
 from repro.backend.emitter import (

@@ -25,9 +25,9 @@ observable semantics:
   raw fixed-arity entry point once the callee is steady tier-2 code,
   making the settled call boundary a single positional Python call.
   Entry points are fixed-arity (``def _compiled(vm, v3, v5)``) with the
-  depth check in their own prologue; the VM's ``_dispatch`` recognizes
-  them by their ``_nparams`` attribute and skips its own boxing and
-  depth bookkeeping.
+  depth check in their own prologue; the VM's ``_dispatch`` checks
+  arity against their ``_nparams`` attribute and does no boxing or
+  depth bookkeeping of its own.
 
 One emitter, :class:`StructuredEmitter`, with one block, terminator
 and edge lowering — a relooper-style reconstruction: strongly-connected

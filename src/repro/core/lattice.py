@@ -19,7 +19,6 @@ defines no arithmetic of its own: it calls the op's row in
 from __future__ import annotations
 
 import struct
-import threading
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.semantics import PURE_FNS, VMTrap, _sext
@@ -111,34 +110,34 @@ AbsVal = Union[Const, Dyn]
 # they are rare, and an equality-keyed table would conflate 0.0/-0.0
 # (whose bit patterns the optimizer deliberately keeps distinct).
 #
-# Hit/miss counters are thread-local so specializations running on
-# different threads of an embedder each observe a consistent delta.
+# The hit/miss counters only ever grow; a specialization reports the
+# delta over its own run (compilation is in-process and serial).
 # ---------------------------------------------------------------------------
 
 _CONST_INTERN: Dict[int, Const] = {}
 _CONST_INTERN_CAP = 1 << 20  # safety valve, never expected in practice
-_intern_tls = threading.local()
+_intern_hits = _intern_misses = 0
 
 
 def intern_const(value: Union[int, float], ty: Type) -> Const:
     """Return a canonical :class:`Const` (i64 values are hash-consed)."""
+    global _intern_hits, _intern_misses
     if ty is not I64:
         return Const(value, ty)
     cached = _CONST_INTERN.get(value)
     if cached is not None:
-        _intern_tls.hits = getattr(_intern_tls, "hits", 0) + 1
+        _intern_hits += 1
         return cached
     if len(_CONST_INTERN) >= _CONST_INTERN_CAP:
         _CONST_INTERN.clear()
     cached = _CONST_INTERN[value] = Const(value, ty)
-    _intern_tls.misses = getattr(_intern_tls, "misses", 0) + 1
+    _intern_misses += 1
     return cached
 
 
 def intern_counters() -> Tuple[int, int]:
-    """(hits, misses) of :func:`intern_const` on the calling thread."""
-    return (getattr(_intern_tls, "hits", 0),
-            getattr(_intern_tls, "misses", 0))
+    """(hits, misses) of :func:`intern_const` so far in this process."""
+    return _intern_hits, _intern_misses
 
 
 ZERO = intern_const(0, I64)

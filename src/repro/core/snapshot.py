@@ -16,13 +16,18 @@ are patched, and execution resumes from the snapshot.
    through the on-disk artifact store when ``options.cache_dir`` names
    one), then — in request order — append each function to the module,
    register it in the function table, and patch the 64-bit result slot
-   in the heap with the table index;
+   in the heap with the table index; a request the engine could not
+   compile applies nothing, and a tier-2 outcome is kept by name
+   (``backend_functions``, or ``backend_fallbacks``: name → the reason
+   the emitter left it on the IR VM);
 4. ``freeze()`` — make the heap the module's initial memory: its
    non-zero pages are indexed and only those are kept;
 5. ``resume()`` — a fresh VM starting from the snapshot (a private
    mapping that copies the indexed pages and nothing else), where the
    runtime finds its function pointers filled in and calls specialized
-   code via ``call_indirect``.
+   code via ``call_indirect``; on the py backend it first compiles
+   whatever ``compile_backend()`` has not seen yet (idempotent by
+   membership in the two dicts above).
 
 Every guest runtime reaches this class through
 :mod:`repro.pipeline.host`; engine configuration is said once, on
@@ -69,11 +74,12 @@ class SnapshotCompiler:
         self.pending: List[Tuple[SpecializationRequest, int]] = []
         self.processed: List[ProcessedRequest] = []
         self.total_stats = SpecializationStats()
-        # Tier-2 backend state (populated by the engine's emit stage when
-        # ``options.backend == "py"``, or lazily by compile_backend).
+        # Tier-2 backend state, filled by the engine's one emit body:
+        # in the batch when ``options.backend == "py"``, else lazily by
+        # compile_backend.  A name is in at most one of the two; the
+        # fallback reason is the permanent "cannot express" verdict.
         self.backend_functions: Dict[str, Callable] = {}
-        self.backend_fallbacks: List[Tuple[str, str]] = []
-        self._backend_compiled = False
+        self.backend_fallbacks: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -134,15 +140,10 @@ class SnapshotCompiler:
             if result.pyfunc is not None:
                 self.backend_functions[func.name] = result.pyfunc
             elif result.fallback_reason is not None:
-                self.backend_fallbacks.append((func.name,
-                                               result.fallback_reason))
+                self.backend_fallbacks[func.name] = result.fallback_reason
             processed.append(ProcessedRequest(
                 request, func.name, index, result_addr,
                 result.cache_hit, result.artifact_hit))
-        if self.options.backend == "py":
-            # The engine emitted (or warm-loaded) every backend function
-            # in the batch; a later full compile_backend() is a no-op.
-            self._backend_compiled = True
         self.processed.extend(processed)
         self.pending = []
         return processed
@@ -171,27 +172,21 @@ class SnapshotCompiler:
                         ) -> Dict[str, Callable]:
         """Compile residual functions to Python callables (tier 2).
 
-        ``names`` defaults to every processed specialization (idempotent
-        in that case); a partial list compiles only those functions and
-        leaves the full set to a later call.  Functions the emitter
-        cannot express are recorded in ``backend_fallbacks`` and stay on
-        the IR VM.  Delegates to the engine, so emitted source persists
-        in the artifact store.
+        ``names`` defaults to every processed specialization.  Idempotent
+        by membership: a name already compiled, or already recorded in
+        ``backend_fallbacks`` (the emitter cannot express it; it stays
+        on the IR VM), is not attempted again, so the result holds only
+        what this call compiled.  Delegates to the engine, so emitted
+        source persists in the artifact store.
         """
-        full = names is None
-        if full:
-            if self._backend_compiled:
-                return self.backend_functions
+        if names is None:
             names = [p.function_name for p in self.processed
                      if p.error is None]
-        todo = [n for n in names if n not in self.backend_functions]
+        todo = [n for n in names if n not in self.backend_functions
+                and n not in self.backend_fallbacks]
         compiled, fallbacks = self.engine.compile_backend_functions(todo)
         self.backend_functions.update(compiled)
-        recompiled = set(todo)
-        self.backend_fallbacks = [f for f in self.backend_fallbacks
-                                  if f[0] not in recompiled] + fallbacks
-        if full:
-            self._backend_compiled = True
+        self.backend_fallbacks.update(fallbacks)
         return compiled
 
     def resume(self, backend: Optional[str] = None) -> VM:

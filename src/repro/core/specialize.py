@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import os
-import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import context as ctx_mod
@@ -91,11 +89,6 @@ class SpecializeError(Exception):
     """Specialization failed (bad request, assert_const violation, ...)."""
 
 
-def _default_backend() -> str:
-    """Execution tier for residual code; overridable per environment."""
-    return os.environ.get("REPRO_BACKEND", "vm")
-
-
 # Safety valves of the fixpoint and the mid-end.  Constants, not
 # options: a value that can change residual bytes must either sit in the
 # cache key or not vary, and no caller ever varied these.
@@ -128,11 +121,10 @@ class SpecializeOptions:
     opt_config: str = _option("residual", default="default")
     # Execution tier for the residual code: "vm" interprets the IR,
     # "py" compiles it to native Python functions (repro.backend) with
-    # automatic per-function fallback to the VM.  Defaults to the
-    # REPRO_BACKEND environment variable (or "vm").  Unkeyed: residual
+    # automatic per-function fallback to the VM.  Unkeyed: residual
     # IR is backend-independent, so a store filled under one backend
     # warm-starts a worker running the other (or a staged one).
-    backend: str = _option(None, default_factory=_default_backend)
+    backend: str = _option(None, default="vm")
     # A constant, not a field: it survives only for its reader,
     # benchmarks/ledger/ledger_workloads.py::_measure_emitted.
     emit_mode = "structured"
@@ -398,7 +390,6 @@ class _Specializer:
     # Driver.
     # ------------------------------------------------------------------
     def run(self) -> Function:
-        start = time.perf_counter()
         intern_hits0, intern_misses0 = intern_counters()
         self._seed()
         while self.queued:
@@ -418,11 +409,9 @@ class _Specializer:
         canonicalize_function(self.out)
         self.stats.output_blocks = len(self.out.blocks)
         self.stats.output_instrs = self.out.num_instrs()
-        self.stats.output_block_params = self.out.total_block_params()
         intern_hits1, intern_misses1 = intern_counters()
         self.stats.intern_hits = intern_hits1 - intern_hits0
         self.stats.intern_misses = intern_misses1 - intern_misses0
-        self.stats.wallclock_seconds = time.perf_counter() - start
         return self.out
 
     def _seed(self) -> None:
@@ -576,7 +565,6 @@ class _Specializer:
                         for slot in info.param_slots]
         block.instrs = []
         block.terminator = None
-        self.stats.blocks_specialized += 1
 
         # Drop old outgoing edge registrations; they will be re-added.
         for edge in info.edges_out:
@@ -686,7 +674,6 @@ class _Specializer:
             if folded is not None:
                 ty = instr.result_type or I64
                 state.env[instr.result] = intern_const(folded, ty)
-                self.stats.instrs_folded += 1
                 return
 
         args = tuple(self._mat(block, const_cache, a) for a in abs_args)
@@ -722,14 +709,12 @@ class _Specializer:
                 # describes (S3.1) where specialization degrades to the
                 # original interpreter body — but stays sound and keeps
                 # the context set finite.
-                stats.dynamic_context_updates += 1
                 ctx = ctx_mod.push(ctx, ctx_mod.DYNAMIC)
             return ctx, None
         if name == "update_context":
             if isinstance(abs_args[0], Const):
                 ctx = ctx_mod.update(ctx, abs_args[0].value)
             else:
-                stats.dynamic_context_updates += 1
                 ctx = ctx_mod.update(ctx, ctx_mod.DYNAMIC)
             return ctx, None
         if name == "pop_context":
@@ -759,12 +744,10 @@ class _Specializer:
         if name == "read_reg":
             idx = self._require_const_int(abs_args[0], "register index")
             state.env[instr.result] = state.regs.get(idx, ZERO)
-            stats.reg_reads += 1
             return ctx, None
         if name == "write_reg":
             idx = self._require_const_int(abs_args[0], "register index")
             state.regs[idx] = abs_args[1]
-            stats.reg_writes += 1
             return ctx, None
         if name == "read_local":
             idx = self._require_const_int(abs_args[0], "local index")
@@ -1025,8 +1008,7 @@ class _Specializer:
 
 def specialize(module: Module, request: SpecializationRequest,
                options: Optional[SpecializeOptions] = None,
-               memory: Optional[bytes] = None,
-               stats: Optional[SpecializationStats] = None) -> Function:
+               memory: Optional[bytes] = None) -> Function:
     """Run the weval transform and return the specialized function.
 
     ``memory`` is the heap snapshot backing constant-memory reads
@@ -1062,7 +1044,5 @@ def specialize(module: Module, request: SpecializationRequest,
                       stats=spec_stats.opt)
     if plan:
         canonicalize_function(func)
-    if stats is not None:
-        stats.merge(spec_stats)
     func._weval_stats = spec_stats  # noqa: SLF001 - attached for reporting
     return func

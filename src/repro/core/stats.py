@@ -59,8 +59,6 @@ class PipelineStats(_Mergeable):
     workcheck_seconds = 0.0
     instrs_before: int = 0
     instrs_after: int = 0
-    blocks_before: int = 0
-    blocks_after: int = 0
     seconds: float = 0.0
     # Speculative inlining decisions (repro.opt.inline).
     inline_attempted: int = 0        # plan sites considered
@@ -97,9 +95,6 @@ class EngineStats(_Mergeable):
                                      # object (no re-parse/compile)
     backend_fallbacks: int = 0
     inline_requests: int = 0         # requests carrying an inline plan
-    specialize_seconds: float = 0.0  # stage 1, summed over requests
-    emit_seconds: float = 0.0        # stage 2, summed over requests
-    wall_seconds: float = 0.0        # batch wall clock
     # Fault containment (PR 9): per-request failures and degradations.
     requests_failed: int = 0         # results returned with .error set
     store_write_failures: int = 0    # artifact-store writes that failed
@@ -154,10 +149,7 @@ class SpecializationStats(_Mergeable):
     local_loads_real: int = 0
     local_stores_elided: int = 0
     local_stores_real: int = 0
-    reg_reads: int = 0
-    reg_writes: int = 0
     # Transform work.
-    blocks_specialized: int = 0
     block_revisits: int = 0
     block_visits: int = 0            # worklist pops
     meets_performed: int = 0
@@ -168,15 +160,11 @@ class SpecializationStats(_Mergeable):
     intern_hits: int = 0             # lattice-constant hash-cons hits
     intern_misses: int = 0
     contexts_created: int = 0
-    instrs_folded: int = 0
     loads_folded_from_const_memory: int = 0
     branches_folded: int = 0
-    dynamic_context_updates: int = 0  # update_context seen with runtime arg
     # Output shape.
     output_blocks: int = 0
     output_instrs: int = 0
-    output_block_params: int = 0
-    wallclock_seconds: float = 0.0
     # Post-specialization mid-end accounting (filled by the pass manager).
     opt: PipelineStats = dataclasses.field(default_factory=PipelineStats)
 

@@ -24,7 +24,6 @@ from repro.ir.instructions import (
     OpInfo,
     wrap_i64,
     to_signed,
-    to_unsigned,
 )
 from repro.ir.function import Block, Function, Signature
 from repro.ir.module import Module, HostFunc
@@ -57,7 +56,6 @@ __all__ = [
     "OpInfo",
     "wrap_i64",
     "to_signed",
-    "to_unsigned",
     "Block",
     "Function",
     "Signature",

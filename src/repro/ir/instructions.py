@@ -35,11 +35,6 @@ def to_signed(value: int) -> int:
     return value
 
 
-def to_unsigned(value: int) -> int:
-    """Alias of :func:`wrap_i64`, for readability at call sites."""
-    return value & MASK64
-
-
 @dataclasses.dataclass(frozen=True)
 class OpInfo:
     """Static description of an opcode.

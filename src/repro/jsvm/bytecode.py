@@ -102,12 +102,3 @@ class JSFunction:
         site = self.num_ic_sites
         self.num_ic_sites += 1
         return site
-
-
-def disassemble(func: JSFunction) -> str:
-    lines = [f"function {func.name} (params={func.num_params}, "
-             f"locals={func.num_locals}, max_stack={func.max_stack})"]
-    for pc in range(0, len(func.code), WORDS_PER_INSTR):
-        op, a, b = func.code[pc:pc + WORDS_PER_INSTR]
-        lines.append(f"  {pc:4d}: {Op(op).name:10s} {a} {b}")
-    return "\n".join(lines)

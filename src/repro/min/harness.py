@@ -247,24 +247,3 @@ def make_tiered_min(program: MinProgram,
         options, threshold=threshold, speculate=speculate, **tiering)
     vm = controller.attach(VM(module))
     return vm, controller
-
-
-def run_tiered(program: MinProgram, inputs, threshold: float = 1,
-               speculate: bool = False, use_intrinsics: bool = True,
-               options: Optional[SpecializeOptions] = None):
-    """Run ``program`` on each input through the tiered Min runtime.
-
-    Returns ``(results, vm, controller)`` where ``results[i]`` is the
-    accumulator returned for ``inputs[i]``.  All calls share one VM, so
-    promotion (and any speculation guard installed from the first
-    calls' profile) carries across inputs — a later input that breaks
-    the speculation exercises the deopt path.
-    """
-    vm, controller = make_tiered_min(program, threshold=threshold,
-                                     speculate=speculate,
-                                     use_intrinsics=use_intrinsics,
-                                     options=options)
-    results = [vm.call("min_interp",
-                       [PROGRAM_BASE, len(program.words), value])
-               for value in inputs]
-    return results, vm, controller

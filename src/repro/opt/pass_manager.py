@@ -104,7 +104,6 @@ class PassManager:
         start = time.perf_counter()
         stats.runs += 1
         stats.instrs_before += func.num_instrs()
-        stats.blocks_before += func.num_blocks()
 
         # Prepass: passes assume operand-reachability invariants that
         # unreachable specializer debris need not satisfy.
@@ -145,7 +144,6 @@ class PassManager:
                     RuntimeWarning, stacklevel=2)
 
         stats.instrs_after += func.num_instrs()
-        stats.blocks_after += func.num_blocks()
         stats.seconds += time.perf_counter() - start
         return stats
 

@@ -4,8 +4,10 @@ This package unifies the per-runtime AOT flows behind one subsystem,
 the paper's production story (S6.5) made concrete:
 
 * :class:`~repro.pipeline.engine.CompilationEngine` — batch
-  specialize → opt → verify → emit, in-process, one specialize run per
-  distinct key; results come back in request order;
+  specialize → opt → verify → emit, in-process: one record per request
+  filled by two walks in request order (residuals, one specialize run
+  per distinct key; then emission through the one emit body, hit
+  accounting and store writes);
 * :class:`~repro.pipeline.artifacts.ArtifactStore` — the S6.5
   specialization cache: the persistent on-disk store (``cache_dir``) of
   residual IR and emitted backend source, keyed by

@@ -13,16 +13,16 @@ of the pipeline, deterministically, from a seed.
 Seams (:data:`SEAMS`):
 
 ``specialize``
-    Raises :class:`FaultInjected` inside the engine's stage-1 task,
-    just before the weval transform runs — a compiler crash at a call
-    boundary.
+    Raises :class:`FaultInjected` inside the engine's
+    ``_load_or_specialize``, just before the weval transform runs — a
+    compiler crash at a call boundary.
 ``verify``
-    Raises after specialization, where the residual-verification stage
-    sits — a verifier crash (distinct from a *rejection*, which is the
-    already-tested silent-recompile path).
+    Raises right after specialization, in the same body — a verifier
+    crash (distinct from a *rejection*, which is the already-tested
+    silent-recompile path).
 ``emit``
-    Raises inside backend emission (both the batched emit stage and
-    ``compile_backend_functions``).
+    Raises inside ``_emit``, the engine's one emission body, whichever
+    road called it (a batch, or ``compile_backend_functions``).
 ``store_read``
     The artifact store treats the read as corrupt: the load reports
     ``INVALID`` and the engine recompiles — the read seam never raises

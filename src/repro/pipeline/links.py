@@ -157,7 +157,7 @@ class CallLinkTable:
         if vm.deopt_fallbacks and callee in vm.deopt_fallbacks:
             return None
         fn = vm.compiled.get(callee)
-        if fn is None or getattr(fn, "_nparams", -1) != argc:
+        if fn is None or fn._nparams != argc:
             return None
         return fn
 

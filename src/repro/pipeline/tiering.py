@@ -230,7 +230,6 @@ class TieringController:
                  speculate: bool = False,
                  compile_threshold: int = 0,
                  inline: bool = False,
-                 inline_max_targets: int = INLINE_MAX_TARGETS,
                  inline_min_site_calls: int = INLINE_MIN_SITE_CALLS):
         self.module = module
         self.options = options or SpecializeOptions()
@@ -242,13 +241,13 @@ class TieringController:
         # them on the instance, no caller passes them at construction.
         self.backedge_weight = BACKEDGE_WEIGHT
         self.inline_max_instrs = INLINE_MAX_INSTRS
+        self.inline_max_targets = INLINE_MAX_TARGETS
         self.max_compile_failures = MAX_COMPILE_FAILURES
         self.storm_deopts = STORM_DEOPTS
         self.storm_window = STORM_WINDOW
         staged = self.options.backend == "py" and compile_threshold > 0
         self._staged_tier2 = staged
         self.inline = inline
-        self.inline_max_targets = max(1, inline_max_targets)
         self.inline_min_site_calls = max(1, inline_min_site_calls)
         if inline and not staged:
             # Site histograms only exist while a promoted residual runs
@@ -716,10 +715,10 @@ class TieringController:
         pyfunc = None
         if reason == "tier2" or profile.tier == 2:
             pyfunc = self.compiler.compile_backend([name]).get(name)
-            if pyfunc is None and not any(
-                    f[0] == name for f in self.compiler.backend_fallbacks):
+            if pyfunc is None and \
+                    name not in self.compiler.backend_fallbacks:
                 # Neither compiled nor a recorded emitter fallback (the
-                # permanent "cannot express" verdict): the emit stage
+                # permanent "cannot express" verdict): emission
                 # *crashed*, which is transient — retry after backoff.
                 raise PromotionError(f"tier-2 emit failed for {name}")
         profile.inline_plan = plan

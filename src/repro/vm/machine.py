@@ -112,8 +112,7 @@ class ExecStats:
 class VM:
     """An instantiated module: memory + globals + table + execution."""
 
-    def __init__(self, module: Module, fuel_limit: Optional[int] = None,
-                 compiled: Optional[Dict[str, object]] = None):
+    def __init__(self, module: Module, fuel_limit: Optional[int] = None):
         self.module = module
         self.memory = module.instantiate_memory()
         if verify_enabled_by_env():
@@ -122,10 +121,12 @@ class VM:
         self.globals: Dict[str, int] = dict(module.globals)
         self.stats = ExecStats()
         self.fuel_limit = fuel_limit
-        # Tier-2 backend: function name -> Python callable with the same
-        # observable semantics as interpreting the IR body.  Consulted on
-        # every call, so compiled and interpreted functions mix freely.
-        self.compiled: Dict[str, object] = dict(compiled or {})
+        # Tier-2 backend: function name -> the emitter's fixed-arity
+        # callable (``fn(vm, *args)`` carrying ``_nparams``) with the
+        # same observable semantics as interpreting the IR body.
+        # Consulted on every call, so compiled and interpreted functions
+        # mix freely.  Filled by :meth:`install_compiled`.
+        self.compiled: Dict[str, object] = {}
         # Call-boundary fast path (PR 10): the module's ``imports`` dict
         # and ``table`` list are append-only and never rebound (see
         # repro.ir.module), and ``self.compiled`` is created just above
@@ -244,24 +245,16 @@ class VM:
         """Run a compiled or IR function by name (post-hook)."""
         fn = self._compiled_get(name)
         if fn is not None:
-            nparams = getattr(fn, "_nparams", None)
-            if nparams is not None:
-                # Fixed-arity tier-2 entry point: the callee prologue
-                # owns the depth bookkeeping, so the only boundary work
-                # left here is the arity trap (same message _eval
-                # raises for the interpreted body).
-                if len(args) != nparams:
-                    raise VMTrap(f"{name}: expected {nparams} args, "
-                                 f"got {len(args)}")
-                return fn(self, *args)
-            self._call_depth += 1
-            if self._call_depth > self._max_call_depth:
-                self._call_depth -= 1
-                raise VMTrap(f"call stack exhausted in {name}")
-            try:
-                return fn(self, *args)
-            finally:
-                self._call_depth -= 1
+            # One calling convention: every compiled callable is the
+            # emitter's fixed-arity entry point, whose prologue owns the
+            # depth bookkeeping, so the only boundary work left here is
+            # the arity trap (same message _eval raises for the
+            # interpreted body).
+            nparams = fn._nparams
+            if len(args) != nparams:
+                raise VMTrap(f"{name}: expected {nparams} args, "
+                             f"got {len(args)}")
+            return fn(self, *args)
         func = self.module.functions.get(name)
         if func is None:
             raise VMTrap(f"call to unknown function {name}")

@@ -397,9 +397,8 @@ def test_loop_nest_past_the_static_block_limit_reaches_tier_2():
 def test_backend_option_validation_and_env(monkeypatch):
     with pytest.raises(ValueError, match="bad backend"):
         SpecializeOptions(backend="jit")
+    # The option is the only selector: the environment switch is gone.
     monkeypatch.setenv("REPRO_BACKEND", "py")
-    assert SpecializeOptions().backend == "py"
-    monkeypatch.delenv("REPRO_BACKEND")
     assert SpecializeOptions().backend == "vm"
 
 

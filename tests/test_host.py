@@ -13,10 +13,13 @@
   ``concurrent.futures`` or ``multiprocessing``; one class lowers a CFG
   to Python and nothing takes ``batch_fuel`` or ``emit_mode``; each
   fixpoint engine has one schedule and no identifier names a work
-  detector or an exhaustive switch.
+  detector or an exhaustive switch; the engine has one per-request
+  record and one emit body; every stats field has a reader; compiled
+  code has one calling convention.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 import tokenize
@@ -29,6 +32,7 @@ from repro.core import (
     SpecializedConst,
     SpecializedMemory,
 )
+from repro.core import stats as stats_module
 from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
 from repro.ir import Module
@@ -40,7 +44,13 @@ from repro.min.harness import (
     sum_to_n_program,
 )
 from repro.opt import PassManager, register_pass
-from repro.pipeline import CompilationEngine, GuestRuntime, TierEntry
+from repro.pipeline import (
+    CompilationEngine,
+    GuestRuntime,
+    TierEntry,
+    TieringController,
+)
+from repro.vm import VM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INF = float("inf")
@@ -210,15 +220,15 @@ def test_deleted_engine_settings_are_type_errors():
                  lambda: PassManager("default", exhaustive=True),
                  lambda: register_pass("x", len, workcheck=len),
                  lambda: CompilationEngine(module, SpecializeOptions(),
-                                           cache={})):
+                                           cache={}),
+                 lambda: VM(module, compiled={}),
+                 lambda: TieringController(module, inline_max_targets=1)):
         with pytest.raises(TypeError):
             call()
 
 
-def test_one_schedule_per_fixpoint_engine():
-    """A pass or a meet is run, never proven idle ahead of time: no
-    identifier under ``src/`` names a work detector or the switch that
-    turned them off."""
+def _identifiers():
+    """Every identifier token under ``src/``."""
     names = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         with tokenize.open(path) as handle:
@@ -226,11 +236,78 @@ def test_one_schedule_per_fixpoint_engine():
                 token.string
                 for token in tokenize.generate_tokens(handle.readline)
                 if token.type == tokenize.NAME)
+    return names
+
+
+def test_one_schedule_per_fixpoint_engine():
+    """A pass or a meet is run, never proven idle ahead of time: no
+    identifier under ``src/`` names a work detector or the switch that
+    turned them off."""
     # ``workcheck_seconds`` is the constant 0.0 the ledger's
     # ``layer_metrics`` still reads (``PipelineStats``).
-    assert sorted(name for name in names - {"workcheck_seconds"}
+    assert sorted(name for name in _identifiers() - {"workcheck_seconds"}
                   if "has_work" in name or "workcheck" in name
                   or "debug_exhaustive" in name) == []
+
+
+def _functions_mentioning(name, prefix):
+    """``(file, function)`` for every ``def`` in a file under ``prefix``
+    whose body names ``name`` (bare or as an attribute)."""
+    return [
+        (file, node.name) for file, tree in _sources()
+        if file.startswith(prefix)
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        and any(getattr(inner, "id", getattr(inner, "attr", None)) == name
+                for inner in ast.walk(node))]
+
+
+def test_one_engine_record_and_emit_body():
+    """The engine relays a request through one record and turns a
+    residual into a callable in one place, whichever road asked."""
+    engine = dict(_sources())["repro/pipeline/engine.py"]
+    assert [node.name for node in engine.body
+            if isinstance(node, ast.ClassDef) and node.decorator_list] \
+        == ["EngineResult"]
+    assert [node.name for node in engine.body
+            if isinstance(node, ast.FunctionDef)] == ["_open_store"]
+    for name in ("emit_function_source", "compile_python_source"):
+        assert _functions_mentioning(name, "repro/pipeline/") == \
+            [("repro/pipeline/engine.py", "_emit")]
+    assert not _identifiers() & {
+        "_Plan", "_finalize", "_specialize_one", "_backend_compiled",
+        "_intern_tls"}
+
+
+def test_every_stats_field_has_a_reader():
+    """A counter nobody reads is a write on a hot path and a line of
+    documentation for nothing: every field of the stats dataclasses is
+    loaded somewhere — an attribute read, or a string of that name for
+    the ledger's ``getattr`` loops.  (``x.field += 1`` is a store.)"""
+    read = set()
+    for tree_name in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / tree_name).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    read.add(node.value)
+    classes = [cls for cls in vars(stats_module).values()
+               if dataclasses.is_dataclass(cls)]
+    assert len(classes) == 5
+    assert [(cls.__name__, field.name) for cls in classes
+            for field in dataclasses.fields(cls)
+            if field.name not in read] == []
+
+
+def test_one_calling_convention():
+    """Every compiled callable is the emitter's fixed-arity entry point:
+    nothing under ``src/`` probes for ``_nparams`` with ``getattr``
+    (the boxed convention's test), it is read as an attribute."""
+    assert [file for file, tree in _sources() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value == "_nparams"] == []
 
 
 def test_no_worker_pool_under_src():

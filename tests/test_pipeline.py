@@ -740,18 +740,25 @@ class TestFaultContainment:
 
     def test_errored_request_writes_nothing(self, tmp_path):
         from repro.pipeline.faults import FaultPlan
-        options = SpecializeOptions(
-            cache_dir=str(tmp_path),
-            fault_plan=FaultPlan.once("specialize", index=0))
-        engine = CompilationEngine(build_module(), options)
-        results = engine.compile_batch(make_requests())
-        assert results[0].error is not None
-        # The store holds no state for the failed request; a retry
-        # compiles it fresh and writes it.
-        retry = engine.compile_batch(make_requests())
-        assert retry[0].error is None
-        assert retry[0].specialized  # fresh compile, not a (stale) hit
-        assert engine.stats.artifacts_written == 2
+        # Both walks: a specialize crash has no residual to store, an
+        # emit crash has one and must still not store it.  (A loop, not
+        # a parametrization, so the test keeps its id.)
+        for seam in ("specialize", "emit"):
+            options = SpecializeOptions(
+                cache_dir=str(tmp_path / seam), backend="py",
+                fault_plan=FaultPlan.once(seam, index=0))
+            engine = CompilationEngine(build_module(), options)
+            results = engine.compile_batch(make_requests())
+            assert results[0].error is not None
+            assert results[1].error is None
+            assert len(os.listdir(engine.store.spec_dir)) == 1, seam
+            # The store holds no state for the failed request; a retry
+            # compiles it fresh and writes it.
+            retry = engine.compile_batch(make_requests())
+            assert retry[0].error is None
+            assert retry[0].specialized  # fresh compile, not a stale hit
+            assert retry[1].artifact_hit
+            assert engine.stats.artifacts_written == 2
 
     def test_dup_of_errored_producer_shares_failure(self):
         from repro.pipeline.faults import FaultPlan
@@ -777,6 +784,26 @@ class TestFaultContainment:
         assert results[0].error is not None
         assert results[1].error is None
         assert results[1].pyfunc is not None
+
+    def test_emit_fault_leaves_its_duplicate_standing(self):
+        """An emit crash fails its own request only: the twin cloned the
+        producer's residual before emission and emits for itself."""
+        from repro.pipeline.faults import FaultPlan
+        engine = CompilationEngine(
+            build_module(), SpecializeOptions(
+                backend="py",
+                fault_plan=FaultPlan.once("emit", index=0)))
+        request = make_requests()[0]
+        twin = dataclasses.replace(request, specialized_name="spec_twin")
+        results = engine.compile_batch([request, twin])
+        assert results[0].error is not None
+        assert results[0].pyfunc is None
+        assert results[1].error is None and results[1].cache_hit
+        assert results[1].function.name == "spec_twin"
+        assert results[1].pyfunc is not None
+        assert engine.stats.requests_failed == 1
+        assert engine.stats.cache_hits == 1
+        assert engine.stats.functions_specialized == 0
 
     def test_mid_batch_store_corruption_recompiles(self, tmp_path):
         """An artifact that goes bad *between* the existence probe and

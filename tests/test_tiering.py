@@ -401,7 +401,7 @@ class TestControllerPolicy:
             # distinguishes the permanent "cannot express" verdict from a
             # transient emit crash, which PR 9 quarantines and retries).
             attempts.append(names)
-            controller.compiler.backend_fallbacks.extend(
+            controller.compiler.backend_fallbacks.update(
                 (name, "simulated fallback") for name in names)
             return {}
         controller.compiler.compile_backend = fake_fallback
