@@ -11,6 +11,17 @@ observable semantics:
   expression the VM and the constant folder execute — with ``v<n>``
   operand names, so values are the same unsigned-64-bit bit patterns
   by construction;
+* a sized load or store is an explicit bounds line (the VM's trap
+  text, raised before anything is touched) and then one call of the
+  precompiled ``struct`` codec its ``LOADS``/``STORES`` row names —
+  ``v9 = _getQ(M, a)[0]``, ``_putI(M, a, v & 0xffffffff)``; one byte is
+  ``M[a]``.  No width is spelled here;
+* a compare (a ``_int(<cmp>)`` row) whose result has exactly one use,
+  the ``br_if`` of its own block, is never assigned: the terminator
+  prints ``if <cmp>:``.  Every other use — stored, returned, passed,
+  a block argument, an operand, a branch elsewhere — keeps ``_int``,
+  so a guest value is always an ``int`` and nothing but branch
+  truthiness ever sees a Python ``bool``;
 * traps raise the same :class:`~repro.vm.machine.VMTrap` kinds with the
   same messages, out-of-fuel raises :class:`OutOfFuel`;
 * fuel/load/store/call counters are charged per *block* (one ``+=`` per
@@ -58,6 +69,7 @@ VM per function.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import re
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -72,6 +84,7 @@ from repro.ir.instructions import (
     Jump,
     Ret,
     Trap,
+    terminator_values,
 )
 from repro.ir.module import Module
 from repro.ir.semantics import LOADS, PURE_EXPRS, STORES, _bits_ftoi
@@ -102,6 +115,15 @@ _PURE_TEMPLATES = {
          "_int(" in expr)
     for op, expr in PURE_EXPRS.items()
 }
+
+# The rows that call ``_int`` are the compares, ``_int(<cmp>)``: op ->
+# the bare ``<cmp>`` a fused ``br_if`` tests in place.
+_BARE_COMPARES = {
+    op: template[len("_int("):-1]
+    for op, (template, uses_int) in _PURE_TEMPLATES.items() if uses_int
+}
+assert all(_PURE_TEMPLATES[op][0] == f"_int({bare})"
+           for op, bare in _BARE_COMPARES.items())
 
 _INDENT = "    "
 
@@ -602,8 +624,21 @@ class StructuredEmitter:
         body: List[str] = []
         segment: List[str] = []
         pending = 0
+        term = block.terminator
+        # Compare->branch fusion: a compare whose one use is this
+        # block's own br_if is never assigned; the terminator tests the
+        # bare compare.  It is pure and its operands are SSA names, so
+        # evaluating it there is unobservable, and its fuel is still
+        # charged in this block's ``_fu += n``.
+        fused = None
+        if isinstance(term, BrIf) and self._use_counts[term.cond] == 1:
+            fused = next(
+                (instr for instr in block.instrs
+                 if instr.result == term.cond
+                 and instr.op in _BARE_COMPARES), None)
         for instr in block.instrs:
-            segment.extend(self._emit_instr(instr, counters))
+            if instr is not fused:
+                segment.extend(self._emit_instr(instr, counters))
             pending += 1
             if instr.op in ("call", "call_indirect"):
                 body.extend(self._flush_lines(pending))
@@ -623,11 +658,13 @@ class StructuredEmitter:
         self._line('if _L is not None and S.fuel + _fu > _L: '
                    'raise OutOfFuel("fuel limit %d exceeded" % _L)')
         self._line("_fu += 1")
-        term = block.terminator
         if isinstance(term, Jump):
             self._transfer(term.target)
         elif isinstance(term, BrIf):
-            self._line(f"if v{term.cond}:")
+            cond = f"v{term.cond}" if fused is None else \
+                _BARE_COMPARES[fused.op].format(
+                    *[f"v{a}" for a in fused.args])
+            self._line(f"if {cond}:")
             self._depth += 1
             self._transfer(term.if_true)
             self._depth -= 1
@@ -693,17 +730,13 @@ class StructuredEmitter:
         mem = LOADS.get(op)
         if mem is not None:
             counters["loads"] += 1
-            size, signed, is_float = mem
+            size, signed, _, codec = mem
             self.used.add("M")
             pre: List[str] = []
             a = self._addr(instr, pre)
-            if is_float:
-                raw = f'_upf("<d", M, {a})[0]'
-            elif size == 1:
-                raw = f"M[{a}]"
-            else:
-                self.used.add("_ifb")
-                raw = f'_ifb(M[{a}:{a} + {size}], "little")'
+            # The bounds line below runs first, so the codec's own range
+            # error can never fire.
+            raw = f"M[{a}]" if codec is None else f"{codec}(M, {a})[0]"
             if signed:
                 raw = f"_sext({raw}, {size * 8})"
             return pre + [
@@ -714,20 +747,16 @@ class StructuredEmitter:
         mem = STORES.get(op)
         if mem is not None:
             counters["stores"] += 1
-            size, _, is_float = mem
+            size, _, _, codec = mem
             self.used.add("M")
             pre = []
             a = self._addr(instr, pre)
-            if is_float:
-                store = f'_pki("<d", M, {a}, v{args[1]})'
-            elif size == 1:
-                store = f"M[{a}] = v{args[1]} & 0xff"
-            else:
-                # An i64 is already 8 bytes wide; narrower stores truncate.
-                value = (f"v{args[1]}" if size == 8 else
-                         f"(v{args[1]} & {(1 << (size * 8)) - 1:#x})")
-                store = (f"M[{a}:{a} + {size}] = "
-                         f'{value}.to_bytes({size}, "little")')
+            # An i64 or f64 is already 8 bytes wide; narrower stores
+            # truncate.
+            value = (f"v{args[1]}" if size == 8 else
+                     f"v{args[1]} & {(1 << (size * 8)) - 1:#x}")
+            store = (f"M[{a}] = {value}" if codec is None else
+                     f"{codec}(M, {a}, {value})")
             return pre + [
                 f'if {a} < 0 or {a} + {size} > _ML: '
                 f'raise VMTrap("oob {op} at %#x" % {a})',
@@ -849,8 +878,6 @@ class StructuredEmitter:
                             f"{name!r}, {tuple(self.link_sites)!r})")
         if "_int" in used:
             bindings.append("_int = int")
-        if "_ifb" in used:
-            bindings.append("_ifb = int.from_bytes")
         bindings.append("_L = vm.fuel_limit")
         return bindings
 
@@ -886,10 +913,15 @@ class StructuredEmitter:
                   func.blocks[bid].terminator.targets()]
             for bid in rpo}
         # Counter locals that exist at all, known before the first
-        # flush site is emitted.
+        # flush site is emitted; and how often each value is used (what
+        # compare->branch fusion asks).
         used_counters: Set[str] = set()
+        uses: List[int] = []
         for bid in rpo:
-            for instr in func.blocks[bid].instrs:
+            block = func.blocks[bid]
+            uses += terminator_values(block.terminator)
+            for instr in block.instrs:
+                uses += instr.args
                 op = instr.op
                 if op in LOADS:
                     used_counters.add("loads")
@@ -899,6 +931,7 @@ class StructuredEmitter:
                     used_counters.add("calls")
         self._counter_locals = [pair for pair in _COUNTER_LOCALS
                                 if pair[0] in used_counters]
+        self._use_counts = collections.Counter(uses)
 
         try:
             body = self._emit_body(

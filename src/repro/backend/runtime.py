@@ -5,15 +5,15 @@ globals.  The arithmetic in it is not defined here: an emitted pure op
 is its row of :mod:`repro.ir.semantics` printed with ``v<n>`` operands,
 and the helper names those rows call (``_idiv_s``, ``_ftoi``, ``_sext``,
 ...) are that module's ``HELPERS`` — the functions the VM and the
-constant folder run.  What this module adds is what only compiled code
-needs: the trap exception types as plain global names, the ``struct``
-accessors for f64 memory ops, and the depth-limit trap of the callee
-prologue.
+constant folder run.  The memory accessors come from the same table: a
+sized load or store calls the codec its ``LOADS``/``STORES`` row names
+(``_getQ``, ``_putd``, ...), which ``HELPERS`` carries too.  What this
+module adds is what only compiled code needs: the trap exception types
+as plain global names and ``_exhaust``, the depth-limit trap of the
+callee prologue.
 """
 
 from __future__ import annotations
-
-import struct
 
 from repro.ir.semantics import HELPERS
 from repro.vm.machine import GuardFailed, OutOfFuel, VMTrap
@@ -41,6 +41,4 @@ BACKEND_GLOBALS = {
     "OutOfFuel": OutOfFuel,
     "GuardFailed": GuardFailed,
     "_exhaust": _exhaust,
-    "_upf": struct.unpack_from,
-    "_pki": struct.pack_into,
 }

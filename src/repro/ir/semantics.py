@@ -18,8 +18,13 @@ helpers below are the ops too long for one expression; a trapping op
 raises :class:`VMTrap` (the folder reads that as "do not fold").
 
 Sized loads and stores keep their lowering in the VM and the emitter
-(bounds check, counters, address arithmetic); what they share is
-:data:`LOADS`/:data:`STORES`, one ``(size, signed, float)`` row per op.
+(bounds check, counters, address arithmetic); what they share is the
+row *and its codec*: :data:`LOADS`/:data:`STORES` hold one ``(size,
+signed, float, codec)`` row per op, and a row wider than a byte names
+the accessor of its precompiled :data:`CODECS` entry — the only place a
+width is spelled as a ``struct`` format.  The same codecs are the NaN-box
+casts (``bits_ftoi``/``bits_itof``) and the host's word access
+(``VM.load_u64``/``store_u64``).
 
 This module imports nothing above :mod:`repro.ir`.
 """
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, NamedTuple
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.ir.instructions import MASK64, OPCODES, to_signed
 
@@ -106,14 +111,6 @@ def _ffloor(a: float) -> float:
     return float(math.floor(a)) if math.isfinite(a) else a
 
 
-def _bits_ftoi(a: float) -> int:
-    return int.from_bytes(struct.pack("<d", a), "little")
-
-
-def _bits_itof(a: int) -> float:
-    return struct.unpack("<d", (a & MASK64).to_bytes(8, "little"))[0]
-
-
 def _sext(raw: int, bits: int) -> int:
     """Sign-extend the low ``bits`` of ``raw`` to an i64 bit pattern."""
     if raw >= 1 << (bits - 1):
@@ -121,8 +118,37 @@ def _sext(raw: int, bits: int) -> int:
     return raw & MASK64
 
 
+# One precompiled little-endian codec per access width, and the bound
+# methods of each that rows and emitted code call by name:
+# ``_get<c>(buf, addr)[0]`` reads, ``_put<c>(buf, addr, value)`` writes.
+# The NaN-box casts go through bytes: ``_pack<c>(value)`` one way, read
+# back the other.
+CODECS: Dict[str, struct.Struct] = {
+    c: struct.Struct("<" + c) for c in "HIQd"}
+_CODEC_FNS: Dict[str, Callable] = {}
+for _c, _codec in CODECS.items():
+    _CODEC_FNS["_get" + _c] = _codec.unpack_from
+    _CODEC_FNS["_put" + _c] = _codec.pack_into
+_CODEC_FNS["_packQ"] = _packQ = CODECS["Q"].pack
+_CODEC_FNS["_packd"] = _packd = CODECS["d"].pack
+_getQ, _getd = _CODEC_FNS["_getQ"], _CODEC_FNS["_getd"]
+
+
+# A double's bits, both ways.  The ``bits_ftoi``/``bits_itof`` rows spell
+# the same expressions inline (the op grid asserts helper == row); the
+# functions are for host code (``jsvm.values``) and the emitter's
+# non-finite literals.
+def _bits_ftoi(a: float) -> int:
+    return _getQ(_packd(a))[0]
+
+
+def _bits_itof(a: int) -> float:
+    return _getd(_packQ(a))[0]
+
+
 # The names a row may use besides its operands.
 HELPERS: Dict[str, Callable] = {
+    **_CODEC_FNS,
     "_int": int,
     "_abs": abs,
     "_idiv_s": _idiv_s,
@@ -186,8 +212,8 @@ PURE_EXPRS: Dict[str, str] = {
     "fge": "_int(a >= b)",
     "itof": "_itof(a)",
     "ftoi": "_ftoi(a)",
-    "bits_ftoi": "_bits_ftoi(a)",
-    "bits_itof": "_bits_itof(a)",
+    "bits_ftoi": "_getQ(_packd(a))[0]",
+    "bits_itof": "_getd(_packQ(a))[0]",
     "select": "b if a else c",
 }
 
@@ -211,22 +237,26 @@ class MemOp(NamedTuple):
     size: int       # access width in bytes
     signed: bool    # loads: sign-extend the raw value to 64 bits
     float: bool     # the value is an f64, not an i64 bit pattern
+    # The HELPERS name of the row's codec accessor (``_get<c>`` for a
+    # load, ``_put<c>`` for a store); None for one byte, which is
+    # ``M[a]``.
+    codec: Optional[str] = None
 
 
 LOADS: Dict[str, MemOp] = {
     "load8_u": MemOp(1, False, False),
     "load8_s": MemOp(1, True, False),
-    "load16_u": MemOp(2, False, False),
-    "load16_s": MemOp(2, True, False),
-    "load32_u": MemOp(4, False, False),
-    "load32_s": MemOp(4, True, False),
-    "load64": MemOp(8, False, False),
-    "loadf64": MemOp(8, False, True),
+    "load16_u": MemOp(2, False, False, "_getH"),
+    "load16_s": MemOp(2, True, False, "_getH"),
+    "load32_u": MemOp(4, False, False, "_getI"),
+    "load32_s": MemOp(4, True, False, "_getI"),
+    "load64": MemOp(8, False, False, "_getQ"),
+    "loadf64": MemOp(8, False, True, "_getd"),
 }
 STORES: Dict[str, MemOp] = {
     "store8": MemOp(1, False, False),
-    "store16": MemOp(2, False, False),
-    "store32": MemOp(4, False, False),
-    "store64": MemOp(8, False, False),
-    "storef64": MemOp(8, False, True),
+    "store16": MemOp(2, False, False, "_putH"),
+    "store32": MemOp(4, False, False, "_putI"),
+    "store64": MemOp(8, False, False, "_putQ"),
+    "storef64": MemOp(8, False, True, "_putd"),
 }

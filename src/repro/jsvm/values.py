@@ -13,7 +13,11 @@ exploit; here they are the guard conditions in IC stubs.
 from __future__ import annotations
 
 import math
-import struct
+
+# One definition of a double's bits: the helpers the ``bits_ftoi`` /
+# ``bits_itof`` rows restate inline.
+from repro.ir.semantics import _bits_ftoi as box_double
+from repro.ir.semantics import _bits_itof as unbox_double
 
 TAG_SHIFT = 48
 TAG_BOOL = 0xFFF9
@@ -33,14 +37,6 @@ VALUE_UNDEFINED = TAG_UNDEFINED << TAG_SHIFT
 # Sentinel returned by IC stubs whose guards fail; never a legal value
 # (Python float operations never produce payload NaNs).
 IC_FAIL = 0xFFFF000000000001
-
-
-def box_double(value: float) -> int:
-    return int.from_bytes(struct.pack("<d", value), "little")
-
-
-def unbox_double(bits: int) -> float:
-    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
 
 
 def box_bool(value: bool) -> int:

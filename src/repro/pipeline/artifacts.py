@@ -79,7 +79,10 @@ ARTIFACT_VERSION = 3  # 3: inline plans in request keys, guard imm forms
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part
 # of their identity).
-EMITTER_VERSION = 5  # 5: one emitter (flat = one region), modeless key
+# 6: sized memory ops through the table's struct codecs, compare->branch
+# fusion, NaN-box casts inline (tests/golden/emitter_pin.txt trips when
+# emitted bytes change under an unchanged version).
+EMITTER_VERSION = 6
 
 HIT = "hit"
 MISS = "miss"

@@ -38,8 +38,12 @@ from repro.ir.instructions import (
     Trap,
 )
 from repro.ir.module import Module
-from repro.ir.semantics import LOADS, PURE_FNS, STORES, VMTrap, _sext
+from repro.ir.semantics import HELPERS, LOADS, PURE_FNS, STORES, VMTrap, _sext
 from repro.ir.verify import verify_enabled_by_env
+
+
+# Host-side word access goes through the table's ``<Q`` codec.
+_getQ, _putQ = HELPERS["_getQ"], HELPERS["_putQ"]
 
 
 class OutOfFuel(Exception):
@@ -198,11 +202,11 @@ class VM:
 
     def load_u64(self, addr: int) -> int:
         self._check_range(addr, 8)
-        return int.from_bytes(self.memory[addr:addr + 8], "little")
+        return _getQ(self.memory, addr)[0]
 
     def store_u64(self, addr: int, value: int) -> None:
         self._check_range(addr, 8)
-        self.memory[addr:addr + 8] = (value & MASK64).to_bytes(8, "little")
+        _putQ(self.memory, addr, value & MASK64)
 
     # ------------------------------------------------------------------
     # Calls.
@@ -390,7 +394,7 @@ class VM:
                 # --- memory ----------------------------------------------
                 elif (mem := load_op(op)) is not None:
                     stats.loads += 1
-                    size, signed, is_float = mem
+                    size, signed, is_float, _ = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
                         raise VMTrap(f"oob {op} at {addr:#x}")
@@ -403,7 +407,7 @@ class VM:
                                              else raw)
                 elif (mem := store_op(op)) is not None:
                     stats.stores += 1
-                    size, _, is_float = mem
+                    size, _, is_float, _ = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
                         raise VMTrap(f"oob {op} at {addr:#x}")

@@ -11,7 +11,16 @@ import pytest
 
 from repro.backend import CompiledFunction, compile_function, emitter
 from repro.frontend import compile_source
-from repro.ir import I64, FunctionBuilder, Module, Signature, verify_module
+from repro.ir import (
+    I64,
+    FunctionBuilder,
+    HostFunc,
+    Module,
+    Signature,
+    verify_module,
+)
+from repro.ir.instructions import OPCODES
+from repro.ir.semantics import PURE_EXPRS
 from repro.vm import VM
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -163,3 +172,99 @@ def loop_nest(depth: int) -> Module:
     fb.switch_to(latches[0])
     fb.ret(latches[0].param_values()[0])
     return _single_function_module(fb)
+
+
+# ---------------------------------------------------------------------------
+# One-op functions: the op-grid harness, the fusion oracle and the
+# emitter pin all build their probes here.
+# ---------------------------------------------------------------------------
+
+def single_op_module(op: str, arg_types, result_type, imm=None,
+                     memory_size: int = 64) -> Module:
+    """``f(*args)``: ``op`` applied to the parameters, result returned.
+    The instruction sits in a second block, so the forced-fallback leg
+    reaches it across a region edge (a ``_b`` assignment and a trip
+    through the dispatch tree)."""
+    results = () if result_type is None else (result_type,)
+    fb = FunctionBuilder("f", Signature(tuple(arg_types), results))
+    body = fb.new_block()
+    fb.jump(body)
+    fb.switch_to(body)
+    value = fb.emit(op, [v for v, _ in fb.entry.params], imm=imm)
+    fb.ret(*(() if value is None else (value,)))
+    module = Module(memory_size=memory_size)
+    module.add_function(fb.finish())
+    return module
+
+
+# The compare rows of the op table: ``_int(<cmp>)``.
+COMPARE_OPS = tuple(op for op, expr in PURE_EXPRS.items()
+                    if expr.startswith("_int("))
+
+
+def compare_module(op: str, shape: str, probe=None) -> Tuple[Module, int]:
+    """``f(a, b[, addr])`` around ``c = op(a, b)``; returns the module
+    and ``c``'s value id.  Every shape returns 1 when the compare holds
+    and 0 when it does not (``"branch"`` and ``"after_load"``: 11 / 22,
+    from constants, so nothing but the branch reads ``c``).
+
+    * ``branch`` — ``br_if c`` in ``c``'s own block, its only use;
+    * ``returned`` — both arms ``ret c``;
+    * ``stored`` — ``store64 [0], c`` first, the arms return the word;
+    * ``probed`` — ``c`` is passed to the host import ``probe``;
+    * ``looped`` — ``c`` is a block argument carried around a loop;
+    * ``after_load`` — ``branch`` behind a ``load64 addr`` in the block;
+    * ``other_block`` — the ``br_if`` is in the next block;
+    * ``two_branches`` — the taken arm tests ``c`` again.
+    """
+    ty = OPCODES[op].arg_types[0]
+    params = (ty, ty, I64) if shape == "after_load" else (ty, ty)
+    fb = FunctionBuilder("f", Signature(params, (I64,)))
+    a, b = (v for v, _ in fb.entry.params[:2])
+    if shape == "looped":
+        # c leaves at once when it holds, else rides three trips of the
+        # loop as a block argument before it is returned.
+        header = fb.new_block([I64])
+        latch, out = fb.new_block([I64, I64]), fb.new_block([I64])
+        fb.jump(header, [fb.iconst(3)])
+        fb.switch_to(header)
+        c = fb.emit(op, (a, b))
+        rest = fb.isub(header.param_values()[0], fb.iconst(1))
+        fb.br_if(c, out, latch, [c], [rest, c])
+        fb.switch_to(latch)
+        rest, carried = latch.param_values()
+        fb.br_if(fb.ine(rest, fb.iconst(0)), header, out,
+                 [rest], [carried])
+        fb.switch_to(out)
+        fb.ret(out.param_values()[0])
+    else:
+        if shape == "after_load":
+            fb.load64(fb.entry.params[2][0])
+        c = fb.emit(op, (a, b))
+        if shape == "stored":
+            zero = fb.iconst(0)
+            fb.store64(zero, c)
+        elif shape == "probed":
+            fb.call("probe", [c])
+        elif shape == "other_block":
+            branch = fb.new_block()
+            fb.jump(branch)
+            fb.switch_to(branch)
+        hit, miss = fb.new_block(), fb.new_block()
+        fb.br_if(c, hit, miss)
+        if shape == "two_branches":
+            fb.switch_to(hit)
+            hit = fb.new_block()
+            fb.br_if(c, hit, miss)
+        for block, constant in ((hit, 11), (miss, 22)):
+            fb.switch_to(block)
+            if shape in ("branch", "after_load"):
+                fb.ret(fb.iconst(constant))
+            else:
+                fb.ret(fb.load64(zero) if shape == "stored" else c)
+    module = Module(memory_size=64)
+    if shape == "probed":
+        module.add_import(HostFunc("probe", Signature((I64,), ()), probe))
+    module.add_function(fb.finish())
+    verify_module(module)
+    return module, c

@@ -13,13 +13,18 @@ differential corpus does not isolate:
 * ``br_table`` out-of-range defaulting (including huge indices) and
   branch-argument passing on table edges;
 * fuel determinism and ``OutOfFuel`` agreement under a fuel limit;
+* compare->branch fusion: which compares the emitter tests in place at
+  their ``br_if`` and which keep ``_int(...)``, so nothing but branch
+  truthiness ever sees a Python ``bool``;
 * per-function fallback for constructs the emitter rejects;
 * the emitter's two nesting limits: past its own indent budget the
   function is re-emitted flat, past CPython's static-block limit
   ``compile()`` refuses the source and the function stays on the IR VM.
 """
 
+import math
 import random
+import re
 
 import pytest
 
@@ -28,6 +33,7 @@ from repro.core.specialize import SpecializeOptions
 from repro.ir.function import Function, Signature
 from repro.ir.instructions import BlockCall, BrTable, Instr, Jump, Ret
 from repro.ir.module import Module
+from repro.ir.semantics import PURE_EXPRS
 from repro.ir.types import I64
 from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.min.harness import sum_to_n_program
@@ -35,10 +41,12 @@ from repro.pipeline.engine import CompilationEngine
 from repro.vm import VM, OutOfFuel, VMTrap
 
 from tests.helpers import (
+    COMPARE_OPS,
     EMIT_LEGS,
     MAX_COMPILABLE_LOOP_NEST,
     branch_chain,
     build_module,
+    compare_module,
     compile_legs,
     loop_nest,
 )
@@ -307,6 +315,113 @@ def test_out_of_fuel_agreement_across_calls():
             got_py = run(leg, limit)
             assert got_vm == got_py, (
                 f"limit {limit} {leg}: vm={got_vm!r} py={got_py!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compare->branch fusion.
+# ---------------------------------------------------------------------------
+
+_INT_PAIRS = ((0, 0), (0, 1), (1, 0), (TWO63, TWO63), (TWO63 - 1, TWO63),
+              (TWO63, TWO63 - 1), (MASK64, 0), (0, MASK64))
+_FLOAT_PAIRS = ((1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (0.0, -0.0),
+                (-0.0, 0.0), (math.nan, 1.0), (1.0, math.nan),
+                (math.nan, math.nan), (math.inf, -math.inf))
+
+
+def _pairs(op):
+    return _FLOAT_PAIRS if op.startswith("f") else _INT_PAIRS
+
+
+def _bare_compare(op, a, b):
+    """The text a fused ``br_if`` tests: the row without its ``_int``."""
+    bare = PURE_EXPRS[op][len("_int("):-1]
+    return re.sub(r"\b[ab]\b",
+                  lambda m: f"v{a if m.group() == 'a' else b}", bare)
+
+
+def _run_stats(module, args, pyfunc=None, fuel_limit=None):
+    """``(status, payload, type of payload, stats)`` of one ``f`` call."""
+    vm = VM(module, fuel_limit=fuel_limit)
+    if pyfunc is not None:
+        vm.install_compiled({"f": pyfunc})
+    try:
+        result = vm.call("f", list(args))
+        return ("ok", result, type(result), vm.stats)
+    except VMTrap as trap:
+        return ("trap", str(trap), None, vm.stats)
+    except OutOfFuel:
+        return ("out-of-fuel", None, None, vm.stats)
+
+
+@pytest.mark.parametrize("op", COMPARE_OPS)
+def test_single_use_compare_is_fused_into_its_branch(op):
+    module, c = compare_module(op, "branch")
+    func = module.functions["f"]
+    a, b = (v for v, _ in func.entry_block().params)
+    for leg, compiled in compile_legs(func, module).items():
+        source = compiled.source
+        assert "_int(" not in source and f"v{c} =" not in source, leg
+        assert source.count(f"if {_bare_compare(op, a, b)}:") == 1, leg
+        for args in _pairs(op):
+            reference = _run_stats(module, args)
+            assert reference[0] == "ok" and reference[1] in (11, 22)
+            assert _run_stats(module, args, compiled.pyfunc) == reference
+            # OutOfFuel at every limit, as across calls above.
+            for limit in range(1, reference[3].fuel + 2):
+                assert _run_stats(module, args, compiled.pyfunc, limit) \
+                    == _run_stats(module, args, None, limit), (args, limit)
+
+
+@pytest.mark.parametrize("shape", ("returned", "stored", "probed", "looped"))
+@pytest.mark.parametrize("op", COMPARE_OPS)
+def test_compare_with_another_use_stays_an_int(op, shape):
+    seen = []
+    module, c = compare_module(
+        op, shape, probe=lambda vm, x: seen.append(type(x)))
+    func = module.functions["f"]
+    for leg, compiled in compile_legs(func, module).items():
+        assert f"v{c} = _int(" in compiled.source, leg
+        assert f"if v{c}:" in compiled.source, leg
+        for args in _pairs(op):
+            reference = _run_stats(module, args)
+            assert reference[:3] in (("ok", 0, int), ("ok", 1, int))
+            assert _run_stats(module, args, compiled.pyfunc) == reference
+    assert all(ty is int for ty in seen)
+    assert bool(seen) == (shape == "probed")
+
+
+@pytest.mark.parametrize("op", COMPARE_OPS)
+def test_fused_compare_behind_a_trapping_load(op):
+    """The load's bounds line still runs first: same trap text, and the
+    block's whole charge — load and compare — is already in ``stats``,
+    exactly as when the compare was a statement of its own."""
+    module, _ = compare_module(op, "after_load")
+    func = module.functions["f"]
+    args = _pairs(op)[0]
+    for leg, compiled in compile_legs(func, module).items():
+        assert "_int(" not in compiled.source, leg
+        for addr in (57, 64, MASK64):
+            status, text, _, stats = _run_stats(
+                module, args + (addr,), compiled.pyfunc)
+            assert (status, text) == ("trap", f"oob load64 at {addr:#x}")
+            assert (stats.fuel, stats.loads) == (2, 1)
+            assert _run_stats(module, args + (addr,))[:2] == (status, text)
+        assert _run_stats(module, args + (56,), compiled.pyfunc) \
+            == _run_stats(module, args + (56,))
+
+
+@pytest.mark.parametrize("shape", ("other_block", "two_branches"))
+@pytest.mark.parametrize("op", COMPARE_OPS)
+def test_compare_is_fused_only_into_its_own_blocks_one_branch(op, shape):
+    module, c = compare_module(op, shape)
+    func = module.functions["f"]
+    branches = 1 if shape == "other_block" else 2
+    for leg, compiled in compile_legs(func, module).items():
+        assert f"v{c} = _int(" in compiled.source, leg
+        assert compiled.source.count(f"if v{c}:") == branches, leg
+        for args in _pairs(op):
+            assert _run_stats(module, args, compiled.pyfunc) \
+                == _run_stats(module, args)
 
 
 def test_unsupported_opcode_falls_back():

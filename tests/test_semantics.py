@@ -32,6 +32,7 @@ is the executable statement of it:
 import ast
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -42,13 +43,13 @@ from hypothesis import given, settings, strategies as st
 from repro.backend.runtime import BACKEND_GLOBALS
 from repro.core.lattice import ConstMemoryImage, fold_pure_op
 from repro.core.specialize import SpecializeOptions
-from repro.ir import F64, I64, FunctionBuilder, Module, Signature
+from repro.ir import F64, I64
 from repro.ir.instructions import OPCODES
 from repro.ir.semantics import HELPERS, LOADS, PURE_EXPRS, PURE_FNS, STORES
 from repro.jsvm import JSRuntime
 from repro.vm import VM, VMTrap
 
-from tests.helpers import EMIT_LEGS, compile_legs
+from tests.helpers import EMIT_LEGS, compile_legs, single_op_module
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 MASK64 = (1 << 64) - 1
@@ -69,24 +70,17 @@ def _key(value):
 
 
 class _Harness:
-    """One single-instruction function, runnable on the plain VM and as
-    Python emitted on each leg.  The instruction sits in a second
-    block, so the forced-fallback leg reaches it across a region edge
-    (a ``_b`` assignment and a trip through the dispatch tree)."""
+    """One single-instruction function
+    (:func:`tests.helpers.single_op_module`), runnable on the plain VM
+    and as Python emitted on each leg."""
 
     def __init__(self, op, arg_types, result_type, imm=None,
                  memory_size=64):
-        results = () if result_type is None else (result_type,)
-        fb = FunctionBuilder("f", Signature(tuple(arg_types), results))
-        body = fb.new_block()
-        fb.jump(body)
-        fb.switch_to(body)
-        value = fb.emit(op, [v for v, _ in fb.entry.params], imm=imm)
-        fb.ret(*(() if value is None else (value,)))
-        self.module = Module(memory_size=memory_size)
-        func = self.module.add_function(fb.finish())
+        self.module = single_op_module(op, arg_types, result_type, imm,
+                                       memory_size)
         self.compiled = {mode: compiled.pyfunc for mode, compiled
-                         in compile_legs(func, self.module).items()}
+                         in compile_legs(self.module.functions["f"],
+                                         self.module).items()}
 
     def run(self, args, memory=None):
         """``{leg: (status, payload, memory image)}`` for the three
@@ -166,6 +160,11 @@ def test_pure_op_edge_grid(op, arg_types):
         return
     for args in _grid_product(arg_types):
         _check_pure(op, arg_types, args)
+        # One definition of a double's bits: the helper host code calls
+        # (``jsvm.values.box_double``/``unbox_double``) is the row.
+        if op in ("bits_ftoi", "bits_itof"):
+            assert _key(HELPERS["_" + op](*args)) \
+                == _key(PURE_FNS[op](*args)), args
 
 
 u64 = st.integers(min_value=0, max_value=MASK64)
@@ -294,6 +293,25 @@ def test_tables_cover_exactly_their_opcodes():
         assert row.size in (1, 2, 4, 8)
 
 
+def test_every_wide_memory_row_names_its_codec():
+    """The width of an access is spelled as a ``struct`` format once,
+    in the table's codecs; a row wider than a byte names the accessor
+    (``unpack_from`` for a load, ``pack_into`` for a store) of the one
+    that is exactly its size."""
+    for table, method in ((LOADS, "unpack_from"), (STORES, "pack_into")):
+        for op, row in table.items():
+            if row.size == 1:
+                assert row.codec is None, op
+                continue
+            accessor = HELPERS[row.codec]
+            codec = accessor.__self__
+            assert isinstance(codec, struct.Struct), op
+            assert accessor == getattr(codec, method), op
+            assert codec.size == row.size, op
+            assert codec.format[0] == "<", op
+            assert (codec.format[1:] == "d") == row.float, op
+
+
 # ---------------------------------------------------------------------------
 # Guards: the definition stays single.
 # ---------------------------------------------------------------------------
@@ -324,6 +342,24 @@ def test_backend_runtime_defines_no_arithmetic():
     assert defined == {"_exhaust"}
     for name, helper in HELPERS.items():
         assert BACKEND_GLOBALS[name] is helper
+
+
+def test_backend_spells_no_width_of_its_own():
+    """Emitted code reaches memory through the table's precompiled
+    codecs: no format-parsing ``struct`` function or ``int.from_bytes``
+    in its globals, and neither backend source spells a byte-conversion
+    call or a ``"<`` format."""
+    generic = (struct.unpack_from, struct.pack_into, struct.unpack,
+               struct.pack, int.from_bytes)
+    assert not [name for name, value in BACKEND_GLOBALS.items()
+                if value in generic]
+    for relpath in ("backend/emitter.py", "backend/runtime.py"):
+        with open(os.path.join(SRC, "repro", relpath)) as handle:
+            text = handle.read()
+        for needle in ("from_bytes", "to_bytes"):
+            assert needle not in text, f"{relpath} contains {needle!r}"
+        formats = re.findall(r"""["']<[A-Za-z]+["']""", text)
+        assert not formats, f"{relpath} spells struct formats: {formats}"
 
 
 def test_lattice_keeps_only_the_thin_folder():
