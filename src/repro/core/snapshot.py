@@ -9,8 +9,8 @@ are patched, and execution resumes from the snapshot.
 :class:`SnapshotCompiler` reproduces that life-cycle:
 
 1. ``instantiate()`` — create a VM over the module;
-2. run the guest's init export (it may call host functions that in turn
-   call :meth:`enqueue`);
+2. run the guest's init export on that VM (the ``wizer_init`` analog;
+   it may call host functions that in turn call :meth:`enqueue`);
 3. ``process_requests()`` — hand the whole batch to the
    :class:`~repro.pipeline.engine.CompilationEngine` (which specializes
    through the on-disk artifact store when ``options.cache_dir`` names
@@ -88,11 +88,6 @@ class SnapshotCompiler:
         if self.vm is None:
             self.vm = VM(self.module)
         return self.vm
-
-    def run_init(self, func_name: str, args=()) -> object:
-        """Run the guest's initialization export (the ``wizer_init``
-        analog); requests may be enqueued during this call."""
-        return self.instantiate().call(func_name, list(args))
 
     def enqueue(self, request: SpecializationRequest,
                 result_addr: int) -> None:
@@ -201,12 +196,3 @@ class SnapshotCompiler:
             self.compile_backend()
             vm.install_compiled(self.backend_functions)
         return vm
-
-    # ------------------------------------------------------------------
-    # Convenience: the whole pipeline in one call.
-    # ------------------------------------------------------------------
-    def aot_compile(self, init_func: str, init_args=()) -> VM:
-        self.run_init(init_func, init_args)
-        self.process_requests()
-        self.freeze()
-        return self.resume()

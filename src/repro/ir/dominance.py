@@ -93,17 +93,3 @@ class DominatorTree:
                 return False
             b = parent
         return a == b
-
-    def depth(self, block: int) -> int:
-        return self._depth[block]
-
-    def lowest_common_ancestor(self, a: int, b: int) -> int:
-        """Dominator-tree join of two reachable blocks."""
-        while self._depth[a] > self._depth[b]:
-            a = self.idom[a]  # type: ignore[assignment]
-        while self._depth[b] > self._depth[a]:
-            b = self.idom[b]  # type: ignore[assignment]
-        while a != b:
-            a = self.idom[a]  # type: ignore[assignment]
-            b = self.idom[b]  # type: ignore[assignment]
-        return a

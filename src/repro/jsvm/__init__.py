@@ -14,8 +14,9 @@ A dynamic language engine with:
   into an AOT *IC corpus* and attached to sites at run time by the slow
   path — the paper's key insight that ICs push dynamism into late-bound
   data (:mod:`repro.jsvm.runtime`);
-* pure-Python "native platform" tiers for the Fig. 12 comparison
-  (:mod:`repro.jsvm.native`).
+* the Octane-analog suite Fig. 11 and Fig. 12 run
+  (:mod:`repro.jsvm.workloads`; ``tests/test_paper_figures.py`` draws
+  both figures).
 """
 
 from repro.jsvm.runtime import JSRuntime, JSCompileError

@@ -15,8 +15,6 @@ import dataclasses
 import enum
 from typing import Dict, List
 
-WORDS_PER_INSTR = 3
-
 
 class Op(enum.IntEnum):
     LOADK = 0        # push consts[a]

@@ -5,7 +5,8 @@ indexed registers, and an accumulator.  This package contains its ISA and
 assembler, two mini-C interpreter variants (with and without weval's
 register intrinsics, mirroring the paper's Fig. 10 template trick), a
 pure-Python reference interpreter (the "native interpreter" analog), the
-harness that reproduces Fig. 8, and the multi-endpoint fleet-serving
+sum-to-n program Fig. 8 runs (the figure itself is drawn by
+``tests/test_paper_figures.py``), and the multi-endpoint fleet-serving
 harness (:mod:`repro.min.fleet`).
 """
 
@@ -20,7 +21,6 @@ from repro.min.interp import (
 from repro.min.harness import (
     PyMinInterpreter,
     sum_to_n_program,
-    run_fig8_configs,
 )
 from repro.min.fleet import (
     Endpoint,
@@ -43,7 +43,6 @@ __all__ = [
     "PROGRAM_BASE",
     "PyMinInterpreter",
     "sum_to_n_program",
-    "run_fig8_configs",
     "Endpoint",
     "add_endpoint",
     "build_fleet_module",

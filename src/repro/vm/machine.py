@@ -17,15 +17,14 @@ polyfill; calling one from the VM is an error (matching the paper's
 What an op *means* is not written here: pure ops run the function
 compiled from their row in :mod:`repro.ir.semantics` (the same row the
 constant folder calls and the emitter prints), and the sized loads and
-stores read their width and signedness from its memory table.  This
-loop owns only what is the VM's: the environment, counters, calls,
-guards and control flow.
+stores read their width, signedness and ``struct`` codec from its memory
+table.  This loop owns only what is the VM's: the environment, counters,
+calls, guards and control flow.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from struct import pack_into, unpack_from
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function, Signature
@@ -44,6 +43,16 @@ from repro.ir.verify import verify_enabled_by_env
 
 # Host-side word access goes through the table's ``<Q`` codec.
 _getQ, _putQ = HELPERS["_getQ"], HELPERS["_putQ"]
+
+# The memory table with each row's codec accessor resolved once: a load
+# is ``op -> (size, signed, accessor)``, a store ``op -> (size, mask,
+# accessor)`` (``mask`` truncates an integer to the width; None for an
+# f64).  The accessor is None for one byte, which is ``memory[a]``.
+_LOAD_ROWS = {op: (row.size, row.signed, HELPERS.get(row.codec))
+              for op, row in LOADS.items()}
+_STORE_ROWS = {op: (row.size, None if row.float else (1 << 8 * row.size) - 1,
+                    HELPERS.get(row.codec))
+               for op, row in STORES.items()}
 
 
 class OutOfFuel(Exception):
@@ -195,10 +204,6 @@ class VM:
     def _check_range(self, addr: int, size: int) -> None:
         if addr < 0 or addr + size > len(self.memory):
             raise VMTrap(f"out-of-bounds memory access at {addr:#x}+{size}")
-
-    def load_bytes(self, addr: int, size: int) -> bytes:
-        self._check_range(addr, size)
-        return self.memory[addr:addr + size]
 
     def load_u64(self, addr: int) -> int:
         self._check_range(addr, 8)
@@ -369,8 +374,8 @@ class VM:
         block = entry
         memory = self.memory
         pure_fn = PURE_FNS.get
-        load_op = LOADS.get
-        store_op = STORES.get
+        load_op = _LOAD_ROWS.get
+        store_op = _STORE_ROWS.get
         sext = _sext
         count_backedges = self.count_backedges
         backedges = self._loop_backedges(func) if count_backedges else None
@@ -394,29 +399,28 @@ class VM:
                 # --- memory ----------------------------------------------
                 elif (mem := load_op(op)) is not None:
                     stats.loads += 1
-                    size, signed, is_float, _ = mem
+                    size, signed, get = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
                         raise VMTrap(f"oob {op} at {addr:#x}")
-                    if is_float:
-                        env[instr.result] = unpack_from("<d", memory, addr)[0]
+                    if get is None:
+                        raw = memory[addr]
                     else:
-                        raw = int.from_bytes(memory[addr:addr + size],
-                                             "little")
-                        env[instr.result] = (sext(raw, size * 8) if signed
-                                             else raw)
+                        raw = get(memory, addr)[0]
+                    env[instr.result] = sext(raw, size * 8) if signed else raw
                 elif (mem := store_op(op)) is not None:
                     stats.stores += 1
-                    size, _, is_float, _ = mem
+                    size, mask, put = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
                         raise VMTrap(f"oob {op} at {addr:#x}")
-                    if is_float:
-                        pack_into("<d", memory, addr, env[instr.args[1]])
+                    value = env[instr.args[1]]
+                    if mask is not None:
+                        value &= mask
+                    if put is None:
+                        memory[addr] = value
                     else:
-                        memory[addr:addr + size] = (
-                            env[instr.args[1]] & ((1 << (size * 8)) - 1)
-                        ).to_bytes(size, "little")
+                        put(memory, addr, value)
                 # --- calls -----------------------------------------------
                 elif op == "call":
                     stats.calls += 1

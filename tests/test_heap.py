@@ -228,8 +228,8 @@ def test_a_heap_never_grows():
     assert len(vm.memory) == SIZE
     with pytest.raises(VMTrap, match=rf"at {SIZE - 7:#x}\+8$"):
         vm.store_u64(SIZE - 7, 1)
-    assert vm.load_bytes(SIZE - 8, 8) == bytes(8)
-    assert type(vm.load_bytes(0, 4)) is bytes
+    assert vm.memory[SIZE - 8:SIZE] == bytes(8)
+    assert type(vm.memory[0:4]) is bytes
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,17 @@
   fixpoint engine has one schedule and no identifier names a work
   detector or an exhaustive switch; the engine has one per-request
   record and one emit body; every stats field has a reader; compiled
-  code has one calling convention.
+  code has one calling convention; the paper's figures are drawn in one
+  place, ``tests/test_paper_figures.py``, and ``benchmarks/`` is the
+  ledger alone.
 """
 
 import ast
 import dataclasses
 import importlib.util
 import pathlib
+import subprocess
+import sys
 import tokenize
 
 import pytest
@@ -38,11 +42,11 @@ from repro.frontend import compile_source
 from repro.ir import Module
 from repro.luavm import LuaRuntime
 from repro.min.harness import (
-    PROGRAM_BASE,
     PyMinInterpreter,
     make_tiered_min,
     sum_to_n_program,
 )
+from repro.min.interp import PROGRAM_BASE
 from repro.opt import PassManager, register_pass
 from repro.pipeline import (
     CompilationEngine,
@@ -324,3 +328,45 @@ def test_no_worker_pool_under_src():
             for module in imported:
                 assert module.split(".")[0] not in (
                     "concurrent", "multiprocessing"), name
+
+
+# The names the figures' old scaffolding went by, spelled in pieces so
+# this file does not name them itself.
+FIGURE_SCAFFOLDING = ("repro.jsvm." "native", "run_fig8" "_configs",
+                      "write" "_result", "benchmark" ".pedantic",
+                      "pytest" "_benchmark")
+
+
+def _program_files():
+    """The code, tests, examples, docs and CI of the repo."""
+    yield from sorted(ROOT.glob("*.py"))
+    for tree in ("src", "tests", "examples", "benchmarks", "docs",
+                 ".github"):
+        yield from sorted(path for path in (ROOT / tree).rglob("*")
+                          if path.suffix in (".py", ".md", ".yml"))
+
+
+def test_the_figures_are_tier_1_and_benchmarks_is_the_ledger():
+    """The paper's figures are ``tests/test_paper_figures.py`` and its
+    golden.  Nothing names the stopwatch scaffolding they used to run on
+    or takes a ``benchmark`` fixture, and after a root ``pytest``
+    collects the ledger's smoke test — every tier-1 run does —
+    ``benchmarks/`` holds the ledger and nothing else (no results
+    directory left behind)."""
+    named = []
+    for path in _program_files():
+        text = path.read_text(encoding="utf-8")
+        named += [(path.relative_to(ROOT).as_posix(), name)
+                  for name in FIGURE_SCAFFOLDING if name in text]
+        if path.suffix == ".py":
+            named += [(path.relative_to(ROOT).as_posix(), node.name)
+                      for node in ast.walk(ast.parse(text))
+                      if isinstance(node, ast.FunctionDef)
+                      and "benchmark" in {a.arg for a in node.args.args}]
+    assert named == []
+    subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                    "-p", "no:cacheprovider",
+                    "benchmarks/ledger/test_ledger_smoke.py"],
+                   cwd=ROOT, capture_output=True, check=True, timeout=120)
+    assert sorted(path.name for path in (ROOT / "benchmarks").iterdir()
+                  if path.name != "__pycache__") == ["ledger"]

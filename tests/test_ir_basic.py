@@ -108,13 +108,6 @@ class TestDominance:
             assert dom.dominates(header, succ)
             assert not dom.dominates(succ, header)
 
-    def test_lca(self):
-        func = make_loop_function()
-        dom = DominatorTree(func)
-        header = successors(func, func.entry)[0]
-        body, exit_b = successors(func, header)
-        assert dom.lowest_common_ancestor(body, exit_b) == header
-
 
 class TestVerifier:
     def test_detects_missing_terminator(self):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.jsvm import JSRuntime
 from repro.jsvm.frontend import JSCompileError, compile_js
-from repro.jsvm.native import NATIVE_TIERS, PyEngine
 from repro.jsvm.shapes import NameTable, ShapeTable
 from repro.jsvm.values import (
     IC_FAIL,
@@ -225,6 +224,9 @@ print(total);
 
 
 class TestAotConfigs:
+    """Spot checks; the four configurations agree on all 13 programs,
+    and AOT cuts fuel, in ``tests/test_paper_figures.py`` (Fig. 11)."""
+
     @pytest.mark.parametrize("name", ["crypto", "splay"])
     def test_all_configs_agree(self, name):
         outputs = {}
@@ -274,19 +276,3 @@ class TestAotConfigs:
         vm_spec = spec.run()
         assert spec.printed == base.printed
         assert vm_spec.stats.fuel < vm_base.stats.fuel / 2
-
-
-class TestNativeTiers:
-    @pytest.mark.parametrize("tier", NATIVE_TIERS)
-    def test_tier_matches_vm_engine(self, tier):
-        src = WORKLOADS["richards"]
-        engine = PyEngine(src, tier)
-        engine.run()
-        rt = JSRuntime(src, "interp_ic")
-        rt.run()
-        assert engine.printed == rt.printed
-
-    def test_optimized_tier_uses_profile(self):
-        engine = PyEngine(WORKLOADS["richards"], "optimized")
-        engine.run()
-        assert engine._profiled_shapes  # profiling happened

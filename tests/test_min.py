@@ -8,12 +8,13 @@ from repro.min import (
     PyMinInterpreter,
     assemble,
     build_min_module,
-    run_fig8_configs,
     specialize_min,
     sum_to_n_program,
 )
 from repro.min.isa import ARITY, MinProgram, Opcode, validate
 from repro.vm import VM
+
+from tests.test_paper_figures import fig8_runs
 
 
 class TestAssembler:
@@ -108,13 +109,14 @@ class TestInterpreterEquivalence:
 
 class TestFig8Harness:
     def test_all_configs_agree(self):
-        results = run_fig8_configs(n=50)
-        values = {r.result for r in results.values()}
+        results = fig8_runs(n=50, backend="vm")
+        values = {result for result, _ in results.values()}
         assert values == {50 * 51 // 2}
         assert set(results) == {"py_interp", "compiled", "vm_interp",
                                 "wevaled", "wevaled_state"}
 
     def test_speedup_ordering(self):
-        results = run_fig8_configs(n=300)
-        assert results["wevaled"].fuel < results["vm_interp"].fuel
-        assert results["wevaled_state"].fuel < results["wevaled"].fuel
+        results = fig8_runs(n=300, backend="vm")
+        fuel = {name: f for name, (_, f) in results.items()}
+        assert fuel["wevaled"] < fuel["vm_interp"]
+        assert fuel["wevaled_state"] < fuel["wevaled"]

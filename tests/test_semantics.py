@@ -345,17 +345,24 @@ def test_backend_runtime_defines_no_arithmetic():
 
 
 def test_backend_spells_no_width_of_its_own():
-    """Emitted code reaches memory through the table's precompiled
-    codecs: no format-parsing ``struct`` function or ``int.from_bytes``
-    in its globals, and neither backend source spells a byte-conversion
-    call or a ``"<`` format."""
+    """Emitted code and the VM reach memory through the table's
+    precompiled codecs: no format-parsing ``struct`` function or
+    ``int.from_bytes`` in the emitted code's globals, and neither backend
+    source nor ``vm/machine.py`` imports ``struct``, spells a
+    byte-conversion call or a ``"<`` format."""
     generic = (struct.unpack_from, struct.pack_into, struct.unpack,
                struct.pack, int.from_bytes)
     assert not [name for name, value in BACKEND_GLOBALS.items()
                 if value in generic]
-    for relpath in ("backend/emitter.py", "backend/runtime.py"):
+    for relpath in ("backend/emitter.py", "backend/runtime.py",
+                    "vm/machine.py"):
         with open(os.path.join(SRC, "repro", relpath)) as handle:
             text = handle.read()
+        imported = {alias.name for node in ast.walk(ast.parse(text))
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(ast.parse(text))
+                     if isinstance(node, ast.ImportFrom)}
+        assert "struct" not in imported, f"{relpath} imports struct"
         for needle in ("from_bytes", "to_bytes"):
             assert needle not in text, f"{relpath} contains {needle!r}"
         formats = re.findall(r"""["']<[A-Za-z]+["']""", text)
