@@ -14,9 +14,10 @@ clean up the residual code behind a verifying
 * ``prune-params`` — redundant block-parameter pruning, the paper S3.4
   "minimal cut" cleanup
   (:func:`~repro.opt.prune_params.prune_block_params`);
-* ``simplify-cfg`` — unreachable-block removal, trivial-forwarder and
-  constant-conditional jump threading, uniform-branch folding, and
-  straight-line merging (:func:`~repro.opt.simplify_cfg.simplify_cfg`);
+* ``simplify-cfg`` — unreachable-block removal, jump threading through
+  empty forwarders (decided by a ``jump`` or a constant selector),
+  uniform-branch folding, and straight-line merging
+  (:func:`~repro.opt.simplify_cfg.simplify_cfg`);
 * ``load-forward`` — cross-block redundant-load and store-to-load
   forwarding for same-address accesses with no intervening may-aliasing
   store (:func:`~repro.opt.load_forward.forward_loads`);
@@ -38,8 +39,7 @@ from repro.opt.simplify_cfg import (
     fold_uniform_branches,
     remove_unreachable_blocks,
     simplify_cfg,
-    thread_constant_branches,
-    thread_trivial_jumps,
+    thread_jumps,
 )
 from repro.opt.prune_params import prune_block_params
 from repro.opt.pass_manager import (
@@ -60,8 +60,7 @@ __all__ = [
     "eliminate_dead_code",
     "simplify_cfg",
     "remove_unreachable_blocks",
-    "thread_trivial_jumps",
-    "thread_constant_branches",
+    "thread_jumps",
     "fold_uniform_branches",
     "prune_block_params",
     "PassManager",

@@ -159,8 +159,7 @@ def _register_builtin_passes() -> None:
         fold_uniform_branches,
         remove_unreachable_blocks,
         simplify_cfg,
-        thread_constant_branches,
-        thread_trivial_jumps,
+        thread_jumps,
     )
 
     register_pass("fold", fold_constants)
@@ -173,9 +172,8 @@ def _register_builtin_passes() -> None:
     # Primitive CFG sub-passes, registered for targeted use and for the
     # run-every-pass-in-isolation property tests.
     register_pass("remove-unreachable", remove_unreachable_blocks)
-    register_pass("thread-jumps", thread_trivial_jumps)
+    register_pass("thread-jumps", thread_jumps)
     register_pass("fold-uniform-branches", fold_uniform_branches)
-    register_pass("thread-constant-branches", thread_constant_branches)
 
 
 _register_builtin_passes()

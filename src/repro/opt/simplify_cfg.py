@@ -1,20 +1,19 @@
 """CFG simplification: unreachable-block removal, jump threading, and
 straight-line block merging.
 
-Beyond the classic trivial-forwarder threading and straight-line
-merging, this module threads *conditional* control flow: an edge that
-passes a constant into an empty block whose terminator branches on that
-block parameter is retargeted straight to the decided successor
-(:func:`thread_constant_branches`), and branches whose arms agree are
+Jump threading has one rule (:func:`thread_jumps`): an edge into an
+empty *forwarder* block whose terminator is decided for that edge — a
+``jump``, or a ``br_if`` / ``br_table`` on a constant the edge passes —
+is retargeted to the decided successor.  Branches whose arms agree are
 collapsed to plain jumps (:func:`fold_uniform_branches`)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, Optional
 
 from repro.ir.cfg import reachable_blocks
-from repro.ir.dominance import DominatorTree
-from repro.ir.function import Function
+from repro.ir.function import Block, Function
 from repro.ir.instructions import (
     BlockCall,
     BrIf,
@@ -43,112 +42,30 @@ def _all_calls(func: Function):
 
 
 def merge_straightline(func: Function) -> int:
-    """Merge B -> C when B ends in an argless-unconditional jump to C and
-    C's only incoming edge is that jump.  C's params are substituted by
-    the jump arguments."""
-    merged = 0
-    substitution: Dict[int, int] = {}
-    while True:
-        pred_count: Dict[int, int] = {bid: 0 for bid in func.blocks}
-        for _bid, call in _all_calls(func):
-            pred_count[call.block] = pred_count.get(call.block, 0) + 1
+    """Merge B -> C when B ends in an unconditional jump to C and C's
+    only incoming edge is that jump.  C's params are substituted by the
+    jump arguments.
 
-        did_merge = False
-        for bid in list(func.blocks.keys()):
-            block = func.blocks.get(bid)
-            if block is None:
-                continue
-            term = block.terminator
-            if not isinstance(term, Jump):
-                continue
-            target_id = term.target.block
-            if target_id == bid or target_id == func.entry:
-                continue
-            if pred_count.get(target_id, 0) != 1:
-                continue
-            target = func.blocks[target_id]
-            for (param, _ty), arg in zip(target.params, term.target.args):
+    Absorbing C moves C's out-edges to B, so no other block's
+    predecessor count changes: one walk with the counts taken up front
+    merges every chain into its head."""
+    preds = Counter(call.block for _bid, call in _all_calls(func))
+    substitution: Dict[int, int] = {}
+    merged = 0
+    for bid in list(func.blocks):
+        block = func.blocks.get(bid)
+        while block is not None and isinstance(block.terminator, Jump):
+            call = block.terminator.target
+            if call.block in (bid, func.entry) or preds[call.block] != 1:
+                break
+            target = func.blocks.pop(call.block)
+            for (param, _ty), arg in zip(target.params, call.args):
                 substitution[param] = arg
             block.instrs.extend(target.instrs)
             block.terminator = target.terminator
-            del func.blocks[target_id]
             merged += 1
-            did_merge = True
-            break  # pred counts changed; recompute
-        if not did_merge:
-            break
     substitute_values(func, substitution)
     return merged
-
-
-def _forwarder_map(func: Function) -> Dict[int, Tuple[int, List[int]]]:
-    """Map of trivial forwarding blocks: id -> (target, arg indices).
-
-    A block E is a trivial forwarder when it has no instructions and
-    ends in ``jump D(args)`` where every arg is one of E's own
-    parameters.  A forwarder's parameter may only be used inside its own
-    jump arguments: any other use relies on the block staying on the
-    path (dominance), so the block cannot be bypassed."""
-    use_counts: Dict[int, int] = {}
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            for arg in instr.args:
-                use_counts[arg] = use_counts.get(arg, 0) + 1
-        if block.terminator is not None:
-            for value in terminator_values(block.terminator):
-                use_counts[value] = use_counts.get(value, 0) + 1
-
-    forwarders: Dict[int, Tuple[int, List[int]]] = {}
-    for bid, block in func.blocks.items():
-        if block.instrs or not isinstance(block.terminator, Jump):
-            continue
-        call = block.terminator.target
-        if call.block == bid:
-            continue
-        param_index = {v: i for i, (v, _) in enumerate(block.params)}
-        indices = []
-        ok = True
-        for arg in call.args:
-            if arg in param_index:
-                indices.append(param_index[arg])
-            else:
-                ok = False
-                break
-        if ok:
-            # Every param must be used exactly as often as it appears in
-            # this block's own jump arguments — no external uses.
-            own_uses: Dict[int, int] = {}
-            for arg in call.args:
-                own_uses[arg] = own_uses.get(arg, 0) + 1
-            for param, _ty in block.params:
-                if use_counts.get(param, 0) != own_uses.get(param, 0):
-                    ok = False
-                    break
-        if ok:
-            forwarders[bid] = (call.block, indices)
-    return forwarders
-
-
-def thread_trivial_jumps(func: Function) -> int:
-    """Retarget edges that pass through an empty forwarding block (see
-    :func:`_forwarder_map` for the forwarder condition)."""
-    threaded = 0
-    forwarders = _forwarder_map(func)
-
-    def final_target(bid: int, args: tuple, depth: int = 0):
-        if depth > len(func.blocks) or bid not in forwarders:
-            return bid, args
-        target, indices = forwarders[bid]
-        new_args = tuple(args[i] for i in indices)
-        return final_target(target, new_args, depth + 1)
-
-    for _bid, call in _all_calls(func):
-        new_block, new_args = final_target(call.block, tuple(call.args))
-        if new_block != call.block or new_args != tuple(call.args):
-            call.block = new_block
-            call.args = new_args
-            threaded += 1
-    return threaded
 
 
 def fold_uniform_branches(func: Function) -> int:
@@ -175,99 +92,98 @@ def fold_uniform_branches(func: Function) -> int:
     return folded
 
 
-def thread_constant_branches(func: Function) -> int:
-    """Jump threading through per-edge-constant conditional forwarders.
-
-    When an edge passes a constant for a parameter of an empty block
-    whose terminator branches on that parameter, the branch outcome is
-    decided *for that edge* even though the block itself cannot be
-    folded (other predecessors may pass different values).  The edge is
-    retargeted straight to the decided successor, composing block
-    arguments through the forwarder's parameter bindings.
-
-    Branch arguments of the forwarder that are not its own parameters
-    are only carried along when their definitions dominate the
-    retargeted predecessor, preserving SSA validity."""
-    consts: Dict[int, int] = {}
-    def_block: Dict[int, int] = {}
-    for bid, block in func.blocks.items():
-        for param, _ty in block.params:
-            def_block[param] = bid
+def _forwarders(func: Function) -> Dict[int, Block]:
+    """The blocks an edge may be threaded past: no instructions, not the
+    entry, and every parameter used only by the block's own
+    terminator."""
+    uses: Counter = Counter()
+    for block in func.blocks.values():
         for instr in block.instrs:
-            if instr.result is not None:
-                def_block[instr.result] = bid
-            if instr.op == "iconst":
-                consts[instr.result] = instr.imm
-    domtree = DominatorTree(func)
+            uses.update(instr.args)
+        if block.terminator is not None:
+            uses.update(terminator_values(block.terminator))
+    forwarders = {}
+    for bid, block in func.blocks.items():
+        if block.instrs or bid == func.entry or block.terminator is None:
+            continue
+        own = Counter(terminator_values(block.terminator))
+        if all(uses[param] == own[param] for param, _ty in block.params):
+            forwarders[bid] = block
+    return forwarders
 
-    def decide(target: BlockCall) -> Optional[BlockCall]:
-        """One threading step: the decided successor call of ``target``
-        when it names an empty conditional forwarder with a constant
-        selector on this edge, else None."""
-        block = func.blocks.get(target.block)
-        if block is None or block.instrs or target.block == func.entry:
+
+def thread_jumps(func: Function) -> int:
+    """Retarget every edge into a forwarder (:func:`_forwarders`) whose
+    terminator the edge decides, composing block arguments through the
+    forwarder's parameter bindings, and chase chains of them.
+
+    An edge decides a ``jump`` whose arguments are all the forwarder's
+    own parameters, and a ``br_if`` / ``br_table`` whose selector it
+    binds to an ``iconst``.
+
+    No dominance is needed.  A forwarder F's terminator names only F's
+    parameters and values defined in blocks that dominate F.  Every path
+    to a predecessor of F extends to a path to F, so those blocks also
+    dominate each predecessor, and the shortcut edge stays in SSA form;
+    by induction so does each step of a chain.
+
+    The rule is stricter than it has to be in one place: a block whose
+    parameter is read behind the arm the edge does *not* take is not a
+    forwarder, although bypassing it would be SSA-valid.  Such edges
+    stay put."""
+    forwarders = _forwarders(func)
+    consts = {instr.result: instr.imm for block in func.blocks.values()
+              for instr in block.instrs if instr.op == "iconst"}
+
+    def decide(call: BlockCall) -> Optional[BlockCall]:
+        """The successor call ``call`` decides, else None."""
+        block = forwarders.get(call.block)
+        if block is None:
             return None
         term = block.terminator
-        if not isinstance(term, (BrIf, BrTable)):
-            return None
         binding = {param: arg
-                   for (param, _ty), arg in zip(block.params, target.args)}
-        selector = term.cond if isinstance(term, BrIf) else term.index
-        selector = binding.get(selector, selector)
-        value = consts.get(selector)
-        if value is None:
-            return None
-        if isinstance(term, BrIf):
-            decided = term.if_true if value != 0 else term.if_false
+                   for (param, _ty), arg in zip(block.params, call.args)}
+        if isinstance(term, Jump):
+            if not all(arg in binding for arg in term.target.args):
+                return None
+            decided = term.target
+        elif isinstance(term, (BrIf, BrTable)):
+            selector = term.cond if isinstance(term, BrIf) else term.index
+            value = consts.get(binding.get(selector, selector))
+            if value is None:
+                return None
+            if isinstance(term, BrIf):
+                decided = term.if_true if value != 0 else term.if_false
+            else:
+                decided = (term.cases[value] if 0 <= value < len(term.cases)
+                           else term.default)
         else:
-            decided = (term.cases[value] if 0 <= value < len(term.cases)
-                       else term.default)
+            return None
         return BlockCall(decided.block,
                          tuple(binding.get(a, a) for a in decided.args))
 
     threaded = 0
-    for bid, block in list(func.blocks.items()):
-        term = block.terminator
-        if term is None:
-            continue
-        for call in term.targets():
-            composed = None
-            seen = {call.block}
-            step = decide(call)
-            # Chase chains of decided forwarders, stopping on a cycle
-            # (a genuinely infinite empty-block loop stays as-is).
-            while step is not None and step.block not in seen:
-                composed = step
-                seen.add(step.block)
-                step = decide(step)
-            if composed is None:
-                continue
-            # Arguments that are not forwarder parameters must dominate
-            # the predecessor for the shortcut edge to stay in SSA form.
-            ok = True
-            for arg in composed.args:
-                dblock = def_block.get(arg)
-                if dblock is None or not domtree.is_reachable(dblock) \
-                        or not domtree.is_reachable(bid) \
-                        or not domtree.dominates(dblock, bid):
-                    ok = False
-                    break
-            if not ok:
-                continue
+    for _bid, call in _all_calls(func):
+        composed = None
+        seen = {call.block}
+        step = decide(call)
+        # Chase the chain, stopping on a cycle (a genuinely infinite
+        # empty-block loop stays as-is).
+        while step is not None and step.block not in seen:
+            composed = step
+            seen.add(step.block)
+            step = decide(step)
+        if composed is not None:
             call.block = composed.block
-            call.args = tuple(composed.args)
+            call.args = composed.args
             threaded += 1
-            # Retargeting changes the path structure; recompute dominance
-            # so later decisions in this sweep never use stale facts.
-            domtree = DominatorTree(func)
     return threaded
 
 
 def simplify_cfg(func: Function) -> int:
     changed = remove_unreachable_blocks(func)
-    changed += thread_trivial_jumps(func)
+    changed += thread_jumps(func)
     changed += fold_uniform_branches(func)
-    changed += thread_constant_branches(func)
     changed += remove_unreachable_blocks(func)
     changed += merge_straightline(func)
     return changed

@@ -370,3 +370,22 @@ def test_the_figures_are_tier_1_and_benchmarks_is_the_ledger():
                    cwd=ROOT, capture_output=True, check=True, timeout=120)
     assert sorted(path.name for path in (ROOT / "benchmarks").iterdir()
                   if path.name != "__pycache__") == ["ledger"]
+
+
+def test_one_jump_threading_rule():
+    """simplify-cfg threads jumps by one rule that needs no dominance:
+    ``repro.opt.simplify_cfg`` imports nothing from ``repro.ir.dominance``,
+    defines one forwarder predicate, and none of the names of the two
+    rules and the forwarder map it replaced."""
+    tree = dict(_sources())["repro/opt/simplify_cfg.py"]
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+    assert not [name for name in imported if "dominance" in name]
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)]
+    assert not {"thread_constant_branches", "thread_trivial_jumps",
+                "_forwarder_map"} & set(defined)
+    assert [name for name in defined if "forwarder" in name] \
+        == ["_forwarders"]

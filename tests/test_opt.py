@@ -1,17 +1,21 @@
 """Unit tests for the optimizer passes."""
 
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from repro.frontend import compile_source
 from repro.ir import (
     BlockCall,
+    BrTable,
     FunctionBuilder,
     I64,
     Jump,
     Module,
     Signature,
+    print_function,
     verify_function,
 )
+from repro.ir.clone import clone_function
 from repro.opt import (
     PIPELINES,
     PassManager,
@@ -25,9 +29,9 @@ from repro.opt import (
     prune_block_params,
     remove_unreachable_blocks,
     simplify_cfg,
-    thread_constant_branches,
+    thread_jumps,
 )
-from repro.vm import VM
+from repro.vm import VM, OutOfFuel, VMTrap
 
 
 def compiled_func(src, name):
@@ -457,7 +461,7 @@ class TestJumpThreading:
 
     def test_threads_constant_edge(self):
         func = self._build_const_forwarder()
-        threaded = thread_constant_branches(func)
+        threaded = thread_jumps(func)
         assert threaded == 1
         verify_function(func)
         entry_term = func.entry_block().terminator
@@ -468,6 +472,53 @@ class TestJumpThreading:
         module.add_function(func)
         assert VM(module).call("f", [0]) == 10  # const edge: cond=1
         assert VM(module).call("f", [5]) == 10  # runtime edge: cond=5
+
+    def _build_param_reader(self, reader):
+        """The constant-edge shape of ``_build_const_forwarder``, but the
+        forwarder's parameter is also read past it: ``t`` returns
+        ``p + 10`` (``reader="t"``) or ``f`` returns ``p + 20``
+        (``reader="f"``)."""
+        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
+        x = fb.entry.params[0][0]
+        fwd = fb.new_block([I64])
+        t_blk, f_blk, other = fb.new_block(), fb.new_block(), fb.new_block()
+        fb.br_if(x, other, fwd, [], [fb.iconst(1)])
+        fb.switch_to(fwd)
+        p = fwd.param_values()[0]
+        fb.br_if(p, t_blk, f_blk)
+        for blk, base, name in ((t_blk, 10, "t"), (f_blk, 20, "f")):
+            fb.switch_to(blk)
+            value = fb.iconst(base)
+            fb.ret(fb.iadd(p, value) if reader == name else value)
+        fb.switch_to(other)
+        fb.jump(fwd, [x])
+        return fb.finish()
+
+    def test_forwarder_param_read_on_decided_arm(self):
+        """Bypassing ``fwd`` would leave ``t``'s read of ``p`` without a
+        definition on the threaded path: the edge stays, the function
+        verifies, and the default pipeline computes ``p + 10``."""
+        func = self._build_param_reader("t")
+        assert thread_jumps(func) == 0
+        verify_function(func)
+        optimize_function(func, verify=True)
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert VM(module).call("f", [0]) == 11   # const edge: p = 1
+        assert VM(module).call("f", [5]) == 15   # runtime edge: p = 5
+
+    def test_forwarder_param_read_on_undecided_arm_is_refused(self):
+        """Only ``f``, the arm the constant edge does not take, reads
+        ``p``: bypassing ``fwd`` would be SSA-valid, but ``fwd`` is not a
+        forwarder under the one rule, so the edge stays."""
+        func = self._build_param_reader("f")
+        before = print_function(func)
+        assert thread_jumps(func) == 0
+        assert print_function(func) == before
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert VM(module).call("f", [0]) == 10
+        assert VM(module).call("f", [5]) == 10
 
     def test_uniform_brif_folds(self):
         module, func = compiled_func("""
@@ -482,6 +533,116 @@ u64 f(u64 c) {
         assert func.num_blocks() == 1  # fully linearized
         assert VM(module).call("f", [0]) == 1
         assert VM(module).call("f", [3]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Generated CFGs through the jump-threading seam.
+# ---------------------------------------------------------------------------
+@st.composite
+def forwarder_cfgs(draw):
+    """A small verifier-valid function: a loop header ``h(i, acc)``
+    exits on ``i == 0``, else its body branches into chains of empty
+    forwarders (``jump`` / ``br_if`` / ``br_table``, each passing a mix
+    of constants, runtime values and its own params).  They lead on to
+    exit blocks that return, take the back edge ``h(i - 1, v)``, or go
+    back to ``h`` straight from a forwarder.  An exit *owned* by one
+    forwarder is branched to by it alone, so it may read that
+    forwarder's params."""
+    fb = FunctionBuilder("f", Signature((I64,), (I64,)))
+    x = fb.entry.params[0][0]
+    consts = [fb.iconst(draw(st.integers(0, 3))) for _ in range(3)]
+    one = fb.iconst(1)
+    header = fb.new_block([I64, I64])
+    fb.jump(header, [x, consts[0]])
+    body, done = fb.new_block(), fb.new_block()
+    fwds = [fb.new_block([I64] * draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(1, 4)))]
+    exits = [fb.new_block([I64] * draw(st.integers(0, 2)))
+             for _ in range(draw(st.integers(1, 3)))]
+    # Exit 0 is shared, so every block has somewhere to go.
+    owners = [None] + [draw(st.sampled_from([None, *range(len(fwds))]))
+                       for _ in exits[1:]]
+
+    fb.switch_to(header)
+    i, acc = header.param_values()
+    common = consts + [i, acc, fb.iadd(acc, i)]
+    fb.br_if(i, body, done)
+    fb.switch_to(done)
+    fb.ret(acc)
+
+    def branch(k, values):
+        """Terminate the current block (forwarder ``k``, or the body for
+        ``k = -1``) toward later forwarders, allowed exits, or ``h``."""
+        targets = fwds[k + 1:] + [e for e, owner in zip(exits, owners)
+                                  if owner is None or owner == k]
+        if k >= 0:
+            targets.append(header)
+        picked = draw(st.lists(st.sampled_from(targets), min_size=1,
+                               max_size=3))
+        args = [[draw(st.sampled_from(values)) for _ in blk.params]
+                for blk in picked]
+        kind = draw(st.sampled_from(["jump", "br_if", "br_table"]))
+        selector = draw(st.sampled_from(values))
+        if kind == "jump" or len(picked) == 1:
+            fb.jump(picked[0], args[0])
+        elif kind == "br_if":
+            fb.br_if(selector, picked[0], picked[1], args[0], args[1])
+        else:
+            calls = [BlockCall(blk.id, tuple(a))
+                     for blk, a in zip(picked, args)]
+            fb.current.terminator = BrTable(selector, calls[:-1], calls[-1])
+
+    fb.switch_to(body)
+    branch(-1, common)
+    for k, fwd in enumerate(fwds):
+        fb.switch_to(fwd)
+        branch(k, common + fwd.param_values())
+    for exit_block, owner in zip(exits, owners):
+        fb.switch_to(exit_block)
+        values = common + exit_block.param_values()
+        if owner is not None:
+            values += fwds[owner].param_values()
+        value = fb.iadd(draw(st.sampled_from(values)),
+                        draw(st.sampled_from(values)))
+        if draw(st.booleans()):
+            fb.ret(value)
+        else:
+            fb.jump(header, [fb.isub(i, one), value])
+    return fb.finish()
+
+
+def _outcome(func, arg):
+    module = Module(memory_size=64)
+    module.add_function(clone_function(func))
+    try:
+        return "value", VM(module, fuel_limit=2000).call("f", [arg])
+    except VMTrap as trap:
+        return "trap", str(trap)
+    except OutOfFuel:
+        return "fuel", None
+
+
+@given(forwarder_cfgs())
+@settings(max_examples=200, deadline=None)
+def test_jump_threading_oracle(original):
+    """``thread_jumps``, then ``simplify_cfg``, then the default
+    pipeline: the function verifies after each step and computes what
+    the original does on every input the original finishes."""
+    note(print_function(original))
+    verify_function(original)
+    expected = {arg: _outcome(original, arg) for arg in (0, 1, 3)}
+
+    def default_pipeline(func):
+        optimize_function(func, verify=True)
+
+    func = clone_function(original)
+    for step in (thread_jumps, simplify_cfg, default_pipeline):
+        note(step.__name__)
+        step(func)
+        verify_function(func)
+        for arg, outcome in expected.items():
+            if outcome[0] != "fuel":
+                assert _outcome(func, arg) == outcome, print_function(func)
 
 
 class TestPassManager:

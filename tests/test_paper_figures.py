@@ -17,9 +17,14 @@ that moves one shows the figure diff in review, and ``--update-golden``
 accepts it.  Each figure's shape asserts keep the thresholds the figures
 have always been held to.  Wall clock is the ledger's
 (``vm.machine.*_ns_per_fuel``, ``steady_us``), not measured here.
+
+The same sweep pins the residual code itself: ``residual_digests.txt``
+holds the size and a digest of the printed residuals of every AOT run,
+so a mid-end change that keeps the bytes provably keeps them.
 """
 
 import dataclasses
+import hashlib
 import math
 import pathlib
 from typing import Dict, NamedTuple, Tuple
@@ -36,6 +41,7 @@ from repro.core import (
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import SpecializationStats
 from repro.frontend import compile_source
+from repro.ir import print_function
 from repro.jsvm import JSRuntime
 from repro.jsvm.workloads import BENCHMARK_NAMES, WORKLOADS
 from repro.luavm import LuaRuntime
@@ -90,13 +96,24 @@ class AotShape(NamedTuple):
     stats: SpecializationStats
 
 
+def residual_digest(rt) -> Tuple[int, int, int, str]:
+    """``(functions, instrs, blocks, sha256[:16])`` of an AOT runtime's
+    residuals, printed in the order its compiler processed them."""
+    funcs = [rt.module.functions[p.function_name]
+             for p in rt.compiler.processed if p.error is None]
+    text = "".join(print_function(func) for func in funcs)
+    return (len(funcs), sum(f.num_instrs() for f in funcs),
+            sum(f.num_blocks() for f in funcs),
+            hashlib.sha256(text.encode()).hexdigest()[:16])
+
+
 def _run_js(rt: JSRuntime) -> JSRun:
     vm = rt.run()
     return JSRun(tuple(rt.printed), vm.stats.fuel, vm.stats.loads,
                  vm.stats.stores)
 
 
-def _js_sweep():
+def _js_sweep(digests: Dict[str, tuple]):
     runs: Dict[str, Dict[str, JSRun]] = {}
     shapes: Dict[str, AotShape] = {}
     for name in BENCHMARK_NAMES:
@@ -105,6 +122,8 @@ def _js_sweep():
             rt = JSRuntime(WORKLOADS[name], config)
             before = rt.module.code_size(), len(rt.module.functions)
             runs[name][config] = _run_js(rt)
+            if config in ("wevaled", "wevaled_state"):
+                digests[f"{name}/{config}"] = residual_digest(rt)
             if config == "wevaled_state":
                 shapes[name] = AotShape(
                     *before, rt.module.code_size(),
@@ -113,7 +132,7 @@ def _js_sweep():
     return runs, shapes
 
 
-def _lua_sweep():
+def _lua_sweep(digests: Dict[str, tuple]):
     """``name -> (interp output, aot output, interp fuel, aot fuel)``."""
     results = {}
     for name in LUA_NAMES:
@@ -123,6 +142,7 @@ def _lua_sweep():
         rt.printed.clear()
         rt.aot_compile()
         aot = rt.run_aot()
+        digests[f"lua/{name}/aot"] = residual_digest(rt)
         results[name] = (interp_out, list(rt.printed), interp.stats.fuel,
                          aot.stats.fuel)
     return results
@@ -222,16 +242,19 @@ class Sweep(NamedTuple):
     fig8: Dict[str, tuple]
     min_residuals: Dict[tuple, tuple]
     ablation: Dict[str, tuple]
+    # ``residual_digest`` of every AOT runtime above, by run.
+    residuals: Dict[str, tuple]
 
 
 @pytest.fixture(scope="module")
 def sweep() -> Sweep:
-    js, aot = _js_sweep()
+    residuals: Dict[str, tuple] = {}
+    js, aot = _js_sweep(residuals)
     raw_wevaled = _run_js(JSRuntime(
         WORKLOADS["richards"], "wevaled",
         options=SpecializeOptions(opt_config="none")))
-    return Sweep(js, aot, raw_wevaled, _lua_sweep(), fig8_runs(),
-                 _min_residuals(), _ablation())
+    return Sweep(js, aot, raw_wevaled, _lua_sweep(residuals), fig8_runs(),
+                 _min_residuals(), _ablation(), residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +407,15 @@ def test_figures_match_golden(request, sweep):
         figure(sweep) for figure in (
             fig8_table, fig11_table, fig12_table, lua_table, elision_table,
             code_size_table, ablation_table)))
+
+
+def test_residuals_match_golden(request, sweep):
+    """The residual code behind the figures, byte for byte: a mid-end
+    change that claims to keep the bytes keeps this golden."""
+    check_golden(request, "residual_digests", table(
+        "Residual digests — every AOT run of the sweep",
+        ["run", "functions", "instrs", "blocks", "sha256[:16]"],
+        [[run, *digest] for run, digest in sweep.residuals.items()]))
 
 
 # ---------------------------------------------------------------------------
