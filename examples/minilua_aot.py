@@ -63,6 +63,16 @@ def main():
           f"({vm.stats.fuel / vm2.stats.fuel:.2f}x)")
     assert out == rt.printed
 
+    # The py backend compiles the residuals and the lua_call trampoline
+    # they call by name, so guest calls link compiled to compiled: only
+    # wall clock moves, prints and fuel are the IR VM's.
+    rt_py = LuaRuntime(SOURCE)
+    vm3 = rt_py.run_aot(backend="py")
+    print(f"AOT (py):    printed={rt_py.printed} fuel={vm3.stats.fuel} "
+          f"direct links={vm3.links.links_made}")
+    assert rt_py.printed == out and vm3.stats.fuel == vm2.stats.fuel
+    assert vm3.links.links_made > 0
+
 
 if __name__ == "__main__":
     main()

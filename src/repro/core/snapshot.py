@@ -19,7 +19,9 @@ are patched, and execution resumes from the snapshot.
    in the heap with the table index; a request the engine could not
    compile applies nothing, and a tier-2 outcome is kept by name
    (``backend_functions``, or ``backend_fallbacks``: name → the reason
-   the emitter left it on the IR VM);
+   the emitter left it on the IR VM) — the helpers a compiled residual
+   calls by name (``CompilationEngine.compile_helpers``) go into
+   ``backend_functions`` with it;
 4. ``freeze()`` — make the heap the module's initial memory: its
    non-zero pages are indexed and only those are kept;
 5. ``resume()`` — a fresh VM starting from the snapshot (a private
@@ -27,7 +29,11 @@ are patched, and execution resumes from the snapshot.
    runtime finds its function pointers filled in and calls specialized
    code via ``call_indirect``; on the py backend it first compiles
    whatever ``compile_backend()`` has not seen yet (idempotent by
-   membership in the two dicts above).
+   membership in the two dicts above), then installs every residual and
+   helper in ``backend_functions``, so a guest call runs compiled →
+   compiled once its link slots patch.  Helpers are found when a batch
+   compiles, never by ``resume()``: a second resume finds nothing to
+   compile and searches nothing.
 
 Every guest runtime reaches this class through
 :mod:`repro.pipeline.host`; engine configuration is said once, on
@@ -59,6 +65,8 @@ class ProcessedRequest:
     # table, and heap were left untouched (table_index is -1) — the
     # guest keeps calling whatever the slot already held, i.e. tier 0.
     error: Optional[str] = None
+    # Helpers first compiled for this request, installed with it.
+    helpers: Dict[str, Callable] = dataclasses.field(default_factory=dict)
 
 
 class SnapshotCompiler:
@@ -134,11 +142,13 @@ class SnapshotCompiler:
             vm.store_u64(result_addr, index)
             if result.pyfunc is not None:
                 self.backend_functions[func.name] = result.pyfunc
+                self.backend_functions.update(result.helpers)
             elif result.fallback_reason is not None:
                 self.backend_fallbacks[func.name] = result.fallback_reason
             processed.append(ProcessedRequest(
                 request, func.name, index, result_addr,
-                result.cache_hit, result.artifact_hit))
+                result.cache_hit, result.artifact_hit,
+                helpers=result.helpers))
         self.processed.extend(processed)
         self.pending = []
         return processed
@@ -171,8 +181,10 @@ class SnapshotCompiler:
         by membership: a name already compiled, or already recorded in
         ``backend_fallbacks`` (the emitter cannot express it; it stays
         on the IR VM), is not attempted again, so the result holds only
-        what this call compiled.  Delegates to the engine, so emitted
-        source persists in the artifact store.
+        what this call compiled — the helpers those functions were the
+        first to need included, recorded in ``backend_functions`` too.
+        Delegates to the engine, so emitted source persists in the
+        artifact store.
         """
         if names is None:
             names = [p.function_name for p in self.processed
@@ -188,8 +200,8 @@ class SnapshotCompiler:
         """A fresh VM resuming from the frozen snapshot.
 
         ``backend`` overrides ``options.backend`` for this VM: ``"py"``
-        attaches the compiled residual functions (compiling them on
-        first use), ``"vm"`` interprets the IR.
+        attaches the compiled residual functions and their helpers
+        (compiling them on first use), ``"vm"`` interprets the IR.
         """
         vm = VM(self.module)
         if (backend or self.options.backend) == "py":

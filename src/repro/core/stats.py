@@ -95,6 +95,7 @@ class EngineStats(_Mergeable):
                                      # object (no re-parse/compile)
     backend_fallbacks: int = 0
     inline_requests: int = 0         # requests carrying an inline plan
+    helpers: int = 0                 # helpers compiled (not requests)
     # Fault containment (PR 9): per-request failures and degradations.
     requests_failed: int = 0         # results returned with .error set
     store_write_failures: int = 0    # artifact-store writes that failed

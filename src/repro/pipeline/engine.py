@@ -32,18 +32,39 @@ a fresh compile.
   run it: walk 2, and
   :meth:`~CompilationEngine.compile_backend_functions` for functions
   already in the module (staged tier-up, ``resume(backend="py")``).
+* **Helpers ride with the residual that needs them.**  A *helper* is a
+  module function that compiled code reaches through a direct ``call``
+  (the closure: a helper's own direct callees count), that is not an
+  import and that has no retreating edge — in the tree today that is
+  MiniLua's ``lua_call`` trampoline, and nothing else: the generic
+  interpreters all loop.  No loop is the rule because ``VM._eval`` is
+  the only code that counts ``stats.backedges``, which promotion scores
+  read; a loop-free function has nothing to count, so running it
+  compiled is identical to ``_eval`` for profiling as well as for fuel,
+  prints and traps.  Both roads to tier 2 call
+  :meth:`~CompilationEngine.compile_helpers` on each function they
+  compile, and it emits each helper through ``_emit`` (the ``py/``
+  store is reused, a warm start emits nothing), memoized per engine by
+  name, so helpers are found once per batch and never per run.  A
+  helper is **not a request**: it touches none of the request counters
+  (``requests``, ``backend_emitted``, ``backend_source_hits``,
+  ``backend_code_hits``, ``backend_fallbacks``, ``requests_failed``),
+  only ``EngineStats.helpers``, and a helper the emitter refuses or
+  whose emit crashes stays on the IR VM — speed, never results, and the
+  request that needed it still succeeds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import marshal
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import request_key
 from repro.core.request import SpecializationRequest
 from repro.core.specialize import SpecializeOptions, specialize
 from repro.core.stats import EngineStats
+from repro.ir.cfg import retreating_edges
 from repro.ir.clone import clone_function
 from repro.ir.function import Function
 from repro.ir.module import Module
@@ -90,7 +111,9 @@ class EngineResult:
     the current tier"; the tiering controller turns it into quarantine.
 
     ``request`` is ``None`` for a function already in the module
-    (:meth:`CompilationEngine.compile_backend_functions`).
+    (:meth:`CompilationEngine.compile_backend_functions`).  ``helpers``
+    holds the helpers this request's callable was the first to need
+    (:meth:`CompilationEngine.compile_helpers`), to be installed with it.
     """
 
     request: Optional[SpecializationRequest]
@@ -101,6 +124,7 @@ class EngineResult:
     pyfunc: Optional[Callable] = None
     fallback_reason: Optional[str] = None
     error: Optional[str] = None
+    helpers: Dict[str, Callable] = dataclasses.field(default_factory=dict)
 
 
 class CompilationEngine:
@@ -115,6 +139,8 @@ class CompilationEngine:
         self.fault_plan = self.options.fault_plan
         self.store = _open_store(self.options)
         self.stats = EngineStats()
+        # Callee names compile_helpers has judged (helper or not).
+        self._judged: Set[str] = set()
 
     # ------------------------------------------------------------------
     # Batch compilation.
@@ -166,6 +192,8 @@ class CompilationEngine:
         for result, key in zip(results, keys):
             if emit and result.error is None:
                 self._emit(result)
+                if result.pyfunc is not None:
+                    result.helpers = self.compile_helpers(result.function)
             if result.error is not None:
                 stats.requests_failed += 1
             elif result.cache_hit:
@@ -221,11 +249,12 @@ class CompilationEngine:
         except Exception as exc:
             result.error = f"{type(exc).__name__}: {exc}"
 
-    def _emit(self, result: EngineResult) -> None:
+    def _emit(self, result: EngineResult, helper: bool = False) -> None:
         """The one emission body: ``result.function`` becomes
         ``result.pyfunc``, or ``result.fallback_reason`` when the
         emitter (or ``compile()`` on its output) refuses it, or
-        ``result.error`` when emission crashed.
+        ``result.error`` when emission crashed.  A ``helper`` is not a
+        request and leaves the request counters alone.
 
         The source and its ``compile()``d code object come from the
         artifact store when it has them (a warm start skips emit, parse
@@ -274,6 +303,9 @@ class CompilationEngine:
                 # emitter bug for this function: record a fallback (tier
                 # 1 keeps serving it) instead of failing the request.
                 fallback = f"{type(exc).__name__}: {exc}"
+        result.fallback_reason = fallback
+        if helper:
+            return
         if cached is None:
             stats.backend_emitted += 1
         else:
@@ -282,7 +314,6 @@ class CompilationEngine:
                 stats.backend_code_hits += 1
         if fallback is not None:
             stats.backend_fallbacks += 1
-            result.fallback_reason = fallback
 
     @staticmethod
     def _precompile(name: str, source: str) -> Tuple[Optional[object],
@@ -319,8 +350,9 @@ class CompilationEngine:
         """Compile module functions to Python callables through
         :meth:`_emit`, artifact-store reuse included.
 
-        Returns ``(compiled, fallbacks)``: name to callable, and
-        ``(name, reason)`` for each function left to the IR VM.
+        Returns ``(compiled, fallbacks)``: name to callable — the
+        helpers the compiled functions were the first to need included —
+        and ``(name, reason)`` for each function left to the IR VM.
         """
         compiled: Dict[str, Callable] = {}
         fallbacks: List[Tuple[str, str]] = []
@@ -341,6 +373,37 @@ class CompilationEngine:
                 self.stats.requests_failed += 1
             elif result.pyfunc is not None:
                 compiled[name] = result.pyfunc
+                compiled.update(self.compile_helpers(func))
             else:
                 fallbacks.append((name, result.fallback_reason))
         return compiled, fallbacks
+
+    # ------------------------------------------------------------------
+    # Helpers: the loop-free functions compiled code calls by name.
+    # ------------------------------------------------------------------
+    def compile_helpers(self, func: Function) -> Dict[str, Callable]:
+        """Compile the helpers compiled ``func`` reaches (module
+        docstring) that this engine has not judged yet; returns name to
+        callable for those that reached tier 2.  Each callee name is
+        judged once per engine, a refusal or a crash included."""
+        compiled: Dict[str, Callable] = {}
+        judged = self._judged
+        work = [func]
+        while work:
+            for block in work.pop().blocks.values():
+                for instr in block.instrs:
+                    name = instr.imm
+                    if instr.op != "call" or name in judged:
+                        continue
+                    judged.add(name)
+                    # Imports are not module functions: ``None`` here.
+                    callee = self.module.functions.get(name)
+                    if callee is None or retreating_edges(callee):
+                        continue
+                    result = EngineResult(None, callee)
+                    self._emit(result, helper=True)
+                    if result.pyfunc is not None:
+                        compiled[name] = result.pyfunc
+                        self.stats.helpers += 1
+                        work.append(callee)
+        return compiled

@@ -20,6 +20,18 @@ with per-site *link slots*, the classic patchable call site:
   consulted inline by the emitted code; the miss bridge delegates to
   ``vm.call_table`` and installs the first steadily-linkable target.
 
+What links in practice: indirect slots link to residuals (the guests
+dispatch through function-pointer slots), and direct slots link to
+*helpers* — the loop-free module functions compiled code calls by name,
+which the engine compiles with the residual that needs them
+(:meth:`~repro.pipeline.engine.CompilationEngine.compile_helpers`).  In
+the tree that is MiniLua's ``lua_call``: each residual's
+``("c", "lua_call", 2)`` slot patches to it on its first call, and
+``lua_call``'s own ``call_indirect`` site is an inline cache, so a
+guest call runs compiled → compiled → compiled.  A direct site naming a
+host import or a hooked or looping generic interpreter stays on its
+bridge.
+
 Soundness rests on a single rule: *every* event that can change what a
 guest name dispatches to calls :meth:`invalidate`, which resets every
 slot back to its bridge in place (slot lists keep their identity, so

@@ -283,11 +283,13 @@ class TieringController:
 
     def _transition(self, profile: FunctionProfile, tier: int, reason: str,
                     item=None, pyfunc=None, fallback: bool = False,
-                    batch: Optional[Dict[str, object]] = None) -> None:
+                    batch: Optional[Dict[str, object]] = None,
+                    helpers: Optional[Dict[str, object]] = None) -> None:
         """Move ``profile`` to ``tier`` and make the VM agree.  ``item``
         is a freshly compiled residual to install (``None`` keeps the
-        current one), ``pyfunc`` its tier-2 callable, ``fallback`` says
-        it has unwinding inline guards.  With ``batch`` the caller
+        current one), ``pyfunc`` its tier-2 callable and ``helpers`` the
+        helpers it was the first to need (installed with it), ``fallback``
+        says it has unwinding inline guards.  With ``batch`` the caller
         publishes once for the whole batch (:meth:`_publish`)."""
         if item is not None:
             profile.installed_name = item.function_name
@@ -309,6 +311,7 @@ class TieringController:
         compiled = {} if batch is None else batch
         if pyfunc is not None:
             compiled[name] = pyfunc
+            compiled.update(helpers or {})
             self.stats.tier2_installs += 1
         if batch is None:
             # Promotion into a staged window is the one transition after
@@ -427,7 +430,7 @@ class TieringController:
             self.stats.speculative_promotions += 1
         pyfunc = self.compiler.backend_functions.get(item.function_name)
         self._transition(profile, 1 if pyfunc is None else 2, "promote",
-                         item, pyfunc, batch=batch)
+                         item, pyfunc, batch=batch, helpers=item.helpers)
 
     # ------------------------------------------------------------------
     # The pure-AOT path: promote everything, up front, in one batch.
@@ -712,9 +715,10 @@ class TieringController:
                                     inline_plan=plan),
                 profile.entry.result_addr)
             name = item.function_name
-        pyfunc = None
+        pyfunc = helpers = None
         if reason == "tier2" or profile.tier == 2:
-            pyfunc = self.compiler.compile_backend([name]).get(name)
+            helpers = self.compiler.compile_backend([name])
+            pyfunc = helpers.pop(name, None)
             if pyfunc is None and \
                     name not in self.compiler.backend_fallbacks:
                 # Neither compiled nor a recorded emitter fallback (the
@@ -729,7 +733,7 @@ class TieringController:
             for instr in block.instrs)
         self._transition(
             profile, 2 if pyfunc is not None else min(profile.tier, 1),
-            reason, item, pyfunc, fallback=unwinds)
+            reason, item, pyfunc, fallback=unwinds, helpers=helpers)
 
     # ------------------------------------------------------------------
     # Speculative inlining (plan building and per-site demotion).

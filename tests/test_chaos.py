@@ -14,15 +14,20 @@ asserts exactly that, with seeded deterministic
 * randomized combined schedules across all seams (several seeds);
 * the containment policies one by one — quarantine + backoff retry,
   permanent blacklist, the deopt-storm breaker and degraded stores;
-* recovery: a quarantined function re-promotes once injection stops.
+* recovery: a quarantined function re-promotes once injection stops;
+* helpers: an emit fault at a helper's consult leaves the helper on the
+  IR VM and every request it rode with at tier 2.
 
 The engine compiles in-process, so the per-seam consult order — and
 therefore the firing schedule — is exactly reproducible.
 """
 
+import pathlib
+
 import pytest
 
 from repro.core.specialize import SpecializeOptions
+from repro.luavm import LuaRuntime
 from repro.min.fleet import (
     build_fleet_module,
     constant_program,
@@ -300,6 +305,41 @@ class TestStormBreaker:
         assert not profile.pinned_generic
         assert profile.tier >= 1
         assert controller.stats.storm_pins == 0
+
+
+# ---------------------------------------------------------------------------
+# Helpers: a failed helper costs speed, never results or its request.
+# ---------------------------------------------------------------------------
+class TestHelperContainment:
+    def test_helper_emit_fault_stays_on_the_vm(self):
+        source = (pathlib.Path(__file__).resolve().parent.parent
+                  / "benchmarks" / "ledger" / "programs" / "lua"
+                  / "fib.lua").read_text()
+
+        def run(plan):
+            runtime = LuaRuntime(source, options=SpecializeOptions(
+                backend="py", fault_plan=plan))
+            compiler = runtime.aot_compile()
+            vm = runtime.run_aot()
+            return runtime.printed, vm, compiler
+
+        printed, clean_vm, _ = run(None)
+        # Emit consults in batch order: lua$main, then the helper it is
+        # the first to need, then lua$fib.
+        plan = FaultPlan.once("emit", index=1)
+        faulted, vm, compiler = run(plan)
+        assert plan.fired == {"emit": 1}
+        assert faulted == printed
+        assert vm.stats.fuel == clean_vm.stats.fuel
+        stats = compiler.engine.stats
+        assert stats.requests_failed == 0 and stats.helpers == 0
+        assert "lua_call" not in vm.compiled
+        residuals = {item.function_name for item in compiler.processed}
+        assert residuals == set(compiler.backend_functions) \
+            and residuals <= set(vm.compiled)
+        # Judged once: a later compile does not retry the helper.
+        assert compiler.engine.compile_helpers(
+            compiler.module.functions["lua$fib"]) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,13 @@ Three layers:
   table: tier-2 install, whole-function demotion, per-site demotion,
   blacklist, deopt-storm pinning, ``unregister`` / endpoint churn at a
   reused heap base, fleet heat adoption, and a seeded chaos schedule
-  with linking enabled throughout.
+  with linking enabled throughout;
+* **direct links to helpers** — MiniLua residuals call the compiled
+  ``lua_call`` through direct slots that patch: linked ≡ unlinked, and
+  a tiered run keeps the controller's invariants under the verify flag.
 """
+
+import pathlib
 
 import pytest
 
@@ -29,6 +34,7 @@ from repro.ir.function import Signature
 from repro.ir.module import Module
 from repro.ir.types import I64
 from repro.jsvm import JSRuntime
+from repro.luavm import LuaRuntime
 from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE, build_min_module
 from repro.pipeline.faults import SEAMS, FaultPlan
@@ -245,6 +251,44 @@ class TestFixedArityBoundary:
         # The prologue rolled its increment back on both paths.
         assert vm._call_depth == 0
         assert plain._call_depth == 0
+
+
+# ---------------------------------------------------------------------------
+# Direct links to helpers: the sites that link direct in the tree.
+# ---------------------------------------------------------------------------
+LUA_NESTED = (pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+              / "ledger" / "programs" / "lua" / "nested.lua").read_text()
+
+
+class TestHelperLinks:
+    def _run(self, linked):
+        runtime = LuaRuntime(LUA_NESTED,
+                             options=SpecializeOptions(backend="py"))
+        runtime.aot_compile()
+        vm = runtime.compiler.resume()
+        vm.links.enabled = linked      # before any slot is bound
+        runtime.enter(vm)
+        s = vm.stats
+        return (runtime.printed, s.fuel, s.calls, s.indirect_calls,
+                s.host_calls, s.loads, s.stores), vm.links
+
+    def test_helper_links_are_invisible(self):
+        linked, links_on = self._run(True)
+        unlinked, links_off = self._run(False)
+        assert linked == unlinked
+        assert links_on.links_made == 2 and links_on.ic_links_made > 0
+        assert links_off.links_made == 0 and links_off.ic_links_made == 0
+
+    def test_tiered_helpers_keep_invariants_under_verify(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
+        reference = LuaRuntime(LUA_NESTED)
+        reference.run_interpreted()
+        runtime = LuaRuntime(LUA_NESTED,
+                             options=SpecializeOptions(backend="py"))
+        vm = runtime.run_tiered(threshold=1)
+        assert runtime.printed == reference.printed
+        assert "lua_call" in vm.compiled and vm.links.links_made > 0
+        runtime.controller.check_invariants()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,17 @@
 """Tests for the MiniLua case study (S7)."""
 
+import pathlib
+
 import pytest
 
+from repro.core.specialize import SpecializeOptions
 from repro.luavm import LuaCompileError, LuaRuntime, compile_lua
 from repro.luavm.bytecode import Op, disassemble
+from repro.vm import VM, VMTrap
+
+# S7's three programs, as the ledger keeps them frozen.
+LUA_DIR = (pathlib.Path(__file__).resolve().parent.parent
+           / "benchmarks" / "ledger" / "programs" / "lua")
 
 
 def run_lua(source, aot=False):
@@ -171,3 +179,60 @@ print(leaf(41))
         vm = rt.run_aot()
         assert rt.printed == [42]
         assert vm.stats.indirect_calls >= 2  # main + leaf via spec ptrs
+
+
+class TestHelperSeam:
+    """``lua_call`` is a helper (``repro.pipeline.engine``): the py
+    backend compiles it with the batch, so a guest call runs compiled →
+    compiled → compiled and never enters the IR VM.  The oracle is the
+    IR VM running the same residuals (AOT on ``backend="vm"``), and the
+    generic interpreter for prints."""
+
+    @pytest.mark.parametrize("name, links", [("fib", 3), ("nested", 2),
+                                             ("sumloop", 1)])
+    def test_py_aot_is_the_vm_and_never_enters_it(self, name, links,
+                                                  monkeypatch):
+        source = (LUA_DIR / f"{name}.lua").read_text()
+        reference = LuaRuntime(source)
+        reference.run_interpreted()
+        on_vm = LuaRuntime(source)
+        on_vm.aot_compile()
+        vm_run = on_vm.run_aot()
+        runtime = LuaRuntime(source, options=SpecializeOptions(backend="py"))
+        runtime.aot_compile()
+        runtime.run_aot()
+        del runtime.printed[:]
+        evals = []
+        real_eval = VM._eval
+
+        def counting_eval(vm, func, args):
+            evals.append(func.name)
+            return real_eval(vm, func, args)
+
+        monkeypatch.setattr(VM, "_eval", counting_eval)
+        py_run = runtime.run_aot()
+        assert runtime.printed == on_vm.printed == reference.printed
+        for field in ("fuel", "calls", "indirect_calls"):
+            assert getattr(py_run.stats, field) == \
+                getattr(vm_run.stats, field), field
+        assert evals == []
+        assert py_run.links.links_made == links
+        assert runtime.compiler.engine.stats.helpers == 1
+        assert "lua_call" in runtime.compiler.backend_functions
+
+    def test_runaway_recursion_traps_identically(self):
+        """Lua recursion now lives on the Python stack alone: the guest
+        depth limit still fires first, with the interpreter's text."""
+        source = "function f(n) return f(n + 1) end print(f(0))"
+
+        def trap(run):
+            runtime = LuaRuntime(source,
+                                 options=SpecializeOptions(backend="py"))
+            with pytest.raises(VMTrap) as caught:
+                run(runtime)
+            return str(caught.value)
+
+        messages = {trap(lambda rt: rt.run_interpreted()),
+                    trap(lambda rt: rt.run_aot("vm")),
+                    trap(lambda rt: rt.run_aot("py"))}
+        assert messages == {"call stack exhausted in lua_call"}

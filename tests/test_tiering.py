@@ -11,14 +11,22 @@ Covers the pieces the differential tier exercises only end-to-end:
 * :class:`~repro.pipeline.tiering.TieringController` policy: hot-call
   promotion, loop-backedge scoring, staged tier-2, demote-exactly-once
   after a guard failure, and artifact-store sharing between the AOT
-  and tiered flows.
+  and tiered flows;
+* helpers (``repro.pipeline.engine``) on the tiered road: ``lua_call``
+  is installed in the same ``install_compiled`` call as the first
+  residual that needs it, threshold 1 stays AOT and threshold ∞ the
+  interpreter, and no MiniJS residual can reach a helper because every
+  function the JS interpreters call by name loops.
 """
+
+import pathlib
 
 import pytest
 
 from repro.core import SpeculatedConst, SpecializationRequest
 from repro.core.request import Runtime, SpecializedConst, SpecializedMemory
 from repro.core.specialize import SpecializeOptions, specialize
+from repro.ir.cfg import retreating_edges
 from repro.ir.function import Block, Function, Signature
 from repro.ir.instructions import BlockCall, Instr, Jump, Ret
 from repro.ir.types import I64
@@ -28,6 +36,10 @@ from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE, build_min_module
 from repro.vm import VM
 from repro.vm.machine import GuardFailed
+
+
+LUA_FIB = (pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+           / "ledger" / "programs" / "lua" / "fib.lua").read_text()
 
 
 def _args(program, value):
@@ -559,6 +571,68 @@ class TestControllerPolicy:
         vm.call("min_interp", _args(program, 0))
         text = controller.report()
         assert "promotions=1" in text and "tier" in text
+
+
+class TestHelpers:
+    PY = SpecializeOptions(backend="py")
+
+    def test_lua_threshold_one_is_aot_and_installs_lua_call_once(
+            self, monkeypatch):
+        aot = LuaRuntime(LUA_FIB, options=self.PY)
+        aot.aot_compile()
+        aot_vm = aot.run_aot()
+        installs = []
+        real_install = VM.install_compiled
+
+        def recording_install(vm, compiled):
+            installs.append(sorted(compiled))
+            real_install(vm, compiled)
+
+        monkeypatch.setattr(VM, "install_compiled", recording_install)
+        runtime = LuaRuntime(LUA_FIB, options=self.PY)
+        vm = runtime.run_tiered(threshold=1)
+        assert runtime.printed == aot.printed
+        # (Each promoting call reaches its residual through the tier
+        # hook on lua_call's direct call, not the spec slot's indirect
+        # one: calls and indirect_calls trade one per promotion.)
+        assert vm.stats.fuel == aot_vm.stats.fuel
+        # The helper rides with the first promotion and only with it.
+        assert installs[0] == ["lua$main", "lua_call"]
+        assert [names for names in installs[1:]
+                if "lua_call" in names] == []
+        assert runtime.controller.compiler.engine.stats.helpers == 1
+
+    def test_lua_threshold_inf_compiles_no_helper(self):
+        reference = LuaRuntime(LUA_FIB)
+        interp_vm = reference.run_interpreted()
+        runtime = LuaRuntime(LUA_FIB, options=self.PY)
+        vm = runtime.run_tiered(threshold=float("inf"))
+        assert runtime.printed == reference.printed
+        assert vm.stats.fuel == interp_vm.stats.fuel
+        assert vm.compiled == {}
+        assert runtime.controller.compiler.engine.stats.helpers == 0
+
+    @pytest.mark.parametrize("config", ["noic", "interp_ic", "wevaled",
+                                        "wevaled_state"])
+    def test_no_js_residual_reaches_a_helper(self, config):
+        """Residuals specialize the interpreter bodies, so they call by
+        name only what those bodies do: host imports and the generic
+        interpreters, which all loop — and so stay on the IR VM."""
+        from repro.jsvm import JSRuntime
+        runtime = JSRuntime("function inc(x) { return x + 1; }\n"
+                            "print(inc(41));", config, options=self.PY)
+        module = runtime.module
+        callees = {instr.imm for func in module.functions.values()
+                   for block in func.blocks.values()
+                   for instr in block.instrs if instr.op == "call"}
+        local = callees - set(module.imports)
+        assert local and all(retreating_edges(module.functions[name])
+                             for name in local)
+        if config.startswith("wevaled"):
+            compiler = runtime.aot_compile()
+            assert compiler.engine.stats.helpers == 0
+            assert set(compiler.backend_functions) == \
+                {item.function_name for item in compiler.processed}
 
 
 class TestEndpointChurn:
