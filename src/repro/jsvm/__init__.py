@@ -14,9 +14,9 @@ A dynamic language engine with:
   into an AOT *IC corpus* and attached to sites at run time by the slow
   path — the paper's key insight that ICs push dynamism into late-bound
   data (:mod:`repro.jsvm.runtime`);
-* the Octane-analog suite Fig. 11 and Fig. 12 run
-  (:mod:`repro.jsvm.workloads`; ``tests/test_paper_figures.py`` draws
-  both figures).
+* the Octane-analog suite Fig. 11 and Fig. 12 run, thirteen programs
+  kept once, frozen, in ``benchmarks/ledger/programs/js/``
+  (``tests/test_paper_figures.py`` draws both figures from them).
 """
 
 from repro.jsvm.runtime import JSRuntime, JSCompileError

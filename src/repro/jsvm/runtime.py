@@ -45,7 +45,16 @@ from repro.jsvm.bytecode import JSFunction
 from repro.jsvm.frontend import JSCompileError, compile_js
 from repro.jsvm.interp_src import ic_interp_source, js_interp_source
 from repro.jsvm.shapes import OBJECT_SLOT_CAPACITY
-from repro.jsvm.values import IC_FAIL, VALUE_UNDEFINED, describe, payload, tag_of, TAG_OBJECT
+from repro.jsvm.values import (
+    TAG_ARRAY,
+    TAG_OBJECT,
+    VALUE_UNDEFINED,
+    box_double,
+    describe,
+    payload,
+    tag_of,
+    unbox_double,
+)
 from repro.pipeline.host import GuestRuntime
 from repro.pipeline.tiering import TierEntry
 from repro.vm import VM
@@ -73,6 +82,20 @@ AOT_CONFIGS = ("wevaled", "wevaled_state")
 # every configuration (which is what makes CodeLoad flat in Fig. 11).
 SLOW_PATH_FUEL = 300
 CODE_LOAD_FUEL_PER_WORD = 60
+
+
+def regex_match_count_host(text_values, pattern_values) -> int:
+    """Host-side 'regex engine': counts occurrences of ``pattern`` in
+    ``text`` (both lists of numbers).  This models the separate regex
+    interpreter that weval does not specialize (the Fig. 11 RegExp
+    outlier)."""
+    count = 0
+    n, m = len(text_values), len(pattern_values)
+    for start in range(n - m + 1):
+        if all(text_values[start + j] == pattern_values[j]
+               for j in range(m)):
+            count += 1
+    return count
 
 
 @dataclasses.dataclass
@@ -281,7 +304,6 @@ class JSRuntime(GuestRuntime):
         raise RuntimeError(f"MiniJS runtime error #{code}")
 
     def _read_array(self, vm, boxed):
-        from repro.jsvm.values import TAG_ARRAY, unbox_double
         if tag_of(boxed) != TAG_ARRAY:
             raise RuntimeError("host call expects an array")
         addr = payload(boxed)
@@ -292,8 +314,6 @@ class JSRuntime(GuestRuntime):
     def _host_hostcall(self, vm, host_id, arg1, arg2):
         """Host helper dispatch — the analog of runtime subsystems (like
         the regex engine) that live outside the wevaled interpreter."""
-        from repro.jsvm.values import box_double
-        from repro.jsvm.workloads import regex_match_count_host
         if host_id == 0:
             text = self._read_array(vm, arg1)
             pattern = self._read_array(vm, arg2)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import difflib
+import hashlib
+import json
 import os
 from typing import Dict, Optional, Tuple
 
@@ -46,6 +48,32 @@ def check_golden(request, name: str, text: str) -> None:
         pytest.fail(
             f"golden output for {name!r} changed; run --update-golden if "
             f"intentional:\n{diff}")
+
+
+# ---------------------------------------------------------------------------
+# The program corpus: every guest benchmark program, once.  The ledger
+# measures these frozen files and the figures draw from them.
+# ---------------------------------------------------------------------------
+
+CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "benchmarks", "ledger", "programs")
+
+
+def corpus_manifest(root: str = CORPUS_DIR) -> Dict[str, str]:
+    """``rel -> sha256`` for every file of the corpus at ``root``, in
+    ``MANIFEST.json``'s (sorted) order."""
+    with open(os.path.join(root, "MANIFEST.json"), encoding="utf-8") as handle:
+        return json.load(handle)["sha256"]
+
+
+def corpus_program(rel: str, root: str = CORPUS_DIR) -> str:
+    """The text of one corpus program, e.g. ``"js/richards.js"``; raises
+    unless its bytes are the ones ``MANIFEST.json`` pins."""
+    with open(os.path.join(root, rel), "rb") as handle:
+        data = handle.read()
+    if hashlib.sha256(data).hexdigest() != corpus_manifest(root).get(rel):
+        raise ValueError(f"corpus program {rel} does not match MANIFEST.json")
+    return data.decode("utf-8")
 
 
 def build_module(source: str, memory_size: int = 1 << 16,

@@ -22,8 +22,6 @@ The engine compiles in-process, so the per-seam consult order — and
 therefore the firing schedule — is exactly reproducible.
 """
 
-import pathlib
-
 import pytest
 
 from repro.core.specialize import SpecializeOptions
@@ -41,6 +39,8 @@ from repro.min.interp import PROGRAM_BASE, build_min_module
 from repro.pipeline.faults import SEAMS, FaultInjected, FaultPlan
 from repro.pipeline.profiles import open_profile_store
 from repro.vm import VM
+
+from tests.helpers import corpus_program
 
 
 def _args(program, value):
@@ -312,9 +312,7 @@ class TestStormBreaker:
 # ---------------------------------------------------------------------------
 class TestHelperContainment:
     def test_helper_emit_fault_stays_on_the_vm(self):
-        source = (pathlib.Path(__file__).resolve().parent.parent
-                  / "benchmarks" / "ledger" / "programs" / "lua"
-                  / "fib.lua").read_text()
+        source = corpus_program("lua/fib.lua")
 
         def run(plan):
             runtime = LuaRuntime(source, options=SpecializeOptions(

@@ -18,13 +18,17 @@
   code has one calling convention; helpers are found when a batch
   compiles, never when a run resumes; the paper's figures are drawn in
   one place, ``tests/test_paper_figures.py``, and ``benchmarks/`` is
-  the ledger alone.
+  the ledger alone; the guest benchmark programs are kept once, as the
+  ledger's frozen corpus, and the tests read them through one loader
+  that refuses a file its ``MANIFEST.json`` does not pin.
 """
 
 import ast
 import dataclasses
 import importlib.util
 import pathlib
+import re
+import shutil
 import subprocess
 import sys
 import tokenize
@@ -56,6 +60,8 @@ from repro.pipeline import (
     TieringController,
 )
 from repro.vm import VM
+
+from tests.helpers import CORPUS_DIR, corpus_manifest, corpus_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INF = float("inf")
@@ -396,6 +402,49 @@ def test_the_figures_are_tier_1_and_benchmarks_is_the_ledger():
                    cwd=ROOT, capture_output=True, check=True, timeout=120)
     assert sorted(path.name for path in (ROOT / "benchmarks").iterdir()
                   if path.name != "__pycache__") == ["ledger"]
+
+
+# A spelled-out path to the corpus: the ledger's directory name joined
+# to ``programs`` by a slash, a ``/`` on paths or a comma between
+# ``os.path.join`` parts.
+CORPUS_PATH = re.compile(r"ledger['\"]?\s*[,/]\s*['\"]?programs")
+
+
+def test_one_program_corpus():
+    """The guest benchmark programs live once, in the ledger's frozen
+    corpus: no module under ``src/repro`` holds a copy of one (checked by
+    each ``js/`` and ``lua/`` program's first non-blank line), and among
+    the tests only ``tests/helpers.py``, the loader, spells its path."""
+    assert importlib.util.find_spec("repro.jsvm.workloads") is None
+    first_lines = [
+        next(line for line in corpus_program(rel).splitlines()
+             if line.strip())
+        for rel in corpus_manifest() if rel.startswith(("js/", "lua/"))]
+    assert len(first_lines) == 16
+    copies = [(path.relative_to(ROOT).as_posix(), line)
+              for path in sorted((ROOT / "src" / "repro").rglob("*"))
+              if path.is_file() and "__pycache__" not in path.parts
+              for line in first_lines
+              if line.encode() in path.read_bytes()]
+    assert copies == []
+    assert [path.name for path in sorted((ROOT / "tests").glob("*.py"))
+            if CORPUS_PATH.search(path.read_text(encoding="utf-8"))] \
+        == ["helpers.py"]
+
+
+def test_the_corpus_loader_refuses_drift(tmp_path):
+    """One changed byte in a corpus file is refused, and the refusal
+    names the file; the files the manifest still pins load."""
+    copy = tmp_path / "programs"
+    shutil.copytree(CORPUS_DIR, copy)
+    crypto = copy / "js" / "crypto.js"
+    data = bytearray(crypto.read_bytes())
+    data[0] ^= 0x20                            # "function" -> "Function"
+    crypto.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="js/crypto.js"):
+        corpus_program("js/crypto.js", root=str(copy))
+    assert corpus_program("js/richards.js", root=str(copy)) \
+        == corpus_program("js/richards.js")
 
 
 def test_one_jump_threading_rule():

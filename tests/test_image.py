@@ -35,8 +35,9 @@ from repro.min.interp import PROGRAM_BASE
 from repro.opt.pipeline import optimize_function
 from repro.vm import VM
 
+from tests.helpers import corpus_manifest, corpus_program
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-LEDGER_PROGRAMS = os.path.join(ROOT, "benchmarks", "ledger", "programs")
 
 TINY = "u64 tiny(u64 x) { u64 y = x + 0; return y * 1 + %d; }"
 
@@ -109,13 +110,11 @@ def _aot_into(cache_dir):
 # (a) Counters.
 # ---------------------------------------------------------------------------
 def test_ledger_suite_compiles_each_interpreter_once(memo):
-    runtimes = []
-    for lang, build in (("js", lambda s: JSRuntime(s, "wevaled_state")),
-                        ("lua", LuaRuntime)):
-        folder = os.path.join(LEDGER_PROGRAMS, lang)
-        for entry in sorted(os.listdir(folder)):
-            with open(os.path.join(folder, entry)) as handle:
-                runtimes.append(build(handle.read()))
+    builds = {"js": lambda s: JSRuntime(s, "wevaled_state"),
+              "lua": LuaRuntime}
+    runtimes = [builds[rel.split("/")[0]](corpus_program(rel))
+                for rel in corpus_manifest()
+                if rel.split("/")[0] in builds]
     assert len(runtimes) == 16
     assert (memo.builds, memo.hits) == (2, 14)
     with pytest.raises(AttributeError):

@@ -23,8 +23,6 @@ Three layers:
   a tiered run keeps the controller's invariants under the verify flag.
 """
 
-import pathlib
-
 import pytest
 
 from repro.backend import compile_function
@@ -41,6 +39,8 @@ from repro.pipeline.faults import SEAMS, FaultPlan
 from repro.pipeline.links import CallLinkTable
 from repro.pipeline.profiles import ProfileStore
 from repro.vm import VM, VMTrap
+
+from tests.helpers import corpus_program
 
 
 def _args(program, value):
@@ -256,8 +256,7 @@ class TestFixedArityBoundary:
 # ---------------------------------------------------------------------------
 # Direct links to helpers: the sites that link direct in the tree.
 # ---------------------------------------------------------------------------
-LUA_NESTED = (pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
-              / "ledger" / "programs" / "lua" / "nested.lua").read_text()
+LUA_NESTED = corpus_program("lua/nested.lua")
 
 
 class TestHelperLinks:

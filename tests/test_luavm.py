@@ -1,7 +1,5 @@
 """Tests for the MiniLua case study (S7)."""
 
-import pathlib
-
 import pytest
 
 from repro.core.specialize import SpecializeOptions
@@ -9,9 +7,7 @@ from repro.luavm import LuaCompileError, LuaRuntime, compile_lua
 from repro.luavm.bytecode import Op, disassemble
 from repro.vm import VM, VMTrap
 
-# S7's three programs, as the ledger keeps them frozen.
-LUA_DIR = (pathlib.Path(__file__).resolve().parent.parent
-           / "benchmarks" / "ledger" / "programs" / "lua")
+from tests.helpers import corpus_program
 
 
 def run_lua(source, aot=False):
@@ -192,7 +188,7 @@ class TestHelperSeam:
                                              ("sumloop", 1)])
     def test_py_aot_is_the_vm_and_never_enters_it(self, name, links,
                                                   monkeypatch):
-        source = (LUA_DIR / f"{name}.lua").read_text()
+        source = corpus_program(f"lua/{name}.lua")
         reference = LuaRuntime(source)
         reference.run_interpreted()
         on_vm = LuaRuntime(source)

@@ -26,7 +26,6 @@ so a mid-end change that keeps the bytes provably keeps them.
 import dataclasses
 import hashlib
 import math
-import pathlib
 from typing import Dict, NamedTuple, Tuple
 
 import pytest
@@ -43,7 +42,6 @@ from repro.core.stats import SpecializationStats
 from repro.frontend import compile_source
 from repro.ir import print_function
 from repro.jsvm import JSRuntime
-from repro.jsvm.workloads import BENCHMARK_NAMES, WORKLOADS
 from repro.luavm import LuaRuntime
 from repro.luavm.runtime import LUA_INTERP_SRC
 from repro.min.harness import (
@@ -61,16 +59,21 @@ from repro.min.interp import (
 from repro.pipeline.host import controller_for
 from repro.vm import VM
 
-from tests.helpers import check_golden
+from tests.helpers import check_golden, corpus_manifest, corpus_program
 
+# Fig. 11's rows in the paper's Octane order: the corpus's ``js/``
+# programs, drawn from ``js/<name>.js``.
+BENCHMARK_NAMES = (
+    "richards", "deltablue", "crypto", "raytrace", "earleyboyer",
+    "regexp", "splay", "navierstokes", "pdfjs", "mandreel", "gameboy",
+    "codeload", "box2d",
+)
 CONFIGS = ("noic", "interp_ic", "wevaled", "wevaled_state")
 FIG12_SUBSET = ("richards", "deltablue", "splay", "crypto")
 ELISION_SUBSET = ("richards", "deltablue", "raytrace", "splay", "box2d",
                   "crypto")
 FIG8_N = 2000
-# S7's three programs, as the ledger keeps them frozen.
-LUA_DIR = (pathlib.Path(__file__).resolve().parent.parent
-           / "benchmarks" / "ledger" / "programs" / "lua")
+# S7's three programs, ``lua/<name>.lua`` in the corpus.
 LUA_NAMES = ("fib", "sumloop", "nested")
 
 
@@ -119,7 +122,7 @@ def _js_sweep(digests: Dict[str, tuple]):
     for name in BENCHMARK_NAMES:
         runs[name] = {}
         for config in CONFIGS:
-            rt = JSRuntime(WORKLOADS[name], config)
+            rt = JSRuntime(corpus_program(f"js/{name}.js"), config)
             before = rt.module.code_size(), len(rt.module.functions)
             runs[name][config] = _run_js(rt)
             if config in ("wevaled", "wevaled_state"):
@@ -136,7 +139,7 @@ def _lua_sweep(digests: Dict[str, tuple]):
     """``name -> (interp output, aot output, interp fuel, aot fuel)``."""
     results = {}
     for name in LUA_NAMES:
-        rt = LuaRuntime((LUA_DIR / f"{name}.lua").read_text())
+        rt = LuaRuntime(corpus_program(f"lua/{name}.lua"))
         interp = rt.run_interpreted()
         interp_out = list(rt.printed)
         rt.printed.clear()
@@ -251,7 +254,7 @@ def sweep() -> Sweep:
     residuals: Dict[str, tuple] = {}
     js, aot = _js_sweep(residuals)
     raw_wevaled = _run_js(JSRuntime(
-        WORKLOADS["richards"], "wevaled",
+        corpus_program("js/richards.js"), "wevaled",
         options=SpecializeOptions(opt_config="none")))
     return Sweep(js, aot, raw_wevaled, _lua_sweep(residuals), fig8_runs(),
                  _min_residuals(), _ablation(), residuals)
@@ -437,6 +440,13 @@ def test_fig8_min(sweep):
     assert state <= base * 1.01         # within ~1% of compiled (S5)
     assert fuel["wevaled_py"] == wevaled
     assert fuel["wevaled_state_py"] == state
+
+
+def test_fig11_rows_are_the_js_corpus():
+    """Fig. 11 has one row per ``js/`` program of the corpus: a program
+    added there without a row fails here."""
+    assert sorted(f"js/{name}.js" for name in BENCHMARK_NAMES) == sorted(
+        rel for rel in corpus_manifest() if rel.startswith("js/"))
 
 
 def test_fig11_octane(sweep):

@@ -19,8 +19,6 @@ Covers the pieces the differential tier exercises only end-to-end:
   function the JS interpreters call by name loops.
 """
 
-import pathlib
-
 import pytest
 
 from repro.core import SpeculatedConst, SpecializationRequest
@@ -37,9 +35,10 @@ from repro.min.interp import PROGRAM_BASE, build_min_module
 from repro.vm import VM
 from repro.vm.machine import GuardFailed
 
+from tests.helpers import corpus_program
 
-LUA_FIB = (pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
-           / "ledger" / "programs" / "lua" / "fib.lua").read_text()
+
+LUA_FIB = corpus_program("lua/fib.lua")
 
 
 def _args(program, value):
@@ -511,10 +510,9 @@ class TestControllerPolicy:
         from repro.jsvm import JSRuntime
         from repro.jsvm.runtime import CODE_LOAD_FUEL_PER_WORD
         from repro.jsvm.values import VALUE_UNDEFINED
-        from repro.jsvm.workloads import WORKLOADS
 
         def run(**tiering):
-            rt = JSRuntime(WORKLOADS["richards"], "wevaled_state",
+            rt = JSRuntime(corpus_program("js/richards.js"), "wevaled_state",
                            options=SpecializeOptions(backend="py"))
             controller = rt.make_controller(**tiering)
             vm = controller.attach(VM(rt.module))

@@ -28,7 +28,6 @@ from repro.core.specialize import OPT_MAX_ROUNDS, SpecializeOptions
 from repro.ir import print_function
 from repro.ir.clone import clone_function
 from repro.jsvm import JSRuntime
-from repro.jsvm.workloads import WORKLOADS
 from repro.luavm.runtime import LuaRuntime
 from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.opt import PIPELINES, PassManager, get_pass
@@ -40,7 +39,10 @@ from test_differential import (
     random_min_program,
 )
 
+from tests.helpers import corpus_program
+
 N_MIN, N_LUA, N_JS = 10, 8, 4
+RICHARDS = corpus_program("js/richards.js")
 
 FAST = SpecializeOptions(backend="vm")
 UNOPTIMIZED = SpecializeOptions(backend="vm", opt_config="none")
@@ -130,15 +132,14 @@ def test_js_fixpoint_determinism(seed):
 # ---------------------------------------------------------------------------
 
 def test_richards_fixpoint_determinism():
-    raw = JSRuntime(WORKLOADS["richards"], "wevaled_state",
-                    options=UNOPTIMIZED)
+    raw = JSRuntime(RICHARDS, "wevaled_state", options=UNOPTIMIZED)
     raw.aot_compile()
     most_rounds = _assert_schedule_oracle("richards", _residuals(raw),
                                           raw.module)
     assert most_rounds <= 3, (
         f"a richards residual took {most_rounds} mid-end rounds")
 
-    rt = JSRuntime(WORKLOADS["richards"], "wevaled_state", options=FAST)
+    rt = JSRuntime(RICHARDS, "wevaled_state", options=FAST)
     rt.aot_compile()
     stats = rt.compiler.total_stats
     assert stats.opt.fixpoint_cap_hits == 0
@@ -212,8 +213,7 @@ def test_single_pred_meet_byte_identity_richards(monkeypatch):
     for tag, enabled in (("fast", True), ("full", False)):
         monkeypatch.setattr(specialize_mod, "SINGLE_PRED_FAST_MEET",
                             enabled)
-        rt = JSRuntime(WORKLOADS["richards"], "wevaled_state",
-                       options=FAST)
+        rt = JSRuntime(RICHARDS, "wevaled_state", options=FAST)
         rt.aot_compile()
         runs[tag] = (_residuals(rt), rt.compiler.total_stats)
     fast_funcs, fast_stats = runs["fast"]
