@@ -808,21 +808,18 @@ class StructuredEmitter:
             self.used.add("G")
             return [f"G[{instr.imm!r}] = v{args[0]}"]
         if op == "guard":
-            # The VM catches GuardFailed at this function's call boundary
-            # and rolls the counters back, so the segment fuel already
-            # charged for this block is unwound with the deopt.
             if isinstance(instr.imm, tuple):
-                site, values = instr.imm[0], instr.imm[1]
-                if len(instr.imm) == 3:
-                    # Resuming polymorphic guard: a miss records the site
-                    # and control continues into the materialized slow
-                    # path, so no state is abandoned.
-                    return [f"if v{args[0]} not in {values!r}: "
-                            f"vm.notify_site_miss({self.func.name!r}, "
-                            f"{site})"]
+                # Site guard: a miss records the site and control
+                # continues into the out-of-line call, so no state is
+                # abandoned.
+                site, values = instr.imm
                 return [f"if v{args[0]} not in {values!r}: "
-                        f"raise GuardFailed({self.func.name!r}, None, "
+                        f"vm.notify_site_miss({self.func.name!r}, "
                         f"{site})"]
+            # Entry guard: the VM catches GuardFailed at this function's
+            # call boundary and rolls the counters back, so the segment
+            # fuel already charged for this block is unwound with the
+            # deopt.
             return [f"if v{args[0]} != {int(instr.imm)}: "
                     f"raise GuardFailed({self.func.name!r})"]
 

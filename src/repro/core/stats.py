@@ -125,8 +125,8 @@ class TieringStats(_Mergeable):
     # Speculative inlining (PR 8): per-call-site speculation lifecycle.
     inline_sites_planned: int = 0    # sites placed into an inline plan
     inline_candidates_rejected: int = 0  # hot sites rejected (size/poly)
-    site_misses: int = 0             # resuming-guard misses observed
-    site_demotions: int = 0          # sites retired after a miss/deopt
+    site_misses: int = 0             # site-guard misses observed
+    site_demotions: int = 0          # sites retired after a miss
     # Fault containment (PR 9): quarantine / blacklist / storm breaker.
     compile_failures: int = 0        # contained promotion exceptions
     quarantines: int = 0             # functions put into backoff

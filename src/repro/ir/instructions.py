@@ -141,40 +141,26 @@ _OP_LIST = [
     # Globals (all i64).  imm = global name.
     OpInfo("global_get", (), I64, pure=False),
     OpInfo("global_set", (I64,), None, pure=False),
-    # Speculation guard.  Three immediate forms:
+    # Speculation guard.  Two immediate forms:
     #
-    # * ``int`` — the expected i64 constant (entry speculation).  Falls
-    #   through when the operand equals the immediate; otherwise the
-    #   activation is abandoned (GuardFailed) and the call deoptimizes
-    #   to the function's registered generic fallback.
-    # * ``(site, (v1, ..., vk))`` — a polymorphic *site* guard: falls
-    #   through when the operand is a member of the value set, abandons
-    #   the activation (GuardFailed with that ``site``) otherwise.
-    # * ``(site, (v1, ..., vk), "resume")`` — a *resuming* site guard
-    #   (materialized deopt state): on a miss it only notifies the VM's
-    #   site-miss hook and falls through, so execution continues in
-    #   place on an already-correct fallback path.
-    #
-    # Unwinding guards (the first two forms) re-run the generic function
-    # on failure, which is only sound while nothing observable has
-    # happened yet: the verifier enforces that no store/call/global_set
-    # can execute on *any* path from function entry to such a guard
-    # (pure ops and loads may precede them; their counter effects are
-    # rolled back on deopt).  Resuming guards carry no such obligation —
-    # control proceeds either way — so the inliner uses them at sites
-    # whose prefix already has effects (see repro.opt.inline).
+    # * ``int`` — an *entry* guard: the expected i64 constant (entry
+    #   speculation).  Falls through when the operand equals the
+    #   immediate; otherwise the activation is abandoned (GuardFailed)
+    #   and the call deoptimizes to the function's registered generic
+    #   fallback.  Re-running the generic function is only sound while
+    #   nothing observable has happened yet, so the verifier holds it to
+    #   the entry block — which no edge may enter — ahead of any
+    #   store/call/global_set there (pure ops and loads may precede it;
+    #   their counter effects are rolled back on deopt).
+    # * ``(site, (v1, ..., vk))`` — an inline *site* guard: falls
+    #   through when the operand is a member of the value set; on a miss
+    #   it notifies the VM's site-miss hook and still falls through, into
+    #   the out-of-line call the inliner kept behind it (see
+    #   repro.opt.inline).  Nothing is abandoned, so it may sit anywhere.
     OpInfo("guard", (I64,), None, pure=False),
 ]
 
 OPCODES = {info.name: info for info in _OP_LIST}
-
-
-# --- guard immediate helper (shared by verifier and tiering) ---------------
-
-def guard_is_resuming(imm) -> bool:
-    """Whether a guard immediate is the resuming (notify-and-fall-through)
-    form rather than an unwinding (GuardFailed) form."""
-    return isinstance(imm, tuple) and len(imm) == 3 and imm[2] == "resume"
 
 
 @dataclasses.dataclass

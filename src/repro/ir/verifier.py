@@ -6,9 +6,9 @@ this is the main line of defence for the "semantics-preserving" claim.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
-from repro.ir.cfg import predecessors, reachable_blocks
+from repro.ir.cfg import reachable_blocks, successors
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -20,7 +20,6 @@ from repro.ir.instructions import (
     Jump,
     Ret,
     Trap,
-    guard_is_resuming,
     terminator_values,
 )
 from repro.ir.module import Module
@@ -87,28 +86,28 @@ def verify_function(func: Function, module: Module = None) -> None:
                 def_index[instr.result] = i
 
     # Structural and type checks per block.
-    clean_in = _effect_free_dataflow(func, reachable)
+    entry_reentered = any(func.entry in successors(func, bid)
+                          for bid in reachable)
     for bid in reachable:
         block = func.blocks[bid]
         _check(block.terminator is not None,
                f"{func.name}: block{bid} lacks a terminator")
-        clean = clean_in[bid]
+        clean = bid == func.entry and not entry_reentered
         for i, instr in enumerate(block.instrs):
             _verify_instr(func, module, bid, i, instr, def_block)
-            if instr.op == "guard" and not guard_is_resuming(instr.imm):
-                # Deopt safety: a failed unwinding guard abandons the
+            if instr.op == "guard" and not isinstance(instr.imm, tuple):
+                # Deopt safety: a failed entry guard abandons the
                 # activation and re-runs the generic function, which is
                 # only sound while nothing observable has happened yet.
-                # The rule is path-based — no store/call/global_set may
-                # execute on *any* path from function entry to the guard
-                # (pure ops and loads may precede it; their counter
-                # effects are rolled back on deopt).  Resuming guards
-                # (``(site, values, "resume")``) are exempt: on a miss
-                # control continues in place, so the prefix is never
-                # abandoned.
+                # So it sits in the entry block, which no branch enters
+                # again, ahead of every store/call/global_set (pure ops
+                # and loads may precede it; their counter effects are
+                # rolled back on deopt).  A site guard ``(site, values)``
+                # never unwinds, so it may sit anywhere.
                 _check(clean,
-                       f"{func.name}/block{bid}[{i}]: unwinding guard "
-                       f"reachable after a side-effecting instruction")
+                       f"{func.name}/block{bid}[{i}]: entry guard not at "
+                       f"function entry (in the entry block, which no "
+                       f"branch re-enters, ahead of every side effect)")
             info = OPCODES.get(instr.op)
             if info is not None and (info.is_store or info.is_call
                                      or instr.op == "global_set"):
@@ -128,48 +127,17 @@ def verify_function(func: Function, module: Module = None) -> None:
                               bid, len(block.instrs), value)
 
 
-def _effect_free_dataflow(func: Function, reachable) -> Dict[int, bool]:
-    """``clean_in[b]``: no store/call/global_set can have executed on any
-    entry→``b`` path.  Forward AND-dataflow from an optimistic start, so
-    the fixpoint is exact on loops (an effect anywhere on a cycle makes
-    every block the cycle reaches dirty)."""
-    has_effect: Dict[int, bool] = {}
-    for bid in reachable:
-        effect = False
-        for instr in func.blocks[bid].instrs:
-            info = OPCODES.get(instr.op)
-            if info is not None and (info.is_store or info.is_call
-                                     or instr.op == "global_set"):
-                effect = True
-                break
-        has_effect[bid] = effect
-    preds = predecessors(func)
-    clean_in = {bid: True for bid in reachable}
-    changed = True
-    while changed:
-        changed = False
-        for bid in reachable:
-            if bid == func.entry:
-                continue
-            value = all(clean_in[p] and not has_effect[p]
-                        for p in preds.get(bid, ()) if p in clean_in)
-            if value != clean_in[bid]:
-                clean_in[bid] = value
-                changed = True
-    return clean_in
-
-
 def _verify_guard_imm(name: str, imm) -> None:
-    """Validate a guard immediate: legacy ``int``, polymorphic
-    ``(site, values)``, or resuming ``(site, values, "resume")``."""
+    """Validate a guard immediate: an entry guard's ``int`` or a site
+    guard's ``(site, values)``."""
     if isinstance(imm, int) and not isinstance(imm, bool):
         _check(0 <= imm < (1 << 64),
                f"{name}: guard imm must be an unsigned i64 constant")
         return
-    _check(isinstance(imm, tuple) and len(imm) in (2, 3),
+    _check(isinstance(imm, tuple) and len(imm) == 2,
            f"{name}: guard imm must be an unsigned i64 constant or a "
-           f"(site, values[, \"resume\"]) tuple")
-    site, values = imm[0], imm[1]
+           f"(site, values) tuple")
+    site, values = imm
     _check(isinstance(site, int) and not isinstance(site, bool)
            and site >= 0,
            f"{name}: guard site must be a non-negative int")
@@ -183,9 +151,6 @@ def _verify_guard_imm(name: str, imm) -> None:
         _check(value > previous,
                f"{name}: guard value set must be strictly increasing")
         previous = value
-    if len(imm) == 3:
-        _check(imm[2] == "resume",
-               f"{name}: third guard imm element must be \"resume\"")
 
 
 def _verify_instr(func: Function, module, bid: int, index: int,

@@ -10,26 +10,21 @@ the site, dispatching on the runtime callee index:
                br_if c1, E1(args...), T2()
     block T2:  i2 = iconst t2 ; c2 = ieq idx, i2
                br_if c2, E2(args...), M()
-    block M:   guard idx, (site, {t1, t2}[, "resume"]) ; <slow path>
+    block M:   guard idx, (site, {t1, t2}) ; r' = call_indirect idx, args...
+               jump J(r')
     block E1:  ...cloned body of table[t1], rets rewritten to jump J...
     block J(result): <suffix of B> ; <original terminator>
 
-The miss block ``M`` takes one of two forms, chosen per site from the
-*final* CFG so the verifier's path rule is met by construction:
-
-* **unwinding** — when no store/call/global_set can execute on any
-  entry→site path, ``M`` holds an unwinding polymorphic guard (it always
-  fails there) followed by an unreachable ``trap``.  A miss abandons the
-  activation and the controller re-runs the generic function.
-* **resuming** — otherwise the deopt state is already materialized (the
-  prefix's effects, e.g. the interpreter's argument-copy stores, have
-  happened and are exactly what the out-of-line callee needs), so ``M``
-  holds a resuming guard (notifies the VM's site-miss hook) followed by
-  the original ``call_indirect``.  Execution continues in place.
-
-Both forms leave site *semantics* identical to the un-inlined call; the
-payoff is that the mid-end now optimizes across the call boundary (the
-argument-copy store→load pairs forward, see ``opt/load_forward.py``).
+The miss block ``M`` has one form whatever precedes the site.  Its
+guard always misses there: it notifies the VM's site-miss hook (the
+controller demotes the site) and falls through to the original
+``call_indirect``, so execution continues in place.  Nothing is
+abandoned, so the prefix may have effects (e.g. the interpreter's
+argument-copy stores, exactly what the out-of-line callee needs) and the
+guard may sit anywhere.  Site *semantics* stay identical to the
+un-inlined call; the payoff is that the mid-end now optimizes across the
+call boundary (the argument-copy store→load pairs forward, see
+``opt/load_forward.py``).
 
 Site ids are positions in :func:`enumerate_call_sites`'s block-id-order
 walk of the canonical residual; the VM's site profiler and the
@@ -42,7 +37,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.function import Block, Function
 from repro.ir.instructions import (
-    OPCODES,
     BlockCall,
     BrIf,
     BrTable,
@@ -53,7 +47,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.types import I64
-from repro.ir.verifier import _effect_free_dataflow
 
 # Deterministic hard cap on inlinable callee size, part of the pass
 # semantics (covered by ARTIFACT_VERSION, *not* an option — the residual
@@ -93,24 +86,6 @@ def _locate(func: Function, target: Instr) -> Tuple[int, int]:
             if instr is target:
                 return bid, idx
     raise InlineError("inline site vanished during plan application")
-
-
-def _site_is_clean(func: Function, bid: int, idx: int) -> bool:
-    """True when no store/call/global_set can execute on any entry→site
-    path (same rule the verifier enforces for unwinding guards)."""
-    from repro.ir.cfg import reachable_blocks
-    reachable = reachable_blocks(func)
-    if bid not in reachable:
-        return False
-    clean_in = _effect_free_dataflow(func, reachable)
-    if not clean_in[bid]:
-        return False
-    for instr in func.blocks[bid].instrs[:idx]:
-        info = OPCODES.get(instr.op)
-        if info is not None and (info.is_store or info.is_call
-                                 or instr.op == "global_set"):
-            return False
-    return True
 
 
 def _clone_body_into(func: Function, callee: Function,
@@ -242,7 +217,6 @@ def _splice_site(func: Function, bid: int, idx: int, site_id: int,
     call_args = tuple(instr.args[1:])
     suffix = block.instrs[idx + 1:]
     original_term = block.terminator
-    clean = _site_is_clean(func, bid, idx)
 
     # Join block: the original call's result id becomes its parameter,
     # so every existing use downstream keeps its definition (the join
@@ -253,26 +227,20 @@ def _splice_site(func: Function, bid: int, idx: int, site_id: int,
     join.instrs = suffix
     join.terminator = original_term
 
-    # Miss block: resuming guard + the original out-of-line call, or —
-    # when the entry→site prefix is effect-free — an unwinding guard
-    # (it always fails here) whose deopt re-runs the generic function.
+    # Miss block: the site guard (it always misses here, notifies, and
+    # falls through) + the original out-of-line call.
     values = tuple(sorted({t for t, _ in callees}))
     miss = func.new_block()
-    if clean:
-        miss.instrs.append(Instr("guard", None, (index_val,),
-                                 (site_id, values), None))
-        miss.terminator = Trap("unreachable after failed inline guard")
-    else:
-        miss.instrs.append(Instr("guard", None, (index_val,),
-                                 (site_id, values, "resume"), None))
-        result = None
-        jump_args: Tuple[int, ...] = ()
-        if instr.result is not None:
-            result = func.new_value(instr.result_type)
-            jump_args = (result,)
-        miss.instrs.append(Instr("call_indirect", result, instr.args,
-                                 instr.imm, instr.result_type))
-        miss.terminator = Jump(BlockCall(join.id, jump_args))
+    miss.instrs.append(Instr("guard", None, (index_val,),
+                             (site_id, values), None))
+    result = None
+    jump_args: Tuple[int, ...] = ()
+    if instr.result is not None:
+        result = func.new_value(instr.result_type)
+        jump_args = (result,)
+    miss.instrs.append(Instr("call_indirect", result, instr.args,
+                             instr.imm, instr.result_type))
+    miss.terminator = Jump(BlockCall(join.id, jump_args))
 
     # Dispatch chain: first test lives in the call's own block, each
     # further test in a fresh block, the last falling through to miss.

@@ -74,7 +74,9 @@ from repro.pipeline.serialize import (
 
 # Bump on any change to the artifact schema, the IR serialization, or
 # the semantics of specialization outputs that the key cannot see.
-ARTIFACT_VERSION = 3  # 3: inline plans in request keys, guard imm forms
+# 4: one site-guard form — a (site, values) guard resumes, only an int
+# guard unwinds.
+ARTIFACT_VERSION = 4
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part

@@ -109,18 +109,17 @@ def _term_from_dict(data):
 
 def _imm_to_json(imm):
     """Immediates are ints, floats, strings, ``None`` — or one of the
-    tagged forms: a :class:`Signature` (``call_indirect``) or a
-    polymorphic guard tuple (``guard``)."""
+    tagged forms: a :class:`Signature` (``call_indirect``) or a site
+    guard tuple (``guard``)."""
     if isinstance(imm, Signature):
         return {"sig": [[t.value for t in imm.params],
                         [t.value for t in imm.results]]}
     if isinstance(imm, tuple):
-        # Polymorphic guard imm: (site, values) or (site, values,
-        # "resume"); JSON has no tuples, so tag it to reconstruct the
-        # exact shape (the verifier insists on tuples).
-        if len(imm) not in (2, 3):
+        # Site guard imm (site, values); JSON has no tuples, so tag it to
+        # reconstruct the exact shape (the verifier insists on tuples).
+        if len(imm) != 2:
             raise SerializationError(f"unencodable immediate {imm!r}")
-        return {"guard": [imm[0], list(imm[1]), len(imm) == 3]}
+        return {"guard": [imm[0], list(imm[1])]}
     if imm is None or isinstance(imm, (int, float, str)):
         return imm
     raise SerializationError(f"unencodable immediate {imm!r}")
@@ -130,9 +129,8 @@ def _imm_from_json(data):
     if isinstance(data, dict):
         if "guard" in data:
             try:
-                site, values, resume = data["guard"]
-                imm = (int(site), tuple(int(v) for v in values))
-                return imm + ("resume",) if resume else imm
+                site, values = data["guard"]
+                return (int(site), tuple(int(v) for v in values))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SerializationError(f"bad immediate {data!r}") from exc
         try:

@@ -40,8 +40,8 @@ reason           tier       slot   fallback    window  counter
 ``register``     0          0      —           —       —
 ``unregister``   0, gone    0      —           out     —
 ``promote``      2, else 1  rule   speculated  rule    promotions
-``tier2``        2, else 1  index  unwinding   out     —
-``site-demote``  kept / 1   rule   unwinding   rule    —
+``tier2``        2, else 1  index  speculated  out     —
+``site-demote``  kept / 1   rule   speculated  rule    —
 ``quarantine``   kept       rule   —           rule    —
 ``deopt``        0          0      —           out     demotions
 ``blacklist``    0          0      —           out     blacklists
@@ -49,10 +49,11 @@ reason           tier       slot   fallback    window  counter
 ===============  =========  =====  ==========  ======  ==========
 
 Tier "else 1": the emitter could not express the residual.  Fallback:
-registered when the new residual is entry-speculated / has unwinding
-site guards.  ``promote`` is per-call promotion, ``promote_all`` and
-``adopt_heat``; an installed tier-2 callable bumps ``tier2_installs``
-whatever the reason.  With ``REPRO_OPT_VERIFY=1``
+registered with a newly installed residual iff it is entry-speculated,
+because an entry guard is the only guard that unwinds (a site guard's
+miss resumes in place).  ``promote`` is per-call promotion,
+``promote_all`` and ``adopt_heat``; an installed tier-2 callable bumps
+``tier2_installs`` whatever the reason.  With ``REPRO_OPT_VERIFY=1``
 :meth:`TieringController.check_invariants` re-derives the table from
 the live heap after every transition.
 """
@@ -72,7 +73,6 @@ from repro.core.request import (
 from repro.core.snapshot import SnapshotCompiler
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import TieringStats
-from repro.ir.instructions import guard_is_resuming
 from repro.ir.module import Module
 from repro.ir.verify import verify_enabled_by_env
 from repro.pipeline.profiles import ProfileStore, profile_key
@@ -282,15 +282,15 @@ class TieringController:
                 and not profile.tier2_attempted)
 
     def _transition(self, profile: FunctionProfile, tier: int, reason: str,
-                    item=None, pyfunc=None, fallback: bool = False,
+                    item=None, pyfunc=None,
                     batch: Optional[Dict[str, object]] = None,
                     helpers: Optional[Dict[str, object]] = None) -> None:
         """Move ``profile`` to ``tier`` and make the VM agree.  ``item``
         is a freshly compiled residual to install (``None`` keeps the
         current one), ``pyfunc`` its tier-2 callable and ``helpers`` the
-        helpers it was the first to need (installed with it), ``fallback``
-        says it has unwinding inline guards.  With ``batch`` the caller
-        publishes once for the whole batch (:meth:`_publish`)."""
+        helpers it was the first to need (installed with it).  With
+        ``batch`` the caller publishes once for the whole batch
+        (:meth:`_publish`)."""
         if item is not None:
             profile.installed_name = item.function_name
             profile.table_index = item.table_index
@@ -302,8 +302,9 @@ class TieringController:
             self.vm.store_u64(profile.entry.result_addr,
                               profile.table_index if tier and not window
                               else 0)
-            if item is not None and (fallback or profile.speculated):
-                # A failed guard must land in the *runnable* generic.
+            if item is not None and profile.speculated:
+                # A failed entry guard must land in the *runnable*
+                # generic.
                 self.vm.deopt_fallbacks[name] = profile.entry.generic
         counter = _REASON_COUNTER.get(reason)
         if counter is not None:
@@ -726,14 +727,9 @@ class TieringController:
                 # *crashed*, which is transient — retry after backoff.
                 raise PromotionError(f"tier-2 emit failed for {name}")
         profile.inline_plan = plan
-        # Only unwinding guards raise GuardFailed and need a fallback.
-        unwinds = recompile and any(
-            instr.op == "guard" and not guard_is_resuming(instr.imm)
-            for block in self.module.functions[name].blocks.values()
-            for instr in block.instrs)
         self._transition(
             profile, 2 if pyfunc is not None else min(profile.tier, 1),
-            reason, item, pyfunc, fallback=unwinds, helpers=helpers)
+            reason, item, pyfunc, helpers=helpers)
 
     # ------------------------------------------------------------------
     # Speculative inlining (plan building and per-site demotion).
@@ -788,9 +784,9 @@ class TieringController:
         hist[index] = hist.get(index, 0) + 1
 
     def _on_site_miss(self, name: str, site: int) -> None:
-        """VM notification from a *resuming* inline guard: the callee at
+        """VM notification from an inline site guard: the callee at
         ``site`` was not in the speculated set.  Execution continued on
-        the materialized slow path, so only the plan needs repair."""
+        the out-of-line call, so only the plan needs repair."""
         self.stats.site_misses += 1
         self._demote_site(name, site)
 
@@ -818,25 +814,21 @@ class TieringController:
             self.stats.promote_seconds += time.perf_counter() - start
 
     # ------------------------------------------------------------------
-    # Deopt (guard failure at a call boundary).
+    # Deopt (entry-guard failure at a call boundary).
     # ------------------------------------------------------------------
-    def _on_deopt(self, name: str, site: Optional[int] = None) -> None:
+    def _on_deopt(self, name: str) -> None:
+        """An entry guard of residual ``name`` failed; the VM re-runs the
+        call generically once this returns.  (A site guard never gets
+        here: its miss resumes in place and reaches
+        :meth:`_on_site_miss`.)"""
         self.stats.deopts += 1
         # The VM has just rolled its counters back to the pre-call
         # snapshot, which can sit *below* the controller's backedge
         # high-water mark; without a resync the next call boundary would
         # compute a negative delta and drain heat from whichever profile
-        # happened to be most recent.  This covers the mid-function
-        # unwind path too: a polymorphic guard deep in the body abandons
-        # backedges its own loops already counted.
+        # happened to be most recent.
         self._backedges_seen = min(self._backedges_seen,
                                    self.vm.stats.backedges)
-        if site is not None:
-            # Per-site attribution: an unwinding polymorphic guard
-            # failed.  Demote that one site, never the whole function
-            # (and never an unrelated guard in the same function).
-            self._demote_site(name, site)
-            return
         profile = self._owner.get(name)
         if profile is None or profile.installed_name != name \
                 or not (profile.speculated and profile.tier):

@@ -60,13 +60,14 @@ class OutOfFuel(Exception):
 
 
 class GuardFailed(Exception):
-    """A speculation ``guard`` instruction saw an unexpected value.
+    """An entry ``guard`` instruction saw an unexpected value.
 
     Raised by specialized code only; the VM catches it at the call
     boundary of the guarded function, rolls the execution counters back
     to the call entry (the verifier guarantees nothing observable
-    happened before a guard), and deoptimizes: the call re-runs under
-    the function's registered generic fallback.
+    happened before an entry guard), and deoptimizes: the call re-runs
+    under the function's registered generic fallback.  (A site guard's
+    miss never raises: it notifies and falls through.)
 
     ``function`` names the specialized function whose guard failed.
     The call-boundary handler matches it against its own callee so a
@@ -76,18 +77,11 @@ class GuardFailed(Exception):
     the outer function's entry guards have long passed and its body may
     have observable effects, so rolling the outer call back would be
     unsound.
-
-    ``site`` attributes the failure to one speculation site (a
-    polymorphic inline guard's site id); ``None`` means a function-level
-    entry guard.  The tiering controller uses it to demote exactly the
-    failed speculation, never an unrelated guard in the same function.
     """
 
-    def __init__(self, function: str, message: Optional[str] = None,
-                 site: Optional[int] = None):
+    def __init__(self, function: str, message: Optional[str] = None):
         super().__init__(message if message is not None else function)
         self.function = function
-        self.site = site
 
 
 @dataclasses.dataclass
@@ -161,12 +155,12 @@ class VM:
         self.tier_generics: frozenset = frozenset()
         self.deopt_fallbacks: Dict[str, str] = {}
         self.deopt_hook = None
-        # Per-call-site profiling and resuming-guard notification
+        # Per-call-site profiling and site-guard notification
         # (speculative inlining).  ``site_profile_hook(name, site,
         # index)`` observes the callee table index of each call_indirect
         # executed in a function named in ``site_profile_functions``;
-        # ``site_miss_hook(name, site)`` is notified when a resuming
-        # site guard misses (execution continues on the fallback path).
+        # ``site_miss_hook(name, site)`` is notified when a site guard
+        # misses (execution continues on the out-of-line call).
         self.site_profile_hook = None
         self.site_profile_functions: frozenset = frozenset()
         self.site_miss_hook = None
@@ -272,12 +266,12 @@ class VM:
     def _call_guarded(self, name: str, args) -> object:
         """Call a speculatively specialized function with deopt support.
 
-        A :class:`GuardFailed` from the callee's unwinding guards rolls
-        the execution counters back to the call boundary and re-runs the
+        A :class:`GuardFailed` from the callee's entry guards rolls the
+        execution counters back to the call boundary and re-runs the
         registered generic fallback with the same arguments, so the call
         is observably identical to one that was never specialized.  The
-        verifier's path rule (no observable effect between entry and any
-        unwinding guard) makes this sound even for mid-function guards.
+        verifier's placement rule (entry guards come before any
+        observable effect) makes this sound.
         """
         saved = self.stats.snapshot()
         try:
@@ -292,7 +286,7 @@ class VM:
                 raise
             self.stats.restore(saved)
             if self.deopt_hook is not None:
-                self.deopt_hook(name, exc.site)
+                self.deopt_hook(name)
             fallback = self.deopt_fallbacks[name]
             func = self.module.functions.get(fallback)
             if func is None:
@@ -339,9 +333,9 @@ class VM:
         return edges
 
     def notify_site_miss(self, name: str, site: int) -> None:
-        """A resuming site guard missed in ``name``; execution continues
-        on its fallback path.  Called by both the IR interpretation of
-        resuming guards and compiled tier-2 code."""
+        """A site guard missed in ``name``; execution continues on its
+        out-of-line call.  Called by both the IR interpretation of site
+        guards and compiled tier-2 code."""
         if self.site_miss_hook is not None:
             self.site_miss_hook(name, site)
 
@@ -448,18 +442,10 @@ class VM:
                 elif op == "guard":
                     imm = instr.imm
                     if isinstance(imm, tuple):
+                        # Site guard: record a miss and fall through to
+                        # the out-of-line call behind it.
                         if env[instr.args[0]] not in imm[1]:
-                            if len(imm) == 3:
-                                # Resuming guard: record the miss and fall
-                                # through to the materialized slow path.
-                                self.notify_site_miss(func.name, imm[0])
-                            else:
-                                raise GuardFailed(
-                                    func.name,
-                                    f"{func.name}: guard at site {imm[0]} "
-                                    f"expected one of {imm[1]}, "
-                                    f"got {env[instr.args[0]]}",
-                                    site=imm[0])
+                            self.notify_site_miss(func.name, imm[0])
                     elif env[instr.args[0]] != imm:
                         raise GuardFailed(
                             func.name,

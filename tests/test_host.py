@@ -20,12 +20,16 @@
   one place, ``tests/test_paper_figures.py``, and ``benchmarks/`` is
   the ledger alone; the guest benchmark programs are kept once, as the
   ledger's frozen corpus, and the tests read them through one loader
-  that refuses a file its ``MANIFEST.json`` does not pin.
+  that refuses a file its ``MANIFEST.json`` does not pin; there is one
+  site-guard form, and only an entry guard unwinds (no per-site
+  ``GuardFailed``, deopt hook or transition fallback, no effect-free
+  dataflow, one miss block for clean and effectful callers).
 """
 
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import pathlib
 import re
 import shutil
@@ -60,8 +64,10 @@ from repro.pipeline import (
     TieringController,
 )
 from repro.vm import VM
+from repro.vm.machine import GuardFailed
 
 from tests.helpers import CORPUS_DIR, corpus_manifest, corpus_program
+from tests.test_inline import miss_block_shape, spliced
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INF = float("inf")
@@ -464,3 +470,27 @@ def test_one_jump_threading_rule():
                 "_forwarder_map"} & set(defined)
     assert [name for name in defined if "forwarder" in name] \
         == ["_forwarders"]
+
+
+def test_one_site_guard_form():
+    """Only an entry guard unwinds.  ``GuardFailed`` names no site, the
+    controller's deopt hook takes only the function and its transition
+    no ``fallback``; nothing under ``src/`` names the effect-free
+    dataflow, the clean-site proof or the resuming predicate, or spells
+    the retired ``"resume"`` tag; and a clean and an effectful caller
+    get the same miss block from the same plan."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(GuardFailed.__init__) == ["self", "function", "message"]
+    assert params(TieringController._on_deopt) == ["self", "name"]
+    assert "fallback" not in params(TieringController._transition)
+    assert not _identifiers() & {"_effect_free_dataflow", "_site_is_clean",
+                                 "guard_is_resuming"}
+    assert [file for file, tree in _sources() for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "resume"] \
+        == []
+    clean, effectful = (
+        miss_block_shape(spliced(prefix=prefix)[0].functions["caller"])
+        for prefix in ("none", "store"))
+    assert clean == effectful == [(("guard", "call_indirect"), "Jump")]

@@ -1,24 +1,28 @@
 """Unit tests for speculative call-site inlining (PR 8).
 
 Covers the :mod:`repro.opt.inline` pass on hand-built modules (splice
-shape, both miss-block forms, polymorphic dispatch chains, hard-error
+shape — one miss block, the site guard then the out-of-line call,
+whatever precedes the site — polymorphic dispatch chains, hard-error
 plan validation), the VM/backend agreement on inlined residuals
-(results, deopt rollback, site-miss notification, and exhaustive
-fuel-limit sweeps across both emit legs), serialization round-trips
-for the new guard imm forms and request inline plans, and the
-controller's per-*site* demotion policy end-to-end on a MiniJS
-phase-change workload.
+(results, site-miss notification, and exhaustive fuel-limit sweeps
+across both emit legs), a generated oracle that splices random plans
+into random callers and holds every engine to the un-spliced caller,
+serialization round-trips for the site-guard imm and request inline
+plans, and the controller's per-*site* demotion policy end-to-end on a
+MiniJS phase-change workload.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from repro.core.cache import function_fingerprint
 from repro.core.request import Runtime, SpecializationRequest
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import PipelineStats
-from repro.ir import FunctionBuilder, I64, Module, Signature
+from repro.ir import FunctionBuilder, I64, Module, Signature, print_function
+from repro.ir.instructions import Jump
 from repro.ir.verifier import verify_function
 from repro.jsvm import JSRuntime
 from repro.opt.inline import (
@@ -29,12 +33,16 @@ from repro.opt.inline import (
 )
 from repro.pipeline.serialize import function_from_dict, function_to_dict
 from repro.vm import VM
-from repro.vm.machine import GuardFailed, OutOfFuel
+from repro.vm.machine import OutOfFuel
 
 from tests.helpers import EMIT_LEGS, compile_legs
 
 SIG1 = Signature((I64,), (I64,))
-SCRATCH = 256  # heap cell the effectful caller bumps before its call
+SCRATCH = 256  # heap cell the prefix loads or bumps before its call
+LEAVES = ("add1", "dbl", "flip")
+# What may run before the site: nothing, pure ops, a load, or a store
+# (a bump of the SCRATCH cell); a counted loop composes with any of them.
+PREFIXES = ("none", "pure", "load", "store")
 
 
 def _leaf(name: str, op: str, k: int):
@@ -45,12 +53,13 @@ def _leaf(name: str, op: str, k: int):
     return fb.finish()
 
 
-def _caller(name: str, effectful: bool, loop_trips: int):
+def _caller(name: str, prefix: str, loop_trips: int):
     """``f(sel, x)``: optionally spin a pure counted loop (backedges
-    before the site), optionally bump a heap cell (a side effect before
-    the site), then ``r = table[sel](x)`` in a non-entry block followed
-    by a suffix (``return r + 7``) that keeps using the call's result —
-    the join-block splice must preserve that dataflow.
+    before the site), then run ``prefix`` (one of :data:`PREFIXES`; a
+    pure or loaded term feeds the call's argument), then
+    ``r = table[sel](x)`` in a non-entry block followed by a suffix
+    (``return r + 7``) that keeps using the call's result — the
+    join-block splice must preserve that dataflow.
     """
     fb = FunctionBuilder(name, Signature((I64, I64), (I64,)))
     sel = fb.entry.params[0][0]
@@ -66,25 +75,28 @@ def _caller(name: str, effectful: bool, loop_trips: int):
     else:
         fb.jump(body)
     fb.switch_to(body)
-    if effectful:
-        addr = fb.iconst(SCRATCH)
+    addr = fb.iconst(SCRATCH)
+    if prefix == "pure":
+        x = fb.ixor(fb.imul(x, fb.iconst(3)), fb.iconst(5))
+    elif prefix == "load":
+        x = fb.iadd(x, fb.load64(addr))
+    elif prefix == "store":
         fb.store64(addr, fb.iadd(fb.load64(addr), fb.iconst(1)))
     r = fb.call_indirect(SIG1, sel, [x])
     fb.ret(fb.iadd(r, fb.iconst(7)))
     return fb.finish()
 
 
-def _make_module(effectful: bool = False, loop_trips: int = 0):
-    """Module with three tabled leaves and a guarded caller pair; the
-    un-spliced ``caller_gen`` doubles as the deopt fallback."""
+def _make_module(prefix: str = "none", loop_trips: int = 0):
+    """Module with three tabled leaves and a caller pair; the
+    un-spliced ``caller_gen`` is every test's reference."""
     module = Module(memory_size=4096)
     for func in (_leaf("add1", "iadd", 1), _leaf("dbl", "imul", 2),
                  _leaf("flip", "ixor", 255)):
         module.add_function(func)
-    index = {name: module.add_table_entry(name)
-             for name in ("add1", "dbl", "flip")}
-    module.add_function(_caller("caller", effectful, loop_trips))
-    module.add_function(_caller("caller_gen", effectful, loop_trips))
+    index = {name: module.add_table_entry(name) for name in LEAVES}
+    module.add_function(_caller("caller", prefix, loop_trips))
+    module.add_function(_caller("caller_gen", prefix, loop_trips))
     return module, index
 
 
@@ -94,9 +106,10 @@ def _plan(module, index, *names, site: int = 0):
                          for n in names)),)
 
 
-def _spliced(targets=("add1",), effectful=False, loop_trips=0,
-             stats=None):
-    module, index = _make_module(effectful, loop_trips)
+def spliced(targets=("add1",), prefix="none", loop_trips=0, stats=None):
+    """:func:`_make_module` with ``targets`` spliced into ``caller``'s
+    one site; the result verifies."""
+    module, index = _make_module(prefix, loop_trips)
     plan = _plan(module, index, *targets)
     apply_inline_plan(module.functions["caller"], module, plan,
                       stats=stats)
@@ -104,9 +117,23 @@ def _spliced(targets=("add1",), effectful=False, loop_trips=0,
     return module, index
 
 
+def miss_block_shape(func):
+    """``(ops, terminator)`` of each block of ``func`` holding a guard."""
+    return [(tuple(instr.op for instr in block.instrs),
+             type(block.terminator).__name__)
+            for block in func.blocks.values()
+            if any(instr.op == "guard" for instr in block.instrs)]
+
+
 def _guards(func):
     return [instr for block in func.blocks.values()
             for instr in block.instrs if instr.op == "guard"]
+
+
+def _record_misses(vm):
+    misses = []
+    vm.site_miss_hook = lambda name, site: misses.append((name, site))
+    return misses
 
 
 # ---------------------------------------------------------------------------
@@ -114,27 +141,23 @@ def _guards(func):
 # ---------------------------------------------------------------------------
 
 class TestSplice:
-    def test_clean_site_gets_unwinding_guard(self):
+    @pytest.mark.parametrize("prefix", ["none", "store"])
+    def test_every_site_gets_the_one_miss_block(self, prefix):
+        """A clean and an effectful prefix get the same miss block: the
+        site guard, the original ``call_indirect``, a jump to the
+        join."""
         stats = PipelineStats()
-        module, index = _spliced(stats=stats)
-        guards = _guards(module.functions["caller"])
-        assert len(guards) == 1
-        assert guards[0].imm == (0, (index["add1"],))  # no "resume"
+        module, index = spliced(prefix=prefix, stats=stats)
+        func = module.functions["caller"]
+        assert [guard.imm for guard in _guards(func)] == \
+            [(0, (index["add1"],))]
+        assert miss_block_shape(func) == \
+            [(("guard", "call_indirect"), Jump.__name__)]
         assert stats.inline_attempted == 1
         assert stats.inline_committed == 1
 
-    def test_effectful_site_gets_resuming_guard(self):
-        module, index = _spliced(effectful=True)
-        guards = _guards(module.functions["caller"])
-        assert len(guards) == 1
-        assert guards[0].imm == (0, (index["add1"],), "resume")
-        # The materialized slow path keeps the original dynamic call.
-        assert any(i.op == "call_indirect"
-                   for b in module.functions["caller"].blocks.values()
-                   for i in b.instrs)
-
     def test_inlined_dispatch_runs_the_callee(self):
-        module, index = _spliced()
+        module, index = spliced()
         ref, _ = _make_module()
         for x in (0, 5, 41):
             got = VM(module).call("caller", [index["add1"], x])
@@ -142,19 +165,23 @@ class TestSplice:
             assert got == want == x + 1 + 7
 
     def test_polymorphic_chain_covers_both_targets(self):
-        module, index = _spliced(targets=("add1", "dbl"))
+        module, index = spliced(targets=("add1", "dbl"))
         guards = _guards(module.functions["caller"])
         assert guards[0].imm[1] == tuple(sorted(
             (index["add1"], index["dbl"])))
         for name, want in (("add1", 5 + 1 + 7), ("dbl", 5 * 2 + 7)):
             assert VM(module).call("caller", [index[name], 5]) == want
-        with pytest.raises(GuardFailed):
-            VM(module).call("caller", [index["flip"], 5])
+        # A target outside the chain misses: the out-of-line call
+        # answers, and the site is reported once.
+        vm = VM(module)
+        misses = _record_misses(vm)
+        assert vm.call("caller", [index["flip"], 5]) == (5 ^ 255) + 7
+        assert misses == [("caller", 0)]
 
     def test_site_result_feeds_the_suffix(self):
         # return r + 7 after the splice: the join block must own the
         # original result id.  (Covered implicitly above; pinned here.)
-        module, index = _spliced(targets=("dbl",))
+        module, index = spliced(targets=("dbl",))
         assert VM(module).call("caller", [index["dbl"], 9]) == 25
 
     def test_sites_enumerate_in_block_id_order(self):
@@ -208,67 +235,42 @@ class TestSplice:
 
 
 # ---------------------------------------------------------------------------
-# Miss-path semantics: unwinding deopt and resuming site-miss notify.
+# Miss-path semantics: a miss notifies and resumes in place.
 # ---------------------------------------------------------------------------
 
 class TestMissPaths:
-    def test_unwinding_miss_raises_with_site_attribution(self):
-        module, index = _spliced()
-        with pytest.raises(GuardFailed) as excinfo:
-            VM(module).call("caller", [index["dbl"], 3])
-        assert excinfo.value.function == "caller"
-        assert excinfo.value.site == 0
-
-    @pytest.mark.parametrize("backend", ("vm",) + EMIT_LEGS)
-    def test_unwinding_deopt_is_observably_generic(self, backend):
-        """A guard miss deep in the body (after a counted loop's
-        backedges) rolls back to the pre-call snapshot and re-runs the
-        generic caller: results AND every counter — fuel, loads,
-        stores, backedges — match a VM that never specialized."""
-        module, index = _spliced(loop_trips=5)
-        vm = VM(module)
-        vm.deopt_fallbacks["caller"] = "caller_gen"
-        if backend in EMIT_LEGS:
-            compiled = compile_legs(module.functions["caller"], module)
-            vm.install_compiled({"caller": compiled[backend].pyfunc})
-        deopts = []
-        vm.deopt_hook = lambda name, site=None: deopts.append((name, site))
-        ref_module, _ = _make_module(loop_trips=5)
-        ref = VM(ref_module)
-        got = vm.call("caller", [index["dbl"], 3])
-        want = ref.call("caller_gen", [index["dbl"], 3])
-        assert got == want
-        assert deopts == [("caller", 0)]
-        assert vm.stats.fuel == ref.stats.fuel
-        assert vm.stats.loads == ref.stats.loads
-        assert vm.stats.stores == ref.stats.stores
-        assert vm.stats.backedges == ref.stats.backedges
-
     @pytest.mark.parametrize("backend", ("vm",) + EMIT_LEGS)
     def test_resuming_miss_notifies_and_continues(self, backend):
-        """The effectful caller's miss block re-issues the dynamic call
-        in place: no unwind, identical result and side-effect count,
-        one site-miss notification."""
-        module, index = _spliced(effectful=True)
-        vm = VM(module)
-        if backend in EMIT_LEGS:
-            compiled = compile_legs(module.functions["caller"], module)
-            vm.install_compiled({"caller": compiled[backend].pyfunc})
-        misses = []
-        vm.site_miss_hook = lambda name, site: misses.append((name, site))
-        ref_module, _ = _make_module(effectful=True)
-        ref = VM(ref_module)
-        got = vm.call("caller", [index["dbl"], 4])
-        want = ref.call("caller_gen", [index["dbl"], 4])
-        assert got == want == 4 * 2 + 7
-        assert misses == [("caller", 0)]
-        assert vm.load_u64(SCRATCH) == 1  # prefix effect ran exactly once
+        """With a clean or an effectful prefix, with or without a
+        counted loop's backedges before the site, the miss block
+        re-issues the dynamic call in place: no unwind, the same result
+        and every counter but fuel as the un-spliced caller — the prefix
+        effect ran exactly once — and one site-miss notification."""
+        for prefix in ("none", "store"):
+            for loop_trips in (0, 5):
+                module, index = spliced(prefix=prefix,
+                                        loop_trips=loop_trips)
+                vm = VM(module)
+                if backend in EMIT_LEGS:
+                    compiled = compile_legs(module.functions["caller"],
+                                            module)
+                    vm.install_compiled({"caller": compiled[backend].pyfunc})
+                misses = _record_misses(vm)
+                ref = VM(module)
+                got = vm.call("caller", [index["dbl"], 4])
+                want = ref.call("caller_gen", [index["dbl"], 4])
+                assert got == want == 4 * 2 + 7
+                assert misses == [("caller", 0)]
+                assert vm.load_u64(SCRATCH) == int(prefix == "store")
+                for counter in ("loads", "stores", "backedges",
+                                "indirect_calls"):
+                    assert getattr(vm.stats, counter) == \
+                        getattr(ref.stats, counter), counter
 
     def test_resuming_hit_does_not_notify(self):
-        module, index = _spliced(effectful=True)
+        module, index = spliced(prefix="store")
         vm = VM(module)
-        misses = []
-        vm.site_miss_hook = lambda name, site: misses.append((name, site))
+        misses = _record_misses(vm)
         assert vm.call("caller", [index["add1"], 4]) == 4 + 1 + 7
         assert misses == []
 
@@ -281,7 +283,6 @@ def _run_limited(module, compiled_fn, args, fuel_limit):
     vm = VM(module, fuel_limit=fuel_limit)
     if compiled_fn is not None:
         vm.install_compiled({"caller": compiled_fn})
-    vm.deopt_fallbacks["caller"] = "caller_gen"
     try:
         return ("ok", vm.call("caller", list(args)), vm.stats.fuel)
     except OutOfFuel:
@@ -291,10 +292,11 @@ def _run_limited(module, compiled_fn, args, fuel_limit):
 class TestEmitAgreement:
     @pytest.mark.parametrize("effectful", [False, True])
     def test_fuel_identical_across_modes(self, effectful):
-        module, index = _spliced(targets=("add1", "dbl"),
-                                 effectful=effectful, loop_trips=3)
+        module, index = spliced(targets=("add1", "dbl"),
+                                prefix="store" if effectful else "none",
+                                loop_trips=3)
         compiled = compile_legs(module.functions["caller"], module)
-        for sel in ("add1", "dbl", "flip"):
+        for sel in LEAVES:
             args = (index[sel], 6)
             reference = _run_limited(module, None, args, None)
             assert reference[0] == "ok"
@@ -309,8 +311,9 @@ class TestEmitAgreement:
         """OutOfFuel agreement at every limit up to a full run, on both
         the inlined fast path and the miss path: fuel batching in the
         compiled tiers must trap at the exact VM boundary even through
-        mid-function guards and deopt re-dispatch."""
-        module, index = _spliced(effectful=effectful, loop_trips=3)
+        mid-function guards and the out-of-line call behind them."""
+        module, index = spliced(prefix="store" if effectful else "none",
+                                loop_trips=3)
         compiled = compile_legs(module.functions["caller"], module)
         for sel in ("add1", "dbl"):  # hit path and miss path
             args = (index[sel], 6)
@@ -326,13 +329,70 @@ class TestEmitAgreement:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: guard imm forms; inline plans in the request key.
+# Generated oracle: random plans spliced into random callers.
+# ---------------------------------------------------------------------------
+
+# Past the longest generated run (38 fuel: a four-trip loop, then a
+# missed two-way chain), so the sweep below covers every limit that can
+# stop one.
+FUEL_BOUND = 48
+
+
+@st.composite
+def inline_cases(draw):
+    """``(prefix, loop_trips, targets, selector, x)``: a prefix from
+    :data:`PREFIXES` or a counted loop of 1–4 trips, a plan of one or two
+    leaves, and a selector that hits a planned leaf or misses."""
+    prefix, loop_trips = draw(st.one_of(
+        st.tuples(st.sampled_from(PREFIXES), st.just(0)),
+        st.tuples(st.just("none"), st.integers(1, 4))))
+    targets = tuple(draw(st.lists(st.sampled_from(LEAVES), min_size=1,
+                                  max_size=2, unique=True)))
+    selector = draw(st.sampled_from(LEAVES))
+    return prefix, loop_trips, targets, selector, draw(st.integers(0, 99))
+
+
+@given(inline_cases())
+@settings(max_examples=60, deadline=None)
+def test_generated_splices_match_the_unspliced_caller(case):
+    """The spliced caller verifies, and on the VM and both emit legs it
+    returns what the un-spliced caller returns and leaves the same heap;
+    the site-miss hook fires once on a miss and never on a hit; and at
+    every fuel limit up to :data:`FUEL_BOUND` the VM and both legs agree
+    on ``OutOfFuel``, result and fuel."""
+    prefix, loop_trips, targets, selector, x = case
+    module, index = spliced(targets, prefix, loop_trips)
+    note(print_function(module.functions["caller"]))
+    args = (index[selector], x)
+    ref = VM(module)
+    want = ref.call("caller_gen", list(args))
+    expected_misses = [] if selector in targets else [("caller", 0)]
+    compiled = compile_legs(module.functions["caller"], module)
+    for leg in ("vm",) + EMIT_LEGS:
+        vm = VM(module)
+        if leg in EMIT_LEGS:
+            vm.install_compiled({"caller": compiled[leg].pyfunc})
+        misses = _record_misses(vm)
+        assert vm.call("caller", list(args)) == want, leg
+        assert bytes(vm.memory) == bytes(ref.memory), leg
+        assert misses == expected_misses, leg
+    for limit in range(1, FUEL_BOUND + 1):
+        reference = _run_limited(module, None, args, limit)
+        for leg in EMIT_LEGS:
+            got = _run_limited(module, compiled[leg].pyfunc, args, limit)
+            assert got == reference, (leg, limit)
+    assert reference[0] == "ok"  # the bound covered the whole run
+
+
+# ---------------------------------------------------------------------------
+# Serialization: the site-guard imm; inline plans in the request key.
 # ---------------------------------------------------------------------------
 
 class TestSerialization:
     @pytest.mark.parametrize("effectful", [False, True])
     def test_spliced_function_round_trips(self, effectful):
-        module, _ = _spliced(targets=("add1", "dbl"), effectful=effectful)
+        module, _ = spliced(targets=("add1", "dbl"),
+                            prefix="store" if effectful else "none")
         func = module.functions["caller"]
         payload = function_to_dict(func)
         import json

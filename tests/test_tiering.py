@@ -2,9 +2,11 @@
 
 Covers the pieces the differential tier exercises only end-to-end:
 
-* the ``guard`` instruction's verifier placement rules (an unwinding
-  guard may appear anywhere no side effect can precede it on *any*
-  entry path; resuming site guards are exempt);
+* the ``guard`` instruction's verifier placement rule: an entry guard
+  (``int`` immediate, the only guard that unwinds) sits in the entry
+  block, which no branch re-enters, ahead of any store, call or
+  ``global_set``; a site guard ``(site, values)`` resumes in place on a
+  miss and may sit anywhere;
 * VM deopt mechanics — counter rollback, fallback dispatch, and the
   exactness of the "as if never specialized" contract on both
   execution backends;
@@ -24,6 +26,7 @@ import pytest
 from repro.core import SpeculatedConst, SpecializationRequest
 from repro.core.request import Runtime, SpecializedConst, SpecializedMemory
 from repro.core.specialize import SpecializeOptions, specialize
+from repro.ir import FunctionBuilder
 from repro.ir.cfg import retreating_edges
 from repro.ir.function import Block, Function, Signature
 from repro.ir.instructions import BlockCall, Instr, Jump, Ret
@@ -78,25 +81,45 @@ class TestGuardVerification:
     def test_entry_guard_accepted(self):
         verify_function(_guard_func())
 
-    def test_mid_function_guard_with_clean_prefix_accepted(self):
-        # PR 8 relaxation: an unwinding guard is legal anywhere no
-        # store/call/global_set can execute on any entry path to it.
-        verify_function(_guard_func(guard_block="other"))
+    def test_mid_function_guard_with_clean_prefix_rejected(self):
+        # An entry guard belongs to the entry block, however clean the
+        # path to a later block is.
+        with pytest.raises(VerificationError, match="not at function entry"):
+            verify_function(_guard_func(guard_block="other"))
 
     def test_guard_after_side_effect_rejected(self):
-        with pytest.raises(VerificationError, match="after a side"):
+        with pytest.raises(VerificationError, match="not at function entry"):
             verify_function(_guard_func(after_store=True))
 
     def test_mid_function_guard_after_effectful_path_rejected(self):
-        with pytest.raises(VerificationError, match="after a side"):
+        with pytest.raises(VerificationError, match="not at function entry"):
             verify_function(_guard_func(guard_block="other",
                                         after_store=True))
 
+    def test_entry_guard_in_a_loop_header_rejected(self):
+        """``g(p)``: ``guard p == 7``; ``store64 [64], p``; ``br_if
+        p == 1, exit, g.entry(p + 1)``.  The store precedes the guard on
+        the second trip, so a deopt there would re-run the generic body
+        after an observable effect: the entry block may hold an entry
+        guard only while no branch enters it."""
+        fb = FunctionBuilder("g", Signature((I64,), (I64,)))
+        p = fb.entry.params[0][0]
+        fb.emit("guard", (p,), 7)
+        fb.store64(fb.iconst(64), p)
+        one = fb.iconst(1)
+        exit_block = fb.new_block()
+        fb.br_if(fb.ieq(p, one), exit_block, fb.entry, [],
+                 [fb.iadd(p, one)])
+        fb.switch_to(exit_block)
+        fb.ret(p)
+        with pytest.raises(VerificationError, match="not at function entry"):
+            verify_function(fb.finish())
+
     def test_resuming_guard_after_side_effect_accepted(self):
-        # Resuming guards carry a materialized deopt state: control
-        # falls through on a miss, so effectful prefixes are fine.
+        # A site guard's miss notifies and falls through: nothing is
+        # abandoned, so an effectful prefix is fine.
         verify_function(_guard_func(guard_block="other", after_store=True,
-                                    imm=(0, (7,), "resume")))
+                                    imm=(0, (7,))))
 
     def test_polymorphic_guard_with_clean_prefix_accepted(self):
         verify_function(_guard_func(imm=(2, (3, 9))))
@@ -113,8 +136,9 @@ class TestGuardVerification:
         (0, (9, 3)),              # not strictly increasing
         (0, (3, 3)),              # duplicate
         (0, (1 << 64,)),          # out of u64 range
-        (0, (3,), "retry"),       # bad third element
+        (0, (3,), "retry"),       # wrong arity
         (0, (3,), "resume", 4),   # wrong arity
+        (0, (3,), "resume"),      # the retired resuming tag
     ])
     def test_bad_polymorphic_imms_rejected(self, imm):
         with pytest.raises(VerificationError, match="guard"):
@@ -187,7 +211,7 @@ class TestDeopt:
         vm.install_compiled({"spec_g": compiled.pyfunc})
         vm.deopt_fallbacks["spec_g"] = "min_interp"
         seen = []
-        vm.deopt_hook = lambda name, site=None: seen.append(name)
+        vm.deopt_hook = lambda name: seen.append(name)
         ref = VM(module)
         assert vm.call("spec_g", _args(program, 5)) == \
             ref.call("min_interp", _args(program, 5))
@@ -301,7 +325,7 @@ class TestNestedDeopt:
             self._install_compiled(vm, module,
                                    ["outer_spec", "inner_spec"])
         deopts = []
-        vm.deopt_hook = lambda name, site=None: deopts.append(name)
+        vm.deopt_hook = lambda name: deopts.append(name)
         assert vm.call("outer_spec", [3]) == expected
         assert deopts == ["inner_spec"]  # inner boundary, exactly once
         assert vm.load_u64(_COUNTER) == 1  # outer side effect not redone
@@ -318,7 +342,7 @@ class TestNestedDeopt:
             self._install_compiled(vm, module,
                                    ["outer_spec", "inner_spec"])
         deopts = []
-        vm.deopt_hook = lambda name, site=None: deopts.append(name)
+        vm.deopt_hook = lambda name: deopts.append(name)
         with pytest.raises(GuardFailed) as excinfo:
             vm.call("outer_spec", [3])
         assert excinfo.value.function == "inner_spec"
