@@ -59,10 +59,10 @@ from repro.core.state import (
     SlotKey,
     StackSlot,
     binding_of,
+    descends,
     meet_states,
     single_pred_entry_state,
     states_equal,
-    unstable_slots,
 )
 from repro.core.stats import SpecializationStats
 from repro.ir.cfg import reverse_postorder
@@ -83,6 +83,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.semantics import LOADS
 from repro.ir.types import F64, I64, Type
+from repro.ir.verify import verify_enabled_by_env
 
 
 class SpecializeError(Exception):
@@ -94,7 +95,6 @@ class SpecializeError(Exception):
 # cache key or not vary, and no caller ever varied these.
 OPT_MAX_ROUNDS = 6                  # mid-end pipeline fixpoint round cap
 MAX_ITERATIONS = 2_000_000          # worklist pops before "did not converge"
-MAX_REVISITS = 64                   # per-key convergence damper trigger
 MAX_VALUE_SPECIALIZATIONS = 4096    # widest specialized_value range
 # Once this many distinct contexts exist, further new contexts are
 # collapsed into the shared dynamic context.  Contexts only steer code
@@ -161,13 +161,6 @@ _TRANSCRIBE_DISPATCH: Dict[str, tuple] = {
     op: (info.pure, LOADS.get(op)) for op, info in OPCODES.items()
 }
 
-# Kill switch for the sole-contributor meet fast path.  It changes how
-# the entry state is computed, never what it is — the fixpoint tier
-# flips it off and asserts the full ``meet_states`` rebuild produces
-# byte-identical residuals — so it is deliberately outside every cache
-# key.
-SINGLE_PRED_FAST_MEET = True
-
 
 @dataclasses.dataclass
 class _Edge:
@@ -185,12 +178,15 @@ class _KeyInfo:
     exact same SSA ids — that stability is what lets a successor's meet
     come out ``states_equal`` to its last one and stops the id-churn
     re-flow cascades of the FIFO engine.
+
+    ``contributors`` is the set of in-edges the last build was met from;
+    only the descent check (``REPRO_OPT_VERIFY=1``) records and reads it.
     """
 
     __slots__ = ("key", "spec_block", "entry_state",
                  "out_state", "edges_out", "in_edges", "param_ids",
-                 "param_slots", "revisits", "force_all_params", "built",
-                 "pinned_slots", "minted", "mint_pos", "priority")
+                 "param_slots", "built", "contributors", "minted",
+                 "mint_pos", "priority")
 
     def __init__(self, key: Key, spec_block: Block):
         self.key = key
@@ -201,10 +197,8 @@ class _KeyInfo:
         self.in_edges: Dict[Tuple[Key, int], Dict[int, AbsVal]] = {}
         self.param_ids: Dict[SlotKey, int] = {}
         self.param_slots: List[SlotKey] = []
-        self.revisits = 0
-        self.force_all_params = False
         self.built = False
-        self.pinned_slots = set()
+        self.contributors: Set[Tuple[Key, int]] = set()
         self.minted: List[int] = []
         self.mint_pos = 0
         self.priority: Tuple[int, int] = (0, 0)
@@ -351,14 +345,13 @@ class _Specializer:
         # discovers them, which tracks forward progress through the
         # unrolled interpreter.  Processing predecessors before successors
         # lets meets converge in ~one pass over reducible regions instead
-        # of re-flowing.  The convergence damper's pin set depends on the
-        # visit order, so the order is part of which (equally valid)
-        # fixpoint is chosen.
+        # of re-flowing.
         self._heap: List[Tuple[Tuple[int, int], Key]] = []
         self._rpo_unreachable = len(self._rpo_index)
         self._ctx_order: Dict[tuple, int] = {}
         self._key_strs: Dict[Key, str] = {}
         self._mint_info: Optional[_KeyInfo] = None
+        self._verify = verify_enabled_by_env()
 
     # ------------------------------------------------------------------
     # Worklist management.
@@ -478,18 +471,25 @@ class _Specializer:
         info = self.infos[key]
         self.stats.block_visits += 1
         contributions = []
-        for (pred_key, pos), overrides in sorted(
-                info.in_edges.items(), key=self._edge_sort_key):
-            pred = self.infos.get(pred_key)
+        edges = []
+        for edge, overrides in sorted(info.in_edges.items(),
+                                      key=self._edge_sort_key):
+            pred = self.infos.get(edge[0])
             if pred is None or pred.out_state is None:
                 continue
             contributions.append((pred.out_state, overrides))
+            edges.append(edge)
         if not contributions:
             return
 
         gblock_id = key[1]
         env_domain = set(self.live_in[gblock_id])
         env_domain.update(self.block_params[gblock_id])
+
+        # The key's last entry depth votes with its contributors' (see
+        # meet_states), which is what keeps the fixpoint monotone.
+        prior_depth = (len(info.entry_state.stack)
+                       if info.entry_state is not None else None)
 
         def param_for(slot: SlotKey, ty: Type) -> int:
             vid = info.param_ids.get(slot)
@@ -498,51 +498,44 @@ class _Specializer:
                 info.param_ids[slot] = vid
             return vid
 
-        def run_meet():
-            # Sole-contributor fast path: no join can force a block
-            # parameter, so the meet degenerates to reusing the
-            # predecessor's out-state (exact — the fixpoint tier pins
-            # the output bytes against the full meet).
-            if (SINGLE_PRED_FAST_MEET
-                    and len(contributions) == 1
-                    and not info.pinned_slots
-                    and not info.force_all_params
-                    and self.options.ssa_mode != "naive"):
-                pred_state, pred_overrides = contributions[0]
-                self.stats.meets_single_pred += 1
-                return single_pred_entry_state(pred_state, pred_overrides,
-                                               env_domain)
+        def full_meet() -> MeetResult:
             return meet_states(
                 contributions, env_domain,
                 lambda gvid: self.generic.value_types[gvid],
                 param_for,
                 naive=(self.options.ssa_mode == "naive"),
-                force_all_params=info.force_all_params,
-                pinned_slots=info.pinned_slots,
-            )
+                prior_depth=prior_depth)
 
-        meet = run_meet()
+        pred_state, pred_overrides = contributions[0]
+        if (len(contributions) == 1 and self.options.ssa_mode != "naive"
+                and prior_depth in (None, len(pred_state.stack))):
+            # Sole-contributor fast path: no join can make a block
+            # parameter, so the meet is the predecessor's out-state.
+            self.stats.meets_single_pred += 1
+            meet = single_pred_entry_state(pred_state, pred_overrides,
+                                           env_domain)
+            if self._verify:
+                full = full_meet()
+                if full.param_slots or not states_equal(meet.state,
+                                                        full.state):
+                    raise SpecializeError(
+                        f"{self.request.name()}: the single-predecessor "
+                        f"meet of {key} differs from the full meet")
+        else:
+            meet = full_meet()
         self.stats.meets_performed += 1
         if info.built and info.entry_state is not None \
                 and states_equal(meet.state, info.entry_state):
             info.param_slots = meet.param_slots
             return
-        info.revisits += 1
-        if info.revisits > MAX_REVISITS and \
-                not info.force_all_params and info.entry_state is not None:
-            # Convergence damper: SSA-id churn in cyclic regions can make
-            # entry states oscillate forever (predecessor rebuilds mint
-            # fresh value ids).  Pin exactly the slots that changed to
-            # stable block parameters; stable constants (e.g. the pc)
-            # keep flowing as constants.
-            new_pins = unstable_slots(info.entry_state, meet.state)
-            if new_pins - info.pinned_slots:
-                info.pinned_slots |= new_pins
-                meet = run_meet()
-            elif info.revisits > 4 * MAX_REVISITS:
-                # Last resort: everything becomes a parameter.
-                info.force_all_params = True
-                meet = run_meet()
+        if self._verify:
+            if (info.entry_state is not None
+                    and info.contributors <= set(edges)
+                    and not descends(info.entry_state, meet.state)):
+                raise SpecializeError(
+                    f"{self.request.name()}: the entry state of {key} "
+                    f"rose without losing a contributor")
+            info.contributors = set(edges)
         if info.built:
             self.stats.block_revisits += 1
         info.entry_state = meet.state
@@ -986,8 +979,8 @@ class _Specializer:
                     and ("lcl", idx) not in flushed:
                 addr = self._mat(block, const_cache, slot.addr)
                 value = self._mat(block, const_cache, slot.value)
-                self._insert_before_terminator(
-                    block, Instr("store64", None, (addr, value), 0, None))
+                block.instrs.append(
+                    Instr("store64", None, (addr, value), 0, None))
                 flushed.add(("lcl", idx))
                 self.stats.local_stores_real += 1
         keep = len(succ_entry.stack)
@@ -996,14 +989,10 @@ class _Specializer:
             if slot.dirty and ("stk", pos) not in flushed:
                 addr = self._mat(block, const_cache, slot.addr)
                 value = self._mat(block, const_cache, slot.value)
-                self._insert_before_terminator(
-                    block, Instr("store64", None, (addr, value), 0, None))
+                block.instrs.append(
+                    Instr("store64", None, (addr, value), 0, None))
                 flushed.add(("stk", pos))
                 self.stats.stack_stores_real += 1
-
-    @staticmethod
-    def _insert_before_terminator(block: Block, instr: Instr) -> None:
-        block.instrs.append(instr)
 
 
 def specialize(module: Module, request: SpecializationRequest,

@@ -100,9 +100,7 @@ def binding_of(state: FlowState, overrides: Dict[int, AbsVal],
     per-edge env overrides applied).  Returns None if absent."""
     kind, index = slot
     if kind == "env":
-        if index in overrides:
-            return overrides[index]
-        return state.env.get(index)
+        return overrides[index] if index in overrides else state.env.get(index)
     if kind == "reg":
         return state.regs.get(index, ZERO)
     if kind == "lcl_val":
@@ -111,14 +109,11 @@ def binding_of(state: FlowState, overrides: Dict[int, AbsVal],
     if kind == "lcl_addr":
         slot_obj = state.locals.get(index)
         return slot_obj.addr if slot_obj else None
+    stack = state.stack
     if kind == "stk_val":
-        if index < len(state.stack):
-            return state.stack[index].value
-        return None
+        return stack[index].value if index < len(stack) else None
     if kind == "stk_addr":
-        if index < len(state.stack):
-            return state.stack[index].addr
-        return None
+        return stack[index].addr if index < len(stack) else None
     raise KeyError(f"bad slot key {slot!r}")
 
 
@@ -130,58 +125,56 @@ class MeetResult:
         self.param_slots = param_slots
 
 
-def unstable_slots(old: FlowState, new: FlowState) -> Set[SlotKey]:
-    """Slots whose abstract value differs between two entry states.
+def _value_descends(old: Optional[AbsVal], new: Optional[AbsVal]) -> bool:
+    # Absent is the bottom of a slot: once unavailable, always unavailable.
+    return new is None or (old is not None
+                           and (isinstance(new, Dyn) or _abs_equal(old, new)))
 
-    Used by the convergence damper: slots that keep changing across
-    revisits (typically because a predecessor block re-emits its
-    instructions with fresh SSA ids on every rebuild) are pinned to
-    stable block parameters; slots with genuinely stable values —
-    constants like the interpreter pc — are left alone.
-    """
-    changed: Set[SlotKey] = set()
-    for key in set(old.env) | set(new.env):
-        if old.env.get(key) != new.env.get(key):
-            changed.add(("env", key))
-    for key in set(old.regs) | set(new.regs):
-        if old.regs.get(key) != new.regs.get(key):
-            changed.add(("reg", key))
-    for key in set(old.locals) | set(new.locals):
-        old_slot = old.locals.get(key)
-        new_slot = new.locals.get(key)
-        if old_slot is None or new_slot is None:
-            continue  # structural add/drop is monotone already
-        if old_slot.addr != new_slot.addr:
-            changed.add(("lcl_addr", key))
-        if old_slot.value != new_slot.value:
-            changed.add(("lcl_val", key))
-    for pos in range(min(len(old.stack), len(new.stack))):
-        if old.stack[pos].addr != new.stack[pos].addr:
-            changed.add(("stk_addr", pos))
-        if old.stack[pos].value != new.stack[pos].value:
-            changed.add(("stk_val", pos))
-    return changed
+
+def _slot_descends(old, new) -> bool:
+    # A local or stack slot; its dirty flag is never cleared.
+    return (_value_descends(old.addr, new.addr)
+            and _value_descends(old.value, new.value)
+            and (new.dirty or not old.dirty))
+
+
+def descends(old: FlowState, new: FlowState) -> bool:
+    """True when entry state ``new`` is at or below ``old`` in the meet's
+    order: every env binding and register is equal, or is now a block
+    parameter (renamed or not), or is gone; the locals are a subset and
+    each slot descends; the stack is dropped, or keeps its depth and each
+    slot descends."""
+    if not all(_value_descends(old.env.get(key), new.env.get(key))
+               for key in set(old.env) | set(new.env)):
+        return False
+    if not all(_value_descends(old.regs.get(key, ZERO),
+                               new.regs.get(key, ZERO))
+               for key in set(old.regs) | set(new.regs)):
+        return False
+    if not (set(new.locals) <= set(old.locals)
+            and all(_slot_descends(old.locals[idx], slot)
+                    for idx, slot in new.locals.items())):
+        return False
+    return not new.stack or (
+        len(new.stack) == len(old.stack)
+        and all(map(_slot_descends, old.stack, new.stack)))
 
 
 def single_pred_entry_state(state: FlowState,
                             overrides: Dict[int, AbsVal],
                             env_domain: Set[int]) -> MeetResult:
-    """Entry state when exactly one predecessor contributes.
+    """Entry state when exactly one predecessor contributes (and the
+    key's prior stack depth does not outvote it; never in ``naive``
+    mode, which parameterizes every slot).
 
-    With a single contributor and no forced parameters, every slot of
-    :func:`meet_states` trivially keeps the predecessor's value, so the
-    slot-by-slot meet machinery (``binding_of`` per slot, ``meet_slot``
-    closure calls) collapses to reusing the predecessor's out-state
-    components directly: the env is restricted to the entry domain with
-    the edge overrides applied, and regs/locals/stack are shallow
-    copies sharing the predecessor's (immutable) slot objects.  The
-    result is value-identical to the full meet — asserted byte-for-byte
-    by the fixpoint determinism tier — at a fraction of the cost, which
-    matters because reducible interpreter CFGs make one-predecessor
-    blocks the overwhelmingly common case.
-
-    Callers must not take this path when parameters could be forced
-    (``naive`` SSA mode, pinned slots, ``force_all_params``).
+    Every slot of :func:`meet_states` then keeps the predecessor's
+    value, so the slot-by-slot machinery collapses to reusing the
+    predecessor's out-state: the env restricted to the entry domain with
+    the edge overrides applied, and shallow copies of regs/locals/stack
+    sharing its immutable slot objects.  Reducible interpreter CFGs make
+    this the overwhelmingly common meet.  Under ``REPRO_OPT_VERIFY=1``
+    the specializer recomputes each one with :func:`meet_states` and
+    requires a ``states_equal`` result with no parameters.
     """
     result = FlowState()
     env = state.env
@@ -205,8 +198,7 @@ def meet_states(
     value_type: Callable[[int], Type],
     param_for: Callable[[SlotKey, Type], int],
     naive: bool = False,
-    force_all_params: bool = False,
-    pinned_slots: Optional[Set[SlotKey]] = None,
+    prior_depth: Optional[int] = None,
 ) -> MeetResult:
     """Meet predecessor (out-state, env-overrides) pairs into an entry
     state for a specialized block.
@@ -215,14 +207,14 @@ def meet_states(
     entry (live-in plus the generic block's parameters).  ``param_for``
     allocates (or retrieves, stably) the block-parameter value id for a
     slot.  ``naive=True`` parameterizes every slot (the paper's S3.4
-    max-SSA ablation); ``force_all_params`` has the same effect and is
-    the last-resort convergence safeguard.  ``pinned_slots`` forces
-    specific slots to parameters — the fine-grained safeguard used to
-    damp SSA-id churn in cyclic regions without losing constants that
-    are actually stable.
+    max-SSA ablation).
+
+    The meet is monotone (see :func:`descends`).  Stack depth is the one
+    part its contributors alone do not order — disagreeing depths drop
+    the stack, a later agreement would restore it — so ``prior_depth``,
+    the block's last entry depth, votes too: a dropped stack stays
+    dropped.
     """
-    make_params = naive or force_all_params
-    pinned_slots = pinned_slots or set()
     result = FlowState()
     param_slots: List[SlotKey] = []
 
@@ -233,8 +225,7 @@ def meet_states(
         if any(v is None for v in values):
             return None
         first = values[0]
-        if (not make_params and slot not in pinned_slots
-                and all(_abs_equal(v, first) for v in values[1:])):
+        if not naive and all(_abs_equal(v, first) for v in values[1:]):
             return first
         vid = param_for(slot, ty)
         param_slots.append(slot)
@@ -274,13 +265,13 @@ def meet_states(
                       for s, o in contributions]
         addr = meet_slot(("lcl_addr", idx), I64, addr_values)
         value = meet_slot(("lcl_val", idx), I64, val_values)
-        if addr is None or value is None:
-            continue
         dirty = any(s.locals[idx].dirty for s, _ in contributions)
         result.locals[idx] = LocalSlot(addr, value, dirty)
 
     # --- operand stack -----------------------------------------------------
     depths = {len(s.stack) for s, _ in contributions}
+    if prior_depth is not None:
+        depths.add(prior_depth)
     if len(depths) == 1:
         depth = depths.pop()
         for pos in range(depth):
@@ -290,10 +281,6 @@ def meet_states(
             value = meet_slot(("stk_val", pos), I64,
                               [binding_of(s, o, ("stk_val", pos))
                                for s, o in contributions])
-            if addr is None or value is None:
-                # Truncate at the first incoherent position: everything
-                # above it is dropped too (flushed at the edges).
-                break
             dirty = any(s.stack[pos].dirty for s, _ in contributions)
             result.stack.append(StackSlot(addr, value, dirty))
     # Mismatched depths: abstract stack is dropped entirely; phase 2

@@ -8,12 +8,11 @@ and later abandoned.  Canonicalization erases that history — blocks are
 renumbered in reverse postorder from the entry, values in first-definition
 order within that block order, and unreachable debris is dropped — so two
 runs that converge to the same fixpoint produce byte-identical printed
-IR regardless of worklist policy, revisit counts, or damper activity.
+IR regardless of worklist policy or revisit counts.
 
-This is what lets an engine variant (the single-predecessor meet
-against the full one) be verified bit-exact: both funnel through
-:func:`canonicalize_function` before anything downstream (printer
-fingerprints, artifact store, backend emitter) sees the function.
+Everything downstream (printer fingerprints, artifact store, backend
+emitter) sees a function only after :func:`canonicalize_function`, so
+residual bytes can be pinned in goldens and compared across engines.
 """
 
 from __future__ import annotations

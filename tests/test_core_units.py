@@ -10,8 +10,8 @@ from repro.core.state import (
     FlowState,
     LocalSlot,
     StackSlot,
+    descends,
     meet_states,
-    unstable_slots,
 )
 from repro.ir import I64, F64, Module
 from repro.ir.instructions import wrap_i64
@@ -110,7 +110,7 @@ class TestFold:
         assert fold_pure_op("bits_itof", None, [bits]) == 1.5
 
 
-def _meet(contributions, env_domain, naive=False, pinned=None):
+def _meet(contributions, env_domain, naive=False, prior_depth=None):
     params = {}
 
     def param_for(slot, ty):
@@ -118,7 +118,14 @@ def _meet(contributions, env_domain, naive=False, pinned=None):
 
     return meet_states(contributions, env_domain, lambda v: I64,
                        param_for, naive=naive,
-                       pinned_slots=pinned), params
+                       prior_depth=prior_depth), params
+
+
+def _with_stack(depth):
+    state = FlowState()
+    state.stack = [StackSlot(Const(8 * pos, I64), Const(pos, I64), True)
+                   for pos in range(depth)]
+    return state
 
 
 class TestMeet:
@@ -177,27 +184,54 @@ class TestMeet:
         assert isinstance(result.state.env[1], Dyn)
         assert params
 
-    def test_pinned_slots_forced_to_params(self):
-        a = FlowState()
-        a.env[1] = Const(5, I64)
-        a.env[2] = Const(6, I64)
-        result, params = _meet([(a, {})], {1, 2},
-                               pinned=({("env", 1)}))
-        assert isinstance(result.state.env[1], Dyn)
-        assert result.state.env[2] == Const(6, I64)  # unpinned stays const
+    def test_prior_depth_keeps_a_dropped_stack_dropped(self):
+        contributions = [(_with_stack(1), {}), (_with_stack(1), {})]
+        result, _ = _meet(contributions, set(), prior_depth=0)
+        assert result.state.stack == []
+
+    def test_equal_prior_depth_keeps_the_stack(self):
+        contributions = [(_with_stack(1), {}), (_with_stack(1), {})]
+        result, _ = _meet(contributions, set(), prior_depth=1)
+        assert result.state.stack == _with_stack(1).stack
 
 
-class TestUnstableSlots:
-    def test_detects_changed_env_and_stack(self):
-        old = FlowState()
-        old.env[1] = Const(5, I64)
-        old.stack.append(StackSlot(Dyn(1, I64), Dyn(2, I64), False))
-        new = FlowState()
-        new.env[1] = Const(5, I64)
-        new.stack.append(StackSlot(Dyn(1, I64), Dyn(3, I64), False))
-        changed = unstable_slots(old, new)
-        assert ("stk_val", 0) in changed
-        assert ("env", 1) not in changed
+class TestDescends:
+    """The order the fixpoint descends in: a constant may become a
+    parameter, a parameter may be renamed, and locals and the stack may
+    only be lost or dirtied."""
+
+    @staticmethod
+    def _state(value=None, local=None, depth=0):
+        state = _with_stack(depth)
+        if value is not None:
+            state.env[1] = value
+        if local is not None:
+            state.locals[0] = local
+        return state
+
+    @pytest.mark.parametrize("old,new,ok", [
+        (Const(5, I64), Dyn(7, I64), True),       # const -> dyn
+        (Dyn(7, I64), Dyn(8, I64), True),         # dyn -> dyn rename
+        (Dyn(7, I64), Const(5, I64), False),      # dyn -> const
+        (Const(5, I64), Const(6, I64), False),
+    ])
+    def test_env_bindings(self, old, new, ok):
+        assert descends(self._state(old), self._state(new)) is ok
+
+    def test_locals(self):
+        clean = LocalSlot(Const(64, I64), Const(5, I64), False)
+        dirty = LocalSlot(Const(64, I64), Const(5, I64), True)
+        assert not descends(self._state(), self._state(local=clean))
+        assert descends(self._state(local=clean), self._state())
+        assert descends(self._state(local=clean), self._state(local=dirty))
+        assert not descends(self._state(local=dirty),
+                            self._state(local=clean))
+
+    def test_stack(self):
+        assert descends(self._state(depth=2), self._state(depth=0))
+        assert descends(self._state(depth=2), self._state(depth=2))
+        assert not descends(self._state(depth=0), self._state(depth=1))
+        assert not descends(self._state(depth=1), self._state(depth=2))
 
 
 class TestIntrinsicRegistry:

@@ -23,7 +23,10 @@
   that refuses a file its ``MANIFEST.json`` does not pin; there is one
   site-guard form, and only an entry guard unwinds (no per-site
   ``GuardFailed``, deopt hook or transition fallback, no effect-free
-  dataflow, one miss block for clean and effectful callers).
+  dataflow, one miss block for clean and effectful callers); the
+  specializer's fixpoint has no convergence damper and its fast meet no
+  kill switch, and ``meet_states`` takes no parameter that forces block
+  parameters.
 """
 
 import ast
@@ -47,6 +50,7 @@ from repro.core import (
 )
 from repro.core import stats as stats_module
 from repro.core.specialize import SpecializeOptions
+from repro.core.state import meet_states
 from repro.frontend import compile_source
 from repro.ir import Module
 from repro.luavm import LuaRuntime
@@ -470,6 +474,18 @@ def test_one_jump_threading_rule():
                 "_forwarder_map"} & set(defined)
     assert [name for name in defined if "forwarder" in name] \
         == ["_forwarders"]
+
+
+def test_the_specializer_fixpoint_has_no_escape_hatch():
+    """The meet is monotone, so the fixpoint needs no damper and the
+    fast meet no kill switch: nothing under ``src/`` names either, and
+    ``meet_states`` takes no parameter that forces block parameters."""
+    assert not _identifiers() & {"MAX_REVISITS", "pinned_slots",
+                                 "force_all_params", "unstable_slots",
+                                 "SINGLE_PRED_FAST_MEET"}
+    assert list(inspect.signature(meet_states).parameters) == [
+        "contributions", "env_domain", "value_type", "param_for", "naive",
+        "prior_depth"]
 
 
 def test_one_site_guard_form():

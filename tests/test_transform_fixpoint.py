@@ -12,9 +12,12 @@ residual (``opt_config="none"``) is cloned and optimized both ways; the
 printed IR, the serialized (artifact) bytes and the per-pass change
 totals must be equal.
 
-**Single-predecessor meet.**  ``SINGLE_PRED_FAST_MEET`` is the one
-engine shortcut left with a kill switch; flipping it off must not move a
-byte.
+**The specializer's fixpoint.**  Its meet is monotone, so it converges
+without a damper: a loop that grows the operand stack on every trip
+specializes in a handful of visits, and generated CFGs over the state
+intrinsics specialize under ``REPRO_OPT_VERIFY=1`` — which checks every
+rebuild's descent and every single-predecessor meet against the full
+one — into residuals that compute what the reference lowering does.
 """
 
 import importlib
@@ -22,14 +25,27 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, note, settings, strategies as st
 
-from repro.backend import UnsupportedConstruct, compile_function
-from repro.core.specialize import OPT_MAX_ROUNDS, SpecializeOptions
-from repro.ir import print_function
+from repro.core import Runtime, SpecializationRequest, specialize
+from repro.core.intrinsics import register_weval_imports
+from repro.core.specialize import (
+    OPT_MAX_ROUNDS,
+    SpecializeError,
+    SpecializeOptions,
+)
+from repro.ir import (
+    I64,
+    FunctionBuilder,
+    Module,
+    Signature,
+    print_function,
+    verify_function,
+)
 from repro.ir.clone import clone_function
 from repro.jsvm import JSRuntime
 from repro.luavm.runtime import LuaRuntime
-from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
+from repro.min.interp import build_min_module, specialize_min
 from repro.opt import PIPELINES, PassManager, get_pass
 from repro.pipeline.serialize import function_to_dict
 from repro.vm import VM
@@ -46,13 +62,6 @@ RICHARDS = corpus_program("js/richards.js")
 
 FAST = SpecializeOptions(backend="vm")
 UNOPTIMIZED = SpecializeOptions(backend="vm", opt_config="none")
-
-
-def _emitted_source(func):
-    try:
-        return compile_function(func).source
-    except UnsupportedConstruct as exc:
-        return f"<fallback: {exc}>"
 
 
 def _reference_schedule(func):
@@ -156,72 +165,239 @@ def test_richards_fixpoint_determinism():
 
 
 # ---------------------------------------------------------------------------
-# Sole-contributor meet fast path: reusing the predecessor's out-state
-# must be *exact*, not merely equivalent.
+# Sole-contributor meet fast path: under REPRO_OPT_VERIFY=1 the
+# specializer recomputes every such meet with the full meet_states and
+# requires the same state, so the residual bytes cannot differ.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(4))
-def test_single_pred_meet_byte_identity(seed, monkeypatch):
-    """Disabling the sole-contributor fast path (every meet rebuilt via
-    the full ``meet_states``) yields byte-identical residual IR,
-    artifact bytes, emitted source, and fuel — and the fast path must
-    actually engage when enabled."""
-    specialize_mod = importlib.import_module("repro.core.specialize")
-
-    rng = random.Random(0x51D + seed)
-    program = random_min_program(rng)
-    use_intrinsics = bool(seed % 2)
-    input_value = rng.randint(1, 99)
-
-    results = {}
-    for tag, enabled in (("fast", True), ("full", False)):
-        monkeypatch.setattr(specialize_mod, "SINGLE_PRED_FAST_MEET",
-                            enabled)
-        module = build_min_module(program)
-        func = specialize_min(module, program, use_intrinsics,
-                              options=FAST, name="spec")
-        stats = func._weval_stats  # noqa: SLF001
-        vm = VM(module)
-        result = vm.call("spec", [PROGRAM_BASE, len(program.words),
-                                  input_value])
-        results[tag] = (func, stats, result, vm.stats.fuel)
-
-    fast_func, fast_stats, fast_result, fast_fuel = results["fast"]
-    full_func, full_stats, full_result, full_fuel = results["full"]
-    assert fast_stats.meets_single_pred > 0, (
-        f"min seed {seed}: sole-contributor fast path did not engage")
-    assert full_stats.meets_single_pred == 0
-    tag = f"min seed {seed} single-pred"
-    assert print_function(fast_func, order="id") == \
-        print_function(full_func, order="id"), (
-            f"{tag}: residual IR diverged")
-    assert json.dumps(function_to_dict(fast_func)) == \
-        json.dumps(function_to_dict(full_func)), (
-            f"{tag}: serialized artifact bytes diverged")
-    assert _emitted_source(fast_func) == _emitted_source(full_func), (
-        f"{tag}: emitted backend source diverged")
-    assert (fast_result, fast_fuel) == (full_result, full_fuel), (
-        f"{tag}: execution diverged")
-
-
-def test_single_pred_meet_byte_identity_richards(monkeypatch):
-    """The macro workload: the fast-meet and full-meet engines agree on
-    every richards residual, byte for byte."""
-    specialize_mod = importlib.import_module("repro.core.specialize")
-
-    runs = {}
-    for tag, enabled in (("fast", True), ("full", False)):
-        monkeypatch.setattr(specialize_mod, "SINGLE_PRED_FAST_MEET",
-                            enabled)
+def _specialize_errors(program):
+    """Specialize one of the four seeded Min programs (an ``int``) or
+    richards; returns the stats and the contained compile errors."""
+    if program == "richards":
         rt = JSRuntime(RICHARDS, "wevaled_state", options=FAST)
         rt.aot_compile()
-        runs[tag] = (_residuals(rt), rt.compiler.total_stats)
-    fast_funcs, fast_stats = runs["fast"]
-    full_funcs, full_stats = runs["full"]
-    assert fast_stats.meets_single_pred > 0
-    assert full_stats.meets_single_pred == 0
-    assert sorted(fast_funcs) == sorted(full_funcs)
-    for name in fast_funcs:
-        assert print_function(fast_funcs[name], order="id") == \
-            print_function(full_funcs[name], order="id"), (
-                f"richards single-pred: residual {name} diverged")
+        return (rt.compiler.total_stats,
+                [p.error for p in rt.compiler.processed if p.error])
+    rng = random.Random(0x51D + program)
+    min_program = random_min_program(rng)
+    module = build_min_module(min_program)
+    try:
+        func = specialize_min(module, min_program, bool(program % 2),
+                              options=FAST, name="spec")
+    except SpecializeError as exc:
+        return None, [str(exc)]
+    return func._weval_stats, []  # noqa: SLF001
+
+
+@pytest.mark.parametrize("program", [0, 1, 2, 3, "richards"])
+def test_single_pred_meet_byte_identity(program, monkeypatch):
+    """The fast path engages and agrees with the full meet at every
+    meet; a fast path that loses one env binding is refused."""
+    monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
+    stats, errors = _specialize_errors(program)
+    assert errors == []
+    assert stats.meets_single_pred > 0, (
+        f"{program}: sole-contributor fast path did not engage")
+
+    specialize_mod = importlib.import_module("repro.core.specialize")
+    real = specialize_mod.single_pred_entry_state
+
+    def lossy(state, overrides, env_domain):
+        meet = real(state, overrides, env_domain)
+        if meet.state.env:
+            del meet.state.env[min(meet.state.env)]
+        return meet
+
+    monkeypatch.setattr(specialize_mod, "single_pred_entry_state", lossy)
+    _, errors = _specialize_errors(program)
+    assert errors and all("differs from the full meet" in error
+                          for error in errors)
+
+
+# ---------------------------------------------------------------------------
+# Convergence without a damper.
+# ---------------------------------------------------------------------------
+
+def test_stack_growing_loop_converges(monkeypatch):
+    """A loop that pushes one operand-stack slot per trip, entered with
+    one slot pushed: the stack dropped at the loop header for a depth
+    mismatch stays dropped, so the fixpoint stops in a few visits
+    instead of re-growing the stack until the iteration cap."""
+    monkeypatch.setattr(importlib.import_module("repro.core.specialize"),
+                        "MAX_ITERATIONS", 20_000)
+    module = Module(memory_size=256)
+    register_weval_imports(module)
+    fb = FunctionBuilder("g", Signature((I64,), (I64,)))
+    n = fb.entry.params[0][0]
+    loop, done = fb.new_block(), fb.new_block()
+    fb.call("weval.push", [fb.iconst(64), n])
+    fb.jump(loop)
+    fb.switch_to(loop)
+    fb.call("weval.push", [fb.iconst(72), n])
+    fb.br_if(n, loop, done)
+    fb.switch_to(done)
+    fb.ret(n)
+    module.add_function(fb.finish())
+    func = specialize(module, SpecializationRequest("g", [Runtime()]),
+                      SpecializeOptions(opt_config="none"))
+    assert func._weval_stats.block_visits <= 10  # noqa: SLF001
+
+
+# ---------------------------------------------------------------------------
+# The generated fixpoint oracle: loop nests over the state intrinsics,
+# specialized under the verify checks and run against the same CFG with
+# every state intrinsic lowered to its memory op.
+# ---------------------------------------------------------------------------
+
+SP_CELL = 8           # the final stack pointer is stored here
+LOCALS_BASE = 64      # local ``k`` lives at LOCALS_BASE + 8 * k
+STACK_BASE = 2048     # the operand stack grows up from here
+SOURCES = st.sampled_from(["acc", "n", "i", 0, 5])
+OPS = st.one_of(
+    st.tuples(st.just("push"), SOURCES),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("read_stack")),
+    st.tuples(st.just("write_stack"), SOURCES),
+    st.tuples(st.just("write_local"), st.integers(0, 2), SOURCES),
+    st.tuples(st.just("read_local"), st.integers(0, 2)),
+    st.tuples(st.just("merge"), st.sampled_from([1, 2, 4]),
+              st.integers(0, 9)),
+    st.tuples(st.just("context"), st.integers(0, 2)))
+
+
+@st.composite
+def _loops(draw, depth=1):
+    """``("loop", trips, body)``: ``trips`` is a constant or ``n & 3``,
+    and the body's own pushes and pops net -1, 0 or +1 per trip."""
+    trips = draw(st.sampled_from([1, 2, 3, "n"]))
+    body = draw(st.lists(OPS, max_size=4))
+    net = sum({"push": 1, "pop": -1}.get(op[0], 0) for op in body)
+    effect = draw(st.integers(-1, 1))
+    body += [("push", "i")] * (effect - net) + [("pop",)] * (net - effect)
+    if depth < 3 and draw(st.booleans()):
+        body.insert(draw(st.integers(0, len(body))),
+                    draw(_loops(depth + 1)))
+    return ("loop", trips, body)
+
+
+@st.composite
+def fixpoint_programs(draw):
+    return (draw(st.lists(OPS, max_size=3)) + [draw(_loops())]
+            + draw(st.lists(OPS, max_size=2)))
+
+
+def _render(name, program, lowered):
+    """``program`` as the function ``name(n)``.  With ``lowered`` each
+    state intrinsic is its memory op instead: push, write_local and
+    write_stack store, pop, read_local and read_stack load, and flush is
+    nothing."""
+    fb = FunctionBuilder(name, Signature((I64,), (I64,)))
+    n = fb.entry.params[0][0]
+    eight = fb.iconst(8)
+    state = {"acc": fb.iconst(1), "sp": fb.iconst(STACK_BASE), "i": n,
+             "n": n}
+
+    def value(src):
+        return state[src] if isinstance(src, str) else fb.iconst(src)
+
+    def intrinsic(short, args, memory_op, has_result=False):
+        if lowered:
+            if memory_op == "load":
+                return fb.load64(args[-1])
+            fb.store64(args[-2], args[-1])
+            return None
+        return fb.call("weval." + short, args,
+                       result_type=I64 if has_result else None)
+
+    def add(value_id):
+        state["acc"] = fb.iadd(state["acc"], value_id)
+
+    def emit(op):
+        kind = op[0]
+        sp = state["sp"]
+        if kind == "push":
+            intrinsic("push", [sp, value(op[1])], "store")
+            state["sp"] = fb.iadd(sp, eight)
+        elif kind == "pop":
+            state["sp"] = fb.isub(sp, eight)
+            add(intrinsic("pop", [state["sp"]], "load", True))
+        elif kind == "read_stack":
+            add(intrinsic("read_stack", [fb.iconst(0), fb.isub(sp, eight)],
+                          "load", True))
+        elif kind == "write_stack":
+            intrinsic("write_stack", [fb.iconst(0), fb.isub(sp, eight),
+                                      value(op[1])], "store")
+        elif kind == "write_local":
+            intrinsic("write_local", [fb.iconst(op[1]),
+                                      fb.iconst(LOCALS_BASE + 8 * op[1]),
+                                      value(op[2])], "store")
+        elif kind == "read_local":
+            add(intrinsic("read_local", [fb.iconst(op[1]),
+                                         fb.iconst(LOCALS_BASE + 8 * op[1])],
+                          "load", True))
+        elif kind == "merge":
+            arm_const, arm_runtime = fb.new_block(), fb.new_block()
+            join = fb.new_block([I64])
+            fb.br_if(fb.iand(n, fb.iconst(op[1])), arm_const, arm_runtime)
+            fb.switch_to(arm_const)
+            fb.jump(join, [fb.iconst(op[2])])
+            fb.switch_to(arm_runtime)
+            fb.jump(join, [fb.iadd(state["acc"], n)])
+            fb.switch_to(join)
+            state["acc"] = join.param_values()[0]
+        elif kind == "context":
+            fb.call("weval.update_context", [fb.iconst(op[1])])
+        else:
+            _, trips, body = op
+            header, loop_body, loop_exit = (fb.new_block([I64] * 3),
+                                            fb.new_block(), fb.new_block())
+            count = fb.iand(n, fb.iconst(3)) if trips == "n" \
+                else fb.iconst(trips)
+            outer_i = state["i"]
+            fb.jump(header, [count, sp, state["acc"]])
+            fb.switch_to(header)
+            state["i"], state["sp"], state["acc"] = header.param_values()
+            carried = dict(state)
+            fb.br_if(state["i"], loop_body, loop_exit)
+            fb.switch_to(loop_body)
+            for inner in body:
+                emit(inner)
+            fb.jump(header, [fb.isub(state["i"], fb.iconst(1)),
+                             state["sp"], state["acc"]])
+            fb.switch_to(loop_exit)
+            state.update(carried, i=outer_i)
+
+    for op in program:
+        emit(op)
+    if not lowered:
+        fb.call("weval.flush", [])
+    fb.store64(fb.iconst(SP_CELL), state["sp"])
+    fb.ret(state["acc"])
+    return fb.finish()
+
+
+@given(fixpoint_programs())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_generated_fixpoint_oracle(monkeypatch, program):
+    """Specialization converges with both verify checks on, the residual
+    verifies, and for several inputs it returns what the reference
+    lowering returns and leaves the heap below the final stack pointer
+    as the reference does (popped slots above it are dead)."""
+    monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
+    monkeypatch.setattr(importlib.import_module("repro.core.specialize"),
+                        "MAX_ITERATIONS", 20_000)
+    module = Module(memory_size=4096)
+    register_weval_imports(module)
+    generic = module.add_function(_render("f", program, lowered=False))
+    module.add_function(_render("ref", program, lowered=True))
+    note(print_function(generic))
+    func = specialize(module, SpecializationRequest("f", [Runtime()]))
+    module.add_function(func)
+    verify_function(func, module)
+    for arg in (0, 3, 5, 6):
+        reference, residual = VM(module), VM(module)
+        want = reference.call("ref", [arg])
+        assert residual.call(func.name, [arg]) == want, arg
+        top = int.from_bytes(reference.memory[SP_CELL:SP_CELL + 8], "little")
+        assert residual.memory[:top] == reference.memory[:top], arg
