@@ -24,11 +24,12 @@ observable semantics:
   truthiness ever sees a Python ``bool``;
 * traps raise the same :class:`~repro.vm.machine.VMTrap` kinds with the
   same messages, out-of-fuel raises :class:`OutOfFuel`;
-* fuel/load/store/call counters are charged per *block* (one ``+=`` per
-  counter per block entry instead of one per instruction), which yields
-  byte-identical totals to the VM on every execution that does not trap
-  mid-block, and the fuel-limit check fires at the same block boundary
-  the VM checks at;
+* fuel is charged per *block* (one ``_fu += n`` per block entry instead
+  of one per instruction), which yields byte-identical totals to the VM
+  on every execution that does not trap mid-block, and the fuel-limit
+  check fires at the same block boundary the VM checks at.  Fuel is the
+  only counter compiled code keeps: ``vm.stats``' loads, stores, calls
+  and indirect calls count what the IR VM executed;
 * guest calls go through per-site link slots
   (:class:`repro.pipeline.links.CallLinkTable`): every slot starts as a
   bridge that re-enters ``vm.call`` / ``vm.call_table`` — so compiled
@@ -46,12 +47,11 @@ components of the CFG become native ``while True:`` loops (backedges
 are ``continue``), join points become single-shot ``while True:``
 *scopes* whose ``break`` lands exactly where the join's code starts,
 and multi-level exits unwind through a ``_st`` state variable checked
-once per scope boundary.  Fuel and counter accounting is batched in
-Python locals (``_fu``/``_ld``/``_sd``/``_cl``) committed to
-``vm.stats`` in a function-level ``finally`` and flushed before every
-guest call, so every observable total (call boundaries, the per-block
-fuel-limit check, final stats) is bit-identical to the VM's
-per-instruction accounting.
+once per scope boundary.  Fuel is batched in a Python local (``_fu``)
+committed to ``vm.stats.fuel`` in a function-level ``finally`` and
+flushed before every guest call, so fuel at every observable point
+(call boundaries, the per-block fuel-limit check, the final total) is
+bit-identical to the VM's per-instruction accounting.
 
 Totality comes from one more unit kind, the *dispatch region*: its
 blocks, in reverse postorder, sit flat under a binary decision tree
@@ -126,9 +126,6 @@ assert all(_PURE_TEMPLATES[op][0] == f"_int({bare})"
            for op, bare in _BARE_COMPARES.items())
 
 _INDENT = "    "
-
-# ``vm.stats`` counters batched in emitted locals beside ``_fu``.
-_COUNTER_LOCALS = (("loads", "_ld"), ("stores", "_sd"), ("calls", "_cl"))
 
 
 def _float_literal(value: float) -> Tuple[str, bool]:
@@ -606,21 +603,9 @@ class StructuredEmitter:
         self._depth -= 1
 
     # ------------------------------------------------------------------
-    # Blocks and terminators under batched counters.
+    # Blocks and terminators under batched fuel.
     # ------------------------------------------------------------------
-    def _flush_lines(self, pending: int) -> List[str]:
-        """Commit batched counters before a guest call so the callee
-        (and any fuel-limit check it runs) sees the VM's exact totals;
-        ``pending`` is the fuel for the current segment, through the
-        call instruction itself."""
-        lines = [f"S.fuel += _fu + {pending}; _fu = 0" if pending
-                 else "S.fuel += _fu; _fu = 0"]
-        for attr, local in self._counter_locals:
-            lines.append(f"S.{attr} += {local}; {local} = 0")
-        return lines
-
     def _emit_structured_block(self, block: Block) -> None:
-        counters = {"loads": 0, "stores": 0, "calls": 0}
         body: List[str] = []
         segment: List[str] = []
         pending = 0
@@ -638,19 +623,19 @@ class StructuredEmitter:
                  and instr.op in _BARE_COMPARES), None)
         for instr in block.instrs:
             if instr is not fused:
-                segment.extend(self._emit_instr(instr, counters))
+                segment.extend(self._emit_instr(instr))
             pending += 1
             if instr.op in ("call", "call_indirect"):
-                body.extend(self._flush_lines(pending))
+                # Commit fuel before a guest call so the callee (and any
+                # fuel-limit check it runs) sees the VM's exact total;
+                # ``pending`` is the segment's, through the call itself.
+                body.append(f"S.fuel += _fu + {pending}; _fu = 0")
                 body.extend(segment)
                 segment = []
                 pending = 0
         if pending:
             body.append(f"_fu += {pending}")
         body.extend(segment)
-        for attr, local in _COUNTER_LOCALS:
-            if counters[attr]:
-                self._line(f"{local} += {counters[attr]}")
         for raw in body:
             self._line(raw)
         # Same boundary the VM checks at: after the block's instructions,
@@ -709,8 +694,7 @@ class StructuredEmitter:
             return "_a"
         return base
 
-    def _emit_instr(self, instr: Instr, counters: Dict[str, int]
-                    ) -> List[str]:
+    def _emit_instr(self, instr: Instr) -> List[str]:
         op = instr.op
         args = instr.args
         r = f"v{instr.result}" if instr.result is not None else None
@@ -729,7 +713,6 @@ class StructuredEmitter:
 
         mem = LOADS.get(op)
         if mem is not None:
-            counters["loads"] += 1
             size, signed, _, codec = mem
             self.used.add("M")
             pre: List[str] = []
@@ -746,7 +729,6 @@ class StructuredEmitter:
             ]
         mem = STORES.get(op)
         if mem is not None:
-            counters["stores"] += 1
             size, _, _, codec = mem
             self.used.add("M")
             pre = []
@@ -764,7 +746,6 @@ class StructuredEmitter:
             ]
 
         if op == "call":
-            counters["calls"] += 1
             self.used.add("_lk")
             site = len(self.link_sites)
             self.link_sites.append(("c", instr.imm, len(args)))
@@ -787,14 +768,12 @@ class StructuredEmitter:
             trailing = "," if len(rest) == 1 else ""
             assign = f"{r} = " if r is not None else ""
             # Monomorphic inline cache [expected_index, raw_target,
-            # miss_bridge]: a hit charges the indirect-call counter the
-            # way vm.call_table would and calls the raw target; misses
-            # (and the unlinked state, expected_index == -1) take the
-            # bridge through the full vm.call_table path.
+            # miss_bridge]: a hit calls the raw target; misses (and the
+            # unlinked state, expected_index == -1) take the bridge
+            # through the full vm.call_table path.
             return [
                 f"_s = _lk[{site}]",
                 f"if v{args[0]} == _s[0]:",
-                f"{_INDENT}S.indirect_calls += 1",
                 f"{_INDENT}{assign}_s[1](vm{raw_args})",
                 "else:",
                 f"{_INDENT}{assign}_s[2](vm, v{args[0]}, "
@@ -909,25 +888,13 @@ class StructuredEmitter:
             bid: [c.block for c in
                   func.blocks[bid].terminator.targets()]
             for bid in rpo}
-        # Counter locals that exist at all, known before the first
-        # flush site is emitted; and how often each value is used (what
-        # compare->branch fusion asks).
-        used_counters: Set[str] = set()
+        # How often each value is used (what compare->branch fusion asks).
         uses: List[int] = []
         for bid in rpo:
             block = func.blocks[bid]
             uses += terminator_values(block.terminator)
             for instr in block.instrs:
                 uses += instr.args
-                op = instr.op
-                if op in LOADS:
-                    used_counters.add("loads")
-                elif op in STORES:
-                    used_counters.add("stores")
-                elif op == "call":
-                    used_counters.add("calls")
-        self._counter_locals = [pair for pair in _COUNTER_LOCALS
-                                if pair[0] in used_counters]
         self._use_counts = collections.Counter(uses)
 
         try:
@@ -956,16 +923,12 @@ class StructuredEmitter:
         for binding in self._preamble():
             lines.append(_INDENT + binding)
         lines.append(f"{_INDENT}_fu = 0")
-        for _, local in self._counter_locals:
-            lines.append(f"{_INDENT}{local} = 0")
         if self._st_sets:
             lines.append(f"{_INDENT}_st = -1")
         lines.append(f"{_INDENT}try:")
         lines.extend(body)
         lines.append(f"{_INDENT}finally:")
         lines.append(f"{_INDENT * 2}S.fuel += _fu")
-        for attr, local in self._counter_locals:
-            lines.append(f"{_INDENT * 2}S.{attr} += {local}")
         lines.append(f"{_INDENT * 2}vm._call_depth -= 1")
         lines.append(f"_compiled._nparams = {nparams}")
         return "\n".join(lines) + "\n"

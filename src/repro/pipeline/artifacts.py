@@ -84,7 +84,8 @@ ARTIFACT_VERSION = 4
 # 6: sized memory ops through the table's struct codecs, compare->branch
 # fusion, NaN-box casts inline (tests/golden/emitter_pin.txt trips when
 # emitted bytes change under an unchanged version).
-EMITTER_VERSION = 6
+# 7: compiled code charges only ``S.fuel``.
+EMITTER_VERSION = 7
 
 HIT = "hit"
 MISS = "miss"

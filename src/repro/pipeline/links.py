@@ -156,8 +156,8 @@ class CallLinkTable:
         if not self.enabled:
             return None
         vm = self.vm
-        # Imports stay bridged: host calls charge host_calls and use
-        # the host-function convention.
+        # Imports stay bridged: host calls use the host-function
+        # convention.
         if callee in vm.module.imports:
             return None
         # Never link around an active tier hook: the controller may

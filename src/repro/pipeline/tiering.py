@@ -60,6 +60,7 @@ the live heap after every transition.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
@@ -441,27 +442,36 @@ class TieringController:
         """Compile and install every registered function now, as one
         engine batch — the pure-AOT flow.  ``entries`` restricts the
         batch (heat adoption promotes only the fleet's hot set)."""
-        start = time.perf_counter()
         entries = self.entries if entries is None else entries
-        for entry in entries:
-            self.compiler.enqueue(entry.request, entry.result_addr)
-        processed = self.compiler.process_requests()
         names = []
-        batch: Dict[str, object] = {}
-        for entry, item in zip(entries, processed):
-            profile = self.profiles[(entry.generic, entry.key)]
-            if item.error is not None:
-                # Contained engine failure for this one function: it
-                # stays on tier 0 (nothing was installed) and enters
-                # quarantine; the rest of the batch installs normally.
-                self._contain_failure(profile, item.error, batch)
-                continue
-            self._install_promoted(profile, item, entry.request,
-                                   batch=batch)
-            names.append(item.function_name)
-        self._publish(batch)
-        self.stats.promote_seconds += time.perf_counter() - start
+        with self._stalled():
+            for entry in entries:
+                self.compiler.enqueue(entry.request, entry.result_addr)
+            processed = self.compiler.process_requests()
+            batch: Dict[str, object] = {}
+            for entry, item in zip(entries, processed):
+                profile = self.profiles[(entry.generic, entry.key)]
+                if item.error is not None:
+                    # Contained engine failure for this one function: it
+                    # stays on tier 0 (nothing was installed) and enters
+                    # quarantine; the rest of the batch installs normally.
+                    self._contain_failure(profile, item.error, batch)
+                    continue
+                self._install_promoted(profile, item, entry.request,
+                                       batch=batch)
+                names.append(item.function_name)
+            self._publish(batch)
         return names
+
+    @contextlib.contextmanager
+    def _stalled(self):
+        """Time one stall of the guest on compile-and-install work into
+        ``stats.promote_seconds``, however the work ends."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stats.promote_seconds += time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # Fleet heat: persisted cross-process profiles.
@@ -604,15 +614,15 @@ class TieringController:
         retrying = profile.compile_failures > 0
         if retrying:
             self.stats.quarantine_retries += 1
-        start = time.perf_counter()
-        try:
-            request = self._speculative_request(profile)
-            item = self._compile(request, profile.entry.result_addr)
-            self._install_promoted(profile, item, request)
-        except Exception as exc:
-            self._contain_failure(profile, f"{type(exc).__name__}: {exc}")
-            return None
-        self.stats.promote_seconds += time.perf_counter() - start
+        with self._stalled():
+            try:
+                request = self._speculative_request(profile)
+                item = self._compile(request, profile.entry.result_addr)
+                self._install_promoted(profile, item, request)
+            except Exception as exc:
+                self._contain_failure(profile,
+                                      f"{type(exc).__name__}: {exc}")
+                return None
         if retrying:
             self.stats.quarantine_recoveries += 1
         profile.compile_failures = 0
@@ -800,18 +810,18 @@ class TieringController:
         profile = self._owner.get(name)
         if profile is None or site in profile.no_inline_sites:
             return  # in-flight frames of the retired residual
-        start = time.perf_counter()
-        profile.no_inline_sites.add(site)
-        self.stats.site_demotions += 1
-        if self._record_deopt_event(profile):
-            return  # storm breaker: pinned generic, no repair compile
-        try:
-            plan = tuple(e for e in profile.inline_plan if e[0] != site)
-            self._respecialize(profile, plan, "site-demote", recompile=True)
-        except Exception as exc:
-            self._contain_failure(profile, f"{type(exc).__name__}: {exc}")
-        finally:
-            self.stats.promote_seconds += time.perf_counter() - start
+        with self._stalled():
+            profile.no_inline_sites.add(site)
+            self.stats.site_demotions += 1
+            if self._record_deopt_event(profile):
+                return  # storm breaker: pinned generic, no repair compile
+            try:
+                plan = tuple(e for e in profile.inline_plan if e[0] != site)
+                self._respecialize(profile, plan, "site-demote",
+                                   recompile=True)
+            except Exception as exc:
+                self._contain_failure(profile,
+                                      f"{type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     # Deopt (entry-guard failure at a call boundary).

@@ -86,14 +86,20 @@ class GuardFailed(Exception):
 
 @dataclasses.dataclass
 class ExecStats:
-    """Deterministic execution counters."""
+    """Deterministic execution counters.
+
+    ``fuel`` is the contract: every tier charges it, bit-identical to
+    the pure interpreter in every configuration.  ``loads``, ``stores``,
+    ``calls`` and ``indirect_calls`` count instructions the IR VM
+    executed — compiled code keeps only fuel — which is what S6.2's
+    traffic rows measure.  ``backedges`` feeds tier-0 profiling.
+    """
 
     fuel: int = 0           # instructions + terminators executed
     loads: int = 0
     stores: int = 0
     calls: int = 0
     indirect_calls: int = 0
-    host_calls: int = 0
     backedges: int = 0      # backward intra-function jumps (tier profiling)
 
     def snapshot(self) -> "ExecStats":
@@ -105,15 +111,9 @@ class ExecStats:
             setattr(self, field.name, getattr(saved, field.name))
 
     def delta(self, since: "ExecStats") -> "ExecStats":
-        return ExecStats(
-            fuel=self.fuel - since.fuel,
-            loads=self.loads - since.loads,
-            stores=self.stores - since.stores,
-            calls=self.calls - since.calls,
-            indirect_calls=self.indirect_calls - since.indirect_calls,
-            host_calls=self.host_calls - since.host_calls,
-            backedges=self.backedges - since.backedges,
-        )
+        return ExecStats(**{
+            field.name: getattr(self, field.name) - getattr(since, field.name)
+            for field in dataclasses.fields(self)})
 
 
 class VM:
@@ -229,7 +229,6 @@ class VM:
         """Call a function (host import, compiled, or IR) by name."""
         host = self._imports_get(name)
         if host is not None:
-            self.stats.host_calls += 1
             return host.fn(self, *args)
         if self.tier_hook is not None and name in self.tier_generics:
             # Profile the call; a freshly promoted specialization is
@@ -295,7 +294,6 @@ class VM:
             return self._run_function(func, list(args))
 
     def call_table(self, index: int, args: List[object]) -> object:
-        self.stats.indirect_calls += 1
         table = self._table
         if index <= 0 or index >= len(table):
             raise VMTrap(f"indirect call to bad table index {index}")
@@ -423,6 +421,7 @@ class VM:
                     if instr.result is not None:
                         env[instr.result] = result
                 elif op == "call_indirect":
+                    stats.indirect_calls += 1
                     index = env[instr.args[0]]
                     if self.site_profile_hook is not None and \
                             func.name in self.site_profile_functions:

@@ -340,17 +340,17 @@ def _bare_compare(op, a, b):
 
 
 def _run_stats(module, args, pyfunc=None, fuel_limit=None):
-    """``(status, payload, type of payload, stats)`` of one ``f`` call."""
+    """``(status, payload, type of payload, fuel)`` of one ``f`` call."""
     vm = VM(module, fuel_limit=fuel_limit)
     if pyfunc is not None:
         vm.install_compiled({"f": pyfunc})
     try:
         result = vm.call("f", list(args))
-        return ("ok", result, type(result), vm.stats)
+        return ("ok", result, type(result), vm.stats.fuel)
     except VMTrap as trap:
-        return ("trap", str(trap), None, vm.stats)
+        return ("trap", str(trap), None, vm.stats.fuel)
     except OutOfFuel:
-        return ("out-of-fuel", None, None, vm.stats)
+        return ("out-of-fuel", None, None, vm.stats.fuel)
 
 
 @pytest.mark.parametrize("op", COMPARE_OPS)
@@ -367,7 +367,7 @@ def test_single_use_compare_is_fused_into_its_branch(op):
             assert reference[0] == "ok" and reference[1] in (11, 22)
             assert _run_stats(module, args, compiled.pyfunc) == reference
             # OutOfFuel at every limit, as across calls above.
-            for limit in range(1, reference[3].fuel + 2):
+            for limit in range(1, reference[3] + 2):
                 assert _run_stats(module, args, compiled.pyfunc, limit) \
                     == _run_stats(module, args, None, limit), (args, limit)
 
@@ -393,19 +393,23 @@ def test_compare_with_another_use_stays_an_int(op, shape):
 @pytest.mark.parametrize("op", COMPARE_OPS)
 def test_fused_compare_behind_a_trapping_load(op):
     """The load's bounds line still runs first: same trap text, and the
-    block's whole charge — load and compare — is already in ``stats``,
-    exactly as when the compare was a statement of its own."""
+    block's whole fuel charge — load and compare — is already in
+    ``stats``, exactly as when the compare was a statement of its own.
+    (The IR VM charges per instruction, so it traps at fuel 1 having
+    counted the one load.)"""
     module, _ = compare_module(op, "after_load")
     func = module.functions["f"]
     args = _pairs(op)[0]
+    for addr in (57, 64, MASK64):
+        vm = VM(module)
+        with pytest.raises(VMTrap, match=f"oob load64 at {addr:#x}"):
+            vm.call("f", list(args + (addr,)))
+        assert (vm.stats.fuel, vm.stats.loads) == (1, 1)
     for leg, compiled in compile_legs(func, module).items():
         assert "_int(" not in compiled.source, leg
         for addr in (57, 64, MASK64):
-            status, text, _, stats = _run_stats(
-                module, args + (addr,), compiled.pyfunc)
-            assert (status, text) == ("trap", f"oob load64 at {addr:#x}")
-            assert (stats.fuel, stats.loads) == (2, 1)
-            assert _run_stats(module, args + (addr,))[:2] == (status, text)
+            assert _run_stats(module, args + (addr,), compiled.pyfunc) \
+                == ("trap", f"oob load64 at {addr:#x}", None, 2)
         assert _run_stats(module, args + (56,), compiled.pyfunc) \
             == _run_stats(module, args + (56,))
 

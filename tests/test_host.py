@@ -26,7 +26,7 @@
   dataflow, one miss block for clean and effectful callers); the
   specializer's fixpoint has no convergence damper and its fast meet no
   kill switch, and ``meet_states`` takes no parameter that forces block
-  parameters.
+  parameters; compiled code counts only fuel.
 """
 
 import ast
@@ -50,9 +50,11 @@ from repro.core import (
 )
 from repro.core import stats as stats_module
 from repro.core.specialize import SpecializeOptions
+from repro.backend import compile_function
 from repro.core.state import meet_states
 from repro.frontend import compile_source
 from repro.ir import Module
+from repro.jsvm import JSRuntime
 from repro.luavm import LuaRuntime
 from repro.min.harness import (
     PyMinInterpreter,
@@ -68,9 +70,10 @@ from repro.pipeline import (
     TieringController,
 )
 from repro.vm import VM
-from repro.vm.machine import GuardFailed
+from repro.vm.machine import ExecStats, GuardFailed
 
 from tests.helpers import CORPUS_DIR, corpus_manifest, corpus_program
+from tests.test_golden_backend import _pin_corpus
 from tests.test_inline import miss_block_shape, spliced
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -510,3 +513,23 @@ def test_one_site_guard_form():
         miss_block_shape(spliced(prefix=prefix)[0].functions["caller"])
         for prefix in ("none", "store"))
     assert clean == effectful == [(("guard", "call_indirect"), "Jump")]
+
+
+def test_compiled_code_counts_only_fuel():
+    """Fuel is the one counter compiled code keeps: every ``S.<attr>``
+    in the emitted source of the emitter-pin corpus and of richards'
+    largest residual is ``S.fuel``; nothing under ``src/`` names the
+    batched counter locals or a host-call counter; and ``ExecStats`` is
+    fuel, the four counters the IR VM keeps, and tier 0's backedges."""
+    runtime = JSRuntime(corpus_program("js/richards.js"), "wevaled_state")
+    runtime.aot_compile()
+    richards = max((runtime.module.functions[item.function_name]
+                    for item in runtime.compiler.processed),
+                   key=lambda func: func.num_instrs())
+    sources = [*_pin_corpus(),
+               compile_function(richards, runtime.module).source]
+    assert {attr for source in sources
+            for attr in re.findall(r"\bS\.(\w+)", source)} == {"fuel"}
+    assert not _identifiers() & {"_COUNTER_LOCALS", "host_calls"}
+    assert [field.name for field in dataclasses.fields(ExecStats)] == [
+        "fuel", "loads", "stores", "calls", "indirect_calls", "backedges"]

@@ -244,8 +244,9 @@ class TestMissPaths:
         """With a clean or an effectful prefix, with or without a
         counted loop's backedges before the site, the miss block
         re-issues the dynamic call in place: no unwind, the same result
-        and every counter but fuel as the un-spliced caller — the prefix
-        effect ran exactly once — and one site-miss notification."""
+        as the un-spliced caller — the prefix effect ran exactly once —
+        and one site-miss notification.  On the VM leg every counter but
+        fuel also equals the un-spliced caller's."""
         for prefix in ("none", "store"):
             for loop_trips in (0, 5):
                 module, index = spliced(prefix=prefix,
@@ -262,6 +263,8 @@ class TestMissPaths:
                 assert got == want == 4 * 2 + 7
                 assert misses == [("caller", 0)]
                 assert vm.load_u64(SCRATCH) == int(prefix == "store")
+                if backend != "vm":
+                    continue  # compiled code counts only fuel
                 for counter in ("loads", "stores", "backedges",
                                 "indirect_calls"):
                     assert getattr(vm.stats, counter) == \

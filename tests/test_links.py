@@ -10,9 +10,10 @@ Three layers:
   ``REPRO_LINK_CALLS=0`` kill switch keeps every bridge permanently
   slow;
 * **fast-path regression** — linking on vs off must be bit-identical in
-  results and in *every* execution counter (fuel, calls, indirect
-  calls, host calls): the link is taken only where the slow path would
-  have been a straight ``vm.compiled[name](vm, *args)``;
+  results and in *every* execution counter (fuel, and the calls,
+  indirect calls, loads and stores the IR VM counts): the link is taken
+  only where the slow path would have been a straight
+  ``vm.compiled[name](vm, *args)``;
 * **invalidation matrix** — every dispatch-changing event resets the
   table: tier-2 install, whole-function demotion, per-site demotion,
   blacklist, deopt-storm pinning, ``unregister`` / endpoint churn at a
@@ -159,12 +160,12 @@ class TestIndirectLinking:
         assert vm.links.ic_links_made == 2
         ic = vm._link_slots["caller"][0]
         assert ic[0] == 1 and ic[1] is not None
-        # The linked IC path is charged like vm.call_table.
+        # Hits call the raw target and fill nothing more; a hit costs the
+        # fuel a miss does.
         fuel_before = vm.stats.fuel
-        indirect_before = vm.stats.indirect_calls
         assert vm.call("caller", [5]) == 24
         linked_fuel = vm.stats.fuel - fuel_before
-        assert vm.stats.indirect_calls == indirect_before + 2
+        assert vm.links.ic_links_made == 2 and ic[0] == 1
         vm.links.invalidate()
         assert ic[0] == -1 and ic[1] is None
         fuel_before = vm.stats.fuel
@@ -260,16 +261,16 @@ LUA_NESTED = corpus_program("lua/nested.lua")
 
 
 class TestHelperLinks:
-    def _run(self, linked):
+    def _run(self, linked, backend="py"):
         runtime = LuaRuntime(LUA_NESTED,
-                             options=SpecializeOptions(backend="py"))
+                             options=SpecializeOptions(backend=backend))
         runtime.aot_compile()
         vm = runtime.compiler.resume()
         vm.links.enabled = linked      # before any slot is bound
         runtime.enter(vm)
         s = vm.stats
         return (runtime.printed, s.fuel, s.calls, s.indirect_calls,
-                s.host_calls, s.loads, s.stores), vm.links
+                s.loads, s.stores), vm.links
 
     def test_helper_links_are_invisible(self):
         linked, links_on = self._run(True)
@@ -277,6 +278,12 @@ class TestHelperLinks:
         assert linked == unlinked
         assert links_on.links_made == 2 and links_on.ic_links_made > 0
         assert links_off.links_made == 0 and links_off.ic_links_made == 0
+        # The py runs never enter the IR VM, so they count only fuel; on
+        # the VM backend the IR-VM counters move, and agree too.
+        assert linked[2:] == (0, 0, 0, 0)
+        on_vm = self._run(True, "vm")[0]
+        assert on_vm == self._run(False, "vm")[0]
+        assert on_vm[:2] == linked[:2] and min(on_vm[2:]) > 0
 
     def test_tiered_helpers_keep_invariants_under_verify(self, monkeypatch):
         monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
@@ -296,8 +303,7 @@ class TestHelperLinks:
 class TestFastPathRegression:
     def _stats_tuple(self, vm):
         s = vm.stats
-        return (s.fuel, s.calls, s.indirect_calls, s.host_calls,
-                s.loads, s.stores)
+        return (s.fuel, s.calls, s.indirect_calls, s.loads, s.stores)
 
     def test_tiered_min_stats_identical_linked_vs_unlinked(self):
         program = sum_to_n_program(35)
@@ -314,6 +320,9 @@ class TestFastPathRegression:
                    for v in (0, 1, 2, 3, 4, 5)]
             results[linked] = (out, self._stats_tuple(vm))
         assert results[True] == results[False]
+        # Tier 0 and the tier-1 window run on the IR VM: loads and
+        # stores are live counters here.
+        assert min(results[True][1][3:]) > 0
 
     def test_jsvm_phase_change_identical_linked_vs_unlinked(self,
                                                             monkeypatch):

@@ -208,10 +208,12 @@ class TestHelperSeam:
         monkeypatch.setattr(VM, "_eval", counting_eval)
         py_run = runtime.run_aot()
         assert runtime.printed == on_vm.printed == reference.printed
-        for field in ("fuel", "calls", "indirect_calls"):
-            assert getattr(py_run.stats, field) == \
-                getattr(vm_run.stats, field), field
+        assert py_run.stats.fuel == vm_run.stats.fuel
         assert evals == []
+        # Never in the IR VM, so none of its counters moved.
+        stats = py_run.stats
+        assert (stats.loads, stats.stores, stats.calls,
+                stats.indirect_calls) == (0, 0, 0, 0)
         assert py_run.links.links_made == links
         assert runtime.compiler.engine.stats.helpers == 1
         assert "lua_call" in runtime.compiler.backend_functions

@@ -21,6 +21,8 @@ Covers the pieces the differential tier exercises only end-to-end:
   function the JS interpreters call by name loops.
 """
 
+import time
+
 import pytest
 
 from repro.core import SpeculatedConst, SpecializationRequest
@@ -593,6 +595,31 @@ class TestControllerPolicy:
         vm.call("min_interp", _args(program, 0))
         text = controller.report()
         assert "promotions=1" in text and "tier" in text
+
+
+class TestPromoteSeconds:
+    def test_a_contained_failed_promotion_counts(self):
+        """A promotion that fails and is contained stalled the guest as
+        long as one that lands, and ``promote_seconds`` says so."""
+        from repro.pipeline.faults import FaultPlan
+        program = sum_to_n_program(20)
+        vm, controller = make_tiered_min(
+            program, threshold=1,
+            options=SpecializeOptions(
+                backend="vm", fault_plan=FaultPlan.once("specialize")))
+        real = controller._compile
+
+        def slow(*args):
+            time.sleep(0.02)
+            return real(*args)
+
+        controller._compile = slow
+        ref = VM(build_min_module(program))
+        assert vm.call("min_interp", _args(program, 0)) == \
+            ref.call("min_interp", _args(program, 0))
+        assert controller.stats.compile_failures == 1
+        assert controller.stats.promotions == 0
+        assert controller.stats.promote_seconds >= 0.02
 
 
 class TestHelpers:
