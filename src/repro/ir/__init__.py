@@ -37,6 +37,7 @@ from repro.ir.cfg import (
 )
 from repro.ir.dominance import DominatorTree
 from repro.ir.printer import print_function
+from repro.ir.parser import IRParseError, parse_function
 from repro.ir.verifier import verify_function, verify_module, VerificationError
 from repro.ir.verify import verify_after_pass
 
@@ -69,6 +70,8 @@ __all__ = [
     "retreating_edges",
     "DominatorTree",
     "print_function",
+    "parse_function",
+    "IRParseError",
     "verify_function",
     "verify_module",
     "verify_after_pass",

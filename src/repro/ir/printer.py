@@ -2,6 +2,8 @@
 
 The format is stable and used in golden tests (e.g. the Fig. 6 analog,
 which checks that a specialized interpreter's CFG follows the bytecode).
+It is also the one stored form of a residual: :mod:`repro.ir.parser`
+reads it back, so everything it prints must read back exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.ir.instructions import (
     Ret,
     Trap,
 )
+from repro.ir.semantics import _bits_ftoi
 
 
 def _fmt_call(call: BlockCall) -> str:
@@ -35,6 +38,9 @@ def _fmt_imm(instr: Instr) -> str:
     if instr.op in ("iconst",):
         return f" {imm}"
     if instr.op in ("fconst",):
+        if imm != imm:
+            # ``repr`` says ``nan`` for every NaN: print its bits.
+            return f" nan:{_bits_ftoi(imm):#018x}"
         return f" {imm!r}"
     if instr.op == "call":
         return f" @{imm}"

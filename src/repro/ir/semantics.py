@@ -136,8 +136,8 @@ _getQ, _getd = _CODEC_FNS["_getQ"], _CODEC_FNS["_getd"]
 
 # A double's bits, both ways.  The ``bits_ftoi``/``bits_itof`` rows spell
 # the same expressions inline (the op grid asserts helper == row); the
-# functions are for host code (``jsvm.values``) and the emitter's
-# non-finite literals.
+# functions are for host code (``jsvm.values``), the emitter's
+# non-finite literals and the printer's NaN constants.
 def _bits_ftoi(a: float) -> int:
     return _getQ(_packd(a))[0]
 

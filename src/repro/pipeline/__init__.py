@@ -11,9 +11,9 @@ the paper's production story (S6.5) made concrete:
 * :class:`~repro.pipeline.artifacts.ArtifactStore` — the S6.5
   specialization cache: the persistent on-disk store (``cache_dir``) of
   residual IR and emitted backend source, keyed by
-  :func:`~repro.core.cache.request_key`;
-* :mod:`~repro.pipeline.serialize` — structural JSON round-tripping of
-  IR functions with a strict corruption-is-a-miss contract;
+  :func:`~repro.core.cache.request_key`.  A residual is stored as its
+  printed IR text and read back by :func:`~repro.ir.parse_function`;
+  an entry that does not parse or verify is a miss;
 * :class:`~repro.pipeline.tiering.TieringController` — profile-guided
   dynamic tier-up at run time (tier 0 generic interpreter → tier 1
   residual IR → tier 2 compiled Python), with guarded speculation and
@@ -54,11 +54,6 @@ from repro.pipeline.profiles import (
     open_profile_store,
     profile_key,
 )
-from repro.pipeline.serialize import (
-    SerializationError,
-    function_from_dict,
-    function_to_dict,
-)
 from repro.pipeline.tiering import (
     DEFAULT_THRESHOLD,
     FunctionProfile,
@@ -82,13 +77,10 @@ __all__ = [
     "GuestRuntime",
     "ProfileStore",
     "PromotionError",
-    "SerializationError",
     "TierEntry",
     "TieringController",
     "atomic_write_json",
     "controller_for",
-    "function_from_dict",
-    "function_to_dict",
     "locked_write_json",
     "open_profile_store",
     "profile_key",

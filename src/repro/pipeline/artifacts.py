@@ -10,7 +10,10 @@ snapshot.  This module is that cache: it stores
   printed body, the request's argument modes, the contents of every
   promised-constant memory range, and the specialization options that
   shape it (SSA mode, opt config; not the backend, residual IR is
-  backend-independent) — and
+  backend-independent).  An entry holds the residual as its printed
+  IR text (``print_function(..., order="id")``), the same text its
+  fingerprints hash; a load reads it back with
+  :func:`~repro.ir.parser.parse_function` — and
 * **emitted backend source** (``py/``) keyed by the *residual*
   function's printed-IR fingerprint plus the emitter version, so a
   residual loaded warm reuses the same Python source (or the same
@@ -19,14 +22,16 @@ snapshot.  This module is that cache: it stores
 Key anatomy (one file per entry, file name = sha256 of the key):
 
     spec/<sha256((generic_fp, request_key, memory_fp, options_key))>.json
+        {version, generic_fingerprint, memory_fingerprint, ir_text}
     py/<sha256((residual_fp, EMITTER_VERSION))>.json
 
 Invalidation is entirely by construction: change the interpreter body,
 the bytecode bytes, the opt pipeline, or the emitter, and the key
 changes, so the stale artifact is simply never looked up again.  Loads
 are paranoid and never raise for bad cache state: a version skew,
-fingerprint mismatch, JSON error, or truncated file yields status
-``"invalid"`` and the engine silently recompiles.  Writes go through a
+fingerprint mismatch, JSON error, truncated file or IR text that does
+not parse yields status ``"invalid"`` and the engine silently
+recompiles.  Writes go through a
 same-directory temp file + ``os.replace`` so a crashed process cannot
 leave a torn artifact behind, and an unwritable cache directory
 degrades to "no cache", never to a failed compile.
@@ -66,17 +71,15 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro.ir.function import Function
-from repro.pipeline.serialize import (
-    SerializationError,
-    function_from_dict,
-    function_to_dict,
-)
+from repro.ir.module import Module
+from repro.ir.parser import IRParseError, parse_function
 
-# Bump on any change to the artifact schema, the IR serialization, or
-# the semantics of specialization outputs that the key cannot see.
+# Bump on any change to the artifact schema, the IR text, or the
+# semantics of specialization outputs that the key cannot see.
 # 4: one site-guard form — a (site, values) guard resumes, only an int
 # guard unwinds.
-ARTIFACT_VERSION = 4
+# 5: a residual is stored as its printed IR text alone.
+ARTIFACT_VERSION = 5
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part
@@ -341,10 +344,12 @@ class ArtifactStore:
 
     def load_residual(self, key: Tuple, name: str,
                       generic_fingerprint: str,
-                      memory_fingerprint: str
-                      ) -> Tuple[Optional[Function], str]:
+                      memory_fingerprint: str,
+                      module: Module) -> Tuple[Optional[Function], str]:
         """Load the residual function for ``key`` as ``(function,
         status)``; the function is ``None`` unless status is ``"hit"``.
+        Its text is parsed against ``module``, where it will run (a
+        ``call``'s result type is its callee's).
 
         The fingerprints are stored redundantly inside the artifact and
         re-checked here, so a digest collision or a hand-edited file is
@@ -356,34 +361,27 @@ class ArtifactStore:
         if data.get("generic_fingerprint") != generic_fingerprint or \
                 data.get("memory_fingerprint") != memory_fingerprint:
             return None, INVALID
-        try:
-            func = function_from_dict(data["ir"], name=name)
-        except (SerializationError, KeyError, TypeError):
+        text = data.get("ir_text")
+        if not isinstance(text, str):
             return None, INVALID
-        return func, HIT
+        try:
+            return parse_function(text, module, name=name), HIT
+        except IRParseError:
+            return None, INVALID
 
-    def store_residual(self, key: Tuple, func: Function, ir_text: str,
+    def store_residual(self, key: Tuple, ir_text: str,
                        generic_fingerprint: str,
                        memory_fingerprint: str) -> bool:
-        try:
-            payload = function_to_dict(func)
-        except SerializationError:
-            # A function the encoding cannot express is simply not
-            # persisted (it will recompile next process) — storing must
-            # never fail a build.
-            return False
+        """Persist one residual as its printed IR text (``order="id"``)."""
         return self._write_json(self.spec_path(key), {
             "version": ARTIFACT_VERSION,
             "generic_fingerprint": generic_fingerprint,
             "memory_fingerprint": memory_fingerprint,
-            "ir": payload,
-            # The printed text is stored for humans (debugging diffs);
-            # loads reconstruct from the structured form.
             "ir_text": ir_text,
         }, stored_ok=lambda d: (
             d.get("generic_fingerprint") == generic_fingerprint
             and d.get("memory_fingerprint") == memory_fingerprint
-            and isinstance(d.get("ir"), dict)))
+            and d.get("ir_text") == ir_text))
 
     # ------------------------------------------------------------------
     # Emitted backend source artifacts.

@@ -203,8 +203,7 @@ class CompilationEngine:
             else:
                 stats.functions_specialized += 1
                 if self.store is not None and self.store.store_residual(
-                        key, result.function,
-                        print_function(result.function, order="id"),
+                        key, print_function(result.function, order="id"),
                         key[0], key[2]):
                     stats.artifacts_written += 1
         if self.store is not None:
@@ -225,7 +224,7 @@ class CompilationEngine:
         try:
             if self.store is not None:
                 func, status = self.store.load_residual(
-                    key, request.name(), key[0], key[2])
+                    key, request.name(), key[0], key[2], self.module)
                 if func is not None:
                     try:
                         # Disk artifacts sit outside the process's trust

@@ -19,6 +19,8 @@ from repro.ir import (
     HostFunc,
     Module,
     Signature,
+    parse_function,
+    print_function,
     verify_module,
 )
 from repro.ir.instructions import OPCODES
@@ -103,6 +105,17 @@ def run_with_stats(source: str, func: str, args=(),
     vm = VM(module)
     result = vm.call(func, list(args))
     return result, vm.stats
+
+
+def assert_text_round_trips(func, module: Optional[Module] = None):
+    """``print_function(parse_function(text, module)) == text`` for
+    ``func``'s text in both print orders; returns the function parsed
+    from its ``order="id"`` text, the form the artifact store keeps."""
+    for order in ("rpo", "id"):
+        text = print_function(func, order=order)
+        parsed = parse_function(text, module)
+        assert print_function(parsed, order=order) == text, text
+    return parsed
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
 import pathlib
 import re
 import shutil
@@ -53,7 +54,7 @@ from repro.core.specialize import SpecializeOptions
 from repro.backend import compile_function
 from repro.core.state import meet_states
 from repro.frontend import compile_source
-from repro.ir import Module
+from repro.ir import Module, print_function
 from repro.jsvm import JSRuntime
 from repro.luavm import LuaRuntime
 from repro.min.harness import (
@@ -533,3 +534,22 @@ def test_compiled_code_counts_only_fuel():
     assert not _identifiers() & {"_COUNTER_LOCALS", "host_calls"}
     assert [field.name for field in dataclasses.fields(ExecStats)] == [
         "fuel", "loads", "stores", "calls", "indirect_calls", "backedges"]
+
+
+def test_one_ir_text(tmp_path):
+    """A residual has one text, the printed IR, and the parser reads it
+    back: the JSON encoding's module is gone, nothing under ``src/``
+    names its functions or its error, and a ``spec/`` entry the engine
+    writes holds the version, the two fingerprints and the text."""
+    assert importlib.util.find_spec("repro.pipeline.serialize") is None
+    assert not _identifiers() & {"function_to_dict", "function_from_dict",
+                                 "SerializationError"}
+    guest = CalcGuest(SpecializeOptions(cache_dir=str(tmp_path)))
+    guest.run(mode="aot")
+    (entry,) = (tmp_path / "spec").iterdir()
+    stored = json.loads(entry.read_text())
+    assert sorted(stored) == ["generic_fingerprint", "ir_text",
+                              "memory_fingerprint", "version"]
+    assert stored["ir_text"] == print_function(
+        guest.module.functions["calc_compiled"], order="id")
+

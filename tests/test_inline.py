@@ -7,9 +7,9 @@ plan validation), the VM/backend agreement on inlined residuals
 (results, site-miss notification, and exhaustive fuel-limit sweeps
 across both emit legs), a generated oracle that splices random plans
 into random callers and holds every engine to the un-spliced caller,
-serialization round-trips for the site-guard imm and request inline
-plans, and the controller's per-*site* demotion policy end-to-end on a
-MiniJS phase-change workload.
+IR-text round trips for the site-guard imm and request inline plans,
+and the controller's per-*site* demotion policy end-to-end on a MiniJS
+phase-change workload.
 """
 
 import dataclasses
@@ -31,11 +31,10 @@ from repro.opt.inline import (
     apply_inline_plan,
     enumerate_call_sites,
 )
-from repro.pipeline.serialize import function_from_dict, function_to_dict
 from repro.vm import VM
 from repro.vm.machine import OutOfFuel
 
-from tests.helpers import EMIT_LEGS, compile_legs
+from tests.helpers import EMIT_LEGS, assert_text_round_trips, compile_legs
 
 SIG1 = Signature((I64,), (I64,))
 SCRATCH = 256  # heap cell the prefix loads or bumps before its call
@@ -366,6 +365,7 @@ def test_generated_splices_match_the_unspliced_caller(case):
     prefix, loop_trips, targets, selector, x = case
     module, index = spliced(targets, prefix, loop_trips)
     note(print_function(module.functions["caller"]))
+    assert_text_round_trips(module.functions["caller"], module)
     args = (index[selector], x)
     ref = VM(module)
     want = ref.call("caller_gen", list(args))
@@ -388,7 +388,7 @@ def test_generated_splices_match_the_unspliced_caller(case):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: the site-guard imm; inline plans in the request key.
+# The IR text: the site-guard imm; inline plans in the request key.
 # ---------------------------------------------------------------------------
 
 class TestSerialization:
@@ -397,11 +397,8 @@ class TestSerialization:
         module, _ = spliced(targets=("add1", "dbl"),
                             prefix="store" if effectful else "none")
         func = module.functions["caller"]
-        payload = function_to_dict(func)
-        import json
-        restored = function_from_dict(json.loads(json.dumps(payload)))
+        restored = assert_text_round_trips(func, module)
         verify_function(restored, module)
-        assert function_to_dict(restored) == payload
         assert [i.imm for i in _guards(restored)] == \
             [i.imm for i in _guards(func)]
 

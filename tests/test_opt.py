@@ -12,6 +12,7 @@ from repro.ir import (
     Jump,
     Module,
     Signature,
+    parse_function,
     print_function,
     verify_function,
 )
@@ -32,6 +33,8 @@ from repro.opt import (
     thread_jumps,
 )
 from repro.vm import VM, OutOfFuel, VMTrap
+
+from tests.helpers import assert_text_round_trips
 
 
 def compiled_func(src, name):
@@ -438,29 +441,69 @@ u64 f(u64 p, u64 n) {
         assert VM(module).call("f", [64, 0x1FF]) == 0xFF
 
 
-class TestJumpThreading:
-    def _build_const_forwarder(self):
-        """entry passes a constant into a forwarder whose br_if decides
-        on that parameter; another pred passes a runtime value."""
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        x = fb.entry.params[0][0]
-        fwd = fb.new_block([I64])
-        t_blk, f_blk, other = fb.new_block(), fb.new_block(), fb.new_block()
-        one = fb.iconst(1)
-        fb.br_if(x, other, fwd, [], [one])
-        fb.switch_to(fwd)
-        cond = fwd.param_values()[0]
-        fb.br_if(cond, t_blk, f_blk)
-        fb.switch_to(t_blk)
-        fb.ret(fb.iconst(10))
-        fb.switch_to(f_blk)
-        fb.ret(fb.iconst(20))
-        fb.switch_to(other)
-        fb.jump(fwd, [x])
-        return fb.finish()
+# A constant edge into a forwarder: block0 passes 1 into block1, whose
+# br_if decides on that parameter; block4 passes the runtime x.
+CONST_FORWARDER = """\
+func @f(v0: i64) -> i64 {
+block0:
+  v2 = iconst 1
+  br_if v0, block4, block1(v2)
+block1(v1: i64):
+  br_if v1, block2, block3
+block2:
+  v3 = iconst 10
+  return v3
+block3:
+  v4 = iconst 20
+  return v4
+block4:
+  jump block1(v0)
+}"""
 
+# The same shape, but the forwarder's parameter p (v1) is also read past
+# it: on the true arm (``"t"``: returns p + 10) or the false arm (``"f"``:
+# returns p + 20).
+PARAM_READERS = {
+    "t": """\
+func @f(v0: i64) -> i64 {
+block0:
+  v2 = iconst 1
+  br_if v0, block4, block1(v2)
+block1(v1: i64):
+  br_if v1, block2, block3
+block2:
+  v3 = iconst 10
+  v4 = iadd v1, v3
+  return v4
+block3:
+  v5 = iconst 20
+  return v5
+block4:
+  jump block1(v0)
+}""",
+    "f": """\
+func @f(v0: i64) -> i64 {
+block0:
+  v2 = iconst 1
+  br_if v0, block4, block1(v2)
+block1(v1: i64):
+  br_if v1, block2, block3
+block2:
+  v3 = iconst 10
+  return v3
+block3:
+  v4 = iconst 20
+  v5 = iadd v1, v4
+  return v5
+block4:
+  jump block1(v0)
+}""",
+}
+
+
+class TestJumpThreading:
     def test_threads_constant_edge(self):
-        func = self._build_const_forwarder()
+        func = parse_function(CONST_FORWARDER)
         threaded = thread_jumps(func)
         assert threaded == 1
         verify_function(func)
@@ -473,32 +516,11 @@ class TestJumpThreading:
         assert VM(module).call("f", [0]) == 10  # const edge: cond=1
         assert VM(module).call("f", [5]) == 10  # runtime edge: cond=5
 
-    def _build_param_reader(self, reader):
-        """The constant-edge shape of ``_build_const_forwarder``, but the
-        forwarder's parameter is also read past it: ``t`` returns
-        ``p + 10`` (``reader="t"``) or ``f`` returns ``p + 20``
-        (``reader="f"``)."""
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        x = fb.entry.params[0][0]
-        fwd = fb.new_block([I64])
-        t_blk, f_blk, other = fb.new_block(), fb.new_block(), fb.new_block()
-        fb.br_if(x, other, fwd, [], [fb.iconst(1)])
-        fb.switch_to(fwd)
-        p = fwd.param_values()[0]
-        fb.br_if(p, t_blk, f_blk)
-        for blk, base, name in ((t_blk, 10, "t"), (f_blk, 20, "f")):
-            fb.switch_to(blk)
-            value = fb.iconst(base)
-            fb.ret(fb.iadd(p, value) if reader == name else value)
-        fb.switch_to(other)
-        fb.jump(fwd, [x])
-        return fb.finish()
-
     def test_forwarder_param_read_on_decided_arm(self):
         """Bypassing ``fwd`` would leave ``t``'s read of ``p`` without a
         definition on the threaded path: the edge stays, the function
         verifies, and the default pipeline computes ``p + 10``."""
-        func = self._build_param_reader("t")
+        func = parse_function(PARAM_READERS["t"])
         assert thread_jumps(func) == 0
         verify_function(func)
         optimize_function(func, verify=True)
@@ -511,7 +533,7 @@ class TestJumpThreading:
         """Only ``f``, the arm the constant edge does not take, reads
         ``p``: bypassing ``fwd`` would be SSA-valid, but ``fwd`` is not a
         forwarder under the one rule, so the edge stays."""
-        func = self._build_param_reader("f")
+        func = parse_function(PARAM_READERS["f"])
         before = print_function(func)
         assert thread_jumps(func) == 0
         assert print_function(func) == before
@@ -630,6 +652,7 @@ def test_jump_threading_oracle(original):
     the original does on every input the original finishes."""
     note(print_function(original))
     verify_function(original)
+    assert_text_round_trips(original)
     expected = {arg: _outcome(original, arg) for arg in (0, 1, 3)}
 
     def default_pipeline(func):

@@ -20,13 +20,15 @@ have always been held to.  Wall clock is the ledger's
 
 The same sweep pins the residual code itself: ``residual_digests.txt``
 holds the size and a digest of the printed residuals of every AOT run,
-so a mid-end change that keeps the bytes provably keeps them.
+so a mid-end change that keeps the bytes provably keeps them; and each
+of those residuals must read back from its printed text, the form the
+artifact store keeps.
 """
 
 import dataclasses
 import hashlib
 import math
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 
@@ -40,7 +42,8 @@ from repro.core import (
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import SpecializationStats
 from repro.frontend import compile_source
-from repro.ir import print_function
+from repro.backend import UnsupportedConstruct, emit_function_source
+from repro.ir import parse_function, print_function
 from repro.jsvm import JSRuntime
 from repro.luavm import LuaRuntime
 from repro.luavm.runtime import LUA_INTERP_SRC
@@ -110,13 +113,43 @@ def residual_digest(rt) -> Tuple[int, int, int, str]:
             hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
+def _emitted(func, module) -> str:
+    try:
+        return emit_function_source(func, module)[0]
+    except UnsupportedConstruct as exc:
+        return f"unsupported: {exc}"
+
+
+def round_trip_misses(rt) -> List[str]:
+    """The residuals ``residual_digest`` hashes whose printed text (either
+    order) does not parse back to itself, or whose parsed form emits
+    other Python than the one in memory."""
+    misses = []
+    for p in rt.compiler.processed:
+        if p.error is not None:
+            continue
+        func = rt.module.functions[p.function_name]
+        parsed = parse_function(print_function(func, order="id"), rt.module)
+        if any(print_function(parsed, order=order) !=
+               print_function(func, order=order) for order in ("id", "rpo")) \
+                or _emitted(parsed, rt.module) != _emitted(func, rt.module):
+            misses.append(p.function_name)
+    return misses
+
+
+def _record_residuals(rt, run: str, residuals: Dict[str, tuple],
+                      round_trips: Dict[str, List[str]]) -> None:
+    residuals[run] = residual_digest(rt)
+    round_trips[run] = round_trip_misses(rt)
+
+
 def _run_js(rt: JSRuntime) -> JSRun:
     vm = rt.run()
     return JSRun(tuple(rt.printed), vm.stats.fuel, vm.stats.loads,
                  vm.stats.stores)
 
 
-def _js_sweep(digests: Dict[str, tuple]):
+def _js_sweep(digests: Dict[str, tuple], round_trips: Dict[str, list]):
     runs: Dict[str, Dict[str, JSRun]] = {}
     shapes: Dict[str, AotShape] = {}
     for name in BENCHMARK_NAMES:
@@ -126,7 +159,8 @@ def _js_sweep(digests: Dict[str, tuple]):
             before = rt.module.code_size(), len(rt.module.functions)
             runs[name][config] = _run_js(rt)
             if config in ("wevaled", "wevaled_state"):
-                digests[f"{name}/{config}"] = residual_digest(rt)
+                _record_residuals(rt, f"{name}/{config}", digests,
+                                  round_trips)
             if config == "wevaled_state":
                 shapes[name] = AotShape(
                     *before, rt.module.code_size(),
@@ -135,7 +169,7 @@ def _js_sweep(digests: Dict[str, tuple]):
     return runs, shapes
 
 
-def _lua_sweep(digests: Dict[str, tuple]):
+def _lua_sweep(digests: Dict[str, tuple], round_trips: Dict[str, list]):
     """``name -> (interp output, aot output, interp fuel, aot fuel)``."""
     results = {}
     for name in LUA_NAMES:
@@ -145,7 +179,7 @@ def _lua_sweep(digests: Dict[str, tuple]):
         rt.printed.clear()
         rt.aot_compile()
         aot = rt.run_aot()
-        digests[f"lua/{name}/aot"] = residual_digest(rt)
+        _record_residuals(rt, f"lua/{name}/aot", digests, round_trips)
         results[name] = (interp_out, list(rt.printed), interp.stats.fuel,
                          aot.stats.fuel)
     return results
@@ -247,17 +281,21 @@ class Sweep(NamedTuple):
     ablation: Dict[str, tuple]
     # ``residual_digest`` of every AOT runtime above, by run.
     residuals: Dict[str, tuple]
+    # ``round_trip_misses`` of the same runs.
+    round_trips: Dict[str, List[str]]
 
 
 @pytest.fixture(scope="module")
 def sweep() -> Sweep:
     residuals: Dict[str, tuple] = {}
-    js, aot = _js_sweep(residuals)
+    round_trips: Dict[str, List[str]] = {}
+    js, aot = _js_sweep(residuals, round_trips)
     raw_wevaled = _run_js(JSRuntime(
         corpus_program("js/richards.js"), "wevaled",
         options=SpecializeOptions(opt_config="none")))
-    return Sweep(js, aot, raw_wevaled, _lua_sweep(residuals), fig8_runs(),
-                 _min_residuals(), _ablation(), residuals)
+    return Sweep(js, aot, raw_wevaled, _lua_sweep(residuals, round_trips),
+                 fig8_runs(), _min_residuals(), _ablation(), residuals,
+                 round_trips)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +457,15 @@ def test_residuals_match_golden(request, sweep):
         "Residual digests — every AOT run of the sweep",
         ["run", "functions", "instrs", "blocks", "sha256[:16]"],
         [[run, *digest] for run, digest in sweep.residuals.items()]))
+
+
+def test_residuals_read_back_from_their_text(sweep):
+    """The artifact store keeps a residual as its printed text: on every
+    residual above, print ∘ parse is the identity and the parsed
+    function emits byte-identical Python."""
+    assert len(sweep.round_trips) == len(sweep.residuals)
+    assert {run: misses for run, misses in sweep.round_trips.items()
+            if misses} == {}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ The contracts under test (ISSUE/ROADMAP "production story" layer):
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -31,16 +32,20 @@ from repro.core import (
 )
 from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
-from repro.ir import Module, print_function, verify_module
+from repro.ir import (
+    IRParseError,
+    Module,
+    parse_function,
+    print_function,
+    verify_module,
+)
 from repro.pipeline import (
     ARTIFACT_VERSION,
     ArtifactStore,
     CompilationEngine,
-    SerializationError,
-    function_from_dict,
-    function_to_dict,
     locked_write_json,
 )
+from repro.vm import VM
 
 INTERP = """
 u64 interp(u64 program, u64 proglen, u64 input) {
@@ -137,53 +142,64 @@ def check_outputs(outputs):
 
 
 # ---------------------------------------------------------------------------
-# Serialization round trip.
+# The IR text: a residual is stored as its print and parsed back.
 # ---------------------------------------------------------------------------
-class TestSerialization:
-    def test_round_trip_is_identical(self):
+def _flip_mid_line(text: str) -> str:
+    """Flip one bit of the middle character of the first ``iadd``."""
+    start = text.index(" = iadd ")
+    start = text.rindex("\n", 0, start) + 1
+    end = text.index("\n", start)
+    mid = (start + end) // 2
+    return text[:mid] + chr(ord(text[mid]) ^ 0x20) + text[mid + 1:]
+
+
+MALFORMED_TEXTS = {
+    "truncated": lambda t: t[:len(t) // 2],
+    "unknown-opcode": lambda t: t.replace(" = iadd ", " = iadd2 ", 1),
+    "unknown-terminator": lambda t: t.replace("  return ", "  yield ", 1),
+    "bad-type": lambda t: t.replace(": i64", ": i32", 1),
+    "dangling-entry": lambda t: t[:t.index("\n")] + "\n}",
+    "flipped-byte": _flip_mid_line,
+}
+
+
+class TestParse:
+    def _residual(self):
         module = build_module()
         engine = CompilationEngine(module)
-        func = engine.compile_batch(make_requests()[:1])[0].function
-        payload = json.loads(json.dumps(function_to_dict(func)))
-        clone = function_from_dict(payload)
-        assert print_function(clone, order="id") == \
-            print_function(func, order="id")
-        assert clone._next_value == func._next_value
-        assert clone._next_block == func._next_block
+        return module, engine.compile_batch(make_requests()[:1])[0].function
+
+    def test_round_trip_is_identical(self):
+        module, func = self._residual()
+        text = print_function(func, order="id")
+        clone = parse_function(text, module)
+        assert print_function(clone, order="id") == text
+        assert print_function(clone) == print_function(func)
 
     def test_rename_on_load(self):
-        module = build_module()
-        engine = CompilationEngine(module)
-        func = engine.compile_batch(make_requests()[:1])[0].function
-        clone = function_from_dict(function_to_dict(func), name="renamed")
+        module, func = self._residual()
+        clone = parse_function(print_function(func, order="id"), module,
+                               name="renamed")
         assert clone.name == "renamed"
 
-    @pytest.mark.parametrize("mutilate", [
-        lambda d: d.pop("blocks"),
-        lambda d: d["blocks"][0].update(terminator={"t": "mystery"}),
-        lambda d: d["sig"].update(params=["i32"]),
-        lambda d: d.update(entry=999),
-        lambda d: d["blocks"][0]["instrs"].append(["iconst"]),
-    ])
-    def test_malformed_payload_raises(self, mutilate):
-        module = build_module()
-        engine = CompilationEngine(module)
-        func = engine.compile_batch(make_requests()[:1])[0].function
-        payload = function_to_dict(func)
-        mutilate(payload)
-        with pytest.raises(SerializationError):
-            function_from_dict(payload)
+    @pytest.mark.parametrize("mutilate", MALFORMED_TEXTS.values(),
+                             ids=MALFORMED_TEXTS.keys())
+    def test_malformed_text_raises(self, mutilate):
+        module, func = self._residual()
+        text = print_function(func, order="id")
+        assert mutilate(text) != text
+        with pytest.raises(IRParseError):
+            parse_function(mutilate(text), module)
 
     def test_duplicate_block_id_rejected(self):
         """Duplicate block ids must read as corruption, not silently
         last-write-wins into a different program."""
-        module = build_module()
-        engine = CompilationEngine(module)
-        func = engine.compile_batch(make_requests()[:1])[0].function
-        payload = function_to_dict(func)
-        payload["blocks"].append(dict(payload["blocks"][0]))
-        with pytest.raises(SerializationError, match="duplicate block"):
-            function_from_dict(payload)
+        module, func = self._residual()
+        text = print_function(func, order="id")
+        blocks = slice(text.index("\nblock0:"), text.rindex("\n}"))
+        doubled = text[:blocks.stop] + text[blocks] + text[blocks.stop:]
+        with pytest.raises(IRParseError, match="duplicate block"):
+            parse_function(doubled, module)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +290,7 @@ class TestWarmStart:
     def test_js_runtime_warm_start(self, tmp_path):
         """End-to-end through JSRuntime: the residuals contain
         ``call_indirect`` (Signature immediates) and IC-corpus stubs, so
-        this exercises the full serialization surface."""
+        this exercises the full IR text surface."""
         from repro.jsvm import JSRuntime
         src = ("function compute() { var o = {}; o.x = 3; o.y = 4;\n"
                "  return o.x * o.y; }\n"
@@ -310,6 +326,32 @@ class TestWarmStart:
         # spec_b still loads from disk.
         assert compiler.engine.stats.functions_specialized == 1
         assert compiler.engine.stats.artifact_hits == 1
+
+
+NAN_SRC = ("u64 g(u64 p) { storef64(p, ffrombits(0x7ff8000000000001)); "
+           "return load64(p); }")
+
+
+@pytest.mark.parametrize("backend", ["vm", "py"])
+def test_nan_constant_survives_a_warm_start(tmp_path, backend):
+    """A NaN's payload is part of its constant: the residual folds the
+    bit pattern into an ``fconst``, and a warm start over the store
+    returns the bits a cold start does."""
+    def run():
+        module = Module(memory_size=4096)
+        compile_source(NAN_SRC).add_to_module(module)
+        engine = CompilationEngine(module, SpecializeOptions(
+            cache_dir=str(tmp_path), backend=backend))
+        (result,) = engine.compile_batch([SpecializationRequest(
+            "g", [Runtime()], specialized_name="g_spec")])
+        module.add_function(result.function)
+        vm = VM(module)
+        if result.pyfunc is not None:
+            vm.install_compiled({"g_spec": result.pyfunc})
+        return vm.call("g_spec", [64]), result.artifact_hit
+
+    assert run() == (0x7ff8000000000001, False)
+    assert run() == (0x7ff8000000000001, True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +411,14 @@ class TestArtifactRobustness:
         assert warm.engine.stats.artifact_invalid == 2
 
     def test_mangled_ir_payload_recompiles(self, tmp_path):
+        # One entry gets an unknown terminator, the other no text at all.
+        manglings = iter([lambda text: text.replace("  return ", "  yield "),
+                          lambda text: 5])
+
         def damage(path):
             with open(path) as handle:
                 data = json.load(handle)
-            data["ir"]["blocks"][0]["terminator"] = {"t": "mystery"}
+            data["ir_text"] = next(manglings)(data["ir_text"])
             with open(path, "w") as handle:
                 json.dump(data, handle)
         warm = self._warm_after(tmp_path, damage)
@@ -386,10 +432,12 @@ class TestArtifactRobustness:
         def damage(path):
             with open(path) as handle:
                 data = json.load(handle)
-            # Use-before-def: clobber every instruction's args.
-            for block in data["ir"]["blocks"]:
-                for instr in block["instrs"]:
-                    instr[2] = [999999 for _ in instr[2]]
+            # Use-before-def: clobber every instruction's operands.
+            lines = []
+            for line in data["ir_text"].split("\n"):
+                lhs, sep, rhs = line.partition(" = ")
+                lines.append(lhs + sep + re.sub(r"\bv\d+", "v999999", rhs))
+            data["ir_text"] = "\n".join(lines)
             with open(path, "w") as handle:
                 json.dump(data, handle)
         warm = self._warm_after(tmp_path, damage)
@@ -398,7 +446,8 @@ class TestArtifactRobustness:
 
     def test_store_statuses(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        func, status = store.load_residual(("nope",), "f", "g", "m")
+        func, status = store.load_residual(("nope",), "f", "g", "m",
+                                           build_module())
         assert func is None and status == "miss"
         source, status = store.load_py_source("0" * 64)
         assert source is None and status == "miss"
@@ -549,15 +598,16 @@ class TestCrossProcessStore:
 
         def truncated_read(path):
             data, status = original(path)
-            if data is not None and "ir" in data:
-                data = dict(data, ir=None)  # simulate a torn payload
+            if data is not None and "ir_text" in data:
+                # Simulate a torn payload.
+                data = dict(data, ir_text=data["ir_text"][:-1])
             return data, status
 
         monkeypatch.setattr(ArtifactStore, "_read_json",
                             staticmethod(truncated_read))
-        module = build_module()
-        func = module.functions["interp"]
-        ok = store.store_residual(("k",), func, "text", "gfp", "mfp")
+        text = print_function(build_module().functions["interp"],
+                              order="id")
+        ok = store.store_residual(("k",), text, "gfp", "mfp")
         assert not ok
 
 
