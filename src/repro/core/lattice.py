@@ -1,9 +1,10 @@
 """The constant-propagation abstract domain used by the specializer.
 
-An abstract value is either :class:`Const` (a compile-time-known i64 bit
-pattern or f64) or :class:`Dyn` (a run-time value, identified by the SSA
-value id it has in the *specialized* function being built).  There is no
-explicit bottom: unreachable code is simply never transcribed.
+An abstract value is either :class:`Const` (a compile-time-known i64 or
+f64, identified by its bit pattern) or :class:`Dyn` (a run-time value,
+identified by the SSA value id it has in the *specialized* function being
+built).  There is no explicit bottom: unreachable code is simply never
+transcribed.
 
 :class:`ConstMemoryImage` implements the "constant memory" interface of
 S3.5/S3.6: the byte ranges promised constant by a specialization request,
@@ -18,46 +19,39 @@ defines no arithmetic of its own: it calls the op's row in
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.ir.semantics import PURE_FNS, VMTrap, _sext
+from repro.ir.semantics import PURE_FNS, VMTrap, _bits_ftoi, _getd, _sext
 from repro.ir.types import I64, Type
 
 
 class Const:
     """A compile-time constant: int bit pattern (i64) or float (f64).
 
+    Its identity is ``(bits, ty)``: the value for i64, ``_bits_ftoi``
+    of it for f64.  So ``0.0 != -0.0`` and NaNs are equal by payload.
+
     Abstract values are compared billions of times across a large
     specialization (every meet touches every slot of every predecessor
     state), so both classes are slotted, hash-cached, and equipped with
     an identity fast path in ``__eq__``.  Combined with interning (see
     :func:`intern_const`), most equality checks reduce to a pointer
-    comparison.  Equality semantics match the former frozen-dataclass
-    behavior exactly: identity-or-``==`` per component, as tuple
-    comparison does (so ``0.0 == -0.0``, distinct NaN objects stay
-    unequal, and two Consts wrapping the *same* NaN object — e.g. the
-    ``math.nan`` singleton the constant folder returns — stay equal,
-    keeping NaN-valued entry states stable across rebuilds).
+    comparison.
     """
 
-    __slots__ = ("value", "ty", "_hash")
+    __slots__ = ("value", "ty", "bits", "_hash")
 
     def __init__(self, value: Union[int, float], ty: Type):
-        if ty is I64:
-            assert isinstance(value, int)
-        else:
-            assert isinstance(value, float)
+        assert isinstance(value, int if ty is I64 else float)
         self.value = value
         self.ty = ty
-        self._hash = hash((value, ty))
+        self.bits = value if ty is I64 else _bits_ftoi(value)
+        self._hash = hash((self.bits, ty))
 
     def __eq__(self, other):
         if self is other:
             return True
-        return (type(other) is Const
-                and (self.value is other.value
-                     or self.value == other.value)
+        return (type(other) is Const and self.bits == other.bits
                 and self.ty is other.ty)
 
     def __ne__(self, other):
@@ -104,33 +98,31 @@ AbsVal = Union[Const, Dyn]
 #
 # The specializer re-creates the same small set of Const objects (opcode
 # operands, pcs, flags, zeros) at nearly every transcription step.
-# Interning i64 constants makes those objects *identical*, so state
-# equality checks, meets, and signature comparisons hit the ``is`` fast
-# path instead of structural comparison.  f64 constants are left alone:
-# they are rare, and an equality-keyed table would conflate 0.0/-0.0
-# (whose bit patterns the optimizer deliberately keeps distinct).
+# Interning makes those objects *identical*, so state equality checks,
+# meets, and signature comparisons hit the ``is`` fast path instead of
+# structural comparison.  The table is keyed by identity: an i64 by its
+# value, an f64 by ``(bits, F64)``, a key no int equals.
 #
 # The hit/miss counters only ever grow; a specialization reports the
 # delta over its own run (compilation is in-process and serial).
 # ---------------------------------------------------------------------------
 
-_CONST_INTERN: Dict[int, Const] = {}
+_CONST_INTERN: Dict[object, Const] = {}
 _CONST_INTERN_CAP = 1 << 20  # safety valve, never expected in practice
 _intern_hits = _intern_misses = 0
 
 
 def intern_const(value: Union[int, float], ty: Type) -> Const:
-    """Return a canonical :class:`Const` (i64 values are hash-consed)."""
+    """Return the canonical :class:`Const` of ``(bits, ty)``."""
     global _intern_hits, _intern_misses
-    if ty is not I64:
-        return Const(value, ty)
-    cached = _CONST_INTERN.get(value)
+    key = value if ty is I64 else (_bits_ftoi(value), ty)
+    cached = _CONST_INTERN.get(key)
     if cached is not None:
         _intern_hits += 1
         return cached
     if len(_CONST_INTERN) >= _CONST_INTERN_CAP:
         _CONST_INTERN.clear()
-    cached = _CONST_INTERN[value] = Const(value, ty)
+    cached = _CONST_INTERN[key] = Const(value, ty)
     _intern_misses += 1
     return cached
 
@@ -176,7 +168,7 @@ class ConstMemoryImage:
     def read_f64(self, addr: int) -> Optional[float]:
         if not self.contains(addr, 8):
             return None
-        return struct.unpack_from("<d", self.snapshot, addr)[0]
+        return _getd(self.snapshot, addr)[0]
 
 
 def fold_pure_op(op: str, imm: object,

@@ -19,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
+from repro.ir.semantics import _bits_ftoi
+
 
 class ArgMode:
     """Base class for parameter specialization modes."""
@@ -98,9 +100,12 @@ class SpecializationRequest:
     def cache_key(self) -> tuple:
         """A hashable key identifying this request's argument data (used
         by :func:`~repro.core.cache.request_key` together with a hash of
-        the generic function and the referenced memory contents)."""
+        the generic function and the referenced memory contents).  An
+        f64 is keyed by its bits: ``==`` and ``repr`` merge ±0 and NaNs."""
         frozen_args = tuple(
-            (type(a).__name__,) + tuple(dataclasses.asdict(a).items())
+            (type(a).__name__,) + tuple(
+                (k, ("f64", _bits_ftoi(v)) if isinstance(v, float) else v)
+                for k, v in dataclasses.asdict(a).items())
             for a in self.args)
         return (self.generic, frozen_args, tuple(self.extra_const_memory),
                 self.inline_plan)

@@ -349,7 +349,6 @@ class _Specializer:
         self._heap: List[Tuple[Tuple[int, int], Key]] = []
         self._rpo_unreachable = len(self._rpo_index)
         self._ctx_order: Dict[tuple, int] = {}
-        self._key_strs: Dict[Key, str] = {}
         self._mint_info: Optional[_KeyInfo] = None
         self._verify = verify_enabled_by_env()
 
@@ -460,20 +459,12 @@ class _Specializer:
     # ------------------------------------------------------------------
     # Per-key processing: meet entries, rebuild if changed.
     # ------------------------------------------------------------------
-    def _edge_sort_key(self, item) -> Tuple[str, int]:
-        pred_key, pos = item[0]
-        text = self._key_strs.get(pred_key)
-        if text is None:
-            text = self._key_strs[pred_key] = str(pred_key)
-        return (text, pos)
-
     def _process(self, key: Key) -> None:
         info = self.infos[key]
         self.stats.block_visits += 1
         contributions = []
         edges = []
-        for edge, overrides in sorted(info.in_edges.items(),
-                                      key=self._edge_sort_key):
+        for edge, overrides in info.in_edges.items():
             pred = self.infos.get(edge[0])
             if pred is None or pred.out_state is None:
                 continue
@@ -498,7 +489,7 @@ class _Specializer:
                 info.param_ids[slot] = vid
             return vid
 
-        def full_meet() -> MeetResult:
+        def full_meet(contributions) -> MeetResult:
             return meet_states(
                 contributions, env_domain,
                 lambda gvid: self.generic.value_types[gvid],
@@ -515,14 +506,21 @@ class _Specializer:
             meet = single_pred_entry_state(pred_state, pred_overrides,
                                            env_domain)
             if self._verify:
-                full = full_meet()
+                full = full_meet(contributions)
                 if full.param_slots or not states_equal(meet.state,
                                                         full.state):
                     raise SpecializeError(
                         f"{self.request.name()}: the single-predecessor "
                         f"meet of {key} differs from the full meet")
         else:
-            meet = full_meet()
+            meet = full_meet(contributions)
+            if self._verify and len(contributions) > 1:
+                rev = full_meet(contributions[::-1])
+                if (rev.param_slots != meet.param_slots
+                        or not states_equal(meet.state, rev.state)):
+                    raise SpecializeError(
+                        f"{self.request.name()}: the meet of {key} depends "
+                        f"on the order of its contributions")
         self.stats.meets_performed += 1
         if info.built and info.entry_state is not None \
                 and states_equal(meet.state, info.entry_state):
@@ -567,7 +565,7 @@ class _Specializer:
         info.edges_out = []
 
         state = info.entry_state.copy()
-        const_cache: Dict[Tuple[object, Type], int] = {}
+        const_cache: Dict[Const, int] = {}
         pending_sv: Optional[Tuple[Instr, int, int, AbsVal]] = None
 
         # Stable minting: value ids allocated during this rebuild come
@@ -621,18 +619,17 @@ class _Specializer:
         return vid
 
     def _mat(self, block: Block,
-             const_cache: Dict[Tuple[object, Type], int],
+             const_cache: Dict[Const, int],
              value: AbsVal) -> int:
         """Materialize an abstract value as an SSA value in ``block``."""
         if isinstance(value, Dyn):
             return value.vid
-        key = (value.value, value.ty)
-        vid = const_cache.get(key)
+        vid = const_cache.get(value)
         if vid is None:
             op = "iconst" if value.ty == I64 else "fconst"
             vid = self._mint(value.ty)
             block.instrs.append(Instr(op, vid, (), value.value, value.ty))
-            const_cache[key] = vid
+            const_cache[value] = vid
         return vid
 
     def _transcribe_instr(self, block: Block, state: FlowState,
@@ -947,7 +944,7 @@ class _Specializer:
                 continue
             block = info.spec_block
             out = info.out_state
-            const_cache: Dict[Tuple[object, Type], int] = {}
+            const_cache: Dict[Const, int] = {}
             flushed: Set[Tuple[str, int]] = set()
             for edge in info.edges_out:
                 succ = self.infos[edge.succ_key]

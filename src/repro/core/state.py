@@ -23,6 +23,10 @@ components:
 
 * ``stack`` — the virtualized operand stack (S4.2): a list of slots above
   an unknown base, each with canonical address, value, and dirty flag.
+
+Abstract values compare with ``==``, which is exact (a constant is its
+bit pattern), so :func:`meet_states` does not depend on the order of its
+contributions.
 """
 
 from __future__ import annotations
@@ -77,12 +81,6 @@ class FlowState:
                 f"locals={len(self.locals)} stack={len(self.stack)}>")
 
 
-def _abs_equal(a: Optional[AbsVal], b: Optional[AbsVal]) -> bool:
-    # Interned abstract values (repro.core.lattice) make the identity
-    # check the common case; == is the structural fallback.
-    return a is b or a == b
-
-
 def states_equal(a: FlowState, b: FlowState) -> bool:
     """Cheap whole-state equality for fixpoint change detection.
 
@@ -128,7 +126,7 @@ class MeetResult:
 def _value_descends(old: Optional[AbsVal], new: Optional[AbsVal]) -> bool:
     # Absent is the bottom of a slot: once unavailable, always unavailable.
     return new is None or (old is not None
-                           and (isinstance(new, Dyn) or _abs_equal(old, new)))
+                           and (isinstance(new, Dyn) or old == new))
 
 
 def _slot_descends(old, new) -> bool:
@@ -225,7 +223,7 @@ def meet_states(
         if any(v is None for v in values):
             return None
         first = values[0]
-        if not naive and all(_abs_equal(v, first) for v in values[1:]):
+        if not naive and all(v == first for v in values[1:]):
             return first
         vid = param_for(slot, ty)
         param_slots.append(slot)

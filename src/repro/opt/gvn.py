@@ -10,8 +10,8 @@ every block the ancestor dominates, which is exactly the condition under
 which the rewrite preserves SSA dominance.
 
 Commutative operand lists are sorted so ``iadd a, b`` unifies with
-``iadd b, a``.  Float immediates are keyed by their bit pattern (not
-``==``), so ``fconst 0.0`` and ``fconst -0.0`` stay distinct and NaN
+``iadd b, a``.  Float immediates are keyed by their bits (``_bits_ftoi``,
+not ``==``), so ``fconst 0.0`` and ``fconst -0.0`` stay distinct and NaN
 constants with equal payloads unify.
 
 Constants get stronger treatment: ``iconst``/``fconst`` have no
@@ -25,11 +25,11 @@ them to one definition each.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Tuple
 
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import Function
+from repro.ir.semantics import _bits_ftoi
 from repro.opt.util import resolve, substitute_values
 
 # Ops whose operand order does not matter.
@@ -41,7 +41,7 @@ COMMUTATIVE = {
 
 def _imm_key(imm: object) -> object:
     if isinstance(imm, float):
-        return ("f64", struct.pack("<d", imm))
+        return ("f64", _bits_ftoi(imm))
     return imm
 
 

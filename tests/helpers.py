@@ -151,6 +151,33 @@ def compile_legs(func, module) -> Dict[str, CompiledFunction]:
 
 
 # ---------------------------------------------------------------------------
+# f64 bit patterns: every class of double a constant can be, including
+# the pairs Python's ``==`` or ``repr`` cannot tell apart (the two zeros,
+# NaNs of different payloads).  A constant is its bit pattern, so each
+# must survive every layer exactly.
+# ---------------------------------------------------------------------------
+
+FLOAT_BIT_PATTERNS = (
+    0x0000000000000000,  # +0.0
+    0x8000000000000000,  # -0.0 (repr must keep the sign)
+    0x0000000000000001,  # smallest subnormal
+    0x8000000000000001,  # -smallest subnormal
+    0x000FFFFFFFFFFFFF,  # largest subnormal
+    0x0010000000000000,  # smallest normal
+    0x7FEFFFFFFFFFFFFF,  # largest finite
+    0xFFEFFFFFFFFFFFFF,  # -largest finite
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+    0x7FF8000000000000,  # canonical quiet NaN
+    0xFFF8000000000000,  # negative quiet NaN
+    0x7FF8DEADBEEFCAFE,  # quiet NaN with payload
+    0xFFFFFFFFFFFFFFFF,  # NaN, all payload bits set
+    0x3FF0000000000000,  # 1.0
+    0x3FB999999999999A,  # 0.1 (shortest-repr round-trip)
+)
+
+
+# ---------------------------------------------------------------------------
 # IR-level nests at the emitter's two depth limits.
 # ---------------------------------------------------------------------------
 

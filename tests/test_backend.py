@@ -43,6 +43,7 @@ from repro.vm import VM, OutOfFuel, VMTrap
 from tests.helpers import (
     COMPARE_OPS,
     EMIT_LEGS,
+    FLOAT_BIT_PATTERNS,
     MAX_COMPILABLE_LOOP_NEST,
     branch_chain,
     build_module,
@@ -531,26 +532,6 @@ def test_backend_option_validation_and_env(monkeypatch):
 # bits as an i64 on both tiers, making the comparison exact.
 # ---------------------------------------------------------------------------
 
-_FLOAT_BIT_PATTERNS = (
-    0x0000000000000000,  # +0.0
-    0x8000000000000000,  # -0.0 (repr must keep the sign)
-    0x0000000000000001,  # smallest subnormal
-    0x8000000000000001,  # -smallest subnormal
-    0x000FFFFFFFFFFFFF,  # largest subnormal
-    0x0010000000000000,  # smallest normal
-    0x7FEFFFFFFFFFFFFF,  # largest finite
-    0xFFEFFFFFFFFFFFFF,  # -largest finite
-    0x7FF0000000000000,  # +inf
-    0xFFF0000000000000,  # -inf
-    0x7FF8000000000000,  # canonical quiet NaN
-    0xFFF8000000000000,  # negative quiet NaN
-    0x7FF8DEADBEEFCAFE,  # quiet NaN with payload
-    0xFFFFFFFFFFFFFFFF,  # NaN, all payload bits set
-    0x3FF0000000000000,  # 1.0
-    0x3FB999999999999A,  # 0.1 (shortest-repr round-trip)
-)
-
-
 def _bits_to_float(bits: int) -> float:
     import struct
     return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
@@ -580,7 +561,7 @@ def _fconst_roundtrip(bits: int):
             f"py={py_got:#018x}")
 
 
-@pytest.mark.parametrize("bits", _FLOAT_BIT_PATTERNS,
+@pytest.mark.parametrize("bits", FLOAT_BIT_PATTERNS,
                          ids=lambda b: f"{b:#018x}")
 def test_fconst_bit_patterns_roundtrip(bits):
     _fconst_roundtrip(bits)

@@ -1,20 +1,33 @@
 """Unit tests for weval's building blocks: contexts, the lattice,
 constant memory, flow-state meets, and intrinsic registration."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.core import context as ctx
 from repro.core.intrinsics import INTRINSICS, intrinsic_name, register_weval_imports
-from repro.core.lattice import Const, ConstMemoryImage, Dyn, fold_pure_op
+from repro.core.lattice import (
+    Const,
+    ConstMemoryImage,
+    Dyn,
+    fold_pure_op,
+    intern_const,
+)
 from repro.core.state import (
     FlowState,
     LocalSlot,
     StackSlot,
     descends,
     meet_states,
+    states_equal,
 )
 from repro.ir import I64, F64, Module
 from repro.ir.instructions import wrap_i64
+from repro.ir.semantics import _bits_ftoi, _bits_itof
+
+from tests.helpers import FLOAT_BIT_PATTERNS
 
 
 class TestContexts:
@@ -48,12 +61,10 @@ class TestContexts:
 
 
 class TestAbsValEquality:
-    """The hand-written ``__eq__`` must match the former frozen-dataclass
-    semantics exactly: identity-or-``==`` per component, as tuple
-    comparison does."""
+    """A constant is its bit pattern: ``Const`` equality, hashing and
+    interning compare ``(bits, ty)``, never float ``==``."""
 
     def test_interned_identity_fast_path(self):
-        from repro.core.lattice import intern_const
         assert intern_const(7, I64) is intern_const(7, I64)
         assert Const(7, I64) == Const(7, I64)
         assert Const(7, I64) != Const(8, I64)
@@ -61,19 +72,32 @@ class TestAbsValEquality:
         assert Dyn(3, I64) != Dyn(3, F64)
         assert Const(0, I64) != Dyn(0, I64)
 
-    def test_signed_zero_stays_equal(self):
-        assert Const(0.0, F64) == Const(-0.0, F64)
-        assert hash(Const(0.0, F64)) == hash(Const(-0.0, F64))
+    def test_signed_zeros_differ(self):
+        assert Const(0.0, F64) != Const(-0.0, F64)
+        assert intern_const(0.0, F64) is not intern_const(-0.0, F64)
+        assert Const(0, I64) != Const(0.0, F64)
 
-    def test_nan_same_object_equal_distinct_objects_not(self):
-        import math
-        # Two Consts wrapping the *same* NaN object (the math.nan
-        # singleton the constant folder returns) compare equal — tuple
-        # comparison's per-element identity shortcut — so NaN-valued
-        # entry states stay stable across specializer rebuilds.
-        assert Const(math.nan, F64) == Const(math.nan, F64)
-        other_nan = float("nan")
-        assert Const(math.nan, F64) != Const(other_nan, F64)
+    def test_nans_are_equal_by_payload(self):
+        # Fresh float objects each time: identity plays no part.
+        assert Const(_bits_itof(0x7FF8000000000001), F64) == Const(
+            _bits_itof(0x7FF8000000000001), F64)
+        assert Const(math.nan, F64) == Const(float("nan"), F64)
+        assert Const(_bits_itof(0x7FF8000000000001), F64) != Const(
+            _bits_itof(0x7FF8000000000002), F64)
+
+    def test_hashes_agree_with_equality(self):
+        consts = [Const(_bits_itof(bits), F64) for bits in FLOAT_BIT_PATTERNS]
+        for a, b in itertools.product(consts, repeat=2):
+            assert (a == b) == (a.bits == b.bits)
+            if a == b:
+                assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("bits", FLOAT_BIT_PATTERNS,
+                             ids=lambda b: f"{b:#018x}")
+    def test_intern_covers_f64(self, bits):
+        const = intern_const(_bits_itof(bits), F64)
+        assert const is intern_const(_bits_itof(bits), F64)
+        assert const.bits == bits
 
 
 class TestConstMemory:
@@ -90,6 +114,12 @@ class TestConstMemory:
         image = ConstMemoryImage(snapshot, [(0, 8)])
         assert image.read(0, 1, signed=True) == wrap_i64(-1)
         assert image.read(0, 1, signed=False) == 0xFF
+
+    @pytest.mark.parametrize("bits", FLOAT_BIT_PATTERNS,
+                             ids=lambda b: f"{b:#018x}")
+    def test_f64_reads_keep_every_bit(self, bits):
+        image = ConstMemoryImage(bits.to_bytes(8, "little"), [(0, 8)])
+        assert _bits_ftoi(image.read_f64(0)) == bits
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -188,6 +218,23 @@ class TestMeet:
         contributions = [(_with_stack(1), {}), (_with_stack(1), {})]
         result, _ = _meet(contributions, set(), prior_depth=0)
         assert result.state.stack == []
+
+    def test_contribution_order_does_not_matter(self):
+        """A constant is its bits, so the meet is the same over the
+        contributions in either order: ±0 become a parameter, NaNs of one
+        payload (different objects) stay a constant."""
+        a, b = FlowState(), FlowState()
+        a.env[1], b.env[1] = Const(0.0, F64), Const(-0.0, F64)
+        a.env[2] = Const(_bits_itof(0x7FF8000000000001), F64)
+        b.env[2] = Const(_bits_itof(0x7FF8000000000001), F64)
+        a.regs[0] = Const(5, I64)
+        forward, params = _meet([(a, {}), (b, {})], {1, 2})
+        backward, _ = _meet([(b, {}), (a, {})], {1, 2})
+        assert states_equal(forward.state, backward.state)
+        assert forward.param_slots == backward.param_slots == [
+            ("env", 1), ("reg", 0)]
+        assert forward.state.env[1] == Dyn(params[("env", 1)], I64)
+        assert forward.state.env[2] == a.env[2]
 
     def test_equal_prior_depth_keeps_the_stack(self):
         contributions = [(_with_stack(1), {}), (_with_stack(1), {})]

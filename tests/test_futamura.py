@@ -1,7 +1,10 @@
 """Integration tests for the weval transform: the first Futamura
 projection on a small accumulator interpreter (the paper's Fig. 6
 scenario), including bytecode erasure, both conditional-branch styles,
-and semantic equivalence between generic and specialized execution."""
+and semantic equivalence between generic and specialized execution;
+and f64 constants through the transform bit for bit."""
+
+import itertools
 
 import pytest
 
@@ -17,7 +20,7 @@ from repro.core.specialize import SpecializeError, SpecializeOptions
 from repro.ir import Module, print_function, verify_function, verify_module
 from repro.vm import VM
 
-from tests.helpers import build_module
+from tests.helpers import FLOAT_BIT_PATTERNS, build_module, compile_legs
 
 # Opcodes: 0=LOADI imm, 1=ADDI imm, 2=SUBI imm, 3=JMPNZ target, 4=HALT.
 INTERP_SRC_TEMPLATE = """
@@ -227,3 +230,122 @@ class TestGuestLoopsRemainLoops:
         # Fuel scales with iterations: the guest loop is a real loop in
         # the specialized code, not unrolled per-input.
         assert fuels[1] > fuels[0] * 5
+
+
+# ---------------------------------------------------------------------------
+# A constant is its bit pattern.  Python's float ``==`` merges 0.0 with
+# -0.0 and ``repr`` merges NaN payloads; the specializer must not, in
+# its per-block constant cache, at a join, or around a loop.
+# ---------------------------------------------------------------------------
+
+def _three_way(module, name, args):
+    """``name(*args)`` on the IR VM and on both emit legs: one result,
+    which every leg must agree on."""
+    got = {"vm": VM(module).call(name, list(args))}
+    for leg, compiled in compile_legs(module.functions[name], module).items():
+        vm = VM(module)
+        vm.install_compiled({name: compiled.pyfunc})
+        got[leg] = vm.call(name, list(args))
+    assert len(set(got.values())) == 1, f"{name}{tuple(args)}: {got}"
+    return got["vm"]
+
+
+def _specialized_runs(src, name, calls, opt_config="default"):
+    """``[(generic result, specialized result), ...]`` of ``name`` over
+    ``calls``, its arguments all ``Runtime()``; the specialized function
+    runs on the IR VM and both emit legs."""
+    module = build_module(src, memory_size=4096)
+    arity = len(module.functions[name].sig.params)
+    func = specialize(module, SpecializationRequest(
+        name, [Runtime()] * arity, specialized_name=name + "_spec"),
+        SpecializeOptions(opt_config=opt_config))
+    module.add_function(func)
+    verify_module(module)
+    return [(VM(module).call(name, list(args)),
+             _three_way(module, func.name, args)) for args in calls]
+
+
+# Two constants in one block: the block's constant cache must not hand
+# the second the first's value.
+BLOCK_CACHE_SRC = """
+u64 k(u64 p) {
+  storef64(p, ffrombits(0));
+  storef64(p + 8, ffrombits(0x8000000000000000));
+  return load64(p + 8);
+}
+"""
+
+# Two constants meeting at a join: they must become a block parameter.
+JOIN_SRC = """
+u64 h(u64 c, u64 p) {
+  f64 x = ffrombits(0);
+  if (c) { x = ffrombits(0x8000000000000000); }
+  storef64(p, x);
+  return load64(p);
+}
+"""
+
+
+def test_block_cache_keeps_signed_zeros_apart():
+    assert _specialized_runs(BLOCK_CACHE_SRC, "k", [(64,)]) == [
+        (0x8000000000000000, 0x8000000000000000)]
+
+
+@pytest.mark.parametrize("opt_config", ["none", "default"])
+def test_join_keeps_signed_zeros_apart(opt_config):
+    assert _specialized_runs(JOIN_SRC, "h", [(0, 64), (1, 64)],
+                             opt_config) == [
+        (0, 0), (0x8000000000000000, 0x8000000000000000)]
+
+
+_NANS = [b for b in FLOAT_BIT_PATTERNS if (b >> 52) & 0x7FF == 0x7FF
+         and b & ((1 << 52) - 1)]
+_ONE = 0x3FF0000000000000
+# Every pair float ``==`` or ``repr`` confuses, and each pattern with 1.0.
+BIT_PAIRS = ([(0, 0x8000000000000000)]
+             + list(itertools.combinations(_NANS, 2))
+             + [(bits, _ONE) for bits in FLOAT_BIT_PATTERNS])
+
+# The shapes the pair travels through; each returns one pattern's bits,
+# which one picked by its first argument.
+BIT_SHAPES = {
+    "straight": ("""
+u64 s(u64 w, u64 p) {
+  storef64(p, ffrombits(%(a)s));
+  storef64(p + 8, ffrombits(%(b)s));
+  return load64(p + w * 8);
+}
+""", [(0, 64), (1, 64)]),
+    "join": ("""
+u64 s(u64 c, u64 p) {
+  f64 x = ffrombits(%(a)s);
+  if (c) { x = ffrombits(%(b)s); }
+  storef64(p, x);
+  return load64(p);
+}
+""", [(0, 64), (1, 64)]),
+    "loop": ("""
+u64 s(u64 n, u64 p) {
+  f64 x = ffrombits(%(a)s);
+  f64 y = ffrombits(%(b)s);
+  while (n) { f64 t = x; x = y; y = t; n = n - 1; }
+  storef64(p, x);
+  return load64(p);
+}
+""", [(0, 64), (1, 64), (2, 64), (3, 64)]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BIT_SHAPES))
+@pytest.mark.parametrize("a,b", BIT_PAIRS,
+                         ids=[f"{a:#x}-{b:#x}" for a, b in BIT_PAIRS])
+def test_bit_pattern_pairs_through_the_specializer(shape, a, b):
+    template, calls = BIT_SHAPES[shape]
+    src = template % {"a": hex(a), "b": hex(b)}
+    for opt_config in ("none", "default"):
+        runs = _specialized_runs(src, "s", calls, opt_config)
+        assert {generic for generic, _ in runs} == {a, b}
+        for args, (generic, specialized) in zip(calls, runs):
+            assert specialized == generic, (
+                f"{shape} {opt_config} s{args}: generic {generic:#x}, "
+                f"specialized {specialized:#x}")

@@ -14,6 +14,8 @@ The contracts under test (ISSUE/ROADMAP "production story" layer):
 * **One cache** — the store is the only cache: a second engine in the
   same process over the same ``cache_dir`` takes artifact hits, and a
   duplicate request inside one batch shares its producer's compile.
+* **Keys are bits** — an f64 request value is keyed by its bit pattern,
+  so ``0.0``/``-0.0`` and NaN payloads never share a residual.
 """
 
 import dataclasses
@@ -39,6 +41,7 @@ from repro.ir import (
     print_function,
     verify_module,
 )
+from repro.ir.semantics import _bits_itof
 from repro.pipeline import (
     ARTIFACT_VERSION,
     ArtifactStore,
@@ -46,6 +49,8 @@ from repro.pipeline import (
     locked_write_json,
 )
 from repro.vm import VM
+
+from tests.helpers import FLOAT_BIT_PATTERNS
 
 INTERP = """
 u64 interp(u64 program, u64 proglen, u64 input) {
@@ -352,6 +357,49 @@ def test_nan_constant_survives_a_warm_start(tmp_path, backend):
 
     assert run() == (0x7ff8000000000001, False)
     assert run() == (0x7ff8000000000001, True)
+
+
+# An f64 request value is keyed by its bits: ``==`` merges 0.0 with -0.0
+# and ``repr`` merges NaN payloads, in the batch dedupe and the store.
+STORE_F64_SRC = "u64 f(f64 x, u64 p) { storef64(p, x); return load64(p); }"
+
+
+def _f64_batch(bit_patterns, cache_dir=None):
+    """One engine batch specializing ``f`` on each pattern; returns
+    ``(engine, [(bits it returns, result), ...])``."""
+    module = Module(memory_size=4096)
+    compile_source(STORE_F64_SRC).add_to_module(module)
+    engine = CompilationEngine(module, SpecializeOptions(cache_dir=cache_dir))
+    results = engine.compile_batch([SpecializationRequest(
+        "f", [SpecializedConst(_bits_itof(bits)), Runtime()],
+        specialized_name=f"f_{bits:x}") for bits in bit_patterns])
+    for result in results:
+        module.add_function(result.function)
+    return engine, [(VM(module).call(result.function.name, [0, 64]), result)
+                    for result in results]
+
+
+def test_signed_zeros_are_two_requests_in_one_batch():
+    _, runs = _f64_batch([0, 0x8000000000000000])
+    assert [(bits, result.cache_hit) for bits, result in runs] == [
+        (0, False), (0x8000000000000000, False)]
+
+
+def test_nan_payloads_are_two_store_keys(tmp_path):
+    for payload in (0x7ff8000000000001, 0x7ff8000000000002):
+        _, runs = _f64_batch([payload], str(tmp_path))
+        assert [(bits, result.artifact_hit) for bits, result in runs] == [
+            (payload, False)]
+
+
+def test_every_f64_pattern_survives_the_store(tmp_path):
+    cold, runs = _f64_batch(FLOAT_BIT_PATTERNS, str(tmp_path))
+    assert [bits for bits, _ in runs] == list(FLOAT_BIT_PATTERNS)
+    assert cold.stats.functions_specialized == len(FLOAT_BIT_PATTERNS)
+    warm, runs = _f64_batch(FLOAT_BIT_PATTERNS, str(tmp_path))
+    assert [bits for bits, _ in runs] == list(FLOAT_BIT_PATTERNS)
+    assert warm.stats.artifact_hits == len(FLOAT_BIT_PATTERNS)
+    assert warm.stats.functions_specialized == 0
 
 
 # ---------------------------------------------------------------------------

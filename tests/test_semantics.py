@@ -348,8 +348,8 @@ def test_backend_spells_no_width_of_its_own():
     """Emitted code and the VM reach memory through the table's
     precompiled codecs: no format-parsing ``struct`` function or
     ``int.from_bytes`` in the emitted code's globals, and neither backend
-    source nor ``vm/machine.py`` imports ``struct``, spells a
-    byte-conversion call or a ``"<`` format."""
+    source nor ``vm/machine.py`` spells a byte-conversion call or a
+    ``"<`` format (none imports ``struct``: see the next test)."""
     generic = (struct.unpack_from, struct.pack_into, struct.unpack,
                struct.pack, int.from_bytes)
     assert not [name for name, value in BACKEND_GLOBALS.items()
@@ -358,15 +358,42 @@ def test_backend_spells_no_width_of_its_own():
                     "vm/machine.py"):
         with open(os.path.join(SRC, "repro", relpath)) as handle:
             text = handle.read()
-        imported = {alias.name for node in ast.walk(ast.parse(text))
-                    if isinstance(node, ast.Import) for alias in node.names}
-        imported |= {node.module for node in ast.walk(ast.parse(text))
-                     if isinstance(node, ast.ImportFrom)}
-        assert "struct" not in imported, f"{relpath} imports struct"
         for needle in ("from_bytes", "to_bytes"):
             assert needle not in text, f"{relpath} contains {needle!r}"
         formats = re.findall(r"""["']<[A-Za-z]+["']""", text)
         assert not formats, f"{relpath} spells struct formats: {formats}"
+
+
+def _src_texts():
+    """``(path under src/, text)`` of every Python file of the package."""
+    for root, _, files in os.walk(SRC):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as handle:
+                    yield os.path.relpath(path, SRC), handle.read()
+
+
+def test_only_semantics_imports_struct():
+    """A double's bits are computed in one place, ``_bits_ftoi`` and the
+    codecs beside it; every constant identity (lattice, interning, the
+    specializer's block cache, GVN, the request key) calls it."""
+    importers = sorted(
+        relpath for relpath, text in _src_texts()
+        if any(isinstance(node, ast.Import)
+               and any(alias.name == "struct" for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "struct"
+               for node in ast.walk(ast.parse(text))))
+    assert importers == [os.path.join("repro", "ir", "semantics.py")]
+
+
+def test_float_equality_machinery_is_gone():
+    """With exact constant equality the meet needs no order of its own:
+    the identity helper and the edge sort it forced stay deleted."""
+    found = [(relpath, name) for relpath, text in _src_texts()
+             for name in re.findall(
+                 r"\b(_abs_equal|_edge_sort_key|_key_strs)\b", text)]
+    assert not found
 
 
 def test_lattice_keeps_only_the_thin_folder():
