@@ -14,10 +14,8 @@ whose source ``compile()`` refuses, fall back to the IR VM per function.
 
 from repro.backend.emitter import (
     BackendError,
-    CompiledFunction,
     StructuredEmitter,
     UnsupportedConstruct,
-    compile_function,
     compile_python_source,
     emit_function_source,
 )
@@ -25,10 +23,8 @@ from repro.backend.runtime import BACKEND_GLOBALS
 
 __all__ = [
     "BackendError",
-    "CompiledFunction",
     "StructuredEmitter",
     "UnsupportedConstruct",
-    "compile_function",
     "compile_python_source",
     "emit_function_source",
     "BACKEND_GLOBALS",

@@ -70,7 +70,6 @@ VM per function.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import re
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -136,29 +135,6 @@ def _float_literal(value: float) -> Tuple[str, bool]:
     if value != value or value in (float("inf"), float("-inf")):
         return f"_bits_itof({_bits_ftoi(value):#x})", True
     return repr(value), False
-
-
-@dataclasses.dataclass
-class CompiledFunction:
-    """One IR function lowered to a Python callable.
-
-    ``pyfunc`` is a fixed-arity entry point ``(vm, v<p0>, v<p1>, ...)``
-    carrying an ``_nparams`` attribute (the VM's ``_dispatch`` unboxes
-    argument lists positionally and leaves depth bookkeeping to the
-    callee prologue), and ``source`` is the exact Python text that was
-    compiled (golden-testable).
-    """
-
-    name: str
-    source: str
-    pyfunc: Callable
-    # The shape of ``source``: "structured", or "dispatch" when the
-    # whole function is one dispatch region (the too-deep fallback);
-    # and how much of it is left to dispatch regions — the irreducible
-    # SCCs, or that one region and every block.
-    mode_used: str = "structured"
-    dispatch_regions: int = 0
-    dispatch_region_blocks: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +279,11 @@ class StructuredEmitter:
     def __init__(self, func: Function, module: Optional[Module] = None):
         self.func = func
         self.module = module
-        # What the last :meth:`emit_source` produced (see
-        # :class:`CompiledFunction`).
+        # The shape of the last :meth:`emit_source`: "structured", or
+        # "dispatch" when the whole function is one dispatch region
+        # (the too-deep fallback); and how much of it is left to
+        # dispatch regions — the irreducible SCCs, or that one region
+        # and every block.
         self.mode_used = "structured"
         self.dispatch_regions = 0
         self.dispatch_region_blocks = 0
@@ -938,12 +917,13 @@ def compile_python_source(name: str, source: str,
                           code: Optional[object] = None) -> Callable:
     """``compile()``/``exec()`` emitted backend source into a callable.
 
-    Split out from :func:`compile_function` so warm-loaded sources from
-    the artifact store (:mod:`repro.pipeline`) take the exact same path
-    as freshly emitted ones.  ``code`` may carry a precompiled code
-    object for ``source`` (the tier-3½ codegen rung: unmarshaled from
-    the artifact store, or compiled in a parallel emit stage), in which
-    case the ``compile()`` step is skipped.
+    What :meth:`repro.pipeline.engine.CompilationEngine._emit` does
+    after :func:`emit_function_source`, so warm-loaded sources from the
+    artifact store take the exact same path as freshly emitted ones.
+    ``code`` may carry a precompiled code object for ``source`` (the
+    tier-3½ codegen rung: unmarshaled from the artifact store, or
+    compiled in a parallel emit stage), in which case the ``compile()``
+    step is skipped.
     """
     env = dict(BACKEND_GLOBALS)
     if code is None:
@@ -976,16 +956,3 @@ def emit_function_source(func: Function,
         raise BackendError(f"unknown emit mode {mode!r}")
     emitter = StructuredEmitter(func, module)
     return emitter.emit_source(), emitter.mode_used, emitter
-
-
-def compile_function(func: Function,
-                     module: Optional[Module] = None) -> CompiledFunction:
-    """Lower one verified IR function to a Python callable.
-
-    Raises :class:`UnsupportedConstruct` when the function cannot be
-    compiled; callers should fall back to the IR VM for that function.
-    """
-    source, mode_used, emitter = emit_function_source(func, module)
-    return CompiledFunction(
-        func.name, source, compile_python_source(func.name, source),
-        mode_used, emitter.dispatch_regions, emitter.dispatch_region_blocks)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
+from repro.ir.printer import float_text
 from repro.ir.semantics import _bits_ftoi
 
 
@@ -85,7 +86,10 @@ class SpecializationRequest:
         parts = []
         for arg in self.args:
             if isinstance(arg, SpecializedConst):
-                parts.append(f"c{arg.value}")
+                value = arg.value
+                if isinstance(value, float):  # a NaN by its bits
+                    value = float_text(value)
+                parts.append(f"c{value}")
             elif isinstance(arg, SpecializedMemory):
                 parts.append(f"m{arg.pointer:x}")
             elif isinstance(arg, SpeculatedConst):

@@ -27,7 +27,6 @@ from repro.ir.instructions import (
 )
 from repro.ir.function import Block, Function, Signature
 from repro.ir.module import Module, HostFunc
-from repro.ir.builder import FunctionBuilder
 from repro.ir.cfg import (
     successors,
     predecessors,
@@ -62,7 +61,6 @@ __all__ = [
     "Signature",
     "Module",
     "HostFunc",
-    "FunctionBuilder",
     "successors",
     "predecessors",
     "reverse_postorder",

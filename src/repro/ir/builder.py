@@ -1,7 +1,8 @@
-"""Convenience builder for constructing IR functions by hand.
+"""The mini-C frontend's instruction builder.
 
-Used by tests, by the mini-C frontend's lowering, and by the specializer
-when emitting specialized function bodies.
+:mod:`repro.frontend.compiler` lowers its AST through it, one block at a
+time; it is the only caller.  IR written by hand is the printed text
+:func:`repro.ir.parse_function` reads.
 """
 
 from __future__ import annotations
@@ -9,32 +10,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.ir.function import Block, Function, Signature
-from repro.ir.instructions import (
-    OPCODES,
-    BlockCall,
-    BrIf,
-    BrTable,
-    Instr,
-    Jump,
-    Ret,
-    Trap,
-    wrap_i64,
-)
-from repro.ir.types import F64, I64, Type
+from repro.ir.instructions import OPCODES, Instr, wrap_i64
+from repro.ir.types import Type
 
 
 class FunctionBuilder:
-    """Builds a :class:`Function` block by block.
-
-    Typical usage::
-
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        entry = fb.entry
-        x = entry.params[0][0]
-        one = fb.iconst(1)
-        y = fb.iadd(x, one)
-        fb.ret(y)
-    """
+    """Appends instructions to the current block of a :class:`Function`;
+    the lowering sets terminators on ``current`` itself."""
 
     def __init__(self, name: str, sig: Signature):
         self.func = Function(name, sig)
@@ -62,6 +44,8 @@ class FunctionBuilder:
     # ------------------------------------------------------------------
     def emit(self, op: str, args: Sequence[int] = (), imm: object = None,
              result_type: Optional[Type] = None) -> Optional[int]:
+        """Append ``op``; its result type is ``OPCODES``' (a ``select``'s
+        is its operands', a call's is ``result_type``)."""
         info = OPCODES[op]
         if info.result is None:
             result = None
@@ -79,73 +63,12 @@ class FunctionBuilder:
         self.current.instrs.append(instr)
         return result
 
-    # Constants -----------------------------------------------------------
     def iconst(self, value: int) -> int:
         return self.emit("iconst", imm=wrap_i64(value))
 
     def fconst(self, value: float) -> int:
         return self.emit("fconst", imm=float(value))
 
-    # Generic binops / unops via __getattr__-free explicit helpers --------
-    def binop(self, op: str, a: int, b: int) -> int:
-        return self.emit(op, (a, b))
-
-    def iadd(self, a, b):
-        return self.binop("iadd", a, b)
-
-    def isub(self, a, b):
-        return self.binop("isub", a, b)
-
-    def imul(self, a, b):
-        return self.binop("imul", a, b)
-
-    def iand(self, a, b):
-        return self.binop("iand", a, b)
-
-    def ior(self, a, b):
-        return self.binop("ior", a, b)
-
-    def ixor(self, a, b):
-        return self.binop("ixor", a, b)
-
-    def ishl(self, a, b):
-        return self.binop("ishl", a, b)
-
-    def ishr_u(self, a, b):
-        return self.binop("ishr_u", a, b)
-
-    def ishr_s(self, a, b):
-        return self.binop("ishr_s", a, b)
-
-    def ieq(self, a, b):
-        return self.binop("ieq", a, b)
-
-    def ine(self, a, b):
-        return self.binop("ine", a, b)
-
-    def ilt_s(self, a, b):
-        return self.binop("ilt_s", a, b)
-
-    def ilt_u(self, a, b):
-        return self.binop("ilt_u", a, b)
-
-    def select(self, cond: int, if_true: int, if_false: int) -> int:
-        return self.emit("select", (cond, if_true, if_false))
-
-    # Memory ---------------------------------------------------------------
-    def load64(self, addr: int, offset: int = 0) -> int:
-        return self.emit("load64", (addr,), imm=offset)
-
-    def store64(self, addr: int, value: int, offset: int = 0) -> None:
-        self.emit("store64", (addr, value), imm=offset)
-
-    def loadf64(self, addr: int, offset: int = 0) -> int:
-        return self.emit("loadf64", (addr,), imm=offset)
-
-    def storef64(self, addr: int, value: int, offset: int = 0) -> None:
-        self.emit("storef64", (addr, value), imm=offset)
-
-    # Calls ------------------------------------------------------------------
     def call(self, callee: str, args: Sequence[int],
              result_type: Optional[Type] = None) -> Optional[int]:
         return self.emit("call", args, imm=callee, result_type=result_type)
@@ -156,42 +79,8 @@ class FunctionBuilder:
         return self.emit("call_indirect", (index, *args), imm=sig,
                          result_type=rtype)
 
-    # Globals ------------------------------------------------------------------
     def global_get(self, name: str) -> int:
         return self.emit("global_get", imm=name)
 
     def global_set(self, name: str, value: int) -> None:
         self.emit("global_set", (value,), imm=name)
-
-    # ------------------------------------------------------------------
-    # Terminators.
-    # ------------------------------------------------------------------
-    def _terminate(self, term) -> None:
-        assert self.current.terminator is None, (
-            f"block {self.current.id} already terminated")
-        self.current.terminator = term
-
-    def jump(self, target: Block, args: Sequence[int] = ()) -> None:
-        self._terminate(Jump(BlockCall(target.id, tuple(args))))
-
-    def br_if(self, cond: int, if_true: Block, if_false: Block,
-              true_args: Sequence[int] = (),
-              false_args: Sequence[int] = ()) -> None:
-        self._terminate(BrIf(cond,
-                             BlockCall(if_true.id, tuple(true_args)),
-                             BlockCall(if_false.id, tuple(false_args))))
-
-    def br_table(self, index: int, cases: Sequence[Block],
-                 default: Block) -> None:
-        self._terminate(BrTable(index,
-                                [BlockCall(b.id) for b in cases],
-                                BlockCall(default.id)))
-
-    def ret(self, *args: int) -> None:
-        self._terminate(Ret(tuple(args)))
-
-    def trap(self, message: str = "trap") -> None:
-        self._terminate(Trap(message))
-
-    def finish(self) -> Function:
-        return self.func

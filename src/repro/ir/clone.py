@@ -6,36 +6,7 @@ import dataclasses
 from typing import Optional
 
 from repro.ir.function import Block, Function
-from repro.ir.instructions import (
-    BlockCall,
-    BrIf,
-    BrTable,
-    Instr,
-    Jump,
-    Ret,
-    Trap,
-)
-
-
-def _clone_terminator(term):
-    if term is None:
-        return None
-    if isinstance(term, Jump):
-        return Jump(BlockCall(term.target.block, tuple(term.target.args)))
-    if isinstance(term, BrIf):
-        return BrIf(term.cond,
-                    BlockCall(term.if_true.block, tuple(term.if_true.args)),
-                    BlockCall(term.if_false.block, tuple(term.if_false.args)))
-    if isinstance(term, BrTable):
-        return BrTable(term.index,
-                       [BlockCall(c.block, tuple(c.args)) for c in term.cases],
-                       BlockCall(term.default.block,
-                                 tuple(term.default.args)))
-    if isinstance(term, Ret):
-        return Ret(tuple(term.args))
-    if isinstance(term, Trap):
-        return Trap(term.message)
-    raise TypeError(f"not a terminator: {term!r}")
+from repro.ir.instructions import map_terminator
 
 
 def clone_function(func: Function, new_name: Optional[str] = None) -> Function:
@@ -50,6 +21,6 @@ def clone_function(func: Function, new_name: Optional[str] = None) -> Function:
     for bid, block in func.blocks.items():
         new_block = Block(bid, list(block.params),
                           [dataclasses.replace(i) for i in block.instrs],
-                          _clone_terminator(block.terminator))
+                          map_terminator(block.terminator))
         clone.blocks[bid] = new_block
     return clone

@@ -276,21 +276,31 @@ def terminator_values(term: Terminator):
         yield from term.args
 
 
-def map_terminator_values(term: Terminator, fn) -> Terminator:
-    """Return a copy of ``term`` with every value id rewritten by ``fn``."""
+def _same(x: int) -> int:
+    return x
 
-    def map_call(call: BlockCall) -> BlockCall:
-        return BlockCall(call.block, tuple(fn(a) for a in call.args))
+
+def map_terminator(term: Optional[Terminator], value=_same,
+                   block=_same) -> Optional[Terminator]:
+    """A copy of ``term`` with every value id mapped by ``value`` and
+    every target block id by ``block`` (both kept by default); a missing
+    terminator stays missing.  The one terminator rewrite: cloning,
+    renumbering, value substitution and the inliner's splice use it."""
+    if term is None:
+        return None
+
+    def call(c: BlockCall) -> BlockCall:
+        return BlockCall(block(c.block), tuple(map(value, c.args)))
 
     if isinstance(term, Jump):
-        return Jump(map_call(term.target))
+        return Jump(call(term.target))
     if isinstance(term, BrIf):
-        return BrIf(fn(term.cond), map_call(term.if_true), map_call(term.if_false))
+        return BrIf(value(term.cond), call(term.if_true), call(term.if_false))
     if isinstance(term, BrTable):
-        return BrTable(fn(term.index), [map_call(c) for c in term.cases],
-                       map_call(term.default))
+        return BrTable(value(term.index), [call(c) for c in term.cases],
+                       call(term.default))
     if isinstance(term, Ret):
-        return Ret(tuple(fn(a) for a in term.args))
+        return Ret(tuple(map(value, term.args)))
     if isinstance(term, Trap):
         return Trap(term.message)
     raise TypeError(f"not a terminator: {term!r}")

@@ -4,10 +4,11 @@
 artifact store keeps a residual as its print), and
 ``print_function(parse_function(text, module), order) == text``.  The
 entry is the first block printed.  A ``call``'s result type, the one
-type the text does not carry, is its callee's in ``module``; every other
-type, and a memory op's offset 0 (printed as nothing), follows from
-``OPCODES``.  Anything malformed raises :class:`IRParseError`; what
-makes IR valid is the verifier's to check.
+type the text does not carry, is its callee's in ``module`` (or the
+function's own, when it calls itself); every other type, and a memory
+op's offset 0 (printed as nothing), follows from ``OPCODES``.  Anything
+malformed raises :class:`IRParseError`; what makes IR valid is the
+verifier's to check.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _fconst(text: str) -> float:
     return value
 
 
-def _instr(line: str, types: dict, module, selects: list) -> Instr:
+def _instr(line: str, types: dict, signature_of, selects: list) -> Instr:
     lhs, eq, rhs = line.partition(" = ")
     result, line = (_values(lhs)[0], rhs) if eq else (None, line)
     op, _, rest = line.partition(" ")
@@ -119,11 +120,9 @@ def _instr(line: str, types: dict, module, selects: list) -> Instr:
         if name[:1] != ("@" if op == "call" else "$"):
             raise IRParseError(f"bad {op} {line!r}")
         imm = name[1:]
-        if op == "call" and result is not None and module is None:
-            raise IRParseError("a call's result type needs the module")
         if op == "call":  # the callee's result type
             rtype = None if result is None else \
-                module.signature_of(imm).results[0]
+                signature_of(imm).results[0]
     if (result is None) != (rtype is None):
         raise IRParseError(f"{op}'s result does not match its type")
     instr = Instr(op, result, _values(rest), imm,
@@ -149,11 +148,20 @@ def _parse(text: str, module, name: Optional[str]) -> Function:
         tuple(ty for _, ty in params),
         tuple(_TYPES[ty] for ty in results[4:].split(", ") if results)))
     types, blocks, selects = func.value_types, func.blocks, []
+
+    def signature_of(callee):
+        if callee == fname:
+            return func.sig
+        if module is None:
+            raise IRParseError("a call's result type needs the module")
+        return module.signature_of(callee)
+
     block = pending = None
     for line in lines[1:-1]:
         if line[:2] == "  ":
             if pending is not None:
-                block.instrs.append(_instr(pending, types, module, selects))
+                block.instrs.append(_instr(pending, types, signature_of,
+                                          selects))
             elif block is None:
                 raise IRParseError("an instruction outside a block")
             pending = line[2:]

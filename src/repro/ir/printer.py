@@ -24,6 +24,14 @@ from repro.ir.instructions import (
 from repro.ir.semantics import _bits_ftoi
 
 
+def float_text(value: float) -> str:
+    """An f64 as the text spells it: its ``repr``, but a NaN by its bits
+    (``nan:0x…``), because ``repr`` says ``nan`` for every payload."""
+    if value != value:
+        return f"nan:{_bits_ftoi(value):#018x}"
+    return repr(value)
+
+
 def _fmt_call(call: BlockCall) -> str:
     if not call.args:
         return f"block{call.block}"
@@ -38,10 +46,7 @@ def _fmt_imm(instr: Instr) -> str:
     if instr.op in ("iconst",):
         return f" {imm}"
     if instr.op in ("fconst",):
-        if imm != imm:
-            # ``repr`` says ``nan`` for every NaN: print its bits.
-            return f" nan:{_bits_ftoi(imm):#018x}"
-        return f" {imm!r}"
+        return f" {float_text(imm)}"
     if instr.op == "call":
         return f" @{imm}"
     if instr.op == "call_indirect":

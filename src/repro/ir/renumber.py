@@ -21,15 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.ir.cfg import reverse_postorder
 from repro.ir.function import Block, Function
-from repro.ir.instructions import (
-    BlockCall,
-    BrIf,
-    BrTable,
-    Instr,
-    Jump,
-    Ret,
-    Trap,
-)
+from repro.ir.instructions import Instr, map_terminator
 
 
 def canonicalize_function(func: Function) -> Function:
@@ -60,28 +52,6 @@ def canonicalize_function(func: Function) -> Function:
             if instr.result is not None and instr.result not in value_map:
                 value_map[instr.result] = len(value_map)
 
-    def map_call(call: BlockCall) -> BlockCall:
-        return BlockCall(block_map[call.block],
-                         tuple(value_map[a] for a in call.args))
-
-    def map_terminator(term):
-        if term is None:
-            return None
-        if isinstance(term, Jump):
-            return Jump(map_call(term.target))
-        if isinstance(term, BrIf):
-            return BrIf(value_map[term.cond], map_call(term.if_true),
-                        map_call(term.if_false))
-        if isinstance(term, BrTable):
-            return BrTable(value_map[term.index],
-                           [map_call(c) for c in term.cases],
-                           map_call(term.default))
-        if isinstance(term, Ret):
-            return Ret(tuple(value_map[a] for a in term.args))
-        if isinstance(term, Trap):
-            return Trap(term.message)
-        raise TypeError(f"not a terminator: {term!r}")
-
     new_blocks: Dict[int, Block] = {}
     new_types: Dict[int, object] = {}
     for bid in order:
@@ -96,7 +66,8 @@ def canonicalize_function(func: Function) -> Function:
                                 tuple(value_map[a] for a in instr.args),
                                 instr.imm, instr.result_type))
         new_block.instrs = instrs
-        new_block.terminator = map_terminator(block.terminator)
+        new_block.terminator = map_terminator(
+            block.terminator, value_map.__getitem__, block_map.__getitem__)
         new_blocks[new_block.id] = new_block
 
     for old, new in value_map.items():

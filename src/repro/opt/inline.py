@@ -37,14 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.function import Block, Function
 from repro.ir.instructions import (
-    BlockCall,
-    BrIf,
-    BrTable,
-    Instr,
-    Jump,
-    Ret,
-    Trap,
-)
+    BlockCall, BrIf, Instr, Jump, Ret, map_terminator)
 from repro.ir.module import Module
 from repro.ir.types import I64
 
@@ -116,30 +109,14 @@ def _clone_body_into(func: Function, callee: Function,
                 instr.op, result,
                 tuple(value_map[a] for a in instr.args),
                 instr.imm, instr.result_type))
-        dst.terminator = _retarget_terminator(
-            src.terminator, block_map, value_map, join_id)
+        term = src.terminator
+        if isinstance(term, Ret):
+            dst.terminator = Jump(BlockCall(
+                join_id, tuple(value_map[a] for a in term.args)))
+        else:
+            dst.terminator = map_terminator(
+                term, value_map.__getitem__, block_map.__getitem__)
     return block_map[callee.entry]
-
-
-def _retarget_terminator(term, block_map, value_map, join_id):
-    def call(c: BlockCall) -> BlockCall:
-        return BlockCall(block_map[c.block],
-                         tuple(value_map[a] for a in c.args))
-
-    if isinstance(term, Jump):
-        return Jump(call(term.target))
-    if isinstance(term, BrIf):
-        return BrIf(value_map[term.cond], call(term.if_true),
-                    call(term.if_false))
-    if isinstance(term, BrTable):
-        return BrTable(value_map[term.index],
-                       [call(c) for c in term.cases], call(term.default))
-    if isinstance(term, Ret):
-        return Jump(BlockCall(join_id,
-                              tuple(value_map[a] for a in term.args)))
-    if isinstance(term, Trap):
-        return Trap(term.message)
-    raise InlineError(f"callee block lacks a terminator: {term!r}")
 
 
 def _eligible(func: Function, module: Module, table_index: int,

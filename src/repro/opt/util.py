@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.ir.function import Function
-from repro.ir.instructions import map_terminator_values
+from repro.ir.instructions import map_terminator
 
 
 def resolve(mapping: Dict[int, int], value: int) -> int:
@@ -27,6 +27,5 @@ def substitute_values(func: Function, mapping: Dict[int, int]) -> None:
         for instr in block.instrs:
             if any(a in mapping for a in instr.args):
                 instr.args = tuple(resolve(mapping, a) for a in instr.args)
-        if block.terminator is not None:
-            block.terminator = map_terminator_values(
-                block.terminator, lambda v: resolve(mapping, v))
+        block.terminator = map_terminator(
+            block.terminator, lambda v: resolve(mapping, v))

@@ -5,17 +5,22 @@ from __future__ import annotations
 import contextlib
 import difflib
 import hashlib
+import itertools
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.backend import CompiledFunction, compile_function, emitter
+from repro.backend import (
+    StructuredEmitter,
+    compile_python_source,
+    emit_function_source,
+    emitter,
+)
 from repro.frontend import compile_source
 from repro.ir import (
     I64,
-    FunctionBuilder,
     HostFunc,
     Module,
     Signature,
@@ -139,14 +144,24 @@ def emit_leg(leg: str):
         yield
 
 
-def compile_legs(func, module) -> Dict[str, CompiledFunction]:
-    """``func`` compiled once per leg; each leg must be the one asked
-    for (a forced fallback that stayed structured would test nothing)."""
+def compile_py(func, module=None) -> Tuple[Callable, StructuredEmitter]:
+    """``func`` as a Python callable, made by the engine's two calls:
+    ``emit_function_source``, then ``compile_python_source``.  Returns
+    ``(pyfunc, emitter)``; the emitter says which shape it chose
+    (``mode_used``, ``dispatch_regions``, ``dispatch_region_blocks``)."""
+    source, _, emitter_used = emit_function_source(func, module)
+    return compile_python_source(func.name, source), emitter_used
+
+
+def compile_legs(func, module) -> Dict[str, Callable]:
+    """``func`` compiled once per leg by :func:`compile_py`; each leg
+    must be the one asked for (a forced fallback that stayed structured
+    would test nothing)."""
     compiled = {}
     for leg in EMIT_LEGS:
         with emit_leg(leg):
-            compiled[leg] = compile_function(func, module)
-        assert compiled[leg].mode_used == leg, (func.name, leg)
+            compiled[leg], emitter_used = compile_py(func, module)
+        assert emitter_used.mode_used == leg, (func.name, leg)
     return compiled
 
 
@@ -178,12 +193,72 @@ FLOAT_BIT_PATTERNS = (
 
 
 # ---------------------------------------------------------------------------
+# Hand-written IR is its printed text, read back by ``parse_function``:
+# each fixture below formats one line list per block, in block-id order.
+# ---------------------------------------------------------------------------
+
+def function_text(header: str, blocks: Dict[int, List[str]]) -> str:
+    """``header``, then each block's lines in id order, then ``}``: the
+    text ``print_function(func, order="id")`` writes."""
+    return "\n".join([header, *(line for bid in sorted(blocks)
+                                 for line in blocks[bid]), "}"])
+
+
+def target(block: int, args=()) -> str:
+    """A branch target as the text spells it: ``block3``, or
+    ``block3(v1, v2)`` for the value ids ``args``."""
+    if not args:
+        return f"block{block}"
+    return f"block{block}({', '.join(f'v{a}' for a in args)})"
+
+
+class IRText:
+    """A function being written as its text, for the generators: one
+    line list per block, ``block0`` first with the header's parameters,
+    value ids from a counter, and every other block parameter an i64.
+    :meth:`text` is what ``print_function(func, order="id")`` writes
+    for the function ``parse_function`` reads from it."""
+
+    def __init__(self, header: str, nparams: int):
+        self.header = header
+        self.blocks: Dict[int, List[str]] = {0: ["block0:"]}
+        self.ids = itertools.count(nparams)
+        self.current = 0
+
+    def block(self, nparams: int = 0) -> Tuple[int, List[int]]:
+        """A new block and its parameters' value ids."""
+        bid, params = len(self.blocks), [next(self.ids)
+                                         for _ in range(nparams)]
+        label = ", ".join(f"v{v}: i64" for v in params)
+        self.blocks[bid] = [f"block{bid}({label}):" if params
+                            else f"block{bid}:"]
+        return bid, params
+
+    def line(self, text: str) -> None:
+        """An instruction without a result, or a terminator, in the
+        current block."""
+        self.blocks[self.current].append("  " + text)
+
+    def define(self, rhs: str) -> int:
+        """``v<next> = rhs`` in the current block; returns the id."""
+        value = next(self.ids)
+        self.line(f"v{value} = {rhs}")
+        return value
+
+    def const(self, value: int) -> int:
+        return self.define(f"iconst {value}")
+
+    def text(self) -> str:
+        return function_text(self.header, self.blocks)
+
+
+# ---------------------------------------------------------------------------
 # IR-level nests at the emitter's two depth limits.
 # ---------------------------------------------------------------------------
 
-def _single_function_module(fb: FunctionBuilder) -> Module:
+def _single_function_module(text: str) -> Module:
     module = Module(memory_size=64)
-    module.add_function(fb.finish())
+    module.add_function(parse_function(text))
     verify_module(module)
     return module
 
@@ -194,17 +269,19 @@ def branch_chain(depth: int) -> Module:
     ``i + 1``; past the last, ``depth``.  Every block has one
     predecessor, so structured emission nests one indent level per
     branch."""
-    fb = FunctionBuilder("chain", Signature((I64,), (I64,)))
-    n = fb.entry.params[0][0]
+    # Level i tests in block 2i: v<2i+1> is i, v<2i+2> the compare.
+    blocks = {0: ["block0:"]}
     for level in range(depth):
-        k = fb.iconst(level)
-        hit, miss = fb.new_block(), fb.new_block()
-        fb.br_if(fb.ieq(n, k), hit, miss)
-        fb.switch_to(hit)
-        fb.ret(k)
-        fb.switch_to(miss)
-    fb.ret(fb.iconst(depth))
-    return _single_function_module(fb)
+        k, miss = 2 * level + 1, 2 * level + 2
+        blocks[k - 1] += [f"  v{k} = iconst {level}",
+                          f"  v{k + 1} = ieq v0, v{k}",
+                          f"  br_if v{k + 1}, block{k}, block{miss}"]
+        blocks[k] = [f"block{k}:", f"  return v{k}"]
+        blocks[miss] = [f"block{miss}:"]
+    last = 2 * depth + 1
+    blocks[2 * depth] += [f"  v{last} = iconst {depth}", f"  return v{last}"]
+    return _single_function_module(function_text(
+        "func @chain(v0: i64) -> i64 {", blocks))
 
 
 # CPython compiles at most 20 statically nested blocks; the emitted
@@ -216,30 +293,42 @@ def loop_nest(depth: int) -> Module:
     """``nest(n)``: ``depth`` counted loops inside one another, ``n``
     trips each (``n >= 1``); returns how often the innermost body ran,
     ``n ** depth``.  Structured emission opens one ``while True:`` — one
-    of CPython's statically nested blocks — per loop."""
-    fb = FunctionBuilder("nest", Signature((I64,), (I64,)))
-    n = fb.entry.params[0][0]
-    one = fb.iconst(1)
-    zero = fb.iconst(0)
-    headers = [fb.new_block([I64, I64]) for _ in range(depth)]
-    # latches[k] ends a trip of loop k; latches[0] is the function exit.
-    latches = [fb.new_block([I64]) for _ in range(depth)]
-    fb.jump(headers[0], [n, zero])
-    for k, header in enumerate(headers):
-        fb.switch_to(header)
-        trips_left, acc = header.param_values()
+    of CPython's statically nested blocks — per loop.  Loop ``k``'s
+    header is ``block<k + 1>(trips left, acc)``; its latch, which ends
+    a trip of loop ``k - 1`` (loop 0's is the function exit), is
+    ``block<depth + 1 + k>(acc)``."""
+    def header(k):
+        return k + 1, 3 + 2 * k
+
+    def latch(k):
+        return depth + 1 + k, 3 + 2 * depth + k
+
+    blocks = {0: ["block0:", "  v1 = iconst 1", "  v2 = iconst 0",
+                  "  jump block1(v0, v2)"]}
+    for k in range(depth):
+        bid, trips = header(k)
+        blocks[bid] = [f"block{bid}(v{trips}: i64, v{trips + 1}: i64):"]
+        bid, acc = latch(k)
+        blocks[bid] = [f"block{bid}(v{acc}: i64):"]
+    vid = 3 + 3 * depth
+    for k in range(depth):
+        bid, trips = header(k)
         if k + 1 < depth:
-            fb.jump(headers[k + 1], [n, acc])
-            fb.switch_to(latches[k + 1])
-            acc = latches[k + 1].param_values()[0]
+            blocks[bid].append(f"  jump block{bid + 1}(v0, v{trips + 1})")
+            bid, acc = latch(k + 1)
         else:
-            acc = fb.iadd(acc, one)
-        rest = fb.isub(trips_left, one)
-        fb.br_if(fb.ine(rest, zero), header, latches[k],
-                 [rest, acc], [acc])
-    fb.switch_to(latches[0])
-    fb.ret(latches[0].param_values()[0])
-    return _single_function_module(fb)
+            blocks[bid].append(f"  v{vid} = iadd v{trips + 1}, v1")
+            acc, vid = vid, vid + 1
+        blocks[bid] += [
+            f"  v{vid} = isub v{trips}, v1",
+            f"  v{vid + 1} = ine v{vid}, v2",
+            f"  br_if v{vid + 1}, block{k + 1}(v{vid}, v{acc}), "
+            f"block{latch(k)[0]}(v{acc})"]
+        vid += 2
+    bid, acc = latch(0)
+    blocks[bid].append(f"  return v{acc}")
+    return _single_function_module(function_text(
+        "func @nest(v0: i64) -> i64 {", blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +341,20 @@ def single_op_module(op: str, arg_types, result_type, imm=None,
     """``f(*args)``: ``op`` applied to the parameters, result returned.
     The instruction sits in a second block, so the forced-fallback leg
     reaches it across a region edge (a ``_b`` assignment and a trip
-    through the dispatch tree)."""
-    results = () if result_type is None else (result_type,)
-    fb = FunctionBuilder("f", Signature(tuple(arg_types), results))
-    body = fb.new_block()
-    fb.jump(body)
-    fb.switch_to(body)
-    value = fb.emit(op, [v for v, _ in fb.entry.params], imm=imm)
-    fb.ret(*(() if value is None else (value,)))
+    through the dispatch tree).  ``imm`` is a memory op's offset."""
+    n = len(arg_types)
+    params = ", ".join(f"v{i}: {ty}" for i, ty in enumerate(arg_types))
+    args = ", ".join(f"v{i}" for i in range(n))
+    offset = f" +{imm}" if imm else ""
+    if result_type is None:
+        body = [f"  {op}{offset} {args}", "  return"]
+        header = f"func @f({params}) {{"
+    else:
+        body = [f"  v{n} = {op}{offset} {args}", f"  return v{n}"]
+        header = f"func @f({params}) -> {result_type} {{"
     module = Module(memory_size=memory_size)
-    module.add_function(fb.finish())
+    module.add_function(parse_function(function_text(
+        header, {0: ["block0:", "  jump block1"], 1: ["block1:", *body]})))
     return module
 
 
@@ -286,53 +379,65 @@ def compare_module(op: str, shape: str, probe=None) -> Tuple[Module, int]:
     * ``two_branches`` — the taken arm tests ``c`` again.
     """
     ty = OPCODES[op].arg_types[0]
-    params = (ty, ty, I64) if shape == "after_load" else (ty, ty)
-    fb = FunctionBuilder("f", Signature(params, (I64,)))
-    a, b = (v for v, _ in fb.entry.params[:2])
     if shape == "looped":
         # c leaves at once when it holds, else rides three trips of the
         # loop as a block argument before it is returned.
-        header = fb.new_block([I64])
-        latch, out = fb.new_block([I64, I64]), fb.new_block([I64])
-        fb.jump(header, [fb.iconst(3)])
-        fb.switch_to(header)
-        c = fb.emit(op, (a, b))
-        rest = fb.isub(header.param_values()[0], fb.iconst(1))
-        fb.br_if(c, out, latch, [c], [rest, c])
-        fb.switch_to(latch)
-        rest, carried = latch.param_values()
-        fb.br_if(fb.ine(rest, fb.iconst(0)), header, out,
-                 [rest], [carried])
-        fb.switch_to(out)
-        fb.ret(out.param_values()[0])
+        c = 7
+        text = f"""\
+func @f(v0: {ty}, v1: {ty}) -> i64 {{
+block0:
+  v6 = iconst 3
+  jump block1(v6)
+block1(v2: i64):
+  v7 = {op} v0, v1
+  v8 = iconst 1
+  v9 = isub v2, v8
+  br_if v7, block3(v7), block2(v9, v7)
+block2(v3: i64, v4: i64):
+  v10 = iconst 0
+  v11 = ine v3, v10
+  br_if v11, block1(v3), block3(v4)
+block3(v5: i64):
+  return v5
+}}"""
     else:
+        params = f"v0: {ty}, v1: {ty}"
+        entry = ["block0:"]
+        c = 2
         if shape == "after_load":
-            fb.load64(fb.entry.params[2][0])
-        c = fb.emit(op, (a, b))
+            params += ", v2: i64"
+            entry.append("  v3 = load64 v2")
+            c = 4
+        entry.append(f"  v{c} = {op} v0, v1")
+        vid = c + 1
         if shape == "stored":
-            zero = fb.iconst(0)
-            fb.store64(zero, c)
+            zero, vid = vid, vid + 1
+            entry += [f"  v{zero} = iconst 0", f"  store64 v{zero}, v{c}"]
         elif shape == "probed":
-            fb.call("probe", [c])
-        elif shape == "other_block":
-            branch = fb.new_block()
-            fb.jump(branch)
-            fb.switch_to(branch)
-        hit, miss = fb.new_block(), fb.new_block()
-        fb.br_if(c, hit, miss)
+            entry.append(f"  call @probe v{c}")
+        blocks, branch = {0: entry}, entry
+        if shape == "other_block":
+            entry.append("  jump block1")
+            blocks[1] = branch = ["block1:"]
+        hit, miss = len(blocks), len(blocks) + 1
+        branch.append(f"  br_if v{c}, block{hit}, block{miss}")
         if shape == "two_branches":
-            fb.switch_to(hit)
-            hit = fb.new_block()
-            fb.br_if(c, hit, miss)
+            blocks[hit] = [f"block{hit}:", f"  br_if v{c}, block3, block2"]
+            hit = 3
         for block, constant in ((hit, 11), (miss, 22)):
-            fb.switch_to(block)
             if shape in ("branch", "after_load"):
-                fb.ret(fb.iconst(constant))
+                body = [f"  v{vid} = iconst {constant}", f"  return v{vid}"]
+                vid += 1
+            elif shape == "stored":
+                body = [f"  v{vid} = load64 v{zero}", f"  return v{vid}"]
+                vid += 1
             else:
-                fb.ret(fb.load64(zero) if shape == "stored" else c)
+                body = [f"  return v{c}"]
+            blocks[block] = [f"block{block}:", *body]
+        text = function_text(f"func @f({params}) -> i64 {{", blocks)
     module = Module(memory_size=64)
     if shape == "probed":
         module.add_import(HostFunc("probe", Signature((I64,), ()), probe))
-    module.add_function(fb.finish())
+    module.add_function(parse_function(text, module))
     verify_module(module)
     return module, c

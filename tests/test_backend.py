@@ -28,13 +28,16 @@ import re
 
 import pytest
 
-from repro.backend import UnsupportedConstruct, compile_function, emitter
+from repro.backend import (
+    UnsupportedConstruct,
+    compile_python_source,
+    emit_function_source,
+    emitter,
+)
 from repro.core.specialize import SpecializeOptions
-from repro.ir.function import Function, Signature
-from repro.ir.instructions import BlockCall, BrTable, Instr, Jump, Ret
-from repro.ir.module import Module
+from repro.ir import Module, parse_function
+from repro.ir.printer import float_text
 from repro.ir.semantics import PURE_EXPRS
-from repro.ir.types import I64
 from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.min.harness import sum_to_n_program
 from repro.pipeline.engine import CompilationEngine
@@ -49,6 +52,8 @@ from tests.helpers import (
     build_module,
     compare_module,
     compile_legs,
+    compile_py,
+    emit_leg,
     loop_nest,
 )
 
@@ -78,7 +83,7 @@ def _run_both(module: Module, name: str, args,
     ``((status, payload, fuel), ...)`` for each backend.  Both emit
     legs run, and must agree with each other exactly."""
     compiled = compile_legs(module.functions[name], module)
-    got_py, got_flat = (_run(module, name, args, compiled[leg].pyfunc,
+    got_py, got_flat = (_run(module, name, args, compiled[leg],
                              fuel_limit) for leg in EMIT_LEGS)
     assert got_flat == got_py, f"{name}{tuple(args)}: legs disagree"
     return _run(module, name, args, None, fuel_limit), got_py
@@ -191,32 +196,18 @@ def test_sdiv_min_by_minus_one_wraps():
 def _brtable_function(ncases: int) -> Module:
     """``f(x)``: br_table over x with per-edge branch arguments; case i
     returns 100 + i, out-of-range returns 999."""
-    func = Function("bt", Signature((I64,), (I64,)))
-    entry = func.new_block()
-    func.entry = entry.id
-    index = func.add_block_param(entry, I64)
-    cases = []
-    consts = []
+    ret = ncases + 2  # block1's parameter
+    cases = ", ".join(f"block{2 + i}" for i in range(ncases))
+    lines = ["func @bt(v0: i64) -> i64 {", "block0:"]
+    lines += [f"  v{1 + i} = iconst {100 + i}" for i in range(ncases)]
+    lines += [f"  v{ncases + 1} = iconst 999",
+              f"  br_table v0, [{cases}], default block1(v{ncases + 1})",
+              f"block1(v{ret}: i64):",
+              f"  return v{ret}"]
     for i in range(ncases):
-        cid = func.new_value(I64)
-        entry.instrs.append(Instr("iconst", cid, (), 100 + i, I64))
-        consts.append(cid)
-    default_const = func.new_value(I64)
-    entry.instrs.append(Instr("iconst", default_const, (), 999, I64))
-
-    ret_block = func.new_block()
-    param = func.add_block_param(ret_block, I64)
-    ret_block.terminator = Ret((param,))
-
-    for cid in consts:
-        case_block = func.new_block()
-        case_block.terminator = Jump(BlockCall(ret_block.id, (cid,)))
-        cases.append(BlockCall(case_block.id, ()))
-    entry.terminator = BrTable(index, cases,
-                               BlockCall(ret_block.id, (default_const,)))
-
+        lines += [f"block{2 + i}:", f"  jump block1(v{1 + i})"]
     module = Module(memory_size=4096)
-    module.add_function(func)
+    module.add_function(parse_function("\n".join(lines + ["}"])))
     return module
 
 
@@ -302,7 +293,7 @@ def test_out_of_fuel_agreement_across_calls():
     def run(leg, limit):
         vm = VM(module, fuel_limit=limit)
         if leg is not None:
-            vm.install_compiled({name: legs[leg].pyfunc
+            vm.install_compiled({name: legs[leg]
                                  for name, legs in compiled.items()})
         try:
             return ("ok", vm.call("f", [9]), vm.stats.fuel)
@@ -354,22 +345,30 @@ def _run_stats(module, args, pyfunc=None, fuel_limit=None):
         return ("out-of-fuel", None, None, vm.stats.fuel)
 
 
+def _legs(func, module):
+    """``(leg, source, pyfunc)`` for each emit leg."""
+    for leg in EMIT_LEGS:
+        with emit_leg(leg):
+            source, mode_used, _ = emit_function_source(func, module)
+        assert mode_used == leg, leg
+        yield leg, source, compile_python_source(func.name, source)
+
+
 @pytest.mark.parametrize("op", COMPARE_OPS)
 def test_single_use_compare_is_fused_into_its_branch(op):
     module, c = compare_module(op, "branch")
     func = module.functions["f"]
     a, b = (v for v, _ in func.entry_block().params)
-    for leg, compiled in compile_legs(func, module).items():
-        source = compiled.source
+    for leg, source, pyfunc in _legs(func, module):
         assert "_int(" not in source and f"v{c} =" not in source, leg
         assert source.count(f"if {_bare_compare(op, a, b)}:") == 1, leg
         for args in _pairs(op):
             reference = _run_stats(module, args)
             assert reference[0] == "ok" and reference[1] in (11, 22)
-            assert _run_stats(module, args, compiled.pyfunc) == reference
+            assert _run_stats(module, args, pyfunc) == reference
             # OutOfFuel at every limit, as across calls above.
             for limit in range(1, reference[3] + 2):
-                assert _run_stats(module, args, compiled.pyfunc, limit) \
+                assert _run_stats(module, args, pyfunc, limit) \
                     == _run_stats(module, args, None, limit), (args, limit)
 
 
@@ -380,13 +379,13 @@ def test_compare_with_another_use_stays_an_int(op, shape):
     module, c = compare_module(
         op, shape, probe=lambda vm, x: seen.append(type(x)))
     func = module.functions["f"]
-    for leg, compiled in compile_legs(func, module).items():
-        assert f"v{c} = _int(" in compiled.source, leg
-        assert f"if v{c}:" in compiled.source, leg
+    for leg, source, pyfunc in _legs(func, module):
+        assert f"v{c} = _int(" in source, leg
+        assert f"if v{c}:" in source, leg
         for args in _pairs(op):
             reference = _run_stats(module, args)
             assert reference[:3] in (("ok", 0, int), ("ok", 1, int))
-            assert _run_stats(module, args, compiled.pyfunc) == reference
+            assert _run_stats(module, args, pyfunc) == reference
     assert all(ty is int for ty in seen)
     assert bool(seen) == (shape == "probed")
 
@@ -406,12 +405,12 @@ def test_fused_compare_behind_a_trapping_load(op):
         with pytest.raises(VMTrap, match=f"oob load64 at {addr:#x}"):
             vm.call("f", list(args + (addr,)))
         assert (vm.stats.fuel, vm.stats.loads) == (1, 1)
-    for leg, compiled in compile_legs(func, module).items():
-        assert "_int(" not in compiled.source, leg
+    for leg, source, pyfunc in _legs(func, module):
+        assert "_int(" not in source, leg
         for addr in (57, 64, MASK64):
-            assert _run_stats(module, args + (addr,), compiled.pyfunc) \
+            assert _run_stats(module, args + (addr,), pyfunc) \
                 == ("trap", f"oob load64 at {addr:#x}", None, 2)
-        assert _run_stats(module, args + (56,), compiled.pyfunc) \
+        assert _run_stats(module, args + (56,), pyfunc) \
             == _run_stats(module, args + (56,))
 
 
@@ -421,28 +420,28 @@ def test_compare_is_fused_only_into_its_own_blocks_one_branch(op, shape):
     module, c = compare_module(op, shape)
     func = module.functions["f"]
     branches = 1 if shape == "other_block" else 2
-    for leg, compiled in compile_legs(func, module).items():
-        assert f"v{c} = _int(" in compiled.source, leg
-        assert compiled.source.count(f"if v{c}:") == branches, leg
+    for leg, source, pyfunc in _legs(func, module):
+        assert f"v{c} = _int(" in source, leg
+        assert source.count(f"if v{c}:") == branches, leg
         for args in _pairs(op):
-            assert _run_stats(module, args, compiled.pyfunc) \
+            assert _run_stats(module, args, pyfunc) \
                 == _run_stats(module, args)
 
 
 def test_unsupported_opcode_falls_back():
-    func = Function("weird", Signature((), (I64,)))
-    entry = func.new_block()
-    func.entry = entry.id
-    vid = func.new_value(I64)
-    entry.instrs.append(Instr("iconst", vid, (), 1, I64))
-    bogus = func.new_value(I64)
-    entry.instrs.append(Instr("frobnicate", bogus, (vid,), None, I64))
-    entry.terminator = Ret((bogus,))
+    func = parse_function("""\
+func @weird() -> i64 {
+block0:
+  v0 = iconst 1
+  v1 = iadd v0, v0
+  return v1
+}""")
+    func.entry_block().instrs[1].op = "frobnicate"  # no text spells this
     module = Module(memory_size=64)
     module.add_function(func)
 
     with pytest.raises(UnsupportedConstruct, match="frobnicate"):
-        compile_function(func, module)
+        emit_function_source(func, module)
     compiled, fallbacks = CompilationEngine(
         module, SpecializeOptions()).compile_backend_functions(["weird"])
     assert compiled == {}
@@ -461,21 +460,21 @@ def test_branch_chain_past_the_indent_budget_is_emitted_flat():
     with the VM on results and on ``OutOfFuel`` at every limit."""
     depth = emitter._MAX_DEPTH - 1
     shallow = branch_chain(depth - 1)
-    assert compile_function(shallow.functions["chain"],
-                            shallow).mode_used == "structured"
+    assert emit_function_source(shallow.functions["chain"],
+                                shallow)[1] == "structured"
     module = branch_chain(depth)
     func = module.functions["chain"]
-    compiled = compile_function(func, module)
-    assert compiled.mode_used == "dispatch"
-    assert (compiled.dispatch_regions, compiled.dispatch_region_blocks) \
+    pyfunc, used = compile_py(func, module)
+    assert used.mode_used == "dispatch"
+    assert (used.dispatch_regions, used.dispatch_region_blocks) \
         == (1, len(func.blocks))
     for n in (0, 1, depth // 2, depth - 1, depth, TWO63):
         reference = _run(module, "chain", (n,))
         assert reference[:2] == ("ok", min(n, depth))
-        assert _run(module, "chain", (n,), compiled.pyfunc) == reference
+        assert _run(module, "chain", (n,), pyfunc) == reference
     full = _run(module, "chain", (depth,))[2]
     for limit in range(1, full + 1):
-        assert _run(module, "chain", (depth,), compiled.pyfunc, limit) \
+        assert _run(module, "chain", (depth,), pyfunc, limit) \
             == _run(module, "chain", (depth,), None, limit), limit
 
 
@@ -486,9 +485,9 @@ def test_loop_nest_at_the_static_block_limit():
     ``compile()`` refuses it and the function runs on the IR VM with
     exactly one recorded fallback."""
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST)
-    compiled = compile_function(module.functions["nest"], module)
-    assert compiled.mode_used == "structured"
-    assert _run(module, "nest", (1,), compiled.pyfunc) \
+    pyfunc, used = compile_py(module.functions["nest"], module)
+    assert used.mode_used == "structured"
+    assert _run(module, "nest", (1,), pyfunc) \
         == _run(module, "nest", (1,))
     # Every backedge taken, on a nest shallow enough to run 3**6 trips.
     got_vm, got_py = _run_both(loop_nest(6), "nest", (3,))
@@ -509,8 +508,8 @@ def test_loop_nest_at_the_static_block_limit():
                           "levels, not CPython's statically nested blocks")
 def test_loop_nest_past_the_static_block_limit_reaches_tier_2():
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST + 1)
-    compiled = compile_function(module.functions["nest"], module)
-    assert _run(module, "nest", (1,), compiled.pyfunc) \
+    pyfunc, _ = compile_py(module.functions["nest"], module)
+    assert _run(module, "nest", (1,), pyfunc) \
         == _run(module, "nest", (1,))
 
 
@@ -539,12 +538,14 @@ def _bits_to_float(bits: int) -> float:
 
 def _fconst_bits_module(bits: int) -> Module:
     """A function returning ``bits_ftoi(fconst)`` for the given pattern."""
-    from repro.ir import FunctionBuilder
-    fb = FunctionBuilder("fbits", Signature((), (I64,)))
-    v = fb.fconst(_bits_to_float(bits))
-    fb.ret(fb.emit("bits_ftoi", (v,)))
     module = Module(memory_size=64)
-    module.add_function(fb.finish())
+    module.add_function(parse_function("\n".join((
+        "func @fbits() -> i64 {",
+        "block0:",
+        f"  v0 = fconst {float_text(_bits_to_float(bits))}",
+        "  v1 = bits_ftoi v0",
+        "  return v1",
+        "}"))))
     return module
 
 
@@ -554,7 +555,7 @@ def _fconst_roundtrip(bits: int):
     compiled = compile_legs(module.functions["fbits"], module)
     for mode in EMIT_LEGS:
         vm = VM(module)
-        vm.install_compiled({"fbits": compiled[mode].pyfunc})
+        vm.install_compiled({"fbits": compiled[mode]})
         py_got = vm.call("fbits", [])
         assert py_got == vm_got == bits, (
             f"fconst bits {bits:#018x} ({mode}): vm={vm_got:#018x} "

@@ -52,6 +52,7 @@ import random
 
 import pytest
 
+from repro.backend import emit_function_source
 from repro.core.specialize import SpecializeOptions
 from repro.jsvm import JSRuntime
 from repro.luavm.runtime import LuaRuntime
@@ -61,7 +62,7 @@ from repro.min.isa import assemble
 from repro.vm import VM
 from repro.vm.machine import VMTrap
 
-from tests.helpers import EMIT_LEGS, compile_legs, emit_leg
+from tests.helpers import EMIT_LEGS, IRText, compile_legs, emit_leg, target
 
 N_MIN, N_LUA, N_JS = 24, 20, 6  # 50 programs total
 
@@ -158,7 +159,7 @@ def test_min_differential(seed):
             # deterministic fuel (VM ≡ structured ≡ forced fallback).
             for mode in EMIT_LEGS:
                 vm_py = VM(spec_module)
-                vm_py.install_compiled({func.name: compiled[mode].pyfunc})
+                vm_py.install_compiled({func.name: compiled[mode]})
                 got_py = vm_py.call(
                     func.name, [PROGRAM_BASE, len(program.words), value])
                 assert got_py == expected[value], (
@@ -595,7 +596,7 @@ N_IRREDUCIBLE = 6
 def _irreducible_module(seed: int):
     """A seeded function whose core is a two-entry cycle B <-> C — the
     canonical irreducible shape (no frontend in this repo emits one, so
-    the fallback is exercised by building the IR directly).
+    the fallback is exercised by writing the IR as text).
 
     ``f(n, sel)``: entry branches on ``sel`` *into the middle* of the
     cycle; each cycle block folds a seeded constant into the
@@ -604,39 +605,37 @@ def _irreducible_module(seed: int):
     regardless of the entry arm, so the result depends on seed, ``n``,
     and ``sel`` (which arm runs first).
     """
-    from repro.ir import FunctionBuilder, I64, Module, Signature
+    from repro.ir import Module, parse_function
     rng = random.Random(0x1BBED + seed)
-    fb = FunctionBuilder(f"irr{seed}", Signature((I64, I64), (I64,)))
-    n = fb.entry.params[0][0]
-    sel = fb.entry.params[1][0]
-    b = fb.new_block([I64, I64])
-    c = fb.new_block([I64, I64])
-    exit_b = fb.new_block([I64])
-    zero = fb.iconst(0)
-    start = fb.iconst(rng.randint(0, 1 << 12))
-    fb.br_if(sel, b, c, [n, start], [n, start])
+    ir = IRText(f"func @irr{seed}(v0: i64, v1: i64) -> i64 {{", 2)
+    n, sel = 0, 1
+    b, (i_b, acc_b) = ir.block(2)
+    c, (i_c, acc_c) = ir.block(2)
+    exit_b, (result,) = ir.block(1)
+    zero = ir.const(0)
+    start = ir.const(rng.randint(0, 1 << 12))
+    ir.line(f"br_if v{sel}, {target(b, [n, start])}, {target(c, [n, start])}")
 
-    fb.switch_to(b)
-    i_b, acc_b = b.param_values()
-    kb = fb.iconst(rng.randint(1, 1 << 10))
-    acc_b2 = fb.iadd(acc_b, kb)
+    ir.current = b
+    acc_b2 = ir.define(f"iadd v{acc_b}, v{ir.const(rng.randint(1, 1 << 10))}")
     if rng.random() < 0.5:
-        acc_b2 = fb.emit("imul", (acc_b2, fb.iconst(rng.randint(2, 5))))
-    i_b2 = fb.isub(i_b, fb.iconst(1))
-    more_b = fb.emit("ine", (i_b2, zero))
-    fb.br_if(more_b, c, exit_b, [i_b2, acc_b2], [acc_b2])
+        acc_b2 = ir.define(
+            f"imul v{acc_b2}, v{ir.const(rng.randint(2, 5))}")
+    i_b2 = ir.define(f"isub v{i_b}, v{ir.const(1)}")
+    more_b = ir.define(f"ine v{i_b2}, v{zero}")
+    ir.line(f"br_if v{more_b}, {target(c, [i_b2, acc_b2])}, "
+            f"{target(exit_b, [acc_b2])}")
 
-    fb.switch_to(c)
-    i_c, acc_c = c.param_values()
-    kc = fb.iconst(rng.randint(1, 1 << 10))
-    acc_c2 = fb.emit("ixor", (acc_c, kc))
-    i_c2 = fb.isub(i_c, fb.iconst(1))
-    more_c = fb.emit("ine", (i_c2, zero))
-    fb.br_if(more_c, b, exit_b, [i_c2, acc_c2], [acc_c2])
+    ir.current = c
+    acc_c2 = ir.define(f"ixor v{acc_c}, v{ir.const(rng.randint(1, 1 << 10))}")
+    i_c2 = ir.define(f"isub v{i_c}, v{ir.const(1)}")
+    more_c = ir.define(f"ine v{i_c2}, v{zero}")
+    ir.line(f"br_if v{more_c}, {target(b, [i_c2, acc_c2])}, "
+            f"{target(exit_b, [acc_c2])}")
 
-    fb.switch_to(exit_b)
-    fb.ret(exit_b.param_values()[0])
-    func = fb.finish()
+    ir.current = exit_b
+    ir.line(f"return v{result}")
+    func = parse_function(ir.text())
     module = Module(memory_size=64)
     module.add_function(func)
     return module, func
@@ -662,17 +661,18 @@ def test_irreducible_three_way(seed):
     # The structured leg must keep its structured skeleton (checked by
     # ``compile_legs``) and carve the multi-entry cycle into a dispatch
     # region of its own.
-    assert compiled["structured"].dispatch_regions >= 1, (
+    structured = emit_function_source(func, module)[2]
+    assert structured.dispatch_regions >= 1, (
         f"seed {seed}: irreducible cycle did not produce a dispatch "
         f"region")
-    assert compiled["structured"].dispatch_region_blocks >= 2
+    assert structured.dispatch_region_blocks >= 2
 
     for n in (1, 2, 3, 17):
         for sel in (0, 1):
             reference = _run_irr(module, func.name, None, (n, sel), None)
             assert reference[0] == "ok"
             for mode in EMIT_LEGS:
-                got = _run_irr(module, func.name, compiled[mode].pyfunc,
+                got = _run_irr(module, func.name, compiled[mode],
                                (n, sel), None)
                 assert got == reference, (
                     f"seed {seed} n={n} sel={sel} mode {mode}: "
@@ -684,7 +684,7 @@ def test_irreducible_three_way(seed):
     for limit in range(1, full + 1):
         reference = _run_irr(module, func.name, None, (3, 1), limit)
         for mode in EMIT_LEGS:
-            got = _run_irr(module, func.name, compiled[mode].pyfunc,
+            got = _run_irr(module, func.name, compiled[mode],
                            (3, 1), limit)
             assert got == reference, (
                 f"seed {seed} limit {limit} mode {mode}: {got!r} != "

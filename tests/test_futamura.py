@@ -242,9 +242,9 @@ def _three_way(module, name, args):
     """``name(*args)`` on the IR VM and on both emit legs: one result,
     which every leg must agree on."""
     got = {"vm": VM(module).call(name, list(args))}
-    for leg, compiled in compile_legs(module.functions[name], module).items():
+    for leg, pyfunc in compile_legs(module.functions[name], module).items():
         vm = VM(module)
-        vm.install_compiled({name: compiled.pyfunc})
+        vm.install_compiled({name: pyfunc})
         got[leg] = vm.call(name, list(args))
     assert len(set(got.values())) == 1, f"{name}{tuple(args)}: {got}"
     return got["vm"]

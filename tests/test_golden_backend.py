@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from repro.backend import compile_function
+from repro.backend import compile_python_source, emit_function_source
 from repro.ir import F64, I64
 from repro.ir.instructions import OPCODES
 from repro.ir.semantics import LOADS, STORES
@@ -51,12 +51,12 @@ def _min_sum_source() -> str:
     module = build_min_module(program)
     func = specialize_min(module, program, use_intrinsics=False,
                           name="min_sum_golden")
-    compiled = compile_function(func, module)
+    source = emit_function_source(func, module)[0]
     vm = VM(module)
-    vm.install_compiled({func.name: compiled.pyfunc})
+    vm.install_compiled({func.name: compile_python_source(func.name, source)})
     assert vm.call(func.name,
                    [PROGRAM_BASE, len(program.words), 0]) == 15
-    return compiled.source
+    return source
 
 
 def _lua_gcd_source() -> str:
@@ -66,7 +66,7 @@ def _lua_gcd_source() -> str:
     assert runtime.printed == [21]
     assert not runtime.compiler.backend_fallbacks
     func = runtime.module.functions["lua$gcd"]
-    return compile_function(func, runtime.module).source
+    return emit_function_source(func, runtime.module)[0]
 
 
 def test_min_sum_emitted_py_golden(request):
@@ -97,7 +97,7 @@ def _pin_corpus():
         modules.append(compare_module(op, "returned")[0])
     for module in modules:
         (func,) = module.functions.values()
-        yield compile_function(func, module).source
+        yield emit_function_source(func, module)[0]
 
 
 def test_emitted_bytes_are_pinned_to_emitter_version(request):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SnapshotCompiler
-from repro.ir import FunctionBuilder, I64, Module, Signature
+from repro.ir import Module, parse_function
 from repro.ir.module import PAGE
 from repro.vm import VM, VMTrap
 
@@ -30,14 +30,18 @@ SIZE = 3 * PAGE + 17          # ends inside a page
 MASK64 = (1 << 64) - 1
 
 
+POKE = """\
+func @poke(v0: i64, v1: i64) {
+block0:
+  store64 v0, v1
+  return
+}"""
+
+
 def build(memory_size=SIZE):
     """A module whose ``poke(addr, value)`` is a guest ``store64``."""
-    fb = FunctionBuilder("poke", Signature((I64, I64), ()))
-    addr, value = [v for v, _ in fb.entry.params]
-    fb.emit("store64", [addr, value], imm=0)
-    fb.ret()
     module = Module(memory_size=memory_size)
-    module.add_function(fb.finish())
+    module.add_function(parse_function(POKE))
     return module
 
 

@@ -26,7 +26,9 @@
   dataflow, one miss block for clean and effectful callers); the
   specializer's fixpoint has no convergence damper and its fast meet no
   kill switch, and ``meet_states`` takes no parameter that forces block
-  parameters; compiled code counts only fuel.
+  parameters; compiled code counts only fuel; IR is written by hand as
+  its text, ``FunctionBuilder`` keeps what the mini-C lowering calls,
+  and one function rewrites a terminator.
 """
 
 import ast
@@ -51,7 +53,7 @@ from repro.core import (
 )
 from repro.core import stats as stats_module
 from repro.core.specialize import SpecializeOptions
-from repro.backend import compile_function
+from repro.backend import emit_function_source
 from repro.core.state import meet_states
 from repro.frontend import compile_source
 from repro.ir import Module, print_function
@@ -288,7 +290,8 @@ def _functions_mentioning(name, prefix):
 
 def test_one_engine_record_and_emit_body():
     """The engine relays a request through one record and turns a
-    residual into a callable in one place, whichever road asked."""
+    residual into a callable in one place, whichever road asked: no
+    other function under ``src/`` names both halves of emission."""
     engine = dict(_sources())["repro/pipeline/engine.py"]
     assert [node.name for node in engine.body
             if isinstance(node, ast.ClassDef) and node.decorator_list] \
@@ -296,7 +299,7 @@ def test_one_engine_record_and_emit_body():
     assert [node.name for node in engine.body
             if isinstance(node, ast.FunctionDef)] == ["_open_store"]
     for name in ("emit_function_source", "compile_python_source"):
-        assert _functions_mentioning(name, "repro/pipeline/") == \
+        assert _functions_mentioning(name, "repro/") == \
             [("repro/pipeline/engine.py", "_emit")]
     assert not _identifiers() & {
         "_Plan", "_finalize", "_specialize_one", "_backend_compiled",
@@ -528,7 +531,7 @@ def test_compiled_code_counts_only_fuel():
                     for item in runtime.compiler.processed),
                    key=lambda func: func.num_instrs())
     sources = [*_pin_corpus(),
-               compile_function(richards, runtime.module).source]
+               emit_function_source(richards, runtime.module)[0]]
     assert {attr for source in sources
             for attr in re.findall(r"\bS\.(\w+)", source)} == {"fuel"}
     assert not _identifiers() & {"_COUNTER_LOCALS", "host_calls"}
@@ -553,3 +556,42 @@ def test_one_ir_text(tmp_path):
     assert stored["ir_text"] == print_function(
         guest.module.functions["calc_compiled"], order="id")
 
+
+def _imports(tree):
+    """``(module, name)`` for every name an ``import`` statement binds;
+    ``name`` is ``None`` for ``import module``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+def test_ir_is_written_by_hand_as_its_text():
+    """A test writes IR as the printed text ``parse_function`` reads: no
+    test imports ``FunctionBuilder``; under ``src/`` only the mini-C
+    lowering imports ``repro.ir.builder``, and the builder keeps only
+    the nine methods it calls; ``compile_function`` and
+    ``CompiledFunction``, a second body that turned IR into a callable,
+    are gone; and one function rewrites a terminator."""
+    import repro.backend
+    tests = sorted((ROOT / "tests").rglob("*.py"))
+    assert [path.name for path in tests
+            for module, name in _imports(ast.parse(path.read_text()))
+            if "FunctionBuilder" in (module, name)
+            or module == "repro.ir.builder"
+            or (module, name) == ("repro.ir", "builder")] == []
+    assert [file for file, tree in _sources()
+            for module, name in _imports(tree)
+            if module == "repro.ir.builder"
+            or (module, name) == ("repro.ir", "builder")] \
+        == ["repro/frontend/compiler.py"]
+    builder = importlib.import_module("repro.ir.builder").FunctionBuilder
+    assert sorted(name for name, value in vars(builder).items()
+                  if callable(value) and not name.startswith("_")) == [
+        "call", "call_indirect", "emit", "fconst", "global_get",
+        "global_set", "iconst", "new_block", "switch_to"]
+    assert not {"compile_function", "CompiledFunction"} \
+        & set(repro.backend.__all__)
+    assert not _identifiers() & {"_clone_terminator", "_retarget_terminator",
+                                 "map_terminator_values"}

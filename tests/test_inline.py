@@ -1,7 +1,7 @@
 """Unit tests for speculative call-site inlining (PR 8).
 
-Covers the :mod:`repro.opt.inline` pass on hand-built modules (splice
-shape — one miss block, the site guard then the out-of-line call,
+Covers the :mod:`repro.opt.inline` pass on modules written as IR text
+(splice shape — one miss block, the site guard then the out-of-line call,
 whatever precedes the site — polymorphic dispatch chains, hard-error
 plan validation), the VM/backend agreement on inlined residuals
 (results, site-miss notification, and exhaustive fuel-limit sweeps
@@ -21,7 +21,7 @@ from repro.core.cache import function_fingerprint
 from repro.core.request import Runtime, SpecializationRequest
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import PipelineStats
-from repro.ir import FunctionBuilder, I64, Module, Signature, print_function
+from repro.ir import Module, parse_function, print_function
 from repro.ir.instructions import Jump
 from repro.ir.verifier import verify_function
 from repro.jsvm import JSRuntime
@@ -34,9 +34,14 @@ from repro.opt.inline import (
 from repro.vm import VM
 from repro.vm.machine import OutOfFuel
 
-from tests.helpers import EMIT_LEGS, assert_text_round_trips, compile_legs
+from tests.helpers import (
+    EMIT_LEGS,
+    IRText,
+    assert_text_round_trips,
+    compile_legs,
+    target,
+)
 
-SIG1 = Signature((I64,), (I64,))
 SCRATCH = 256  # heap cell the prefix loads or bumps before its call
 LEAVES = ("add1", "dbl", "flip")
 # What may run before the site: nothing, pure ops, a load, or a store
@@ -46,10 +51,13 @@ PREFIXES = ("none", "pure", "load", "store")
 
 def _leaf(name: str, op: str, k: int):
     """x -> x <op> k, the inlinable callee shape."""
-    fb = FunctionBuilder(name, SIG1)
-    x = fb.entry.params[0][0]
-    fb.ret(fb.binop(op, x, fb.iconst(k)))
-    return fb.finish()
+    return parse_function("\n".join((
+        f"func @{name}(v0: i64) -> i64 {{",
+        "block0:",
+        f"  v1 = iconst {k}",
+        f"  v2 = {op} v0, v1",
+        "  return v2",
+        "}")))
 
 
 def _caller(name: str, prefix: str, loop_trips: int):
@@ -60,30 +68,34 @@ def _caller(name: str, prefix: str, loop_trips: int):
     (``return r + 7``) that keeps using the call's result — the
     join-block splice must preserve that dataflow.
     """
-    fb = FunctionBuilder(name, Signature((I64, I64), (I64,)))
-    sel = fb.entry.params[0][0]
-    x = fb.entry.params[1][0]
-    body = fb.new_block()
+    ir = IRText(f"func @{name}(v0: i64, v1: i64) -> i64 {{", 2)
+    sel, x = 0, 1
+    body = ir.block()[0]
     if loop_trips:
-        loop = fb.new_block([I64])
-        fb.jump(loop, [fb.iconst(loop_trips)])
-        fb.switch_to(loop)
-        i = loop.params[0][0]
-        i2 = fb.isub(i, fb.iconst(1))
-        fb.br_if(fb.ine(i2, fb.iconst(0)), loop, body, [i2], [])
+        loop, (i,) = ir.block(1)
+        ir.line(f"jump {target(loop, [ir.const(loop_trips)])}")
+        ir.current = loop
+        i2 = ir.define(f"isub v{i}, v{ir.const(1)}")
+        more = ir.define(f"ine v{i2}, v{ir.const(0)}")
+        ir.line(f"br_if v{more}, {target(loop, [i2])}, block{body}")
     else:
-        fb.jump(body)
-    fb.switch_to(body)
-    addr = fb.iconst(SCRATCH)
+        ir.line(f"jump block{body}")
+    ir.current = body
+    addr = ir.const(SCRATCH)
     if prefix == "pure":
-        x = fb.ixor(fb.imul(x, fb.iconst(3)), fb.iconst(5))
+        x = ir.define(f"imul v{x}, v{ir.const(3)}")
+        x = ir.define(f"ixor v{x}, v{ir.const(5)}")
     elif prefix == "load":
-        x = fb.iadd(x, fb.load64(addr))
+        loaded = ir.define(f"load64 v{addr}")
+        x = ir.define(f"iadd v{x}, v{loaded}")
     elif prefix == "store":
-        fb.store64(addr, fb.iadd(fb.load64(addr), fb.iconst(1)))
-    r = fb.call_indirect(SIG1, sel, [x])
-    fb.ret(fb.iadd(r, fb.iconst(7)))
-    return fb.finish()
+        loaded = ir.define(f"load64 v{addr}")
+        bumped = ir.define(f"iadd v{loaded}, v{ir.const(1)}")
+        ir.line(f"store64 v{addr}, v{bumped}")
+    r = ir.define(f"call_indirect sig(i64) -> i64 v{sel}, v{x}")
+    total = ir.define(f"iadd v{r}, v{ir.const(7)}")
+    ir.line(f"return v{total}")
+    return parse_function(ir.text())
 
 
 def _make_module(prefix: str = "none", loop_trips: int = 0):
@@ -199,12 +211,16 @@ class TestSplice:
 
     def test_oversized_callee_rejected_with_stats(self):
         module, index = _make_module()
-        fb = FunctionBuilder("huge", SIG1)
-        acc = fb.entry.params[0][0]
-        for _ in range(INLINE_HARD_CAP + 1):
-            acc = fb.iadd(acc, fb.iconst(1))
-        fb.ret(acc)
-        module.add_function(fb.finish())
+        # x + 1 + 1 + ..., one add past the cap.
+        adds = [line for k in range(INLINE_HARD_CAP + 1) for line in (
+            f"  v{2 * k + 1} = iconst 1",
+            f"  v{2 * k + 2} = iadd v{2 * k}, v{2 * k + 1}")]
+        module.add_function(parse_function("\n".join((
+            "func @huge(v0: i64) -> i64 {",
+            "block0:",
+            *adds,
+            f"  return v{2 * INLINE_HARD_CAP + 2}",
+            "}"))))
         huge_idx = module.add_table_entry("huge")
         stats = PipelineStats()
         plan = ((0, ((huge_idx,
@@ -254,7 +270,7 @@ class TestMissPaths:
                 if backend in EMIT_LEGS:
                     compiled = compile_legs(module.functions["caller"],
                                             module)
-                    vm.install_compiled({"caller": compiled[backend].pyfunc})
+                    vm.install_compiled({"caller": compiled[backend]})
                 misses = _record_misses(vm)
                 ref = VM(module)
                 got = vm.call("caller", [index["dbl"], 4])
@@ -303,7 +319,7 @@ class TestEmitAgreement:
             reference = _run_limited(module, None, args, None)
             assert reference[0] == "ok"
             for mode in EMIT_LEGS:
-                got = _run_limited(module, compiled[mode].pyfunc, args,
+                got = _run_limited(module, compiled[mode], args,
                                    None)
                 assert got == reference, (
                     f"sel {sel} mode {mode}: {got!r} != {reference!r}")
@@ -323,7 +339,7 @@ class TestEmitAgreement:
             for limit in range(1, full + 1):
                 reference = _run_limited(module, None, args, limit)
                 for mode in EMIT_LEGS:
-                    got = _run_limited(module, compiled[mode].pyfunc,
+                    got = _run_limited(module, compiled[mode],
                                        args, limit)
                     assert got == reference, (
                         f"sel {sel} limit {limit} mode {mode}: "
@@ -374,7 +390,7 @@ def test_generated_splices_match_the_unspliced_caller(case):
     for leg in ("vm",) + EMIT_LEGS:
         vm = VM(module)
         if leg in EMIT_LEGS:
-            vm.install_compiled({"caller": compiled[leg].pyfunc})
+            vm.install_compiled({"caller": compiled[leg]})
         misses = _record_misses(vm)
         assert vm.call("caller", list(args)) == want, leg
         assert bytes(vm.memory) == bytes(ref.memory), leg
@@ -382,7 +398,7 @@ def test_generated_splices_match_the_unspliced_caller(case):
     for limit in range(1, FUEL_BOUND + 1):
         reference = _run_limited(module, None, args, limit)
         for leg in EMIT_LEGS:
-            got = _run_limited(module, compiled[leg].pyfunc, args, limit)
+            got = _run_limited(module, compiled[leg], args, limit)
             assert got == reference, (leg, limit)
     assert reference[0] == "ok"  # the bound covered the whole run
 

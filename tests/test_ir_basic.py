@@ -1,15 +1,15 @@
-"""Unit tests for the IR substrate: builder, verifier, printer, CFG."""
+"""Unit tests for the IR substrate: functions read from their text,
+verifier, printer, CFG."""
 
 import pytest
 
 from repro.ir import (
     DominatorTree,
     F64,
-    FunctionBuilder,
     I64,
     Module,
-    Signature,
     VerificationError,
+    parse_function,
     predecessors,
     print_function,
     retreating_edges,
@@ -21,29 +21,31 @@ from repro.ir import (
 from repro.ir.clone import clone_function
 
 
+LOOP = """\
+func @loop(v0: i64) -> i64 {
+block0:
+  v4 = iconst 0
+  jump block1(v4, v4)
+block1(v1: i64, v2: i64):
+  v5 = ilt_u v1, v0
+  br_if v5, block2, block3(v2)
+block2:
+  v6 = iconst 1
+  v7 = iadd v2, v1
+  v8 = iadd v1, v6
+  jump block1(v8, v7)
+block3(v3: i64):
+  return v3
+}"""
+
+
 def make_loop_function():
-    fb = FunctionBuilder("loop", Signature((I64,), (I64,)))
-    n = fb.entry.params[0][0]
-    header = fb.new_block([I64, I64])
-    body = fb.new_block()
-    exit_b = fb.new_block([I64])
-    zero = fb.iconst(0)
-    fb.jump(header, [zero, zero])
-    fb.switch_to(header)
-    i, acc = header.param_values()
-    cond = fb.ilt_u(i, n)
-    fb.br_if(cond, body, exit_b, [], [acc])
-    fb.switch_to(body)
-    one = fb.iconst(1)
-    acc2 = fb.iadd(acc, i)
-    i2 = fb.iadd(i, one)
-    fb.jump(header, [i2, acc2])
-    fb.switch_to(exit_b)
-    fb.ret(exit_b.param_values()[0])
-    return fb.finish()
+    return parse_function(LOOP)
 
 
 class TestBuilder:
+    """A function is built from its text."""
+
     def test_builds_valid_function(self):
         func = make_loop_function()
         verify_function(func)
@@ -53,12 +55,13 @@ class TestBuilder:
         assert [t for _, t in func.entry_block().params] == [I64]
 
     def test_value_types_recorded(self):
-        fb = FunctionBuilder("t", Signature((I64, F64), (F64,)))
-        x = fb.entry.params[1][0]
-        y = fb.emit("fadd", (x, x))
-        fb.ret(y)
-        func = fb.finish()
-        assert func.type_of(y) == F64
+        func = parse_function("""\
+func @t(v0: i64, v1: f64) -> f64 {
+block0:
+  v2 = fadd v1, v1
+  return v2
+}""")
+        assert func.type_of(2) == F64
 
     def test_counts(self):
         func = make_loop_function()
@@ -111,54 +114,61 @@ class TestDominance:
 
 class TestVerifier:
     def test_detects_missing_terminator(self):
-        fb = FunctionBuilder("bad", Signature((), ()))
-        func = fb.finish()
+        func = parse_function("func @bad() {\nblock0:\n  return\n}")
+        func.entry_block().terminator = None  # no text spells this
         with pytest.raises(VerificationError, match="terminator"):
             verify_function(func)
 
     def test_detects_type_mismatch(self):
-        fb = FunctionBuilder("bad", Signature((I64, F64), (I64,)))
-        x = fb.entry.params[0][0]
-        y = fb.entry.params[1][0]
-        fb.current.instrs.append(
-            __import__("repro.ir.instructions", fromlist=["Instr"]).Instr(
-                "iadd", fb.func.new_value(I64), (x, y), None, I64))
-        fb.ret(x)
+        func = parse_function("""\
+func @bad(v0: i64, v1: f64) -> i64 {
+block0:
+  v2 = iadd v0, v1
+  return v0
+}""")
         with pytest.raises(VerificationError, match="type"):
-            verify_function(fb.finish())
+            verify_function(func)
 
     def test_detects_use_before_def_across_blocks(self):
-        fb = FunctionBuilder("bad", Signature((I64,), (I64,)))
-        a = fb.new_block()
-        b = fb.new_block()
-        cond = fb.entry.params[0][0]
-        fb.br_if(cond, a, b)
-        fb.switch_to(a)
-        v = fb.iconst(1)
-        fb.ret(v)
-        fb.switch_to(b)
-        fb.ret(v)  # v defined in a, does not dominate b
+        # v1 is defined in block1, which does not dominate block2.
+        func = parse_function("""\
+func @bad(v0: i64) -> i64 {
+block0:
+  br_if v0, block1, block2
+block1:
+  v1 = iconst 1
+  return v1
+block2:
+  return v1
+}""")
         with pytest.raises(VerificationError, match="dominate"):
-            verify_function(fb.finish())
+            verify_function(func)
 
     def test_detects_branch_arity_mismatch(self):
-        fb = FunctionBuilder("bad", Signature((), ()))
-        target = fb.new_block([I64])
-        fb.jump(target, [])  # missing arg
-        fb.switch_to(target)
-        fb.ret()
+        func = parse_function("""\
+func @bad() {
+block0:
+  jump block1
+block1(v0: i64):
+  return
+}""")
         with pytest.raises(VerificationError, match="passes"):
-            verify_function(fb.finish())
+            verify_function(func)
 
     def test_module_call_signature_check(self):
         module = Module(memory_size=4096)
-        callee = FunctionBuilder("callee", Signature((I64,), (I64,)))
-        callee.ret(callee.entry.params[0][0])
-        module.add_function(callee.finish())
-        caller = FunctionBuilder("caller", Signature((), ()))
-        caller.call("callee", [], result_type=I64)  # wrong arity
-        caller.ret()
-        module.add_function(caller.finish())
+        module.add_function(parse_function("""\
+func @callee(v0: i64) -> i64 {
+block0:
+  return v0
+}"""))
+        # The call passes no argument to a one-parameter callee.
+        module.add_function(parse_function("""\
+func @caller() {
+block0:
+  v0 = call @callee
+  return
+}""", module))
         with pytest.raises(VerificationError, match="arg count"):
             verify_module(module)
 
@@ -185,6 +195,9 @@ class TestClone:
         assert clone.name == "other"
 
 
+EMPTY = "func @f() {\nblock0:\n  return\n}"
+
+
 class TestModule:
     def test_memory_init_roundtrip(self):
         module = Module(memory_size=4096)
@@ -198,19 +211,13 @@ class TestModule:
 
     def test_table(self):
         module = Module(memory_size=64)
-        fb = FunctionBuilder("f", Signature((), ()))
-        fb.ret()
-        module.add_function(fb.finish())
+        module.add_function(parse_function(EMPTY))
         index = module.add_table_entry("f")
         assert index == 1  # slot 0 is reserved null
         assert module.table[index] == "f"
 
     def test_duplicate_function_rejected(self):
         module = Module(memory_size=64)
-        fb = FunctionBuilder("f", Signature((), ()))
-        fb.ret()
-        module.add_function(fb.finish())
-        fb2 = FunctionBuilder("f", Signature((), ()))
-        fb2.ret()
+        module.add_function(parse_function(EMPTY))
         with pytest.raises(ValueError):
-            module.add_function(fb2.finish())
+            module.add_function(parse_function(EMPTY))

@@ -3,7 +3,7 @@
 Three layers:
 
 * **unit** — :class:`~repro.pipeline.links.CallLinkTable` mechanics on
-  hand-built IR modules: direct slots patch after the first call,
+  IR modules written as text: direct slots patch after the first call,
   inline caches fill on an indirect hit, ``invalidate()`` resets every
   slot *in place* (identity-stable lists, so in-flight frames observe
   the reset), the probe refuses every non-steady callee shape, and the
@@ -26,9 +26,8 @@ Three layers:
 
 import pytest
 
-from repro.backend import compile_function
 from repro.core.specialize import SpecializeOptions
-from repro.ir import FunctionBuilder
+from repro.ir import parse_function
 from repro.ir.function import Signature
 from repro.ir.module import Module
 from repro.ir.types import I64
@@ -41,7 +40,7 @@ from repro.pipeline.links import CallLinkTable
 from repro.pipeline.profiles import ProfileStore
 from repro.vm import VM, VMTrap
 
-from tests.helpers import corpus_program
+from tests.helpers import compile_py, corpus_program
 
 
 def _args(program, value):
@@ -49,34 +48,45 @@ def _args(program, value):
 
 
 # ---------------------------------------------------------------------------
-# Hand-built IR: one caller with a direct site and an indirect site.
+# IR text: one caller with two direct sites, or two indirect sites.
 # ---------------------------------------------------------------------------
 
-def _callee_func(name="callee"):
-    fb = FunctionBuilder(name, Signature((I64, I64), (I64,)))
-    a = fb.entry.params[0][0]
-    b = fb.entry.params[1][0]
-    fb.ret(fb.emit("iadd", (a, b)))
-    return fb.func
+CALLEE = """\
+func @callee(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iadd v0, v1
+  return v2
+}"""
+
+CALLER = {
+    False: """\
+func @caller(v0: i64) -> i64 {
+block0:
+  v1 = iconst 7
+  v2 = call @callee v0, v1
+  v3 = call @callee v0, v1
+  v4 = iadd v2, v3
+  return v4
+}""",
+    True: """\
+func @caller(v0: i64) -> i64 {
+block0:
+  v1 = iconst 7
+  v2 = iconst 1
+  v3 = call_indirect sig(i64, i64) -> i64 v2, v0, v1
+  v4 = call_indirect sig(i64, i64) -> i64 v2, v0, v1
+  v5 = iadd v3, v4
+  return v5
+}""",
+}
 
 
 def _caller_module(indirect=False):
     """``caller(x) = callee(x, 7) + callee(x, 7)`` — two direct sites,
     or two indirect sites through table index 1."""
     module = Module()
-    module.add_function(_callee_func())
-    fb = FunctionBuilder("caller", Signature((I64,), (I64,)))
-    x = fb.entry.params[0][0]
-    seven = fb.iconst(7)
-    if indirect:
-        index = fb.iconst(1)
-        r1 = fb.emit("call_indirect", (index, x, seven), result_type=I64)
-        r2 = fb.emit("call_indirect", (index, x, seven), result_type=I64)
-    else:
-        r1 = fb.emit("call", (x, seven), imm="callee", result_type=I64)
-        r2 = fb.emit("call", (x, seven), imm="callee", result_type=I64)
-    fb.ret(fb.emit("iadd", (r1, r2)))
-    module.add_function(fb.func)
+    module.add_function(parse_function(CALLEE))
+    module.add_function(parse_function(CALLER[indirect], module))
     if indirect:
         module.add_table_entry("callee")
     return module
@@ -85,7 +95,7 @@ def _caller_module(indirect=False):
 def _vm_with_compiled(module, linked=True):
     vm = VM(module)
     vm.install_compiled({
-        name: compile_function(module.functions[name], module).pyfunc
+        name: compile_py(module.functions[name], module)[0]
         for name in ("caller", "callee")})
     if not linked:
         vm.links.enabled = False
@@ -146,8 +156,7 @@ class TestDirectLinking:
         # Reinstalling any function must drop every link (the callee
         # identity behind a patched slot may have changed).
         vm.install_compiled({
-            "callee": compile_function(module.functions["callee"],
-                                       module).pyfunc})
+            "callee": compile_py(module.functions["callee"], module)[0]})
         assert vm.links.epoch > epoch
         assert vm.links.linked_count() == 0
         assert vm.call("caller", [1]) == 16
@@ -233,16 +242,18 @@ class TestFixedArityBoundary:
     def test_depth_exhaustion_message_identical(self):
         def recursive_module():
             module = Module()
-            fb = FunctionBuilder("loop", Signature((I64,), (I64,)))
-            x = fb.entry.params[0][0]
-            fb.ret(fb.emit("call", (x,), imm="loop", result_type=I64))
-            module.add_function(fb.func)
+            module.add_function(parse_function("""\
+func @loop(v0: i64) -> i64 {
+block0:
+  v1 = call @loop v0
+  return v1
+}""", module))
             return module
 
         module = recursive_module()
         vm = VM(module)
-        vm.install_compiled({"loop": compile_function(
-            module.functions["loop"], module).pyfunc})
+        vm.install_compiled({
+            "loop": compile_py(module.functions["loop"], module)[0]})
         plain = VM(recursive_module())
         with pytest.raises(VMTrap) as compiled_trap:
             vm.call("loop", [0])

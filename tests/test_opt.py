@@ -5,13 +5,7 @@ from hypothesis import given, note, settings, strategies as st
 
 from repro.frontend import compile_source
 from repro.ir import (
-    BlockCall,
-    BrTable,
-    FunctionBuilder,
-    I64,
-    Jump,
     Module,
-    Signature,
     parse_function,
     print_function,
     verify_function,
@@ -34,7 +28,7 @@ from repro.opt import (
 )
 from repro.vm import VM, OutOfFuel, VMTrap
 
-from tests.helpers import assert_text_round_trips
+from tests.helpers import IRText, assert_text_round_trips, target
 
 
 def compiled_func(src, name):
@@ -69,11 +63,14 @@ class TestFold:
 
 class TestDce:
     def test_removes_unused_pure_ops(self):
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        x = fb.entry.params[0][0]
-        fb.iadd(x, fb.iconst(1))  # dead
-        fb.ret(x)
-        func = fb.finish()
+        # v1 and v2 are dead.
+        func = parse_function("""\
+func @f(v0: i64) -> i64 {
+block0:
+  v1 = iconst 1
+  v2 = iadd v0, v1
+  return v0
+}""")
         removed = eliminate_dead_code(func)
         assert removed == 2  # the iconst and the iadd
         verify_function(func)
@@ -119,26 +116,24 @@ u64 f(u64 n) {
 
 class TestPruneParams:
     def test_prunes_redundant_loop_params(self):
-        # A loop-invariant value passed as a block param on every edge.
-        fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-        x, n = [v for v, _ in fb.entry.params]
-        header = fb.new_block([I64, I64])  # (i, x_copy) — x_copy redundant
-        exit_b = fb.new_block()
-        zero = fb.iconst(0)
-        fb.jump(header, [zero, x])
-        fb.switch_to(header)
-        i, x_copy = header.param_values()
-        cond = fb.ilt_u(i, n)
-        body = fb.new_block()
-        fb.br_if(cond, body, exit_b)
-        fb.switch_to(body)
-        one = fb.iconst(1)
-        i2 = fb.iadd(i, one)
-        fb.jump(header, [i2, x])  # always passes the same x
-        fb.switch_to(exit_b)
-        result = fb.iadd(x_copy, n)
-        fb.ret(result)
-        func = fb.finish()
+        # A loop-invariant value passed as a block param on every edge:
+        # block1's v3 is always v0.
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v4 = iconst 0
+  jump block1(v4, v0)
+block1(v2: i64, v3: i64):
+  v5 = ilt_u v2, v1
+  br_if v5, block3, block2
+block2:
+  v8 = iadd v3, v1
+  return v8
+block3:
+  v6 = iconst 1
+  v7 = iadd v2, v6
+  jump block1(v7, v0)
+}""")
         removed = prune_block_params(func)
         assert removed == 1
         verify_function(func)
@@ -162,12 +157,15 @@ u64 f(u64 c) {
 
 class TestGvn:
     def test_cse_within_block(self):
-        fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-        x, y = [v for v, _ in fb.entry.params]
-        a = fb.iadd(x, y)
-        b = fb.iadd(x, y)  # redundant
-        fb.ret(fb.imul(a, b))
-        func = fb.finish()
+        # v3 is redundant.
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iadd v0, v1
+  v3 = iadd v0, v1
+  v4 = imul v2, v3
+  return v4
+}""")
         removed = global_value_numbering(func)
         assert removed == 1
         verify_function(func)
@@ -176,24 +174,29 @@ class TestGvn:
         assert VM(module).call("f", [3, 4]) == 49
 
     def test_commutative_operands_unify(self):
-        fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-        x, y = [v for v, _ in fb.entry.params]
-        a = fb.iadd(x, y)
-        b = fb.iadd(y, x)  # same value, swapped operands
-        fb.ret(fb.isub(a, b))
-        func = fb.finish()
+        # v3 is v2 with its operands swapped.
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iadd v0, v1
+  v3 = iadd v1, v0
+  v4 = isub v2, v3
+  return v4
+}""")
         assert global_value_numbering(func) == 1
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [11, 31]) == 0
 
     def test_noncommutative_not_unified(self):
-        fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-        x, y = [v for v, _ in fb.entry.params]
-        a = fb.isub(x, y)
-        b = fb.isub(y, x)
-        fb.ret(fb.ixor(a, b))
-        func = fb.finish()
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = isub v0, v1
+  v3 = isub v1, v0
+  v4 = ixor v2, v3
+  return v4
+}""")
         assert global_value_numbering(func) == 0
 
     def test_dominating_def_reused_across_blocks(self):
@@ -239,14 +242,15 @@ u64 f(u64 p) {
 
 class TestCopyProp:
     def test_add_zero_chain(self):
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        x = fb.entry.params[0][0]
-        zero = fb.iconst(0)
-        a = fb.iadd(x, zero)
-        b = fb.iadd(zero, a)
-        c = fb.isub(b, zero)
-        fb.ret(c)
-        func = fb.finish()
+        func = parse_function("""\
+func @f(v0: i64) -> i64 {
+block0:
+  v1 = iconst 0
+  v2 = iadd v0, v1
+  v3 = iadd v1, v2
+  v4 = isub v3, v1
+  return v4
+}""")
         removed = propagate_copies(func)
         assert removed == 3
         eliminate_dead_code(func)
@@ -257,13 +261,14 @@ class TestCopyProp:
         assert func.num_instrs() == 0  # everything folded to `ret x`
 
     def test_mul_one_and_select_same(self):
-        fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-        x, c = [v for v, _ in fb.entry.params]
-        one = fb.iconst(1)
-        m = fb.imul(one, x)
-        s = fb.select(c, m, m)
-        fb.ret(s)
-        func = fb.finish()
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iconst 1
+  v3 = imul v2, v0
+  v4 = select v1, v3, v3
+  return v4
+}""")
         assert propagate_copies(func) == 2
         verify_function(func)
         module = Module(memory_size=64)
@@ -271,24 +276,27 @@ class TestCopyProp:
         assert VM(module).call("f", [9, 0]) == 9
 
     def test_select_constant_condition(self):
-        fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-        a, b = [v for v, _ in fb.entry.params]
-        cond = fb.iconst(0)
-        s = fb.select(cond, a, b)
-        fb.ret(s)
-        func = fb.finish()
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iconst 0
+  v3 = select v2, v0, v1
+  return v3
+}""")
         assert propagate_copies(func) == 1
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [5, 6]) == 6
 
     def test_negation_is_not_a_copy(self):
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        x = fb.entry.params[0][0]
-        zero = fb.iconst(0)
-        neg = fb.isub(zero, x)  # 0 - x is NOT x
-        fb.ret(neg)
-        func = fb.finish()
+        # v2 = 0 - v0 is NOT v0.
+        func = parse_function("""\
+func @f(v0: i64) -> i64 {
+block0:
+  v1 = iconst 0
+  v2 = isub v1, v0
+  return v2
+}""")
         assert propagate_copies(func) == 0
         module = Module(memory_size=64)
         module.add_function(func)
@@ -429,12 +437,13 @@ u64 f(u64 p, u64 n) {
     def test_sub_word_store_not_forwarded(self):
         # store8 truncates: its operand is not what load8_u returns, so
         # store-to-load forwarding must not apply to sub-word stores.
-        fb = FunctionBuilder("f", Signature((I64, I64), (I64,)))
-        p, v = [value for value, _ in fb.entry.params]
-        fb.emit("store8", (p, v), imm=0)
-        loaded = fb.emit("load8_u", (p,), imm=0, result_type=I64)
-        fb.ret(loaded)
-        func = fb.finish()
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  store8 v0, v1
+  v2 = load8_u v0
+  return v2
+}""")
         assert forward_loads(func) == 0
         module = Module(memory_size=4096)
         module.add_function(func)
@@ -570,27 +579,25 @@ def forwarder_cfgs(draw):
     back to ``h`` straight from a forwarder.  An exit *owned* by one
     forwarder is branched to by it alone, so it may read that
     forwarder's params."""
-    fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-    x = fb.entry.params[0][0]
-    consts = [fb.iconst(draw(st.integers(0, 3))) for _ in range(3)]
-    one = fb.iconst(1)
-    header = fb.new_block([I64, I64])
-    fb.jump(header, [x, consts[0]])
-    body, done = fb.new_block(), fb.new_block()
-    fwds = [fb.new_block([I64] * draw(st.integers(0, 2)))
+    ir = IRText("func @f(v0: i64) -> i64 {", 1)  # v0 is x
+    consts = [ir.const(draw(st.integers(0, 3))) for _ in range(3)]
+    one = ir.const(1)
+    header, (i, acc) = ir.block(2)
+    ir.line(f"jump {target(header, [0, consts[0]])}")
+    body, done = ir.block()[0], ir.block()[0]
+    fwds = [ir.block(draw(st.integers(0, 2)))
             for _ in range(draw(st.integers(1, 4)))]
-    exits = [fb.new_block([I64] * draw(st.integers(0, 2)))
+    exits = [ir.block(draw(st.integers(0, 2)))
              for _ in range(draw(st.integers(1, 3)))]
     # Exit 0 is shared, so every block has somewhere to go.
     owners = [None] + [draw(st.sampled_from([None, *range(len(fwds))]))
                        for _ in exits[1:]]
 
-    fb.switch_to(header)
-    i, acc = header.param_values()
-    common = consts + [i, acc, fb.iadd(acc, i)]
-    fb.br_if(i, body, done)
-    fb.switch_to(done)
-    fb.ret(acc)
+    ir.current = header
+    common = consts + [i, acc, ir.define(f"iadd v{acc}, v{i}")]
+    ir.line(f"br_if v{i}, block{body}, block{done}")
+    ir.current = done
+    ir.line(f"return v{acc}")
 
     def branch(k, values):
         """Terminate the current block (forwarder ``k``, or the body for
@@ -598,39 +605,39 @@ def forwarder_cfgs(draw):
         targets = fwds[k + 1:] + [e for e, owner in zip(exits, owners)
                                   if owner is None or owner == k]
         if k >= 0:
-            targets.append(header)
+            targets.append((header, [i, acc]))
         picked = draw(st.lists(st.sampled_from(targets), min_size=1,
                                max_size=3))
-        args = [[draw(st.sampled_from(values)) for _ in blk.params]
-                for blk in picked]
+        calls = [target(blk, [draw(st.sampled_from(values))
+                              for _ in params]) for blk, params in picked]
         kind = draw(st.sampled_from(["jump", "br_if", "br_table"]))
         selector = draw(st.sampled_from(values))
         if kind == "jump" or len(picked) == 1:
-            fb.jump(picked[0], args[0])
+            ir.line(f"jump {calls[0]}")
         elif kind == "br_if":
-            fb.br_if(selector, picked[0], picked[1], args[0], args[1])
+            ir.line(f"br_if v{selector}, {calls[0]}, {calls[1]}")
         else:
-            calls = [BlockCall(blk.id, tuple(a))
-                     for blk, a in zip(picked, args)]
-            fb.current.terminator = BrTable(selector, calls[:-1], calls[-1])
+            ir.line(f"br_table v{selector}, [{', '.join(calls[:-1])}], "
+                    f"default {calls[-1]}")
 
-    fb.switch_to(body)
+    ir.current = body
     branch(-1, common)
-    for k, fwd in enumerate(fwds):
-        fb.switch_to(fwd)
-        branch(k, common + fwd.param_values())
-    for exit_block, owner in zip(exits, owners):
-        fb.switch_to(exit_block)
-        values = common + exit_block.param_values()
+    for k, (fwd, params) in enumerate(fwds):
+        ir.current = fwd
+        branch(k, common + params)
+    for (exit_block, params), owner in zip(exits, owners):
+        ir.current = exit_block
+        values = common + params
         if owner is not None:
-            values += fwds[owner].param_values()
-        value = fb.iadd(draw(st.sampled_from(values)),
-                        draw(st.sampled_from(values)))
+            values += fwds[owner][1]
+        value = ir.define(f"iadd v{draw(st.sampled_from(values))}, "
+                          f"v{draw(st.sampled_from(values))}")
         if draw(st.booleans()):
-            fb.ret(value)
+            ir.line(f"return v{value}")
         else:
-            fb.jump(header, [fb.isub(i, one), value])
-    return fb.finish()
+            rest = ir.define(f"isub v{i}, v{one}")
+            ir.line(f"jump {target(header, [rest, value])}")
+    return parse_function(ir.text())
 
 
 def _outcome(func, arg):
@@ -650,7 +657,7 @@ def test_jump_threading_oracle(original):
     """``thread_jumps``, then ``simplify_cfg``, then the default
     pipeline: the function verifies after each step and computes what
     the original does on every input the original finishes."""
-    note(print_function(original))
+    note(print_function(original, order="id"))
     verify_function(original)
     assert_text_round_trips(original)
     expected = {arg: _outcome(original, arg) for arg in (0, 1, 3)}

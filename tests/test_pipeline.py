@@ -392,6 +392,32 @@ def test_nan_payloads_are_two_store_keys(tmp_path):
             (payload, False)]
 
 
+def test_nan_request_names_do_not_depend_on_batch_order(tmp_path):
+    """An unnamed request spells a NaN by its bits, as the printer does:
+    two payloads get two names and neither is suffixed, so a warm start
+    that enqueues them in the other order still hits the ``py/`` code,
+    whose key hashes the name."""
+    a, b = 0x7ff8000000000001, 0x7ff8000000000002
+
+    def batch(order):
+        module = Module(memory_size=4096)
+        compile_source(STORE_F64_SRC).add_to_module(module)
+        compiler = SnapshotCompiler(module, SpecializeOptions(
+            cache_dir=str(tmp_path), backend="py"))
+        for slot, bits in enumerate(order):
+            compiler.enqueue(SpecializationRequest(
+                "f", [SpecializedConst(_bits_itof(bits)), Runtime()]),
+                256 + 8 * slot)
+        names = [p.function_name for p in compiler.process_requests()]
+        stats = compiler.engine.stats
+        return names, (stats.artifact_hits, stats.backend_emitted,
+                       stats.backend_code_hits)
+
+    name = {bits: f"f.spec.cnan:{bits:#018x}_r" for bits in (a, b)}
+    assert batch([a, b]) == ([name[a], name[b]], (0, 2, 0))
+    assert batch([b, a]) == ([name[b], name[a]], (2, 0, 2))
+
+
 def test_every_f64_pattern_survives_the_store(tmp_path):
     cold, runs = _f64_batch(FLOAT_BIT_PATTERNS, str(tmp_path))
     assert [bits for bits, _ in runs] == list(FLOAT_BIT_PATTERNS)

@@ -78,9 +78,8 @@ class _Harness:
                  memory_size=64):
         self.module = single_op_module(op, arg_types, result_type, imm,
                                        memory_size)
-        self.compiled = {mode: compiled.pyfunc for mode, compiled
-                         in compile_legs(self.module.functions["f"],
-                                         self.module).items()}
+        self.compiled = compile_legs(self.module.functions["f"],
+                                     self.module)
 
     def run(self, args, memory=None):
         """``{leg: (status, payload, memory image)}`` for the three

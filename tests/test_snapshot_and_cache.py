@@ -12,7 +12,7 @@ from repro.core import (
 from repro.core.cache import body_fingerprint, request_key
 from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
-from repro.ir import FunctionBuilder, I64, Module, Signature, verify_module
+from repro.ir import Module, parse_function, verify_module
 from repro.pipeline import CompilationEngine
 from repro.vm import VM
 
@@ -145,14 +145,18 @@ class TestSpecializationCache:
         request = SpecializationRequest("g", [Runtime()],
                                         specialized_name="g.spec")
         for k in range(50):
-            fb = FunctionBuilder("g", Signature((I64,), (I64,)))
-            fb.ret(fb.iadd(fb.entry.params[0][0], fb.iconst(k)))
             module = Module(memory_size=64)
-            generic = module.add_function(fb.finish())
+            generic = module.add_function(parse_function("\n".join((
+                "func @g(v0: i64) -> i64 {",
+                "block0:",
+                f"  v1 = iconst {k}",
+                "  v2 = iadd v0, v1",
+                "  return v2",
+                "}"))))
             key = request_key(module, request, None,
                               bytes(module.memory_init))
             assert key[0] == body_fingerprint(generic), k
-            del fb, module, generic
+            del module, generic
 
 
 class TestOptionKeyMembership:

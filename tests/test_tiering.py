@@ -28,11 +28,9 @@ import pytest
 from repro.core import SpeculatedConst, SpecializationRequest
 from repro.core.request import Runtime, SpecializedConst, SpecializedMemory
 from repro.core.specialize import SpecializeOptions, specialize
-from repro.ir import FunctionBuilder
+from repro.backend import compile_python_source, emit_function_source
+from repro.ir import parse_function
 from repro.ir.cfg import retreating_edges
-from repro.ir.function import Block, Function, Signature
-from repro.ir.instructions import BlockCall, Instr, Jump, Ret
-from repro.ir.types import I64
 from repro.ir.verifier import VerificationError, verify_function
 from repro.luavm.runtime import LuaRuntime
 from repro.min.harness import make_tiered_min, sum_to_n_program
@@ -40,7 +38,7 @@ from repro.min.interp import PROGRAM_BASE, build_min_module
 from repro.vm import VM
 from repro.vm.machine import GuardFailed
 
-from tests.helpers import corpus_program
+from tests.helpers import compile_py, corpus_program
 
 
 LUA_FIB = corpus_program("lua/fib.lua")
@@ -56,27 +54,22 @@ def _args(program, value):
 
 def _guard_func(guard_block: str = "entry", after_store: bool = False,
                 imm=7):
-    func = Function("g", Signature((I64,), (I64,)))
-    entry = func.new_block()
-    func.entry = entry.id
-    param = func.new_value(I64)
-    entry.params = [(param, I64)]
-    func.value_types[param] = I64
-    other = func.new_block()
-    guard = Instr("guard", None, (param,), imm, None)
-    if guard_block == "entry":
-        if after_store:
-            entry.instrs.append(Instr("store64", None, (param, param),
-                                      0, None))
-        entry.instrs.append(guard)
-    else:
-        if after_store:
-            entry.instrs.append(Instr("store64", None, (param, param),
-                                      0, None))
-        other.instrs.append(guard)
-    entry.terminator = Jump(BlockCall(other.id, ()))
-    other.terminator = Ret((param,))
-    return func
+    """``g(p)``: ``guard expect imm p`` in the entry block or in the
+    block it jumps to, after a ``store64`` in the entry when
+    ``after_store``; returns ``p``."""
+    store = ["  store64 v0, v0"] if after_store else []
+    guard = [f"  guard expect {imm} v0"]
+    entry, other = (store + guard, []) if guard_block == "entry" \
+        else (store, guard)
+    return parse_function("\n".join((
+        "func @g(v0: i64) -> i64 {",
+        "block0:",
+        *entry,
+        "  jump block1",
+        "block1:",
+        *other,
+        "  return v0",
+        "}")))
 
 
 class TestGuardVerification:
@@ -104,18 +97,21 @@ class TestGuardVerification:
         the second trip, so a deopt there would re-run the generic body
         after an observable effect: the entry block may hold an entry
         guard only while no branch enters it."""
-        fb = FunctionBuilder("g", Signature((I64,), (I64,)))
-        p = fb.entry.params[0][0]
-        fb.emit("guard", (p,), 7)
-        fb.store64(fb.iconst(64), p)
-        one = fb.iconst(1)
-        exit_block = fb.new_block()
-        fb.br_if(fb.ieq(p, one), exit_block, fb.entry, [],
-                 [fb.iadd(p, one)])
-        fb.switch_to(exit_block)
-        fb.ret(p)
+        func = parse_function("""\
+func @g(v0: i64) -> i64 {
+block0:
+  guard expect 7 v0
+  v1 = iconst 64
+  store64 v1, v0
+  v2 = iconst 1
+  v3 = ieq v0, v2
+  v4 = iadd v0, v2
+  br_if v3, block1, block0(v4)
+block1:
+  return v0
+}""")
         with pytest.raises(VerificationError, match="not at function entry"):
-            verify_function(fb.finish())
+            verify_function(func)
 
     def test_resuming_guard_after_side_effect_accepted(self):
         # A site guard's miss notifies and falls through: nothing is
@@ -205,12 +201,12 @@ class TestDeopt:
     def test_deopt_from_compiled_backend(self, guarded_module):
         """GuardFailed raised inside tier-2 compiled code unwinds at the
         same boundary with the same rollback."""
-        from repro.backend import compile_function
         program, module = guarded_module
-        compiled = compile_function(module.functions["spec_g"], module)
-        assert "GuardFailed" in compiled.source
+        source = emit_function_source(module.functions["spec_g"], module)[0]
+        assert "GuardFailed" in source
         vm = VM(module)
-        vm.install_compiled({"spec_g": compiled.pyfunc})
+        vm.install_compiled(
+            {"spec_g": compile_python_source("spec_g", source)})
         vm.deopt_fallbacks["spec_g"] = "min_interp"
         seen = []
         vm.deopt_hook = lambda name: seen.append(name)
@@ -239,52 +235,35 @@ _COUNTER = 256  # heap cell outer bumps before calling inner (side effect)
 
 def _nested_inner(name, guarded):
     """x -> x + 1, optionally behind ``guard x == 7``."""
-    func = Function(name, Signature((I64,), (I64,)))
-    entry = func.new_block()
-    func.entry = entry.id
-    x = func.new_value(I64)
-    entry.params = [(x, I64)]
-    func.value_types[x] = I64
-    if guarded:
-        entry.instrs.append(Instr("guard", None, (x,), 7, None))
-    one = func.new_value(I64)
-    entry.instrs.append(Instr("iconst", one, (), 1, I64))
-    result = func.new_value(I64)
-    entry.instrs.append(Instr("iadd", result, (x, one), None, I64))
-    entry.terminator = Ret((result,))
-    return func
+    return parse_function("\n".join((
+        f"func @{name}(v0: i64) -> i64 {{",
+        "block0:",
+        *(["  guard expect 7 v0"] if guarded else []),
+        "  v1 = iconst 1",
+        "  v2 = iadd v0, v1",
+        "  return v2",
+        "}")))
 
 
-def _nested_outer(name, guarded):
+def _nested_outer(name, guarded, module):
     """y -> inner_spec(y) + 10, bumping the _COUNTER cell first.
 
     The counter store is the observable side effect that must NOT run
     twice when the *inner* call's guard fails."""
-    func = Function(name, Signature((I64,), (I64,)))
-    entry = func.new_block()
-    func.entry = entry.id
-    y = func.new_value(I64)
-    entry.params = [(y, I64)]
-    func.value_types[y] = I64
-    if guarded:
-        entry.instrs.append(Instr("guard", None, (y,), 3, None))
-    addr = func.new_value(I64)
-    entry.instrs.append(Instr("iconst", addr, (), _COUNTER, I64))
-    cur = func.new_value(I64)
-    entry.instrs.append(Instr("load64", cur, (addr,), 0, I64))
-    one = func.new_value(I64)
-    entry.instrs.append(Instr("iconst", one, (), 1, I64))
-    bumped = func.new_value(I64)
-    entry.instrs.append(Instr("iadd", bumped, (cur, one), None, I64))
-    entry.instrs.append(Instr("store64", None, (addr, bumped), 0, None))
-    inner = func.new_value(I64)
-    entry.instrs.append(Instr("call", inner, (y,), "inner_spec", I64))
-    ten = func.new_value(I64)
-    entry.instrs.append(Instr("iconst", ten, (), 10, I64))
-    result = func.new_value(I64)
-    entry.instrs.append(Instr("iadd", result, (inner, ten), None, I64))
-    entry.terminator = Ret((result,))
-    return func
+    return parse_function("\n".join((
+        f"func @{name}(v0: i64) -> i64 {{",
+        "block0:",
+        *(["  guard expect 3 v0"] if guarded else []),
+        f"  v1 = iconst {_COUNTER}",
+        "  v2 = load64 v1",
+        "  v3 = iconst 1",
+        "  v4 = iadd v2, v3",
+        "  store64 v1, v4",
+        "  v5 = call @inner_spec v0",
+        "  v6 = iconst 10",
+        "  v7 = iadd v5, v6",
+        "  return v7",
+        "}")), module)
 
 
 def _nested_module():
@@ -292,8 +271,8 @@ def _nested_module():
     module = Module(memory_size=4096)
     module.add_function(_nested_inner("inner_gen", guarded=False))
     module.add_function(_nested_inner("inner_spec", guarded=True))
-    module.add_function(_nested_outer("outer_gen", guarded=False))
-    module.add_function(_nested_outer("outer_spec", guarded=True))
+    module.add_function(_nested_outer("outer_gen", False, module))
+    module.add_function(_nested_outer("outer_spec", True, module))
     return module
 
 
@@ -304,9 +283,8 @@ class TestNestedDeopt:
     call runs, the outer body's side effects are already observable."""
 
     def _install_compiled(self, vm, module, names):
-        from repro.backend import compile_function
         vm.install_compiled({
-            name: compile_function(module.functions[name], module).pyfunc
+            name: compile_py(module.functions[name], module)[0]
             for name in names})
 
     @pytest.mark.parametrize("backend", ["vm", "py"])

@@ -34,10 +34,8 @@ from repro.core.specialize import (
     SpecializeOptions,
 )
 from repro.ir import (
-    I64,
-    FunctionBuilder,
     Module,
-    Signature,
+    parse_function,
     print_function,
     verify_function,
 )
@@ -53,7 +51,12 @@ from test_differential import (
     random_min_program,
 )
 
-from tests.helpers import assert_text_round_trips, corpus_program
+from tests.helpers import (
+    IRText,
+    assert_text_round_trips,
+    corpus_program,
+    target,
+)
 
 N_MIN, N_LUA, N_JS = 10, 8, 4
 RICHARDS = corpus_program("js/richards.js")
@@ -221,17 +224,19 @@ def test_stack_growing_loop_converges(monkeypatch):
                         "MAX_ITERATIONS", 20_000)
     module = Module(memory_size=256)
     register_weval_imports(module)
-    fb = FunctionBuilder("g", Signature((I64,), (I64,)))
-    n = fb.entry.params[0][0]
-    loop, done = fb.new_block(), fb.new_block()
-    fb.call("weval.push", [fb.iconst(64), n])
-    fb.jump(loop)
-    fb.switch_to(loop)
-    fb.call("weval.push", [fb.iconst(72), n])
-    fb.br_if(n, loop, done)
-    fb.switch_to(done)
-    fb.ret(n)
-    module.add_function(fb.finish())
+    module.add_function(parse_function("""\
+func @g(v0: i64) -> i64 {
+block0:
+  v1 = iconst 64
+  call @weval.push v1, v0
+  jump block1
+block1:
+  v2 = iconst 72
+  call @weval.push v2, v0
+  br_if v0, block1, block2
+block2:
+  return v0
+}""", module))
     func = specialize(module, SpecializationRequest("g", [Runtime()]),
                       SpecializeOptions(opt_config="none"))
     assert func._weval_stats.block_visits <= 10  # noqa: SLF001
@@ -281,93 +286,100 @@ def fixpoint_programs(draw):
 
 
 def _render(name, program, lowered):
-    """``program`` as the function ``name(n)``.  With ``lowered`` each
-    state intrinsic is its memory op instead: push, write_local and
-    write_stack store, pop, read_local and read_stack load, and flush is
-    nothing."""
-    fb = FunctionBuilder(name, Signature((I64,), (I64,)))
-    n = fb.entry.params[0][0]
-    eight = fb.iconst(8)
-    state = {"acc": fb.iconst(1), "sp": fb.iconst(STACK_BASE), "i": n,
-             "n": n}
+    """``program`` as the text of the function ``name(n)``.  With
+    ``lowered`` each state intrinsic is its memory op instead: push,
+    write_local and write_stack store, pop, read_local and read_stack
+    load, and flush is nothing."""
+    ir = IRText(f"func @{name}(v0: i64) -> i64 {{", 1)  # v0 is n
+    const = ir.const
+    eight = const(8)
+    state = {"acc": const(1), "sp": const(STACK_BASE), "i": 0, "n": 0}
 
     def value(src):
-        return state[src] if isinstance(src, str) else fb.iconst(src)
+        return state[src] if isinstance(src, str) else const(src)
 
     def intrinsic(short, args, memory_op, has_result=False):
         if lowered:
             if memory_op == "load":
-                return fb.load64(args[-1])
-            fb.store64(args[-2], args[-1])
+                return ir.define(f"load64 v{args[-1]}")
+            ir.line(f"store64 v{args[-2]}, v{args[-1]}")
             return None
-        return fb.call("weval." + short, args,
-                       result_type=I64 if has_result else None)
+        call = f"call @weval.{short} " + ", ".join(f"v{a}" for a in args)
+        return ir.define(call) if has_result else ir.line(call)
 
     def add(value_id):
-        state["acc"] = fb.iadd(state["acc"], value_id)
+        state["acc"] = ir.define(f"iadd v{state['acc']}, v{value_id}")
+
+    def below(sp):
+        return ir.define(f"isub v{sp}, v{eight}")
 
     def emit(op):
         kind = op[0]
         sp = state["sp"]
         if kind == "push":
             intrinsic("push", [sp, value(op[1])], "store")
-            state["sp"] = fb.iadd(sp, eight)
+            state["sp"] = ir.define(f"iadd v{sp}, v{eight}")
         elif kind == "pop":
-            state["sp"] = fb.isub(sp, eight)
+            state["sp"] = below(sp)
             add(intrinsic("pop", [state["sp"]], "load", True))
         elif kind == "read_stack":
-            add(intrinsic("read_stack", [fb.iconst(0), fb.isub(sp, eight)],
-                          "load", True))
+            add(intrinsic("read_stack", [const(0), below(sp)], "load", True))
         elif kind == "write_stack":
-            intrinsic("write_stack", [fb.iconst(0), fb.isub(sp, eight),
-                                      value(op[1])], "store")
+            intrinsic("write_stack", [const(0), below(sp), value(op[1])],
+                      "store")
         elif kind == "write_local":
-            intrinsic("write_local", [fb.iconst(op[1]),
-                                      fb.iconst(LOCALS_BASE + 8 * op[1]),
+            intrinsic("write_local", [const(op[1]),
+                                      const(LOCALS_BASE + 8 * op[1]),
                                       value(op[2])], "store")
         elif kind == "read_local":
-            add(intrinsic("read_local", [fb.iconst(op[1]),
-                                         fb.iconst(LOCALS_BASE + 8 * op[1])],
+            add(intrinsic("read_local", [const(op[1]),
+                                         const(LOCALS_BASE + 8 * op[1])],
                           "load", True))
         elif kind == "merge":
-            arm_const, arm_runtime = fb.new_block(), fb.new_block()
-            join = fb.new_block([I64])
-            fb.br_if(fb.iand(n, fb.iconst(op[1])), arm_const, arm_runtime)
-            fb.switch_to(arm_const)
-            fb.jump(join, [fb.iconst(op[2])])
-            fb.switch_to(arm_runtime)
-            fb.jump(join, [fb.iadd(state["acc"], n)])
-            fb.switch_to(join)
-            state["acc"] = join.param_values()[0]
+            arm_const, arm_runtime = ir.block()[0], ir.block()[0]
+            join, (joined,) = ir.block(1)
+            mask = const(op[1])
+            cond = ir.define(f"iand v0, v{mask}")
+            ir.line(f"br_if v{cond}, block{arm_const}, block{arm_runtime}")
+            ir.current = arm_const
+            ir.line(f"jump {target(join, [const(op[2])])}")
+            ir.current = arm_runtime
+            arm = ir.define(f"iadd v{state['acc']}, v0")
+            ir.line(f"jump {target(join, [arm])}")
+            ir.current = join
+            state["acc"] = joined
         elif kind == "context":
-            fb.call("weval.update_context", [fb.iconst(op[1])])
+            ir.line(f"call @weval.update_context v{const(op[1])}")
         else:
             _, trips, body = op
-            header, loop_body, loop_exit = (fb.new_block([I64] * 3),
-                                            fb.new_block(), fb.new_block())
-            count = fb.iand(n, fb.iconst(3)) if trips == "n" \
-                else fb.iconst(trips)
+            header, params = ir.block(3)
+            loop_body, loop_exit = ir.block()[0], ir.block()[0]
+            count = ir.define(f"iand v0, v{const(3)}") if trips == "n" \
+                else const(trips)
             outer_i = state["i"]
-            fb.jump(header, [count, sp, state["acc"]])
-            fb.switch_to(header)
-            state["i"], state["sp"], state["acc"] = header.param_values()
+            ir.line(f"jump {target(header, [count, sp, state['acc']])}")
+            ir.current = header
+            state["i"], state["sp"], state["acc"] = params
             carried = dict(state)
-            fb.br_if(state["i"], loop_body, loop_exit)
-            fb.switch_to(loop_body)
+            ir.line(f"br_if v{state['i']}, block{loop_body}, "
+                    f"block{loop_exit}")
+            ir.current = loop_body
             for inner in body:
                 emit(inner)
-            fb.jump(header, [fb.isub(state["i"], fb.iconst(1)),
-                             state["sp"], state["acc"]])
-            fb.switch_to(loop_exit)
+            one = const(1)
+            back = [ir.define(f"isub v{state['i']}, v{one}"), state["sp"],
+                    state["acc"]]
+            ir.line(f"jump {target(header, back)}")
+            ir.current = loop_exit
             state.update(carried, i=outer_i)
 
     for op in program:
         emit(op)
     if not lowered:
-        fb.call("weval.flush", [])
-    fb.store64(fb.iconst(SP_CELL), state["sp"])
-    fb.ret(state["acc"])
-    return fb.finish()
+        ir.line("call @weval.flush")
+    ir.line(f"store64 v{const(SP_CELL)}, v{state['sp']}")
+    ir.line(f"return v{state['acc']}")
+    return ir.text()
 
 
 @given(fixpoint_programs())
@@ -383,9 +395,10 @@ def test_generated_fixpoint_oracle(monkeypatch, program):
                         "MAX_ITERATIONS", 20_000)
     module = Module(memory_size=4096)
     register_weval_imports(module)
-    generic = module.add_function(_render("f", program, lowered=False))
-    module.add_function(_render("ref", program, lowered=True))
-    note(print_function(generic))
+    generic = module.add_function(parse_function(
+        _render("f", program, lowered=False), module))
+    module.add_function(parse_function(_render("ref", program, lowered=True)))
+    note(print_function(generic, order="id"))
     func = specialize(module, SpecializationRequest("f", [Runtime()]))
     module.add_function(func)
     verify_function(func, module)

@@ -5,10 +5,10 @@ Two directions:
 * **soundness of the mid-end**: every function the specializer produces
   verifies cleanly, and stays valid after each registered pass runs in
   isolation (so no pass can only be run as part of the full pipeline);
-* **completeness of the verifier**: hand-built malformed functions —
-  use-before-def, bad branch arity, dangling block references, operand
-  type mismatches, missing terminators — are each rejected with a
-  precise error naming the offence.
+* **completeness of the verifier**: malformed functions, written as
+  IR text — use-before-def, bad branch arity, dangling block
+  references, operand type mismatches, missing terminators — are each
+  rejected with a precise error naming the offence.
 """
 
 import warnings
@@ -19,13 +19,12 @@ from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
 from repro.ir import (
     BlockCall,
-    FunctionBuilder,
     I64,
     Instr,
     Jump,
     Module,
-    Signature,
     VerificationError,
+    parse_function,
     verify_after_pass,
     verify_function,
 )
@@ -119,12 +118,14 @@ class TestEveryPassPreservesValidity:
 # ---------------------------------------------------------------------------
 
 def _valid_function():
-    fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-    x = fb.entry.params[0][0]
-    one = fb.iconst(1)
-    y = fb.iadd(x, one)
-    fb.ret(y)
-    return fb.finish(), y
+    """``f(x) = x + 1`` and the id of its sum."""
+    return parse_function("""\
+func @f(v0: i64) -> i64 {
+block0:
+  v1 = iconst 1
+  v2 = iadd v0, v1
+  return v2
+}"""), 2
 
 
 class TestMalformedRejected:
@@ -142,31 +143,31 @@ class TestMalformedRejected:
             verify_function(func)
 
     def test_use_not_dominating_across_blocks(self):
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        x = fb.entry.params[0][0]
-        left, right, join = fb.new_block(), fb.new_block(), fb.new_block()
-        fb.br_if(x, left, right)
-        fb.switch_to(left)
-        v = fb.iconst(3)  # defined only on the left path
-        fb.jump(join)
-        fb.switch_to(right)
-        fb.jump(join)
-        fb.switch_to(join)
-        fb.ret(v)  # use not dominated by def
-        func = fb.finish()
+        func = parse_function("""\
+func @f(v0: i64) -> i64 {
+block0:
+  br_if v0, block1, block2
+block1:
+  v1 = iconst 3
+  jump block3
+block2:
+  jump block3
+block3:
+  return v1
+}""")  # v1 is defined only on the left path
         with pytest.raises(VerificationError, match="does not dominate"):
             verify_function(func)
 
     def test_bad_branch_arity(self):
-        fb = FunctionBuilder("f", Signature((I64,), (I64,)))
-        x = fb.entry.params[0][0]
-        target = fb.new_block([I64])
-        fb.jump(target, [x])
-        fb.switch_to(target)
-        fb.ret(target.param_values()[0])
-        func = fb.finish()
+        func = parse_function("""\
+func @f(v0: i64) -> i64 {
+block0:
+  jump block1(v0)
+block1(v1: i64):
+  return v1
+}""")
         # Drop the branch argument: arity no longer matches the params.
-        func.entry_block().terminator = Jump(BlockCall(target.id, ()))
+        func.entry_block().terminator = Jump(BlockCall(1, ()))
         with pytest.raises(VerificationError,
                            match=r"passes 0 args, expects 1"):
             verify_function(func)
@@ -184,14 +185,16 @@ class TestMalformedRejected:
             verify_function(func)
 
     def test_operand_type_mismatch(self):
-        fb = FunctionBuilder("f", Signature((), (I64,)))
-        f = fb.fconst(1.5)
-        z = fb.iconst(0)
-        fb.ret(z)
-        func = fb.finish()
+        func = parse_function("""\
+func @f() -> i64 {
+block0:
+  v0 = fconst 1.5
+  v1 = iconst 0
+  return v1
+}""")
         # iadd over an f64 operand.
         func.entry_block().instrs.append(
-            Instr("iadd", func.new_value(I64), (f, f), None, I64))
+            Instr("iadd", func.new_value(I64), (0, 0), None, I64))
         with pytest.raises(VerificationError, match="expected i64"):
             verify_function(func)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.ir import FunctionBuilder, HostFunc, I64, F64, Module, Signature
+from repro.ir import I64, F64, Module, parse_function
 from repro.ir.instructions import wrap_i64
 from repro.vm import VM, VMTrap, OutOfFuel
 
@@ -12,15 +12,15 @@ from tests.helpers import run, run_with_stats
 
 
 def eval_binop(op: str, a, b, ty=I64):
-    fb = FunctionBuilder("f", Signature((ty, ty), (I64 if op[0] == "i" or
-                                                   op in ("feq", "fne", "flt",
-                                                          "fle", "fgt", "fge")
-                                                   else F64,)))
-    x, y = [v for v, _ in fb.entry.params]
-    r = fb.emit(op, (x, y))
-    fb.ret(r)
+    result = I64 if op[0] == "i" or op in ("feq", "fne", "flt", "fle",
+                                            "fgt", "fge") else F64
     module = Module(memory_size=64)
-    module.add_function(fb.finish())
+    module.add_function(parse_function("\n".join((
+        f"func @f(v0: {ty}, v1: {ty}) -> {result} {{",
+        "block0:",
+        f"  v2 = {op} v0, v1",
+        "  return v2",
+        "}"))))
     return VM(module).call("f", [a, b])
 
 
@@ -219,17 +219,18 @@ class TestBackedgeProfiling:
         # join is created before detour, so the forward edge
         # detour -> join lands on a *lower* block id.  The old
         # `target <= source` heuristic counted it as loop heat.
-        fb = FunctionBuilder("shuffled", Signature((I64,), (I64,)))
-        join = fb.new_block([I64])
-        detour = fb.new_block()
-        n = fb.entry.params[0][0]
-        fb.jump(detour)
-        fb.switch_to(detour)
-        v = fb.iadd(n, fb.iconst(1))
-        fb.jump(join, [v])
-        fb.switch_to(join)
-        fb.ret(join.param_values()[0])
-        result, backedges = self._run_counting(fb.finish(), [41])
+        func = parse_function("""\
+func @shuffled(v0: i64) -> i64 {
+block0:
+  jump block2
+block1(v1: i64):
+  return v1
+block2:
+  v2 = iconst 1
+  v3 = iadd v0, v2
+  jump block1(v3)
+}""")
+        result, backedges = self._run_counting(func, [41])
         assert result == 42
         assert backedges == 0
 
@@ -237,24 +238,23 @@ class TestBackedgeProfiling:
         # The header is created last (highest id), so the real backedge
         # body -> header jumps to a *higher* id — invisible to the old
         # heuristic, exactly one count per iteration for the new one.
-        fb = FunctionBuilder("loop_hi", Signature((I64,), (I64,)))
-        exit_b = fb.new_block([I64])
-        body = fb.new_block()
-        header = fb.new_block([I64, I64])
-        n = fb.entry.params[0][0]
-        zero = fb.iconst(0)
-        fb.jump(header, [zero, zero])
-        fb.switch_to(header)
-        i, acc = header.param_values()
-        cond = fb.ilt_u(i, n)
-        fb.br_if(cond, body, exit_b, [], [acc])
-        fb.switch_to(body)
-        acc2 = fb.iadd(acc, i)
-        i2 = fb.iadd(i, fb.iconst(1))
-        fb.jump(header, [i2, acc2])
-        fb.switch_to(exit_b)
-        fb.ret(exit_b.param_values()[0])
-        result, backedges = self._run_counting(fb.finish(), [10])
+        func = parse_function("""\
+func @loop_hi(v0: i64) -> i64 {
+block0:
+  v4 = iconst 0
+  jump block3(v4, v4)
+block1(v1: i64):
+  return v1
+block2:
+  v6 = iadd v3, v2
+  v7 = iconst 1
+  v8 = iadd v2, v7
+  jump block3(v8, v6)
+block3(v2: i64, v3: i64):
+  v5 = ilt_u v2, v0
+  br_if v5, block2, block1(v3)
+}""")
+        result, backedges = self._run_counting(func, [10])
         assert result == sum(range(10))
         assert backedges == 10
 
