@@ -25,11 +25,12 @@ from repro.core.request import (
     SpecializationRequest,
     SpecializedMemory,
 )
-from repro.core.specialize import OPT_MAX_ROUNDS, SpecializeOptions
+from repro.core.specialize import SpecializeOptions
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.printer import print_function
 from repro.ir.verifier import VerificationError
+from repro.opt.pipeline import OPT_MAX_ROUNDS
 
 
 def body_fingerprint(func: Function) -> str:

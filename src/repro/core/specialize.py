@@ -83,17 +83,16 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.semantics import LOADS
 from repro.ir.types import F64, I64, Type
-from repro.ir.verify import verify_enabled_by_env
+from repro.ir.verifier import verify_enabled_by_env
 
 
 class SpecializeError(Exception):
     """Specialization failed (bad request, assert_const violation, ...)."""
 
 
-# Safety valves of the fixpoint and the mid-end.  Constants, not
-# options: a value that can change residual bytes must either sit in the
-# cache key or not vary, and no caller ever varied these.
-OPT_MAX_ROUNDS = 6                  # mid-end pipeline fixpoint round cap
+# Safety valves of the fixpoint.  Constants, not options: a value that
+# can change residual bytes must either sit in the cache key or not
+# vary, and no caller ever varied these.
 MAX_ITERATIONS = 2_000_000          # worklist pops before "did not converge"
 MAX_VALUE_SPECIALIZATIONS = 4096    # widest specialized_value range
 # Once this many distinct contexts exist, further new contexts are
@@ -117,7 +116,7 @@ class SpecializeOptions:
 
     # "minimal" | "naive" (S3.4 ablation)
     ssa_mode: str = _option("residual", default="minimal")
-    # named mid-end pipeline (see opt.PIPELINES); "none" is no mid-end
+    # "default" runs the mid-end (opt.pipeline.PASSES), "none" does not
     opt_config: str = _option("residual", default="default")
     # Execution tier for the residual code: "vm" interprets the IR,
     # "py" compiles it to native Python functions (repro.backend) with
@@ -143,8 +142,8 @@ class SpecializeOptions:
             raise ValueError(f"bad ssa_mode {self.ssa_mode!r}")
         if self.backend not in ("vm", "py"):
             raise ValueError(f"bad backend {self.backend!r}")
-        from repro.opt.pass_manager import PIPELINES
-        if self.opt_config not in PIPELINES:
+        from repro.opt.pipeline import OPT_CONFIGS
+        if self.opt_config not in OPT_CONFIGS:
             raise ValueError(f"bad opt_config {self.opt_config!r}")
 
 
@@ -1025,9 +1024,7 @@ def specialize(module: Module, request: SpecializationRequest,
         func = spec.run()
         spec_stats = spec.stats
     from repro.opt.pipeline import optimize_function
-    optimize_function(func, max_rounds=OPT_MAX_ROUNDS,
-                      config=options.opt_config, module=module,
-                      stats=spec_stats.opt)
+    optimize_function(func, options.opt_config, module, spec_stats.opt)
     if plan:
         canonicalize_function(func)
     func._weval_stats = spec_stats  # noqa: SLF001 - attached for reporting

@@ -4,7 +4,7 @@ All counters are *static* (counts of instruction sites in generated code)
 except where a benchmark combines them with the VM's dynamic counters.
 :class:`PassStats` / :class:`PipelineStats` account for the
 post-specialization mid-end (``repro.opt``): per-pass change and timing
-counters fed by the pass manager.
+counters fed by :func:`~repro.opt.pipeline.optimize_function`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class PipelineStats(_Mergeable):
     """Counters for pass-pipeline executions (one or a sum over many).
 
     ``fixpoint_cap_hits`` counts pipeline runs that exhausted
-    ``max_rounds`` while passes were still reporting changes — i.e. the
+    ``OPT_MAX_ROUNDS`` while passes were still reporting changes — i.e. the
     fixpoint was *not* reached and residual redundancy may remain.
     """
 

@@ -26,7 +26,7 @@ from repro.ir.function import Block, Function, Signature
 from repro.ir.instructions import BlockCall, BrIf, BrTable, Jump, Ret, Trap, wrap_i64
 from repro.ir.module import HostFunc, Module
 from repro.ir.types import F64, I64, Type
-from repro.ir.verify import verify_enabled_by_env
+from repro.ir.verifier import verify_enabled_by_env
 
 SHADOW_SP = "__sp"
 

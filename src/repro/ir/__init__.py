@@ -38,7 +38,6 @@ from repro.ir.dominance import DominatorTree
 from repro.ir.printer import print_function
 from repro.ir.parser import IRParseError, parse_function
 from repro.ir.verifier import verify_function, verify_module, VerificationError
-from repro.ir.verify import verify_after_pass
 
 __all__ = [
     "Type",
@@ -72,6 +71,5 @@ __all__ = [
     "IRParseError",
     "verify_function",
     "verify_module",
-    "verify_after_pass",
     "VerificationError",
 ]

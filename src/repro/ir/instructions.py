@@ -43,20 +43,25 @@ class OpInfo:
     (currently only ``select``'s value operands).  ``result`` is the result
     type, ``None`` for void ops, or the string ``"poly"`` when the result
     type follows the polymorphic operands.  ``pure`` ops have no side
-    effects and may be removed when dead or folded to constants.
+    effects and may be removed when dead or folded to constants, except
+    the ``traps`` ones, whose row in :mod:`repro.ir.semantics` can
+    raise: a dead one goes only if its operands rule the trap out, which
+    its last operand alone decides (a zero divisor, a NaN or infinite
+    float).
     """
 
     name: str
     arg_types: tuple
     result: Union[Type, str, None]
     pure: bool = True
+    traps: bool = False
     is_load: bool = False
     is_store: bool = False
     is_call: bool = False
 
 
-def _binop_i(name: str) -> OpInfo:
-    return OpInfo(name, (I64, I64), I64)
+def _binop_i(name: str, traps: bool = False) -> OpInfo:
+    return OpInfo(name, (I64, I64), I64, traps=traps)
 
 
 def _binop_f(name: str) -> OpInfo:
@@ -75,10 +80,10 @@ _OP_LIST = [
     _binop_i("iadd"),
     _binop_i("isub"),
     _binop_i("imul"),
-    _binop_i("idiv_s"),
-    _binop_i("idiv_u"),
-    _binop_i("irem_s"),
-    _binop_i("irem_u"),
+    _binop_i("idiv_s", traps=True),
+    _binop_i("idiv_u", traps=True),
+    _binop_i("irem_s", traps=True),
+    _binop_i("irem_u", traps=True),
     _binop_i("iand"),
     _binop_i("ior"),
     _binop_i("ixor"),
@@ -114,7 +119,7 @@ _OP_LIST = [
     _cmp_f("fge"),
     # Conversions.
     OpInfo("itof", (I64,), F64),   # signed int -> float
-    OpInfo("ftoi", (F64,), I64),   # truncate toward zero -> signed
+    OpInfo("ftoi", (F64,), I64, traps=True),  # truncate toward zero -> signed
     OpInfo("bits_ftoi", (F64,), I64),  # reinterpret bits
     OpInfo("bits_itof", (I64,), F64),  # reinterpret bits
     # Select: args (cond, if_true, if_false); value operands polymorphic.

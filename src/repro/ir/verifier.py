@@ -2,10 +2,15 @@
 
 The specializer's output is always run through the verifier in tests;
 this is the main line of defence for the "semantics-preserving" claim.
+``REPRO_OPT_VERIFY=1`` (:func:`verify_enabled_by_env`) turns on the
+debug checks every layer reads: the verifier after every mid-end pass,
+the specializer's fixpoint checks, the tiering invariants and the heap
+and frozen-function checks.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Dict
 
 from repro.ir.cfg import reachable_blocks, successors
@@ -28,6 +33,11 @@ from repro.ir.types import I64, Type
 
 class VerificationError(Exception):
     """Raised when a function or module fails verification."""
+
+
+def verify_enabled_by_env() -> bool:
+    """True when the environment opts into the debug checks."""
+    return os.environ.get("REPRO_OPT_VERIFY", "") not in ("", "0")
 
 
 def _check(cond: bool, message: str) -> None:

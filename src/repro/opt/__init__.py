@@ -1,8 +1,8 @@
 """Post-specialization optimization passes (the mid-end).
 
 The weval transform already const-folds while transcribing; these passes
-clean up the residual code behind a verifying
-:class:`~repro.opt.pass_manager.PassManager`.  The roster:
+clean up the residual code.  The roster is one list,
+:data:`~repro.opt.pipeline.PASSES`, in schedule order:
 
 * ``fold`` — local constant and branch folding
   (:func:`~repro.opt.fold.fold_constants`);
@@ -21,13 +21,13 @@ clean up the residual code behind a verifying
 * ``load-forward`` — cross-block redundant-load and store-to-load
   forwarding for same-address accesses with no intervening may-aliasing
   store (:func:`~repro.opt.load_forward.forward_loads`);
-* ``dce`` — dead pure-instruction elimination
-  (:func:`~repro.opt.dce.eliminate_dead_code`).
+* ``dce`` — dead pure-instruction elimination, keeping an op that can
+  trap (:func:`~repro.opt.dce.eliminate_dead_code`).
 
-Pipelines are named (``"default"``, ``"none"``) and
-scheduled to a fixpoint by the pass manager, which collects per-pass
-change/timing stats into :class:`~repro.core.stats.PipelineStats` and
-can run the IR verifier after every pass (``REPRO_OPT_VERIFY=1``).
+:func:`~repro.opt.pipeline.optimize_function` runs them to a fixpoint,
+collects per-pass change/timing stats into
+:class:`~repro.core.stats.PipelineStats`, and runs the IR verifier after
+every pass under ``REPRO_OPT_VERIFY=1``.
 """
 
 from repro.opt.fold import fold_constants
@@ -42,15 +42,7 @@ from repro.opt.simplify_cfg import (
     thread_jumps,
 )
 from repro.opt.prune_params import prune_block_params
-from repro.opt.pass_manager import (
-    DEFAULT_PIPELINE,
-    PIPELINES,
-    PassManager,
-    available_passes,
-    get_pass,
-    register_pass,
-)
-from repro.opt.pipeline import optimize_function
+from repro.opt.pipeline import PASSES, optimize_function
 
 __all__ = [
     "fold_constants",
@@ -63,11 +55,6 @@ __all__ = [
     "thread_jumps",
     "fold_uniform_branches",
     "prune_block_params",
-    "PassManager",
-    "PIPELINES",
-    "DEFAULT_PIPELINE",
-    "register_pass",
-    "get_pass",
-    "available_passes",
+    "PASSES",
     "optimize_function",
 ]

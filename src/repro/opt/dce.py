@@ -1,20 +1,42 @@
 """Dead code elimination for pure instructions.
 
 Iterates to a fixpoint: an instruction is dead when it is pure and its
-result is referenced by no instruction or terminator.  Block parameters
-are handled by :mod:`repro.opt.prune_params` instead (removing one
-changes predecessor call shapes).
+result is referenced by no instruction or terminator.  A dead op that
+can trap (``OpInfo.traps``) stays, since the trap is an effect, unless
+its operands rule the trap out.  Block parameters are handled by
+:mod:`repro.opt.prune_params` instead (removing one changes predecessor
+call shapes).
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, Set
 
 from repro.ir.function import Function
-from repro.ir.instructions import OPCODES, terminator_values
+from repro.ir.instructions import OPCODES, Instr, terminator_values
+from repro.ir.semantics import PURE_FNS, VMTrap
+
+
+def _cannot_trap(instr: Instr, consts: Dict[int, object]) -> bool:
+    """The trap of a ``traps`` op is decided by its last operand alone,
+    so a constant there on which the row runs (with itself as every
+    other operand too) rules it out: a nonzero divisor, a finite
+    float."""
+    decider = instr.args[-1]
+    if decider not in consts:
+        return False
+    try:
+        PURE_FNS[instr.op](*[consts[decider]] * len(instr.args))
+    except VMTrap:
+        return False
+    return True
 
 
 def eliminate_dead_code(func: Function) -> int:
+    consts: Dict[int, object] = {
+        instr.result: instr.imm
+        for block in func.blocks.values() for instr in block.instrs
+        if instr.op in ("iconst", "fconst")}
     removed_total = 0
     while True:
         used: Set[int] = set()
@@ -29,7 +51,9 @@ def eliminate_dead_code(func: Function) -> int:
             for instr in block.instrs:
                 info = OPCODES[instr.op]
                 if (info.pure and instr.result is not None
-                        and instr.result not in used):
+                        and instr.result not in used
+                        and (not info.traps
+                             or _cannot_trap(instr, consts))):
                     removed += 1
                 else:
                     kept.append(instr)

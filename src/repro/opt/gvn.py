@@ -32,10 +32,11 @@ from repro.ir.function import Function
 from repro.ir.semantics import _bits_ftoi
 from repro.opt.util import resolve, substitute_values
 
-# Ops whose operand order does not matter.
+# Ops whose result, to the bit, does not depend on operand order.  Not
+# ``fadd``/``fmul``: which NaN payload a result of two NaN operands
+# carries depends on their order.
 COMMUTATIVE = {
-    "iadd", "imul", "iand", "ior", "ixor", "ieq", "ine",
-    "fadd", "fmul", "feq", "fne",
+    "iadd", "imul", "iand", "ior", "ixor", "ieq", "ine", "feq", "fne",
 }
 
 

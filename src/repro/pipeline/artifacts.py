@@ -79,7 +79,10 @@ from repro.ir.parser import IRParseError, parse_function
 # 4: one site-guard form — a (site, values) guard resumes, only an int
 # guard unwinds.
 # 5: a residual is stored as its printed IR text alone.
-ARTIFACT_VERSION = 5
+# 6: DCE keeps a dead op that can trap and GVN no longer commutes
+# fadd/fmul, so a residual stored at 5 may differ from what the mid-end
+# now makes from the same key (the key cannot see pass code).
+ARTIFACT_VERSION = 6
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part

@@ -75,7 +75,7 @@ from repro.core.snapshot import SnapshotCompiler
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import TieringStats
 from repro.ir.module import Module
-from repro.ir.verify import verify_enabled_by_env
+from repro.ir.verifier import verify_enabled_by_env
 from repro.pipeline.profiles import ProfileStore, profile_key
 from repro.vm.machine import VM
 

@@ -38,7 +38,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.semantics import HELPERS, LOADS, PURE_FNS, STORES, VMTrap, _sext
-from repro.ir.verify import verify_enabled_by_env
+from repro.ir.verifier import verify_enabled_by_env
 
 
 # Host-side word access goes through the table's ``<Q`` codec.

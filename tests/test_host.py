@@ -28,7 +28,8 @@
   kill switch, and ``meet_states`` takes no parameter that forces block
   parameters; compiled code counts only fuel; IR is written by hand as
   its text, ``FunctionBuilder`` keeps what the mini-C lowering calls,
-  and one function rewrites a terminator.
+  and one function rewrites a terminator; the mid-end is one function
+  over one pass list, with one round cap and one verifier module.
 """
 
 import ast
@@ -65,7 +66,7 @@ from repro.min.harness import (
     sum_to_n_program,
 )
 from repro.min.interp import PROGRAM_BASE
-from repro.opt import PassManager, register_pass
+from repro.opt.pipeline import optimize_function
 from repro.pipeline import (
     CompilationEngine,
     GuestRuntime,
@@ -244,8 +245,7 @@ def test_deleted_engine_settings_are_type_errors():
     for call in (lambda: SpecializeOptions(jobs=2),
                  lambda: SpecializeOptions(optimize=False),
                  lambda: SpecializeOptions(debug_exhaustive=True),
-                 lambda: PassManager("default", exhaustive=True),
-                 lambda: register_pass("x", len, workcheck=len),
+                 lambda: optimize_function(None, exhaustive=True),
                  lambda: CompilationEngine(module, SpecializeOptions(),
                                            cache={}),
                  lambda: VM(module, compiled={}),
@@ -595,3 +595,24 @@ def test_ir_is_written_by_hand_as_its_text():
         & set(repro.backend.__all__)
     assert not _identifiers() & {"_clone_terminator", "_retarget_terminator",
                                  "map_terminator_values"}
+
+
+def test_the_mid_end_is_one_function():
+    """The mid-end is ``optimize_function`` over one pass list: nothing
+    under ``src/`` names the pass manager, its registry or its named
+    pipelines; ``optimize_function`` takes no round cap, verify switch
+    or pass list; the cap is defined once; and there is one verifier
+    module."""
+    removed = re.compile(r"\b(PassManager|register_pass|get_pass"
+                         r"|available_passes|PIPELINES)\b")
+    texts = {path.relative_to(ROOT / "src").as_posix(): path.read_text()
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert [name for name, text in texts.items()
+            if removed.search(text)] == []
+    assert list(inspect.signature(optimize_function).parameters) == [
+        "func", "config", "module", "stats"]
+    assert [name for name, text in texts.items()
+            for line in text.splitlines()
+            if re.match(r"\s*OPT_MAX_ROUNDS\s*=", line)] \
+        == ["repro/opt/pipeline.py"]
+    assert not (ROOT / "src" / "repro" / "ir" / "verify.py").exists()

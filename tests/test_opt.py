@@ -1,20 +1,30 @@
-"""Unit tests for the optimizer passes."""
+"""Unit tests for the optimizer passes, and the generated mid-end
+oracle: ``optimize_function`` on straight-line and one-diamond functions
+over every pure op, run on edge operands, computes the bits (or traps
+with the text) the unoptimized function does."""
+
+import math
 
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
+from repro.core import Runtime, SpecializationRequest, specialize
+from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
 from repro.ir import (
+    F64,
+    I64,
     Module,
     parse_function,
     print_function,
     verify_function,
 )
 from repro.ir.clone import clone_function
+from repro.ir.instructions import MASK64, OPCODES
+from repro.ir.printer import float_text
+from repro.ir.semantics import PURE_EXPRS, _bits_ftoi, _bits_itof
 from repro.opt import (
-    PIPELINES,
-    PassManager,
-    available_passes,
+    PASSES,
     eliminate_dead_code,
     fold_constants,
     forward_loads,
@@ -81,6 +91,37 @@ block0:
         eliminate_dead_code(func)
         assert any(i.op == "store64" for b in func.blocks.values()
                    for i in b.instrs)
+
+    def test_keeps_a_dead_op_that_can_trap(self):
+        """``10 / x`` is dead, but it traps at ``x = 0``: so does the
+        residual ``specialize()`` makes of ``f``."""
+        module, _ = compiled_func(
+            "u64 f(u64 x) { u64 y = 10 / x; return 1; }", "f")
+        func = specialize(module, SpecializationRequest("f", [Runtime()]))
+        module.add_function(func)
+        for name in ("f", func.name):
+            with pytest.raises(VMTrap, match="integer divide by zero"):
+                VM(module).call(name, [0])
+            assert VM(module).call(name, [5]) == 1
+
+    def test_drops_a_dead_op_its_operands_keep_from_trapping(self):
+        # v2 divides by a nonzero constant, v4 converts a finite one;
+        # v5 divides by v0 and v7 converts a NaN, so they stay.
+        func = parse_function("""\
+func @f(v0: i64) -> i64 {
+block0:
+  v1 = iconst 3
+  v2 = idiv_s v0, v1
+  v3 = fconst 2.5
+  v4 = ftoi v3
+  v5 = irem_u v1, v0
+  v6 = fconst nan:0x7ff8000000000000
+  v7 = ftoi v6
+  return v0
+}""")
+        assert eliminate_dead_code(func) == 3  # v2, v4, then v3
+        assert [i.op for i in func.entry_block().instrs] == [
+            "iconst", "irem_u", "fconst", "ftoi"]
 
 
 class TestSimplifyCfg:
@@ -155,6 +196,19 @@ u64 f(u64 c) {
         assert VM(module).call("f", [0]) == 2
 
 
+NAN_1, NAN_2 = 0x7ff8000000000001, 0x7ff8000000000002
+NAN_ORDER_GVN = """\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = bits_itof v0
+  v3 = bits_itof v1
+  v4 = fadd v2, v3
+  v5 = fadd v3, v2
+  v6 = bits_ftoi v5
+  return v6
+}"""
+
+
 class TestGvn:
     def test_cse_within_block(self):
         # v3 is redundant.
@@ -187,6 +241,18 @@ block0:
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [11, 31]) == 0
+
+    def test_float_add_operands_keep_their_order(self):
+        """Of two NaN operands, the payload ``fadd`` returns depends on
+        their order, so ``v5`` is not ``v4``."""
+        func = parse_function(NAN_ORDER_GVN)
+        module = Module(memory_size=64)
+        module.add_function(clone_function(func))
+        expected = VM(module).call("f", [NAN_1, NAN_2])
+        optimize_function(func)
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert VM(module).call("f", [NAN_1, NAN_2]) == expected
 
     def test_noncommutative_not_unified(self):
         func = parse_function("""\
@@ -525,14 +591,15 @@ class TestJumpThreading:
         assert VM(module).call("f", [0]) == 10  # const edge: cond=1
         assert VM(module).call("f", [5]) == 10  # runtime edge: cond=5
 
-    def test_forwarder_param_read_on_decided_arm(self):
+    def test_forwarder_param_read_on_decided_arm(self, monkeypatch):
         """Bypassing ``fwd`` would leave ``t``'s read of ``p`` without a
         definition on the threaded path: the edge stays, the function
         verifies, and the default pipeline computes ``p + 10``."""
         func = parse_function(PARAM_READERS["t"])
         assert thread_jumps(func) == 0
         verify_function(func)
-        optimize_function(func, verify=True)
+        monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
+        optimize_function(func)
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [0]) == 11   # const edge: p = 1
@@ -640,11 +707,11 @@ def forwarder_cfgs(draw):
     return parse_function(ir.text())
 
 
-def _outcome(func, arg):
+def _outcome(func, args):
     module = Module(memory_size=64)
     module.add_function(clone_function(func))
     try:
-        return "value", VM(module, fuel_limit=2000).call("f", [arg])
+        return "value", VM(module, fuel_limit=2000).call("f", list(args))
     except VMTrap as trap:
         return "trap", str(trap)
     except OutOfFuel:
@@ -660,10 +727,12 @@ def test_jump_threading_oracle(original):
     note(print_function(original, order="id"))
     verify_function(original)
     assert_text_round_trips(original)
-    expected = {arg: _outcome(original, arg) for arg in (0, 1, 3)}
+    expected = {arg: _outcome(original, [arg]) for arg in (0, 1, 3)}
 
     def default_pipeline(func):
-        optimize_function(func, verify=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_OPT_VERIFY", "1")
+            optimize_function(func)
 
     func = clone_function(original)
     for step in (thread_jumps, simplify_cfg, default_pipeline):
@@ -672,29 +741,27 @@ def test_jump_threading_oracle(original):
         verify_function(func)
         for arg, outcome in expected.items():
             if outcome[0] != "fuel":
-                assert _outcome(func, arg) == outcome, print_function(func)
+                assert _outcome(func, [arg]) == outcome, print_function(func)
 
 
-class TestPassManager:
-    def test_registry_covers_roster(self):
-        for name in ("fold", "copyprop", "gvn", "load-forward",
-                     "prune-params", "simplify-cfg", "dce"):
-            assert name in available_passes()
-        for pipeline in PIPELINES.values():
-            for name in pipeline:
-                assert name in available_passes()
+class TestOptimizeFunction:
+    def test_passes_are_the_roster(self):
+        """The names the ledger reads its ``opt.<pass>.*`` rows by."""
+        assert [name for name, _ in PASSES] == [
+            "fold", "copyprop", "gvn", "prune-params", "simplify-cfg",
+            "load-forward", "dce"]
 
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(KeyError, match="unknown pipeline"):
-            PassManager("turbo")
-        with pytest.raises(KeyError, match="unknown pass"):
-            PassManager(["not-a-pass"])
+    def test_unknown_config_rejected(self):
+        _, func = compiled_func("u64 f() { return 1; }", "f")
+        with pytest.raises(ValueError, match="bad opt_config"):
+            optimize_function(func, "turbo")
+        with pytest.raises(ValueError, match="bad opt_config"):
+            SpecializeOptions(opt_config="turbo")
 
     def test_stats_collected_per_pass(self):
         module, func = compiled_func(
             "u64 f() { return (2 + 3) * 4 - 1; }", "f")
-        manager = PassManager("default")
-        stats = manager.run(func, module)
+        stats = optimize_function(func, module=module)
         assert stats.runs == 1
         assert stats.instrs_after < stats.instrs_before
         assert stats.per_pass["fold"].changes >= 3
@@ -746,3 +813,112 @@ u64 f(u64 n) {
         first = print_function(func, "id")
         optimize_function(func)
         assert print_function(func, "id") == first
+
+
+# ---------------------------------------------------------------------------
+# The generated mid-end oracle.
+# ---------------------------------------------------------------------------
+
+INT_EDGES = (0, 1, MASK64, 1 << 63)
+FLOAT_EDGES = (0.0, -0.0, math.inf, -math.inf,
+               _bits_itof(NAN_1), _bits_itof(NAN_2))
+# What the function's three i64 parameters are called with: the int
+# edges, and the float edges as their bits.
+EDGE_BITS = INT_EDGES + tuple(_bits_ftoi(x) for x in FLOAT_EDGES)
+HEADER = "func @f(v0: i64, v1: i64, v2: i64) -> i64 {"
+
+
+def _operand(draw, ir, pools, ty):
+    """An earlier value of type ``ty`` (three times in four), or a new
+    edge constant."""
+    if draw(st.integers(0, 3)):
+        return draw(st.sampled_from(pools[ty]))
+    if ty == I64:
+        value = ir.const(draw(st.sampled_from(INT_EDGES)))
+    else:
+        value = ir.define(
+            f"fconst {float_text(draw(st.sampled_from(FLOAT_EDGES)))}")
+    pools[ty].append(value)
+    return value
+
+
+def _pure_ops(draw, ir, pools):
+    """A few pure ops in the current block, over ``pools`` (a value
+    list per type); most of their results stay dead."""
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(sorted(PURE_EXPRS)))
+        if op == "select":
+            ty = draw(st.sampled_from([I64, F64]))
+            arg_types = (I64, ty, ty)
+        else:
+            ty, arg_types = OPCODES[op].result, OPCODES[op].arg_types
+        args = [_operand(draw, ir, pools, t) for t in arg_types]
+        pools[ty].append(
+            ir.define(f"{op} {', '.join(f'v{a}' for a in args)}"))
+
+
+@st.composite
+def mid_end_functions(draw):
+    """Straight-line code, or straight-line code around one diamond
+    whose arms each pass an i64 to the join; returns some value's
+    bits."""
+    ir = IRText(HEADER, 3)
+    pools = {I64: [0, 1, 2],
+             F64: [ir.define(f"bits_itof v{p}") for p in range(3)]}
+    _pure_ops(draw, ir, pools)
+    if draw(st.booleans()):
+        cond = draw(st.sampled_from(pools[I64]))
+        arms = ir.block()[0], ir.block()[0]
+        join, (joined,) = ir.block(1)
+        ir.line(f"br_if v{cond}, block{arms[0]}, block{arms[1]}")
+        for arm in arms:
+            ir.current = arm
+            arm_pools = {ty: list(values) for ty, values in pools.items()}
+            _pure_ops(draw, ir, arm_pools)
+            passed = draw(st.sampled_from(arm_pools[I64]))
+            ir.line(f"jump {target(join, [passed])}")
+        ir.current = join
+        pools[I64].append(joined)
+        _pure_ops(draw, ir, pools)
+    result = draw(st.sampled_from(pools[I64] + pools[F64]))
+    if result in pools[F64]:
+        result = ir.define(f"bits_ftoi v{result}")
+    ir.line(f"return v{result}")
+    return ir.text()
+
+
+@given(text=mid_end_functions(),
+       calls=st.lists(st.tuples(*[st.sampled_from(EDGE_BITS)] * 3),
+                      min_size=1, max_size=4))
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = iconst 10
+  v7 = idiv_u v6, v0
+  v8 = iconst 1
+  return v8
+}}""", calls=[(0, 0, 0)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = fadd v3, v4
+  v7 = fadd v4, v3
+  v8 = bits_ftoi v7
+  return v8
+}}""", calls=[(NAN_1, NAN_2, 0)])
+@settings(max_examples=300, deadline=None)
+def test_mid_end_oracle(text, calls):
+    """``optimize_function`` on a clone returns the bits the function
+    returns on the VM, or traps with the same text."""
+    note(text)
+    original = parse_function(text)
+    optimized = clone_function(original)
+    optimize_function(optimized)
+    verify_function(optimized)
+    note(print_function(optimized, order="id"))
+    for args in calls:
+        assert _outcome(optimized, args) == _outcome(original, args), args

@@ -292,6 +292,27 @@ def test_tables_cover_exactly_their_opcodes():
         assert row.size in (1, 2, 4, 8)
 
 
+def test_the_traps_flag_is_the_rows():
+    """``OpInfo.traps`` marks exactly the pure rows that raise on some
+    edge operands, and each one's trap is decided by its last operand
+    alone: the rule by which DCE may drop a dead one."""
+    def traps(op, args):
+        try:
+            PURE_FNS[op](*args)
+        except VMTrap:
+            return True
+        return False
+
+    raising = set()
+    for op, arg_types in _PURE_HARNESSES:
+        for args in _grid_product(arg_types):
+            if traps(op, args):
+                raising.add(op)
+            if OPCODES[op].traps:
+                assert traps(op, args) == traps(op, args[-1:] * len(args))
+    assert raising == {op for op, info in OPCODES.items() if info.traps}
+
+
 def test_every_wide_memory_row_names_its_codec():
     """The width of an access is spelled as a ``struct`` format once,
     in the table's codecs; a row wider than a byte names the accessor

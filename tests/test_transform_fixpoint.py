@@ -2,8 +2,8 @@
 specializer's convergence, and the single-predecessor meet against the
 full one.
 
-**Schedule oracle.**  :class:`~repro.opt.pass_manager.PassManager` runs
-its pipeline round-robin and stops as soon as every pass in a row has
+**Schedule oracle.**  :func:`~repro.opt.pipeline.optimize_function` runs
+``PASSES`` round-robin and stops as soon as every pass in a row has
 reported zero changes.  The reference it must agree with is the plainest
 schedule there is, written out below: whole rounds of every pass until a
 whole round changes nothing.  Over seeded random programs on all three
@@ -28,11 +28,7 @@ from hypothesis import HealthCheck, given, note, settings, strategies as st
 
 from repro.core import Runtime, SpecializationRequest, specialize
 from repro.core.intrinsics import register_weval_imports
-from repro.core.specialize import (
-    OPT_MAX_ROUNDS,
-    SpecializeError,
-    SpecializeOptions,
-)
+from repro.core.specialize import SpecializeError, SpecializeOptions
 from repro.ir import (
     Module,
     parse_function,
@@ -43,7 +39,8 @@ from repro.ir.clone import clone_function
 from repro.jsvm import JSRuntime
 from repro.luavm.runtime import LuaRuntime
 from repro.min.interp import build_min_module, specialize_min
-from repro.opt import PIPELINES, PassManager, get_pass
+from repro.opt import PASSES, optimize_function, remove_unreachable_blocks
+from repro.opt.pipeline import OPT_MAX_ROUNDS
 from repro.vm import VM
 from test_differential import (
     random_js_source,
@@ -66,14 +63,14 @@ UNOPTIMIZED = SpecializeOptions(backend="vm", opt_config="none")
 
 
 def _reference_schedule(func):
-    """Whole rounds of the default pipeline until one changes nothing
-    (or the cap); returns the per-pass change totals."""
-    get_pass("remove-unreachable")(func)
-    changes = dict.fromkeys(PIPELINES["default"], 0)
+    """Whole rounds of every pass until one changes nothing (or the
+    cap); returns the per-pass change totals."""
+    remove_unreachable_blocks(func)
+    changes = {name: 0 for name, _ in PASSES}
     for _ in range(OPT_MAX_ROUNDS):
         changed = 0
-        for name in PIPELINES["default"]:
-            delta = get_pass(name)(func)
+        for name, fn in PASSES:
+            delta = fn(func)
             changes[name] += delta
             changed += delta
         if not changed:
@@ -82,19 +79,19 @@ def _reference_schedule(func):
 
 
 def _assert_schedule_oracle(tag, residuals, module):
-    """PassManager ≡ the reference loop on every residual; returns the
-    most rounds PassManager needed for any one function."""
+    """``optimize_function`` ≡ the reference loop on every residual;
+    returns the most rounds it needed for any one function."""
     most_rounds = 0
     for name, func in residuals.items():
         managed, reference = clone_function(func), clone_function(func)
-        stats = PassManager("default", max_rounds=OPT_MAX_ROUNDS).run(
-            managed, module)
+        stats = optimize_function(managed, module=module)
         changes = _reference_schedule(reference)
         managed_ir = print_function(managed, order="id")
         reference_ir = print_function(reference, order="id")
         assert managed_ir == reference_ir, (
-            f"{tag}: residual IR for {name} diverged between PassManager "
-            f"and the reference loop:\n--- managed ---\n{managed_ir}\n"
+            f"{tag}: residual IR for {name} diverged between "
+            f"optimize_function and the reference loop:\n"
+            f"--- managed ---\n{managed_ir}\n"
             f"--- reference ---\n{reference_ir}")
         assert {n: p.changes for n, p in stats.per_pass.items()} == \
             changes, f"{tag}: per-pass change totals for {name} diverged"

@@ -1,10 +1,11 @@
-"""Property tests for the IR verifier and the verifying pass manager.
+"""Property tests for the IR verifier and the mid-end's verify mode.
 
 Two directions:
 
 * **soundness of the mid-end**: every function the specializer produces
-  verifies cleanly, and stays valid after each registered pass runs in
-  isolation (so no pass can only be run as part of the full pipeline);
+  verifies cleanly, and stays valid after each pass of ``PASSES`` and
+  each CFG sub-pass runs in isolation (so no pass can only be run as
+  part of the full pipeline);
 * **completeness of the verifier**: malformed functions, written as
   IR text — use-before-def, bad branch arity, dangling block
   references, operand type mismatches, missing terminators — are each
@@ -14,6 +15,8 @@ Two directions:
 import warnings
 
 import pytest
+
+import repro.opt.pipeline as pipeline
 
 from repro.core.specialize import SpecializeOptions
 from repro.frontend import compile_source
@@ -25,13 +28,19 @@ from repro.ir import (
     Module,
     VerificationError,
     parse_function,
-    verify_after_pass,
     verify_function,
 )
 from repro.ir.clone import clone_function
 from repro.min.harness import sum_to_n_program
 from repro.min.interp import build_min_module, specialize_min
-from repro.opt import PassManager, available_passes, get_pass
+from repro.opt import (
+    PASSES,
+    fold_uniform_branches,
+    optimize_function,
+    remove_unreachable_blocks,
+    thread_jumps,
+)
+from repro.opt.pipeline import OPT_MAX_ROUNDS, verify_after_pass
 
 O0 = SpecializeOptions(opt_config="none")
 
@@ -101,15 +110,24 @@ class TestSpecializerOutputVerifies:
         verify_function(func, module)
 
 
+# Every pass of the mid-end, plus the CFG sub-passes ``simplify-cfg``
+# is made of.
+ISOLATED_PASSES = dict(PASSES) | {
+    "remove-unreachable": remove_unreachable_blocks,
+    "thread-jumps": thread_jumps,
+    "fold-uniform-branches": fold_uniform_branches,
+}
+
+
 class TestEveryPassPreservesValidity:
     @pytest.mark.parametrize("corpus_name",
                              [name for name, _, _ in _CORPUS])
-    @pytest.mark.parametrize("pass_name", available_passes())
+    @pytest.mark.parametrize("pass_name", sorted(ISOLATED_PASSES))
     def test_pass_in_isolation(self, pass_name, corpus_name):
         module, original = next((m, f) for name, m, f in _CORPUS
                                 if name == corpus_name)
         func = clone_function(original)
-        get_pass(pass_name)(func)
+        ISOLATED_PASSES[pass_name](func)
         verify_after_pass(func, module, pass_name)
 
 
@@ -214,11 +232,15 @@ block0:
 
 
 # ---------------------------------------------------------------------------
-# The pass manager's verify mode pins failures to the offending pass.
+# The mid-end's verify mode pins failures to the offending pass.
 # ---------------------------------------------------------------------------
 
-class TestVerifyingPassManager:
-    def test_broken_pass_is_caught_and_named(self):
+class TestVerifyMode:
+    @pytest.fixture(autouse=True)
+    def _verify(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
+
+    def test_broken_pass_is_caught_and_named(self, monkeypatch):
         def clobber(func):
             # Delete the first instruction with a result that is still
             # used: a classic broken-rewrite bug.
@@ -230,29 +252,28 @@ class TestVerifyingPassManager:
             return 0
 
         func, _ = _valid_function()
-        manager = PassManager([("clobber", clobber)], verify=True)
+        monkeypatch.setattr(pipeline, "PASSES", (("clobber", clobber),))
         with pytest.raises(VerificationError, match="clobber"):
-            manager.run(func)
+            optimize_function(func)
 
-    def test_fixpoint_cap_recorded_and_warned(self):
+    def test_fixpoint_cap_recorded_and_warned(self, monkeypatch):
         def fidget(func):
             return 1  # reports change forever
 
         func, _ = _valid_function()
-        manager = PassManager([("fidget", fidget)], max_rounds=3,
-                              verify=True)
+        monkeypatch.setattr(pipeline, "PASSES", (("fidget", fidget),))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stats = manager.run(func)
+            stats = optimize_function(func)
         assert stats.fixpoint_cap_hits == 1
-        assert stats.rounds == 3
+        assert stats.rounds == OPT_MAX_ROUNDS
+        assert stats.per_pass["fidget"].runs == OPT_MAX_ROUNDS
         assert any("fixpoint not reached" in str(w.message) for w in caught)
 
     def test_fixpoint_reached_not_flagged(self):
         func, _ = _valid_function()
-        manager = PassManager("default", verify=True)
-        stats = manager.run(func)
+        stats = optimize_function(func)
         assert stats.fixpoint_cap_hits == 0
         assert stats.per_pass["gvn"].runs >= 1
-        # An empty pipeline has no round to run.
-        assert PassManager("none").run(func).rounds == 0
+        # "none" runs no pass, so it has no round to run.
+        assert optimize_function(func, "none").rounds == 0
