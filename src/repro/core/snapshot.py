@@ -201,10 +201,24 @@ class SnapshotCompiler:
 
         ``backend`` overrides ``options.backend`` for this VM: ``"py"``
         attaches the compiled residual functions and their helpers
-        (compiling them on first use), ``"vm"`` interprets the IR.
+        (compiling them on first use), ``"vm"`` interprets the IR, each
+        body read first (:meth:`read_bodies`).
         """
         vm = VM(self.module)
         if (backend or self.options.backend) == "py":
             self.compile_backend()
             vm.install_compiled(self.backend_functions)
+        else:
+            self.read_bodies()
         return vm
+
+    def read_bodies(self) -> None:
+        """Read the body of every residual still held as its stored text
+        before the IR VM runs it (a code hit on the py backend reads
+        none, :class:`~repro.pipeline.artifacts.StoredResidual`); a body
+        that fails that read is specialized again
+        (:meth:`~repro.pipeline.engine.CompilationEngine.read_body`)."""
+        for item in self.processed:
+            if item.error is None:
+                self.engine.read_body(
+                    self.module.functions[item.function_name], item.request)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.ir.function import Block, Function, Signature
 from repro.ir.instructions import (
@@ -134,19 +134,25 @@ def _instr(line: str, types: dict, signature_of, selects: list) -> Instr:
     return instr
 
 
-def _parse(text: str, module, name: Optional[str]) -> Function:
-    lines = text.split("\n")
-    header = lines[0]
-    if lines[-1] != "}" or header[:6] != "func @" or header[-2:] != " {":
+def _header(text: str):
+    """The header line's name, typed entry parameters and signature."""
+    header, _, _ = text.partition("\n")
+    if text[-2:] != "\n}" or header[:6] != "func @" or header[-2:] != " {":
         raise IRParseError("truncated, or not a function")
     fname, _, rest = header[6:-2].partition("(")
     params, sep, results = rest.partition(")")
     if not sep or (results and results[:4] != " -> "):
         raise IRParseError(f"bad function header {header!r}")
     params = _typed(params)
-    func = Function(name or fname, Signature(
+    return fname, params, Signature(
         tuple(ty for _, ty in params),
-        tuple(_TYPES[ty] for ty in results[4:].split(", ") if results)))
+        tuple(_TYPES[ty] for ty in results[4:].split(", ") if results))
+
+
+def _parse(text: str, module, name: Optional[str]) -> Function:
+    lines = text.split("\n")
+    fname, params, sig = _header(text)
+    func = Function(name or fname, sig)
     types, blocks, selects = func.value_types, func.blocks, []
 
     def signature_of(callee):
@@ -208,3 +214,23 @@ def parse_function(text: str, module=None,
         raise
     except (ValueError, KeyError, IndexError, SyntaxError) as exc:
         raise IRParseError(f"malformed IR text: {exc!r}") from exc
+
+
+def parse_header(text: str) -> Tuple[str, Signature]:
+    """A printed function's name and signature, from its header line
+    alone (the body is not read).  Raises :class:`IRParseError`."""
+    try:
+        fname, _, sig = _header(text)
+    except (ValueError, KeyError, IndexError) as exc:
+        raise IRParseError(f"malformed IR header: {exc!r}") from exc
+    return fname, sig
+
+
+_CALL = re.compile(r"^  (?:v\d+ = )?call @(\S+)", re.MULTILINE)
+
+
+def direct_callees(text: str) -> List[str]:
+    """The names a printed function ``call``s directly, each once, in
+    text order — the ``imm`` of every ``call`` :func:`parse_function`
+    would build, without building it."""
+    return list(dict.fromkeys(_CALL.findall(text)))

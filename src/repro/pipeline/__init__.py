@@ -12,8 +12,9 @@ the paper's production story (S6.5) made concrete:
   specialization cache: the persistent on-disk store (``cache_dir``) of
   residual IR and emitted backend source, keyed by
   :func:`~repro.core.cache.request_key`.  A residual is stored as its
-  printed IR text and read back by :func:`~repro.ir.parse_function`;
-  an entry that does not parse or verify is a miss;
+  printed IR text and read back by :func:`~repro.ir.parse_function`
+  when its body is first read — a warm start of compiled code reads
+  none; an entry that does not parse or verify is a miss;
 * :class:`~repro.pipeline.tiering.TieringController` — profile-guided
   dynamic tier-up at run time (tier 0 generic interpreter → tier 1
   residual IR → tier 2 compiled Python), with guarded speculation and

@@ -12,12 +12,18 @@ snapshot.  This module is that cache: it stores
   shape it (SSA mode, opt config; not the backend, residual IR is
   backend-independent).  An entry holds the residual as its printed
   IR text (``print_function(..., order="id")``), the same text its
-  fingerprints hash; a load reads it back with
-  :func:`~repro.ir.parser.parse_function` — and
+  fingerprints hash.  A load reads only the header line and returns a
+  :class:`StoredResidual`; the body is read back with
+  :func:`~repro.ir.parser.parse_function`, and verified, when something
+  first reads it, which on a warm start of compiled code is nothing —
+  and
 * **emitted backend source** (``py/``) keyed by the *residual*
   function's printed-IR fingerprint plus the emitter version, so a
   residual loaded warm reuses the same Python source (or the same
   recorded per-function VM-fallback decision) without re-emitting.
+  The fingerprint of a loaded residual is that of its stored text, so
+  the restart the paper describes — the compiled code ships with the
+  snapshot — costs about the reading of that code.
 
 Key anatomy (one file per entry, file name = sha256 of the key):
 
@@ -29,9 +35,10 @@ Invalidation is entirely by construction: change the interpreter body,
 the bytecode bytes, the opt pipeline, or the emitter, and the key
 changes, so the stale artifact is simply never looked up again.  Loads
 are paranoid and never raise for bad cache state: a version skew,
-fingerprint mismatch, JSON error, truncated file or IR text that does
-not parse yields status ``"invalid"`` and the engine silently
-recompiles.  Writes go through a
+fingerprint mismatch, JSON error, truncated file or IR text whose header
+does not parse yields status ``"invalid"`` and the engine silently
+recompiles — as it does for a body that does not parse or verify when
+it is read.  Writes go through a
 same-directory temp file + ``os.replace`` so a crashed process cannot
 leave a torn artifact behind, and an unwritable cache directory
 degrades to "no cache", never to a failed compile.
@@ -70,9 +77,9 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-from repro.ir.function import Function
+from repro.ir.function import Function, Signature
 from repro.ir.module import Module
-from repro.ir.parser import IRParseError, parse_function
+from repro.ir.parser import IRParseError, parse_function, parse_header
 
 # Bump on any change to the artifact schema, the IR text, or the
 # semantics of specialization outputs that the key cannot see.
@@ -116,6 +123,69 @@ def _digest(parts: Tuple) -> str:
 def residual_fingerprint(ir_text: str) -> str:
     """Fingerprint of a residual function's printed IR."""
     return hashlib.sha256(ir_text.encode()).hexdigest()
+
+
+# What a residual's body is: the attributes :func:`parse_function` fills.
+_BODY = ("blocks", "entry", "value_types", "_next_value", "_next_block")
+
+
+class StoredResidual(Function):
+    """A residual loaded from the store, whose body is its stored text
+    until something reads it.
+
+    ``name`` and ``sig`` come from the text's header line.  The body
+    (:data:`_BODY`) is filled in on its first read — ``__getattr__``
+    fires only for an attribute the instance lacks, so an ordinary
+    :class:`Function` pays nothing — by :func:`parse_function` and then
+    ``verify``, exactly as an eager load reads it; the first read
+    consults the fault plan's ``body`` seam.  A residual whose
+    marshalled code is all that runs is never parsed, verified or
+    printed: ``text`` is already ``print_function(body, order="id")``.
+    """
+
+    def __init__(self, text: str, name: str, sig: Signature,
+                 module: Module,
+                 verify: Optional[Callable[[Function], None]],
+                 fault_plan=None):
+        self.name, self.sig, self.text = name, sig, text
+        self.fingerprint = self.prepared = None
+        self._module, self._verify, self._fault_plan = \
+            module, verify, fault_plan
+
+    def parsed(self, name: Optional[str] = None) -> Function:
+        """A new function read from the text (named ``name``, else the
+        header's) and verified.  Raises :class:`IRParseError`, or the
+        verifier's error."""
+        func = parse_function(self.text, self._module,
+                              name=name or self.name)
+        if self._verify is not None:
+            self._verify(func)
+        return func
+
+    def take_body(self, func: Function) -> None:
+        """Make ``func``'s body this function's."""
+        for attr in _BODY:
+            setattr(self, attr, getattr(func, attr))
+
+    def read_body(self) -> None:
+        """Fill in the body if it is still text (a late read: the
+        ``body`` seam is consulted first)."""
+        if "blocks" not in self.__dict__:
+            if self._fault_plan is not None:
+                self._fault_plan.check("body")
+            self.take_body(self.parsed())
+
+    def __getattr__(self, attr: str):
+        if attr not in _BODY:
+            raise AttributeError(attr)
+        self.read_body()
+        return self.__dict__[attr]
+
+
+def unread(func: Function) -> bool:
+    """Whether ``func`` is a stored residual nothing has read the body
+    of yet."""
+    return isinstance(func, StoredResidual) and "blocks" not in vars(func)
 
 
 class _StoreLock:
@@ -345,14 +415,17 @@ class ArtifactStore:
     def spec_path(self, key: Tuple) -> str:
         return os.path.join(self.spec_dir, _digest(key) + ".json")
 
-    def load_residual(self, key: Tuple, name: str,
-                      generic_fingerprint: str,
-                      memory_fingerprint: str,
-                      module: Module) -> Tuple[Optional[Function], str]:
-        """Load the residual function for ``key`` as ``(function,
-        status)``; the function is ``None`` unless status is ``"hit"``.
-        Its text is parsed against ``module``, where it will run (a
-        ``call``'s result type is its callee's).
+    def load_residual(self, key: Tuple, generic_fingerprint: str,
+                      memory_fingerprint: str, module: Module,
+                      verify: Optional[Callable[[Function], None]] = None
+                      ) -> Tuple[Optional["StoredResidual"], str]:
+        """Load the residual for ``key`` as ``(function, status)``; the
+        function is ``None`` unless status is ``"hit"``.  It is a
+        :class:`StoredResidual`: the name and signature are read from
+        the text's header line, and the body stays text until something
+        reads it, when it is parsed against ``module``, where it will
+        run (a ``call``'s result type is its callee's), and checked by
+        ``verify``.
 
         The fingerprints are stored redundantly inside the artifact and
         re-checked here, so a digest collision or a hand-edited file is
@@ -368,9 +441,11 @@ class ArtifactStore:
         if not isinstance(text, str):
             return None, INVALID
         try:
-            return parse_function(text, module, name=name), HIT
+            name, sig = parse_header(text)
         except IRParseError:
             return None, INVALID
+        return StoredResidual(text, name, sig, module, verify,
+                              self.fault_plan), HIT
 
     def store_residual(self, key: Tuple, ir_text: str,
                        generic_fingerprint: str,

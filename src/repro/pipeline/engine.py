@@ -16,16 +16,26 @@ a fresh compile.
   the same request order.
 * **Two walks**, both in request order.  Walk 1 gives every request its
   residual: the first request of a key loads it from the store —
-  **verified** before use, because the artifact file is outside the
-  process's trust boundary and a verifier rejection is treated exactly
-  like corruption — or specializes it fresh
-  (:meth:`~CompilationEngine._load_or_specialize`); a later request of
-  the same key clones its producer's.  Walk 2 emits when the backend is
-  ``"py"``, counts the hit and writes a fresh residual to the store.
-  Two walks and not one because it was measured: with load / specialize
-  and emission interleaved per request the warm path lost its working
-  set (``store_warm`` ``compile_ms`` +3.7%, higher in 7 of 7 alternating
-  pairs); all residuals first, all emission second reads level.
+  **verified before its first read; a code hit reads none** — or
+  specializes it fresh (:meth:`~CompilationEngine._load_or_specialize`);
+  a later request of the same key clones its producer's.  The artifact
+  file is outside the process's trust boundary, so a body that does not
+  parse or that the verifier rejects is treated exactly like
+  corruption.  On the py backend a residual whose ``py/`` entry holds a
+  code object for this interpreter stays text
+  (:class:`~repro.pipeline.artifacts.StoredResidual`): that code, keyed
+  by the sha256 of this exact text, is all that runs, so the body is
+  parsed and verified only if something reads it — the IR VM
+  (:meth:`~CompilationEngine.read_body`), inline planning, a re-emit.
+  Every other load (the VM backend, a fallback or source-only entry, a
+  ``py/`` miss, a stored name that is not the request's, a key a
+  duplicate clones) is read at once.  Walk 2 emits when the backend is
+  ``"py"``, counts the hit and writes a fresh residual to the store,
+  printing it once for both.  Two walks and not one because it was
+  measured: with load / specialize and emission interleaved per request
+  the warm path lost its working set (``store_warm`` ``compile_ms``
+  +3.7%, higher in 7 of 7 alternating pairs); all residuals first, all
+  emission second reads level.
 * **One emit body.**  :meth:`~CompilationEngine._emit` is the only code
   that turns a residual into a callable — warm-load from ``py/`` or
   emit, ``compile()``, store, then ``exec`` — and both roads to tier 2
@@ -56,6 +66,7 @@ a fresh compile.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import marshal
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -68,12 +79,15 @@ from repro.ir.cfg import retreating_edges
 from repro.ir.clone import clone_function
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.ir.parser import IRParseError, direct_callees
 from repro.ir.printer import print_function
 from repro.ir.verifier import VerificationError, verify_function
 from repro.pipeline.artifacts import (
     INVALID,
     ArtifactStore,
+    StoredResidual,
     residual_fingerprint,
+    unread,
 )
 
 
@@ -125,6 +139,12 @@ class EngineResult:
     fallback_reason: Optional[str] = None
     error: Optional[str] = None
     helpers: Dict[str, Callable] = dataclasses.field(default_factory=dict)
+    # The residual's id-order text once something needed it (the ``py/``
+    # key hashes it and the residual write stores it: printed once), and
+    # walk 1's read of the ``py/`` entry it keys, as ``(fingerprint,
+    # entry)``, when walk 1 had to look.
+    text: Optional[str] = None
+    py_entry: Optional[tuple] = None
 
 
 class CompilationEngine:
@@ -163,18 +183,21 @@ class CompilationEngine:
         stats.inline_requests += sum(
             1 for r in requests if getattr(r, "inline_plan", ()))
         results = [EngineResult(request, None) for request in requests]
-        keys: List[tuple] = []
+        keys = [request_key(self.module, request, self.options, snapshot)
+                for request in requests]
+        emit = self.options.backend == "py"
+        # A residual another request clones is read at once.
+        cloned = {key for key, n in collections.Counter(keys).items()
+                  if n > 1}
         producers: Dict[tuple, EngineResult] = {}
 
         # Walk 1: a residual for every request.  A specialize / verify
         # crash fails that request and every duplicate of it.
-        for result in results:
-            key = request_key(self.module, result.request, self.options,
-                              snapshot)
-            keys.append(key)
+        for result, key in zip(results, keys):
             producer = producers.setdefault(key, result)
             if producer is result:
-                self._load_or_specialize(result, key, snapshot)
+                self._load_or_specialize(result, key, snapshot,
+                                         emit and key not in cloned)
             elif producer.function is None:
                 result.error = producer.error
             else:
@@ -188,12 +211,19 @@ class CompilationEngine:
         # (module docstring).  An emit crash fails its own request only
         # — a duplicate already holds its clone and emits for itself —
         # and an errored request writes nothing.
-        emit = self.options.backend == "py"
         for result, key in zip(results, keys):
             if emit and result.error is None:
                 self._emit(result)
                 if result.pyfunc is not None:
                     result.helpers = self.compile_helpers(result.function)
+                elif result.error is None:
+                    # The IR VM runs it after all (``exec`` of a stored
+                    # code object failed).
+                    try:
+                        self.read_body(result.function, result.request,
+                                       snapshot)
+                    except Exception as exc:
+                        result.error = f"{type(exc).__name__}: {exc}"
             if result.error is not None:
                 stats.requests_failed += 1
             elif result.cache_hit:
@@ -203,7 +233,8 @@ class CompilationEngine:
             else:
                 stats.functions_specialized += 1
                 if self.store is not None and self.store.store_residual(
-                        key, print_function(result.function, order="id"),
+                        key, result.text
+                        or print_function(result.function, order="id"),
                         key[0], key[2]):
                     stats.artifacts_written += 1
         if self.store is not None:
@@ -213,26 +244,23 @@ class CompilationEngine:
         return results
 
     def _load_or_specialize(self, result: EngineResult, key: tuple,
-                            snapshot: bytes) -> None:
+                            snapshot: bytes, lazy: bool) -> None:
         """Walk 1 for the first request of ``key``: artifact load, else
-        fresh specialize.  Any exception (injected ``specialize`` /
-        ``verify`` faults included) is contained here as
+        fresh specialize.  A loaded residual stays text when ``lazy``
+        allows it (:meth:`_take_stored`).  Any exception (injected
+        ``specialize`` / ``verify`` faults included) is contained here as
         ``result.error`` with no function: one poisoned request fails,
         never the batch."""
         request, fault = result.request, self.fault_plan
         func = None
         try:
             if self.store is not None:
-                func, status = self.store.load_residual(
-                    key, request.name(), key[0], key[2], self.module)
-                if func is not None:
-                    try:
-                        # Disk artifacts sit outside the process's trust
-                        # boundary: verify before use, and treat a
-                        # rejection exactly like corruption.
-                        verify_function(func, self.module)
-                    except VerificationError:
-                        func, status = None, INVALID
+                stored, status = self.store.load_residual(
+                    key, key[0], key[2], self.module, self._verify)
+                if stored is not None:
+                    func = self._take_stored(result, stored, lazy)
+                    if func is None:
+                        status = INVALID
                 if status == INVALID:
                     self.stats.artifact_invalid += 1
             result.artifact_hit = func is not None
@@ -248,6 +276,67 @@ class CompilationEngine:
         except Exception as exc:
             result.error = f"{type(exc).__name__}: {exc}"
 
+    def _verify(self, func: Function) -> None:
+        verify_function(func, self.module)
+
+    def _take_stored(self, result: EngineResult, stored: StoredResidual,
+                     lazy: bool) -> Optional[Function]:
+        """A loaded residual as walk 1 keeps it, or ``None`` when it is
+        corrupt.
+
+        It stays text when ``lazy`` (the py backend, and no duplicate
+        clones it), its header names the request, and its text's
+        ``py/`` entry holds a code object for this interpreter: that
+        code, keyed by the sha256 of this exact text, is then all that
+        runs.  Otherwise the body is read now, exactly as an eager load
+        reads it — the store is outside the process's trust boundary,
+        so text that does not parse, or that the verifier rejects, is
+        treated like corruption.
+        """
+        name = result.request.name()
+        if stored.name == name:
+            result.text = stored.text  # its print: nothing to re-print
+            if lazy:
+                fp = residual_fingerprint(stored.text)
+                cached = self._load_py(fp)
+                result.py_entry = fp, cached
+                if cached is not None and cached[2] is not None:
+                    return stored
+        try:
+            return stored.parsed(name)
+        except (IRParseError, VerificationError):
+            result.text = result.py_entry = None
+            return None
+
+    def read_body(self, func: Function, request: SpecializationRequest,
+                  snapshot: Optional[bytes] = None) -> None:
+        """Read ``func``'s body now if it is still stored text, because
+        the IR VM is about to run it.  A body whose first read fails
+        (text that does not parse or verify, or an injected ``body``
+        fault) takes the path a rejected load takes: ``request`` is
+        specialized again, against ``snapshot`` (default: the module's
+        image), and the fresh body becomes ``func``'s, so the module,
+        the table and the patched heap slot still name it."""
+        if not unread(func):
+            return
+        try:
+            func.read_body()
+        except Exception:
+            self.stats.artifact_invalid += 1
+            self.stats.functions_specialized += 1
+            func.take_body(specialize(
+                self.module, request, self.options,
+                bytes(self.module.memory_init) if snapshot is None
+                else snapshot))
+
+    def _load_py(self, fp: str):
+        """The ``py/`` entry for residual fingerprint ``fp``, or ``None``;
+        an unusable entry counts as invalid."""
+        cached, status = self.store.load_py_source(fp)
+        if status == INVALID:
+            self.stats.artifact_invalid += 1
+        return cached
+
     def _emit(self, result: EngineResult, helper: bool = False) -> None:
         """The one emission body: ``result.function`` becomes
         ``result.pyfunc``, or ``result.fallback_reason`` when the
@@ -260,17 +349,21 @@ class CompilationEngine:
         and compile: the ``exec`` below only binds globals) and are
         emitted, compiled and stored here otherwise; a stored code
         object of ``None`` (marshal or interpreter skew) means "compile
-        from source".
+        from source".  The ``py/`` key hashes the residual's id-order
+        text: the one walk 1 loaded, or else its print, made once.
         """
         from repro import backend
         func, stats = result.function, self.stats
         try:
             fp = cached = None
-            if self.store is not None:
-                fp = residual_fingerprint(print_function(func, order="id"))
-                cached, status = self.store.load_py_source(fp)
-                if status == INVALID:
-                    stats.artifact_invalid += 1
+            if result.py_entry is not None:
+                fp, cached = result.py_entry
+            elif self.store is not None:
+                if result.text is None:
+                    result.text = func.text if unread(func) \
+                        else print_function(func, order="id")
+                fp = residual_fingerprint(result.text)
+                cached = self._load_py(fp)
             if cached is not None:
                 source, fallback, code = cached
             else:
@@ -389,20 +482,29 @@ class CompilationEngine:
         judged = self._judged
         work = [func]
         while work:
-            for block in work.pop().blocks.values():
-                for instr in block.instrs:
-                    name = instr.imm
-                    if instr.op != "call" or name in judged:
-                        continue
-                    judged.add(name)
-                    # Imports are not module functions: ``None`` here.
-                    callee = self.module.functions.get(name)
-                    if callee is None or retreating_edges(callee):
-                        continue
-                    result = EngineResult(None, callee)
-                    self._emit(result, helper=True)
-                    if result.pyfunc is not None:
-                        compiled[name] = result.pyfunc
-                        self.stats.helpers += 1
-                        work.append(callee)
+            for name in self._direct_callees(work.pop()):
+                if name in judged:
+                    continue
+                judged.add(name)
+                # Imports are not module functions: ``None`` here.  A
+                # residual still held as text has its own code already.
+                callee = self.module.functions.get(name)
+                if callee is None or unread(callee) \
+                        or retreating_edges(callee):
+                    continue
+                result = EngineResult(None, callee)
+                self._emit(result, helper=True)
+                if result.pyfunc is not None:
+                    compiled[name] = result.pyfunc
+                    self.stats.helpers += 1
+                    work.append(callee)
         return compiled
+
+    @staticmethod
+    def _direct_callees(func: Function) -> List[str]:
+        """The names ``func`` calls directly, in block order — read from
+        the text of a residual whose body is still text."""
+        if unread(func):
+            return direct_callees(func.text)
+        return [instr.imm for block in func.blocks.values()
+                for instr in block.instrs if instr.op == "call"]

@@ -34,6 +34,14 @@ Seams (:data:`SEAMS`):
 ``heat_merge``
     The profile store's merge write fails; the publish high-water marks
     must retain the delta for the next attempt.
+``body``
+    Raises on the first read of a stored residual whose body was left
+    as text (a code hit on the py backend,
+    :class:`~repro.pipeline.artifacts.StoredResidual`) — corruption
+    found late, after the residual was installed.  Every late reader
+    contains it: inline planning leaves the site un-inlined, a tier-up
+    emit fails its attempt into quarantine, and the IR VM's entries
+    (``SnapshotCompiler.read_bodies``) specialize the residual again.
 
 **Determinism.**  Each seam keeps its own consult counter and its own
 ``random.Random`` seeded from ``(seed, seam)``; the Nth consult of a
@@ -55,7 +63,7 @@ import random
 from typing import Dict, Iterable, Optional
 
 SEAMS = ("specialize", "verify", "emit", "store_read", "store_write",
-         "heat_merge")
+         "heat_merge", "body")
 
 
 class FaultInjected(Exception):

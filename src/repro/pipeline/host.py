@@ -97,6 +97,10 @@ class GuestRuntime:
         residual IR.
         """
         mode = mode or self.default_mode
+        if mode != "aot" and self.compiler is not None:
+            # The frozen image dispatches to the residuals, and this VM
+            # runs them as IR.
+            self.compiler.read_bodies()
         if mode == "interp":
             vm = VM(self.module)
         elif mode == "aot":

@@ -755,12 +755,16 @@ class TieringController:
         if name is None:
             return None
         callee = self.module.functions.get(name)
-        if callee is None or callee.entry is None:
+        if callee is None:
             return None
         if index == profile.table_index:
             return None  # self-recursion only grows the body
-        if callee.num_instrs() > self.inline_max_instrs:
-            return None
+        try:
+            if callee.entry is None or \
+                    callee.num_instrs() > self.inline_max_instrs:
+                return None
+        except Exception:
+            return None  # a stored body that failed its first read
         gate = profile.entry.inline_gate
         if gate is not None and not gate(name):
             return None

@@ -22,6 +22,8 @@ The engine compiles in-process, so the per-seam consult order — and
 therefore the firing schedule — is exactly reproducible.
 """
 
+import os
+
 import pytest
 
 from repro.core.specialize import SpecializeOptions
@@ -36,9 +38,10 @@ from repro.min.fleet import (
 )
 from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE, build_min_module
+from repro.pipeline.artifacts import unread
 from repro.pipeline.faults import SEAMS, FaultInjected, FaultPlan
 from repro.pipeline.profiles import open_profile_store
-from repro.vm import VM
+from repro.vm import VM, VMTrap
 
 from tests.helpers import corpus_program
 
@@ -338,6 +341,158 @@ class TestHelperContainment:
         # Judged once: a later compile does not retry the helper.
         assert compiler.engine.compile_helpers(
             compiler.module.functions["lua$fib"]) == {}
+
+
+# ---------------------------------------------------------------------------
+# Late body faults: a warm start leaves code hits as text, and a body read
+# later that fails costs speed, never results.
+# ---------------------------------------------------------------------------
+LATE_PROGRAMS = {
+    "fib": corpus_program("lua/fib.lua"),
+    # Prints, then traps in the helper on the guest depth limit.
+    "trap": "print(7)\nfunction f(n) return f(n + 1) end\nprint(f(0))",
+}
+
+
+def _lua_outcome(runtime, backend):
+    """``(prints, fuel or trap text)`` of one run of main."""
+    try:
+        ending = runtime.run_aot(backend).stats.fuel
+    except VMTrap as trap:
+        ending = str(trap)
+    return list(runtime.printed), ending
+
+
+def _warm_lua(source, cache_dir, plan):
+    runtime = LuaRuntime(source, options=SpecializeOptions(
+        backend="py", cache_dir=cache_dir, fault_plan=plan))
+    return runtime, runtime.aot_compile()
+
+
+class TestLateBodyFaults:
+    @pytest.mark.parametrize("program", sorted(LATE_PROGRAMS))
+    def test_every_body_fails_late(self, tmp_path, program):
+        """Every stored body fails its first late read.  On the py
+        backend nothing reads one; ``run_aot("vm")`` reads them all,
+        each read fails and its residual is specialized again — prints
+        and traps stay the interpreter's, fuel the fault-free run's."""
+        source = LATE_PROGRAMS[program]
+        reference = LuaRuntime(source)
+        try:
+            reference.run_interpreted()
+            trap = None
+        except VMTrap as exc:
+            trap = str(exc)
+        cache = str(tmp_path / "cache")
+        _warm_lua(source, cache, None)  # fill the store
+        for backend in ("py", "vm"):
+            clean = _lua_outcome(_warm_lua(source, cache, None)[0], backend)
+            assert clean[0] == reference.printed
+            assert trap is None or clean[1] == trap
+            inert = FaultPlan(seed=3, rates={seam: 0.0 for seam in SEAMS})
+            assert _lua_outcome(_warm_lua(source, cache, inert)[0],
+                                backend) == clean
+            plan = FaultPlan.always("body")
+            runtime, compiler = _warm_lua(source, cache, plan)
+            assert all(unread(runtime.module.functions[p.function_name])
+                       for p in compiler.processed)
+            assert _lua_outcome(runtime, backend) == clean
+            stats = compiler.engine.stats
+            if backend == "py":
+                assert plan.fired == {} and stats.artifact_invalid == 0
+            else:
+                late = len(compiler.processed)
+                assert plan.fired == {"body": late}
+                assert inert.consults["body"] == late
+                assert stats.artifact_invalid == late
+                assert stats.functions_specialized == late
+
+    def test_interp_run_after_a_compile_reads_bodies_first(self, tmp_path):
+        """After an AOT compile the frozen image dispatches to the
+        residuals, so ``run("interp")`` enters them on the IR VM too:
+        each body is read first, and one that fails is specialized
+        again."""
+        source = corpus_program("lua/fib.lua")
+        reference = LuaRuntime(source)
+        reference.run_interpreted()
+        cache = str(tmp_path / "cache")
+        _warm_lua(source, cache, None)
+        clean = _warm_lua(source, cache, None)[0]
+        clean_fuel = clean.run_interpreted().stats.fuel
+        plan = FaultPlan.always("body")
+        runtime, compiler = _warm_lua(source, cache, plan)
+        assert runtime.run_interpreted().stats.fuel == clean_fuel
+        assert runtime.printed == clean.printed == reference.printed
+        assert plan.fired == {"body": len(compiler.processed)}
+
+    def test_a_stored_code_object_that_fails_to_exec_reads_its_body(
+            self, tmp_path, monkeypatch):
+        """A code hit whose ``exec`` fails is a fallback: the IR VM runs
+        the residual, so the batch reads its body — and a body that
+        fails that read is specialized again, in the batch."""
+        import repro.backend
+
+        source = corpus_program("lua/fib.lua")
+        reference = LuaRuntime(source)
+        reference.run_interpreted()
+        cache = str(tmp_path / "cache")
+        _warm_lua(source, cache, None)
+
+        def failing_exec(name, source, code=None):
+            raise RuntimeError("exec failed")
+
+        monkeypatch.setattr(repro.backend, "compile_python_source",
+                            failing_exec)
+        plan = FaultPlan.always("body")
+        runtime, compiler = _warm_lua(source, cache, plan)
+        names = [p.function_name for p in compiler.processed]
+        assert set(compiler.backend_fallbacks) == set(names)
+        assert not any(unread(runtime.module.functions[name])
+                       for name in names)
+        assert plan.fired == {"body": len(names)}
+        assert compiler.engine.stats.artifact_invalid == len(names)
+        runtime.run_aot()
+        assert runtime.printed == reference.printed
+
+    def test_inline_planning_leaves_the_site_out(self, tmp_path):
+        """A callee whose stored body fails its first read is not an
+        inline target; once it reads, it is."""
+        source = corpus_program("lua/fib.lua")
+        cache = str(tmp_path / "cache")
+        _warm_lua(source, cache, None)
+        plan = FaultPlan.always("body")
+        runtime, compiler = _warm_lua(source, cache, plan)
+        controller = runtime.make_controller()
+        profile = next(iter(controller.profiles.values()))
+        index = compiler.processed[-1].table_index
+        assert controller._inlinable_target(profile, index) is None
+        assert plan.fired == {"body": 1}
+        plan.disarm()
+        assert controller._inlinable_target(profile, index)[0] == index
+
+    def test_tier_up_emit_of_a_failing_body_is_a_contained_crash(
+            self, tmp_path):
+        """A tier-up emit of a residual still held as text finds its
+        code by the text, reading no body; one that must read it (its
+        ``py/`` entry gone) and fails fails that emit only: neither
+        compiled nor a fallback, which the tiering controller turns
+        into quarantine (``_respecialize`` raises ``PromotionError``
+        into ``_contain_failure``)."""
+        source = corpus_program("lua/fib.lua")
+        cache = tmp_path / "cache"
+        _warm_lua(source, str(cache), None)
+        plan = FaultPlan.always("body")
+        runtime, compiler = _warm_lua(source, str(cache), plan)
+        name = compiler.processed[-1].function_name
+        engine = compiler.engine
+        assert list(engine.compile_backend_functions([name])[0]) == [name]
+        assert plan.fired == {}
+        for entry in os.listdir(cache / "py"):
+            os.remove(cache / "py" / entry)
+        assert engine.compile_backend_functions([name]) == ({}, [])
+        assert plan.fired == {"body": 1}
+        assert engine.stats.requests_failed == 1
+        assert unread(runtime.module.functions[name])
 
 
 # ---------------------------------------------------------------------------

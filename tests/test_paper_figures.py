@@ -44,6 +44,7 @@ from repro.core.stats import SpecializationStats
 from repro.frontend import compile_source
 from repro.backend import UnsupportedConstruct, emit_function_source
 from repro.ir import parse_function, print_function
+from repro.ir.parser import direct_callees
 from repro.jsvm import JSRuntime
 from repro.luavm import LuaRuntime
 from repro.luavm.runtime import LUA_INTERP_SRC
@@ -122,17 +123,23 @@ def _emitted(func, module) -> str:
 
 def round_trip_misses(rt) -> List[str]:
     """The residuals ``residual_digest`` hashes whose printed text (either
-    order) does not parse back to itself, or whose parsed form emits
-    other Python than the one in memory."""
+    order) does not parse back to itself, whose parsed form emits other
+    Python than the one in memory, or whose direct callees read from the
+    text (``direct_callees``, what helper search uses on a residual
+    still held as text) are not the parsed body's ``call`` targets."""
     misses = []
     for p in rt.compiler.processed:
         if p.error is not None:
             continue
         func = rt.module.functions[p.function_name]
-        parsed = parse_function(print_function(func, order="id"), rt.module)
+        text = print_function(func, order="id")
+        parsed = parse_function(text, rt.module)
+        calls = {instr.imm for block in parsed.blocks.values()
+                 for instr in block.instrs if instr.op == "call"}
         if any(print_function(parsed, order=order) !=
                print_function(func, order=order) for order in ("id", "rpo")) \
-                or _emitted(parsed, rt.module) != _emitted(func, rt.module):
+                or _emitted(parsed, rt.module) != _emitted(func, rt.module) \
+                or set(direct_callees(text)) != calls:
             misses.append(p.function_name)
     return misses
 

@@ -19,9 +19,11 @@ The contracts under test (ISSUE/ROADMAP "production story" layer):
 """
 
 import dataclasses
+import glob
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.core import (
     SpecializedMemory,
 )
 from repro.core.specialize import SpecializeOptions
+from repro.core.stats import EngineStats
 from repro.frontend import compile_source
 from repro.ir import (
     IRParseError,
@@ -41,16 +44,22 @@ from repro.ir import (
     print_function,
     verify_module,
 )
+from repro.ir.parser import parse_header
 from repro.ir.semantics import _bits_itof
+from repro.ir.verifier import verify_function
+from repro.jsvm import JSRuntime
+from repro.luavm import LuaRuntime
 from repro.pipeline import (
     ARTIFACT_VERSION,
     ArtifactStore,
     CompilationEngine,
+    artifacts,
     locked_write_json,
 )
+from repro.pipeline.artifacts import unread
 from repro.vm import VM
 
-from tests.helpers import FLOAT_BIT_PATTERNS
+from tests.helpers import FLOAT_BIT_PATTERNS, corpus_manifest, corpus_program
 
 INTERP = """
 u64 interp(u64 program, u64 proglen, u64 input) {
@@ -195,6 +204,17 @@ class TestParse:
         assert mutilate(text) != text
         with pytest.raises(IRParseError):
             parse_function(mutilate(text), module)
+
+    def test_header_alone(self):
+        """A stored residual's name and signature come from its header
+        line, without reading the body."""
+        module, func = self._residual()
+        text = print_function(func, order="id")
+        assert parse_header(text) == (func.name, func.sig)
+        with pytest.raises(IRParseError):
+            parse_header(text[:len(text) // 2])
+        with pytest.raises(IRParseError):
+            parse_header(text.replace(": i64", ": i32", 1))
 
     def test_duplicate_block_id_rejected(self):
         """Duplicate block ids must read as corruption, not silently
@@ -437,13 +457,17 @@ def _spec_files(tmp_path):
 
 
 class TestArtifactRobustness:
+    BACKEND = "vm"
+
     def _warm_after(self, tmp_path, damage):
-        options = SpecializeOptions(cache_dir=str(tmp_path))
-        run_snapshot(options)
+        options = SpecializeOptions(cache_dir=str(tmp_path),
+                                    backend=self.BACKEND)
+        _, cold_outputs = run_snapshot(options)
         for path in _spec_files(tmp_path):
             damage(path)
         warm, outputs = run_snapshot(options)
         check_outputs(outputs)
+        assert outputs == cold_outputs
         return warm
 
     def test_truncated_artifact_recompiles(self, tmp_path):
@@ -518,13 +542,153 @@ class TestArtifactRobustness:
         assert warm.engine.stats.functions_specialized == 2
         assert warm.engine.stats.artifact_invalid == 2
 
+    def test_only_py_code_hits_stay_text(self, tmp_path):
+        """A warm start from a store the py backend filled leaves a
+        residual's body as text on the py backend, where its code object
+        is all that runs, and reads it at once on the VM."""
+        run_snapshot(SpecializeOptions(cache_dir=str(tmp_path),
+                                       backend="py"))
+        compiler = SnapshotCompiler(build_module(), SpecializeOptions(
+            cache_dir=str(tmp_path), backend=self.BACKEND))
+        for request, fnptr in zip(make_requests(), (FNPTR_A, FNPTR_B)):
+            compiler.enqueue(request, fnptr)
+        processed = compiler.process_requests()
+        assert [unread(compiler.module.functions[p.function_name])
+                for p in processed] == [self.BACKEND == "py"] * 2
+
     def test_store_statuses(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
-        func, status = store.load_residual(("nope",), "f", "g", "m",
+        func, status = store.load_residual(("nope",), "g", "m",
                                            build_module())
         assert func is None and status == "miss"
         source, status = store.load_py_source("0" * 64)
         assert source is None and status == "miss"
+
+
+class TestArtifactRobustnessLazy(TestArtifactRobustness):
+    """The six damage cases again on the py backend, where an intact
+    residual whose ``py/`` code object hits stays text: a damaged
+    text's sha256 finds no code entry, so it is read — and rejected —
+    at once, exactly as on the VM."""
+    BACKEND = "py"
+
+
+# ---------------------------------------------------------------------------
+# A warm start reads only what it runs: the 16 ledger programs.
+# ---------------------------------------------------------------------------
+SUITE = tuple(rel for rel in corpus_manifest()
+              if rel.startswith(("js/", "lua/")))
+
+
+def _suite_start(rel, cache_dir):
+    """AOT-compile one suite program the way the ledger does (py
+    backend, over ``cache_dir``) and run its main once; returns
+    ``(runtime, compiler, prints, fuel)``."""
+    options = SpecializeOptions(backend="py", cache_dir=cache_dir)
+    if rel.startswith("js/"):
+        runtime = JSRuntime(corpus_program(rel), "wevaled_state",
+                            options=options)
+    else:
+        runtime = LuaRuntime(corpus_program(rel), options=options)
+    compiler = runtime.aot_compile()
+    compiler.compile_backend()
+    vm = runtime.run() if rel.startswith("js/") else runtime.run_aot()
+    return runtime, compiler, [str(item) for item in runtime.printed], \
+        vm.stats.fuel
+
+
+def _suite_dir(root, rel):
+    return os.path.join(str(root), rel.replace("/", "_"))
+
+
+@pytest.fixture(scope="module")
+def suite_store(tmp_path_factory):
+    """One cold pass of the suite, one store per program; returns the
+    root and each program's ``(prints, fuel)``."""
+    root = tmp_path_factory.mktemp("suite")
+    cold = {}
+    for rel in SUITE:
+        _, compiler, prints, fuel = _suite_start(rel, _suite_dir(root, rel))
+        assert compiler.engine.stats.functions_specialized > 0
+        cold[rel] = prints, fuel
+    return root, cold
+
+
+def _stored_texts(root):
+    texts = set()
+    for path in glob.glob(os.path.join(str(root), "*", "spec", "*.json")):
+        with open(path) as handle:
+            texts.add(json.load(handle)["ir_text"])
+    return texts
+
+
+class TestLazyWarmStart:
+    def test_code_hits_read_no_body(self, suite_store, monkeypatch):
+        """A warm start parses only the bodies the IR VM runs (mandreel's
+        one fallback); every other residual stays text until read, and
+        then reads back as the eager load would have: parsed, verified
+        and printed byte-identical to its stored text."""
+        root, cold = suite_store
+        parses = []
+        real_parse = artifacts.parse_function
+
+        def counting_parse(text, *args, **kwargs):
+            parses.append(text)
+            return real_parse(text, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "parse_function", counting_parse)
+        totals = EngineStats()
+        residuals = []
+        for rel in SUITE:
+            runtime, compiler, prints, fuel = _suite_start(
+                rel, _suite_dir(root, rel))
+            assert (prints, fuel) == cold[rel]
+            totals.merge(compiler.engine.stats)
+            residuals += [(runtime.module,
+                           runtime.module.functions[p.function_name])
+                          for p in compiler.processed]
+        assert totals.functions_specialized == 0
+        assert totals.backend_code_hits + totals.backend_fallbacks \
+            == totals.requests == len(residuals)
+        assert len(parses) == totals.backend_fallbacks == 1
+        assert sum(unread(func) for _, func in residuals) \
+            == totals.backend_code_hits
+        stored = _stored_texts(root)
+        for module, func in residuals:
+            if unread(func):
+                text = func.text
+                func.read_body()
+                assert parses[-1] == text
+                assert print_function(func, order="id") == text
+            verify_function(func, module)
+            assert print_function(func, order="id") in stored
+        assert sum(func.num_instrs() for _, func in residuals) == 8713
+
+    def test_cross_interpreter_store_reads_every_body(self, suite_store,
+                                                       tmp_path):
+        """Entries another interpreter wrote carry its bytecode magic:
+        every ``py/`` hit is then source-only, each body is read at
+        once, and prints and fuel are unchanged."""
+        root, cold = suite_store
+        skewed = tmp_path / "skewed"
+        shutil.copytree(str(root), str(skewed))
+        for path in glob.glob(str(skewed / "*" / "py" / "*.json")):
+            with open(path) as handle:
+                data = json.load(handle)
+            if "py_magic" in data:
+                data["py_magic"] = "00000000"
+                with open(path, "w") as handle:
+                    json.dump(data, handle)
+        for rel in SUITE:
+            runtime, compiler, prints, fuel = _suite_start(
+                rel, _suite_dir(skewed, rel))
+            stats = compiler.engine.stats
+            assert (prints, fuel) == cold[rel]
+            assert stats.functions_specialized == 0
+            assert stats.backend_code_hits == 0
+            assert stats.backend_source_hits == stats.requests
+            assert not any(unread(runtime.module.functions[p.function_name])
+                           for p in compiler.processed)
 
 
 def test_staged_worker_warm_starts_from_aot_store(tmp_path):
