@@ -59,7 +59,6 @@ class ProcessedRequest:
     function_name: str
     table_index: int
     result_addr: int
-    cache_hit: bool            # duplicate of an earlier key in its batch
     artifact_hit: bool = False  # residual loaded from the on-disk store
     # Fault containment: a request whose compile crashed.  The module,
     # table, and heap were left untouched (table_index is -1) — the
@@ -131,7 +130,7 @@ class SnapshotCompiler:
                 # same batch are applied normally.
                 processed.append(ProcessedRequest(
                     request, request.name(), -1, result_addr,
-                    False, False, error=result.error))
+                    error=result.error))
                 continue
             func = result.function
             stats = getattr(func, "_weval_stats", None)
@@ -147,8 +146,7 @@ class SnapshotCompiler:
                 self.backend_fallbacks[func.name] = result.fallback_reason
             processed.append(ProcessedRequest(
                 request, func.name, index, result_addr,
-                result.cache_hit, result.artifact_hit,
-                helpers=result.helpers))
+                result.artifact_hit, helpers=result.helpers))
         self.processed.extend(processed)
         self.pending = []
         return processed

@@ -83,9 +83,12 @@ class EngineStats(_Mergeable):
     staying at zero on a second run over the same module and requests.
     """
 
+    # A constant, not a field: the store is the one cache, so nothing
+    # hits beside it; it survives only for its reader,
+    # benchmarks/ledger/ledger_workloads.py::layer_metrics.
+    cache_hits = 0
     requests: int = 0
     functions_specialized: int = 0   # fresh weval transforms
-    cache_hits: int = 0              # duplicates of a key within a batch
     artifact_hits: int = 0           # residual IR loaded from disk
     artifact_invalid: int = 0        # version skew / fp mismatch / corrupt
     artifacts_written: int = 0
@@ -127,14 +130,12 @@ class TieringStats(_Mergeable):
     inline_candidates_rejected: int = 0  # hot sites rejected (size/poly)
     site_misses: int = 0             # site-guard misses observed
     site_demotions: int = 0          # sites retired after a miss
-    # Fault containment (PR 9): quarantine / blacklist / storm breaker.
+    # Fault containment (PR 9): quarantine / blacklist.
     compile_failures: int = 0        # contained promotion exceptions
     quarantines: int = 0             # functions put into backoff
     quarantine_retries: int = 0      # promotion retried after backoff
     quarantine_recoveries: int = 0   # ... and the retry succeeded
     blacklists: int = 0              # functions pinned tier-0 for good
-    storm_pins: int = 0              # functions pinned generic by the
-                                     # deopt-storm breaker
 
 
 @dataclasses.dataclass

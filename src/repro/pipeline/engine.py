@@ -15,27 +15,27 @@ a fresh compile.
   caller's module mutation / table registration / heap patching follows
   the same request order.
 * **Two walks**, both in request order.  Walk 1 gives every request its
-  residual: the first request of a key loads it from the store —
-  **verified before its first read; a code hit reads none** — or
-  specializes it fresh (:meth:`~CompilationEngine._load_or_specialize`);
-  a later request of the same key clones its producer's.  The artifact
-  file is outside the process's trust boundary, so a body that does not
-  parse or that the verifier rejects is treated exactly like
-  corruption.  On the py backend a residual whose ``py/`` entry holds a
-  code object for this interpreter stays text
-  (:class:`~repro.pipeline.artifacts.StoredResidual`): that code, keyed
-  by the sha256 of this exact text, is all that runs, so the body is
-  parsed and verified only if something reads it — the IR VM
+  residual: it loads it from the store — **verified before its first
+  read; a code hit reads none** — or specializes it fresh
+  (:meth:`~CompilationEngine._load_or_specialize`).  The store is the
+  one cache: two requests of one key in one batch are two independent
+  requests, each loads or specializes, and both write the same
+  (deterministic) residual.  The artifact file is outside the process's
+  trust boundary, so a body that does not parse or that the verifier
+  rejects is treated exactly like corruption.  On the py backend a
+  residual whose ``py/`` entry holds a code object for this interpreter
+  stays text (:class:`~repro.pipeline.artifacts.StoredResidual`): that
+  code, keyed by the sha256 of this exact text, is all that runs, so the
+  body is parsed and verified only if something reads it — the IR VM
   (:meth:`~CompilationEngine.read_body`), inline planning, a re-emit.
   Every other load (the VM backend, a fallback or source-only entry, a
-  ``py/`` miss, a stored name that is not the request's, a key a
-  duplicate clones) is read at once.  Walk 2 emits when the backend is
-  ``"py"``, counts the hit and writes a fresh residual to the store,
-  printing it once for both.  Two walks and not one because it was
-  measured: with load / specialize and emission interleaved per request
-  the warm path lost its working set (``store_warm`` ``compile_ms``
-  +3.7%, higher in 7 of 7 alternating pairs); all residuals first, all
-  emission second reads level.
+  ``py/`` miss, a stored name that is not the request's) is read at
+  once.  Walk 2 emits when the backend is ``"py"``, counts the hit and
+  writes a fresh residual to the store, printing it once for both.  Two
+  walks and not one because it was measured: with load / specialize and
+  emission interleaved per request the warm path lost its working set
+  (``store_warm`` ``compile_ms`` +3.7%, higher in 7 of 7 alternating
+  pairs); all residuals first, all emission second reads level.
 * **One emit body.**  :meth:`~CompilationEngine._emit` is the only code
   that turns a residual into a callable — warm-load from ``py/`` or
   emit, ``compile()``, store, then ``exec`` — and both roads to tier 2
@@ -66,7 +66,6 @@ a fresh compile.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import marshal
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -76,7 +75,6 @@ from repro.core.request import SpecializationRequest
 from repro.core.specialize import SpecializeOptions, specialize
 from repro.core.stats import EngineStats
 from repro.ir.cfg import retreating_edges
-from repro.ir.clone import clone_function
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.parser import IRParseError, direct_callees
@@ -109,14 +107,10 @@ def _open_store(options: SpecializeOptions) -> Optional[ArtifactStore]:
 class EngineResult:
     """Outcome of one request in a batch, in request order.
 
-    Exactly one of ``artifact_hit`` / ``specialized`` is true for the
-    request that *produced* the function; a duplicate request in the
-    same batch reuses the producer's *residual* (one specialize run) and
-    is the ``cache_hit`` — backend source is still emitted per request,
-    because the emitted code embeds the unique function name in its
-    trap messages.  ``pyfunc`` is populated when the engine's backend is
-    ``"py"``; ``fallback_reason`` records a residual the emitter cannot
-    express (it stays on the IR VM).
+    Exactly one of ``artifact_hit`` / ``specialized`` is true for a
+    request that got its function.  ``pyfunc`` is populated when the
+    engine's backend is ``"py"``; ``fallback_reason`` records a residual
+    the emitter cannot express (it stays on the IR VM).
 
     ``error`` is the fault-containment surface: an exception anywhere in
     this request's pipeline (specialize, verify, emit) fails *this
@@ -132,7 +126,6 @@ class EngineResult:
 
     request: Optional[SpecializationRequest]
     function: Optional[Function]
-    cache_hit: bool = False
     artifact_hit: bool = False
     specialized: bool = False
     pyfunc: Optional[Callable] = None
@@ -186,30 +179,16 @@ class CompilationEngine:
         keys = [request_key(self.module, request, self.options, snapshot)
                 for request in requests]
         emit = self.options.backend == "py"
-        # A residual another request clones is read at once.
-        cloned = {key for key, n in collections.Counter(keys).items()
-                  if n > 1}
-        producers: Dict[tuple, EngineResult] = {}
 
         # Walk 1: a residual for every request.  A specialize / verify
-        # crash fails that request and every duplicate of it.
+        # crash fails that request only.
         for result, key in zip(results, keys):
-            producer = producers.setdefault(key, result)
-            if producer is result:
-                self._load_or_specialize(result, key, snapshot,
-                                         emit and key not in cloned)
-            elif producer.function is None:
-                result.error = producer.error
-            else:
-                result.function = clone_function(producer.function,
-                                                 result.request.name())
-                result.cache_hit = True
+            self._load_or_specialize(result, key, snapshot)
 
         # Walk 2: emission, hit accounting, residual write.  A second
         # walk rather than the tail of the first, because interleaving
         # the two phases per request measured slower on the warm path
-        # (module docstring).  An emit crash fails its own request only
-        # — a duplicate already holds its clone and emits for itself —
+        # (module docstring).  An emit crash fails its own request only,
         # and an errored request writes nothing.
         for result, key in zip(results, keys):
             if emit and result.error is None:
@@ -226,8 +205,6 @@ class CompilationEngine:
                         result.error = f"{type(exc).__name__}: {exc}"
             if result.error is not None:
                 stats.requests_failed += 1
-            elif result.cache_hit:
-                stats.cache_hits += 1
             elif result.artifact_hit:
                 stats.artifact_hits += 1
             else:
@@ -244,13 +221,12 @@ class CompilationEngine:
         return results
 
     def _load_or_specialize(self, result: EngineResult, key: tuple,
-                            snapshot: bytes, lazy: bool) -> None:
-        """Walk 1 for the first request of ``key``: artifact load, else
-        fresh specialize.  A loaded residual stays text when ``lazy``
-        allows it (:meth:`_take_stored`).  Any exception (injected
-        ``specialize`` / ``verify`` faults included) is contained here as
-        ``result.error`` with no function: one poisoned request fails,
-        never the batch."""
+                            snapshot: bytes) -> None:
+        """Walk 1 for one request: artifact load, else fresh specialize.
+        A loaded residual may stay text (:meth:`_take_stored`).  Any
+        exception (injected ``specialize`` / ``verify`` faults included)
+        is contained here as ``result.error`` with no function: one
+        poisoned request fails, never the batch."""
         request, fault = result.request, self.fault_plan
         func = None
         try:
@@ -258,7 +234,7 @@ class CompilationEngine:
                 stored, status = self.store.load_residual(
                     key, key[0], key[2], self.module, self._verify)
                 if stored is not None:
-                    func = self._take_stored(result, stored, lazy)
+                    func = self._take_stored(result, stored)
                     if func is None:
                         status = INVALID
                 if status == INVALID:
@@ -279,16 +255,15 @@ class CompilationEngine:
     def _verify(self, func: Function) -> None:
         verify_function(func, self.module)
 
-    def _take_stored(self, result: EngineResult, stored: StoredResidual,
-                     lazy: bool) -> Optional[Function]:
+    def _take_stored(self, result: EngineResult, stored: StoredResidual
+                     ) -> Optional[Function]:
         """A loaded residual as walk 1 keeps it, or ``None`` when it is
         corrupt.
 
-        It stays text when ``lazy`` (the py backend, and no duplicate
-        clones it), its header names the request, and its text's
-        ``py/`` entry holds a code object for this interpreter: that
-        code, keyed by the sha256 of this exact text, is then all that
-        runs.  Otherwise the body is read now, exactly as an eager load
+        It stays text when the backend is py, its header names the
+        request, and its text's ``py/`` entry holds a code object for
+        this interpreter: that code, keyed by the sha256 of this exact
+        text, is then all that runs.  Otherwise the body is read now, exactly as an eager load
         reads it — the store is outside the process's trust boundary,
         so text that does not parse, or that the verifier rejects, is
         treated like corruption.
@@ -296,7 +271,7 @@ class CompilationEngine:
         name = result.request.name()
         if stored.name == name:
             result.text = stored.text  # its print: nothing to re-print
-            if lazy:
+            if self.options.backend == "py":
                 fp = residual_fingerprint(stored.text)
                 cached = self._load_py(fp)
                 result.py_entry = fp, cached

@@ -65,15 +65,13 @@ Descriptor = Tuple
 class CallLinkTable:
     """Owns every link slot of one VM; see the module docstring."""
 
-    def __init__(self, vm, enabled: bool = None) -> None:
+    def __init__(self, vm) -> None:
         self.vm = vm
-        if enabled is None:
-            enabled = os.environ.get("REPRO_LINK_CALLS", "1") != "0"
-        #: When False, bridges never patch: every site stays on the
-        #: slow ``vm.call``/``vm.call_table`` path forever.  Flipping
-        #: this at runtime requires an ``invalidate()`` to drop links
-        #: that were already made.
-        self.enabled = enabled
+        #: When False (``REPRO_LINK_CALLS=0``), bridges never patch:
+        #: every site stays on the slow ``vm.call``/``vm.call_table``
+        #: path forever.  Flipping this at runtime requires an
+        #: ``invalidate()`` to drop links that were already made.
+        self.enabled = os.environ.get("REPRO_LINK_CALLS", "1") != "0"
         #: Bumped on every invalidation; observability + test hook.
         self.epoch = 0
         #: Direct slots patched to a raw callable (lifetime total).

@@ -45,7 +45,6 @@ reason           tier       slot   fallback    window  counter
 ``quarantine``   kept       rule   —           rule    —
 ``deopt``        0          0      —           out     demotions
 ``blacklist``    0          0      —           out     blacklists
-``storm-pin``    0          0      —           out     storm_pins
 ===============  =========  =====  ==========  ======  ==========
 
 Tier "else 1": the emitter could not express the residual.  Fallback:
@@ -55,7 +54,10 @@ miss resumes in place).  ``promote`` is per-call promotion,
 ``promote_all`` and ``adopt_heat``; an installed tier-2 callable bumps
 ``tier2_installs`` whatever the reason.  With ``REPRO_OPT_VERIFY=1``
 :meth:`TieringController.check_invariants` re-derives the table from
-the live heap after every transition.
+the live heap after every transition, and checks the two bounds the
+policies give by construction: a blacklisted function is at tier 0, and
+a function deopts at its entry at most once (``deopt`` sets
+``no_speculate``, so no later residual of it is entry-guarded).
 """
 
 from __future__ import annotations
@@ -101,20 +103,17 @@ INLINE_MAX_INSTRS = 400
 # backoff measured in *threshold crossings* (the retry is earned by
 # fresh heat, not by wall clock — a function nobody calls never retries),
 # and after MAX_COMPILE_FAILURES contained failures the function is
-# blacklisted to tier 0 permanently.  Separately, the deopt-storm
-# breaker pins a function generic for good when STORM_DEOPTS guard
-# misses land within a window of STORM_WINDOW calls — with the
-# demote-exactly-once design a healthy function can deopt at most once
-# per speculation, so a storm means its guards are systematically wrong.
+# blacklisted to tier 0 permanently.  Guard failures need no breaker:
+# each speculation is demoted exactly once (an entry guard by ``deopt``,
+# a site guard by ``site-demote``), so a function sees at most one
+# event per guard it was ever given.
 MAX_COMPILE_FAILURES = 3
-STORM_DEOPTS = 8
-STORM_WINDOW = 64
 
 _UNSTABLE = object()
 
 # Transition reason -> the TieringStats counter it bumps.
 _REASON_COUNTER = {"promote": "promotions", "deopt": "demotions",
-                   "blacklist": "blacklists", "storm-pin": "storm_pins"}
+                   "blacklist": "blacklists"}
 
 
 class PromotionError(Exception):
@@ -200,18 +199,14 @@ class FunctionProfile:
     active_request: Optional[SpecializationRequest] = None
     # Fault containment: consecutive contained compile failures, the
     # score this function must reach before promotion is retried
-    # (None = not quarantined), and the two permanent verdicts.
+    # (None = not quarantined), and the permanent verdict.
     compile_failures: int = 0
     retry_at_score: Optional[float] = None
     blacklisted: bool = False
-    pinned_generic: bool = False
-    # Call-count marks of recent deopt/guard-miss events, for the storm
-    # breaker's sliding window.
-    deopt_marks: List[int] = dataclasses.field(default_factory=list)
     last_error: Optional[str] = None
 
-    def score(self, backedge_weight: int) -> int:
-        return self.calls + self.backedges // backedge_weight
+    def score(self) -> int:
+        return self.calls + self.backedges // BACKEDGE_WEIGHT
 
 
 class TieringController:
@@ -238,14 +233,6 @@ class TieringController:
                           else threshold)
         self.speculate = speculate
         self.compile_threshold = compile_threshold
-        # Policy constants kept as attributes: tests and embedders tune
-        # them on the instance, no caller passes them at construction.
-        self.backedge_weight = BACKEDGE_WEIGHT
-        self.inline_max_instrs = INLINE_MAX_INSTRS
-        self.inline_max_targets = INLINE_MAX_TARGETS
-        self.max_compile_failures = MAX_COMPILE_FAILURES
-        self.storm_deopts = STORM_DEOPTS
-        self.storm_window = STORM_WINDOW
         staged = self.options.backend == "py" and compile_threshold > 0
         self._staged_tier2 = staged
         self.inline = inline
@@ -361,6 +348,10 @@ class TieringController:
             assert not (profile.speculated and profile.tier) \
                 or name in vm.deopt_fallbacks, \
                 f"{name}: speculative without a deopt fallback"
+            assert not (profile.blacklisted and profile.tier), \
+                f"{name}: blacklisted at tier {profile.tier}"
+            assert profile.deopts <= 1, \
+                f"{name}: {profile.deopts} entry deopts"
         assert vm.site_profile_functions == self._site_window(), \
             "the VM's site window is not the staged-window residuals"
         assert not links_reset or vm.links.linked_count() == 0, \
@@ -525,8 +516,8 @@ class TieringController:
             profile.backedges += record["backedges"]
             profile.published_calls += record["calls"]
             profile.published_backedges += record["backedges"]
-            if profile.tier == 0 and \
-                    profile.score(self.backedge_weight) >= self.threshold:
+            if profile.tier == 0 and self._may_attempt(profile) and \
+                    profile.score() >= self.threshold:
                 hot.append(entry)
         if not hot:
             return []
@@ -550,7 +541,7 @@ class TieringController:
                 self._last_profile.backedges += delta
         self._last_profile = profile
         profile.calls += 1
-        if profile.pinned_generic or profile.blacklisted:
+        if profile.blacklisted:
             # A containment verdict is final: this function serves tier 0
             # for the rest of the session.
             self.stats.tier0_calls += 1
@@ -585,7 +576,7 @@ class TieringController:
                     samples[index] = args[index]
                 elif seen is not _UNSTABLE and seen != args[index]:
                     samples[index] = _UNSTABLE
-        if profile.score(self.backedge_weight) >= self.threshold and \
+        if profile.score() >= self.threshold and \
                 self._may_attempt(profile):
             name = self._promote(profile)
             if name is not None:
@@ -596,15 +587,15 @@ class TieringController:
         return None
 
     # ------------------------------------------------------------------
-    # Fault containment (PR 9): quarantine, blacklist, storm breaker.
+    # Fault containment (PR 9): quarantine and blacklist.
     # ------------------------------------------------------------------
     def _may_attempt(self, profile: FunctionProfile) -> bool:
         """Whether containment policy permits a compile attempt now."""
-        if profile.blacklisted or profile.pinned_generic:
+        if profile.blacklisted:
             return False
         if profile.retry_at_score is None:
             return True
-        return profile.score(self.backedge_weight) >= profile.retry_at_score
+        return profile.score() >= profile.retry_at_score
 
     def _promote(self, profile: FunctionProfile) -> Optional[str]:
         """Compile ``profile``'s function and install it at this call
@@ -640,7 +631,7 @@ class TieringController:
         # Drop any queued requests the failed attempt left behind so the
         # next (unrelated) promotion does not replay a poisoned batch.
         self.compiler.pending = []
-        if profile.compile_failures >= self.max_compile_failures:
+        if profile.compile_failures >= MAX_COMPILE_FAILURES:
             if not profile.blacklisted:
                 profile.blacklisted = True
                 self._transition(profile, 0, "blacklist", batch=batch)
@@ -652,27 +643,8 @@ class TieringController:
         # earned 2^(N-1) further thresholds' worth of heat.
         backoff = max(1.0, float(self.threshold)) * \
             (2 ** (profile.compile_failures - 1))
-        profile.retry_at_score = \
-            profile.score(self.backedge_weight) + backoff
+        profile.retry_at_score = profile.score() + backoff
         self._transition(profile, profile.tier, "quarantine", batch=batch)
-
-    def _record_deopt_event(self, profile: FunctionProfile) -> bool:
-        """Feed one deopt/guard-miss event to the storm breaker; returns
-        True when the function is (now) pinned generic."""
-        marks = profile.deopt_marks
-        marks.append(profile.calls)
-        cutoff = profile.calls - self.storm_window
-        while marks and marks[0] < cutoff:
-            marks.pop(0)
-        if len(marks) < self.storm_deopts:
-            return False
-        if not profile.pinned_generic:
-            # Verdict: the speculation is systematically wrong — serve
-            # generically for good.  In-flight frames of old residuals
-            # still deopt safely (their fallback mappings survive).
-            profile.pinned_generic = True
-            self._transition(profile, 0, "storm-pin")
-        return True
 
     # ------------------------------------------------------------------
     # Promotion.
@@ -761,7 +733,7 @@ class TieringController:
             return None  # self-recursion only grows the body
         try:
             if callee.entry is None or \
-                    callee.num_instrs() > self.inline_max_instrs:
+                    callee.num_instrs() > INLINE_MAX_INSTRS:
                 return None
         except Exception:
             return None  # a stored body that failed its first read
@@ -780,7 +752,7 @@ class TieringController:
             hist = profile.site_callees[site]
             if sum(hist.values()) < self.inline_min_site_calls:
                 continue
-            if len(hist) > self.inline_max_targets:
+            if len(hist) > INLINE_MAX_TARGETS:
                 self.stats.inline_candidates_rejected += 1
                 continue
             targets = [self._inlinable_target(profile, index)
@@ -817,8 +789,6 @@ class TieringController:
         with self._stalled():
             profile.no_inline_sites.add(site)
             self.stats.site_demotions += 1
-            if self._record_deopt_event(profile):
-                return  # storm breaker: pinned generic, no repair compile
             try:
                 plan = tuple(e for e in profile.inline_plan if e[0] != site)
                 self._respecialize(profile, plan, "site-demote",
@@ -854,8 +824,6 @@ class TieringController:
         profile.no_speculate = True
         profile.speculated = False
         self._transition(profile, 0, "deopt")
-        if self._record_deopt_event(profile):
-            return  # storm breaker: pinned generic, no replacement
         # Respecialize without the failed speculation and install the
         # plain residual; the deopted call itself runs generically (the
         # VM re-dispatches it after this hook returns).  Contained: a
@@ -894,14 +862,13 @@ class TieringController:
                 f"rejected={stats.inline_candidates_rejected} "
                 f"misses={stats.site_misses} "
                 f"site_demotions={stats.site_demotions}")
-        if stats.compile_failures or stats.blacklists or stats.storm_pins:
+        if stats.compile_failures or stats.blacklists:
             lines.append(
                 f"containment: failures={stats.compile_failures} "
                 f"quarantines={stats.quarantines} "
                 f"retries={stats.quarantine_retries} "
                 f"recoveries={stats.quarantine_recoveries} "
-                f"blacklists={stats.blacklists} "
-                f"storm_pins={stats.storm_pins}")
+                f"blacklists={stats.blacklists}")
         estats = self.compiler.engine.stats
         if estats.requests_failed or estats.store_degraded:
             lines.append(

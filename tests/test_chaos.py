@@ -13,7 +13,8 @@ asserts exactly that, with seeded deterministic
   of that one stage);
 * randomized combined schedules across all seams (several seeds);
 * the containment policies one by one — quarantine + backoff retry,
-  permanent blacklist, the deopt-storm breaker and degraded stores;
+  permanent blacklist and degraded stores — and the bound no policy is
+  needed for: a speculation that fails is demoted once;
 * recovery: a quarantined function re-promotes once injection stops;
 * helpers: an emit fault at a helper's consult leaves the helper on the
   IR VM and every request it rode with at tier 2.
@@ -38,6 +39,7 @@ from repro.min.fleet import (
 )
 from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE, build_min_module
+from repro.pipeline import tiering
 from repro.pipeline.artifacts import unread
 from repro.pipeline.faults import SEAMS, FaultInjected, FaultPlan
 from repro.pipeline.profiles import open_profile_store
@@ -203,8 +205,7 @@ class TestQuarantine:
             vm.call("min_interp", _args(program, 1))
         target = profile.retry_at_score
         assert target is not None
-        assert target >= profile.score(controller.backedge_weight) \
-            + controller.threshold
+        assert target >= profile.score() + controller.threshold
         # The immediately-following call must NOT retry — the backoff is
         # a full threshold's worth of fresh heat away.
         vm.call("min_interp", _args(program, 1))
@@ -219,7 +220,7 @@ class TestQuarantine:
         assert controller.stats.quarantine_recoveries == 1
         assert profile.tier >= 1
         # The retry fired only after the backoff score was reached.
-        assert profile.score(controller.backedge_weight) >= target
+        assert profile.score() >= target
 
     def test_persistent_failure_blacklists_permanently(self):
         program = sum_to_n_program(30)
@@ -236,20 +237,21 @@ class TestQuarantine:
         assert profile.tier == 0
         assert controller.stats.blacklists == 1
         assert controller.stats.compile_failures == \
-            controller.max_compile_failures
+            tiering.MAX_COMPILE_FAILURES
         failures = controller.stats.compile_failures
         # Blacklist is final: more heat never compiles again.
         for _ in range(20):
             vm.call("min_interp", _args(program, 2))
         assert controller.stats.compile_failures == failures
 
-    def test_disarmed_plan_repromotes(self):
+    def test_disarmed_plan_repromotes(self, monkeypatch):
+        # Quarantine, never blacklist.
+        monkeypatch.setattr(tiering, "MAX_COMPILE_FAILURES", 99)
         program = sum_to_n_program(30)
         plan = FaultPlan.always("specialize")
         vm, controller = make_tiered_min(
             program, threshold=2,
             options=SpecializeOptions(fault_plan=plan))
-        controller.max_compile_failures = 99  # quarantine, never blacklist
         ref = VM(build_min_module(program))
         for _ in range(10):
             assert vm.call("min_interp", _args(program, 3)) == \
@@ -268,33 +270,10 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
-# The deopt-storm breaker.
+# A failed speculation is demoted once: no breaker bounds deopts.
 # ---------------------------------------------------------------------------
-class TestStormBreaker:
-    def test_storm_pins_function_generic(self):
-        program = sum_to_n_program(25)
-        vm, controller = make_tiered_min(
-            program, threshold=2, speculate=True,
-            options=SpecializeOptions(backend="vm"))
-        controller.storm_deopts = 1  # one deopt = a storm
-        ref = VM(build_min_module(program))
-        for value in (3, 3, 9, 3, 9, 9, 4, 5):
-            assert vm.call("min_interp", _args(program, value)) == \
-                ref.call("min_interp", _args(program, value))
-        profile = next(iter(controller.profiles.values()))
-        assert profile.pinned_generic
-        assert profile.tier == 0
-        assert controller.stats.storm_pins == 1
-        assert controller.stats.demotions == 1
-        # Pinned means pinned: heat can never promote it again.
-        promotions = controller.stats.promotions
-        for _ in range(20):
-            assert vm.call("min_interp", _args(program, 6)) == \
-                ref.call("min_interp", _args(program, 6))
-        assert controller.stats.promotions == promotions
-        assert "storm_pins=1" in controller.report()
-
-    def test_single_deopt_is_not_a_storm(self):
+class TestDeoptBound:
+    def test_a_deopt_demotes_once(self):
         program = sum_to_n_program(25)
         vm, controller = make_tiered_min(
             program, threshold=2, speculate=True,
@@ -304,10 +283,14 @@ class TestStormBreaker:
             assert vm.call("min_interp", _args(program, value)) == \
                 ref.call("min_interp", _args(program, value))
         profile = next(iter(controller.profiles.values()))
-        # Default thresholds: demote-once respecializes, no pin.
-        assert not profile.pinned_generic
+        # Demote-once respecializes without the guard.
         assert profile.tier >= 1
-        assert controller.stats.storm_pins == 0
+        for value in (4, 5) * 10:
+            assert vm.call("min_interp", _args(program, value)) == \
+                ref.call("min_interp", _args(program, value))
+        assert profile.tier >= 1
+        assert profile.deopts == 1 and controller.stats.deopts == 1
+        assert controller.stats.demotions == 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,10 @@
   parameters; compiled code counts only fuel; IR is written by hand as
   its text, ``FunctionBuilder`` keeps what the mini-C lowering calls,
   and one function rewrites a terminator; the mid-end is one function
-  over one pass list, with one round cap and one verifier module.
+  over one pass list, with one round cap and one verifier module; the
+  artifact store is the engine's one cache (no in-batch dedupe), and a
+  failed speculation is demoted once by construction (no deopt-storm
+  breaker).
 """
 
 import ast
@@ -304,6 +307,26 @@ def test_one_engine_record_and_emit_body():
     assert not _identifiers() & {
         "_Plan", "_finalize", "_specialize_one", "_backend_compiled",
         "_intern_tls"}
+
+
+def test_one_cache_and_no_deopt_breaker():
+    """Two requests of one key in a batch are two requests: the engine
+    clones no producer's residual and counts no in-batch hit
+    (``cache_hits`` is the constant 0 the ledger reads).  No storm
+    breaker pins a function: ``check_invariants`` holds the bound."""
+    assert not _identifiers() & {
+        "STORM_DEOPTS", "STORM_WINDOW", "storm_deopts", "storm_window",
+        "storm_pins", "pinned_generic", "deopt_marks",
+        "_record_deopt_event", "cache_hit"}
+    engine = dict(_sources())["repro/pipeline/engine.py"]
+    assert not [node for node in ast.walk(engine)
+                if "clone_function" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None),
+                                        getattr(node, "name", None))]
+    engine_stats = stats_module.EngineStats
+    assert "cache_hits" not in {
+        field.name for field in dataclasses.fields(engine_stats)}
+    assert engine_stats().cache_hits == 0
 
 
 def test_every_stats_field_has_a_reader():

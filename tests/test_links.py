@@ -16,9 +16,9 @@ Three layers:
   ``vm.compiled[name](vm, *args)``;
 * **invalidation matrix** — every dispatch-changing event resets the
   table: tier-2 install, whole-function demotion, per-site demotion,
-  blacklist, deopt-storm pinning, ``unregister`` / endpoint churn at a
-  reused heap base, fleet heat adoption, and a seeded chaos schedule
-  with linking enabled throughout;
+  blacklist, ``unregister`` / endpoint churn at a reused heap base,
+  fleet heat adoption, and a seeded chaos schedule with linking enabled
+  throughout;
 * **direct links to helpers** — MiniLua residuals call the compiled
   ``lua_call`` through direct slots that patch: linked ≡ unlinked, and
   a tiered run keeps the controller's invariants under the verify flag.
@@ -431,20 +431,6 @@ class TestInvalidationMatrix:
                     ref_vm.call("min_interp", endpoint.args(i % 7))
         assert controller.stats.blacklists >= 1
         assert vm.links.epoch > 0
-
-    def test_storm_pin_bumps_epoch(self):
-        program = sum_to_n_program(25)
-        vm, controller = make_tiered_min(
-            program, threshold=2, speculate=True,
-            options=SpecializeOptions(backend="vm"))
-        controller.storm_deopts = 1
-        ref = VM(build_min_module(program))
-        epoch_before = vm.links.epoch
-        for value in (3, 3, 9, 3, 9, 9, 4, 5):
-            assert vm.call("min_interp", _args(program, value)) == \
-                ref.call("min_interp", _args(program, value))
-        assert controller.stats.storm_pins == 1
-        assert vm.links.epoch > epoch_before
 
     def test_endpoint_churn_at_reused_base_never_stale(self):
         """A new tenant at a reused heap base must never be served

@@ -34,6 +34,7 @@ from repro.core import (
     SpecializedConst,
     SpecializedMemory,
 )
+from repro.core.cache import request_key
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import EngineStats
 from repro.frontend import compile_source
@@ -380,7 +381,7 @@ def test_nan_constant_survives_a_warm_start(tmp_path, backend):
 
 
 # An f64 request value is keyed by its bits: ``==`` merges 0.0 with -0.0
-# and ``repr`` merges NaN payloads, in the batch dedupe and the store.
+# and ``repr`` merges NaN payloads, in the request key and the store.
 STORE_F64_SRC = "u64 f(f64 x, u64 p) { storef64(p, x); return load64(p); }"
 
 
@@ -400,9 +401,12 @@ def _f64_batch(bit_patterns, cache_dir=None):
 
 
 def test_signed_zeros_are_two_requests_in_one_batch():
-    _, runs = _f64_batch([0, 0x8000000000000000])
-    assert [(bits, result.cache_hit) for bits, result in runs] == [
-        (0, False), (0x8000000000000000, False)]
+    engine, runs = _f64_batch([0, 0x8000000000000000])
+    snapshot = bytes(engine.module.memory_init)
+    keys = [request_key(engine.module, result.request, engine.options,
+                        snapshot) for _, result in runs]
+    assert keys[0] != keys[1]
+    assert [bits for bits, _ in runs] == [0, 0x8000000000000000]
 
 
 def test_nan_payloads_are_two_store_keys(tmp_path):
@@ -734,19 +738,17 @@ class TestEngineSurface:
         assert [r.function.name for r in again] == ["spec_a.2", "spec_b.2"]
         assert engine.stats.artifact_hits == 4
         assert engine.stats.functions_specialized == 0
-        assert engine.stats.cache_hits == 0
 
-    def test_duplicate_requests_share_one_compile(self):
+    def test_duplicate_keys_are_independent_requests(self):
+        """The store is the one cache: a second request of a key in the
+        same batch specializes for itself, under its own name."""
         engine = CompilationEngine(build_module())
         request = make_requests()[0]
         twin = dataclasses.replace(request, specialized_name="spec_twin")
         results = engine.compile_batch([request, twin])
-        assert engine.stats.functions_specialized == 1
-        assert engine.stats.cache_hits == 1
-        assert results[0].specialized and not results[0].cache_hit
-        assert results[1].cache_hit and not results[1].specialized
-        assert results[0].function.name == "spec_a"
-        assert results[1].function.name == "spec_twin"
+        assert engine.stats.functions_specialized == 2
+        assert all(r.specialized for r in results)
+        assert [r.function.name for r in results] == ["spec_a", "spec_twin"]
 
     def test_uncreatable_cache_dir_degrades_to_no_cache(self, tmp_path):
         """A cache_dir that cannot be created (path collides with a
@@ -1048,19 +1050,6 @@ class TestFaultContainment:
             assert retry[1].artifact_hit
             assert engine.stats.artifacts_written == 2
 
-    def test_dup_of_errored_producer_shares_failure(self):
-        from repro.pipeline.faults import FaultPlan
-        module = build_module()
-        engine = CompilationEngine(
-            module, SpecializeOptions(fault_plan=FaultPlan.once(
-                "specialize", index=0)))
-        request = make_requests()[0]
-        twin = dataclasses.replace(request, specialized_name="spec_twin")
-        results = engine.compile_batch([request, twin])
-        assert results[0].error is not None
-        assert results[1].error is not None  # no residual to clone
-        assert engine.stats.requests_failed == 2
-
     def test_emit_fault_fails_request(self):
         from repro.pipeline.faults import FaultPlan
         module = build_module()
@@ -1072,26 +1061,6 @@ class TestFaultContainment:
         assert results[0].error is not None
         assert results[1].error is None
         assert results[1].pyfunc is not None
-
-    def test_emit_fault_leaves_its_duplicate_standing(self):
-        """An emit crash fails its own request only: the twin cloned the
-        producer's residual before emission and emits for itself."""
-        from repro.pipeline.faults import FaultPlan
-        engine = CompilationEngine(
-            build_module(), SpecializeOptions(
-                backend="py",
-                fault_plan=FaultPlan.once("emit", index=0)))
-        request = make_requests()[0]
-        twin = dataclasses.replace(request, specialized_name="spec_twin")
-        results = engine.compile_batch([request, twin])
-        assert results[0].error is not None
-        assert results[0].pyfunc is None
-        assert results[1].error is None and results[1].cache_hit
-        assert results[1].function.name == "spec_twin"
-        assert results[1].pyfunc is not None
-        assert engine.stats.requests_failed == 1
-        assert engine.stats.cache_hits == 1
-        assert engine.stats.functions_specialized == 0
 
     def test_mid_batch_store_corruption_recompiles(self, tmp_path):
         """An artifact that goes bad *between* the existence probe and

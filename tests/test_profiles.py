@@ -23,7 +23,7 @@ from repro.min.fleet import (
 )
 from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE
-from repro.pipeline import artifacts
+from repro.pipeline import artifacts, tiering
 from repro.pipeline.profiles import (
     PROFILE_VERSION,
     ProfileStore,
@@ -313,19 +313,18 @@ class TestHeatPublishAdopt:
         assert store.load()[key]["calls"] == baseline + 1
 
     def test_cold_heat_below_threshold_seeds_without_promoting(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tiering, "BACKEDGE_WEIGHT", 1 << 30)
         program = sum_to_n_program(10)
         store = ProfileStore(str(tmp_path))
         vm_a, controller_a = self._serve(program, str(tmp_path), calls=2,
                                          threshold=100)
-        controller_a.backedge_weight = 1 << 30
         assert controller_a.publish_heat(store)
 
         vm_b, controller_b = make_tiered_min(
             program, threshold=4,
             options=SpecializeOptions(backend="vm",
                                       cache_dir=str(tmp_path)))
-        controller_b.backedge_weight = 1 << 30
         assert controller_b.adopt_heat(store) == []
         assert controller_b.stats.promotions == 0
         # The seeded counters shorten the remaining runway: 2 fleet
@@ -334,6 +333,30 @@ class TestHeatPublishAdopt:
         assert controller_b.stats.promotions == 0
         vm_b.call("min_interp", _args(program, 0))
         assert controller_b.stats.promotions == 1
+
+    def test_adoption_leaves_a_blacklisted_function_at_tier_0(
+            self, tmp_path):
+        """Regression: ``adopt_heat`` promoted a blacklisted function to
+        tier 1 and patched its slot, while ``_on_call`` kept counting
+        its calls as tier 0.  A blacklist is final, fleet heat
+        included."""
+        from repro.pipeline.faults import FaultPlan
+        program = sum_to_n_program(30)
+        plan = FaultPlan.always("specialize")
+        vm, controller = make_tiered_min(
+            program, threshold=1, options=SpecializeOptions(fault_plan=plan))
+        for _ in range(20):
+            vm.call("min_interp", _args(program, 2))
+        profile = next(iter(controller.profiles.values()))
+        assert profile.blacklisted and profile.tier == 0
+        plan.disarm()
+        store = ProfileStore(str(tmp_path))
+        assert controller.publish_heat(store)
+        assert store.merge({profile_key("min_interp", PROGRAM_BASE):
+                            {"calls": 100, "backedges": 0}})
+        assert controller.adopt_heat(store) == []
+        assert profile.tier == 0
+        assert vm.load_u64(profile.entry.result_addr) == 0
 
     def test_adopt_from_empty_store_is_a_noop(self, tmp_path):
         program = sum_to_n_program(10)

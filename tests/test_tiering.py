@@ -24,6 +24,7 @@ Covers the pieces the differential tier exercises only end-to-end:
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SpeculatedConst, SpecializationRequest
 from repro.core.request import Runtime, SpecializedConst, SpecializedMemory
@@ -35,6 +36,7 @@ from repro.ir.verifier import VerificationError, verify_function
 from repro.luavm.runtime import LuaRuntime
 from repro.min.harness import make_tiered_min, sum_to_n_program
 from repro.min.interp import PROGRAM_BASE, build_min_module
+from repro.pipeline import tiering
 from repro.vm import VM
 from repro.vm.machine import GuardFailed
 
@@ -356,12 +358,12 @@ class TestNestedDeopt:
 # ---------------------------------------------------------------------------
 
 class TestControllerPolicy:
-    def test_never_promotes_below_threshold(self):
+    def test_never_promotes_below_threshold(self, monkeypatch):
         # Neutralize loop scoring (tested separately) so the policy
         # under test is purely the call counter.
+        monkeypatch.setattr(tiering, "BACKEDGE_WEIGHT", 1 << 30)
         program = sum_to_n_program(3)
         vm, controller = make_tiered_min(program, threshold=10)
-        controller.backedge_weight = 1 << 30
         for _ in range(9):
             vm.call("min_interp", _args(program, 0))
         assert controller.stats.promotions == 0
@@ -573,6 +575,28 @@ class TestControllerPolicy:
         vm.call("min_interp", _args(program, 0))
         text = controller.report()
         assert "promotions=1" in text and "tier" in text
+
+
+@pytest.mark.parametrize("backend", ["vm", "py"])
+@settings(max_examples=20, deadline=None)
+@given(values=st.lists(st.sampled_from((2, 3, 9)), min_size=1, max_size=12),
+       threshold=st.integers(min_value=1, max_value=4))
+def test_a_speculation_deopts_at_most_once(backend, values, threshold):
+    """Arguments drawn from three values, so an entry guard both holds
+    and fails: every result equals the interpreter's, and with no
+    breaker a profile still deopts at most once and demotes at most
+    once."""
+    program = sum_to_n_program(12)
+    vm, controller = make_tiered_min(
+        program, threshold=threshold, speculate=True,
+        options=SpecializeOptions(backend=backend))
+    ref = VM(build_min_module(program))
+    for value in values:
+        assert vm.call("min_interp", _args(program, value)) == \
+            ref.call("min_interp", _args(program, value))
+    controller.check_invariants()
+    assert all(p.deopts <= 1 for p in controller.profiles.values())
+    assert controller.stats.demotions <= len(controller.profiles)
 
 
 class TestPromoteSeconds:
