@@ -12,8 +12,9 @@ observable semantics:
   operand names, so values are the same unsigned-64-bit bit patterns
   by construction;
 * a sized load or store is an explicit bounds line (the VM's trap
-  text, raised before anything is touched) and then one call of the
-  precompiled ``struct`` codec its ``LOADS``/``STORES`` row names —
+  text, raised through ``_oob`` before anything is touched) and then
+  one call of the precompiled ``struct`` codec its ``LOADS``/``STORES``
+  row names —
   ``v9 = _getQ(M, a)[0]``, ``_putI(M, a, v & 0xffffffff)``; one byte is
   ``M[a]``.  No width is spelled here;
 * a compare (a ``_int(<cmp>)`` row) whose result has exactly one use,
@@ -23,7 +24,10 @@ observable semantics:
   so a guest value is always an ``int`` and nothing but branch
   truthiness ever sees a Python ``bool``;
 * traps raise the same :class:`~repro.vm.machine.VMTrap` kinds with the
-  same messages, out-of-fuel raises :class:`OutOfFuel`;
+  same messages, out-of-fuel raises :class:`OutOfFuel`; the per-block
+  fuel-limit and bounds guards raise out of line, through
+  :mod:`repro.backend.runtime`'s ``_oof`` / ``_oob``, to keep emitted
+  source small;
 * fuel is charged per *block* (one ``_fu += n`` per block entry instead
   of one per instruction), which yields byte-identical totals to the VM
   on every execution that does not trap mid-block, and the fuel-limit
@@ -59,12 +63,16 @@ over a block index ``_b`` (depth ``log2(n)``) inside a ``while True:``,
 and an edge between them assigns ``_b`` and falls out of its tree arm
 to re-dispatch.  An irreducible SCC (a multi-entry cycle) becomes such
 a region inside the structured skeleton; a function that would nest
-past the indentation budget is re-emitted as a single region around
-all of its blocks (``mode_used == "dispatch"``) by the same code.
+past either of CPython's limits — about 100 indent levels in the
+parser (budgeted as ``_MAX_DEPTH``), 20 statically nested blocks in
+the compiler (``_MAX_STATIC_BLOCKS``: the body's ``try`` and one per
+open ``while True:``) — is re-emitted as a single region around all of
+its blocks (``mode_used == "dispatch"``) by the same code, so every
+source the emitter produces is one ``compile()`` accepts.
 
-Anything the emitter cannot express, and any source ``compile()``
-refuses, raises :class:`UnsupportedConstruct`; callers fall back to the
-VM per function.
+Anything the emitter cannot express raises
+:class:`UnsupportedConstruct`, and so, defensively, does a source
+``compile()`` refuses; callers fall back to the VM per function.
 """
 
 from __future__ import annotations
@@ -99,9 +107,10 @@ class UnsupportedConstruct(BackendError):
 
 
 class _StructureTooDeep(BackendError):
-    """Structured emission would nest past the indentation budget;
-    :meth:`StructuredEmitter.emit_source` re-emits the function as one
-    dispatch region (internal — never escapes it)."""
+    """Structured emission would nest past the indentation budget or
+    CPython's static-block limit; :meth:`StructuredEmitter.emit_source`
+    re-emits the function as one dispatch region (internal — never
+    escapes it)."""
 
 
 # Pure ops are printed from their repro.ir.semantics row: op -> (the
@@ -262,14 +271,18 @@ def _tarjan_sccs(succs: Dict[int, List[int]], entry: int
     return sccs
 
 
+# The two limits structured emission must stay inside; past either,
+# the function is re-emitted as one dispatch region.
+#
 # Indentation budget: CPython's *parser* rejects nesting around 100
 # indent levels; leave generous headroom for the skeleton, peepholes,
 # and the extra level the indirect-call inline cache nests inside a
-# block.  The *compiler's* limit of 20 statically nested blocks is a
-# different one and is not budgeted here: a source past it is refused
-# by ``compile()`` and the function stays on the IR VM (ROADMAP item
-# 2(a)).
+# block.
 _MAX_DEPTH = 86
+# CPython's *compiler* refuses more than 20 statically nested blocks
+# (``CO_MAXBLOCKS``).  Emitted code opens them two ways: the body's one
+# ``try:``, and one ``while True:`` per open scope.
+_MAX_STATIC_BLOCKS = 20
 
 
 class StructuredEmitter:
@@ -281,7 +294,7 @@ class StructuredEmitter:
         self.module = module
         # The shape of the last :meth:`emit_source`: "structured", or
         # "dispatch" when the whole function is one dispatch region
-        # (the too-deep fallback); and how much of it is left to
+        # (the too-deep re-emission); and how much of it is left to
         # dispatch regions — the irreducible SCCs, or that one region
         # and every block.
         self.mode_used = "structured"
@@ -379,6 +392,12 @@ class StructuredEmitter:
         self._lines.append(_INDENT * self._depth + text)
 
     def _push_scope(self, scope: _Scope) -> None:
+        # Static blocks once it is open: the body's ``try``, the open
+        # scopes and this one.
+        if len(self._scopes) + 2 > _MAX_STATIC_BLOCKS:
+            raise _StructureTooDeep(
+                f"{self.func.name}: structured nesting exceeds "
+                f"{_MAX_STATIC_BLOCKS} static blocks")
         scope.st_mark = self._st_sets
         self._scopes.append(scope)
         self._line("while True:")
@@ -619,8 +638,7 @@ class StructuredEmitter:
             self._line(raw)
         # Same boundary the VM checks at: after the block's instructions,
         # before charging the terminator.
-        self._line('if _L is not None and S.fuel + _fu > _L: '
-                   'raise OutOfFuel("fuel limit %d exceeded" % _L)')
+        self._line("if _L is not None and S.fuel + _fu > _L: _oof(_L)")
         self._line("_fu += 1")
         if isinstance(term, Jump):
             self._transfer(term.target)
@@ -702,8 +720,7 @@ class StructuredEmitter:
             if signed:
                 raw = f"_sext({raw}, {size * 8})"
             return pre + [
-                f'if {a} < 0 or {a} + {size} > _ML: '
-                f'raise VMTrap("oob {op} at %#x" % {a})',
+                f"if {a} < 0 or {a} + {size} > _ML: _oob({op!r}, {a})",
                 f"{r} = {raw}",
             ]
         mem = STORES.get(op)
@@ -719,8 +736,7 @@ class StructuredEmitter:
             store = (f"M[{a}] = {value}" if codec is None else
                      f"{codec}(M, {a}, {value})")
             return pre + [
-                f'if {a} < 0 or {a} + {size} > _ML: '
-                f'raise VMTrap("oob {op} at %#x" % {a})',
+                f"if {a} < 0 or {a} + {size} > _ML: _oob({op!r}, {a})",
                 store,
             ]
 
@@ -882,10 +898,11 @@ class StructuredEmitter:
                 _MAX_DEPTH)
             self.mode_used = "structured"
         except _StructureTooDeep:
-            # Past the budget the whole function is the one region an
-            # irreducible SCC would be.  No budget applies: the tree is
-            # 3 + ceil(log2(blocks)) levels deep plus a block's own
-            # nesting, which cannot reach the parser's limit.
+            # Past either limit the whole function is the one region an
+            # irreducible SCC would be.  No indent budget applies: the
+            # tree is 3 + ceil(log2(blocks)) levels deep plus a block's
+            # own nesting, which cannot reach the parser's limit; and
+            # its one scope is two static blocks with the ``try``.
             body = self._emit_body(
                 [_DispatchUnit([func.entry], rpo, func.entry)],
                 float("inf"))
@@ -946,9 +963,10 @@ def emit_function_source(func: Function,
     """Emit Python source for ``func``.
 
     Returns ``(source, mode_used, emitter)``; ``mode_used`` is
-    ``"dispatch"`` when structured emission nested past the budget and
-    the whole function was emitted as one dispatch region (the choice
-    is deterministic, so cached sources stay stable).
+    ``"dispatch"`` when structured emission nested past the indent
+    budget or the static-block limit and the whole function was emitted
+    as one dispatch region (the choice is deterministic, so cached
+    sources stay stable).
     """
     # ``mode`` survives only for its reader,
     # benchmarks/ledger/ledger_workloads.py::_measure_emitted.

@@ -9,8 +9,11 @@ constant folder run.  The memory accessors come from the same table: a
 sized load or store calls the codec its ``LOADS``/``STORES`` row names
 (``_getQ``, ``_putd``, ...), which ``HELPERS`` carries too.  What this
 module adds is what only compiled code needs: the trap exception types
-as plain global names and ``_exhaust``, the depth-limit trap of the
-callee prologue.
+as plain global names and the three trap raisers emitted code calls
+out of line, so a guard line spells only its test: ``_exhaust``, the
+depth-limit trap of the callee prologue; ``_oof``, the per-block
+fuel-limit trap; and ``_oob``, the bounds trap of a sized load or
+store.  Each raises the VM's exception type with its exact message.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from repro.ir.semantics import HELPERS
 from repro.vm.machine import GuardFailed, OutOfFuel, VMTrap
 
-__all__ = ["BACKEND_GLOBALS", "GuardFailed", "OutOfFuel", "VMTrap"]
+__all__ = ["BACKEND_GLOBALS", "GuardFailed", "VMTrap"]
 
 
 def _exhaust(vm, name: str) -> None:
@@ -33,12 +36,25 @@ def _exhaust(vm, name: str) -> None:
     raise VMTrap(f"call stack exhausted in {name}")
 
 
+def _oof(limit: int) -> None:
+    """Fuel-limit trap: ``VM._eval``'s ``OutOfFuel`` text, raised at the
+    block boundary where the VM checks."""
+    raise OutOfFuel(f"fuel limit {limit} exceeded")
+
+
+def _oob(op: str, addr: int) -> None:
+    """Bounds trap of the sized load or store ``op``: ``VM._eval``'s
+    ``VMTrap`` text, raised before memory is touched."""
+    raise VMTrap(f"oob {op} at {addr:#x}")
+
+
 # The global namespace for emitted code (copied per compiled function so
 # nothing can leak between modules).
 BACKEND_GLOBALS = {
     **HELPERS,
     "VMTrap": VMTrap,
-    "OutOfFuel": OutOfFuel,
     "GuardFailed": GuardFailed,
     "_exhaust": _exhaust,
+    "_oof": _oof,
+    "_oob": _oob,
 }

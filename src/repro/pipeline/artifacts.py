@@ -98,7 +98,10 @@ ARTIFACT_VERSION = 6
 # fusion, NaN-box casts inline (tests/golden/emitter_pin.txt trips when
 # emitted bytes change under an unchanged version).
 # 7: compiled code charges only ``S.fuel``.
-EMITTER_VERSION = 7
+# 8: a function past CPython's static-block limit is re-emitted as one
+# dispatch region; fuel-limit and bounds traps raise through ``_oof`` and
+# ``_oob``.
+EMITTER_VERSION = 8
 
 HIT = "hit"
 MISS = "miss"

@@ -285,7 +285,8 @@ def branch_chain(depth: int) -> Module:
 
 
 # CPython compiles at most 20 statically nested blocks; the emitted
-# function's ``try`` is one, each loop's ``while True:`` another.
+# function's ``try`` is one, each loop's ``while True:`` another.  The
+# deepest nest structured emission keeps; one loop more is emitted flat.
 MAX_COMPILABLE_LOOP_NEST = 19
 
 

@@ -17,9 +17,11 @@ differential corpus does not isolate:
   their ``br_if`` and which keep ``_int(...)``, so nothing but branch
   truthiness ever sees a Python ``bool``;
 * per-function fallback for constructs the emitter rejects;
-* the emitter's two nesting limits: past its own indent budget the
-  function is re-emitted flat, past CPython's static-block limit
-  ``compile()`` refuses the source and the function stays on the IR VM.
+* the emitter's two nesting limits: past its indent budget or past
+  CPython's 20 static blocks the function is re-emitted flat, so a loop
+  nest on either side of the static-block cliff reaches tier 2;
+* the out-of-line trap raisers (``_oof``, ``_oob``): the VM's exception
+  type and message, and the VM's fuel at the raise.
 """
 
 import math
@@ -35,9 +37,10 @@ from repro.backend import (
     emitter,
 )
 from repro.core.specialize import SpecializeOptions
-from repro.ir import Module, parse_function
+from repro.ir import F64, I64, Module, parse_function
+from repro.ir.instructions import OPCODES
 from repro.ir.printer import float_text
-from repro.ir.semantics import PURE_EXPRS
+from repro.ir.semantics import LOADS, PURE_EXPRS, STORES
 from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.min.harness import sum_to_n_program
 from repro.pipeline.engine import CompilationEngine
@@ -55,6 +58,7 @@ from tests.helpers import (
     compile_py,
     emit_leg,
     loop_nest,
+    single_op_module,
 )
 
 TWO63 = 1 << 63
@@ -73,8 +77,8 @@ def _run(module: Module, name: str, args, pyfunc=None, fuel_limit=None):
         return ("ok", vm.call(name, list(args)), vm.stats.fuel)
     except VMTrap as trap:
         return ("trap", str(trap), None)
-    except OutOfFuel:
-        return ("out-of-fuel", None, vm.stats.fuel)
+    except OutOfFuel as exc:
+        return ("out-of-fuel", str(exc), vm.stats.fuel)
 
 
 def _run_both(module: Module, name: str, args,
@@ -479,11 +483,11 @@ def test_branch_chain_past_the_indent_budget_is_emitted_flat():
 
 
 def test_loop_nest_at_the_static_block_limit():
-    """The deepest loop nest ``compile()`` accepts stays structured and
-    agrees with the VM; one loop more is ROADMAP item 2(a)'s cliff —
-    still inside the indent budget, so no flat re-emission, but
-    ``compile()`` refuses it and the function runs on the IR VM with
-    exactly one recorded fallback."""
+    """The deepest loop nest CPython compiles structured stays
+    structured; one loop more — still inside the indent budget — would
+    be a 21st static block, so it is re-emitted as one dispatch region
+    and reaches tier 2 through the engine with no fallback.  Both agree
+    with the VM."""
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST)
     pyfunc, used = compile_py(module.functions["nest"], module)
     assert used.mode_used == "structured"
@@ -496,21 +500,78 @@ def test_loop_nest_at_the_static_block_limit():
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST + 1)
     engine = CompilationEngine(module, SpecializeOptions())
     compiled, fallbacks = engine.compile_backend_functions(["nest"])
-    assert compiled == {}
-    assert [name for name, _ in fallbacks] == ["nest"]
-    assert "too many statically nested blocks" in fallbacks[0][1]
-    assert engine.stats.backend_fallbacks == 1
-    assert _run(module, "nest", (1,))[:2] == ("ok", 1)
+    assert fallbacks == [] and engine.stats.backend_fallbacks == 0
+    assert emit_function_source(module.functions["nest"],
+                                module)[1] == "dispatch"
+    reference = _run(module, "nest", (1,))
+    assert reference[:2] == ("ok", 1)
+    assert _run(module, "nest", (1,), compiled["nest"]) == reference
 
 
-@pytest.mark.xfail(strict=True, raises=UnsupportedConstruct,
-                   reason="ROADMAP item 2(a): the emitter budgets indent "
-                          "levels, not CPython's statically nested blocks")
 def test_loop_nest_past_the_static_block_limit_reaches_tier_2():
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST + 1)
-    pyfunc, _ = compile_py(module.functions["nest"], module)
+    pyfunc, used = compile_py(module.functions["nest"], module)
+    assert used.mode_used == "dispatch"
     assert _run(module, "nest", (1,), pyfunc) \
         == _run(module, "nest", (1,))
+
+
+@pytest.mark.parametrize("depth", range(MAX_COMPILABLE_LOOP_NEST - 2,
+                                        MAX_COMPILABLE_LOOP_NEST + 5))
+def test_loop_nests_across_the_static_block_limit(depth):
+    """Nests that straddle the 20-block cliff, at every fuel limit from
+    0 to the call's whole fuel: compiled code gives the VM's result, or
+    its ``OutOfFuel`` with the same message and the same ``S.fuel`` at
+    the raise.  Only the nests past the cliff are emitted flat."""
+    module = loop_nest(depth)
+    pyfunc, used = compile_py(module.functions["nest"], module)
+    assert used.mode_used == ("structured"
+                              if depth <= MAX_COMPILABLE_LOOP_NEST
+                              else "dispatch")
+    full = _run(module, "nest", (1,))
+    assert full[:2] == ("ok", 1)
+    for limit in range(full[2] + 1):
+        assert _run(module, "nest", (1,), pyfunc, limit) \
+            == _run(module, "nest", (1,), None, limit), limit
+
+
+def test_out_of_line_trap_raisers_keep_the_vm_text():
+    """The bounds guard of every ``LOADS``/``STORES`` row and the
+    per-block fuel-limit guard raise through ``_oob`` and ``_oof``: the
+    VM's exception type and exact message, on both emit legs, and for
+    fuel the VM's ``S.fuel`` at the raise."""
+    memory_size = 64
+    for op in sorted(LOADS) + sorted(STORES):
+        info = OPCODES[op]
+        if op in LOADS:
+            module = single_op_module(op, (I64,), info.result)
+        else:
+            module = single_op_module(op, info.arg_types, None)
+        compiled = compile_legs(module.functions["f"], module)
+        size = (LOADS.get(op) or STORES[op]).size
+        value = () if op in LOADS else (
+            (1.5,) if info.arg_types[1] == F64 else (7,))
+        for addr in (memory_size - size + 1, memory_size, TWO63, MASK64):
+            args = (addr,) + value
+            reference = _run(module, "f", args)
+            assert reference == ("trap", f"oob {op} at {addr:#x}", None)
+            for leg in EMIT_LEGS:
+                assert _run(module, "f", args, compiled[leg]) \
+                    == reference, (op, addr, leg)
+
+    module = loop_nest(3)
+    compiled = compile_legs(module.functions["nest"], module)
+    full = _run(module, "nest", (2,))[2]
+    for limit in range(full + 2):
+        reference = _run(module, "nest", (2,), None, limit)
+        # The VM checks at block boundaries, so a limit just short of
+        # the total may still finish.
+        assert reference[:2] in (("ok", 8), ("out-of-fuel",
+                                             f"fuel limit {limit} exceeded"))
+        assert limit > full - 8 or reference[0] == "out-of-fuel"
+        for leg in EMIT_LEGS:
+            assert _run(module, "nest", (2,), compiled[leg], limit) \
+                == reference, (limit, leg)
 
 
 def test_backend_option_validation_and_env(monkeypatch):

@@ -32,7 +32,9 @@
   over one pass list, with one round cap and one verifier module; the
   artifact store is the engine's one cache (no in-batch dedupe), and a
   failed speculation is demoted once by construction (no deopt-storm
-  breaker).
+  breaker); the emitter spells no fuel-limit or bounds raise (emitted
+  code calls ``_oof`` / ``_oob``), and CPython's static-block limit is
+  one constant read by one test.
 """
 
 import ast
@@ -241,6 +243,24 @@ def test_one_emitter():
     assert _callables_taking({"batch_fuel", "emit_mode"}) == []
     assert not {"PyEmitter", "EMIT_MODES", "compile_functions"} \
         & set(repro.backend.__all__)
+
+
+def test_trap_raises_are_out_of_line_and_the_block_limit_said_once():
+    """Emitted guards call the raisers of ``backend/runtime.py``: the
+    emitter spells neither the fuel-limit nor the bounds raise.
+    CPython's static-block limit is one named constant, assigned once
+    and read only by the too-deep test in ``_push_scope``."""
+    emitter_text = (ROOT / "src/repro/backend/emitter.py").read_text()
+    for spelling in ("raise OutOfFuel(", 'raise VMTrap("oob',
+                     'raise VMTrap(f"oob'):
+        assert spelling not in emitter_text, spelling
+    limit = "_MAX_STATIC_BLOCKS"
+    assert _functions_mentioning(limit, "repro/") == \
+        [("repro/backend/emitter.py", "_push_scope")]
+    assert [file for file, tree in _sources() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == limit
+            and isinstance(node.ctx, ast.Store)] \
+        == ["repro/backend/emitter.py"]
 
 
 def test_deleted_engine_settings_are_type_errors():

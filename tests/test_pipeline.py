@@ -267,14 +267,23 @@ class TestWarmStart:
         """A source ``compile()`` refuses is a fallback verdict where it
         is first learned: the store entry carries the reason and no
         source, and a warm engine serves the same verdict without
-        compiling anything."""
+        compiling anything.  Every source the emitter writes compiles,
+        so the cold engine's ``compile()`` refuses this one by hand."""
         import builtins
 
-        from tests.helpers import MAX_COMPILABLE_LOOP_NEST, loop_nest
+        from tests.helpers import loop_nest
         options = SpecializeOptions(cache_dir=str(tmp_path))
-        cold = CompilationEngine(loop_nest(MAX_COMPILABLE_LOOP_NEST + 1),
-                                 options)
-        compiled, fallbacks = cold.compile_backend_functions(["nest"])
+        real_compile = builtins.compile
+
+        def refusing_compile(source, filename, *args, **kwargs):
+            if filename == "<pybackend:nest>":
+                raise SyntaxError("too many statically nested blocks")
+            return real_compile(source, filename, *args, **kwargs)
+
+        cold = CompilationEngine(loop_nest(3), options)
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "compile", refusing_compile)
+            compiled, fallbacks = cold.compile_backend_functions(["nest"])
         assert compiled == {}
         assert [name for name, _ in fallbacks] == ["nest"]
         assert "does not compile" in fallbacks[0][1]
@@ -285,15 +294,13 @@ class TestWarmStart:
         assert stored["fallback"] == fallbacks[0][1]
 
         compiles = []
-        real_compile = builtins.compile
 
         def counting_compile(source, filename, *args, **kwargs):
             compiles.append(filename)
             return real_compile(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "compile", counting_compile)
-        warm = CompilationEngine(loop_nest(MAX_COMPILABLE_LOOP_NEST + 1),
-                                 options)
+        warm = CompilationEngine(loop_nest(3), options)
         assert warm.compile_backend_functions(["nest"]) == ({}, fallbacks)
         assert compiles == []
         assert warm.stats.backend_emitted == 0
@@ -628,10 +635,11 @@ def _stored_texts(root):
 
 class TestLazyWarmStart:
     def test_code_hits_read_no_body(self, suite_store, monkeypatch):
-        """A warm start parses only the bodies the IR VM runs (mandreel's
-        one fallback); every other residual stays text until read, and
-        then reads back as the eager load would have: parsed, verified
-        and printed byte-identical to its stored text."""
+        """A warm start parses only the bodies the IR VM runs, and every
+        suite function reaches tier 2, so none: every residual stays
+        text until read, and then reads back as the eager load would
+        have: parsed, verified and printed byte-identical to its stored
+        text."""
         root, cold = suite_store
         parses = []
         real_parse = artifacts.parse_function
@@ -654,7 +662,7 @@ class TestLazyWarmStart:
         assert totals.functions_specialized == 0
         assert totals.backend_code_hits + totals.backend_fallbacks \
             == totals.requests == len(residuals)
-        assert len(parses) == totals.backend_fallbacks == 1
+        assert len(parses) == totals.backend_fallbacks == 0
         assert sum(unread(func) for _, func in residuals) \
             == totals.backend_code_hits
         stored = _stored_texts(root)
