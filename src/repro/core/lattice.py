@@ -12,7 +12,7 @@ backed by the snapshot taken at request time.  Loads whose (folded)
 address lands entirely inside a constant range fold to constants — this
 is the mechanism that erases the bytecode from the compiled result.
 
-:func:`fold_pure_op` (shared by the specializer and ``opt/fold.py``)
+:func:`fold_pure_op` (shared by the specializer and ``opt/gvn.py``)
 defines no arithmetic of its own: it calls the op's row in
 :mod:`repro.ir.semantics`, the function the VM executes.
 """

@@ -11,6 +11,8 @@ new function in which:
   promised-constant memory, so the result is a *bytecode-erased
   compilation*: no loads from the bytecode stream survive and dispatch
   branches fold away;
+* a constant that a residual instruction still needs is defined once
+  per function, in the entry block (:meth:`_Specializer._mat`);
 * run-time-data-dependent control flow is handled by
   ``specialized_value`` ("The Trick", S3.3), which emits a ``br_table``
   over the declared range with one specialized continuation per value
@@ -349,6 +351,8 @@ class _Specializer:
         self._rpo_unreachable = len(self._rpo_index)
         self._ctx_order: Dict[tuple, int] = {}
         self._mint_info: Optional[_KeyInfo] = None
+        # Each constant's one definition (see _mat).
+        self._consts: Dict[Const, int] = {}
         self._verify = verify_enabled_by_env()
 
     # ------------------------------------------------------------------
@@ -564,7 +568,6 @@ class _Specializer:
         info.edges_out = []
 
         state = info.entry_state.copy()
-        const_cache: Dict[Const, int] = {}
         pending_sv: Optional[Tuple[Instr, int, int, AbsVal]] = None
 
         # Stable minting: value ids allocated during this rebuild come
@@ -576,19 +579,18 @@ class _Specializer:
             for instr in gblock.instrs:
                 if instr.op == "call" and instr.imm in INTRINSICS:
                     ctx, pending_sv = self._transcribe_intrinsic(
-                        block, state, const_cache, ctx, instr)
+                        block, state, ctx, instr)
                     if pending_sv is not None:
                         break  # specialized_value is last by preparation
                 else:
-                    self._transcribe_instr(block, state, const_cache, instr)
+                    self._transcribe_instr(block, state, instr)
 
             if pending_sv is not None:
-                self._emit_value_specialization(info, block, state,
-                                                const_cache, ctx, gblock,
-                                                pending_sv)
+                self._emit_value_specialization(info, block, state, ctx,
+                                                gblock, pending_sv)
             else:
-                self._transcribe_terminator(info, block, state, const_cache,
-                                            ctx, gblock)
+                self._transcribe_terminator(info, block, state, ctx,
+                                            gblock)
         finally:
             self._mint_info = None
         info.out_state = state
@@ -617,22 +619,28 @@ class _Specializer:
         info.minted.append(vid)
         return vid
 
-    def _mat(self, block: Block,
-             const_cache: Dict[Const, int],
-             value: AbsVal) -> int:
-        """Materialize an abstract value as an SSA value in ``block``."""
+    def _mat(self, value: AbsVal) -> int:
+        """The SSA value of an abstract value: a ``Dyn``'s own id, or a
+        constant's one definition in this function.
+
+        A constant is defined once, in the prologue (the residual's entry
+        block, which dominates every block), the first time any block
+        needs it.  Its id is fresh from ``new_value``, never ``_mint``'s:
+        an id from one key's position cache would go to a different
+        instruction on that key's next rebuild."""
         if isinstance(value, Dyn):
             return value.vid
-        vid = const_cache.get(value)
+        vid = self._consts.get(value)
         if vid is None:
             op = "iconst" if value.ty == I64 else "fconst"
-            vid = self._mint(value.ty)
-            block.instrs.append(Instr(op, vid, (), value.value, value.ty))
-            const_cache[value] = vid
+            vid = self.out.new_value(value.ty)
+            self.out.blocks[self.out.entry].instrs.append(
+                Instr(op, vid, (), value.value, value.ty))
+            self._consts[value] = vid
         return vid
 
     def _transcribe_instr(self, block: Block, state: FlowState,
-                          const_cache, instr: Instr) -> None:
+                          instr: Instr) -> None:
         op = instr.op
         pure, load = _TRANSCRIBE_DISPATCH[op]
         try:
@@ -665,7 +673,7 @@ class _Specializer:
                 state.env[instr.result] = intern_const(folded, ty)
                 return
 
-        args = tuple(self._mat(block, const_cache, a) for a in abs_args)
+        args = tuple(self._mat(a) for a in abs_args)
         if instr.result is not None:
             ty = instr.result_type
             vid = self._mint(ty)
@@ -684,7 +692,7 @@ class _Specializer:
         return int(value.value)
 
     def _transcribe_intrinsic(self, block: Block, state: FlowState,
-                              const_cache, ctx, instr: Instr):
+                              ctx, instr: Instr):
         name = instr.imm[len("weval."):]
         abs_args = [state.env[a] for a in instr.args]
         stats = self.stats
@@ -745,7 +753,7 @@ class _Specializer:
                 state.env[instr.result] = slot.value
                 stats.local_loads_elided += 1
                 return ctx, None
-            addr = self._mat(block, const_cache, abs_args[1])
+            addr = self._mat(abs_args[1])
             vid = self._mint(I64)
             block.instrs.append(Instr("load64", vid, (addr,), 0, I64))
             loaded = Dyn(vid, I64)
@@ -759,7 +767,7 @@ class _Specializer:
             stats.local_stores_elided += 1
             return ctx, None
         if name == "flush":
-            self._flush(block, state, const_cache)
+            self._flush(block, state)
             return ctx, None
         if name == "push":
             state.stack.append(StackSlot(abs_args[0], abs_args[1], True))
@@ -771,7 +779,7 @@ class _Specializer:
                 state.env[instr.result] = slot.value
                 stats.stack_loads_elided += 1
             else:
-                addr = self._mat(block, const_cache, abs_args[0])
+                addr = self._mat(abs_args[0])
                 vid = self._mint(I64)
                 block.instrs.append(Instr("load64", vid, (addr,), 0, I64))
                 state.env[instr.result] = Dyn(vid, I64)
@@ -783,7 +791,7 @@ class _Specializer:
                 state.env[instr.result] = state.stack[-1 - depth].value
                 stats.stack_loads_elided += 1
             else:
-                addr = self._mat(block, const_cache, abs_args[1])
+                addr = self._mat(abs_args[1])
                 vid = self._mint(I64)
                 block.instrs.append(Instr("load64", vid, (addr,), 0, I64))
                 state.env[instr.result] = Dyn(vid, I64)
@@ -797,29 +805,29 @@ class _Specializer:
                                                     True)
                 stats.stack_stores_elided += 1
             else:
-                addr = self._mat(block, const_cache, abs_args[1])
-                value = self._mat(block, const_cache, abs_args[2])
+                addr = self._mat(abs_args[1])
+                value = self._mat(abs_args[2])
                 block.instrs.append(Instr("store64", None, (addr, value), 0,
                                           None))
                 stats.stack_stores_real += 1
             return ctx, None
         raise SpecializeError(f"unhandled intrinsic weval.{name}")
 
-    def _flush(self, block: Block, state: FlowState, const_cache) -> None:
+    def _flush(self, block: Block, state: FlowState) -> None:
         """Write back all dirty locals and stack slots (S4.2)."""
         for idx in sorted(state.locals):
             slot = state.locals[idx]
             if slot.dirty:
-                addr = self._mat(block, const_cache, slot.addr)
-                value = self._mat(block, const_cache, slot.value)
+                addr = self._mat(slot.addr)
+                value = self._mat(slot.value)
                 block.instrs.append(Instr("store64", None, (addr, value),
                                           0, None))
                 state.locals[idx] = LocalSlot(slot.addr, slot.value, False)
                 self.stats.local_stores_real += 1
         for pos, slot in enumerate(state.stack):
             if slot.dirty:
-                addr = self._mat(block, const_cache, slot.addr)
-                value = self._mat(block, const_cache, slot.value)
+                addr = self._mat(slot.addr)
+                value = self._mat(slot.value)
                 block.instrs.append(Instr("store64", None, (addr, value),
                                           0, None))
                 state.stack[pos] = StackSlot(slot.addr, slot.value, False)
@@ -848,7 +856,7 @@ class _Specializer:
                 for param, arg in zip(params, gcall.args)}
 
     def _transcribe_terminator(self, info: _KeyInfo, block: Block,
-                               state: FlowState, const_cache, ctx,
+                               state: FlowState, ctx,
                                gblock: Block) -> None:
         term = gblock.terminator
         if isinstance(term, Jump):
@@ -865,7 +873,7 @@ class _Specializer:
                 block.terminator = Jump(call)
                 self.stats.branches_folded += 1
                 return
-            cond_vid = self._mat(block, const_cache, cond)
+            cond_vid = self._mat(cond)
             tcall = self._add_edge(info, 0, ctx, term.if_true.block,
                                    self._branch_overrides(state,
                                                           term.if_true))
@@ -885,7 +893,7 @@ class _Specializer:
                 block.terminator = Jump(call)
                 self.stats.branches_folded += 1
                 return
-            index_vid = self._mat(block, const_cache, index)
+            index_vid = self._mat(index)
             cases = []
             for pos, gcall in enumerate(term.cases):
                 cases.append(self._add_edge(
@@ -898,8 +906,7 @@ class _Specializer:
             block.terminator = BrTable(index_vid, cases, dcall)
             return
         if isinstance(term, Ret):
-            args = tuple(self._mat(block, const_cache, state.env[a])
-                         for a in term.args)
+            args = tuple(self._mat(state.env[a]) for a in term.args)
             block.terminator = Ret(args)
             return
         if isinstance(term, Trap):
@@ -908,7 +915,7 @@ class _Specializer:
         raise SpecializeError(f"block{gblock.id} has no terminator")
 
     def _emit_value_specialization(self, info: _KeyInfo, block: Block,
-                                   state: FlowState, const_cache, ctx,
+                                   state: FlowState, ctx,
                                    gblock: Block, pending) -> None:
         """Lower a runtime-valued ``specialized_value`` ("The Trick")."""
         instr, lo, hi, value = pending
@@ -917,8 +924,8 @@ class _Specializer:
             "preparation must isolate specialized_value before a plain jump"
         cont = term.target.block
 
-        value_vid = self._mat(block, const_cache, value)
-        lo_vid = self._mat(block, const_cache, intern_const(lo, I64))
+        value_vid = self._mat(value)
+        lo_vid = self._mat(intern_const(lo, I64))
         index_vid = self._mint(I64)
         block.instrs.append(Instr("isub", index_vid, (value_vid, lo_vid),
                                   None, I64))
@@ -943,14 +950,13 @@ class _Specializer:
                 continue
             block = info.spec_block
             out = info.out_state
-            const_cache: Dict[Const, int] = {}
             flushed: Set[Tuple[str, int]] = set()
             for edge in info.edges_out:
                 succ = self.infos[edge.succ_key]
                 if succ.entry_state is None:
                     continue
-                self._emit_edge_fixups(block, const_cache, out,
-                                       succ.entry_state, flushed)
+                self._emit_edge_fixups(block, out, succ.entry_state,
+                                       flushed)
                 args = []
                 for slot in succ.param_slots:
                     value = binding_of(out, edge.overrides, slot)
@@ -959,10 +965,10 @@ class _Specializer:
                             f"{self.request.name()}: no value for slot "
                             f"{slot} on edge to {edge.succ_key} "
                             f"(internal error)")
-                    args.append(self._mat(block, const_cache, value))
+                    args.append(self._mat(value))
                 edge.call.args = tuple(args)
 
-    def _emit_edge_fixups(self, block: Block, const_cache, out: FlowState,
+    def _emit_edge_fixups(self, block: Block, out: FlowState,
                           succ_entry: FlowState,
                           flushed: Set[Tuple[str, int]]) -> None:
         """Flush dirty cached state that the successor does not keep.
@@ -973,8 +979,8 @@ class _Specializer:
         for idx, slot in out.locals.items():
             if slot.dirty and idx not in succ_entry.locals \
                     and ("lcl", idx) not in flushed:
-                addr = self._mat(block, const_cache, slot.addr)
-                value = self._mat(block, const_cache, slot.value)
+                addr = self._mat(slot.addr)
+                value = self._mat(slot.value)
                 block.instrs.append(
                     Instr("store64", None, (addr, value), 0, None))
                 flushed.add(("lcl", idx))
@@ -983,8 +989,8 @@ class _Specializer:
         for pos in range(keep, len(out.stack)):
             slot = out.stack[pos]
             if slot.dirty and ("stk", pos) not in flushed:
-                addr = self._mat(block, const_cache, slot.addr)
-                value = self._mat(block, const_cache, slot.value)
+                addr = self._mat(slot.addr)
+                value = self._mat(slot.value)
                 block.instrs.append(
                     Instr("store64", None, (addr, value), 0, None))
                 flushed.add(("stk", pos))

@@ -15,6 +15,7 @@ from typing import Dict, Set
 from repro.ir.function import Function
 from repro.ir.instructions import OPCODES, Instr, terminator_values
 from repro.ir.semantics import PURE_FNS, VMTrap
+from repro.opt.util import constants
 
 
 def _cannot_trap(instr: Instr, consts: Dict[int, object]) -> bool:
@@ -33,10 +34,7 @@ def _cannot_trap(instr: Instr, consts: Dict[int, object]) -> bool:
 
 
 def eliminate_dead_code(func: Function) -> int:
-    consts: Dict[int, object] = {
-        instr.result: instr.imm
-        for block in func.blocks.values() for instr in block.instrs
-        if instr.op in ("iconst", "fconst")}
+    consts = constants(func)
     removed_total = 0
     while True:
         used: Set[int] = set()

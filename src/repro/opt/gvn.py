@@ -1,5 +1,6 @@
-"""Dominator-scoped global value numbering (common-subexpression
-elimination).
+"""Dominator-scoped global value numbering, with copy propagation and
+constant folding in the same walk (Click, "Global Code Motion / Global
+Value Numbering", PLDI 1995).
 
 Two pure instructions with the same opcode, immediate, and operands
 compute the same value, so a definition that is dominated by an
@@ -9,6 +10,19 @@ scoped hash table: expressions found in an ancestor are available in
 every block the ancestor dominates, which is exactly the condition under
 which the rewrite preserves SSA dominance.
 
+Each pure instruction, its operands resolved through the rewrites so
+far, is in order:
+
+1. a *copy* when an algebraic identity makes it one of its operands
+   (``iadd x, 0``, ``imul x, 1``, ``iand x, ~0``, a ``select`` whose
+   arms agree or whose condition is constant; :func:`_copy_source`).
+   The operand's definition dominates the instruction's, so its uses
+   may read the operand instead;
+2. *folded* in place to an ``iconst`` / ``fconst`` when every operand
+   is a constant (:func:`~repro.core.lattice.fold_pure_op`, which leaves
+   an op that would trap alone);
+3. *numbered*: dropped if an equal expression dominates it.
+
 Commutative operand lists are sorted so ``iadd a, b`` unifies with
 ``iadd b, a``.  Float immediates are keyed by their bits (``_bits_ftoi``,
 not ``==``), so ``fconst 0.0`` and ``fconst -0.0`` stay distinct and NaN
@@ -17,20 +31,23 @@ constants with equal payloads unify.
 Constants get stronger treatment: ``iconst``/``fconst`` have no
 operands, so a definition can be *hoisted* to the entry block (which
 dominates everything) and then deduplicated function-wide, not just
-along dominator paths.  The specializer keeps a per-block constant
-cache while transcribing, so residual code re-materializes the same
-constant once per specialized block; constant pooling collapses all of
-them to one definition each.
+along dominator paths.  The specializer already defines each constant
+once in the entry block; pooling is for the constants the inline
+splicer clones into callee blocks and the ones step 2 folds, which the
+next run hoists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.lattice import fold_pure_op
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import Function
+from repro.ir.instructions import MASK64
 from repro.ir.semantics import _bits_ftoi
-from repro.opt.util import resolve, substitute_values
+from repro.ir.types import I64
+from repro.opt.util import constants, resolve, substitute_values
 
 # Ops whose result, to the bit, does not depend on operand order.  Not
 # ``fadd``/``fmul``: which NaN payload a result of two NaN operands
@@ -46,9 +63,49 @@ def _imm_key(imm: object) -> object:
     return imm
 
 
+def _copy_source(op: str, args: tuple,
+                 consts: Dict[int, object]) -> Optional[int]:
+    """The value id ``op(args)`` is an alias of, or None."""
+    const = consts.get
+    if op == "iadd":
+        if const(args[1]) == 0:
+            return args[0]
+        if const(args[0]) == 0:
+            return args[1]
+    elif op == "isub":
+        if const(args[1]) == 0:
+            return args[0]
+    elif op == "imul":
+        if const(args[1]) == 1:
+            return args[0]
+        if const(args[0]) == 1:
+            return args[1]
+    elif op in ("idiv_u", "idiv_s"):
+        if const(args[1]) == 1:
+            return args[0]
+    elif op in ("ior", "ixor", "ishl", "ishr_s", "ishr_u"):
+        if const(args[1]) == 0:
+            return args[0]
+        if op in ("ior", "ixor") and const(args[0]) == 0:
+            return args[1]
+    elif op == "iand":
+        if const(args[1]) == MASK64:
+            return args[0]
+        if const(args[0]) == MASK64:
+            return args[1]
+    elif op == "select":
+        if args[1] == args[2]:
+            return args[1]
+        cond = const(args[0])
+        if cond is not None:
+            return args[1] if cond != 0 else args[2]
+    return None
+
+
 def global_value_numbering(func: Function) -> int:
-    """Eliminate dominated redundant pure computations; returns the
-    number of instructions removed."""
+    """Propagate copies, fold constants, and eliminate dominated
+    redundant pure computations; returns the number of instructions
+    removed, hoisted, or folded."""
     if func.entry is None or func.entry not in func.blocks:
         return 0
     domtree = DominatorTree(func)
@@ -61,10 +118,10 @@ def global_value_numbering(func: Function) -> int:
     # function-wide — including across sibling branches where neither
     # definition dominates the other.
     entry_block = func.blocks[func.entry]
-    consts: Dict[tuple, int] = {}
+    pool: Dict[tuple, int] = {}
     for instr in entry_block.instrs:
         if instr.op in ("iconst", "fconst"):
-            consts.setdefault((instr.op, _imm_key(instr.imm)), instr.result)
+            pool.setdefault((instr.op, _imm_key(instr.imm)), instr.result)
     hoisted = 0
     for bid, block in func.blocks.items():
         if bid == func.entry or not domtree.is_reachable(bid):
@@ -75,7 +132,7 @@ def global_value_numbering(func: Function) -> int:
                 kept.append(instr)
                 continue
             key = (instr.op, _imm_key(instr.imm))
-            existing = consts.get(key)
+            existing = pool.get(key)
             if existing is not None:
                 subst[instr.result] = existing
                 replaced += 1
@@ -84,9 +141,12 @@ def global_value_numbering(func: Function) -> int:
                 # all strictly after the entry, so moving the def to the
                 # end of the entry block preserves def-before-use.
                 entry_block.instrs.append(instr)
-                consts[key] = instr.result
+                pool[key] = instr.result
                 hoisted += 1
         block.instrs = kept
+
+    consts = constants(func)
+    folded = 0
 
     # Scoped table: one dict per dominator-tree node, popped on exit.
     scopes: List[Dict[tuple, int]] = []
@@ -115,6 +175,21 @@ def global_value_numbering(func: Function) -> int:
             if instr.result is None or not instr.info().pure:
                 continue
             args = tuple(resolve(subst, a) for a in instr.args)
+            source = _copy_source(instr.op, args, consts)
+            if source is not None:
+                subst[instr.result] = source
+                dead.add(id(instr))
+                replaced += 1
+                continue
+            if args and all(a in consts for a in args):
+                value = fold_pure_op(instr.op, instr.imm,
+                                     [consts[a] for a in args])
+                if value is not None:
+                    instr.op = ("iconst" if instr.result_type == I64
+                                else "fconst")
+                    instr.args = args = ()
+                    instr.imm = consts[instr.result] = value
+                    folded += 1
             if instr.op in COMMUTATIVE:
                 args = tuple(sorted(args))
             key = (instr.op, _imm_key(instr.imm), args)
@@ -134,4 +209,4 @@ def global_value_numbering(func: Function) -> int:
         substitute_values(func, subst)
     # Hoists count as changes: they mutate the IR (converging after one
     # round — a hoisted constant is never hoisted again).
-    return replaced + hoisted
+    return replaced + hoisted + folded

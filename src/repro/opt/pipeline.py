@@ -38,17 +38,13 @@ from repro.ir.verifier import (
     verify_enabled_by_env,
     verify_function,
 )
-from repro.opt.copyprop import propagate_copies
 from repro.opt.dce import eliminate_dead_code
-from repro.opt.fold import fold_constants
 from repro.opt.gvn import global_value_numbering
 from repro.opt.load_forward import forward_loads
 from repro.opt.prune_params import prune_block_params
 from repro.opt.simplify_cfg import remove_unreachable_blocks, simplify_cfg
 
 PASSES = (
-    ("fold", fold_constants),
-    ("copyprop", propagate_copies),
     ("gvn", global_value_numbering),
     ("prune-params", prune_block_params),
     ("simplify-cfg", simplify_cfg),

@@ -1,16 +1,17 @@
-"""CFG simplification: unreachable-block removal, jump threading, and
-straight-line block merging.
+"""CFG simplification: unreachable-block removal, jump threading, branch
+folding, and straight-line block merging.
 
 Jump threading has one rule (:func:`thread_jumps`): an edge into an
 empty *forwarder* block whose terminator is decided for that edge — a
 ``jump``, or a ``br_if`` / ``br_table`` on a constant the edge passes —
-is retargeted to the decided successor.  Branches whose arms agree are
-collapsed to plain jumps (:func:`fold_uniform_branches`)."""
+is retargeted to the decided successor.  A branch decided in its own
+block — its selector is a constant, or its arms agree — is collapsed to
+a plain jump (:func:`fold_branches`)."""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.ir.cfg import reachable_blocks
 from repro.ir.function import Block, Function
@@ -21,7 +22,7 @@ from repro.ir.instructions import (
     Jump,
     terminator_values,
 )
-from repro.opt.util import substitute_values
+from repro.opt.util import constants, substitute_values
 
 
 def remove_unreachable_blocks(func: Function) -> int:
@@ -68,27 +69,37 @@ def merge_straightline(func: Function) -> int:
     return merged
 
 
-def fold_uniform_branches(func: Function) -> int:
-    """Collapse conditional terminators whose arms are identical.
+def _decided(term: Union[BrIf, BrTable], value: int) -> BlockCall:
+    """The arm a ``br_if`` / ``br_table`` takes on selector ``value``."""
+    if isinstance(term, BrIf):
+        return term.if_true if value != 0 else term.if_false
+    return (term.cases[value] if 0 <= value < len(term.cases)
+            else term.default)
 
-    ``br_if v, T(args), T(args)`` and a ``br_table`` whose cases and
-    default all agree become plain jumps; the condition value is left
-    for DCE."""
+
+def fold_branches(func: Function,
+                  consts: Optional[Dict[int, object]] = None) -> int:
+    """Collapse a ``br_if`` / ``br_table`` to a plain jump when its
+    selector is a constant (``consts``, :func:`~repro.opt.util.constants`
+    by default) or when all its arms are the same call; the selector is
+    left for DCE."""
+    if consts is None:
+        consts = constants(func)
     folded = 0
     for block in func.blocks.values():
         term = block.terminator
-        if isinstance(term, BrIf):
-            if (term.if_true.block == term.if_false.block and
-                    tuple(term.if_true.args) == tuple(term.if_false.args)):
-                block.terminator = Jump(term.if_true)
-                folded += 1
-        elif isinstance(term, BrTable):
-            calls = list(term.cases) + [term.default]
-            first = calls[0]
-            if all(c.block == first.block and
-                   tuple(c.args) == tuple(first.args) for c in calls[1:]):
-                block.terminator = Jump(first)
-                folded += 1
+        if not isinstance(term, (BrIf, BrTable)):
+            continue
+        selector = term.cond if isinstance(term, BrIf) else term.index
+        calls = term.targets()
+        if selector in consts:
+            block.terminator = Jump(_decided(term, consts[selector]))
+        elif all(c.block == calls[0].block and
+                 tuple(c.args) == tuple(calls[0].args) for c in calls[1:]):
+            block.terminator = Jump(calls[0])
+        else:
+            continue
+        folded += 1
     return folded
 
 
@@ -112,14 +123,16 @@ def _forwarders(func: Function) -> Dict[int, Block]:
     return forwarders
 
 
-def thread_jumps(func: Function) -> int:
+def thread_jumps(func: Function,
+                 consts: Optional[Dict[int, object]] = None) -> int:
     """Retarget every edge into a forwarder (:func:`_forwarders`) whose
     terminator the edge decides, composing block arguments through the
     forwarder's parameter bindings, and chase chains of them.
 
     An edge decides a ``jump`` whose arguments are all the forwarder's
     own parameters, and a ``br_if`` / ``br_table`` whose selector it
-    binds to an ``iconst``.
+    binds to a constant (``consts``, :func:`~repro.opt.util.constants`
+    by default).
 
     No dominance is needed.  A forwarder F's terminator names only F's
     parameters and values defined in blocks that dominate F.  Every path
@@ -132,8 +145,8 @@ def thread_jumps(func: Function) -> int:
     forwarder, although bypassing it would be SSA-valid.  Such edges
     stay put."""
     forwarders = _forwarders(func)
-    consts = {instr.result: instr.imm for block in func.blocks.values()
-              for instr in block.instrs if instr.op == "iconst"}
+    if consts is None:
+        consts = constants(func)
 
     def decide(call: BlockCall) -> Optional[BlockCall]:
         """The successor call ``call`` decides, else None."""
@@ -152,11 +165,7 @@ def thread_jumps(func: Function) -> int:
             value = consts.get(binding.get(selector, selector))
             if value is None:
                 return None
-            if isinstance(term, BrIf):
-                decided = term.if_true if value != 0 else term.if_false
-            else:
-                decided = (term.cases[value] if 0 <= value < len(term.cases)
-                           else term.default)
+            decided = _decided(term, value)
         else:
             return None
         return BlockCall(decided.block,
@@ -182,8 +191,11 @@ def thread_jumps(func: Function) -> int:
 
 def simplify_cfg(func: Function) -> int:
     changed = remove_unreachable_blocks(func)
-    changed += thread_jumps(func)
-    changed += fold_uniform_branches(func)
+    # Neither of the next two touches an instruction, so they share one
+    # constants map.
+    consts = constants(func)
+    changed += thread_jumps(func, consts)
+    changed += fold_branches(func, consts)
     changed += remove_unreachable_blocks(func)
     changed += merge_straightline(func)
     return changed

@@ -8,6 +8,14 @@ from repro.ir.function import Function
 from repro.ir.instructions import map_terminator
 
 
+def constants(func: Function) -> Dict[int, object]:
+    """value id -> immediate of every ``iconst`` / ``fconst`` in ``func``.
+    SSA makes constness global, so one map serves every block."""
+    return {instr.result: instr.imm
+            for block in func.blocks.values() for instr in block.instrs
+            if instr.op in ("iconst", "fconst")}
+
+
 def resolve(mapping: Dict[int, int], value: int) -> int:
     """Follow a substitution chain with path compression."""
     seen = []

@@ -89,7 +89,9 @@ from repro.ir.parser import IRParseError, parse_function, parse_header
 # 6: DCE keeps a dead op that can trap and GVN no longer commutes
 # fadd/fmul, so a residual stored at 5 may differ from what the mid-end
 # now makes from the same key (the key cannot see pass code).
-ARTIFACT_VERSION = 6
+# 7: the specializer defines each constant once, in the entry block, and
+# GVN's walk folds and propagates copies, so residual bytes move.
+ARTIFACT_VERSION = 7
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part
@@ -101,7 +103,9 @@ ARTIFACT_VERSION = 6
 # 8: a function past CPython's static-block limit is re-emitted as one
 # dispatch region; fuel-limit and bounds traps raise through ``_oof`` and
 # ``_oob``.
-EMITTER_VERSION = 8
+# 9: the pinned corpus re-specializes into the residuals of
+# ARTIFACT_VERSION 7, so its emitted bytes move with them.
+EMITTER_VERSION = 9
 
 HIT = "hit"
 MISS = "miss"

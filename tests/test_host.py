@@ -34,7 +34,9 @@
   failed speculation is demoted once by construction (no deopt-storm
   breaker); the emitter spells no fuel-limit or bounds raise (emitted
   code calls ``_oof`` / ``_oob``), and CPython's static-block limit is
-  one constant read by one test.
+  one constant read by one test; constants have one owner per stage
+  (the specializer's ``_mat``, GVN's walk: no ``opt/fold.py``,
+  ``opt/copyprop.py`` or ``const_cache``).
 """
 
 import ast
@@ -659,3 +661,20 @@ def test_the_mid_end_is_one_function():
             if re.match(r"\s*OPT_MAX_ROUNDS\s*=", line)] \
         == ["repro/opt/pipeline.py"]
     assert not (ROOT / "src" / "repro" / "ir" / "verify.py").exists()
+
+
+def test_constants_have_one_owner():
+    """Constants have one owner per stage: the specializer's ``_mat``
+    defines each once per function, and GVN's walk folds and propagates
+    copies, so ``repro.opt`` has no ``fold`` or ``copyprop`` module and
+    no function under ``src/`` threads a ``const_cache``."""
+    for name in ("fold", "copyprop"):
+        assert importlib.util.find_spec(f"repro.opt.{name}") is None, name
+    assert "const_cache" not in _identifiers()
+    tree = dict(_sources())["repro/core/specialize.py"]
+    spellings = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value == "iconst"]
+    assert len(spellings) == 1
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and spellings[0] in ast.walk(node)] == ["_mat"]

@@ -22,9 +22,10 @@ from repro.core.request import Runtime, SpecializationRequest
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import PipelineStats
 from repro.ir import Module, parse_function, print_function
-from repro.ir.instructions import Jump
+from repro.ir.instructions import BrIf, Jump
 from repro.ir.verifier import verify_function
 from repro.jsvm import JSRuntime
+from repro.opt import optimize_function
 from repro.opt.inline import (
     INLINE_HARD_CAP,
     InlineError,
@@ -291,6 +292,75 @@ class TestMissPaths:
         misses = _record_misses(vm)
         assert vm.call("caller", [index["add1"], 4]) == 4 + 1 + 7
         assert misses == []
+
+
+# ---------------------------------------------------------------------------
+# Folding across the former call boundary.
+# ---------------------------------------------------------------------------
+
+# A constant mode argument reaches a bit test and a branch: the shape of
+# the MiniJS scheduler callee, whose inlined copy is the one residual on
+# which the mid-end folds anything the specializer did not.
+SCHEDULE = """\
+func @sched(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iconst 4
+  v3 = ishr_u v0, v2
+  v4 = iconst 1
+  v5 = iand v3, v4
+  v6 = iconst 0
+  v7 = ine v5, v6
+  br_if v7, block1, block2
+block1:
+  v8 = iconst 100
+  v9 = iadd v1, v8
+  return v9
+block2:
+  return v1
+}"""
+
+
+def _schedule_caller(name: str):
+    """``f(sel, x) = table[sel](16, x)``: the mode 16 has bit 4 set."""
+    return parse_function(f"""\
+func @{name}(v0: i64, v1: i64) -> i64 {{
+block0:
+  v2 = iconst 16
+  v3 = call_indirect sig(i64, i64) -> i64 v0, v2, v1
+  return v3
+}}""")
+
+
+def test_constant_argument_folds_through_the_spliced_callee():
+    """After the splice and the mid-end, no pure op of the caller has
+    only constant operands and no ``br_if`` tests a constant; the
+    result is the un-spliced caller's, and the fuel is the splice's
+    (pinned) below it."""
+    module = Module(memory_size=64)
+    module.add_function(parse_function(SCHEDULE))
+    index = {"sched": module.add_table_entry("sched")}
+    for name in ("caller", "caller_gen"):
+        module.add_function(_schedule_caller(name))
+    func = module.functions["caller"]
+    apply_inline_plan(func, module, _plan(module, index, "sched"))
+    optimize_function(func, module=module)
+    verify_function(func, module)
+    text = print_function(func)
+    consts = {instr.result for block in func.blocks.values()
+              for instr in block.instrs if instr.op == "iconst"}
+    assert [instr.op for block in func.blocks.values()
+            for instr in block.instrs
+            if instr.info().pure and instr.args
+            and all(arg in consts for arg in instr.args)] == [], text
+    assert [block.terminator for block in func.blocks.values()
+            if isinstance(block.terminator, BrIf)
+            and block.terminator.cond in consts] == [], text
+    for x in (0, 7):
+        spliced_vm, reference = VM(module), VM(module)
+        args = [index["sched"], x]
+        assert spliced_vm.call("caller", args) \
+            == reference.call("caller_gen", args) == x + 100
+        assert (spliced_vm.stats.fuel, reference.stats.fuel) == (8, 13)
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,16 @@ from repro.ir import (
     verify_function,
 )
 from repro.ir.clone import clone_function
-from repro.ir.instructions import MASK64, OPCODES
+from repro.ir.instructions import MASK64, OPCODES, Jump, Ret
 from repro.ir.printer import float_text
 from repro.ir.semantics import PURE_EXPRS, _bits_ftoi, _bits_itof
 from repro.opt import (
     PASSES,
     eliminate_dead_code,
-    fold_constants,
     forward_loads,
     global_value_numbering,
     optimize_function,
-    propagate_copies,
     prune_block_params,
-    remove_unreachable_blocks,
     simplify_cfg,
     thread_jumps,
 )
@@ -47,28 +44,42 @@ def compiled_func(src, name):
     return module, module.functions[name]
 
 
+def ops(func):
+    """The opcodes of ``func``'s instructions, block by block."""
+    return [instr.op for block in func.blocks.values()
+            for instr in block.instrs]
+
+
 class TestFold:
+    """GVN's walk folds pure ops over constants in place; simplify-cfg
+    folds a branch on a constant."""
+
     def test_folds_constant_chain(self):
         module, func = compiled_func(
             "u64 f() { return (2 + 3) * 4 - 1; }", "f")
-        folded = fold_constants(func)
-        assert folded >= 3
+        assert {"iadd", "imul", "isub"} <= set(ops(func))
+        global_value_numbering(func)
+        assert set(ops(func)) == {"iconst"}
         verify_function(func)
         assert VM(module).call("f", []) == 19
 
     def test_folds_constant_branch(self):
         module, func = compiled_func(
             "u64 f() { if (1 < 2) { return 10; } return 20; }", "f")
-        fold_constants(func)
-        remove_unreachable_blocks(func)
+        global_value_numbering(func)
+        simplify_cfg(func)
+        assert not [block for block in func.blocks.values()
+                    if not isinstance(block.terminator, (Jump, Ret))]
         verify_function(func)
         assert VM(module).call("f", []) == 10
 
     def test_no_fold_of_trapping_ops(self):
         module, func = compiled_func("u64 f() { return 1 / 0; }", "f")
-        before = func.num_instrs()
-        fold_constants(func)
-        assert func.num_instrs() == before  # division by zero left alone
+        before = ops(func)
+        global_value_numbering(func)
+        assert ops(func) == before  # division by zero left alone
+        with pytest.raises(VMTrap, match="integer divide by zero"):
+            VM(module).call("f", [])
 
 
 class TestDce:
@@ -307,6 +318,9 @@ u64 f(u64 p) {
 
 
 class TestCopyProp:
+    """GVN's walk resolves algebraic identities and degenerate
+    ``select``\\ s to their source operand."""
+
     def test_add_zero_chain(self):
         func = parse_function("""\
 func @f(v0: i64) -> i64 {
@@ -317,8 +331,8 @@ block0:
   v4 = isub v3, v1
   return v4
 }""")
-        removed = propagate_copies(func)
-        assert removed == 3
+        global_value_numbering(func)
+        assert ops(func) == ["iconst"]
         eliminate_dead_code(func)
         verify_function(func)
         module = Module(memory_size=64)
@@ -335,7 +349,8 @@ block0:
   v4 = select v1, v3, v3
   return v4
 }""")
-        assert propagate_copies(func) == 2
+        global_value_numbering(func)
+        assert ops(func) == ["iconst"]
         verify_function(func)
         module = Module(memory_size=64)
         module.add_function(func)
@@ -349,7 +364,8 @@ block0:
   v3 = select v2, v0, v1
   return v3
 }""")
-        assert propagate_copies(func) == 1
+        global_value_numbering(func)
+        assert ops(func) == ["iconst"]
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [5, 6]) == 6
@@ -363,7 +379,8 @@ block0:
   v2 = isub v1, v0
   return v2
 }""")
-        assert propagate_copies(func) == 0
+        assert global_value_numbering(func) == 0
+        assert ops(func) == ["iconst", "isub"]
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [1]) == (1 << 64) - 1
@@ -748,8 +765,7 @@ class TestOptimizeFunction:
     def test_passes_are_the_roster(self):
         """The names the ledger reads its ``opt.<pass>.*`` rows by."""
         assert [name for name, _ in PASSES] == [
-            "fold", "copyprop", "gvn", "prune-params", "simplify-cfg",
-            "load-forward", "dce"]
+            "gvn", "prune-params", "simplify-cfg", "load-forward", "dce"]
 
     def test_unknown_config_rejected(self):
         _, func = compiled_func("u64 f() { return 1; }", "f")
@@ -764,8 +780,8 @@ class TestOptimizeFunction:
         stats = optimize_function(func, module=module)
         assert stats.runs == 1
         assert stats.instrs_after < stats.instrs_before
-        assert stats.per_pass["fold"].changes >= 3
-        assert stats.per_pass["fold"].seconds >= 0.0
+        assert stats.per_pass["gvn"].changes >= 3
+        assert stats.per_pass["gvn"].seconds >= 0.0
         assert stats.rounds >= 2  # at least one round plus the clean one
 
     def test_shared_stats_accumulate(self):
@@ -861,16 +877,27 @@ def _pure_ops(draw, ir, pools):
 def mid_end_functions(draw):
     """Straight-line code, or straight-line code around one diamond
     whose arms each pass an i64 to the join; returns some value's
-    bits."""
+    bits.  The diamond's head ends in a ``br_if`` or a ``br_table``
+    whose selector, drawn from the i64 pool, may be a constant: in
+    range, or one that takes the default."""
     ir = IRText(HEADER, 3)
     pools = {I64: [0, 1, 2],
              F64: [ir.define(f"bits_itof v{p}") for p in range(3)]}
     _pure_ops(draw, ir, pools)
-    if draw(st.booleans()):
-        cond = draw(st.sampled_from(pools[I64]))
+    branch = draw(st.sampled_from([None, "br_if", "br_table"]))
+    if branch:
+        selector = draw(st.sampled_from(pools[I64]))
         arms = ir.block()[0], ir.block()[0]
         join, (joined,) = ir.block(1)
-        ir.line(f"br_if v{cond}, block{arms[0]}, block{arms[1]}")
+        if branch == "br_if":
+            ir.line(f"br_if v{selector}, block{arms[0]}, block{arms[1]}")
+        else:
+            cases = draw(st.lists(st.sampled_from(arms), min_size=1,
+                                  max_size=3))
+            default = draw(st.sampled_from(arms))
+            ir.line(f"br_table v{selector}, "
+                    f"[{', '.join(f'block{arm}' for arm in cases)}], "
+                    f"default block{default}")
         for arm in arms:
             ir.current = arm
             arm_pools = {ty: list(values) for ty, values in pools.items()}

@@ -336,7 +336,7 @@ def test_every_wide_memory_row_names_its_codec():
 # Guards: the definition stays single.
 # ---------------------------------------------------------------------------
 
-CONSUMERS = ("vm/machine.py", "core/lattice.py", "opt/fold.py",
+CONSUMERS = ("vm/machine.py", "core/lattice.py",
              "backend/emitter.py", "backend/runtime.py")
 
 

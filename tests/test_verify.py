@@ -35,7 +35,7 @@ from repro.min.harness import sum_to_n_program
 from repro.min.interp import build_min_module, specialize_min
 from repro.opt import (
     PASSES,
-    fold_uniform_branches,
+    fold_branches,
     optimize_function,
     remove_unreachable_blocks,
     thread_jumps,
@@ -115,7 +115,7 @@ class TestSpecializerOutputVerifies:
 ISOLATED_PASSES = dict(PASSES) | {
     "remove-unreachable": remove_unreachable_blocks,
     "thread-jumps": thread_jumps,
-    "fold-uniform-branches": fold_uniform_branches,
+    "fold-branches": fold_branches,
 }
 
 
