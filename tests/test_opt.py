@@ -20,12 +20,13 @@ from repro.ir import (
     verify_function,
 )
 from repro.ir.clone import clone_function
-from repro.ir.instructions import MASK64, OPCODES, Jump, Ret
+from repro.ir.instructions import MASK64, OPCODES, BlockCall, Jump, Ret
 from repro.ir.printer import float_text
 from repro.ir.semantics import PURE_EXPRS, _bits_ftoi, _bits_itof
 from repro.opt import (
     PASSES,
     eliminate_dead_code,
+    fold_branches,
     forward_loads,
     global_value_numbering,
     optimize_function,
@@ -48,6 +49,50 @@ def ops(func):
     """The opcodes of ``func``'s instructions, block by block."""
     return [instr.op for block in func.blocks.values()
             for instr in block.instrs]
+
+
+def _rows():
+    """``(op, arg_types, result)`` for every pure row, ``select`` at
+    both of its value types."""
+    for op in sorted(PURE_EXPRS):
+        if op == "select":
+            for ty in (I64, F64):
+                yield op, (I64, ty, ty), ty
+        else:
+            yield op, OPCODES[op].arg_types, OPCODES[op].result
+
+
+ROWS = list(_rows())
+TRAPPING_OPS = sorted(op for op in PURE_EXPRS if OPCODES[op].traps)
+# Constant operands by type and position: ``FOLDS`` ones every row
+# computes a value on, ``TRAPS`` ones every trapping row traps on.
+FOLDS = {I64: (7, 3, 1), F64: (2.5, -1.5, 0.5)}
+TRAPS = {I64: (7, 0), F64: (math.nan,)}
+
+
+def row_id(op, arg_types, result):
+    return f"{op}-{result}" if op == "select" else op
+
+
+def one_op_text(op, arg_types, result, operands):
+    """``f()``: ``op`` over constants drawn from ``operands``, its
+    result returned."""
+    ir = IRText(f"func @f() -> {result} {{", 0)
+    args = []
+    for position, ty in enumerate(arg_types):
+        value = operands[ty][position]
+        args.append(ir.const(value) if ty is I64
+                    else ir.define(f"fconst {float_text(value)}"))
+    value = ir.define(f"{op} {', '.join(f'v{a}' for a in args)}")
+    ir.line(f"return v{value}")
+    return ir.text()
+
+
+def _result_bits(func):
+    """What ``f()`` returns, a float as its bits."""
+    kind, value = _outcome(func, [])
+    assert kind == "value", value
+    return _bits_ftoi(value) if type(value) is float else value
 
 
 class TestFold:
@@ -80,6 +125,34 @@ class TestFold:
         assert ops(func) == before  # division by zero left alone
         with pytest.raises(VMTrap, match="integer divide by zero"):
             VM(module).call("f", [])
+
+    @pytest.mark.parametrize("op, arg_types, result", ROWS,
+                             ids=[row_id(*row) for row in ROWS])
+    def test_gvn_folds_each_row_like_the_vm(self, op, arg_types, result):
+        """Over constants every row folds away to one ``iconst`` /
+        ``fconst`` of its result type, holding the bits the VM
+        computes."""
+        original = parse_function(one_op_text(op, arg_types, result, FOLDS))
+        folded = clone_function(original)
+        assert global_value_numbering(folded) >= 1
+        eliminate_dead_code(folded)
+        verify_function(folded)
+        assert ops(folded) == ["iconst" if result is I64 else "fconst"]
+        assert _result_bits(folded) == _result_bits(original)
+
+    @pytest.mark.parametrize("op", TRAPPING_OPS)
+    def test_gvn_leaves_a_trapping_row_alone(self, op):
+        """Over constants it traps on, a row stays to trap at run
+        time."""
+        info = OPCODES[op]
+        original = parse_function(
+            one_op_text(op, info.arg_types, info.result, TRAPS))
+        kept = clone_function(original)
+        global_value_numbering(kept)
+        verify_function(kept)
+        assert ops(kept) == ops(original)
+        outcome = _outcome(kept, [])
+        assert outcome[0] == "trap" and outcome == _outcome(original, [])
 
 
 class TestDce:
@@ -136,6 +209,38 @@ block0:
 
 
 class TestSimplifyCfg:
+    @pytest.mark.parametrize("branch, selector, taken", [
+        ("br_if v0, block1, block2", 5, 1),
+        ("br_if v0, block1, block2", 0, 2),
+        ("br_table v0, [block1, block2], default block3", 1, 2),
+        ("br_table v0, [block1, block2], default block3", 2, 3),
+    ], ids=["br_if-true", "br_if-false", "br_table-case",
+            "br_table-default"])
+    def test_fold_branches_on_a_constant_selector(self, branch, selector,
+                                                  taken):
+        """A constant selector decides its branch: the head jumps to
+        the arm the VM would take."""
+        func = parse_function(f"""\
+func @f() -> i64 {{
+block0:
+  v0 = iconst {selector}
+  {branch}
+block1:
+  v1 = iconst 10
+  return v1
+block2:
+  v2 = iconst 20
+  return v2
+block3:
+  v3 = iconst 30
+  return v3
+}}""")
+        assert _outcome(func, []) == ("value", 10 * taken)
+        assert fold_branches(func) == 1
+        assert func.entry_block().terminator == Jump(BlockCall(taken))
+        verify_function(func)
+        assert _outcome(func, []) == ("value", 10 * taken)
+
     def test_merges_straightline_chains(self):
         module, func = compiled_func("""
 u64 f(u64 x) {
