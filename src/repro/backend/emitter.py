@@ -11,12 +11,19 @@ observable semantics:
   expression the VM and the constant folder execute — with ``v<n>``
   operand names, so values are the same unsigned-64-bit bit patterns
   by construction;
-* a sized load or store is an explicit bounds line (the VM's trap
-  text, raised through ``_oob`` before anything is touched) and then
-  one call of the precompiled ``struct`` codec its ``LOADS``/``STORES``
-  row names —
-  ``v9 = _getQ(M, a)[0]``, ``_putI(M, a, v & 0xffffffff)``; one byte is
-  ``M[a]``.  No width is spelled here;
+* a sized load or store is one mask test and one subscript of the
+  typed heap view its ``LOADS``/``STORES`` row names —
+  ``if a & _K8: v9 = _load64(M, a)`` / ``else: v9 = VQ[a >> 3]``, and
+  ``else: VI[a >> 2] = v & 0xffffffff`` for a store; one byte is
+  ``M[a]``.  The views and masks are the VM's
+  (:func:`repro.ir.semantics.heap_views`, bound in the preamble); a mask
+  admits exactly the aligned in-bounds addresses of its width, and every
+  other address calls the row's checked accessor out of line, which
+  raises the VM's trap text before anything is touched or runs the
+  row's ``struct`` codec.  No width is spelled here;
+* a NaN-box cast (``bits_ftoi``/``bits_itof``) writes its operand into
+  one view of the VM's 8-byte scratch word and reads the other:
+  ``Xd[0] = v3`` / ``v4 = XQ[0]``;
 * a compare (a ``_int(<cmp>)`` row) whose result has exactly one use,
   the ``br_if`` of its own block, is never assigned: the terminator
   prints ``if <cmp>:``.  Every other use — stored, returned, passed,
@@ -25,9 +32,8 @@ observable semantics:
   truthiness ever sees a Python ``bool``;
 * traps raise the same :class:`~repro.vm.machine.VMTrap` kinds with the
   same messages, out-of-fuel raises :class:`OutOfFuel`; the per-block
-  fuel-limit and bounds guards raise out of line, through
-  :mod:`repro.backend.runtime`'s ``_oof`` / ``_oob``, to keep emitted
-  source small;
+  fuel-limit guard raises out of line, through
+  :mod:`repro.backend.runtime`'s ``_oof``, to keep emitted source small;
 * fuel is charged per *block* (one ``_fu += n`` per block entry instead
   of one per instruction), which yields byte-identical totals to the VM
   on every execution that does not trap mid-block, and the fuel-limit
@@ -94,7 +100,7 @@ from repro.ir.instructions import (
     terminator_values,
 )
 from repro.ir.module import Module
-from repro.ir.semantics import LOADS, PURE_EXPRS, STORES, _bits_ftoi
+from repro.ir.semantics import CASTS, LOADS, PURE_EXPRS, STORES, _bits_ftoi
 
 
 class BackendError(Exception):
@@ -701,6 +707,13 @@ class StructuredEmitter:
         if op == "fconst":
             literal, _ = _float_literal(instr.imm)
             return [f"{r} = {literal}"]
+        cast = CASTS.get(op)
+        if cast is not None:
+            # The operand's bits written as one type and read back as the
+            # other, through the VM's scratch word.
+            into, out = cast
+            self.heap.update(cast)
+            return [f"{into}[0] = v{args[0]}", f"{r} = {out}[0]"]
         pure = _PURE_TEMPLATES.get(op)
         if pure is not None:
             template, uses_int = pure
@@ -708,37 +721,33 @@ class StructuredEmitter:
                 self.used.add("_int")
             return [f"{r} = " + template.format(*[f"v{a}" for a in args])]
 
-        mem = LOADS.get(op)
+        mem = LOADS.get(op) or STORES.get(op)
         if mem is not None:
-            size, signed, _, codec = mem
+            # An address the row's mask admits is aligned and in bounds:
+            # one subscript of the row's view.  Every other address goes
+            # out of line to the row's checked accessor, which traps with
+            # the VM's text or falls back to the codec.
             self.used.add("M")
+            if mem.view != "M":
+                self.heap.add(mem.view)
+            self.heap.add(mem.mask)
             pre: List[str] = []
             a = self._addr(instr, pre)
-            # The bounds line below runs first, so the codec's own range
-            # error can never fire.
-            raw = f"M[{a}]" if codec is None else f"{codec}(M, {a})[0]"
-            if signed:
-                raw = f"_sext({raw}, {size * 8})"
-            return pre + [
-                f"if {a} < 0 or {a} + {size} > _ML: _oob({op!r}, {a})",
-                f"{r} = {raw}",
-            ]
-        mem = STORES.get(op)
-        if mem is not None:
-            size, _, _, codec = mem
-            self.used.add("M")
-            pre = []
-            a = self._addr(instr, pre)
+            shift = mem.size.bit_length() - 1
+            slot = f"{mem.view}[{a} >> {shift}]" if shift else \
+                f"{mem.view}[{a}]"
+            test = f"if {a} & {mem.mask}: "
+            if op in LOADS:
+                if mem.signed:
+                    slot = f"_sext({slot}, {mem.size * 8})"
+                return pre + [f"{test}{r} = {mem.checked}(M, {a})",
+                              f"else: {r} = {slot}"]
             # An i64 or f64 is already 8 bytes wide; narrower stores
             # truncate.
-            value = (f"v{args[1]}" if size == 8 else
-                     f"v{args[1]} & {(1 << (size * 8)) - 1:#x}")
-            store = (f"M[{a}] = {value}" if codec is None else
-                     f"{codec}(M, {a}, {value})")
-            return pre + [
-                f"if {a} < 0 or {a} + {size} > _ML: _oob({op!r}, {a})",
-                store,
-            ]
+            value = (f"v{args[1]}" if mem.size == 8 else
+                     f"v{args[1]} & {(1 << (mem.size * 8)) - 1:#x}")
+            return pre + [f"{test}{mem.checked}(M, {a}, v{args[1]})",
+                          f"else: {slot} = {value}"]
 
         if op == "call":
             self.used.add("_lk")
@@ -835,7 +844,7 @@ class StructuredEmitter:
         bindings = []
         if "M" in used:
             bindings.append("M = vm.memory")
-            bindings.append("_ML = len(M)")
+        bindings.extend(f"{name} = vm.{name}" for name in sorted(self.heap))
         bindings.append("S = vm.stats")
         if "G" in used:
             bindings.append("G = vm.globals")
@@ -856,6 +865,9 @@ class StructuredEmitter:
         """The lines of the function body for one region tree; raises
         :class:`_StructureTooDeep` past ``budget`` indent levels."""
         self.used: Set[str] = set()
+        # The heap views, masks and scratch views the body reads (each a
+        # VM attribute of the same name: repro.ir.semantics.heap_views).
+        self.heap: Set[str] = set()
         # Call-site link descriptors, in site order (PR 10): ("c",
         # callee, argc) for direct calls, ("t", argc) for indirect.
         # Derived purely from the function body, so cached sources stay

@@ -5,15 +5,20 @@ globals.  The arithmetic in it is not defined here: an emitted pure op
 is its row of :mod:`repro.ir.semantics` printed with ``v<n>`` operands,
 and the helper names those rows call (``_idiv_s``, ``_ftoi``, ``_sext``,
 ...) are that module's ``HELPERS`` — the functions the VM and the
-constant folder run.  The memory accessors come from the same table: a
-sized load or store calls the codec its ``LOADS``/``STORES`` row names
-(``_getQ``, ``_putd``, ...), which ``HELPERS`` carries too.  What this
+constant folder run.  The memory access comes from the same module: a
+sized load or store subscripts a typed view of the VM's heap (``VQ``,
+``Vd``, ...; bound from the VM, which made them with
+``repro.ir.semantics.heap_views``) behind one mask test, and every
+address the mask rejects calls the row's checked accessor (``_load64``,
+``_storef64``, ...), which ``HELPERS`` carries: the VM's bounds check
+and exact trap text, then the row's ``struct`` codec.  The NaN-box casts
+write and read the VM's 8-byte scratch word (``XQ``/``Xd``).  What this
 module adds is what only compiled code needs: the trap exception types
-as plain global names and the three trap raisers emitted code calls
-out of line, so a guard line spells only its test: ``_exhaust``, the
-depth-limit trap of the callee prologue; ``_oof``, the per-block
-fuel-limit trap; and ``_oob``, the bounds trap of a sized load or
-store.  Each raises the VM's exception type with its exact message.
+as plain global names and the two trap raisers emitted code calls out
+of line, so a guard line spells only its test: ``_exhaust``, the
+depth-limit trap of the callee prologue, and ``_oof``, the per-block
+fuel-limit trap.  Each raises the VM's exception type with its exact
+message.
 """
 
 from __future__ import annotations
@@ -42,12 +47,6 @@ def _oof(limit: int) -> None:
     raise OutOfFuel(f"fuel limit {limit} exceeded")
 
 
-def _oob(op: str, addr: int) -> None:
-    """Bounds trap of the sized load or store ``op``: ``VM._eval``'s
-    ``VMTrap`` text, raised before memory is touched."""
-    raise VMTrap(f"oob {op} at {addr:#x}")
-
-
 # The global namespace for emitted code (copied per compiled function so
 # nothing can leak between modules).
 BACKEND_GLOBALS = {
@@ -56,5 +55,4 @@ BACKEND_GLOBALS = {
     "GuardFailed": GuardFailed,
     "_exhaust": _exhaust,
     "_oof": _oof,
-    "_oob": _oob,
 }

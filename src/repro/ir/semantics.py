@@ -18,13 +18,22 @@ helpers below are the ops too long for one expression; a trapping op
 raises :class:`VMTrap` (the folder reads that as "do not fold").
 
 Sized loads and stores keep their lowering in the VM and the emitter
-(bounds check, counters, address arithmetic); what they share is the
-row *and its codec*: :data:`LOADS`/:data:`STORES` hold one ``(size,
-signed, float, codec)`` row per op, and a row wider than a byte names
-the accessor of its precompiled :data:`CODECS` entry — the only place a
-width is spelled as a ``struct`` format.  The same codecs are the NaN-box
-casts (``bits_ftoi``/``bits_itof``) and the host's word access
-(``VM.load_u64``/``store_u64``).
+(counters, address arithmetic, the VM's bounds check); what they share is the
+row *and its codec*: :data:`LOADS`/:data:`STORES` hold one row per op,
+and a row wider than a byte names the accessor of its precompiled
+:data:`CODECS` entry — the only place a width is spelled as a ``struct``
+format.  The same codecs are the NaN-box casts (``bits_ftoi``/
+``bits_itof``) and the host's word access (``VM.load_u64``/
+``store_u64``).
+
+Compiled code reaches the heap through typed views instead
+(:func:`heap_views`, made once per VM): a row also names the view it
+subscripts (``VQ[a >> 3]``; one byte is ``M[a]``), the mask whose
+``a & mask == 0`` admits exactly the aligned in-bounds addresses of its
+width, and the checked accessor every other address goes to out of
+line — the VM's bounds check, its trap text (:func:`oob_trap`, said
+once) and then the codec.  :data:`CASTS` names the two views of the
+per-VM scratch word the NaN-box cast rows go through when compiled.
 
 This module imports nothing above :mod:`repro.ir`.
 """
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.ir.instructions import MASK64, OPCODES, to_signed
@@ -40,6 +50,12 @@ from repro.ir.instructions import MASK64, OPCODES, to_signed
 
 class VMTrap(Exception):
     """Guest execution trapped (unreachable, bad memory access, etc.)."""
+
+
+def oob_trap(op: str, addr: int) -> VMTrap:
+    """The trap of the sized load or store ``op`` at an address out of
+    the heap's bounds, raised before memory is touched."""
+    return VMTrap(f"oob {op} at {addr:#x}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +256,136 @@ class MemOp(NamedTuple):
     # The HELPERS name of the row's codec accessor (``_get<c>`` for a
     # load, ``_put<c>`` for a store); None for one byte, which is
     # ``M[a]``.
-    codec: Optional[str] = None
+    codec: Optional[str]
+    # What compiled code names: the heap view it subscripts with ``a >>
+    # log2(size)`` (``M`` itself for one byte), the width's mask and the
+    # HELPERS name of the row's checked accessor.
+    view: str
+    mask: str
+    checked: str
 
 
-LOADS: Dict[str, MemOp] = {
-    "load8_u": MemOp(1, False, False),
-    "load8_s": MemOp(1, True, False),
-    "load16_u": MemOp(2, False, False, "_getH"),
-    "load16_s": MemOp(2, True, False, "_getH"),
-    "load32_u": MemOp(4, False, False, "_getI"),
-    "load32_s": MemOp(4, True, False, "_getI"),
-    "load64": MemOp(8, False, False, "_getQ"),
-    "loadf64": MemOp(8, False, True, "_getd"),
-}
-STORES: Dict[str, MemOp] = {
-    "store8": MemOp(1, False, False),
-    "store16": MemOp(2, False, False, "_putH"),
-    "store32": MemOp(4, False, False, "_putI"),
-    "store64": MemOp(8, False, False, "_putQ"),
-    "storef64": MemOp(8, False, True, "_putd"),
-}
+# The format character of each access width a row can have.
+_WIDTH_FORMATS = {(2, False): "H", (4, False): "I", (8, False): "Q",
+                  (8, True): "d"}
+
+
+def _mem_rows(kind: str, specs: Dict[str, tuple]) -> Dict[str, MemOp]:
+    """``op -> (size, signed, float)`` made into rows; ``kind`` is
+    ``get`` for loads and ``put`` for stores."""
+    rows = {}
+    for op, (size, signed, is_float) in specs.items():
+        c = _WIDTH_FORMATS.get((size, is_float))
+        rows[op] = MemOp(size, signed, is_float,
+                         None if c is None else f"_{kind}{c}",
+                         "M" if c is None else "V" + c,
+                         f"_K{size}", "_" + op)
+    return rows
+
+
+LOADS: Dict[str, MemOp] = _mem_rows("get", {
+    "load8_u": (1, False, False),
+    "load8_s": (1, True, False),
+    "load16_u": (2, False, False),
+    "load16_s": (2, True, False),
+    "load32_u": (4, False, False),
+    "load32_s": (4, True, False),
+    "load64": (8, False, False),
+    "loadf64": (8, False, True),
+})
+STORES: Dict[str, MemOp] = _mem_rows("put", {
+    "store8": (1, False, False),
+    "store16": (2, False, False),
+    "store32": (4, False, False),
+    "store64": (8, False, False),
+    "storef64": (8, False, True),
+})
+
+
+# ---------------------------------------------------------------------------
+# Compiled code's heap access.
+# ---------------------------------------------------------------------------
+
+def _checked_load(op: str, row: MemOp) -> Callable:
+    size, signed, get = row.size, row.signed, _CODEC_FNS.get(row.codec)
+
+    def load(M, a):
+        if a < 0 or a + size > len(M):
+            raise oob_trap(op, a)
+        raw = M[a] if get is None else get(M, a)[0]
+        return _sext(raw, size * 8) if signed else raw
+    load.__name__ = load.__qualname__ = row.checked
+    return load
+
+
+def _checked_store(op: str, row: MemOp) -> Callable:
+    size, put = row.size, _CODEC_FNS.get(row.codec)
+    mask = None if row.float else (1 << size * 8) - 1
+
+    def store(M, a, value):
+        if a < 0 or a + size > len(M):
+            raise oob_trap(op, a)
+        if mask is not None:
+            value &= mask
+        if put is None:
+            M[a] = value
+        else:
+            put(M, a, value)
+    store.__name__ = store.__qualname__ = row.checked
+    return store
+
+
+# The out-of-line path of a compiled load or store: every address its
+# mask rejects, which includes every address that traps.
+for _op, _row in LOADS.items():
+    HELPERS[_row.checked] = _checked_load(_op, _row)
+for _op, _row in STORES.items():
+    HELPERS[_row.checked] = _checked_store(_op, _row)
+
+
+class _NoAddress:
+    """The mask of a width no access may take the fast path at: ``a &
+    mask`` is true for every address, 0 included (no integer mask can
+    reject 0)."""
+
+    def __rand__(self, a: int) -> int:
+        return 1
+
+
+_NO_ADDRESS = _NoAddress()
+
+
+# The cast rows compiled code runs through the scratch word: op -> (the
+# view the operand is written to, the view the result is read from).
+CASTS: Dict[str, tuple] = {"bits_ftoi": ("Xd", "XQ"),
+                           "bits_itof": ("XQ", "Xd")}
+
+
+def heap_views(M) -> Dict[str, object]:
+    """The names compiled code reaches a VM's heap ``M`` through, made
+    once per heap (a heap is never resized or replaced).
+
+    ``P`` is the largest power of two not above ``len(M)``.  Each wide
+    row's view is ``M[:P]`` cast to its format, and each width ``w``'s
+    mask is ``~(P - w)``: ``a & mask == 0`` exactly when ``a`` is
+    ``w``-aligned and ``0 <= a <= P - w``, so the subscript is in bounds
+    and ``a >> log2(w)`` is the element.  A width wider than the heap,
+    and every width on a big-endian host (views are native-endian, the
+    codecs little-endian), gets a mask that sends every address to the
+    checked accessor.  ``XQ``/``Xd`` are one 8-byte scratch word seen as
+    an integer and as a double, private to the VM that owns the heap."""
+    n = len(M)
+    p = 1 << (n.bit_length() - 1) if n else 0
+    whole = memoryview(M)[:p]
+    native = sys.byteorder == "little"
+    views: Dict[str, object] = {}
+    # A codec accessor's name and a view's name end in their format.
+    for row in (*LOADS.values(), *STORES.values()):
+        w = row.size
+        views[row.mask] = ~(p - w) if native and p >= w else _NO_ADDRESS
+        if row.codec is not None and row.view not in views:
+            views[row.view] = whole[:p - p % w].cast(row.codec[-1])
+    scratch = memoryview(bytearray(8))
+    for view in CASTS["bits_itof"]:
+        views[view] = scratch.cast(view[-1])
+    return views

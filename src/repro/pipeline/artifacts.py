@@ -105,7 +105,10 @@ ARTIFACT_VERSION = 7
 # ``_oob``.
 # 9: the pinned corpus re-specializes into the residuals of
 # ARTIFACT_VERSION 7, so its emitted bytes move with them.
-EMITTER_VERSION = 9
+# 10: sized loads and stores subscript the VM's typed heap views behind
+# one mask test, with the checked accessor out of line; the NaN-box
+# casts go through the VM's scratch word; ``_oob`` and ``_ML`` are gone.
+EMITTER_VERSION = 10
 
 HIT = "hit"
 MISS = "miss"

@@ -37,7 +37,16 @@ from repro.ir.instructions import (
     Trap,
 )
 from repro.ir.module import Module
-from repro.ir.semantics import HELPERS, LOADS, PURE_FNS, STORES, VMTrap, _sext
+from repro.ir.semantics import (
+    HELPERS,
+    LOADS,
+    PURE_FNS,
+    STORES,
+    VMTrap,
+    _sext,
+    heap_views,
+    oob_trap,
+)
 from repro.ir.verifier import verify_enabled_by_env
 
 
@@ -125,6 +134,11 @@ class VM:
         if verify_enabled_by_env():
             assert bytes(self.memory) == bytes(module.memory_init), \
                 "sparse instantiation diverged from the frozen image"
+        # Compiled code's views of the heap, its masks and its scratch
+        # word (``VQ``, ``_K8``, ``XQ``, ...), bound once as attributes
+        # an emitted preamble reads by name.  The heap is never resized
+        # or replaced, so they stay valid for the VM's life.
+        vars(self).update(heap_views(self.memory))
         self.globals: Dict[str, int] = dict(module.globals)
         self.stats = ExecStats()
         self.fuel_limit = fuel_limit
@@ -394,7 +408,7 @@ class VM:
                     size, signed, get = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
-                        raise VMTrap(f"oob {op} at {addr:#x}")
+                        raise oob_trap(op, addr)
                     if get is None:
                         raw = memory[addr]
                     else:
@@ -405,7 +419,7 @@ class VM:
                     size, mask, put = mem
                     addr = env[instr.args[0]] + instr.imm
                     if addr < 0 or addr + size > len(memory):
-                        raise VMTrap(f"oob {op} at {addr:#x}")
+                        raise oob_trap(op, addr)
                     value = env[instr.args[1]]
                     if mask is not None:
                         value &= mask

@@ -20,8 +20,9 @@ differential corpus does not isolate:
 * the emitter's two nesting limits: past its indent budget or past
   CPython's 20 static blocks the function is re-emitted flat, so a loop
   nest on either side of the static-block cliff reaches tier 2;
-* the out-of-line trap raisers (``_oof``, ``_oob``): the VM's exception
-  type and message, and the VM's fuel at the raise.
+* the out-of-line traps (``_oof`` and each memory row's checked
+  accessor): the VM's exception type and message, and the VM's fuel at
+  the raise.
 """
 
 import math
@@ -536,10 +537,11 @@ def test_loop_nests_across_the_static_block_limit(depth):
 
 
 def test_out_of_line_trap_raisers_keep_the_vm_text():
-    """The bounds guard of every ``LOADS``/``STORES`` row and the
-    per-block fuel-limit guard raise through ``_oob`` and ``_oof``: the
-    VM's exception type and exact message, on both emit legs, and for
-    fuel the VM's ``S.fuel`` at the raise."""
+    """Every ``LOADS``/``STORES`` row's checked accessor (the arm its
+    mask test sends an out-of-bounds address to) and the per-block
+    fuel-limit guard's ``_oof`` raise the VM's exception type and exact
+    message, on both emit legs, and for fuel the VM's ``S.fuel`` at the
+    raise."""
     memory_size = 64
     for op in sorted(LOADS) + sorted(STORES):
         info = OPCODES[op]

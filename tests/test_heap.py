@@ -10,7 +10,10 @@ the frozen image's page-run index.
 * **fork** — a forked child's guest stores stay in the child;
 * **bounds** — an empty heap stays empty, a heap never grows;
 * **said once** — one ``mmap.mmap`` call under ``src/``, no
-  ``bytearray`` in the three files that own the heap.
+  ``bytearray`` in the three files that own the heap, and one heap per
+  VM: ``VM.memory`` is assigned in ``VM.__init__`` alone, which is also
+  the one caller of ``heap_views``, the one function that casts a view
+  of it — so no view compiled code reads can outlive its heap.
 """
 
 import ast
@@ -257,3 +260,36 @@ def test_no_bytearray_where_the_heap_lives(relpath):
     tree = ast.parse((ROOT / "src" / relpath).read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and node.id == "bytearray"]
+
+
+def _scoped_nodes(tree, scope=""):
+    """``(qualified name of the innermost def or class, node)`` for
+    every node under ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def test_one_heap_per_vm_and_one_place_views_it():
+    assigned, casts, built = [], [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        where = path.relative_to(ROOT / "src").as_posix()
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            assigned += [(where, scope) for target in targets
+                         if isinstance(target, ast.Attribute)
+                         and target.attr == "memory"]
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) \
+                    or getattr(node.func, "id", None)
+                if name == "cast":
+                    casts.append((where, scope))
+                elif name == "heap_views":
+                    built.append((where, scope))
+    assert assigned == built == [("repro/vm/machine.py", "VM.__init__")]
+    assert casts and set(casts) == {("repro/ir/semantics.py", "heap_views")}

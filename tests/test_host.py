@@ -33,7 +33,8 @@
   artifact store is the engine's one cache (no in-batch dedupe), and a
   failed speculation is demoted once by construction (no deopt-storm
   breaker); the emitter spells no fuel-limit or bounds raise (emitted
-  code calls ``_oof`` / ``_oob``), and CPython's static-block limit is
+  code calls ``_oof`` and each memory row's checked accessor), and
+  CPython's static-block limit is
   one constant read by one test; constants have one owner per stage
   (the specializer's ``_mat``, GVN's walk: no ``opt/fold.py``,
   ``opt/copyprop.py`` or ``const_cache``).
@@ -248,8 +249,9 @@ def test_one_emitter():
 
 
 def test_trap_raises_are_out_of_line_and_the_block_limit_said_once():
-    """Emitted guards call the raisers of ``backend/runtime.py``: the
-    emitter spells neither the fuel-limit nor the bounds raise.
+    """Emitted guards raise out of line, through ``backend/runtime.py``'s
+    ``_oof`` and each memory row's checked accessor: the emitter spells
+    neither the fuel-limit nor the bounds raise.
     CPython's static-block limit is one named constant, assigned once
     and read only by the too-deep test in ``_push_scope``."""
     emitter_text = (ROOT / "src/repro/backend/emitter.py").read_text()

@@ -13,23 +13,29 @@ is the executable statement of it:
   (:data:`tests.helpers.EMIT_LEGS`), trap messages byte-equal, only
   ``VMTrap`` ever escapes, i64 results stay in ``[0, 2**64)``;
 * **memory grid** — every sized load/store at in-range, last-byte,
-  straddling, out-of-bounds and negative addresses, with and without a
-  static offset, on heaps of 0, 8, 64 and 4095/4096/4097 bytes (empty,
-  one word, and either side of a page — the heap is a mapping, which
-  cannot be empty and raises where a ``bytearray`` would grow): VM ≡
-  both emit legs (value, trap text, memory image afterwards), and
-  integer loads ≡ ``ConstMemoryImage.read`` (the specializer's fold of
-  the same access);
+  straddling, out-of-bounds and negative addresses, and at the aligned
+  words either side of where compiled code's typed heap views end
+  (``P - w`` and ``P``) and the last aligned word in bounds, with and
+  without a static offset, on heaps of 0, 1, 7, 8, 64 and
+  4095/4096/4097 bytes (empty, shorter than a word, one word, and
+  either side of a page — the heap is a mapping, which cannot be empty
+  and raises where a ``bytearray`` would grow), and under hypothesis
+  at drawn (heap size, address, offset, row): VM ≡ both emit legs
+  (value, trap text, memory image afterwards), and integer loads ≡
+  ``ConstMemoryImage.read`` (the specializer's fold of the same
+  access); each width's mask admits exactly the aligned words of the
+  views, and a NaN payload survives the compiled casts' scratch word;
 * **completeness** — the tables cover exactly the opcodes they claim;
 * **guards** — no consumer names a pure or memory op in a string
   literal (a fourth copy would have to), ``backend/runtime.py`` defines
-  no helper but the three trap raisers, and ``repro.ir.semantics``
+  no helper but the two trap raisers, and ``repro.ir.semantics``
   imports nothing above ``repro.ir``;
 * the end-to-end regression the single definition fixed
   (``Math.floor`` of ±inf/NaN).
 """
 
 import ast
+import functools
 import math
 import os
 import re
@@ -40,12 +46,21 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend import emit_function_source
 from repro.backend.runtime import BACKEND_GLOBALS
 from repro.core.lattice import ConstMemoryImage, fold_pure_op
 from repro.core.specialize import SpecializeOptions
-from repro.ir import F64, I64
+from repro.ir import F64, I64, Module, parse_function
 from repro.ir.instructions import OPCODES
-from repro.ir.semantics import HELPERS, LOADS, PURE_EXPRS, PURE_FNS, STORES
+from repro.ir.module import new_heap
+from repro.ir.semantics import (
+    HELPERS,
+    LOADS,
+    PURE_EXPRS,
+    PURE_FNS,
+    STORES,
+    heap_views,
+)
 from repro.jsvm import JSRuntime
 from repro.vm import VM, VMTrap
 
@@ -190,8 +205,9 @@ def test_ffloor_is_ieee_on_non_finite():
 # Memory ops.
 # ---------------------------------------------------------------------------
 
-# Empty, one word, a few words, and either side of a page boundary.
-MEMORY_SIZES = (0, 8, 64, 4095, 4096, 4097)
+# Empty, shorter than a word, one word, a few words, and either side of
+# a page boundary.
+MEMORY_SIZES = (0, 1, 7, 8, 64, 4095, 4096, 4097)
 OFFSETS = (0, 8, -8)
 
 
@@ -201,44 +217,82 @@ def _image(memory_size):
     return bytes((i * 37 + 0x5B) & 0xFF for i in range(memory_size))
 
 
+def _view_limit(memory_size):
+    """``P``, the largest power of two not above the heap's size: the
+    end of the typed views compiled code subscripts."""
+    return 1 << (memory_size.bit_length() - 1) if memory_size else 0
+
+
 def _addresses(memory_size, size, offset):
     """In-range, last valid, first invalid (straddling the end), the
     last byte, far out, and (through a negative effective address)
-    below zero."""
+    below zero; and the words either side of the views' end — the
+    aligned words at ``P - size`` and ``P`` and the last aligned word in
+    bounds, which on a heap that is not a power of two lies past ``P``
+    (4095 bytes: ``P`` is 2048, the last 8-byte word 4080)."""
     last = memory_size - size - offset
+    p = _view_limit(memory_size)
+    last_aligned = (memory_size - size) & -size
     return sorted({a for a in (0, 1, 17, last - 1, last, last + 1,
                                memory_size - 1 - offset, memory_size,
+                               p - size - offset, p - offset,
+                               last_aligned - offset,
                                1 << 32, MASK64, -offset, -offset - 1)
                    if 0 <= a <= MASK64})
+
+
+@functools.lru_cache(maxsize=256)
+def _memory_harness(op, offset, memory_size):
+    if op in LOADS:
+        return _Harness(op, (I64,), OPCODES[op].result, imm=offset,
+                        memory_size=memory_size)
+    value_type = F64 if STORES[op].float else I64
+    return _Harness(op, (I64, value_type), None, imm=offset,
+                    memory_size=memory_size)
+
+
+def _check_access(op, offset, memory_size, addr, value=None):
+    """One load (``value`` None) or store at ``addr + offset`` on a heap
+    of ``_image(memory_size)``: VM ≡ both emit legs for the value, the
+    trap text and the heap image, and the VM is the table's meaning —
+    an in-bounds load reads what ``ConstMemoryImage`` folds, an in-bounds
+    store writes the value's low bytes, anything else traps with the
+    access's ``oob`` text and leaves the heap alone.  Returns whether
+    it trapped."""
+    row = LOADS.get(op) or STORES[op]
+    memory = _image(memory_size)
+    args = (addr,) if value is None else (addr, value)
+    legs = _memory_harness(op, offset, memory_size).run(args, memory)
+    vm = legs["vm"]
+    where = f"{op}+{offset} @{addr:#x} <- {value!r} on {memory_size}"
+    for mode in EMIT_LEGS:
+        assert legs[mode] == vm, f"{where}: vm={vm!r} {mode}={legs[mode]!r}"
+    effective = addr + offset
+    if not 0 <= effective <= memory_size - row.size:
+        assert vm == ("trap", f"oob {op} at {effective:#x}", memory), where
+        return True
+    assert vm[0] == "ok", where
+    if value is None:
+        image = ConstMemoryImage(memory, [(0, memory_size)])
+        folded = (image.read_f64(effective) if row.float else
+                  image.read(effective, row.size, row.signed))
+        assert _key(folded) == vm[1] and vm[2] == memory, (
+            f"{where}: vm={vm!r} image={folded!r}")
+    else:
+        stored = (struct.pack("<d", value) if row.float else
+                  value.to_bytes(8, "little")[:row.size])
+        expected = bytearray(memory)
+        expected[effective:effective + row.size] = stored
+        assert vm[2] == bytes(expected), where
+    return False
 
 
 @pytest.mark.parametrize("op", sorted(LOADS))
 @pytest.mark.parametrize("offset", OFFSETS)
 @pytest.mark.parametrize("memory_size", MEMORY_SIZES)
 def test_load_grid(op, offset, memory_size):
-    row = LOADS[op]
-    harness = _Harness(op, (I64,), OPCODES[op].result, imm=offset,
-                       memory_size=memory_size)
-    memory = _image(memory_size)
-    image = ConstMemoryImage(memory, [(0, memory_size)])
-    traps = 0
-    for addr in _addresses(memory_size, row.size, offset):
-        legs = harness.run((addr,), memory)
-        vm = legs["vm"]
-        for mode in EMIT_LEGS:
-            assert legs[mode] == vm, (
-                f"{op}+{offset} @{addr:#x}: vm={vm!r} {mode}={legs[mode]!r}")
-        assert vm[2] == memory
-        effective = addr + offset
-        if 0 <= effective <= memory_size - row.size:
-            assert vm[0] == "ok"
-            folded = (image.read_f64(effective) if row.float else
-                      image.read(effective, row.size, row.signed))
-            assert _key(folded) == vm[1], (
-                f"{op}+{offset} @{addr:#x}: vm={vm!r} image={folded!r}")
-        else:
-            traps += 1
-            assert vm[:2] == ("trap", f"oob {op} at {effective:#x}")
+    traps = sum(_check_access(op, offset, memory_size, addr)
+                for addr in _addresses(memory_size, LOADS[op].size, offset))
     assert traps >= 3
 
 
@@ -247,31 +301,76 @@ def test_load_grid(op, offset, memory_size):
 @pytest.mark.parametrize("memory_size", MEMORY_SIZES)
 def test_store_grid(op, offset, memory_size):
     row = STORES[op]
-    value_type = F64 if row.float else I64
-    harness = _Harness(op, (I64, value_type), None, imm=offset,
-                       memory_size=memory_size)
-    memory = _image(memory_size)
-    traps = 0
-    for addr in _addresses(memory_size, row.size, offset):
-        for value in _grid(value_type):
-            legs = harness.run((addr, value), memory)
-            vm = legs["vm"]
-            for mode in EMIT_LEGS:
-                assert legs[mode] == vm, (
-                    f"{op}+{offset} @{addr:#x} <- {value!r}: "
-                    f"vm={vm!r} {mode}={legs[mode]!r}")
-            effective = addr + offset
-            if 0 <= effective <= memory_size - row.size:
-                stored = (struct.pack("<d", value) if row.float else
-                          value.to_bytes(8, "little")[:row.size])
-                expected = bytearray(memory)
-                expected[effective:effective + row.size] = stored
-                assert vm[0] == "ok" and vm[2] == bytes(expected)
-            else:
-                traps += 1
-                assert vm == ("trap", f"oob {op} at {effective:#x}",
-                              memory)
+    traps = sum(_check_access(op, offset, memory_size, addr, value)
+                for addr in _addresses(memory_size, row.size, offset)
+                for value in _grid(F64 if row.float else I64))
     assert traps >= 3
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_memory_random_accesses(data):
+    """The grids' oracle at drawn (heap size, address, offset, row):
+    the addresses cluster where the views end (``P - size`` and ``P``)
+    and where the heap ends, on every side of both."""
+    op = data.draw(st.sampled_from(sorted(LOADS) + sorted(STORES)))
+    row = LOADS.get(op) or STORES[op]
+    memory_size = data.draw(st.integers(0, 80)
+                            | st.sampled_from(MEMORY_SIZES))
+    offset = data.draw(st.sampled_from(OFFSETS) | st.integers(-9, 9))
+    p = _view_limit(memory_size)
+    near = st.sampled_from((0, p - row.size, p, memory_size - row.size,
+                            memory_size))
+    effective = data.draw(st.builds(lambda at, d: at + d, near,
+                                    st.integers(-9, 9))
+                          | st.integers(-(1 << 64), 1 << 65))
+    addr = (effective - offset) & MASK64
+    value = None
+    if op in STORES:
+        value = data.draw(f64 if row.float else u64)
+    _check_access(op, offset, memory_size, addr, value)
+
+
+def test_a_mask_admits_exactly_the_aligned_words_of_the_views():
+    """``a & mask == 0`` holds exactly when ``a`` is aligned to the width
+    and the word lies inside the views, ``0 <= a <= P - w``; on a heap
+    shorter than the width no address passes, 0 included."""
+    for memory_size in (*range(0, 70), 4095, 4096, 4097):
+        views = heap_views(new_heap(memory_size))
+        p = _view_limit(memory_size)
+        for row in {**LOADS, **STORES}.values():
+            w = row.size
+            admitted = [a for a in range(-w - 3, p + 2 * w + 3)
+                        if not a & views[row.mask]]
+            assert admitted == list(range(0, p - w + 1, w)), (
+                memory_size, row)
+            if row.codec is not None:
+                assert len(views[row.view]) == (p // w if p >= w else 0)
+
+
+CAST_ROUND_TRIP = """\
+  v1 = bits_itof v0
+  v2 = bits_ftoi v1"""
+
+
+@pytest.mark.parametrize("bits", [0x7FF0000000000001, 0xFFF4000000000123,
+                                  0x7FF8000000000000])
+def test_nan_payload_survives_the_scratch_word(bits):
+    """``bits_ftoi(bits_itof(x))`` is ``x`` on the VM and both emit legs,
+    for signalling NaNs too: the compiled casts write one view of the
+    VM's scratch word and read the other, and no NaN is quieted."""
+    module = Module(memory_size=0)
+    module.add_function(parse_function(
+        "func @f(v0: i64) -> i64 {\nblock0:\n"
+        f"{CAST_ROUND_TRIP}\n  return v2\n}}"))
+    compiled = compile_legs(module.functions["f"], module)
+    assert VM(module).call("f", [bits]) == bits
+    for leg, fn in compiled.items():
+        vm = VM(module)
+        vm.install_compiled({"f": fn})
+        assert vm.call("f", [bits]) == bits, leg
+    source = emit_function_source(module.functions["f"], module)[0]
+    assert "XQ[0] = v0" in source and "v2 = XQ[0]" in source
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +459,7 @@ def test_backend_runtime_defines_no_arithmetic():
     defined = {node.name for node in ast.walk(_parse("backend/runtime.py"))
                if isinstance(node, ast.FunctionDef)}
     # The trap raisers emitted code calls out of line, not arithmetic.
-    assert defined == {"_exhaust", "_oof", "_oob"}
+    assert defined == {"_exhaust", "_oof"}
     for name, helper in HELPERS.items():
         assert BACKEND_GLOBALS[name] is helper
 
