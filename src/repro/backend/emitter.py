@@ -11,6 +11,11 @@ observable semantics:
   expression the VM and the constant folder execute — with ``v<n>``
   operand names, so values are the same unsigned-64-bit bit patterns
   by construction;
+* an ``iconst`` or finite ``fconst`` is never assigned: each use prints
+  its literal (parenthesized when negative, so ``-0.0`` keeps its sign
+  under ``fneg`` and ``fsub``), which CPython's constant folder sees.
+  A non-finite float has no literal and is assigned once through
+  ``_bits_itof``;
 * a sized load or store is one mask test and one subscript of the
   typed heap view its ``LOADS``/``STORES`` row names —
   ``if a & _K8: v9 = _load64(M, a)`` / ``else: v9 = VQ[a >> 3]``, and
@@ -34,12 +39,17 @@ observable semantics:
   same messages, out-of-fuel raises :class:`OutOfFuel`; the per-block
   fuel-limit guard raises out of line, through
   :mod:`repro.backend.runtime`'s ``_oof``, to keep emitted source small;
-* fuel is charged per *block* (one ``_fu += n`` per block entry instead
-  of one per instruction), which yields byte-identical totals to the VM
-  on every execution that does not trap mid-block, and the fuel-limit
-  check fires at the same block boundary the VM checks at.  Fuel is the
-  only counter compiled code keeps: ``vm.stats``' loads, stores, calls
-  and indirect calls count what the IR VM executed;
+* fuel is charged once per *block*: one ``_fu += k`` counts its
+  instructions and the terminator of the branch that entered it (the VM
+  charges a terminator after its fuel-limit check, so the charge is
+  still due when the successor starts).  The entry block, which a call
+  enters too, counts only its instructions, so an edge back into it
+  and a ``return`` or ``trap`` terminator each charge their own unit.
+  That yields byte-identical totals to the VM on every execution that
+  does not trap mid-block, and the fuel-limit check fires at the same
+  block boundary the VM checks at.  Fuel is the only counter compiled
+  code keeps: ``vm.stats``' loads, stores, calls and indirect calls
+  count what the IR VM executed;
 * guest calls go through per-site link slots
   (:class:`repro.pipeline.links.CallLinkTable`): every slot starts as a
   bridge that re-enters ``vm.call`` / ``vm.call_table`` — so compiled
@@ -64,17 +74,23 @@ flushed before every guest call, so fuel at every observable point
 bit-identical to the VM's per-instruction accounting.
 
 Totality comes from one more unit kind, the *dispatch region*: its
-blocks, in reverse postorder, sit flat under a binary decision tree
-over a block index ``_b`` (depth ``log2(n)``) inside a ``while True:``,
-and an edge between them assigns ``_b`` and falls out of its tree arm
-to re-dispatch.  An irreducible SCC (a multi-entry cycle) becomes such
-a region inside the structured skeleton; a function that would nest
-past either of CPython's limits — about 100 indent levels in the
-parser (budgeted as ``_MAX_DEPTH``), 20 statically nested blocks in
-the compiler (``_MAX_STATIC_BLOCKS``: the body's ``try`` and one per
-open ``while True:``) — is re-emitted as a single region around all of
-its blocks (``mode_used == "dispatch"``) by the same code, so every
-source the emitter produces is one ``compile()`` accepts.
+entries and joins, in reverse postorder, sit flat under a binary
+decision tree over a block index ``_b`` (depth ``log2(n)``) inside a
+``while True:``, and an edge to one of them assigns ``_b`` and falls
+out of its tree arm to re-dispatch.  Every other member has exactly one
+incoming edge and is inlined there, as a level of structured emission
+inlines a unit, until a chain of them nests ``_MAX_INLINE_DEPTH``
+levels below its leaf — the label-variable "multiple" shape of
+Zakai's Relooper (Emscripten, 2011), where only joins and loop
+headers are dispatch targets.  An irreducible SCC (a multi-entry
+cycle) becomes such a region inside the structured skeleton; a
+function that would nest past either of CPython's limits — about 100
+indent levels in the parser (budgeted as ``_MAX_DEPTH``), 20 statically
+nested blocks in the compiler (``_MAX_STATIC_BLOCKS``: the body's
+``try`` and one per open ``while True:``) — is re-emitted as a single
+region around all of its blocks (``mode_used == "dispatch"``) by the
+same code, so every source the emitter produces is one ``compile()``
+accepts.
 
 Anything the emitter cannot express raises
 :class:`UnsupportedConstruct`, and so, defensively, does a source
@@ -152,6 +168,19 @@ def _float_literal(value: float) -> Tuple[str, bool]:
     return repr(value), False
 
 
+def _const_literal(instr: Instr) -> Optional[str]:
+    """The literal an ``iconst`` or finite ``fconst`` prints at each use,
+    parenthesized when negative so it binds as one operand; ``None`` for
+    a non-finite float, which is assigned once through the helper."""
+    if instr.op == "iconst":
+        literal = str(int(instr.imm))
+    else:
+        literal, needs_helper = _float_literal(instr.imm)
+        if needs_helper:
+            return None
+    return f"({literal})" if literal.startswith("-") else literal
+
+
 # ---------------------------------------------------------------------------
 # Region units, scopes and SCCs: the structure the emitter recovers.
 # ---------------------------------------------------------------------------
@@ -188,19 +217,21 @@ class _DispatchUnit:
     multi-entry (irreducible) SCC, or the whole function when it nests
     past the budget.  ``fall_entry`` is set when this region contains
     its level's entry block (control falls in without a branch having
-    initialized ``_b``)."""
+    initialized ``_b``).  ``leaves`` are the members the tree dispatches
+    to, in reverse postorder; every other member is inlined at its one
+    incoming edge (:meth:`StructuredEmitter._dispatch_unit`)."""
 
     kind = "dispatch"
 
-    def __init__(self, entries: List[int], members_sorted: List[int],
-                 fall_entry: Optional[int]):
+    def __init__(self, entries: List[int], members: frozenset,
+                 leaves: List[int], fall_entry: Optional[int]):
         self.entries = entries
-        self.members_list = members_sorted
+        self.leaves = leaves
         self.label = entries[0]
         self.labels = tuple(entries)
-        self.members = frozenset(members_sorted)
+        self.members = members
         self.fall_entry = fall_entry
-        self.idx = {bid: i for i, bid in enumerate(members_sorted)}
+        self.idx = {bid: i for i, bid in enumerate(leaves)}
         # Arriving branches assign ``_b`` through the unit's merge scope.
         self.entry_idx = {lab: self.idx[lab] for lab in entries}
 
@@ -281,10 +312,16 @@ def _tarjan_sccs(succs: Dict[int, List[int]], entry: int
 # the function is re-emitted as one dispatch region.
 #
 # Indentation budget: CPython's *parser* rejects nesting around 100
-# indent levels; leave generous headroom for the skeleton, peepholes,
-# and the extra level the indirect-call inline cache nests inside a
-# block.
+# indent levels; leave generous headroom for the skeleton and the extra
+# level the indirect-call inline cache nests inside a block.
 _MAX_DEPTH = 86
+# How many levels a chain of blocks inlined inside a dispatch region
+# may nest below the tree leaf it hangs from; the next block of the
+# chain becomes a leaf of its own.  Independent of ``_MAX_DEPTH``, which
+# the region whole-function fallback emits does not see: below its
+# ``def``, ``try`` and ``while``, a tree over a million leaves is 20
+# levels deep, so its deepest line stays under 70.
+_MAX_INLINE_DEPTH = 40
 # CPython's *compiler* refuses more than 20 statically nested blocks
 # (``CO_MAXBLOCKS``).  Emitted code opens them two ways: the body's one
 # ``try:``, and one ``while True:`` per open scope.
@@ -382,10 +419,41 @@ class StructuredEmitter:
                 sub = self._region_units(members, header, sub_cut)
                 units.append(_LoopUnit(header, sub, members))
             else:
-                units.append(_DispatchUnit(
-                    entries, sorted(members, key=self._rpo_pos.get),
-                    entry if entry in members else None))
+                units.append(self._dispatch_unit(
+                    entries, members, entry if entry in members else None))
         return units
+
+    def _dispatch_unit(self, entries: List[int], members: frozenset,
+                       fall_entry: Optional[int]) -> _DispatchUnit:
+        """A dispatch region over ``members`` whose tree dispatches only
+        to its entries and joins: a non-entry member with exactly one
+        incoming edge (every edge into it comes from a member) is
+        inlined at that edge until a chain nests ``_MAX_INLINE_DEPTH``
+        levels below its leaf."""
+        order = sorted(members, key=self._rpo_pos.get)
+        preds: Dict[int, List[int]] = {b: [] for b in order}
+        for b in order:
+            for t in self._succ_raw[b]:
+                if t in members:
+                    preds[t].append(b)
+        # Levels below its leaf each member's code starts at; a branch
+        # arm nests one deeper than its block, a jump does not.  A single
+        # predecessor comes first in reverse postorder.
+        depth: Dict[int, int] = {}
+        leaves: List[int] = []
+        for b in order:
+            depth[b] = 0
+            if b in entries or len(preds[b]) != 1:
+                leaves.append(b)
+                continue
+            pred = preds[b][0]
+            below = depth[pred] + (
+                not isinstance(self.func.blocks[pred].terminator, Jump))
+            if below > _MAX_INLINE_DEPTH:
+                leaves.append(b)
+            else:
+                depth[b] = below
+        return _DispatchUnit(entries, members, leaves, fall_entry)
 
     # ------------------------------------------------------------------
     # Line assembly helpers.
@@ -448,15 +516,19 @@ class StructuredEmitter:
     # Transfers (branch edges) under the scope stack.
     # ------------------------------------------------------------------
     def _transfer(self, call: BlockCall) -> None:
-        target = self.func.blocks[call.block]
+        label = call.block
+        if label == self.func.entry:
+            # Every other block's charge counts the branch that entered
+            # it; the entry block's cannot, a call enters it too.
+            self._line("_fu += 1")
+        target = self.func.blocks[label]
         pairs = [(param, arg)
                  for (param, _), arg in zip(target.params, call.args)
                  if param != arg]
         if pairs:
             lhs = ", ".join(f"v{param}" for param, _ in pairs)
-            rhs = ", ".join(f"v{arg}" for _, arg in pairs)
+            rhs = ", ".join(self._val(arg) for _, arg in pairs)
             self._line(f"{lhs} = {rhs}")
-        label = call.block
         inline = self._inline_map.pop(label, None)
         if inline is not None:
             self._emit_unit(inline)
@@ -574,8 +646,10 @@ class StructuredEmitter:
     def _emit_dispatch_region(self, u: _DispatchUnit,
                               is_level_entry: bool) -> None:
         self.dispatch_regions += 1
-        self.dispatch_region_blocks += len(u.members_list)
+        self.dispatch_region_blocks += len(u.members)
         idx = u.idx
+        for bid in u.members.difference(u.leaves):
+            self._inline_map[bid] = _BlockUnit(bid)
         # Entering branches assign _b before unwinding here; only a
         # fall-in at the region's own level entry needs initialization.
         if is_level_entry:
@@ -585,8 +659,8 @@ class StructuredEmitter:
                     f"fall-through without an entry block")
             self._line(f"_b = {idx[u.fall_entry]}")
         token = -(2 + self.dispatch_regions)
-        self._push_scope(_Scope("dispatch", u.members, token, idx))
-        self._emit_region_tree(u.members_list, idx)
+        self._push_scope(_Scope("dispatch", u.leaves, token, idx))
+        self._emit_region_tree(u.leaves, idx)
         self._close_scope()
 
     def _emit_region_tree(self, members: List[int],
@@ -612,13 +686,16 @@ class StructuredEmitter:
     def _emit_structured_block(self, block: Block) -> None:
         body: List[str] = []
         segment: List[str] = []
-        pending = 0
+        # One charge per block: its instructions and, but in the entry
+        # block, the terminator of the branch that entered it — the VM
+        # charges that after its own check, so it is still due here.
+        pending = 0 if block.id == self.func.entry else 1
         term = block.terminator
         # Compare->branch fusion: a compare whose one use is this
         # block's own br_if is never assigned; the terminator tests the
-        # bare compare.  It is pure and its operands are SSA names, so
-        # evaluating it there is unobservable, and its fuel is still
-        # charged in this block's ``_fu += n``.
+        # bare compare.  It is pure and its operands are SSA names (or
+        # literals), so evaluating it there is unobservable, and its
+        # fuel is still charged in this block's ``_fu += n``.
         fused = None
         if isinstance(term, BrIf) and self._use_counts[term.cond] == 1:
             fused = next(
@@ -643,15 +720,15 @@ class StructuredEmitter:
         for raw in body:
             self._line(raw)
         # Same boundary the VM checks at: after the block's instructions,
-        # before charging the terminator.
+        # before charging the terminator, which the successor's charge
+        # counts (a return or trap, having none, charges its own).
         self._line("if _L is not None and S.fuel + _fu > _L: _oof(_L)")
-        self._line("_fu += 1")
         if isinstance(term, Jump):
             self._transfer(term.target)
         elif isinstance(term, BrIf):
-            cond = f"v{term.cond}" if fused is None else \
+            cond = self._val(term.cond) if fused is None else \
                 _BARE_COMPARES[fused.op].format(
-                    *[f"v{a}" for a in fused.args])
+                    *[self._val(a) for a in fused.args])
             self._line(f"if {cond}:")
             self._depth += 1
             self._transfer(term.if_true)
@@ -664,7 +741,7 @@ class StructuredEmitter:
             if not term.cases:
                 self._transfer(term.default)
                 return
-            self._line(f"_i = v{term.index}")
+            self._line(f"_i = {self._val(term.index)}")
             for pos, call in enumerate(term.cases):
                 self._line(f"{'if' if pos == 0 else 'elif'} _i == {pos}:")
                 self._depth += 1
@@ -675,11 +752,13 @@ class StructuredEmitter:
             self._transfer(term.default)
             self._depth -= 1
         elif isinstance(term, Ret):
+            self._line("_fu += 1")
             if term.args:
-                self._line(f"return v{term.args[0]}")
+                self._line(f"return {self._val(term.args[0])}")
             else:
                 self._line("return None")
         elif isinstance(term, Trap):
+            self._line("_fu += 1")
             self._line(f"raise VMTrap({term.message!r})")
         else:
             raise UnsupportedConstruct(
@@ -688,10 +767,15 @@ class StructuredEmitter:
     # ------------------------------------------------------------------
     # Instructions.
     # ------------------------------------------------------------------
+    def _val(self, value: int) -> str:
+        """How an operand is spelled: a constant's literal, else its
+        name."""
+        return self._literals.get(value) or f"v{value}"
+
     def _addr(self, instr: Instr, pre: List[str]) -> str:
         """The effective-address expression for a memory op (a temp when
         a static offset must be added)."""
-        base = f"v{instr.args[0]}"
+        base = self._val(instr.args[0])
         if instr.imm:
             pre.append(f"_a = {base} + {instr.imm}")
             return "_a"
@@ -702,24 +786,26 @@ class StructuredEmitter:
         args = instr.args
         r = f"v{instr.result}" if instr.result is not None else None
 
-        if op == "iconst":
-            return [f"{r} = {int(instr.imm)}"]
-        if op == "fconst":
-            literal, _ = _float_literal(instr.imm)
-            return [f"{r} = {literal}"]
+        if op in ("iconst", "fconst"):
+            # Each use prints a constant's literal; only a non-finite
+            # float, which has none, is assigned.
+            if instr.result in self._literals:
+                return []
+            return [f"{r} = {_float_literal(instr.imm)[0]}"]
         cast = CASTS.get(op)
         if cast is not None:
             # The operand's bits written as one type and read back as the
             # other, through the VM's scratch word.
             into, out = cast
             self.heap.update(cast)
-            return [f"{into}[0] = v{args[0]}", f"{r} = {out}[0]"]
+            return [f"{into}[0] = {self._val(args[0])}", f"{r} = {out}[0]"]
         pure = _PURE_TEMPLATES.get(op)
         if pure is not None:
             template, uses_int = pure
             if uses_int:
                 self.used.add("_int")
-            return [f"{r} = " + template.format(*[f"v{a}" for a in args])]
+            return [f"{r} = " + template.format(
+                *[self._val(a) for a in args])]
 
         mem = LOADS.get(op) or STORES.get(op)
         if mem is not None:
@@ -744,16 +830,17 @@ class StructuredEmitter:
                               f"else: {r} = {slot}"]
             # An i64 or f64 is already 8 bytes wide; narrower stores
             # truncate.
-            value = (f"v{args[1]}" if mem.size == 8 else
-                     f"v{args[1]} & {(1 << (mem.size * 8)) - 1:#x}")
-            return pre + [f"{test}{mem.checked}(M, {a}, v{args[1]})",
-                          f"else: {slot} = {value}"]
+            value = self._val(args[1])
+            masked = (value if mem.size == 8 else
+                      f"{value} & {(1 << (mem.size * 8)) - 1:#x}")
+            return pre + [f"{test}{mem.checked}(M, {a}, {value})",
+                          f"else: {slot} = {masked}"]
 
         if op == "call":
             self.used.add("_lk")
             site = len(self.link_sites)
             self.link_sites.append(("c", instr.imm, len(args)))
-            call_args = "".join(f", v{a}" for a in args)
+            call_args = "".join(f", {self._val(a)}" for a in args)
             # The slot is read at the call, not bound in the preamble, so
             # an invalidation between two executions of this site is
             # always observed.  Bridged: full vm.call.  Linked: one raw
@@ -767,8 +854,9 @@ class StructuredEmitter:
             site = len(self.link_sites)
             rest = args[1:]
             self.link_sites.append(("t", len(rest)))
-            raw_args = "".join(f", v{a}" for a in rest)
-            boxed = ", ".join(f"v{a}" for a in rest)
+            index = self._val(args[0])
+            raw_args = "".join(f", {self._val(a)}" for a in rest)
+            boxed = ", ".join(self._val(a) for a in rest)
             trailing = "," if len(rest) == 1 else ""
             assign = f"{r} = " if r is not None else ""
             # Monomorphic inline cache [expected_index, raw_target,
@@ -777,10 +865,10 @@ class StructuredEmitter:
             # through the full vm.call_table path.
             return [
                 f"_s = _lk[{site}]",
-                f"if v{args[0]} == _s[0]:",
+                f"if {index} == _s[0]:",
                 f"{_INDENT}{assign}_s[1](vm{raw_args})",
                 "else:",
-                f"{_INDENT}{assign}_s[2](vm, v{args[0]}, "
+                f"{_INDENT}{assign}_s[2](vm, {index}, "
                 f"({boxed}{trailing}))",
             ]
 
@@ -789,21 +877,21 @@ class StructuredEmitter:
             return [f"{r} = G[{instr.imm!r}]"]
         if op == "global_set":
             self.used.add("G")
-            return [f"G[{instr.imm!r}] = v{args[0]}"]
+            return [f"G[{instr.imm!r}] = {self._val(args[0])}"]
         if op == "guard":
             if isinstance(instr.imm, tuple):
                 # Site guard: a miss records the site and control
                 # continues into the out-of-line call, so no state is
                 # abandoned.
                 site, values = instr.imm
-                return [f"if v{args[0]} not in {values!r}: "
+                return [f"if {self._val(args[0])} not in {values!r}: "
                         f"vm.notify_site_miss({self.func.name!r}, "
                         f"{site})"]
             # Entry guard: the VM catches GuardFailed at this function's
             # call boundary and rolls the counters back, so the segment
             # fuel already charged for this block is unwound with the
             # deopt.
-            return [f"if v{args[0]} != {int(instr.imm)}: "
+            return [f"if {self._val(args[0])} != {int(instr.imm)}: "
                     f"raise GuardFailed({self.func.name!r})"]
 
         raise UnsupportedConstruct(
@@ -812,24 +900,6 @@ class StructuredEmitter:
     # ------------------------------------------------------------------
     # Source assembly.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _peephole(lines: List[str]) -> List[str]:
-        """Merge adjacent ``_fu += a`` statements in the same suite —
-        a terminator charge followed by an inlined successor's first
-        segment charge, with no observable point between them."""
-        pat = re.compile(r"^(\s*)_fu \+= (\d+)$")
-        out: List[str] = []
-        for line in lines:
-            m = pat.match(line)
-            if m and out:
-                prev = pat.match(out[-1])
-                if prev and prev.group(1) == m.group(1):
-                    total = int(prev.group(2)) + int(m.group(2))
-                    out[-1] = f"{m.group(1)}_fu += {total}"
-                    continue
-            out.append(line)
-        return out
-
     def _prologue(self) -> List[str]:
         """Per-call depth bookkeeping, hoisted from ``VM._dispatch`` into
         the callee so raw-linked calls (which bypass the VM entirely)
@@ -885,7 +955,7 @@ class StructuredEmitter:
         self.dispatch_region_blocks = 0
         self._emit_seq(units)
         assert not self._scopes and not self._inline_map
-        return self._peephole(self._lines)
+        return self._lines
 
     def emit_source(self) -> str:
         func = self.func
@@ -895,13 +965,19 @@ class StructuredEmitter:
             bid: [c.block for c in
                   func.blocks[bid].terminator.targets()]
             for bid in rpo}
-        # How often each value is used (what compare->branch fusion asks).
+        # How often each value is used (what compare->branch fusion
+        # asks), and the literal each constant's uses print.
         uses: List[int] = []
+        self._literals: Dict[int, str] = {}
         for bid in rpo:
             block = func.blocks[bid]
             uses += terminator_values(block.terminator)
             for instr in block.instrs:
                 uses += instr.args
+                if instr.op in ("iconst", "fconst"):
+                    literal = _const_literal(instr)
+                    if literal is not None:
+                        self._literals[instr.result] = literal
         self._use_counts = collections.Counter(uses)
 
         try:
@@ -916,7 +992,8 @@ class StructuredEmitter:
             # own nesting, which cannot reach the parser's limit; and
             # its one scope is two static blocks with the ``try``.
             body = self._emit_body(
-                [_DispatchUnit([func.entry], rpo, func.entry)],
+                [self._dispatch_unit([func.entry], frozenset(rpo),
+                                     func.entry)],
                 float("inf"))
             self.mode_used = "dispatch"
 
@@ -949,9 +1026,9 @@ def compile_python_source(name: str, source: str,
     What :meth:`repro.pipeline.engine.CompilationEngine._emit` does
     after :func:`emit_function_source`, so warm-loaded sources from the
     artifact store take the exact same path as freshly emitted ones.
-    ``code`` may carry a precompiled code object for ``source`` (the
-    tier-3½ codegen rung: unmarshaled from the artifact store, or
-    compiled in a parallel emit stage), in which case the ``compile()``
+    ``code`` may carry the code object already compiled for ``source``
+    — by the engine before it stores the source, or unmarshaled from
+    the artifact store's ``py/`` entry — in which case the ``compile()``
     step is skipped.
     """
     env = dict(BACKEND_GLOBALS)

@@ -108,7 +108,10 @@ ARTIFACT_VERSION = 7
 # 10: sized loads and stores subscript the VM's typed heap views behind
 # one mask test, with the checked accessor out of line; the NaN-box
 # casts go through the VM's scratch word; ``_oob`` and ``_ML`` are gone.
-EMITTER_VERSION = 10
+# 11: a dispatch region's tree dispatches only to its entries and
+# joins; a block's one ``_fu += k`` counts the branch that entered it;
+# constants print as literals.
+EMITTER_VERSION = 11
 
 HIT = "hit"
 MISS = "miss"

@@ -22,9 +22,14 @@ differential corpus does not isolate:
   nest on either side of the static-block cliff reaches tier 2;
 * the out-of-line traps (``_oof`` and each memory row's checked
   accessor): the VM's exception type and message, and the VM's fuel at
-  the raise.
+  the raise;
+* what a block costs: a dispatch region's tree has leaves only for its
+  entries and joins, a block pays one fuel charge, and a constant is a
+  literal at each use — each against the VM at every fuel limit, with
+  a source guard over the pin corpus and two suite residuals.
 """
 
+import collections
 import math
 import random
 import re
@@ -39,9 +44,10 @@ from repro.backend import (
 )
 from repro.core.specialize import SpecializeOptions
 from repro.ir import F64, I64, Module, parse_function
-from repro.ir.instructions import OPCODES
+from repro.ir.instructions import OPCODES, Ret, Trap
 from repro.ir.printer import float_text
 from repro.ir.semantics import LOADS, PURE_EXPRS, STORES
+from repro.jsvm import JSRuntime
 from repro.min.interp import PROGRAM_BASE, build_min_module, specialize_min
 from repro.min.harness import sum_to_n_program
 from repro.pipeline.engine import CompilationEngine
@@ -52,15 +58,19 @@ from tests.helpers import (
     EMIT_LEGS,
     FLOAT_BIT_PATTERNS,
     MAX_COMPILABLE_LOOP_NEST,
+    IRText,
     branch_chain,
     build_module,
     compare_module,
     compile_legs,
     compile_py,
+    corpus_program,
     emit_leg,
     loop_nest,
     single_op_module,
+    target,
 )
+from tests.test_golden_backend import pin_functions
 
 TWO63 = 1 << 63
 MASK64 = (1 << 64) - 1
@@ -534,6 +544,309 @@ def test_loop_nests_across_the_static_block_limit(depth):
     for limit in range(full[2] + 1):
         assert _run(module, "nest", (1,), pyfunc, limit) \
             == _run(module, "nest", (1,), None, limit), limit
+
+
+# ---------------------------------------------------------------------------
+# What a block costs: a dispatch tree over entries and joins only, one
+# fuel charge per block, constants as literals.
+# ---------------------------------------------------------------------------
+
+_LEAF = re.compile(r"# block(\d+) \[_b=\d+\]")
+
+
+def _region_shapes(loops: int):
+    """``shapes(n, sel)`` (``n >= 1``): ``loops`` nested loops, each
+    left after one trip, around an irreducible cycle with two entries,
+    ``a`` and ``b`` (``sel`` picks the first), that ``n`` trips leave.
+    Inside the cycle ``a`` reaches ``b`` directly or through the
+    single-predecessor chain ``c -> d``; the cycle's two
+    single-predecessor exits join at ``out``.  Returns ``(module,
+    func, blocks)``, ``blocks`` naming ``a``, ``b``, ``out`` and the
+    loop ``headers``."""
+    ir = IRText("func @shapes(v0: i64, v1: i64) -> i64 {", 2)
+    n, sel = 0, 1
+    zero, one, three, five, seven, never = (
+        ir.const(value) for value in (0, 1, 3, 5, 7, MASK64))
+    headers = [ir.block(1) for _ in range(loops)]
+    latches = [ir.block(1) for _ in range(loops)]
+    (a, (i_a, acc_a)), (b, (i_b, acc_b)), (c, (i_c, acc_c)), \
+        (d, (i_d, acc_d)) = (ir.block(2) for _ in range(4))
+    (exit_a, (r_a,)), (exit_b, (r_b,)), (out, (r,)), (done, (result,)) = (
+        ir.block(1) for _ in range(4))
+
+    def enter(acc):
+        return (f"br_if v{sel}, {target(a, [n, acc])}, "
+                f"{target(b, [n, acc])}")
+
+    ir.line(f"jump {target(headers[0][0], [zero])}" if loops
+            else enter(zero))
+    for k, (header, (acc,)) in enumerate(headers):
+        ir.current = header
+        ir.line(f"jump {target(headers[k + 1][0], [acc])}"
+                if k + 1 < loops else enter(acc))
+    for k, (latch, (acc,)) in enumerate(latches):
+        ir.current = latch
+        again = ir.define(f"ieq v{acc}, v{never}")
+        leave = latches[k - 1][0] if k else done
+        ir.line(f"br_if v{again}, {target(headers[k][0], [acc])}, "
+                f"{target(leave, [acc])}")
+    ir.current = a
+    acc = ir.define(f"iadd v{acc_a}, v{three}")
+    trips = ir.define(f"isub v{i_a}, v{one}")
+    more = ir.define(f"ine v{trips}, v{zero}")
+    ir.line(f"br_if v{more}, {target(c, [trips, acc])}, "
+            f"{target(exit_a, [acc])}")
+    ir.current = c
+    acc = ir.define(f"imul v{acc_c}, v{five}")
+    odd = ir.define(f"iand v{acc}, v{one}")
+    ir.line(f"br_if v{odd}, {target(d, [i_c, acc])}, "
+            f"{target(b, [i_c, acc])}")
+    ir.current = d
+    acc = ir.define(f"ixor v{acc_d}, v{seven}")
+    ir.line(f"jump {target(b, [i_d, acc])}")
+    ir.current = b
+    acc = ir.define(f"iadd v{acc_b}, v{i_b}")
+    trips = ir.define(f"isub v{i_b}, v{one}")
+    more = ir.define(f"ine v{trips}, v{zero}")
+    ir.line(f"br_if v{more}, {target(a, [trips, acc])}, "
+            f"{target(exit_b, [acc])}")
+    ir.current = exit_a
+    ir.line(f"jump {target(out, [r_a])}")
+    ir.current = exit_b
+    bumped = ir.define(f"iadd v{r_b}, v{one}")
+    ir.line(f"jump {target(out, [bumped])}")
+    ir.current = out
+    ir.line(f"jump {target(latches[-1][0] if loops else done, [r])}")
+    ir.current = done
+    ir.line(f"return v{result}")
+    module = Module(memory_size=64)
+    func = parse_function(ir.text())
+    module.add_function(func)
+    return module, func, {"a": a, "b": b, "out": out,
+                          "headers": [h for h, _ in headers]}
+
+
+def _agree_at_every_limit(module, name, args, compiled):
+    """VM ≡ every compiled callable at every fuel limit up to one past
+    the call's whole fuel: the result, or ``OutOfFuel`` with the same
+    message and the same ``S.fuel`` at the raise."""
+    full = _run(module, name, args)
+    assert full[0] == "ok", full
+    for limit in range(full[2] + 2):
+        reference = _run(module, name, args, None, limit)
+        for label, pyfunc in compiled.items():
+            assert _run(module, name, args, pyfunc, limit) == reference, (
+                args, limit, label)
+
+
+@pytest.mark.parametrize("loops", (2, MAX_COMPILABLE_LOOP_NEST))
+def test_dispatch_trees_branch_only_to_entries_and_joins(loops):
+    """A dispatch region's ``_b`` tree has a leaf for each of its
+    entries and joins and for nothing else: the single-predecessor
+    chain inside the cycle, its exits and the loop latches are inlined
+    at their one incoming edge.  With two loops the structured leg
+    keeps its skeleton and the cycle is the region (entries ``a`` and
+    ``b``); with 19 the cycle's dispatch loop is a 21st static block,
+    so both legs emit the whole function as one region, whose leaves
+    are the entry block, the loop headers, ``a``, ``b`` and ``out``.
+    Every leg agrees with the VM at every fuel limit."""
+    module, func, blocks = _region_shapes(loops)
+    whole = {func.entry, blocks["a"], blocks["b"], blocks["out"],
+             *blocks["headers"]}
+    cycle = {blocks["a"], blocks["b"]}
+    compiled = {}
+    for leg in EMIT_LEGS:
+        with emit_leg(leg):
+            source, mode_used, _ = emit_function_source(func, module)
+        assert mode_used == ("dispatch" if loops > 2 else leg), leg
+        leaves = {int(bid) for bid in _LEAF.findall(source)}
+        assert leaves == (whole if mode_used == "dispatch" else cycle), leg
+        compiled[leg] = compile_python_source(func.name, source)
+    for sel in (0, 1):
+        _agree_at_every_limit(module, "shapes", (3, sel), compiled)
+
+
+def test_branch_chain_twice_the_indent_budget_compiles_flat():
+    """Inlining inside a region stops ``_MAX_INLINE_DEPTH`` levels below
+    a leaf, so a chain of ``2 * _MAX_DEPTH`` single-predecessor branches
+    (an unbounded inliner nests it past CPython's 100 indent levels)
+    compiles as one region whose extra leaves are chain links, and
+    agrees with the VM at every fuel limit.  The forced dispatch leg
+    emits the same bytes: it lowers ``_MAX_DEPTH``, which the inliner
+    does not read."""
+    depth = 2 * emitter._MAX_DEPTH
+    module = branch_chain(depth)
+    func = module.functions["chain"]
+    source, mode_used, _ = emit_function_source(func, module)
+    assert mode_used == "dispatch"
+    with emit_leg("dispatch"):
+        assert emit_function_source(func, module)[0] == source
+    leaves = [int(bid) for bid in _LEAF.findall(source)]
+    preds = collections.Counter(
+        call.block for block in func.blocks.values()
+        for call in block.terminator.targets())
+    # Past the entry every leaf is a chain link the bound cut.
+    assert leaves[0] == func.entry and len(leaves) > 2
+    assert all(preds[bid] == 1 for bid in leaves[1:])
+    indents = [len(line) - len(line.lstrip(" ")) for line in
+               source.splitlines()]
+    assert max(indents) // len(emitter._INDENT) < 100 - 30
+    pyfunc = compile_python_source(func.name, source)
+    for n in (0, 1, depth // 2, depth - 1, depth, TWO63):
+        reference = _run(module, "chain", (n,))
+        assert reference[:2] == ("ok", min(n, depth))
+        assert _run(module, "chain", (n,), pyfunc) == reference
+    _agree_at_every_limit(module, "chain", (depth,), {"dispatch": pyfunc})
+
+
+def _charge_violations(func, source):
+    """Where ``source`` breaks the one-charge rule: a block whose code
+    before its fuel-limit check holds more than one ``_fu +=``, or a
+    count of the ``_fu += 1`` lines after the checks other than one per
+    ``return`` / ``trap`` terminator and per edge into the entry
+    block."""
+    reached, work = {func.entry}, [func.entry]
+    while work:
+        for call in func.blocks[work.pop()].terminator.targets():
+            if call.block not in reached:
+                reached.add(call.block)
+                work.append(call.block)
+    blocks = [func.blocks[bid] for bid in reached]
+    owed = sum(isinstance(block.terminator, (Ret, Trap)) for block in blocks)
+    owed += sum(call.block == func.entry for block in blocks
+                for call in block.terminator.targets())
+    problems, after_checks = [], 0
+    chunks = re.split(r"\n\s*# block\d+[^\n]*", source)[1:]
+    for chunk in chunks:
+        before, _, after = chunk.partition("if _L is not None")
+        if len(re.findall(r"^\s*_fu \+=", before, re.M)) > 1:
+            problems.append(before)
+        charges = re.findall(r"^\s*_fu \+= (\d+)$", after, re.M)
+        if set(charges) - {"1"}:
+            problems.append(after)
+        after_checks += len(charges)
+    if after_checks != owed:
+        problems.append(f"{after_checks} unit charges, {owed} owed")
+    return problems
+
+
+_REENTERED_ENTRY = """\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iconst 1
+  v3 = iconst 0
+  v4 = iadd v1, v0
+  v5 = isub v0, v2
+  v6 = ine v5, v3
+  br_if v6, block1, block2
+block1:
+  v7 = iand v5, v2
+  br_if v7, block0(v5, v4), block3
+block2:
+  return v4
+block3:
+  jump block0(v5, v1)
+}"""
+
+
+def test_edges_back_into_the_entry_block_charge_their_branch():
+    """The entry block's charge cannot count the branch that entered
+    it, since a call enters it too: each edge back into it charges its
+    own unit, as the ``return`` charges its own.  Both legs agree with
+    the VM at every fuel limit."""
+    func = parse_function(_REENTERED_ENTRY)
+    module = Module(memory_size=64)
+    module.add_function(func)
+    compiled = {}
+    for leg, source, pyfunc in _legs(func, module):
+        # Two edges into block0 and one return owe a unit each.
+        assert _charge_violations(func, source) == [], leg
+        assert re.search(r"_fu \+= 1\n\s*v0, v1 = v5, v4\n", source), leg
+        compiled[leg] = pyfunc
+    for n in (1, 2, 7):
+        _agree_at_every_limit(module, "f", (n, 5), compiled)
+
+
+def _assigned_constants(func, source):
+    """The constants ``source`` names: every ``iconst`` and finite
+    ``fconst`` should print as a literal at each use."""
+    named = []
+    for block in func.blocks.values():
+        for instr in block.instrs:
+            if instr.op == "iconst" or (instr.op == "fconst"
+                                        and math.isfinite(instr.imm)):
+                if re.search(rf"\bv{instr.result}\b", source):
+                    named.append(instr.result)
+    return named
+
+
+def _suite_residual(program, pick):
+    runtime = JSRuntime(corpus_program(program), "wevaled_state")
+    runtime.aot_compile()
+    return pick(runtime), runtime.module
+
+
+def test_one_charge_per_block_and_no_constant_is_assigned():
+    """A source guard over the emitter-pin corpus (both legs),
+    richards' largest residual and mandreel's ``js$body``: no block
+    emits two ``_fu +=`` charges, the only charges after a fuel-limit
+    check are the units of returns, traps and edges into the entry
+    block, and no ``iconst`` or finite ``fconst`` is named."""
+    functions = list(pin_functions())
+    functions.append(_suite_residual("js/richards.js", lambda runtime: max(
+        (runtime.module.functions[item.function_name]
+         for item in runtime.compiler.processed),
+        key=lambda func: func.num_instrs())))
+    functions.append(_suite_residual(
+        "js/mandreel.js", lambda runtime: runtime.module.functions["js$body"]))
+    checked = 0
+    for func, module in functions:
+        for leg in EMIT_LEGS:
+            with emit_leg(leg):
+                source = emit_function_source(func, module)[0]
+            assert _charge_violations(func, source) == [], (func.name, leg)
+            assert _assigned_constants(func, source) == [], (func.name, leg)
+            checked += 1
+    assert checked == 2 * len(functions)
+
+
+_NEGATIVE_FLOATS = """\
+func @f(v0: f64) -> i64 {
+block0:
+  v1 = fconst %s
+  v2 = fneg v1
+  v3 = fsub v0, v1
+  v4 = fsub v1, v0
+  v5 = fadd v2, v3
+  v6 = fsub v4, v5
+  v7 = bits_ftoi v2
+  v8 = bits_ftoi v6
+  v9 = ixor v7, v8
+  v10 = bits_ftoi v3
+  v11 = ixor v9, v10
+  return v11
+}"""
+
+
+@pytest.mark.parametrize("text", ("-0.0", "-1.5", "0.0", "-5e-324",
+                                  "-1.7976931348623157e+308"))
+def test_negative_float_literals_stay_bit_exact(text):
+    """A negative constant prints parenthesized, so ``fneg`` and
+    ``fsub`` of it keep every bit — the sign of ``-0.0`` included — on
+    both legs, against the VM, over operands that include both zeros,
+    both infinities and a NaN."""
+    func = parse_function(_NEGATIVE_FLOATS % text)
+    module = Module(memory_size=64)
+    module.add_function(func)
+    value = float(text)
+    for leg, source, pyfunc in _legs(func, module):
+        if math.copysign(1.0, value) < 0:
+            assert f"({value!r})" in source, leg
+        assert "--" not in source and "- -" not in source, leg
+        for operand in (0.0, -0.0, 1.5, -1.5, math.inf, -math.inf,
+                        math.nan):
+            assert _run(module, "f", (operand,), pyfunc) \
+                == _run(module, "f", (operand,)), (leg, operand)
 
 
 def test_out_of_line_trap_raisers_keep_the_vm_text():

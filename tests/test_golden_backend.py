@@ -46,7 +46,9 @@ from tests.helpers import (
 from tests.test_golden_ir import LUA_GCD_SRC
 
 
-def _min_sum_source() -> str:
+def _min_sum_function():
+    """``(func, module)`` of the golden Min residual; its emitted
+    source, run, sums 1..5."""
     program = sum_to_n_program(5)
     module = build_min_module(program)
     func = specialize_min(module, program, use_intrinsics=False,
@@ -56,17 +58,26 @@ def _min_sum_source() -> str:
     vm.install_compiled({func.name: compile_python_source(func.name, source)})
     assert vm.call(func.name,
                    [PROGRAM_BASE, len(program.words), 0]) == 15
-    return source
+    return func, module
 
 
-def _lua_gcd_source() -> str:
+def _lua_gcd_function():
+    """``(func, module)`` of the golden MiniLua gcd residual, after a
+    compiled run printed its result."""
     runtime = LuaRuntime(LUA_GCD_SRC)
     runtime.aot_compile()
     runtime.run_aot(backend="py")
     assert runtime.printed == [21]
     assert not runtime.compiler.backend_fallbacks
-    func = runtime.module.functions["lua$gcd"]
-    return emit_function_source(func, runtime.module)[0]
+    return runtime.module.functions["lua$gcd"], runtime.module
+
+
+def _min_sum_source() -> str:
+    return emit_function_source(*_min_sum_function())[0]
+
+
+def _lua_gcd_source() -> str:
+    return emit_function_source(*_lua_gcd_function())[0]
 
 
 def test_min_sum_emitted_py_golden(request):
@@ -79,12 +90,12 @@ def test_lua_gcd_emitted_py_golden(request):
     check_golden(request, "lua_gcd_py", _lua_gcd_source())
 
 
-def _pin_corpus():
-    """The emitted sources the pin digests: the two goldens, one
-    function per control shape, per memory row and per compare row
-    (fused into its branch, and kept as an ``_int``)."""
-    yield _min_sum_source()
-    yield _lua_gcd_source()
+def pin_functions():
+    """``(func, module)`` of each function the pin digests: the two
+    goldens, one function per control shape, per memory row and per
+    compare row (fused into its branch, and kept as an ``_int``)."""
+    yield _min_sum_function()
+    yield _lua_gcd_function()
     modules = [branch_chain(8), loop_nest(3)]
     for op in sorted(LOADS):
         modules.append(single_op_module(op, (I64,), OPCODES[op].result,
@@ -97,6 +108,12 @@ def _pin_corpus():
         modules.append(compare_module(op, "returned")[0])
     for module in modules:
         (func,) = module.functions.values()
+        yield func, module
+
+
+def _pin_corpus():
+    """The emitted sources the pin digests."""
+    for func, module in pin_functions():
         yield emit_function_source(func, module)[0]
 
 
