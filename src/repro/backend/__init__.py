@@ -8,14 +8,15 @@ removes that tier: it translates a verified function into Python source,
 ``call`` / ``call_indirect`` exactly as it would an IR function.
 
 Select the backend with ``SpecializeOptions(backend="py")`` (or per run,
-``run_aot(backend="py")``); functions the emitter cannot express, or
-whose source ``compile()`` refuses, fall back to the IR VM per function.
+``run_aot(backend="py")``).  The emitter is total on verified IR; an
+emit that fails anyway is a contained compile failure of that one
+request (``EngineResult.error`` in :mod:`repro.pipeline.engine`), and
+the function keeps running on a lower tier.
 """
 
 from repro.backend.emitter import (
     BackendError,
     StructuredEmitter,
-    UnsupportedConstruct,
     compile_python_source,
     emit_function_source,
 )
@@ -24,7 +25,6 @@ from repro.backend.runtime import BACKEND_GLOBALS
 __all__ = [
     "BackendError",
     "StructuredEmitter",
-    "UnsupportedConstruct",
     "compile_python_source",
     "emit_function_source",
     "BACKEND_GLOBALS",

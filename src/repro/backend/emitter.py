@@ -92,9 +92,9 @@ region around all of its blocks (``mode_used == "dispatch"``) by the
 same code, so every source the emitter produces is one ``compile()``
 accepts.
 
-Anything the emitter cannot express raises
-:class:`UnsupportedConstruct`, and so, defensively, does a source
-``compile()`` refuses; callers fall back to the VM per function.
+Malformed input (no entry block, a dangling or unterminated block, an
+opcode with no row) raises :class:`BackendError`; the engine contains
+it, as any failure of ``compile()`` or ``exec``, as a failed request.
 """
 
 from __future__ import annotations
@@ -120,12 +120,8 @@ from repro.ir.semantics import CASTS, LOADS, PURE_EXPRS, STORES, _bits_ftoi
 
 
 class BackendError(Exception):
-    """The backend failed in a way that is not a per-function fallback."""
-
-
-class UnsupportedConstruct(BackendError):
-    """This function uses a construct the emitter cannot compile; the
-    caller should run it on the IR VM instead."""
+    """The emitter was given a function it cannot lower (malformed IR or
+    an unknown emit mode)."""
 
 
 class _StructureTooDeep(BackendError):
@@ -351,7 +347,7 @@ class StructuredEmitter:
         """Reachable blocks in reverse postorder, entry first."""
         func = self.func
         if func.entry is None:
-            raise UnsupportedConstruct(f"{func.name}: no entry block")
+            raise BackendError(f"{func.name}: no entry block")
         # Iterative DFS to avoid Python recursion limits on huge CFGs.
         stack: List[Tuple[int, int]] = [(func.entry, 0)]
         post: List[int] = []
@@ -362,10 +358,10 @@ class StructuredEmitter:
             if bid not in targets_of:
                 block = func.blocks.get(bid)
                 if block is None:
-                    raise UnsupportedConstruct(
+                    raise BackendError(
                         f"{self.func.name}: dangling block ref block{bid}")
                 if block.terminator is None:
-                    raise UnsupportedConstruct(
+                    raise BackendError(
                         f"{self.func.name}: block{bid} not terminated")
                 targets_of[bid] = [c.block for c in
                                    block.terminator.targets()]
@@ -761,7 +757,7 @@ class StructuredEmitter:
             self._line("_fu += 1")
             self._line(f"raise VMTrap({term.message!r})")
         else:
-            raise UnsupportedConstruct(
+            raise BackendError(
                 f"{self.func.name}: block{block.id} has no terminator")
 
     # ------------------------------------------------------------------
@@ -894,7 +890,7 @@ class StructuredEmitter:
             return [f"if {self._val(args[0])} != {int(instr.imm)}: "
                     f"raise GuardFailed({self.func.name!r})"]
 
-        raise UnsupportedConstruct(
+        raise BackendError(
             f"{self.func.name}: unsupported opcode {op!r}")
 
     # ------------------------------------------------------------------
@@ -1029,15 +1025,12 @@ def compile_python_source(name: str, source: str,
     ``code`` may carry the code object already compiled for ``source``
     — by the engine before it stores the source, or unmarshaled from
     the artifact store's ``py/`` entry — in which case the ``compile()``
-    step is skipped.
+    step is skipped.  Whatever ``compile()`` or ``exec`` raises
+    propagates: the engine contains it as a failed request.
     """
     env = dict(BACKEND_GLOBALS)
     if code is None:
-        try:
-            code = compile(source, f"<pybackend:{name}>", "exec")
-        except (SyntaxError, RecursionError, MemoryError) as exc:
-            raise UnsupportedConstruct(
-                f"{name}: emitted source does not compile: {exc}") from exc
+        code = compile(source, f"<pybackend:{name}>", "exec")
     exec(code, env)
     pyfunc = env["_compiled"]
     pyfunc.__name__ = name

@@ -17,19 +17,18 @@ are patched, and execution resumes from the snapshot.
    one), then — in request order — append each function to the module,
    register it in the function table, and patch the 64-bit result slot
    in the heap with the table index; a request the engine could not
-   compile applies nothing, and a tier-2 outcome is kept by name
-   (``backend_functions``, or ``backend_fallbacks``: name → the reason
-   the emitter left it on the IR VM) — the helpers a compiled residual
-   calls by name (``CompilationEngine.compile_helpers``) go into
-   ``backend_functions`` with it;
+   compile applies nothing (a failed emit on the py backend included),
+   and a tier-2 callable is kept by name in ``backend_functions`` — the
+   helpers a compiled residual calls by name
+   (``CompilationEngine.compile_helpers``) go in with it;
 4. ``freeze()`` — make the heap the module's initial memory: its
    non-zero pages are indexed and only those are kept;
 5. ``resume()`` — a fresh VM starting from the snapshot (a private
    mapping that copies the indexed pages and nothing else), where the
    runtime finds its function pointers filled in and calls specialized
    code via ``call_indirect``; on the py backend it first compiles
-   whatever ``compile_backend()`` has not seen yet (idempotent by
-   membership in the two dicts above), then installs every residual and
+   whatever ``compile_backend()`` has not compiled yet (idempotent by
+   membership in ``backend_functions``), then installs every residual and
    helper in ``backend_functions``, so a guest call runs compiled →
    compiled once its link slots patch.  Helpers are found when a batch
    compiles, never by ``resume()``: a second resume finds nothing to
@@ -81,12 +80,10 @@ class SnapshotCompiler:
         self.pending: List[Tuple[SpecializationRequest, int]] = []
         self.processed: List[ProcessedRequest] = []
         self.total_stats = SpecializationStats()
-        # Tier-2 backend state, filled by the engine's one emit body:
-        # in the batch when ``options.backend == "py"``, else lazily by
-        # compile_backend.  A name is in at most one of the two; the
-        # fallback reason is the permanent "cannot express" verdict.
+        # Tier-2 callables, filled by the engine's one emit body: in the
+        # batch when ``options.backend == "py"``, else lazily by
+        # compile_backend.
         self.backend_functions: Dict[str, Callable] = {}
-        self.backend_fallbacks: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -142,8 +139,6 @@ class SnapshotCompiler:
             if result.pyfunc is not None:
                 self.backend_functions[func.name] = result.pyfunc
                 self.backend_functions.update(result.helpers)
-            elif result.fallback_reason is not None:
-                self.backend_fallbacks[func.name] = result.fallback_reason
             processed.append(ProcessedRequest(
                 request, func.name, index, result_addr,
                 result.artifact_hit, helpers=result.helpers))
@@ -176,22 +171,20 @@ class SnapshotCompiler:
         """Compile residual functions to Python callables (tier 2).
 
         ``names`` defaults to every processed specialization.  Idempotent
-        by membership: a name already compiled, or already recorded in
-        ``backend_fallbacks`` (the emitter cannot express it; it stays
-        on the IR VM), is not attempted again, so the result holds only
-        what this call compiled — the helpers those functions were the
-        first to need included, recorded in ``backend_functions`` too.
-        Delegates to the engine, so emitted source persists in the
-        artifact store.
+        by membership: a name already compiled is not attempted again,
+        so the result holds only what this call compiled — the helpers
+        those functions were the first to need included, recorded in
+        ``backend_functions`` too.  A name whose emit failed is left
+        out (it stays on the IR VM) and is attempted again by the next
+        call.  Delegates to the engine, so emitted source persists in
+        the artifact store.
         """
         if names is None:
             names = [p.function_name for p in self.processed
                      if p.error is None]
-        todo = [n for n in names if n not in self.backend_functions
-                and n not in self.backend_fallbacks]
-        compiled, fallbacks = self.engine.compile_backend_functions(todo)
+        compiled = self.engine.compile_backend_functions(
+            [n for n in names if n not in self.backend_functions])
         self.backend_functions.update(compiled)
-        self.backend_fallbacks.update(fallbacks)
         return compiled
 
     def resume(self, backend: Optional[str] = None) -> VM:

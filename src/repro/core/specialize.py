@@ -121,8 +121,9 @@ class SpecializeOptions:
     # "default" runs the mid-end (opt.pipeline.PASSES), "none" does not
     opt_config: str = _option("residual", default="default")
     # Execution tier for the residual code: "vm" interprets the IR,
-    # "py" compiles it to native Python functions (repro.backend) with
-    # automatic per-function fallback to the VM.  Unkeyed: residual
+    # "py" compiles it to native Python functions (repro.backend); a
+    # function whose emit fails is a failed request, contained like a
+    # specialize crash, and keeps its lower tier.  Unkeyed: residual
     # IR is backend-independent, so a store filled under one backend
     # warm-starts a worker running the other (or a staged one).
     backend: str = _option(None, default="vm")

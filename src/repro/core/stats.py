@@ -83,10 +83,12 @@ class EngineStats(_Mergeable):
     staying at zero on a second run over the same module and requests.
     """
 
-    # A constant, not a field: the store is the one cache, so nothing
-    # hits beside it; it survives only for its reader,
-    # benchmarks/ledger/ledger_workloads.py::layer_metrics.
+    # Constants, not fields, that survive only for their reader,
+    # benchmarks/ledger/ledger_workloads.py: the store is the one cache,
+    # so nothing hits beside it; and a failed emit is a failed request
+    # (``requests_failed``), never a fallback.
     cache_hits = 0
+    backend_fallbacks = 0
     requests: int = 0
     functions_specialized: int = 0   # fresh weval transforms
     artifact_hits: int = 0           # residual IR loaded from disk
@@ -96,7 +98,6 @@ class EngineStats(_Mergeable):
     backend_source_hits: int = 0     # emitted source loaded from disk
     backend_code_hits: int = 0       # ... of which with a usable code
                                      # object (no re-parse/compile)
-    backend_fallbacks: int = 0
     inline_requests: int = 0         # requests carrying an inline plan
     helpers: int = 0                 # helpers compiled (not requests)
     # Fault containment (PR 9): per-request failures and degradations.

@@ -19,8 +19,10 @@ snapshot.  This module is that cache: it stores
   and
 * **emitted backend source** (``py/``) keyed by the *residual*
   function's printed-IR fingerprint plus the emitter version, so a
-  residual loaded warm reuses the same Python source (or the same
-  recorded per-function VM-fallback decision) without re-emitting.
+  residual loaded warm reuses the same Python source, and its compiled
+  code object, without re-emitting.  Only a source ``compile()``
+  accepted is ever stored: one it refuses writes nothing, and the next
+  process emits it again.
   The fingerprint of a loaded residual is that of its stored text, so
   the restart the paper describes — the compiled code ships with the
   snapshot — costs about the reading of that code.
@@ -483,15 +485,10 @@ class ArtifactStore:
                             + ".json")
 
     def load_py_source(self, residual_fp: str
-                       ) -> Tuple[Optional[Tuple[Optional[str],
-                                                 Optional[str],
-                                                 Optional[object]]], str]:
-        """Return ``((source, fallback_reason, code), status)``.
-
-        On a hit exactly one of source/fallback is non-``None``: a
-        stored fallback marker means the emitter (or ``compile()`` on
-        its output) already determined this residual cannot be
-        compiled, so warm runs skip the re-attempt.
+                       ) -> Tuple[Optional[Tuple[str, Optional[object]]],
+                                  str]:
+        """Return ``((source, code), status)``; an entry without a
+        source string is ``"invalid"``.
 
         ``code`` is the tier-3½ rung: an entry that carries a marshaled
         code object *for this interpreter's bytecode magic* yields it
@@ -504,15 +501,9 @@ class ArtifactStore:
         if data is None:
             return None, status
         source = data.get("source")
-        fallback = data.get("fallback")
-        if (source is None) == (fallback is None) or \
-                not isinstance(source if source is not None else fallback,
-                               str):
+        if not isinstance(source, str):
             return None, INVALID
-        code = None
-        if source is not None:
-            code = self._decode_code(data)
-        return (source, fallback, code), HIT
+        return (source, self._decode_code(data)), HIT
 
     @staticmethod
     def _decode_code(data: dict) -> Optional[object]:
@@ -530,8 +521,7 @@ class ArtifactStore:
         import types
         return code if isinstance(code, types.CodeType) else None
 
-    def store_py_source(self, residual_fp: str, source: Optional[str],
-                        fallback: Optional[str] = None,
+    def store_py_source(self, residual_fp: str, source: str,
                         code_bytes: Optional[bytes] = None) -> bool:
         """Persist one emitted-source entry; ``code_bytes`` optionally
         attaches ``marshal.dumps`` of the compiled code object, tagged
@@ -540,13 +530,11 @@ class ArtifactStore:
         payload = {
             "version": ARTIFACT_VERSION,
             "source": source,
-            "fallback": fallback,
         }
-        if code_bytes is not None and source is not None:
+        if code_bytes is not None:
             import base64
             import importlib.util
             payload["code"] = base64.b64encode(code_bytes).decode("ascii")
             payload["py_magic"] = importlib.util.MAGIC_NUMBER.hex()
         return self._write_json(self.py_path(residual_fp), payload,
-                                stored_ok=lambda d: (
-            d.get("source") == source and d.get("fallback") == fallback))
+                                stored_ok=lambda d: d.get("source") == source)

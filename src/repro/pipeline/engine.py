@@ -28,12 +28,12 @@ a fresh compile.
   code, keyed by the sha256 of this exact text, is all that runs, so the
   body is parsed and verified only if something reads it — the IR VM
   (:meth:`~CompilationEngine.read_body`), inline planning, a re-emit.
-  Every other load (the VM backend, a fallback or source-only entry, a
-  ``py/`` miss, a stored name that is not the request's) is read at
-  once.  Walk 2 emits when the backend is ``"py"``, counts the hit and
-  writes a fresh residual to the store, printing it once for both.  Two
-  walks and not one because it was measured: with load / specialize and
-  emission interleaved per request the warm path lost its working set
+  Every other load (the VM backend, a source-only entry, a ``py/`` miss,
+  a stored name that is not the request's) is read at once.  Walk 2
+  emits when the backend is ``"py"``, counts the hit and writes a fresh
+  residual to the store, printing it once for both.  Two walks and not
+  one because it was measured: with load / specialize and emission
+  interleaved per request the warm path lost its working set
   (``store_warm`` ``compile_ms`` +3.7%, higher in 7 of 7 alternating
   pairs); all residuals first, all emission second reads level.
 * **One emit body.**  :meth:`~CompilationEngine._emit` is the only code
@@ -42,6 +42,8 @@ a fresh compile.
   run it: walk 2, and
   :meth:`~CompilationEngine.compile_backend_functions` for functions
   already in the module (staged tier-up, ``resume(backend="py")``).
+  An emit that fails at any step is ``EngineResult.error``, contained
+  like a specialize crash and never remembered.
 * **Helpers ride with the residual that needs them.**  A *helper* is a
   module function that compiled code reaches through a direct ``call``
   (the closure: a helper's own direct callees count), that is not an
@@ -58,10 +60,10 @@ a fresh compile.
   name, so helpers are found once per batch and never per run.  A
   helper is **not a request**: it touches none of the request counters
   (``requests``, ``backend_emitted``, ``backend_source_hits``,
-  ``backend_code_hits``, ``backend_fallbacks``, ``requests_failed``),
-  only ``EngineStats.helpers``, and a helper the emitter refuses or
-  whose emit crashes stays on the IR VM — speed, never results, and the
-  request that needed it still succeeds.
+  ``backend_code_hits``, ``requests_failed``), only
+  ``EngineStats.helpers``, and a helper whose emit fails stays on the IR
+  VM — speed, never results, and the request that needed it still
+  succeeds.
 """
 
 from __future__ import annotations
@@ -109,8 +111,7 @@ class EngineResult:
 
     Exactly one of ``artifact_hit`` / ``specialized`` is true for a
     request that got its function.  ``pyfunc`` is populated when the
-    engine's backend is ``"py"``; ``fallback_reason`` records a residual
-    the emitter cannot express (it stays on the IR VM).
+    engine's backend is ``"py"``.
 
     ``error`` is the fault-containment surface: an exception anywhere in
     this request's pipeline (specialize, verify, emit) fails *this
@@ -129,7 +130,6 @@ class EngineResult:
     artifact_hit: bool = False
     specialized: bool = False
     pyfunc: Optional[Callable] = None
-    fallback_reason: Optional[str] = None
     error: Optional[str] = None
     helpers: Dict[str, Callable] = dataclasses.field(default_factory=dict)
     # The residual's id-order text once something needed it (the ``py/``
@@ -188,21 +188,13 @@ class CompilationEngine:
         # Walk 2: emission, hit accounting, residual write.  A second
         # walk rather than the tail of the first, because interleaving
         # the two phases per request measured slower on the warm path
-        # (module docstring).  An emit crash fails its own request only,
+        # (module docstring).  A failed emit fails its own request only,
         # and an errored request writes nothing.
         for result, key in zip(results, keys):
             if emit and result.error is None:
                 self._emit(result)
-                if result.pyfunc is not None:
+                if result.error is None:
                     result.helpers = self.compile_helpers(result.function)
-                elif result.error is None:
-                    # The IR VM runs it after all (``exec`` of a stored
-                    # code object failed).
-                    try:
-                        self.read_body(result.function, result.request,
-                                       snapshot)
-                    except Exception as exc:
-                        result.error = f"{type(exc).__name__}: {exc}"
             if result.error is not None:
                 stats.requests_failed += 1
             elif result.artifact_hit:
@@ -275,7 +267,7 @@ class CompilationEngine:
                 fp = residual_fingerprint(stored.text)
                 cached = self._load_py(fp)
                 result.py_entry = fp, cached
-                if cached is not None and cached[2] is not None:
+                if cached is not None and cached[1] is not None:
                     return stored
         try:
             return stored.parsed(name)
@@ -283,15 +275,15 @@ class CompilationEngine:
             result.text = result.py_entry = None
             return None
 
-    def read_body(self, func: Function, request: SpecializationRequest,
-                  snapshot: Optional[bytes] = None) -> None:
+    def read_body(self, func: Function,
+                  request: SpecializationRequest) -> None:
         """Read ``func``'s body now if it is still stored text, because
         the IR VM is about to run it.  A body whose first read fails
         (text that does not parse or verify, or an injected ``body``
         fault) takes the path a rejected load takes: ``request`` is
-        specialized again, against ``snapshot`` (default: the module's
-        image), and the fresh body becomes ``func``'s, so the module,
-        the table and the patched heap slot still name it."""
+        specialized again, against the module's image, and the fresh
+        body becomes ``func``'s, so the module, the table and the
+        patched heap slot still name it."""
         if not unread(func):
             return
         try:
@@ -299,10 +291,8 @@ class CompilationEngine:
         except Exception:
             self.stats.artifact_invalid += 1
             self.stats.functions_specialized += 1
-            func.take_body(specialize(
-                self.module, request, self.options,
-                bytes(self.module.memory_init) if snapshot is None
-                else snapshot))
+            func.take_body(specialize(self.module, request, self.options,
+                                      bytes(self.module.memory_init)))
 
     def _load_py(self, fp: str):
         """The ``py/`` entry for residual fingerprint ``fp``, or ``None``;
@@ -314,10 +304,10 @@ class CompilationEngine:
 
     def _emit(self, result: EngineResult, helper: bool = False) -> None:
         """The one emission body: ``result.function`` becomes
-        ``result.pyfunc``, or ``result.fallback_reason`` when the
-        emitter (or ``compile()`` on its output) refuses it, or
-        ``result.error`` when emission crashed.  A ``helper`` is not a
-        request and leaves the request counters alone.
+        ``result.pyfunc``, or ``result.error`` when any step failed —
+        emit, ``compile()`` (a refused source is never stored), the
+        store, ``exec``.  A ``helper`` is not a request and leaves the
+        request counters alone.
 
         The source and its ``compile()``d code object come from the
         artifact store when it has them (a warm start skips emit, parse
@@ -340,37 +330,20 @@ class CompilationEngine:
                 fp = residual_fingerprint(result.text)
                 cached = self._load_py(fp)
             if cached is not None:
-                source, fallback, code = cached
+                source, code = cached
             else:
                 if self.fault_plan is not None:
                     self.fault_plan.check("emit")
-                try:
-                    source = backend.emit_function_source(
-                        func, self.module)[0]
-                    code, code_bytes = self._precompile(func.name, source)
-                    fallback = None
-                except backend.UnsupportedConstruct as exc:
-                    source, fallback, code, code_bytes = \
-                        None, str(exc), None, None
+                source = backend.emit_function_source(func, self.module)[0]
+                code, code_bytes = self._precompile(func.name, source)
                 if self.store is not None:
-                    self.store.store_py_source(fp, source, fallback,
+                    self.store.store_py_source(fp, source,
                                                code_bytes=code_bytes)
+            result.pyfunc = backend.compile_python_source(
+                func.name, source, code=code)
         except Exception as exc:
             result.error = f"{type(exc).__name__}: {exc}"
             return
-        if source is not None:
-            try:
-                result.pyfunc = backend.compile_python_source(
-                    func.name, source, code=code)
-            except backend.UnsupportedConstruct as exc:
-                fallback = str(exc)
-            except Exception as exc:
-                # ``exec`` of emitted source is deterministic for a given
-                # residual, so an unexpected crash here is a permanent
-                # emitter bug for this function: record a fallback (tier
-                # 1 keeps serving it) instead of failing the request.
-                fallback = f"{type(exc).__name__}: {exc}"
-        result.fallback_reason = fallback
         if helper:
             return
         if cached is None:
@@ -379,71 +352,42 @@ class CompilationEngine:
             stats.backend_source_hits += 1
             if code is not None:
                 stats.backend_code_hits += 1
-        if fallback is not None:
-            stats.backend_fallbacks += 1
 
     @staticmethod
-    def _precompile(name: str, source: str) -> Tuple[Optional[object],
-                                                     Optional[bytes]]:
-        """``compile()`` emitted source where it is emitted.
-
-        The filename matches ``compile_python_source`` exactly so
-        tracebacks are identical on both paths.  A source CPython
-        refuses (``SyntaxError`` — a property of the text) is the
-        fallback verdict in ``compile_python_source``'s words, raised
-        here where it is first learned so it is stored and no warm
-        start compiles the text again.  Any other failure (recursion
-        depth, memory — properties of the moment) returns
-        ``(None, None)`` and ``compile_python_source`` recompiles.
-        """
-        from repro.backend import UnsupportedConstruct
-        try:
-            code = compile(source, f"<pybackend:{name}>", "exec")
-            return code, marshal.dumps(code)
-        except SyntaxError as exc:
-            raise UnsupportedConstruct(
-                f"{name}: emitted source does not compile: {exc}") from exc
-        except Exception:
-            return None, None
+    def _precompile(name: str, source: str) -> Tuple[object, bytes]:
+        """``compile()`` emitted source before it is stored, and marshal
+        the code for the ``py/`` entry; the filename is
+        ``compile_python_source``'s, so tracebacks match."""
+        code = compile(source, f"<pybackend:{name}>", "exec")
+        return code, marshal.dumps(code)
 
     # ------------------------------------------------------------------
     # Backend-only compilation (tier-up of functions already in the
     # module, e.g. ``SnapshotCompiler.compile_backend`` after a
     # ``backend="vm"`` specialization run).
     # ------------------------------------------------------------------
-    def compile_backend_functions(
-            self, names: List[str]
-            ) -> Tuple[Dict[str, Callable], List[Tuple[str, str]]]:
+    def compile_backend_functions(self, names: List[str]
+                                  ) -> Dict[str, Callable]:
         """Compile module functions to Python callables through
         :meth:`_emit`, artifact-store reuse included.
 
-        Returns ``(compiled, fallbacks)``: name to callable — the
-        helpers the compiled functions were the first to need included —
-        and ``(name, reason)`` for each function left to the IR VM.
+        Returns name to callable, the helpers the compiled functions
+        were the first to need included.  A name that is not an IR
+        function, or whose emit failed, is left out and counted in
+        ``requests_failed``.
         """
         compiled: Dict[str, Callable] = {}
-        fallbacks: List[Tuple[str, str]] = []
         for name in names:
             func = self.module.functions.get(name)
-            if func is None:
-                fallbacks.append((name, "not an IR function"))
-                self.stats.backend_fallbacks += 1
-                continue
             result = EngineResult(None, func)
-            self._emit(result)
-            if result.error is not None:
-                # Contained emit crash.  Deliberately *neither* compiled
-                # nor a fallback: a fallback is the permanent
-                # "emitter cannot express this" verdict, while a crash
-                # is transient — leaving the name out of both tells the
-                # tiering controller to quarantine and retry.
+            if func is not None:
+                self._emit(result)
+            if result.pyfunc is None:
                 self.stats.requests_failed += 1
-            elif result.pyfunc is not None:
-                compiled[name] = result.pyfunc
-                compiled.update(self.compile_helpers(func))
-            else:
-                fallbacks.append((name, result.fallback_reason))
-        return compiled, fallbacks
+                continue
+            compiled[name] = result.pyfunc
+            compiled.update(self.compile_helpers(func))
+        return compiled
 
     # ------------------------------------------------------------------
     # Helpers: the loop-free functions compiled code calls by name.

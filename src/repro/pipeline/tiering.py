@@ -26,12 +26,13 @@ decision changes — ``profile.tier`` / ``installed_name`` /
 site-profiling window, the :class:`TieringStats` counter, the VM's call
 links — is applied by :meth:`TieringController._transition` and nowhere
 else.  The slot **rule**: *patched with the table index iff the function
-is at tier 2, or at tier 1 outside its staged window* (promoted in
-staged mode, backend compile still owed); *zero otherwise*.  The site
-window holds exactly the residuals in a staged window.  Every transition
-resets the call links once — a batch shares one reset, and opening a
-staged window, which leaves guest dispatch exactly as it was, needs
-none — so a raw-linked call never outlives what its probe checked.
+is at tier 2, or at tier 1 without staging* (the VM backend); *zero
+otherwise*.  In staged mode tier 1 is the staged window — promoted, the
+backend compile still owed — and the site window holds exactly the
+residuals in it.  Every transition resets the call links once — a batch
+shares one reset, and opening a staged window, which leaves guest
+dispatch exactly as it was, needs none — so a raw-linked call never
+outlives what its probe checked.
 
 ===============  =========  =====  ==========  ======  ==========
 reason           tier       slot   fallback    window  counter
@@ -39,25 +40,26 @@ reason           tier       slot   fallback    window  counter
 ``attach``       —          —      —           sync    —
 ``register``     0          0      —           —       —
 ``unregister``   0, gone    0      —           out     —
-``promote``      2, else 1  rule   speculated  rule    promotions
-``tier2``        2, else 1  index  speculated  out     —
-``site-demote``  kept / 1   rule   speculated  rule    —
+``promote``      2 (py), 1  rule   speculated  rule    promotions
+``tier2``        2          index  speculated  out     —
+``site-demote``  kept       rule   speculated  rule    —
 ``quarantine``   kept       rule   —           rule    —
 ``deopt``        0          0      —           out     demotions
 ``blacklist``    0          0      —           out     blacklists
 ===============  =========  =====  ==========  ======  ==========
 
-Tier "else 1": the emitter could not express the residual.  Fallback:
-registered with a newly installed residual iff it is entry-speculated,
-because an entry guard is the only guard that unwinds (a site guard's
-miss resumes in place).  ``promote`` is per-call promotion,
-``promote_all`` and ``adopt_heat``; an installed tier-2 callable bumps
-``tier2_installs`` whatever the reason.  With ``REPRO_OPT_VERIFY=1``
-:meth:`TieringController.check_invariants` re-derives the table from
-the live heap after every transition, and checks the two bounds the
-policies give by construction: a blacklisted function is at tier 0, and
-a function deopts at its entry at most once (``deopt`` sets
-``no_speculate``, so no later residual of it is entry-guarded).
+A failed emit is a failed compile like any other: ``quarantine``, then
+``blacklist``.  Fallback: registered with a newly installed residual iff
+it is entry-speculated, because an entry guard is the only guard that
+unwinds (a site guard's miss resumes in place).  ``promote`` is per-call
+promotion, ``promote_all`` and ``adopt_heat``; an installed tier-2
+callable bumps ``tier2_installs`` whatever the reason.  With
+``REPRO_OPT_VERIFY=1`` :meth:`TieringController.check_invariants`
+re-derives the table from the live heap after every transition, and
+checks the two bounds the policies give by construction: a blacklisted
+function is at tier 0, and a function deopts at its entry at most once
+(``deopt`` sets ``no_speculate``, so no later residual of it is
+entry-guarded).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cache import function_fingerprint
 from repro.core.request import (
@@ -173,10 +175,6 @@ class FunctionProfile:
     installed_name: Optional[str] = None
     table_index: int = 0
     deopts: int = 0
-    # True once a staged backend emit was attempted — an emitter
-    # fallback keeps the function on tier 1 *permanently* (retrying
-    # would fail identically, on every hot call).
-    tier2_attempted: bool = False
     # arg index -> first observed value, or _UNSTABLE once two calls
     # disagreed (speculation is then off for that argument).
     samples: Dict[int, object] = dataclasses.field(default_factory=dict)
@@ -264,10 +262,9 @@ class TieringController:
     # The transition choke point (see the module docstring's table).
     # ------------------------------------------------------------------
     def _in_window(self, profile: FunctionProfile) -> bool:
-        """Staged tier-1 window: promoted, the tier-2 attempt still owed,
+        """Staged tier-1 window: promoted, the tier-2 compile still owed,
         so dispatch must keep flowing through the tier hook."""
-        return (self._staged_tier2 and profile.tier == 1
-                and not profile.tier2_attempted)
+        return self._staged_tier2 and profile.tier == 1
 
     def _transition(self, profile: FunctionProfile, tier: int, reason: str,
                     item=None, pyfunc=None,
@@ -416,7 +413,6 @@ class TieringController:
         tier 2 when the engine already emitted its callable (unstaged py
         backend), else tier 1 — which in staged mode opens its window."""
         profile.calls_at_promotion = profile.calls
-        profile.tier2_attempted = False
         profile.active_request = request
         profile.speculated = request is not profile.entry.request
         if profile.speculated:
@@ -548,22 +544,16 @@ class TieringController:
             return None
         if profile.tier == 1 and self._staged_tier2:
             # Promoted but deliberately unpatched: redirect to the
-            # residual, and pay for tier 2 once it proves durable.
-            if (not profile.tier2_attempted
-                    and self._may_attempt(profile)
+            # residual, and pay for tier 2 once it proves durable.  A
+            # contained failure keeps serving the tier-1 residual and
+            # retries the install after backoff.
+            if (self._may_attempt(profile)
                     and profile.calls - profile.calls_at_promotion
                     >= self.compile_threshold):
-                try:
-                    self._install_tier2(profile)
-                except Exception as exc:
-                    # Contained tier-2 failure: keep serving the tier-1
-                    # residual and retry the install after backoff.
-                    profile.tier2_attempted = False
-                    self._contain_failure(
-                        profile, f"{type(exc).__name__}: {exc}")
-                    if profile.blacklisted:
-                        self.stats.tier0_calls += 1
-                        return None
+                self._attempt(profile, lambda: self._install_tier2(profile))
+                if profile.blacklisted:
+                    self.stats.tier0_calls += 1
+                    return None
             return profile.installed_name
         if profile.tier != 0:
             return profile.installed_name
@@ -597,28 +587,38 @@ class TieringController:
             return True
         return profile.score() >= profile.retry_at_score
 
-    def _promote(self, profile: FunctionProfile) -> Optional[str]:
-        """Compile ``profile``'s function and install it at this call
-        boundary; returns the installed name (the call redirect).
-        Contained: an exception anywhere fails *this attempt only* —
-        ``None`` sends the call down the generic path, always correct."""
+    def _attempt(self, profile: FunctionProfile,
+                 compile_and_install: Callable[[], None]) -> bool:
+        """One compile attempt, promotion or staged tier-up: an exception
+        fails *this attempt only* (:meth:`_contain_failure`), and a
+        success clears the quarantine."""
         retrying = profile.compile_failures > 0
         if retrying:
             self.stats.quarantine_retries += 1
-        with self._stalled():
-            try:
-                request = self._speculative_request(profile)
-                item = self._compile(request, profile.entry.result_addr)
-                self._install_promoted(profile, item, request)
-            except Exception as exc:
-                self._contain_failure(profile,
-                                      f"{type(exc).__name__}: {exc}")
-                return None
+        try:
+            compile_and_install()
+        except Exception as exc:
+            self._contain_failure(profile, f"{type(exc).__name__}: {exc}")
+            return False
         if retrying:
             self.stats.quarantine_recoveries += 1
         profile.compile_failures = 0
         profile.retry_at_score = None
-        return item.function_name
+        return True
+
+    def _promote(self, profile: FunctionProfile) -> Optional[str]:
+        """Compile ``profile``'s function and install it at this call
+        boundary; returns the installed name (the call redirect), or
+        ``None`` — the generic path, always correct — on a failure."""
+        def compile_and_install() -> None:
+            request = self._speculative_request(profile)
+            self._install_promoted(
+                profile, self._compile(request, profile.entry.result_addr),
+                request)
+        with self._stalled():
+            if not self._attempt(profile, compile_and_install):
+                return None
+        return profile.installed_name
 
     def _contain_failure(self, profile: FunctionProfile, message: str,
                          batch: Optional[Dict[str, object]] = None) -> None:
@@ -676,9 +676,8 @@ class TieringController:
     def _install_tier2(self, profile: FunctionProfile) -> None:
         """Close the staged window: compile the residual to tier 2 —
         first respecialized with the inline plan its site histograms
-        earned, if any — and patch the slot.  One attempt per promotion:
-        an emitter fallback stays on tier 1 for good."""
-        profile.tier2_attempted = True
+        earned, if any — and patch the slot.  A failed compile raises
+        and installs nothing: the window stays open."""
         plan = self._build_plan(profile) if self.inline else ()
         self._respecialize(profile, plan, "tier2", recompile=bool(plan))
         self.stats.inline_sites_planned += len(plan)
@@ -702,16 +701,11 @@ class TieringController:
         if reason == "tier2" or profile.tier == 2:
             helpers = self.compiler.compile_backend([name])
             pyfunc = helpers.pop(name, None)
-            if pyfunc is None and \
-                    name not in self.compiler.backend_fallbacks:
-                # Neither compiled nor a recorded emitter fallback (the
-                # permanent "cannot express" verdict): emission
-                # *crashed*, which is transient — retry after backoff.
+            if pyfunc is None:
                 raise PromotionError(f"tier-2 emit failed for {name}")
         profile.inline_plan = plan
-        self._transition(
-            profile, 2 if pyfunc is not None else min(profile.tier, 1),
-            reason, item, pyfunc, helpers=helpers)
+        self._transition(profile, 2 if pyfunc is not None else profile.tier,
+                         reason, item, pyfunc, helpers=helpers)
 
     # ------------------------------------------------------------------
     # Speculative inlining (plan building and per-site demotion).

@@ -16,7 +16,7 @@ differential corpus does not isolate:
 * compare->branch fusion: which compares the emitter tests in place at
   their ``br_if`` and which keep ``_int(...)``, so nothing but branch
   truthiness ever sees a Python ``bool``;
-* per-function fallback for constructs the emitter rejects;
+* malformed IR the emitter rejects is one failed engine request;
 * the emitter's two nesting limits: past its indent budget or past
   CPython's 20 static blocks the function is re-emitted flat, so a loop
   nest on either side of the static-block cliff reaches tier 2;
@@ -37,7 +37,7 @@ import re
 import pytest
 
 from repro.backend import (
-    UnsupportedConstruct,
+    BackendError,
     compile_python_source,
     emit_function_source,
     emitter,
@@ -443,7 +443,9 @@ def test_compare_is_fused_only_into_its_own_blocks_one_branch(op, shape):
                 == _run_stats(module, args)
 
 
-def test_unsupported_opcode_falls_back():
+def test_unsupported_opcode_is_a_failed_request():
+    """Malformed IR is a ``BackendError``, which the engine contains as
+    one failed request: nothing compiled, nothing remembered."""
     func = parse_function("""\
 func @weird() -> i64 {
 block0:
@@ -455,13 +457,11 @@ block0:
     module = Module(memory_size=64)
     module.add_function(func)
 
-    with pytest.raises(UnsupportedConstruct, match="frobnicate"):
+    with pytest.raises(BackendError, match="frobnicate"):
         emit_function_source(func, module)
-    compiled, fallbacks = CompilationEngine(
-        module, SpecializeOptions()).compile_backend_functions(["weird"])
-    assert compiled == {}
-    assert fallbacks and fallbacks[0][0] == "weird"
-    assert "frobnicate" in fallbacks[0][1]
+    engine = CompilationEngine(module, SpecializeOptions())
+    assert engine.compile_backend_functions(["weird"]) == {}
+    assert engine.stats.requests_failed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +497,7 @@ def test_loop_nest_at_the_static_block_limit():
     """The deepest loop nest CPython compiles structured stays
     structured; one loop more — still inside the indent budget — would
     be a 21st static block, so it is re-emitted as one dispatch region
-    and reaches tier 2 through the engine with no fallback.  Both agree
-    with the VM."""
+    and reaches tier 2 through the engine.  Both agree with the VM."""
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST)
     pyfunc, used = compile_py(module.functions["nest"], module)
     assert used.mode_used == "structured"
@@ -510,8 +509,8 @@ def test_loop_nest_at_the_static_block_limit():
 
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST + 1)
     engine = CompilationEngine(module, SpecializeOptions())
-    compiled, fallbacks = engine.compile_backend_functions(["nest"])
-    assert fallbacks == [] and engine.stats.backend_fallbacks == 0
+    compiled = engine.compile_backend_functions(["nest"])
+    assert list(compiled) == ["nest"] and engine.stats.requests_failed == 0
     assert emit_function_source(module.functions["nest"],
                                 module)[1] == "dispatch"
     reference = _run(module, "nest", (1,))

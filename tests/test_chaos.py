@@ -194,6 +194,62 @@ class TestQuarantine:
         assert profile.tier >= 1  # re-promoted after the backoff
         assert profile.compile_failures == 0  # reset on recovery
 
+    def test_staged_tier2_recovery_clears_the_quarantine(self):
+        """A staged tier-2 install that succeeds after a contained
+        failure is a recovery, exactly as a promotion's is: counted as a
+        retry and a recovery, and the quarantine cleared, so a later
+        failure starts afresh instead of counting toward the
+        blacklist."""
+        program = sum_to_n_program(30)
+        plan = FaultPlan.once("emit")
+        vm, controller = make_tiered_min(
+            program, threshold=2, compile_threshold=2,
+            options=SpecializeOptions(backend="py", fault_plan=plan))
+        ref = VM(build_min_module(program))
+        for _ in range(60):
+            assert vm.call("min_interp", _args(program, 4)) == \
+                ref.call("min_interp", _args(program, 4))
+        profile = next(iter(controller.profiles.values()))
+        stats = controller.stats
+        assert plan.fired == {"emit": 1} and profile.tier == 2
+        assert (stats.compile_failures, stats.quarantines,
+                stats.quarantine_retries, stats.quarantine_recoveries) \
+            == (1, 1, 1, 1)
+        assert profile.compile_failures == 0
+        assert profile.retry_at_score is None
+
+    def test_a_compile_failure_that_does_not_recur_is_retried(
+            self, monkeypatch):
+        """``compile()`` failing on emitted source (here ``MemoryError``,
+        twice) is a contained failure, retried after backoff — not a
+        verdict remembered for the function, which reaches tier 2 once
+        ``compile()`` succeeds."""
+        import builtins
+
+        real_compile = builtins.compile
+        refused = []
+
+        def flaky_compile(source, filename, *args, **kwargs):
+            if str(filename).startswith("<pybackend:") and len(refused) < 2:
+                refused.append(filename)
+                raise MemoryError("simulated")
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", flaky_compile)
+        program = sum_to_n_program(30)
+        vm, controller = make_tiered_min(
+            program, threshold=2, compile_threshold=2,
+            options=SpecializeOptions(backend="py"))
+        ref = VM(build_min_module(program))
+        for _ in range(60):
+            assert vm.call("min_interp", _args(program, 4)) == \
+                ref.call("min_interp", _args(program, 4))
+        profile = next(iter(controller.profiles.values()))
+        assert len(refused) == 2
+        assert controller.stats.quarantines == 1
+        assert controller.stats.tier2_installs == 1
+        assert profile.tier == 2 and not profile.blacklisted
+
     def test_backoff_defers_retry(self):
         program = sum_to_n_program(2)
         plan = FaultPlan.once("specialize")
@@ -408,11 +464,11 @@ class TestLateBodyFaults:
         assert runtime.printed == clean.printed == reference.printed
         assert plan.fired == {"body": len(compiler.processed)}
 
-    def test_a_stored_code_object_that_fails_to_exec_reads_its_body(
+    def test_a_stored_code_object_that_fails_to_exec_fails_its_request(
             self, tmp_path, monkeypatch):
-        """A code hit whose ``exec`` fails is a fallback: the IR VM runs
-        the residual, so the batch reads its body — and a body that
-        fails that read is specialized again, in the batch."""
+        """A code hit whose ``exec`` fails is a failed emit like any
+        other: each request fails, nothing is installed and no body is
+        read, and the guest still prints the reference on tier 0."""
         import repro.backend
 
         source = corpus_program("lua/fib.lua")
@@ -428,12 +484,13 @@ class TestLateBodyFaults:
                             failing_exec)
         plan = FaultPlan.always("body")
         runtime, compiler = _warm_lua(source, cache, plan)
-        names = [p.function_name for p in compiler.processed]
-        assert set(compiler.backend_fallbacks) == set(names)
-        assert not any(unread(runtime.module.functions[name])
-                       for name in names)
-        assert plan.fired == {"body": len(names)}
-        assert compiler.engine.stats.artifact_invalid == len(names)
+        assert compiler.processed
+        assert all(p.error == "RuntimeError: exec failed"
+                   and p.function_name not in runtime.module.functions
+                   for p in compiler.processed)
+        assert compiler.engine.stats.requests_failed \
+            == len(compiler.processed)
+        assert compiler.backend_functions == {} and plan.fired == {}
         runtime.run_aot()
         assert runtime.printed == reference.printed
 
@@ -457,9 +514,8 @@ class TestLateBodyFaults:
             self, tmp_path):
         """A tier-up emit of a residual still held as text finds its
         code by the text, reading no body; one that must read it (its
-        ``py/`` entry gone) and fails fails that emit only: neither
-        compiled nor a fallback, which the tiering controller turns
-        into quarantine (``_respecialize`` raises ``PromotionError``
+        ``py/`` entry gone) and fails fails that emit only — a failed
+        request, which the tiering controller turns into quarantine (``_respecialize`` raises ``PromotionError``
         into ``_contain_failure``)."""
         source = corpus_program("lua/fib.lua")
         cache = tmp_path / "cache"
@@ -468,11 +524,11 @@ class TestLateBodyFaults:
         runtime, compiler = _warm_lua(source, str(cache), plan)
         name = compiler.processed[-1].function_name
         engine = compiler.engine
-        assert list(engine.compile_backend_functions([name])[0]) == [name]
+        assert list(engine.compile_backend_functions([name])) == [name]
         assert plan.fired == {}
         for entry in os.listdir(cache / "py"):
             os.remove(cache / "py" / entry)
-        assert engine.compile_backend_functions([name]) == ({}, [])
+        assert engine.compile_backend_functions([name]) == {}
         assert plan.fired == {"body": 1}
         assert engine.stats.requests_failed == 1
         assert unread(runtime.module.functions[name])

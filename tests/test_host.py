@@ -37,7 +37,10 @@
   CPython's static-block limit is
   one constant read by one test; constants have one owner per stage
   (the specializer's ``_mat``, GVN's walk: no ``opt/fold.py``,
-  ``opt/copyprop.py`` or ``const_cache``).
+  ``opt/copyprop.py`` or ``const_cache``); a failed emit is a failed
+  request (no ``UnsupportedConstruct``, ``fallback_reason`` or
+  ``tier2_attempted``, no ``fallback`` in a ``py/`` entry, and
+  ``backend_fallbacks`` only as ``EngineStats``' constant 0).
 """
 
 import ast
@@ -602,6 +605,31 @@ def test_one_ir_text(tmp_path):
                               "memory_fingerprint", "version"]
     assert stored["ir_text"] == print_function(
         guest.module.functions["calc_compiled"], order="id")
+
+
+def test_a_failed_emit_is_a_failed_request(tmp_path):
+    """A failed emit has one outcome, ``EngineResult.error``: nothing
+    under ``src/`` names the retired verdict, its reason or the staged
+    tier-1-for-good flag; ``backend_fallbacks`` survives only as
+    ``EngineStats``' constant 0 the ledger reads; and a ``py/`` entry
+    the engine writes holds a source, never a ``fallback``."""
+    assert not _identifiers() & {"UnsupportedConstruct", "fallback_reason",
+                                 "tier2_attempted"}
+    assert [(file, type(node).__name__) for file, tree in _sources()
+            for node in ast.walk(tree)
+            if "backend_fallbacks" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None))] \
+        == [("repro/core/stats.py", "Name")]
+    engine_stats = stats_module.EngineStats
+    assert "backend_fallbacks" not in {
+        field.name for field in dataclasses.fields(engine_stats)}
+    assert vars(engine_stats)["backend_fallbacks"] == 0
+    guest = CalcGuest(SpecializeOptions(cache_dir=str(tmp_path),
+                                        backend="py"))
+    guest.run(mode="aot")
+    (entry,) = (tmp_path / "py").iterdir()
+    assert sorted(json.loads(entry.read_text())) == [
+        "code", "py_magic", "source", "version"]
 
 
 def _imports(tree):

@@ -42,7 +42,7 @@ from repro.core import (
 from repro.core.specialize import SpecializeOptions
 from repro.core.stats import SpecializationStats
 from repro.frontend import compile_source
-from repro.backend import UnsupportedConstruct, emit_function_source
+from repro.backend import BackendError, emit_function_source
 from repro.ir import parse_function, print_function
 from repro.ir.parser import direct_callees
 from repro.jsvm import JSRuntime
@@ -117,7 +117,7 @@ def residual_digest(rt) -> Tuple[int, int, int, str]:
 def _emitted(func, module) -> str:
     try:
         return emit_function_source(func, module)[0]
-    except UnsupportedConstruct as exc:
+    except BackendError as exc:
         return f"unsupported: {exc}"
 
 

@@ -262,13 +262,38 @@ class TestWarmStart:
         assert warm_out == cold_out  # results, fuel, and IR all identical
         assert set(warm.backend_functions) == {"spec_a", "spec_b"}
 
-    def test_refused_source_is_stored_as_its_fallback(self, tmp_path,
-                                                       monkeypatch):
-        """A source ``compile()`` refuses is a fallback verdict where it
-        is first learned: the store entry carries the reason and no
-        source, and a warm engine serves the same verdict without
-        compiling anything.  Every source the emitter writes compiles,
-        so the cold engine's ``compile()`` refuses this one by hand."""
+    def test_a_retired_fallback_entry_reads_invalid(self, tmp_path):
+        """A ``py/`` entry in the retired fallback shape (no source, a
+        reason) under the current key is invalid, like any entry without
+        a source string: the warm engine counts it, emits the residual
+        again, stores a source entry over it, and the function reaches
+        tier 2 — so the schema change bumps neither version."""
+        options = SpecializeOptions(cache_dir=str(tmp_path), backend="py")
+        cold, cold_out = run_snapshot(options)
+        entries = sorted(glob.glob(str(tmp_path / "py" / "*.json")))
+        assert len(entries) == 2
+        for path in entries:
+            with open(path, "w") as handle:
+                json.dump({"version": ARTIFACT_VERSION, "source": None,
+                           "fallback": "spec: emitted source does not "
+                                       "compile"}, handle)
+        warm, warm_out = run_snapshot(options)
+        stats = warm.engine.stats
+        assert stats.artifact_invalid == 2
+        assert (stats.backend_emitted, stats.backend_source_hits) == (2, 0)
+        assert set(warm.backend_functions) == {"spec_a", "spec_b"}
+        assert warm_out == cold_out
+        for path in entries:
+            with open(path) as handle:
+                stored = json.load(handle)
+            assert isinstance(stored["source"], str)
+            assert "fallback" not in stored
+
+    def test_a_refused_source_is_not_stored(self, tmp_path, monkeypatch):
+        """A source ``compile()`` refuses fails its request and writes
+        nothing to ``py/``: no verdict is remembered, so the next engine
+        emits it again.  Every source the emitter writes compiles, so
+        the cold engine's ``compile()`` refuses this one by hand."""
         import builtins
 
         from tests.helpers import loop_nest
@@ -283,29 +308,15 @@ class TestWarmStart:
         cold = CompilationEngine(loop_nest(3), options)
         with monkeypatch.context() as patch:
             patch.setattr(builtins, "compile", refusing_compile)
-            compiled, fallbacks = cold.compile_backend_functions(["nest"])
-        assert compiled == {}
-        assert [name for name, _ in fallbacks] == ["nest"]
-        assert "does not compile" in fallbacks[0][1]
-        (entry,) = os.listdir(tmp_path / "py")
-        with open(tmp_path / "py" / entry) as handle:
-            stored = json.load(handle)
-        assert stored["source"] is None and "code" not in stored
-        assert stored["fallback"] == fallbacks[0][1]
+            assert cold.compile_backend_functions(["nest"]) == {}
+        assert cold.stats.requests_failed == 1
+        assert os.listdir(tmp_path / "py") == []
 
-        compiles = []
-
-        def counting_compile(source, filename, *args, **kwargs):
-            compiles.append(filename)
-            return real_compile(source, filename, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "compile", counting_compile)
         warm = CompilationEngine(loop_nest(3), options)
-        assert warm.compile_backend_functions(["nest"]) == ({}, fallbacks)
-        assert compiles == []
-        assert warm.stats.backend_emitted == 0
-        assert warm.stats.backend_source_hits == 1
-        assert warm.stats.backend_fallbacks == 1
+        assert list(warm.compile_backend_functions(["nest"])) == ["nest"]
+        assert (warm.stats.backend_emitted, warm.stats.requests_failed) \
+            == (1, 0)
+        assert len(os.listdir(tmp_path / "py")) == 1
 
     def test_residual_artifacts_are_shared_across_backends(self, tmp_path):
         """backend is not part of the residual key (residual IR is
@@ -660,9 +671,8 @@ class TestLazyWarmStart:
                            runtime.module.functions[p.function_name])
                           for p in compiler.processed]
         assert totals.functions_specialized == 0
-        assert totals.backend_code_hits + totals.backend_fallbacks \
-            == totals.requests == len(residuals)
-        assert len(parses) == totals.backend_fallbacks == 0
+        assert totals.backend_code_hits == totals.requests == len(residuals)
+        assert len(parses) == 0
         assert sum(unread(func) for _, func in residuals) \
             == totals.backend_code_hits
         stored = _stored_texts(root)
@@ -778,14 +788,6 @@ class TestEngineSurface:
         results = engine.compile_batch(requests)
         assert [r.request.specialized_name for r in results] == \
             [r.specialized_name for r in requests]
-
-    def test_compile_backend_functions_fallback_list(self):
-        module = build_module()
-        engine = CompilationEngine(module, SpecializeOptions())
-        compiled, fallbacks = engine.compile_backend_functions(
-            ["interp", "no_such_function"])
-        assert "interp" in compiled
-        assert fallbacks == [("no_such_function", "not an IR function")]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core import SpeculatedConst, SpecializationRequest
 from repro.core.request import Runtime, SpecializedConst, SpecializedMemory
 from repro.core.specialize import SpecializeOptions, specialize
-from repro.backend import compile_python_source, emit_function_source
+from repro.backend import (
+    BackendError,
+    compile_python_source,
+    emit_function_source,
+)
 from repro.ir import parse_function
 from repro.ir.cfg import retreating_edges
 from repro.ir.verifier import VerificationError, verify_function
@@ -402,35 +406,39 @@ class TestControllerPolicy:
         assert profile.installed_name in vm.compiled
         assert len(set(results)) == 1
 
-    def test_staged_tier2_fallback_attempts_emission_once(self):
-        """An emitter fallback in staged mode leaves the function on
-        the tier-1 residual permanently — it must not re-attempt the
-        backend compile on every subsequent hot call."""
+    def test_staged_tier2_emit_failure_is_quarantined_then_blacklisted(
+            self, monkeypatch):
+        """A staged emit that always fails (a deterministic emitter bug)
+        is a contained compile failure, not a verdict: quarantined,
+        retried after backoff, and blacklisted to tier 0 after
+        ``MAX_COMPILE_FAILURES`` attempts.  Results never change, and
+        the transition table holds after every step."""
+        import repro.backend
+
+        def broken_emit(func, module=None):
+            raise BackendError(f"{func.name}: simulated emitter bug")
+
+        monkeypatch.setattr(repro.backend, "emit_function_source",
+                            broken_emit)
+        monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
         program = sum_to_n_program(30)
         vm, controller = make_tiered_min(
             program, threshold=2, options=SpecializeOptions(backend="py"),
             compile_threshold=2)
-        attempts = []
-        real = controller.compiler.compile_backend
-
-        def fake_fallback(names):
-            # A real emitter fallback records itself (that record is what
-            # distinguishes the permanent "cannot express" verdict from a
-            # transient emit crash, which PR 9 quarantines and retries).
-            attempts.append(names)
-            controller.compiler.backend_fallbacks.update(
-                (name, "simulated fallback") for name in names)
-            return {}
-        controller.compiler.compile_backend = fake_fallback
         ref = VM(build_min_module(program))
-        for _ in range(10):
+        for _ in range(60):
             assert vm.call("min_interp", _args(program, 5)) == \
                 ref.call("min_interp", _args(program, 5))
         profile = next(iter(controller.profiles.values()))
-        assert profile.tier == 1  # fallback: stays on the IR residual
-        assert len(attempts) == 1
-        assert controller.stats.tier2_installs == 0
-        controller.compiler.compile_backend = real
+        stats = controller.stats
+        assert profile.blacklisted and profile.tier == 0
+        assert stats.compile_failures == tiering.MAX_COMPILE_FAILURES
+        assert (stats.quarantines, stats.quarantine_retries,
+                stats.quarantine_recoveries, stats.blacklists) == (1, 2, 0, 1)
+        assert stats.tier2_installs == 0
+        assert controller.compiler.engine.stats.requests_failed \
+            == tiering.MAX_COMPILE_FAILURES
+        controller.check_invariants()
 
     def test_demotes_exactly_once(self):
         program = sum_to_n_program(25)
