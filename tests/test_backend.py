@@ -58,7 +58,6 @@ from tests.helpers import (
     EMIT_LEGS,
     FLOAT_BIT_PATTERNS,
     MAX_COMPILABLE_LOOP_NEST,
-    IRText,
     branch_chain,
     build_module,
     compare_module,
@@ -67,8 +66,8 @@ from tests.helpers import (
     corpus_program,
     emit_leg,
     loop_nest,
+    region_shapes,
     single_op_module,
-    target,
 )
 from tests.test_golden_backend import pin_functions
 
@@ -553,78 +552,6 @@ def test_loop_nests_across_the_static_block_limit(depth):
 _LEAF = re.compile(r"# block(\d+) \[_b=\d+\]")
 
 
-def _region_shapes(loops: int):
-    """``shapes(n, sel)`` (``n >= 1``): ``loops`` nested loops, each
-    left after one trip, around an irreducible cycle with two entries,
-    ``a`` and ``b`` (``sel`` picks the first), that ``n`` trips leave.
-    Inside the cycle ``a`` reaches ``b`` directly or through the
-    single-predecessor chain ``c -> d``; the cycle's two
-    single-predecessor exits join at ``out``.  Returns ``(module,
-    func, blocks)``, ``blocks`` naming ``a``, ``b``, ``out`` and the
-    loop ``headers``."""
-    ir = IRText("func @shapes(v0: i64, v1: i64) -> i64 {", 2)
-    n, sel = 0, 1
-    zero, one, three, five, seven, never = (
-        ir.const(value) for value in (0, 1, 3, 5, 7, MASK64))
-    headers = [ir.block(1) for _ in range(loops)]
-    latches = [ir.block(1) for _ in range(loops)]
-    (a, (i_a, acc_a)), (b, (i_b, acc_b)), (c, (i_c, acc_c)), \
-        (d, (i_d, acc_d)) = (ir.block(2) for _ in range(4))
-    (exit_a, (r_a,)), (exit_b, (r_b,)), (out, (r,)), (done, (result,)) = (
-        ir.block(1) for _ in range(4))
-
-    def enter(acc):
-        return (f"br_if v{sel}, {target(a, [n, acc])}, "
-                f"{target(b, [n, acc])}")
-
-    ir.line(f"jump {target(headers[0][0], [zero])}" if loops
-            else enter(zero))
-    for k, (header, (acc,)) in enumerate(headers):
-        ir.current = header
-        ir.line(f"jump {target(headers[k + 1][0], [acc])}"
-                if k + 1 < loops else enter(acc))
-    for k, (latch, (acc,)) in enumerate(latches):
-        ir.current = latch
-        again = ir.define(f"ieq v{acc}, v{never}")
-        leave = latches[k - 1][0] if k else done
-        ir.line(f"br_if v{again}, {target(headers[k][0], [acc])}, "
-                f"{target(leave, [acc])}")
-    ir.current = a
-    acc = ir.define(f"iadd v{acc_a}, v{three}")
-    trips = ir.define(f"isub v{i_a}, v{one}")
-    more = ir.define(f"ine v{trips}, v{zero}")
-    ir.line(f"br_if v{more}, {target(c, [trips, acc])}, "
-            f"{target(exit_a, [acc])}")
-    ir.current = c
-    acc = ir.define(f"imul v{acc_c}, v{five}")
-    odd = ir.define(f"iand v{acc}, v{one}")
-    ir.line(f"br_if v{odd}, {target(d, [i_c, acc])}, "
-            f"{target(b, [i_c, acc])}")
-    ir.current = d
-    acc = ir.define(f"ixor v{acc_d}, v{seven}")
-    ir.line(f"jump {target(b, [i_d, acc])}")
-    ir.current = b
-    acc = ir.define(f"iadd v{acc_b}, v{i_b}")
-    trips = ir.define(f"isub v{i_b}, v{one}")
-    more = ir.define(f"ine v{trips}, v{zero}")
-    ir.line(f"br_if v{more}, {target(a, [trips, acc])}, "
-            f"{target(exit_b, [acc])}")
-    ir.current = exit_a
-    ir.line(f"jump {target(out, [r_a])}")
-    ir.current = exit_b
-    bumped = ir.define(f"iadd v{r_b}, v{one}")
-    ir.line(f"jump {target(out, [bumped])}")
-    ir.current = out
-    ir.line(f"jump {target(latches[-1][0] if loops else done, [r])}")
-    ir.current = done
-    ir.line(f"return v{result}")
-    module = Module(memory_size=64)
-    func = parse_function(ir.text())
-    module.add_function(func)
-    return module, func, {"a": a, "b": b, "out": out,
-                          "headers": [h for h, _ in headers]}
-
-
 def _agree_at_every_limit(module, name, args, compiled):
     """VM ≡ every compiled callable at every fuel limit up to one past
     the call's whole fuel: the result, or ``OutOfFuel`` with the same
@@ -649,7 +576,7 @@ def test_dispatch_trees_branch_only_to_entries_and_joins(loops):
     so both legs emit the whole function as one region, whose leaves
     are the entry block, the loop headers, ``a``, ``b`` and ``out``.
     Every leg agrees with the VM at every fuel limit."""
-    module, func, blocks = _region_shapes(loops)
+    module, func, blocks = region_shapes(loops)
     whole = {func.entry, blocks["a"], blocks["b"], blocks["out"],
              *blocks["headers"]}
     cycle = {blocks["a"], blocks["b"]}

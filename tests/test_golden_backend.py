@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from repro.backend import compile_python_source, emit_function_source
+from repro.backend import compile_python_source, emit_function_source, emitter
 from repro.ir import F64, I64
 from repro.ir.instructions import OPCODES
 from repro.ir.semantics import LOADS, STORES
@@ -37,10 +37,12 @@ from repro.vm import VM
 from tests.helpers import (
     COMPARE_OPS,
     GOLDEN_DIR,
+    MAX_COMPILABLE_LOOP_NEST,
     branch_chain,
     check_golden,
     compare_module,
     loop_nest,
+    region_shapes,
     single_op_module,
 )
 from tests.test_golden_ir import LUA_GCD_SRC
@@ -93,10 +95,18 @@ def test_lua_gcd_emitted_py_golden(request):
 def pin_functions():
     """``(func, module)`` of each function the pin digests: the two
     goldens, one function per control shape, per memory row and per
-    compare row (fused into its branch, and kept as an ``_int``)."""
+    compare row (fused into its branch, and kept as an ``_int``), and
+    the shapes at the emitter's limits: the loop nests on both sides of
+    the static-block cliff, a branch chain twice the indent budget and
+    an irreducible cycle inside a structured skeleton."""
     yield _min_sum_function()
     yield _lua_gcd_function()
-    modules = [branch_chain(8), loop_nest(3)]
+    module, func, _ = region_shapes(2)
+    yield func, module
+    modules = [branch_chain(8), loop_nest(3),
+               loop_nest(MAX_COMPILABLE_LOOP_NEST),
+               loop_nest(MAX_COMPILABLE_LOOP_NEST + 1),
+               branch_chain(2 * emitter._MAX_DEPTH)]
     for op in sorted(LOADS):
         modules.append(single_op_module(op, (I64,), OPCODES[op].result,
                                         imm=8))

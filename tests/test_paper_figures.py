@@ -20,9 +20,10 @@ have always been held to.  Wall clock is the ledger's
 
 The same sweep pins the residual code itself: ``residual_digests.txt``
 holds the size and a digest of the printed residuals of every AOT run,
-so a mid-end change that keeps the bytes provably keeps them; and each
-of those residuals must read back from its printed text, the form the
-artifact store keeps.
+and a digest of the Python emitted from them, so a mid-end or emitter
+change that keeps the bytes provably keeps them; and each of those
+residuals must read back from its printed text, the form the artifact
+store keeps.
 """
 
 import dataclasses
@@ -103,6 +104,10 @@ class AotShape(NamedTuple):
     stats: SpecializationStats
 
 
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def residual_digest(rt) -> Tuple[int, int, int, str]:
     """``(functions, instrs, blocks, sha256[:16])`` of an AOT runtime's
     residuals, printed in the order its compiler processed them."""
@@ -110,8 +115,7 @@ def residual_digest(rt) -> Tuple[int, int, int, str]:
              for p in rt.compiler.processed if p.error is None]
     text = "".join(print_function(func) for func in funcs)
     return (len(funcs), sum(f.num_instrs() for f in funcs),
-            sum(f.num_blocks() for f in funcs),
-            hashlib.sha256(text.encode()).hexdigest()[:16])
+            sum(f.num_blocks() for f in funcs), _sha16(text))
 
 
 def _emitted(func, module) -> str:
@@ -121,12 +125,13 @@ def _emitted(func, module) -> str:
         return f"unsupported: {exc}"
 
 
-def round_trip_misses(rt) -> List[str]:
+def round_trip_misses(rt, emitted: List[str]) -> List[str]:
     """The residuals ``residual_digest`` hashes whose printed text (either
     order) does not parse back to itself, whose parsed form emits other
     Python than the one in memory, or whose direct callees read from the
     text (``direct_callees``, what helper search uses on a residual
-    still held as text) are not the parsed body's ``call`` targets."""
+    still held as text) are not the parsed body's ``call`` targets.
+    Appends each residual's emitted Python to ``emitted``."""
     misses = []
     for p in rt.compiler.processed:
         if p.error is not None:
@@ -136,9 +141,10 @@ def round_trip_misses(rt) -> List[str]:
         parsed = parse_function(text, rt.module)
         calls = {instr.imm for block in parsed.blocks.values()
                  for instr in block.instrs if instr.op == "call"}
+        emitted.append(_emitted(func, rt.module))
         if any(print_function(parsed, order=order) !=
                print_function(func, order=order) for order in ("id", "rpo")) \
-                or _emitted(parsed, rt.module) != _emitted(func, rt.module) \
+                or _emitted(parsed, rt.module) != emitted[-1] \
                 or set(direct_callees(text)) != calls:
             misses.append(p.function_name)
     return misses
@@ -146,8 +152,12 @@ def round_trip_misses(rt) -> List[str]:
 
 def _record_residuals(rt, run: str, residuals: Dict[str, tuple],
                       round_trips: Dict[str, List[str]]) -> None:
-    residuals[run] = residual_digest(rt)
-    round_trips[run] = round_trip_misses(rt)
+    """``residual_digest`` of the run plus ``py sha256[:16]``, a digest
+    of the Python emitted from its residuals; and its round-trip
+    misses."""
+    emitted: List[str] = []
+    round_trips[run] = round_trip_misses(rt, emitted)
+    residuals[run] = (*residual_digest(rt), _sha16("".join(emitted)))
 
 
 def _run_js(rt: JSRuntime) -> JSRun:
@@ -286,7 +296,8 @@ class Sweep(NamedTuple):
     fig8: Dict[str, tuple]
     min_residuals: Dict[tuple, tuple]
     ablation: Dict[str, tuple]
-    # ``residual_digest`` of every AOT runtime above, by run.
+    # ``_record_residuals``' digest row of every AOT runtime above,
+    # by run.
     residuals: Dict[str, tuple]
     # ``round_trip_misses`` of the same runs.
     round_trips: Dict[str, List[str]]
@@ -458,11 +469,13 @@ def test_figures_match_golden(request, sweep):
 
 
 def test_residuals_match_golden(request, sweep):
-    """The residual code behind the figures, byte for byte: a mid-end
-    change that claims to keep the bytes keeps this golden."""
+    """The residual code behind the figures and the Python emitted from
+    it, byte for byte: a mid-end or emitter change that claims to keep
+    the bytes keeps this golden."""
     check_golden(request, "residual_digests", table(
         "Residual digests — every AOT run of the sweep",
-        ["run", "functions", "instrs", "blocks", "sha256[:16]"],
+        ["run", "functions", "instrs", "blocks", "sha256[:16]",
+         "py sha256[:16]"],
         [[run, *digest] for run, digest in sweep.residuals.items()]))
 
 
