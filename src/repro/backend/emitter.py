@@ -61,13 +61,17 @@ observable semantics:
   arity against their ``_nparams`` attribute and does no boxing or
   depth bookkeeping of its own.
 
-One emitter, :class:`StructuredEmitter`, with one block, terminator
-and edge lowering — a relooper-style reconstruction: strongly-connected
-components of the CFG become native ``while True:`` loops (backedges
-are ``continue``), join points become single-shot ``while True:``
-*scopes* whose ``break`` lands exactly where the join's code starts,
-and multi-level exits unwind through a ``_st`` state variable checked
-once per scope boundary.  Fuel is batched in a Python local (``_fu``)
+One emitter, :class:`StructuredEmitter`, in two steps.  Structure
+recovery, :func:`recover_structure`, is a pure function from a function
+to its :class:`RegionTree`, relooper-style: strongly-connected
+components of the CFG become native ``while True:`` loops (backedges are
+``continue``), join points become single-shot ``while True:`` *scopes*
+whose ``break`` lands exactly where the join's code starts, multi-level
+exits unwind through a ``_st`` state variable checked once per scope
+boundary, and a unit with exactly one incoming edge is inlined at that
+edge.  Each edge gets one lowering, and each node records its indent
+level and static-block depth; the printer walks the tree once,
+indenting by those numbers.  Fuel is batched in a Python local (``_fu``)
 committed to ``vm.stats.fuel`` in a function-level ``finally`` and
 flushed before every guest call, so fuel at every observable point
 (call boundaries, the per-block fuel-limit check, the final total) is
@@ -75,22 +79,19 @@ bit-identical to the VM's per-instruction accounting.
 
 Totality comes from one more unit kind, the *dispatch region*: its
 entries and joins, in reverse postorder, sit flat under a binary
-decision tree over a block index ``_b`` (depth ``log2(n)``) inside a
-``while True:``, and an edge to one of them assigns ``_b`` and falls
-out of its tree arm to re-dispatch.  Every other member has exactly one
-incoming edge and is inlined there, as a level of structured emission
-inlines a unit, until a chain of them nests ``_MAX_INLINE_DEPTH``
-levels below its leaf — the label-variable "multiple" shape of
-Zakai's Relooper (Emscripten, 2011), where only joins and loop
-headers are dispatch targets.  An irreducible SCC (a multi-entry
-cycle) becomes such a region inside the structured skeleton; a
-function that would nest past either of CPython's limits — about 100
-indent levels in the parser (budgeted as ``_MAX_DEPTH``), 20 statically
-nested blocks in the compiler (``_MAX_STATIC_BLOCKS``: the body's
-``try`` and one per open ``while True:``) — is re-emitted as a single
-region around all of its blocks (``mode_used == "dispatch"``) by the
-same code, so every source the emitter produces is one ``compile()``
-accepts.
+decision tree over a block index ``_b`` inside a ``while True:``, and
+an edge to one of them assigns ``_b`` and falls out of its tree arm to
+re-dispatch.  Every other member is inlined by the same rule, until a
+chain nests ``_MAX_INLINE_DEPTH`` levels below its leaf — the
+label-variable "multiple" shape of Zakai's Relooper (Emscripten, 2011).
+An irreducible SCC (a multi-entry cycle) becomes such a region inside
+the structured skeleton.  A structured tree past either of CPython's
+limits — about 100 indent levels in the parser (budgeted as
+``_MAX_DEPTH``), 20 statically nested blocks in the compiler
+(``_MAX_STATIC_BLOCKS``: the body's ``try`` and one per open ``while
+True:``) — is replaced, before anything is printed, by one region
+around all of its blocks (``mode_used == "dispatch"``), so every source
+the emitter produces is one ``compile()`` accepts.
 
 Malformed input (no entry block, a dangling or unterminated block, an
 opcode with no row) raises :class:`BackendError`; the engine contains
@@ -104,7 +105,8 @@ import re
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.backend.runtime import BACKEND_GLOBALS
-from repro.ir.function import Block, Function
+from repro.ir.cfg import reverse_postorder
+from repro.ir.function import Function
 from repro.ir.instructions import (
     BlockCall,
     BrIf,
@@ -122,13 +124,6 @@ from repro.ir.semantics import CASTS, LOADS, PURE_EXPRS, STORES, _bits_ftoi
 class BackendError(Exception):
     """The emitter was given a function it cannot lower (malformed IR or
     an unknown emit mode)."""
-
-
-class _StructureTooDeep(BackendError):
-    """Structured emission would nest past the indentation budget or
-    CPython's static-block limit; :meth:`StructuredEmitter.emit_source`
-    re-emits the function as one dispatch region (internal — never
-    escapes it)."""
 
 
 # Pure ops are printed from their repro.ir.semantics row: op -> (the
@@ -178,81 +173,32 @@ def _const_literal(instr: Instr) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Region units, scopes and SCCs: the structure the emitter recovers.
+# Structure recovery: the units a function decomposes into, and the
+# region tree placing them, every edge lowered.
 # ---------------------------------------------------------------------------
 
-class _BlockUnit:
-    """One straight-line block at its region level."""
+class _Unit:
+    """One unit of a region level, entered at ``labels`` (``label`` is
+    the first): a ``"block"``; a ``"loop"``, a single-entry SCC whose
+    body ``sub`` is decomposed with its backedges cut; or a
+    ``"dispatch"`` region, emitted flat as a dispatch tree over ``_b`` —
+    a multi-entry (irreducible) SCC, or the whole function when it nests
+    past either limit.  A region's tree dispatches to ``leaves``, in
+    reverse postorder, ``idx`` their ``_b`` values; ``sites`` inline
+    every other member at its one incoming edge
+    (:meth:`_Cfg.inline_sites`)."""
 
-    kind = "block"
-
-    def __init__(self, bid: int):
-        self.bid = bid
-        self.label = bid
-        self.labels = (bid,)
-        self.members = frozenset((bid,))
-
-
-class _LoopUnit:
-    """A single-entry SCC: a native loop.  ``sub`` is the region tree of
-    the loop body with the backedges to ``header`` cut."""
-
-    kind = "loop"
-
-    def __init__(self, header: int, sub: List[object],
-                 members: frozenset):
-        self.header = header
-        self.sub = sub
-        self.label = header
-        self.labels = (header,)
-        self.members = members
-
-
-class _DispatchUnit:
-    """A region emitted flat as a local dispatch tree over ``_b``: a
-    multi-entry (irreducible) SCC, or the whole function when it nests
-    past the budget.  ``fall_entry`` is set when this region contains
-    its level's entry block (control falls in without a branch having
-    initialized ``_b``).  ``leaves`` are the members the tree dispatches
-    to, in reverse postorder; every other member is inlined at its one
-    incoming edge (:meth:`StructuredEmitter._dispatch_unit`)."""
-
-    kind = "dispatch"
-
-    def __init__(self, entries: List[int], members: frozenset,
-                 leaves: List[int], fall_entry: Optional[int]):
-        self.entries = entries
-        self.leaves = leaves
-        self.label = entries[0]
-        self.labels = tuple(entries)
-        self.members = members
-        self.fall_entry = fall_entry
-        self.idx = {bid: i for i, bid in enumerate(leaves)}
-        # Arriving branches assign ``_b`` through the unit's merge scope.
-        self.entry_idx = {lab: self.idx[lab] for lab in entries}
-
-
-class _Scope:
-    """One open ``while True:`` on the emission stack.
-
-    * ``merge`` — a single-shot scope whose ``break`` lands at the start
-      of the scoped unit's code (``labels`` are that unit's entry
-      labels; ``token`` is the canonical ``_st`` arrival value).
-    * ``loop`` — a real loop; branching to ``token`` (the header) is
-      ``continue``.
-    * ``dispatch`` — an irreducible region's dispatch loop; ``labels``
-      are all region members and ``idx`` maps them to ``_b`` values.
-    """
-
-    __slots__ = ("kind", "labels", "token", "idx", "st_mark")
-
-    def __init__(self, kind: str, labels, token: int,
-                 idx: Optional[Dict[int, int]] = None):
+    def __init__(self, kind: str, labels, members: frozenset,
+                 sub: List["_Unit"] = (), leaves: List[int] = (),
+                 sites: Optional[Dict[Tuple[int, int], "_Unit"]] = None):
         self.kind = kind
-        self.labels = frozenset(labels)
-        self.token = token
-        self.idx = idx
-        self.st_mark = 0
+        self.label = labels[0]
+        self.labels = tuple(labels)
+        self.members = members
+        self.sub = sub
+        self.leaves = leaves
+        self.sites = sites
+        self.idx = {bid: i for i, bid in enumerate(leaves)}
 
 
 def _tarjan_sccs(succs: Dict[int, List[int]], entry: int
@@ -275,37 +221,35 @@ def _tarjan_sccs(succs: Dict[int, List[int]], entry: int
             stack.append(v)
             onstack.add(v)
         targets = succs[v]
-        descended = False
         while child < len(targets):
             w = targets[child]
             child += 1
             if w not in index:
                 frame[1] = child
                 work.append([w, 0])
-                descended = True
                 break
             if w in onstack:
                 low[v] = min(low[v], index[w])
-        if descended:
-            continue
-        work.pop()
-        if work:
-            parent = work[-1][0]
-            low[parent] = min(low[parent], low[v])
-        if low[v] == index[v]:
-            scc = []
-            while True:
-                w = stack.pop()
-                onstack.discard(w)
-                scc.append(w)
-                if w == v:
-                    break
-            sccs.append(scc)
+        else:
+            # Every successor done: finish v.
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                scc = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    scc.append(w)
+                    if w == v:
+                        break
+                sccs.append(scc)
     return sccs
 
 
-# The two limits structured emission must stay inside; past either,
-# the function is re-emitted as one dispatch region.
+# The two limits structured code must stay inside; past either,
+# recovery places the whole function in one dispatch region.
 #
 # Indentation budget: CPython's *parser* rejects nesting around 100
 # indent levels; leave generous headroom for the skeleton and the extra
@@ -314,9 +258,9 @@ _MAX_DEPTH = 86
 # How many levels a chain of blocks inlined inside a dispatch region
 # may nest below the tree leaf it hangs from; the next block of the
 # chain becomes a leaf of its own.  Independent of ``_MAX_DEPTH``, which
-# the region whole-function fallback emits does not see: below its
-# ``def``, ``try`` and ``while``, a tree over a million leaves is 20
-# levels deep, so its deepest line stays under 70.
+# the whole-function region is not checked against: below its ``def``,
+# ``try`` and ``while``, a tree over a million leaves is 20 levels
+# deep, so its deepest line stays under 70.
 _MAX_INLINE_DEPTH = 40
 # CPython's *compiler* refuses more than 20 statically nested blocks
 # (``CO_MAXBLOCKS``).  Emitted code opens them two ways: the body's one
@@ -324,72 +268,34 @@ _MAX_INLINE_DEPTH = 40
 _MAX_STATIC_BLOCKS = 20
 
 
-class StructuredEmitter:
-    """Translates one verified IR function into Python source by
-    relooper-style structured emission (see the module docstring)."""
+class _Cfg:
+    """A function's reachable CFG and its decomposition into units."""
 
-    def __init__(self, func: Function, module: Optional[Module] = None):
+    def __init__(self, func: Function):
         self.func = func
-        self.module = module
-        # The shape of the last :meth:`emit_source`: "structured", or
-        # "dispatch" when the whole function is one dispatch region
-        # (the too-deep re-emission); and how much of it is left to
-        # dispatch regions — the irreducible SCCs, or that one region
-        # and every block.
-        self.mode_used = "structured"
-        self.dispatch_regions = 0
-        self.dispatch_region_blocks = 0
-
-    # ------------------------------------------------------------------
-    # Block ordering.
-    # ------------------------------------------------------------------
-    def _block_order(self) -> List[int]:
-        """Reachable blocks in reverse postorder, entry first."""
-        func = self.func
         if func.entry is None:
             raise BackendError(f"{func.name}: no entry block")
-        # Iterative DFS to avoid Python recursion limits on huge CFGs.
-        stack: List[Tuple[int, int]] = [(func.entry, 0)]
-        post: List[int] = []
-        seen = {func.entry}
-        targets_of: Dict[int, List[int]] = {}
-        while stack:
-            bid, child = stack[-1]
-            if bid not in targets_of:
-                block = func.blocks.get(bid)
-                if block is None:
-                    raise BackendError(
-                        f"{self.func.name}: dangling block ref block{bid}")
-                if block.terminator is None:
-                    raise BackendError(
-                        f"{self.func.name}: block{bid} not terminated")
-                targets_of[bid] = [c.block for c in
-                                   block.terminator.targets()]
-            targets = targets_of[bid]
-            if child < len(targets):
-                stack[-1] = (bid, child + 1)
-                succ = targets[child]
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, 0))
-            else:
-                post.append(bid)
-                stack.pop()
-        order = list(reversed(post))
-        assert order[0] == func.entry
-        return order
+        try:
+            self.rpo = reverse_postorder(func)
+        except KeyError as missing:
+            raise BackendError(
+                f"{func.name}: dangling block ref block{missing}") from None
+        self.succ: Dict[int, List[int]] = {}
+        for bid in self.rpo:
+            term = func.blocks[bid].terminator
+            if term is None:
+                raise BackendError(f"{func.name}: block{bid} not terminated")
+            self.succ[bid] = [c.block for c in term.targets()]
+        self.rpo_pos = {bid: i for i, bid in enumerate(self.rpo)}
 
-    # ------------------------------------------------------------------
-    # Region tree construction.
-    # ------------------------------------------------------------------
-    def _region_units(self, nodes: frozenset, entry: int,
-                      cut: frozenset) -> List[object]:
+    def units(self, nodes: frozenset, entry: int,
+              cut: frozenset) -> List[_Unit]:
         """Decompose ``nodes`` (minus ``cut`` edges) into a topologically
         ordered list of units: blocks, single-entry loops (recursively
         decomposed with their backedges cut), and irreducible
         multi-entry regions left flat for per-region dispatch."""
         succs = {
-            b: [t for t in dict.fromkeys(self._succ_raw[b])
+            b: [t for t in dict.fromkeys(self.succ[b])
                 if t in nodes and (b, t) not in cut]
             for b in nodes
         }
@@ -397,210 +303,205 @@ class StructuredEmitter:
         for b, targets in succs.items():
             for t in targets:
                 preds[t].append(b)
-        units: List[object] = []
+        units: List[_Unit] = []
         for scc in reversed(_tarjan_sccs(succs, entry)):
             members = frozenset(scc)
             if len(scc) == 1 and scc[0] not in succs[scc[0]]:
-                units.append(_BlockUnit(scc[0]))
+                units.append(_Unit("block", scc, members))
                 continue
             entries = sorted(
                 (m for m in members
                  if m == entry or any(p not in members for p in preds[m])),
-                key=self._rpo_pos.get)
+                key=self.rpo_pos.get)
             if len(entries) == 1:
                 header = entries[0]
                 sub_cut = cut | {
-                    (b, header) for b in members
-                    if header in self._succ_raw[b]}
-                sub = self._region_units(members, header, sub_cut)
-                units.append(_LoopUnit(header, sub, members))
+                    (b, header) for b in members if header in self.succ[b]}
+                units.append(_Unit("loop", entries, members, self.units(
+                    members, header, sub_cut)))
             else:
-                units.append(self._dispatch_unit(
-                    entries, members, entry if entry in members else None))
+                units.append(self.dispatch_unit(entries, members))
         return units
 
-    def _dispatch_unit(self, entries: List[int], members: frozenset,
-                       fall_entry: Optional[int]) -> _DispatchUnit:
+    def dispatch_unit(self, entries: List[int],
+                      members: frozenset) -> _Unit:
         """A dispatch region over ``members`` whose tree dispatches only
-        to its entries and joins: a non-entry member with exactly one
-        incoming edge (every edge into it comes from a member) is
-        inlined at that edge until a chain nests ``_MAX_INLINE_DEPTH``
-        levels below its leaf."""
-        order = sorted(members, key=self._rpo_pos.get)
-        preds: Dict[int, List[int]] = {b: [] for b in order}
-        for b in order:
-            for t in self._succ_raw[b]:
-                if t in members:
-                    preds[t].append(b)
-        # Levels below its leaf each member's code starts at; a branch
-        # arm nests one deeper than its block, a jump does not.  A single
-        # predecessor comes first in reverse postorder.
-        depth: Dict[int, int] = {}
-        leaves: List[int] = []
-        for b in order:
-            depth[b] = 0
-            if b in entries or len(preds[b]) != 1:
-                leaves.append(b)
-                continue
-            pred = preds[b][0]
-            below = depth[pred] + (
-                not isinstance(self.func.blocks[pred].terminator, Jump))
-            if below > _MAX_INLINE_DEPTH:
-                leaves.append(b)
-            else:
-                depth[b] = below
-        return _DispatchUnit(entries, members, leaves, fall_entry)
+        to its entries and joins."""
+        order = [_Unit("block", (b,), frozenset((b,)))
+                 for b in sorted(members, key=self.rpo_pos.get)]
+        sites = self.inline_sites(order, entries, _MAX_INLINE_DEPTH)[0]
+        inlined = {label for _, label in sites}
+        return _Unit("dispatch", entries, members, leaves=[
+            u.label for u in order if u.label not in inlined], sites=sites)
 
-    # ------------------------------------------------------------------
-    # Line assembly helpers.
-    # ------------------------------------------------------------------
-    def _line(self, text: str) -> None:
-        if self._depth > self._budget:
-            raise _StructureTooDeep(
-                f"{self.func.name}: structured nesting exceeds "
-                f"{self._budget} levels")
-        self._lines.append(_INDENT * self._depth + text)
-
-    def _push_scope(self, scope: _Scope) -> None:
-        # Static blocks once it is open: the body's ``try``, the open
-        # scopes and this one.
-        if len(self._scopes) + 2 > _MAX_STATIC_BLOCKS:
-            raise _StructureTooDeep(
-                f"{self.func.name}: structured nesting exceeds "
-                f"{_MAX_STATIC_BLOCKS} static blocks")
-        scope.st_mark = self._st_sets
-        self._scopes.append(scope)
-        self._line("while True:")
-        self._depth += 1
-
-    def _close_scope(self) -> None:
-        """End the innermost scope's ``while`` and emit its landing:
-        arrival routing for the ``_st`` unwinding protocol.  Elided
-        entirely when no ``_st`` was set inside the scope (only plain
-        one-level breaks arrived, which simply fall through)."""
-        scope = self._scopes.pop()
-        self._depth -= 1
-        if self._st_sets == scope.st_mark:
-            return
-        outer = self._scopes[-1] if self._scopes else None
-        route: List[Tuple[str, str]] = []
-        if outer is not None and outer.kind == "loop":
-            route.append((f"_st == {outer.token}", "_st = -1; continue"))
-        elif outer is not None and outer.kind == "dispatch":
-            # Clearing the token falls out of the region tree arm to the
-            # dispatch loop's end, re-dispatching on the already-set _b.
-            route.append((f"_st == {outer.token}", "_st = -1"))
-        if scope.kind == "merge":
-            self._line("if _st != -1:")
-            self._depth += 1
-            self._line(f"if _st == {scope.token}: _st = -1")
-            for cond, action in route:
-                self._line(f"elif {cond}: {action}")
-            if outer is not None:
-                self._line("else: break")
-            self._depth -= 1
-        else:
-            if route:
-                cond, action = route[0]
-                self._line(f"if {cond}: {action}")
-                if outer is not None:
-                    self._line("else: break")
-            elif outer is not None:
-                self._line("break")
-
-    # ------------------------------------------------------------------
-    # Transfers (branch edges) under the scope stack.
-    # ------------------------------------------------------------------
-    def _transfer(self, call: BlockCall) -> None:
-        label = call.block
-        if label == self.func.entry:
-            # Every other block's charge counts the branch that entered
-            # it; the entry block's cannot, a call enters it too.
-            self._line("_fu += 1")
-        target = self.func.blocks[label]
-        pairs = [(param, arg)
-                 for (param, _), arg in zip(target.params, call.args)
-                 if param != arg]
-        if pairs:
-            lhs = ", ".join(f"v{param}" for param, _ in pairs)
-            rhs = ", ".join(self._val(arg) for _, arg in pairs)
-            self._line(f"{lhs} = {rhs}")
-        inline = self._inline_map.pop(label, None)
-        if inline is not None:
-            self._emit_unit(inline)
-            return
-        for levels_up, scope in enumerate(reversed(self._scopes)):
-            if label not in scope.labels:
-                continue
-            if scope.idx is not None:
-                self._line(f"_b = {scope.idx[label]}")
-            if levels_up == 0:
-                if scope.kind == "loop":
-                    self._line("continue")
-                elif scope.kind == "merge":
-                    self._line("break")
-                else:
-                    # Region-internal edge: fall out of the tree arm to
-                    # the dispatch loop's end, which re-dispatches.
-                    self._line(f"# -> block{label}")
-            else:
-                self._st_sets += 1
-                self._line(f"_st = {scope.token}")
-                self._line("break")
-            return
-        raise BackendError(
-            f"{self.func.name}: unresolved branch to block{label}")
-
-    # ------------------------------------------------------------------
-    # Unit sequences (one region level).
-    # ------------------------------------------------------------------
-    def _emit_seq(self, units: List[object]) -> None:
-        label_of: Dict[int, object] = {}
-        owner: Dict[int, object] = {}
-        for u in units:
-            for lab in u.labels:
-                label_of[lab] = u
-            for b in u.members:
-                owner[b] = u
-        # Branch edges into each unit's labels, with multiplicity, from
-        # anywhere in this level's subgraph outside the target unit
-        # (intra-unit edges are loop backedges / region-internal).
+    def inline_sites(self, units: List[_Unit], fixed,
+                     bound: Optional[int] = None):
+        """The one inlining rule: a unit with exactly one incoming edge
+        is placed at that edge.  Returns ``(sites, in_edges)``:
+        ``(source block, label) -> unit`` for every unit so inlined, and
+        each label's incoming edges by source block, with multiplicity.
+        A unit labelled in ``fixed`` (its level's entries) or a dispatch
+        region is never inlined.  Inside a region (``bound`` set) a
+        chain of inlined blocks nests at most ``bound`` levels below its
+        leaf; a branch arm nests one deeper than its block, a jump does
+        not, and a single predecessor comes first in reverse
+        postorder."""
+        label_of = {lab: u for u in units for lab in u.labels}
         in_edges: Dict[int, List[int]] = {lab: [] for lab in label_of}
         for u in units:
             for b in u.members:
-                for t in self._succ_raw[b]:
+                for t in self.succ[b]:
                     tu = label_of.get(t)
-                    if tu is None or tu is u:
-                        continue
-                    in_edges[t].append(b)
-        # A non-entry unit with exactly one incoming branch is emitted
-        # inline at that branch site (classic relooper "simple" shape);
-        # the rest stay in sequence behind merge scopes.
-        scoped = [units[0]]
-        for u in units[1:]:
-            if (u.kind != "dispatch"
-                    and len(in_edges[u.label]) == 1):
-                self._inline_map[u.label] = u
-            else:
-                scoped.append(u)
-        unit_pos = {id(u): i for i, u in enumerate(scoped)}
+                    # A loop's or region's edges into itself are internal.
+                    if tu is not None and (tu is not u or u.kind == "block"):
+                        in_edges[t].append(b)
+        sites: Dict[Tuple[int, int], _Unit] = {}
+        below = dict.fromkeys(label_of, 0)
+        for u in units:
+            srcs = in_edges[u.label]
+            if u.label in fixed or u.kind == "dispatch" or len(srcs) != 1:
+                continue
+            if bound is not None:
+                depth = below[srcs[0]] + (not isinstance(
+                    self.func.blocks[srcs[0]].terminator, Jump))
+                if depth > bound:
+                    continue
+                below[u.label] = depth
+            sites[(srcs[0], u.label)] = u
+        return sites, in_edges
 
-        def host_pos(block: int) -> int:
-            u = owner[block]
-            while id(u) not in unit_pos:
-                # Inlined units live at their single branch site's host.
-                u = owner[in_edges[u.label][0]]
-            return unit_pos[id(u)]
 
+class _Node:
+    """A region-tree node: the indent level of its first line
+    (``depth``) and the static blocks open there, its own included
+    (``static``)."""
+
+    depth = static = 0
+
+
+class BlockNode(_Node):
+    """A placed block: ``leaf`` is its ``_b`` value when it is a leaf of
+    a dispatch tree; ``edges`` its out-edges, in terminator order."""
+
+    leaf: Optional[int] = None
+
+    def __init__(self, bid: int):
+        self.bid = bid
+        self.edges: List[Edge] = []
+
+
+class Edge(_Node):
+    """A CFG edge and its one lowering, ``exit``: ``"inline"`` (the
+    target unit's node is ``child``), ``"continue"``, ``"break"``,
+    ``"redispatch"`` (fall out of a dispatch tree arm) or ``"st"`` (a
+    multi-level exit to the scope whose token is ``token``).  ``b`` is
+    the ``_b`` value assigned first, when the target is a region's."""
+
+    exit, child, b, token = "inline", None, None, 0
+
+    def __init__(self, call: BlockCall):
+        self.call = call
+
+
+class Scope(_Node):
+    """A ``while True:`` over ``body``.  ``kind`` is ``"merge"`` (a
+    single-shot scope whose ``break`` lands where the unit entered at
+    ``labels`` starts), ``"loop"`` (branching to ``token``, the header,
+    is ``continue``) or ``"dispatch"`` (a region's tree; ``labels`` are
+    its leaves, ``fall_in`` the ``_b`` assigned before it when control
+    falls in).  ``idx`` maps labels to their ``_b`` values, if any.
+    ``landing`` says an ``_st`` exit was lowered inside, so the scope
+    routes arrivals after its ``while``, by ``outer``, the scope around
+    it."""
+
+    fall_in: Optional[int] = None
+    landing, outer = False, None
+
+    def __init__(self, kind: str, labels, token: int,
+                 idx: Optional[Dict[int, int]] = None):
+        self.kind = kind
+        self.labels = frozenset(labels)
+        self.token = token
+        self.idx = idx
+        self.body: List[_Node] = []
+
+
+class Split(_Node):
+    """A dispatch tree's ``if _b < pivot:`` over two subtrees."""
+
+    def __init__(self, pivot: int, low: _Node, high: _Node):
+        self.pivot = pivot
+        self.low = low
+        self.high = high
+
+
+class RegionTree:
+    """One function's structure: ``body``, the nodes below its ``try:``,
+    each reachable block placed once and each edge lowered once.
+    ``mode`` is ``"dispatch"`` (one region around every block) or
+    ``"structured"``, held to ``limits`` (indent levels, static blocks):
+    past either, nothing deeper is built and the tree is only a verdict.
+    ``max_depth`` / ``max_static`` are the maxima of its nodes'
+    ``depth`` / ``static``; ``st_exits`` counts its ``"st"`` edges."""
+
+    def __init__(self, cfg: _Cfg, units: List[_Unit],
+                 limits: Optional[Tuple[int, int]]):
+        self.rpo = cfg.rpo
+        self.mode = "structured" if limits else "dispatch"
+        self.limits = limits
+        self.max_depth = self.max_static = self.st_exits = 0
+        self.dispatch_regions = self.dispatch_region_blocks = 0
+        self._cfg = cfg
+        self._scopes: List[Scope] = []
+        self._sites: Dict[Tuple[int, int], _Unit] = {}
+        # The body lives inside the function's ``def`` and its ``try``.
+        self.body = self._seq(units, 2)
+
+    def too_deep(self) -> bool:
+        """The verdict: a structured tree past either of its limits."""
+        depth, static = self.limits or (self.max_depth, self.max_static)
+        return self.max_depth > depth or self.max_static > static
+
+    def _place(self, node: _Node, depth: int) -> _Node:
+        node.depth = depth
+        node.static = static = 1 + len(self._scopes)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        if static > self.max_static:
+            self.max_static = static
+        return node
+
+    def _open(self, scope: Scope, depth: int) -> Scope:
+        scope.st_mark = self.st_exits
+        self._scopes.append(scope)
+        return self._place(scope, depth)
+
+    def _close(self) -> None:
+        scope = self._scopes.pop()
+        scope.landing = self.st_exits != scope.st_mark
+        scope.outer = self._scopes[-1] if self._scopes else None
+
+    def _seq(self, units: List[_Unit], depth: int) -> List[_Node]:
+        """One region level: the units not inlined stay in sequence
+        behind merge scopes."""
+        sites, in_edges = self._cfg.inline_sites(units, (units[0].label,))
+        self._sites.update(sites)
+        inlined = {label: src for src, label in sites}
+        owner = {b: u for u in units for b in u.members}
+        # Where each unit's code is: its position in the sequence, or
+        # that of its one incoming edge.
+        scoped = [u for u in units if u.label not in inlined]
+        host = {u: i for i, u in enumerate(scoped)}
+        for u in units:
+            if u.label in inlined:
+                host[u] = host[owner[inlined[u.label]]]
         # Merge-scope intervals: scope i spans [start_i, i), opening
         # before the earliest unit that branches to unit i and closing
         # right where unit i's code begins.  Partial overlaps are fixed
         # by extending starts outward until the intervals nest.
-        starts: Dict[int, int] = {}
-        for i in range(1, len(scoped)):
-            u = scoped[i]
-            starts[i] = min(host_pos(src)
-                            for lab in u.labels for src in in_edges[lab])
+        starts = {i: min(host[owner[src]] for lab in u.labels
+                         for src in in_edges[lab])
+                  for i, u in enumerate(scoped) if i}
         for j in sorted(starts):
             changed = True
             while changed:
@@ -609,77 +510,204 @@ class StructuredEmitter:
                     if starts[k] < starts[j] < k:
                         starts[j] = starts[k]
                         changed = True
+        # The scopes opening before each unit, longest-lived outermost.
         opens: Dict[int, List[int]] = {}
-        for i, start in starts.items():
-            opens.setdefault(start, []).append(i)
-        for group in opens.values():
-            group.sort(reverse=True)  # longest-lived scope outermost
+        for i in sorted(starts, reverse=True):
+            opens.setdefault(starts[i], []).append(i)
+        bodies: List[List[_Node]] = [[]]
         for i, u in enumerate(scoped):
-            if i >= 1:
-                self._close_scope()
+            if i:
+                self._close()
+                bodies.pop()
             for j in opens.get(i, ()):
                 target = scoped[j]
-                self._push_scope(_Scope(
-                    "merge", target.labels, target.label,
-                    getattr(target, "entry_idx", None)))
-            self._emit_unit(u, is_level_entry=(i == 0))
+                scope = self._open(Scope(
+                    "merge", target.labels, target.label, target.idx or None),
+                    depth + len(bodies) - 1)
+                bodies[-1].append(scope)
+                bodies.append(scope.body)
+            bodies[-1].append(self._unit(u, depth + len(bodies) - 1, i == 0))
+        return bodies[0]
 
-    def _emit_unit(self, u: object, is_level_entry: bool = False) -> None:
+    def _unit(self, u: _Unit, depth: int, is_level_entry: bool) -> _Node:
         if u.kind == "block":
-            self._line(f"# block{u.bid}")
-            self._emit_structured_block(self.func.blocks[u.bid])
-        elif u.kind == "loop":
-            self._push_scope(_Scope("loop", u.labels, u.header))
-            self._emit_seq(u.sub)
-            self._close_scope()
+            return self._block(u.label, depth)
+        if u.kind == "loop":
+            scope = self._open(Scope("loop", u.labels, u.label), depth)
+            scope.body = self._seq(u.sub, depth + 1)
         else:
-            self._emit_dispatch_region(u, is_level_entry)
+            self.dispatch_regions += 1
+            self.dispatch_region_blocks += len(u.members)
+            self._sites.update(u.sites)
+            scope = self._open(Scope("dispatch", u.leaves,
+                                     -(2 + self.dispatch_regions), u.idx),
+                               depth)
+            # Entering branches assign _b before unwinding here; only a
+            # fall-in at the level's entry, the region's first entry,
+            # needs initialization.
+            if is_level_entry:
+                scope.fall_in = u.idx[u.label]
+            scope.body = [self._tree(u.leaves, u.idx, depth + 1)]
+        self._close()
+        return scope
+
+    def _tree(self, leaves: List[int], idx: Dict[int, int],
+              depth: int) -> _Node:
+        """A binary decision tree over ``leaves``, ``log2(n)`` deep."""
+        if len(leaves) == 1:
+            node = self._block(leaves[0], depth)
+            node.leaf = idx[leaves[0]]
+            return node
+        mid = len(leaves) // 2
+        return self._place(Split(
+            idx[leaves[mid]], self._tree(leaves[:mid], idx, depth + 1),
+            self._tree(leaves[mid:], idx, depth + 1)), depth)
+
+    def _block(self, bid: int, depth: int) -> BlockNode:
+        node = self._place(BlockNode(bid), depth)
+        if self.too_deep():
+            # The tree is rejected whole: build nothing deeper, which
+            # also bounds the recursion by the limits.
+            return node
+        calls = self._cfg.func.blocks[bid].terminator.targets()
+        # A branch's arms nest one level below its block; a jump, or a
+        # br_table with only a default, does not.
+        arm = depth + (len(calls) > 1)
+        node.edges = [self._edge(bid, call, arm) for call in calls]
+        return node
+
+    def _edge(self, src: int, call: BlockCall, depth: int) -> Edge:
+        edge = self._place(Edge(call), depth)
+        label = call.block
+        unit = self._sites.get((src, label))
+        if unit is not None:
+            edge.child = self._unit(unit, depth, False)
+            return edge
+        for levels_up, scope in enumerate(reversed(self._scopes)):
+            if label not in scope.labels:
+                continue
+            edge.b = scope.idx[label] if scope.idx else None
+            if levels_up:
+                self.st_exits += 1
+                edge.exit, edge.token = "st", scope.token
+            else:
+                edge.exit = {"loop": "continue", "merge": "break",
+                             "dispatch": "redispatch"}[scope.kind]
+            return edge
+        raise BackendError(
+            f"{self._cfg.func.name}: unresolved branch to block{label}")
+
+
+def recover_structure(func: Function) -> RegionTree:
+    """``func``'s region tree: structured, unless its deepest node is
+    past the indent budget or CPython's static-block limit; then one
+    dispatch region around every block, whose tree is 3 +
+    ceil(log2(blocks)) levels deep plus a block's own nesting and whose
+    one scope is two static blocks with the ``try``.  Raises
+    :class:`BackendError` on malformed input."""
+    cfg = _Cfg(func)
+    every = frozenset(cfg.rpo)
+    tree = RegionTree(cfg, cfg.units(every, func.entry, frozenset()),
+                      (_MAX_DEPTH, _MAX_STATIC_BLOCKS))
+    if tree.too_deep():
+        tree = RegionTree(cfg, [cfg.dispatch_unit([func.entry], every)],
+                          None)
+    return tree
+
+
+class StructuredEmitter:
+    """Translates one verified IR function into Python source: recovers
+    its region tree, then prints it (see the module docstring)."""
+
+    def __init__(self, func: Function):
+        self.func = func
 
     # ------------------------------------------------------------------
-    # Dispatch regions: irreducible SCCs, or the whole function past
-    # the nesting budget.
+    # The printer: each node at its recorded depth.
     # ------------------------------------------------------------------
-    def _emit_dispatch_region(self, u: _DispatchUnit,
-                              is_level_entry: bool) -> None:
-        self.dispatch_regions += 1
-        self.dispatch_region_blocks += len(u.members)
-        idx = u.idx
-        for bid in u.members.difference(u.leaves):
-            self._inline_map[bid] = _BlockUnit(bid)
-        # Entering branches assign _b before unwinding here; only a
-        # fall-in at the region's own level entry needs initialization.
-        if is_level_entry:
-            if u.fall_entry is None:
-                raise BackendError(
-                    f"{self.func.name}: irreducible region entered by "
-                    f"fall-through without an entry block")
-            self._line(f"_b = {idx[u.fall_entry]}")
-        token = -(2 + self.dispatch_regions)
-        self._push_scope(_Scope("dispatch", u.leaves, token, idx))
-        self._emit_region_tree(u.leaves, idx)
-        self._close_scope()
+    def _line(self, depth: int, text: str) -> None:
+        self._lines.append(_INDENT * depth + text)
 
-    def _emit_region_tree(self, members: List[int],
-                          idx: Dict[int, int]) -> None:
-        if len(members) == 1:
-            bid = members[0]
-            self._line(f"# block{bid} [_b={idx[bid]}]")
-            self._emit_structured_block(self.func.blocks[bid])
+    def _print(self, node: _Node) -> None:
+        if isinstance(node, BlockNode):
+            self._print_block(node)
+        elif isinstance(node, Split):
+            self._line(node.depth, f"if _b < {node.pivot}:")
+            self._print(node.low)
+            self._line(node.depth, "else:")
+            self._print(node.high)
+        else:
+            self._print_scope(node)
+
+    def _print_scope(self, scope: Scope) -> None:
+        """A scope's ``while`` and its landing: arrival routing for the
+        ``_st`` unwinding protocol, elided when no ``_st`` was set
+        inside (only plain one-level breaks arrived, which simply fall
+        through)."""
+        depth, outer = scope.depth, scope.outer
+        if scope.fall_in is not None:
+            self._line(depth, f"_b = {scope.fall_in}")
+        self._line(depth, "while True:")
+        for node in scope.body:
+            self._print(node)
+        if not scope.landing:
             return
-        mid = len(members) // 2
-        self._line(f"if _b < {idx[members[mid]]}:")
-        self._depth += 1
-        self._emit_region_tree(members[:mid], idx)
-        self._depth -= 1
-        self._line("else:")
-        self._depth += 1
-        self._emit_region_tree(members[mid:], idx)
-        self._depth -= 1
+        # Arriving at an enclosing loop continues it; clearing the token
+        # of an enclosing dispatch region falls out of its tree arm to
+        # the dispatch loop's end, re-dispatching on the already-set _b.
+        action = {"loop": "_st = -1; continue", "dispatch": "_st = -1"}.get(
+            getattr(outer, "kind", None))
+        route = action and f"_st == {outer.token}: {action}"
+        if scope.kind == "merge":
+            self._line(depth, "if _st != -1:")
+            self._line(depth + 1, f"if _st == {scope.token}: _st = -1")
+            if route:
+                self._line(depth + 1, f"elif {route}")
+            if outer is not None:
+                self._line(depth + 1, "else: break")
+        elif route:
+            self._line(depth, f"if {route}")
+            self._line(depth, "else: break")
+        elif outer is not None:
+            self._line(depth, "break")
+
+    def _print_edge(self, edge: Edge) -> None:
+        depth, label = edge.depth, edge.call.block
+        if label == self.func.entry:
+            # Every other block's charge counts the branch that entered
+            # it; the entry block's cannot, a call enters it too.
+            self._line(depth, "_fu += 1")
+        target = self.func.blocks[label]
+        pairs = [(param, arg)
+                 for (param, _), arg in zip(target.params, edge.call.args)
+                 if param != arg]
+        if pairs:
+            lhs = ", ".join(f"v{param}" for param, _ in pairs)
+            rhs = ", ".join(self._val(arg) for _, arg in pairs)
+            self._line(depth, f"{lhs} = {rhs}")
+        if edge.child is not None:
+            self._print(edge.child)
+            return
+        if edge.b is not None:
+            self._line(depth, f"_b = {edge.b}")
+        if edge.exit == "st":
+            self._line(depth, f"_st = {edge.token}")
+            self._line(depth, "break")
+        elif edge.exit == "redispatch":
+            # Fall out of the tree arm to the dispatch loop's end, which
+            # re-dispatches.
+            self._line(depth, f"# -> block{label}")
+        else:
+            self._line(depth, edge.exit)
 
     # ------------------------------------------------------------------
     # Blocks and terminators under batched fuel.
     # ------------------------------------------------------------------
-    def _emit_structured_block(self, block: Block) -> None:
+    def _print_block(self, node: BlockNode) -> None:
+        depth, edges = node.depth, node.edges
+        block = self.func.blocks[node.bid]
+        leaf = "" if node.leaf is None else f" [_b={node.leaf}]"
+        self._line(depth, f"# block{node.bid}{leaf}")
         body: List[str] = []
         segment: List[str] = []
         # One charge per block: its instructions and, but in the entry
@@ -714,48 +742,40 @@ class StructuredEmitter:
             body.append(f"_fu += {pending}")
         body.extend(segment)
         for raw in body:
-            self._line(raw)
+            self._line(depth, raw)
         # Same boundary the VM checks at: after the block's instructions,
         # before charging the terminator, which the successor's charge
         # counts (a return or trap, having none, charges its own).
-        self._line("if _L is not None and S.fuel + _fu > _L: _oof(_L)")
-        if isinstance(term, Jump):
-            self._transfer(term.target)
+        self._line(depth,
+                   "if _L is not None and S.fuel + _fu > _L: _oof(_L)")
+        if isinstance(term, Jump) or (isinstance(term, BrTable)
+                                      and not term.cases):
+            self._print_edge(edges[0])
         elif isinstance(term, BrIf):
             cond = self._val(term.cond) if fused is None else \
                 _BARE_COMPARES[fused.op].format(
                     *[self._val(a) for a in fused.args])
-            self._line(f"if {cond}:")
-            self._depth += 1
-            self._transfer(term.if_true)
-            self._depth -= 1
-            self._line("else:")
-            self._depth += 1
-            self._transfer(term.if_false)
-            self._depth -= 1
+            self._line(depth, f"if {cond}:")
+            self._print_edge(edges[0])
+            self._line(depth, "else:")
+            self._print_edge(edges[1])
         elif isinstance(term, BrTable):
-            if not term.cases:
-                self._transfer(term.default)
-                return
-            self._line(f"_i = {self._val(term.index)}")
-            for pos, call in enumerate(term.cases):
-                self._line(f"{'if' if pos == 0 else 'elif'} _i == {pos}:")
-                self._depth += 1
-                self._transfer(call)
-                self._depth -= 1
-            self._line("else:")
-            self._depth += 1
-            self._transfer(term.default)
-            self._depth -= 1
+            self._line(depth, f"_i = {self._val(term.index)}")
+            for pos, edge in enumerate(edges[:-1]):
+                self._line(depth, f"{'if' if pos == 0 else 'elif'} "
+                                  f"_i == {pos}:")
+                self._print_edge(edge)
+            self._line(depth, "else:")
+            self._print_edge(edges[-1])
         elif isinstance(term, Ret):
-            self._line("_fu += 1")
+            self._line(depth, "_fu += 1")
             if term.args:
-                self._line(f"return {self._val(term.args[0])}")
+                self._line(depth, f"return {self._val(term.args[0])}")
             else:
-                self._line("return None")
+                self._line(depth, "return None")
         elif isinstance(term, Trap):
-            self._line("_fu += 1")
-            self._line(f"raise VMTrap({term.message!r})")
+            self._line(depth, "_fu += 1")
+            self._line(depth, f"raise VMTrap({term.message!r})")
         else:
             raise BackendError(
                 f"{self.func.name}: block{block.id} has no terminator")
@@ -927,45 +947,21 @@ class StructuredEmitter:
         bindings.append("_L = vm.fuel_limit")
         return bindings
 
-    def _emit_body(self, units: List[object], budget: float) -> List[str]:
-        """The lines of the function body for one region tree; raises
-        :class:`_StructureTooDeep` past ``budget`` indent levels."""
-        self.used: Set[str] = set()
-        # The heap views, masks and scratch views the body reads (each a
-        # VM attribute of the same name: repro.ir.semantics.heap_views).
-        self.heap: Set[str] = set()
-        # Call-site link descriptors, in site order (PR 10): ("c",
-        # callee, argc) for direct calls, ("t", argc) for indirect.
-        # Derived purely from the function body, so cached sources stay
-        # byte-stable.
-        self.link_sites: List[tuple] = []
-        self._lines: List[str] = []
-        self._budget = budget
-        # The body always lives inside the depth-bookkeeping try (plus
-        # the function def itself): two levels.
-        self._depth = 2
-        self._scopes: List[_Scope] = []
-        self._inline_map: Dict[int, object] = {}
-        self._st_sets = 0
-        self.dispatch_regions = 0
-        self.dispatch_region_blocks = 0
-        self._emit_seq(units)
-        assert not self._scopes and not self._inline_map
-        return self._lines
-
     def emit_source(self) -> str:
         func = self.func
-        rpo = self._block_order()
-        self._rpo_pos = {bid: i for i, bid in enumerate(rpo)}
-        self._succ_raw = {
-            bid: [c.block for c in
-                  func.blocks[bid].terminator.targets()]
-            for bid in rpo}
+        tree = recover_structure(func)
+        # The shape of the source: "structured", or "dispatch" when the
+        # whole function is one dispatch region; and how much of it is
+        # left to dispatch regions — the irreducible SCCs, or that one
+        # region and every block.
+        self.mode_used = tree.mode
+        self.dispatch_regions = tree.dispatch_regions
+        self.dispatch_region_blocks = tree.dispatch_region_blocks
         # How often each value is used (what compare->branch fusion
         # asks), and the literal each constant's uses print.
         uses: List[int] = []
         self._literals: Dict[int, str] = {}
-        for bid in rpo:
+        for bid in tree.rpo:
             block = func.blocks[bid]
             uses += terminator_values(block.terminator)
             for instr in block.instrs:
@@ -975,43 +971,32 @@ class StructuredEmitter:
                     if literal is not None:
                         self._literals[instr.result] = literal
         self._use_counts = collections.Counter(uses)
+        self.used: Set[str] = set()
+        # The heap views, masks and scratch views the body reads (each a
+        # VM attribute of the same name: repro.ir.semantics.heap_views).
+        self.heap: Set[str] = set()
+        # Call-site link descriptors, in site order: ("c", callee, argc)
+        # for direct calls, ("t", argc) for indirect.  Derived purely
+        # from the function body, so cached sources stay byte-stable.
+        self.link_sites: List[tuple] = []
+        self._lines: List[str] = []
+        for node in tree.body:
+            self._print(node)
 
-        try:
-            body = self._emit_body(
-                self._region_units(frozenset(rpo), func.entry, frozenset()),
-                _MAX_DEPTH)
-            self.mode_used = "structured"
-        except _StructureTooDeep:
-            # Past either limit the whole function is the one region an
-            # irreducible SCC would be.  No indent budget applies: the
-            # tree is 3 + ceil(log2(blocks)) levels deep plus a block's
-            # own nesting, which cannot reach the parser's limit; and
-            # its one scope is two static blocks with the ``try``.
-            body = self._emit_body(
-                [self._dispatch_unit([func.entry], frozenset(rpo),
-                                     func.entry)],
-                float("inf"))
-            self.mode_used = "dispatch"
-
-        lines: List[str] = []
-        lines.append(f"# {func.name}{func.sig} — compiled from residual "
-                     f"IR by repro.backend.StructuredEmitter")
-        entry = func.entry_block()
-        nparams = len(entry.params)
-        params = "".join(f", v{v}" for v, _ in entry.params)
-        lines.append(f"def _compiled(vm{params}):")
-        lines.extend(_INDENT + line for line in self._prologue())
-        for binding in self._preamble():
-            lines.append(_INDENT + binding)
+        params = [f"v{v}" for v, _ in func.entry_block().params]
+        lines = [f"# {func.name}{func.sig} — compiled from residual "
+                 f"IR by repro.backend.StructuredEmitter",
+                 f"def _compiled({', '.join(['vm', *params])}):"]
+        lines.extend(_INDENT + line
+                     for line in self._prologue() + self._preamble())
         lines.append(f"{_INDENT}_fu = 0")
-        if self._st_sets:
+        if tree.st_exits:
             lines.append(f"{_INDENT}_st = -1")
         lines.append(f"{_INDENT}try:")
-        lines.extend(body)
-        lines.append(f"{_INDENT}finally:")
-        lines.append(f"{_INDENT * 2}S.fuel += _fu")
-        lines.append(f"{_INDENT * 2}vm._call_depth -= 1")
-        lines.append(f"_compiled._nparams = {nparams}")
+        lines.extend(self._lines)
+        lines += [f"{_INDENT}finally:", f"{_INDENT * 2}S.fuel += _fu",
+                  f"{_INDENT * 2}vm._call_depth -= 1",
+                  f"_compiled._nparams = {len(params)}"]
         return "\n".join(lines) + "\n"
 
 
@@ -1045,14 +1030,15 @@ def emit_function_source(func: Function,
     """Emit Python source for ``func``.
 
     Returns ``(source, mode_used, emitter)``; ``mode_used`` is
-    ``"dispatch"`` when structured emission nested past the indent
+    ``"dispatch"`` when the structured tree nested past the indent
     budget or the static-block limit and the whole function was emitted
     as one dispatch region (the choice is deterministic, so cached
     sources stay stable).
     """
-    # ``mode`` survives only for its reader,
-    # benchmarks/ledger/ledger_workloads.py::_measure_emitted.
+    # Emission reads neither ``module`` nor ``mode``.  They survive for
+    # their callers: the engine passes ``module``, and
+    # benchmarks/ledger/ledger_workloads.py::_measure_emitted both.
     if mode != "structured":
         raise BackendError(f"unknown emit mode {mode!r}")
-    emitter = StructuredEmitter(func, module)
+    emitter = StructuredEmitter(func)
     return emitter.emit_source(), emitter.mode_used, emitter

@@ -18,7 +18,7 @@ differential corpus does not isolate:
   truthiness ever sees a Python ``bool``;
 * malformed IR the emitter rejects is one failed engine request;
 * the emitter's two nesting limits: past its indent budget or past
-  CPython's 20 static blocks the function is re-emitted flat, so a loop
+  CPython's 20 static blocks the function is emitted flat, so a loop
   nest on either side of the static-block cliff reaches tier 2;
 * the out-of-line traps (``_oof`` and each memory row's checked
   accessor): the VM's exception type and message, and the VM's fuel at
@@ -495,7 +495,7 @@ def test_branch_chain_past_the_indent_budget_is_emitted_flat():
 def test_loop_nest_at_the_static_block_limit():
     """The deepest loop nest CPython compiles structured stays
     structured; one loop more — still inside the indent budget — would
-    be a 21st static block, so it is re-emitted as one dispatch region
+    be a 21st static block, so it is emitted as one dispatch region
     and reaches tier 2 through the engine.  Both agree with the VM."""
     module = loop_nest(MAX_COMPILABLE_LOOP_NEST)
     pyfunc, used = compile_py(module.functions["nest"], module)

@@ -33,9 +33,10 @@
   artifact store is the engine's one cache (no in-batch dedupe), and a
   failed speculation is demoted once by construction (no deopt-storm
   breaker); the emitter spells no fuel-limit or bounds raise (emitted
-  code calls ``_oof`` and each memory row's checked accessor), and
-  CPython's static-block limit is
-  one constant read by one test; constants have one owner per stage
+  code calls ``_oof`` and each memory row's checked accessor), defines
+  no exception but ``BackendError`` and prints a function once, and
+  CPython's two nesting limits are constants read by one function,
+  ``recover_structure``; constants have one owner per stage
   (the specializer's ``_mat``, GVN's walk: no ``opt/fold.py``,
   ``opt/copyprop.py`` or ``const_cache``); a failed emit is a failed
   request (no ``UnsupportedConstruct``, ``fallback_reason`` or
@@ -45,10 +46,12 @@
 
 import ast
 import dataclasses
+import importlib
 import importlib.util
 import inspect
 import json
 import pathlib
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -87,7 +90,12 @@ from repro.pipeline import (
 from repro.vm import VM
 from repro.vm.machine import ExecStats, GuardFailed
 
-from tests.helpers import CORPUS_DIR, corpus_manifest, corpus_program
+from tests.helpers import (
+    CORPUS_DIR,
+    branch_chain,
+    corpus_manifest,
+    corpus_program,
+)
 from tests.test_golden_backend import _pin_corpus
 from tests.test_inline import miss_block_shape, spliced
 
@@ -234,11 +242,36 @@ def test_engine_configuration_is_said_once():
             if found[:2] not in EXEMPT] == []
 
 
-def test_one_emitter():
+def test_one_emitter(monkeypatch):
     """One CFG -> Python lowering: one class defines ``emit_source``,
     nothing takes the two deleted knobs as a parameter, and the package
-    no longer exports the second lowering's names."""
+    no longer exports the second lowering's names.  The backend defines
+    no exception class but ``BackendError`` (no internal verdict is
+    thrown and caught), and ``emit_source`` recovers the structure once
+    and prints each block once, even for a function too deep to stay
+    structured."""
     import repro.backend
+    from repro.backend import emitter
+    modules = [importlib.import_module(f"repro.backend.{info.name}")
+               for info in pkgutil.iter_modules(repro.backend.__path__)]
+    assert [(obj.__module__, name) for module in modules
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__] \
+        == [("repro.backend.emitter", "BackendError")]
+    recovered, printed = [], []
+    recover, print_block = (emitter.recover_structure,
+                            emitter.StructuredEmitter._print_block)
+    monkeypatch.setattr(emitter, "recover_structure", lambda func: (
+        recovered.append(func.name), recover(func))[1])
+    monkeypatch.setattr(emitter.StructuredEmitter, "_print_block",
+                        lambda self, node: (printed.append(node.bid),
+                                            print_block(self, node)))
+    module = branch_chain(emitter._MAX_DEPTH)
+    func = module.functions["chain"]
+    assert emit_function_source(func, module)[1] == "dispatch"
+    assert recovered == ["chain"]
+    assert sorted(printed) == sorted(func.blocks)
     definers = [
         (name, node.name) for name, tree in _sources()
         if name.startswith("repro/backend/")
@@ -255,19 +288,22 @@ def test_trap_raises_are_out_of_line_and_the_block_limit_said_once():
     """Emitted guards raise out of line, through ``backend/runtime.py``'s
     ``_oof`` and each memory row's checked accessor: the emitter spells
     neither the fuel-limit nor the bounds raise.
-    CPython's static-block limit is one named constant, assigned once
-    and read only by the too-deep test in ``_push_scope``."""
+    CPython's two nesting limits, the indent budget and the static-block
+    limit, are each one named constant, assigned once and read only by
+    the too-deep check in ``recover_structure``, before anything is
+    printed."""
     emitter_text = (ROOT / "src/repro/backend/emitter.py").read_text()
     for spelling in ("raise OutOfFuel(", 'raise VMTrap("oob',
                      'raise VMTrap(f"oob'):
         assert spelling not in emitter_text, spelling
-    limit = "_MAX_STATIC_BLOCKS"
-    assert _functions_mentioning(limit, "repro/") == \
-        [("repro/backend/emitter.py", "_push_scope")]
-    assert [file for file, tree in _sources() for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == limit
-            and isinstance(node.ctx, ast.Store)] \
-        == ["repro/backend/emitter.py"]
+    for limit in ("_MAX_STATIC_BLOCKS", "_MAX_DEPTH"):
+        assert _functions_mentioning(limit, "repro/") == \
+            [("repro/backend/emitter.py", "recover_structure")], limit
+        assert [file for file, tree in _sources()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == limit
+                and isinstance(node.ctx, ast.Store)] \
+            == ["repro/backend/emitter.py"], limit
 
 
 def test_deleted_engine_settings_are_type_errors():
