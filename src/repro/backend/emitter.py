@@ -29,11 +29,11 @@ observable semantics:
 * a NaN-box cast (``bits_ftoi``/``bits_itof``) writes its operand into
   one view of the VM's 8-byte scratch word and reads the other:
   ``Xd[0] = v3`` / ``v4 = XQ[0]``;
-* a compare (a ``_int(<cmp>)`` row) whose result has exactly one use,
-  the ``br_if`` of its own block, is never assigned: the terminator
+* a compare (a ``1 if <cmp> else 0`` row) whose result has exactly one
+  use, the ``br_if`` of its own block, is never assigned: the terminator
   prints ``if <cmp>:``.  Every other use — stored, returned, passed,
-  a block argument, an operand, a branch elsewhere — keeps ``_int``,
-  so a guest value is always an ``int`` and nothing but branch
+  a block argument, an operand, a branch elsewhere — assigns the whole
+  row, so a guest value is always an ``int`` and nothing but branch
   truthiness ever sees a Python ``bool``;
 * traps raise the same :class:`~repro.vm.machine.VMTrap` kinds with the
   same messages, out-of-fuel raises :class:`OutOfFuel`; the per-block
@@ -126,24 +126,24 @@ class BackendError(Exception):
     an unknown emit mode)."""
 
 
-# Pure ops are printed from their repro.ir.semantics row: op -> (the
+# Pure ops are printed from their repro.ir.semantics row: op -> the
 # row as a ``str.format`` template, ``{0}``/``{1}``/``{2}`` standing for
-# its operands a/b/c; whether the row calls ``_int``, which emitted
-# functions bind as a local).
+# its operands a/b/c.
 _PURE_TEMPLATES = {
-    op: (re.sub(r"\b[abc]\b",
-                lambda m: "{%d}" % "abc".index(m.group()), expr),
-         "_int(" in expr)
+    op: re.sub(r"\b[abc]\b",
+               lambda m: "{%d}" % "abc".index(m.group()), expr)
     for op, expr in PURE_EXPRS.items()
 }
 
-# The rows that call ``_int`` are the compares, ``_int(<cmp>)``: op ->
-# the bare ``<cmp>`` a fused ``br_if`` tests in place.
+# The compares are the rows spelled ``1 if <cmp> else 0``: op -> the
+# bare ``<cmp>`` a fused ``br_if`` tests in place.
 _BARE_COMPARES = {
-    op: template[len("_int("):-1]
-    for op, (template, uses_int) in _PURE_TEMPLATES.items() if uses_int
+    op: template[len("1 if "):-len(" else 0")]
+    for op, template in _PURE_TEMPLATES.items()
+    if template.startswith("1 if ")
 }
-assert all(_PURE_TEMPLATES[op][0] == f"_int({bare})"
+assert all(_PURE_TEMPLATES[op] == f"1 if {bare} else 0"
+           and " if " not in bare and " else " not in bare
            for op, bare in _BARE_COMPARES.items())
 
 _INDENT = "    "
@@ -817,10 +817,7 @@ class StructuredEmitter:
             return [f"{into}[0] = {self._val(args[0])}", f"{r} = {out}[0]"]
         pure = _PURE_TEMPLATES.get(op)
         if pure is not None:
-            template, uses_int = pure
-            if uses_int:
-                self.used.add("_int")
-            return [f"{r} = " + template.format(
+            return [f"{r} = " + pure.format(
                 *[self._val(a) for a in args])]
 
         mem = LOADS.get(op) or STORES.get(op)
@@ -942,8 +939,6 @@ class StructuredEmitter:
             bindings.append(f"_lk = vm._link_slots.get({name!r})")
             bindings.append(f"if _lk is None: _lk = vm.links.bind("
                             f"{name!r}, {tuple(self.link_sites)!r})")
-        if "_int" in used:
-            bindings.append("_int = int")
         bindings.append("_L = vm.fuel_limit")
         return bindings
 

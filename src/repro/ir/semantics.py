@@ -13,9 +13,26 @@ consumers derive from the row instead of restating it:
   expression the VM does.
 
 Values are Python ints in ``[0, 2**64)`` (the unsigned bit pattern) for
-``i64`` and Python floats for ``f64``; comparisons yield 0 or 1.  The
-helpers below are the ops too long for one expression; a trapping op
-raises :class:`VMTrap` (the folder reads that as "do not fold").
+``i64`` and Python floats for ``f64``.  A row is written to be cheap
+on CPython's specializing interpreter, since compiled code runs it
+inline:
+
+* a compare is ``1 if <cmp> else 0``, never a call: its value is an
+  ``int`` 0 or 1, and the emitter tests the bare ``<cmp>`` when a
+  branch is the compare's one use;
+* a float row takes an inline fast path and calls its helper only for
+  the exceptional operand — ``fdiv`` for a zero divisor, ``ftoi`` for
+  an infinity or NaN (``a - a == 0.0`` holds exactly for the finite
+  ones), which traps; ``ffloor`` keeps ``floor(-0.0) == +0.0`` with its
+  ``+ 0.0``;
+* a two-operand float row gives two NaN operands' result the payload
+  of the first (``a + b if a == a else a + a``): the host's ``a + b``
+  returns the second operand's payload until CPython specializes the
+  bytecode and the first's after that, so without the rule a result
+  would depend on how often its code had run.
+
+The helpers below are the ops too long for one expression; a trapping
+op raises :class:`VMTrap` (the folder reads that as "do not fold").
 
 Sized loads and stores keep their lowering in the VM and the emitter
 (counters, address arithmetic, the VM's bounds check); what they share is the
@@ -100,10 +117,6 @@ def _ishr_s(a: int, s: int) -> int:
     return (to_signed(a) >> (s & 63)) & MASK64
 
 
-def _itof(a: int) -> float:
-    return float(to_signed(a))
-
-
 def _ftoi(a: float) -> int:
     if math.isnan(a) or math.isinf(a):
         raise VMTrap("invalid float-to-int conversion")
@@ -119,12 +132,6 @@ def _fdiv(a: float, b: float) -> float:
 
 def _fsqrt(a: float) -> float:
     return math.sqrt(a) if a >= 0.0 else math.nan
-
-
-def _ffloor(a: float) -> float:
-    # IEEE floor: infinities and NaN are their own floor (math.floor
-    # raises on them).
-    return float(math.floor(a)) if math.isfinite(a) else a
 
 
 def _sext(raw: int, bits: int) -> int:
@@ -165,18 +172,15 @@ def _bits_itof(a: int) -> float:
 # The names a row may use besides its operands.
 HELPERS: Dict[str, Callable] = {
     **_CODEC_FNS,
-    "_int": int,
     "_abs": abs,
     "_idiv_s": _idiv_s,
     "_idiv_u": _idiv_u,
     "_irem_s": _irem_s,
     "_irem_u": _irem_u,
     "_ishr_s": _ishr_s,
-    "_itof": _itof,
     "_ftoi": _ftoi,
     "_fdiv": _fdiv,
     "_fsqrt": _fsqrt,
-    "_ffloor": _ffloor,
     "_bits_ftoi": _bits_ftoi,
     "_bits_itof": _bits_itof,
     "_sext": _sext,
@@ -202,32 +206,36 @@ PURE_EXPRS: Dict[str, str] = {
     "ishl": "(a << (b & 63)) & 0xFFFFFFFFFFFFFFFF",
     "ishr_s": "_ishr_s(a, b)",
     "ishr_u": "a >> (b & 63)",
-    "ieq": "_int(a == b)",
-    "ine": "_int(a != b)",
-    "ilt_s": "_int((a ^ 0x8000000000000000) < (b ^ 0x8000000000000000))",
-    "ilt_u": "_int(a < b)",
-    "ile_s": "_int((a ^ 0x8000000000000000) <= (b ^ 0x8000000000000000))",
-    "ile_u": "_int(a <= b)",
-    "igt_s": "_int((a ^ 0x8000000000000000) > (b ^ 0x8000000000000000))",
-    "igt_u": "_int(a > b)",
-    "ige_s": "_int((a ^ 0x8000000000000000) >= (b ^ 0x8000000000000000))",
-    "ige_u": "_int(a >= b)",
-    "fadd": "a + b",
-    "fsub": "a - b",
-    "fmul": "a * b",
-    "fdiv": "_fdiv(a, b)",
+    "ieq": "1 if a == b else 0",
+    "ine": "1 if a != b else 0",
+    "ilt_s": ("1 if (a ^ 0x8000000000000000) < (b ^ 0x8000000000000000)"
+               " else 0"),
+    "ilt_u": "1 if a < b else 0",
+    "ile_s": ("1 if (a ^ 0x8000000000000000) <= (b ^ 0x8000000000000000)"
+               " else 0"),
+    "ile_u": "1 if a <= b else 0",
+    "igt_s": ("1 if (a ^ 0x8000000000000000) > (b ^ 0x8000000000000000)"
+               " else 0"),
+    "igt_u": "1 if a > b else 0",
+    "ige_s": ("1 if (a ^ 0x8000000000000000) >= (b ^ 0x8000000000000000)"
+               " else 0"),
+    "ige_u": "1 if a >= b else 0",
+    "fadd": "a + b if a == a else a + a",
+    "fsub": "a - b if a == a else a - a",
+    "fmul": "a * b if a == a else a * a",
+    "fdiv": "a / b if b else _fdiv(a, b)",
     "fneg": "-a",
     "fabs": "_abs(a)",
     "fsqrt": "_fsqrt(a)",
-    "ffloor": "_ffloor(a)",
-    "feq": "_int(a == b)",
-    "fne": "_int(a != b)",
-    "flt": "_int(a < b)",
-    "fle": "_int(a <= b)",
-    "fgt": "_int(a > b)",
-    "fge": "_int(a >= b)",
-    "itof": "_itof(a)",
-    "ftoi": "_ftoi(a)",
+    "ffloor": "a // 1.0 + 0.0 if a - a == 0.0 else a",
+    "feq": "1 if a == b else 0",
+    "fne": "1 if a != b else 0",
+    "flt": "1 if a < b else 0",
+    "fle": "1 if a <= b else 0",
+    "fgt": "1 if a > b else 0",
+    "fge": "1 if a >= b else 0",
+    "itof": "float(a - 0x10000000000000000 if a >> 63 else a)",
+    "ftoi": "int(a) & 0xFFFFFFFFFFFFFFFF if a - a == 0.0 else _ftoi(a)",
     "bits_ftoi": "_getQ(_packd(a))[0]",
     "bits_itof": "_getd(_packQ(a))[0]",
     "select": "b if a else c",

@@ -15,13 +15,19 @@ far, is in order:
 
 1. a *copy* when an algebraic identity makes it one of its operands
    (``iadd x, 0``, ``imul x, 1``, ``iand x, ~0``, a ``select`` whose
-   arms agree or whose condition is constant; :func:`_copy_source`).
-   The operand's definition dominates the instruction's, so its uses
-   may read the operand instead;
-2. *folded* in place to an ``iconst`` / ``fconst`` when every operand
+   arms agree or whose condition is constant, ``ine c, 0`` of a compare
+   ``c``, which is already 0 or 1; :func:`_copy_source`).  The
+   operand's definition dominates the instruction's, so its uses may
+   read the operand instead;
+2. *negated* in place when it is ``ieq c, 0`` of a compare ``c`` whose
+   negation is exact (:data:`NEGATION`): it becomes that negation over
+   ``c``'s operands, which dominate ``c`` and so the instruction.  Then
+   ``c`` may lose its last use, and the negation, with one use, fuses
+   into its ``br_if`` when emitted;
+3. *folded* in place to an ``iconst`` / ``fconst`` when every operand
    is a constant (:func:`~repro.core.lattice.fold_pure_op`, which leaves
    an op that would trap alone);
-3. *numbered*: dropped if an equal expression dominates it.
+4. *numbered*: dropped if an equal expression dominates it.
 
 Commutative operand lists are sorted so ``iadd a, b`` unifies with
 ``iadd b, a``.  Float immediates are keyed by their bits (``_bits_ftoi``,
@@ -56,6 +62,18 @@ COMMUTATIVE = {
     "iadd", "imul", "iand", "ior", "ixor", "ieq", "ine", "feq", "fne",
 }
 
+# Each compare whose 0/1 result is exactly the other's flipped, on every
+# operand: the ten integer compares, and ``feq``/``fne``.  Not an
+# ordered float compare: with a NaN operand ``flt`` and ``fge`` are both
+# 0.
+NEGATION: Dict[str, str] = {}
+for _a, _b in (("ieq", "ine"), ("ilt_s", "ige_s"), ("ilt_u", "ige_u"),
+               ("ile_s", "igt_s"), ("ile_u", "igt_u"), ("feq", "fne")):
+    NEGATION[_a], NEGATION[_b] = _b, _a
+
+# The ops whose result is a compare's 0 or 1.
+COMPARES = {*NEGATION, "flt", "fle", "fgt", "fge"}
+
 
 def _imm_key(imm: object) -> object:
     if isinstance(imm, float):
@@ -63,10 +81,25 @@ def _imm_key(imm: object) -> object:
     return imm
 
 
-def _copy_source(op: str, args: tuple,
-                 consts: Dict[int, object]) -> Optional[int]:
-    """The value id ``op(args)`` is an alias of, or None."""
+def _compare_tested(args: tuple, consts: Dict[int, object],
+                    compares: Dict[int, tuple]) -> Optional[int]:
+    """The compare an ``ine``/``ieq`` with operands ``args`` tests
+    against 0, in either operand order, or None."""
+    x, y = args
+    if consts.get(y) == 0 and x in compares:
+        return x
+    if consts.get(x) == 0 and y in compares:
+        return y
+    return None
+
+
+def _copy_source(op: str, args: tuple, consts: Dict[int, object],
+                 compares: Dict[int, tuple]) -> Optional[int]:
+    """The value id ``op(args)`` is an alias of, or None.  ``compares``
+    holds the compares defined so far, value id -> ``(op, args)``."""
     const = consts.get
+    if op == "ine":
+        return _compare_tested(args, consts, compares)
     if op == "iadd":
         if const(args[1]) == 0:
             return args[0]
@@ -146,7 +179,10 @@ def global_value_numbering(func: Function) -> int:
         block.instrs = kept
 
     consts = constants(func)
-    folded = 0
+    folded = negated = 0
+    # The compares the walk has kept: value id -> (op, operands).  A
+    # value's definition dominates its uses, so one map serves the walk.
+    compares: Dict[int, tuple] = {}
 
     # Scoped table: one dict per dominator-tree node, popped on exit.
     scopes: List[Dict[tuple, int]] = []
@@ -175,12 +211,19 @@ def global_value_numbering(func: Function) -> int:
             if instr.result is None or not instr.info().pure:
                 continue
             args = tuple(resolve(subst, a) for a in instr.args)
-            source = _copy_source(instr.op, args, consts)
+            source = _copy_source(instr.op, args, consts, compares)
             if source is not None:
                 subst[instr.result] = source
                 dead.add(id(instr))
                 replaced += 1
                 continue
+            if instr.op == "ieq":
+                tested = compares.get(_compare_tested(args, consts,
+                                                      compares))
+                if tested is not None and tested[0] in NEGATION:
+                    instr.op = NEGATION[tested[0]]
+                    instr.args = args = tested[1]
+                    negated += 1
             if args and all(a in consts for a in args):
                 value = fold_pure_op(instr.op, instr.imm,
                                      [consts[a] for a in args])
@@ -200,6 +243,8 @@ def global_value_numbering(func: Function) -> int:
                 replaced += 1
             else:
                 scopes[-1][key] = instr.result
+                if instr.op in COMPARES:
+                    compares[instr.result] = (instr.op, args)
 
     if replaced:
         for block in func.blocks.values():
@@ -209,4 +254,4 @@ def global_value_numbering(func: Function) -> int:
         substitute_values(func, subst)
     # Hoists count as changes: they mutate the IR (converging after one
     # round — a hoisted constant is never hoisted again).
-    return replaced + hoisted + folded
+    return replaced + hoisted + folded + negated

@@ -93,7 +93,10 @@ from repro.ir.parser import IRParseError, parse_function, parse_header
 # now makes from the same key (the key cannot see pass code).
 # 7: the specializer defines each constant once, in the entry block, and
 # GVN's walk folds and propagates copies, so residual bytes move.
-ARTIFACT_VERSION = 7
+# 8: GVN folds a compare tested against 0 into the compare or its
+# negation, and a two-operand float row gives two NaNs the first one's
+# payload, so residual bytes move.
+ARTIFACT_VERSION = 8
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part
@@ -113,7 +116,9 @@ ARTIFACT_VERSION = 7
 # 11: a dispatch region's tree dispatches only to its entries and
 # joins; a block's one ``_fu += k`` counts the branch that entered it;
 # constants print as literals.
-EMITTER_VERSION = 11
+# 12: a compare row is ``1 if <cmp> else 0`` and ``_int`` is gone; the
+# float rows take an inline fast path.
+EMITTER_VERSION = 12
 
 HIT = "hit"
 MISS = "miss"

@@ -25,6 +25,7 @@ calls, guards and control flow.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Dict, List, Optional
 
 from repro.ir.function import Function, Signature
@@ -49,6 +50,13 @@ from repro.ir.semantics import (
 )
 from repro.ir.verifier import verify_enabled_by_env
 
+
+# Guest calls map to Python recursion (a handful of Python frames per
+# guest frame, ``_max_call_depth`` guest frames deep), so the guest's
+# limit must be hit before the host's: raised once, here, and never by
+# a VM.
+if sys.getrecursionlimit() < 20000:
+    sys.setrecursionlimit(20000)
 
 # Host-side word access goes through the table's ``<Q`` codec.
 _getQ, _putQ = HELPERS["_getQ"], HELPERS["_putQ"]
@@ -200,11 +208,6 @@ class VM:
         # ``.get`` per invocation); it is the link table's own mapping,
         # shared by reference.
         self._link_slots = self.links._functions
-        # Guest calls map to Python recursion (a handful of Python frames
-        # per guest frame); make sure the guest limit is hit first.
-        import sys
-        if sys.getrecursionlimit() < 20000:
-            sys.setrecursionlimit(20000)
 
     # ------------------------------------------------------------------
     # Memory access.

@@ -29,7 +29,6 @@ from repro.ir import (
     verify_module,
 )
 from repro.ir.instructions import OPCODES
-from repro.ir.semantics import PURE_EXPRS
 from repro.vm import VM
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -431,9 +430,11 @@ def single_op_module(op: str, arg_types, result_type, imm=None,
     return module
 
 
-# The compare rows of the op table: ``_int(<cmp>)``.
-COMPARE_OPS = tuple(op for op, expr in PURE_EXPRS.items()
-                    if expr.startswith("_int("))
+# The compare rows of the op table, ``1 if <cmp> else 0``, as the
+# emitter finds them to fuse them: every parametrized fusion and pin
+# test draws from this, so it must not come up empty.
+COMPARE_OPS = tuple(emitter._BARE_COMPARES)
+assert len(COMPARE_OPS) == 16, COMPARE_OPS
 
 
 def compare_module(op: str, shape: str, probe=None) -> Tuple[Module, int]:

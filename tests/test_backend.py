@@ -14,8 +14,8 @@ differential corpus does not isolate:
   branch-argument passing on table edges;
 * fuel determinism and ``OutOfFuel`` agreement under a fuel limit;
 * compare->branch fusion: which compares the emitter tests in place at
-  their ``br_if`` and which keep ``_int(...)``, so nothing but branch
-  truthiness ever sees a Python ``bool``;
+  their ``br_if`` and which assign their whole ``1 if <cmp> else 0``
+  row, so nothing but branch truthiness ever sees a Python ``bool``;
 * malformed IR the emitter rejects is one failed engine request;
 * the emitter's two nesting limits: past its indent budget or past
   CPython's 20 static blocks the function is emitted flat, so a loop
@@ -339,8 +339,9 @@ def _pairs(op):
 
 
 def _bare_compare(op, a, b):
-    """The text a fused ``br_if`` tests: the row without its ``_int``."""
-    bare = PURE_EXPRS[op][len("_int("):-1]
+    """The text a fused ``br_if`` tests: the row without its ``1 if``
+    and ``else 0``."""
+    bare = PURE_EXPRS[op][len("1 if "):-len(" else 0")]
     return re.sub(r"\b[ab]\b",
                   lambda m: f"v{a if m.group() == 'a' else b}", bare)
 
@@ -374,7 +375,8 @@ def test_single_use_compare_is_fused_into_its_branch(op):
     func = module.functions["f"]
     a, b = (v for v, _ in func.entry_block().params)
     for leg, source, pyfunc in _legs(func, module):
-        assert "_int(" not in source and f"v{c} =" not in source, leg
+        assert "1 if " not in source and f"v{c} =" not in source, leg
+        assert "_int" not in source, leg
         assert source.count(f"if {_bare_compare(op, a, b)}:") == 1, leg
         for args in _pairs(op):
             reference = _run_stats(module, args)
@@ -394,7 +396,7 @@ def test_compare_with_another_use_stays_an_int(op, shape):
         op, shape, probe=lambda vm, x: seen.append(type(x)))
     func = module.functions["f"]
     for leg, source, pyfunc in _legs(func, module):
-        assert f"v{c} = _int(" in source, leg
+        assert f"v{c} = 1 if " in source, leg
         assert f"if v{c}:" in source, leg
         for args in _pairs(op):
             reference = _run_stats(module, args)
@@ -420,7 +422,7 @@ def test_fused_compare_behind_a_trapping_load(op):
             vm.call("f", list(args + (addr,)))
         assert (vm.stats.fuel, vm.stats.loads) == (1, 1)
     for leg, source, pyfunc in _legs(func, module):
-        assert "_int(" not in source, leg
+        assert "1 if " not in source and "_int" not in source, leg
         for addr in (57, 64, MASK64):
             assert _run_stats(module, args + (addr,), pyfunc) \
                 == ("trap", f"oob load64 at {addr:#x}", None, 2)
@@ -435,7 +437,7 @@ def test_compare_is_fused_only_into_its_own_blocks_one_branch(op, shape):
     func = module.functions["f"]
     branches = 1 if shape == "other_block" else 2
     for leg, source, pyfunc in _legs(func, module):
-        assert f"v{c} = _int(" in source, leg
+        assert f"v{c} = 1 if " in source, leg
         assert source.count(f"if v{c}:") == branches, leg
         for args in _pairs(op):
             assert _run_stats(module, args, pyfunc) \

@@ -95,7 +95,7 @@ def test_lua_gcd_emitted_py_golden(request):
 def pin_functions():
     """``(func, module)`` of each function the pin digests: the two
     goldens, one function per control shape, per memory row and per
-    compare row (fused into its branch, and kept as an ``_int``), and
+    compare row (fused into its branch, and assigned as its whole row), and
     the shapes at the emitter's limits: the loop nests on both sides of
     the static-block cliff, a branch chain twice the indent budget and
     an irreducible cycle inside a structured skeleton."""

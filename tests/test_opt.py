@@ -22,9 +22,10 @@ from repro.ir import (
 from repro.ir.clone import clone_function
 from repro.ir.instructions import MASK64, OPCODES, BlockCall, Jump, Ret
 from repro.ir.printer import float_text
-from repro.ir.semantics import PURE_EXPRS, _bits_ftoi, _bits_itof
+from repro.ir.semantics import PURE_EXPRS, PURE_FNS, _bits_ftoi, _bits_itof
 from repro.opt import (
     PASSES,
+    gvn,
     eliminate_dead_code,
     fold_branches,
     forward_loads,
@@ -36,7 +37,12 @@ from repro.opt import (
 )
 from repro.vm import VM, OutOfFuel, VMTrap
 
-from tests.helpers import IRText, assert_text_round_trips, target
+from tests.helpers import (
+    COMPARE_OPS,
+    IRText,
+    assert_text_round_trips,
+    target,
+)
 
 
 def compiled_func(src, name):
@@ -409,6 +415,82 @@ u64 f(u64 x) {
         verify_function(func)
         assert VM(module).call("f", [1]) == 8
         assert VM(module).call("f", [0]) == 7
+
+    def test_compare_tested_unequal_to_zero_is_the_compare(self):
+        """``ine 0, c`` of a compare ``c`` is ``c``, already 0 or 1."""
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = ilt_u v0, v1
+  v3 = iconst 0
+  v4 = ine v3, v2
+  return v4
+}""")
+        assert global_value_numbering(func) == 1
+        assert "ine" not in ops(func)
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert [VM(module).call("f", [x, y]) for x, y in
+                ((1, 2), (2, 1), (MASK64, 0))] == [1, 0, 0]
+
+    def test_compare_tested_equal_to_zero_is_its_negation(self):
+        """``ieq c, 0`` of ``ilt_s`` becomes ``ige_s`` over the same
+        operands; the ``ilt_s`` is left without a use."""
+        func = parse_function("""\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = ilt_s v0, v1
+  v3 = iconst 0
+  v4 = ieq v2, v3
+  return v4
+}""")
+        module = Module(memory_size=64)
+        module.add_function(clone_function(func))
+        calls = [(1 << 63, MASK64), (MASK64, 1 << 63), ((1 << 63) - 1,
+                 1 << 63), (1 << 63, (1 << 63) - 1), (5, 5)]
+        expected = [VM(module).call("f", list(args)) for args in calls]
+        assert expected == [0, 1, 1, 0, 1]
+        global_value_numbering(func)
+        eliminate_dead_code(func)
+        verify_function(func)
+        assert ops(func) == ["ige_s"]
+        assert func.blocks[func.entry].instrs[0].args == (0, 1)
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert [VM(module).call("f", list(args))
+                for args in calls] == expected
+
+    def test_ordered_float_compare_tested_equal_to_zero_is_kept(self):
+        """``ieq (flt a, b), 0`` is 1 on a NaN operand, where ``fge`` is
+        0: no ordered float compare has an exact negation."""
+        text = """\
+func @f(v0: f64, v1: f64) -> i64 {
+block0:
+  v2 = flt v0, v1
+  v3 = iconst 0
+  v4 = ieq v2, v3
+  return v4
+}"""
+        func = parse_function(text)
+        assert global_value_numbering(func) == 0
+        assert ops(func) == ["flt", "iconst", "ieq"]
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert VM(module).call("f", [math.nan, 1.0]) == 1
+
+    def test_negations_are_exact_and_compares_are_the_rows(self):
+        """Each pair GVN negates into each other is flipped on every
+        grid operand, NaN included; its compares are the table's
+        ``1 if <cmp> else 0`` rows."""
+        assert gvn.COMPARES == set(COMPARE_OPS)
+        grids = {I64: INT_EDGES + (2, (1 << 63) - 1),
+                 F64: FLOAT_EDGES + (1.0, -2.5)}
+        for op, negation in gvn.NEGATION.items():
+            assert gvn.NEGATION[negation] == op
+            grid = grids[OPCODES[op].arg_types[0]]
+            for x in grid:
+                for y in grid:
+                    assert PURE_FNS[op](x, y) == 1 - PURE_FNS[negation](x, y)
 
     def test_loads_never_cse(self):
         # Loads are impure (stores may intervene): GVN must leave them.
@@ -963,10 +1045,27 @@ def _operand(draw, ir, pools, ty):
     return value
 
 
+def _compare_test(draw, ir, pools):
+    """A compare, and ``ine`` or ``ieq`` of it against 0 with the zero
+    on either side: what GVN turns into the compare or its negation."""
+    op = draw(st.sampled_from(COMPARE_OPS))
+    ty = OPCODES[op].arg_types[0]
+    args = [_operand(draw, ir, pools, ty) for _ in range(2)]
+    compare = ir.define(f"{op} v{args[0]}, v{args[1]}")
+    pair = [compare, ir.const(0)]
+    if draw(st.booleans()):
+        pair.reverse()
+    test = draw(st.sampled_from(["ine", "ieq"]))
+    pools[I64] += [compare, ir.define(f"{test} v{pair[0]}, v{pair[1]}")]
+
+
 def _pure_ops(draw, ir, pools):
     """A few pure ops in the current block, over ``pools`` (a value
     list per type); most of their results stay dead."""
     for _ in range(draw(st.integers(1, 6))):
+        if not draw(st.integers(0, 3)):
+            _compare_test(draw, ir, pools)
+            continue
         op = draw(st.sampled_from(sorted(PURE_EXPRS)))
         if op == "select":
             ty = draw(st.sampled_from([I64, F64]))
@@ -1042,6 +1141,31 @@ block0:
   v8 = bits_ftoi v7
   return v8
 }}""", calls=[(NAN_1, NAN_2, 0)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = flt v3, v4
+  v7 = iconst 0
+  v8 = ieq v6, v7
+  return v8
+}}""", calls=[(NAN_1, 0, 0), (0, NAN_2, 0), (NAN_1, NAN_2, 0)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = ilt_s v0, v1
+  v7 = iconst 0
+  v8 = ieq v7, v6
+  br_if v8, block1, block2
+block1:
+  return v6
+block2:
+  return v1
+}}""", calls=[(1 << 63, MASK64, 0), (MASK64, 1 << 63, 0),
+              ((1 << 63) - 1, 1 << 63, 0), (1 << 63, 1 << 63, 0)])
 @settings(max_examples=300, deadline=None)
 def test_mid_end_oracle(text, calls):
     """``optimize_function`` on a clone returns the bits the function

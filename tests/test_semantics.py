@@ -59,6 +59,7 @@ from repro.ir.semantics import (
     PURE_EXPRS,
     PURE_FNS,
     STORES,
+    _compile_row,
     heap_views,
 )
 from repro.jsvm import JSRuntime
@@ -71,16 +72,19 @@ MASK64 = (1 << 64) - 1
 
 INT_GRID = (0, 1, 2, 63, 64, 65, (1 << 32) - 1, 1 << 32,
             (1 << 63) - 1, 1 << 63, (1 << 63) + 1, MASK64)
+# Two NaNs with distinct payloads, a quiet one and a signalling one.
+NAN_1, NAN_2 = (struct.unpack("<d", struct.pack("<Q", bits))[0]
+                for bits in (0x7FF8000000000001, 0xFFF4000000000002))
 FLOAT_GRID = (0.0, -0.0, 1.0, -1.5, 0.5, -0.5, math.inf, -math.inf,
-              math.nan, float(1 << 63), -float(1 << 63), float(1 << 64),
-              5e-324, 1.7976931348623157e308)
+              math.nan, NAN_1, NAN_2, float(1 << 63), -float(1 << 63),
+              float(1 << 64), 5e-324, 1.7976931348623157e308)
 
 
 def _key(value):
-    """A comparison key that tells -0.0 from 0.0, an int from a float
-    and a bool from an int, and makes every NaN equal."""
+    """A comparison key that tells -0.0 from 0.0, one NaN payload from
+    another, an int from a float and a bool from an int."""
     if type(value) is float:
-        return ("nan",) if value != value else ("f", struct.pack("<d", value))
+        return ("f", struct.pack("<d", value))
     return (type(value).__name__, value)
 
 
@@ -191,6 +195,42 @@ def test_pure_op_random_operands(key, data):
     op, arg_types = key
     args = tuple(data.draw(u64 if ty is I64 else f64) for ty in arg_types)
     _check_pure(op, arg_types, args)
+
+
+# The rows over two floats that yield a float: each gives two NaN
+# operands' result the payload of the first.
+FLOAT_BINARY_ROWS = sorted(
+    op for op, info in OPCODES.items()
+    if op in PURE_EXPRS and info.arg_types == (F64, F64)
+    and info.result is F64)
+
+
+@pytest.mark.parametrize("op", FLOAT_BINARY_ROWS)
+def test_two_nans_give_the_first_payload_from_the_first_call(op):
+    """Of two NaNs with distinct payloads, in either order, the result
+    carries the first one's payload (quieted) on every call from the
+    1st to the 100th: the row compiled afresh (its bytecode not yet
+    specialized), the VM, ``fold_pure_op`` and freshly emitted code on
+    both legs.  CPython's own ``a + b`` gives the second operand's
+    payload until it specializes the bytecode, after a few calls."""
+    def bits(value):
+        return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+    module = single_op_module(op, (F64, F64), F64)
+    compiled = compile_legs(module.functions["f"], module)
+    for x, y in ((NAN_1, NAN_2), (NAN_2, NAN_1)):
+        vm = VM(module)
+        legs = {"row": functools.partial(_compile_row(op, PURE_EXPRS[op]),
+                                         x, y),
+                "vm": functools.partial(vm.call, "f", [x, y]),
+                "fold": functools.partial(fold_pure_op, op, None, [x, y])}
+        for leg, fn in compiled.items():
+            emitted = VM(module)
+            emitted.install_compiled({"f": fn})
+            legs[leg] = functools.partial(emitted.call, "f", [x, y])
+        for leg, call in legs.items():
+            got = [bits(call()) for _ in range(100)]
+            assert got == [bits(x) | 1 << 51] * 100, (op, leg, hex(got[0]))
 
 
 def test_ffloor_is_ieee_on_non_finite():

@@ -1,6 +1,7 @@
 """Unit tests for the VM: arithmetic semantics, memory, control, calls."""
 
 import math
+import sys
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.ir import I64, F64, Module, parse_function
 from repro.ir.instructions import wrap_i64
 from repro.vm import VM, VMTrap, OutOfFuel
 
-from tests.helpers import run, run_with_stats
+from tests.helpers import build_module, run, run_with_stats
 
 
 def eval_binop(op: str, a, b, ty=I64):
@@ -178,6 +179,26 @@ class TestCallsAndTable:
         src = "u64 f(u64 x) { return f(x); }"
         with pytest.raises(VMTrap, match="stack"):
             run(src, "f", [1])
+
+    def test_a_vm_leaves_the_recursion_limit_alone(self):
+        """The host's recursion limit is raised once, when the VM's
+        module is imported: making a VM, and running a guest down to its
+        stack-exhaustion trap at ``_max_call_depth``, change nothing."""
+        module = build_module(
+            "u64 f(u64 x) { if (x) { return f(x - 1) + 1; } return 0; }")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit - 1)
+        try:
+            vm = VM(module)
+            assert sys.getrecursionlimit() == limit - 1
+        finally:
+            sys.setrecursionlimit(limit)
+        depth = vm._max_call_depth
+        assert vm.call("f", [depth - 1]) == depth - 1
+        with pytest.raises(VMTrap, match="call stack exhausted in f"):
+            vm.call("f", [depth])
+        assert vm._call_depth == 0
+        assert sys.getrecursionlimit() == limit
 
 
 class TestFuelAndStats:
