@@ -16,15 +16,16 @@ observable semantics:
   under ``fneg`` and ``fsub``), which CPython's constant folder sees.
   A non-finite float has no literal and is assigned once through
   ``_bits_itof``;
-* a sized load or store is one mask test and one subscript of the
-  typed heap view its ``LOADS``/``STORES`` row names —
-  ``if a & _K8: v9 = _load64(M, a)`` / ``else: v9 = VQ[a >> 3]``, and
-  ``else: VI[a >> 2] = v & 0xffffffff`` for a store; one byte is
-  ``M[a]``.  The views and masks are the VM's
+* a sized load or store is the two lines of its ``LOADS``/``STORES``
+  row, the text the IR VM runs too, formatted with the address, result
+  and value names: one mask test and one subscript of a typed heap
+  view — ``if a & _K8: v9 = _load64(M, a)`` / ``else: v9 = VQ[a >>
+  3]``, and ``else: VI[a >> 2] = v & 0xffffffff`` for a store; one byte
+  is ``M[a]``.  The views and masks are the VM's
   (:func:`repro.ir.semantics.heap_views`, bound in the preamble); a mask
   admits exactly the aligned in-bounds addresses of its width, and every
   other address calls the row's checked accessor out of line, which
-  raises the VM's trap text before anything is touched or runs the
+  raises the row's trap text before anything is touched or runs the
   row's ``struct`` codec.  No width is spelled here;
 * a NaN-box cast (``bits_ftoi``/``bits_itof``) writes its operand into
   one view of the VM's 8-byte scratch word and reads the other:
@@ -822,32 +823,18 @@ class StructuredEmitter:
 
         mem = LOADS.get(op) or STORES.get(op)
         if mem is not None:
-            # An address the row's mask admits is aligned and in bounds:
-            # one subscript of the row's view.  Every other address goes
-            # out of line to the row's checked accessor, which traps with
-            # the VM's text or falls back to the codec.
+            # The row's own two lines (the VM runs them too): the mask
+            # test, the checked accessor out of line, the view's
+            # subscript.
             self.used.add("M")
             if mem.view != "M":
                 self.heap.add(mem.view)
             self.heap.add(mem.mask)
             pre: List[str] = []
             a = self._addr(instr, pre)
-            shift = mem.size.bit_length() - 1
-            slot = f"{mem.view}[{a} >> {shift}]" if shift else \
-                f"{mem.view}[{a}]"
-            test = f"if {a} & {mem.mask}: "
-            if op in LOADS:
-                if mem.signed:
-                    slot = f"_sext({slot}, {mem.size * 8})"
-                return pre + [f"{test}{r} = {mem.checked}(M, {a})",
-                              f"else: {r} = {slot}"]
-            # An i64 or f64 is already 8 bytes wide; narrower stores
-            # truncate.
-            value = self._val(args[1])
-            masked = (value if mem.size == 8 else
-                      f"{value} & {(1 << (mem.size * 8)) - 1:#x}")
-            return pre + [f"{test}{mem.checked}(M, {a}, {value})",
-                          f"else: {slot} = {masked}"]
+            value = self._val(args[1]) if len(args) > 1 else None
+            return pre + [line.format(a=a, r=r, v=value)
+                          for line in mem.text]
 
         if op == "call":
             self.used.add("_lk")

@@ -10,7 +10,8 @@ transcribed.
 S3.5/S3.6: the byte ranges promised constant by a specialization request,
 backed by the snapshot taken at request time.  Loads whose (folded)
 address lands entirely inside a constant range fold to constants — this
-is the mechanism that erases the bytecode from the compiled result.
+is the mechanism that erases the bytecode from the compiled result, by
+running the load's row in :mod:`repro.ir.semantics` over the snapshot.
 
 :func:`fold_pure_op` (shared by the specializer and ``opt/gvn.py``)
 defines no arithmetic of its own: it calls the op's row in
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.ir.semantics import PURE_FNS, VMTrap, _bits_ftoi, _getd, _sext
+from repro.ir.semantics import HELPERS, PURE_FNS, MemOp, VMTrap, _bits_ftoi
 from repro.ir.types import I64, Type
 
 
@@ -158,17 +159,12 @@ class ConstMemoryImage:
         return any(start <= addr and addr + size <= end
                    for start, end in self.ranges)
 
-    def read(self, addr: int, size: int, signed: bool) -> Optional[int]:
-        """Read an integer if the whole access is in constant memory."""
-        if not self.contains(addr, size):
+    def read(self, addr: int, row: MemOp) -> Optional[Union[int, float]]:
+        """What the load ``row`` reads at ``addr`` (its checked accessor
+        over the snapshot), if the whole access is in constant memory."""
+        if not self.contains(addr, row.size):
             return None
-        raw = int.from_bytes(self.snapshot[addr:addr + size], "little")
-        return _sext(raw, size * 8) if signed else raw
-
-    def read_f64(self, addr: int) -> Optional[float]:
-        if not self.contains(addr, 8):
-            return None
-        return _getd(self.snapshot, addr)[0]
+        return HELPERS[row.checked](self.snapshot, addr)
 
 
 def fold_pure_op(op: str, imm: object,

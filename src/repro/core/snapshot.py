@@ -103,11 +103,14 @@ class SnapshotCompiler:
         """Compile all pending requests against the current heap and
         apply the results (module mutation, table registration, heap
         patching) in request order."""
+        # The batch leaves the queue before anything else, so a batch
+        # that raises is not replayed by the next call.
+        pending, self.pending = self.pending, []
         vm = self.instantiate()
         snapshot = bytes(vm.memory)
         taken: Set[str] = set()
         batch: List[Tuple[SpecializationRequest, int]] = []
-        for request, result_addr in self.pending:
+        for request, result_addr in pending:
             name = self._unique_name(request, taken)
             taken.add(name)
             batch.append((dataclasses.replace(request,
@@ -143,7 +146,6 @@ class SnapshotCompiler:
                 request, func.name, index, result_addr,
                 result.artifact_hit, helpers=result.helpers))
         self.processed.extend(processed)
-        self.pending = []
         return processed
 
     def _unique_name(self, request: SpecializationRequest,

@@ -655,10 +655,7 @@ class _Specializer:
         # the bytecode-erasing step.
         if load is not None and isinstance(abs_args[0], Const):
             addr = (abs_args[0].value + (instr.imm or 0)) & ((1 << 64) - 1)
-            if load.float:
-                folded = self.image.read_f64(addr)
-            else:
-                folded = self.image.read(addr, load.size, load.signed)
+            folded = self.image.read(addr, load)
             if folded is not None:
                 state.env[instr.result] = intern_const(
                     folded, F64 if load.float else I64)

@@ -27,6 +27,11 @@ import mmap
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.function import Function, Signature
+from repro.ir.instructions import MASK64
+from repro.ir.semantics import HELPERS
+
+# The image's word access goes through the table's 64-bit codec.
+_getQ, _packQ = HELPERS["_getQ"], HELPERS["_packQ"]
 
 # Granularity of the image's page index (any value is correct; the OS
 # page is the one at which a mapping's untouched bytes cost nothing).
@@ -138,10 +143,10 @@ class Module:
             self._init_runs = None
 
     def write_init_u64(self, addr: int, value: int) -> None:
-        self.write_init(addr, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+        self.write_init(addr, _packQ(value & MASK64))
 
     def read_init_u64(self, addr: int) -> int:
-        return int.from_bytes(self.memory_init[addr:addr + 8], "little")
+        return _getQ(self.memory_init, addr)[0]
 
     def init_runs(self) -> Tuple[Tuple[int, int], ...]:
         """The indexed pages as ascending, merged ``(start, end)`` byte

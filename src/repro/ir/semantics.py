@@ -34,23 +34,20 @@ inline:
 The helpers below are the ops too long for one expression; a trapping
 op raises :class:`VMTrap` (the folder reads that as "do not fold").
 
-Sized loads and stores keep their lowering in the VM and the emitter
-(counters, address arithmetic, the VM's bounds check); what they share is the
-row *and its codec*: :data:`LOADS`/:data:`STORES` hold one row per op,
-and a row wider than a byte names the accessor of its precompiled
-:data:`CODECS` entry — the only place a width is spelled as a ``struct``
-format.  The same codecs are the NaN-box casts (``bits_ftoi``/
-``bits_itof``) and the host's word access (``VM.load_u64``/
-``store_u64``).
-
-Compiled code reaches the heap through typed views instead
-(:func:`heap_views`, made once per VM): a row also names the view it
-subscripts (``VQ[a >> 3]``; one byte is ``M[a]``), the mask whose
-``a & mask == 0`` admits exactly the aligned in-bounds addresses of its
-width, and the checked accessor every other address goes to out of
-line — the VM's bounds check, its trap text (:func:`oob_trap`, said
-once) and then the codec.  :data:`CASTS` names the two views of the
-per-VM scratch word the NaN-box cast rows go through when compiled.
+A sized load or store is one row of :data:`LOADS`/:data:`STORES`, the
+only lowering of that access: its ``text``, the two lines compiled code
+prints.  A mask test admits exactly the aligned in-bounds addresses of
+the width to one subscript of a typed heap view (``VQ[a >> 3]``; a byte
+is ``M[a]``); every other address goes out of line to the row's checked
+accessor (the bounds check, :func:`oob_trap`'s text, the codec).  The
+emitter formats the text; the VM runs it, compiled once here and bound
+per heap by :func:`heap_views`, for guest accesses and for the host's
+word access (the :data:`WORD_LOAD`/:data:`WORD_STORE` rows); the
+specializer's constant-memory fold runs the checked accessor over the
+snapshot.  A wide row names its precompiled :data:`CODECS` entry, the
+only place a width is a ``struct`` format; the same codecs are the
+NaN-box casts and the module image's word access.  :data:`CASTS` names
+the scratch-word views the compiled casts go through.
 
 This module imports nothing above :mod:`repro.ir`.
 """
@@ -58,9 +55,10 @@ This module imports nothing above :mod:`repro.ir`.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.ir.instructions import MASK64, OPCODES, to_signed
 
@@ -125,6 +123,9 @@ def _ftoi(a: float) -> int:
 
 def _fdiv(a: float, b: float) -> float:
     if b == 0.0:
+        # A NaN dividend keeps the bits it has over a nonzero divisor.
+        if a != a:
+            return a / 1.0
         return (math.nan if a == 0.0
                 else math.copysign(math.inf, a) * math.copysign(1.0, b))
     return a / b
@@ -265,12 +266,18 @@ class MemOp(NamedTuple):
     # load, ``_put<c>`` for a store); None for one byte, which is
     # ``M[a]``.
     codec: Optional[str]
-    # What compiled code names: the heap view it subscripts with ``a >>
-    # log2(size)`` (``M`` itself for one byte), the width's mask and the
-    # HELPERS name of the row's checked accessor.
+    # The names the access reads: the heap view it subscripts with ``a
+    # >> log2(size)`` (``M`` itself for one byte), the width's mask and
+    # the HELPERS name of the row's checked accessor.
     view: str
     mask: str
     checked: str
+    # The access: two lines over the address ``{a}``, a load's result
+    # ``{r}`` and a store's value ``{v}``.  The first sends every
+    # address the mask rejects to the checked accessor; the second is
+    # the view's subscript, sign-extended for a signed load and masked
+    # to the width for a narrow store.
+    text: Tuple[str, str]
 
 
 # The format character of each access width a row can have.
@@ -284,10 +291,21 @@ def _mem_rows(kind: str, specs: Dict[str, tuple]) -> Dict[str, MemOp]:
     rows = {}
     for op, (size, signed, is_float) in specs.items():
         c = _WIDTH_FORMATS.get((size, is_float))
-        rows[op] = MemOp(size, signed, is_float,
-                         None if c is None else f"_{kind}{c}",
-                         "M" if c is None else "V" + c,
-                         f"_K{size}", "_" + op)
+        view, mask, checked = c and "V" + c or "M", f"_K{size}", "_" + op
+        shift = size.bit_length() - 1
+        slot = f"{view}[{{a}} >> {shift}]" if shift else f"{view}[{{a}}]"
+        if kind == "get":
+            text = (f"if {{a}} & {mask}: {{r}} = {checked}(M, {{a}})",
+                    "else: {r} = " + (f"_sext({slot}, {size * 8})"
+                                      if signed else slot))
+        else:
+            # An i64 or f64 is already 8 bytes wide; narrower stores
+            # truncate.
+            text = (f"if {{a}} & {mask}: {checked}(M, {{a}}, {{v}})",
+                    f"else: {slot} = {{v}}"
+                    + (f" & {(1 << size * 8) - 1:#x}" if size < 8 else ""))
+        rows[op] = MemOp(size, signed, is_float, c and f"_{kind}{c}", view,
+                         mask, checked, text)
     return rows
 
 
@@ -309,9 +327,13 @@ STORES: Dict[str, MemOp] = _mem_rows("put", {
     "storef64": (8, False, True),
 })
 
+# The rows host code reads and writes a guest word through
+# (``VM.load_u64``/``store_u64``).
+WORD_LOAD, WORD_STORE = "load64", "store64"
+
 
 # ---------------------------------------------------------------------------
-# Compiled code's heap access.
+# Heap access: the checked accessors, the rows compiled, the views.
 # ---------------------------------------------------------------------------
 
 def _checked_load(op: str, row: MemOp) -> Callable:
@@ -327,18 +349,14 @@ def _checked_load(op: str, row: MemOp) -> Callable:
 
 
 def _checked_store(op: str, row: MemOp) -> Callable:
-    size, put = row.size, _CODEC_FNS.get(row.codec)
+    # One byte is ``M[a] = value``.
+    size, put = row.size, _CODEC_FNS.get(row.codec, operator.setitem)
     mask = None if row.float else (1 << size * 8) - 1
 
     def store(M, a, value):
         if a < 0 or a + size > len(M):
             raise oob_trap(op, a)
-        if mask is not None:
-            value &= mask
-        if put is None:
-            M[a] = value
-        else:
-            put(M, a, value)
+        put(M, a, value if mask is None else value & mask)
     store.__name__ = store.__qualname__ = row.checked
     return store
 
@@ -349,6 +367,27 @@ for _op, _row in LOADS.items():
     HELPERS[_row.checked] = _checked_load(_op, _row)
 for _op, _row in STORES.items():
     HELPERS[_row.checked] = _checked_store(_op, _row)
+
+
+def _access_factory(op: str, row: MemOp, load: bool) -> Callable:
+    """``make(M, views)``: the row's access over the heap ``M`` whose
+    :func:`heap_views` are ``views`` (``op(a)``, or ``op(a, v)`` for a
+    store), its body the row's text compiled here once."""
+    names = [name for name in (row.view, row.mask) if name != "M"]
+    lines = ["def make(M, views):",
+             f"    {', '.join(names)}, = "
+             + "".join(f"views[{name!r}], " for name in names),
+             f"    def {op}(a{'' if load else ', v'}):",
+             *["        " + line.format(a="a", r="r", v="v")
+               for line in row.text],
+             "        return r" if load else "", f"    return {op}"]
+    namespace = dict(HELPERS)
+    exec("\n".join(lines), namespace)
+    return namespace["make"]
+
+
+_FACTORIES = {op: _access_factory(op, row, op in LOADS)
+              for op, row in {**LOADS, **STORES}.items()}
 
 
 class _NoAddress:
@@ -381,7 +420,11 @@ def heap_views(M) -> Dict[str, object]:
     and every width on a big-endian host (views are native-endian, the
     codecs little-endian), gets a mask that sends every address to the
     checked accessor.  ``XQ``/``Xd`` are one 8-byte scratch word seen as
-    an integer and as a double, private to the VM that owns the heap."""
+    an integer and as a double, private to the VM that owns the heap.
+
+    ``load_fns``/``store_fns`` map each sized load and store op to its
+    row's access over ``M``: the lines compiled code prints, bound to
+    these views and masks, which the IR VM runs."""
     n = len(M)
     p = 1 << (n.bit_length() - 1) if n else 0
     whole = memoryview(M)[:p]
@@ -396,4 +439,6 @@ def heap_views(M) -> Dict[str, object]:
     scratch = memoryview(bytearray(8))
     for view in CASTS["bits_itof"]:
         views[view] = scratch.cast(view[-1])
+    views["load_fns"] = {op: _FACTORIES[op](M, views) for op in LOADS}
+    views["store_fns"] = {op: _FACTORIES[op](M, views) for op in STORES}
     return views

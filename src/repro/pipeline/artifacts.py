@@ -96,7 +96,8 @@ from repro.ir.parser import IRParseError, parse_function, parse_header
 # 8: GVN folds a compare tested against 0 into the compare or its
 # negation, and a two-operand float row gives two NaNs the first one's
 # payload, so residual bytes move.
-ARTIFACT_VERSION = 8
+# 9: the folder gives ``fdiv`` of a NaN over ±0 the NaN, not ±inf.
+ARTIFACT_VERSION = 9
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part

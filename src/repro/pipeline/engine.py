@@ -176,14 +176,12 @@ class CompilationEngine:
         stats.inline_requests += sum(
             1 for r in requests if getattr(r, "inline_plan", ()))
         results = [EngineResult(request, None) for request in requests]
-        keys = [request_key(self.module, request, self.options, snapshot)
-                for request in requests]
         emit = self.options.backend == "py"
 
-        # Walk 1: a residual for every request.  A specialize / verify
-        # crash fails that request only.
-        for result, key in zip(results, keys):
-            self._load_or_specialize(result, key, snapshot)
+        # Walk 1: a residual for every request.  A key / specialize /
+        # verify crash fails that request only.
+        keys = [self._load_or_specialize(result, snapshot)
+                for result in results]
 
         # Walk 2: emission, hit accounting, residual write.  A second
         # walk rather than the tail of the first, because interleaving
@@ -212,16 +210,18 @@ class CompilationEngine:
             stats.store_degraded = 1 if health["degraded"] else 0
         return results
 
-    def _load_or_specialize(self, result: EngineResult, key: tuple,
-                            snapshot: bytes) -> None:
-        """Walk 1 for one request: artifact load, else fresh specialize.
-        A loaded residual may stay text (:meth:`_take_stored`).  Any
-        exception (injected ``specialize`` / ``verify`` faults included)
-        is contained here as ``result.error`` with no function: one
+    def _load_or_specialize(self, result: EngineResult,
+                            snapshot: bytes) -> Optional[tuple]:
+        """Walk 1 for one request: its key (returned; ``None`` on a
+        failure), then artifact load, else fresh specialize.  A loaded
+        residual may stay text (:meth:`_take_stored`).  Any exception (an
+        unknown generic, injected ``specialize`` / ``verify`` faults) is
+        contained here as ``result.error`` with no function: one
         poisoned request fails, never the batch."""
         request, fault = result.request, self.fault_plan
         func = None
         try:
+            key = request_key(self.module, request, self.options, snapshot)
             if self.store is not None:
                 stored, status = self.store.load_residual(
                     key, key[0], key[2], self.module, self._verify)
@@ -243,6 +243,8 @@ class CompilationEngine:
             result.function = func
         except Exception as exc:
             result.error = f"{type(exc).__name__}: {exc}"
+            return None
+        return key
 
     def _verify(self, func: Function) -> None:
         verify_function(func, self.module)

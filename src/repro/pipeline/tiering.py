@@ -628,9 +628,6 @@ class TieringController:
         self.stats.compile_failures += 1
         profile.compile_failures += 1
         profile.last_error = message
-        # Drop any queued requests the failed attempt left behind so the
-        # next (unrelated) promotion does not replay a poisoned batch.
-        self.compiler.pending = []
         if profile.compile_failures >= MAX_COMPILE_FAILURES:
             if not profile.blacklisted:
                 profile.blacklisted = True

@@ -16,10 +16,11 @@ polyfill; calling one from the VM is an error (matching the paper's
 
 What an op *means* is not written here: pure ops run the function
 compiled from their row in :mod:`repro.ir.semantics` (the same row the
-constant folder calls and the emitter prints), and the sized loads and
-stores read their width, signedness and ``struct`` codec from its memory
-table.  This loop owns only what is the VM's: the environment, counters,
-calls, guards and control flow.
+constant folder calls and the emitter prints), and a sized load or
+store, the guest's or the host's (``load_u64``/``store_u64``), runs the
+lines the emitter prints for its row, bound to this heap by
+``heap_views``.  This loop owns only what is the VM's: the
+environment, counters, calls, guards and control flow.
 """
 
 from __future__ import annotations
@@ -39,14 +40,11 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.semantics import (
-    HELPERS,
-    LOADS,
     PURE_FNS,
-    STORES,
+    WORD_LOAD,
+    WORD_STORE,
     VMTrap,
-    _sext,
     heap_views,
-    oob_trap,
 )
 from repro.ir.verifier import verify_enabled_by_env
 
@@ -57,19 +55,6 @@ from repro.ir.verifier import verify_enabled_by_env
 # a VM.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
-
-# Host-side word access goes through the table's ``<Q`` codec.
-_getQ, _putQ = HELPERS["_getQ"], HELPERS["_putQ"]
-
-# The memory table with each row's codec accessor resolved once: a load
-# is ``op -> (size, signed, accessor)``, a store ``op -> (size, mask,
-# accessor)`` (``mask`` truncates an integer to the width; None for an
-# f64).  The accessor is None for one byte, which is ``memory[a]``.
-_LOAD_ROWS = {op: (row.size, row.signed, HELPERS.get(row.codec))
-              for op, row in LOADS.items()}
-_STORE_ROWS = {op: (row.size, None if row.float else (1 << 8 * row.size) - 1,
-                    HELPERS.get(row.codec))
-               for op, row in STORES.items()}
 
 
 class OutOfFuel(Exception):
@@ -144,8 +129,10 @@ class VM:
                 "sparse instantiation diverged from the frozen image"
         # Compiled code's views of the heap, its masks and its scratch
         # word (``VQ``, ``_K8``, ``XQ``, ...), bound once as attributes
-        # an emitted preamble reads by name.  The heap is never resized
-        # or replaced, so they stay valid for the VM's life.
+        # an emitted preamble reads by name, and every sized access's
+        # row bound to them (``load_fns``/``store_fns``, op -> access).
+        # The heap is never resized or replaced, so they stay valid for
+        # the VM's life.
         vars(self).update(heap_views(self.memory))
         self.globals: Dict[str, int] = dict(module.globals)
         self.stats = ExecStats()
@@ -212,17 +199,15 @@ class VM:
     # ------------------------------------------------------------------
     # Memory access.
     # ------------------------------------------------------------------
-    def _check_range(self, addr: int, size: int) -> None:
-        if addr < 0 or addr + size > len(self.memory):
-            raise VMTrap(f"out-of-bounds memory access at {addr:#x}+{size}")
-
     def load_u64(self, addr: int) -> int:
-        self._check_range(addr, 8)
-        return _getQ(self.memory, addr)[0]
+        """The guest word at ``addr``, read as the guest's 64-bit load
+        reads it (and trapping as it traps)."""
+        return self.load_fns[WORD_LOAD](addr)
 
     def store_u64(self, addr: int, value: int) -> None:
-        self._check_range(addr, 8)
-        _putQ(self.memory, addr, value & MASK64)
+        """Write ``value``'s i64 bit pattern at ``addr`` as the guest's
+        64-bit store writes it."""
+        self.store_fns[WORD_STORE](addr, value & MASK64)
 
     # ------------------------------------------------------------------
     # Calls.
@@ -381,11 +366,9 @@ class VM:
         fuel_limit = self.fuel_limit
         blocks = func.blocks
         block = entry
-        memory = self.memory
         pure_fn = PURE_FNS.get
-        load_op = _LOAD_ROWS.get
-        store_op = _STORE_ROWS.get
-        sext = _sext
+        load_fn = self.load_fns.get
+        store_fn = self.store_fns.get
         count_backedges = self.count_backedges
         backedges = self._loop_backedges(func) if count_backedges else None
 
@@ -405,31 +388,13 @@ class VM:
                     else:
                         env[instr.result] = fn(env[ops[0]], env[ops[1]],
                                                env[ops[2]])
-                # --- memory ----------------------------------------------
-                elif (mem := load_op(op)) is not None:
+                # --- memory: the row's access over this heap -----------
+                elif (load := load_fn(op)) is not None:
                     stats.loads += 1
-                    size, signed, get = mem
-                    addr = env[instr.args[0]] + instr.imm
-                    if addr < 0 or addr + size > len(memory):
-                        raise oob_trap(op, addr)
-                    if get is None:
-                        raw = memory[addr]
-                    else:
-                        raw = get(memory, addr)[0]
-                    env[instr.result] = sext(raw, size * 8) if signed else raw
-                elif (mem := store_op(op)) is not None:
+                    env[instr.result] = load(env[instr.args[0]] + instr.imm)
+                elif (store := store_fn(op)) is not None:
                     stats.stores += 1
-                    size, mask, put = mem
-                    addr = env[instr.args[0]] + instr.imm
-                    if addr < 0 or addr + size > len(memory):
-                        raise oob_trap(op, addr)
-                    value = env[instr.args[1]]
-                    if mask is not None:
-                        value &= mask
-                    if put is None:
-                        memory[addr] = value
-                    else:
-                        put(memory, addr, value)
+                    store(env[instr.args[0]] + instr.imm, env[instr.args[1]])
                 # --- calls -----------------------------------------------
                 elif op == "call":
                     stats.calls += 1

@@ -17,16 +17,21 @@ asserts exactly that, with seeded deterministic
   needed for: a speculation that fails is demoted once;
 * recovery: a quarantined function re-promotes once injection stops;
 * helpers: an emit fault at a helper's consult leaves the helper on the
-  IR VM and every request it rode with at tier 2.
+  IR VM and every request it rode with at tier 2;
+* batches: a request the engine cannot even key (its generic is not in
+  the module) fails alone, and a batch that raises leaves no queue
+  behind.
 
 The engine compiles in-process, so the per-seam consult order — and
 therefore the firing schedule — is exactly reproducible.
 """
 
+import dataclasses
 import os
 
 import pytest
 
+from repro.core import SnapshotCompiler
 from repro.core.specialize import SpecializeOptions
 from repro.luavm import LuaRuntime
 from repro.min.fleet import (
@@ -38,10 +43,18 @@ from repro.min.fleet import (
     sum_squares_program,
 )
 from repro.min.harness import make_tiered_min, sum_to_n_program
-from repro.min.interp import PROGRAM_BASE, build_min_module
+from repro.min.interp import (
+    PROGRAM_BASE,
+    SPEC_SLOT_PLAIN,
+    SPEC_SLOT_STATE,
+    build_min_module,
+    min_request,
+    min_tier_entry,
+)
 from repro.pipeline import tiering
 from repro.pipeline.artifacts import unread
 from repro.pipeline.faults import SEAMS, FaultInjected, FaultPlan
+from repro.pipeline.host import controller_for
 from repro.pipeline.profiles import open_profile_store
 from repro.vm import VM, VMTrap
 
@@ -380,6 +393,71 @@ class TestHelperContainment:
         # Judged once: a later compile does not retry the helper.
         assert compiler.engine.compile_helpers(
             compiler.module.functions["lua$fib"]) == {}
+
+
+class TestBatchContainment:
+    """A request whose generic the module lacks fails alone: its key is
+    computed inside the per-request containment, not before it."""
+
+    @staticmethod
+    def _requests(program):
+        good = min_request(program, True)
+        return good, dataclasses.replace(good, generic="no_such_fn",
+                                         specialized_name="bad")
+
+    def test_an_unkeyable_request_fails_alone(self):
+        program = sum_to_n_program(10)
+        compiler = SnapshotCompiler(build_min_module(program))
+        good, bad = self._requests(program)
+        compiler.enqueue(good, SPEC_SLOT_STATE)
+        compiler.enqueue(bad, SPEC_SLOT_PLAIN)
+        installed, failed = compiler.process_requests()
+        assert compiler.pending == []
+        assert failed.error is not None and "no_such_fn" in failed.error
+        assert failed.table_index == -1
+        assert installed.error is None and installed.table_index > 0
+        assert installed.function_name in compiler.module.functions
+        vm = compiler.instantiate()
+        assert vm.load_u64(SPEC_SLOT_STATE) == installed.table_index
+        assert vm.load_u64(SPEC_SLOT_PLAIN) == 0
+        assert compiler.engine.stats.requests_failed == 1
+
+    def test_promote_all_quarantines_only_the_bad_entry(self):
+        program = sum_to_n_program(10)
+        module = build_min_module(program)
+        good = min_tier_entry(program, True)
+        bad = dataclasses.replace(
+            good, key=PROGRAM_BASE + 8, result_addr=SPEC_SLOT_PLAIN,
+            request=self._requests(program)[1])
+        controller = controller_for(module, [good, bad])
+        vm = controller.attach(VM(module))
+        assert controller.promote_all() == [good.request.name()]
+        assert controller.compiler.pending == []
+        good_profile = controller.profiles[("min_interp", good.key)]
+        bad_profile = controller.profiles[("min_interp", bad.key)]
+        assert good_profile.tier == 1 and bad_profile.tier == 0
+        assert vm.load_u64(SPEC_SLOT_STATE) == good_profile.table_index
+        assert vm.load_u64(SPEC_SLOT_PLAIN) == 0
+        assert bad_profile.compile_failures == 1
+        assert "no_such_fn" in bad_profile.last_error
+        assert (controller.stats.compile_failures,
+                controller.stats.quarantines) == (1, 1)
+        assert vm.call("min_interp", _args(program, 4)) == \
+            VM(build_min_module(program)).call("min_interp",
+                                               _args(program, 4))
+
+    def test_a_batch_that_raises_leaves_no_queue(self, monkeypatch):
+        program = sum_to_n_program(10)
+        compiler = SnapshotCompiler(build_min_module(program))
+
+        def boom(requests, snapshot=None):
+            raise RuntimeError("engine down")
+
+        monkeypatch.setattr(compiler.engine, "compile_batch", boom)
+        compiler.enqueue(self._requests(program)[0], SPEC_SLOT_STATE)
+        with pytest.raises(RuntimeError, match="engine down"):
+            compiler.process_requests()
+        assert compiler.pending == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.core.state import (
 )
 from repro.ir import I64, F64, Module
 from repro.ir.instructions import wrap_i64
-from repro.ir.semantics import _bits_ftoi, _bits_itof
+from repro.ir.semantics import LOADS, _bits_ftoi, _bits_itof
 
 from tests.helpers import FLOAT_BIT_PATTERNS
 
@@ -105,21 +105,21 @@ class TestConstMemory:
         snapshot = bytearray(64)
         snapshot[8:16] = (1234).to_bytes(8, "little")
         image = ConstMemoryImage(bytes(snapshot), [(8, 16)])
-        assert image.read(8, 8, signed=False) == 1234
-        assert image.read(0, 8, signed=False) is None  # outside
-        assert image.read(20, 8, signed=False) is None  # straddles end
+        assert image.read(8, LOADS["load64"]) == 1234
+        assert image.read(0, LOADS["load64"]) is None  # outside
+        assert image.read(20, LOADS["load64"]) is None  # straddles end
 
     def test_signed_narrow_read(self):
         snapshot = bytes([0xFF] + [0] * 15)
         image = ConstMemoryImage(snapshot, [(0, 8)])
-        assert image.read(0, 1, signed=True) == wrap_i64(-1)
-        assert image.read(0, 1, signed=False) == 0xFF
+        assert image.read(0, LOADS["load8_s"]) == wrap_i64(-1)
+        assert image.read(0, LOADS["load8_u"]) == 0xFF
 
     @pytest.mark.parametrize("bits", FLOAT_BIT_PATTERNS,
                              ids=lambda b: f"{b:#018x}")
     def test_f64_reads_keep_every_bit(self, bits):
         image = ConstMemoryImage(bits.to_bytes(8, "little"), [(0, 8)])
-        assert _bits_ftoi(image.read_f64(0)) == bits
+        assert _bits_ftoi(image.read(0, LOADS["loadf64"])) == bits
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -217,8 +217,7 @@ def test_empty_heap_stays_empty():
     assert len(vm.memory) == 0 and len(module.memory_init) == 0
     with pytest.raises(VMTrap, match=r"^oob store64 at 0x0$"):
         vm.call("poke", [0, 1])
-    with pytest.raises(VMTrap,
-                       match=r"^out-of-bounds memory access at 0x0\+8$"):
+    with pytest.raises(VMTrap, match=r"^oob load64 at 0x0$"):
         vm.load_u64(0)
     with pytest.raises(ValueError, match="exceeds memory"):
         module.write_init(0, b"x")
@@ -233,7 +232,7 @@ def test_a_heap_never_grows():
     with pytest.raises((IndexError, ValueError)):
         vm.memory[SIZE - 4:SIZE + 4] = bytes(8)   # a bytearray would grow
     assert len(vm.memory) == SIZE
-    with pytest.raises(VMTrap, match=rf"at {SIZE - 7:#x}\+8$"):
+    with pytest.raises(VMTrap, match=rf"^oob store64 at {SIZE - 7:#x}$"):
         vm.store_u64(SIZE - 7, 1)
     assert vm.memory[SIZE - 8:SIZE] == bytes(8)
     assert type(vm.memory[0:4]) is bytes

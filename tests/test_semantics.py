@@ -21,17 +21,24 @@ is the executable statement of it:
   either side of a page — the heap is a mapping, which cannot be empty
   and raises where a ``bytearray`` would grow), and under hypothesis
   at drawn (heap size, address, offset, row): VM ≡ both emit legs
-  (value, trap text, memory image afterwards), and integer loads ≡
-  ``ConstMemoryImage.read`` (the specializer's fold of the same
-  access); each width's mask admits exactly the aligned words of the
-  views, and a NaN payload survives the compiled casts' scratch word;
+  (value, trap text, memory image afterwards) ≡ an expectation computed
+  here from the heap's bytes (``int.from_bytes`` and sign extension,
+  ``struct.unpack("<d")``; never from ``src/``, since every consumer
+  runs the same row), and loads ≡ ``ConstMemoryImage.read`` (the
+  specializer's fold of the same access); the host's word access
+  (``vm.load_u64``/``store_u64``) ≡ the ``load64``/``store64`` rows at
+  every grid address; each width's mask admits exactly the aligned
+  words of the views, and a NaN payload survives the compiled casts'
+  scratch word;
 * **completeness** — the tables cover exactly the opcodes they claim;
 * **guards** — no consumer names a pure or memory op in a string
-  literal (a fourth copy would have to), ``backend/runtime.py`` defines
-  no helper but the two trap raisers, and ``repro.ir.semantics``
-  imports nothing above ``repro.ir``;
-* the end-to-end regression the single definition fixed
-  (``Math.floor`` of ±inf/NaN).
+  literal (a fourth copy would have to), ``oob_trap`` is called only
+  in ``ir/semantics.py``, no consumer spells a width of its own,
+  ``backend/runtime.py`` defines no helper but the two trap raisers,
+  and ``repro.ir.semantics`` imports nothing above ``repro.ir``;
+* ``fdiv`` over ±0 against an IEEE oracle;
+* the end-to-end regressions the single definition fixed
+  (``Math.floor`` of ±inf/NaN, a NaN over 0).
 """
 
 import ast
@@ -233,6 +240,45 @@ def test_two_nans_give_the_first_payload_from_the_first_call(op):
             assert got == [bits(x) | 1 << 51] * 100, (op, leg, hex(got[0]))
 
 
+def test_fdiv_by_zero_is_ieee():
+    """Every ``FLOAT_GRID`` dividend over +0.0 and -0.0: the result is a
+    NaN exactly when the dividend is a NaN or ±0, and otherwise an
+    infinity whose sign is the xor of the operands' signs; a NaN
+    dividend keeps its payload, quieted, as it does over a nonzero
+    divisor.  Checked on calls 1–100 of the VM, ``fold_pure_op`` and
+    both emit legs."""
+    def bits(value):
+        return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+    module = single_op_module("fdiv", (F64, F64), F64)
+    compiled = compile_legs(module.functions["f"], module)
+    for x in FLOAT_GRID:
+        for y in (0.0, -0.0):
+            if x != x:
+                expected = {bits(x) | 1 << 51}
+            elif x == 0.0:
+                expected = None
+            else:
+                negative = (math.copysign(1.0, x) < 0) != \
+                    (math.copysign(1.0, y) < 0)
+                expected = {bits(-math.inf if negative else math.inf)}
+            legs = {"vm": functools.partial(VM(module).call, "f", [x, y]),
+                    "fold": functools.partial(fold_pure_op, "fdiv", None,
+                                              [x, y])}
+            for leg, fn in compiled.items():
+                emitted = VM(module)
+                emitted.install_compiled({"f": fn})
+                legs[leg] = functools.partial(emitted.call, "f", [x, y])
+            for leg, call in legs.items():
+                for _ in range(100):
+                    got = call()
+                    assert type(got) is float, (x, y, leg)
+                    if expected is None:
+                        assert got != got, (x, y, leg, got)
+                    else:
+                        assert bits(got) in expected, (x, y, leg, got)
+
+
 def test_ffloor_is_ieee_on_non_finite():
     floor = PURE_FNS["ffloor"]
     assert floor(math.inf) == math.inf
@@ -291,14 +337,26 @@ def _memory_harness(op, offset, memory_size):
                     memory_size=memory_size)
 
 
+def _expected_load(row, raw):
+    """What a load of ``row`` reads from the bytes ``raw``, spelled here
+    rather than taken from the table."""
+    if row.float:
+        return struct.unpack("<d", raw)[0]
+    value = int.from_bytes(raw, "little")
+    if row.signed and value >> (8 * row.size - 1):
+        value = (value - (1 << 8 * row.size)) & MASK64
+    return value
+
+
 def _check_access(op, offset, memory_size, addr, value=None):
     """One load (``value`` None) or store at ``addr + offset`` on a heap
     of ``_image(memory_size)``: VM ≡ both emit legs for the value, the
-    trap text and the heap image, and the VM is the table's meaning —
-    an in-bounds load reads what ``ConstMemoryImage`` folds, an in-bounds
-    store writes the value's low bytes, anything else traps with the
-    access's ``oob`` text and leaves the heap alone.  Returns whether
-    it trapped."""
+    trap text and the heap image, and the VM does what the access means,
+    computed here from the heap's bytes — an in-bounds load reads their
+    little-endian value (sign-extended, or as a double), as
+    ``ConstMemoryImage`` folds it too, an in-bounds store writes the
+    value's low bytes, anything else traps with the access's ``oob`` text
+    and leaves the heap alone.  Returns whether it trapped."""
     row = LOADS.get(op) or STORES[op]
     memory = _image(memory_size)
     args = (addr,) if value is None else (addr, value)
@@ -313,11 +371,14 @@ def _check_access(op, offset, memory_size, addr, value=None):
         return True
     assert vm[0] == "ok", where
     if value is None:
-        image = ConstMemoryImage(memory, [(0, memory_size)])
-        folded = (image.read_f64(effective) if row.float else
-                  image.read(effective, row.size, row.signed))
-        assert _key(folded) == vm[1] and vm[2] == memory, (
-            f"{where}: vm={vm!r} image={folded!r}")
+        expected = _expected_load(row, memory[effective:
+                                              effective + row.size])
+        folded = ConstMemoryImage(memory, [(0, memory_size)]).read(
+            effective, row)
+        assert _key(expected) == vm[1] == _key(folded) \
+            and vm[2] == memory, (
+                f"{where}: vm={vm!r} expected={expected!r} "
+                f"image={folded!r}")
     else:
         stored = (struct.pack("<d", value) if row.float else
                   value.to_bytes(8, "little")[:row.size])
@@ -369,6 +430,41 @@ def test_memory_random_accesses(data):
     if op in STORES:
         value = data.draw(f64 if row.float else u64)
     _check_access(op, offset, memory_size, addr, value)
+
+
+def _host_word(vm, access, *args):
+    """``(status, payload, heap afterwards)`` of one host word access, in
+    the shape :meth:`_Harness.run` gives a guest one."""
+    try:
+        return ("ok", _key(access(*args)), bytes(vm.memory))
+    except VMTrap as trap:
+        return ("trap", str(trap), bytes(vm.memory))
+
+
+@pytest.mark.parametrize("memory_size", MEMORY_SIZES)
+def test_host_word_access_is_the_word_rows(memory_size):
+    """``vm.load_u64``/``store_u64`` ≡ the guest's ``load64``/``store64``
+    at every grid address and at negative ones (value, trap text, heap
+    afterwards); a host value is taken as its i64 bit pattern, so a
+    negative one stores what its pattern does."""
+    memory = _image(memory_size)
+    loads = _memory_harness("load64", 0, memory_size)
+    stores = _memory_harness("store64", 0, memory_size)
+    addresses = _addresses(memory_size, 8, 0)
+    for addr in addresses + [-1, -8]:
+        vm = VM(loads.module)
+        if memory:
+            vm.memory[:] = memory
+        host = _host_word(vm, vm.load_u64, addr)
+        assert host == loads.run((addr,), memory)["vm"], (addr, host)
+        for bits in (0, 1 << 63, MASK64):
+            vm = VM(stores.module)
+            if memory:
+                vm.memory[:] = memory
+            signed = bits - (1 << 64) if bits >> 63 else bits
+            host = _host_word(vm, vm.store_u64, addr, signed)
+            guest = stores.run((addr, bits), memory)["vm"]
+            assert host == guest, (addr, bits, host, guest)
 
 
 def test_a_mask_admits_exactly_the_aligned_words_of_the_views():
@@ -505,23 +601,38 @@ def test_backend_runtime_defines_no_arithmetic():
 
 
 def test_backend_spells_no_width_of_its_own():
-    """Emitted code and the VM reach memory through the table's
-    precompiled codecs: no format-parsing ``struct`` function or
-    ``int.from_bytes`` in the emitted code's globals, and neither backend
-    source nor ``vm/machine.py`` spells a byte-conversion call or a
-    ``"<`` format (none imports ``struct``: see the next test)."""
+    """Emitted code, the VM, the constant-memory fold and the module
+    image reach memory through the table's precompiled codecs: no
+    format-parsing ``struct`` function or ``int.from_bytes`` in the
+    emitted code's globals, and neither backend source nor
+    ``vm/machine.py``, ``core/lattice.py`` or ``ir/module.py`` spells a
+    byte-conversion call or a ``"<`` format (none imports ``struct``:
+    see ``test_only_semantics_imports_struct``)."""
     generic = (struct.unpack_from, struct.pack_into, struct.unpack,
                struct.pack, int.from_bytes)
     assert not [name for name, value in BACKEND_GLOBALS.items()
                 if value in generic]
     for relpath in ("backend/emitter.py", "backend/runtime.py",
-                    "vm/machine.py"):
+                    "vm/machine.py", "core/lattice.py", "ir/module.py"):
         with open(os.path.join(SRC, "repro", relpath)) as handle:
             text = handle.read()
         for needle in ("from_bytes", "to_bytes"):
             assert needle not in text, f"{relpath} contains {needle!r}"
         formats = re.findall(r"""["']<[A-Za-z]+["']""", text)
         assert not formats, f"{relpath} spells struct formats: {formats}"
+
+
+def test_only_semantics_raises_the_access_trap():
+    """An out-of-bounds access traps in the checked accessors alone: no
+    other module builds the ``oob`` text, so guest and host accesses,
+    interpreted or compiled, raise one text."""
+    callers = sorted({
+        relpath for relpath, text in _src_texts()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "oob_trap"
+             or getattr(node.func, "attr", None) == "oob_trap")})
+    assert callers == [os.path.join("repro", "ir", "semantics.py")]
 
 
 def _src_texts():
@@ -585,6 +696,27 @@ print(Math.floor(0.0 - 1.0 / 0.0));
 print(Math.floor(0.0 / 0.0));
 print(Math.floor(2.5));
 """
+
+
+NAN_OVER_ZERO = """
+var z = 0;
+print((z / z) / 0);
+"""
+
+
+def test_nan_over_zero_end_to_end():
+    """A NaN dividend over 0 is NaN, not an infinity, on the interpreter,
+    the residual on the IR VM and compiled Python."""
+    reference = JSRuntime(NAN_OVER_ZERO, "interp_ic")
+    reference.run()
+    assert reference.printed == ["nan"]
+    for backend in ("vm", "py"):
+        runtime = JSRuntime(NAN_OVER_ZERO, "wevaled_state",
+                            options=SpecializeOptions(backend=backend))
+        compiler = runtime.aot_compile()
+        assert [r.error for r in compiler.processed if r.error] == []
+        runtime.run()
+        assert runtime.printed == reference.printed, backend
 
 
 def test_math_floor_of_non_finite_end_to_end():
