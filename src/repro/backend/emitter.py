@@ -17,11 +17,11 @@ observable semantics:
   A non-finite float has no literal and is assigned once through
   ``_bits_itof``;
 * a sized load or store is the two lines of its ``LOADS``/``STORES``
-  row, the text the IR VM runs too, formatted with the address, result
-  and value names: one mask test and one subscript of a typed heap
-  view — ``if a & _K8: v9 = _load64(M, a)`` / ``else: v9 = VQ[a >>
-  3]``, and ``else: VI[a >> 2] = v & 0xffffffff`` for a store; one byte
-  is ``M[a]``.  The views and masks are the VM's
+  row, formatted with the address, result and value names: one mask
+  test and one subscript of a typed heap view — ``if a & _K8: v9 =
+  _load64(M, a)`` / ``else: v9 = VQ[a >> 3]``, and ``else: VI[a >> 2]
+  = v & 0xffffffff`` for a store; one byte is ``M[a]``.  The views and
+  masks are the VM's
   (:func:`repro.ir.semantics.heap_views`, bound in the preamble); a mask
   admits exactly the aligned in-bounds addresses of its width, and every
   other address calls the row's checked accessor out of line, which
@@ -823,8 +823,8 @@ class StructuredEmitter:
 
         mem = LOADS.get(op) or STORES.get(op)
         if mem is not None:
-            # The row's own two lines (the VM runs them too): the mask
-            # test, the checked accessor out of line, the view's
+            # The row's own two lines: the mask test, the checked
+            # accessor (the access the VM runs) out of line, the view's
             # subscript.
             self.used.add("M")
             if mem.view != "M":

@@ -35,19 +35,21 @@ The helpers below are the ops too long for one expression; a trapping
 op raises :class:`VMTrap` (the folder reads that as "do not fold").
 
 A sized load or store is one row of :data:`LOADS`/:data:`STORES`, the
-only lowering of that access: its ``text``, the two lines compiled code
-prints.  A mask test admits exactly the aligned in-bounds addresses of
-the width to one subscript of a typed heap view (``VQ[a >> 3]``; a byte
-is ``M[a]``); every other address goes out of line to the row's checked
-accessor (the bounds check, :func:`oob_trap`'s text, the codec).  The
-emitter formats the text; the VM runs it, compiled once here and bound
-per heap by :func:`heap_views`, for guest accesses and for the host's
-word access (the :data:`WORD_LOAD`/:data:`WORD_STORE` rows); the
-specializer's constant-memory fold runs the checked accessor over the
-snapshot.  A wide row names its precompiled :data:`CODECS` entry, the
-only place a width is a ``struct`` format; the same codecs are the
-NaN-box casts and the module image's word access.  :data:`CASTS` names
-the scratch-word views the compiled casts go through.
+only lowering of that access.  Its checked accessor (in
+:data:`HELPERS`, named by ``checked``) is the whole access: the bounds
+check, :func:`oob_trap`'s text, the codec, the sign extension and the
+store's width mask.  The IR VM runs it for guest accesses and for the
+host's word access (``VM.load_u64``/``store_u64``), and the
+specializer's constant-memory fold runs it over the snapshot.  A row's
+``text`` is the two lines compiled code prints for the access, which
+the emitter formats: a mask test admits exactly the aligned in-bounds
+addresses of the width to one subscript of a typed heap view
+(``VQ[a >> 3]``; a byte is ``M[a]``), and every other address goes out
+of line to the same checked accessor.  A wide row names its
+precompiled :data:`CODECS` entry, the only place a width is a
+``struct`` format; the same codecs are the NaN-box casts and the
+module image's word access.  :data:`CASTS` names the scratch-word
+views the compiled casts go through.
 
 This module imports nothing above :mod:`repro.ir`.
 """
@@ -327,13 +329,9 @@ STORES: Dict[str, MemOp] = _mem_rows("put", {
     "storef64": (8, False, True),
 })
 
-# The rows host code reads and writes a guest word through
-# (``VM.load_u64``/``store_u64``).
-WORD_LOAD, WORD_STORE = "load64", "store64"
-
 
 # ---------------------------------------------------------------------------
-# Heap access: the checked accessors, the rows compiled, the views.
+# Heap access: the checked accessors and compiled code's views.
 # ---------------------------------------------------------------------------
 
 def _checked_load(op: str, row: MemOp) -> Callable:
@@ -361,33 +359,13 @@ def _checked_store(op: str, row: MemOp) -> Callable:
     return store
 
 
-# The out-of-line path of a compiled load or store: every address its
-# mask rejects, which includes every address that traps.
+# Each row's whole access: what the IR VM, host word access and the
+# constant-memory fold run, and compiled code's out-of-line path for
+# every address its mask rejects (every address that traps among them).
 for _op, _row in LOADS.items():
     HELPERS[_row.checked] = _checked_load(_op, _row)
 for _op, _row in STORES.items():
     HELPERS[_row.checked] = _checked_store(_op, _row)
-
-
-def _access_factory(op: str, row: MemOp, load: bool) -> Callable:
-    """``make(M, views)``: the row's access over the heap ``M`` whose
-    :func:`heap_views` are ``views`` (``op(a)``, or ``op(a, v)`` for a
-    store), its body the row's text compiled here once."""
-    names = [name for name in (row.view, row.mask) if name != "M"]
-    lines = ["def make(M, views):",
-             f"    {', '.join(names)}, = "
-             + "".join(f"views[{name!r}], " for name in names),
-             f"    def {op}(a{'' if load else ', v'}):",
-             *["        " + line.format(a="a", r="r", v="v")
-               for line in row.text],
-             "        return r" if load else "", f"    return {op}"]
-    namespace = dict(HELPERS)
-    exec("\n".join(lines), namespace)
-    return namespace["make"]
-
-
-_FACTORIES = {op: _access_factory(op, row, op in LOADS)
-              for op, row in {**LOADS, **STORES}.items()}
 
 
 class _NoAddress:
@@ -420,11 +398,7 @@ def heap_views(M) -> Dict[str, object]:
     and every width on a big-endian host (views are native-endian, the
     codecs little-endian), gets a mask that sends every address to the
     checked accessor.  ``XQ``/``Xd`` are one 8-byte scratch word seen as
-    an integer and as a double, private to the VM that owns the heap.
-
-    ``load_fns``/``store_fns`` map each sized load and store op to its
-    row's access over ``M``: the lines compiled code prints, bound to
-    these views and masks, which the IR VM runs."""
+    an integer and as a double, private to the VM that owns the heap."""
     n = len(M)
     p = 1 << (n.bit_length() - 1) if n else 0
     whole = memoryview(M)[:p]
@@ -439,6 +413,4 @@ def heap_views(M) -> Dict[str, object]:
     scratch = memoryview(bytearray(8))
     for view in CASTS["bits_itof"]:
         views[view] = scratch.cast(view[-1])
-    views["load_fns"] = {op: _FACTORIES[op](M, views) for op in LOADS}
-    views["store_fns"] = {op: _FACTORIES[op](M, views) for op in STORES}
     return views

@@ -17,10 +17,11 @@ polyfill; calling one from the VM is an error (matching the paper's
 What an op *means* is not written here: pure ops run the function
 compiled from their row in :mod:`repro.ir.semantics` (the same row the
 constant folder calls and the emitter prints), and a sized load or
-store, the guest's or the host's (``load_u64``/``store_u64``), runs the
-lines the emitter prints for its row, bound to this heap by
-``heap_views``.  This loop owns only what is the VM's: the
-environment, counters, calls, guards and control flow.
+store, the guest's or the host's (``load_u64``/``store_u64``), runs its
+row's checked accessor over this heap (the function compiled code
+calls for every address its fast path rejects).  This loop owns only
+what is the VM's: the environment, counters, calls, guards and control
+flow.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.semantics import (
+    HELPERS,
+    LOADS,
     PURE_FNS,
-    WORD_LOAD,
-    WORD_STORE,
+    STORES,
     VMTrap,
     heap_views,
 )
@@ -55,6 +57,12 @@ from repro.ir.verifier import verify_enabled_by_env
 # a VM.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
+
+# Each sized access is its row's checked accessor, ``load(M, a)`` or
+# ``store(M, a, v)``; host word access is the 64-bit rows'.
+_LOAD_FNS = {op: HELPERS[row.checked] for op, row in LOADS.items()}
+_STORE_FNS = {op: HELPERS[row.checked] for op, row in STORES.items()}
+_load_word, _store_word = HELPERS["_load64"], HELPERS["_store64"]
 
 
 class OutOfFuel(Exception):
@@ -129,10 +137,8 @@ class VM:
                 "sparse instantiation diverged from the frozen image"
         # Compiled code's views of the heap, its masks and its scratch
         # word (``VQ``, ``_K8``, ``XQ``, ...), bound once as attributes
-        # an emitted preamble reads by name, and every sized access's
-        # row bound to them (``load_fns``/``store_fns``, op -> access).
-        # The heap is never resized or replaced, so they stay valid for
-        # the VM's life.
+        # an emitted preamble reads by name.  The heap is never resized
+        # or replaced, so they stay valid for the VM's life.
         vars(self).update(heap_views(self.memory))
         self.globals: Dict[str, int] = dict(module.globals)
         self.stats = ExecStats()
@@ -202,12 +208,12 @@ class VM:
     def load_u64(self, addr: int) -> int:
         """The guest word at ``addr``, read as the guest's 64-bit load
         reads it (and trapping as it traps)."""
-        return self.load_fns[WORD_LOAD](addr)
+        return _load_word(self.memory, addr)
 
     def store_u64(self, addr: int, value: int) -> None:
         """Write ``value``'s i64 bit pattern at ``addr`` as the guest's
         64-bit store writes it."""
-        self.store_fns[WORD_STORE](addr, value & MASK64)
+        _store_word(self.memory, addr, value & MASK64)
 
     # ------------------------------------------------------------------
     # Calls.
@@ -367,8 +373,9 @@ class VM:
         blocks = func.blocks
         block = entry
         pure_fn = PURE_FNS.get
-        load_fn = self.load_fns.get
-        store_fn = self.store_fns.get
+        memory = self.memory
+        load_fn = _LOAD_FNS.get
+        store_fn = _STORE_FNS.get
         count_backedges = self.count_backedges
         backedges = self._loop_backedges(func) if count_backedges else None
 
@@ -391,10 +398,12 @@ class VM:
                 # --- memory: the row's access over this heap -----------
                 elif (load := load_fn(op)) is not None:
                     stats.loads += 1
-                    env[instr.result] = load(env[instr.args[0]] + instr.imm)
+                    env[instr.result] = load(memory,
+                                             env[instr.args[0]] + instr.imm)
                 elif (store := store_fn(op)) is not None:
                     stats.stores += 1
-                    store(env[instr.args[0]] + instr.imm, env[instr.args[1]])
+                    store(memory, env[instr.args[0]] + instr.imm,
+                          env[instr.args[1]])
                 # --- calls -----------------------------------------------
                 elif op == "call":
                     stats.calls += 1
