@@ -1,11 +1,8 @@
 """Specialization contexts (paper S3.1).
 
-A context is an immutable tuple of entries.  ``push_context(v)`` appends
-a ``("c", v)`` entry, ``update_context(v)`` replaces the most recent
-``("c", ...)`` entry (discarding any value-specialization sub-entries
-stacked above it), and ``pop_context()`` removes the top ``("c", ...)``
-entry.  ``specialized_value`` appends a ``("sv", v)`` sub-entry — the
-per-value sub-context of "The Trick" (S3.3).
+A context is an immutable tuple of context values, innermost last.
+``push_context(v)`` appends ``v``, ``update_context(v)`` replaces the
+innermost value, and ``pop_context()`` removes it.
 
 Context values are *not* load-bearing for correctness: they only key the
 duplication of specialized code.  An empty context is the root.
@@ -15,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-Context = Tuple[Tuple[str, object], ...]
+Context = Tuple[object, ...]
 
 ROOT: Context = ()
 
@@ -42,39 +39,17 @@ def _intern(ctx: Context) -> Context:
     return ctx
 
 
-def push(ctx: Context, value: int) -> Context:
-    return _intern(ctx + (("c", value),))
+def push(ctx: Context, value: object) -> Context:
+    return _intern(ctx + (value,))
 
 
 def pop(ctx: Context) -> Context:
-    ctx = _strip_sv(ctx)
     if not ctx:
         raise ValueError("pop_context on an empty context stack")
     return _intern(ctx[:-1])
 
 
-def update(ctx: Context, value: int) -> Context:
-    """Replace the top scalar entry (after any ``sv`` sub-entries)."""
-    ctx = _strip_sv(ctx)
-    if not ctx:
-        # update without a push: treat as push (tolerant, like the paper's
-        # "not load-bearing" stance).
-        return _intern((("c", value),))
-    return _intern(ctx[:-1] + (("c", value),))
-
-
-def push_value(ctx: Context, value: object) -> Context:
-    """Add a value-specialization sub-entry ("The Trick")."""
-    return _intern(ctx + (("sv", value),))
-
-
-def _strip_sv(ctx: Context) -> Context:
-    while ctx and ctx[-1][0] == "sv":
-        ctx = ctx[:-1]
-    return ctx
-
-
-def describe(ctx: Context) -> str:
-    if not ctx:
-        return "root"
-    return "/".join(f"{kind}={value}" for kind, value in ctx)
+def update(ctx: Context, value: object) -> Context:
+    """Replace the innermost value.  On the root this is a push
+    (tolerant, like the paper's "not load-bearing" stance)."""
+    return _intern(ctx[:-1] + (value,))

@@ -5,9 +5,12 @@ is the paper's mechanism for keeping them visible through any amount of
 optimization of the interpreter body (S3, footnote 2).  There are two
 families:
 
-* **Hint intrinsics** (contexts, ``assert_const``, ``specialized_value``)
-  are not load-bearing for correctness: the VM polyfills them as no-ops /
-  identities, so the *generic* interpreter runs unchanged (S3.1).
+* **Hint intrinsics** (contexts, ``assert_const``) are not load-bearing
+  for correctness: the VM polyfills them as no-ops / identities, so the
+  *generic* interpreter runs unchanged (S3.1).  A data-dependent branch
+  needs no intrinsic of its own: each arm updates the context and
+  continues, S3.3's structural form (``docs/ARCHITECTURE.md`` says why
+  the paper's value-specializing "Trick" is not reproduced).
 
 * **State intrinsics** (virtual registers, in-memory locals, the operand
   stack) change where state lives, so they must only appear in the
@@ -63,10 +66,6 @@ _INTRINSIC_LIST = [
     Intrinsic(PREFIX + "push_context", _sig(1, False), "context", _noop),
     Intrinsic(PREFIX + "update_context", _sig(1, False), "context", _noop),
     Intrinsic(PREFIX + "pop_context", _sig(0, False), "context", _noop),
-    # Directed value specialization, "The Trick" (S3.3): passes the value
-    # through at run time.
-    Intrinsic(PREFIX + "specialized_value", _sig(3, True), "value",
-              _identity),
     # Debugging aid (S3.1): asserts compile-time constantness during
     # specialization; dynamically it is the identity.
     Intrinsic(PREFIX + "assert_const", _sig(1, True), "value", _identity),

@@ -13,11 +13,9 @@ new function in which:
   branches fold away;
 * a constant that a residual instruction still needs is defined once
   per function, in the entry block (:meth:`_Specializer._mat`);
-* run-time-data-dependent control flow is handled by
-  ``specialized_value`` ("The Trick", S3.3), which emits a ``br_table``
-  over the declared range with one specialized continuation per value
-  (plus a fully generic default continuation, preserving semantics for
-  out-of-range values);
+* a run-time-data-dependent branch stays a residual branch; the
+  interpreter keeps the next pc constant by updating the context on each
+  arm (S3.3's structural form);
 * interpreter state annotated with register/local/stack intrinsics is
   lifted into SSA values with lazy write-back (S4).
 
@@ -68,7 +66,6 @@ from repro.core.state import (
 )
 from repro.core.stats import SpecializationStats
 from repro.ir.cfg import reverse_postorder
-from repro.ir.clone import clone_function
 from repro.ir.renumber import canonicalize_function
 from repro.ir.function import Block, Function
 from repro.ir.instructions import (
@@ -96,7 +93,6 @@ class SpecializeError(Exception):
 # can change residual bytes must either sit in the cache key or not
 # vary, and no caller ever varied these.
 MAX_ITERATIONS = 2_000_000          # worklist pops before "did not converge"
-MAX_VALUE_SPECIALIZATIONS = 4096    # widest specialized_value range
 # Once this many distinct contexts exist, further new contexts are
 # collapsed into the shared dynamic context.  Contexts only steer code
 # duplication, never correctness, so this is a sound safety valve
@@ -211,59 +207,20 @@ class _KeyInfo:
 # alone, and only reads afterwards.
 # ----------------------------------------------------------------------
 def _prepared(generic: Function) -> tuple:
-    """``(split body, live-in, block param ids, RPO index)`` of
-    ``generic``.  A frozen generic (see
-    :class:`~repro.ir.function.Function`) keeps the tuple, so each
-    interpreter is prepared once per process, not once per request."""
+    """``(live-in, block param ids, RPO index)`` of ``generic``.  A
+    frozen generic (see :class:`~repro.ir.function.Function`) keeps the
+    tuple, so each interpreter is prepared once per process, not once
+    per request.  The transform only reads the generic body
+    (``test_futamura.py::test_generic_is_only_read``, and
+    ``check_frozen`` under ``REPRO_OPT_VERIFY=1``)."""
     prepared = generic.prepared
     if prepared is None:
-        func = _split_after_specialized_value(generic)
-        prepared = (func, *_liveness(func),
+        prepared = (*_liveness(generic),
                     {bid: i for i, bid in
-                     enumerate(reverse_postorder(func))})
+                     enumerate(reverse_postorder(generic))})
         if generic.fingerprint is not None:
             generic.prepared = prepared
     return prepared
-
-
-def _is_specialized_value(instr: Instr) -> bool:
-    return instr.op == "call" and instr.imm == "weval.specialized_value"
-
-
-def _split_after_specialized_value(generic: Function) -> Function:
-    """``generic`` with every ``weval.specialized_value`` call ending
-    its block: a clone if there is such a call, else ``generic`` itself.
-
-    The alias is safe because the transform only reads the body it is
-    given (``_Specializer.generic``; residual blocks are built in a new
-    ``Function``).  ``test_futamura.py::test_generic_is_only_read``
-    holds it to that on both branches, and for a frozen generic so does
-    ``check_frozen`` under ``REPRO_OPT_VERIFY=1``."""
-    if not any(_is_specialized_value(instr)
-               for block in generic.blocks.values()
-               for instr in block.instrs):
-        # Not cloned, and not only to save the clone: none of the
-        # in-tree interpreters calls specialized_value, so this branch
-        # carries all their traffic, and keeping one clone per frozen
-        # interpreter beside the original cost ``serve_tiered`` +2.8%
-        # ``steady_us`` (8 of 8 alternating parent/change pairs of the
-        # ledger) -- heap layout alone, the clone executes nothing.
-        return generic
-    func = clone_function(generic)
-    for bid in list(func.blocks):
-        block = func.blocks[bid]
-        while True:
-            split_at = next((i for i, instr in enumerate(block.instrs)
-                             if _is_specialized_value(instr)), None)
-            if split_at is None:
-                break
-            cont = func.new_block()
-            cont.instrs = block.instrs[split_at + 1:]
-            cont.terminator = block.terminator
-            block.instrs = block.instrs[:split_at + 1]
-            block.terminator = Jump(BlockCall(cont.id, ()))
-            block = cont
-    return func
 
 
 def _liveness(func: Function):
@@ -322,8 +279,9 @@ class _Specializer:
                 f"{request.generic}: request has {len(request.args)} arg "
                 f"modes, function has {len(generic.sig.params)} params")
 
-        (self.generic, self.live_in, self.block_params,
-         self._rpo_index) = _prepared(generic)
+        self.generic = generic
+        self.live_in, self.block_params, self._rpo_index = \
+            _prepared(generic)
 
         snapshot = bytes(memory if memory is not None
                          else module.memory_init)
@@ -569,7 +527,6 @@ class _Specializer:
         info.edges_out = []
 
         state = info.entry_state.copy()
-        pending_sv: Optional[Tuple[Instr, int, int, AbsVal]] = None
 
         # Stable minting: value ids allocated during this rebuild come
         # from the per-key position cache, so transcribing the same entry
@@ -579,19 +536,11 @@ class _Specializer:
         try:
             for instr in gblock.instrs:
                 if instr.op == "call" and instr.imm in INTRINSICS:
-                    ctx, pending_sv = self._transcribe_intrinsic(
-                        block, state, ctx, instr)
-                    if pending_sv is not None:
-                        break  # specialized_value is last by preparation
+                    ctx = self._transcribe_intrinsic(block, state, ctx,
+                                                     instr)
                 else:
                     self._transcribe_instr(block, state, instr)
-
-            if pending_sv is not None:
-                self._emit_value_specialization(info, block, state, ctx,
-                                                gblock, pending_sv)
-            else:
-                self._transcribe_terminator(info, block, state, ctx,
-                                            gblock)
+            self._transcribe_terminator(info, block, state, ctx, gblock)
         finally:
             self._mint_info = None
         info.out_state = state
@@ -691,111 +640,79 @@ class _Specializer:
 
     def _transcribe_intrinsic(self, block: Block, state: FlowState,
                               ctx, instr: Instr):
+        """Transcribe one weval intrinsic; returns the context after it."""
         name = instr.imm[len("weval."):]
         abs_args = [state.env[a] for a in instr.args]
         stats = self.stats
 
         if name == "push_context":
             if isinstance(abs_args[0], Const):
-                ctx = ctx_mod.push(ctx, abs_args[0].value)
-            else:
-                # A run-time context value collapses into the shared
-                # "generic copy" context: the worst case the paper
-                # describes (S3.1) where specialization degrades to the
-                # original interpreter body — but stays sound and keeps
-                # the context set finite.
-                ctx = ctx_mod.push(ctx, ctx_mod.DYNAMIC)
-            return ctx, None
+                return ctx_mod.push(ctx, abs_args[0].value)
+            # A run-time context value collapses into the shared
+            # "generic copy" context: the worst case the paper
+            # describes (S3.1) where specialization degrades to the
+            # original interpreter body — but stays sound and keeps
+            # the context set finite.
+            return ctx_mod.push(ctx, ctx_mod.DYNAMIC)
         if name == "update_context":
             if isinstance(abs_args[0], Const):
-                ctx = ctx_mod.update(ctx, abs_args[0].value)
-            else:
-                ctx = ctx_mod.update(ctx, ctx_mod.DYNAMIC)
-            return ctx, None
+                return ctx_mod.update(ctx, abs_args[0].value)
+            return ctx_mod.update(ctx, ctx_mod.DYNAMIC)
         if name == "pop_context":
-            return ctx_mod.pop(ctx), None
+            return ctx_mod.pop(ctx)
         if name == "assert_const":
             if not isinstance(abs_args[0], Const):
                 raise SpecializeError(
                     f"{self.request.name()}: weval.assert_const failed: "
                     f"value is not a specialization-time constant")
             state.env[instr.result] = abs_args[0]
-            return ctx, None
-        if name == "specialized_value":
-            if isinstance(abs_args[0], Const):
-                state.env[instr.result] = abs_args[0]
-                return ctx, None
-            lo = self._require_const_int(abs_args[1],
-                                         "specialized_value low bound")
-            hi = self._require_const_int(abs_args[2],
-                                         "specialized_value high bound")
-            if hi < lo or hi - lo + 1 > MAX_VALUE_SPECIALIZATIONS:
-                raise SpecializeError(
-                    f"{self.request.name()}: specialized_value range "
-                    f"[{lo}, {hi}] invalid or too large")
-            return ctx, (instr, lo, hi, abs_args[0])
+            return ctx
 
         # --- state intrinsics (S4) ----------------------------------------
         if name == "read_reg":
             idx = self._require_const_int(abs_args[0], "register index")
             state.env[instr.result] = state.regs.get(idx, ZERO)
-            return ctx, None
-        if name == "write_reg":
+        elif name == "write_reg":
             idx = self._require_const_int(abs_args[0], "register index")
             state.regs[idx] = abs_args[1]
-            return ctx, None
-        if name == "read_local":
+        elif name == "read_local":
             idx = self._require_const_int(abs_args[0], "local index")
             slot = state.locals.get(idx)
             if slot is not None:
                 state.env[instr.result] = slot.value
                 stats.local_loads_elided += 1
-                return ctx, None
-            addr = self._mat(abs_args[1])
-            vid = self._mint(I64)
-            block.instrs.append(Instr("load64", vid, (addr,), 0, I64))
-            loaded = Dyn(vid, I64)
-            state.locals[idx] = LocalSlot(abs_args[1], loaded, False)
-            state.env[instr.result] = loaded
-            stats.local_loads_real += 1
-            return ctx, None
-        if name == "write_local":
+            else:
+                loaded = self._load_slot(block, abs_args[1])
+                state.locals[idx] = LocalSlot(abs_args[1], loaded, False)
+                state.env[instr.result] = loaded
+                stats.local_loads_real += 1
+        elif name == "write_local":
             idx = self._require_const_int(abs_args[0], "local index")
             state.locals[idx] = LocalSlot(abs_args[1], abs_args[2], True)
             stats.local_stores_elided += 1
-            return ctx, None
-        if name == "flush":
+        elif name == "flush":
             self._flush(block, state)
-            return ctx, None
-        if name == "push":
+        elif name == "push":
             state.stack.append(StackSlot(abs_args[0], abs_args[1], True))
             stats.stack_stores_elided += 1
-            return ctx, None
-        if name == "pop":
+        elif name == "pop":
             if state.stack:
-                slot = state.stack.pop()
-                state.env[instr.result] = slot.value
+                state.env[instr.result] = state.stack.pop().value
                 stats.stack_loads_elided += 1
             else:
-                addr = self._mat(abs_args[0])
-                vid = self._mint(I64)
-                block.instrs.append(Instr("load64", vid, (addr,), 0, I64))
-                state.env[instr.result] = Dyn(vid, I64)
+                state.env[instr.result] = self._load_slot(block,
+                                                          abs_args[0])
                 stats.stack_loads_real += 1
-            return ctx, None
-        if name == "read_stack":
+        elif name == "read_stack":
             depth = self._require_const_int(abs_args[0], "stack depth")
             if depth < len(state.stack):
                 state.env[instr.result] = state.stack[-1 - depth].value
                 stats.stack_loads_elided += 1
             else:
-                addr = self._mat(abs_args[1])
-                vid = self._mint(I64)
-                block.instrs.append(Instr("load64", vid, (addr,), 0, I64))
-                state.env[instr.result] = Dyn(vid, I64)
+                state.env[instr.result] = self._load_slot(block,
+                                                          abs_args[1])
                 stats.stack_loads_real += 1
-            return ctx, None
-        if name == "write_stack":
+        elif name == "write_stack":
             depth = self._require_const_int(abs_args[0], "stack depth")
             if depth < len(state.stack):
                 old = state.stack[-1 - depth]
@@ -803,31 +720,38 @@ class _Specializer:
                                                     True)
                 stats.stack_stores_elided += 1
             else:
-                addr = self._mat(abs_args[1])
-                value = self._mat(abs_args[2])
-                block.instrs.append(Instr("store64", None, (addr, value), 0,
-                                          None))
+                self._store_slot(block, abs_args[1], abs_args[2])
                 stats.stack_stores_real += 1
-            return ctx, None
-        raise SpecializeError(f"unhandled intrinsic weval.{name}")
+        else:
+            raise SpecializeError(f"unhandled intrinsic weval.{name}")
+        return ctx
+
+    def _load_slot(self, block: Block, addr: AbsVal) -> Dyn:
+        """A state slot's real read: one ``load64`` of its address."""
+        addr_vid = self._mat(addr)
+        vid = self._mint(I64)
+        block.instrs.append(Instr("load64", vid, (addr_vid,), 0, I64))
+        return Dyn(vid, I64)
+
+    def _store_slot(self, block: Block, addr: AbsVal,
+                    value: AbsVal) -> None:
+        """A state slot's real write-back: one ``store64`` of ``value``
+        to its address."""
+        block.instrs.append(Instr("store64", None,
+                                  (self._mat(addr), self._mat(value)),
+                                  0, None))
 
     def _flush(self, block: Block, state: FlowState) -> None:
         """Write back all dirty locals and stack slots (S4.2)."""
         for idx in sorted(state.locals):
             slot = state.locals[idx]
             if slot.dirty:
-                addr = self._mat(slot.addr)
-                value = self._mat(slot.value)
-                block.instrs.append(Instr("store64", None, (addr, value),
-                                          0, None))
+                self._store_slot(block, slot.addr, slot.value)
                 state.locals[idx] = LocalSlot(slot.addr, slot.value, False)
                 self.stats.local_stores_real += 1
         for pos, slot in enumerate(state.stack):
             if slot.dirty:
-                addr = self._mat(slot.addr)
-                value = self._mat(slot.value)
-                block.instrs.append(Instr("store64", None, (addr, value),
-                                          0, None))
+                self._store_slot(block, slot.addr, slot.value)
                 state.stack[pos] = StackSlot(slot.addr, slot.value, False)
                 self.stats.stack_stores_real += 1
 
@@ -836,7 +760,7 @@ class _Specializer:
                   overrides: Dict[int, AbsVal]) -> BlockCall:
         if ctx not in self._seen_contexts:
             if len(self._seen_contexts) >= MAX_CONTEXTS:
-                ctx = (("c", ctx_mod.DYNAMIC),)
+                ctx = ctx_mod.push(ctx_mod.ROOT, ctx_mod.DYNAMIC)
             self._seen_contexts.add(ctx)
         succ_key: Key = (ctx, gtarget)
         succ = self._get_or_create(succ_key)
@@ -912,33 +836,6 @@ class _Specializer:
             return
         raise SpecializeError(f"block{gblock.id} has no terminator")
 
-    def _emit_value_specialization(self, info: _KeyInfo, block: Block,
-                                   state: FlowState, ctx,
-                                   gblock: Block, pending) -> None:
-        """Lower a runtime-valued ``specialized_value`` ("The Trick")."""
-        instr, lo, hi, value = pending
-        term = gblock.terminator
-        assert isinstance(term, Jump) and not term.target.args, \
-            "preparation must isolate specialized_value before a plain jump"
-        cont = term.target.block
-
-        value_vid = self._mat(value)
-        lo_vid = self._mat(intern_const(lo, I64))
-        index_vid = self._mint(I64)
-        block.instrs.append(Instr("isub", index_vid, (value_vid, lo_vid),
-                                  None, I64))
-        cases = []
-        for i in range(hi - lo + 1):
-            sub_ctx = ctx_mod.push_value(ctx, lo + i)
-            overrides = {instr.result: intern_const((lo + i) & ((1 << 64) - 1), I64)}
-            cases.append(self._add_edge(info, i, sub_ctx, cont, overrides))
-        # Out-of-range values take a continuation specialized with no
-        # knowledge of the value: semantics are preserved for any input.
-        dyn_ctx = ctx_mod.push_value(ctx, "dyn")
-        dcall = self._add_edge(info, hi - lo + 1, dyn_ctx, cont,
-                               {instr.result: value})
-        block.terminator = BrTable(index_vid, cases, dcall)
-
     # ------------------------------------------------------------------
     # Phase 2: fill in branch arguments and write-back fixups.
     # ------------------------------------------------------------------
@@ -977,20 +874,14 @@ class _Specializer:
         for idx, slot in out.locals.items():
             if slot.dirty and idx not in succ_entry.locals \
                     and ("lcl", idx) not in flushed:
-                addr = self._mat(slot.addr)
-                value = self._mat(slot.value)
-                block.instrs.append(
-                    Instr("store64", None, (addr, value), 0, None))
+                self._store_slot(block, slot.addr, slot.value)
                 flushed.add(("lcl", idx))
                 self.stats.local_stores_real += 1
         keep = len(succ_entry.stack)
         for pos in range(keep, len(out.stack)):
             slot = out.stack[pos]
             if slot.dirty and ("stk", pos) not in flushed:
-                addr = self._mat(slot.addr)
-                value = self._mat(slot.value)
-                block.instrs.append(
-                    Instr("store64", None, (addr, value), 0, None))
+                self._store_slot(block, slot.addr, slot.value)
                 flushed.add(("stk", pos))
                 self.stats.stack_stores_real += 1
 

@@ -37,9 +37,6 @@ class Block:
     instrs: List[Instr] = dataclasses.field(default_factory=list)
     terminator: Optional[Terminator] = None
 
-    def param_values(self) -> List[int]:
-        return [v for v, _ in self.params]
-
 
 class Function:
     """An SSA function: a CFG of blocks plus value bookkeeping.
@@ -97,17 +94,8 @@ class Function:
     def type_of(self, value: int) -> Type:
         return self.value_types[value]
 
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def num_instrs(self) -> int:
         return sum(len(b.instrs) for b in self.blocks.values())
-
-    def total_block_params(self) -> int:
-        """Total block parameter count (excluding the entry block, whose
-        parameters are the function's own)."""
-        return sum(len(b.params) for b in self.blocks.values()
-                   if b.id != self.entry)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Function {self.name} {self.sig} blocks={len(self.blocks)}>"

@@ -78,16 +78,7 @@ class NameTable:
     """Interns property names to integer ids (the string-table stand-in)."""
 
     def __init__(self):
-        self.names: List[str] = []
         self.ids: Dict[str, int] = {}
 
     def intern(self, name: str) -> int:
-        existing = self.ids.get(name)
-        if existing is not None:
-            return existing
-        self.ids[name] = len(self.names)
-        self.names.append(name)
-        return self.ids[name]
-
-    def name_of(self, name_id: int) -> str:
-        return self.names[name_id]
+        return self.ids.setdefault(name, len(self.ids))

@@ -43,20 +43,12 @@ def box_bool(value: bool) -> int:
     return VALUE_TRUE if value else VALUE_FALSE
 
 
-def box_object(addr: int) -> int:
-    return (TAG_OBJECT << TAG_SHIFT) | addr
-
-
 def box_function(func_id: int) -> int:
     return (TAG_FUNCTION << TAG_SHIFT) | func_id
 
 
 def tag_of(bits: int) -> int:
     return bits >> TAG_SHIFT
-
-
-def is_double(bits: int) -> bool:
-    return not (TAG_BOOL <= tag_of(bits) <= TAG_ARRAY) and bits != IC_FAIL
 
 
 def payload(bits: int) -> int:

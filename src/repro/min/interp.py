@@ -7,9 +7,9 @@ through weval's register intrinsics (only ever run in specialized form).
 We do the same with a Python-side template over the mini-C source.
 
 ``JMPNZ`` uses the two-backedge pattern: each arm updates the context and
-continues separately, so the next pc stays constant on both paths
-(S3.3's structural alternative to ``specialized_value``; our test suite
-exercises both styles).
+continues separately, so the next pc stays constant on both paths.  This
+is S3.3's structural form, the only one the specializer supports (see
+``docs/ARCHITECTURE.md``, "The fixpoint engines").
 """
 
 from __future__ import annotations

@@ -111,6 +111,21 @@ def run_with_stats(source: str, func: str, args=(),
     return result, vm.stats
 
 
+def clone(func, module: Optional[Module] = None,
+          name: Optional[str] = None):
+    """A deep copy of ``func`` through the IR's one text: value and block
+    ids are kept, so the copy can be transformed beside the original
+    (``module`` gives a ``call``'s result type)."""
+    return parse_function(print_function(func, order="id"), module, name)
+
+
+def block_params(func) -> int:
+    """Block parameters of every block but the entry, whose parameters
+    are the function's own: S3.4's measure of SSA blow-up."""
+    return sum(len(block.params) for block in func.blocks.values()
+               if block.id != func.entry)
+
+
 def assert_text_round_trips(func, module: Optional[Module] = None):
     """``print_function(parse_function(text, module)) == text`` for
     ``func``'s text in both print orders; returns the function parsed

@@ -31,33 +31,33 @@ from tests.helpers import FLOAT_BIT_PATTERNS
 
 
 class TestContexts:
+    """A context is the tuple of its values, innermost last, and each
+    distinct one is a single interned tuple."""
+
     def test_push_update_pop(self):
         c = ctx.push(ctx.ROOT, 5)
-        assert c == (("c", 5),)
+        assert c == (5,)
         c = ctx.update(c, 9)
-        assert c == (("c", 9),)
-        assert ctx.pop(c) == ctx.ROOT
+        assert c == (9,)
+        assert ctx.pop(c) is ctx.ROOT
 
     def test_nesting(self):
         c = ctx.push(ctx.push(ctx.ROOT, 1), 2)
-        assert ctx.update(c, 3) == (("c", 1), ("c", 3))
-        assert ctx.pop(c) == (("c", 1),)
-
-    def test_value_subcontexts_stripped_by_update(self):
-        c = ctx.push_value(ctx.push(ctx.ROOT, 1), 7)
-        assert c == (("c", 1), ("sv", 7))
-        assert ctx.update(c, 2) == (("c", 2),)
+        assert c == (1, 2)
+        assert ctx.update(c, 3) == (1, 3)
+        assert ctx.pop(c) is ctx.push(ctx.ROOT, 1)
 
     def test_pop_empty_raises(self):
         with pytest.raises(ValueError):
             ctx.pop(ctx.ROOT)
 
     def test_update_without_push_tolerated(self):
-        assert ctx.update(ctx.ROOT, 4) == (("c", 4),)
+        assert ctx.update(ctx.ROOT, 4) is ctx.push(ctx.ROOT, 4)
 
-    def test_describe(self):
-        assert ctx.describe(ctx.ROOT) == "root"
-        assert "c=3" in ctx.describe(ctx.push(ctx.ROOT, 3))
+    def test_dynamic_is_one_more_value(self):
+        c = ctx.update(ctx.push(ctx.ROOT, 1), ctx.DYNAMIC)
+        assert c == (ctx.DYNAMIC,)
+        assert ctx.push(c, 2) == (ctx.DYNAMIC, 2)
 
 
 class TestAbsValEquality:

@@ -372,6 +372,14 @@ class TestDiagnostics:
                 "u64 f(u64 x) { switch (x) { case 1: case 1: break; } "
                 "return 0; }")
 
+    def test_unknown_intrinsic(self):
+        """A data-dependent branch is specialized in its structural form
+        only: the paper's value-specializing intrinsic is not one."""
+        with pytest.raises(CompileError, match=r"unknown weval intrinsic "
+                           r"'weval_specialized_value'"):
+            compile_source(
+                "u64 f(u64 x) { return weval_specialized_value(x, 0, 9); }")
+
     def test_extern_not_provided(self):
         from repro.ir import Module
         prog = compile_source("extern u64 h(); u64 f() { return h(); }")

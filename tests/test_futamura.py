@@ -1,8 +1,9 @@
 """Integration tests for the weval transform: the first Futamura
 projection on a small accumulator interpreter (the paper's Fig. 6
-scenario), including bytecode erasure, both conditional-branch styles,
-and semantic equivalence between generic and specialized execution;
-and f64 constants through the transform bit for bit."""
+scenario), including bytecode erasure, the two-backedge conditional
+branch (S3.3's structural form), and semantic equivalence between
+generic and specialized execution; and f64 constants through the
+transform bit for bit."""
 
 import itertools
 
@@ -20,10 +21,16 @@ from repro.core.specialize import SpecializeError, SpecializeOptions
 from repro.ir import Module, print_function, verify_function, verify_module
 from repro.vm import VM
 
-from tests.helpers import FLOAT_BIT_PATTERNS, build_module, compile_legs
+from tests.helpers import (
+    FLOAT_BIT_PATTERNS,
+    block_params,
+    build_module,
+    compile_legs,
+)
 
 # Opcodes: 0=LOADI imm, 1=ADDI imm, 2=SUBI imm, 3=JMPNZ target, 4=HALT.
-INTERP_SRC_TEMPLATE = """
+# JMPNZ is two backedges, each arm updating the context and continuing.
+INTERP_SRC = """
 u64 interp(u64 program, u64 proglen, u64 input) {
   u64 pc = 0;
   u64 acc = input;
@@ -38,7 +45,9 @@ u64 interp(u64 program, u64 proglen, u64 input) {
     case 3: {
       u64 target = load64(program + pc * 8);
       pc = pc + 1;
-      %(branch)s
+      if (acc != 0) { pc = target; weval_update_context(pc); continue; }
+      weval_update_context(pc);
+      continue;
     }
     case 4: { return acc; }
     default: { abort(); }
@@ -49,24 +58,12 @@ u64 interp(u64 program, u64 proglen, u64 input) {
 }
 """
 
-TWO_BACKEDGE = """
-      if (acc != 0) { pc = target; weval_update_context(pc); continue; }
-      weval_update_context(pc);
-      continue;
-"""
-
-THE_TRICK = """
-      pc = select(acc != 0, target, pc);
-      pc = weval_specialized_value(pc, 0, proglen - 1);
-      break;
-"""
-
 BASE = 0x1000
 COUNTDOWN = [2, 1, 3, 0, 1, 42, 4]       # acc-=1 loop, then acc+=42, halt
 
 
-def setup(branch_style, code):
-    module = build_module(INTERP_SRC_TEMPLATE % {"branch": branch_style})
+def setup(code):
+    module = build_module(INTERP_SRC)
     for i, word in enumerate(code):
         module.write_init_u64(BASE + i * 8, word)
     return module
@@ -80,12 +77,9 @@ def make_request(code, **kwargs):
         **kwargs)
 
 
-@pytest.mark.parametrize("style,stylename",
-                         [(TWO_BACKEDGE, "two_backedge"),
-                          (THE_TRICK, "the_trick")])
 class TestFutamuraProjection:
-    def test_equivalence_and_speedup(self, style, stylename):
-        module = setup(style, COUNTDOWN)
+    def test_equivalence_and_speedup(self):
+        module = setup(COUNTDOWN)
         vm = VM(module)
         expect = vm.call("interp", [BASE, len(COUNTDOWN), 100])
         assert expect == 42
@@ -100,37 +94,36 @@ class TestFutamuraProjection:
         assert got == expect
         assert vm2.stats.fuel < generic_fuel / 2  # ≥2x dispatch removal
 
-    def test_generic_is_only_read(self, style, stylename):
-        """The transform works on the module's own generic body when it
-        has nothing to split (two_backedge) and on a clone when it has
-        (the_trick); either way the generic comes out as it went in."""
-        module = setup(style, COUNTDOWN)
+    def test_generic_is_only_read(self):
+        """The transform works on the module's own generic body and
+        leaves it as it went in."""
+        module = setup(COUNTDOWN)
         before = body_fingerprint(module.functions["interp"])
         specialize(module, make_request(COUNTDOWN))
         assert body_fingerprint(module.functions["interp"]) == before
 
-    def test_bytecode_erasure(self, style, stylename):
+    def test_bytecode_erasure(self):
         """The paper's definition: the specialized program must not load
         from the bytecode stream (S2.2)."""
-        module = setup(style, COUNTDOWN)
+        module = setup(COUNTDOWN)
         func = specialize(module, make_request(COUNTDOWN))
         module.add_function(func)
         vm = VM(module)
         assert vm.call(func.name, [BASE, len(COUNTDOWN), 17]) == 42
         assert vm.stats.loads == 0  # no bytecode loads survive
 
-    def test_cfg_follows_bytecode_not_interpreter(self, style, stylename):
+    def test_cfg_follows_bytecode_not_interpreter(self):
         """Fig. 6: the output CFG contains the *guest* loop."""
-        module = setup(style, COUNTDOWN)
+        module = setup(COUNTDOWN)
         func = specialize(module, make_request(COUNTDOWN))
         text = print_function(func)
         # The guest program's constants appear directly in the code.
         assert "iconst 42" in text
         # There is a loop: some block is jumped to from later in the text.
-        assert func.num_blocks() < 40  # compact, not interpreter-sized
+        assert len(func.blocks) < 40  # compact, not interpreter-sized
 
-    def test_semantics_preserved_across_inputs(self, style, stylename):
-        module = setup(style, COUNTDOWN)
+    def test_semantics_preserved_across_inputs(self):
+        module = setup(COUNTDOWN)
         func = specialize(module, make_request(COUNTDOWN))
         module.add_function(func)
         for value in (1, 2, 7, 63):
@@ -143,7 +136,7 @@ class TestFutamuraProjection:
 class TestStraightLineProgram:
     def test_fully_folds(self):
         code = [0, 10, 1, 5, 1, 7, 4]  # LOADI 10; ADDI 5; ADDI 7; HALT
-        module = setup(TWO_BACKEDGE, code)
+        module = setup(code)
         func = specialize(module, make_request(code))
         module.add_function(func)
         vm = VM(module)
@@ -155,12 +148,12 @@ class TestStraightLineProgram:
 
 class TestRequestValidation:
     def test_unknown_function(self):
-        module = setup(TWO_BACKEDGE, COUNTDOWN)
+        module = setup(COUNTDOWN)
         with pytest.raises(SpecializeError, match="unknown function"):
             specialize(module, SpecializationRequest("nope", []))
 
     def test_arg_count_mismatch(self):
-        module = setup(TWO_BACKEDGE, COUNTDOWN)
+        module = setup(COUNTDOWN)
         with pytest.raises(SpecializeError, match="arg modes"):
             specialize(module, SpecializationRequest("interp", [Runtime()]))
 
@@ -179,17 +172,17 @@ class TestSsaModes:
     def test_naive_mode_has_more_params(self):
         """The S3.4 ablation: naive max-SSA creates far more block
         parameters than the minimal strategy."""
-        module = setup(TWO_BACKEDGE, COUNTDOWN)
+        module = setup(COUNTDOWN)
         minimal = specialize(module, make_request(
             COUNTDOWN, specialized_name="spec_min"),
             SpecializeOptions(opt_config="none"))
         naive = specialize(module, make_request(
             COUNTDOWN, specialized_name="spec_naive"),
             SpecializeOptions(ssa_mode="naive", opt_config="none"))
-        assert naive.total_block_params() > minimal.total_block_params()
+        assert block_params(naive) > block_params(minimal)
 
     def test_naive_mode_still_correct(self):
-        module = setup(TWO_BACKEDGE, COUNTDOWN)
+        module = setup(COUNTDOWN)
         func = specialize(module, make_request(COUNTDOWN),
                           SpecializeOptions(ssa_mode="naive"))
         module.add_function(func)
@@ -219,7 +212,7 @@ class TestAssertConst:
 
 class TestGuestLoopsRemainLoops:
     def test_loop_fuel_scales_but_code_is_constant_size(self):
-        module = setup(TWO_BACKEDGE, COUNTDOWN)
+        module = setup(COUNTDOWN)
         func = specialize(module, make_request(COUNTDOWN))
         module.add_function(func)
         fuels = []

@@ -374,22 +374,30 @@ def test_one_engine_record_and_emit_body():
 
 def test_one_cache_and_no_deopt_breaker():
     """Two requests of one key in a batch are two requests: the engine
-    clones no producer's residual and counts no in-batch hit
-    (``cache_hits`` is the constant 0 the ledger reads).  No storm
-    breaker pins a function: ``check_invariants`` holds the bound."""
+    counts no in-batch hit (``cache_hits`` is the constant 0 the ledger
+    reads), and clones no producer's residual, since nothing under
+    ``src/`` clones IR (the S3.3 guard below).  No storm breaker pins a
+    function: ``check_invariants`` holds the bound."""
     assert not _identifiers() & {
         "STORM_DEOPTS", "STORM_WINDOW", "storm_deopts", "storm_window",
         "storm_pins", "pinned_generic", "deopt_marks",
         "_record_deopt_event", "cache_hit"}
-    engine = dict(_sources())["repro/pipeline/engine.py"]
-    assert not [node for node in ast.walk(engine)
-                if "clone_function" in (getattr(node, "id", None),
-                                        getattr(node, "attr", None),
-                                        getattr(node, "name", None))]
     engine_stats = stats_module.EngineStats
     assert "cache_hits" not in {
         field.name for field in dataclasses.fields(engine_stats)}
     assert engine_stats().cache_hits == 0
+
+
+def test_one_way_to_specialize_a_data_dependent_branch():
+    """S3.3 is reproduced in its structural form only: each arm of a
+    data-dependent branch updates the context and continues.  No
+    value-specializing intrinsic, per-value sub-context or split of the
+    generic body is left, and so no IR clone."""
+    assert not _identifiers() & {
+        "specialized_value", "push_value", "_split_after_specialized_value",
+        "_emit_value_specialization", "MAX_VALUE_SPECIALIZATIONS",
+        "clone_function"}
+    assert not (ROOT / "src" / "repro" / "ir" / "clone.py").exists()
 
 
 def test_every_stats_field_has_a_reader():

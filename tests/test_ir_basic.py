@@ -18,7 +18,8 @@ from repro.ir import (
     verify_function,
     verify_module,
 )
-from repro.ir.clone import clone_function
+
+from tests.helpers import block_params, clone
 
 
 LOOP = """\
@@ -65,10 +66,10 @@ block0:
 
     def test_counts(self):
         func = make_loop_function()
-        assert func.num_blocks() == 4
+        assert len(func.blocks) == 4
         assert func.num_instrs() == 5
         # header has 2 params, exit has 1; entry params don't count.
-        assert func.total_block_params() == 3
+        assert block_params(func) == 3
 
 
 class TestCfg:
@@ -182,17 +183,17 @@ class TestPrinter:
 
     def test_stable_under_clone(self):
         func = make_loop_function()
-        clone = clone_function(func)
-        assert print_function(func, "id") == print_function(clone, "id")
+        copy = clone(func)
+        assert print_function(func, "id") == print_function(copy, "id")
 
 
 class TestClone:
     def test_clone_is_independent(self):
         func = make_loop_function()
-        clone = clone_function(func, "other")
-        clone.blocks[clone.entry].instrs.clear()
+        copy = clone(func, name="other")
+        copy.blocks[copy.entry].instrs.clear()
         assert func.blocks[func.entry].instrs  # original untouched
-        assert clone.name == "other"
+        assert copy.name == "other"
 
 
 EMPTY = "func @f() {\nblock0:\n  return\n}"

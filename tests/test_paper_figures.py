@@ -64,7 +64,12 @@ from repro.min.interp import (
 from repro.pipeline.host import controller_for
 from repro.vm import VM
 
-from tests.helpers import check_golden, corpus_manifest, corpus_program
+from tests.helpers import (
+    block_params,
+    check_golden,
+    corpus_manifest,
+    corpus_program,
+)
 
 # Fig. 11's rows in the paper's Octane order: the corpus's ``js/``
 # programs, drawn from ``js/<name>.js``.
@@ -115,7 +120,7 @@ def residual_digest(rt) -> Tuple[int, int, int, str]:
              for p in rt.compiler.processed if p.error is None]
     text = "".join(print_function(func) for func in funcs)
     return (len(funcs), sum(f.num_instrs() for f in funcs),
-            sum(f.num_blocks() for f in funcs), _sha16(text))
+            sum(len(f.blocks) for f in funcs), _sha16(text))
 
 
 def _emitted(func, module) -> str:
@@ -259,8 +264,8 @@ def _min_residuals():
                 result = VM(module).call(
                     func.name, [PROGRAM_BASE, len(program.words), 0])
                 rows[(n, variant, pipeline)] = (
-                    result, func.num_instrs(), func.num_blocks(),
-                    func.total_block_params())
+                    result, func.num_instrs(), len(func.blocks),
+                    block_params(func))
     return rows
 
 
@@ -281,8 +286,8 @@ def _ablation():
         module.add_function(opt)
         vm = VM(module)
         value = vm.call(opt.name, [PROGRAM_BASE, len(program.words), 0])
-        results[mode] = (raw.total_block_params(), opt.total_block_params(),
-                         opt.num_blocks(), vm.stats.fuel, value)
+        results[mode] = (block_params(raw), block_params(opt),
+                         len(opt.blocks), vm.stats.fuel, value)
     return results
 
 

@@ -35,7 +35,6 @@ from repro.ir import (
     print_function,
     verify_function,
 )
-from repro.ir.clone import clone_function
 from repro.jsvm import JSRuntime
 from repro.luavm.runtime import LuaRuntime
 from repro.min.interp import build_min_module, specialize_min
@@ -51,6 +50,7 @@ from test_differential import (
 from tests.helpers import (
     IRText,
     assert_text_round_trips,
+    clone,
     corpus_program,
     target,
 )
@@ -83,7 +83,7 @@ def _assert_schedule_oracle(tag, residuals, module):
     returns the most rounds it needed for any one function."""
     most_rounds = 0
     for name, func in residuals.items():
-        managed, reference = clone_function(func), clone_function(func)
+        managed, reference = clone(func, module), clone(func, module)
         stats = optimize_function(managed, module=module)
         changes = _reference_schedule(reference)
         managed_ir = print_function(managed, order="id")

@@ -30,7 +30,6 @@ from repro.ir import (
     parse_function,
     verify_function,
 )
-from repro.ir.clone import clone_function
 from repro.min.harness import sum_to_n_program
 from repro.min.interp import build_min_module, specialize_min
 from repro.opt import (
@@ -41,6 +40,8 @@ from repro.opt import (
     thread_jumps,
 )
 from repro.opt.pipeline import OPT_MAX_ROUNDS, verify_after_pass
+
+from tests.helpers import clone
 
 O0 = SpecializeOptions(opt_config="none")
 
@@ -126,7 +127,7 @@ class TestEveryPassPreservesValidity:
     def test_pass_in_isolation(self, pass_name, corpus_name):
         module, original = next((m, f) for name, m, f in _CORPUS
                                 if name == corpus_name)
-        func = clone_function(original)
+        func = clone(original, module)
         ISOLATED_PASSES[pass_name](func)
         verify_after_pass(func, module, pass_name)
 
