@@ -59,6 +59,15 @@ class TestContexts:
         assert c == (ctx.DYNAMIC,)
         assert ctx.push(c, 2) == (ctx.DYNAMIC, 2)
 
+    def test_each_distinct_context_is_one_tuple(self):
+        """Push, update and pop each hand out the interned tuple, so two
+        ways to the same context give the same object."""
+        inner = ctx.push(ctx.ROOT, 7)
+        assert ctx.update(ctx.push(ctx.ROOT, 3), 7) is inner
+        assert ctx.pop(ctx.push(inner, 8)) is inner
+        assert ctx.push(ctx.ROOT, ctx.DYNAMIC) is ctx.update(
+            inner, ctx.DYNAMIC)
+
 
 class TestAbsValEquality:
     """A constant is its bit pattern: ``Const`` equality, hashing and

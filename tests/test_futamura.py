@@ -6,6 +6,7 @@ generic and specialized execution; and f64 constants through the
 transform bit for bit."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -131,6 +132,53 @@ class TestFutamuraProjection:
             vm_b = VM(module)
             assert (vm_a.call("interp", [BASE, len(COUNTDOWN), value]) ==
                     vm_b.call(func.name, [BASE, len(COUNTDOWN), value]))
+
+
+    def test_context_cap_shares_one_dynamic_copy(self, monkeypatch):
+        """Past ``MAX_CONTEXTS`` distinct contexts every new edge goes to
+        the one ``DYNAMIC`` context: the residual stays finite and
+        computes what the generic interpreter does."""
+        monkeypatch.setattr(sys.modules["repro.core.specialize"],
+                            "MAX_CONTEXTS", 2)
+        module = setup(COUNTDOWN)
+        func = specialize(module, make_request(COUNTDOWN))
+        verify_function(func, module)
+        module.add_function(func)
+        for value in (1, 5, 100):
+            vm = VM(module)
+            assert (vm.call(func.name, [BASE, len(COUNTDOWN), value])
+                    == VM(module).call("interp",
+                                       [BASE, len(COUNTDOWN), value]))
+            # The shared copy no longer knows ``pc``: it reads bytecode.
+            assert vm.stats.loads > 0
+
+    def test_constant_condition_specializes_one_arm(self):
+        """When the branch condition is known, only its taken arm's
+        context is reached: the residual has no branch and never holds
+        the other arm's code."""
+        # LOADI 0; JMPNZ 7; ADDI 5; HALT; ADDI 900; HALT
+        code = [0, 0, 3, 7, 1, 5, 4, 1, 900, 4]
+        module = setup(code)
+        func = specialize(module, make_request(code))
+        module.add_function(func)
+        text = print_function(func)
+        assert "br_if" not in text and "900" not in text
+        assert VM(module).call(func.name, [BASE, len(code), 33]) == 5
+
+    def test_dynamic_condition_specializes_both_arms(self):
+        """When the condition is known only at run time, each arm's
+        ``update_context`` reaches its own context: the residual branches
+        on ``acc`` and both arms run without reading bytecode."""
+        # JMPNZ 5; ADDI 5; HALT; ADDI 900; HALT
+        code = [3, 5, 1, 5, 4, 1, 900, 4]
+        module = setup(code)
+        func = specialize(module, make_request(code))
+        module.add_function(func)
+        assert "br_if" in print_function(func)
+        for value, expect in ((0, 5), (1, 901)):
+            vm = VM(module)
+            assert vm.call(func.name, [BASE, len(code), value]) == expect
+            assert vm.stats.loads == 0
 
 
 class TestStraightLineProgram:

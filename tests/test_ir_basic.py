@@ -1,6 +1,8 @@
 """Unit tests for the IR substrate: functions read from their text,
 verifier, printer, CFG."""
 
+import re
+
 import pytest
 
 from repro.ir import (
@@ -194,6 +196,15 @@ class TestClone:
         copy.blocks[copy.entry].instrs.clear()
         assert func.blocks[func.entry].instrs  # original untouched
         assert copy.name == "other"
+
+    def test_fresh_ids_stay_fresh(self):
+        """The copy keeps the original's ids and hands out new ones past
+        them, so a transform can add values and blocks to it."""
+        func = make_loop_function()
+        copy = clone(func)
+        used = {int(v) for v in re.findall(r"\bv(\d+)", LOOP)}
+        assert copy.new_value(I64) > max(used)
+        assert copy.new_block().id not in func.blocks
 
 
 EMPTY = "func @f() {\nblock0:\n  return\n}"
