@@ -36,7 +36,6 @@ class Intrinsic:
 
     name: str                     # import name, e.g. "weval.update_context"
     sig: Signature
-    kind: str                     # "context" | "value" | "state"
     polyfill: Optional[Callable]  # host implementation for generic runs
 
 
@@ -63,32 +62,32 @@ def _sig(nparams: int, has_result: bool) -> Signature:
 
 _INTRINSIC_LIST = [
     # Context control (S3.1).
-    Intrinsic(PREFIX + "push_context", _sig(1, False), "context", _noop),
-    Intrinsic(PREFIX + "update_context", _sig(1, False), "context", _noop),
-    Intrinsic(PREFIX + "pop_context", _sig(0, False), "context", _noop),
+    Intrinsic(PREFIX + "push_context", _sig(1, False), _noop),
+    Intrinsic(PREFIX + "update_context", _sig(1, False), _noop),
+    Intrinsic(PREFIX + "pop_context", _sig(0, False), _noop),
     # Debugging aid (S3.1): asserts compile-time constantness during
     # specialization; dynamically it is the identity.
-    Intrinsic(PREFIX + "assert_const", _sig(1, True), "value", _identity),
+    Intrinsic(PREFIX + "assert_const", _sig(1, True), _identity),
     # Virtual registers (S4.1).
-    Intrinsic(PREFIX + "read_reg", _sig(1, True), "state",
+    Intrinsic(PREFIX + "read_reg", _sig(1, True),
               _no_polyfill_factory("weval.read_reg")),
-    Intrinsic(PREFIX + "write_reg", _sig(2, False), "state",
+    Intrinsic(PREFIX + "write_reg", _sig(2, False),
               _no_polyfill_factory("weval.write_reg")),
     # In-memory locals with lazy write-back (S4.2).
-    Intrinsic(PREFIX + "read_local", _sig(2, True), "state",
+    Intrinsic(PREFIX + "read_local", _sig(2, True),
               _no_polyfill_factory("weval.read_local")),
-    Intrinsic(PREFIX + "write_local", _sig(3, False), "state",
+    Intrinsic(PREFIX + "write_local", _sig(3, False),
               _no_polyfill_factory("weval.write_local")),
-    Intrinsic(PREFIX + "flush", _sig(0, False), "state",
+    Intrinsic(PREFIX + "flush", _sig(0, False),
               _no_polyfill_factory("weval.flush")),
     # Virtualized operand stack (S4.2).
-    Intrinsic(PREFIX + "push", _sig(2, False), "state",
+    Intrinsic(PREFIX + "push", _sig(2, False),
               _no_polyfill_factory("weval.push")),
-    Intrinsic(PREFIX + "pop", _sig(1, True), "state",
+    Intrinsic(PREFIX + "pop", _sig(1, True),
               _no_polyfill_factory("weval.pop")),
-    Intrinsic(PREFIX + "read_stack", _sig(2, True), "state",
+    Intrinsic(PREFIX + "read_stack", _sig(2, True),
               _no_polyfill_factory("weval.read_stack")),
-    Intrinsic(PREFIX + "write_stack", _sig(3, False), "state",
+    Intrinsic(PREFIX + "write_stack", _sig(3, False),
               _no_polyfill_factory("weval.write_stack")),
 ]
 

@@ -1,24 +1,42 @@
-"""Dominator-scoped global value numbering, with copy propagation and
-constant folding in the same walk (Click, "Global Code Motion / Global
-Value Numbering", PLDI 1995).
+"""Dominator-scoped global value numbering, with copy propagation,
+constant folding and branch-edge facts in the same walk (Click, "Global
+Code Motion / Global Value Numbering", PLDI 1995).
 
 Two pure instructions with the same opcode, immediate, and operands
 compute the same value, so a definition that is dominated by an
 equivalent earlier definition can be dropped and its uses rewritten to
-the survivor.  The pass walks the dominator tree in preorder with a
-scoped hash table: expressions found in an ancestor are available in
-every block the ancestor dominates, which is exactly the condition under
-which the rewrite preserves SSA dominance.
+the survivor.  The pass walks the dominator tree in preorder with one
+hash table whose entries a block adds are undone when the walk leaves
+it: expressions found in an ancestor are available in every block the
+ancestor dominates, which is exactly the condition under which the
+rewrite preserves SSA dominance.
+
+*Edge facts* (Bodík, Gupta & Soffa, "Interprocedural conditional branch
+elimination", PLDI 1997; LLVM GVN's ``propagateEquality``) are scoped
+the same way.  A block entered by exactly one edge, an arm of a
+``br_if c`` (edges, not predecessor blocks: ``br_if c, B, B`` teaches
+``B`` nothing), knows ``c``'s truth in its whole dominator subtree.  The
+walk records it for ``c``; when ``c`` is a compare, for its expression
+key and, through :data:`NEGATION`, the opposite for the negated key
+(never for an ordered float compare, which NaN leaves without one), and
+for the values dominating blocks computed those keys as; and through
+``ine x, 0`` / ``ieq x, 0``, for ``x``.  In that subtree a ``br_if`` on
+a decided value becomes a ``jump`` to the decided arm (simplify-cfg then
+drops the dead arm), and every other operand that is a decided value
+reads the entry block's 0, or its 1 when the value is a compare, if the
+entry block defines that constant.  Those rewrites go to the visited
+block's operands, never through the substitution applied to the whole
+function: a fact holds only in its subtree.
 
 Each pure instruction, its operands resolved through the rewrites so
-far, is in order:
+far and read through the edge facts, is in order:
 
 1. a *copy* when an algebraic identity makes it one of its operands
    (``iadd x, 0``, ``imul x, 1``, ``iand x, ~0``, a ``select`` whose
-   arms agree or whose condition is constant, ``ine c, 0`` of a compare
-   ``c``, which is already 0 or 1; :func:`_copy_source`).  The
-   operand's definition dominates the instruction's, so its uses may
-   read the operand instead;
+   arms agree or whose condition is constant or decided by an edge,
+   ``ine c, 0`` of a compare ``c``, which is already 0 or 1;
+   :func:`_copy_source`).  The operand's definition dominates the
+   instruction's, so its uses may read the operand instead;
 2. *negated* in place when it is ``ieq c, 0`` of a compare ``c`` whose
    negation is exact (:data:`NEGATION`): it becomes that negation over
    ``c``'s operands, which dominate ``c`` and so the instruction.  Then
@@ -27,7 +45,9 @@ far, is in order:
 3. *folded* in place to an ``iconst`` / ``fconst`` when every operand
    is a constant (:func:`~repro.core.lattice.fold_pure_op`, which leaves
    an op that would trap alone);
-4. *numbered*: dropped if an equal expression dominates it.
+4. *decided* in place to ``iconst 1`` / ``0`` when it is a compare whose
+   expression key an edge decided;
+5. *numbered*: dropped if an equal expression dominates it.
 
 Commutative operand lists are sorted so ``iadd a, b`` unifies with
 ``iadd b, a``.  Float immediates are keyed by their bits (``_bits_ftoi``,
@@ -39,8 +59,8 @@ operands, so a definition can be *hoisted* to the entry block (which
 dominates everything) and then deduplicated function-wide, not just
 along dominator paths.  The specializer already defines each constant
 once in the entry block; pooling is for the constants the inline
-splicer clones into callee blocks and the ones step 2 folds, which the
-next run hoists.
+splicer clones into callee blocks and the ones steps 3 and 4 fold, which
+the next run hoists.
 """
 
 from __future__ import annotations
@@ -50,7 +70,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.lattice import fold_pure_op
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import Function
-from repro.ir.instructions import MASK64
+from repro.ir.instructions import (
+    MASK64,
+    BrIf,
+    Jump,
+    map_terminator,
+    terminator_values,
+)
 from repro.ir.semantics import _bits_ftoi
 from repro.ir.types import I64
 from repro.opt.util import constants, resolve, substitute_values
@@ -81,14 +107,13 @@ def _imm_key(imm: object) -> object:
     return imm
 
 
-def _compare_tested(args: tuple, consts: Dict[int, object],
-                    compares: Dict[int, tuple]) -> Optional[int]:
-    """The compare an ``ine``/``ieq`` with operands ``args`` tests
-    against 0, in either operand order, or None."""
+def _zero_tested(args: tuple, consts: Dict[int, object]) -> Optional[int]:
+    """The operand an ``ine``/``ieq`` with operands ``args`` tests
+    against a constant 0, in either operand order, or None."""
     x, y = args
-    if consts.get(y) == 0 and x in compares:
+    if consts.get(y) == 0:
         return x
-    if consts.get(x) == 0 and y in compares:
+    if consts.get(x) == 0:
         return y
     return None
 
@@ -99,7 +124,8 @@ def _copy_source(op: str, args: tuple, consts: Dict[int, object],
     holds the compares defined so far, value id -> ``(op, args)``."""
     const = consts.get
     if op == "ine":
-        return _compare_tested(args, consts, compares)
+        tested = _zero_tested(args, consts)
+        return tested if tested in compares else None
     if op == "iadd":
         if const(args[1]) == 0:
             return args[0]
@@ -136,9 +162,10 @@ def _copy_source(op: str, args: tuple, consts: Dict[int, object],
 
 
 def global_value_numbering(func: Function) -> int:
-    """Propagate copies, fold constants, and eliminate dominated
-    redundant pure computations; returns the number of instructions
-    removed, hoisted, or folded."""
+    """Propagate copies, fold constants, fold what branch edges decide,
+    and eliminate dominated redundant pure computations; returns the
+    number of instructions removed, hoisted, folded or decided, plus
+    the operands read as an edge's constant."""
     if func.entry is None or func.entry not in func.blocks:
         return 0
     domtree = DominatorTree(func)
@@ -179,29 +206,92 @@ def global_value_numbering(func: Function) -> int:
         block.instrs = kept
 
     consts = constants(func)
-    folded = negated = 0
+    folded = negated = decided = 0
     # The compares the walk has kept: value id -> (op, operands).  A
     # value's definition dominates its uses, so one map serves the walk.
     compares: Dict[int, tuple] = {}
 
-    # Scoped table: one dict per dominator-tree node, popped on exit.
-    scopes: List[Dict[tuple, int]] = []
+    # What holds on the walk's current dominator path, undone on the
+    # way back up: ``available`` maps an expression key to the value
+    # that computes it, and ``facts`` a value id or an expression key to
+    # the truth the edges walked into the current block prove of it
+    # (edge facts).  ``undo`` holds, per walked block, the
+    # ``(table, key, entry before)`` triples of what the block added.
+    available: Dict[tuple, int] = {}
+    facts: Dict[object, bool] = {}
+    undo: List[List[tuple]] = []
 
-    def lookup(key: tuple):
-        for scope in reversed(scopes):
-            vid = scope.get(key)
-            if vid is not None:
-                return vid
-        return None
+    def record(table: dict, key: object, entry: object) -> None:
+        undo[-1].append((table, key, table.get(key)))
+        table[key] = entry
+
+    # A block entered by exactly one edge, mapped to that edge's source
+    # (to None when it has more: edges, not predecessor blocks, so
+    # ``br_if c, B, B`` teaches ``B`` nothing).
+    sole_edge: Dict[int, Optional[int]] = {}
+    for src, block in func.blocks.items():
+        for call in block.terminator.targets() if block.terminator else ():
+            sole_edge[call.block] = None if call.block in sole_edge else src
+
+    def learn(bid: int) -> None:
+        """Record what the one edge into ``bid``, an arm of a ``br_if``,
+        proves in ``bid``'s dominator subtree."""
+        src = sole_edge.get(bid)
+        term = func.blocks[src].terminator if src is not None else None
+        if bid == func.entry or not isinstance(term, BrIf):
+            return
+        pending = [(resolve(subst, term.cond), term.if_true.block == bid)]
+        while pending:
+            value, truth = pending.pop()
+            if value in consts:
+                continue
+            learned = [(value, truth)]
+            if value in compares:
+                op, args = compares[value]
+                keys = [((op, None, args), truth)]
+                if op in NEGATION:
+                    keys.append(((NEGATION[op], None, args), not truth))
+                # Each key, and the value a dominating block computed it
+                # as, if any.
+                for key, known in keys:
+                    learned += [(key, known), (available.get(key), known)]
+                # ``ine x, 0`` / ``ieq x, 0`` also decides ``x``.
+                tested = (_zero_tested(args, consts)
+                          if op in ("ine", "ieq") else None)
+                if tested is not None:
+                    pending.append((tested, truth == (op == "ine")))
+            for fact, known in learned:
+                if fact is not None:
+                    record(facts, fact, known)
+
+    def read(value: int) -> int:
+        """``value`` as a use in the current block reads it: the pool's
+        0 when an edge proved it zero, its 1 when it proved a compare
+        true, else ``value`` itself."""
+        nonlocal decided
+        value = resolve(subst, value)
+        truth = facts.get(value)
+        if truth is None or truth and value not in compares:
+            return value
+        constant = pool.get(("iconst", int(truth)))
+        if constant is None:
+            return value
+        decided += 1
+        return constant
 
     # Iterative preorder walk; children sorted for determinism.
     stack: List[Tuple[int, bool]] = [(func.entry, False)]
     while stack:
         bid, leaving = stack.pop()
         if leaving:
-            scopes.pop()
+            for table, key, before in reversed(undo.pop()):
+                if before is None:
+                    del table[key]
+                else:
+                    table[key] = before
             continue
-        scopes.append({})
+        undo.append([])
+        learn(bid)
         stack.append((bid, True))
         for child in sorted(domtree.children.get(bid, ()), reverse=True):
             stack.append((child, False))
@@ -209,17 +299,27 @@ def global_value_numbering(func: Function) -> int:
         block = func.blocks[bid]
         for instr in block.instrs:
             if instr.result is None or not instr.info().pure:
+                # An operand that is a copy of a decided value is read
+                # next run, once ``subst`` has been applied.
+                if facts and not facts.keys().isdisjoint(instr.args):
+                    instr.args = tuple(map(read, instr.args))
                 continue
             args = tuple(resolve(subst, a) for a in instr.args)
-            source = _copy_source(instr.op, args, consts, compares)
+            if facts and not facts.keys().isdisjoint(args):
+                # In place, never through ``subst``: the fact holds only
+                # in this subtree.
+                instr.args = args = tuple(map(read, args))
+            if instr.op == "select" and args[0] in facts:
+                source = args[1] if facts[args[0]] else args[2]
+            else:
+                source = _copy_source(instr.op, args, consts, compares)
             if source is not None:
                 subst[instr.result] = source
                 dead.add(id(instr))
                 replaced += 1
                 continue
             if instr.op == "ieq":
-                tested = compares.get(_compare_tested(args, consts,
-                                                      compares))
+                tested = compares.get(_zero_tested(args, consts))
                 if tested is not None and tested[0] in NEGATION:
                     instr.op = NEGATION[tested[0]]
                     instr.args = args = tested[1]
@@ -236,15 +336,34 @@ def global_value_numbering(func: Function) -> int:
             if instr.op in COMMUTATIVE:
                 args = tuple(sorted(args))
             key = (instr.op, _imm_key(instr.imm), args)
-            existing = lookup(key)
+            truth = facts.get(key)
+            if truth is not None:
+                # A compare an edge decided: its constant, which the
+                # entry block's pooled constant then replaces.
+                instr.op, instr.args, instr.imm = "iconst", (), int(truth)
+                consts[instr.result] = int(truth)
+                key = ("iconst", int(truth), ())
+                decided += 1
+            existing = available.get(key)
             if existing is not None:
                 subst[instr.result] = existing
                 dead.add(id(instr))
                 replaced += 1
             else:
-                scopes[-1][key] = instr.result
+                record(available, key, instr.result)
                 if instr.op in COMPARES:
                     compares[instr.result] = (instr.op, args)
+
+        term = block.terminator
+        if facts and term is not None:
+            if isinstance(term, BrIf):
+                truth = facts.get(resolve(subst, term.cond))
+                if truth is not None:
+                    term = Jump(term.if_true if truth else term.if_false)
+                    decided += 1
+            if not facts.keys().isdisjoint(terminator_values(term)):
+                term = map_terminator(term, read)
+            block.terminator = term
 
     if replaced:
         for block in func.blocks.values():
@@ -254,4 +373,4 @@ def global_value_numbering(func: Function) -> int:
         substitute_values(func, subst)
     # Hoists count as changes: they mutate the IR (converging after one
     # round — a hoisted constant is never hoisted again).
-    return replaced + hoisted + folded + negated
+    return replaced + hoisted + folded + negated + decided

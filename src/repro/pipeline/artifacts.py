@@ -97,7 +97,8 @@ from repro.ir.parser import IRParseError, parse_function, parse_header
 # negation, and a two-operand float row gives two NaNs the first one's
 # payload, so residual bytes move.
 # 9: the folder gives ``fdiv`` of a NaN over ±0 the NaN, not ±inf.
-ARTIFACT_VERSION = 9
+# 10: GVN folds what a dominating ``br_if`` edge decided (edge facts).
+ARTIFACT_VERSION = 10
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part

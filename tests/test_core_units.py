@@ -293,8 +293,6 @@ class TestDescends:
 class TestIntrinsicRegistry:
     def test_names_and_kinds(self):
         assert intrinsic_name("update_context") == "weval.update_context"
-        assert INTRINSICS["weval.push"].kind == "state"
-        assert INTRINSICS["weval.assert_const"].kind == "value"
         with pytest.raises(KeyError):
             intrinsic_name("bogus")
 

@@ -492,6 +492,167 @@ block0:
                 for y in grid:
                     assert PURE_FNS[op](x, y) == 1 - PURE_FNS[negation](x, y)
 
+    @staticmethod
+    def _run_both(text, calls, passes=(global_value_numbering,)):
+        """``text`` parsed, then run through ``passes``: the function,
+        after it verifies and computes on every call what the text
+        does."""
+        func = parse_function(text)
+        module = Module(memory_size=64)
+        module.add_function(clone(func))
+        expected = [VM(module).call("f", list(args)) for args in calls]
+        for run in passes:
+            run(func)
+        verify_function(func)
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert [VM(module).call("f", list(args))
+                for args in calls] == expected
+        return func
+
+    def test_an_edge_decides_the_same_and_the_negated_branch(self):
+        """Under ``v2``'s true arm a ``br_if v2`` is a jump to its true
+        arm; under its false arm a ``br_if`` on ``v2``'s negation,
+        computed in a dominator, is a jump to its true arm."""
+        text = """\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = ilt_u v0, v1
+  v3 = ige_u v0, v1
+  br_if v2, block1, block2
+block1:
+  br_if v2, block3, block4
+block2:
+  br_if v3, block5, block6
+block3:
+  return v0
+block4:
+  return v1
+block5:
+  return v1
+block6:
+  return v0
+}"""
+        func = parse_function(text)
+        assert global_value_numbering(func) == 2
+        assert func.blocks[1].terminator == Jump(BlockCall(3))
+        assert func.blocks[2].terminator == Jump(BlockCall(5))
+        self._run_both(text, [(1, 2), (2, 1), (5, 5), (MASK64, 0)])
+
+    def test_an_edge_decides_a_select(self):
+        """``v0`` is nonzero under its true arm and zero under its
+        false arm, so each ``select`` on it is a copy of one arm."""
+        text = """\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = iconst 0
+  br_if v0, block1, block2
+block1:
+  v3 = select v0, v1, v2
+  return v3
+block2:
+  v4 = select v0, v2, v1
+  return v4
+}"""
+        func = self._run_both(text, [(0, 7), (3, 7), (MASK64, 9)])
+        assert "select" not in ops(func)
+        assert func.blocks[1].terminator == Ret((1,))
+        assert func.blocks[2].terminator == Ret((1,))
+
+    def test_an_edge_decides_a_recomputed_compare(self):
+        """Under ``ilt_s v0, v1``'s arms, that compare recomputed and
+        its negation ``ige_s`` are constants in place."""
+        text = """\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = ilt_s v0, v1
+  br_if v2, block1, block2
+block1:
+  v3 = ige_s v0, v1
+  return v3
+block2:
+  v4 = ilt_s v0, v1
+  return v4
+}"""
+        func = parse_function(text)
+        assert global_value_numbering(func) == 2
+        assert ops(func) == ["ilt_s", "iconst", "iconst"]
+        assert [func.blocks[b].instrs[0].imm for b in (1, 2)] == [0, 0]
+        self._run_both(text, [(1, 2), (2, 1), (1 << 63, 0), (5, 5)])
+
+    def test_an_edge_decides_its_condition_only_in_its_subtree(self):
+        """A use of ``v2`` under its arms reads the entry block's 1 or
+        0; the join, which neither arm dominates, still reads ``v2``."""
+        text = """\
+func @f(v0: i64, v1: i64) -> i64 {
+block0:
+  v2 = ilt_u v0, v1
+  v3 = iconst 1
+  v4 = iconst 0
+  br_if v2, block1, block2
+block1:
+  jump block3(v2)
+block2:
+  v5 = imul v2, v0
+  jump block3(v5)
+block3(v6: i64):
+  v7 = iadd v6, v2
+  return v7
+}"""
+        func = parse_function(text)
+        assert global_value_numbering(func) == 2
+        assert func.blocks[1].terminator == Jump(BlockCall(3, (3,)))
+        assert func.blocks[2].instrs[0].args == (4, 0)
+        assert func.blocks[3].instrs[0].args == (6, 2)
+        self._run_both(text, [(1, 2), (2, 1), (0, MASK64)])
+
+    def test_an_edge_never_negates_an_ordered_float_compare(self):
+        """Under ``flt``'s false arm ``fge`` is not decided: on a NaN
+        operand both are 0."""
+        text = """\
+func @f(v0: f64, v1: f64) -> i64 {
+block0:
+  v2 = flt v0, v1
+  br_if v2, block1, block2
+block1:
+  v3 = fle v0, v1
+  return v3
+block2:
+  v4 = fge v0, v1
+  return v4
+}"""
+        func = parse_function(text)
+        assert global_value_numbering(func) == 0
+        assert ops(func) == ["flt", "fle", "fge"]
+        self._run_both(text, [(math.nan, 1.0), (1.0, math.nan),
+                              (1.0, 2.0), (2.0, 1.0)])
+
+    @pytest.mark.parametrize("branch", [
+        "br_if v2, block1, block1",
+        "br_table v2, [block1], default block4",
+    ])
+    def test_a_doubled_or_br_table_edge_decides_nothing(self, branch):
+        """``block1`` has one predecessor but is not entered by one arm
+        of a ``br_if``: its own ``br_if v2`` stays."""
+        text = f"""\
+func @f(v0: i64, v1: i64) -> i64 {{
+block0:
+  v2 = ilt_u v0, v1
+  {branch}
+block1:
+  br_if v2, block2, block3
+block2:
+  return v0
+block3:
+  return v1
+block4:
+  return v1
+}}"""
+        func = parse_function(text)
+        assert global_value_numbering(func) == 0
+        assert func.blocks[1].terminator.cond == 2
+        self._run_both(text, [(1, 2), (2, 1)])
+
     def test_loads_never_cse(self):
         # Loads are impure (stores may intervene): GVN must leave them.
         module, func = compiled_func("""
@@ -1077,24 +1238,66 @@ def _pure_ops(draw, ir, pools):
             ir.define(f"{op} {', '.join(f'v{a}' for a in args)}"))
 
 
+# The compare each ordered float compare would have as its negation if
+# NaN did not make both 0: a second test the walk must not decide.
+FLIPPED = {"flt": "fge", "fge": "flt", "fle": "fgt", "fgt": "fle"}
+
+
+def _head_compare(draw, ir, pools):
+    """A compare, integer or ordered float, defined to be the diamond's
+    ``br_if`` selector: ``(value, op, operands)``."""
+    op = draw(st.sampled_from(COMPARE_OPS))
+    ty = OPCODES[op].arg_types[0]
+    args = tuple(_operand(draw, ir, pools, ty) for _ in range(2))
+    value = ir.define(f"{op} v{args[0]}, v{args[1]}")
+    pools[I64].append(value)
+    return value, op, args
+
+
+def _second_test(draw, ir, head):
+    """In the current block, what to test again of the head's compare:
+    the compare itself, recomputed, its negation (an ordered float
+    compare's flip, which is not one), or ``ieq`` of it against 0."""
+    value, op, (a, b) = head
+    kind = draw(st.sampled_from(["itself", "same", "negation", "ieq"]))
+    if kind == "itself":
+        return value
+    if kind == "ieq":
+        return ir.define(f"ieq v{value}, v{ir.const(0)}")
+    if kind == "negation":
+        op = gvn.NEGATION.get(op) or FLIPPED[op]
+    return ir.define(f"{op} v{a}, v{b}")
+
+
 @st.composite
 def mid_end_functions(draw):
     """Straight-line code, or straight-line code around one diamond
-    whose arms each pass an i64 to the join; returns some value's
-    bits.  The diamond's head ends in a ``br_if`` or a ``br_table``
-    whose selector, drawn from the i64 pool, may be a constant: in
-    range, or one that takes the default."""
+    whose arms each pass an i64 to the join; returns some value's bits,
+    half the diamonds the joined value's.  The diamond's head ends in a
+    ``br_if``, whose arms may be one block, or a ``br_table``; the
+    selector, drawn from the i64 pool, may be a constant: in range, or
+    one that takes the default.  A ``br_if`` may test a compare of its
+    own, and then each arm may test it again (itself, recomputed,
+    negated or ``ieq`` against 0) before it reaches the join: what an
+    edge decides."""
     ir = IRText(HEADER, 3)
     pools = {I64: [0, 1, 2],
              F64: [ir.define(f"bits_itof v{p}") for p in range(3)]}
     _pure_ops(draw, ir, pools)
     branch = draw(st.sampled_from([None, "br_if", "br_table"]))
     if branch:
-        selector = draw(st.sampled_from(pools[I64]))
+        head = None
+        if branch == "br_if" and draw(st.booleans()):
+            head = _head_compare(draw, ir, pools)
+            selector = head[0]
+        else:
+            selector = draw(st.sampled_from(pools[I64]))
         arms = ir.block()[0], ir.block()[0]
         join, (joined,) = ir.block(1)
         if branch == "br_if":
-            ir.line(f"br_if v{selector}, block{arms[0]}, block{arms[1]}")
+            # Both arms may be the first: two edges into one block.
+            ir.line(f"br_if v{selector}, block{arms[0]}, "
+                    f"block{draw(st.sampled_from(arms))}")
         else:
             cases = draw(st.lists(st.sampled_from(arms), min_size=1,
                                   max_size=3))
@@ -1106,12 +1309,24 @@ def mid_end_functions(draw):
             ir.current = arm
             arm_pools = {ty: list(values) for ty, values in pools.items()}
             _pure_ops(draw, ir, arm_pools)
-            passed = draw(st.sampled_from(arm_pools[I64]))
-            ir.line(f"jump {target(join, [passed])}")
+            exits = [arm]
+            if head and draw(st.booleans()):
+                test = _second_test(draw, ir, head)
+                exits = ir.block()[0], ir.block()[0]
+                ir.line(f"br_if v{test}, block{exits[0]}, block{exits[1]}")
+            for leaf in exits:
+                ir.current = leaf
+                passed = draw(st.sampled_from(arm_pools[I64]))
+                ir.line(f"jump {target(join, [passed])}")
         ir.current = join
         pools[I64].append(joined)
         _pure_ops(draw, ir, pools)
-    result = draw(st.sampled_from(pools[I64] + pools[F64]))
+    # Half the diamonds return what the join received, so that which
+    # way each branch went shows in the result.
+    if branch and draw(st.booleans()):
+        result = joined
+    else:
+        result = draw(st.sampled_from(pools[I64] + pools[F64]))
     if result in pools[F64]:
         result = ir.define(f"bits_ftoi v{result}")
     ir.line(f"return v{result}")
@@ -1166,6 +1381,38 @@ block2:
   return v1
 }}""", calls=[(1 << 63, MASK64, 0), (MASK64, 1 << 63, 0),
               ((1 << 63) - 1, 1 << 63, 0), (1 << 63, 1 << 63, 0)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = flt v3, v4
+  br_if v6, block1, block2
+block1:
+  v7 = fle v3, v4
+  br_if v7, block3, block4
+block2:
+  v8 = fge v3, v4
+  br_if v8, block3, block4
+block3:
+  return v0
+block4:
+  return v1
+}}""", calls=[(NAN_1, 0, 0), (0, NAN_1, 0), (NAN_1, NAN_2, 0)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = ilt_u v0, v1
+  br_if v6, block1, block1
+block1:
+  br_if v6, block2, block3
+block2:
+  return v0
+block3:
+  return v1
+}}""", calls=[(1, 0, 0), (0, 1, 0)])
 @settings(max_examples=300, deadline=None)
 def test_mid_end_oracle(text, calls):
     """``optimize_function`` on a clone returns the bits the function
