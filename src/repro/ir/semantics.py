@@ -35,10 +35,15 @@ The helpers below are the ops too long for one expression; a trapping
 op raises :class:`VMTrap` (the folder reads that as "do not fold").
 
 A sized load or store is one row of :data:`LOADS`/:data:`STORES`, the
-only lowering of that access.  Its checked accessor (in
-:data:`HELPERS`, named by ``checked``) is the whole access: the bounds
-check, :func:`oob_trap`'s text, the codec, the sign extension and the
-store's width mask.  The IR VM runs it for guest accesses and for the
+only lowering of that access.  Its *effective address* is ``(base +
+offset) mod 2**64``, like every other address arithmetic in the IR, so
+``iadd``s of constants may be folded into an op's offset (and back)
+without changing what it reads, writes or traps at.  Its checked
+accessor (in :data:`HELPERS`, named by ``checked``) is the whole
+access: it is handed the unwrapped sum, wraps it on its out-of-bounds
+branch alone, and does the bounds check, :func:`oob_trap`'s text (of
+the wrapped address), the codec, the sign extension and the store's
+width mask.  The IR VM runs it for guest accesses and for the
 host's word access (``VM.load_u64``/``store_u64``), and the
 specializer's constant-memory fold runs it over the snapshot.  A row's
 ``text`` is the two lines compiled code prints for the access, which
@@ -70,8 +75,9 @@ class VMTrap(Exception):
 
 
 def oob_trap(op: str, addr: int) -> VMTrap:
-    """The trap of the sized load or store ``op`` at an address out of
-    the heap's bounds, raised before memory is touched."""
+    """The trap of the sized load or store ``op`` at an effective
+    address (in ``[0, 2**64)``) out of the heap's bounds, raised before
+    memory is touched."""
     return VMTrap(f"oob {op} at {addr:#x}")
 
 
@@ -338,8 +344,12 @@ def _checked_load(op: str, row: MemOp) -> Callable:
     size, signed, get = row.size, row.signed, _CODEC_FNS.get(row.codec)
 
     def load(M, a):
+        # The effective address is ``a mod 2**64``; only an ``a`` outside
+        # the heap can differ from it, so only that branch wraps.
         if a < 0 or a + size > len(M):
-            raise oob_trap(op, a)
+            a &= MASK64
+            if a + size > len(M):
+                raise oob_trap(op, a)
         raw = M[a] if get is None else get(M, a)[0]
         return _sext(raw, size * 8) if signed else raw
     load.__name__ = load.__qualname__ = row.checked
@@ -353,7 +363,9 @@ def _checked_store(op: str, row: MemOp) -> Callable:
 
     def store(M, a, value):
         if a < 0 or a + size > len(M):
-            raise oob_trap(op, a)
+            a &= MASK64
+            if a + size > len(M):
+                raise oob_trap(op, a)
         put(M, a, value if mask is None else value & mask)
     store.__name__ = store.__qualname__ = row.checked
     return store

@@ -34,8 +34,11 @@ far and read through the edge facts, is in order:
 1. a *copy* when an algebraic identity makes it one of its operands
    (``iadd x, 0``, ``imul x, 1``, ``iand x, ~0``, a ``select`` whose
    arms agree or whose condition is constant or decided by an edge,
-   ``ine c, 0`` of a compare ``c``, which is already 0 or 1;
-   :func:`_copy_source`).  The operand's definition dominates the
+   ``ine c, 0`` of a compare ``c``, which is already 0 or 1, a bit cast
+   of its inverse cast, ``bits_itof(bits_ftoi f)`` or
+   ``bits_ftoi(bits_itof i)``, exact on every bit since both rows copy
+   the 64 bits through the scratch word; :func:`_copy_source`).  The
+   operand's definition (or the inner cast's) dominates the
    instruction's, so its uses may read the operand instead;
 2. *negated* in place when it is ``ieq c, 0`` of a compare ``c`` whose
    negation is exact (:data:`NEGATION`): it becomes that negation over
@@ -48,6 +51,11 @@ far and read through the edge facts, is in order:
 4. *decided* in place to ``iconst 1`` / ``0`` when it is a compare whose
    expression key an edge decided;
 5. *numbered*: dropped if an equal expression dominates it.
+
+A block's ``br_if`` then tests what its condition's zero test tests:
+``br_if (ine x, 0), T, F`` becomes ``br_if x, T, F`` and ``br_if (ieq x,
+0), T, F`` becomes ``br_if x, F, T``, exact because ``br_if`` branches
+on any nonzero value; the zero test is left to DCE.
 
 Commutative operand lists are sorted so ``iadd a, b`` unifies with
 ``iadd b, a``.  Float immediates are keyed by their bits (``_bits_ftoi``,
@@ -100,6 +108,11 @@ for _a, _b in (("ieq", "ine"), ("ilt_s", "ige_s"), ("ilt_u", "ige_u"),
 # The ops whose result is a compare's 0 or 1.
 COMPARES = {*NEGATION, "flt", "fle", "fgt", "fge"}
 
+# Each bit cast mapped to its inverse: both copy the 64 bits through
+# the scratch word, NaN payloads included, so a cast of the inverse
+# cast of ``x`` is ``x``.
+ROUND_TRIP = {"bits_itof": "bits_ftoi", "bits_ftoi": "bits_itof"}
+
 
 def _imm_key(imm: object) -> object:
     if isinstance(imm, float):
@@ -118,14 +131,27 @@ def _zero_tested(args: tuple, consts: Dict[int, object]) -> Optional[int]:
     return None
 
 
+def _compare(kept: Dict[int, tuple], value: Optional[int]
+             ) -> Optional[tuple]:
+    """``(op, operands)`` of ``value`` when ``kept`` holds it as a
+    compare, else None."""
+    shape = kept.get(value)
+    return shape if shape is not None and shape[0] in COMPARES else None
+
+
 def _copy_source(op: str, args: tuple, consts: Dict[int, object],
-                 compares: Dict[int, tuple]) -> Optional[int]:
-    """The value id ``op(args)`` is an alias of, or None.  ``compares``
-    holds the compares defined so far, value id -> ``(op, args)``."""
+                 kept: Dict[int, tuple]) -> Optional[int]:
+    """The value id ``op(args)`` is an alias of, or None.  ``kept``
+    holds the pure instructions kept so far, value id -> ``(op,
+    args)``."""
     const = consts.get
     if op == "ine":
         tested = _zero_tested(args, consts)
-        return tested if tested in compares else None
+        return tested if _compare(kept, tested) is not None else None
+    if op in ROUND_TRIP:
+        inner = kept.get(args[0])
+        if inner is not None and inner[0] == ROUND_TRIP[op]:
+            return inner[1][0]
     if op == "iadd":
         if const(args[1]) == 0:
             return args[0]
@@ -165,7 +191,8 @@ def global_value_numbering(func: Function) -> int:
     """Propagate copies, fold constants, fold what branch edges decide,
     and eliminate dominated redundant pure computations; returns the
     number of instructions removed, hoisted, folded or decided, plus
-    the operands read as an edge's constant."""
+    the operands read as an edge's constant and the zero tests peeled
+    off ``br_if`` conditions."""
     if func.entry is None or func.entry not in func.blocks:
         return 0
     domtree = DominatorTree(func)
@@ -206,10 +233,11 @@ def global_value_numbering(func: Function) -> int:
         block.instrs = kept
 
     consts = constants(func)
-    folded = negated = decided = 0
-    # The compares the walk has kept: value id -> (op, operands).  A
-    # value's definition dominates its uses, so one map serves the walk.
-    compares: Dict[int, tuple] = {}
+    folded = negated = decided = peeled = 0
+    # The pure instructions the walk has kept: value id -> (op,
+    # operands).  A value's definition dominates its uses, so one map
+    # serves the walk.
+    kept: Dict[int, tuple] = {}
 
     # What holds on the walk's current dominator path, undone on the
     # way back up: ``available`` maps an expression key to the value
@@ -246,8 +274,9 @@ def global_value_numbering(func: Function) -> int:
             if value in consts:
                 continue
             learned = [(value, truth)]
-            if value in compares:
-                op, args = compares[value]
+            shape = _compare(kept, value)
+            if shape is not None:
+                op, args = shape
                 keys = [((op, None, args), truth)]
                 if op in NEGATION:
                     keys.append(((NEGATION[op], None, args), not truth))
@@ -271,7 +300,7 @@ def global_value_numbering(func: Function) -> int:
         nonlocal decided
         value = resolve(subst, value)
         truth = facts.get(value)
-        if truth is None or truth and value not in compares:
+        if truth is None or truth and _compare(kept, value) is None:
             return value
         constant = pool.get(("iconst", int(truth)))
         if constant is None:
@@ -312,14 +341,14 @@ def global_value_numbering(func: Function) -> int:
             if instr.op == "select" and args[0] in facts:
                 source = args[1] if facts[args[0]] else args[2]
             else:
-                source = _copy_source(instr.op, args, consts, compares)
+                source = _copy_source(instr.op, args, consts, kept)
             if source is not None:
                 subst[instr.result] = source
                 dead.add(id(instr))
                 replaced += 1
                 continue
             if instr.op == "ieq":
-                tested = compares.get(_zero_tested(args, consts))
+                tested = _compare(kept, _zero_tested(args, consts))
                 if tested is not None and tested[0] in NEGATION:
                     instr.op = NEGATION[tested[0]]
                     instr.args = args = tested[1]
@@ -351,10 +380,22 @@ def global_value_numbering(func: Function) -> int:
                 replaced += 1
             else:
                 record(available, key, instr.result)
-                if instr.op in COMPARES:
-                    compares[instr.result] = (instr.op, args)
+                kept[instr.result] = (instr.op, args)
 
         term = block.terminator
+        while isinstance(term, BrIf):
+            # ``br_if`` branches on nonzero, so it may test what a zero
+            # test tests: ``ine x, 0`` as ``x``, ``ieq x, 0`` as ``x``
+            # with the arms swapped.
+            op, args = kept.get(resolve(subst, term.cond), ("", ()))
+            tested = (_zero_tested(args, consts)
+                      if op in ("ine", "ieq") else None)
+            if tested is None:
+                break
+            arms = (term.if_true, term.if_false)
+            term = block.terminator = BrIf(
+                tested, *(arms if op == "ine" else arms[::-1]))
+            peeled += 1
         if facts and term is not None:
             if isinstance(term, BrIf):
                 truth = facts.get(resolve(subst, term.cond))
@@ -373,4 +414,4 @@ def global_value_numbering(func: Function) -> int:
         substitute_values(func, subst)
     # Hoists count as changes: they mutate the IR (converging after one
     # round — a hoisted constant is never hoisted again).
-    return replaced + hoisted + folded + negated + decided
+    return replaced + hoisted + folded + negated + decided + peeled

@@ -1,4 +1,4 @@
-"""Redundant-load forwarding across basic blocks.
+"""Redundant-load forwarding across basic blocks, and address rebasing.
 
 Residual code out of the specializer re-loads lifted interpreter state
 (register arrays, frame slots) many times between stores.  This pass
@@ -12,7 +12,10 @@ removes a load when the loaded value is already available:
 
 Addresses are tracked symbolically as ``(base value, byte offset)``
 descriptors, computed by looking through ``iadd``/``isub``-with-constant
-chains and folding in each memory op's static immediate offset.  Two
+chains and folding in each memory op's static immediate offset
+(:func:`_addr_of`, the one address-chain walker).  An op's effective
+address is ``(base + offset) mod 2**64`` (:mod:`repro.ir.semantics`),
+as ``iadd`` wraps, so the descriptor is exactly the address.  Two
 accesses with the *same* base and disjoint offset ranges (modulo 2^64)
 cannot alias; everything else conservatively may, so a store kills all
 facts it cannot be proven disjoint from, and calls kill everything
@@ -29,6 +32,13 @@ guarantees the forwarded definition dominates the rewritten use.
 Dropping a forwarded load preserves traps: the surviving access touches
 the same address with the same width, so it traps exactly when the
 dropped load would have.
+
+The same rewrite walk *rebases* every surviving load and store onto its
+descriptor: when the base is a value (not an absolute address) and the
+offset lies in ``[0, MAX_OFFSET)``, the op addresses the base at that
+offset directly, the way an instruction selector folds an add into an
+addressing mode.  It reads, writes and traps at the same effective
+address, and the chain's ``iadd``/``isub`` left without a use is DCE's.
 """
 
 from __future__ import annotations
@@ -43,6 +53,11 @@ from repro.opt.util import substitute_values
 
 # Full-width stores whose operand is bit-identical to a matching load.
 STORE_TO_LOAD = {"store64": "load64", "storef64": "loadf64"}
+
+# A memory op is rebased onto its address chain's base only when the
+# chain's net offset is below this: offsets stay small and non-negative,
+# and a net-negative delta (an offset near 2**64) stays in its ``isub``.
+MAX_OFFSET = 2 ** 31
 
 # (base value id or None for absolute, byte offset in [0, 2**64)).
 Addr = Tuple[Optional[int], int]
@@ -94,16 +109,14 @@ def _disjoint(a: Addr, a_size: int, b: Addr, b_size: int) -> bool:
     return forward >= a_size and backward >= b_size
 
 
-def _apply_instr(facts: Facts, defs: Dict[int, Instr],
-                 instr: Instr) -> None:
-    """Transfer function for one instruction (mutates ``facts``)."""
+def _apply_instr(facts: Facts, instr: Instr, addr: Optional[Addr]) -> None:
+    """Transfer function for one instruction (mutates ``facts``);
+    ``addr`` is a memory op's descriptor."""
     op = instr.op
-    info = instr.info()
-    if info.is_call:
+    if instr.info().is_call:
         facts.clear()
         return
     if op in STORES:
-        addr = _addr_of(defs, instr.args[0], instr.imm)
         size = STORES[op].size
         for key in list(facts):
             load_op, base, offset = key
@@ -114,7 +127,6 @@ def _apply_instr(facts: Facts, defs: Dict[int, Instr],
             facts[(forwarded, addr[0], addr[1])] = instr.args[1]
         return
     if op in LOADS:
-        addr = _addr_of(defs, instr.args[0], instr.imm)
         # setdefault, not assignment: when a fact for this address
         # already exists, the earlier (dominating) value must survive,
         # or facts would never stabilize across loop back edges and
@@ -129,13 +141,20 @@ def _meet(a: Optional[Facts], b: Facts) -> Facts:
 
 
 def forward_loads(func: Function) -> int:
-    """Forward redundant loads; returns the number of loads removed."""
+    """Forward redundant loads and rebase memory ops on their address
+    chain's base; returns the number of loads removed plus the number
+    of ops rebased."""
     if func.entry is None or func.entry not in func.blocks:
         return 0
     defs = _build_defs(func)
     order = reverse_postorder(func)
     reachable = set(order)
     preds = predecessors(func)
+    # Each memory op's descriptor, resolved once: id(instr) -> Addr.
+    addrs: Dict[int, Addr] = {
+        id(instr): _addr_of(defs, instr.args[0], instr.imm)
+        for bid in order for instr in func.blocks[bid].instrs
+        if instr.op in LOADS or instr.op in STORES}
 
     # Optimistic fixpoint: None is top (not yet computed).
     avail_out: Dict[int, Optional[Facts]] = {bid: None for bid in order}
@@ -159,28 +178,37 @@ def forward_loads(func: Function) -> int:
             avail_in[bid] = in_facts
             out = dict(in_facts)
             for instr in func.blocks[bid].instrs:
-                _apply_instr(out, defs, instr)
+                _apply_instr(out, instr, addrs.get(id(instr)))
             if out != avail_out[bid]:
                 avail_out[bid] = out
                 changed = True
 
     subst: Dict[int, int] = {}
-    removed = 0
+    removed = rebased = 0
     for bid in order:
         facts = dict(avail_in[bid])
         block = func.blocks[bid]
         kept = []
         for instr in block.instrs:
-            if instr.op in LOADS:
-                addr = _addr_of(defs, instr.args[0], instr.imm)
-                key = (instr.op, addr[0], addr[1])
-                hit = facts.get(key)
-                if hit is not None and hit != instr.result:
-                    subst[instr.result] = hit
-                    removed += 1
-                    continue
-            _apply_instr(facts, defs, instr)
+            addr = addrs.get(id(instr))
+            if addr is not None:
+                if instr.op in LOADS:
+                    hit = facts.get((instr.op, addr[0], addr[1]))
+                    if hit is not None and hit != instr.result:
+                        subst[instr.result] = hit
+                        removed += 1
+                        continue
+                base, offset = addr
+                if (base is not None and offset < MAX_OFFSET
+                        and (base, offset) != (instr.args[0], instr.imm or 0)):
+                    # The base's definition dominates the chain's, so
+                    # the op may address it directly; the chain's
+                    # ``iadd``s are left to DCE.
+                    instr.args = (base,) + instr.args[1:]
+                    instr.imm = offset
+                    rebased += 1
+            _apply_instr(facts, instr, addr)
             kept.append(instr)
         block.instrs = kept
     substitute_values(func, subst)
-    return removed
+    return removed + rebased

@@ -3,10 +3,10 @@ folding, and straight-line block merging.
 
 Jump threading has one rule (:func:`thread_jumps`): an edge into an
 empty *forwarder* block whose terminator is decided for that edge — a
-``jump``, or a ``br_if`` / ``br_table`` on a constant the edge passes —
-is retargeted to the decided successor.  A branch decided in its own
-block — its selector is a constant, or its arms agree — is collapsed to
-a plain jump (:func:`fold_branches`)."""
+``jump``, whatever its arguments, or a ``br_if`` / ``br_table`` on a
+constant the edge passes — is retargeted to the decided successor.  A
+branch decided in its own block — its selector is a constant, or its
+arms agree — is collapsed to a plain jump (:func:`fold_branches`)."""
 
 from __future__ import annotations
 
@@ -129,14 +129,14 @@ def thread_jumps(func: Function,
     terminator the edge decides, composing block arguments through the
     forwarder's parameter bindings, and chase chains of them.
 
-    An edge decides a ``jump`` whose arguments are all the forwarder's
-    own parameters, and a ``br_if`` / ``br_table`` whose selector it
-    binds to a constant (``consts``, :func:`~repro.opt.util.constants`
-    by default).
+    An edge decides a ``jump``, whatever its arguments, and a ``br_if``
+    / ``br_table`` whose selector it binds to a constant (``consts``,
+    :func:`~repro.opt.util.constants` by default).
 
-    No dominance is needed.  A forwarder F's terminator names only F's
-    parameters and values defined in blocks that dominate F.  Every path
-    to a predecessor of F extends to a path to F, so those blocks also
+    No dominance is needed.  A forwarder F defines nothing, so its
+    terminator names only F's parameters, which the edge binds, and
+    values defined in blocks that strictly dominate F.  Every path to a
+    predecessor of F extends to a path to F, so those blocks also
     dominate each predecessor, and the shortcut edge stays in SSA form;
     by induction so does each step of a chain.
 
@@ -157,8 +157,6 @@ def thread_jumps(func: Function,
         binding = {param: arg
                    for (param, _ty), arg in zip(block.params, call.args)}
         if isinstance(term, Jump):
-            if not all(arg in binding for arg in term.target.args):
-                return None
             decided = term.target
         elif isinstance(term, (BrIf, BrTable)):
             selector = term.cond if isinstance(term, BrIf) else term.index

@@ -98,7 +98,11 @@ from repro.ir.parser import IRParseError, parse_function, parse_header
 # payload, so residual bytes move.
 # 9: the folder gives ``fdiv`` of a NaN over ±0 the NaN, not ±inf.
 # 10: GVN folds what a dominating ``br_if`` edge decided (edge facts).
-ARTIFACT_VERSION = 10
+# 11: an effective address is ``(base + offset) mod 2**64`` and
+# load-forward rebases a memory op onto its address chain's base; GVN
+# peels a ``br_if``'s zero test and drops bit-cast round trips;
+# jump threading carries non-parameter ``jump`` arguments.
+ARTIFACT_VERSION = 11
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part
@@ -120,7 +124,9 @@ ARTIFACT_VERSION = 10
 # constants print as literals.
 # 12: a compare row is ``1 if <cmp> else 0`` and ``_int`` is gone; the
 # float rows take an inline fast path.
-EMITTER_VERSION = 12
+# 13: the pinned corpus re-specializes into the residuals of
+# ARTIFACT_VERSION 11, so its emitted bytes move with them.
+EMITTER_VERSION = 13
 
 HIT = "hit"
 MISS = "miss"

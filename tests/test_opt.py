@@ -21,7 +21,14 @@ from repro.ir import (
 )
 from repro.ir.instructions import MASK64, OPCODES, BlockCall, Jump, Ret
 from repro.ir.printer import float_text
-from repro.ir.semantics import PURE_EXPRS, PURE_FNS, _bits_ftoi, _bits_itof
+from repro.ir.semantics import (
+    LOADS,
+    PURE_EXPRS,
+    PURE_FNS,
+    STORES,
+    _bits_ftoi,
+    _bits_itof,
+)
 from repro.opt import (
     PASSES,
     gvn,
@@ -38,6 +45,7 @@ from repro.vm import VM, OutOfFuel, VMTrap
 
 from tests.helpers import (
     COMPARE_OPS,
+    FLOAT_BIT_PATTERNS,
     IRText,
     assert_text_round_trips,
     clone,
@@ -733,6 +741,71 @@ block0:
         module.add_function(func)
         assert VM(module).call("f", [1]) == (1 << 64) - 1
 
+    @pytest.mark.parametrize("test,arms", [("ine", (1, 2)),
+                                           ("ieq", (2, 1))])
+    def test_a_br_if_tests_what_a_zero_test_tests(self, test, arms):
+        """``br_if (ine x, 0)`` is ``br_if x`` and ``br_if (ieq x, 0)``
+        is ``br_if x`` with its arms swapped: ``br_if`` branches on any
+        nonzero value, so the zero test dies."""
+        func = parse_function(f"""\
+func @f(v0: i64) -> i64 {{
+block0:
+  v1 = iconst 0
+  v2 = {test} v1, v0
+  v3 = iconst 10
+  v4 = iconst 20
+  br_if v2, block1, block2
+block1:
+  return v3
+block2:
+  return v4
+}}""")
+        module = Module(memory_size=64)
+        module.add_function(clone(func))
+        calls = (0, 1, 2, MASK64)
+        expected = [VM(module).call("f", [x]) for x in calls]
+        assert global_value_numbering(func) == 1
+        eliminate_dead_code(func)
+        verify_function(func)
+        term = func.entry_block().terminator
+        assert (term.cond, term.if_true.block, term.if_false.block) == \
+            (0, *arms)
+        assert test not in ops(func)
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert [VM(module).call("f", [x]) for x in calls] == expected
+
+    @pytest.mark.parametrize("outer,inner,ty", [
+        ("bits_itof", "bits_ftoi", "f64"), ("bits_ftoi", "bits_itof", "i64")])
+    def test_a_bit_cast_round_trip_is_a_copy(self, outer, inner, ty):
+        """A cast of the inverse cast of ``x`` is ``x`` to the bit, NaN
+        payloads (quiet and signalling) included."""
+        func = parse_function(f"""\
+func @f(v0: {ty}) -> {ty} {{
+block0:
+  v1 = {inner} v0
+  v2 = {outer} v1
+  return v2
+}}""")
+        def _bits(value):
+            return _bits_ftoi(value) if type(value) is float else value
+
+        module = Module(memory_size=64)
+        module.add_function(clone(func))
+        # A signalling NaN beside the helpers' patterns.
+        patterns = FLOAT_BIT_PATTERNS + (0x7FF4000000000002,)
+        calls = ([_bits_itof(b) for b in patterns] if ty == "f64"
+                 else list(patterns))
+        expected = [_bits(VM(module).call("f", [x])) for x in calls]
+        assert expected == [_bits(x) for x in calls]
+        assert global_value_numbering(func) == 1
+        eliminate_dead_code(func)
+        assert ops(func) == []
+        module = Module(memory_size=64)
+        module.add_function(func)
+        assert [_bits(VM(module).call("f", [x]))
+                for x in calls] == expected
+
 
 class TestLoadForward:
     def test_load_load_same_block(self):
@@ -762,8 +835,12 @@ u64 f(u64 p) {
 }
 """, "f")
         optimize_function(func, config="none")  # merge blocks only
-        assert forward_loads(func) == 1
+        # The forwarded reload, plus the store rebased onto p at +8.
+        assert forward_loads(func) == 2
         verify_function(func)
+        (store,) = [i for i in func.entry_block().instrs
+                    if i.op == "store64"]
+        assert (store.args[0], store.imm) == (0, 8)  # v0 is p
 
     def test_store_to_unknown_base_kills(self):
         module, func = compiled_func("""
@@ -880,6 +957,99 @@ block0:
         module.add_function(func)
         assert VM(module).call("f", [64, 0x1FF]) == 0xFF
 
+    @staticmethod
+    def _rebase(body, args):
+        """``body`` (the blocks of ``f(v0, v1)``) through load-forward
+        and DCE: ``(changes, the function)``, after checking the VM result or trap text, and the heap, against
+        the unoptimized function at each argument list of ``args``."""
+        text = f"func @f(v0: i64, v1: i64) -> i64 {{\n{body}}}"
+        module = Module(memory_size=4096)
+        module.add_function(parse_function(text, module))
+        func = parse_function(text.replace("@f(", "@g("), module)
+        changes = forward_loads(func)
+        verify_function(func, module)
+        eliminate_dead_code(func)
+        module.add_function(func)
+        for call_args in args:
+            runs = []
+            for name in ("f", "g"):
+                vm = VM(module)
+                vm.memory[:4096] = bytes(range(256)) * 16
+                try:
+                    result = vm.call(name, list(call_args))
+                except VMTrap as trap:
+                    result = str(trap)
+                runs.append((result, bytes(vm.memory)))
+            assert runs[0] == runs[1], call_args
+        return changes, func
+
+    @staticmethod
+    def _memory_ops(func):
+        """``func``'s loads and stores as ``(op, base, offset)``."""
+        return [(i.op, i.args[0], i.imm)
+                for b in func.blocks.values() for i in b.instrs
+                if i.op in LOADS or i.op in STORES]
+
+    def test_a_load_is_rebased_onto_its_chains_base(self):
+        """``load64 +8 ((v0 + 16) + 8)`` becomes ``load64 +32 v0``: the
+        ``iadd``s die, and the sum wraps past 2**64 as the chain did."""
+        changes, func = self._rebase("""\
+block0:
+  v2 = iconst 16
+  v3 = iadd v0, v2
+  v4 = iconst 8
+  v5 = iadd v4, v3
+  v6 = load64 +8 v5
+  return v6
+""", [(64, 0), (MASK64 - 15, 0)])
+        assert changes == 1
+        assert ops(func) == ["load64"]
+        assert self._memory_ops(func) == [("load64", 0, 32)]
+
+    def test_a_store_is_rebased_onto_its_chains_base(self):
+        changes, func = self._rebase("""\
+block0:
+  v2 = iconst 24
+  v3 = iadd v0, v2
+  store64 v3, v1
+  v4 = iconst 0
+  return v4
+""", [(64, 7), (MASK64 - 7, 7)])
+        assert changes == 1
+        assert self._memory_ops(func) == [("store64", 0, 24)]
+
+    def test_an_address_with_another_use_is_kept(self):
+        """The load is rebased; its ``iadd``, read again, stays."""
+        changes, func = self._rebase("""\
+block0:
+  v2 = iconst 16
+  v3 = iadd v0, v2
+  v4 = load64 v3
+  v5 = iadd v4, v3
+  return v5
+""", [(64, 0)])
+        assert changes == 1
+        assert ops(func) == ["iconst", "iadd", "load64", "iadd"]
+        assert self._memory_ops(func) == [("load64", 0, 16)]
+
+    @pytest.mark.parametrize("address", [
+        # An absolute address: the constant base is no value to rebase on.
+        "v2 = iconst 64\n  v3 = iadd v2, v2",
+        # A net offset of 2**31: past the bound.
+        f"v2 = iconst {2 ** 31 - 8}\n  v3 = iadd v0, v2",
+        # A net-negative delta, which is an offset near 2**64.
+        "v2 = iconst 16\n  v3 = isub v0, v2",
+    ], ids=["absolute", "offset-2**31", "net-negative"])
+    def test_an_address_is_left_alone(self, address):
+        changes, func = self._rebase(f"""\
+block0:
+  {address}
+  v4 = load64 +8 v3
+  return v4
+""", [(64, 0), (MASK64 - 7, 0), (1 << 31, 0)])
+        assert changes == 0
+        assert self._memory_ops(func) == [("load64", 3, 8)]
+
 
 # A constant edge into a forwarder: block0 passes 1 into block1, whose
 # br_if decides on that parameter; block4 passes the runtime x.
@@ -941,16 +1111,24 @@ block4:
 }
 
 
+def _entry_targets(func):
+    """The entry block's edges as ``(block, args)`` pairs."""
+    return [(c.block, tuple(c.args))
+            for c in func.entry_block().terminator.targets()]
+
+
 class TestJumpThreading:
     def test_threads_constant_edge(self):
         func = parse_function(CONST_FORWARDER)
         threaded = thread_jumps(func)
-        assert threaded == 1
+        # The constant edge, past block1 to block2, and the runtime edge,
+        # past block4 to block1(v0).
+        assert threaded == 2
         verify_function(func)
         entry_term = func.entry_block().terminator
         # The constant edge now bypasses the forwarder entirely.
         targets = [c.block for c in entry_term.targets()]
-        assert func.blocks and all(t in func.blocks for t in targets)
+        assert targets == [1, 2]
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [0]) == 10  # const edge: cond=1
@@ -961,8 +1139,11 @@ class TestJumpThreading:
         definition on the threaded path: the edge stays, the function
         verifies, and the default pipeline computes ``p + 10``."""
         func = parse_function(PARAM_READERS["t"])
-        assert thread_jumps(func) == 0
+        # Only block4's ``jump block1(v0)`` is threaded: block1 is not
+        # bypassed.
+        assert thread_jumps(func) == 1
         verify_function(func)
+        assert _entry_targets(func) == [(1, (0,)), (1, (2,))]
         monkeypatch.setenv("REPRO_OPT_VERIFY", "1")
         optimize_function(func)
         module = Module(memory_size=64)
@@ -975,9 +1156,11 @@ class TestJumpThreading:
         ``p``: bypassing ``fwd`` would be SSA-valid, but ``fwd`` is not a
         forwarder under the one rule, so the edge stays."""
         func = parse_function(PARAM_READERS["f"])
-        before = print_function(func)
-        assert thread_jumps(func) == 0
-        assert print_function(func) == before
+        # Only block4's ``jump block1(v0)`` is threaded: block1 is not
+        # bypassed.
+        assert thread_jumps(func) == 1
+        verify_function(func)
+        assert _entry_targets(func) == [(1, (0,)), (1, (2,))]
         module = Module(memory_size=64)
         module.add_function(func)
         assert VM(module).call("f", [0]) == 10
@@ -1072,15 +1255,29 @@ def forwarder_cfgs(draw):
     return parse_function(ir.text())
 
 
-def _outcome(func, args):
-    module = Module(memory_size=64)
+# The 64-byte heap ``f`` runs over: bytes of both signs, so a narrow
+# signed load reads negative and non-negative values.
+HEAP = bytes((i * 37 + 0x5B) & 0xFF for i in range(64))
+
+
+def _run(func, args):
+    """``(outcome, heap afterwards)`` of ``f(*args)`` on a fresh VM over
+    :data:`HEAP`."""
+    module = Module(memory_size=len(HEAP))
+    module.write_init(0, HEAP)
     module.add_function(clone(func))
+    vm = VM(module, fuel_limit=2000)
     try:
-        return "value", VM(module, fuel_limit=2000).call("f", list(args))
+        outcome = "value", vm.call("f", list(args))
     except VMTrap as trap:
-        return "trap", str(trap)
+        outcome = "trap", str(trap)
     except OutOfFuel:
-        return "fuel", None
+        outcome = "fuel", None
+    return outcome, bytes(vm.memory)
+
+
+def _outcome(func, args):
+    return _run(func, args)[0]
 
 
 @given(forwarder_cfgs())
@@ -1189,6 +1386,9 @@ FLOAT_EDGES = (0.0, -0.0, math.inf, -math.inf,
 # What the function's three i64 parameters are called with: the int
 # edges, and the float edges as their bits.
 EDGE_BITS = INT_EDGES + tuple(_bits_ftoi(x) for x in FLOAT_EDGES)
+# And addresses at either end of the 64-bit space, so that an address
+# chain over a parameter wraps past 2**64 into the heap (or below 0).
+ADDRESS_BITS = (8, 40, MASK64 - 7, MASK64 - 39)
 HEADER = "func @f(v0: i64, v1: i64, v2: i64) -> i64 {"
 
 
@@ -1220,12 +1420,42 @@ def _compare_test(draw, ir, pools):
     pools[I64] += [compare, ir.define(f"{test} v{pair[0]}, v{pair[1]}")]
 
 
+def _memory_op(draw, ir, pools):
+    """A load or store at an offset from a chain of ``iadd``/``isub`` of
+    constants over a parameter or an earlier i64: what load-forward
+    rebases onto the chain's base when the net offset is small and not
+    negative."""
+    address = draw(st.sampled_from([0, 1, 2] if draw(st.booleans())
+                                    else pools[I64]))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["iadd", "isub"]))
+        delta = ir.const(draw(st.integers(-24, 24)) & MASK64)
+        pair = [address, delta]
+        if op == "iadd" and draw(st.booleans()):
+            pair.reverse()
+        address = ir.define(f"{op} v{pair[0]}, v{pair[1]}")
+    offset = draw(st.sampled_from([0, 8, 16]))
+    at = f" +{offset}" if offset else ""
+    op = draw(st.sampled_from(sorted(LOADS) + sorted(STORES)))
+    if op in LOADS:
+        ty = F64 if LOADS[op].float else I64
+        pools[ty].append(ir.define(f"{op}{at} v{address}"))
+    else:
+        ty = F64 if STORES[op].float else I64
+        ir.line(f"{op}{at} v{address}, v{_operand(draw, ir, pools, ty)}")
+
+
 def _pure_ops(draw, ir, pools):
     """A few pure ops in the current block, over ``pools`` (a value
-    list per type); most of their results stay dead."""
+    list per type), and now and then a load or store; most of their
+    results stay dead."""
     for _ in range(draw(st.integers(1, 6))):
-        if not draw(st.integers(0, 3)):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
             _compare_test(draw, ir, pools)
+            continue
+        if kind == 1:
+            _memory_op(draw, ir, pools)
             continue
         op = draw(st.sampled_from(sorted(PURE_EXPRS)))
         if op == "select":
@@ -1334,7 +1564,8 @@ def mid_end_functions(draw):
 
 
 @given(text=mid_end_functions(),
-       calls=st.lists(st.tuples(*[st.sampled_from(EDGE_BITS)] * 3),
+       calls=st.lists(st.tuples(*[st.sampled_from(EDGE_BITS
+                                                  + ADDRESS_BITS)] * 3),
                       min_size=1, max_size=4))
 @example(text=f"""{HEADER}
 block0:
@@ -1413,10 +1644,24 @@ block2:
 block3:
   return v1
 }}""", calls=[(1, 0, 0), (0, 1, 0)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = iconst 16
+  v7 = iadd v0, v6
+  store32 +8 v7, v1
+  v8 = iconst 8
+  v9 = isub v7, v8
+  v10 = load64 +8 v9
+  return v10
+}}""", calls=[(MASK64 - 7, MASK64, 0), (MASK64 - 39, 1, 0), (40, 1, 0)])
 @settings(max_examples=300, deadline=None)
 def test_mid_end_oracle(text, calls):
     """``optimize_function`` on a clone returns the bits the function
-    returns on the VM, or traps with the same text."""
+    returns on the VM, or traps with the same text, and leaves the same
+    heap."""
     note(text)
     original = parse_function(text)
     optimized = clone(original)
@@ -1424,4 +1669,4 @@ def test_mid_end_oracle(text, calls):
     verify_function(optimized)
     note(print_function(optimized, order="id"))
     for args in calls:
-        assert _outcome(optimized, args) == _outcome(original, args), args
+        assert _run(optimized, args) == _run(original, args), args

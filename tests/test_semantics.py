@@ -12,8 +12,9 @@ is the executable statement of it:
   structured-emitted ≡ emitted through the forced fallback
   (:data:`tests.helpers.EMIT_LEGS`), trap messages byte-equal, only
   ``VMTrap`` ever escapes, i64 results stay in ``[0, 2**64)``;
-* **memory grid** — every sized load/store at in-range, last-byte,
-  straddling, out-of-bounds and negative addresses, and at the aligned
+* **memory grid** — every sized load/store, whose effective address is
+  ``(addr + offset) mod 2**64``, at in-range, last-byte, straddling,
+  out-of-bounds, negative and wrapping addresses, and at the aligned
   words either side of where compiled code's typed heap views end
   (``P - w`` and ``P``) and the last aligned word in bounds, with and
   without a static offset, on heaps of 0, 1, 7, 8, 64 and
@@ -56,8 +57,9 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import emit_function_source
 from repro.backend.runtime import BACKEND_GLOBALS
 from repro.core.lattice import ConstMemoryImage, fold_pure_op
-from repro.core.specialize import SpecializeOptions
-from repro.ir import F64, I64, Module, parse_function
+from repro.core.request import SpecializationRequest, SpecializedMemory
+from repro.core.specialize import SpecializeOptions, specialize
+from repro.ir import F64, I64, Module, parse_function, print_function
 from repro.ir.instructions import OPCODES
 from repro.ir.module import new_heap
 from repro.ir.semantics import (
@@ -311,8 +313,9 @@ def _view_limit(memory_size):
 
 def _addresses(memory_size, size, offset):
     """In-range, last valid, first invalid (straddling the end), the
-    last byte, far out, and (through a negative effective address)
-    below zero; and the words either side of the views' end — the
+    last byte, far out, below zero (a negative sum, which wraps to the
+    top of the address space) and past ``2**64`` (``MASK64`` plus a
+    positive offset, which wraps into the heap); and the words either side of the views' end — the
     aligned words at ``P - size`` and ``P`` and the last aligned word in
     bounds, which on a heap that is not a power of two lies past ``P``
     (4095 bytes: ``P`` is 2048, the last 8-byte word 4080)."""
@@ -349,8 +352,8 @@ def _expected_load(row, raw):
 
 
 def _check_access(op, offset, memory_size, addr, value=None):
-    """One load (``value`` None) or store at ``addr + offset`` on a heap
-    of ``_image(memory_size)``: VM ≡ both emit legs for the value, the
+    """One load (``value`` None) or store at ``(addr + offset) mod
+    2**64`` on a heap of ``_image(memory_size)``: VM ≡ both emit legs for the value, the
     trap text and the heap image, and the VM does what the access means,
     computed here from the heap's bytes — an in-bounds load reads their
     little-endian value (sign-extended, or as a double), as
@@ -365,8 +368,10 @@ def _check_access(op, offset, memory_size, addr, value=None):
     where = f"{op}+{offset} @{addr:#x} <- {value!r} on {memory_size}"
     for mode in EMIT_LEGS:
         assert legs[mode] == vm, f"{where}: vm={vm!r} {mode}={legs[mode]!r}"
-    effective = addr + offset
-    if not 0 <= effective <= memory_size - row.size:
+    # The effective address is the sum mod 2**64, so a sum past the top
+    # of the address space wraps (into the heap, for ``MASK64 + 8``).
+    effective = (addr + offset) & MASK64
+    if effective > memory_size - row.size:
         assert vm == ("trap", f"oob {op} at {effective:#x}", memory), where
         return True
     assert vm[0] == "ok", where
@@ -413,7 +418,8 @@ def test_store_grid(op, offset, memory_size):
 def test_memory_random_accesses(data):
     """The grids' oracle at drawn (heap size, address, offset, row):
     the addresses cluster where the views end (``P - size`` and ``P``)
-    and where the heap ends, on every side of both."""
+    and where the heap ends, on every side of both, and a drawn sum
+    outside ``[0, 2**64)`` reaches them through the wrap."""
     op = data.draw(st.sampled_from(sorted(LOADS) + sorted(STORES)))
     row = LOADS.get(op) or STORES[op]
     memory_size = data.draw(st.integers(0, 80)
@@ -422,14 +428,36 @@ def test_memory_random_accesses(data):
     p = _view_limit(memory_size)
     near = st.sampled_from((0, p - row.size, p, memory_size - row.size,
                             memory_size))
-    effective = data.draw(st.builds(lambda at, d: at + d, near,
-                                    st.integers(-9, 9))
-                          | st.integers(-(1 << 64), 1 << 65))
-    addr = (effective - offset) & MASK64
+    target = data.draw(st.builds(lambda at, d: at + d, near,
+                                 st.integers(-9, 9))
+                       | st.integers(-(1 << 64), 1 << 65))
+    addr = (target - offset) & MASK64
     value = None
     if op in STORES:
         value = data.draw(f64 if row.float else u64)
     _check_access(op, offset, memory_size, addr, value)
+
+
+def test_a_wrapped_constant_address_folds_to_what_the_vm_loads():
+    """``load64 +16`` of the constant ``2**64 - 8`` is the word at 8 on
+    the VM, and the specializer's constant-memory fold of the access
+    over ``SpecializedMemory(0, 64)`` is the same word: the fold and the
+    accessor read one address, ``(base + offset) mod 2**64``."""
+    module = Module(memory_size=64)
+    module.write_init_u64(8, 0x1122334455667788)
+    module.add_function(parse_function(f"""\
+func @f(v0: i64) -> i64 {{
+block0:
+  v1 = iconst {MASK64 - 7}
+  v2 = load64 +16 v1
+  return v2
+}}""", module))
+    residual = specialize(module, SpecializationRequest(
+        "f", [SpecializedMemory(0, 64)], specialized_name="f_s"))
+    assert "load64" not in print_function(residual)
+    module.add_function(residual)
+    assert VM(module).call("f", [0]) == 0x1122334455667788
+    assert VM(module).call("f_s", [0]) == 0x1122334455667788
 
 
 def _host_word(vm, access, *args):
