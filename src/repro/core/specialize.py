@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import context as ctx_mod
@@ -65,7 +66,7 @@ from repro.core.state import (
     states_equal,
 )
 from repro.core.stats import SpecializationStats
-from repro.ir.cfg import reverse_postorder
+from repro.ir.cfg import reachable_blocks, reverse_postorder
 from repro.ir.renumber import canonicalize_function
 from repro.ir.function import Block, Function
 from repro.ir.instructions import (
@@ -171,11 +172,9 @@ class _Edge:
 class _KeyInfo:
     """Bookkeeping for one specialized block (one ⟨context, block⟩ pair).
 
-    ``minted`` caches the value ids allocated at each mint position of a
-    rebuild, so re-transcribing from an equal entry state reproduces the
-    exact same SSA ids — that stability is what lets a successor's meet
-    come out ``states_equal`` to its last one and stops the id-churn
-    re-flow cascades of the FIFO engine.
+    ``counts`` is what the last build transcribed (S6.2's state sites,
+    folded loads and branches, then phase 2's fix-up stores); ``run``
+    adds up the reachable keys', so the counters count the residual.
 
     ``contributors`` is the set of in-edges the last build was met from;
     only the descent check (``REPRO_OPT_VERIFY=1``) records and reads it.
@@ -183,8 +182,8 @@ class _KeyInfo:
 
     __slots__ = ("key", "spec_block", "entry_state",
                  "out_state", "edges_out", "in_edges", "param_ids",
-                 "param_slots", "built", "contributors", "minted",
-                 "mint_pos", "priority")
+                 "param_slots", "built", "contributors", "counts",
+                 "priority")
 
     def __init__(self, key: Key, spec_block: Block):
         self.key = key
@@ -197,8 +196,7 @@ class _KeyInfo:
         self.param_slots: List[SlotKey] = []
         self.built = False
         self.contributors: Set[Tuple[Key, int]] = set()
-        self.minted: List[int] = []
-        self.mint_pos = 0
+        self.counts: Dict[str, int] = defaultdict(int)
         self.priority: Tuple[int, int] = (0, 0)
 
 
@@ -309,7 +307,8 @@ class _Specializer:
         self._heap: List[Tuple[Tuple[int, int], Key]] = []
         self._rpo_unreachable = len(self._rpo_index)
         self._ctx_order: Dict[tuple, int] = {}
-        self._mint_info: Optional[_KeyInfo] = None
+        # The ``counts`` of the key being built (see _KeyInfo).
+        self._counts: Dict[str, int] = {}
         # Each constant's one definition (see _mat).
         self._consts: Dict[Const, int] = {}
         self._verify = verify_enabled_by_env()
@@ -356,6 +355,12 @@ class _Specializer:
             self.queued.discard(key)
             self._process(key)
         self._fill_edges()
+        reachable = reachable_blocks(self.out)
+        for info in self.infos.values():
+            if info.spec_block.id in reachable:
+                for name, count in info.counts.items():
+                    setattr(self.stats, name,
+                            getattr(self.stats, name) + count)
         # Erase the fixpoint history from the numbering: canonical ids
         # make the output independent of revisit counts (and drop debris
         # blocks from abandoned edges), which is what lets two engine
@@ -527,57 +532,24 @@ class _Specializer:
         info.edges_out = []
 
         state = info.entry_state.copy()
-
-        # Stable minting: value ids allocated during this rebuild come
-        # from the per-key position cache, so transcribing the same entry
-        # state twice yields identical ids (see _KeyInfo).
-        self._mint_info = info
-        info.mint_pos = 0
-        try:
-            for instr in gblock.instrs:
-                if instr.op == "call" and instr.imm in INTRINSICS:
-                    ctx = self._transcribe_intrinsic(block, state, ctx,
-                                                     instr)
-                else:
-                    self._transcribe_instr(block, state, instr)
-            self._transcribe_terminator(info, block, state, ctx, gblock)
-        finally:
-            self._mint_info = None
+        self._counts = info.counts = defaultdict(int)
+        for instr in gblock.instrs:
+            if instr.op == "call" and instr.imm in INTRINSICS:
+                ctx = self._transcribe_intrinsic(block, state, ctx, instr)
+            else:
+                self._transcribe_instr(block, state, instr)
+        self._transcribe_terminator(info, block, state, ctx, gblock)
         info.out_state = state
         info.built = True
 
     # --- plain instructions ------------------------------------------------
-    def _mint(self, ty: Type) -> int:
-        """Allocate an SSA value id, stably across rebuilds of one key.
-
-        Inside a rebuild, ids are handed out by position from the owning
-        key's mint cache so an identical re-transcription reproduces the
-        same ids; outside (phase 2 edge fixups), fresh ids are minted.
-        Reused positions refresh ``value_types`` in case the instruction
-        at that position changed type between rebuilds.
-        """
-        info = self._mint_info
-        if info is None:
-            return self.out.new_value(ty)
-        pos = info.mint_pos
-        info.mint_pos = pos + 1
-        if pos < len(info.minted):
-            vid = info.minted[pos]
-            self.out.value_types[vid] = ty
-            return vid
-        vid = self.out.new_value(ty)
-        info.minted.append(vid)
-        return vid
-
     def _mat(self, value: AbsVal) -> int:
         """The SSA value of an abstract value: a ``Dyn``'s own id, or a
         constant's one definition in this function.
 
         A constant is defined once, in the prologue (the residual's entry
         block, which dominates every block), the first time any block
-        needs it.  Its id is fresh from ``new_value``, never ``_mint``'s:
-        an id from one key's position cache would go to a different
-        instruction on that key's next rebuild."""
+        needs it."""
         if isinstance(value, Dyn):
             return value.vid
         vid = self._consts.get(value)
@@ -608,7 +580,7 @@ class _Specializer:
             if folded is not None:
                 state.env[instr.result] = intern_const(
                     folded, F64 if load.float else I64)
-                self.stats.loads_folded_from_const_memory += 1
+                self._counts["loads_folded_from_const_memory"] += 1
                 return
 
         # Pure constant folding.
@@ -623,7 +595,7 @@ class _Specializer:
         args = tuple(self._mat(a) for a in abs_args)
         if instr.result is not None:
             ty = instr.result_type
-            vid = self._mint(ty)
+            vid = self.out.new_value(ty)
             state.env[instr.result] = Dyn(vid, ty)
         else:
             vid = None
@@ -643,7 +615,7 @@ class _Specializer:
         """Transcribe one weval intrinsic; returns the context after it."""
         name = instr.imm[len("weval."):]
         abs_args = [state.env[a] for a in instr.args]
-        stats = self.stats
+        counts = self._counts
 
         if name == "push_context":
             if isinstance(abs_args[0], Const):
@@ -680,48 +652,48 @@ class _Specializer:
             slot = state.locals.get(idx)
             if slot is not None:
                 state.env[instr.result] = slot.value
-                stats.local_loads_elided += 1
+                counts["local_loads_elided"] += 1
             else:
                 loaded = self._load_slot(block, abs_args[1])
                 state.locals[idx] = LocalSlot(abs_args[1], loaded, False)
                 state.env[instr.result] = loaded
-                stats.local_loads_real += 1
+                counts["local_loads_real"] += 1
         elif name == "write_local":
             idx = self._require_const_int(abs_args[0], "local index")
             state.locals[idx] = LocalSlot(abs_args[1], abs_args[2], True)
-            stats.local_stores_elided += 1
+            counts["local_stores_elided"] += 1
         elif name == "flush":
             self._flush(block, state)
         elif name == "push":
             state.stack.append(StackSlot(abs_args[0], abs_args[1], True))
-            stats.stack_stores_elided += 1
+            counts["stack_stores_elided"] += 1
         elif name == "pop":
             if state.stack:
                 state.env[instr.result] = state.stack.pop().value
-                stats.stack_loads_elided += 1
+                counts["stack_loads_elided"] += 1
             else:
                 state.env[instr.result] = self._load_slot(block,
                                                           abs_args[0])
-                stats.stack_loads_real += 1
+                counts["stack_loads_real"] += 1
         elif name == "read_stack":
             depth = self._require_const_int(abs_args[0], "stack depth")
             if depth < len(state.stack):
                 state.env[instr.result] = state.stack[-1 - depth].value
-                stats.stack_loads_elided += 1
+                counts["stack_loads_elided"] += 1
             else:
                 state.env[instr.result] = self._load_slot(block,
                                                           abs_args[1])
-                stats.stack_loads_real += 1
+                counts["stack_loads_real"] += 1
         elif name == "write_stack":
             depth = self._require_const_int(abs_args[0], "stack depth")
             if depth < len(state.stack):
                 old = state.stack[-1 - depth]
                 state.stack[-1 - depth] = StackSlot(old.addr, abs_args[2],
                                                     True)
-                stats.stack_stores_elided += 1
+                counts["stack_stores_elided"] += 1
             else:
                 self._store_slot(block, abs_args[1], abs_args[2])
-                stats.stack_stores_real += 1
+                counts["stack_stores_real"] += 1
         else:
             raise SpecializeError(f"unhandled intrinsic weval.{name}")
         return ctx
@@ -729,7 +701,7 @@ class _Specializer:
     def _load_slot(self, block: Block, addr: AbsVal) -> Dyn:
         """A state slot's real read: one ``load64`` of its address."""
         addr_vid = self._mat(addr)
-        vid = self._mint(I64)
+        vid = self.out.new_value(I64)
         block.instrs.append(Instr("load64", vid, (addr_vid,), 0, I64))
         return Dyn(vid, I64)
 
@@ -748,12 +720,12 @@ class _Specializer:
             if slot.dirty:
                 self._store_slot(block, slot.addr, slot.value)
                 state.locals[idx] = LocalSlot(slot.addr, slot.value, False)
-                self.stats.local_stores_real += 1
+                self._counts["local_stores_real"] += 1
         for pos, slot in enumerate(state.stack):
             if slot.dirty:
                 self._store_slot(block, slot.addr, slot.value)
                 state.stack[pos] = StackSlot(slot.addr, slot.value, False)
-                self.stats.stack_stores_real += 1
+                self._counts["stack_stores_real"] += 1
 
     # --- terminators ---------------------------------------------------------
     def _add_edge(self, info: _KeyInfo, position: int, ctx, gtarget: int,
@@ -786,46 +758,21 @@ class _Specializer:
                                   self._branch_overrides(state, term.target))
             block.terminator = Jump(call)
             return
-        if isinstance(term, BrIf):
-            cond = state.env[term.cond]
-            if isinstance(cond, Const):
-                taken = term.if_true if cond.value != 0 else term.if_false
+        if isinstance(term, (BrIf, BrTable)):
+            selector = state.env[term.selector]
+            if isinstance(selector, Const):
+                taken = term.taken(selector.value)
                 call = self._add_edge(info, 0, ctx, taken.block,
                                       self._branch_overrides(state, taken))
                 block.terminator = Jump(call)
-                self.stats.branches_folded += 1
+                self._counts["branches_folded"] += 1
                 return
-            cond_vid = self._mat(cond)
-            tcall = self._add_edge(info, 0, ctx, term.if_true.block,
-                                   self._branch_overrides(state,
-                                                          term.if_true))
-            fcall = self._add_edge(info, 1, ctx, term.if_false.block,
-                                   self._branch_overrides(state,
-                                                          term.if_false))
-            block.terminator = BrIf(cond_vid, tcall, fcall)
-            return
-        if isinstance(term, BrTable):
-            index = state.env[term.index]
-            if isinstance(index, Const):
-                i = index.value
-                gcall = (term.cases[i] if 0 <= i < len(term.cases)
-                         else term.default)
-                call = self._add_edge(info, 0, ctx, gcall.block,
-                                      self._branch_overrides(state, gcall))
-                block.terminator = Jump(call)
-                self.stats.branches_folded += 1
-                return
-            index_vid = self._mat(index)
-            cases = []
-            for pos, gcall in enumerate(term.cases):
-                cases.append(self._add_edge(
-                    info, pos, ctx, gcall.block,
-                    self._branch_overrides(state, gcall)))
-            dcall = self._add_edge(info, len(term.cases), ctx,
-                                   term.default.block,
-                                   self._branch_overrides(state,
-                                                          term.default))
-            block.terminator = BrTable(index_vid, cases, dcall)
+            calls = [self._add_edge(info, pos, ctx, gcall.block,
+                                    self._branch_overrides(state, gcall))
+                     for pos, gcall in enumerate(term.targets())]
+            vid = self._mat(selector)
+            block.terminator = (BrIf(vid, *calls) if isinstance(term, BrIf)
+                                else BrTable(vid, calls[:-1], calls[-1]))
             return
         if isinstance(term, Ret):
             args = tuple(self._mat(state.env[a]) for a in term.args)
@@ -845,6 +792,7 @@ class _Specializer:
                 continue
             block = info.spec_block
             out = info.out_state
+            self._counts = info.counts
             flushed: Set[Tuple[str, int]] = set()
             for edge in info.edges_out:
                 succ = self.infos[edge.succ_key]
@@ -876,14 +824,14 @@ class _Specializer:
                     and ("lcl", idx) not in flushed:
                 self._store_slot(block, slot.addr, slot.value)
                 flushed.add(("lcl", idx))
-                self.stats.local_stores_real += 1
+                self._counts["local_stores_real"] += 1
         keep = len(succ_entry.stack)
         for pos in range(keep, len(out.stack)):
             slot = out.stack[pos]
             if slot.dirty and ("stk", pos) not in flushed:
                 self._store_slot(block, slot.addr, slot.value)
                 flushed.add(("stk", pos))
-                self.stats.stack_stores_real += 1
+                self._counts["stack_stores_real"] += 1
 
 
 def specialize(module: Module, request: SpecializationRequest,

@@ -5,7 +5,8 @@ An :class:`Instr` is a non-terminator operation; control flow is expressed
 exclusively through the terminator classes (:class:`Jump`, :class:`BrIf`,
 :class:`BrTable`, :class:`Ret`, :class:`Trap`), each of which names its
 successor blocks explicitly via :class:`BlockCall` (a target block plus
-the SSA values passed to its block parameters).
+the SSA values passed to its block parameters).  The arm a branch takes
+on a known selector is its ``taken`` (the VM, the oracle, spells its own).
 
 Integer semantics: ``i64`` values are stored as Python ints in
 ``[0, 2**64)`` (i.e. the unsigned bit pattern).  Signed operators
@@ -228,6 +229,14 @@ class BrIf:
     def targets(self) -> Sequence[BlockCall]:
         return (self.if_true, self.if_false)
 
+    @property
+    def selector(self) -> int:
+        return self.cond
+
+    def taken(self, value: int) -> BlockCall:
+        """The arm taken when ``cond`` is ``value``."""
+        return self.if_true if value != 0 else self.if_false
+
 
 @dataclasses.dataclass
 class BrTable:
@@ -239,6 +248,15 @@ class BrTable:
 
     def targets(self) -> Sequence[BlockCall]:
         return tuple(self.cases) + (self.default,)
+
+    @property
+    def selector(self) -> int:
+        return self.index
+
+    def taken(self, value: int) -> BlockCall:
+        """The arm taken when ``index`` is ``value``."""
+        return (self.cases[value] if 0 <= value < len(self.cases)
+                else self.default)
 
 
 @dataclasses.dataclass

@@ -6,15 +6,15 @@ clean up the residual code.  The roster is one list,
 
 * ``gvn`` — one dominator-tree walk that propagates copies through
   algebraic identities and degenerate ``select``\\ s, folds pure ops
-  over constants in place, and numbers what is left (CSE), after pooling
-  every constant in the entry block
-  (:func:`~repro.opt.gvn.global_value_numbering`);
+  over constants in place, pools every constant in the entry block,
+  numbers what is left (CSE) and folds every decided branch: on a
+  constant selector, on a condition an edge decided, or with agreeing
+  arms (:func:`~repro.opt.gvn.global_value_numbering`);
 * ``prune-params`` — redundant block-parameter pruning, the paper S3.4
   "minimal cut" cleanup
   (:func:`~repro.opt.prune_params.prune_block_params`);
 * ``simplify-cfg`` — unreachable-block removal, jump threading through
-  empty forwarders (decided by a ``jump`` or a constant selector),
-  folding of branches on a constant or with agreeing arms, and
+  empty forwarders (decided by a ``jump`` or a constant selector), and
   straight-line merging
   (:func:`~repro.opt.simplify_cfg.simplify_cfg`);
 * ``load-forward`` — cross-block redundant-load and store-to-load
@@ -33,7 +33,6 @@ from repro.opt.gvn import global_value_numbering
 from repro.opt.load_forward import forward_loads
 from repro.opt.dce import eliminate_dead_code
 from repro.opt.simplify_cfg import (
-    fold_branches,
     remove_unreachable_blocks,
     simplify_cfg,
     thread_jumps,
@@ -48,7 +47,6 @@ __all__ = [
     "simplify_cfg",
     "remove_unreachable_blocks",
     "thread_jumps",
-    "fold_branches",
     "prune_block_params",
     "PASSES",
     "optimize_function",

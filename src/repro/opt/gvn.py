@@ -23,9 +23,9 @@ for the values dominating blocks computed those keys as; and through
 ``ine x, 0`` / ``ieq x, 0``, for ``x``.  In that subtree a ``br_if`` on
 a decided value becomes a ``jump`` to the decided arm (simplify-cfg then
 drops the dead arm), and every other operand that is a decided value
-reads the entry block's 0, or its 1 when the value is a compare, if the
-entry block defines that constant.  Those rewrites go to the visited
-block's operands, never through the substitution applied to the whole
+reads the pooled 0, or the pooled 1 when the value is a compare, if the
+walk has pooled it (step 5).  Those rewrites go to the visited block's
+operands, never through the substitution applied to the whole
 function: a fact holds only in its subtree.
 
 Each pure instruction, its operands resolved through the rewrites so
@@ -50,37 +50,38 @@ far and read through the edge facts, is in order:
    an op that would trap alone);
 4. *decided* in place to ``iconst 1`` / ``0`` when it is a compare whose
    expression key an edge decided;
-5. *numbered*: dropped if an equal expression dominates it.
+5. *pooled* when it is a constant, as written or by step 3 or 4: the
+   first of its ``(op, immediate)`` the walk meets is the function's
+   one definition, moved to the end of the entry block (which dominates
+   every use, and is walked first) when met elsewhere, and each later
+   one becomes a copy of it, across sibling branches too;
+6. *numbered* otherwise: dropped if an equal expression dominates it.
 
 A block's ``br_if`` then tests what its condition's zero test tests:
 ``br_if (ine x, 0), T, F`` becomes ``br_if x, T, F`` and ``br_if (ieq x,
 0), T, F`` becomes ``br_if x, F, T``, exact because ``br_if`` branches
-on any nonzero value; the zero test is left to DCE.
+on any nonzero value; the zero test is left to DCE.  Then a branch
+decided in its own block becomes a ``jump`` (:func:`_decided_arm`).
 
 Commutative operand lists are sorted so ``iadd a, b`` unifies with
 ``iadd b, a``.  Float immediates are keyed by their bits (``_bits_ftoi``,
 not ``==``), so ``fconst 0.0`` and ``fconst -0.0`` stay distinct and NaN
 constants with equal payloads unify.
-
-Constants get stronger treatment: ``iconst``/``fconst`` have no
-operands, so a definition can be *hoisted* to the entry block (which
-dominates everything) and then deduplicated function-wide, not just
-along dominator paths.  The specializer already defines each constant
-once in the entry block; pooling is for the constants the inline
-splicer clones into callee blocks and the ones steps 3 and 4 fold, which
-the next run hoists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.lattice import fold_pure_op
 from repro.ir.dominance import DominatorTree
 from repro.ir.function import Function
 from repro.ir.instructions import (
     MASK64,
+    BlockCall,
     BrIf,
+    BrTable,
+    Instr,
     Jump,
     map_terminator,
     terminator_values,
@@ -187,6 +188,28 @@ def _copy_source(op: str, args: tuple, consts: Dict[int, object],
     return None
 
 
+def _decided_arm(term: Union[BrIf, BrTable], value_of,
+                 consts: Dict[int, object],
+                 facts: Dict[object, bool]) -> Optional[BlockCall]:
+    """The arm a ``br_if`` / ``br_table`` surely takes, its operands read
+    through ``value_of``, else None: its constant selector's ``taken``,
+    an edge-decided condition's (a fact says only whether a value is
+    zero, so never a ``br_table``'s), or the one call all arms make."""
+    selector = value_of(term.selector)
+    value = consts.get(selector)
+    if value is None and isinstance(term, BrIf):
+        value = facts.get(selector)
+    if value is not None:
+        return term.taken(value)
+    first, *rest = term.targets()
+    if any(call.block != first.block for call in rest):
+        return None
+    args = tuple(map(value_of, first.args))
+    if all(tuple(map(value_of, call.args)) == args for call in rest):
+        return first
+    return None
+
+
 def global_value_numbering(func: Function) -> int:
     """Propagate copies, fold constants, fold what branch edges decide,
     and eliminate dominated redundant pure computations; returns the
@@ -197,43 +220,13 @@ def global_value_numbering(func: Function) -> int:
         return 0
     domtree = DominatorTree(func)
     subst: Dict[int, int] = {}
-    dead: set = set()
-    replaced = 0
-
-    # Constant pooling: operand-less pure defs can live in the entry
-    # block (which dominates every use), so equal constants unify
-    # function-wide — including across sibling branches where neither
-    # definition dominates the other.
-    entry_block = func.blocks[func.entry]
+    # The constants moved to the end of the entry block.
+    hoisted: List[Instr] = []
+    # Each constant's one definition, by ``(op, immediate key)``: the
+    # first the walk meets, the entry block's own before any other.
     pool: Dict[tuple, int] = {}
-    for instr in entry_block.instrs:
-        if instr.op in ("iconst", "fconst"):
-            pool.setdefault((instr.op, _imm_key(instr.imm)), instr.result)
-    hoisted = 0
-    for bid, block in func.blocks.items():
-        if bid == func.entry or not domtree.is_reachable(bid):
-            continue
-        kept = []
-        for instr in block.instrs:
-            if instr.op not in ("iconst", "fconst"):
-                kept.append(instr)
-                continue
-            key = (instr.op, _imm_key(instr.imm))
-            existing = pool.get(key)
-            if existing is not None:
-                subst[instr.result] = existing
-                replaced += 1
-            else:
-                # Hoist: uses sit in this block or blocks it dominates,
-                # all strictly after the entry, so moving the def to the
-                # end of the entry block preserves def-before-use.
-                entry_block.instrs.append(instr)
-                pool[key] = instr.result
-                hoisted += 1
-        block.instrs = kept
-
     consts = constants(func)
-    folded = negated = decided = peeled = 0
+    replaced = folded = negated = decided = peeled = 0
     # The pure instructions the walk has kept: value id -> (op,
     # operands).  A value's definition dominates its uses, so one map
     # serves the walk.
@@ -293,6 +286,9 @@ def global_value_numbering(func: Function) -> int:
                 if fact is not None:
                     record(facts, fact, known)
 
+    def resolved(value: int) -> int:
+        return resolve(subst, value)
+
     def read(value: int) -> int:
         """``value`` as a use in the current block reads it: the pool's
         0 when an edge proved it zero, its 1 when it proved a compare
@@ -326,6 +322,8 @@ def global_value_numbering(func: Function) -> int:
             stack.append((child, False))
 
         block = func.blocks[bid]
+        # The block's instructions that leave it: dropped, or hoisted.
+        gone = set()
         for instr in block.instrs:
             if instr.result is None or not instr.info().pure:
                 # An operand that is a copy of a decided value is read
@@ -344,7 +342,7 @@ def global_value_numbering(func: Function) -> int:
                 source = _copy_source(instr.op, args, consts, kept)
             if source is not None:
                 subst[instr.result] = source
-                dead.add(id(instr))
+                gone.add(id(instr))
                 replaced += 1
                 continue
             if instr.op == "ieq":
@@ -364,23 +362,39 @@ def global_value_numbering(func: Function) -> int:
                     folded += 1
             if instr.op in COMMUTATIVE:
                 args = tuple(sorted(args))
-            key = (instr.op, _imm_key(instr.imm), args)
-            truth = facts.get(key)
+            truth = facts.get((instr.op, _imm_key(instr.imm), args))
             if truth is not None:
-                # A compare an edge decided: its constant, which the
-                # entry block's pooled constant then replaces.
+                # A compare an edge decided: its constant.
                 instr.op, instr.args, instr.imm = "iconst", (), int(truth)
                 consts[instr.result] = int(truth)
-                key = ("iconst", int(truth), ())
                 decided += 1
+            if instr.op in ("iconst", "fconst"):
+                # The pool, not ``available``: the entry block dominates
+                # every use, so equal constants unify function-wide,
+                # across sibling branches too.
+                key = (instr.op, _imm_key(instr.imm))
+                existing = pool.get(key)
+                if existing is not None:
+                    subst[instr.result] = existing
+                    gone.add(id(instr))
+                    replaced += 1
+                else:
+                    pool[key] = instr.result
+                    if bid != func.entry:
+                        gone.add(id(instr))
+                        hoisted.append(instr)
+                continue
+            key = (instr.op, _imm_key(instr.imm), args)
             existing = available.get(key)
             if existing is not None:
                 subst[instr.result] = existing
-                dead.add(id(instr))
+                gone.add(id(instr))
                 replaced += 1
             else:
                 record(available, key, instr.result)
                 kept[instr.result] = (instr.op, args)
+        if gone:
+            block.instrs = [i for i in block.instrs if id(i) not in gone]
 
         term = block.terminator
         while isinstance(term, BrIf):
@@ -396,22 +410,17 @@ def global_value_numbering(func: Function) -> int:
             term = block.terminator = BrIf(
                 tested, *(arms if op == "ine" else arms[::-1]))
             peeled += 1
-        if facts and term is not None:
-            if isinstance(term, BrIf):
-                truth = facts.get(resolve(subst, term.cond))
-                if truth is not None:
-                    term = Jump(term.if_true if truth else term.if_false)
-                    decided += 1
-            if not facts.keys().isdisjoint(terminator_values(term)):
-                term = map_terminator(term, read)
-            block.terminator = term
+        if isinstance(term, (BrIf, BrTable)):
+            arm = _decided_arm(term, resolved, consts, facts)
+            if arm is not None:
+                term = block.terminator = Jump(arm)
+                decided += 1
+        if facts and term is not None \
+                and not facts.keys().isdisjoint(terminator_values(term)):
+            block.terminator = map_terminator(term, read)
 
-    if replaced:
-        for block in func.blocks.values():
-            if any(id(i) in dead for i in block.instrs):
-                block.instrs = [i for i in block.instrs
-                                if id(i) not in dead]
-        substitute_values(func, subst)
-    # Hoists count as changes: they mutate the IR (converging after one
-    # round — a hoisted constant is never hoisted again).
-    return replaced + hoisted + folded + negated + decided + peeled
+    func.blocks[func.entry].instrs.extend(hoisted)
+    substitute_values(func, subst)
+    # Hoists count as changes: they mutate the IR (a hoisted constant
+    # is never hoisted again).
+    return replaced + len(hoisted) + folded + negated + decided + peeled

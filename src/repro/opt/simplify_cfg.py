@@ -1,17 +1,16 @@
-"""CFG simplification: unreachable-block removal, jump threading, branch
-folding, and straight-line block merging.
+"""CFG simplification: unreachable-block removal, jump threading, and
+straight-line block merging.
 
 Jump threading has one rule (:func:`thread_jumps`): an edge into an
 empty *forwarder* block whose terminator is decided for that edge — a
 ``jump``, whatever its arguments, or a ``br_if`` / ``br_table`` on a
 constant the edge passes — is retargeted to the decided successor.  A
-branch decided in its own block — its selector is a constant, or its
-arms agree — is collapsed to a plain jump (:func:`fold_branches`)."""
+branch decided in its own block is GVN's to fold."""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.ir.cfg import reachable_blocks
 from repro.ir.function import Block, Function
@@ -69,40 +68,6 @@ def merge_straightline(func: Function) -> int:
     return merged
 
 
-def _decided(term: Union[BrIf, BrTable], value: int) -> BlockCall:
-    """The arm a ``br_if`` / ``br_table`` takes on selector ``value``."""
-    if isinstance(term, BrIf):
-        return term.if_true if value != 0 else term.if_false
-    return (term.cases[value] if 0 <= value < len(term.cases)
-            else term.default)
-
-
-def fold_branches(func: Function,
-                  consts: Optional[Dict[int, object]] = None) -> int:
-    """Collapse a ``br_if`` / ``br_table`` to a plain jump when its
-    selector is a constant (``consts``, :func:`~repro.opt.util.constants`
-    by default) or when all its arms are the same call; the selector is
-    left for DCE."""
-    if consts is None:
-        consts = constants(func)
-    folded = 0
-    for block in func.blocks.values():
-        term = block.terminator
-        if not isinstance(term, (BrIf, BrTable)):
-            continue
-        selector = term.cond if isinstance(term, BrIf) else term.index
-        calls = term.targets()
-        if selector in consts:
-            block.terminator = Jump(_decided(term, consts[selector]))
-        elif all(c.block == calls[0].block and
-                 tuple(c.args) == tuple(calls[0].args) for c in calls[1:]):
-            block.terminator = Jump(calls[0])
-        else:
-            continue
-        folded += 1
-    return folded
-
-
 def _forwarders(func: Function) -> Dict[int, Block]:
     """The blocks an edge may be threaded past: no instructions, not the
     entry, and every parameter used only by the block's own
@@ -123,15 +88,13 @@ def _forwarders(func: Function) -> Dict[int, Block]:
     return forwarders
 
 
-def thread_jumps(func: Function,
-                 consts: Optional[Dict[int, object]] = None) -> int:
+def thread_jumps(func: Function) -> int:
     """Retarget every edge into a forwarder (:func:`_forwarders`) whose
     terminator the edge decides, composing block arguments through the
     forwarder's parameter bindings, and chase chains of them.
 
     An edge decides a ``jump``, whatever its arguments, and a ``br_if``
-    / ``br_table`` whose selector it binds to a constant (``consts``,
-    :func:`~repro.opt.util.constants` by default).
+    / ``br_table`` whose selector it binds to a constant.
 
     No dominance is needed.  A forwarder F defines nothing, so its
     terminator names only F's parameters, which the edge binds, and
@@ -145,8 +108,7 @@ def thread_jumps(func: Function,
     forwarder, although bypassing it would be SSA-valid.  Such edges
     stay put."""
     forwarders = _forwarders(func)
-    if consts is None:
-        consts = constants(func)
+    consts = constants(func)
 
     def decide(call: BlockCall) -> Optional[BlockCall]:
         """The successor call ``call`` decides, else None."""
@@ -159,11 +121,10 @@ def thread_jumps(func: Function,
         if isinstance(term, Jump):
             decided = term.target
         elif isinstance(term, (BrIf, BrTable)):
-            selector = term.cond if isinstance(term, BrIf) else term.index
-            value = consts.get(binding.get(selector, selector))
+            value = consts.get(binding.get(term.selector, term.selector))
             if value is None:
                 return None
-            decided = _decided(term, value)
+            decided = term.taken(value)
         else:
             return None
         return BlockCall(decided.block,
@@ -189,11 +150,7 @@ def thread_jumps(func: Function,
 
 def simplify_cfg(func: Function) -> int:
     changed = remove_unreachable_blocks(func)
-    # Neither of the next two touches an instruction, so they share one
-    # constants map.
-    consts = constants(func)
-    changed += thread_jumps(func, consts)
-    changed += fold_branches(func, consts)
+    changed += thread_jumps(func)
     changed += remove_unreachable_blocks(func)
     changed += merge_straightline(func)
     return changed

@@ -102,7 +102,10 @@ from repro.ir.parser import IRParseError, parse_function, parse_header
 # load-forward rebases a memory op onto its address chain's base; GVN
 # peels a ``br_if``'s zero test and drops bit-cast round trips;
 # jump threading carries non-parameter ``jump`` arguments.
-ARTIFACT_VERSION = 11
+# 12: residual ids are fresh on every rebuild and GVN pools constants in
+# its walk and folds every decided branch, so ids and the entry block's
+# constant order move (the code is the same up to that renaming).
+ARTIFACT_VERSION = 12
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part

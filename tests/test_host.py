@@ -752,3 +752,20 @@ def test_constants_have_one_owner():
     assert [node.name for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef)
             and spellings[0] in ast.walk(node)] == ["_mat"]
+
+
+def test_a_decided_branch_has_one_rule():
+    """Each compile decision is made once: the arm a known selector
+    takes is its terminator's ``taken`` (the VM, the oracle, keeps its
+    own spelling), GVN folds every decided branch, and every residual
+    id is fresh from ``new_value``.  No identifier under ``src/`` names
+    the retired branch fold, its arm rule or the mint cache, and outside
+    ``ir/instructions.py`` and ``vm/machine.py`` nothing subscripts a
+    ``cases`` attribute."""
+    assert not _identifiers() & {"fold_branches", "_decided", "_mint",
+                                 "minted", "mint_pos"}
+    assert [file for file, tree in _sources()
+            if file not in ("repro/ir/instructions.py", "repro/vm/machine.py")
+            for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "cases"] == []

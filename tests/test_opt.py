@@ -33,7 +33,6 @@ from repro.opt import (
     PASSES,
     gvn,
     eliminate_dead_code,
-    fold_branches,
     forward_loads,
     global_value_numbering,
     optimize_function,
@@ -223,38 +222,6 @@ block0:
 
 
 class TestSimplifyCfg:
-    @pytest.mark.parametrize("branch, selector, taken", [
-        ("br_if v0, block1, block2", 5, 1),
-        ("br_if v0, block1, block2", 0, 2),
-        ("br_table v0, [block1, block2], default block3", 1, 2),
-        ("br_table v0, [block1, block2], default block3", 2, 3),
-    ], ids=["br_if-true", "br_if-false", "br_table-case",
-            "br_table-default"])
-    def test_fold_branches_on_a_constant_selector(self, branch, selector,
-                                                  taken):
-        """A constant selector decides its branch: the head jumps to
-        the arm the VM would take."""
-        func = parse_function(f"""\
-func @f() -> i64 {{
-block0:
-  v0 = iconst {selector}
-  {branch}
-block1:
-  v1 = iconst 10
-  return v1
-block2:
-  v2 = iconst 20
-  return v2
-block3:
-  v3 = iconst 30
-  return v3
-}}""")
-        assert _outcome(func, []) == ("value", 10 * taken)
-        assert fold_branches(func) == 1
-        assert func.entry_block().terminator == Jump(BlockCall(taken))
-        verify_function(func)
-        assert _outcome(func, []) == ("value", 10 * taken)
-
     def test_merges_straightline_chains(self):
         module, func = compiled_func("""
 u64 f(u64 x) {
@@ -518,6 +485,81 @@ block0:
                 for args in calls] == expected
         return func
 
+    @pytest.mark.parametrize("branch, selector, taken", [
+        ("br_if v0, block1, block2", 5, 1),
+        ("br_if v0, block1, block2", 0, 2),
+        ("br_table v0, [block1, block2], default block3", 1, 2),
+        ("br_table v0, [block1, block2], default block3", 2, 3),
+    ], ids=["br_if-true", "br_if-false", "br_table-case",
+            "br_table-default"])
+    def test_a_constant_selector_decides_its_branch(self, branch, selector,
+                                                    taken):
+        """A constant selector decides its branch: the head jumps to
+        the arm the VM would take."""
+        text = f"""\
+func @f() -> i64 {{
+block0:
+  v0 = iconst {selector}
+  v1 = iconst 10
+  v2 = iconst 20
+  v3 = iconst 30
+  {branch}
+block1:
+  return v1
+block2:
+  return v2
+block3:
+  return v3
+}}"""
+        func = parse_function(text)
+        assert _outcome(func, []) == ("value", 10 * taken)
+        assert global_value_numbering(func) == 1
+        assert func.entry_block().terminator == Jump(BlockCall(taken))
+        verify_function(func)
+        assert _outcome(func, []) == ("value", 10 * taken)
+
+    @pytest.mark.parametrize("branch", [
+        "br_if v0, block1(v2), block1(v3)",
+        "br_table v0, [block1(v2), block1(v3)], default block1(v2)",
+    ], ids=["br_if", "br_table"])
+    def test_a_branch_whose_arms_are_one_call_is_a_jump(self, branch):
+        """Arms that name one block with the same arguments, once
+        ``v3`` is read as the ``v2`` it recomputes, are one jump."""
+        text = f"""\
+func @f(v0: i64, v1: i64) -> i64 {{
+block0:
+  v2 = iadd v0, v1
+  v3 = iadd v1, v0
+  {branch}
+block1(v4: i64):
+  return v4
+}}"""
+        func = self._run_both(text, [(0, 3), (1, 4), (2, 5), (MASK64, 1)])
+        assert func.entry_block().terminator == Jump(BlockCall(1, (2,)))
+
+    def test_an_edge_never_decides_a_br_table(self):
+        """Under ``br_if v0``'s true arm ``v0`` is nonzero but not known:
+        a ``br_table v0`` there keeps every arm."""
+        text = """\
+func @f(v0: i64) -> i64 {
+block0:
+  v1 = iconst 10
+  v2 = iconst 20
+  v3 = iconst 30
+  br_if v0, block1, block4
+block1:
+  br_table v0, [block4, block2], default block3
+block2:
+  return v1
+block3:
+  return v2
+block4:
+  return v3
+}"""
+        func = self._run_both(text, [(0,), (1,), (2,), (MASK64,)])
+        term = func.blocks[1].terminator
+        assert [call.block for call in term.targets()] == [4, 2, 3]
+
     def test_an_edge_decides_the_same_and_the_negated_branch(self):
         """Under ``v2``'s true arm a ``br_if v2`` is a jump to its true
         arm; under its false arm a ``br_if`` on ``v2``'s negation,
@@ -569,7 +611,8 @@ block2:
 
     def test_an_edge_decides_a_recomputed_compare(self):
         """Under ``ilt_s v0, v1``'s arms, that compare recomputed and
-        its negation ``ige_s`` are constants in place."""
+        its negation ``ige_s`` are constants in place, which pool at
+        once: the first moves to the entry block, the second reads it."""
         text = """\
 func @f(v0: i64, v1: i64) -> i64 {
 block0:
@@ -583,9 +626,11 @@ block2:
   return v4
 }"""
         func = parse_function(text)
-        assert global_value_numbering(func) == 2
-        assert ops(func) == ["ilt_s", "iconst", "iconst"]
-        assert [func.blocks[b].instrs[0].imm for b in (1, 2)] == [0, 0]
+        assert global_value_numbering(func) == 4
+        assert ops(func) == ["ilt_s", "iconst"]
+        assert func.entry_block().instrs[1].imm == 0
+        assert func.blocks[1].terminator == func.blocks[2].terminator \
+            == Ret((3,))
         self._run_both(text, [(1, 2), (2, 1), (1 << 63, 0), (5, 5)])
 
     def test_an_edge_decides_its_condition_only_in_its_subtree(self):
@@ -641,7 +686,8 @@ block2:
     ])
     def test_a_doubled_or_br_table_edge_decides_nothing(self, branch):
         """``block1`` has one predecessor but is not entered by one arm
-        of a ``br_if``: its own ``br_if v2`` stays."""
+        of a ``br_if``: its own ``br_if v2`` stays.  The doubled
+        ``br_if``, whose arms are one call, becomes a jump."""
         text = f"""\
 func @f(v0: i64, v1: i64) -> i64 {{
 block0:
@@ -657,7 +703,7 @@ block4:
   return v1
 }}"""
         func = parse_function(text)
-        assert global_value_numbering(func) == 0
+        assert global_value_numbering(func) == branch.startswith("br_if")
         assert func.blocks[1].terminator.cond == 2
         self._run_both(text, [(1, 2), (2, 1)])
 
@@ -1389,6 +1435,9 @@ EDGE_BITS = INT_EDGES + tuple(_bits_ftoi(x) for x in FLOAT_EDGES)
 # And addresses at either end of the 64-bit space, so that an address
 # chain over a parameter wraps past 2**64 into the heap (or below 0).
 ADDRESS_BITS = (8, 40, MASK64 - 7, MASK64 - 39)
+# And a ``br_table``'s first cases: with 0, 1 and MASK64 among the edge
+# bits, a selector takes each case of a three-case table and its default.
+INDEX_BITS = (2,)
 HEADER = "func @f(v0: i64, v1: i64, v2: i64) -> i64 {"
 
 
@@ -1509,7 +1558,8 @@ def mid_end_functions(draw):
     one that takes the default.  A ``br_if`` may test a compare of its
     own, and then each arm may test it again (itself, recomputed,
     negated or ``ieq`` against 0) before it reaches the join: what an
-    edge decides."""
+    edge decides.  Or an arm of a ``br_if`` may end in a ``br_table``
+    on its selector, which the edge says only is zero or not."""
     ir = IRText(HEADER, 3)
     pools = {I64: [0, 1, 2],
              F64: [ir.define(f"bits_itof v{p}") for p in range(3)]}
@@ -1544,6 +1594,13 @@ def mid_end_functions(draw):
                 test = _second_test(draw, ir, head)
                 exits = ir.block()[0], ir.block()[0]
                 ir.line(f"br_if v{test}, block{exits[0]}, block{exits[1]}")
+            elif branch == "br_if" and draw(st.booleans()):
+                exits = ir.block()[0], ir.block()[0]
+                cases = draw(st.lists(st.sampled_from(exits), min_size=1,
+                                      max_size=3))
+                ir.line(f"br_table v{selector}, "
+                        f"[{', '.join(f'block{e}' for e in cases)}], "
+                        f"default block{draw(st.sampled_from(exits))}")
             for leaf in exits:
                 ir.current = leaf
                 passed = draw(st.sampled_from(arm_pools[I64]))
@@ -1564,8 +1621,8 @@ def mid_end_functions(draw):
 
 
 @given(text=mid_end_functions(),
-       calls=st.lists(st.tuples(*[st.sampled_from(EDGE_BITS
-                                                  + ADDRESS_BITS)] * 3),
+       calls=st.lists(st.tuples(*[st.sampled_from(EDGE_BITS + ADDRESS_BITS
+                                                  + INDEX_BITS)] * 3),
                       min_size=1, max_size=4))
 @example(text=f"""{HEADER}
 block0:
@@ -1657,6 +1714,21 @@ block0:
   v10 = load64 +8 v9
   return v10
 }}""", calls=[(MASK64 - 7, MASK64, 0), (MASK64 - 39, 1, 0), (40, 1, 0)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  br_if v0, block1, block2
+block1:
+  br_table v0, [block2, block3, block4], default block3
+block2:
+  return v0
+block3:
+  return v1
+block4:
+  return v2
+}}""", calls=[(0, 10, 20), (1, 10, 20), (2, 10, 20), (MASK64, 10, 20)])
 @settings(max_examples=300, deadline=None)
 def test_mid_end_oracle(text, calls):
     """``optimize_function`` on a clone returns the bits the function

@@ -22,6 +22,7 @@ one — into residuals that compute what the reference lowering does.
 
 import importlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, note, settings, strategies as st
@@ -51,6 +52,7 @@ from tests.helpers import (
     IRText,
     assert_text_round_trips,
     clone,
+    corpus_manifest,
     corpus_program,
     target,
 )
@@ -237,6 +239,35 @@ block2:
     func = specialize(module, SpecializationRequest("g", [Runtime()]),
                       SpecializeOptions(opt_config="none"))
     assert func._weval_stats.block_visits <= 10  # noqa: SLF001
+
+
+# ---------------------------------------------------------------------------
+# S6.2's counters count the residual.
+# ---------------------------------------------------------------------------
+
+SUITE_MAINS = [name for name in corpus_manifest()
+               if name.startswith(("js/", "lua/"))]
+
+
+@pytest.mark.parametrize("program", SUITE_MAINS)
+def test_real_state_sites_are_residual_sites(program):
+    """A real state load or store the specializer counts is one in the
+    residual, not one of a build the fixpoint threw away: with the
+    mid-end off, the real loads are at most the residual's ``load64``s
+    and the real stores at most its ``store64``s."""
+    options = SpecializeOptions(opt_config="none")
+    source = corpus_program(program)
+    rt = (LuaRuntime(source, options=options) if program.startswith("lua/")
+          else JSRuntime(source, "wevaled_state", options=options))
+    rt.aot_compile()
+    ops = Counter(instr.op for p in rt.compiler.processed
+                  if p.error is None
+                  for block in rt.module.functions[p.function_name]
+                  .blocks.values() for instr in block.instrs)
+    stats = rt.compiler.total_stats
+    assert stats.stack_loads_real + stats.local_loads_real <= ops["load64"]
+    assert stats.stack_stores_real + stats.local_stores_real \
+        <= ops["store64"]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.min.harness import sum_to_n_program
 from repro.min.interp import build_min_module, specialize_min
 from repro.opt import (
     PASSES,
-    fold_branches,
     optimize_function,
     remove_unreachable_blocks,
     thread_jumps,
@@ -116,7 +115,6 @@ class TestSpecializerOutputVerifies:
 ISOLATED_PASSES = dict(PASSES) | {
     "remove-unreachable": remove_unreachable_blocks,
     "thread-jumps": thread_jumps,
-    "fold-branches": fold_branches,
 }
 
 
