@@ -24,15 +24,28 @@ for the values dominating blocks computed those keys as; and through
 a decided value becomes a ``jump`` to the decided arm (simplify-cfg then
 drops the dead arm), and every other operand that is a decided value
 reads the pooled 0, or the pooled 1 when the value is a compare, if the
-walk has pooled it (step 5).  Those rewrites go to the visited block's
+walk has pooled it (step 7).  Those rewrites go to the visited block's
 operands, never through the substitution applied to the whole
 function: a fact holds only in its subtree.
+
+*Known bits* (LLVM's ``computeKnownBits``) are one ``(zero, one)`` mask
+pair per i64 value, the bits known to be 0 and to be 1: every bit of a
+constant, all but bit 0 of a compare, and through ``iand``, ``ior``
+and a shift by a constant (:data:`KNOWN_BITS`).  SSA makes a
+value's masks hold wherever it is used, so unlike edge facts they are
+never undone.  They decide the tag test of a NaN-boxed value: of ``v =
+ior K, c``, ``ishr_u v, 48`` is the tag of ``K`` and ``iand v, 1`` is
+``c`` when ``c`` is a compare.
 
 Each pure instruction, its operands resolved through the rewrites so
 far and read through the edge facts, is in order:
 
-1. a *copy* when an algebraic identity makes it one of its operands
-   (``iadd x, 0``, ``imul x, 1``, ``iand x, ~0``, a ``select`` whose
+1. *narrowed* in place when it is ``iand (ior k, y), m`` and no bit may
+   be set in both ``k`` and ``m``: it reads ``iand y, m``, which is
+   exact (:func:`_narrowed`);
+2. a *copy* when an algebraic identity makes it one of its operands
+   (``iadd x, 0``, ``imul x, 1``, ``iand x, m`` where every bit of
+   ``x`` that ``m`` may clear is known zero, a ``select`` whose
    arms agree or whose condition is constant or decided by an edge,
    ``ine c, 0`` of a compare ``c``, which is already 0 or 1, a bit cast
    of its inverse cast, ``bits_itof(bits_ftoi f)`` or
@@ -40,22 +53,24 @@ far and read through the edge facts, is in order:
    the 64 bits through the scratch word; :func:`_copy_source`).  The
    operand's definition (or the inner cast's) dominates the
    instruction's, so its uses may read the operand instead;
-2. *negated* in place when it is ``ieq c, 0`` of a compare ``c`` whose
+3. *negated* in place when it is ``ieq c, 0`` of a compare ``c`` whose
    negation is exact (:data:`NEGATION`): it becomes that negation over
    ``c``'s operands, which dominate ``c`` and so the instruction.  Then
    ``c`` may lose its last use, and the negation, with one use, fuses
    into its ``br_if`` when emitted;
-3. *folded* in place to an ``iconst`` / ``fconst`` when every operand
+4. *folded* in place to an ``iconst`` / ``fconst`` when every operand
    is a constant (:func:`~repro.core.lattice.fold_pure_op`, which leaves
    an op that would trap alone);
-4. *decided* in place to ``iconst 1`` / ``0`` when it is a compare whose
+5. *decided* in place to ``iconst 1`` / ``0`` when it is a compare whose
    expression key an edge decided;
-5. *pooled* when it is a constant, as written or by step 3 or 4: the
+6. *known*: its known bits are computed, and it becomes the
+   ``iconst`` of them when all 64 are known;
+7. *pooled* when it is a constant, as written or by step 4, 5 or 6: the
    first of its ``(op, immediate)`` the walk meets is the function's
    one definition, moved to the end of the entry block (which dominates
    every use, and is walked first) when met elsewhere, and each later
    one becomes a copy of it, across sibling branches too;
-6. *numbered* otherwise: dropped if an equal expression dominates it.
+8. *numbered* otherwise: dropped if an equal expression dominates it.
 
 A block's ``br_if`` then tests what its condition's zero test tests:
 ``br_if (ine x, 0), T, F`` becomes ``br_if x, T, F`` and ``br_if (ieq x,
@@ -109,6 +124,40 @@ for _a, _b in (("ieq", "ine"), ("ilt_s", "ige_s"), ("ilt_u", "ige_u"),
 # The ops whose result is a compare's 0 or 1.
 COMPARES = {*NEGATION, "flt", "fle", "fgt", "fge"}
 
+# Known bits (LLVM's ``computeKnownBits``): of an i64, the pair
+# ``(zero, one)`` of the masks of the bits known to be 0 and known to
+# be 1.  Each transfer maps its operands' pairs to the result's, as its
+# ``ir/semantics.py`` row computes: a shift only by a known amount,
+# taken ``& 63`` like the row.
+UNKNOWN = (0, 0)
+COMPARE_BITS = (MASK64 ^ 1, 0)
+
+
+def _known_shift(b: tuple) -> Optional[int]:
+    return b[1] & 63 if b[0] | b[1] == MASK64 else None
+
+
+def _shl_bits(a: tuple, b: tuple) -> tuple:
+    s = _known_shift(b)
+    if s is None:
+        return UNKNOWN
+    return ((a[0] << s | (1 << s) - 1) & MASK64, (a[1] << s) & MASK64)
+
+
+def _shr_u_bits(a: tuple, b: tuple) -> tuple:
+    s = _known_shift(b)
+    if s is None:
+        return UNKNOWN
+    return (a[0] >> s | (MASK64 ^ MASK64 >> s), a[1] >> s)
+
+
+KNOWN_BITS = {
+    "iand": lambda a, b: (a[0] | b[0], a[1] & b[1]),
+    "ior": lambda a, b: (a[0] & b[0], a[1] | b[1]),
+    "ishl": _shl_bits,
+    "ishr_u": _shr_u_bits,
+}
+
 # Each bit cast mapped to its inverse: both copy the 64 bits through
 # the scratch word, NaN payloads included, so a cast of the inverse
 # cast of ``x`` is ``x``.
@@ -141,10 +190,10 @@ def _compare(kept: Dict[int, tuple], value: Optional[int]
 
 
 def _copy_source(op: str, args: tuple, consts: Dict[int, object],
-                 kept: Dict[int, tuple]) -> Optional[int]:
+                 kept: Dict[int, tuple], bits) -> Optional[int]:
     """The value id ``op(args)`` is an alias of, or None.  ``kept``
     holds the pure instructions kept so far, value id -> ``(op,
-    args)``."""
+    args)``, and ``bits`` gives a value's known bits."""
     const = consts.get
     if op == "ine":
         tested = _zero_tested(args, consts)
@@ -175,9 +224,12 @@ def _copy_source(op: str, args: tuple, consts: Dict[int, object],
         if op in ("ior", "ixor") and const(args[0]) == 0:
             return args[1]
     elif op == "iand":
-        if const(args[1]) == MASK64:
+        # ``x`` when every bit of ``x`` the other operand may clear is
+        # known zero (``iand x, ~0`` among them).
+        x, m = map(bits, args)
+        if x[0] | m[1] == MASK64:
             return args[0]
-        if const(args[0]) == MASK64:
+        if m[0] | x[1] == MASK64:
             return args[1]
     elif op == "select":
         if args[1] == args[2]:
@@ -185,6 +237,23 @@ def _copy_source(op: str, args: tuple, consts: Dict[int, object],
         cond = const(args[0])
         if cond is not None:
             return args[1] if cond != 0 else args[2]
+    return None
+
+
+def _narrowed(args: tuple, kept: Dict[int, tuple], bits
+              ) -> Optional[tuple]:
+    """``iand`` operands ``args`` with an ``ior`` operand replaced by
+    the ``ior``'s operand ``y`` when the other ``iand`` operand ``m``
+    and the ``ior``'s other operand ``k`` have no bit that may be set
+    in both: ``(k | y) & m == y & m`` then.  None when there is none."""
+    for x, m in (args, args[::-1]):
+        op, inner = kept.get(x, ("", ()))
+        if op != "ior":
+            continue
+        m_zero = bits(m)[0]
+        for k, y in (inner, inner[::-1]):
+            if bits(k)[0] | m_zero == MASK64:
+                return y, m
     return None
 
 
@@ -211,11 +280,12 @@ def _decided_arm(term: Union[BrIf, BrTable], value_of,
 
 
 def global_value_numbering(func: Function) -> int:
-    """Propagate copies, fold constants, fold what branch edges decide,
-    and eliminate dominated redundant pure computations; returns the
-    number of instructions removed, hoisted, folded or decided, plus
-    the operands read as an edge's constant and the zero tests peeled
-    off ``br_if`` conditions."""
+    """Propagate copies, fold constants, fold what branch edges and
+    known bits decide, and eliminate dominated redundant pure
+    computations; returns the number of instructions removed, hoisted,
+    folded or decided, plus the operands read as an edge's constant,
+    the zero tests peeled off ``br_if`` conditions and the ``iand``
+    operands narrowed."""
     if func.entry is None or func.entry not in func.blocks:
         return 0
     domtree = DominatorTree(func)
@@ -226,11 +296,20 @@ def global_value_numbering(func: Function) -> int:
     # first the walk meets, the entry block's own before any other.
     pool: Dict[tuple, int] = {}
     consts = constants(func)
-    replaced = folded = negated = decided = peeled = 0
+    replaced = folded = negated = decided = peeled = narrowed = 0
     # The pure instructions the walk has kept: value id -> (op,
     # operands).  A value's definition dominates its uses, so one map
     # serves the walk.
     kept: Dict[int, tuple] = {}
+    # The known bits of each i64 value the walk computed some of, past
+    # a constant's.  SSA makes them hold function-wide: no undo.
+    masks: Dict[int, tuple] = {}
+
+    def bits(value: int) -> tuple:
+        const = consts.get(value)
+        if type(const) is int:
+            return MASK64 ^ const, const
+        return masks.get(value, UNKNOWN)
 
     # What holds on the walk's current dominator path, undone on the
     # way back up: ``available`` maps an expression key to the value
@@ -336,10 +415,16 @@ def global_value_numbering(func: Function) -> int:
                 # In place, never through ``subst``: the fact holds only
                 # in this subtree.
                 instr.args = args = tuple(map(read, args))
+            while instr.op == "iand":
+                inner = _narrowed(args, kept, bits)
+                if inner is None:
+                    break
+                instr.args = args = inner
+                narrowed += 1
             if instr.op == "select" and args[0] in facts:
                 source = args[1] if facts[args[0]] else args[2]
             else:
-                source = _copy_source(instr.op, args, consts, kept)
+                source = _copy_source(instr.op, args, consts, kept, bits)
             if source is not None:
                 subst[instr.result] = source
                 gone.add(id(instr))
@@ -368,6 +453,17 @@ def global_value_numbering(func: Function) -> int:
                 instr.op, instr.args, instr.imm = "iconst", (), int(truth)
                 consts[instr.result] = int(truth)
                 decided += 1
+            transfer = KNOWN_BITS.get(instr.op)
+            if transfer is not None or instr.op in COMPARES:
+                zero, one = (transfer(*map(bits, args)) if transfer
+                             else COMPARE_BITS)
+                if zero | one == MASK64:
+                    # Every bit known: the constant.
+                    instr.op, instr.args, instr.imm = "iconst", (), one
+                    consts[instr.result] = one
+                    folded += 1
+                elif zero | one:
+                    masks[instr.result] = zero, one
             if instr.op in ("iconst", "fconst"):
                 # The pool, not ``available``: the entry block dominates
                 # every use, so equal constants unify function-wide,
@@ -423,4 +519,5 @@ def global_value_numbering(func: Function) -> int:
     substitute_values(func, subst)
     # Hoists count as changes: they mutate the IR (a hoisted constant
     # is never hoisted again).
-    return replaced + len(hoisted) + folded + negated + decided + peeled
+    return (replaced + len(hoisted) + folded + negated + decided + peeled
+            + narrowed)

@@ -105,7 +105,9 @@ from repro.ir.parser import IRParseError, parse_function, parse_header
 # 12: residual ids are fresh on every rebuild and GVN pools constants in
 # its walk and folds every decided branch, so ids and the entry block's
 # constant order move (the code is the same up to that renaming).
-ARTIFACT_VERSION = 12
+# 13: GVN tracks known bits, so the tag test of a boxed compare folds
+# back to the compare.
+ARTIFACT_VERSION = 13
 
 # Bump on any change to the Python backend's emitted-code shape (the
 # ``py/`` entries cache emitter *output*, so the emitter itself is part

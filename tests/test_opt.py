@@ -19,7 +19,14 @@ from repro.ir import (
     print_function,
     verify_function,
 )
-from repro.ir.instructions import MASK64, OPCODES, BlockCall, Jump, Ret
+from repro.ir.instructions import (
+    MASK64,
+    OPCODES,
+    BlockCall,
+    BrIf,
+    Jump,
+    Ret,
+)
 from repro.ir.printer import float_text
 from repro.ir.semantics import (
     LOADS,
@@ -294,6 +301,8 @@ u64 f(u64 c) {
 
 
 NAN_1, NAN_2 = 0x7ff8000000000001, 0x7ff8000000000002
+# A JS boolean's box: its tag in the top 16 bits, the 0 or 1 in bit 0.
+BOOL_TAG = 0xFFF9 << 48
 NAN_ORDER_GVN = """\
 func @f(v0: i64, v1: i64) -> i64 {
 block0:
@@ -707,6 +716,122 @@ block4:
         assert func.blocks[1].terminator.cond == 2
         self._run_both(text, [(1, 2), (2, 1)])
 
+    @pytest.mark.parametrize("compare, kept", [
+        ("flt v2, v3", ["bits_itof", "bits_itof", "flt"]),
+        ("ieq v0, v1", ["ieq"]),
+    ], ids=["flt", "ieq"])
+    def test_the_tag_test_of_a_boxed_compare_is_the_compare(self, compare,
+                                                           kept):
+        """``v6`` boxes a compare as a JS boolean.  Its tag is the
+        tag's constant, so the tag test is decided, and ``iand v6, 1``
+        is the compare: the two branches fold to one ``br_if`` on it."""
+        text = f"""\
+func @f(v0: i64, v1: i64) -> i64 {{
+block0:
+  v2 = bits_itof v0
+  v3 = bits_itof v1
+  v4 = {compare}
+  v5 = iconst {BOOL_TAG}
+  v6 = ior v5, v4
+  v7 = iconst 48
+  v8 = ishr_u v6, v7
+  v9 = iconst {BOOL_TAG >> 48}
+  v10 = ieq v8, v9
+  br_if v10, block1, block2
+block1:
+  v11 = iconst 1
+  v12 = iand v6, v11
+  br_if v12, block3, block4
+block2:
+  return v6
+block3:
+  return v0
+block4:
+  return v1
+}}"""
+        func = self._run_both(
+            text, [(0, 1), (1, 0), (5, 5), (_bits_ftoi(1.0), _bits_ftoi(2.0)),
+                   (NAN_1, 0), (MASK64, 0)],
+            passes=(optimize_function,))
+        assert ops(func) == kept
+        term = func.entry_block().terminator
+        assert isinstance(term, BrIf)
+        assert term.cond == func.entry_block().instrs[-1].result
+
+    def test_the_low_bit_of_a_boxed_compare_is_the_compare(self):
+        """``iand (ior K, c), 1`` reads ``iand c, 1`` because ``K & 1``
+        is 0, which is ``c`` because a compare's other bits are 0."""
+        text = f"""\
+func @f(v0: i64, v1: i64) -> i64 {{
+block0:
+  v2 = ilt_u v0, v1
+  v3 = iconst {BOOL_TAG}
+  v4 = ior v3, v2
+  v5 = iconst 1
+  v6 = iand v4, v5
+  return v6
+}}"""
+        func = self._run_both(text, [(1, 2), (2, 1), (0, MASK64)])
+        assert func.entry_block().terminator == Ret((2,))
+
+    def test_a_tag_with_bit_0_set_leaves_the_iand(self):
+        """With bit 0 of ``K`` set ``(K | x) & 3`` is not ``x & 3``:
+        the ``iand`` stays over the ``ior``."""
+        text = f"""\
+func @f(v0: i64) -> i64 {{
+block0:
+  v1 = iconst {BOOL_TAG | 1}
+  v2 = ior v1, v0
+  v3 = iconst 3
+  v4 = iand v2, v3
+  return v4
+}}"""
+        func = self._run_both(text, [(0,), (1,), (2,), (MASK64,)])
+        assert ops(func) == ["iconst", "ior", "iconst", "iand"]
+        assert func.entry_block().instrs[-1].args == (2, 3)
+
+    def test_a_boxed_load_keeps_its_tag_test(self):
+        """A loaded word's bits are unknown, so ``ior K, (load64 p)``
+        has an unknown tag: the tag test and its branch stay."""
+        text = f"""\
+func @f(v0: i64) -> i64 {{
+block0:
+  v1 = load64 v0
+  v2 = iconst {BOOL_TAG}
+  v3 = ior v2, v1
+  v4 = iconst 48
+  v5 = ishr_u v3, v4
+  v6 = iconst {BOOL_TAG >> 48}
+  v7 = ieq v5, v6
+  br_if v7, block1, block2
+block1:
+  return v5
+block2:
+  return v3
+}}"""
+        func = self._run_both(text, [(0,), (8,)])
+        assert ops(func) == ["load64", "iconst", "ior", "iconst",
+                             "ishr_u", "iconst", "ieq"]
+        assert isinstance(func.entry_block().terminator, BrIf)
+
+    def test_a_shift_amount_is_taken_mod_64(self):
+        """``ishr_u x, 112`` shifts by 48, as its row does: of a boxed
+        compare, it is the tag."""
+        text = f"""\
+func @f(v0: i64, v1: i64) -> i64 {{
+block0:
+  v2 = ige_s v0, v1
+  v3 = iconst {BOOL_TAG}
+  v4 = ior v2, v3
+  v5 = iconst 112
+  v6 = ishr_u v4, v5
+  return v6
+}}"""
+        func = self._run_both(text, [(1, 2), (2, 1)])
+        (returned,) = func.entry_block().terminator.args
+        assert {instr.result: instr.imm for instr in func.entry_block().instrs
+                if instr.op == "iconst"}[returned] == BOOL_TAG >> 48
+
     def test_loads_never_cse(self):
         # Loads are impure (stores may intervene): GVN must leave them.
         module, func = compiled_func("""
@@ -717,6 +842,41 @@ u64 f(u64 p) {
 }
 """, "f")
         assert global_value_numbering(func) == 0
+
+
+# A word and a mask of its bits taken as known: the edges, the shift
+# amounts past 63 and anything.
+WORDS = st.one_of(st.sampled_from((0, 1, 47, 48, 63, 64, 112, 1 << 63,
+                                   MASK64, BOOL_TAG, NAN_1)),
+                  st.integers(0, MASK64))
+KNOWN_MASKS = st.one_of(st.sampled_from((0, MASK64)), st.integers(0, MASK64))
+
+
+@given(op=st.sampled_from(sorted(gvn.KNOWN_BITS) + list(COMPARE_OPS)),
+       a=WORDS, a_known=KNOWN_MASKS, b=WORDS, b_known=KNOWN_MASKS)
+@example(op="ishr_u", a=BOOL_TAG | 1, a_known=MASK64 ^ 1, b=112,
+         b_known=MASK64)
+@example(op="ishl", a=MASK64, a_known=MASK64, b=MASK64, b_known=MASK64)
+@example(op="ishr_u", a=BOOL_TAG | 1, a_known=MASK64, b=48, b_known=MASK64)
+@settings(max_examples=500)
+def test_known_bits_are_sound(op, a, a_known, b, b_known):
+    """Of operands whose known bits hold, what each transfer says of
+    the result holds of what its ``ir/semantics.py`` row computes, bit
+    for bit, and all of it when the operands are known; a compare's
+    every bit but bit 0 is known zero."""
+    operands = [((MASK64 ^ word) & known, word & known)
+                for word, known in ((a, a_known), (b, b_known))]
+    if op in gvn.KNOWN_BITS:
+        zero, one = gvn.KNOWN_BITS[op](*operands)
+    else:
+        zero, one = gvn.COMPARE_BITS
+    if OPCODES[op].arg_types[0] == F64:
+        a, b = _bits_itof(a), _bits_itof(b)
+    result = PURE_FNS[op](a, b)
+    assert zero & one == 0
+    assert (zero & result, one & ~result) == (0, 0)
+    if op in gvn.KNOWN_BITS and a_known == b_known == MASK64:
+        assert (zero | one, one) == (MASK64, result)
 
 
 class TestCopyProp:
@@ -1494,17 +1654,59 @@ def _memory_op(draw, ir, pools):
         ir.line(f"{op}{at} v{address}, v{_operand(draw, ir, pools, ty)}")
 
 
+# The tags a value is boxed with: a JS boolean's, one with bit 0 set
+# (so ``iand`` of the box by 1 is not the payload's bit), one with a
+# bit inside the low 48 and none.  And the masks a payload or a box is
+# ``iand``-ed with.
+TAGS = (BOOL_TAG, BOOL_TAG | 1, BOOL_TAG | 1 << 47, 0)
+MASKS = (1, 3, 0xFFFF, 1 << 48, MASK64 ^ 1, MASK64)
+
+
+def _unboxed(draw, ir, box):
+    """``iand`` of ``box`` and a drawn mask, either operand first."""
+    pair = [box, ir.const(draw(st.sampled_from(MASKS)))]
+    if draw(st.booleans()):
+        pair.reverse()
+    return ir.define(f"iand v{pair[0]}, v{pair[1]}")
+
+
+def _boxed(draw, ir, pools):
+    """A compare or a masked i64, boxed with ``ior`` of a tag constant
+    as a NaN-boxed value is, and the box's tag test: ``ishr_u`` by 48
+    (or by 112, which the row takes ``& 63``) and ``ieq`` of that
+    against a tag.  What known bits decide.  Returns ``(box, test)``."""
+    if draw(st.booleans()):
+        payload = _head_compare(draw, ir, pools)[0]
+    else:
+        payload = _unboxed(draw, ir, _operand(draw, ir, pools, I64))
+        pools[I64].append(payload)
+    tag = draw(st.sampled_from(TAGS))
+    pair = [ir.const(tag), payload]
+    if draw(st.booleans()):
+        pair.reverse()
+    box = ir.define(f"ior v{pair[0]}, v{pair[1]}")
+    shifted = ir.define(
+        f"ishr_u v{box}, v{ir.const(draw(st.sampled_from([48, 112])))}")
+    expected = draw(st.sampled_from([tag >> 48, BOOL_TAG >> 48]))
+    test = ir.define(f"ieq v{shifted}, v{ir.const(expected)}")
+    pools[I64] += [box, shifted, test, _unboxed(draw, ir, box)]
+    return box, test
+
+
 def _pure_ops(draw, ir, pools):
     """A few pure ops in the current block, over ``pools`` (a value
     list per type), and now and then a load or store; most of their
     results stay dead."""
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.integers(0, 5))
+        kind = draw(st.integers(0, 6))
         if kind == 0:
             _compare_test(draw, ir, pools)
             continue
         if kind == 1:
             _memory_op(draw, ir, pools)
+            continue
+        if kind == 2:
+            _boxed(draw, ir, pools)
             continue
         op = draw(st.sampled_from(sorted(PURE_EXPRS)))
         if op == "select":
@@ -1524,7 +1726,7 @@ FLIPPED = {"flt": "fge", "fge": "flt", "fle": "fgt", "fgt": "fle"}
 
 def _head_compare(draw, ir, pools):
     """A compare, integer or ordered float, defined to be the diamond's
-    ``br_if`` selector: ``(value, op, operands)``."""
+    ``br_if`` selector or a boxed payload: ``(value, op, operands)``."""
     op = draw(st.sampled_from(COMPARE_OPS))
     ty = OPCODES[op].arg_types[0]
     args = tuple(_operand(draw, ir, pools, ty) for _ in range(2))
@@ -1558,18 +1760,25 @@ def mid_end_functions(draw):
     one that takes the default.  A ``br_if`` may test a compare of its
     own, and then each arm may test it again (itself, recomputed,
     negated or ``ieq`` against 0) before it reaches the join: what an
-    edge decides.  Or an arm of a ``br_if`` may end in a ``br_table``
-    on its selector, which the edge says only is zero or not."""
+    edge decides.  Or a ``br_if`` may test a boxed value's tag, and then
+    each arm may branch on an ``iand`` of the box: JS truthiness, which
+    known bits decide.  Or an arm of a ``br_if`` may end in a
+    ``br_table`` on its selector, which the edge says only is zero or
+    not."""
     ir = IRText(HEADER, 3)
     pools = {I64: [0, 1, 2],
              F64: [ir.define(f"bits_itof v{p}") for p in range(3)]}
     _pure_ops(draw, ir, pools)
     branch = draw(st.sampled_from([None, "br_if", "br_table"]))
     if branch:
-        head = None
-        if branch == "br_if" and draw(st.booleans()):
+        head = box = None
+        kind = (draw(st.sampled_from(["value", "compare", "boxed"]))
+                if branch == "br_if" else "value")
+        if kind == "compare":
             head = _head_compare(draw, ir, pools)
             selector = head[0]
+        elif kind == "boxed":
+            box, selector = _boxed(draw, ir, pools)
         else:
             selector = draw(st.sampled_from(pools[I64]))
         arms = ir.block()[0], ir.block()[0]
@@ -1590,8 +1799,9 @@ def mid_end_functions(draw):
             arm_pools = {ty: list(values) for ty, values in pools.items()}
             _pure_ops(draw, ir, arm_pools)
             exits = [arm]
-            if head and draw(st.booleans()):
-                test = _second_test(draw, ir, head)
+            if (head or box is not None) and draw(st.booleans()):
+                test = (_second_test(draw, ir, head) if head
+                        else _unboxed(draw, ir, box))
                 exits = ir.block()[0], ir.block()[0]
                 ir.line(f"br_if v{test}, block{exits[0]}, block{exits[1]}")
             elif branch == "br_if" and draw(st.booleans()):
@@ -1729,6 +1939,37 @@ block3:
 block4:
   return v2
 }}""", calls=[(0, 10, 20), (1, 10, 20), (2, 10, 20), (MASK64, 10, 20)])
+@example(text=f"""{HEADER}
+block0:
+  v3 = bits_itof v0
+  v4 = bits_itof v1
+  v5 = bits_itof v2
+  v6 = flt v3, v4
+  v7 = iconst {BOOL_TAG}
+  v8 = ior v7, v6
+  v9 = iconst 48
+  v10 = ishr_u v8, v9
+  v11 = iconst {BOOL_TAG >> 48}
+  v12 = ieq v10, v11
+  br_if v12, block1, block2
+block1:
+  v13 = iconst 1
+  v14 = iand v8, v13
+  jump block3(v14)
+block2:
+  v15 = iconst {(BOOL_TAG >> 48) + 1}
+  v16 = ine v10, v15
+  jump block3(v16)
+block3(v17: i64):
+  v18 = iconst 0
+  v19 = ieq v17, v18
+  br_if v19, block4, block5
+block4:
+  return v8
+block5:
+  return v17
+}}""", calls=[(_bits_ftoi(1.0), _bits_ftoi(2.0), 0),
+              (_bits_ftoi(2.0), _bits_ftoi(1.0), 0), (NAN_1, 0, 0)])
 @settings(max_examples=300, deadline=None)
 def test_mid_end_oracle(text, calls):
     """``optimize_function`` on a clone returns the bits the function

@@ -684,7 +684,7 @@ class TestLazyWarmStart:
                 assert print_function(func, order="id") == text
             verify_function(func, module)
             assert print_function(func, order="id") in stored
-        assert sum(func.num_instrs() for _, func in residuals) == 6639
+        assert sum(func.num_instrs() for _, func in residuals) == 6167
 
     def test_cross_interpreter_store_reads_every_body(self, suite_store,
                                                        tmp_path):
